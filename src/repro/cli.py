@@ -906,6 +906,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile:
         import cProfile
 
+        # A profiling run is a debugging run: engine errors keep their
+        # traceback.
         profiler = cProfile.Profile()
         profiler.enable()
         try:
@@ -918,7 +920,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"(inspect with `python -m pstats {args.profile}`)",
                 file=sys.stderr,
             )
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as error:
+        print(f"error: {' '.join(str(error).split())}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -406,34 +406,42 @@ class DrivingMonitor:
         self.entries_scanned += 1
         self.rows_survived += lived
 
-    def observe_many(self, survived_flags: Sequence[bool]) -> None:
-        """Fold a chunk of per-row survival flags into the window.
+    def observe_many(self, survived_flags: Sequence[int]) -> None:
+        """Fold a chunk of per-row survival flags (0/1) into the window.
 
-        Exact bulk twin of calling :meth:`record_scanned` once per flag —
-        the ring keeps each row's flag so mid-chunk window boundaries
-        evict precisely the rows a scalar run would have evicted.
+        Exact bulk twin of calling :meth:`record_scanned` once per flag:
+        the ring keeps each row's flag, so the rows evicted are precisely
+        the ones a row-at-a-time run would have evicted. Done with slice
+        arithmetic, so a chunk costs a few list operations whatever its
+        length.
         """
+        count = len(survived_flags)
+        if not count:
+            return
         ring = self._survived_ring
         window = self.window
         scanned = self.entries_scanned
-        recent_survived = self._recent_survived
-        recent_scanned = self._recent_scanned
-        survived_total = 0
-        for survived in survived_flags:
-            lived = 1 if survived else 0
-            slot = scanned % window
-            if scanned >= window:
-                recent_survived -= ring[slot]
-            else:
-                recent_scanned += 1
-            ring[slot] = lived
-            recent_survived += lived
-            scanned += 1
-            survived_total += lived
-        self.entries_scanned = scanned
-        self.rows_survived += survived_total
-        self._recent_scanned = recent_scanned
-        self._recent_survived = recent_survived
+        total = sum(survived_flags)
+        if count >= window:
+            # Only the last `window` flags stay; they land at consecutive
+            # slots starting where the first of them would have been put.
+            kept = list(survived_flags[count - window :])
+            first = (scanned + count - window) % window
+            ring[first:] = kept[: window - first]
+            ring[:first] = kept[window - first :]
+            self._recent_survived = sum(kept)
+        else:
+            # Slots never written hold 0, so subtracting what is
+            # overwritten is right before the ring has filled too.
+            first = scanned % window
+            head = min(count, window - first)
+            evicted = sum(ring[first : first + head]) + sum(ring[: count - head])
+            ring[first : first + head] = survived_flags[:head]
+            ring[: count - head] = survived_flags[head:]
+            self._recent_survived += total - evicted
+        self._recent_scanned = min(window, scanned + count)
+        self.entries_scanned = scanned + count
+        self.rows_survived += total
 
     def residual_selectivity(self) -> float | None:
         """Windowed S_LPR of the driving leg's residual local predicates."""

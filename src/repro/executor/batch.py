@@ -59,13 +59,32 @@ from repro.storage.cursor import IndexScanCursor
 from repro.storage.table import Row
 
 
+def _index_walk(cursor: IndexScanCursor, scan=None) -> Iterator[int]:
+    """The RIDs *cursor* has yet to yield, in its walk order, uncharged.
+
+    Same ranges, start-after skipping and stop-at bounding as the cursor
+    itself (``IndexScanCursor.remaining_spans``), relative to its current
+    position. With *scan* (a :class:`TurboDrivingScan`) a descend is owed
+    per range actually entered, charged with the chunk that consumes from
+    it.
+    """
+    entries = cursor.index._entries
+    spans, _ = cursor.remaining_spans()
+    for range_no, lo, cut, _ in spans:
+        if scan is not None and range_no != cursor._range_no:
+            scan._pending_descends += 1
+        for position in range(lo, cut):
+            yield entries[position][1]
+
+
 class DrivingShadow:
     """Uncharged lookahead over the driving scan.
 
     Replicates the cursor's visit order (RID order for table scans, the
     per-range (key, rid) walk for index scans) and the driving-row residual
-    local predicates, reading only ``raw_rows()`` / ``peek_range()`` so no
-    work is charged and no cursor or monitor state moves. The rows it
+    local predicates, reading only ``raw_rows()`` and the cursor's own
+    uncharged lookahead (``remaining_rids()`` / ``remaining_spans()``) so
+    no work is charged and no cursor or monitor state moves. The rows it
     returns are the same objects the real cursor will yield next.
     """
 
@@ -78,47 +97,11 @@ class DrivingShadow:
             test for predicate, test in leg.local_tests if predicate is not pushed
         ]
         if isinstance(cursor, IndexScanCursor):
-            self._iter = self._index_rids(cursor)
+            self._iter = _index_walk(cursor)
         else:
-            self._iter = self._table_rids(cursor)
-
-    def _table_rids(self, cursor) -> Iterator[int]:
-        last = cursor.last_position
-        start = 0 if last is None else last[0] + 1
-        end = len(self._raw)
-        if cursor.stop_at is not None:
-            # Partition-bounded cursor: the lookahead must not prepare
-            # probes for rows the cursor will never yield.
-            end = min(end, cursor.stop_at[0])
-        yield from range(start, end)
-
-    def _index_rids(self, cursor: IndexScanCursor) -> Iterator[int]:
-        # Mirrors IndexScanCursor._entries: same range walk, same
-        # start-after skipping and stop-at bounding, but relative to the
-        # cursor's *current* position and without charging descends or
-        # entry touches.
-        index = cursor.index
-        start = cursor.last_position
-        stop = cursor.stop_at
-        for key_range in cursor.ranges:
-            entry_start = None
-            if start is not None:
-                if key_range.high is not None and (
-                    key_range.high < start[0]
-                    or (key_range.high == start[0] and not key_range.high_inclusive)
-                ):
-                    continue
-                entry_start = (start[0], start[1])
-            for key, rid in index.peek_range(
-                low=key_range.low,
-                high=key_range.high,
-                low_inclusive=key_range.low_inclusive,
-                high_inclusive=key_range.high_inclusive,
-                start_after=entry_start,
-            ):
-                if stop is not None and (key, rid) >= stop:
-                    return
-                yield rid
+            # Partition-bounded cursors included: the lookahead must not
+            # prepare probes for rows the cursor will never yield.
+            self._iter = iter(cursor.remaining_rids())
 
     def next_survivors(self, limit: int) -> list[Row]:
         """Up to *limit* upcoming rows that survive the residual locals."""
@@ -171,42 +154,9 @@ class TurboDrivingScan:
         self._pending_descends = 0
         self._is_index = isinstance(cursor, IndexScanCursor)
         if self._is_index:
-            self._iter = self._index_rids(cursor)
+            self._iter = _index_walk(cursor, self)
         else:
-            last = cursor.last_position
-            start = 0 if last is None else last[0] + 1
-            end = len(self._raw)
-            if cursor.stop_at is not None:
-                end = min(end, cursor.stop_at[0])
-            self._iter = iter(range(start, end))
-
-    def _index_rids(self, cursor: IndexScanCursor) -> Iterator[int]:
-        # Same walk as IndexScanCursor._entries (including the cursor's
-        # partition bounds); a descend is owed per range actually entered,
-        # charged with the chunk that consumes from it.
-        index = cursor.index
-        start = cursor.last_position
-        stop = cursor.stop_at
-        for key_range in cursor.ranges:
-            entry_start = None
-            if start is not None:
-                if key_range.high is not None and (
-                    key_range.high < start[0]
-                    or (key_range.high == start[0] and not key_range.high_inclusive)
-                ):
-                    continue
-                entry_start = (start[0], start[1])
-            self._pending_descends += 1
-            for key, rid in index.peek_range(
-                low=key_range.low,
-                high=key_range.high,
-                low_inclusive=key_range.low_inclusive,
-                high_inclusive=key_range.high_inclusive,
-                start_after=entry_start,
-            ):
-                if stop is not None and (key, rid) >= stop:
-                    return
-                yield rid
+            self._iter = iter(cursor.remaining_rids())
 
     def next_survivors(self, limit: int) -> list[Row]:
         """Up to *limit* surviving rows; charges the chunk's scan work."""

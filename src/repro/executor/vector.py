@@ -22,12 +22,15 @@ layered array computation:
 Gates are strict — any unsupported shape returns ``None`` and the generic
 turbo loop runs instead. In particular the cascade requires: numpy, no
 probe caches, columnar tables and indexes on every leg, index-equality
-probes with no residual joins, no positional predicates, and vectorizable
-local predicates everywhere. Partitioned (and resumed) driving cursors are
-supported: the driving walk clamps each key range to the cursor's
-``start_after``/``stop_at`` bounds with the exact skip/termination rules
-of :class:`~repro.storage.cursor.IndexScanCursor`, which is how parallel
-workers run the cascade over their :class:`ScanPartition` slices.
+probes with no residual joins, and vectorizable local predicates
+everywhere. A frozen leg's positional predicate is not a gate: it is a
+mask over the leg's group kernel (:func:`_positional_kernel`). Partitioned
+and resumed driving cursors are supported: :class:`_DrivingWalk` reads the
+rest of the scan off the cursor's own state, with the exact
+skip/termination rules of :class:`~repro.storage.cursor.IndexScanCursor`,
+which is how parallel workers run the cascade over their
+:class:`ScanPartition` slices and how the adaptive cascade survives a
+driving switch.
 Like the rest of the turbo path this is only observably different from
 the scalar machine in *intermediate* meter states, which nothing can read
 (no limits, no observability, no faults, no oracle — enforced by the
@@ -36,10 +39,9 @@ turbo entry conditions).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.errors import ExecutionError
 from repro.storage.columnar import (
     ColumnarIndex,
     ColumnarTable,
@@ -128,170 +130,234 @@ def vector_cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     gate failure returns ``None`` with no state mutated, so the caller's
     generic loop proceeds untouched.
     """
-    if _np is None:
-        executor.vector_gate_reason = "numpy unavailable (stdlib fallback)"
+    planned = _cascade_plan(executor)
+    if planned is None:
         return None
-    if executor.probe_caches:
-        executor.vector_gate_reason = "probe cache armed (--probe-cache)"
-        return None
-    order = list(executor.order)
-    if len(order) < 2:
-        executor.vector_gate_reason = "single-leg pipeline"
-        return None
-    legs = [executor.legs[alias] for alias in order]
-    for leg in legs:
-        if not isinstance(leg.table, ColumnarTable):
-            executor.vector_gate_reason = f"leg {leg.alias!r}: row-backend table"
-            return None
-    cursor = executor.driving_cursor
-    if cursor is None:
-        executor.vector_gate_reason = "driving cursor not open"
-        return None
-
-    # -- driving leg: entry walk + residual-local masks -----------------
-    leg0 = legs[0]
-    if leg0.positional is not None:
-        executor.vector_gate_reason = (
-            f"leg {order[0]!r}: positional predicate (frozen cursor)"
-        )
-        return None
-    pushed = leg0._pushed_predicate(cursor)
-    residual0 = [
-        predicate
-        for predicate, _ in leg0.local_tests
-        if predicate is not pushed
-    ]
-    is_index = isinstance(cursor, IndexScanCursor)
-    if is_index:
-        index0 = cursor.index
-        if not isinstance(index0, ColumnarIndex):
-            executor.vector_gate_reason = (
-                f"leg {order[0]!r}: non-columnar driving index"
-            )
-            return None
-        index0._sidecar()
-        if index0._ent_rids is None:
-            executor.vector_gate_reason = (
-                f"leg {order[0]!r}: non-columnar driving index"
-            )
-            return None
-    table0 = leg0.table
-    schema0 = table0.schema
-    masks0 = []
-    for predicate in residual0:
-        spec = vector_spec(predicate, schema0)
-        mask = table0.mask_for_spec(spec) if spec is not None else None
-        if mask is None:
-            executor.vector_gate_reason = (
-                f"leg {order[0]!r}: non-vectorizable local predicates"
-            )
-            return None
-        masks0.append(mask)
-
-    # -- inner legs: kernels + key translators --------------------------
-    inner, reason = _adaptive_plan(executor)
-    if inner is None:
-        executor.vector_gate_reason = reason
-        return None
-
+    walk, inner = planned
     projection = [
         (output.alias, executor._slot_of(output.alias, output.column))
         for output in executor.plan.projection
     ]
-    return _execute(
-        executor, order, cursor, is_index, masks0, len(masks0), inner,
-        projection,
+    return _execute(executor, list(executor.order), walk, inner, projection)
+
+
+def _cascade_plan(executor) -> tuple["_DrivingWalk", list] | None:
+    """(driving walk, inner-leg plan) for the open pipeline, or None.
+
+    The gates both cascades share; a failure names itself on
+    ``executor.vector_gate_reason`` and mutates nothing else.
+    """
+    reason = None
+    if _np is None:
+        reason = "numpy unavailable (stdlib fallback)"
+    elif executor.probe_caches:
+        reason = "probe cache armed (--probe-cache)"
+    elif len(executor.order) < 2:
+        reason = "single-leg pipeline"
+    elif executor.driving_cursor is None:
+        reason = "driving cursor not open"
+    else:
+        for alias in executor.order:
+            if not isinstance(executor.legs[alias].table, ColumnarTable):
+                reason = f"leg {alias!r}: row-backend table"
+                break
+    if reason is None:
+        # Inner legs (kernels + key translators) before the driving leg
+        # (the scan as arrays): a refused plan should not pay for the walk.
+        inner, reason = _adaptive_plan(executor)
+    if reason is None:
+        walk, reason = _driving_walk(
+            executor.legs[executor.order[0]], executor.driving_cursor
+        )
+    if reason is not None:
+        executor.vector_gate_reason = reason
+        return None
+    return walk, inner
+
+
+class _DrivingWalk:
+    """The rest of a driving scan as arrays, consumed a slice at a time.
+
+    ``rids`` is every RID the cursor has yet to visit, in scan order (RID
+    order, or the (key, RID) order of the cursor's ranges clamped to its
+    partition bounds), read off the cursor's own state — so a fresh, a
+    partition-bounded and a resumed cursor all work. ``survivor_at`` holds
+    the walk offsets whose rows pass the residual local predicates (``None``
+    when there are none to apply: every row survives).
+
+    :meth:`take` consumes the walk through its next survivors and charges
+    what :meth:`RuntimeLeg.driving_rows` charges for the same rows, as one
+    aggregate: a fetch, an index-entry touch and ``len(residual tests)``
+    predicate evals per row walked, one descend per key range entered, and
+    the driving monitor's per-row records. It then puts the cursor exactly
+    where the row-at-a-time walk would have left it, so a driving switch
+    freezes the right position and a resumed (or handed-off) cursor
+    continues with no charge repeated or lost.
+    """
+
+    __slots__ = (
+        "leg",
+        "cursor",
+        "rids",
+        "alive",
+        "survivor_at",
+        "ntests",
+        "taken",
+        "survivors_taken",
+        "spans",
+        "span_starts",
+        "spans_entered",
+        "sees_stop",
     )
+
+    def __init__(self, leg, cursor, masks: list) -> None:
+        self.leg = leg
+        self.cursor = cursor
+        self.ntests = len(masks)
+        self.taken = 0
+        self.survivors_taken = 0
+        self.sees_stop = False
+        if isinstance(cursor, IndexScanCursor):
+            ent_rids = cursor.index._ent_rids
+            self.spans, self.sees_stop = cursor.remaining_spans()
+            pieces = []
+            self.span_starts = []
+            walked = 0
+            for _, lo, cut, _ in self.spans:
+                self.span_starts.append(walked)
+                if cut > lo:
+                    pieces.append(ent_rids[lo:cut])
+                    walked += cut - lo
+            # The range the cursor is already reading owes no descend.
+            self.spans_entered = (
+                1 if self.spans and self.spans[0][0] == cursor._range_no else 0
+            )
+            if len(pieces) == 1:
+                self.rids = pieces[0]
+            elif pieces:
+                self.rids = _np.concatenate(pieces)
+            else:
+                self.rids = _np.zeros(0, dtype=_np.int64)
+        else:
+            self.spans = None
+            pending = cursor.remaining_rids()
+            self.rids = _np.arange(
+                pending.start, pending.stop, dtype=_np.int64
+            )
+        if masks:
+            alive = masks[0][self.rids]
+            for mask in masks[1:]:
+                alive &= mask[self.rids]
+            self.alive = alive
+            self.survivor_at = _np.flatnonzero(alive)
+        else:
+            self.alive = None
+            self.survivor_at = None
+
+    def take(self, limit: int | None = None):
+        """RIDs of the next *limit* survivors (all that are left when None).
+
+        Consumes the walk through the last of them — not the non-survivors
+        behind it, which belong to the next call (or to :meth:`finish`).
+        Empty when no survivor is left.
+        """
+        first = self.survivors_taken
+        left = (
+            len(self.rids) if self.survivor_at is None else len(self.survivor_at)
+        ) - first
+        count = left if limit is None else min(limit, left)
+        if count <= 0:
+            return self.rids[:0]
+        self.survivors_taken = last = first + count
+        if self.survivor_at is None:
+            self._consume(last)
+            return self.rids[first:last]
+        self._consume(int(self.survivor_at[last - 1]) + 1)
+        return self.rids[self.survivor_at[first:last]]
+
+    def finish(self) -> None:
+        """Walk whatever trails the last survivor and exhaust the cursor."""
+        self._consume(len(self.rids))
+        if self.spans is not None:
+            # Ranges with nothing (more) to yield are still entered on the
+            # way to learning the scan is over.
+            self.leg.meter.index_descends += len(self.spans) - self.spans_entered
+            self.spans_entered = len(self.spans)
+        self.cursor.exhausted = True
+
+    def _consume(self, end: int) -> None:
+        start = self.taken
+        walked = end - start
+        if walked <= 0:
+            return
+        self.taken = end
+        leg = self.leg
+        meter = leg.meter
+        meter.row_fetches += walked
+        if self.ntests:
+            meter.predicate_evals += walked * self.ntests
+        monitor = leg.driving_monitor
+        if leg.monitoring_enabled and monitor is not None:
+            monitor.observe_many(
+                [1] * walked
+                if self.alive is None
+                else self.alive[start:end].tolist()
+            )
+            meter.monitor_updates += walked
+        if self.spans is None:
+            self.cursor.skip(walked)
+            return
+        meter.index_entries += walked
+        entered = self.spans_entered
+        starts = self.span_starts
+        while entered < len(starts) and starts[entered] < end:
+            entered += 1
+        meter.index_descends += entered - self.spans_entered
+        self.spans_entered = entered
+        # The last span entered is the one holding entry ``end - 1``.
+        range_no, lo, _, hi = self.spans[entered - 1]
+        self.cursor.skip_to(range_no, lo + end - starts[entered - 1], hi, walked)
+
+
+def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
+    """The walk over *leg*'s open driving *cursor*, or a gate reason."""
+    alias = leg.alias
+    if isinstance(cursor, IndexScanCursor):
+        index = cursor.index
+        if not isinstance(index, ColumnarIndex):
+            return None, f"leg {alias!r}: non-columnar driving index"
+        index._sidecar()
+        if index._ent_rids is None:
+            return None, f"leg {alias!r}: non-columnar driving index"
+    pushed = leg._pushed_predicate(cursor)
+    table = leg.table
+    masks = []
+    for predicate, _ in leg.local_tests:
+        if predicate is pushed:
+            continue
+        spec = vector_spec(predicate, table.schema)
+        mask = table.mask_for_spec(spec) if spec is not None else None
+        if mask is None:
+            return None, f"leg {alias!r}: non-vectorizable local predicates"
+        masks.append(mask)
+    return _DrivingWalk(leg, cursor, masks), None
 
 
 def _execute(
     executor,
     order: list[str],
-    cursor,
-    is_index: bool,
-    masks0: list,
-    ntests0: int,
+    walk: _DrivingWalk,
     inner: list,
     projection: list[tuple[str, int]],
 ) -> Iterator[tuple]:
     """Run the planned cascade; charges mirror the turbo path exactly."""
     meter = executor.catalog.meter
-    leg0 = executor.legs[order[0]]
 
-    # Driving walk: the (key, RID) order of the ranges, or RID order,
-    # clamped to the cursor's partition/resume bounds. The slice math
-    # reproduces IndexScanCursor._entries (and TurboDrivingScan's charge
-    # placement) exactly: ranges wholly behind ``start_after`` are skipped
-    # without a descend, every other range charges one descend even when
-    # empty after clamping, and the walk terminates at the first range
-    # where an entry at or past ``stop_at`` is actually seen — later
-    # ranges are never entered.
-    if is_index:
-        index0 = cursor.index
-        index0._sidecar()
-        ent_rids = index0._ent_rids
-        entries = index0._entries
-        start = cursor.last_position
-        stop = cursor.stop_at
-        stop_pos = bisect_left(entries, stop) if stop is not None else None
-        slices = []
-        walked = 0
-        descends = 0
-        for key_range in cursor.ranges:
-            if start is not None:
-                high = key_range.high
-                if high is not None and (
-                    high < start[0]
-                    or (high == start[0] and not key_range.high_inclusive)
-                ):
-                    continue  # behind the resume position: no descend
-            lo, hi = index0._range_bounds(
-                key_range.low,
-                key_range.high,
-                key_range.low_inclusive,
-                key_range.high_inclusive,
-            )
-            if start is not None:
-                lo = max(lo, bisect_right(entries, (start[0], start[1])))
-            descends += 1
-            if stop_pos is not None:
-                cut = min(hi, max(lo, stop_pos))
-                if cut > lo:
-                    slices.append(ent_rids[lo:cut])
-                    walked += cut - lo
-                if lo < hi and stop_pos < hi:
-                    break  # the scalar walk sees an entry >= stop_at here
-            elif hi > lo:
-                slices.append(ent_rids[lo:hi])
-                walked += hi - lo
-        if len(slices) == 1:
-            walk = slices[0]
-        elif slices:
-            walk = _np.concatenate(slices)
-        else:
-            walk = _np.zeros(0, dtype=_np.int64)
-        meter.index_descends += descends
-        meter.index_entries += walked
-    else:
-        last = cursor.last_position
-        begin = 0 if last is None else last[0] + 1
-        end = len(leg0.table)
-        if cursor.stop_at is not None:
-            end = min(end, cursor.stop_at[0])
-        walked = max(0, end - begin)
-        walk = _np.arange(begin, begin + walked, dtype=_np.int64)
-    # Every walked entry is a row fetch; residual locals charge
-    # len(tests) per scanned row (the scalar driving walk's bulk rate).
-    meter.row_fetches += walked
-    if ntests0:
-        meter.predicate_evals += walked * ntests0
-    if masks0:
-        alive = masks0[0][walk]
-        for mask in masks0[1:]:
-            alive &= mask[walk]
-        survivors = walk[alive]
-    else:
-        survivors = walk
+    # The whole driving scan in one slice. Like TurboDrivingScan (and unlike
+    # the row-at-a-time cursor) a partition-bounded walk does not touch the
+    # first entry of the next partition.
+    survivors = walk.take()
+    walk.finish()
     flow = int(len(survivors))
     executor.driving_rows_since_check += flow
     executor.driving_rows_total += flow
@@ -369,10 +435,11 @@ def _execute(
 def _adaptive_plan(executor) -> tuple[list | None, str | None]:
     """Per-leg kernels/translators for the *current* order, or a gate reason.
 
-    Recomputed whenever the order or a probe epoch changes (an applied
-    inner reorder permutes the cascade mid-scan; a driving switch freezes
-    the old driving leg behind a positional predicate, which fails the
-    gate here and hands execution back to the generic loop).
+    Recomputed whenever the order or a probe epoch changes: an applied
+    inner reorder permutes the cascade mid-scan, and a driving switch
+    freezes the old driving leg behind a positional predicate — its kernel
+    is then derived from the cached base kernel (:func:`_positional_kernel`)
+    and lives only as long as this plan does.
     """
     order = executor.order
     inner: list = []
@@ -390,8 +457,6 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
             return None, f"leg {alias!r}: non-indexed probe"
         if config.residual_joins:
             return None, f"leg {alias!r}: residual join predicates"
-        if leg.positional is not None:
-            return None, f"leg {alias!r}: positional predicate (frozen cursor)"
         index = config.access_index
         if not isinstance(index, ColumnarIndex):
             return None, f"leg {alias!r}: non-columnar index"
@@ -399,6 +464,10 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
         if built is None:
             return None, f"leg {alias!r}: non-vectorizable local predicates"
         kernel, keys_np, rank = built
+        if leg.positional is not None:
+            kernel = _positional_kernel(kernel, leg.positional, len(leg.table))
+            if kernel is None:
+                return None, f"leg {alias!r}: frozen in a non-columnar scan order"
         source_table = executor.legs[config.key_alias].table
         translate = _make_translator(
             source_table.column_store(config.key_slot),
@@ -410,6 +479,33 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
             return None, f"leg {alias!r}: untranslatable key column"
         inner.append((leg, config, kernel, translate))
     return inner, None
+
+
+def _positional_kernel(base, positional, table_len: int):
+    """*base* restricted to the rows after a frozen scan position, or None.
+
+    The frozen position is an offset into the leg's old scan order, so the
+    positional predicate is a boolean mask over ``base.pass_rids``: in RID
+    order ``rid > r``; in index order the entries after
+    ``bisect_right(entries, (v, r))`` of the scan-order index, whatever the
+    key type. Rows with a NULL scan key are in no entry and stay masked
+    out — they never reach the positional test anyway, the pushed local
+    predicate rejects them first (``RuntimeLeg._passes_residuals``).
+    """
+    index = positional.order.index
+    if index is None:
+        keep = base.pass_rids > positional.after[0]
+    else:
+        if not isinstance(index, ColumnarIndex):
+            return None
+        index._sidecar()
+        if index._ent_rids is None:
+            return None
+        after = _np.zeros(table_len, dtype=bool)
+        offset = bisect_right(index._entries, positional.after)
+        after[index._ent_rids[offset:]] = True
+        keep = after[base.pass_rids]
+    return base.restricted(keep)
 
 
 def _plan_signature(executor) -> tuple:
@@ -432,35 +528,23 @@ def adaptive_cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     rank-rule checks run at chunk boundaries: one inner check at position
     1 and one driving check per chunk, exactly the generic chunked loop's
     cadence. Applied inner reorders permute the remaining cascade legs
-    mid-scan (plan rebuild); driving switches re-enter the generic
-    depleted-state machinery (the generator returns False and the caller
-    continues with the partially consumed cursors).
+    mid-scan and driving switches swap the driving walk and put the frozen
+    leg behind a positional kernel (plan rebuild); only a rebuilt plan the
+    gates refuse re-enters the generic depleted-state machinery (the
+    generator returns False and the caller continues with the partially
+    consumed cursors).
 
     Must be called after ``_open_driving``/``_compile_all_probes``. Every
     gate failure returns None with ``executor.vector_gate_reason`` set and
     no state mutated.
     """
-    if _np is None:
-        executor.vector_gate_reason = "numpy unavailable (stdlib fallback)"
+    planned = _cascade_plan(executor)
+    if planned is None:
         return None
-    if executor.probe_caches:
-        executor.vector_gate_reason = "probe cache armed (--probe-cache)"
-        return None
-    if len(executor.order) < 2:
-        executor.vector_gate_reason = "single-leg pipeline"
-        return None
-    for alias in executor.order:
-        if not isinstance(executor.legs[alias].table, ColumnarTable):
-            executor.vector_gate_reason = f"leg {alias!r}: row-backend table"
-            return None
-    inner, reason = _adaptive_plan(executor)
-    if inner is None:
-        executor.vector_gate_reason = reason
-        return None
-    return _adaptive_run(executor, inner)
+    return _adaptive_run(executor, *planned)
 
 
-def _adaptive_run(executor, inner: list):
+def _adaptive_run(executor, walk: _DrivingWalk, inner: list):
     """Chunk loop: consume -> cascade -> fold -> boundary checks.
 
     Returns True when the query completed, False to hand the partially
@@ -469,11 +553,12 @@ def _adaptive_run(executor, inner: list):
 
     Observable-parity contract with the generic chunked ``_run_fast``:
 
-    * driving rows are consumed through the *real* charging iterator
-      (``RuntimeLeg.driving_rows``) against a ``DrivingShadow``
-      prediction, so scan charges, the driving monitor, and freeze/resume
-      positions are identical by construction — including the trailing
-      non-survivor scan landing *after* the final boundary's checks;
+    * each chunk is the next ``batch_size`` survivors of the driving walk
+      (:class:`_DrivingWalk`), which charges the scan work and the driving
+      monitor for exactly the rows ``RuntimeLeg.driving_rows`` would have
+      pulled to produce them and repositions the cursor, so freeze/resume
+      positions are identical — including the trailing non-survivor scan
+      landing *after* the final boundary's checks;
     * each inner leg's meter charges and window fold are the kernel-sum
       twins of ``probe_batch_fast``'s lean aggregates (descend per outer
       row; ``max(entries, 1)`` per present/missing key; fetch + local
@@ -482,8 +567,6 @@ def _adaptive_run(executor, inner: list):
     * one window fold per leg per chunk, applied at the boundary before
       any check or snapshot can read a window (``_flush_chunk_folds``).
     """
-    from repro.executor.batch import DrivingShadow  # deferred: import cycle
-
     config = executor.config
     mode = config.mode
     batch_size = config.batch_size
@@ -499,47 +582,28 @@ def _adaptive_run(executor, inner: list):
         for output in executor.plan.projection
     ]
     plan_sig = _plan_signature(executor)
-    shadow = None
     while True:
         driving_alias = executor.order[0]
-        cursor = executor.driving_cursor
-        it = executor._driving_iter
-        assert cursor is not None and it is not None
-        if shadow is None:
-            shadow = DrivingShadow(legs_map[driving_alias], cursor)
-        predicted = shadow.next_survivors(batch_size)
-        if not predicted:
-            # Scan exhausted: drain the trailing non-survivors through the
-            # real iterator (charging scan work and driving-monitor records
-            # exactly like the generic loop's final next()), then finish.
-            row = next(it, None)
-            if row is not None:
-                raise ExecutionError(
-                    "adaptive cascade: driving lookahead diverged from "
-                    f"the cursor on leg {driving_alias!r}"
-                )
+        survivors = walk.take(batch_size)
+        flow = len(survivors)
+        if not flow:
+            # No survivor left: the trailing non-survivors are scanned
+            # after the last boundary's checks, as the generic loop's
+            # final next() does.
+            walk.finish()
+            if walk.sees_stop:
+                # The row-at-a-time cursor learns its partition is done by
+                # touching the next partition's first entry.
+                meter.index_entries += 1
             executor.depleted_from = 0
             executor._flush_chunk_folds()
             return True
-        rids: list[int] = []
-        last_position = None
-        for expect in predicted:
-            row = next(it, None)
-            if row is not expect:
-                raise ExecutionError(
-                    "adaptive cascade: driving lookahead diverged from "
-                    f"the cursor on leg {driving_alias!r}"
-                )
-            rids.append(cursor.last_position[-1])
-        flow = len(rids)
         executor.depleted_from = None
         executor.driving_rows_since_check += flow
         executor.driving_rows_total += flow
 
         # -- layered expansion, charging per-leg kernel aggregates -------
-        ancestors: dict[str, Any] = {
-            driving_alias: _np.asarray(rids, dtype=_np.int64)
-        }
+        ancestors: dict[str, Any] = {driving_alias: survivors}
         for leg, pconfig, kernel, translate in inner:
             if flow == 0:
                 ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
@@ -633,20 +697,23 @@ def _adaptive_run(executor, inner: list):
             executor.depleted_from = 1
             controller.on_suffix_depleted(1)
         executor.depleted_from = 0
-        if (
+        switched = (
             reorders_driving
             and executor.driving_rows_since_check >= check_freq
             and controller.on_pipeline_depleted()
-        ):
-            shadow = None  # driving switch: fresh cursor, fresh lookahead
+        )
         sig = _plan_signature(executor)
         if sig != plan_sig:
             inner, reason = _adaptive_plan(executor)
-            if inner is None:
-                # Typically a driving switch froze the old driving leg
-                # behind a positional predicate: hand the cursors back to
-                # the generic chunked loop mid-query.
+            if reason is None and switched:
+                # A fresh (or resumed) driving cursor: a new walk.
+                walk, reason = _driving_walk(
+                    legs_map[executor.order[0]], executor.driving_cursor
+                )
+            if reason is not None:
+                # A shape the gates refuse (hash-probed leg, residual join
+                # predicates, non-vectorizable locals): hand the cursors
+                # back to the generic chunked loop mid-query.
                 executor.vector_gate_reason = reason
-                executor.depleted_from = 0
                 return False
             plan_sig = sig

@@ -501,6 +501,27 @@ class _Kernel:
         self.pa = pa
         self._lists = None
 
+    def restricted(self, keep) -> "_Kernel":
+        """This kernel with one more test after the locals (a derived copy).
+
+        *keep* is a boolean array over ``pass_rids``. The extra test runs
+        once per locally-passing candidate, so each key's ``evals`` grow by
+        its pass count; the passing slices shrink to the kept rows, in the
+        same order. ``totals`` / ``ev`` / ``pa`` describe the access method
+        and the locals only and are shared, not copied. The caller owns the
+        result — it is never entered in ``ColumnarIndex._kernels``.
+        """
+        kept_before = _np.zeros(len(keep) + 1, dtype=_np.int64)
+        _np.cumsum(keep, out=kept_before[1:])
+        return _Kernel(
+            self.totals,
+            self.evals + _np.diff(self.pass_offsets),
+            kept_before[self.pass_offsets],
+            self.pass_rids[keep],
+            self.ev,
+            self.pa,
+        )
+
     def lists(self) -> tuple:
         """Plain-list views of every array (built once, then cached).
 
@@ -937,8 +958,10 @@ class ColumnarIndex(SortedIndex):
         This is the copy-on-write state parallel workers inherit at fork
         (after the pre-fork warm-up): the numpy entry-RID / distinct-key
         sidecars plus every memoized group kernel of the current
-        generation. Reports 0 while the sidecar is unbuilt or stale —
-        a stats read must never force a lazy build.
+        generation. Positional kernels derived from these for one query
+        (:meth:`_Kernel.restricted`) are not counted: nothing here retains
+        them. Reports 0 while the sidecar is unbuilt or stale — a stats
+        read must never force a lazy build.
         """
         if self._gen is None or self._gen != self._generation():
             return 0

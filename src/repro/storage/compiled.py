@@ -28,6 +28,7 @@ semantics, and the compiler must never win an argument with it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable
 
 from repro.query.predicates import (
@@ -107,6 +108,18 @@ def _emit(predicate: LocalPredicate, schema: TableSchema, consts: list) -> str:
     raise _Unsupported(type(predicate).__name__)
 
 
+@lru_cache(maxsize=256)
+def _code_for(source: str):
+    """The code object of one generated lambda, compiled once per text.
+
+    The text names constants only as ``_k<i>`` — their values live in each
+    closure's own namespace — so a workload has a few dozen distinct texts
+    however many predicates it compiles, and sharing the code object
+    shares nothing between closures.
+    """
+    return compile(source, "<compiled-predicate>", "eval")
+
+
 def compile_row_test(
     predicate: LocalPredicate, schema: TableSchema
 ) -> RowTest | None:
@@ -129,7 +142,7 @@ def compile_row_test(
     }
     namespace["__builtins__"] = {}
     source = f"lambda row: {expression}"
-    test = eval(compile(source, "<compiled-predicate>", "eval"), namespace)
+    test = eval(_code_for(source), namespace)
     test.source = source  # debugging / property-test introspection
     return test
 

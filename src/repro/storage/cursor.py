@@ -18,6 +18,7 @@ join-column index once it becomes an inner leg).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -172,6 +173,24 @@ class TableScanCursor:
         self.entries_yielded += 1
         return rid, row
 
+    def remaining_rids(self) -> range:
+        """The RIDs this cursor has yet to visit (uncharged lookahead)."""
+        end = len(self.table)
+        if self.stop_at is not None:
+            end = min(end, self.stop_at[0])
+        return range(self._next_rid, max(end, self._next_rid))
+
+    def skip(self, count: int) -> None:
+        """Account the next *count* (>= 1) rows as visited by a bulk reader.
+
+        The reader charges the fetches itself; afterwards the cursor is
+        exactly where *count* ``__next__`` calls would have left it, so it
+        can be frozen, resumed, or advanced row by row again.
+        """
+        self._next_rid += count
+        self.last_position = (self._next_rid - 1,)
+        self.entries_yielded += count
+
 
 class IndexScanCursor:
     """Index-range scan in (key, RID) order over one or more key ranges.
@@ -187,7 +206,9 @@ class IndexScanCursor:
         "_start_after",
         "last_position",
         "exhausted",
-        "_iterator",
+        "_range_no",
+        "_pos",
+        "_hi",
         "_pending",
         "stop_at",
         "partition_entry_count",
@@ -208,31 +229,59 @@ class IndexScanCursor:
         self._start_after = start_after
         self.last_position: Position | None = start_after
         self.exhausted = False
-        self._iterator = self._entries()
+        # The walk's whole state: the range being read (an index into
+        # ``ranges``; -1 before the first) and the entry-list positions
+        # ``[_pos, _hi)`` left in it. Explicit rather than held in a
+        # generator frame so a bulk reader can take a slice of the walk and
+        # put the cursor back exactly (``remaining_spans`` / ``skip_to``).
+        self._range_no = -1
+        self._pos = 0
+        self._hi = 0
         self._pending: tuple[Any, int] | None = None
         self.stop_at = stop_at
         self.partition_entry_count = partition_entry_count
         self.entries_yielded = 0
 
-    def _entries(self) -> Iterator[tuple[Any, int]]:
+    def _span(self, range_no: int) -> tuple[int, int] | None:
+        """Entry-list span of ``ranges[range_no]`` after the start position.
+
+        ``None`` for a range that ends at or before the position the cursor
+        was started after: such a range is skipped without a descend.
+        """
+        key_range = self.ranges[range_no]
         start = self._start_after
-        for key_range in self.ranges:
-            entry_start = None
-            if start is not None:
-                # Skip ranges that end at or before the frozen position.
-                if key_range.high is not None and (
-                    key_range.high < start[0]
-                    or (key_range.high == start[0] and not key_range.high_inclusive)
-                ):
-                    continue
-                entry_start = (start[0], start[1])
-            yield from self.index.scan_range(
-                low=key_range.low,
-                high=key_range.high,
-                low_inclusive=key_range.low_inclusive,
-                high_inclusive=key_range.high_inclusive,
-                start_after=entry_start,
-            )
+        if start is not None:
+            high = key_range.high
+            if high is not None and (
+                high < start[0]
+                or (high == start[0] and not key_range.high_inclusive)
+            ):
+                return None
+            start = (start[0], start[1])
+        return self.index.span_of(
+            key_range.low,
+            key_range.high,
+            key_range.low_inclusive,
+            key_range.high_inclusive,
+            start,
+        )
+
+    def _next_entry(self) -> tuple[Any, int]:
+        index = self.index
+        while self._pos >= self._hi:
+            if self._range_no + 1 >= len(self.ranges):
+                raise StopIteration
+            self._range_no += 1
+            span = self._span(self._range_no)
+            if span is not None:
+                # Entering a range costs one descend, even an empty one.
+                index._check_fresh()
+                index.meter.charge_index_descend()
+                self._pos, self._hi = span
+        index.meter.charge_index_entries(1)
+        entry = index._entries[self._pos]
+        self._pos += 1
+        return entry
 
     def __iter__(self) -> Iterator[tuple[int, Row]]:
         return self
@@ -240,15 +289,15 @@ class IndexScanCursor:
     def __next__(self) -> tuple[int, Row]:
         faults = self.index.table.faults
         if faults is not None:
-            # Fired before self._iterator is touched, so the underlying
-            # range generator survives and the advance can be retried.
+            # Fired before any cursor state is touched, so the advance can
+            # be retried.
             faults.fire("cursor-advance")
         if self._pending is not None:
             key, rid = self._pending
             self._pending = None
         else:
             try:
-                key, rid = next(self._iterator)
+                key, rid = self._next_entry()
             except StopIteration:
                 self.exhausted = True
                 raise
@@ -261,6 +310,58 @@ class IndexScanCursor:
         self.last_position = (key, rid)
         self.entries_yielded += 1
         return rid, row
+
+    def remaining_spans(self) -> tuple[list[tuple[int, int, int, int]], bool]:
+        """What is left of the walk, as entry-list spans (uncharged lookahead).
+
+        One ``(range_no, lo, cut, hi)`` per range the cursor will still
+        read from or enter, in walk order: the cursor yields the entries at
+        positions ``[lo, cut)`` of a range whose span is ``[lo, hi)``
+        (``cut < hi`` only where ``stop_at`` falls inside it). A first span
+        whose ``range_no`` is the range already being read owes no descend;
+        every other span costs one when entered, empty or not. The flag
+        says the walk ends by *seeing* an entry at or past ``stop_at`` —
+        one more entry touch, never fetched — after which no later range
+        is entered.
+        """
+        stop_pos = (
+            bisect_left(self.index._entries, self.stop_at)
+            if self.stop_at is not None
+            else None
+        )
+        spans: list[tuple[int, int, int, int]] = []
+        for range_no in range(max(self._range_no, 0), len(self.ranges)):
+            if range_no == self._range_no:
+                if self._pos >= self._hi:
+                    continue  # read to its end already
+                lo, hi = self._pos, self._hi
+            else:
+                span = self._span(range_no)
+                if span is None:
+                    continue
+                lo, hi = span[0], max(span)
+            if stop_pos is None:
+                spans.append((range_no, lo, hi, hi))
+                continue
+            spans.append((range_no, lo, min(hi, max(lo, stop_pos)), hi))
+            if lo < hi and stop_pos < hi:
+                return spans, True
+        return spans, False
+
+    def skip_to(self, range_no: int, pos: int, hi: int, count: int) -> None:
+        """Account *count* (>= 1) entries as visited by a bulk reader.
+
+        *pos* is the entry-list position after the last one read, inside
+        range *range_no* whose span ends at *hi* (values taken from
+        :meth:`remaining_spans`). The reader charges descends, entry touches
+        and fetches itself; afterwards the cursor is exactly where *count*
+        ``__next__`` calls would have left it.
+        """
+        self._range_no = range_no
+        self._pos = pos
+        self._hi = hi
+        self.last_position = self.index._entries[pos - 1]
+        self.entries_yielded += count
 
     def scans_multiple_keys(self) -> bool:
         """True unless the scan covers a single key value.
@@ -285,7 +386,7 @@ class IndexScanCursor:
             return True
         if self._pending is None:
             try:
-                self._pending = next(self._iterator)
+                self._pending = self._next_entry()
             except StopIteration:
                 self.exhausted = True
                 return True

@@ -23,7 +23,9 @@ import dataclasses
 import pytest
 
 from repro import AdaptiveConfig, ReorderMode
+from repro.core.events import EventKind
 from repro.dmv import load_dmv, six_table_workload
+from repro.query.predicates import PositionalPredicate
 
 SCALE = 0.02
 
@@ -113,27 +115,36 @@ def test_columnar_adapts_on_the_workload(columnar_db, workload):
     assert total > 0
 
 
+def _driving_switches(stats) -> int:
+    return sum(
+        1 for event in stats.events if event.kind is EventKind.DRIVING_SWITCH
+    )
+
+
 def test_adaptive_vector_engine_engages(columnar_db, workload):
     """Guard against a vacuous chunk-config comparison: the columnar chunk
-    configuration must actually run the vectorized adaptive cascade (or
-    hand off mid-query after a driving switch), never silently fall back
-    to the generic loop from the start. Without numpy the cascade must
-    instead gate out *cleanly* — generic chunked loop, reason recorded."""
+    configuration must run the vectorized adaptive cascade from start to
+    finish — across driving switches too, so the driving modes must
+    actually switch somewhere on this workload. Without numpy the cascade
+    must instead gate out *cleanly* — generic chunked loop, reason
+    recorded."""
     from repro.storage.columnar import _np as have_numpy
 
-    for mode in (ReorderMode.INNER_ONLY, ReorderMode.BOTH):
+    for mode in (
+        ReorderMode.INNER_ONLY,
+        ReorderMode.DRIVING_ONLY,
+        ReorderMode.BOTH,
+    ):
         config = AdaptiveConfig(
             mode=mode, batched=True, monitor_granularity="chunk"
         )
-        engines = {
-            columnar_db.execute(sql, config).stats.engine for sql in workload
-        }
+        results = [columnar_db.execute(sql, config).stats for sql in workload]
+        engines = {stats.engine for stats in results}
+        if mode.reorders_driving:
+            assert sum(map(_driving_switches, results)) >= 1, mode.name
         if have_numpy is not None:
-            assert engines <= {
-                "vector-adaptive",
-                "vector-adaptive+fast",
-            }, engines
-            assert "vector-adaptive" in engines
+            assert engines == {"vector-adaptive"}, (mode.name, engines)
+            assert {stats.vector_gate for stats in results} == {None}
         else:
             assert engines == {"fast"}, engines
 
@@ -141,15 +152,18 @@ def test_adaptive_vector_engine_engages(columnar_db, workload):
 @pytest.mark.parametrize("workers", [2, 4])
 def test_parallel_vector_engines_engage(columnar_db, workload, workers):
     """Parallel columnar chunk runs report the real per-worker engines:
-    with numpy every partition (and any serial continuation) runs a
-    vectorized cascade — mode NONE the static cascade, monitored modes
-    the adaptive cascade; without numpy the whole query falls back
-    cleanly to the generic loops with the gate reason recorded."""
+    with numpy every partition (and the serial continuation after a
+    coordinator switch, which the driving modes must reach somewhere on
+    this workload) runs a vectorized cascade — mode NONE the static
+    cascade, monitored modes the adaptive cascade; without numpy the whole
+    query falls back cleanly to the generic loops with the gate reason
+    recorded."""
     from repro.storage.columnar import _np as have_numpy
 
     for mode, vector_engines in (
         (ReorderMode.NONE, {"vector"}),
-        (ReorderMode.BOTH, {"vector-adaptive", "vector-adaptive+fast"}),
+        (ReorderMode.DRIVING_ONLY, {"vector-adaptive"}),
+        (ReorderMode.BOTH, {"vector-adaptive"}),
     ):
         config = AdaptiveConfig(
             mode=mode,
@@ -157,14 +171,16 @@ def test_parallel_vector_engines_engage(columnar_db, workload, workers):
             monitor_granularity="chunk",
             workers=workers,
         )
+        switches = 0
         for sql in workload:
             stats = columnar_db.execute(sql, config).stats
+            switches += _driving_switches(stats)
             assert stats.engine == "parallel", (mode.name, sql[:60])
             assert stats.workers == workers
             assert stats.worker_engines, (mode.name, sql[:60])
             engines = set(stats.worker_engines)
             if have_numpy is not None:
-                assert engines <= vector_engines, (mode.name, engines)
+                assert engines == vector_engines, (mode.name, engines)
                 assert stats.vector_gate is None, stats.vector_gate
             else:
                 assert not any(
@@ -174,6 +190,144 @@ def test_parallel_vector_engines_engage(columnar_db, workload, workers):
                     stats.vector_gate
                     == "numpy unavailable (stdlib fallback)"
                 )
+        if mode.reorders_driving:
+            assert switches >= 1, mode.name
+
+
+#: Four-table grid statements whose driving leg is switched by the executor
+#: itself at scale 0.04 — serially, and inside the serial continuation that
+#: follows a coordinator switch under workers (the six-table templates at
+#: ``SCALE`` only ever switch at the coordinator).
+SWITCH_SCALE = 0.04
+SWITCHING_STATEMENTS = (192, 195, 306)
+
+
+@pytest.fixture(scope="module")
+def switching_dbs():
+    dbs = [
+        load_dmv(scale=SWITCH_SCALE, extended=True, backend=backend)[0]
+        for backend in ("row", "columnar")
+    ]
+    yield dbs
+    for db in dbs:
+        db.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize(
+    "mode",
+    [ReorderMode.DRIVING_ONLY, ReorderMode.BOTH],
+    ids=lambda m: m.name.lower(),
+)
+def test_cascade_survives_driving_switches(switching_dbs, mode, workers):
+    """A driving switch freezes the old driving leg behind a positional
+    predicate and resumes or opens another cursor; the cascade must take
+    both in its stride (positional kernel, new driving walk) and stay
+    bit-identical to the row store's generic chunked loop."""
+    from repro.dmv import four_table_workload
+    from repro.storage.columnar import _np as have_numpy
+
+    row_db, columnar_db = switching_dbs
+    grid = [q.sql for q in four_table_workload(queries_per_template=10**9)]
+    overrides = {"workers": workers} if workers > 1 else {}
+    config = AdaptiveConfig(
+        mode=mode, batched=True, monitor_granularity="chunk", **overrides
+    )
+    switches = 0
+    for number in SWITCHING_STATEMENTS:
+        sql = grid[number]
+        row = row_db.execute(sql, config)
+        col = columnar_db.execute(sql, config)
+        assert col.rows == row.rows, sql
+        assert dataclasses.asdict(col.stats.work) == dataclasses.asdict(
+            row.stats.work
+        ), sql
+        assert col.stats.events == row.stats.events, sql
+        switches += col.stats.driving_switches
+        if have_numpy is not None:
+            engines = set(col.stats.worker_engines or (col.stats.engine,))
+            assert engines == {"vector-adaptive"}, (sql, engines)
+            assert col.stats.vector_gate is None
+    assert switches >= len(SWITCHING_STATEMENTS)  # not vacuous
+    # Positional kernels are per query: the index memos only ever hold
+    # kernels keyed by local predicates.
+    catalog = columnar_db.catalog
+    for name in catalog.table_names():
+        for index in catalog.indexes_of(name).values():
+            for predicates_key in index._kernels:
+                assert not any(
+                    isinstance(predicate, PositionalPredicate)
+                    for predicate in predicates_key
+                )
+
+
+def test_switched_query_reports_no_gate_and_retains_no_kernel(switching_dbs):
+    """Staying on the cascade across a switch is invisible to the observers:
+    no gate reason on the flight record or the EXPLAIN ANALYZE engine line,
+    and the kernel-plan gauge does not count the per-query positional
+    kernels (nothing retains them)."""
+    from repro.dmv import four_table_workload
+    from repro.obs.explain import render_explain_analyze
+    from repro.obs.recorder import FlightRecorder
+    from repro.storage.columnar import _np as have_numpy
+
+    if have_numpy is None:
+        pytest.skip("the cascade needs numpy")
+    _, columnar_db = switching_dbs
+    grid = [q.sql for q in four_table_workload(queries_per_template=10**9)]
+    sql = grid[SWITCHING_STATEMENTS[0]]
+    config = AdaptiveConfig(
+        mode=ReorderMode.BOTH, batched=True, monitor_granularity="chunk"
+    )
+    columnar_db.execute(sql, config)  # the base kernels are built by now
+    plan_bytes = columnar_db.storage_stats()["kernel_plan_bytes"]
+    assert plan_bytes > 0
+
+    recorder = FlightRecorder(capacity=4)
+    bundle = recorder.arm(config)
+    result = columnar_db.execute(sql, config, obs=bundle)
+    record = recorder.finish_query(bundle, result, sql=sql, config=config)
+    assert result.stats.driving_switches >= 1
+    assert (record.engine, record.vector_gate) == ("vector-adaptive", None)
+    assert "engine: vector-adaptive" in render_explain_analyze(result).splitlines()
+    assert columnar_db.storage_stats()["kernel_plan_bytes"] == plan_bytes
+
+
+def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
+    """Both cascades read the driving leg through ``_DrivingWalk``, which
+    needs every residual local of that leg as a whole-column mask. A
+    starting driving leg whose local is not maskable (here: an INT column
+    boxed by a value past int64) therefore runs on ``fast`` from the first
+    row and says why — it no longer starts on the cascade through the
+    row-at-a-time iterator. Rows and work still equal the row backend."""
+    from repro import Database
+    from repro.storage.columnar import _np as have_numpy
+
+    if have_numpy is None:
+        pytest.skip("the cascade needs numpy")
+
+    def build(backend):
+        db = Database(backend=backend)
+        db.create_table("A", [("id", "int"), ("big", "int")])
+        db.create_table("B", [("aid", "int"), ("v", "int")])
+        db.insert("A", [(i, 2**70 if i == 3 else i) for i in range(50)])
+        db.insert("B", [(i % 50, i) for i in range(200)])
+        db.create_index("A", "id")
+        db.create_index("B", "aid")
+        db.analyze()
+        return db
+
+    sql = "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.big >= 10"
+    config = AdaptiveConfig(
+        mode=ReorderMode.BOTH, batched=True, monitor_granularity="chunk"
+    )
+    col = build("columnar").execute(sql, config)
+    row = build("row").execute(sql, config)
+    assert col.stats.order_history[0][0] == "a"  # the gated leg drives
+    assert col.stats.engine == "fast"
+    assert col.stats.vector_gate == "leg 'a': non-vectorizable local predicates"
+    assert col.rows == row.rows
+    assert col.stats.work == row.stats.work
 
 
 def test_parallel_warmup_kernel_gauge(columnar_db, workload):

@@ -195,3 +195,49 @@ class TestCommands:
             main(["experiment", "fig7", "--scale", "0.01", "--queries", "2"]) == 0
         )
         assert "total improvement" in capsys.readouterr().out
+
+
+class TestEngineErrors:
+    """A ReproError ends any subcommand with one ``error:`` line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "sql, fragment",
+        [
+            ("SELECT o.name FROM Nope o", "unknown table 'Nope'"),  # catalog
+            ("SELECT FROM WHERE", "expected"),  # parse
+        ],
+    )
+    def test_query_error_is_one_line(self, capsys, sql, fragment):
+        assert main(["query", "--scale", "0.005", sql]) == 1
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(lines) == 1 and fragment in lines[0]
+        assert "Traceback" not in err
+
+    def test_escaped_budget_error(self, capsys, monkeypatch):
+        # `query` reports its own budget stops; one escaping any other
+        # subcommand must not become a traceback either.
+        from repro import cli
+        from repro.errors import BudgetExceeded
+
+        def stopped(args):
+            raise BudgetExceeded("row budget exceeded\n(1 row)", rows_emitted=1)
+
+        monkeypatch.setattr(cli, "cmd_stats", stopped)
+        assert main(["stats", "--scale", "0.005"]) == 1
+        assert capsys.readouterr().err == "error: row budget exceeded (1 row)\n"
+
+    def test_profile_keeps_the_traceback(self, tmp_path):
+        from repro.errors import CatalogError
+
+        with pytest.raises(CatalogError):
+            main(
+                [
+                    "--profile",
+                    str(tmp_path / "p.pstats"),
+                    "query",
+                    "--scale",
+                    "0.005",
+                    "SELECT o.name FROM Nope o",
+                ]
+            )

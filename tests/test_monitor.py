@@ -100,3 +100,21 @@ class TestDrivingMonitor:
 
     def test_no_data(self):
         assert DrivingMonitor(5).residual_selectivity() is None
+
+    def test_observe_many_is_record_scanned_per_flag(self):
+        """The bulk fold leaves every field, the ring included, as the
+        per-row calls do — chunks shorter than, equal to, longer than and
+        straddling the window."""
+        import random
+
+        rng = random.Random(20_070_415)
+        for _ in range(500):
+            window = rng.randint(1, 12)
+            one_by_one, bulk = DrivingMonitor(window), DrivingMonitor(window)
+            for _ in range(rng.randint(1, 6)):
+                flags = [rng.randint(0, 1) for _ in range(rng.randint(0, 30))]
+                for flag in flags:
+                    one_by_one.record_scanned(bool(flag))
+                bulk.observe_many(flags)
+                for name in DrivingMonitor.__slots__:
+                    assert getattr(bulk, name) == getattr(one_by_one, name), name

@@ -155,3 +155,15 @@ def test_mask_for_spec_matches_interpreter(columnar_table, seed):
         assert [bool(bit) for bit in mask] == expected, f"{predicate}"
     if HAVE_NUMPY is not None:
         assert vectorized > 0, "no predicate was vectorized at all"
+
+
+def test_code_objects_are_shared_but_closures_are_not():
+    """Same generated text, different constants: one ``compile()``, two
+    closures that each see only their own constant."""
+    low = compile_row_test(Comparison("a", Op.GT, 1), SCHEMA)
+    high = compile_row_test(Comparison("a", Op.GT, 100), SCHEMA)
+    assert low.source == high.source
+    assert low.__code__ is high.__code__
+    assert low is not high
+    row = (50, 0.0, "x")
+    assert low(row) and not high(row)

@@ -227,6 +227,260 @@ def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
 
 
 # ---------------------------------------------------------------------------
+# Positional kernels: a frozen leg's kernel == the scalar probe with the
+# duplicate-prevention predicate applied after the locals.
+#
+# After a driving switch the old driving leg is probed as an inner leg and
+# must only return rows *after* its frozen scan position. The engine derives
+# that leg's kernel from the cached base kernel (a mask over ``pass_rids``);
+# the scalar probe evaluates ``position_of(rid, row) > after`` once per
+# locally-passing candidate, between the locals and any residual joins.
+# ---------------------------------------------------------------------------
+
+from repro.executor.vector import _positional_kernel  # noqa: E402
+from repro.query.predicates import PositionalPredicate  # noqa: E402
+from repro.storage.cursor import ScanOrder  # noqa: E402
+
+SCAN_STRINGS = ("ant", "bee", "cat", "dog", "")
+
+
+def _positional_rows(rng: random.Random, nrows: int) -> list[tuple]:
+    """``random_rows`` plus two scan-key columns with few distinct values
+    (frozen positions land inside runs of equal keys) and NULLs."""
+    rows = []
+    for row in random_rows(rng, nrows):
+        sk_num = None if rng.random() < 0.10 else rng.randint(0, 4)
+        sk_str = None if rng.random() < 0.10 else rng.choice(SCAN_STRINGS)
+        rows.append(row + (sk_num, sk_str))
+    return rows
+
+
+def _scalar_positional_probe(key, lookup, raw, tests, is_after):
+    """One scalar probe of a frozen leg, reimplemented independently.
+
+    Returns (descends, entries, fetches, evals, per-test [evaluated,
+    passed] deltas, matching RIDs in entry order): locals short-circuit,
+    then one positional eval per row that passed them all.
+    """
+    deltas = [[0, 0] for _ in tests]
+    if key is None:
+        return 1, 0, 0, 0, deltas, []
+    rids = lookup.get(key, ())
+    evals = 0
+    matched = []
+    for rid in rids:
+        row = raw[rid]
+        for slot, test in enumerate(tests):
+            evals += 1
+            deltas[slot][0] += 1
+            if not test(row):
+                break
+            deltas[slot][1] += 1
+        else:
+            evals += 1
+            if is_after(rid, row):
+                matched.append(rid)
+    return 1, len(rids) or 1, len(rids), evals, deltas, matched
+
+
+def _check_frozen_leg(rng, kernel, rank, lookup, raw, tests, is_after):
+    """Probe chunks through *kernel* and through the scalar probe; compare
+    rows, per-leg charges, local counts and window folds at each boundary."""
+    window_kernel = AggregatedWindow(size=37)
+    window_scalar = AggregatedWindow(size=37)
+    kernel_counts = [[0, 0] for _ in tests]
+    scalar_counts = [[0, 0] for _ in tests]
+    kernel_charges = [0, 0, 0, 0]  # descends, entries, fetches, evals
+    scalar_charges = [0, 0, 0, 0]
+    offsets = kernel.pass_offsets
+    for _ in range(rng.randint(1, 5)):
+        chunk = random_probe_keys(rng, rng.randint(1, 50))
+        flow = len(chunk)
+        ranks = _np.asarray(
+            [-1 if key is None else rank.get(key, -2) for key in chunk],
+            dtype=_np.int64,
+        )
+        present_ranks = ranks[ranks >= 0]
+        missing = int(_np.count_nonzero(ranks == -2))
+        touched = int(kernel.totals[present_ranks].sum())
+        evals = int(kernel.evals[present_ranks].sum())
+        kernel_rows = [
+            kernel.pass_rids[offsets[j] : offsets[j + 1]].tolist()
+            for j in ranks.tolist()
+            if j >= 0
+        ]
+        output = sum(len(rids) for rids in kernel_rows)
+        for slot in range(len(tests)):
+            kernel_counts[slot][0] += int(kernel.ev[slot][present_ranks].sum())
+            kernel_counts[slot][1] += int(kernel.pa[slot][present_ranks].sum())
+        entries = touched + missing
+        for slot, charge in enumerate((flow, entries, touched, evals)):
+            kernel_charges[slot] += charge
+        window_kernel.observe_chunk(
+            flow,
+            touched,
+            output,
+            flow * INDEX_DESCEND_COST
+            + entries * INDEX_ENTRY_COST
+            + touched * ROW_FETCH_COST
+            + evals * PREDICATE_EVAL_COST,
+        )
+
+        scalar_rows = []
+        sum_matches = sum_output = 0
+        sum_work = 0.0
+        for key in chunk:
+            descends, touched_1, fetched, evals_1, deltas, matched = (
+                _scalar_positional_probe(key, lookup, raw, tests, is_after)
+            )
+            for slot, charge in enumerate(
+                (descends, touched_1, fetched, evals_1)
+            ):
+                scalar_charges[slot] += charge
+            for slot, (evaluated, passed) in enumerate(deltas):
+                scalar_counts[slot][0] += evaluated
+                scalar_counts[slot][1] += passed
+            if key is not None and key in lookup:
+                scalar_rows.append(matched)
+            sum_matches += fetched
+            sum_output += len(matched)
+            sum_work += (
+                descends * INDEX_DESCEND_COST
+                + touched_1 * INDEX_ENTRY_COST
+                + fetched * ROW_FETCH_COST
+                + evals_1 * PREDICATE_EVAL_COST
+            )
+        window_scalar.observe_chunk(flow, sum_matches, sum_output, sum_work)
+
+        assert kernel_rows == scalar_rows
+        assert kernel_charges == scalar_charges
+        assert kernel_counts == scalar_counts
+        assert len(window_kernel) == len(window_scalar)
+        assert window_kernel.sum_matches == window_scalar.sum_matches
+        assert window_kernel.sum_output == window_scalar.sum_output
+        assert window_kernel.sum_work == window_scalar.sum_work
+
+
+@pytest.mark.parametrize("scan_order", ["rid", "sk_num", "sk_str"])
+@pytest.mark.parametrize("seed", range(8))
+def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
+    rng = random.Random(9_393_000 + seed)
+    db = Database(backend="columnar")
+    db.create_table(
+        "t",
+        [
+            ("k", "int"),
+            ("a", "int"),
+            ("b", "float"),
+            ("s", "string"),
+            ("sk_num", "int"),
+            ("sk_str", "string"),
+        ],
+    )
+    db.insert("t", _positional_rows(rng, rng.randint(2, 150)))
+    db.create_index("t", "k")
+    table = db.catalog.table("t")
+    index = db.catalog.index_on("t", "k")
+    raw = table.raw_rows()
+
+    # The old driving scan's order. In index order the leg keeps the local
+    # predicate the scan pushed down, which is what keeps NULL scan keys
+    # away from the positional comparison.
+    predicates = [random_predicate(rng) for _ in range(rng.randrange(3))]
+    if scan_order == "rid":
+        order = ScanOrder(table)
+        positions = [(rid,) for rid in range(len(raw))]
+    else:
+        db.create_index("t", scan_order)
+        scan_index = db.catalog.index_on("t", scan_order)
+        order = ScanOrder(table, scan_index)
+        positions = list(scan_index._entries)
+        predicates.insert(
+            rng.randrange(len(predicates) + 1),
+            IsNull(scan_order, negated=True),
+        )
+    local_tests = []
+    for predicate in predicates:
+        test = compile_row_test(predicate, table.schema)
+        assert test is not None
+        test.predicate = predicate
+        local_tests.append((predicate, test))
+    base, _keys_np, rank = index.cascade_groups(local_tests)
+    tests = [test for _, test in local_tests]
+    lookup = index.lookup_rids_batch(list(rank)) if rank else {}
+    kernels_before = dict(index._kernels)
+    footprint_before = index.kernel_footprint()
+    base_evals = base.evals.copy()
+    base_offsets = base.pass_offsets.copy()
+
+    # Frozen once mid-scan (inside a run of equal keys more often than
+    # not), a second time further on, and finally at the very last
+    # position, where nothing survives.
+    if not positions:
+        db.close()
+        return
+    first = rng.randrange(len(positions))
+    second = rng.randrange(first, len(positions))
+    for offset in (first, second, len(positions) - 1):
+        after = positions[offset]
+        positional = PositionalPredicate(order=order, after=after)
+        kernel = _positional_kernel(base, positional, len(table))
+        assert kernel is not None
+        # The scalar side compares positions the way the paper states the
+        # predicate, not through PositionalPredicate.test.
+        if scan_order == "rid":
+            def is_after(rid, row, r=after[0]):
+                return rid > r
+        else:
+            slot = table.schema.position_of(scan_order)
+
+            def is_after(rid, row, v=after[0], r=after[1], slot=slot):
+                return row[slot] > v or (row[slot] == v and rid > r)
+
+        _check_frozen_leg(rng, kernel, rank, lookup, raw, tests, is_after)
+        if offset == len(positions) - 1:
+            assert len(kernel.pass_rids) == 0  # empty surviving suffix
+        # Derived per query: shares the base's access/local arrays, leaves
+        # the base and the index's kernel memo untouched.
+        assert kernel.totals is base.totals
+        assert kernel.ev is base.ev and kernel.pa is base.pa
+    assert (base.evals == base_evals).all()
+    assert (base.pass_offsets == base_offsets).all()
+    assert index._kernels == kernels_before
+    assert index.kernel_footprint() == footprint_before
+    db.close()
+
+
+def test_positional_kernel_tie_at_the_rid_boundary():
+    """``key == v`` rows split on the RID; NULL scan keys never get there."""
+    db = Database(backend="columnar")
+    db.create_table("t", [("k", "int"), ("sk", "string")])
+    db.insert("t", [(7, "b"), (7, "b"), (7, "b"), (7, "c"), (7, None), (7, "a")])
+    db.create_index("t", "k")
+    db.create_index("t", "sk")
+    table = db.catalog.table("t")
+    predicate = IsNull("sk", negated=True)
+    test = compile_row_test(predicate, table.schema)
+    test.predicate = predicate
+    base, _, rank = db.catalog.index_on("t", "k").cascade_groups(
+        [(predicate, test)]
+    )
+    order = ScanOrder(table, db.catalog.index_on("t", "sk"))
+    kernel = _positional_kernel(
+        base, PositionalPredicate(order=order, after=("b", 1)), len(table)
+    )
+    j = rank[7]
+    assert kernel.pass_rids[
+        kernel.pass_offsets[j] : kernel.pass_offsets[j + 1]
+    ].tolist() == [2, 3]
+    assert int(kernel.totals[j]) == 6
+    # Six local evals, then one positional eval for each of the five rows
+    # with a scan key.
+    assert int(kernel.evals[j]) == int(base.evals[j]) + 5 == 11
+    db.close()
+
+
+# ---------------------------------------------------------------------------
 # Parallel fold-merge: barrier-merged worker folds == the serial fold.
 #
 # Partitioned execution chunks each worker's partition independently, so a
@@ -420,3 +674,146 @@ def test_partition_boundary_splits_chunk_pending_merge():
     assert host.sum_output == serial.window.sum_output
     assert host.sum_work == serial.window.sum_work
     db.close()
+
+
+# ---------------------------------------------------------------------------
+# Driving walk: slices of the scan == the row-at-a-time cursor.
+#
+# The cascades take the driving scan in slices (``_DrivingWalk.take``) and
+# charge each slice as one aggregate. Everything a decision, a freeze, a
+# resume or a hand-off to the generic loop can read afterwards — the meter,
+# the driving monitor's ring, the cursor's position and progress — must be
+# what pulling the same rows one ``__next__`` at a time leaves behind, at
+# every slice boundary, for partition-bounded multi-range scans included.
+# ---------------------------------------------------------------------------
+
+import dataclasses  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+from repro.core.monitor import DrivingMonitor  # noqa: E402
+from repro.executor.vector import _DrivingWalk  # noqa: E402
+from repro.storage.cursor import (  # noqa: E402
+    IndexScanCursor,
+    KeyRange,
+    TableScanCursor,
+)
+
+
+def _row_at_a_time(cursor, leg, mask, limit):
+    """Pull rows until *limit* survivors (None: to exhaustion), charging
+    and recording what ``RuntimeLeg.driving_rows`` does."""
+    survivors = []
+    while limit is None or len(survivors) < limit:
+        try:
+            rid, _row = next(cursor)
+        except StopIteration:
+            break
+        leg.meter.charge_predicate_eval(1)
+        survived = bool(mask[rid])
+        leg.driving_monitor.record_scanned(survived)
+        leg.meter.charge_monitor_update()
+        if survived:
+            survivors.append(rid)
+    return survivors
+
+
+def _scan_state(cursor, leg):
+    monitor = leg.driving_monitor
+    return (
+        dataclasses.asdict(leg.meter),
+        cursor.last_position,
+        cursor.entries_yielded,
+        [getattr(monitor, name) for name in DrivingMonitor.__slots__],
+    )
+
+
+@pytest.mark.parametrize("kind", ["table", "index"])
+@pytest.mark.parametrize("seed", range(20))
+def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
+    rng = random.Random(4_848_000 + seed)
+    dbs, cursors, legs = [], [], []
+    rows = random_rows(rng, rng.randint(1, 120))
+    ranges = start_after = stop_at = None
+    for _ in range(2):  # the sliced scan and its row-at-a-time twin
+        db = Database(backend="columnar")
+        db.create_table(
+            "t", [("k", "int"), ("a", "int"), ("b", "float"), ("s", "string")]
+        )
+        db.insert("t", rows)
+        db.create_index("t", "k")
+        table = db.catalog.table("t")
+        index = db.catalog.index_on("t", "k")
+        if not dbs:
+            if kind == "index":
+                # Disjoint ranges, some empty, some unbounded; bounds that
+                # fall before, inside and after the ranges.
+                cuts = sorted(rng.sample(range(-2, KEY_SPACE + 4), 6))
+                ranges = [
+                    KeyRange(low=None if rng.random() < 0.2 else cuts[0],
+                             high=cuts[1], high_inclusive=rng.random() < 0.5),
+                    KeyRange(low=cuts[2], high=cuts[3],
+                             low_inclusive=rng.random() < 0.5),
+                    KeyRange(low=cuts[4],
+                             high=None if rng.random() < 0.2 else cuts[5]),
+                ][: rng.randint(1, 3)]
+                entries = index._entries
+                if entries and rng.random() < 0.6:
+                    start_after = rng.choice(entries)
+                if entries and rng.random() < 0.6:
+                    stop_at = rng.choice(entries)
+            else:
+                if rng.random() < 0.6:
+                    start_after = (rng.randrange(len(rows)),)
+                if rng.random() < 0.6:
+                    stop_at = (rng.randrange(len(rows) + 1),)
+        if kind == "index":
+            index._sidecar()
+            cursor = IndexScanCursor(
+                index, list(ranges), start_after=start_after, stop_at=stop_at
+            )
+        else:
+            cursor = TableScanCursor(
+                table, start_after=start_after, stop_at=stop_at
+            )
+        dbs.append(db)
+        cursors.append(cursor)
+        legs.append(
+            SimpleNamespace(
+                meter=table.meter,
+                driving_monitor=DrivingMonitor(rng.choice((3, 7, 1000))),
+                monitoring_enabled=True,
+            )
+        )
+    legs[1].driving_monitor = DrivingMonitor(legs[0].driving_monitor.window)
+    mask = _np.asarray([rng.random() < 0.4 for _ in rows], dtype=bool)
+    sliced, single = cursors
+    finished = False
+    while not finished:
+        # A run of slices, then (as after a hand-off to the generic loop) a
+        # stretch of plain __next__ calls on the same cursor, and again.
+        walk = _DrivingWalk(legs[0], sliced, [mask])
+        for _ in range(rng.randint(1, 3)):
+            limit = rng.randint(1, 4)
+            got = walk.take(limit).tolist()
+            want = _row_at_a_time(single, legs[1], mask, limit)
+            assert got == want
+            if len(want) < limit:
+                # The twin ran off the end of its scan looking for more
+                # survivors: the walk's trailing rows are due as well.
+                walk.finish()
+                if walk.sees_stop:
+                    legs[0].meter.index_entries += 1
+                finished = True
+            assert _scan_state(sliced, legs[0]) == _scan_state(single, legs[1])
+            if finished:
+                assert sliced.exhausted and single.exhausted
+                break
+        else:
+            limit = rng.randint(1, 3)
+            assert _row_at_a_time(sliced, legs[0], mask, limit) == (
+                _row_at_a_time(single, legs[1], mask, limit)
+            )
+            assert _scan_state(sliced, legs[0]) == _scan_state(single, legs[1])
+            finished = sliced.exhausted
+    for db in dbs:
+        db.close()
