@@ -1,16 +1,18 @@
 """Server throughput/latency benchmark: concurrent clients, real engine.
 
-Starts an in-process :class:`~repro.server.QueryServer` over a DMV
-database and drives it with N asyncio clients firing the four-table
-workload, then reports
+Starts an in-process :class:`~repro.server.QueryServer` over a columnar
+DMV database — the configuration ``repro serve --backend columnar`` runs —
+and drives it with N asyncio clients firing the four-table workload, then
+reports
 
 * throughput (queries/second) and end-to-end latency percentiles
   (p50/p95/p99, measured per request at the client),
 * the server-path overhead versus executing the same statements serially
-  through :meth:`Database.execute` (protocol + scheduling + threading
-  cost; the engine itself is GIL-bound, so this factor should sit near
-  1.0, not near 1/concurrency),
-* the shared plan-cache hit rate across the run.
+  through :meth:`Database.execute` with the configuration the server's
+  admission layer applies (protocol + scheduling + threading cost; the
+  engine itself is GIL-bound, so this factor cannot approach
+  1/concurrency),
+* the shared plan-cache hit rate and the engines that served the run.
 
 Every response is verified: all requests must succeed and return the
 serial engine's rows for that statement — a throughput number that
@@ -38,10 +40,11 @@ import pathlib
 import sys
 import time
 
-from repro.bench.runner import write_json_atomic
-from repro.core.config import AdaptiveConfig
+from repro.bench.runner import host_metadata, write_json_atomic
 from repro.dmv import four_table_workload, load_dmv
-from repro.server import QueryServer, ServerConfig
+from repro.server import AdmissionController, QueryServer, ServerConfig
+from repro.server.admission import SHED_NONE
+from repro.server.protocol import QueryRequest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -136,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         args.requests_per_client = min(args.requests_per_client, 15)
 
     print(f"loading DMV at scale {args.scale} ...", file=sys.stderr)
-    db, _ = load_dmv(scale=args.scale)
+    db, _ = load_dmv(scale=args.scale, backend="columnar")
     statements = [
         q.sql
         for q in four_table_workload(
@@ -144,24 +147,29 @@ def main(argv: list[str] | None = None) -> int:
         )
     ]
 
-    # Serial baseline: rows for verification, wall time for the overhead
-    # factor over the exact request mix the clients will fire.
-    workload: list[tuple[str, list]] = []
-    for sql in statements:
-        result = db.execute(sql, AdaptiveConfig())
-        workload.append((sql, sorted(result.rows)))
-    total_requests = args.clients * args.requests_per_client
-    serial_started = time.perf_counter()
-    for n in range(total_requests):
-        db.execute(workload[n % len(workload)][0], AdaptiveConfig())
-    serial_wall = time.perf_counter() - serial_started
-
     config = ServerConfig(
         port=0,
         max_concurrency=args.max_concurrency,
         max_queue_depth=max(64, 4 * args.clients),
         max_queue_per_session=args.requests_per_client + 1,
     )
+    # What an unshed request executes with (batched, chunk granularity):
+    # asked of the admission layer, so the baseline cannot drift from it.
+    served = AdmissionController(config).apply_shed(
+        QueryRequest(sql=""), SHED_NONE
+    )
+
+    # Serial baseline: rows for verification, wall time for the overhead
+    # factor over the exact request mix the clients will fire.
+    workload: list[tuple[str, list]] = []
+    for sql in statements:
+        result = db.execute(sql, served)
+        workload.append((sql, sorted(result.rows)))
+    total_requests = args.clients * args.requests_per_client
+    serial_started = time.perf_counter()
+    for n in range(total_requests):
+        db.execute(workload[n % len(workload)][0], served)
+    serial_wall = time.perf_counter() - serial_started
 
     async def run():
         server = QueryServer(db, config)
@@ -201,7 +209,9 @@ def main(argv: list[str] | None = None) -> int:
             if lookups
             else None
         ),
+        "engines": stats["engines"],
         "failures": len(failures),
+        "host": host_metadata(),
     }
 
     print(f"requests:  {total_requests} from {args.clients} clients")
@@ -213,6 +223,7 @@ def main(argv: list[str] | None = None) -> int:
           f"p99 {section['latency_ms']['p99']:.1f} ms")
     if section["plan_cache_hit_rate"] is not None:
         print(f"cache:     {section['plan_cache_hit_rate']:.1%} hit rate")
+    print(f"engines:   {section['engines']}")
 
     # Fold into the shared benchmark file, preserving other sections.
     path = pathlib.Path(args.output)

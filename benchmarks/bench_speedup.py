@@ -74,11 +74,10 @@ import argparse
 import json
 import os
 import pathlib
-import platform
 import sys
 import time
 
-from repro.bench.runner import write_json_atomic
+from repro.bench.runner import host_metadata, write_json_atomic
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.dmv import load_dmv, six_table_workload
 
@@ -143,22 +142,6 @@ PARALLEL_WORKLOAD = [
         "AND d.salary BETWEEN 20000 AND 45000",
     ),
 ]
-
-
-def host_metadata() -> dict:
-    """Where the numbers were taken; wall-clock rows mean nothing without it."""
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "platform": platform.platform(),
-    }
 
 
 def build_variants(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -23,6 +24,22 @@ WORK_BUCKETS = (
     100.0, 500.0, 1_000.0, 5_000.0, 10_000.0,
     50_000.0, 100_000.0, 500_000.0, 1_000_000.0,
 )
+
+
+def host_metadata() -> dict:
+    """Where the numbers were taken; wall-clock rows mean nothing without it."""
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "platform": platform.platform(),
+    }
 
 
 def write_json_atomic(path: str, payload: Any) -> None:

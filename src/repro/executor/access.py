@@ -992,8 +992,9 @@ class RuntimeLeg:
         """Monitored batch probe with chunk-aggregated accounting.
 
         The amortized twin of :meth:`probe_batch` + :meth:`replay_prepared`
-        for runs where nothing reads the work meter mid-query (no limits, no
-        observability, no faults): each chunk's physical charges, monitor
+        for runs where nothing reads the work meter mid-chunk (no
+        observability, no faults; a limit check after a cascade hand-off
+        reads it a chunk ahead): each chunk's physical charges, monitor
         updates, and cache counters hit the meter once, up front, instead of
         probe by probe. Per-probe counts stay scalar-exact — they are
         *derived* from per-key candidate groups that replicate the scalar

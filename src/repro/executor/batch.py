@@ -53,7 +53,7 @@ from repro.errors import ExecutionError
 from repro.executor.access import RuntimeLeg
 from repro.executor.pipeline import PipelineExecutor, _NoAdaptation
 from repro.executor.probecache import ProbeCache
-from repro.executor.vector import adaptive_cascade, vector_cascade
+from repro.executor.vector import cascade
 from repro.robustness.guard import SandboxedController
 from repro.storage.cursor import IndexScanCursor
 from repro.storage.table import Row
@@ -243,31 +243,47 @@ class BatchedPipelineExecutor(PipelineExecutor):
             yield from super()._run()
             return
 
-        if self._enforcer is None and (self.obs is None or not self.obs.hot):
-            if not self.config.mode.monitors:
-                # Mode NONE with no limits and no observability: nothing can
-                # read the meter, the monitors, or the pipeline mid-run, so
-                # the turbo loop may charge work in chunk aggregates and skip
-                # the per-probe replay machinery entirely. Final totals,
-                # results, and stats are scalar-identical.
-                yield from self._run_turbo()
-                return
-            # Monitored modes with no limits and no observability: the
-            # meter is only read at query end, so physical charges may be
-            # chunk-aggregated; monitor observations are applied in bulk
-            # exactly where no reorder check can interleave, per-probe
-            # elsewhere. Decisions, events, and final totals stay
-            # scalar-identical (see _run_fast).
-            yield from self._run_fast()
-            return
-
-        self.engine_used = "batched"
-        if self.obs is not None and self.obs.hot:
-            self.vector_gate_reason = "hot observability armed"
-        elif self._enforcer is not None:
-            self.vector_gate_reason = "execution limits armed"
         self._open_driving(self.order[0])
         self._compile_all_probes()
+        if self.obs is not None and self.obs.hot:
+            self.vector_gate_reason = "hot observability armed"
+        else:
+            # Nothing reads the meter, the monitors, or the pipeline
+            # mid-chunk: physical charges may be chunk-aggregated. Armed
+            # limits do not change that — the cascade enforces them at its
+            # chunk boundaries (see vector._run_cascade).
+            monitored = self.config.mode.monitors
+            handed_off = False
+            if monitored and self.config.monitor_granularity != "chunk":
+                self.vector_gate_reason = "exact monitor granularity"
+            else:
+                # The columnar engine: identical rows, order, final totals
+                # and (monitored) windows and decisions as the generic
+                # loops below. None when a gate fails; False when a plan
+                # rebuilt mid-query is refused and the partially consumed
+                # cursors come back.
+                engine = cascade(self)
+                if engine is not None:
+                    self.engine_used = (
+                        "vector-adaptive" if monitored else "vector"
+                    )
+                    if (yield from engine):
+                        return
+                    handed_off = True
+            if handed_off or self._enforcer is None:
+                if monitored:
+                    self.engine_used = (
+                        "vector-adaptive+fast" if handed_off else "fast"
+                    )
+                    yield from self._run_fast()
+                else:
+                    self.engine_used = "turbo"
+                    yield from self._run_turbo()
+                return
+            # Limits armed on a shape the cascade refuses (vector_gate
+            # names its gate): only the loop below has per-row safe points.
+
+        self.engine_used = "batched"
         config = self.config
         mode = config.mode
         batch_size = config.batch_size
@@ -389,20 +405,9 @@ class BatchedPipelineExecutor(PipelineExecutor):
         checks can ever fire), no limits, no observability, no oracle, no
         faults, so nothing can read intermediate state. Partial consumption
         of the ``rows()`` generator may observe charges up to one chunk
-        ahead of scalar; full runs are exact.
+        ahead of scalar; full runs are exact. Runs on the pipeline ``_run``
+        opened, when the cascade's gates refuse it.
         """
-        self._open_driving(self.order[0])
-        self._compile_all_probes()
-        # Columnar fast path: when every leg supports it, the whole static
-        # join collapses into a layered array computation with identical
-        # rows, order, and final totals (see executor/vector.py). Any
-        # unsupported shape returns None and this generic loop runs.
-        cascade = vector_cascade(self)
-        if cascade is not None:
-            self.engine_used = "vector"
-            yield from cascade
-            return
-        self.engine_used = "turbo"
         aliases = list(self.order)
         leg_count = len(aliases)
         last = leg_count - 1
@@ -537,12 +542,17 @@ class BatchedPipelineExecutor(PipelineExecutor):
     def _run_fast(self) -> Iterator[tuple]:
         """Monitored batched loop with chunk-aggregated accounting.
 
-        Entry conditions: monitoring on, no limits, no observability (plus
-        the scalar-fallback screens: no faults, no oracle, recognized
-        controller, multi-leg). Then the meter is only read at query end,
-        so physical charges and monitor-update charges are folded into one
-        aggregate per chunk (``probe_batch_fast``); intermediate meter
-        states run up to one chunk ahead, final totals are scalar-exact.
+        Entry conditions: monitoring on, no observability (plus the
+        scalar-fallback screens: no faults, no oracle, recognized
+        controller, multi-leg), on the pipeline ``_run`` opened — from its
+        first row when the cascade's gates refuse it (then with no limits
+        armed), or from the chunk boundary where the cascade handed back a
+        plan it could not rebuild. Then the meter is only read at query end
+        or by a limit check, so physical charges and monitor-update charges
+        are folded into one aggregate per chunk (``probe_batch_fast``);
+        intermediate meter states run up to one chunk ahead — the chunk
+        granularity at which the cascade observes a work budget too —
+        final totals are scalar-exact.
 
         Monitor windows and ``incoming_since_check`` feed reorder-check
         *gates and decisions*, so their application point is chosen per
@@ -578,39 +588,17 @@ class BatchedPipelineExecutor(PipelineExecutor):
         adaptation points are coarser (amortized), which is precisely what
         buys the batched monitored speedup.
         """
-        self._open_driving(self.order[0])
-        self._compile_all_probes()
         config = self.config
         mode = config.mode
         batch_size = config.batch_size
         check_freq = config.check_frequency
         controller = self.controller
         meter = self.catalog.meter
+        # Armed only when the cascade hands a limited query back mid-scan.
+        limits = self._enforcer
         projector = self._projector
         reorders_inner = mode.reorders_inner
         chunked = config.monitor_granularity == "chunk"
-
-        if chunked:
-            # Chunk granularity: try the vectorized adaptive cascade. It
-            # runs the whole cascade a driving chunk at a time with
-            # kernel-folded monitoring and checks at chunk boundaries —
-            # observably identical to this generic loop (same rows in
-            # order, same meter, same windows, same decisions). It returns
-            # True when the query completed, False to hand the partially
-            # consumed cursors back to this loop (e.g. after a driving
-            # switch introduces positional predicates), or None from
-            # adaptive_cascade() when a static gate fails.
-            self.engine_used = "fast"
-            engine = adaptive_cascade(self)
-            if engine is not None:
-                self.engine_used = "vector-adaptive"
-                completed = yield from engine
-                if completed:
-                    return
-                self.engine_used = "vector-adaptive+fast"
-        else:
-            self.engine_used = "fast"
-            self.vector_gate_reason = "exact monitor granularity"
 
         leg_count = len(self.order)
         last = leg_count - 1
@@ -675,6 +663,8 @@ class BatchedPipelineExecutor(PipelineExecutor):
                     for pend in pending:
                         pend.clear()
                     shadow = None
+                if limits is not None:
+                    limits.check()
                 if not expected:
                     shadow = self._refill_driving_fast(
                         shadow, expected, pending, binding,
@@ -747,6 +737,8 @@ class BatchedPipelineExecutor(PipelineExecutor):
             self.depleted_from = None
             binding[self.order[position]] = row
             if position == last:
+                if limits is not None:
+                    limits.check_emit()
                 self.rows_emitted += 1
                 meter.rows_emitted += 1
                 yield projector(binding)

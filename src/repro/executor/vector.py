@@ -1,10 +1,9 @@
-"""Whole-query vectorized join cascade for static (mode NONE) runs.
+"""The vectorized join cascade: whole chunks of a query as array computations.
 
-The turbo loop (:meth:`BatchedPipelineExecutor._run_turbo`) already skips
-every per-probe observation for static plans; what remains is the Python
-nested-loop state machine itself. When every leg is columnar and every
-probe is a pure indexed equality lookup, the whole join collapses into a
-layered array computation:
+The generic batched loops already skip most per-probe observation; what
+remains is the Python nested-loop state machine itself. When every leg is
+columnar and every probe is a pure indexed equality lookup, the join
+collapses into a layered array computation per driving chunk:
 
 1. the driving scan becomes an index-entry (or RID-range) slice plus a
    boolean mask for the residual local predicates;
@@ -19,8 +18,12 @@ layered array computation:
    present/missing key, fetch per candidate row, short-circuit-exact local
    evals), summed per leg.
 
-Gates are strict — any unsupported shape returns ``None`` and the generic
-turbo loop runs instead. In particular the cascade requires: numpy, no
+One chunk loop (:func:`_run_cascade`) runs static plans (large slices) and
+the monitored modes (``batch_size`` chunks with kernel-folded monitoring
+and boundary rank checks).
+
+Gates are strict — any unsupported shape returns ``None`` and a generic
+loop runs instead. In particular the cascade requires: numpy, no
 probe caches, columnar tables and indexes on every leg, index-equality
 probes with no residual joins, and vectorizable local predicates
 everywhere. A frozen leg's positional predicate is not a gate: it is a
@@ -29,17 +32,20 @@ and resumed driving cursors are supported: :class:`_DrivingWalk` reads the
 rest of the scan off the cursor's own state, with the exact
 skip/termination rules of :class:`~repro.storage.cursor.IndexScanCursor`,
 which is how parallel workers run the cascade over their
-:class:`ScanPartition` slices and how the adaptive cascade survives a
-driving switch.
-Like the rest of the turbo path this is only observably different from
-the scalar machine in *intermediate* meter states, which nothing can read
-(no limits, no observability, no faults, no oracle — enforced by the
-turbo entry conditions).
+:class:`ScanPartition` slices and how the cascade survives a driving
+switch.
+
+The cascade is only observably different from the scalar machine in
+*intermediate* meter states, which are visible at chunk boundaries alone:
+no hot observability, no faults, no oracle (the callers' entry
+conditions), and execution limits are enforced at those boundaries — rows
+exactly, work / deadline / cancellation at most one chunk late.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.storage.columnar import (
@@ -123,22 +129,37 @@ def _make_translator(
     return None
 
 
-def vector_cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
-    """A generator running the whole query vectorized, or None to fall back.
+#: Driving survivors the static cascade expands per slice. A static plan
+#: never changes, so its slices exist only to bound what one expansion
+#: holds in flight (slice x fan-out x legs int64 arrays) and how late a
+#: deadline or cancellation is seen (one slice: tens of milliseconds).
+#: 65,536 is far above every driving scan up to DMV scale 1.0 (3,734
+#: survivors at the benchmark's scale 0.1), so those queries stay one
+#: slice and pay the boundary once; the per-slice fixed cost (a few dozen
+#: numpy calls per leg) is under 1% of a full slice's expansion.
+STATIC_SLICE_ROWS = 1 << 16
 
-    Must be called after ``_open_driving``/``_compile_all_probes``; every
-    gate failure returns ``None`` with no state mutated, so the caller's
-    generic loop proceeds untouched.
+
+def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
+    """A generator running the open pipeline vectorized, or None to fall back.
+
+    One chunk loop (:func:`_run_cascade`) serves every mode: static plans
+    take the driving scan in :data:`STATIC_SLICE_ROWS` slices, the monitored
+    modes in ``batch_size`` chunks. The generator returns True when the
+    query completed, False when a plan rebuilt mid-query is one the gates
+    refuse and the caller must continue generically with the partially
+    consumed cursors.
+
+    Must be called after ``_open_driving``/``_compile_all_probes``. Every
+    gate failure returns None with ``executor.vector_gate_reason`` set and
+    no state mutated, so the caller's generic loop proceeds untouched.
     """
     planned = _cascade_plan(executor)
     if planned is None:
         return None
-    walk, inner = planned
-    projection = [
-        (output.alias, executor._slot_of(output.alias, output.column))
-        for output in executor.plan.projection
-    ]
-    return _execute(executor, list(executor.order), walk, inner, projection)
+    config = executor.config
+    chunk_rows = config.batch_size if config.mode.monitors else STATIC_SLICE_ROWS
+    return _run_cascade(executor, *planned, chunk_rows)
 
 
 def _cascade_plan(executor) -> tuple["_DrivingWalk", list] | None:
@@ -343,95 +364,6 @@ def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
     return _DrivingWalk(leg, cursor, masks), None
 
 
-def _execute(
-    executor,
-    order: list[str],
-    walk: _DrivingWalk,
-    inner: list,
-    projection: list[tuple[str, int]],
-) -> Iterator[tuple]:
-    """Run the planned cascade; charges mirror the turbo path exactly."""
-    meter = executor.catalog.meter
-
-    # The whole driving scan in one slice. Like TurboDrivingScan (and unlike
-    # the row-at-a-time cursor) a partition-bounded walk does not touch the
-    # first entry of the next partition.
-    survivors = walk.take()
-    walk.finish()
-    flow = int(len(survivors))
-    executor.driving_rows_since_check += flow
-    executor.driving_rows_total += flow
-
-    # Layered expansion: ancestors[alias] maps every in-flight joined
-    # tuple to its RID at that alias, in depth-first nested-loop order.
-    ancestors: dict[str, Any] = {order[0]: survivors}
-    for leg, config, kernel, translate in inner:
-        if flow == 0:
-            ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
-            continue
-        ranks = translate(ancestors[config.key_alias])
-        present = ranks >= 0
-        present_ranks = ranks[present]
-        # Scalar probe charges: descend always; present keys walk their
-        # full group (entries + fetches + short-circuit local evals);
-        # missing keys touch one entry; null keys descend only.
-        meter.index_descends += flow
-        if len(present_ranks):
-            group_sizes = kernel.totals[present_ranks]
-            touched = int(group_sizes.sum())
-            meter.index_entries += touched + int(
-                _np.count_nonzero(ranks == -2)
-            )
-            meter.row_fetches += touched
-            meter.predicate_evals += int(
-                kernel.evals[present_ranks].sum()
-            )
-        else:
-            meter.index_entries += int(_np.count_nonzero(ranks == -2))
-        offsets = kernel.pass_offsets
-        matches = _np.zeros(flow, dtype=_np.int64)
-        if len(present_ranks):
-            matches[present] = (
-                offsets[present_ranks + 1] - offsets[present_ranks]
-            )
-        total = int(matches.sum())
-        parent = _np.repeat(_np.arange(flow, dtype=_np.int64), matches)
-        if total:
-            starts = _np.zeros(flow, dtype=_np.int64)
-            starts[present] = offsets[present_ranks]
-            base = _np.repeat(starts, matches)
-            within = _np.arange(total, dtype=_np.int64) - _np.repeat(
-                _np.cumsum(matches) - matches, matches
-            )
-            new_rids = kernel.pass_rids[base + within]
-        else:
-            new_rids = _np.zeros(0, dtype=_np.int64)
-        ancestors = {
-            alias: rids[parent] for alias, rids in ancestors.items()
-        }
-        ancestors[leg.alias] = new_rids
-        flow = total
-
-    meter.rows_emitted += flow
-    executor.rows_emitted += flow
-    executor.depleted_from = 0
-    if flow:
-        if not projection:  # degenerate empty projection
-            empty = ()
-            for _ in range(flow):
-                yield empty
-            return
-        columns = []
-        for alias, slot in projection:
-            raw = executor.legs[alias].table.raw_rows()
-            rids = ancestors[alias].tolist()
-            columns.append([raw[rid][slot] for rid in rids])
-        yield from zip(*columns)
-
-
-# ---------------------------------------------------------------------------
-# Chunked adaptive cascade (monitored modes, chunk granularity)
-# ---------------------------------------------------------------------------
 def _adaptive_plan(executor) -> tuple[list | None, str | None]:
     """Per-leg kernels/translators for the *current* order, or a gate reason.
 
@@ -516,63 +448,136 @@ def _plan_signature(executor) -> tuple:
     )
 
 
-def adaptive_cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
-    """The chunked vectorized adaptive engine, or None to fall back.
+def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, int]:
+    """One chunk's layered expansion: ``(ancestors, flow)``.
 
-    Runs the whole cascade one driving chunk at a time under the
-    monitored modes: each chunk's inner legs expand through the same CSR
-    group kernels as the static cascade, each leg's
-    :class:`~repro.core.monitor.AggregatedWindow` fold is derived from the
-    kernel aggregates (numerically identical to what ``observe_chunk``
-    folds from scalar probes — see ``LegMonitor.defer_chunk``), and the
-    rank-rule checks run at chunk boundaries: one inner check at position
-    1 and one driving check per chunk, exactly the generic chunked loop's
-    cadence. Applied inner reorders permute the remaining cascade legs
-    mid-scan and driving switches swap the driving walk and put the frozen
-    leg behind a positional kernel (plan rebuild); only a rebuilt plan the
-    gates refuse re-enters the generic depleted-state machinery (the
-    generator returns False and the caller continues with the partially
-    consumed cursors).
-
-    Must be called after ``_open_driving``/``_compile_all_probes``. Every
-    gate failure returns None with ``executor.vector_gate_reason`` set and
-    no state mutated.
+    ``ancestors[alias]`` maps every joined tuple the chunk produces to its
+    RID at that alias, in depth-first nested-loop order. Each inner leg
+    charges the scalar probes' work as kernel aggregates (descend per outer
+    row; present keys walk their full group — entries, fetches,
+    short-circuit local evals; missing keys touch one entry; null keys
+    descend only) and, when monitored, defers the same aggregate as its
+    window fold for the chunk.
     """
-    planned = _cascade_plan(executor)
-    if planned is None:
-        return None
-    return _adaptive_run(executor, *planned)
+    flow = len(survivors)
+    ancestors: dict[str, Any] = {driving_alias: survivors}
+    for leg, pconfig, kernel, translate in inner:
+        if flow == 0:
+            ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
+            continue
+        ranks = translate(ancestors[pconfig.key_alias])
+        present = ranks >= 0
+        present_ranks = ranks[present]
+        npresent = len(present_ranks)
+        missing = int(_np.count_nonzero(ranks == -2))
+        meter.index_descends += flow
+        if npresent:
+            touched = int(kernel.totals[present_ranks].sum())
+            evals = int(kernel.evals[present_ranks].sum())
+        else:
+            touched = 0
+            evals = 0
+        entries = touched + missing
+        meter.index_entries += entries
+        meter.row_fetches += touched
+        meter.predicate_evals += evals
+        offsets = kernel.pass_offsets
+        matches = _np.zeros(flow, dtype=_np.int64)
+        if npresent:
+            matches[present] = (
+                offsets[present_ranks + 1] - offsets[present_ranks]
+            )
+        total = int(matches.sum())
+        if leg.monitoring_enabled:
+            meter.monitor_updates += flow
+            # The lean aggregate: (incoming, index matches, output,
+            # work) — deferred, applied as one window entry per chunk.
+            leg.monitor.defer_chunk(
+                flow,
+                touched,
+                total,
+                flow * INDEX_DESCEND_COST
+                + entries * INDEX_ENTRY_COST
+                + touched * ROW_FETCH_COST
+                + evals * PREDICATE_EVAL_COST,
+            )
+            if npresent:
+                for slot, counts in enumerate(leg.local_counts):
+                    counts[0] += int(kernel.ev[slot][present_ranks].sum())
+                    counts[1] += int(kernel.pa[slot][present_ranks].sum())
+            leg.incoming_since_check += flow
+        parent = _np.repeat(_np.arange(flow, dtype=_np.int64), matches)
+        if total:
+            starts = _np.zeros(flow, dtype=_np.int64)
+            starts[present] = offsets[present_ranks]
+            base = _np.repeat(starts, matches)
+            within = _np.arange(total, dtype=_np.int64) - _np.repeat(
+                _np.cumsum(matches) - matches, matches
+            )
+            new_rids = kernel.pass_rids[base + within]
+        else:
+            new_rids = _np.zeros(0, dtype=_np.int64)
+        ancestors = {alias: arr[parent] for alias, arr in ancestors.items()}
+        ancestors[leg.alias] = new_rids
+        flow = total
+    return ancestors, flow
 
 
-def _adaptive_run(executor, walk: _DrivingWalk, inner: list):
-    """Chunk loop: consume -> cascade -> fold -> boundary checks.
+def _project(legs_map, projection: list, ancestors: dict, count: int):
+    """The first *count* joined tuples of a chunk as projected result rows."""
+    if not projection:  # degenerate empty projection
+        return repeat((), count)
+    return zip(*(
+        legs_map[alias].table.cells(slot, ancestors[alias][:count])
+        for alias, slot in projection
+    ))
+
+
+def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
+    """Chunk loop: limits -> consume -> expand -> emit -> fold -> checks.
 
     Returns True when the query completed, False to hand the partially
     consumed cursors back to the generic chunked loop at a chunk boundary
     (all prepared state drained, windows flushed, counters consistent).
 
-    Observable-parity contract with the generic chunked ``_run_fast``:
+    Observable-parity contract with the generic chunked ``_run_fast`` (and,
+    for static plans, the turbo loop):
 
-    * each chunk is the next ``batch_size`` survivors of the driving walk
+    * each chunk is the next ``chunk_rows`` survivors of the driving walk
       (:class:`_DrivingWalk`), which charges the scan work and the driving
       monitor for exactly the rows ``RuntimeLeg.driving_rows`` would have
       pulled to produce them and repositions the cursor, so freeze/resume
       positions are identical — including the trailing non-survivor scan
       landing *after* the final boundary's checks;
     * each inner leg's meter charges and window fold are the kernel-sum
-      twins of ``probe_batch_fast``'s lean aggregates (descend per outer
-      row; ``max(entries, 1)`` per present/missing key; fetch + local
-      evals per candidate row; all cost constants exact binary fractions,
-      so the float work sums are bit-identical under regrouping);
+      twins of ``probe_batch_fast``'s lean aggregates (:func:`_expand`; all
+      cost constants exact binary fractions, so the float work sums are
+      bit-identical under regrouping);
     * one window fold per leg per chunk, applied at the boundary before
-      any check or snapshot can read a window (``_flush_chunk_folds``).
+      any check or snapshot can read a window (``_flush_chunk_folds``);
+    * the rank-rule checks at chunk boundaries — one inner check at
+      position 1 and one driving check per chunk, the generic chunked
+      loop's cadence. An applied inner reorder permutes the remaining legs
+      mid-scan; a driving switch swaps the driving walk and puts the frozen
+      leg behind a positional kernel (plan rebuild).
+
+    Execution limits are a chunk-boundary concern: cancellation, deadline
+    and work budget are tested once per chunk, before the walk takes it
+    (the generic loops' position-0 safe point), so they are seen at most
+    one chunk late and ``BudgetExceeded.work_units`` / ``driving_rows`` are
+    exact to a chunk. The row budget is exact: a chunk that would overrun
+    it emits only the rows still admitted, then raises — the caller holds
+    precisely ``max_rows`` rows and ``rows_emitted`` says so. Either way
+    the exception unwinds from a consistent state: folds flushed, cursor
+    at the chunk's end.
     """
     config = executor.config
     mode = config.mode
-    batch_size = config.batch_size
     check_freq = config.check_frequency
     controller = executor.controller
     meter = executor.catalog.meter
+    limits = executor._enforcer
+    monitored = mode.monitors
     reorders_inner = mode.reorders_inner
     reorders_driving = mode.reorders_driving
     legs_map = executor.legs
@@ -583,112 +588,38 @@ def _adaptive_run(executor, walk: _DrivingWalk, inner: list):
     ]
     plan_sig = _plan_signature(executor)
     while True:
-        driving_alias = executor.order[0]
-        survivors = walk.take(batch_size)
-        flow = len(survivors)
-        if not flow:
+        if limits is not None:
+            limits.check()
+        survivors = walk.take(chunk_rows)
+        taken = len(survivors)
+        if not taken:
             # No survivor left: the trailing non-survivors are scanned
             # after the last boundary's checks, as the generic loop's
             # final next() does.
             walk.finish()
-            if walk.sees_stop:
+            if walk.sees_stop and monitored:
                 # The row-at-a-time cursor learns its partition is done by
-                # touching the next partition's first entry.
+                # touching the next partition's first entry; the static
+                # reference (TurboDrivingScan) never touches it.
                 meter.index_entries += 1
             executor.depleted_from = 0
             executor._flush_chunk_folds()
             return True
         executor.depleted_from = None
-        executor.driving_rows_since_check += flow
-        executor.driving_rows_total += flow
+        executor.driving_rows_since_check += taken
+        executor.driving_rows_total += taken
 
-        # -- layered expansion, charging per-leg kernel aggregates -------
-        ancestors: dict[str, Any] = {driving_alias: survivors}
-        for leg, pconfig, kernel, translate in inner:
-            if flow == 0:
-                ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
-                continue
-            ranks = translate(ancestors[pconfig.key_alias])
-            present = ranks >= 0
-            present_ranks = ranks[present]
-            npresent = len(present_ranks)
-            missing = int(_np.count_nonzero(ranks == -2))
-            meter.index_descends += flow
-            if npresent:
-                group_sizes = kernel.totals[present_ranks]
-                touched = int(group_sizes.sum())
-                evals = int(kernel.evals[present_ranks].sum())
-            else:
-                touched = 0
-                evals = 0
-            entries = touched + missing
-            meter.index_entries += entries
-            meter.row_fetches += touched
-            meter.predicate_evals += evals
-            offsets = kernel.pass_offsets
-            matches = _np.zeros(flow, dtype=_np.int64)
-            if npresent:
-                matches[present] = (
-                    offsets[present_ranks + 1] - offsets[present_ranks]
-                )
-            total = int(matches.sum())
-            if leg.monitoring_enabled:
-                meter.monitor_updates += flow
-                # The lean aggregate: (incoming, index matches, output,
-                # work) — deferred, applied as one window entry per chunk.
-                leg.monitor.defer_chunk(
-                    flow,
-                    touched,
-                    total,
-                    flow * INDEX_DESCEND_COST
-                    + entries * INDEX_ENTRY_COST
-                    + touched * ROW_FETCH_COST
-                    + evals * PREDICATE_EVAL_COST,
-                )
-                if leg.local_tests:
-                    counts_list = leg.local_counts
-                    ev = kernel.ev
-                    pa = kernel.pa
-                    for slot in range(len(counts_list)):
-                        counts = counts_list[slot]
-                        if npresent:
-                            counts[0] += int(ev[slot][present_ranks].sum())
-                            counts[1] += int(pa[slot][present_ranks].sum())
-                leg.incoming_since_check += flow
-            parent = _np.repeat(_np.arange(flow, dtype=_np.int64), matches)
-            if total:
-                starts = _np.zeros(flow, dtype=_np.int64)
-                starts[present] = offsets[present_ranks]
-                base = _np.repeat(starts, matches)
-                within = _np.arange(total, dtype=_np.int64) - _np.repeat(
-                    _np.cumsum(matches) - matches, matches
-                )
-                new_rids = kernel.pass_rids[base + within]
-            else:
-                new_rids = _np.zeros(0, dtype=_np.int64)
-            ancestors = {
-                alias: arr[parent] for alias, arr in ancestors.items()
-            }
-            ancestors[leg.alias] = new_rids
-            flow = total
-
-        meter.rows_emitted += flow
-        executor.rows_emitted += flow
-        if flow:
-            if not projection:  # degenerate empty projection
-                empty = ()
-                for _ in range(flow):
-                    yield empty
-            else:
-                columns = []
-                for alias, slot in projection:
-                    raw = legs_map[alias].table.raw_rows()
-                    out_rids = ancestors[alias].tolist()
-                    columns.append([raw[rid][slot] for rid in out_rids])
-                yield from zip(*columns)
+        ancestors, flow = _expand(meter, inner, executor.order[0], survivors)
+        admitted = flow if limits is None else limits.admit_rows(flow)
+        meter.rows_emitted += admitted
+        executor.rows_emitted += admitted
+        if admitted:
+            yield from _project(legs_map, projection, ancestors, admitted)
 
         # -- chunk boundary: flush folds, then the two checks ------------
         executor._flush_chunk_folds()
+        if admitted < flow:
+            limits.check_emit()  # raises: the row budget is spent
         if (
             reorders_inner
             and len(executor.order) > 2

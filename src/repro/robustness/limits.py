@@ -3,10 +3,19 @@
 An :class:`ExecutionLimits` bundle caps what one query may consume: result
 rows, work units off the deterministic :class:`~repro.storage.counters`
 meter, wall-clock time, and an externally triggered
-:class:`CancellationToken`. The pipeline executor checks the bundle at its
-safe points — before each driving row and after each emitted row — and
-raises :class:`~repro.errors.BudgetExceeded` carrying partial-progress
-stats when any cap is hit.
+:class:`CancellationToken`. The executors check the bundle at their safe
+points and raise :class:`~repro.errors.BudgetExceeded` carrying
+partial-progress stats when any cap is hit:
+
+* the row-at-a-time loops (scalar, ``batched``) before each driving row
+  (:meth:`LimitEnforcer.check`) and before each emitted row
+  (:meth:`LimitEnforcer.check_emit`);
+* the vectorized cascade once per driving chunk — :meth:`~LimitEnforcer.check`
+  before the chunk is taken, :meth:`~LimitEnforcer.admit_rows` on what it
+  is about to emit. The row budget stays exact (the caller receives
+  precisely ``max_rows`` rows); cancellation, deadline and work budget are
+  seen at most one chunk late, and the exception's ``work_units`` /
+  ``driving_rows`` are exact to a chunk.
 
 Checking at safe points (rather than inside probes) keeps the hot path
 unchanged and guarantees the pipeline state is consistent when the
@@ -129,6 +138,19 @@ class LimitEnforcer:
         if max_rows is not None and self.pipeline.rows_emitted >= max_rows:
             raise self._exceeded(f"row budget exceeded ({max_rows} rows)")
         self.check()
+
+    def admit_rows(self, count: int) -> int:
+        """How many of the next *count* rows the row budget still admits.
+
+        The chunk-granular form of :meth:`check_emit`: the caller emits
+        that many, moves the emit counters by as much, and — when fewer
+        than *count* were admitted — calls :meth:`check_emit`, which then
+        raises with stats matching what was delivered.
+        """
+        max_rows = self.limits.max_rows
+        if max_rows is None:
+            return count
+        return min(count, max_rows - self.pipeline.rows_emitted)
 
     def check(self) -> None:
         """Raise :class:`BudgetExceeded` if any budget is spent."""

@@ -159,7 +159,9 @@ class DatabaseEngine:
     ) -> EngineResult:
         context = context or {}
         # Recorder-only bundle: the decision audit is armed but the bundle
-        # stays cold, so the executor keeps its batched fast paths and the
+        # stays cold, and *limits* are enforced at chunk boundaries inside
+        # the cascade, so neither gates the vectorized engine out (replies
+        # report ``engine: vector*`` on the columnar backend) and the
         # deterministic WorkMeter sees zero extra charges. Armed before
         # planning so rejected statements leave flight records too.
         bundle = self.recorder.arm(config)

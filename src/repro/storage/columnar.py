@@ -24,12 +24,22 @@ numpy is an optional fast path: without it (or for unsupported predicate
 shapes / overflow-promoted columns) every entry point falls back to the
 inherited row-at-a-time implementation, so results and work accounting
 never depend on numpy's presence — only speed does.
+
+Concurrent readers (the query server's worker threads) share one table and
+one index, so every lazily built structure is built and published under a
+per-object lock: the row view, the index sidecar, and the bounded kernel
+and group memos (whose first-in-first-out eviction is a check-then-act).
+Whole-value caches whose loser of a race merely rebuilt an equal value
+(the columns' numpy copies, ``_Kernel.lists``, the one-slot ``_fast_ctx``
+tuple) are published with a single reference store and need none.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from array import array
+from bisect import insort
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.storage.compiled import vector_spec
@@ -132,6 +142,20 @@ class _NumericColumn:
         self._np_cache = (count, values, notnull)
         return values, notnull
 
+    def take(self, rids) -> list | None:
+        """The values at *rids* (an index array) as the row view holds
+        them, or None (boxed / no numpy)."""
+        arrays = self.np_values()
+        if arrays is None:
+            return None
+        values, notnull = arrays
+        taken = values[rids].tolist()
+        present = notnull[rids]
+        if not present.all():
+            for position in _np.flatnonzero(~present).tolist():
+                taken[position] = None
+        return taken
+
     def nbytes(self) -> int:
         if self.boxed is not None:
             return sys.getsizeof(self.boxed) + sum(
@@ -174,16 +198,29 @@ class _StringColumn:
         decode = self.decode
         return [decode[c] if c >= 0 else None for c in self.codes]
 
-    def np_codes(self):
+    def _np_arrays(self) -> tuple | None:
         if _np is None:
             return None
         count = len(self.codes)
         cache = self._np_cache
-        if cache is not None and cache[0] == count:
-            return cache[1]
-        codes = _np.frombuffer(self.codes, dtype=_np.int32).copy()
-        self._np_cache = (count, codes)
-        return codes
+        if cache is None or cache[0] != count:
+            codes = _np.frombuffer(self.codes, dtype=_np.int32).copy()
+            # Code -1 (NULL) indexes the None appended past the last string.
+            cache = self._np_cache = (count, codes, [*self.decode, None])
+        return cache
+
+    def np_codes(self):
+        arrays = self._np_arrays()
+        return None if arrays is None else arrays[1]
+
+    def take(self, rids) -> list | None:
+        """The values at *rids* (an index array) as the row view holds
+        them, or None (no numpy)."""
+        arrays = self._np_arrays()
+        if arrays is None:
+            return None
+        _, codes, lookup = arrays
+        return [lookup[code] for code in codes[rids].tolist()]
 
     def nbytes(self) -> int:
         return (
@@ -207,7 +244,7 @@ def _make_column(column_type: ColumnType):
 class ColumnarTable(HeapTable):
     """Drop-in :class:`HeapTable` whose source of truth is typed columns."""
 
-    __slots__ = ("_cols", "_nrows")
+    __slots__ = ("_cols", "_nrows", "_view_lock")
 
     backend_name = "columnar"
 
@@ -215,6 +252,7 @@ class ColumnarTable(HeapTable):
         super().__init__(schema, meter)
         self._cols = [_make_column(column.type) for column in schema.columns]
         self._nrows = 0
+        self._view_lock = threading.Lock()
 
     def __len__(self) -> int:
         return self._nrows
@@ -242,12 +280,13 @@ class ColumnarTable(HeapTable):
         rows = self._rows
         if len(rows) == self._nrows:
             return rows
-        if not rows:
-            rows[:] = zip(*(column.values_list() for column in self._cols))
-        else:  # incremental append after a partial build
-            cols = self._cols
-            for rid in range(len(rows), self._nrows):
-                rows.append(tuple(column.get(rid) for column in cols))
+        with self._view_lock:  # one builder: a second would swap identities
+            if not rows:
+                rows[:] = zip(*(column.values_list() for column in self._cols))
+            else:  # incremental append after a partial build
+                cols = self._cols
+                for rid in range(len(rows), self._nrows):
+                    rows.append(tuple(column.get(rid) for column in cols))
         return rows
 
     def raw_rows(self) -> Sequence[Row]:
@@ -287,9 +326,15 @@ class ColumnarTable(HeapTable):
     def column_kind(self, slot: int) -> str:
         return self._cols[slot].kind
 
-    def cell(self, rid: int, slot: int) -> Any:
-        """One cell without materializing the row view (projection path)."""
-        return self._cols[slot].get(rid)
+    def cells(self, slot: int, rids) -> list:
+        """Column *slot* at *rids* (an index array), cell for cell what the
+        row view holds — without materializing it (projection path)."""
+        column = self._cols[slot]
+        taken = column.take(rids)
+        if taken is None:
+            get = column.get
+            taken = [get(rid) for rid in rids.tolist()]
+        return taken
 
     def mask_for_spec(self, spec: tuple):
         """Whole-column boolean mask for a :func:`vector_spec` tree.
@@ -480,6 +525,11 @@ class _Kernel:
       holding the RIDs (in entry order) that pass every local test,
     * ``ev``/``pa`` — per-test (evaluated, passed) arrays for the
       monitored path's local-predicate counters.
+
+    Arrays are read-only and shared wherever two of them are equal by
+    construction: ``totals`` (and a test-free kernel's offsets and RIDs)
+    with the index sidecar, ``ev[0]`` with ``totals``, ``ev[i]`` with
+    ``pa[i - 1]``, a one-test kernel's ``evals`` with ``totals``.
     """
 
     __slots__ = (
@@ -554,12 +604,15 @@ class ColumnarIndex(SortedIndex):
         "_starts",
         "_ent_rids",
         "_keys_np",
+        "_bounds_np",
+        "_totals_np",
         "_rows_by_key",
         "_rows_by_key_gen",
         "_kernels",
         "_group_dicts",
         "_record_caches",
         "_fast_ctx",
+        "_lock",
     )
 
     #: The turbo path may build filtered groups immediately (no break-even
@@ -575,6 +628,8 @@ class ColumnarIndex(SortedIndex):
         self._group_dicts = {}
         self._record_caches = {}
         self._fast_ctx = None
+        # Guards build-and-publish of the sidecar and the bounded memos.
+        self._lock = threading.Lock()
         super().__init__(name, table, column)
 
     def rebuild(self) -> None:
@@ -593,6 +648,21 @@ class ColumnarIndex(SortedIndex):
             super().rebuild()
         self._gen = None
 
+    def refresh(self) -> None:
+        # As rebuild(): read the appended keys from the column store, so
+        # loading a table never materializes its row view.
+        table = self.table
+        if not isinstance(table, ColumnarTable):
+            return super().refresh()
+        if self._built_upto == 0:
+            return self.rebuild()  # one sort, not an insertion per row
+        get = table.column_store(self._column_pos).get
+        for rid in range(self._built_upto, len(table)):
+            key = get(rid)
+            if key is not None:
+                insort(self._entries, (key, rid))
+        self._built_upto = len(table)
+
     def _generation(self) -> tuple:
         return (self._built_upto, self.table.version, len(self._entries))
 
@@ -600,48 +670,56 @@ class ColumnarIndex(SortedIndex):
         """(rank, keys, starts) for the current generation (lazy)."""
         gen = self._generation()
         if self._gen != gen:
-            entries = self._entries
-            keys: list = []
-            starts: list[int] = []
-            rank: dict = {}
-            previous = _SENTINEL
-            for position, (key, _) in enumerate(entries):
-                if key != previous:
-                    rank[key] = len(keys)
-                    keys.append(key)
-                    starts.append(position)
-                    previous = key
-            starts.append(len(entries))
-            self._rank = rank
-            self._keys = keys
-            self._starts = starts
-            if _np is not None:
-                self._ent_rids = _np.fromiter(
-                    (rid for _, rid in entries), dtype=_np.int64, count=len(entries)
-                )
-                kind = (
-                    self.table.column_kind(self._column_pos)
-                    if isinstance(self.table, ColumnarTable)
-                    else None
-                )
-                if keys and kind in ("int", "float"):
-                    dtype = _np.int64 if kind == "int" else _np.float64
-                    try:
-                        self._keys_np = _np.array(keys, dtype=dtype)
-                    except (OverflowError, TypeError, ValueError):
-                        self._keys_np = None
-                else:
-                    self._keys_np = None
-            else:
-                self._ent_rids = None
-                self._keys_np = None
-            self._rows_by_key = None
-            self._rows_by_key_gen = None
-            self._kernels = {}
-            self._group_dicts = {}
-            self._record_caches = {}
-            self._gen = gen
+            with self._lock:
+                if self._gen != gen:  # not built while this thread waited
+                    self._build_sidecar()
+                    self._gen = gen  # published last: readers test it first
         return self._rank, self._keys, self._starts
+
+    def _build_sidecar(self) -> None:
+        entries = self._entries
+        keys: list = []
+        starts: list[int] = []
+        rank: dict = {}
+        previous = _SENTINEL
+        for position, (key, _) in enumerate(entries):
+            if key != previous:
+                rank[key] = len(keys)
+                keys.append(key)
+                starts.append(position)
+                previous = key
+        starts.append(len(entries))
+        self._rank = rank
+        self._keys = keys
+        self._starts = starts
+        self._ent_rids = None
+        self._keys_np = None
+        self._bounds_np = None
+        self._totals_np = None
+        if _np is not None:
+            self._ent_rids = _np.fromiter(
+                (rid for _, rid in entries), dtype=_np.int64, count=len(entries)
+            )
+            # CSR segment bounds and sizes per distinct key: the same for
+            # every kernel of this generation, which share them.
+            self._bounds_np = _np.asarray(starts, dtype=_np.int64)
+            self._totals_np = _np.diff(self._bounds_np)
+            kind = (
+                self.table.column_kind(self._column_pos)
+                if isinstance(self.table, ColumnarTable)
+                else None
+            )
+            if keys and kind in ("int", "float"):
+                dtype = _np.int64 if kind == "int" else _np.float64
+                try:
+                    self._keys_np = _np.array(keys, dtype=dtype)
+                except (OverflowError, TypeError, ValueError):
+                    pass
+        self._rows_by_key = None
+        self._rows_by_key_gen = None
+        self._kernels = {}
+        self._group_dicts = {}
+        self._record_caches = {}
 
     # -- O(1) probing ---------------------------------------------------
     def lookup_rids(self, key: Any) -> list[int]:
@@ -743,9 +821,17 @@ class ColumnarIndex(SortedIndex):
     def _kernel_for(self, tests: Sequence, predicates_key: tuple):
         """Build (or fetch) the group kernel for this generation + tests."""
         self._sidecar()
-        cached = self._kernels.get(predicates_key)
-        if cached is not None:
-            return cached
+        with self._lock:  # one build per key; eviction is check-then-act
+            kernel = self._kernels.get(predicates_key)
+            if kernel is None:
+                kernel = self._build_kernel(tests)
+                if kernel is not None:
+                    if len(self._kernels) >= 16:  # bound the per-generation memo
+                        self._kernels.pop(next(iter(self._kernels)))
+                    self._kernels[predicates_key] = kernel
+        return kernel
+
+    def _build_kernel(self, tests: Sequence) -> "_Kernel | None":
         specs = self._specs_for(tests)
         if specs is None:
             return None
@@ -756,45 +842,34 @@ class ColumnarIndex(SortedIndex):
                 return None
             masks.append(mask)
         ent_rids = self._ent_rids
-        count = len(ent_rids)
-        starts_np = _np.asarray(self._starts[:-1], dtype=_np.int64)
-        nkeys = len(self._keys)
-        alive = _np.ones(count, dtype=bool)
-        evals = _np.zeros(count, dtype=_np.int64)
-        ev: list = []
+        bounds = self._bounds_np
+        totals = self._totals_np
+        nkeys = len(totals)
+        if not masks:
+            # Every entry passes: the kernel is the sidecar itself.
+            return _Kernel(
+                totals, _np.zeros(nkeys, dtype=_np.int64), bounds, ent_rids, [], []
+            )
+        alive = None
         pa: list = []
         for mask in masks:
-            evals += alive
+            passed = mask[ent_rids]
+            alive = passed if alive is None else alive & passed
             if nkeys:
-                ev.append(_np.add.reduceat(alive.astype(_np.int64), starts_np))
-            else:
-                ev.append(_np.zeros(0, dtype=_np.int64))
-            alive &= mask[ent_rids]
-            if nkeys:
-                pa.append(_np.add.reduceat(alive.astype(_np.int64), starts_np))
+                pa.append(
+                    _np.add.reduceat(alive.astype(_np.int64), bounds[:-1])
+                )
             else:
                 pa.append(_np.zeros(0, dtype=_np.int64))
-        if nkeys:
-            bounds = _np.asarray(self._starts, dtype=_np.int64)
-            totals = _np.diff(bounds)
-            evals_k = (
-                _np.add.reduceat(evals, starts_np)
-                if masks
-                else _np.zeros(nkeys, dtype=_np.int64)
-            )
-            pass_counts = _np.add.reduceat(alive.astype(_np.int64), starts_np)
-        else:
-            totals = _np.zeros(0, dtype=_np.int64)
-            evals_k = _np.zeros(0, dtype=_np.int64)
-            pass_counts = _np.zeros(0, dtype=_np.int64)
+        # Short-circuit evaluation: test i sees the rows still alive before
+        # it — every entry of the key for the first test, the previous
+        # test's passers after. So ``ev`` needs no arrays of its own, and a
+        # key's evals are their sum.
+        ev = [totals, *pa[:-1]]
+        evals = totals if len(ev) == 1 else _np.sum(ev, axis=0)
         pass_offsets = _np.zeros(nkeys + 1, dtype=_np.int64)
-        _np.cumsum(pass_counts, out=pass_offsets[1:])
-        pass_rids = ent_rids[alive]
-        kernel = _Kernel(totals, evals_k, pass_offsets, pass_rids, ev, pa)
-        if len(self._kernels) >= 16:  # bound the per-generation memo
-            self._kernels.pop(next(iter(self._kernels)))
-        self._kernels[predicates_key] = kernel
-        return kernel
+        _np.cumsum(pa[-1], out=pass_offsets[1:])
+        return _Kernel(totals, evals, pass_offsets, ent_rids[alive], ev, pa)
 
     @staticmethod
     def _predicates_key(tests: Sequence) -> tuple | None:
@@ -836,9 +911,10 @@ class ColumnarIndex(SortedIndex):
                 evals[j],
                 totals[j],
             )
-        if len(self._group_dicts) >= 8:
-            self._group_dicts.pop(next(iter(self._group_dicts)))
-        self._group_dicts[predicates_key] = out
+        with self._lock:
+            if len(self._group_dicts) >= 8:
+                self._group_dicts.pop(next(iter(self._group_dicts)))
+            self._group_dicts[predicates_key] = out
         return out
 
     def fast_group_records(
@@ -883,9 +959,7 @@ class ColumnarIndex(SortedIndex):
             # hits, not re-assemblies.
             memo = None
             if positional is None:
-                memo = self._record_caches.get(predicates_key)
-                if memo is None:
-                    memo = self._record_caches[predicates_key] = {}
+                memo = self._record_caches.setdefault(predicates_key, {})
             lists = kernel.lists()
             if positional is None:
                 self._fast_ctx = (
@@ -965,22 +1039,17 @@ class ColumnarIndex(SortedIndex):
         """
         if self._gen is None or self._gen != self._generation():
             return 0
-        total = 0
-        for array in (self._ent_rids, self._keys_np):
-            nbytes = getattr(array, "nbytes", None)
-            if nbytes is not None:
-                total += int(nbytes)
-        for kernel in self._kernels.values():
-            for name in ("totals", "evals", "pass_offsets", "pass_rids"):
-                nbytes = getattr(getattr(kernel, name), "nbytes", None)
-                if nbytes is not None:
-                    total += int(nbytes)
-            for group in (kernel.ev, kernel.pa):
-                for array in group:
-                    nbytes = getattr(array, "nbytes", None)
-                    if nbytes is not None:
-                        total += int(nbytes)
-        return total
+        with self._lock:  # a worker thread may be publishing a kernel
+            kernels = list(self._kernels.values())
+        arrays = [self._ent_rids, self._keys_np, self._bounds_np, self._totals_np]
+        for kernel in kernels:
+            arrays += (
+                kernel.totals, kernel.evals, kernel.pass_offsets,
+                kernel.pass_rids, *kernel.ev, *kernel.pa,
+            )
+        # Kernels share arrays with the sidecar and among their own fields.
+        unique = {id(array): array for array in arrays if array is not None}
+        return sum(int(array.nbytes) for array in unique.values())
 
 
 class _SentinelType:

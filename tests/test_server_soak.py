@@ -232,6 +232,80 @@ class TestConcurrencySoak:
                 assert sorted(tuple(r) for r in response["rows"]) == baseline
 
 
+class TestServedEngine:
+    """Served queries reach the columnar engine: the budgets the server
+    arms on every request are enforced inside the cascade, not by gating
+    it out."""
+
+    SQL = (
+        "SELECT o.name, c.make, a.damage FROM Owner o, Car c, Accidents a "
+        "WHERE c.ownerid = o.id AND a.carid = c.id AND o.country3 = 'DE'"
+    )
+
+    @pytest.fixture(scope="class")
+    def columnar_db(self):
+        from repro.storage.columnar import _np as have_numpy
+
+        if have_numpy is None:
+            pytest.skip("the cascade needs numpy")
+        db, _ = load_dmv(scale=0.01, backend="columnar")
+        yield db
+        db.close()
+
+    def test_replies_name_the_vector_engines(self, columnar_db):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            replies = {}
+            for request_id, mode in enumerate(("both", "none")):
+                writer.write((json.dumps({
+                    "op": "query", "id": request_id, "sql": self.SQL,
+                    "mode": mode,
+                }) + "\n").encode())
+                await writer.drain()
+                replies[mode] = json.loads(await reader.readline())
+            writer.write(b'{"op": "stats"}\n')
+            await writer.drain()
+            stats = json.loads(await reader.readline())["stats"]
+            writer.close()
+            await writer.wait_closed()
+            return replies, stats
+
+        replies, stats = run_soak(
+            ServerConfig(port=0), columnar_db, scenario
+        )
+        assert replies["both"]["status"] == replies["none"]["status"] == "ok"
+        assert replies["both"]["stats"]["engine"] == "vector-adaptive"
+        assert replies["none"]["stats"]["engine"] == "vector"
+        assert replies["both"]["row_count"] == replies["none"]["row_count"] > 0
+        assert stats["engines"] == {"vector-adaptive": 1, "vector": 1}
+
+    def test_row_budget_is_exact_through_the_server(self, columnar_db):
+        total = len(columnar_db.execute(self.SQL, AdaptiveConfig()).rows)
+        budget = total // 2
+        assert budget >= 1
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write((json.dumps({
+                "op": "query", "id": 1, "sql": self.SQL, "mode": "both",
+                "max_rows": budget,
+            }) + "\n").encode())
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            return reply
+
+        reply = run_soak(ServerConfig(port=0), columnar_db, scenario)
+        assert reply["status"] == "error"
+        assert reply["code"] == ErrorCode.BUDGET_EXCEEDED
+        assert reply["progress"]["rows_emitted"] == budget
+
+
 class TestServeProcess:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         """A real `repro serve` process: query it, SIGTERM it, expect 0."""

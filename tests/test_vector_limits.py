@@ -1,0 +1,397 @@
+"""Execution limits on the vectorized cascade.
+
+A limited query runs the same engine as an unlimited one: the cascade
+enforces the budgets at its chunk boundaries. The contract pinned here:
+
+* the row budget is exact — the caller holds precisely the reference
+  run's first ``max_rows`` rows, ``rows_emitted`` says so, and a budget
+  equal to the result size does not trip;
+* cancellation, deadline and work budget are seen at the next chunk
+  boundary, and the exception's ``work_units`` / ``driving_rows`` are the
+  executor's own counters at that boundary;
+* generous limits change nothing observable — rows in order, WorkMeter,
+  adaptation events, engine label — including across a driving switch
+  and across a mid-query hand-off to the generic loop.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+
+import pytest
+
+from repro import (
+    AdaptiveConfig,
+    BudgetExceeded,
+    CancellationToken,
+    Database,
+    ExecutionLimits,
+    ReorderMode,
+)
+from repro.core.config import HashProbePolicy
+from repro.core.controller import AdaptationController
+from repro.dmv import four_table_workload, load_dmv, six_table_workload
+from repro.executor import vector
+from repro.executor.batch import BatchedPipelineExecutor
+from repro.robustness import limits as limits_module
+from repro.robustness.guard import SandboxedController
+
+pytestmark = pytest.mark.skipif(
+    vector._np is None, reason="the cascade needs numpy"
+)
+
+SCALE = 0.04
+MODES = [ReorderMode.NONE, ReorderMode.BOTH]
+#: Slice size the static cascade is shrunk to here, so that a scale-0.04
+#: scan spans several slices (the real one, 65,536, holds all of it).
+SMALL_SLICE = 64
+#: Four-table grid statements whose driving leg switches at this scale
+#: (see test_backend_differential.SWITCHING_STATEMENTS).
+SWITCHING = (192, 195, 306)
+
+
+def engine_config(mode: ReorderMode, **overrides) -> AdaptiveConfig:
+    """What ``repro serve`` runs: admission.apply_shed's configuration."""
+    return AdaptiveConfig(
+        mode=mode,
+        batched=True,
+        batch_size=256,
+        monitor_granularity="chunk" if mode.monitors else "exact",
+        **overrides,
+    )
+
+
+@pytest.fixture(scope="module")
+def dbs():
+    pair = {
+        backend: load_dmv(scale=SCALE, extended=True, backend=backend)[0]
+        for backend in ("row", "columnar")
+    }
+    yield pair
+    for db in pair.values():
+        db.close()
+
+
+@pytest.fixture(scope="module")
+def statements():
+    """An even stride over both template grids, plus the switching ones."""
+    four = [q.sql for q in four_table_workload(queries_per_template=10**9)]
+    six = [q.sql for q in six_table_workload(count=10**9)]
+    chosen = [four[i * len(four) // 6] for i in range(6)]
+    chosen += [six[i * len(six) // 4] for i in range(4)]
+    chosen += [four[number] for number in SWITCHING]
+    return chosen
+
+
+@pytest.fixture
+def small_slices(monkeypatch):
+    monkeypatch.setattr(vector, "STATIC_SLICE_ROWS", SMALL_SLICE)
+
+
+class Run:
+    """One executor driven row by row, so partial results are kept."""
+
+    def __init__(self, db, sql, config, limits=None, after_first_row=None):
+        controller = None
+        if config.mode.monitors:
+            controller = SandboxedController(AdaptationController(config))
+        self.executor = BatchedPipelineExecutor(
+            db.plan(sql), db.catalog, config, controller, limits=limits
+        )
+        if controller is not None:
+            controller.attach(self.executor)
+        self.rows: list[tuple] = []
+        self.error: BudgetExceeded | None = None
+        # rows_emitted as the consumer saw it when the first row arrived:
+        # the cascade moves the counter a chunk at a time, so this is the
+        # emitted-row count at the first emitting chunk's boundary.
+        self.first_boundary = 0
+        try:
+            for row in self.executor.rows():
+                if not self.rows:
+                    self.first_boundary = self.executor.rows_emitted
+                    if after_first_row is not None:
+                        after_first_row()
+                self.rows.append(row)
+        except BudgetExceeded as error:
+            self.error = error
+
+    @property
+    def work(self):
+        """The executor's own meter delta. The enforcer subtracts running
+        totals where this subtracts counters, so the two floats may differ
+        in the last digits (reorder checks cost a non-binary fraction)."""
+        return pytest.approx(self.executor.work.total_units, rel=1e-9)
+
+
+def reference_rows(dbs, sql, mode) -> list[tuple]:
+    """Mode NONE: the scalar oracle on the row store. Mode BOTH: the row
+    store's generic chunked loop, the reference of the chunk semantics."""
+    config = (
+        engine_config(mode) if mode.monitors else AdaptiveConfig(mode=mode)
+    )
+    return dbs["row"].execute(sql, config).rows
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
+def test_row_budget_is_exact(dbs, statements, small_slices, mode):
+    config = engine_config(mode)
+    engine = "vector-adaptive" if mode.monitors else "vector"
+    tripped = beyond_first_chunk = 0
+    for sql in statements:
+        want = reference_rows(dbs, sql, mode)
+        total = len(want)
+        if total < 2:
+            continue
+        boundary = Run(dbs["columnar"], sql, config).first_boundary
+        budgets = {1, total - 1, total}
+        if boundary < total:
+            # exactly a chunk boundary, and the middle of the next chunk
+            budgets |= {boundary, boundary + 1}
+            beyond_first_chunk += 1
+        for k in sorted(budgets):
+            run = Run(
+                dbs["columnar"], sql, config, ExecutionLimits(max_rows=k)
+            )
+            tag = f"{mode.name} k={k}/{total}: {sql[:60]}"
+            assert run.executor.engine_used == engine, tag
+            assert run.executor.vector_gate_reason is None, tag
+            assert run.rows == want[:k], tag
+            assert run.executor.rows_emitted == k, tag
+            if k == total:
+                assert run.error is None, tag
+                continue
+            tripped += 1
+            assert run.error is not None, tag
+            assert "row budget" in run.error.reason, tag
+            assert run.error.rows_emitted == k, tag
+            assert run.error.driving_rows == run.executor.driving_rows_total
+            assert run.error.work_units == run.work, tag
+    assert tripped and beyond_first_chunk  # not vacuous
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
+def test_cancellation_is_seen_at_the_next_chunk(
+    dbs, statements, small_slices, mode
+):
+    config = engine_config(mode)
+    cut_short = 0
+    for sql in statements:
+        token = CancellationToken()
+        token.cancel("before the first row")
+        run = Run(
+            dbs["columnar"], sql, config, ExecutionLimits(cancellation=token)
+        )
+        assert run.rows == [] and run.error is not None, sql
+        assert "before the first row" in run.error.reason
+        assert (run.error.rows_emitted, run.error.driving_rows) == (0, 0)
+        assert run.error.work_units == 0.0
+
+        want = reference_rows(dbs, sql, mode)
+        if not want:
+            continue
+        token = CancellationToken()
+        run = Run(
+            dbs["columnar"], sql, config,
+            ExecutionLimits(cancellation=token),
+            after_first_row=lambda: token.cancel("consumer gave up"),
+        )
+        # The chunk in flight is delivered whole; nothing after it starts.
+        assert run.error is not None, sql
+        assert "consumer gave up" in run.error.reason
+        assert run.rows == want[: run.first_boundary], sql
+        assert run.error.rows_emitted == run.first_boundary
+        cut_short += run.first_boundary < len(want)
+    assert cut_short  # some query really was stopped mid-way
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
+def test_work_budget_overshoots_by_at_most_one_chunk(
+    dbs, statements, small_slices, monkeypatch, mode
+):
+    config = engine_config(mode)
+    # Work spent at every chunk boundary of the unlimited-in-effect run.
+    boundaries: list[float] = []
+    check = limits_module.LimitEnforcer.check
+
+    def recording_check(self):
+        boundaries.append(
+            self.pipeline.catalog.meter.total_units - self._work_floor
+        )
+        check(self)
+
+    tripped = 0
+    for sql in statements:
+        boundaries.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(limits_module.LimitEnforcer, "check", recording_check)
+            full = Run(
+                dbs["columnar"], sql, config,
+                ExecutionLimits(max_work_units=1e18),
+            )
+        assert full.error is None
+        spent = list(boundaries)
+        if len(spent) < 3:
+            continue
+        budget = spent[len(spent) // 2] - 0.5  # inside a chunk's work
+        run = Run(
+            dbs["columnar"], sql, config,
+            ExecutionLimits(max_work_units=budget),
+        )
+        assert run.error is not None and "work budget" in run.error.reason
+        # Seen at the first boundary past the budget, not a chunk later.
+        first_past = next(value for value in spent if value > budget)
+        assert run.error.work_units == pytest.approx(first_past, rel=1e-9)
+        assert run.error.work_units == run.work, sql
+        chunk_work = max(b - a for a, b in zip(spent, spent[1:]))
+        assert 0 < run.error.work_units - budget <= chunk_work
+        assert run.rows == full.rows[: len(run.rows)]
+        assert run.error.rows_emitted == len(run.rows)
+        tripped += 1
+    assert tripped
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
+def test_deadline_is_seen_at_a_chunk_boundary(
+    dbs, statements, small_slices, monkeypatch, mode
+):
+    config = engine_config(mode)
+    run = Run(
+        dbs["columnar"], statements[0], config,
+        ExecutionLimits(timeout_seconds=1e-9),
+    )
+    assert run.error is not None and "deadline" in run.error.reason
+    assert (run.rows, run.error.driving_rows) == ([], 0)
+
+    # A clock that advances one second per reading: the enforcer reads it
+    # once when armed (t=1, deadline 3.5) and once per chunk boundary, so
+    # the third boundary (t=4) is the first one past the deadline.
+    chunk = config.batch_size if mode.monitors else SMALL_SLICE
+    expired_mid_scan = 0
+    for sql in statements:
+        ticks = iter(range(1, 10**6))
+        clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+        with monkeypatch.context() as patch:
+            patch.setattr(limits_module, "time", clock)
+            run = Run(
+                dbs["columnar"], sql, config,
+                ExecutionLimits(timeout_seconds=2.5),
+            )
+        full = Run(dbs["columnar"], sql, config)
+        if full.executor.driving_rows_total <= 2 * chunk:
+            continue  # over in two chunks: the deadline is never read late
+        assert run.error is not None and "deadline" in run.error.reason, sql
+        assert run.error.driving_rows == 2 * chunk, sql
+        assert run.error.driving_rows == run.executor.driving_rows_total
+        assert run.error.rows_emitted == len(run.rows)
+        assert run.rows == full.rows[: len(run.rows)], sql
+        assert run.error.work_units == run.work
+        expired_mid_scan += 1
+    assert expired_mid_scan
+
+
+def served_limits() -> ExecutionLimits:
+    """What admission.build_limits arms on every served request."""
+    return ExecutionLimits(
+        max_rows=100_000,
+        timeout_seconds=10.0,
+        cancellation=CancellationToken(),
+    )
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
+def test_generous_limits_change_nothing(dbs, statements, mode):
+    config = engine_config(mode)
+    engine = "vector-adaptive" if mode.monitors else "vector"
+    switches = 0
+    for sql in statements:
+        free = dbs["columnar"].execute(sql, config)
+        limited = dbs["columnar"].execute(sql, config, limits=served_limits())
+        assert limited.rows == free.rows, sql
+        assert dataclasses.asdict(limited.stats.work) == dataclasses.asdict(
+            free.stats.work
+        ), sql
+        assert limited.stats.events == free.stats.events, sql
+        assert limited.stats.engine == free.stats.engine == engine, sql
+        assert limited.stats.vector_gate is None
+        switches += limited.stats.driving_switches
+    if mode.reorders_driving:
+        assert switches >= len(SWITCHING)  # limits held across switches
+
+
+def test_refused_shapes_keep_the_row_exact_loop(dbs, statements):
+    """Limits on a query the cascade refuses run the generic ``batched``
+    loop, and the gate reason is the cascade's own."""
+    result = dbs["row"].execute(
+        statements[0], engine_config(ReorderMode.BOTH), limits=served_limits()
+    )
+    assert result.stats.engine == "batched"
+    assert result.stats.vector_gate.endswith("row-backend table")
+    result = dbs["columnar"].execute(
+        statements[0],
+        AdaptiveConfig(mode=ReorderMode.BOTH, batched=True),
+        limits=served_limits(),
+    )
+    assert result.stats.engine == "batched"
+    assert result.stats.vector_gate == "exact monitor granularity"
+
+
+def hand_off_db(backend: str) -> Database:
+    """B has no index on ``cid``: once C drives, B is hash-probed, a shape
+    the cascade's gates refuse — it hands the cursors back mid-query."""
+    db = Database(backend=backend)
+    db.create_table("A", [("id", "int"), ("x", "int")])
+    db.create_table("B", [("aid", "int"), ("cid", "int")])
+    db.create_table("C", [("id", "int"), ("flag", "int")])
+    db.insert("A", [(i, i % 7) for i in range(3000)])
+    db.insert("B", [(i % 3000, (i * 7) % 2000) for i in range(6000)])
+    db.insert("C", [(i, 1 if i % 400 == 0 else 0) for i in range(2000)])
+    for table, column in (
+        ("A", "id"), ("A", "x"), ("B", "aid"), ("C", "id"), ("C", "flag")
+    ):
+        db.create_index(table, column)
+    db.analyze()
+    return db
+
+
+def test_limits_follow_a_hand_off_to_the_generic_loop():
+    sql = (
+        "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
+        "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
+    )
+    config = engine_config(
+        ReorderMode.BOTH,
+        check_frequency=2,
+        switch_benefit_threshold=0.0,
+        hash_probe_policy=HashProbePolicy.FALLBACK,
+    )
+    db = hand_off_db("columnar")
+    free = db.execute(sql, config)
+    assert free.stats.engine == "vector-adaptive+fast"
+    assert free.stats.driving_switches >= 1
+    reference = hand_off_db("row").execute(sql, config)
+    assert free.rows == reference.rows
+
+    limited = db.execute(sql, config, limits=served_limits())
+    assert limited.stats.engine == "vector-adaptive+fast"
+    assert limited.rows == free.rows
+    assert limited.stats.work == free.stats.work
+    assert limited.stats.events == free.stats.events
+
+    # The first chunk is handed back: every row is emitted by the generic
+    # loop, whose safe points must hold the same budgets.
+    hand_off_at = Run(db, sql, config).first_boundary
+    assert hand_off_at == 1
+    k = len(free.rows) - 2
+    run = Run(db, sql, config, ExecutionLimits(max_rows=k))
+    assert run.executor.engine_used == "vector-adaptive+fast"
+    assert run.rows == free.rows[:k]
+    assert run.error is not None and run.error.rows_emitted == k
+    token = CancellationToken()
+    run = Run(
+        db, sql, config, ExecutionLimits(cancellation=token),
+        after_first_row=lambda: token.cancel("consumer gave up"),
+    )
+    assert run.error is not None and "consumer gave up" in run.error.reason
+    assert len(run.rows) < len(free.rows)
