@@ -12,7 +12,13 @@ reports
   admission layer applies (protocol + scheduling + threading cost; the
   engine itself is GIL-bound, so this factor cannot approach
   1/concurrency),
-* the shared plan-cache hit rate and the engines that served the run.
+* executor wall next to end-to-end wall, both ways: the serial run's
+  ``perf_counter`` around ``db.execute(sql)`` against the sum of its
+  ``stats.wall_seconds`` (which starts after planning), warm (every
+  statement already in the database's plan cache) and cold (the first pass
+  over the statements: plan-cache misses, lazy kernel builds); and the
+  served run's wall against the sum of the replies' ``stats.wall_ms``,
+* the database's plan-cache hit rate and the engines that served the run.
 
 Every response is verified: all requests must succeed and return the
 serial engine's rows for that statement — a throughput number that
@@ -53,8 +59,13 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 REGRESSION_TOLERANCE = 0.90
 
 #: --check fails when the server path exceeds serial wall time by more
-#: than this factor (protocol/scheduling overhead budget).
-OVERHEAD_TOLERANCE = 2.0
+#: than this factor (protocol/scheduling overhead budget). The serial loop
+#: finds every plan in the database's cache, as the server does, so the
+#: factor sets the server path against bare execution: on a --quick run's
+#: 0.4 ms statements the fixed cost of a request (JSON both ways, a thread
+#: hop, two event-loop turns: ~0.7 ms) alone makes it 2.4-2.6x. (It was 2.0
+#: while the serial loop re-planned every statement and measured 1.4x.)
+OVERHEAD_TOLERANCE = 4.0
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -68,9 +79,14 @@ async def drive(
     workload: list[tuple[str, list]],
     clients: int,
     requests_per_client: int,
-) -> tuple[list[float], list[str]]:
-    """Fire the workload from *clients* connections; verify every answer."""
+) -> tuple[list[float], list[float], list[str]]:
+    """Fire the workload from *clients* connections; verify every answer.
+
+    Returns per-request client latencies (ms), the executor wall each
+    reply reports (ms), and the failures.
+    """
     latencies: list[float] = []
+    executor_ms: list[float] = []
     failures: list[str] = []
 
     async def one_client(index: int) -> None:
@@ -97,6 +113,8 @@ async def drive(
                     failures.append(
                         f"client {index} req {n}: rows diverge on {sql[:50]}"
                     )
+                else:
+                    executor_ms.append(response["stats"]["wall_ms"])
         finally:
             writer.close()
             try:
@@ -105,7 +123,7 @@ async def drive(
                 pass
 
     await asyncio.gather(*(one_client(i) for i in range(clients)))
-    return latencies, failures
+    return latencies, executor_ms, failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,14 +179,22 @@ def main(argv: list[str] | None = None) -> int:
 
     # Serial baseline: rows for verification, wall time for the overhead
     # factor over the exact request mix the clients will fire.
+    # The first pass is the cold one (each statement is planned, kernels
+    # are built); the timed loop after it finds every plan cached.
     workload: list[tuple[str, list]] = []
+    cold_wall = cold_executor_wall = 0.0
     for sql in statements:
+        started = time.perf_counter()
         result = db.execute(sql, served)
+        cold_wall += time.perf_counter() - started
+        cold_executor_wall += result.stats.wall_seconds
         workload.append((sql, sorted(result.rows)))
     total_requests = args.clients * args.requests_per_client
+    serial_executor_wall = 0.0
     serial_started = time.perf_counter()
     for n in range(total_requests):
-        db.execute(workload[n % len(workload)][0], served)
+        result = db.execute(workload[n % len(workload)][0], served)
+        serial_executor_wall += result.stats.wall_seconds
     serial_wall = time.perf_counter() - serial_started
 
     async def run():
@@ -176,16 +202,16 @@ def main(argv: list[str] | None = None) -> int:
         await server.start()
         try:
             started = time.perf_counter()
-            latencies, failures = await drive(
+            latencies, executor_ms, failures = await drive(
                 server, workload, args.clients, args.requests_per_client
             )
             wall = time.perf_counter() - started
             stats = server.stats_payload()
-            return latencies, failures, wall, stats
+            return latencies, executor_ms, failures, wall, stats
         finally:
             await server.shutdown(grace=2.0)
 
-    latencies, failures, wall, stats = asyncio.run(run())
+    latencies, executor_ms, failures, wall, stats = asyncio.run(run())
     db.close()
 
     cache = stats["plan_cache"]
@@ -202,7 +228,15 @@ def main(argv: list[str] | None = None) -> int:
             "p95": percentile(latencies, 0.95),
             "p99": percentile(latencies, 0.99),
         },
+        # Sum over the replies; requests overlap, so it can exceed the wall.
+        "executor_wall_seconds": sum(executor_ms) / 1e3,
         "serial_wall_seconds": serial_wall,
+        "serial_executor_wall_seconds": serial_executor_wall,
+        "serial_cold": {
+            "statements": len(statements),
+            "wall_seconds": cold_wall,
+            "executor_wall_seconds": cold_executor_wall,
+        },
         "server_overhead_vs_serial": wall / max(serial_wall, 1e-9),
         "plan_cache_hit_rate": (
             (cache["hits"] + cache["single_flight_waits"]) / lookups
@@ -217,6 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"requests:  {total_requests} from {args.clients} clients")
     print(f"wall:      {wall:.2f}s server vs {serial_wall:.2f}s serial "
           f"({section['server_overhead_vs_serial']:.2f}x)")
+    print(f"executor:  {section['executor_wall_seconds']:.2f}s of the served "
+          f"wall, {serial_executor_wall:.2f}s of the serial wall (warm); "
+          f"first pass over {len(statements)} statements "
+          f"{cold_wall:.2f}s end to end, {cold_executor_wall:.2f}s executor")
     print(f"qps:       {section['qps']:.1f}")
     print(f"latency:   p50 {section['latency_ms']['p50']:.1f} ms  "
           f"p95 {section['latency_ms']['p95']:.1f} ms  "

@@ -16,7 +16,8 @@ issues ``{"op": "stats"}``, and checks the response document:
 * invariants: ``in_flight <= max_concurrency``,
   ``queue_depth <= max_queue_depth``, latency quantiles are
   monotonically non-decreasing (p50 <= p95 <= p99) when present,
-  plan-cache ``size <= capacity`` (when capacity > 0), the latency
+  plan-cache ``size <= capacity`` and, at capacity 0 (off), no hits, waits
+  or evictions (the section is the ``Database``'s own cache), the latency
   histogram ``count`` is at least the number of completed queries'
   outcomes recorded, ``storage.total_bytes`` equals the sum of the
   per-table bytes, and ``storage.table_count`` equals the number of
@@ -224,11 +225,20 @@ def validate(stats: dict) -> list[str]:
     if latency["count"] == 0 and present:
         raise ValidationError("latency quantiles present with zero count")
 
+    # The section is the Database's own cache (Database.plan_cache.stats());
+    # the server keeps none.
     cache = stats["plan_cache"]
-    if cache["capacity"] > 0 and cache["size"] > cache["capacity"]:
+    if cache["size"] > cache["capacity"]:
         raise ValidationError(
             f"plan_cache.size exceeds capacity "
             f"({cache['size']} > {cache['capacity']})"
+        )
+    if cache["capacity"] == 0 and (
+        cache["hits"] or cache["single_flight_waits"] or cache["evictions"]
+    ):
+        raise ValidationError(
+            "plan_cache: capacity 0 (off) yet it reports hits, waits or "
+            "evictions"
         )
 
     queries = stats["queries"]

@@ -35,6 +35,11 @@ class Catalog:
         self._tables: dict[str, HeapTable] = {}
         self._indexes: dict[str, dict[str, SortedIndex]] = {}
         self._stats: dict[str, TableStats] = {}
+        # Bumped by every definition change (new table, new index) and by
+        # every ANALYZE; with the tables' data versions they make up
+        # :meth:`generation`.
+        self._ddl_epoch = 0
+        self._stats_epoch = 0
         # Active fault injector (chaos testing), shared with every table.
         self.faults = None
 
@@ -45,6 +50,7 @@ class Catalog:
         table = self.backend.make_table(TableSchema(name, columns), self.meter)
         self._tables[name] = table
         self._indexes[name] = {}
+        self._ddl_epoch += 1
         return table
 
     def create_index(self, table_name: str, column: str) -> SortedIndex:
@@ -57,6 +63,7 @@ class Catalog:
             f"ix_{table_name}_{column}", table, column
         )
         per_table[column] = index
+        self._ddl_epoch += 1
         return index
 
     # -- lookup ----------------------------------------------------------
@@ -95,11 +102,28 @@ class Catalog:
         names = [table_name] if table_name is not None else list(self._tables)
         for name in names:
             self._stats[name] = collect_table_stats(self.table(name), level)
+        self._stats_epoch += 1
 
     def stats(self, table_name: str) -> TableStats | None:
         """Statistics for *table_name*, or ``None`` if never analyzed."""
         self.table(table_name)
         return self._stats.get(table_name)
+
+    def generation(self) -> tuple:
+        """A cheap fingerprint of everything a compiled plan depends on.
+
+        ``(definition epoch, statistics epoch, per-table data versions)``:
+        it moves on ``create_table`` / ``create_index`` (a plan's access
+        paths), on ``insert`` (cardinalities, index contents) and on
+        ``analyze`` (the estimates the join order was chosen from). The
+        plan cache and the parallel fork pool both drop what they hold
+        when it differs from the one they were built under.
+        """
+        return (
+            self._ddl_epoch,
+            self._stats_epoch,
+            tuple(table.version for table in self._tables.values()),
+        )
 
     # -- fault injection (chaos testing) ----------------------------------
     def install_faults(self, injector) -> None:

@@ -45,6 +45,7 @@ from repro.db import Database
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.errors import BudgetExceeded, ReproError
 from repro.obs import QueryObservability, render_explain_analyze
+from repro.optimizer.plancache import DEFAULT_CAPACITY
 from repro.robustness.faults import FaultPlan
 from repro.robustness.limits import ExecutionLimits
 
@@ -273,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--plan-cache",
         type=int,
-        default=256,
+        default=DEFAULT_CAPACITY,
         metavar="N",
-        help="shared plan-cache capacity in statements (0 disables; "
-        "default 256)",
+        help="capacity in statements of the database's plan cache "
+        f"(0 disables; default {DEFAULT_CAPACITY})",
     )
     serve.add_argument(
         "--drain-grace",
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> Database:
+def _load(args, plan_cache_size: int = DEFAULT_CAPACITY) -> Database:
     started = time.perf_counter()
     backend = getattr(args, "backend", "row")
     db, summary = load_dmv(
@@ -375,6 +376,7 @@ def _load(args) -> Database:
         seed=args.seed,
         extended=args.extended,
         backend=backend,
+        plan_cache_size=plan_cache_size,
     )
     elapsed = time.perf_counter() - started
     print(
@@ -620,6 +622,9 @@ def _run_observed_query(
             f"{result.stats.total_switches} switch(es)"
         )
     if args.metrics and result.metrics is not None:
+        from repro.obs.metrics import record_plan_cache_gauges
+
+        record_plan_cache_gauges(result.metrics, db.plan_cache.stats())
         print("\nmetrics:")
         print(result.metrics.render())
     dump_trace()
@@ -686,7 +691,11 @@ def cmd_query(args) -> int:
 def cmd_stats(args) -> int:
     import json
 
-    from repro.obs.metrics import MetricsRegistry, record_storage_gauges
+    from repro.obs.metrics import (
+        MetricsRegistry,
+        record_plan_cache_gauges,
+        record_storage_gauges,
+    )
 
     db = _load(args)
     storage = db.storage_stats()
@@ -707,6 +716,7 @@ def cmd_stats(args) -> int:
     if args.metrics:
         registry = MetricsRegistry()
         record_storage_gauges(registry, storage)
+        record_plan_cache_gauges(registry, db.plan_cache.stats())
         print("\nmetrics:")
         print(registry.render())
     return 0
@@ -760,7 +770,7 @@ def cmd_serve(args) -> int:
     except ValueError as error:
         print(f"error: invalid server config: {error}", file=sys.stderr)
         return 2
-    db = _load(args)
+    db = _load(args, plan_cache_size=config.plan_cache_size)
     server = QueryServer(db, config)
 
     def on_ready(srv: QueryServer) -> None:

@@ -40,6 +40,7 @@ from repro.obs.observer import QueryObservability
 from repro.obs.timeseries import EstimateSample
 from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import StaticOptimizer
+from repro.optimizer.plancache import DEFAULT_CAPACITY, PlanCache
 from repro.optimizer.plans import PipelinePlan
 from repro.query.query import QuerySpec
 from repro.query.sql.parser import parse_sql
@@ -112,6 +113,11 @@ class ExecutionStats:
     # in dispatch order, plus the serial continuation's engine when one
     # drained the scan. Empty for serial runs.
     worker_engines: tuple[str, ...] = ()
+    # How the plan was obtained: "hit" / "miss" / "wait" (blocked on another
+    # thread planning the same statement) / "off" (cache capacity 0) for SQL
+    # text; None when the caller passed a QuerySpec or a PipelinePlan, which
+    # never consult the cache.
+    plan_cache: str | None = None
 
     @property
     def total_work(self) -> float:
@@ -168,8 +174,15 @@ class QueryResult:
 class Database:
     """An embedded in-memory database exposing the reproduction's API."""
 
-    def __init__(self, backend: str = "row") -> None:
+    def __init__(
+        self, backend: str = "row", plan_cache_size: int = DEFAULT_CAPACITY
+    ) -> None:
         self.catalog = Catalog(backend=backend)
+        # The only plan cache: ``execute(sql)`` / ``plan(sql)`` compile a
+        # statement once per catalog generation (*plan_cache_size*
+        # statements, LRU; 0 plans every statement afresh). The query
+        # server serves from this instance too.
+        self.plan_cache = PlanCache(plan_cache_size)
         # Persistent fork pool for parallel partitioned execution; built on
         # first use, invalidated when the catalog generation changes.
         self._parallel_pool = None
@@ -257,8 +270,49 @@ class Database:
         return parse_sql(sql)
 
     def plan(self, query: str | QuerySpec) -> PipelinePlan:
-        spec = self.parse(query) if isinstance(query, str) else query
-        return StaticOptimizer(self.catalog).optimize(spec)
+        """The static optimizer's plan for *query*.
+
+        SQL text goes through the plan cache; a :class:`QuerySpec` is
+        always optimized afresh (there is no text to key it by).
+        """
+        if isinstance(query, str):
+            return self._plan_sql(query, None)[0]
+        return self._optimize(query, None)
+
+    def _optimize(self, spec: QuerySpec, tracer: Tracer | None) -> PipelinePlan:
+        if tracer is None:
+            return StaticOptimizer(self.catalog).optimize(spec)
+        with tracer.span("optimize") as span:
+            plan = StaticOptimizer(self.catalog).optimize(spec)
+            span.attrs["order"] = plan.order
+            span.attrs["estimated_cost"] = plan.estimated_cost
+        return plan
+
+    def _plan_sql(
+        self, sql: str, tracer: Tracer | None
+    ) -> tuple[PipelinePlan, str]:
+        """``(plan, plan-cache outcome)`` for SQL text.
+
+        Traced, the lookup is one ``plan-cache`` span; ``parse`` and
+        ``optimize`` spans appear under it only when they actually ran.
+        """
+
+        def compile_sql(text: str) -> PipelinePlan:
+            if tracer is None:
+                return self._optimize(parse_sql(text), None)
+            with tracer.span("parse"):
+                spec = parse_sql(text)
+            return self._optimize(spec, tracer)
+
+        generation = self.catalog.generation()
+        if tracer is None:
+            return self.plan_cache.get_or_plan(sql, generation, compile_sql)
+        with tracer.span("plan-cache") as span:
+            plan, outcome = self.plan_cache.get_or_plan(
+                sql, generation, compile_sql
+            )
+            span.attrs["outcome"] = outcome
+        return plan, outcome
 
     def explain(self, query: str | QuerySpec) -> str:
         return self.plan(query).explain()
@@ -348,26 +402,17 @@ class Database:
             else None
         )
         try:
+            plan_cache = None
             if isinstance(query, PipelinePlan):
                 plan = query
+            elif isinstance(query, str):
+                plan, plan_cache = self._plan_sql(query, tracer)
             else:
-                spec = query
-                if isinstance(query, str):
-                    if tracer is not None:
-                        with tracer.span("parse"):
-                            spec = self.parse(query)
-                    else:
-                        spec = self.parse(query)
-                if tracer is not None:
-                    with tracer.span("optimize") as span:
-                        plan = StaticOptimizer(self.catalog).optimize(spec)
-                        span.attrs["order"] = plan.order
-                        span.attrs["estimated_cost"] = plan.estimated_cost
-                else:
-                    plan = StaticOptimizer(self.catalog).optimize(spec)
+                plan = self._optimize(query, tracer)
             return self._execute_plan(
                 plan,
                 config,
+                plan_cache=plan_cache,
                 limits=limits,
                 fault_plan=fault_plan,
                 oracle=oracle,
@@ -384,6 +429,7 @@ class Database:
         plan: PipelinePlan,
         config: AdaptiveConfig,
         *,
+        plan_cache: str | None,
         limits: ExecutionLimits | None,
         fault_plan: FaultPlan | FaultInjector | None,
         oracle: InvariantOracle | bool | None,
@@ -413,7 +459,7 @@ class Database:
                     reason = outcome
                 else:
                     return self._finish_parallel(
-                        plan, outcome, before, obs, query_span
+                        plan, plan_cache, outcome, before, obs, query_span
                     )
             if tracer is not None:
                 tracer.event("parallel-fallback", reason=reason)
@@ -483,6 +529,7 @@ class Database:
             events=tuple(executor.events),
             engine=executor.engine_used,
             vector_gate=executor.vector_gate_reason,
+            plan_cache=plan_cache,
         )
         if query_span is not None:
             tracer.end(
@@ -514,6 +561,7 @@ class Database:
     def _finish_parallel(
         self,
         plan: PipelinePlan,
+        plan_cache: str | None,
         outcome,
         before: WorkMeter,
         obs: QueryObservability | None,
@@ -542,6 +590,7 @@ class Database:
             engine="parallel",
             vector_gate=outcome.vector_gate,
             worker_engines=tuple(outcome.worker_engines),
+            plan_cache=plan_cache,
         )
         if query_span is not None:
             tracer.end(

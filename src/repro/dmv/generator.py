@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from repro.catalog.statistics import StatisticsLevel
 from repro.db import Database
 from repro.dmv.schema import create_dmv_schema
+from repro.optimizer.plancache import DEFAULT_CAPACITY
 
 PAPER_OWNER_COUNT = 100_000
 SECOND_CAR_PROBABILITY = 0.11676     # Table 1: 111,676 cars / 100,000 owners
@@ -294,6 +295,7 @@ def load_dmv(
     extended: bool = False,
     stats: StatisticsLevel = StatisticsLevel.CARDINALITY,
     backend: str = "row",
+    plan_cache_size: int = DEFAULT_CAPACITY,
 ) -> tuple[Database, DmvSummary]:
     """Build a fresh DMV database; the one-call entry point for experiments.
 
@@ -302,8 +304,9 @@ def load_dmv(
     ``StatisticsLevel.DETAILED`` reproduces the Sec 5.3 "sophisticated
     statistics" ablation. *backend* selects the storage layout
     (``row`` | ``columnar``); identical data and RIDs either way.
+    *plan_cache_size* is handed to :class:`~repro.db.Database`.
     """
-    db = Database(backend=backend)
+    db = Database(backend=backend, plan_cache_size=plan_cache_size)
     summary = DmvGenerator(scale=scale, seed=seed).populate(db, extended=extended)
     db.analyze(level=stats)
     return db, summary

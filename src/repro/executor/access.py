@@ -30,7 +30,7 @@ from repro.executor.hashprobe import HashProbeTable
 from repro.robustness.faults import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
 from repro.optimizer.plans import DrivingKind, PlanLeg
 from repro.query.joingraph import JoinPredicate
-from repro.query.predicates import PositionalPredicate
+from repro.query.predicates import LocalPredicate, PositionalPredicate
 from repro.storage.compiled import compile_row_test
 from repro.storage.counters import (
     INDEX_DESCEND_COST,
@@ -100,6 +100,35 @@ class PreparedProbe:
     local_deltas: tuple[tuple[int, int], ...] | None
 
 
+def bind_local_tests(
+    plan_leg: PlanLeg, table: Any
+) -> tuple[tuple[LocalPredicate, Callable], ...]:
+    """(predicate, compiled test) pairs for one leg's local predicates.
+
+    The predicate objects are kept for per-predicate monitoring and dynamic
+    access-path selection. On the columnar backend each test is the
+    expression-compiled closure when the tree is a shape the mini-compiler
+    handles; the row backend stays on the interpreter's bind() so it
+    remains the unmodified reference oracle. Either way the test carries
+    its source predicate as ``test.predicate`` so index-level group kernels
+    can recover the tree for vectorization. The tests are pure functions of
+    a row, so one tuple serves every execution of the plan.
+    """
+    schema = table.schema
+    compiled_backend = getattr(table, "backend_name", "row") == "columnar"
+    pairs = []
+    for predicate in plan_leg.local_predicates:
+        test = compile_row_test(predicate, schema) if compiled_backend else None
+        if test is None:
+            test = predicate.bind(schema)
+        try:
+            test.predicate = predicate
+        except AttributeError:  # non-function callable; still usable
+            pass
+        pairs.append((predicate, test))
+    return tuple(pairs)
+
+
 class RuntimeLeg:
     """Run-time state of one table in the pipeline."""
 
@@ -143,6 +172,7 @@ class RuntimeLeg:
         self,
         plan_leg: PlanLeg,
         catalog: Catalog,
+        local_tests: Sequence[tuple[LocalPredicate, Callable]],
         history_window: int,
         monitoring_enabled: bool,
         hash_policy: HashProbePolicy = HashProbePolicy.OFF,
@@ -166,31 +196,9 @@ class RuntimeLeg:
         self.pending_driving_monitor: DrivingMonitor | None = None
         self.positional: PositionalPredicate | None = None
         self._history_window = history_window
-        # (predicate, compiled test) pairs; predicate objects kept for
-        # per-predicate monitoring and dynamic access-path selection. On
-        # the columnar backend each test is the expression-compiled closure
-        # when the tree is a shape the mini-compiler handles; the row
-        # backend stays on the interpreter's bind() so it remains the
-        # unmodified reference oracle. Either way the test carries its
-        # source predicate as ``test.predicate`` so index-level group
-        # kernels can recover the tree for vectorization.
-        compiled_backend = (
-            getattr(self.table, "backend_name", "row") == "columnar"
-        )
-        self.local_tests = []
-        for predicate in plan_leg.local_predicates:
-            test = (
-                compile_row_test(predicate, self.schema)
-                if compiled_backend
-                else None
-            )
-            if test is None:
-                test = predicate.bind(self.schema)
-            try:
-                test.predicate = predicate
-            except AttributeError:  # non-function callable; still usable
-                pass
-            self.local_tests.append((predicate, test))
+        # (predicate, compiled test) pairs from bind_local_tests, shared
+        # with every other execution of the plan: read-only here.
+        self.local_tests = local_tests
         # Per-local-predicate (evaluated, passed) counters for the
         # dynamic-access-path extension.
         self.local_counts = [[0, 0] for _ in self.local_tests]

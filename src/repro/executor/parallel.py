@@ -298,19 +298,6 @@ def warm_kernel_plan(
 # ---------------------------------------------------------------------------
 # Pool lifecycle
 # ---------------------------------------------------------------------------
-def catalog_generation(catalog: "Catalog") -> tuple:
-    """A cheap fingerprint of catalog contents for pool invalidation."""
-    tables = catalog._tables
-    return (
-        tuple(sorted(tables)),
-        tuple(tables[name].version for name in sorted(tables)),
-        tuple(
-            (name, tuple(sorted(catalog._indexes[name])))
-            for name in sorted(catalog._indexes)
-        ),
-    )
-
-
 def _terminate_pool(pool) -> None:
     """Terminate and reap a multiprocessing pool's forked workers."""
     pool.terminate()
@@ -342,7 +329,7 @@ class WorkerPool:
     ) -> None:
         global _WORKER_CATALOG
         self.workers = workers
-        self.generation = catalog_generation(catalog)
+        self.generation = catalog.generation()
         # Kernel-plan warm epoch at fork time: bumped by the coordinator
         # whenever warm_kernel_plan built new columnar arrays, so the pool
         # re-forks and the children COW-share them instead of rebuilding.
@@ -405,7 +392,7 @@ def ensure_pool(
     pool: WorkerPool | None = getattr(holder, "_parallel_pool", None)
     if pool is not None and (
         pool.workers != workers
-        or pool.generation != catalog_generation(catalog)
+        or pool.generation != catalog.generation()
         or pool.warm_epoch != warm_epoch
     ):
         pool.close()

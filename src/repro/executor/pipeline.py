@@ -21,14 +21,19 @@ controller's job, so a ``NONE``-mode run simply never mutates anything.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, Protocol
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Protocol
 
 from repro.catalog.catalog import Catalog
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.events import AdaptationEvent, EventKind
 from repro.core.positions import PositionRegistry
 from repro.errors import ExecutionError
-from repro.executor.access import Binding, Cursor, RuntimeLeg
+from repro.executor.access import (
+    Binding,
+    Cursor,
+    RuntimeLeg,
+    bind_local_tests,
+)
 from repro.obs.observer import QueryObservability
 from repro.optimizer.plans import PipelinePlan
 from repro.robustness.guard import describe_failure
@@ -65,6 +70,35 @@ class _NoAdaptation:
         return False
 
 
+class PlanBindings(NamedTuple):
+    """What an executor derives from a plan and its table schemas alone.
+
+    Built once per plan (:meth:`PipelinePlan.bindings`) and shared by every
+    execution of it, so nothing in here may change after construction.
+    """
+
+    # alias -> ((predicate, compiled row test), ...)
+    local_tests: Mapping[str, tuple]
+    # (alias, row slot) per output column
+    projection_slots: tuple[tuple[str, int], ...]
+
+
+def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
+    tables = {
+        alias: catalog.table(leg.table_name) for alias, leg in plan.legs.items()
+    }
+    return PlanBindings(
+        local_tests={
+            alias: bind_local_tests(plan.leg(alias), table)
+            for alias, table in tables.items()
+        },
+        projection_slots=tuple(
+            (output.alias, tables[output.alias].schema.position_of(output.column))
+            for output in plan.projection
+        ),
+    )
+
+
 class PipelineExecutor:
     """Runs one pipelined plan, optionally under adaptive reordering."""
 
@@ -97,10 +131,13 @@ class PipelineExecutor:
             and self.config.batched
             and self.config.monitor_granularity == "chunk"
         )
+        bindings: PlanBindings = plan.bindings(catalog, _bind_plan)
+        self.projection_slots = bindings.projection_slots
         self.legs = {
             alias: RuntimeLeg(
                 plan.leg(alias),
                 catalog,
+                bindings.local_tests[alias],
                 self.config.history_window,
                 monitoring,
                 hash_policy=self.config.hash_probe_policy,
@@ -119,8 +156,8 @@ class PipelineExecutor:
         self.order: list[str] = list(plan.order)
         self.schemas = {alias: leg.schema for alias, leg in self.legs.items()}
         # (alias, column) -> row slot, shared across every leg's probe
-        # compilation and the projection, so repeated recompiles after
-        # reorders never re-resolve schema positions.
+        # compilation, so repeated recompiles after reorders never
+        # re-resolve schema positions.
         self._slot_cache: dict[tuple[str, str], int] = {}
         self.join_graph = plan.query.join_graph()
         # Live join selectivities, keyed by column equivalence class: start
@@ -186,10 +223,7 @@ class PipelineExecutor:
         return slot
 
     def _compile_projection(self) -> Callable[[Binding], tuple[Any, ...]]:
-        slots = [
-            (output.alias, self._slot_of(output.alias, output.column))
-            for output in self.plan.projection
-        ]
+        slots = self.projection_slots
 
         def project(binding: Binding) -> tuple[Any, ...]:
             return tuple(binding[alias][slot] for alias, slot in slots)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.storage.columnar import (
     ColumnarIndex,
@@ -523,7 +523,7 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     return ancestors, flow
 
 
-def _project(legs_map, projection: list, ancestors: dict, count: int):
+def _project(legs_map, projection: Sequence, ancestors: dict, count: int):
     """The first *count* joined tuples of a chunk as projected result rows."""
     if not projection:  # degenerate empty projection
         return repeat((), count)
@@ -582,10 +582,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
     reorders_driving = mode.reorders_driving
     legs_map = executor.legs
 
-    projection = [
-        (output.alias, executor._slot_of(output.alias, output.column))
-        for output in executor.plan.projection
-    ]
+    projection = executor.projection_slots
     plan_sig = _plan_signature(executor)
     while True:
         if limits is not None:

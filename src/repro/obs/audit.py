@@ -164,7 +164,7 @@ def render_replay(record: FlightRecord) -> str:
         f"  template: {record.template}",
         f"  mode={record.mode} batched={record.batched} "
         f"granularity={record.monitor_granularity} workers={record.workers} "
-        f"engine={record.engine}",
+        f"engine={record.engine} plan_cache={record.plan_cache or '-'}",
         f"  outcome={record.outcome} rows={record.rows} "
         f"work={_fmt(record.work_units)} wall={_fmt(record.wall_ms)}ms"
         + (f" (SLOW)" if record.slow else ""),

@@ -145,6 +145,10 @@ def render_explain_analyze(
         engine_line += f" (vector cascade gated: {stats.vector_gate})"
     lines.append(engine_line)
     lines.append(
+        "plan cache: "
+        + (stats.plan_cache or "not consulted (the caller passed a spec or a plan)")
+    )
+    lines.append(
         "work breakdown: "
         f"{work.index_descends:,d} index descend(s), "
         f"{work.index_entries:,d} index entrie(s), "

@@ -31,6 +31,10 @@ name                               type    meaning
 ``storage_total_bytes``            gauge   resident bytes across all tables
 ``storage_table_count``            gauge   number of tables in the catalog
 ``storage_backend_info{backend}``  gauge   1 for the active storage backend
+``plan_cache_entries``             gauge   statements held by the database's plan cache
+``plan_cache_capacity``            gauge   its capacity in statements (0 = off)
+``plan_cache_events{kind}``        gauge   cumulative hits / misses / single_flight_waits /
+                                           evictions / invalidations
 =================================  ======  ===========================================
 """
 
@@ -353,6 +357,30 @@ def record_storage_gauges(
     registry.gauge(
         "storage_backend_info", "1 for the active storage backend"
     ).set(1.0, str(storage.get("backend", "unknown")))
+
+
+def record_plan_cache_gauges(
+    registry: MetricsRegistry, cache: Mapping[str, Any]
+) -> None:
+    """Fold a ``Database.plan_cache.stats()`` payload into gauges.
+
+    The counts are cumulative over the database's lifetime; they are
+    gauges here because the registry receives snapshots of them, not the
+    increments.
+    """
+    registry.gauge(
+        "plan_cache_entries", "statements currently held by the plan cache"
+    ).set(float(cache["size"]))
+    registry.gauge(
+        "plan_cache_capacity", "plan cache capacity in statements (0 = off)"
+    ).set(float(cache["capacity"]))
+    events = registry.gauge(
+        "plan_cache_events", "plan cache lookups and removals, by kind"
+    )
+    for kind in (
+        "hits", "misses", "single_flight_waits", "evictions", "invalidations"
+    ):
+        events.set(float(cache[kind]), kind)
 
 
 def merge_counter(target: Mapping[str, float], source: Counter) -> dict[str, float]:

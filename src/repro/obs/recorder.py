@@ -333,6 +333,9 @@ class FlightRecord:
     # cascade gate reason (ExecutionStats.worker_engines / vector_gate).
     worker_engines: list[str] = field(default_factory=list)
     vector_gate: str | None = None
+    # How the plan was obtained (ExecutionStats.plan_cache): hit / miss /
+    # wait / off; None for a plan passed in, or a query that never ran.
+    plan_cache: str | None = None
     legs: dict[str, dict[str, Any]] = field(default_factory=dict)
     events: list[dict[str, Any]] = field(default_factory=list)
     decisions: list[DecisionRecord] = field(default_factory=list)
@@ -368,6 +371,7 @@ class FlightRecord:
             "engine": self.engine,
             "worker_engines": list(self.worker_engines),
             "vector_gate": self.vector_gate,
+            "plan_cache": self.plan_cache,
             "legs": _clean(self.legs),
             "events": _clean(self.events),
             "decisions": [decision.as_dict() for decision in self.decisions],
@@ -399,6 +403,7 @@ class FlightRecord:
             engine=data.get("engine", "unknown"),
             worker_engines=list(data.get("worker_engines", ())),
             vector_gate=data.get("vector_gate"),
+            plan_cache=data.get("plan_cache"),
             legs=data.get("legs", {}),
             events=data.get("events", []),
             decisions=[
@@ -703,6 +708,9 @@ class FlightRecorder:
             ),
             vector_gate=(
                 result.stats.vector_gate if result is not None else None
+            ),
+            plan_cache=(
+                result.stats.plan_cache if result is not None else None
             ),
             legs=_build_legs(plan, final_legs),
             events=(

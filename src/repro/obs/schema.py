@@ -26,9 +26,15 @@ import json
 from typing import Any
 
 from repro.obs.trace import JSONL_KEYS, SPAN_KINDS
+from repro.optimizer.plancache import OUTCOMES
 
 #: Record types a telemetry segment may carry.
 TELEMETRY_RECORD_TYPES = ("flight",)
+
+#: How a statement's plan was obtained (``ExecutionStats.plan_cache``): the
+#: values of a flight record's ``plan_cache`` field and of a ``plan-cache``
+#: span's ``outcome`` attribute.
+PLAN_CACHE_OUTCOMES = OUTCOMES
 
 _NUMBER = (int, float)
 
@@ -63,6 +69,7 @@ FLIGHT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "engine": ((str,), False, False),
     "worker_engines": ((list,), False, False),
     "vector_gate": ((str,), False, True),
+    "plan_cache": ((str,), False, True),
     "legs": ((dict,), True, False),
     "events": ((list,), True, False),
     "decisions": ((list,), True, False),
@@ -171,6 +178,14 @@ def validate_span(obj: Any, *, context: str = "span") -> list[str]:
         problems.append(
             f"{context}: end_ms {end_ms} < start_ms {obj['start_ms']}"
         )
+    if (
+        obj["name"] == "plan-cache"
+        and obj["attrs"].get("outcome") not in PLAN_CACHE_OUTCOMES
+    ):
+        problems.append(
+            f"{context}: plan-cache span outcome "
+            f"{obj['attrs'].get('outcome')!r} not in {PLAN_CACHE_OUTCOMES}"
+        )
     return problems
 
 
@@ -216,6 +231,11 @@ def validate_flight_record(obj: Any, *, context: str = "record") -> list[str]:
     problems = check_fields(obj, FLIGHT_FIELDS, context=context)
     if problems:
         return problems
+    if obj.get("plan_cache") not in (None, *PLAN_CACHE_OUTCOMES):
+        problems.append(
+            f"{context}: plan_cache {obj['plan_cache']!r} "
+            f"not in {PLAN_CACHE_OUTCOMES}"
+        )
     for index, decision in enumerate(obj["decisions"]):
         ctx = f"{context}: decision[{index}]"
         sub = check_fields(decision, DECISION_FIELDS, context=ctx)

@@ -1,10 +1,11 @@
 """Structured query-lifecycle tracing.
 
 A :class:`Tracer` records **spans** — named, timed intervals with
-parent/child links — for the phases of a query (parse / optimize /
-execute) and instant **events** for fine-grained run-time happenings
-(leg opens, probe batches, reorder checks, applied reorders). Spans carry
-free-form attributes for work-unit and row-count attribution.
+parent/child links — for the phases of a query (plan-cache, with parse
+and optimize under it when the statement was not cached; execute) and
+instant **events** for fine-grained run-time happenings (leg opens, probe
+batches, reorder checks, applied reorders). Spans carry free-form
+attributes for work-unit and row-count attribution.
 
 The tracer is entirely passive: it never touches the
 :class:`~repro.storage.counters.WorkMeter`, so an armed tracer changes

@@ -118,23 +118,76 @@ def best_order_exhaustive(
     provider: LegParamsProvider,
     fixed_prefix: Sequence[str] = (),
 ) -> tuple[tuple[str, ...], float]:
-    """Cheapest connected order by exhaustive enumeration.
+    """Cheapest connected order, by one depth-first enumeration.
 
     *fixed_prefix* pins the first legs (e.g. the already-running driving
     leg), so only the suffix is permuted. Suitable for the small pipelines
     (k <= 7) the paper evaluates; the search space is the set of connected
     orders, which is far smaller than k!.
+
+    Eq (1) is a left-to-right sum, so the search carries ``(cost, flow,
+    bound)`` down the prefix: orders sharing a prefix share its cost, and
+    every complete order's cost is the float :func:`cost_of_order` returns
+    for it (same operations, same sequence). Orders are visited in the
+    sequence of ``graph.connected_orders(fixed_prefix)`` and a complete
+    order replaces the incumbent only when strictly cheaper, so among
+    equal-cost orders the first visited wins. Eq (1) terms are non-negative
+    (cardinalities, selectivities and probe costs are), hence a prefix
+    costing at least the incumbent cannot be completed into a strictly
+    cheaper order and is cut off without changing the result.
     """
+    prefix = tuple(fixed_prefix)
+    remaining = tuple(a for a in graph.aliases if a not in prefix)
     best: tuple[str, ...] | None = None
     best_cost = float("inf")
-    prefix = tuple(fixed_prefix)
-    alias_set = set(aliases)
-    for order in graph.connected_orders(prefix):
-        if set(order) != alias_set:
-            continue
-        cost = cost_of_order(order, provider)
-        if cost < best_cost:
-            best, best_cost = order, cost
+    neighbors = graph.neighbor_sets
+    inner_params = provider.inner_params
+
+    def extend(
+        order: tuple[str, ...],
+        bound: frozenset[str],
+        cost: float,
+        flow: float,
+        rest: tuple[str, ...],
+    ) -> None:
+        nonlocal best, best_cost
+        if not rest:
+            if cost < best_cost:
+                best, best_cost = order, cost
+            return
+        for index, alias in enumerate(rest):
+            if bound.isdisjoint(neighbors[alias]):
+                continue  # would be a Cartesian product here
+            jc, pc = inner_params(alias, bound)
+            new_cost = cost + flow * pc
+            if new_cost >= best_cost:
+                continue
+            extend(
+                order + (alias,),
+                bound | {alias},
+                new_cost,
+                flow * jc,
+                rest[:index] + rest[index + 1 :],
+            )
+
+    if set(prefix).union(remaining) == set(aliases):
+        if prefix:
+            starts = [(prefix, remaining)]
+        else:
+            starts = [
+                ((alias,), remaining[:index] + remaining[index + 1 :])
+                for index, alias in enumerate(remaining)
+            ]
+        for start, rest in starts:
+            flow, cost = provider.driving_params(start[0])
+            bound = frozenset(start[:1])
+            for alias in start[1:]:
+                jc, pc = inner_params(alias, bound)
+                cost += flow * pc
+                flow *= jc
+                bound = bound | {alias}
+            if cost < best_cost:
+                extend(start, bound, cost, flow, rest)
     if best is None:
         # Disconnected graph: fall back to the given order.
         best = tuple(aliases)

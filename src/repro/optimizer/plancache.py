@@ -1,23 +1,27 @@
-"""A shared cross-query plan cache with single-flight stampede protection.
+"""The plan cache: compile a statement once, execute it many times.
 
-Keyed by the **normalized statement text** (whitespace-canonical, literals
-preserved — see :func:`repro.server.protocol.normalize_sql`): a
+One instance per :class:`~repro.db.Database` (``db.plan_cache``); the
+query server has no cache of its own. Keyed by the **normalized statement
+text** (:func:`repro.query.sql.normalize.normalize_sql`: whitespace
+canonical, literals preserved): a
 :class:`~repro.optimizer.plans.PipelinePlan` embeds its predicate
 constants, so only semantically identical statements may share a plan.
-The :func:`~repro.server.protocol.template_signature` (literals → ``?``)
-is carried per entry for metrics grouping only.
 
-Single-flight: when N worker threads miss on the same key at once, one
-becomes the *leader* and plans; the other N-1 block on the entry's event
-and reuse the leader's plan — the optimizer runs once per statement per
-catalog generation, never once per concurrent request (the classic cache
+Every entry remembers the catalog generation it was planned under
+(:meth:`repro.catalog.catalog.Catalog.generation`: DDL, data versions and
+the statistics epoch); a lookup under any other generation drops the entry
+and replans, so ``insert`` / ``create_index`` / ``analyze`` between two
+executions can never serve a stale plan.
+
+Single-flight: when N threads miss on the same key at once, one becomes
+the *leader* and plans; the other N-1 block on the entry's event and reuse
+the leader's plan — the optimizer runs once per statement per catalog
+generation, never once per concurrent request (the classic cache
 stampede). If the leader fails, a waiter is promoted and retries, so one
 poisoned request cannot wedge the key.
 
-Entries are LRU-bounded and invalidated by catalog generation (the same
-fingerprint that invalidates the parallel fork pool), so DDL between
-queries can never serve a stale plan. Thread-safe: worker threads plan,
-the event loop reads stats.
+Entries are LRU-bounded. Thread-safe: server worker threads plan, the
+event loop reads stats.
 """
 
 from __future__ import annotations
@@ -26,12 +30,21 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable
 
-from repro.server.protocol import normalize_sql, template_signature
+from repro.query.sql.normalize import normalize_sql
 
-#: get_or_plan outcomes (also used as metrics labels).
+#: get_or_plan outcomes (``ExecutionStats.plan_cache``, the wire field
+#: ``stats.plan_cache``, metrics labels).
 HIT = "hit"
 MISS = "miss"
 WAIT = "wait"  # blocked on another thread's in-flight planning, then hit
+OFF = "off"  # capacity 0: every statement is planned afresh
+OUTCOMES = (HIT, MISS, WAIT, OFF)
+
+#: Default capacity in statements. At a measured ~10 KB per cached
+#: six-table statement the 300-statement template grid costs ~3 MB, and an
+#: LRU smaller than a workload's distinct statements evicts each entry
+#: just before its next use on a repeating pass over them.
+DEFAULT_CAPACITY = 1024
 
 
 class _InFlight:
@@ -51,7 +64,9 @@ class _InFlight:
 class PlanCache:
     """LRU plan cache with generation invalidation and single-flight."""
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+        if capacity < 0:
+            raise ValueError("plan cache capacity must be >= 0 (0 disables)")
         self.capacity = capacity
         self._lock = threading.Lock()
         # key -> (plan, generation); OrderedDict for LRU order.
@@ -67,26 +82,23 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    @staticmethod
-    def key_of(sql: str) -> str:
-        return normalize_sql(sql)
-
     def get_or_plan(
         self,
         sql: str,
         generation: tuple,
         planner: Callable[[str], Any],
     ) -> tuple[Any, str]:
-        """Return ``(plan, outcome)`` where outcome is hit/miss/wait.
+        """Return ``(plan, outcome)`` where outcome is hit/miss/wait/off.
 
         *planner* is invoked (outside the cache lock) by at most one
         thread per key at a time; its exceptions propagate to the leader
         and every waiter of that round.
         """
         if self.capacity <= 0:
-            self.misses += 1
-            return planner(sql), MISS
-        key = self.key_of(sql)
+            with self._lock:
+                self.misses += 1
+            return planner(sql), OFF
+        key = normalize_sql(sql)
         while True:
             with self._lock:
                 cached = self._entries.get(key)
@@ -152,9 +164,3 @@ class PlanCache:
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
             }
-
-    def entry_templates(self) -> list[str]:
-        """Template signatures of the cached statements (metrics/debug)."""
-        with self._lock:
-            keys = list(self._entries)
-        return [template_signature(key) for key in keys]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.query.joingraph import JoinPredicate
 from repro.query.predicates import LocalPredicate
@@ -115,6 +115,30 @@ class PipelinePlan:
     @property
     def driving_alias(self) -> str:
         return self.order[0]
+
+    def bindings(self, catalog: object, bind: Callable) -> Any:
+        """``bind(self, catalog)``, computed once per plan and catalog.
+
+        For what an executor derives from the plan and the catalog's table
+        schemas alone (compiled local-predicate tests, projection slots):
+        schemas never change, so every execution of a cached plan shares
+        one result — concurrently, under the query server. It must
+        therefore be immutable; anything an execution counts, windows or
+        reorders belongs to that execution's executor.
+        """
+        memo = self.__dict__.get("_bindings")
+        if memo is None or memo[0] is not catalog:
+            # Not a field: written past the frozen-dataclass guard, the
+            # way functools.cached_property does.
+            memo = self.__dict__["_bindings"] = (catalog, bind(self, catalog))
+        return memo[1]
+
+    def __getstate__(self) -> dict:
+        # Bindings hold compiled closures and a catalog; parallel workers
+        # are sent the plan itself and bind it against their own catalog.
+        state = dict(self.__dict__)
+        state.pop("_bindings", None)
+        return state
 
     def with_order(self, order: Sequence[str]) -> "PipelinePlan":
         """The same plan with a different leg order (used for what-ifs)."""

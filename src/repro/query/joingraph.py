@@ -13,6 +13,7 @@ predicate. The adaptive layer consults it to answer two questions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import QueryError
@@ -119,6 +120,18 @@ class JoinGraph:
             self._alias_endpoints.setdefault(endpoint[0], []).append(
                 (endpoint[1], self.classes[class_id])
             )
+        #: alias -> the aliases it shares an equivalence class with. A leg
+        #: has an available predicate after *bound* exactly when *bound*
+        #: meets this set, which is all the order search needs to know.
+        self.neighbor_sets: dict[str, frozenset[str]] = {
+            alias: frozenset(
+                other
+                for _, members in self._alias_endpoints.get(alias, ())
+                for other, _ in members
+                if other != alias
+            )
+            for alias in self.aliases
+        }
 
     def _build_classes(self) -> None:
         """Union-find over (alias, column) endpoints."""
@@ -240,14 +253,7 @@ class JoinGraph:
 
     def neighbors(self, alias: str) -> set[str]:
         """Aliases sharing an equivalence class with *alias* (incl. derived)."""
-        result: set[str] = set()
-        for endpoint, class_id in self._class_of.items():
-            if endpoint[0] != alias:
-                continue
-            for other, _ in self.classes[class_id]:
-                if other != alias:
-                    result.add(other)
-        return result
+        return set(self.neighbor_sets.get(alias, ()))
 
     def is_connected_order(self, order: Sequence[str]) -> bool:
         """True when every leg after the first joins to some earlier leg."""
@@ -291,3 +297,24 @@ class JoinGraph:
             connects = not prefix or bool(self.available_predicates(alias, bound))
             if connects:
                 yield from self.connected_orders(prefix + (alias,))
+
+
+@lru_cache(maxsize=64)
+def shared_join_graph(
+    aliases: tuple[str, ...], predicates: tuple[JoinPredicate, ...]
+) -> JoinGraph:
+    """The one :class:`JoinGraph` for a join shape (aliases + predicates).
+
+    Statements that differ only in their local predicates — a whole query
+    template — have the same graph, and what the order search and the
+    reorder checks ask of it (which predicates are available to a leg after
+    a set of bound legs, and their class skeleton) depends on the shape
+    alone. Sharing one instance means those answers are computed once per
+    shape, not once per statement, and a cached plan does not carry a
+    private copy of them. Safe to share across executions and threads: a
+    graph never changes after construction, its internal dictionaries only
+    memoize pure functions of it (two threads can at worst compute the
+    same entry twice), and the memo is bounded by the connected
+    (leg, bound set) pairs of the shape.
+    """
+    return JoinGraph(aliases, predicates)

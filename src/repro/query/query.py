@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import QueryError
-from repro.query.joingraph import JoinGraph, JoinPredicate
+from repro.query.joingraph import JoinGraph, JoinPredicate, shared_join_graph
 from repro.query.predicates import LocalPredicate
 
 
@@ -189,7 +189,12 @@ class QuerySpec:
         return self.local_predicates.get(alias, ())
 
     def join_graph(self) -> JoinGraph:
-        return JoinGraph(self.aliases, self.join_predicates)
+        """The query's join graph, shared by every query of the same shape.
+
+        See :func:`~repro.query.joingraph.shared_join_graph`: the optimizer
+        and every execution of a cached plan read the same instance.
+        """
+        return shared_join_graph(self.aliases, self.join_predicates)
 
     def describe(self) -> str:
         """Human-readable one-per-line rendering (used by EXPLAIN)."""

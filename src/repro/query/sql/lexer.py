@@ -8,6 +8,8 @@ SELECT-FROM-WHERE queries.
 
 from __future__ import annotations
 
+import sys
+
 import enum
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -102,6 +104,9 @@ def _tokens(sql: str) -> Iterator[Token]:
             if upper in KEYWORDS:
                 yield Token(TokenKind.KEYWORD, upper, upper, start)
             else:
+                # Aliases, tables and columns recur in every statement of
+                # a workload and end up in cached plans: keep one copy.
+                word = sys.intern(word)
                 yield Token(TokenKind.IDENT, word, word, start)
             continue
         raise SqlSyntaxError(f"unexpected character {ch!r}", i)

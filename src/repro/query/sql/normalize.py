@@ -1,9 +1,8 @@
 """SQL text canonicalization: plan-cache keys and template signatures.
 
-Shared by the server's plan cache (:mod:`repro.server.plancache`) and the
-flight recorder (:mod:`repro.obs.recorder`), which groups telemetry
-records per query *template*. Lives under ``repro.query.sql`` so the
-observability layer never has to import the server package.
+Shared by the database's plan cache (:mod:`repro.optimizer.plancache`)
+and the flight recorder (:mod:`repro.obs.recorder`), which groups
+telemetry records per query *template*.
 """
 
 from __future__ import annotations

@@ -14,19 +14,21 @@ an asyncio multi-client server speaking newline-delimited JSON, with
   client disconnects cancel in-flight queries,
 * graceful degradation under pressure — shed to serial, then to the
   static plan, before rejecting — and drain-then-exit on SIGTERM,
-* a shared cross-query plan cache with single-flight stampede protection
-  (:mod:`repro.server.plancache`), and
+* plans served from the database's own plan cache — single-flight, so a
+  stampede on one statement plans it once
+  (:mod:`repro.optimizer.plancache`; the server keeps no plan state), and
 * a live ``stats`` op backed by the :mod:`repro.obs.metrics` registry.
 """
 
 from repro.server.admission import AdmissionController, ServerConfig
-from repro.server.plancache import PlanCache, normalize_sql, template_signature
 from repro.server.protocol import (
     ErrorCode,
     ProtocolError,
     QueryRequest,
     decode_request,
     encode_response,
+    normalize_sql,
+    template_signature,
 )
 from repro.server.scheduler import FairScheduler
 from repro.server.session import Session, TokenBucket
@@ -38,7 +40,6 @@ __all__ = [
     "EngineResult",
     "ErrorCode",
     "FairScheduler",
-    "PlanCache",
     "ProtocolError",
     "QueryRequest",
     "QueryServer",

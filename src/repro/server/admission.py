@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import AdaptiveConfig, ReorderMode
+from repro.optimizer.plancache import DEFAULT_CAPACITY
 from repro.robustness.limits import CancellationToken, ExecutionLimits
 from repro.server.protocol import ErrorCode, QueryRequest
 from repro.server.session import Session
@@ -84,8 +85,11 @@ class ServerConfig:
     engine_workers: int = 1
     # Batched executor settings for served queries (0 batch = scalar path).
     engine_batch_size: int = 256
-    # Shared plan-cache capacity (normalized statements; 0 disables).
-    plan_cache_size: int = 256
+    # Capacity (statements; 0 disables) of the plan cache of the Database
+    # that ``repro serve`` builds: ``Database(plan_cache_size=...)``. The
+    # server has no cache of its own, so a QueryServer handed an existing
+    # Database serves from that database's cache as it was built.
+    plan_cache_size: int = DEFAULT_CAPACITY
     # Seconds to wait for in-flight queries on SIGTERM before cancelling.
     drain_grace_seconds: float = 10.0
     # Flight recorder: every query leaves a record in a bounded in-memory
@@ -119,6 +123,8 @@ class ServerConfig:
             raise ValueError("default_max_rows must be <= max_max_rows")
         if self.engine_workers < 1:
             raise ValueError("engine_workers must be >= 1")
+        if self.plan_cache_size < 0:
+            raise ValueError("plan_cache_size must be >= 0 (0 disables)")
         if self.telemetry_ring < 1:
             raise ValueError("telemetry_ring must be >= 1")
         if self.telemetry_segment_bytes < 1:

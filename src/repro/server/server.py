@@ -8,8 +8,8 @@ Topology::
                                             response ◀── worker slot × N
                                                              │ to_thread
                                                              ▼
-                                              DatabaseEngine (plan cache +
-                                              thread-scoped meter + limits)
+                                              DatabaseEngine (thread-scoped
+                                              meter + limits + recorder)
 
 * The **connection handler** (one per client) only parses, admits, and
   enqueues — it never blocks on the engine, so a slow query cannot stall
@@ -48,9 +48,13 @@ from repro.errors import (
     ReproError,
     SchemaError,
 )
-from repro.executor.parallel import catalog_generation
-from repro.obs.metrics import MetricsRegistry, record_storage_gauges
+from repro.obs.metrics import (
+    MetricsRegistry,
+    record_plan_cache_gauges,
+    record_storage_gauges,
+)
 from repro.obs.recorder import FlightRecorder, TelemetryStore
+from repro.optimizer.plancache import PlanCache
 from repro.robustness.limits import CancellationToken, ExecutionLimits
 from repro.server.admission import (
     AdmissionController,
@@ -58,7 +62,6 @@ from repro.server.admission import (
     SHED_STATIC,
     ServerConfig,
 )
-from repro.server.plancache import PlanCache
 from repro.server.protocol import (
     MAX_LINE_BYTES,
     ErrorCode,
@@ -103,19 +106,19 @@ class EngineResult:
 
 
 class DatabaseEngine:
-    """Thread-side adapter: plan cache + scoped metering + execution.
+    """Thread-side adapter: scoped metering + flight recording + execution.
 
     ``execute`` runs on worker threads (via ``asyncio.to_thread``); all
-    shared state it touches is thread-safe: the plan cache locks, the
-    thread-scoped meter isolates per-query work accounting, and parallel
-    (fork-pool) executions are serialized by a mutex because the pool is
-    one shared resource.
+    shared state it touches is thread-safe: the database's plan cache
+    locks (the engine holds no plan state of its own), the thread-scoped
+    meter isolates per-query work accounting, and parallel (fork-pool)
+    executions are serialized by a mutex because the pool is one shared
+    resource.
     """
 
     def __init__(self, db: Database, config: ServerConfig) -> None:
         self.db = db
         self.config = config
-        self.plan_cache = PlanCache(config.plan_cache_size)
         self.meter = db.enable_concurrent_metering()
         self._parallel_mutex = threading.Lock()
         # Always-on flight recorder: every served query leaves a bounded
@@ -167,21 +170,15 @@ class DatabaseEngine:
         bundle = self.recorder.arm(config)
         started = time.perf_counter()
         try:
-            generation = catalog_generation(self.db.catalog)
-            plan, outcome = self.plan_cache.get_or_plan(
-                sql, generation, self.db.plan
-            )
-            if self.plan_cache.capacity <= 0:
-                outcome = "off"
             with self.meter.scoped():
                 if config.workers > 1:
                     with self._parallel_mutex:
                         result = self.db.execute(
-                            plan, config, limits=limits, obs=bundle
+                            sql, config, limits=limits, obs=bundle
                         )
                 else:
                     result = self.db.execute(
-                        plan, config, limits=limits, obs=bundle
+                        sql, config, limits=limits, obs=bundle
                     )
         except BaseException as error:
             self.recorder.finish_query(
@@ -204,7 +201,7 @@ class DatabaseEngine:
             switches=result.stats.total_switches,
             degraded=result.stats.degraded,
             workers=result.stats.workers,
-            plan_cache=outcome,
+            plan_cache=result.stats.plan_cache,
             engine=result.stats.engine,
             query_id=record.query_id,
             slow=record.slow,
@@ -677,11 +674,11 @@ class QueryServer:
         )
         self.metrics.gauge("server_queue_depth").set(admission.queued)
         self.metrics.gauge("server_in_flight").set(admission.in_flight)
-        plan_cache = getattr(self.engine, "plan_cache", None)
         recorder = getattr(self.engine, "recorder", None)
         slow_counter = self.metrics.counter("server_slow_queries_total")
         if self.db is not None:
             storage = self.db.storage_stats()
+            plan_cache = self.db.plan_cache.stats()
         else:  # engine-only server (tests/stubs): nothing to report
             storage = {
                 "backend": "none",
@@ -690,7 +687,9 @@ class QueryServer:
                 "kernel_plan_bytes": 0,
                 "per_table": [],
             }
+            plan_cache = PlanCache(0).stats()
         record_storage_gauges(self.metrics, storage)
+        record_plan_cache_gauges(self.metrics, plan_cache)
         return {
             "server": {
                 "uptime_s": round(time.monotonic() - self._started_at, 3),
@@ -730,15 +729,7 @@ class QueryServer:
                     "server_dropped_on_disconnect_total"
                 ).total,
             },
-            "plan_cache": (
-                plan_cache.stats()
-                if plan_cache is not None
-                else {
-                    "size": 0, "capacity": 0, "hits": 0, "misses": 0,
-                    "single_flight_waits": 0, "evictions": 0,
-                    "invalidations": 0,
-                }
-            ),
+            "plan_cache": plan_cache,
             "telemetry": {
                 "recorded_total": (
                     recorder.recorded_total if recorder is not None else 0

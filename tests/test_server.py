@@ -1,6 +1,6 @@
 """Unit and integration tests for the concurrent query server.
 
-Unit layers (protocol, token bucket, plan cache, admission, scheduler)
+Unit layers (protocol, token bucket, admission, scheduler)
 are tested directly; server integration tests run a real asyncio server
 over an injectable fake engine whose executions block on an event, so
 overload, disconnection-cancellation, draining, and shed levels are all
@@ -22,7 +22,6 @@ from repro.server import (
     AdmissionController,
     ErrorCode,
     FairScheduler,
-    PlanCache,
     ProtocolError,
     ServerConfig,
     Session,
@@ -32,7 +31,6 @@ from repro.server import (
     template_signature,
 )
 from repro.server.admission import SHED_NONE, SHED_SERIAL, SHED_STATIC
-from repro.server.plancache import HIT, MISS, WAIT
 from repro.server.protocol import (
     encode_response,
     error_response,
@@ -140,156 +138,6 @@ class TestTokenBucket:
     def test_zero_rate_disables(self):
         bucket = TokenBucket(rate=0.0, burst=1.0)
         assert all(bucket.try_take() for _ in range(100))
-
-
-# ---------------------------------------------------------------------------
-# Plan cache
-# ---------------------------------------------------------------------------
-class TestPlanCache:
-    def test_hit_miss_and_generation_invalidation(self):
-        cache = PlanCache(capacity=4)
-        calls = []
-
-        def planner(sql):
-            calls.append(sql)
-            return ("plan", sql)
-
-        plan, outcome = cache.get_or_plan("SELECT  1", ("g1",), planner)
-        assert outcome == MISS and plan == ("plan", "SELECT  1")
-        # Whitespace-normalized key: same statement, different spacing.
-        plan2, outcome2 = cache.get_or_plan("SELECT 1", ("g1",), planner)
-        assert outcome2 == HIT and plan2 == plan and len(calls) == 1
-        # Catalog generation changed: entry invalidated, replanned.
-        _, outcome3 = cache.get_or_plan("SELECT 1", ("g2",), planner)
-        assert outcome3 == MISS and len(calls) == 2
-        assert cache.stats()["invalidations"] == 1
-
-    def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
-        planner = lambda sql: sql
-        cache.get_or_plan("a", ("g",), planner)
-        cache.get_or_plan("b", ("g",), planner)
-        cache.get_or_plan("a", ("g",), planner)  # refresh a
-        cache.get_or_plan("c", ("g",), planner)  # evicts b
-        assert cache.get_or_plan("a", ("g",), planner)[1] == HIT
-        assert cache.get_or_plan("b", ("g",), planner)[1] == MISS
-        assert cache.stats()["evictions"] >= 1
-
-    def test_zero_capacity_disables(self):
-        cache = PlanCache(capacity=0)
-        calls = []
-        planner = lambda sql: calls.append(sql) or sql
-        assert cache.get_or_plan("a", ("g",), planner)[1] == MISS
-        assert cache.get_or_plan("a", ("g",), planner)[1] == MISS
-        assert len(calls) == 2
-
-    def test_single_flight_one_planner_call_for_concurrent_misses(self):
-        cache = PlanCache(capacity=8)
-        release = threading.Event()
-        calls = []
-
-        def slow_planner(sql):
-            calls.append(sql)
-            assert release.wait(5.0)
-            return ("plan", sql)
-
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(
-                    cache.get_or_plan("q", ("g",), slow_planner)
-                )
-            )
-            for _ in range(5)
-        ]
-        for t in threads:
-            t.start()
-        # Give every thread time to reach leader/waiter selection.
-        deadline = time.time() + 5.0
-        while len(calls) == 0 and time.time() < deadline:
-            time.sleep(0.005)
-        release.set()
-        for t in threads:
-            t.join(timeout=5.0)
-        assert len(calls) == 1, "planner must run once for the stampede"
-        assert len(results) == 5
-        assert all(plan == ("plan", "q") for plan, _ in results)
-        outcomes = sorted(outcome for _, outcome in results)
-        assert outcomes.count(MISS) == 1 and outcomes.count(WAIT) == 4
-
-    def test_failed_leader_promotes_a_waiter(self):
-        cache = PlanCache(capacity=8)
-        attempts = []
-        barrier = threading.Barrier(2, timeout=5.0)
-
-        def flaky_planner(sql):
-            attempts.append(sql)
-            if len(attempts) == 1:
-                barrier.wait()  # ensure the waiter queued behind us
-                raise QueryError("transient planner failure")
-            return "good plan"
-
-        results, errors = [], []
-
-        def leader():
-            try:
-                results.append(cache.get_or_plan("q", ("g",), flaky_planner))
-            except QueryError as error:
-                errors.append(error)
-
-        def waiter():
-            barrier.wait()
-            results.append(cache.get_or_plan("q", ("g",), flaky_planner))
-
-        threads = [threading.Thread(target=leader), threading.Thread(target=waiter)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5.0)
-        assert len(errors) == 1, "the failing leader sees its own error"
-        assert results == [("good plan", MISS)], "the waiter retried as leader"
-
-    def test_waiter_replans_when_generation_differs_from_leader(self):
-        """A waiter admitted under a newer catalog generation must not
-        reuse the in-flight leader's plan — it replans as a new leader."""
-        cache = PlanCache(capacity=8)
-        release = threading.Event()
-        calls = []
-
-        def old_planner(sql):
-            calls.append("g1")
-            assert release.wait(5.0)
-            return "g1 plan"
-
-        def new_planner(sql):
-            calls.append("g2")
-            return "g2 plan"
-
-        results = {}
-
-        def leader():
-            results["leader"] = cache.get_or_plan("q", ("g1",), old_planner)
-
-        def waiter():
-            # Queue behind the g1 leader, but under generation g2.
-            deadline = time.time() + 5.0
-            while not calls and time.time() < deadline:
-                time.sleep(0.005)
-            results["waiter"] = cache.get_or_plan("q", ("g2",), new_planner)
-
-        threads = [threading.Thread(target=leader), threading.Thread(target=waiter)]
-        for t in threads:
-            t.start()
-        time.sleep(0.05)  # let the waiter block on the leader's flight
-        release.set()
-        for t in threads:
-            t.join(timeout=5.0)
-        assert results["leader"] == ("g1 plan", MISS)
-        assert results["waiter"] == ("g2 plan", MISS), (
-            "waiter must replan under its own generation, not reuse g1"
-        )
-        # The g2 plan is what survives for the current generation.
-        assert cache.get_or_plan("q", ("g2",), new_planner)[1] == HIT
 
 
 # ---------------------------------------------------------------------------
