@@ -1,45 +1,36 @@
-"""Speedup of the fast adaptive modes on the six-table DMV workload.
+"""Speedup of the engine over the oracle on the six-table DMV workload.
 
-Measures three executor variants of the same workload per reorder mode:
+Measures, per reorder mode, the three things that can run a query:
 
-* ``scalar``  — the row-at-a-time pipeline (the paper's executor),
-* ``batched`` — driving-leg batches + merged-descent ``probe_batch``;
-  monitored modes run it with ``monitor_granularity="chunk"`` (the fast
-  adaptive mode: O(1)-per-chunk window updates, checks at chunk
-  boundaries),
-* ``cached``  — batched plus the per-leg LRU probe cache.
+* ``oracle``    — row store + scalar pipeline (the paper's executor: exact
+  semantics, reorder checks every ``c`` rows),
+* ``reference`` — row store, ``batched=True``: the chunk-semantics
+  reference loop (``fast``) in the monitored modes; a static plan has
+  nothing to amortize and runs the scalar machine,
+* ``engine``    — columnar store, ``batched=True``: the vectorized cascade.
 
-Variant reps are interleaved (scalar, batched, cached, scalar, ...) and the
-minimum per variant is reported, so machine-load drift hits every variant
-alike instead of biasing whichever ran last. Every variant's result rows are
-checked against scalar's per query — a speedup that changes answers must
-fail loudly, not report numbers.
+Variant reps are interleaved (oracle, reference, engine, oracle, ...) and
+the minimum per variant is reported, so machine-load drift hits every
+variant alike instead of biasing whichever ran last. Every variant's result
+rows are checked against the oracle's per query — a speedup that changes
+answers must fail loudly, not report numbers.
 
 Every variant reports three walls, because ``stats.wall_seconds`` starts
 after planning and so hides the front end: ``wall_seconds`` (the executor's
 own clock, what the speedups are computed from), ``end_to_end_seconds``
 (``perf_counter`` around ``db.execute(sql)`` with the statement already in
 the database's plan cache — the warm path) and ``end_to_end_cold_seconds``
-(the same plus the mode's ``front_end`` section: parsing and optimizing
+(the same plus its backend's ``front_end`` section: parsing and optimizing
 each statement once, which is what a first-seen statement pays on top).
 
-Each variant records the executor configuration it ran under (``config``),
-and the probe-cache counters appear only for variants that actually arm a
-cache — an uncached variant *has* no cache, so it reports nothing rather
-than a misleading ``probe_cache_hits: 0``.
-
-The ``backends`` section re-runs the same variants — plus an
-``adaptive_vector`` variant pinning the vectorized cascade's qualifying
-configuration (batched, chunk granularity, no probe cache) — against the
-**columnar** storage backend (same data, same RIDs) and reports each
-variant's speedup over the *row scalar* baseline of the same mode — the
-headline numbers of the columnar backend. Columnar result rows are
-verified against the row backend's per query, so the cross-backend
-speedups are for bit-identical answers. Every variant records which
-execution engine(s) actually ran (``engines``); under ``--check`` the
-``adaptive_vector`` variant must have run a vectorized-cascade engine,
-and full-scale runs additionally hold the chunked adaptive engine's
-mode-BOTH >=10x floor over the row scalar.
+Each variant records the backend and executor configuration it ran under
+(``config``) and which execution engine(s) actually ran (``engines``).
+Under ``--check`` the ``engine`` variant must not be slower than the
+oracle, must have run the vectorized cascade on every query — with the
+driving leg switched somewhere in the driving modes, or that says nothing —
+and the ``reference`` variant must have run ``fast``; full-scale runs
+additionally hold the adaptive engine's mode-BOTH >=10x floor over the
+oracle.
 
 A second section sweeps ``workers`` in {1, 2, 4} over a *scan-heavy*
 workload (driving legs with thousands of entries — the six-table templates
@@ -55,7 +46,7 @@ the serial columnar cascade (static for mode NONE, chunked adaptive for
 monitored modes), then each worker count with one unmeasured warm-up
 pass (pool fork + COW-shared kernel plan happen off the clock), and
 records the engines every partition ran. Under ``--check`` the engines
-must be the mode's vectorized cascades (vacuity gate, numpy only);
+must be the mode's vectorized cascades (vacuity gate);
 full-scale runs on machines with >= PARALLEL_VECTOR_MIN_CPUS cores
 additionally hold absolute speedup floors at 4 workers.
 
@@ -67,7 +58,7 @@ contract is ≤5% — under ``--check`` a larger overhead fails the run.
 Results go to ``BENCH_speedup.json`` at the repo root (atomic write), so the
 perf trajectory of future PRs is recorded. Any mode whose speedup regresses
 vs the stored baseline is reported loudly on stderr; under ``--check`` the
-process also exits non-zero if the batched path is slower than scalar by
+process also exits non-zero if the engine is slower than the oracle by
 more than 10%, or the armed recorder costs more than 5% wall.
 
 Usage::
@@ -91,13 +82,14 @@ from repro.dmv import load_dmv, six_table_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: --check fails when batched exceeds scalar time by more than this factor.
+#: --check fails when the engine exceeds the oracle's time by more than this
+#: factor.
 CHECK_TOLERANCE = 1.10
 
-#: --check (full scale) fails when the mode-BOTH columnar adaptive_vector
-#: variant speeds up less than this over the row scalar baseline — the
-#: chunked vectorized adaptive engine's headline contract.
-MODE_BOTH_COLUMNAR_FLOOR = 10.0
+#: --check (full scale) fails when the mode-BOTH engine speeds up less than
+#: this over the oracle — the chunked vectorized adaptive engine's headline
+#: contract.
+MODE_BOTH_ENGINE_FLOOR = 10.0
 
 #: A stored-baseline speedup may drift down by this factor before the
 #: regression report fires (wall-clock noise allowance).
@@ -152,98 +144,33 @@ PARALLEL_WORKLOAD = [
 ]
 
 
-def build_variants(
-    mode: ReorderMode, batch_size: int, cache_size: int
-) -> dict[str, AdaptiveConfig]:
-    # Monitored modes get the amortized chunk-granularity windows — the
-    # fast adaptive mode this benchmark exists to measure. Mode NONE has
-    # no monitors, so granularity is irrelevant there.
-    granularity = "chunk" if mode.monitors else "exact"
+def build_variants(mode: ReorderMode, batch_size: int, row_db, columnar_db) -> dict:
+    """name -> (database, config): the oracle, the reference loop, the engine."""
+    batched = AdaptiveConfig(mode=mode, batched=True, batch_size=batch_size)
     return {
-        "scalar": AdaptiveConfig(mode=mode),
-        "batched": AdaptiveConfig(
-            mode=mode,
-            batched=True,
-            batch_size=batch_size,
-            monitor_granularity=granularity,
-        ),
-        "cached": AdaptiveConfig(
-            mode=mode,
-            batched=True,
-            batch_size=batch_size,
-            probe_cache_size=cache_size,
-            monitor_granularity=granularity,
-        ),
+        "oracle": (row_db, AdaptiveConfig(mode=mode)),
+        "reference": (row_db, batched),
+        "engine": (columnar_db, batched),
     }
 
 
-def build_backend_variants(
-    mode: ReorderMode, batch_size: int, cache_size: int
-) -> dict[str, AdaptiveConfig]:
-    """The backends-section variants: the row trio plus ``adaptive_vector``.
-
-    ``adaptive_vector`` pins the vectorized engine's qualifying
-    configuration — batched, chunk-granularity monitoring, no probe cache
-    (a cache disqualifies the cascade) — so the recorded ``engines`` list
-    proves the chunked adaptive cascade (monitored modes) or the static
-    cascade (mode NONE) actually ran, and the mode-``both`` perf gate has
-    a named variant to hold.
-    """
-    variants = build_variants(mode, batch_size, cache_size)
-    variants["adaptive_vector"] = AdaptiveConfig(
-        mode=mode,
-        batched=True,
-        batch_size=batch_size,
-        monitor_granularity="chunk" if mode.monitors else "exact",
-    )
-    return variants
-
-
-def variant_config_summary(config: AdaptiveConfig) -> dict:
-    """The executor knobs a variant ran under, for the JSON record."""
-    return {
-        "batched": config.batched,
-        "batch_size": config.batch_size if config.batched else None,
-        "probe_cache_size": config.probe_cache_size,
-        "monitor_granularity": (
-            config.monitor_granularity if config.batched else None
-        ),
-    }
-
-
-def measure_mode(
-    db, queries, variants, reps: int, reference: dict[str, list] | None = None
-) -> dict[str, dict]:
-    """Min-of-reps wall seconds per variant, with result verification.
-
-    *reference* maps qid -> sorted rows; pass a populated dict to verify
-    against another measurement's answers (the cross-backend check), or
-    leave None to verify variants against each other only.
-
-    Probe-cache counters are recorded only for variants whose config arms
-    a cache (``probe_cache_size > 0``); other variants have no cache, so
-    the keys are absent rather than zero.
-    """
+def measure_mode(queries, variants, reps: int) -> dict[str, dict]:
+    """Min-of-reps wall seconds per variant, with result verification
+    (sorted rows per query, against the first variant's)."""
     best = {name: float("inf") for name in variants}
     best_end_to_end = dict(best)
     meters: dict[str, dict] = {name: {} for name in variants}
     engines: dict[str, set] = {name: set() for name in variants}
     switches = {name: 0 for name in variants}
-    if reference is None:
-        reference = {}
+    reference: dict[str, list] = {}
     for rep in range(reps):
-        for name, config in variants.items():
-            arms_cache = config.probe_cache_size > 0
+        for name, (db, config) in variants.items():
             total = end_to_end = 0.0
-            hits = misses = 0
             for query in queries:
                 started = time.perf_counter()
                 outcome = db.execute(query.sql, config)
                 end_to_end += time.perf_counter() - started
                 total += outcome.stats.wall_seconds
-                if arms_cache:
-                    hits += outcome.stats.work.probe_cache_hits
-                    misses += outcome.stats.work.probe_cache_misses
                 if rep == 0:
                     engines[name].add(outcome.stats.engine)
                     switches[name] += outcome.stats.driving_switches
@@ -258,11 +185,12 @@ def measure_mode(
                 best[name] = total
                 meters[name] = {
                     "wall_seconds": total,
-                    "config": variant_config_summary(config),
+                    "config": {
+                        "backend": db.catalog.backend.name,
+                        "batched": config.batched,
+                        "batch_size": config.batch_size if config.batched else None,
+                    },
                 }
-                if arms_cache:
-                    meters[name]["probe_cache_hits"] = hits
-                    meters[name]["probe_cache_misses"] = misses
     for name in meters:
         # Which execution engine(s) ran the variant's queries (engine
         # choice is deterministic, so rep 0 covers it).
@@ -292,12 +220,13 @@ def measure_front_end(db, queries, reps: int) -> dict[str, float]:
     return {"parse_seconds": parse, "optimize_seconds": optimize}
 
 
-def add_cold_walls(meters: dict[str, dict], front_end: dict[str, float]) -> None:
-    """``end_to_end_cold_seconds`` per variant: its warm pass plus the
-    front end, i.e. the pass with every statement seen for the first time."""
+def add_cold_walls(meters: dict[str, dict], front_end: dict[str, dict]) -> None:
+    """``end_to_end_cold_seconds`` per variant: its warm pass plus its
+    backend's front end, i.e. the pass with every statement seen for the
+    first time."""
     for meter in meters.values():
         meter["end_to_end_cold_seconds"] = meter["end_to_end_seconds"] + sum(
-            front_end.values()
+            front_end[meter["config"]["backend"]].values()
         )
 
 
@@ -365,11 +294,8 @@ def measure_parallel_vector(
     """
     section: dict[str, dict] = {}
     for mode in modes:
-        granularity = "chunk" if mode.monitors else "exact"
         row_config = AdaptiveConfig(mode=mode)
-        serial_config = AdaptiveConfig(
-            mode=mode, batched=True, monitor_granularity=granularity
-        )
+        serial_config = AdaptiveConfig(mode=mode, batched=True)
         reference: dict[str, list] = {}
         row_wall = serial_wall = float("inf")
         serial_engines: set[str] = set()
@@ -404,12 +330,7 @@ def measure_parallel_vector(
         for workers in workers_sweep:
             if workers < 2:
                 continue
-            config = AdaptiveConfig(
-                mode=mode,
-                batched=True,
-                monitor_granularity=granularity,
-                workers=workers,
-            )
+            config = AdaptiveConfig(mode=mode, batched=True, workers=workers)
             for _, sql in workload:  # warm-up: fork pool + kernel plan
                 columnar_db.execute(sql, config)
             best = float("inf")
@@ -533,8 +454,8 @@ def report_regressions(output_path: str, payload: dict) -> list[str]:
     for mode, meters in payload.get("modes", {}).items():
         old_meters = baseline.get("modes", {}).get(mode, {})
         for variant, data in meters.items():
-            new = data.get("speedup_vs_scalar")
-            old = old_meters.get(variant, {}).get("speedup_vs_scalar")
+            new = data.get("speedup_vs_oracle")
+            old = old_meters.get(variant, {}).get("speedup_vs_oracle")
             if new is None or old is None:
                 continue
             if new < old * REGRESSION_TOLERANCE:
@@ -542,21 +463,6 @@ def report_regressions(output_path: str, payload: dict) -> list[str]:
                     f"REGRESSION: mode {mode} variant {variant} speedup "
                     f"{new:.2f}x < stored baseline {old:.2f}x"
                 )
-    for backend, backend_entry in payload.get("backends", {}).items():
-        old_backend = baseline.get("backends", {}).get(backend, {})
-        for mode, meters in backend_entry.get("modes", {}).items():
-            old_meters = old_backend.get("modes", {}).get(mode, {})
-            for variant, data in meters.items():
-                new = data.get("speedup_vs_row_scalar")
-                old = old_meters.get(variant, {}).get("speedup_vs_row_scalar")
-                if new is None or old is None:
-                    continue
-                if new < old * REGRESSION_TOLERANCE:
-                    lines.append(
-                        f"REGRESSION: backend {backend} mode {mode} variant "
-                        f"{variant} speedup {new:.2f}x < stored baseline "
-                        f"{old:.2f}x"
-                    )
     for mode, entry in payload.get("parallel", {}).items():
         old_entry = baseline.get("parallel", {}).get(mode, {})
         for workers, data in entry.get("sweep", {}).items():
@@ -602,12 +508,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=7, help="interleaved repetitions")
     parser.add_argument("--batch-size", type=int, default=256)
     parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=4096,
-        help="probe-cache capacity for the cached variant",
-    )
-    parser.add_argument(
         "--adaptive",
         action="store_true",
         help="also measure mode BOTH (adaptive reordering) variants",
@@ -625,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"exit 1 if batched > {CHECK_TOLERANCE:.2f}x scalar wall time",
+        help=f"exit 1 if the engine > {CHECK_TOLERANCE:.2f}x the oracle's wall time",
     )
     parser.add_argument(
         "--output",
@@ -639,8 +539,8 @@ def main(argv: list[str] | None = None) -> int:
         args.count = min(args.count, 3)
         args.reps = min(args.reps, 3)
         # Quick runs still measure mode BOTH so the CI smoke exercises
-        # the adaptive-vector variant and its engine (vacuity) gate; the
-        # absolute mode-both floor stays full-scale only.
+        # the adaptive cascade and its engine (vacuity) gate; the absolute
+        # mode-both floor stays full-scale only.
         args.adaptive = True
     workers_sweep = tuple(
         int(part) for part in args.workers_sweep.split(",") if part.strip()
@@ -664,114 +564,85 @@ def main(argv: list[str] | None = None) -> int:
         "query_count": len(queries),
         "reps": args.reps,
         "batch_size": args.batch_size,
-        "cache_size": args.cache_size,
         "modes": {},
         "front_end": {},
-        "backends": {"columnar": {"modes": {}, "front_end": {}}},
     }
     check_failed = False
     engine_gate_failed = False
     for mode in modes:
-        variants = build_variants(mode, args.batch_size, args.cache_size)
-        reference: dict[str, list] = {}
-        meters = measure_mode(db, queries, variants, args.reps, reference)
-        front_end = measure_front_end(db, queries, args.reps)
+        name = mode.name.lower()
+        variants = build_variants(mode, args.batch_size, db, columnar_db)
+        meters = measure_mode(queries, variants, args.reps)
+        front_end = {
+            "row": measure_front_end(db, queries, args.reps),
+            "columnar": measure_front_end(columnar_db, queries, args.reps),
+        }
         add_cold_walls(meters, front_end)
-        scalar = meters["scalar"]["wall_seconds"]
-        batched = meters["batched"]["wall_seconds"]
-        cached = meters["cached"]["wall_seconds"]
-        for name in meters:
-            meters[name]["speedup_vs_scalar"] = scalar / meters[name]["wall_seconds"]
-        payload["modes"][mode.name.lower()] = meters
-        payload["front_end"][mode.name.lower()] = front_end
+        oracle = meters["oracle"]["wall_seconds"]
+        for meter in meters.values():
+            meter["speedup_vs_oracle"] = oracle / meter["wall_seconds"]
+        payload["modes"][name] = meters
+        payload["front_end"][name] = front_end
+        reference = meters["reference"]
+        engine = meters["engine"]
         print(
-            f"{mode.name.lower():8s} scalar={scalar:.3f}s "
-            f"batched={batched:.3f}s ({scalar / batched:.2f}x) "
-            f"cached={cached:.3f}s ({scalar / cached:.2f}x)"
+            f"{name:8s} oracle={oracle:.3f}s "
+            f"reference={reference['wall_seconds']:.3f}s "
+            f"({reference['speedup_vs_oracle']:.2f}x, engines "
+            f"{','.join(reference['engines'])}) "
+            f"engine={engine['wall_seconds']:.3f}s "
+            f"({engine['speedup_vs_oracle']:.2f}x, engines "
+            f"{','.join(engine['engines'])})"
         )
-        if mode is ReorderMode.NONE and batched > scalar * CHECK_TOLERANCE:
+        print(
+            f"{name:8s} engine end to end: "
+            f"executor={engine['wall_seconds']:.3f}s "
+            f"warm={engine['end_to_end_seconds']:.3f}s "
+            f"cold={engine['end_to_end_cold_seconds']:.3f}s "
+            f"(parse {front_end['columnar']['parse_seconds']:.3f}s + optimize "
+            f"{front_end['columnar']['optimize_seconds']:.3f}s)"
+        )
+        if engine["wall_seconds"] > oracle * CHECK_TOLERANCE:
             check_failed = True
-
-        # Columnar backend: same variants plus ``adaptive_vector``, same
-        # queries, answers verified against the row backend's (the shared
-        # *reference*); speedups are vs the row scalar baseline above.
-        col_variants = build_backend_variants(
-            mode, args.batch_size, args.cache_size
-        )
-        col_meters = measure_mode(
-            columnar_db, queries, col_variants, args.reps, reference
-        )
-        col_front_end = measure_front_end(columnar_db, queries, args.reps)
-        add_cold_walls(col_meters, col_front_end)
-        payload["backends"]["columnar"]["front_end"][mode.name.lower()] = (
-            col_front_end
-        )
-        for name in col_meters:
-            col_meters[name]["speedup_vs_row_scalar"] = (
-                scalar / col_meters[name]["wall_seconds"]
-            )
-        payload["backends"]["columnar"]["modes"][mode.name.lower()] = col_meters
-        col_batched = col_meters["batched"]["wall_seconds"]
-        col_vector = col_meters["adaptive_vector"]["wall_seconds"]
-        print(
-            f"{mode.name.lower():8s} columnar "
-            f"scalar={col_meters['scalar']['wall_seconds']:.3f}s "
-            f"({scalar / col_meters['scalar']['wall_seconds']:.2f}x) "
-            f"batched={col_batched:.3f}s ({scalar / col_batched:.2f}x) "
-            f"adaptive_vector={col_vector:.3f}s "
-            f"({scalar / col_vector:.2f}x, engines "
-            f"{','.join(col_meters['adaptive_vector']['engines'])})"
-        )
-        vector = col_meters["adaptive_vector"]
-        print(
-            f"{mode.name.lower():8s} columnar adaptive_vector end to end: "
-            f"executor={col_vector:.3f}s "
-            f"warm={vector['end_to_end_seconds']:.3f}s "
-            f"cold={vector['end_to_end_cold_seconds']:.3f}s "
-            f"(parse {col_front_end['parse_seconds']:.3f}s + optimize "
-            f"{col_front_end['optimize_seconds']:.3f}s)"
-        )
-        # Vacuity guard: the adaptive_vector variant must actually run a
-        # vectorized-cascade engine on every query (mode NONE: the static
-        # cascade; monitored modes: the chunked adaptive engine from start
+        # Vacuity guard: the engine variant must actually run the
+        # vectorized cascade on every query (mode NONE: the static
+        # cascade; monitored modes: the chunked adaptive cascade from start
         # to finish — no mid-query hand-off, though the driving leg must
-        # have been switched somewhere or that says nothing).
-        expected_engines = (
-            {"vector"} if not mode.monitors else {"vector-adaptive"}
-        )
-        stray = set(col_meters["adaptive_vector"]["engines"]) - expected_engines
-        if stray:
+        # have been switched somewhere or that says nothing), and the
+        # reference variant its reference loop.
+        expected = {
+            "engine": {"vector-adaptive"} if mode.monitors else {"vector"},
+            "reference": {"fast"} if mode.monitors else {"scalar"},
+        }
+        for variant, engines in expected.items():
+            stray = set(meters[variant]["engines"]) - engines
+            if stray:
+                print(
+                    f"CHECK FAILED: {variant} variant (mode {name}) ran "
+                    f"engine(s) {sorted(stray)}, expected {sorted(engines)}",
+                    file=sys.stderr,
+                )
+                engine_gate_failed = True
+        if mode.reorders_driving and not engine["driving_switches"]:
             print(
-                f"CHECK FAILED: adaptive_vector variant (mode "
-                f"{mode.name.lower()}) ran non-vector engine(s): "
-                f"{sorted(stray)}",
+                f"CHECK FAILED: engine variant (mode {name}) never switched "
+                f"its driving leg; the engine guard is vacuous",
                 file=sys.stderr,
             )
             engine_gate_failed = True
-        if (
-            mode.reorders_driving
-            and not col_meters["adaptive_vector"]["driving_switches"]
-        ):
-            print(
-                f"CHECK FAILED: adaptive_vector variant (mode "
-                f"{mode.name.lower()}) never switched its driving leg; "
-                f"the engine guard is vacuous",
-                file=sys.stderr,
-            )
-            engine_gate_failed = True
-        # The chunked adaptive engine's perf contract: mode BOTH columnar
-        # at full scale must hold a >=10x speedup over the row scalar
-        # (quick/CI scales are dominated by fixed per-query overheads, so
-        # the absolute floor applies to full runs only).
+        # The chunked adaptive engine's perf contract: mode BOTH at full
+        # scale must hold a >=10x speedup over the oracle (quick/CI scales
+        # are dominated by fixed per-query overheads, so the absolute
+        # floor applies to full runs only).
         if (
             mode is ReorderMode.BOTH
             and not args.quick
-            and scalar / col_vector < MODE_BOTH_COLUMNAR_FLOOR
+            and engine["speedup_vs_oracle"] < MODE_BOTH_ENGINE_FLOOR
         ):
             print(
-                f"CHECK FAILED: columnar mode-both adaptive_vector speedup "
-                f"{scalar / col_vector:.2f}x below the "
-                f"{MODE_BOTH_COLUMNAR_FLOOR:.0f}x floor",
+                f"CHECK FAILED: mode-both engine speedup "
+                f"{engine['speedup_vs_oracle']:.2f}x below the "
+                f"{MODE_BOTH_ENGINE_FLOOR:.0f}x floor",
                 file=sys.stderr,
             )
             engine_gate_failed = True
@@ -814,8 +685,6 @@ def main(argv: list[str] | None = None) -> int:
 
     # Partitioned vectorized cascades: wall-clock speedups of the
     # parallel columnar engine over its two serial baselines, per mode.
-    from repro.storage.columnar import _np as _have_numpy
-
     payload["parallel_vector"] = measure_parallel_vector(
         db, columnar_db, parallel_workload, parallel_sweep, modes, args.reps
     )
@@ -837,33 +706,31 @@ def main(argv: list[str] | None = None) -> int:
         expected_engines = (
             {"vector"} if mode_name == "none" else {"vector-adaptive"}
         )
-        if _have_numpy is not None:
-            for workers, data in entry["sweep"].items():
-                stray = set(data["worker_engines"]) - expected_engines
-                if stray:
-                    print(
-                        f"CHECK FAILED: parallel_vector mode {mode_name} "
-                        f"workers={workers} ran non-vector engine(s): "
-                        f"{sorted(stray)} "
-                        f"(gate: {data['vector_gate']!r})",
-                        file=sys.stderr,
-                    )
-                    engine_gate_failed = True
-                if mode_name == "both" and not data["driving_switches"]:
-                    print(
-                        f"CHECK FAILED: parallel_vector mode both "
-                        f"workers={workers} never switched its driving "
-                        f"leg; the engine guard is vacuous",
-                        file=sys.stderr,
-                    )
-                    engine_gate_failed = True
+        for workers, data in entry["sweep"].items():
+            stray = set(data["worker_engines"]) - expected_engines
+            if stray:
+                print(
+                    f"CHECK FAILED: parallel_vector mode {mode_name} "
+                    f"workers={workers} ran non-vector engine(s): "
+                    f"{sorted(stray)} "
+                    f"(gate: {data['vector_gate']!r})",
+                    file=sys.stderr,
+                )
+                engine_gate_failed = True
+            if mode_name == "both" and not data["driving_switches"]:
+                print(
+                    f"CHECK FAILED: parallel_vector mode both "
+                    f"workers={workers} never switched its driving "
+                    f"leg; the engine guard is vacuous",
+                    file=sys.stderr,
+                )
+                engine_gate_failed = True
         # Absolute wall-clock floors need real cores and full scale; a
         # quick run or a starved container still enforces the vacuity
         # gate above but records the honest wall numbers without gating.
         cpus = os.cpu_count() or 1
         if (
-            _have_numpy is not None
-            and not args.quick
+            not args.quick
             and cpus >= PARALLEL_VECTOR_MIN_CPUS
             and "4" in entry["sweep"]
         ):
@@ -897,12 +764,11 @@ def main(argv: list[str] | None = None) -> int:
     regressions = report_regressions(args.output, payload)
     for line in regressions:
         print(line, file=sys.stderr)
-    # The columnar backend's static speedup is a hard perf contract: under
+    # The engine's speedup over the oracle is a hard perf contract: under
     # --check, falling below the stored baseline fails the run (other
     # regressions stay report-only — wall-clock noise on shared runners).
-    columnar_regressed = any(
-        line.startswith("REGRESSION: backend columnar mode none")
-        or line.startswith("REGRESSION: backend columnar mode both")
+    engine_regressed = any(
+        line.startswith("REGRESSION: mode") and " variant engine " in line
         for line in regressions
     )
 
@@ -912,8 +778,8 @@ def main(argv: list[str] | None = None) -> int:
     columnar_db.close()
     if args.check and check_failed:
         print(
-            f"CHECK FAILED: batched path slower than scalar by more than "
-            f"{(CHECK_TOLERANCE - 1) * 100:.0f}%",
+            f"CHECK FAILED: the engine is slower than the oracle by more "
+            f"than {(CHECK_TOLERANCE - 1) * 100:.0f}%",
             file=sys.stderr,
         )
         return 1
@@ -928,10 +794,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.check and engine_gate_failed:
         # The specific CHECK FAILED line was already printed inline.
         return 1
-    if args.check and columnar_regressed:
+    if args.check and engine_regressed:
         print(
-            "CHECK FAILED: columnar cascade speedup regressed below the "
-            "stored baseline",
+            "CHECK FAILED: the engine's speedup over the oracle regressed "
+            "below the stored baseline",
             file=sys.stderr,
         )
         return 1

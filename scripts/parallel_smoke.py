@@ -6,8 +6,8 @@ Gates two properties on a small DMV instance:
    multiset under ``workers=2`` (modes NONE and BOTH, scalar and batched)
    as under serial execution; mode NONE additionally matches row *order*
    (partitions concatenate in scan order).
-2. **Monitored-mode overhead** — the fast adaptive mode (BOTH, batched,
-   chunk-granularity monitoring) running on 2 workers must not be more
+2. **Monitored-mode overhead** — the engine's adaptive mode (BOTH,
+   batched: chunk-granularity monitoring) running on 2 workers must not be more
    than 10% slower than the serial scalar baseline on the deterministic
    critical path: ``critical_path_work <= 1.10 * serial NONE work``.
    Work units, not wall time, so the gate is immune to CI machine noise.
@@ -68,7 +68,6 @@ def main() -> int:
                     mode=ReorderMode.BOTH,
                     workers=WORKERS,
                     batched=batched,
-                    monitor_granularity="chunk" if batched else "exact",
                 ),
             )
             if Counter(monitored.rows) != Counter(serial.rows):
@@ -90,7 +89,6 @@ def main() -> int:
                 mode=ReorderMode.BOTH,
                 workers=WORKERS,
                 batched=True,
-                monitor_granularity="chunk",
             ),
         )
         monitored_path += (

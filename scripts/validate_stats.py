@@ -87,8 +87,6 @@ SCHEMA = {
         "recorded_total": "count",
         "slow_total": "count",
         "slow_queries_total": "count",
-        "probe_cache_hits_total": "count",
-        "probe_cache_misses_total": "count",
         "store_segments": "count",
     },
     "storage": {
@@ -103,8 +101,6 @@ SCHEMA = {
 #: per-query ``ExecutionStats.engine`` values).
 KNOWN_ENGINES = {
     "scalar",
-    "batched",
-    "turbo",
     "vector",
     "fast",
     "vector-adaptive",

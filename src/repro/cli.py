@@ -137,15 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run on the batched executor with driving-leg chunks of N rows",
-    )
-    query.add_argument(
-        "--probe-cache",
-        type=int,
-        default=None,
-        metavar="N",
-        help="arm the per-leg LRU probe cache with capacity N "
-        "(implies the batched executor)",
+        help="run the engine (chunk semantics; the vectorized cascade on "
+        "--backend columnar) with driving-leg chunks of N rows",
     )
     query.add_argument(
         "--workers",
@@ -414,16 +407,16 @@ def _warn_vector_gate(result, cli_args) -> None:
         return
     stats = result.stats
     # "vector-adaptive+fast" is a mid-query handoff, not an option
-    # problem; scalar runs never promised the cascade. Parallel runs
-    # report per-partition engines: warn only when NO partition (nor the
-    # serial continuation) ran a cascade — a partial demotion is a
-    # per-worker gate, not an option problem.
+    # problem; a run that never asked for the engine carries no gate.
+    # Parallel runs report per-partition engines: warn only when NO
+    # partition (nor the serial continuation) ran a cascade — a partial
+    # demotion is a per-worker gate, not an option problem.
     if stats.engine == "parallel":
         if not stats.worker_engines or any(
             engine.startswith("vector") for engine in stats.worker_engines
         ):
             return
-    elif stats.engine not in ("batched", "turbo", "fast"):
+    elif stats.engine not in ("scalar", "fast"):
         return
     if stats.vector_gate is None:
         return
@@ -446,17 +439,13 @@ def _make_config(
     cascade on the columnar backend) gets the partitioned path.
     """
     batch_size = getattr(cli_args, "batch_size", None)
-    probe_cache = getattr(cli_args, "probe_cache", None)
     workers = getattr(cli_args, "workers", 1) or 1
     kwargs: dict = {"mode": mode}
     if workers > 1 and not serial:
         kwargs["workers"] = workers
-    if batch_size is not None or probe_cache is not None:
+    if batch_size is not None:
         kwargs["batched"] = True
-        if batch_size is not None:
-            kwargs["batch_size"] = batch_size
-        if probe_cache is not None:
-            kwargs["probe_cache_size"] = probe_cache
+        kwargs["batch_size"] = batch_size
     return AdaptiveConfig(**kwargs)
 
 

@@ -83,39 +83,17 @@ class AdaptiveConfig:
     # Monitored estimates are trusted only after a leg has seen this many
     # incoming rows; before that, optimizer priors are blended in.
     warmup_rows: int = 10
-    # Run the vectorized executor: driving rows are read ahead in batches
-    # and inner legs are resolved through probe_batch()'s merged index
-    # descents. Semantics-preserving — results, work accounting, and
-    # adaptation decisions are identical to the scalar path.
+    # Which of the two semantics runs. False is the oracle: the scalar
+    # row-at-a-time machine, reorder checks every ``c`` rows (Fig 2/3).
+    # True is the engine: the columnar cascade (or, on shapes it refuses,
+    # its chunk-semantics reference loop). Rows and final work totals are
+    # the same; when monitored, each chunk folds into a leg's window as
+    # ONE weighted aggregate and reorder checks fire at chunk boundaries,
+    # so estimates carry bounded within-chunk skew and events may differ
+    # from the oracle's (DESIGN.md Sec 4d).
     batched: bool = False
-    # Target batch width for the batched path (the lookahead shrinks near
-    # reorder-check boundaries so adaptation points are never overrun).
+    # Driving survivors per chunk of a monitored batched run.
     batch_size: int = 256
-    # LRU capacity (entries per leg) of the join-key probe cache; 0 keeps
-    # the cache off. Cache hits skip the repeated descend/fetch/eval work
-    # charges — the one documented divergence from scalar accounting.
-    # The default stays 0 *on purpose*: the cache measurably speeds up
-    # skewed workloads (BENCH_speedup.json's batched-chunk-cached mode),
-    # but its skipped charges change ``ExecutionStats.work`` relative to
-    # the paper's cost model, so enabling it silently would shift every
-    # reproduced figure. Opt in per run (``--probe-cache N``); hit rates
-    # are reported by EXPLAIN ANALYZE.
-    probe_cache_size: int = 0
-    # How monitor windows absorb batched execution's chunks:
-    #
-    # * ``"exact"`` — per-sample ring updates; windows, estimates, reorder
-    #   decisions, and events are bit-identical to a scalar run (the
-    #   batched path proves chunk boundaries never overrun a check point).
-    # * ``"chunk"`` — the fast adaptive mode: each chunk folds into the
-    #   window as ONE weighted aggregate (O(1) ring update per chunk) and
-    #   reorder checks fire at chunk boundaries instead of every ``c``
-    #   rows. Rows and final work totals stay exact; estimates carry
-    #   bounded within-chunk skew and adaptation points are coarser, so
-    #   events may differ from a scalar run (see DESIGN.md Sec 4d).
-    #
-    # Only consulted by the batched executor; scalar execution is always
-    # per-sample.
-    monitor_granularity: str = "exact"
     # Intra-query parallelism: number of worker processes range-partitioning
     # the driving leg (1 = serial). Workers share the read-only database via
     # fork/COW; per-partition monitor estimates are merged at the
@@ -133,11 +111,11 @@ class AdaptiveConfig:
             raise ValueError("warmup_rows must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.probe_cache_size < 0:
-            raise ValueError("probe_cache_size must be >= 0")
-        if self.monitor_granularity not in ("exact", "chunk"):
-            raise ValueError(
-                "monitor_granularity must be 'exact' or 'chunk'"
-            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+    @property
+    def monitor_granularity(self) -> str:
+        """Where reorder checks fire, for flight records: a description
+        derived from ``batched`` and ``mode``, not a knob."""
+        return "chunk" if self.batched and self.mode.monitors else "exact"

@@ -19,20 +19,18 @@ residual local selectivity of the leg.
 Storage layout: both monitors keep their window in preallocated **ring
 buffers** (three parallel scalar arrays indexed by ``lifetime % size``)
 rather than a deque of sample objects. A single observation is one slot
-overwrite with no allocation, and :meth:`SlidingWindow.observe_many` /
-:meth:`DrivingMonitor.observe_many` fold a whole executor chunk into the
-window in one call. The running sums use the exact same
-add-new-then-subtract-evicted float arithmetic as one-at-a-time updates, so
-windowed estimates — and therefore adaptation decisions and recorded
-events — are bit-identical whether observations arrive per row or per
-chunk.
+overwrite with no allocation, and :meth:`DrivingMonitor.observe_many` folds
+a whole executor chunk of scan records into the window in one call, with
+the exact same add-new-then-subtract-evicted arithmetic as one-at-a-time
+updates. Batched runs carry an :class:`AggregatedWindow` per inner leg
+instead: one weighted entry per chunk.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -90,41 +88,6 @@ class SlidingWindow:
         self._work[slot] = work_units
         self.lifetime_samples += 1
 
-    def observe_many(
-        self, samples: Iterable[tuple[int, int, float]]
-    ) -> None:
-        """Fold a chunk of (matches, output, work) samples into the window.
-
-        One call per executor chunk amortizes attribute lookups and method
-        dispatch over the whole chunk; the per-slot arithmetic is identical
-        to calling :meth:`observe` in a loop, so estimates stay exact.
-        """
-        matches_ring = self._matches
-        output_ring = self._output
-        work_ring = self._work
-        size = self.size
-        lifetime = self.lifetime_samples
-        sum_matches = self._sum_matches
-        sum_output = self._sum_output
-        sum_work = self._sum_work
-        for index_matches, output_rows, work_units in samples:
-            slot = lifetime % size
-            sum_matches += index_matches
-            sum_output += output_rows
-            sum_work += work_units
-            if lifetime >= size:
-                sum_matches -= matches_ring[slot]
-                sum_output -= output_ring[slot]
-                sum_work -= work_ring[slot]
-            matches_ring[slot] = index_matches
-            output_ring[slot] = output_rows
-            work_ring[slot] = work_units
-            lifetime += 1
-        self._sum_matches = sum_matches
-        self._sum_output = sum_output
-        self._sum_work = sum_work
-        self.lifetime_samples = lifetime
-
     def add(self, sample: ProbeSample) -> None:
         """Compatibility shim for sample-object callers."""
         self.observe(sample.index_matches, sample.output_rows, sample.work_units)
@@ -148,8 +111,8 @@ class SlidingWindow:
 class AggregatedWindow:
     """Chunk-granular sliding window: one weighted entry per executor chunk.
 
-    The amortized (``monitor_granularity="chunk"``) twin of
-    :class:`SlidingWindow`: :meth:`observe_chunk` folds a whole chunk of
+    The amortized twin of :class:`SlidingWindow`, carried by batched
+    (chunk-semantics) runs: :meth:`observe_chunk` folds a whole chunk of
     ``n`` samples into the window as a single ``(n, sums)`` aggregate — an
     O(1) ring update per *chunk* rather than per sample. Eviction drops
     whole aggregates, so the window covers the most recent chunks whose
@@ -213,21 +176,6 @@ class AggregatedWindow:
         """Single-sample observation (an ``n=1`` aggregate)."""
         self.observe_chunk(1, index_matches, output_rows, work_units)
 
-    def observe_many(
-        self, samples: Iterable[tuple[int, int, float]]
-    ) -> None:
-        """Fold per-sample records in as one combined aggregate."""
-        n = 0
-        matches = 0
-        output = 0
-        work = 0.0
-        for index_matches, output_rows, work_units in samples:
-            n += 1
-            matches += index_matches
-            output += output_rows
-            work += work_units
-        self.observe_chunk(n, matches, output, work)
-
     def add(self, sample: ProbeSample) -> None:
         """Compatibility shim for sample-object callers."""
         self.observe(sample.index_matches, sample.output_rows, sample.work_units)
@@ -274,12 +222,6 @@ class LegMonitor:
         self, index_matches: int, output_rows: int, work_units: float
     ) -> None:
         self.window.observe(index_matches, output_rows, work_units)
-
-    def observe_many(
-        self, samples: Iterable[tuple[int, int, float]]
-    ) -> None:
-        """Bulk twin of :meth:`record_probe` for chunked executors."""
-        self.window.observe_many(samples)
 
     def observe_chunk(
         self, n: int, matches: int, output_rows: int, work_units: float

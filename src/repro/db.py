@@ -100,14 +100,14 @@ class ExecutionStats:
     critical_path_work: float | None = None
     # How many worker processes executed partitions (1 = serial).
     workers: int = 1
-    # Which execution engine ran the pipeline: "scalar", "batched",
-    # "turbo", "vector", "fast", "vector-adaptive", "vector-adaptive+fast",
-    # or "parallel" for partitioned runs.
+    # Which execution engine ran the pipeline: "scalar", "fast", "vector",
+    # "vector-adaptive", "vector-adaptive+fast", or "parallel" for
+    # partitioned runs.
     engine: str = "scalar"
-    # Why the vectorized cascade did NOT run (first failed gate), when the
-    # batched path fell back to a generic loop; None when it ran or was
-    # never a candidate. For parallel runs this is the first gate reason
-    # any partition (or the serial continuation) reported.
+    # Why a batched run did NOT run the vectorized cascade (the scalar
+    # fallback screen or first failed gate); None when it ran or was never
+    # asked for. For parallel runs this is the first gate reason any
+    # partition (or the serial continuation) reported.
     vector_gate: str | None = None
     # Parallel partitioned execution only: the engine each partition ran,
     # in dispatch order, plus the serial continuation's engine when one

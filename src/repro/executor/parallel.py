@@ -46,16 +46,15 @@ divergence from a serial run is up to one extra ``INDEX_DESCEND`` charge
 per key range per extra partition that enters it (each bounded cursor
 descends into the range it resumes).
 
-Vectorized partitions: when the columnar backend and chunk-granularity
-monitoring are active, each worker's pipeline runs the PR 9 vectorized
-cascades over its :class:`ScanPartition` — the static cascade under mode
+Vectorized partitions: on the columnar backend with ``batched=True`` each
+worker's pipeline runs the vectorized cascade over its :class:`ScanPartition` — the static cascade under mode
 ``NONE`` and the chunked adaptive cascade under the monitored modes, with
 kernel-folded monitoring and local kept-inner reorders mid-partition.
 :func:`warm_kernel_plan` materializes the numpy column arrays, CSR index
 sidecars, and per-predicate group kernels on the catalog *before* the
 fork pool is created, so workers COW-share one copy instead of each
 rebuilding them. A cascade gate failure inside a worker demotes only that
-partition to the generic loop (its engine is reported per worker on
+partition to the reference loop (its engine is reported per worker on
 ``ExecutionStats.worker_engines`` with the first gate reason on
 ``vector_gate``); siblings keep their cascades. Deferred chunk folds that
 are still pending at a snapshot are merged at wave barriers in the serial
@@ -149,7 +148,7 @@ class _WorkerResult:
     final_order: tuple[str, ...]
     # Which engine ran this partition ("vector" / "vector-adaptive" / ...)
     # and, when a cascade gate failed in-worker, why. A gate failure
-    # demotes only this worker to its generic loop — siblings that pass
+    # demotes only this worker to the reference loop — siblings that pass
     # the gates keep their cascades.
     engine: str = "scalar"
     vector_gate: str | None = None
@@ -241,10 +240,10 @@ def warm_kernel_plan(
     arrays. Never charges the work meter (no cursors are opened) and
     never mutates rows, so a throwaway compile is safe.
     """
-    from repro.executor.vector import _adaptive_plan, _np
+    from repro.executor.vector import _adaptive_plan
     from repro.storage.columnar import ColumnarIndex, ColumnarTable
 
-    if _np is None or not config.batched:
+    if not config.batched:
         return False
     tables = [catalog.table(plan.query.tables[alias]) for alias in plan.order]
     if not any(isinstance(table, ColumnarTable) for table in tables):

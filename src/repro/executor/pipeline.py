@@ -122,15 +122,11 @@ class PipelineExecutor:
         self.oracle = oracle
         self.obs = obs
         monitoring = self.config.mode.monitors
-        # Fast adaptive mode: batched execution with chunk granularity
-        # carries aggregated monitor windows (one weighted ring entry per
-        # chunk). Scalar fallbacks still work against them — a per-row
-        # observation is an n=1 aggregate with exact eviction.
-        aggregated = (
-            monitoring
-            and self.config.batched
-            and self.config.monitor_granularity == "chunk"
-        )
+        # The engine's chunk semantics carry aggregated monitor windows
+        # (one weighted ring entry per chunk). Its scalar fallbacks still
+        # work against them — a per-row observation is an n=1 aggregate
+        # with exact eviction.
+        aggregated = monitoring and self.config.batched
         bindings: PlanBindings = plan.bindings(catalog, _bind_plan)
         self.projection_slots = bindings.projection_slots
         self.legs = {
@@ -200,15 +196,16 @@ class PipelineExecutor:
         self.depleted_from: int | None = None
         self._enforcer: LimitEnforcer | None = None
         # Which execution engine actually ran this query: "scalar" (this
-        # class / the batched executor's scalar fallback), "batched"
-        # (generic batched loop), "turbo" / "fast" (unobserved batched
-        # loops), "vector" (static columnar cascade), "vector-adaptive"
-        # (chunked adaptive cascade; "+fast" suffix when it handed the
-        # cursors back to the generic loop mid-query). Surfaced on
-        # ExecutionStats.engine and the flight record.
+        # class / the batched executor's scalar fallback), "fast" (the
+        # chunk-semantics reference loop), "vector" (static columnar
+        # cascade), "vector-adaptive" (chunked adaptive cascade; "+fast"
+        # suffix when it handed the cursors back to the reference loop
+        # mid-query). Surfaced on ExecutionStats.engine and the flight
+        # record.
         self.engine_used = "scalar"
-        # Why the vectorized cascade did NOT run (first failed gate), for
-        # the CLI's one-time warning; None when it ran or wasn't eligible.
+        # Why a batched run did NOT (or not to its end) run the vectorized
+        # cascade: the scalar-fallback screen or first failed gate. None
+        # when it ran or was not asked for.
         self.vector_gate_reason: str | None = None
 
     # ------------------------------------------------------------------
@@ -408,6 +405,10 @@ class PipelineExecutor:
     def _run(self) -> Iterator[tuple[Any, ...]]:
         self._open_driving(self.order[0])
         self._compile_all_probes()
+        yield from self._run_scalar()
+
+    def _run_scalar(self) -> Iterator[tuple[Any, ...]]:
+        """The row-at-a-time machine, on the pipeline ``_run`` opened."""
         leg_count = len(self.order)
         meter = self.catalog.meter
         limits = self._enforcer

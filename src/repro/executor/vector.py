@@ -1,7 +1,8 @@
 """The vectorized join cascade: whole chunks of a query as array computations.
 
-The generic batched loops already skip most per-probe observation; what
-remains is the Python nested-loop state machine itself. When every leg is
+The batched reference loop (``BatchedPipelineExecutor._run_fast``) already
+amortizes per-probe observation; what remains is the Python nested-loop
+state machine itself. When every leg is
 columnar and every probe is a pure indexed equality lookup, the join
 collapses into a layered array computation per driving chunk:
 
@@ -22,11 +23,11 @@ One chunk loop (:func:`_run_cascade`) runs static plans (large slices) and
 the monitored modes (``batch_size`` chunks with kernel-folded monitoring
 and boundary rank checks).
 
-Gates are strict — any unsupported shape returns ``None`` and a generic
-loop runs instead. In particular the cascade requires: numpy, no
-probe caches, columnar tables and indexes on every leg, index-equality
-probes with no residual joins, and vectorizable local predicates
-everywhere. A frozen leg's positional predicate is not a gate: it is a
+Gates are strict — any unsupported shape returns ``None`` and the
+reference loop (monitored) or the scalar machine (static) runs instead. In
+particular the cascade requires: columnar tables and indexes on every leg,
+index-equality probes with no residual joins, and vectorizable local
+predicates everywhere. A frozen leg's positional predicate is not a gate: it is a
 mask over the leg's group kernel (:func:`_positional_kernel`). Partitioned
 and resumed driving cursors are supported: :class:`_DrivingWalk` reads the
 rest of the scan off the cursor's own state, with the exact
@@ -53,6 +54,7 @@ from repro.storage.columnar import (
     ColumnarTable,
     _NumericColumn,
     _StringColumn,
+    _np,
 )
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import (
@@ -63,17 +65,12 @@ from repro.storage.counters import (
 )
 from repro.storage.cursor import IndexScanCursor
 
-try:  # pragma: no cover - exercised via the columnar backend tests
-    import numpy as _np
-except Exception:  # pragma: no cover - stdlib-only environments
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executor.batch import BatchedPipelineExecutor
 
 
 def _make_translator(
-    source_column, keys_np, rank: dict, column_len: int
+    source_column, key_array, rank: dict, column_len: int
 ) -> Callable | None:
     """Key-column values -> sidecar ranks (-1 null, -2 missing), or None.
 
@@ -94,16 +91,16 @@ def _make_translator(
                 return _np.where(notnull[rids], -2, -1)
 
             return translate_empty
-        if keys_np is None:
+        if key_array is None:
             return None  # non-numeric (or unbuildable) key domain
 
-        nkeys = len(keys_np)
+        nkeys = len(key_array)
 
         def translate_numeric(rids):
             src = values[rids]
-            pos = _np.searchsorted(keys_np, src)
+            pos = _np.searchsorted(key_array, src)
             clipped = _np.minimum(pos, nkeys - 1)
-            ranks = _np.where(keys_np[clipped] == src, clipped, -2)
+            ranks = _np.where(key_array[clipped] == src, clipped, -2)
             ranks[~notnull[rids]] = -1
             return ranks
 
@@ -112,8 +109,6 @@ def _make_translator(
         if rank and not isinstance(next(iter(rank)), str):
             return None  # typed mismatch between key domains
         codes = source_column.np_codes()
-        if codes is None:
-            return None
         decode = source_column.decode
         lut = _np.full(len(decode) + 1, -2, dtype=_np.int64)
         for code, text in enumerate(decode):
@@ -147,12 +142,13 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     take the driving scan in :data:`STATIC_SLICE_ROWS` slices, the monitored
     modes in ``batch_size`` chunks. The generator returns True when the
     query completed, False when a plan rebuilt mid-query is one the gates
-    refuse and the caller must continue generically with the partially
-    consumed cursors.
+    refuse and the caller must continue on the reference loop with the
+    partially consumed cursors.
 
-    Must be called after ``_open_driving``/``_compile_all_probes``. Every
-    gate failure returns None with ``executor.vector_gate_reason`` set and
-    no state mutated, so the caller's generic loop proceeds untouched.
+    Must be called after ``_open_driving``/``_compile_all_probes`` on a
+    multi-leg pipeline. Every gate failure returns None with
+    ``executor.vector_gate_reason`` set and no state mutated, so the
+    caller's fallback proceeds untouched.
     """
     planned = _cascade_plan(executor)
     if planned is None:
@@ -169,19 +165,10 @@ def _cascade_plan(executor) -> tuple["_DrivingWalk", list] | None:
     ``executor.vector_gate_reason`` and mutates nothing else.
     """
     reason = None
-    if _np is None:
-        reason = "numpy unavailable (stdlib fallback)"
-    elif executor.probe_caches:
-        reason = "probe cache armed (--probe-cache)"
-    elif len(executor.order) < 2:
-        reason = "single-leg pipeline"
-    elif executor.driving_cursor is None:
-        reason = "driving cursor not open"
-    else:
-        for alias in executor.order:
-            if not isinstance(executor.legs[alias].table, ColumnarTable):
-                reason = f"leg {alias!r}: row-backend table"
-                break
+    for alias in executor.order:
+        if not isinstance(executor.legs[alias].table, ColumnarTable):
+            reason = f"leg {alias!r}: row-backend table"
+            break
     if reason is None:
         # Inner legs (kernels + key translators) before the driving leg
         # (the scan as arrays): a refused plan should not pay for the walk.
@@ -348,8 +335,6 @@ def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
         if not isinstance(index, ColumnarIndex):
             return None, f"leg {alias!r}: non-columnar driving index"
         index._sidecar()
-        if index._ent_rids is None:
-            return None, f"leg {alias!r}: non-columnar driving index"
     pushed = leg._pushed_predicate(cursor)
     table = leg.table
     masks = []
@@ -431,8 +416,6 @@ def _positional_kernel(base, positional, table_len: int):
         if not isinstance(index, ColumnarIndex):
             return None
         index._sidecar()
-        if index._ent_rids is None:
-            return None
         after = _np.zeros(table_len, dtype=bool)
         offset = bisect_right(index._entries, positional.after)
         after[index._ent_rids[offset:]] = True
@@ -537,18 +520,19 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
     """Chunk loop: limits -> consume -> expand -> emit -> fold -> checks.
 
     Returns True when the query completed, False to hand the partially
-    consumed cursors back to the generic chunked loop at a chunk boundary
-    (all prepared state drained, windows flushed, counters consistent).
+    consumed cursors back to the reference loop at a chunk boundary (all
+    prepared state drained, windows flushed, counters consistent).
 
-    Observable-parity contract with the generic chunked ``_run_fast`` (and,
-    for static plans, the turbo loop):
+    Observable-parity contract with the reference loop ``_run_fast`` (and,
+    for static plans, the scalar machine):
 
     * each chunk is the next ``chunk_rows`` survivors of the driving walk
       (:class:`_DrivingWalk`), which charges the scan work and the driving
       monitor for exactly the rows ``RuntimeLeg.driving_rows`` would have
       pulled to produce them and repositions the cursor, so freeze/resume
       positions are identical — including the trailing non-survivor scan
-      landing *after* the final boundary's checks;
+      landing *after* the final boundary's checks, and the row-at-a-time
+      cursor's touch of the next partition's first entry;
     * each inner leg's meter charges and window fold are the kernel-sum
       twins of ``probe_batch_fast``'s lean aggregates (:func:`_expand`; all
       cost constants exact binary fractions, so the float work sums are
@@ -556,14 +540,14 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
     * one window fold per leg per chunk, applied at the boundary before
       any check or snapshot can read a window (``_flush_chunk_folds``);
     * the rank-rule checks at chunk boundaries — one inner check at
-      position 1 and one driving check per chunk, the generic chunked
-      loop's cadence. An applied inner reorder permutes the remaining legs
+      position 1 and one driving check per chunk, the reference loop's
+      cadence. An applied inner reorder permutes the remaining legs
       mid-scan; a driving switch swaps the driving walk and puts the frozen
       leg behind a positional kernel (plan rebuild).
 
     Execution limits are a chunk-boundary concern: cancellation, deadline
     and work budget are tested once per chunk, before the walk takes it
-    (the generic loops' position-0 safe point), so they are seen at most
+    (the reference loop's position-0 safe point), so they are seen at most
     one chunk late and ``BudgetExceeded.work_units`` / ``driving_rows`` are
     exact to a chunk. The row budget is exact: a chunk that would overrun
     it emits only the rows still admitted, then raises — the caller holds
@@ -591,13 +575,12 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
         taken = len(survivors)
         if not taken:
             # No survivor left: the trailing non-survivors are scanned
-            # after the last boundary's checks, as the generic loop's
+            # after the last boundary's checks, as the reference loop's
             # final next() does.
             walk.finish()
-            if walk.sees_stop and monitored:
+            if walk.sees_stop:
                 # The row-at-a-time cursor learns its partition is done by
-                # touching the next partition's first entry; the static
-                # reference (TurboDrivingScan) never touches it.
+                # touching the next partition's first entry.
                 meter.index_entries += 1
             executor.depleted_from = 0
             executor._flush_chunk_folds()
@@ -641,7 +624,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
             if reason is not None:
                 # A shape the gates refuse (hash-probed leg, residual join
                 # predicates, non-vectorizable locals): hand the cursors
-                # back to the generic chunked loop mid-query.
+                # back to the reference loop mid-query.
                 executor.vector_gate_reason = reason
                 return False
             plan_sig = sig

@@ -163,14 +163,6 @@ def render_explain_analyze(
             f"{work.hash_build_entries:,d} build entrie(s), "
             f"{work.hash_probes:,d} probe(s), {work.hash_matches:,d} match(es)"
         )
-    cache_lookups = work.probe_cache_hits + work.probe_cache_misses
-    if cache_lookups:
-        lines.append(
-            "probe cache: "
-            f"{work.probe_cache_hits:,d} hit(s), "
-            f"{work.probe_cache_misses:,d} miss(es) "
-            f"({work.probe_cache_hits / cache_lookups:.1%} hit rate)"
-        )
     lines.append(
         f"checks: {stats.inner_checks} inner, {stats.driving_checks} driving; "
         f"switches: {stats.inner_reorders} inner, "

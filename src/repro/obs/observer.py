@@ -52,9 +52,9 @@ class QueryObservability:
         # controller's cold check points, so it does not make the bundle hot.
         self.audit = None
         # ``hot`` = some per-row/per-probe consumer is armed. The executor
-        # only wires the hot hook sites (and gives up its turbo/fast batched
-        # paths) for hot bundles; a recorder-only bundle stays on the exact
-        # same code path as observability-off execution.
+        # only wires the hot hook sites (and runs a batched query on the
+        # scalar machine) for hot bundles; a recorder-only bundle stays on
+        # the exact same code path as observability-off execution.
         self.hot = (
             tracer is not None or metrics is not None or sampler is not None
         )
@@ -95,12 +95,6 @@ class QueryObservability:
             )
             self._retries = m.counter(
                 "fault_retries_total", "transient-fault retries by site"
-            )
-            self._cache_hits = m.counter(
-                "probe_cache_hits_total", "probe-cache hits by leg"
-            )
-            self._cache_misses = m.counter(
-                "probe_cache_misses_total", "probe-cache misses by leg"
             )
             self._positions = m.gauge(
                 "leg_position", "current pipeline position of the leg"
@@ -155,18 +149,6 @@ class QueryObservability:
             batch[2] += rows_out
             if batch[0] >= self.probe_batch:
                 self._flush_batch(alias, batch)
-
-    def on_probe_cache(self, alias: str, hit: bool) -> None:
-        """A batched probe consulted the probe cache (hit or miss)."""
-        if self.metrics is not None:
-            (self._cache_hits if hit else self._cache_misses).inc(alias)
-
-    def on_driving_batch(self, alias: str, size: int) -> None:
-        """The batched executor pre-resolved *size* driving rows."""
-        if self.tracer is not None:
-            self.tracer.event(
-                "driving-batch", kind="leg", leg=alias, rows=size
-            )
 
     def on_scan_row(self, alias: str, survived: bool) -> None:
         if self.metrics is not None:
@@ -276,32 +258,10 @@ class QueryObservability:
                 self.sampler.sample(pipeline)
             if self.metrics is not None:
                 self._observe_selectivity_errors(pipeline)
-                self._observe_probe_cache_rates(pipeline)
             if self.audit is not None:
                 self.audit.on_finish(pipeline)
         if self.tracer is not None:
             self.tracer.close_all()
-
-    def _observe_probe_cache_rates(self, pipeline: "PipelineExecutor") -> None:
-        """Per-leg probe-cache hit rate as a proper registry gauge.
-
-        EXPLAIN ANALYZE reads the cache counts off the WorkMeter; here the
-        per-leg ``probe_cache_hits_total`` / ``..._misses_total`` counters
-        (exact, hot-path) are folded into one ``probe_cache_hit_rate{leg}``
-        gauge so the rate shows up in ``stats`` / Prometheus exposition
-        without consumers re-deriving it. Legs that never consulted the
-        cache (cache off, or the scalar executor) report no series — the
-        historical "default 0" quirk stays confined to EXPLAIN ANALYZE.
-        """
-        gauge = self.metrics.gauge(
-            "probe_cache_hit_rate", "probe-cache hit rate by leg"
-        )
-        for alias in pipeline.order:
-            hits = self._cache_hits.value(alias)
-            misses = self._cache_misses.value(alias)
-            lookups = hits + misses
-            if lookups > 0:
-                gauge.set(hits / lookups, alias)
 
     def _observe_selectivity_errors(self, pipeline: "PipelineExecutor") -> None:
         """Fold final measured-vs-prior selectivity ratios into the histogram."""

@@ -16,7 +16,7 @@ Design constraints (PR 2's observability contract, extended):
   cost model at check points the controller already paid for;
 * the recorder-only bundle is **not hot** (``QueryObservability.hot`` is
   False): every per-row/per-probe hook site stays disabled and the
-  batched executor keeps its turbo/fast paths, so the wall overhead on
+  batched executor keeps its cascade, so the wall overhead on
   the six-table workload stays within the ≤5% budget enforced by
   ``benchmarks/bench_speedup.py --check``;
 * the ring is bounded and the store is size-capped with segment
@@ -218,8 +218,8 @@ class FlightRecording:
 
     Attached to a :class:`QueryObservability` as ``obs.audit``; the
     bundle stays *cold* (``hot`` False) when only the audit is armed, so
-    every per-row hook site and the batched executor's turbo/fast paths
-    behave exactly as with observability off.
+    every per-row hook site and the batched executor's dispatch behave
+    exactly as with observability off.
 
     Kept checks — thousands per adaptive query, against a handful of
     applied ones — land on :meth:`on_kept`, which appends one plain

@@ -248,7 +248,6 @@ class AdmissionController:
             workers=workers,
             batched=batched,
             batch_size=config.engine_batch_size if batched else 256,
-            monitor_granularity="chunk" if (batched and mode.monitors) else "exact",
         )
 
     def build_limits(

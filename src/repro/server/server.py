@@ -101,8 +101,6 @@ class EngineResult:
     # Flight-recorder context (None/0 when the engine records nothing).
     query_id: str | None = None
     slow: bool = False
-    probe_cache_hits: int = 0
-    probe_cache_misses: int = 0
 
 
 class DatabaseEngine:
@@ -205,8 +203,6 @@ class DatabaseEngine:
             engine=result.stats.engine,
             query_id=record.query_id,
             slow=record.slow,
-            probe_cache_hits=result.stats.work.probe_cache_hits,
-            probe_cache_misses=result.stats.work.probe_cache_misses,
         )
 
 
@@ -537,16 +533,6 @@ class QueryServer:
             )
             if getattr(result, "slow", False):
                 self.metrics.counter("server_slow_queries_total").inc()
-            hits = getattr(result, "probe_cache_hits", 0)
-            misses = getattr(result, "probe_cache_misses", 0)
-            if hits:
-                self.metrics.counter("server_probe_cache_hits_total").inc(
-                    amount=hits
-                )
-            if misses:
-                self.metrics.counter("server_probe_cache_misses_total").inc(
-                    amount=misses
-                )
         except BudgetExceeded as error:
             if pending.token.cancelled:
                 outcome = "cancelled"
@@ -738,12 +724,6 @@ class QueryServer:
                     recorder.slow_total if recorder is not None else 0
                 ),
                 "slow_queries_total": slow_counter.total,
-                "probe_cache_hits_total": self.metrics.counter(
-                    "server_probe_cache_hits_total"
-                ).total,
-                "probe_cache_misses_total": self.metrics.counter(
-                    "server_probe_cache_misses_total"
-                ).total,
                 "store_segments": (
                     len(recorder.store.segment_paths())
                     if recorder is not None and recorder.store is not None

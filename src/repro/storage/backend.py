@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ReproError
-from repro.storage.columnar import ColumnarIndex, ColumnarTable
+from repro.storage import columnar
 from repro.storage.counters import WorkMeter
 from repro.storage.index import SortedIndex
 from repro.storage.schema import TableSchema
@@ -42,7 +42,9 @@ ROW_BACKEND = StorageBackend(
     name="row", table_factory=HeapTable, index_factory=SortedIndex
 )
 COLUMNAR_BACKEND = StorageBackend(
-    name="columnar", table_factory=ColumnarTable, index_factory=ColumnarIndex
+    name="columnar",
+    table_factory=columnar.ColumnarTable,
+    index_factory=columnar.ColumnarIndex,
 )
 
 BACKENDS: dict[str, StorageBackend] = {
@@ -56,11 +58,11 @@ BACKEND_NAMES = tuple(BACKENDS)
 
 def get_backend(name: str | StorageBackend) -> StorageBackend:
     """Resolve a backend by name (idempotent on backend instances)."""
-    if isinstance(name, StorageBackend):
-        return name
-    backend = BACKENDS.get(name)
+    backend = name if isinstance(name, StorageBackend) else BACKENDS.get(name)
     if backend is None:
         raise ReproError(
             f"unknown storage backend {name!r}; expected one of {sorted(BACKENDS)}"
         )
+    if backend is COLUMNAR_BACKEND and not columnar.HAVE_NUMPY:
+        raise ReproError("the columnar backend requires numpy; use backend 'row'")
     return backend

@@ -15,15 +15,16 @@ The fully vectorized execution paths never materialize rows at all.
 and adds a flat sidecar per generation: the distinct keys, CSR segment
 starts, and an ``int64`` RID array. Equality probes become O(1) dict-rank
 lookups instead of ``bisect`` pairs, and the local-predicate group
-builders (`filtered_groups`, the fast path's per-key records, the turbo
-cascade's arrays) evaluate each leg's predicates **once per column** with
-numpy masks — reproducing the scalar short-circuit eval counts exactly via
-alive-mask accounting (``evals_i = rows still alive before test i``).
+builders (the reference loop's per-key records, the cascade's kernels)
+evaluate each leg's predicates **once per column** with numpy masks —
+reproducing the scalar short-circuit eval counts exactly via alive-mask
+accounting (``evals_i = rows still alive before test i``).
 
-numpy is an optional fast path: without it (or for unsupported predicate
-shapes / overflow-promoted columns) every entry point falls back to the
-inherited row-at-a-time implementation, so results and work accounting
-never depend on numpy's presence — only speed does.
+numpy is required (``get_backend("columnar")`` refuses to build without
+it). For predicate shapes the masks do not cover and overflow-promoted
+columns every entry point falls back to the inherited row-at-a-time
+implementation, so results and work accounting never depend on which
+path ran — only speed does.
 
 Concurrent readers (the query server's worker threads) share one table and
 one index, so every lazily built structure is built and published under a
@@ -49,10 +50,12 @@ from repro.storage.schema import TableSchema
 from repro.storage.table import HeapTable, Row
 from repro.storage.types import ColumnType
 
-try:  # optional fast path; every caller guards on None
+try:
     import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI
-    _np = None
+except ImportError:  # pragma: no cover - numpy is present in CI
+    _np = None  # row backend only: get_backend refuses "columnar"
+
+HAVE_NUMPY = _np is not None
 
 
 # ----------------------------------------------------------------------
@@ -127,8 +130,8 @@ class _NumericColumn:
         return values
 
     def np_values(self):
-        """``(values, notnull)`` numpy copies, or None (boxed / no numpy)."""
-        if _np is None or self.boxed is not None:
+        """``(values, notnull)`` numpy copies, or None (boxed)."""
+        if self.boxed is not None:
             return None
         count = len(self.data)
         cache = self._np_cache
@@ -144,7 +147,7 @@ class _NumericColumn:
 
     def take(self, rids) -> list | None:
         """The values at *rids* (an index array) as the row view holds
-        them, or None (boxed / no numpy)."""
+        them, or None (boxed)."""
         arrays = self.np_values()
         if arrays is None:
             return None
@@ -198,9 +201,7 @@ class _StringColumn:
         decode = self.decode
         return [decode[c] if c >= 0 else None for c in self.codes]
 
-    def _np_arrays(self) -> tuple | None:
-        if _np is None:
-            return None
+    def _np_arrays(self) -> tuple:
         count = len(self.codes)
         cache = self._np_cache
         if cache is None or cache[0] != count:
@@ -210,16 +211,12 @@ class _StringColumn:
         return cache
 
     def np_codes(self):
-        arrays = self._np_arrays()
-        return None if arrays is None else arrays[1]
+        return self._np_arrays()[1]
 
-    def take(self, rids) -> list | None:
+    def take(self, rids) -> list:
         """The values at *rids* (an index array) as the row view holds
-        them, or None (no numpy)."""
-        arrays = self._np_arrays()
-        if arrays is None:
-            return None
-        _, codes, lookup = arrays
+        them."""
+        _, codes, lookup = self._np_arrays()
         return [lookup[code] for code in codes[rids].tolist()]
 
     def nbytes(self) -> int:
@@ -341,11 +338,9 @@ class ColumnarTable(HeapTable):
 
         Returns a bool ndarray of length ``len(self)`` whose slot *i* is
         exactly ``bound_test(row_i)``, or ``None`` when the spec cannot be
-        evaluated vectorized (no numpy, boxed column, or constant types
-        whose comparison the interpreter path would resolve dynamically).
+        evaluated vectorized (boxed column, or constant types whose
+        comparison the interpreter path would resolve dynamically).
         """
-        if _np is None:
-            return None
         op = spec[0]
         if op == "or":
             mask = None
@@ -606,26 +601,15 @@ class ColumnarIndex(SortedIndex):
         "_keys_np",
         "_bounds_np",
         "_totals_np",
-        "_rows_by_key",
-        "_rows_by_key_gen",
         "_kernels",
-        "_group_dicts",
         "_record_caches",
         "_fast_ctx",
         "_lock",
     )
 
-    #: The turbo path may build filtered groups immediately (no break-even
-    #: gate): the kernel build is one vectorized pass, cached per
-    #: generation + predicate set, so it cannot lose.
-    prebuild_groups = True
-
     def __init__(self, name: str, table: HeapTable, column: str) -> None:
         self._gen = None
-        self._rows_by_key = None
-        self._rows_by_key_gen = None
         self._kernels = {}
-        self._group_dicts = {}
         self._record_caches = {}
         self._fast_ctx = None
         # Guards build-and-publish of the sidecar and the bounded memos.
@@ -692,33 +676,26 @@ class ColumnarIndex(SortedIndex):
         self._rank = rank
         self._keys = keys
         self._starts = starts
-        self._ent_rids = None
+        self._ent_rids = _np.fromiter(
+            (rid for _, rid in entries), dtype=_np.int64, count=len(entries)
+        )
+        # CSR segment bounds and sizes per distinct key: the same for
+        # every kernel of this generation, which share them.
+        self._bounds_np = _np.asarray(starts, dtype=_np.int64)
+        self._totals_np = _np.diff(self._bounds_np)
         self._keys_np = None
-        self._bounds_np = None
-        self._totals_np = None
-        if _np is not None:
-            self._ent_rids = _np.fromiter(
-                (rid for _, rid in entries), dtype=_np.int64, count=len(entries)
-            )
-            # CSR segment bounds and sizes per distinct key: the same for
-            # every kernel of this generation, which share them.
-            self._bounds_np = _np.asarray(starts, dtype=_np.int64)
-            self._totals_np = _np.diff(self._bounds_np)
-            kind = (
-                self.table.column_kind(self._column_pos)
-                if isinstance(self.table, ColumnarTable)
-                else None
-            )
-            if keys and kind in ("int", "float"):
-                dtype = _np.int64 if kind == "int" else _np.float64
-                try:
-                    self._keys_np = _np.array(keys, dtype=dtype)
-                except (OverflowError, TypeError, ValueError):
-                    pass
-        self._rows_by_key = None
-        self._rows_by_key_gen = None
+        kind = (
+            self.table.column_kind(self._column_pos)
+            if isinstance(self.table, ColumnarTable)
+            else None
+        )
+        if keys and kind in ("int", "float"):
+            dtype = _np.int64 if kind == "int" else _np.float64
+            try:
+                self._keys_np = _np.array(keys, dtype=dtype)
+            except (OverflowError, TypeError, ValueError):
+                pass
         self._kernels = {}
-        self._group_dicts = {}
         self._record_caches = {}
 
     # -- O(1) probing ---------------------------------------------------
@@ -739,17 +716,6 @@ class ColumnarIndex(SortedIndex):
         self.meter.charge_index_entries(hi - lo)
         return [rid for _, rid in self._entries[lo:hi]]
 
-    def lookup_rids_quiet(self, key: Any) -> list[int]:
-        self._check_fresh()
-        if key is None:
-            return []
-        rank, _, starts = self._sidecar()
-        j = rank.get(key)
-        if j is None:
-            return []
-        lo, hi = starts[j], starts[j + 1]
-        return [rid for _, rid in self._entries[lo:hi]]
-
     def lookup_rids_batch(self, keys: Iterable[Any]) -> dict[Any, list[int]]:
         self._check_fresh()
         rank, _, starts = self._sidecar()
@@ -764,38 +730,6 @@ class ColumnarIndex(SortedIndex):
                 out[key] = [rid for _, rid in entries[lo:hi]]
         return out
 
-    def _rows_map(self) -> dict:
-        """Per-key row lists (shared, read-only), one build per generation."""
-        rank, keys, starts = self._sidecar()
-        gen = self._gen
-        if self._rows_by_key_gen != gen:
-            raw = self.table.raw_rows()
-            entries = self._entries
-            rows_by_key = {}
-            for j, key in enumerate(keys):
-                rows_by_key[key] = [
-                    raw[rid] for _, rid in entries[starts[j] : starts[j + 1]]
-                ]
-            self._rows_by_key = rows_by_key
-            self._rows_by_key_gen = gen
-        return self._rows_by_key
-
-    def lookup_rows_quiet(self, key: Any) -> list:
-        self._check_fresh()
-        if key is None:
-            return []
-        rows = self._rows_map().get(key)
-        return rows if rows is not None else []
-
-    def lookup_rows_batch(self, keys: Iterable[Any]) -> dict[Any, list]:
-        self._check_fresh()
-        rows_map = self._rows_map()
-        out: dict[Any, list] = {}
-        for key in sorted(set(keys)):
-            rows = rows_map.get(key)
-            out[key] = rows if rows is not None else []
-        return out
-
     # -- vectorized group kernels ---------------------------------------
     def _specs_for(self, tests: Sequence) -> list | None:
         """Vector specs for bound test closures, or None if any is opaque.
@@ -804,7 +738,7 @@ class ColumnarIndex(SortedIndex):
         (``test.predicate``); untagged tests (or shapes ``vector_spec``
         rejects, or columns the table cannot mask) disable vectorization.
         """
-        if _np is None or not isinstance(self.table, ColumnarTable):
+        if not isinstance(self.table, ColumnarTable):
             return None
         schema = self.table.schema
         specs = []
@@ -884,38 +818,6 @@ class ColumnarIndex(SortedIndex):
         except TypeError:
             return None
         return key
-
-    def filtered_groups(self, tests: list) -> dict[Any, tuple[list, int, int]]:
-        self._check_fresh()
-        predicates_key = self._predicates_key(tests)
-        kernel = (
-            self._kernel_for(tests, predicates_key)
-            if predicates_key is not None
-            else None
-        )
-        if kernel is None:
-            return super().filtered_groups(tests)
-        cached = self._group_dicts.get(predicates_key)
-        if cached is not None:
-            return cached
-        raw = self.table.raw_rows()
-        keys = self._keys
-        offsets = kernel.pass_offsets.tolist()
-        pass_rids = kernel.pass_rids.tolist()
-        evals = kernel.evals.tolist()
-        totals = kernel.totals.tolist()
-        out = {}
-        for j, key in enumerate(keys):
-            out[key] = (
-                [raw[rid] for rid in pass_rids[offsets[j] : offsets[j + 1]]],
-                evals[j],
-                totals[j],
-            )
-        with self._lock:
-            if len(self._group_dicts) >= 8:
-                self._group_dicts.pop(next(iter(self._group_dicts)))
-            self._group_dicts[predicates_key] = out
-        return out
 
     def fast_group_records(
         self, keys: Iterable[Any], local_tests: Sequence, positional

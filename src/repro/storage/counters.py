@@ -60,12 +60,6 @@ class WorkMeter:
     hash_build_entries: int = 0
     hash_probes: int = 0
     hash_matches: int = 0
-    # Probe-cache bookkeeping (batched path only). Hits and misses carry no
-    # work-unit weight themselves: a miss's work is charged through the
-    # physical counters above, a hit's *savings* are exactly the charges it
-    # skipped. The counters let benchmarks and tests audit those savings.
-    probe_cache_hits: int = 0
-    probe_cache_misses: int = 0
 
     def charge_index_descend(self, count: int = 1) -> None:
         self.index_descends += count
@@ -94,12 +88,6 @@ class WorkMeter:
     def charge_hash_probe(self, matches: int) -> None:
         self.hash_probes += 1
         self.hash_matches += matches
-
-    def charge_probe_cache(self, hit: bool) -> None:
-        if hit:
-            self.probe_cache_hits += 1
-        else:
-            self.probe_cache_misses += 1
 
     @property
     def execution_units(self) -> float:
@@ -139,8 +127,6 @@ class WorkMeter:
             hash_build_entries=self.hash_build_entries,
             hash_probes=self.hash_probes,
             hash_matches=self.hash_matches,
-            probe_cache_hits=self.probe_cache_hits,
-            probe_cache_misses=self.probe_cache_misses,
         )
 
     def reset(self) -> None:
@@ -154,8 +140,6 @@ class WorkMeter:
         self.hash_build_entries = 0
         self.hash_probes = 0
         self.hash_matches = 0
-        self.probe_cache_hits = 0
-        self.probe_cache_misses = 0
 
     def merge(self, other: "WorkMeter") -> None:
         """Fold *other*'s charges into this meter in place.
@@ -174,8 +158,6 @@ class WorkMeter:
         self.hash_build_entries += other.hash_build_entries
         self.hash_probes += other.hash_probes
         self.hash_matches += other.hash_matches
-        self.probe_cache_hits += other.probe_cache_hits
-        self.probe_cache_misses += other.probe_cache_misses
 
     def __iadd__(self, other: "WorkMeter") -> "WorkMeter":
         self.merge(other)
@@ -193,8 +175,6 @@ class WorkMeter:
             hash_build_entries=self.hash_build_entries - other.hash_build_entries,
             hash_probes=self.hash_probes - other.hash_probes,
             hash_matches=self.hash_matches - other.hash_matches,
-            probe_cache_hits=self.probe_cache_hits - other.probe_cache_hits,
-            probe_cache_misses=self.probe_cache_misses - other.probe_cache_misses,
         )
 
 

@@ -191,10 +191,9 @@ class SortedIndex:
         Distinct non-``None`` keys are sorted and located left-to-right over
         ``_entries``, each ``bisect`` reusing the previous key's upper bound
         as its lower search bound — one logical descend per distinct key,
-        never rewinding. The caller (the batched executor) replays the
-        per-probe ``INDEX_DESCEND`` / ``INDEX_ENTRY`` / ``ROW_FETCH``
-        charges at the same logical points the scalar path would, so this
-        method charges nothing itself.
+        never rewinding. The caller (the batched reference loop) charges
+        each chunk's ``INDEX_DESCEND`` / ``INDEX_ENTRY`` / ``ROW_FETCH``
+        totals itself, so this method charges nothing.
         """
         self._check_fresh()
         entries = self._entries
@@ -206,87 +205,6 @@ class SortedIndex:
             out[key] = [rid for _, rid in entries[lo:hi]]
             lo = hi
         return out
-
-    def lookup_rids_quiet(self, key: Any) -> list[int]:
-        """RIDs whose indexed column equals *key*, without charging work.
-
-        The batched executor's turbo path charges each chunk's aggregate
-        work itself, so its point lookups go through this uncharged twin of
-        :meth:`lookup_rids`.
-        """
-        self._check_fresh()
-        if key is None:
-            return []
-        lo, hi = self._range_bounds(key, key, True, True)
-        return [rid for _, rid in self._entries[lo:hi]]
-
-    def lookup_rows_quiet(self, key: Any) -> list:
-        """Heap rows whose indexed column equals *key* (uncharged).
-
-        Fuses the rid lookup with the heap read so turbo probes that never
-        need RIDs (no positional predicate — guaranteed in mode ``NONE``)
-        skip one list round-trip per probe. Charge accounting stays with
-        the caller, exactly as for :meth:`lookup_rids_quiet`.
-        """
-        self._check_fresh()
-        if key is None:
-            return []
-        lo, hi = self._range_bounds(key, key, True, True)
-        raw = self.table.raw_rows()
-        return [raw[rid] for _, rid in self._entries[lo:hi]]
-
-    def lookup_rows_batch(self, keys: Iterable[Any]) -> dict[Any, list]:
-        """Row-returning twin of :meth:`lookup_rids_batch` (uncharged).
-
-        Same merged left-to-right descent over the entry list, but the
-        values are heap rows instead of RIDs — for turbo batch probes,
-        which filter on row contents only.
-        """
-        self._check_fresh()
-        entries = self._entries
-        raw = self.table.raw_rows()
-        out: dict[Any, list] = {}
-        lo = 0
-        for key in sorted(set(keys)):
-            lo = bisect.bisect_left(entries, (key, _RID_LOW), lo)
-            hi = bisect.bisect_right(entries, (key, _RID_HIGH), lo)
-            out[key] = [raw[rid] for _, rid in entries[lo:hi]]
-            lo = hi
-        return out
-
-    def filtered_groups(
-        self, tests: list
-    ) -> dict[Any, tuple[list, int, int]]:
-        """Per-key candidate groups pre-filtered through *tests* (uncharged).
-
-        Returns ``key -> (passing rows in (key, rid) order, predicate evals
-        a scalar probe of that key would charge for the local tests, total
-        entry count)``. The eval count reproduces the scalar short-circuit
-        exactly: each row charges one eval per test until the first failure.
-        One pass over the whole index; the turbo executor builds this once
-        per (probe epoch, heap version) and amortizes it over every probe of
-        the leg, instead of re-running the same pure per-row predicates for
-        every outer row that probes the same key.
-        """
-        self._check_fresh()
-        raw = self.table.raw_rows()
-        out: dict[Any, list] = {}
-        get = out.get
-        for key, rid in self._entries:
-            group = get(key)
-            if group is None:
-                group = out[key] = [[], 0, 0]
-            group[2] += 1
-            row = raw[rid]
-            for test in tests:
-                group[1] += 1
-                if not test(row):
-                    break
-            else:
-                group[0].append(row)
-        return {
-            key: (rows, evals, total) for key, (rows, evals, total) in out.items()
-        }
 
     def scan_range(
         self,

@@ -33,8 +33,8 @@ class HeapTable:
         # by every table of a catalog during a chaos run; None in production.
         # Indexes and cursors consult it through their table reference.
         self.faults = None
-        # Monotonic mutation counter; memoizing layers (the probe cache)
-        # compare it to detect that cached match lists may be stale.
+        # Monotonic mutation counter; memoizing layers (per-key probe
+        # groups, index kernels) compare it to detect staleness.
         self.version = 0
 
     @property

@@ -1,8 +1,8 @@
 """Differential tests: the columnar backend is observably the row store.
 
 The storage backend is an implementation detail below the executor's
-semantics: for every reorder mode, batch setting, worker count, and
-probe-cache setting, the columnar backend must produce
+semantics: for every reorder mode, batch setting and worker count, the
+columnar backend must produce
 
 * identical result rows **in identical order**,
 * an identical final :class:`~repro.storage.counters.WorkMeter` (the
@@ -10,10 +10,12 @@ probe-cache setting, the columnar backend must produce
 * identical :class:`~repro.core.events.AdaptationEvent` sequences (same
   decisions at the same driving-row positions),
 
-as the row backend running the same queries. This pins the tentpole
-contract that columnar execution — typed columns, compiled predicates,
-kernel-vectorized probes, and the whole-query cascade — is a pure speed
-change, never a semantic one.
+as the row backend running the same queries: the oracle (scalar) on both
+stores, and the engine — the columnar cascade — against its reference
+loop on the row store (``fast``; the scalar machine for static plans).
+Columnar execution — typed columns, compiled predicates, kernel-vectorized
+probes, and the whole-query cascade — is a pure speed change, never a
+semantic one.
 """
 
 from __future__ import annotations
@@ -43,24 +45,9 @@ CONFIGS = [
     ("scalar", {}),
     ("batched", {"batched": True}),
     ("batched-64", {"batched": True, "batch_size": 64}),
-    ("cached", {"batched": True, "probe_cache_size": 256}),
-    ("chunk", {"batched": True, "monitor_granularity": "chunk"}),
-    ("chunk-cached", {
-        "batched": True,
-        "monitor_granularity": "chunk",
-        "probe_cache_size": 256,
-    }),
+    ("batched-7", {"batched": True, "batch_size": 7}),
     ("workers-2", {"batched": True, "workers": 2}),
-    ("workers-2-chunk", {
-        "batched": True,
-        "monitor_granularity": "chunk",
-        "workers": 2,
-    }),
-    ("workers-4-chunk", {
-        "batched": True,
-        "monitor_granularity": "chunk",
-        "workers": 4,
-    }),
+    ("workers-4", {"batched": True, "workers": 4}),
 ]
 
 
@@ -122,44 +109,31 @@ def _driving_switches(stats) -> int:
 
 
 def test_adaptive_vector_engine_engages(columnar_db, workload):
-    """Guard against a vacuous chunk-config comparison: the columnar chunk
+    """Guard against a vacuous comparison: the columnar batched
     configuration must run the vectorized adaptive cascade from start to
     finish — across driving switches too, so the driving modes must
-    actually switch somewhere on this workload. Without numpy the cascade
-    must instead gate out *cleanly* — generic chunked loop, reason
-    recorded."""
-    from repro.storage.columnar import _np as have_numpy
-
+    actually switch somewhere on this workload."""
     for mode in (
         ReorderMode.INNER_ONLY,
         ReorderMode.DRIVING_ONLY,
         ReorderMode.BOTH,
     ):
-        config = AdaptiveConfig(
-            mode=mode, batched=True, monitor_granularity="chunk"
-        )
+        config = AdaptiveConfig(mode=mode, batched=True)
         results = [columnar_db.execute(sql, config).stats for sql in workload]
         engines = {stats.engine for stats in results}
         if mode.reorders_driving:
             assert sum(map(_driving_switches, results)) >= 1, mode.name
-        if have_numpy is not None:
-            assert engines == {"vector-adaptive"}, (mode.name, engines)
-            assert {stats.vector_gate for stats in results} == {None}
-        else:
-            assert engines == {"fast"}, engines
+        assert engines == {"vector-adaptive"}, (mode.name, engines)
+        assert {stats.vector_gate for stats in results} == {None}
 
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_parallel_vector_engines_engage(columnar_db, workload, workers):
-    """Parallel columnar chunk runs report the real per-worker engines:
-    with numpy every partition (and the serial continuation after a
-    coordinator switch, which the driving modes must reach somewhere on
-    this workload) runs a vectorized cascade — mode NONE the static
-    cascade, monitored modes the adaptive cascade; without numpy the whole
-    query falls back cleanly to the generic loops with the gate reason
-    recorded."""
-    from repro.storage.columnar import _np as have_numpy
-
+    """Parallel columnar runs report the real per-worker engines: every
+    partition (and the serial continuation after a coordinator switch,
+    which the driving modes must reach somewhere on this workload) runs a
+    vectorized cascade — mode NONE the static cascade, monitored modes the
+    adaptive cascade."""
     for mode, vector_engines in (
         (ReorderMode.NONE, {"vector"}),
         (ReorderMode.DRIVING_ONLY, {"vector-adaptive"}),
@@ -168,7 +142,6 @@ def test_parallel_vector_engines_engage(columnar_db, workload, workers):
         config = AdaptiveConfig(
             mode=mode,
             batched=True,
-            monitor_granularity="chunk",
             workers=workers,
         )
         switches = 0
@@ -179,17 +152,8 @@ def test_parallel_vector_engines_engage(columnar_db, workload, workers):
             assert stats.workers == workers
             assert stats.worker_engines, (mode.name, sql[:60])
             engines = set(stats.worker_engines)
-            if have_numpy is not None:
-                assert engines == vector_engines, (mode.name, engines)
-                assert stats.vector_gate is None, stats.vector_gate
-            else:
-                assert not any(
-                    engine.startswith("vector") for engine in engines
-                ), engines
-                assert (
-                    stats.vector_gate
-                    == "numpy unavailable (stdlib fallback)"
-                )
+            assert engines == vector_engines, (mode.name, engines)
+            assert stats.vector_gate is None, stats.vector_gate
         if mode.reorders_driving:
             assert switches >= 1, mode.name
 
@@ -223,15 +187,14 @@ def test_cascade_survives_driving_switches(switching_dbs, mode, workers):
     """A driving switch freezes the old driving leg behind a positional
     predicate and resumes or opens another cursor; the cascade must take
     both in its stride (positional kernel, new driving walk) and stay
-    bit-identical to the row store's generic chunked loop."""
+    bit-identical to the row store's reference loop."""
     from repro.dmv import four_table_workload
-    from repro.storage.columnar import _np as have_numpy
 
     row_db, columnar_db = switching_dbs
     grid = [q.sql for q in four_table_workload(queries_per_template=10**9)]
     overrides = {"workers": workers} if workers > 1 else {}
     config = AdaptiveConfig(
-        mode=mode, batched=True, monitor_granularity="chunk", **overrides
+        mode=mode, batched=True, **overrides
     )
     switches = 0
     for number in SWITCHING_STATEMENTS:
@@ -244,10 +207,11 @@ def test_cascade_survives_driving_switches(switching_dbs, mode, workers):
         ), sql
         assert col.stats.events == row.stats.events, sql
         switches += col.stats.driving_switches
-        if have_numpy is not None:
-            engines = set(col.stats.worker_engines or (col.stats.engine,))
-            assert engines == {"vector-adaptive"}, (sql, engines)
-            assert col.stats.vector_gate is None
+        engines = set(col.stats.worker_engines or (col.stats.engine,))
+        assert engines == {"vector-adaptive"}, (sql, engines)
+        assert col.stats.vector_gate is None
+        row_engines = set(row.stats.worker_engines or (row.stats.engine,))
+        assert row_engines == {"fast"}, (sql, row_engines)
     assert switches >= len(SWITCHING_STATEMENTS)  # not vacuous
     # Positional kernels are per query: the index memos only ever hold
     # kernels keyed by local predicates.
@@ -269,16 +233,11 @@ def test_switched_query_reports_no_gate_and_retains_no_kernel(switching_dbs):
     from repro.dmv import four_table_workload
     from repro.obs.explain import render_explain_analyze
     from repro.obs.recorder import FlightRecorder
-    from repro.storage.columnar import _np as have_numpy
 
-    if have_numpy is None:
-        pytest.skip("the cascade needs numpy")
     _, columnar_db = switching_dbs
     grid = [q.sql for q in four_table_workload(queries_per_template=10**9)]
     sql = grid[SWITCHING_STATEMENTS[0]]
-    config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, batched=True, monitor_granularity="chunk"
-    )
+    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
     columnar_db.execute(sql, config)  # the base kernels are built by now
     plan_bytes = columnar_db.storage_stats()["kernel_plan_bytes"]
     assert plan_bytes > 0
@@ -301,10 +260,6 @@ def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
     row and says why — it no longer starts on the cascade through the
     row-at-a-time iterator. Rows and work still equal the row backend."""
     from repro import Database
-    from repro.storage.columnar import _np as have_numpy
-
-    if have_numpy is None:
-        pytest.skip("the cascade needs numpy")
 
     def build(backend):
         db = Database(backend=backend)
@@ -318,9 +273,7 @@ def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
         return db
 
     sql = "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.big >= 10"
-    config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, batched=True, monitor_granularity="chunk"
-    )
+    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
     col = build("columnar").execute(sql, config)
     row = build("row").execute(sql, config)
     assert col.stats.order_history[0][0] == "a"  # the gated leg drives
@@ -333,14 +286,9 @@ def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
 def test_parallel_warmup_kernel_gauge(columnar_db, workload):
     """The pre-fork warm-up leaves the kernel plan materialized on the
     catalog, observable through the storage_stats gauge workers COW-share."""
-    from repro.storage.columnar import _np as have_numpy
-
-    if have_numpy is None:
-        pytest.skip("kernel plan needs numpy")
     config = AdaptiveConfig(
         mode=ReorderMode.BOTH,
         batched=True,
-        monitor_granularity="chunk",
         workers=2,
     )
     columnar_db.execute(workload[-1], config)
@@ -349,21 +297,6 @@ def test_parallel_warmup_kernel_gauge(columnar_db, workload):
     assert stats["kernel_plan_bytes"] == sum(
         entry["kernel_bytes"] for entry in stats["per_table"]
     )
-
-
-def test_stdlib_fallback_gate_reason(columnar_db, workload):
-    """The stdlib (no-numpy) fallback names its gate instead of failing:
-    a chunk-config columnar query that cannot run the vectorized cascade
-    reports why on ``ExecutionStats.vector_gate``."""
-    from repro.storage.columnar import _np as have_numpy
-
-    if have_numpy is not None:
-        pytest.skip("vector cascade available; fallback reason not exercised")
-    config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, batched=True, monitor_granularity="chunk"
-    )
-    result = columnar_db.execute(workload[0], config)
-    assert result.stats.vector_gate == "numpy unavailable (stdlib fallback)"
 
 
 def _flight_record_dict(db, sql, config):
@@ -395,16 +328,14 @@ def _flight_record_dict(db, sql, config):
     [ReorderMode.INNER_ONLY, ReorderMode.BOTH],
     ids=lambda m: m.name.lower(),
 )
+@pytest.mark.parametrize("workers", [1, 2])
 def test_flight_records_identical_across_engines(
-    row_db, columnar_db, workload, mode
+    row_db, columnar_db, workload, mode, workers
 ):
-    """Chunk-config flight records are engine-invariant: decision audit,
-    per-leg window snapshots, events, and work totals all match between
-    the row backend's generic chunked loop and the columnar backend's
-    vectorized adaptive cascade."""
-    config = AdaptiveConfig(
-        mode=mode, batched=True, monitor_granularity="chunk"
-    )
+    """Flight records are engine-invariant: decision audit, per-leg window
+    snapshots, events, and work totals all match between the row backend's
+    reference loop and the columnar backend's vectorized adaptive cascade."""
+    config = AdaptiveConfig(mode=mode, batched=True, workers=workers)
     for sql in workload:
         row = _flight_record_dict(row_db, sql, config)
         col = _flight_record_dict(columnar_db, sql, config)

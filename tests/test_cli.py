@@ -190,6 +190,36 @@ class TestCommands:
         assert main(["experiment", "table1", "--scale", "0.005"]) == 0
         assert "Table 1" in capsys.readouterr().out
 
+    def test_columnar_batch_size_runs_the_adaptive_cascade(
+        self, tmp_path, capsys
+    ):
+        """``--batch-size`` asks for the engine, in mode BOTH too: it used to
+        run ``fast`` because nothing set chunk granularity."""
+        import json
+
+        sql = (
+            "SELECT o.name, c.make, a.damage FROM Owner o, Car c, Accidents a "
+            "WHERE c.ownerid = o.id AND a.carid = c.id AND o.country3 = 'DE'"
+        )
+        telemetry = tmp_path / "telemetry"
+        args = [
+            "query", "--scale", "0.01", "--backend", "columnar",
+            "--mode", "both", "--batch-size", "256",
+            "--telemetry-dir", str(telemetry), sql,
+        ]
+        assert main(args) == 0
+        assert "note:" not in capsys.readouterr().err  # no gate to warn about
+        (segment,) = telemetry.iterdir()
+        records = map(json.loads, segment.read_text().splitlines())
+        (flight,) = [r for r in records if r["type"] == "flight"]
+        assert flight["engine"] == "vector-adaptive"
+        assert flight["vector_gate"] is None
+        assert main(["replay", "--telemetry-dir", str(telemetry), "--latest"]) == 0
+        assert "engine=vector-adaptive" in capsys.readouterr().out
+        # The probe cache and its flag are gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["query", "--probe-cache", "64", sql])
+
     def test_experiment_fig7_small(self, capsys):
         assert (
             main(["experiment", "fig7", "--scale", "0.01", "--queries", "2"]) == 0

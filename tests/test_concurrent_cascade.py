@@ -14,15 +14,9 @@ import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro import AdaptiveConfig, CancellationToken, ExecutionLimits, ReorderMode
 from repro.dmv import four_table_workload, load_dmv
 from repro.storage import columnar
-
-pytestmark = pytest.mark.skipif(
-    columnar._np is None, reason="the cascade needs numpy"
-)
 
 SCALE = 0.02
 THREADS = 4
@@ -34,9 +28,7 @@ KERNEL_MEMO = 16
 def configs():
     return [
         AdaptiveConfig(mode=ReorderMode.NONE, batched=True),
-        AdaptiveConfig(
-            mode=ReorderMode.BOTH, batched=True, monitor_granularity="chunk"
-        ),
+        AdaptiveConfig(mode=ReorderMode.BOTH, batched=True),
     ]
 
 

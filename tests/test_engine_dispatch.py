@@ -1,0 +1,211 @@
+"""Which engine runs, and why not the cascade: one row per dispatch rule.
+
+``ExecutionStats.engine`` takes five serial values — ``scalar``, ``fast``,
+``vector``, ``vector-adaptive``, ``vector-adaptive+fast`` — and
+``ExecutionStats.vector_gate`` names what kept a ``batched=True`` run off
+the cascade: a scalar-fallback screen (the run needs per-row visibility)
+or the first failed gate of DESIGN.md §4h's table (the shape is one the
+kernels do not cover). Every row of both lists is reached here through
+``Database.execute``, except the one that takes a parallel continuation
+over a mixed backend, which is pinned at the planner.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from repro import AdaptiveConfig, Database, ReorderMode
+from repro.core.config import HashProbePolicy
+from repro.executor import vector
+from repro.executor.batch import BatchedPipelineExecutor
+from repro.query.predicates import PositionalPredicate
+from repro.robustness.faults import FaultPlan
+from repro.storage.backend import StorageBackend
+from repro.storage.columnar import ColumnarIndex, ColumnarTable
+from repro.storage.cursor import ScanOrder
+from repro.storage.index import SortedIndex
+
+BOTH = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
+STATIC = AdaptiveConfig(mode=ReorderMode.NONE, batched=True)
+
+JOIN = "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.x >= 1"
+
+
+def build(
+    backend="columnar",
+    a_ids=range(50),
+    indexes=(("A", "id"), ("A", "x"), ("B", "aid")),
+) -> Database:
+    """A(id, x, big) 1:4 B(aid, v); ``big`` holds one value past int64, which
+    boxes the column (no mask, no typed key array)."""
+    db = Database(backend=backend)
+    db.create_table("A", [("id", "int"), ("x", "int"), ("big", "int")])
+    db.create_table("B", [("aid", "int"), ("v", "int")])
+    ids = list(a_ids)
+    db.insert("A", [(i, n % 7, 2**70 if n == 3 else n) for n, i in enumerate(ids)])
+    db.insert("B", [(ids[n % len(ids)], n) for n in range(4 * len(ids))])
+    for table, column in indexes:
+        db.create_index(table, column)
+    db.analyze()
+    return db
+
+
+def mixed_backend(sorted_indexes: set[tuple[str, str]]) -> StorageBackend:
+    """Columnar tables whose named (table, column) indexes are row-store ones."""
+
+    def make_index(name, table, column):
+        kind = SortedIndex if (table.name, column) in sorted_indexes else ColumnarIndex
+        return kind(name, table, column)
+
+    return StorageBackend("mixed", ColumnarTable, make_index)
+
+
+LEG = r"leg '\w+': "
+
+#: id -> (database, sql, config, execute kwargs, engine, vector_gate pattern)
+CASES = {
+    # -- the two semantics, nothing in the way ---------------------------
+    "oracle": (build, JOIN, AdaptiveConfig(mode=ReorderMode.BOTH), {}, "scalar", None),
+    "engine-static": (build, JOIN, STATIC, {}, "vector", None),
+    "engine-adaptive": (build, JOIN, BOTH, {}, "vector-adaptive", None),
+    # -- scalar-fallback screens: the run needs per-row visibility -------
+    "single-leg": (
+        build, "SELECT a.id FROM A a WHERE a.x >= 1", BOTH, {},
+        "scalar", "single-leg pipeline",
+    ),
+    "invariant-oracle": (
+        build, JOIN, BOTH, {"oracle": True}, "scalar", "invariant oracle armed",
+    ),
+    "fault-plan": (
+        build, JOIN, BOTH, {"fault_plan": FaultPlan.from_json('{"seed": 1}')},
+        "scalar", "fault injection armed",
+    ),
+    "key-boundary": (
+        build, JOIN,
+        AdaptiveConfig(
+            mode=ReorderMode.BOTH, batched=True, switch_at_key_boundary=True
+        ),
+        {}, "scalar", "switch_at_key_boundary peeks the live cursor",
+    ),
+    "hot-observability": (
+        build, JOIN, BOTH, {"obs": True}, "scalar", "hot observability armed",
+    ),
+    # -- gates: a shape the kernels do not cover -------------------------
+    "row-backend": (
+        lambda: build("row"), JOIN, BOTH, {}, "fast", LEG + "row-backend table",
+    ),
+    "row-backend-static": (
+        lambda: build("row"), JOIN, STATIC, {}, "scalar", LEG + "row-backend table",
+    ),
+    "hash-probed": (
+        build, JOIN,
+        AdaptiveConfig(
+            mode=ReorderMode.BOTH, batched=True,
+            hash_probe_policy=HashProbePolicy.ALWAYS,
+        ),
+        {}, "fast", LEG + "hash-probed or uncompiled access",
+    ),
+    "non-indexed-probe": (
+        lambda: build(indexes=()), JOIN, BOTH, {}, "fast", LEG + "non-indexed probe",
+    ),
+    "residual-join": (
+        build,
+        "SELECT a.id FROM A a, B b WHERE b.aid = a.id AND b.v = a.x",
+        BOTH, {}, "fast", LEG + "residual join predicates",
+    ),
+    "non-columnar-index": (
+        lambda: build(mixed_backend({("A", "id"), ("B", "aid")})),
+        JOIN, BOTH, {}, "fast", LEG + "non-columnar index",
+    ),
+    "non-columnar-driving-index": (
+        lambda: build(mixed_backend({("A", "x")})),
+        "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.x = 1",
+        BOTH, {}, "fast", "leg 'a': non-columnar driving index",
+    ),
+    "non-vectorizable-locals": (
+        build,
+        "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.big >= 10",
+        BOTH, {}, "fast", "leg 'a': non-vectorizable local predicates",
+    ),
+    "untranslatable-key": (
+        lambda: build(a_ids=[2**70, *range(1, 50)]), JOIN, BOTH, {},
+        "fast", LEG + "untranslatable key column",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_dispatch(case):
+    make_db, sql, config, kwargs, engine, gate = CASES[case]
+    db = make_db()
+    result = db.execute(sql, config, **kwargs)
+    assert result.stats.engine == engine
+    if gate is None:
+        assert result.stats.vector_gate is None
+    else:
+        assert re.fullmatch(gate, result.stats.vector_gate), result.stats.vector_gate
+    # Whatever ran, it returned the oracle's rows.
+    oracle = db.execute(sql, AdaptiveConfig(mode=ReorderMode.NONE))
+    assert oracle.stats.engine == "scalar"
+    assert sorted(result.rows) == sorted(oracle.rows)
+
+
+def test_unrecognized_controller_runs_the_scalar_machine():
+    """A controller the executor does not know may permute the pipeline
+    between chunk boundaries; ``Database.execute`` never builds one."""
+
+    class Inert:
+        def on_suffix_depleted(self, position):
+            return None
+
+        def on_pipeline_depleted(self):
+            return False
+
+    db = build()
+    executor = BatchedPipelineExecutor(db.plan(JOIN), db.catalog, BOTH, Inert())
+    reference = db.execute(JOIN, BOTH)
+    assert executor.run_to_completion() == reference.rows
+    assert executor.engine_used == "scalar"
+    assert executor.vector_gate_reason == "unrecognized adaptation controller"
+
+
+def test_leg_frozen_in_a_row_store_scan_order_gates_the_plan():
+    """Reached only by a parallel run's serial continuation over a mixed
+    backend: a leg that drove through a row-store index comes back as an
+    inner leg behind a positional predicate the kernels cannot mask."""
+    db = build(mixed_backend({("A", "x")}))
+    plan = db.plan(JOIN)
+    executor = BatchedPipelineExecutor(plan, db.catalog, BOTH)
+    executor.order = ["b", "a"]
+    executor._compile_all_probes()
+    scan_index = db.catalog.index_on("A", "x")
+    executor.legs["a"].positional = PositionalPredicate(
+        order=ScanOrder(scan_index.table, scan_index),
+        after=scan_index._entries[10],
+    )
+    inner, reason = vector._adaptive_plan(executor)
+    assert (inner, reason) == (
+        None, "leg 'a': frozen in a non-columnar scan order"
+    )
+
+
+def test_mid_query_hand_off_is_the_fifth_engine_label():
+    """``vector-adaptive+fast``: a driving switch rebuilds the plan into a
+    shape the gates refuse (here a hash-probed leg) and the cursors go back
+    to the reference loop; see tests/test_vector_limits.py::hand_off_db."""
+    from tests.test_vector_limits import hand_off_db
+
+    config = AdaptiveConfig(
+        mode=ReorderMode.BOTH, batched=True, check_frequency=2,
+        switch_benefit_threshold=0.0,
+        hash_probe_policy=HashProbePolicy.FALLBACK,
+    )
+    sql = (
+        "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
+        "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
+    )
+    stats = hand_off_db("columnar").execute(sql, config).stats
+    assert stats.engine == "vector-adaptive+fast"
+    assert re.fullmatch(LEG + "hash-probed or uncompiled access", stats.vector_gate)

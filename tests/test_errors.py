@@ -75,6 +75,18 @@ def test_sql_syntax_error_position_survives_db_execute():
     assert f"offset {error.position}" in str(error)
 
 
+def test_columnar_backend_without_numpy_is_a_one_line_error(monkeypatch):
+    """numpy is required for the columnar backend only: without it the row
+    oracle still builds and ``backend="columnar"`` says what is missing."""
+    from repro.storage import columnar
+
+    monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+    with pytest.raises(ReproError, match="requires numpy") as excinfo:
+        Database(backend="columnar")
+    assert "\n" not in str(excinfo.value)
+    Database(backend="row").create_table("T", [("id", "int")])
+
+
 class TestAdaptiveConfigValidation:
     def test_check_frequency_bound(self):
         with pytest.raises(ValueError, match="check_frequency must be >= 1"):

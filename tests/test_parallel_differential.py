@@ -194,15 +194,8 @@ def test_aggregated_window_single_samples_match_sliding():
 
 def test_chunk_granularity_rows_match_exact(dmv, workload):
     for sql in workload:
-        exact = dmv.execute(
-            sql, AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
-        )
+        exact = dmv.execute(sql, AdaptiveConfig(mode=ReorderMode.BOTH))
         chunk = dmv.execute(
-            sql,
-            AdaptiveConfig(
-                mode=ReorderMode.BOTH,
-                batched=True,
-                monitor_granularity="chunk",
-            ),
+            sql, AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
         )
         assert Counter(chunk.rows) == Counter(exact.rows), sql[:60]

@@ -558,7 +558,7 @@ ENGINES = {
     # oracle (6x slower a statement) on every eighth.
     "columnar-chunk": (
         "columnar",
-        {"batched": True, "batch_size": 256, "monitor_granularity": "chunk"},
+        {"batched": True, "batch_size": 256},
         GRID,
     ),
     "row-scalar": ("row", {}, GRID[::8]),
@@ -596,9 +596,7 @@ def test_cached_execution_equals_first_execution_over_both_grids(engine):
 def test_work_meter_fields_match_between_miss_and_hit():
     """Field by field, not only the total: planning charges nothing."""
     db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
-    config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, batched=True, monitor_granularity="chunk"
-    )
+    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
     sql = GRID[-1]
     miss = db.execute(sql, config)
     hit = db.execute(sql, config)

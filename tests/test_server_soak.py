@@ -244,10 +244,6 @@ class TestServedEngine:
 
     @pytest.fixture(scope="class")
     def columnar_db(self):
-        from repro.storage.columnar import _np as have_numpy
-
-        if have_numpy is None:
-            pytest.skip("the cascade needs numpy")
         db, _ = load_dmv(scale=0.01, backend="columnar")
         yield db
         db.close()

@@ -164,39 +164,6 @@ class TestStatsDocument:
         (session,) = stats["per_session"]
         assert session["submitted"] == 1 and session["completed"] == 1
 
-    def test_probe_cache_counters_surface_when_cache_active(self, small_db):
-        """The engine reports per-query probe-cache traffic to the server.
-
-        The wire protocol never enables the probe cache itself, so this
-        exercises the :class:`DatabaseEngine` adapter directly with a
-        cache-enabled config and checks the counters the server folds
-        into ``stats.telemetry``.
-        """
-        from repro.core.config import AdaptiveConfig
-        from repro.robustness.limits import ExecutionLimits
-        from repro.server.server import DatabaseEngine
-
-        engine = DatabaseEngine(small_db, config_with())
-        cached = AdaptiveConfig(batched=True, probe_cache_size=64)
-        result = engine.execute(SQL, cached, ExecutionLimits())
-        assert result.probe_cache_hits + result.probe_cache_misses > 0
-
-    def test_probe_cache_hit_rate_gauge(self, small_db):
-        """Satellite: per-leg probe-cache hit rate as a registry gauge."""
-        from repro import QueryObservability
-        from repro.core.config import AdaptiveConfig
-
-        obs = QueryObservability.armed(sample_every=None)
-        cached = AdaptiveConfig(batched=True, probe_cache_size=64)
-        small_db.execute(SQL, cached, obs=obs)
-        gauge = obs.metrics.get("probe_cache_hit_rate")
-        assert gauge is not None, "cache-enabled run left no hit-rate gauge"
-        rates = gauge.as_dict()
-        assert rates, "no leg reported a probe-cache hit rate"
-        assert all(0.0 <= rate <= 1.0 for rate in rates.values())
-        # And it shows up on the exposition surface.
-        assert "probe_cache_hit_rate" in obs.metrics.render_prometheus()
-
 
 class TestStoreLifecycle:
     def test_drained_server_leaves_only_finalized_segments(

@@ -204,26 +204,7 @@ class TestAfterAnySentinel:
         assert index.lookup_rids("zz") == []
 
 
-class TestQuietLookups:
-    def test_lookup_rids_quiet_matches_charged_twin(self):
-        table, index = make_indexed_table([5, 7, 5, 9])
-        for key in (5, 7, 9, 42, None):
-            assert index.lookup_rids_quiet(key) == index.lookup_rids(key)
-
-    def test_lookup_rids_quiet_charges_nothing(self):
-        table, index = make_indexed_table([5, 7, 5])
-        before = table.meter.snapshot()
-        index.lookup_rids_quiet(5)
-        delta = table.meter - before
-        assert delta.index_descends == 0
-        assert delta.index_entries == 0
-
-    def test_lookup_rows_quiet_returns_heap_rows(self):
-        table, index = make_indexed_table([5, 7, 5])
-        raw = table.raw_rows()
-        assert index.lookup_rows_quiet(5) == [raw[0], raw[2]]
-        assert index.lookup_rows_quiet(None) == []
-
+class TestBatchLookups:
     def test_lookup_rids_batch_matches_pointwise(self):
         table, index = make_indexed_table([5, 7, 5, 9, 7])
         keys = [7, 5, 5, 42, 9]  # unsorted, with duplicates and a miss
@@ -231,43 +212,11 @@ class TestQuietLookups:
         for key in set(keys):
             assert batch[key] == index.lookup_rids(key)
 
-    def test_lookup_rows_batch_matches_pointwise(self):
-        table, index = make_indexed_table([5, 7, 5, 9])
-        raw = table.raw_rows()
-        batch = index.lookup_rows_batch([9, 5])
-        assert batch == {5: [raw[0], raw[2]], 9: [raw[3]]}
-
     def test_batch_lookups_charge_nothing(self):
         table, index = make_indexed_table([5, 7, 5])
         before = table.meter.snapshot()
         index.lookup_rids_batch([5, 7])
-        index.lookup_rows_batch([5, 7])
         delta = table.meter - before
         assert delta.index_descends == 0
         assert delta.index_entries == 0
         assert delta.row_fetches == 0
-
-
-class TestFilteredGroups:
-    def test_groups_filter_and_count_evals(self):
-        table, index = make_indexed_table([5, 5, 7])
-        # Rows: (5,"v0") rid0, (5,"v1") rid1, (7,"v2") rid2.
-        tests = [lambda row: row[1] != "v0"]
-        groups = index.filtered_groups(tests)
-        raw = table.raw_rows()
-        assert groups[5] == ([raw[1]], 2, 2)  # one eval per candidate row
-        assert groups[7] == ([raw[2]], 1, 1)
-
-    def test_short_circuit_eval_counts(self):
-        table, index = make_indexed_table([5, 5])
-        fails_first = [lambda row: False, lambda row: True]
-        groups = index.filtered_groups(fails_first)
-        # Each row charges only the first (failing) test: 1 eval per row.
-        assert groups[5] == ([], 2, 2)
-
-    def test_empty_tests_pass_everything(self):
-        table, index = make_indexed_table([5, 7])
-        raw = table.raw_rows()
-        groups = index.filtered_groups([])
-        assert groups[5] == ([raw[0]], 0, 1)
-        assert groups[7] == ([raw[1]], 0, 1)

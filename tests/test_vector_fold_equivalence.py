@@ -37,10 +37,6 @@ from repro.storage.counters import (
     ROW_FETCH_COST,
 )
 
-pytestmark = pytest.mark.skipif(
-    _np is None, reason="group kernels require numpy"
-)
-
 COMPARE_OPS = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE)
 STRINGS = ("alpha", "beta", "gamma", "")
 KEY_SPACE = 15
@@ -681,7 +677,7 @@ def test_partition_boundary_splits_chunk_pending_merge():
 #
 # The cascades take the driving scan in slices (``_DrivingWalk.take``) and
 # charge each slice as one aggregate. Everything a decision, a freeze, a
-# resume or a hand-off to the generic loop can read afterwards — the meter,
+# resume or a hand-off to the reference loop can read afterwards — the meter,
 # the driving monitor's ring, the cursor's position and progress — must be
 # what pulling the same rows one ``__next__`` at a time leaves behind, at
 # every slice boundary, for partition-bounded multi-range scans included.
@@ -789,7 +785,7 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
     sliced, single = cursors
     finished = False
     while not finished:
-        # A run of slices, then (as after a hand-off to the generic loop) a
+        # A run of slices, then (as after a hand-off to the reference loop) a
         # stretch of plain __next__ calls on the same cursor, and again.
         walk = _DrivingWalk(legs[0], sliced, [mask])
         for _ in range(rng.randint(1, 3)):

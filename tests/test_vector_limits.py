@@ -1,7 +1,10 @@
-"""Execution limits on the vectorized cascade.
+"""Execution limits on the vectorized cascade and on its reference loop.
 
 A limited query runs the same engine as an unlimited one: the cascade
-enforces the budgets at its chunk boundaries. The contract pinned here:
+enforces the budgets at its chunk boundaries, and the reference loop
+(``fast`` — what a monitored query runs on the row backend, the default
+``repro serve``, and on every other shape the cascade refuses) holds the
+same contract from the scalar machine's safe points. Pinned here:
 
 * the row budget is exact — the caller holds precisely the reference
   run's first ``max_rows`` rows, ``rows_emitted`` says so, and a budget
@@ -11,7 +14,7 @@ enforces the budgets at its chunk boundaries. The contract pinned here:
   executor's own counters at that boundary;
 * generous limits change nothing observable — rows in order, WorkMeter,
   adaptation events, engine label — including across a driving switch
-  and across a mid-query hand-off to the generic loop.
+  and across a mid-query hand-off to the reference loop.
 """
 
 from __future__ import annotations
@@ -37,12 +40,19 @@ from repro.executor.batch import BatchedPipelineExecutor
 from repro.robustness import limits as limits_module
 from repro.robustness.guard import SandboxedController
 
-pytestmark = pytest.mark.skipif(
-    vector._np is None, reason="the cascade needs numpy"
-)
-
 SCALE = 0.04
-MODES = [ReorderMode.NONE, ReorderMode.BOTH]
+#: (backend, mode, engine that must run, vector_gate it must report).
+TARGETS = [
+    pytest.param("columnar", ReorderMode.NONE, "vector", None, id="vector"),
+    pytest.param(
+        "columnar", ReorderMode.BOTH, "vector-adaptive", None,
+        id="vector-adaptive",
+    ),
+    pytest.param(
+        "row", ReorderMode.BOTH, "fast", "leg 'c': row-backend table",
+        id="row-fast",
+    ),
+]
 #: Slice size the static cascade is shrunk to here, so that a scale-0.04
 #: scan spans several slices (the real one, 65,536, holds all of it).
 SMALL_SLICE = 64
@@ -57,7 +67,6 @@ def engine_config(mode: ReorderMode, **overrides) -> AdaptiveConfig:
         mode=mode,
         batched=True,
         batch_size=256,
-        monitor_granularity="chunk" if mode.monitors else "exact",
         **overrides,
     )
 
@@ -125,38 +134,42 @@ class Run:
         return pytest.approx(self.executor.work.total_units, rel=1e-9)
 
 
+def _gate(reason: str | None) -> str | None:
+    """A gate reason without the leg it names (that varies by statement)."""
+    return None if reason is None else reason.split(": ", 1)[-1]
+
+
 def reference_rows(dbs, sql, mode) -> list[tuple]:
     """Mode NONE: the scalar oracle on the row store. Mode BOTH: the row
-    store's generic chunked loop, the reference of the chunk semantics."""
+    store's reference loop, unlimited."""
     config = (
         engine_config(mode) if mode.monitors else AdaptiveConfig(mode=mode)
     )
     return dbs["row"].execute(sql, config).rows
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
-def test_row_budget_is_exact(dbs, statements, small_slices, mode):
+@pytest.mark.parametrize("backend,mode,engine,gate", TARGETS)
+def test_row_budget_is_exact(
+    dbs, statements, small_slices, backend, mode, engine, gate
+):
     config = engine_config(mode)
-    engine = "vector-adaptive" if mode.monitors else "vector"
     tripped = beyond_first_chunk = 0
     for sql in statements:
         want = reference_rows(dbs, sql, mode)
         total = len(want)
         if total < 2:
             continue
-        boundary = Run(dbs["columnar"], sql, config).first_boundary
+        boundary = Run(dbs[backend], sql, config).first_boundary
         budgets = {1, total - 1, total}
         if boundary < total:
             # exactly a chunk boundary, and the middle of the next chunk
             budgets |= {boundary, boundary + 1}
             beyond_first_chunk += 1
         for k in sorted(budgets):
-            run = Run(
-                dbs["columnar"], sql, config, ExecutionLimits(max_rows=k)
-            )
+            run = Run(dbs[backend], sql, config, ExecutionLimits(max_rows=k))
             tag = f"{mode.name} k={k}/{total}: {sql[:60]}"
             assert run.executor.engine_used == engine, tag
-            assert run.executor.vector_gate_reason is None, tag
+            assert _gate(run.executor.vector_gate_reason) == _gate(gate), tag
             assert run.rows == want[:k], tag
             assert run.executor.rows_emitted == k, tag
             if k == total:
@@ -171,9 +184,9 @@ def test_row_budget_is_exact(dbs, statements, small_slices, mode):
     assert tripped and beyond_first_chunk  # not vacuous
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
+@pytest.mark.parametrize("backend,mode,engine,gate", TARGETS)
 def test_cancellation_is_seen_at_the_next_chunk(
-    dbs, statements, small_slices, mode
+    dbs, statements, small_slices, backend, mode, engine, gate
 ):
     config = engine_config(mode)
     cut_short = 0
@@ -181,7 +194,7 @@ def test_cancellation_is_seen_at_the_next_chunk(
         token = CancellationToken()
         token.cancel("before the first row")
         run = Run(
-            dbs["columnar"], sql, config, ExecutionLimits(cancellation=token)
+            dbs[backend], sql, config, ExecutionLimits(cancellation=token)
         )
         assert run.rows == [] and run.error is not None, sql
         assert "before the first row" in run.error.reason
@@ -193,11 +206,13 @@ def test_cancellation_is_seen_at_the_next_chunk(
             continue
         token = CancellationToken()
         run = Run(
-            dbs["columnar"], sql, config,
+            dbs[backend], sql, config,
             ExecutionLimits(cancellation=token),
             after_first_row=lambda: token.cancel("consumer gave up"),
         )
-        # The chunk in flight is delivered whole; nothing after it starts.
+        # The chunk in flight is delivered whole (the reference loop's is
+        # one row); nothing after it starts.
+        assert run.executor.engine_used == engine, sql
         assert run.error is not None, sql
         assert "consumer gave up" in run.error.reason
         assert run.rows == want[: run.first_boundary], sql
@@ -206,12 +221,14 @@ def test_cancellation_is_seen_at_the_next_chunk(
     assert cut_short  # some query really was stopped mid-way
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
+@pytest.mark.parametrize("backend,mode,engine,gate", TARGETS)
 def test_work_budget_overshoots_by_at_most_one_chunk(
-    dbs, statements, small_slices, monkeypatch, mode
+    dbs, statements, small_slices, monkeypatch, backend, mode, engine, gate
 ):
     config = engine_config(mode)
-    # Work spent at every chunk boundary of the unlimited-in-effect run.
+    # Work spent at every safe point (the cascade's chunk boundaries; the
+    # reference loop's driving and result rows, where the meter moves a
+    # prepared chunk at a time) of the unlimited-in-effect run.
     boundaries: list[float] = []
     check = limits_module.LimitEnforcer.check
 
@@ -227,7 +244,7 @@ def test_work_budget_overshoots_by_at_most_one_chunk(
         with monkeypatch.context() as patch:
             patch.setattr(limits_module.LimitEnforcer, "check", recording_check)
             full = Run(
-                dbs["columnar"], sql, config,
+                dbs[backend], sql, config,
                 ExecutionLimits(max_work_units=1e18),
             )
         assert full.error is None
@@ -236,9 +253,10 @@ def test_work_budget_overshoots_by_at_most_one_chunk(
             continue
         budget = spent[len(spent) // 2] - 0.5  # inside a chunk's work
         run = Run(
-            dbs["columnar"], sql, config,
+            dbs[backend], sql, config,
             ExecutionLimits(max_work_units=budget),
         )
+        assert run.executor.engine_used == engine, sql
         assert run.error is not None and "work budget" in run.error.reason
         # Seen at the first boundary past the budget, not a chunk later.
         first_past = next(value for value in spent if value > budget)
@@ -252,21 +270,22 @@ def test_work_budget_overshoots_by_at_most_one_chunk(
     assert tripped
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
+@pytest.mark.parametrize("backend,mode,engine,gate", TARGETS)
 def test_deadline_is_seen_at_a_chunk_boundary(
-    dbs, statements, small_slices, monkeypatch, mode
+    dbs, statements, small_slices, monkeypatch, backend, mode, engine, gate
 ):
     config = engine_config(mode)
     run = Run(
-        dbs["columnar"], statements[0], config,
+        dbs[backend], statements[0], config,
         ExecutionLimits(timeout_seconds=1e-9),
     )
     assert run.error is not None and "deadline" in run.error.reason
     assert (run.rows, run.error.driving_rows) == ([], 0)
 
     # A clock that advances one second per reading: the enforcer reads it
-    # once when armed (t=1, deadline 3.5) and once per chunk boundary, so
-    # the third boundary (t=4) is the first one past the deadline.
+    # once when armed (t=1, deadline 3.5) and once per safe point, so the
+    # third one (t=4) is the first past the deadline — the cascade's third
+    # chunk boundary; within the reference loop's first chunk.
     chunk = config.batch_size if mode.monitors else SMALL_SLICE
     expired_mid_scan = 0
     for sql in statements:
@@ -275,14 +294,17 @@ def test_deadline_is_seen_at_a_chunk_boundary(
         with monkeypatch.context() as patch:
             patch.setattr(limits_module, "time", clock)
             run = Run(
-                dbs["columnar"], sql, config,
+                dbs[backend], sql, config,
                 ExecutionLimits(timeout_seconds=2.5),
             )
-        full = Run(dbs["columnar"], sql, config)
+        full = Run(dbs[backend], sql, config)
         if full.executor.driving_rows_total <= 2 * chunk:
             continue  # over in two chunks: the deadline is never read late
         assert run.error is not None and "deadline" in run.error.reason, sql
-        assert run.error.driving_rows == 2 * chunk, sql
+        if engine == "fast":
+            assert run.error.driving_rows <= chunk, sql
+        else:
+            assert run.error.driving_rows == 2 * chunk, sql
         assert run.error.driving_rows == run.executor.driving_rows_total
         assert run.error.rows_emitted == len(run.rows)
         assert run.rows == full.rows[: len(run.rows)], sql
@@ -300,41 +322,38 @@ def served_limits() -> ExecutionLimits:
     )
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name.lower())
-def test_generous_limits_change_nothing(dbs, statements, mode):
+@pytest.mark.parametrize("backend,mode,engine,gate", TARGETS)
+def test_generous_limits_change_nothing(
+    dbs, statements, backend, mode, engine, gate
+):
     config = engine_config(mode)
-    engine = "vector-adaptive" if mode.monitors else "vector"
     switches = 0
     for sql in statements:
-        free = dbs["columnar"].execute(sql, config)
-        limited = dbs["columnar"].execute(sql, config, limits=served_limits())
+        free = dbs[backend].execute(sql, config)
+        limited = dbs[backend].execute(sql, config, limits=served_limits())
         assert limited.rows == free.rows, sql
         assert dataclasses.asdict(limited.stats.work) == dataclasses.asdict(
             free.stats.work
         ), sql
         assert limited.stats.events == free.stats.events, sql
         assert limited.stats.engine == free.stats.engine == engine, sql
-        assert limited.stats.vector_gate is None
+        assert _gate(limited.stats.vector_gate) == _gate(gate)
         switches += limited.stats.driving_switches
     if mode.reorders_driving:
         assert switches >= len(SWITCHING)  # limits held across switches
 
 
-def test_refused_shapes_keep_the_row_exact_loop(dbs, statements):
-    """Limits on a query the cascade refuses run the generic ``batched``
-    loop, and the gate reason is the cascade's own."""
-    result = dbs["row"].execute(
-        statements[0], engine_config(ReorderMode.BOTH), limits=served_limits()
-    )
-    assert result.stats.engine == "batched"
-    assert result.stats.vector_gate.endswith("row-backend table")
-    result = dbs["columnar"].execute(
-        statements[0],
-        AdaptiveConfig(mode=ReorderMode.BOTH, batched=True),
-        limits=served_limits(),
-    )
-    assert result.stats.engine == "batched"
-    assert result.stats.vector_gate == "exact monitor granularity"
+def test_static_limits_on_a_refused_shape_run_the_scalar_machine(
+    dbs, statements
+):
+    """A static plan has nothing to amortize: refused by the cascade, with
+    or without limits, it runs the oracle's loop and names the gate."""
+    for limits in (None, served_limits()):
+        result = dbs["row"].execute(
+            statements[0], engine_config(ReorderMode.NONE), limits=limits
+        )
+        assert result.stats.engine == "scalar"
+        assert result.stats.vector_gate.endswith("row-backend table")
 
 
 def hand_off_db(backend: str) -> Database:
@@ -355,7 +374,7 @@ def hand_off_db(backend: str) -> Database:
     return db
 
 
-def test_limits_follow_a_hand_off_to_the_generic_loop():
+def test_limits_follow_a_hand_off_to_the_reference_loop():
     sql = (
         "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
         "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
@@ -379,8 +398,8 @@ def test_limits_follow_a_hand_off_to_the_generic_loop():
     assert limited.stats.work == free.stats.work
     assert limited.stats.events == free.stats.events
 
-    # The first chunk is handed back: every row is emitted by the generic
-    # loop, whose safe points must hold the same budgets.
+    # The first chunk is handed back: every row is emitted by the
+    # reference loop, whose safe points must hold the same budgets.
     hand_off_at = Run(db, sql, config).first_boundary
     assert hand_off_at == 1
     k = len(free.rows) - 2
