@@ -18,10 +18,16 @@ answers must fail loudly, not report numbers.
 Every variant reports three walls, because ``stats.wall_seconds`` starts
 after planning and so hides the front end: ``wall_seconds`` (the executor's
 own clock, what the speedups are computed from), ``end_to_end_seconds``
-(``perf_counter`` around ``db.execute(sql)`` with the statement already in
-the database's plan cache — the warm path) and ``end_to_end_cold_seconds``
+(``perf_counter`` around ``db.execute(db.plan(sql))`` with the statement
+already in the database's plan cache — the warm path) and
+``end_to_end_cold_seconds``
 (the same plus its backend's ``front_end`` section: parsing and optimizing
 each statement once, which is what a first-seen statement pays on top).
+
+Every execution here hands ``db.plan(sql)`` — the optimizer's plan, through
+the plan cache — to ``db.execute``: executing the text itself would start a
+repeated monitored statement from the plan feedback of its previous run
+(DESIGN.md Sec 4j), and every section compares single executions.
 
 Each variant records the backend and executor configuration it ran under
 (``config``) and which execution engine(s) actually ran (``engines``).
@@ -168,7 +174,7 @@ def measure_mode(queries, variants, reps: int) -> dict[str, dict]:
             total = end_to_end = 0.0
             for query in queries:
                 started = time.perf_counter()
-                outcome = db.execute(query.sql, config)
+                outcome = db.execute(db.plan(query.sql), config)
                 end_to_end += time.perf_counter() - started
                 total += outcome.stats.wall_seconds
                 if rep == 0:
@@ -244,7 +250,7 @@ def measure_parallel(
         base_work = 0.0
         reference: dict[str, list] = {}
         for qid, sql in workload:
-            outcome = db.execute(sql, AdaptiveConfig(mode=mode))
+            outcome = db.execute(db.plan(sql), AdaptiveConfig(mode=mode))
             base_work += outcome.stats.work.total_units
             reference[qid] = sorted(outcome.rows)
         entry: dict = {"workers_1_work_units": base_work, "sweep": {}}
@@ -255,7 +261,7 @@ def measure_parallel(
             partitioned = 0
             for qid, sql in workload:
                 outcome = db.execute(
-                    sql, AdaptiveConfig(mode=mode, workers=workers)
+                    db.plan(sql), AdaptiveConfig(mode=mode, workers=workers)
                 )
                 if sorted(outcome.rows) != reference[qid]:
                     raise AssertionError(
@@ -302,14 +308,16 @@ def measure_parallel_vector(
         for rep in range(reps):
             total = 0.0
             for qid, sql in workload:
-                outcome = row_db.execute(sql, row_config)
+                outcome = row_db.execute(row_db.plan(sql), row_config)
                 total += outcome.stats.wall_seconds
                 if rep == 0:
                     reference[qid] = sorted(outcome.rows)
             row_wall = min(row_wall, total)
             total = 0.0
             for qid, sql in workload:
-                outcome = columnar_db.execute(sql, serial_config)
+                outcome = columnar_db.execute(
+                    columnar_db.plan(sql), serial_config
+                )
                 total += outcome.stats.wall_seconds
                 if rep == 0:
                     serial_engines.add(outcome.stats.engine)
@@ -332,7 +340,7 @@ def measure_parallel_vector(
                 continue
             config = AdaptiveConfig(mode=mode, batched=True, workers=workers)
             for _, sql in workload:  # warm-up: fork pool + kernel plan
-                columnar_db.execute(sql, config)
+                columnar_db.execute(columnar_db.plan(sql), config)
             best = float("inf")
             engines: set[str] = set()
             gate = None
@@ -340,7 +348,9 @@ def measure_parallel_vector(
             for rep in range(reps):
                 total = 0.0
                 for qid, sql in workload:
-                    outcome = columnar_db.execute(sql, config)
+                    outcome = columnar_db.execute(
+                        columnar_db.plan(sql), config
+                    )
                     total += outcome.stats.wall_seconds
                     if rep == 0:
                         stats = outcome.stats
@@ -392,12 +402,12 @@ def measure_observability(db, queries, reps: int) -> dict:
     def run(query, name: str):
         if name == "armed":
             bundle = recorder.arm(config)
-            outcome = db.execute(query.sql, config, obs=bundle)
+            outcome = db.execute(db.plan(query.sql), config, obs=bundle)
             recorder.finish_query(
                 bundle, outcome, sql=query.sql, config=config
             )
         else:
-            outcome = db.execute(query.sql, config)
+            outcome = db.execute(db.plan(query.sql), config)
         return outcome
 
     for name in ("disarmed", "armed"):  # warm caches off the clock

@@ -51,10 +51,13 @@ def main() -> int:
     ]
     failures: list[str] = []
 
+    # Every run of a statement executes the optimizer's plan (a plan handed
+    # in never reads or writes plan feedback).
     for qid, sql in queries:
-        serial = db.execute(sql, AdaptiveConfig(mode=ReorderMode.NONE))
+        plan = db.plan(sql)
+        serial = db.execute(plan, AdaptiveConfig(mode=ReorderMode.NONE))
         parallel_none = db.execute(
-            sql, AdaptiveConfig(mode=ReorderMode.NONE, workers=WORKERS)
+            plan, AdaptiveConfig(mode=ReorderMode.NONE, workers=WORKERS)
         )
         if parallel_none.rows != serial.rows:
             failures.append(
@@ -63,7 +66,7 @@ def main() -> int:
             )
         for batched in (False, True):
             monitored = db.execute(
-                sql,
+                plan,
                 AdaptiveConfig(
                     mode=ReorderMode.BOTH,
                     workers=WORKERS,
@@ -81,10 +84,11 @@ def main() -> int:
     serial_work = 0.0
     monitored_path = 0.0
     for qid, sql in SCAN_HEAVY:
-        serial = db.execute(sql, AdaptiveConfig(mode=ReorderMode.NONE))
+        plan = db.plan(sql)
+        serial = db.execute(plan, AdaptiveConfig(mode=ReorderMode.NONE))
         serial_work += serial.stats.work.total_units
         monitored = db.execute(
-            sql,
+            plan,
             AdaptiveConfig(
                 mode=ReorderMode.BOTH,
                 workers=WORKERS,

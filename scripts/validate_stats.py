@@ -16,8 +16,9 @@ issues ``{"op": "stats"}``, and checks the response document:
 * invariants: ``in_flight <= max_concurrency``,
   ``queue_depth <= max_queue_depth``, latency quantiles are
   monotonically non-decreasing (p50 <= p95 <= p99) when present,
-  plan-cache ``size <= capacity`` and, at capacity 0 (off), no hits, waits
-  or evictions (the section is the ``Database``'s own cache), the latency
+  plan-cache ``size <= capacity``, ``feedback_hits <= hits`` and, at
+  capacity 0 (off), no hits, waits, evictions or plan feedback (the
+  section is the ``Database``'s own cache), the latency
   histogram ``count`` is at least the number of completed queries'
   outcomes recorded, ``storage.total_bytes`` equals the sum of the
   per-table bytes, and ``storage.table_count`` equals the number of
@@ -82,6 +83,8 @@ SCHEMA = {
         "single_flight_waits": "count",
         "evictions": "count",
         "invalidations": "count",
+        "feedback_writes": "count",
+        "feedback_hits": "count",
     },
     "telemetry": {
         "recorded_total": "count",
@@ -231,10 +234,17 @@ def validate(stats: dict) -> list[str]:
         )
     if cache["capacity"] == 0 and (
         cache["hits"] or cache["single_flight_waits"] or cache["evictions"]
+        or cache["feedback_writes"] or cache["feedback_hits"]
     ):
         raise ValidationError(
-            "plan_cache: capacity 0 (off) yet it reports hits, waits or "
-            "evictions"
+            "plan_cache: capacity 0 (off) yet it reports hits, waits, "
+            "evictions or plan feedback"
+        )
+    # Feedback is read on a hit only (one lookup serves both).
+    if cache["feedback_hits"] > cache["hits"]:
+        raise ValidationError(
+            f"plan_cache.feedback_hits exceeds hits "
+            f"({cache['feedback_hits']} > {cache['hits']})"
         )
 
     queries = stats["queries"]

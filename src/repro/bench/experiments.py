@@ -8,6 +8,7 @@ scale.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -293,6 +294,162 @@ def window_sweep_experiment(
         avg_work = metrics.counter("bench_work_units_total").value("both") / count
         series[window] = (avg_switches, avg_work)
     return WindowSweepResult(series=series)
+
+
+# ---------------------------------------------------------------------------
+# E11 — Learn once: a repeated adaptive statement starts where it last ended
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LearnedResult:
+    # template -> {"static" | "first" | "later": (work units, seconds)};
+    # "later" is the per-pass mean of the executions after the first.
+    templates: dict[int, dict[str, tuple[float, float]]]
+    # template -> statements that started from plan feedback in the last pass
+    learned: dict[int, int]
+    statements: dict[int, int]
+    later_passes: int
+    # Summed over statements, per pass after the first.
+    later_switches: list[int]
+    first_switches: int
+
+    def total(self, column: str) -> tuple[float, float]:
+        return (
+            sum(row[column][0] for row in self.templates.values()),
+            sum(row[column][1] for row in self.templates.values()),
+        )
+
+    def report(self, title: str) -> str:
+        def cells(row: dict[str, tuple[float, float]]) -> list[str]:
+            static_work, static_wall = row["static"]
+            out = [f"{static_work:,.0f}", f"{static_wall * 1e3:.1f}"]
+            for column in ("first", "later"):
+                work, wall = row[column]
+                out += [
+                    f"{work / max(static_work, 1e-12):.2f}x",
+                    f"{wall / max(static_wall, 1e-12):.2f}x",
+                ]
+            return out
+
+        rows = [
+            [f"Template {template}", self.statements[template]]
+            + cells(row)
+            + [self.learned[template]]
+            for template, row in sorted(self.templates.items())
+        ]
+        totals = {
+            column: self.total(column) for column in ("static", "first", "later")
+        }
+        rows.append(
+            ["all", sum(self.statements.values())]
+            + cells(totals)
+            + [sum(self.learned.values())]
+        )
+        return "\n".join(
+            [
+                format_table(
+                    [
+                        "template", "#", "static work", "static ms",
+                        "1st work", "1st wall", "2nd+ work", "2nd+ wall",
+                        "#learned",
+                    ],
+                    rows,
+                    title=title,
+                ),
+                f"  work and wall of the adaptive executions are relative "
+                f"to static; 2nd+ is the mean of {self.later_passes} "
+                f"pass(es) after the first",
+                f"  applied switches: first pass {self.first_switches}, "
+                f"later passes {self.later_switches}",
+            ]
+        )
+
+
+def learned_experiment(
+    db: Database,
+    workload: Sequence[WorkloadQuery],
+    adaptive_config: AdaptiveConfig | None = None,
+    static_config: AdaptiveConfig | None = None,
+    later_passes: int = 3,
+) -> LearnedResult:
+    """Static vs the first vs later adaptive executions of each statement.
+
+    Statements are executed as SQL text, pass after pass, on a database
+    that has not run them in a monitored mode yet: the first adaptive pass
+    runs the optimizer's plans and leaves plan feedback in the cache, the
+    later ones start from it (DESIGN.md Sec 4j). Wall is ``perf_counter``
+    around ``Database.execute`` (plan-cache lookup and write-back
+    included), work is the deterministic meter. Every adaptive execution's
+    rows are checked against the static execution's.
+    """
+    adaptive = adaptive_config or AdaptiveConfig(mode=ReorderMode.BOTH)
+    static = static_config or AdaptiveConfig(mode=ReorderMode.NONE)
+    reference: list[list] = []
+
+    def one_pass(config: AdaptiveConfig) -> list[tuple]:
+        """``(work, wall, switches, started from feedback)`` per statement."""
+        measured = []
+        for index, query in enumerate(workload):
+            started = time.perf_counter()
+            outcome = db.execute(query.sql, config)
+            wall = time.perf_counter() - started
+            rows = sorted(outcome.rows)
+            if index == len(reference):
+                reference.append(rows)
+            assert rows == reference[index], (
+                f"{query.qid}: mode {config.mode.value!r} changed the result set"
+            )
+            stats = outcome.stats
+            measured.append(
+                (
+                    stats.total_work,
+                    wall,
+                    stats.total_switches,
+                    stats.plan_feedback is not None,
+                )
+            )
+        return measured
+
+    one_pass(static)  # plans every statement, builds lazy structures
+    columns = {"static": [one_pass(static)], "first": [one_pass(adaptive)]}
+    if any(learned for *_, learned in columns["first"][0]):
+        raise ValueError(
+            "learned_experiment needs a database that has not executed "
+            "the workload in a monitored mode yet"
+        )
+    columns["later"] = [one_pass(adaptive) for _ in range(later_passes)]
+
+    templates: dict[int, dict[str, tuple[float, float]]] = {}
+    learned: dict[int, int] = {}
+    statements: dict[int, int] = {}
+    for index, query in enumerate(workload):
+        template = query.template
+        row = templates.setdefault(
+            template, {column: (0.0, 0.0) for column in columns}
+        )
+        for column, passes in columns.items():
+            work, wall = row[column]
+            row[column] = (
+                work + sum(p[index][0] for p in passes) / len(passes),
+                wall + sum(p[index][1] for p in passes) / len(passes),
+            )
+        statements[template] = statements.get(template, 0) + 1
+        learned[template] = (
+            learned.get(template, 0) + columns["later"][-1][index][3]
+        )
+    return LearnedResult(
+        templates=templates,
+        learned=learned,
+        statements=statements,
+        later_passes=later_passes,
+        later_switches=[
+            sum(switches for _, _, switches, _ in measured)
+            for measured in columns["later"]
+        ],
+        first_switches=sum(
+            switches for _, _, switches, _ in columns["first"][0]
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

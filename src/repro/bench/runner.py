@@ -189,8 +189,12 @@ def run_workload(
         ordered_configs = {verify_against: reference_config, **ordered_configs}
     for query in workload:
         reference: list | None = None
+        # Every mode runs the optimizer's plan: executing the text again
+        # would start a monitored mode from what the previous one learned
+        # (plan feedback), and the experiments compare single executions.
+        plan = db.plan(query.sql)
         for mode, config in ordered_configs.items():
-            outcome = db.execute(query.sql, config)
+            outcome = db.execute(plan, config)
             if verify_against is not None:
                 if mode == verify_against:
                     reference = sorted(outcome.rows)

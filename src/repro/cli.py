@@ -34,6 +34,7 @@ import sys
 import time
 
 from repro.bench import (
+    learned_experiment,
     overhead_experiment,
     scatter_experiment,
     table1_experiment,
@@ -353,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale(experiment)
     experiment.add_argument(
         "name",
-        choices=["table1", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead"],
+        choices=[
+            "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead",
+            "learned",
+        ],
     )
     experiment.add_argument(
         "--queries", type=int, default=10, help="queries per template"
@@ -868,6 +872,29 @@ def cmd_experiment(args) -> int:
         )
         workload = six_table_workload(count=max(args.queries * 2, 10))
         print(scatter_experiment(db, workload).report("Fig 11 — six-table joins"))
+        return 0
+    if args.name == "learned":
+        # E11: the engine on the columnar backend (chunk semantics), the
+        # oracle on the row store; six-table statements, as Fig 11.
+        db, _ = load_dmv(
+            scale=args.scale,
+            seed=args.seed,
+            extended=True,
+            backend=args.backend,
+        )
+        batched = args.backend == "columnar"
+        workload = six_table_workload(count=max(args.queries * 2, 10))
+        print(
+            learned_experiment(
+                db,
+                workload,
+                AdaptiveConfig(mode=ReorderMode.BOTH, batched=batched),
+                AdaptiveConfig(mode=ReorderMode.NONE, batched=batched),
+            ).report(
+                "Learn once — static vs first vs later adaptive executions "
+                f"(six-table, {args.backend} backend)"
+            )
+        )
         return 0
     db = _load(args)
     workload = four_table_workload(queries_per_template=args.queries)

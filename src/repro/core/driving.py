@@ -47,17 +47,34 @@ def decide_driving_switch(
     penalty, exactly the number the comparison below uses — is recorded
     under its leading alias, plus the current order's cost under the
     current driving alias. Pure cost-model reads; never charges the meter.
+
+    Eq (1) terms are non-negative, so an order costs at least its driving
+    scan. A candidate whose scan alone (anti-thrash penalty included)
+    already reaches the incumbent, or the bar a switch must clear, can
+    never be the order returned: its suffix search is skipped. Candidates
+    are still visited in pipeline order and replace the incumbent only when
+    strictly cheaper, so the decision — ties included — is the unpruned
+    loop's. The audit records every candidate's cost, so it prunes nothing.
     """
     order = pipeline.order
     graph = pipeline.join_graph
+    threshold = config.switch_benefit_threshold
     current_cost = cost_of_order(order, provider)
     if audit_costs is not None:
         audit_costs[order[0]] = current_cost
+    switch_bar = current_cost * (1.0 - threshold)
     best_order: list[str] | None = None
     best_cost = current_cost
     for candidate in order:
         if candidate == order[0]:
             continue
+        abandoned = pipeline.abandon_counts.get(candidate, 0)
+        if audit_costs is None:
+            scan_cost = provider.driving_params(candidate)[1]
+            if abandoned:
+                scan_cost *= (1.0 + threshold) ** abandoned
+            if scan_cost >= min(best_cost, switch_bar):
+                continue
         others = [alias for alias in order if alias != candidate]
         if config.inner_policy is InnerReorderPolicy.EXHAUSTIVE:
             candidate_order, cost = best_order_exhaustive(
@@ -68,13 +85,12 @@ def decide_driving_switch(
                 (candidate,), others, graph, provider
             )
             cost = cost_of_order(candidate_order, provider)
-        abandoned = pipeline.abandon_counts.get(candidate, 0)
         if abandoned:
             # Anti-thrash: switching *back* to a leg we already abandoned
             # must clear an escalating bar, otherwise near-tie estimates
             # cause ping-ponging (the fluctuation Sec 5.4 observes for
             # small history windows).
-            cost *= (1.0 + config.switch_benefit_threshold) ** abandoned
+            cost *= (1.0 + threshold) ** abandoned
         if audit_costs is not None:
             audit_costs[candidate] = cost
         if cost < best_cost:
@@ -82,7 +98,7 @@ def decide_driving_switch(
             best_order = list(candidate_order)
     if best_order is None:
         return None
-    if best_cost >= current_cost * (1.0 - config.switch_benefit_threshold):
+    if best_cost >= switch_bar:
         return None
     return best_order
 

@@ -24,7 +24,9 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import HashProbePolicy
 from repro.core.positions import PositionRegistry
+from repro.optimizer.cost import cost_of_order
 from repro.optimizer.params import ModelProvider, TableModel
+from repro.optimizer.plans import PipelinePlan
 from repro.storage.cursor import IndexScanCursor, TableScanCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -238,6 +240,59 @@ class RuntimeModelBuilder:
             return sel_index, estimates.sel_local_residual
         return sel_index, min(residual, 1.0)
 
+    def _table_model(
+        self, alias: str, remaining_fraction: float = 1.0
+    ) -> TableModel:
+        """*alias*'s uncalibrated model under the current estimates."""
+        leg = self.pipeline.legs[alias]
+        plan_leg = leg.plan_leg
+        sel_index, sel_residual = self._local_selectivities(alias)
+        return TableModel(
+            alias=alias,
+            base_cardinality=leg.base_cardinality,
+            sel_local_index=sel_index,
+            sel_local_residual=sel_residual,
+            local_predicate_count=len(plan_leg.local_predicates),
+            indexed_columns=frozenset(leg.indexes),
+            driving_kind=plan_leg.driving.kind,
+            driving_range_count=max(len(plan_leg.driving.ranges), 1),
+            remaining_fraction=remaining_fraction,
+            hash_probes=(
+                self.config.hash_probe_policy is not HashProbePolicy.OFF
+            ),
+        )
+
+    def corrected_plan(self) -> PipelinePlan:
+        """End of run: the executed plan as this run measured it.
+
+        The order the run ended on, every leg's ``(S_LPI, S_LPR)`` as the
+        last reorder check would have read them, the Eq (7) join
+        selectivities with the final windows folded in, and Eq (1) of that
+        order from its start (nothing consumed, no position-bound JC / PC
+        corrections) as the cost: what the plan cache keeps as the
+        statement's feedback (:meth:`PipelinePlan.corrected`).
+        """
+        pipeline = self.pipeline
+        plan = pipeline.plan
+        self.refresh_join_selectivities()
+        models = {alias: self._table_model(alias) for alias in pipeline.order}
+        provider = ModelProvider(
+            models, pipeline.class_selectivities, pipeline.join_graph
+        )
+        return plan.corrected(
+            pipeline.order,
+            {
+                alias: (model.sel_local_index, model.sel_local_residual)
+                for alias, model in models.items()
+                # A dynamically re-chosen access path measures another
+                # index's S_LPI than the plan's spec scans.
+                if pipeline.legs[alias].plan_leg.driving
+                is plan.leg(alias).driving
+            },
+            pipeline.class_selectivities,
+            cost_of_order(pipeline.order, provider),
+        )
+
     def build_provider(self) -> ModelProvider:
         """Snapshot the pipeline into a calibrated :class:`ModelProvider`.
 
@@ -257,9 +312,6 @@ class RuntimeModelBuilder:
         models = _LazyModels()
         models._builder = self
         models._warmup = self.config.warmup_rows
-        models._hash_probes = (
-            pipeline.config.hash_probe_policy is not HashProbePolicy.OFF
-        )
         models._legs = pipeline.legs
         models._order = pipeline.order
         models._position_of = {
@@ -284,25 +336,11 @@ class _LazyModels(dict):
     _builder: "RuntimeModelBuilder"
     _provider: ModelProvider
     _warmup: int
-    _hash_probes: bool
 
     def __missing__(self, alias: str) -> TableModel:
         builder = self._builder
         leg = self._legs[alias]
-        plan_leg = leg.plan_leg
-        sel_index, sel_residual = builder._local_selectivities(alias)
-        model = TableModel(
-            alias=alias,
-            base_cardinality=leg.base_cardinality,
-            sel_local_index=sel_index,
-            sel_local_residual=sel_residual,
-            local_predicate_count=len(plan_leg.local_predicates),
-            indexed_columns=frozenset(leg.indexes),
-            driving_kind=plan_leg.driving.kind,
-            driving_range_count=max(len(plan_leg.driving.ranges), 1),
-            remaining_fraction=builder._remaining_fraction(alias),
-            hash_probes=self._hash_probes,
-        )
+        model = builder._table_model(alias, builder._remaining_fraction(alias))
         position = self._position_of.get(alias, 0)
         if (
             position == 0

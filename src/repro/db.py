@@ -29,6 +29,7 @@ from repro.catalog.statistics import StatisticsLevel
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.core.events import EventKind
+from repro.core.ranks import RuntimeModelBuilder
 from repro.errors import SchemaError
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.parallel import ParallelExecutor, parallel_fallback_reason
@@ -40,7 +41,12 @@ from repro.obs.observer import QueryObservability
 from repro.obs.timeseries import EstimateSample
 from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import StaticOptimizer
-from repro.optimizer.plancache import DEFAULT_CAPACITY, PlanCache
+from repro.optimizer.plancache import (
+    DEFAULT_CAPACITY,
+    CachedPlan,
+    Feedback,
+    PlanCache,
+)
 from repro.optimizer.plans import PipelinePlan
 from repro.query.query import QuerySpec
 from repro.query.sql.parser import parse_sql
@@ -118,6 +124,10 @@ class ExecutionStats:
     # text; None when the caller passed a QuerySpec or a PipelinePlan, which
     # never consult the cache.
     plan_cache: str | None = None
+    # Set when the execution started from its plan-cache entry's feedback
+    # plan instead of the optimizer's: ``(order it started from, write-backs
+    # the entry had seen)``. Monitored executions of SQL text only.
+    plan_feedback: tuple[tuple[str, ...], int] | None = None
 
     @property
     def total_work(self) -> float:
@@ -276,7 +286,7 @@ class Database:
         always optimized afresh (there is no text to key it by).
         """
         if isinstance(query, str):
-            return self._plan_sql(query, None)[0]
+            return self._plan_sql(query, None)[0].plan
         return self._optimize(query, None)
 
     def _optimize(self, spec: QuerySpec, tracer: Tracer | None) -> PipelinePlan:
@@ -289,12 +299,14 @@ class Database:
         return plan
 
     def _plan_sql(
-        self, sql: str, tracer: Tracer | None
-    ) -> tuple[PipelinePlan, str]:
-        """``(plan, plan-cache outcome)`` for SQL text.
+        self, sql: str, tracer: Tracer | None, learned: bool = False
+    ) -> tuple[CachedPlan, str, Feedback | None]:
+        """``(plan-cache entry, outcome, feedback)`` for SQL text.
 
-        Traced, the lookup is one ``plan-cache`` span; ``parse`` and
-        ``optimize`` spans appear under it only when they actually ran.
+        *learned* asks for the entry's feedback plan too (monitored
+        executions). Traced, the lookup is one ``plan-cache`` span;
+        ``parse`` and ``optimize`` spans appear under it only when they
+        actually ran.
         """
 
         def compile_sql(text: str) -> PipelinePlan:
@@ -306,13 +318,14 @@ class Database:
 
         generation = self.catalog.generation()
         if tracer is None:
-            return self.plan_cache.get_or_plan(sql, generation, compile_sql)
+            return self.plan_cache.lookup(sql, generation, compile_sql, learned)
         with tracer.span("plan-cache") as span:
-            plan, outcome = self.plan_cache.get_or_plan(
-                sql, generation, compile_sql
+            found = self.plan_cache.lookup(
+                sql, generation, compile_sql, learned
             )
-            span.attrs["outcome"] = outcome
-        return plan, outcome
+            span.attrs["outcome"] = found[1]
+            span.attrs["feedback"] = found[2] is not None
+        return found
 
     def explain(self, query: str | QuerySpec) -> str:
         return self.plan(query).explain()
@@ -402,17 +415,32 @@ class Database:
             else None
         )
         try:
-            plan_cache = None
+            plan_cache = plan_feedback = learn = None
             if isinstance(query, PipelinePlan):
                 plan = query
             elif isinstance(query, str):
-                plan, plan_cache = self._plan_sql(query, tracer)
+                # A monitored execution starts where the statement's last
+                # one ended (the entry's feedback plan) and, when serial,
+                # writes back what it learns; a static one always runs the
+                # optimizer's plan.
+                monitors = config.mode.monitors
+                entry, plan_cache, feedback = self._plan_sql(
+                    query, tracer, learned=monitors
+                )
+                plan = entry.plan
+                if feedback is not None:
+                    plan = feedback.plan
+                    plan_feedback = (plan.order, feedback.writes)
+                if monitors and config.workers == 1:
+                    learn = entry
             else:
                 plan = self._optimize(query, tracer)
             return self._execute_plan(
                 plan,
                 config,
                 plan_cache=plan_cache,
+                plan_feedback=plan_feedback,
+                learn=learn,
                 limits=limits,
                 fault_plan=fault_plan,
                 oracle=oracle,
@@ -430,6 +458,8 @@ class Database:
         config: AdaptiveConfig,
         *,
         plan_cache: str | None,
+        plan_feedback: tuple[tuple[str, ...], int] | None,
+        learn: CachedPlan | None,
         limits: ExecutionLimits | None,
         fault_plan: FaultPlan | FaultInjector | None,
         oracle: InvariantOracle | bool | None,
@@ -459,7 +489,13 @@ class Database:
                     reason = outcome
                 else:
                     return self._finish_parallel(
-                        plan, plan_cache, outcome, before, obs, query_span
+                        plan,
+                        plan_cache,
+                        plan_feedback,
+                        outcome,
+                        before,
+                        obs,
+                        query_span,
                     )
             if tracer is not None:
                 tracer.event("parallel-fallback", reason=reason)
@@ -530,7 +566,15 @@ class Database:
             engine=executor.engine_used,
             vector_gate=executor.vector_gate_reason,
             plan_cache=plan_cache,
+            plan_feedback=plan_feedback,
         )
+        if (
+            learn is not None
+            and executor.order != list(plan.order)
+            and injector is None
+            and not stats.degraded
+        ):
+            self._write_feedback(learn, executor)
         if query_span is not None:
             tracer.end(
                 query_span,
@@ -558,10 +602,31 @@ class Database:
             ),
         )
 
+    def _write_feedback(
+        self, entry: CachedPlan, executor: PipelineExecutor
+    ) -> None:
+        """Keep what a monitored run learned in its plan-cache entry.
+
+        Reached only when a serial monitored execution of SQL text ran to
+        completion, undisturbed (no injected fault, adaptive layer not
+        degraded), and ended on another order than it started from. The
+        corrected plan is built here, once per write-back, and only for an
+        entry planned under the catalog's current generation: the cache
+        re-checks that (and that it still holds the entry) under its lock.
+        """
+        generation = self.catalog.generation()
+        if entry.generation == generation:
+            self.plan_cache.write_feedback(
+                entry,
+                generation,
+                RuntimeModelBuilder(executor).corrected_plan(),
+            )
+
     def _finish_parallel(
         self,
         plan: PipelinePlan,
         plan_cache: str | None,
+        plan_feedback: tuple[tuple[str, ...], int] | None,
         outcome,
         before: WorkMeter,
         obs: QueryObservability | None,
@@ -591,6 +656,7 @@ class Database:
             vector_gate=outcome.vector_gate,
             worker_engines=tuple(outcome.worker_engines),
             plan_cache=plan_cache,
+            plan_feedback=plan_feedback,
         )
         if query_span is not None:
             tracer.end(

@@ -177,6 +177,11 @@ def render_replay(record: FlightRecord) -> str:
         )
     if record.vector_gate:
         lines.append(f"  vector cascade gated: {record.vector_gate}")
+    if record.plan_feedback:
+        lines.append(
+            f"  plan feedback: started from the learned order below "
+            f"({record.plan_feedback['writes']} write-back(s) to the entry)"
+        )
     if record.session is not None:
         lines.append(
             f"  served: session={record.session} shed={record.shed} "

@@ -148,6 +148,14 @@ def render_explain_analyze(
         "plan cache: "
         + (stats.plan_cache or "not consulted (the caller passed a spec or a plan)")
     )
+    if stats.plan_feedback is None:
+        lines.append("plan feedback: none (started from the optimizer's order)")
+    else:
+        order, writes = stats.plan_feedback
+        lines.append(
+            f"plan feedback: started from {' -> '.join(order)} "
+            f"(learned; {writes} write-back(s) to this plan-cache entry)"
+        )
     lines.append(
         "work breakdown: "
         f"{work.index_descends:,d} index descend(s), "

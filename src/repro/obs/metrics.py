@@ -34,7 +34,8 @@ name                               type    meaning
 ``plan_cache_entries``             gauge   statements held by the database's plan cache
 ``plan_cache_capacity``            gauge   its capacity in statements (0 = off)
 ``plan_cache_events{kind}``        gauge   cumulative hits / misses / single_flight_waits /
-                                           evictions / invalidations
+                                           evictions / invalidations / feedback_writes /
+                                           feedback_hits
 =================================  ======  ===========================================
 """
 
@@ -378,7 +379,8 @@ def record_plan_cache_gauges(
         "plan_cache_events", "plan cache lookups and removals, by kind"
     )
     for kind in (
-        "hits", "misses", "single_flight_waits", "evictions", "invalidations"
+        "hits", "misses", "single_flight_waits", "evictions", "invalidations",
+        "feedback_writes", "feedback_hits",
     ):
         events.set(float(cache[kind]), kind)
 

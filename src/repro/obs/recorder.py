@@ -336,6 +336,10 @@ class FlightRecord:
     # How the plan was obtained (ExecutionStats.plan_cache): hit / miss /
     # wait / off; None for a plan passed in, or a query that never ran.
     plan_cache: str | None = None
+    # Set when the run started from its entry's feedback plan
+    # (ExecutionStats.plan_feedback): ``{"order": [...], "writes": n}``;
+    # ``plan_order`` / ``plan_cost`` are then that plan's.
+    plan_feedback: dict[str, Any] | None = None
     legs: dict[str, dict[str, Any]] = field(default_factory=dict)
     events: list[dict[str, Any]] = field(default_factory=list)
     decisions: list[DecisionRecord] = field(default_factory=list)
@@ -372,6 +376,7 @@ class FlightRecord:
             "worker_engines": list(self.worker_engines),
             "vector_gate": self.vector_gate,
             "plan_cache": self.plan_cache,
+            "plan_feedback": self.plan_feedback,
             "legs": _clean(self.legs),
             "events": _clean(self.events),
             "decisions": [decision.as_dict() for decision in self.decisions],
@@ -404,6 +409,7 @@ class FlightRecord:
             worker_engines=list(data.get("worker_engines", ())),
             vector_gate=data.get("vector_gate"),
             plan_cache=data.get("plan_cache"),
+            plan_feedback=data.get("plan_feedback"),
             legs=data.get("legs", {}),
             events=data.get("events", []),
             decisions=[
@@ -416,6 +422,16 @@ class FlightRecord:
             shed=data.get("shed"),
             queued_ms=data.get("queued_ms"),
         )
+
+
+def feedback_to_dict(
+    plan_feedback: tuple[tuple[str, ...], int] | None,
+) -> dict[str, Any] | None:
+    """``ExecutionStats.plan_feedback`` as flight records and replies carry it."""
+    if plan_feedback is None:
+        return None
+    order, writes = plan_feedback
+    return {"order": list(order), "writes": writes}
 
 
 def event_to_dict(event: AdaptationEvent) -> dict[str, Any]:
@@ -711,6 +727,11 @@ class FlightRecorder:
             ),
             plan_cache=(
                 result.stats.plan_cache if result is not None else None
+            ),
+            plan_feedback=(
+                feedback_to_dict(result.stats.plan_feedback)
+                if result is not None
+                else None
             ),
             legs=_build_legs(plan, final_legs),
             events=(

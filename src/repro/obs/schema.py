@@ -70,6 +70,7 @@ FLIGHT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "worker_engines": ((list,), False, False),
     "vector_gate": ((str,), False, True),
     "plan_cache": ((str,), False, True),
+    "plan_feedback": ((dict,), False, True),
     "legs": ((dict,), True, False),
     "events": ((list,), True, False),
     "decisions": ((list,), True, False),
@@ -78,6 +79,13 @@ FLIGHT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "session": ((str,), False, True),
     "shed": ((str,), False, True),
     "queued_ms": (_NUMBER, False, True),
+}
+
+#: A flight record's ``plan_feedback`` object: the learned order the run
+#: started from and the write-backs its plan-cache entry had seen.
+PLAN_FEEDBACK_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
+    "order": ((list,), True, False),
+    "writes": ((int,), True, False),
 }
 
 DECISION_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
@@ -236,6 +244,18 @@ def validate_flight_record(obj: Any, *, context: str = "record") -> list[str]:
             f"{context}: plan_cache {obj['plan_cache']!r} "
             f"not in {PLAN_CACHE_OUTCOMES}"
         )
+    feedback = obj.get("plan_feedback")
+    if feedback is not None:
+        problems.extend(
+            check_fields(
+                feedback, PLAN_FEEDBACK_FIELDS, context=f"{context}: plan_feedback"
+            )
+        )
+        if obj.get("plan_cache") != "hit":
+            problems.append(
+                f"{context}: plan_feedback on a plan_cache "
+                f"{obj.get('plan_cache')!r} lookup (only a hit reads it)"
+            )
     for index, decision in enumerate(obj["decisions"]):
         ctx = f"{context}: decision[{index}]"
         sub = check_fields(decision, DECISION_FIELDS, context=ctx)

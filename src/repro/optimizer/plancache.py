@@ -20,15 +20,24 @@ generation, never once per concurrent request (the classic cache
 stampede). If the leader fails, a waiter is promoted and retries, so one
 poisoned request cannot wedge the key.
 
-Entries are LRU-bounded. Thread-safe: server worker threads plan, the
-event loop reads stats.
+An entry also keeps what the statement's last monitored execution
+learned — its **feedback plan**: the same plan, reordered to the order that
+run ended on and carrying the estimates it measured (built by the caller,
+stored by :meth:`PlanCache.write_feedback`). :meth:`PlanCache.lookup` hands
+it to callers that say they monitor; :meth:`PlanCache.get_or_plan` never
+does, so a static execution always starts from the optimizer's plan.
+Feedback lives and dies with its entry: a generation change or an LRU
+eviction drops both.
+
+Entries are LRU-bounded. Thread-safe: server worker threads plan and write
+feedback, the event loop reads stats.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.query.sql.normalize import normalize_sql
 
@@ -47,15 +56,39 @@ OUTCOMES = (HIT, MISS, WAIT, OFF)
 DEFAULT_CAPACITY = 1024
 
 
+class Feedback(NamedTuple):
+    """What monitored executions left in an entry."""
+
+    plan: Any  # the plan the next monitored execution starts from
+    writes: int  # write-backs the entry has seen, this one included
+
+
+class CachedPlan:
+    """One statement's entry: the optimizer's plan and the feedback on it.
+
+    ``generation`` is None for the transient entry of a cache that is off:
+    nothing holds it, so no catalog generation ever matches it.
+    """
+
+    __slots__ = ("key", "plan", "generation", "feedback")
+
+    def __init__(self, key: str | None, plan: Any, generation: tuple | None):
+        self.key = key
+        self.plan = plan
+        self.generation = generation
+        # Never mutated: replaced whole, under the cache lock.
+        self.feedback: Feedback | None = None
+
+
 class _InFlight:
     """Leader/waiter rendezvous for one key being planned."""
 
-    __slots__ = ("event", "plan", "error", "generation")
+    __slots__ = ("event", "entry", "generation")
 
     def __init__(self, generation: tuple) -> None:
         self.event = threading.Event()
-        self.plan: Any = None
-        self.error: BaseException | None = None
+        # What the leader planned; still None when it failed.
+        self.entry: CachedPlan | None = None
         # The catalog generation the leader plans under; waiters admitted
         # under a different generation must not reuse the leader's plan.
         self.generation = generation
@@ -69,14 +102,16 @@ class PlanCache:
             raise ValueError("plan cache capacity must be >= 0 (0 disables)")
         self.capacity = capacity
         self._lock = threading.Lock()
-        # key -> (plan, generation); OrderedDict for LRU order.
-        self._entries: "OrderedDict[str, tuple[Any, tuple]]" = OrderedDict()
+        # OrderedDict for LRU order.
+        self._entries: "OrderedDict[str, CachedPlan]" = OrderedDict()
         self._in_flight: dict[str, _InFlight] = {}
         self.hits = 0
         self.misses = 0
         self.waits = 0
         self.evictions = 0
         self.invalidations = 0
+        self.feedback_writes = 0
+        self.feedback_hits = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -90,6 +125,24 @@ class PlanCache:
     ) -> tuple[Any, str]:
         """Return ``(plan, outcome)`` where outcome is hit/miss/wait/off.
 
+        The plan is always the one *planner* made, never feedback.
+        """
+        entry, outcome, _ = self.lookup(sql, generation, planner)
+        return entry.plan, outcome
+
+    def lookup(
+        self,
+        sql: str,
+        generation: tuple,
+        planner: Callable[[str], Any],
+        learned: bool = False,
+    ) -> tuple[CachedPlan, str, Feedback | None]:
+        """Return ``(entry, outcome, feedback)``.
+
+        *feedback* is the entry's :class:`Feedback` when the caller asked
+        for it (*learned*) and a hit found one — read, and counted, under
+        the same lock acquisition as the lookup — else None.
+
         *planner* is invoked (outside the cache lock) by at most one
         thread per key at a time; its exceptions propagate to the leader
         and every waiter of that round.
@@ -97,17 +150,19 @@ class PlanCache:
         if self.capacity <= 0:
             with self._lock:
                 self.misses += 1
-            return planner(sql), OFF
+            return CachedPlan(None, planner(sql), None), OFF, None
         key = normalize_sql(sql)
         while True:
             with self._lock:
                 cached = self._entries.get(key)
                 if cached is not None:
-                    plan, cached_generation = cached
-                    if cached_generation == generation:
+                    if cached.generation == generation:
                         self._entries.move_to_end(key)
                         self.hits += 1
-                        return plan, HIT
+                        feedback = cached.feedback if learned else None
+                        if feedback is not None:
+                            self.feedback_hits += 1
+                        return cached, HIT, feedback
                     # Stale: the catalog changed since this was planned.
                     del self._entries[key]
                     self.invalidations += 1
@@ -120,33 +175,48 @@ class PlanCache:
                     leader = False
             if leader:
                 try:
-                    plan = planner(sql)
-                    flight.plan = plan
-                except BaseException as error:
-                    flight.error = error
-                    raise
+                    flight.entry = CachedPlan(key, planner(sql), generation)
                 finally:
                     with self._lock:
                         self._in_flight.pop(key, None)
-                        if flight.error is None and flight.plan is not None:
-                            self._entries[key] = (flight.plan, generation)
+                        if flight.entry is not None:
+                            self._entries[key] = flight.entry
                             self._entries.move_to_end(key)
                             self._evict_over_capacity()
                         self.misses += 1
                     flight.event.set()
-                return plan, MISS
+                return flight.entry, MISS, None
             flight.event.wait()
-            if (
-                flight.error is None
-                and flight.plan is not None
-                and flight.generation == generation
-            ):
+            if flight.entry is not None and flight.generation == generation:
                 with self._lock:
                     self.waits += 1
-                return flight.plan, WAIT
+                return flight.entry, WAIT, None
             # Leader failed, or planned under a different catalog
             # generation than ours — loop around and retry as a new
             # leader (the locked lookup re-validates the cached entry).
+
+    def write_feedback(
+        self, entry: CachedPlan, generation: tuple, plan: Any
+    ) -> bool:
+        """Make *plan* what *entry*'s next monitored execution starts from.
+
+        Refused (False) unless the cache still holds *entry* and it was
+        planned under *generation*, the catalog's current one: feedback
+        measured on data or statistics that have since changed is dropped,
+        as is feedback for an entry evicted while its statement ran.
+        """
+        with self._lock:
+            if (
+                entry.generation != generation
+                or self._entries.get(entry.key) is not entry
+            ):
+                return False
+            previous = entry.feedback
+            entry.feedback = Feedback(
+                plan, 1 if previous is None else previous.writes + 1
+            )
+            self.feedback_writes += 1
+            return True
 
     def _evict_over_capacity(self) -> None:
         while len(self._entries) > self.capacity:
@@ -163,4 +233,6 @@ class PlanCache:
                 "single_flight_waits": self.waits,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
+                "feedback_writes": self.feedback_writes,
+                "feedback_hits": self.feedback_hits,
             }

@@ -144,6 +144,53 @@ class PipelinePlan:
         """The same plan with a different leg order (used for what-ifs)."""
         return replace(self, order=tuple(order))
 
+    def corrected(
+        self,
+        order: Sequence[str],
+        local_selectivities: Mapping[str, tuple[float, float]],
+        class_selectivities: Mapping[int, float],
+        estimated_cost: float,
+    ) -> "PipelinePlan":
+        """This plan as a monitored run of it measured it (plan feedback).
+
+        Same query, access paths, join predicates and projection; *order*
+        is where the run ended, each leg in *local_selectivities* carries
+        the measured ``(S_LPI, S_LPR)`` in place of the optimizer's, the
+        join classes carry *class_selectivities* and *estimated_cost* is
+        Eq (1) of *order* under those numbers. The result shares this
+        plan's bindings (they depend on predicates and schemas only), so
+        it costs a few small records, not a second compiled plan.
+        """
+        legs = dict(self.legs)
+        for alias, (sel_index, sel_residual) in local_selectivities.items():
+            leg = legs[alias]
+            legs[alias] = replace(
+                leg,
+                estimates=replace(
+                    leg.estimates,
+                    sel_local_index=sel_index,
+                    sel_local_residual=sel_residual,
+                ),
+            )
+        graph = self.query.join_graph()
+        join_selectivities = dict(self.join_selectivities)
+        for predicate in join_selectivities:
+            class_id = graph.class_id(predicate.left, predicate.left_column)
+            if class_id in class_selectivities:
+                join_selectivities[predicate] = class_selectivities[class_id]
+        plan = replace(
+            self,
+            order=tuple(order),
+            legs=legs,
+            join_selectivities=join_selectivities,
+            class_selectivities=dict(class_selectivities),
+            estimated_cost=estimated_cost,
+        )
+        memo = self.__dict__.get("_bindings")
+        if memo is not None:
+            plan.__dict__["_bindings"] = memo
+        return plan
+
     def explain(self) -> str:
         lines = [f"PipelinePlan (estimated cost {self.estimated_cost:.1f} work units)"]
         for position, alias in enumerate(self.order, start=1):

@@ -17,7 +17,8 @@ Responses::
 
     {"id": 7, "status": "ok", "rows": [[...], ...], "row_count": 2,
      "stats": {"work_units": ..., "wall_ms": ..., "switches": ...,
-               "shed": "none", "plan_cache": "hit", ...}}
+               "shed": "none", "plan_cache": "hit",
+               "plan_feedback": {"order": ["c", "o"], "writes": 1}, ...}}
     {"id": 7, "status": "error", "code": "REJECTED_OVERLOAD",
      "error": "admission queue full (32 queued)"}
 

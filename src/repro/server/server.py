@@ -98,6 +98,10 @@ class EngineResult:
     # Which execution engine ran (ExecutionStats.engine) — lets load
     # clients assert parallel-vector engagement from the stats op.
     engine: str = "scalar"
+    # ExecutionStats.plan_feedback as the wire carries it: None, or
+    # {"order": [...], "writes": n} when the run started from what an
+    # earlier monitored execution of the statement learned.
+    plan_feedback: dict | None = None
     # Flight-recorder context (None/0 when the engine records nothing).
     query_id: str | None = None
     slow: bool = False
@@ -201,6 +205,7 @@ class DatabaseEngine:
             workers=result.stats.workers,
             plan_cache=result.stats.plan_cache,
             engine=result.stats.engine,
+            plan_feedback=record.plan_feedback,
             query_id=record.query_id,
             slow=record.slow,
         )
@@ -522,6 +527,7 @@ class QueryServer:
                 "shed": shed,
                 "plan_cache": result.plan_cache,
                 "engine": getattr(result, "engine", "scalar"),
+                "plan_feedback": getattr(result, "plan_feedback", None),
             }
             self.metrics.counter("server_engine_total").inc(stats["engine"])
             query_id = getattr(result, "query_id", None)

@@ -51,16 +51,24 @@ CONFIGS = [
 ]
 
 
+# No plan cache: the tests below run one statement in several modes and
+# configurations on these shared databases, and each run means "the
+# optimizer's plan", not "where the previous monitored run ended" (plan
+# feedback; tests/test_plan_feedback.py holds the backends equal there).
 @pytest.fixture(scope="module")
 def row_db():
-    db, _ = load_dmv(scale=SCALE, extended=True, backend="row")
+    db, _ = load_dmv(
+        scale=SCALE, extended=True, backend="row", plan_cache_size=0
+    )
     yield db
     db.close()
 
 
 @pytest.fixture(scope="module")
 def columnar_db():
-    db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
+    db, _ = load_dmv(
+        scale=SCALE, extended=True, backend="columnar", plan_cache_size=0
+    )
     yield db
     db.close()
 
@@ -169,7 +177,12 @@ SWITCHING_STATEMENTS = (192, 195, 306)
 @pytest.fixture(scope="module")
 def switching_dbs():
     dbs = [
-        load_dmv(scale=SWITCH_SCALE, extended=True, backend=backend)[0]
+        load_dmv(
+            scale=SWITCH_SCALE,
+            extended=True,
+            backend=backend,
+            plan_cache_size=0,
+        )[0]
         for backend in ("row", "columnar")
     ]
     yield dbs

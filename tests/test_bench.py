@@ -8,6 +8,7 @@ from repro import AdaptiveConfig, ReorderMode
 from repro.bench.experiments import (
     PAPER_TABLE1,
     ablation_experiment,
+    learned_experiment,
     overhead_experiment,
     scatter_experiment,
     table1_experiment,
@@ -26,7 +27,7 @@ from repro.bench.runner import (
     standard_configs,
     write_json_atomic,
 )
-from repro.dmv import four_table_workload
+from repro.dmv import four_table_workload, load_dmv, six_table_workload
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,26 @@ class TestExperiments:
         result = overhead_experiment(db, tiny_workload)
         assert result.inner_overhead >= 0.0
         assert "paper: 0.68%" in result.report()
+
+    def test_learned(self):
+        """E11 on the engine: later executions start from plan feedback and
+        do no more work than the first; a database that already learned
+        the workload is refused (its "first" pass would not be one)."""
+        db, _ = load_dmv(scale=0.02, extended=True, backend="columnar")
+        workload = six_table_workload(count=12)
+        configs = (
+            AdaptiveConfig(mode=ReorderMode.BOTH, batched=True),
+            AdaptiveConfig(mode=ReorderMode.NONE, batched=True),
+        )
+        result = learned_experiment(db, workload, *configs, later_passes=2)
+        assert sum(result.statements.values()) == len(workload)
+        assert sum(result.learned.values()) > 0
+        assert result.total("later")[0] <= result.total("first")[0]
+        assert len(result.later_switches) == 2
+        report = result.report("E11")
+        assert "2nd+ work" in report and "#learned" in report
+        with pytest.raises(ValueError, match="monitored mode"):
+            learned_experiment(db, workload, *configs)
 
     def test_window_sweep(self, mini_dmv, tiny_workload):
         db, _ = mini_dmv

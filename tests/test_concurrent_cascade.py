@@ -75,8 +75,12 @@ def test_four_threads_share_lazy_columnar_builds(monkeypatch):
     assert {engine for *_, engine in want} == {"vector", "vector-adaptive"}
     assert max(map(len, asked.values())) > KERNEL_MEMO  # evictions happen
 
-    # A fresh database: nothing is built yet, every thread starts cold.
-    db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
+    # A fresh database: nothing is built yet, every thread starts cold. No
+    # plan cache, so each thread's mode-BOTH run is the optimizer's plan
+    # like the reference's, not a start from another thread's feedback.
+    db, _ = load_dmv(
+        scale=SCALE, extended=True, backend="columnar", plan_cache_size=0
+    )
     meter = db.enable_concurrent_metering()
     rotations = [
         jobs[start:] + jobs[:start]

@@ -21,7 +21,9 @@ from repro.dmv import four_table_workload, load_dmv
 
 @pytest.fixture(scope="module")
 def dmv_db():
-    db, _ = load_dmv(scale=0.01)
+    # No plan cache: "baseline" and "armed" are two runs of the optimizer's
+    # plan, not a run and its plan-feedback successor.
+    db, _ = load_dmv(scale=0.01, plan_cache_size=0)
     return db
 
 

@@ -73,8 +73,12 @@ def engine_config(mode: ReorderMode, **overrides) -> AdaptiveConfig:
 
 @pytest.fixture(scope="module")
 def dbs():
+    # No plan cache: a limited run is compared with an unlimited run of the
+    # same plan, not with one started from the other's plan feedback.
     pair = {
-        backend: load_dmv(scale=SCALE, extended=True, backend=backend)[0]
+        backend: load_dmv(
+            scale=SCALE, extended=True, backend=backend, plan_cache_size=0
+        )[0]
         for backend in ("row", "columnar")
     }
     yield pair
@@ -359,7 +363,7 @@ def test_static_limits_on_a_refused_shape_run_the_scalar_machine(
 def hand_off_db(backend: str) -> Database:
     """B has no index on ``cid``: once C drives, B is hash-probed, a shape
     the cascade's gates refuse — it hands the cursors back mid-query."""
-    db = Database(backend=backend)
+    db = Database(backend=backend, plan_cache_size=0)  # same plan every run
     db.create_table("A", [("id", "int"), ("x", "int")])
     db.create_table("B", [("aid", "int"), ("cid", "int")])
     db.create_table("C", [("id", "int"), ("flag", "int")])
