@@ -18,6 +18,7 @@ adaptation overhead straight off the meter.
 from __future__ import annotations
 
 import logging
+from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.core.config import AdaptiveConfig
@@ -33,6 +34,7 @@ from repro.core.reorder import decide_inner_order
 from repro.errors import ExecutionError, ReproError
 from repro.obs.recorder import DecisionRecord, rank_terms_for
 from repro.obs.timeseries import snapshot_legs
+from repro.optimizer.params import ModelProvider
 from repro.storage.cursor import IndexScanCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,6 +53,14 @@ class AdaptationController:
         # Experiment counters.
         self.inner_checks = 0
         self.driving_checks = 0
+        # Wall time inside the two hooks, gates excluded.
+        self.check_seconds = 0.0
+        # One model snapshot per boundary: a kept inner check at position 1
+        # leaves the whole pipeline depleted, and until the driving leg
+        # produces another row no probe runs, no window folds and no cursor
+        # moves — the driving check that follows reads the very state the
+        # inner check modelled. ``(driving rows produced, provider)``.
+        self._handoff: tuple[int, ModelProvider] | None = None
 
     def attach(self, pipeline: "PipelineExecutor") -> None:
         self.pipeline = pipeline
@@ -75,9 +85,11 @@ class AdaptationController:
         leg = pipeline.legs[order[position]]
         if leg.incoming_since_check < config.check_frequency:
             return
+        started = perf_counter()
         leg.incoming_since_check = 0
         pipeline.catalog.meter.charge_reorder_check()
         self.inner_checks += 1
+        self._handoff = None
         assert self._builder is not None
         try:
             if pipeline.catalog.faults is not None:
@@ -136,6 +148,8 @@ class AdaptationController:
                     )
                 )
                 pipeline.apply_inner_order(position, new_suffix)
+            elif position == 1 and config.mode.reorders_driving:
+                self._handoff = (pipeline.driving_rows_total, provider)
         except ReproError as exc:
             # Context for degraded-mode events: which check, which leg,
             # which position, and how far execution had progressed.
@@ -144,6 +158,8 @@ class AdaptationController:
                 f"(leg {order[position]!r}, order {tuple(order)}, "
                 f"{pipeline.driving_rows_total} driving rows)"
             ) from exc
+        finally:
+            self.check_seconds += perf_counter() - started
 
     # ------------------------------------------------------------------
     # Fig 3: REORDER_DRIVING_TABLE()
@@ -169,17 +185,22 @@ class AdaptationController:
             # Single-value scans ignore the key order entirely and may
             # switch anywhere (their positional predicate is RID-only).
             return False
+        started = perf_counter()
         pipeline.driving_rows_since_check = 0
         pipeline.catalog.meter.charge_reorder_check()
         self.driving_checks += 1
+        handoff, self._handoff = self._handoff, None
         assert self._builder is not None
         try:
             if pipeline.catalog.faults is not None:
                 pipeline.catalog.faults.fire("controller")
-            if config.dynamic_access_path:
-                self._refresh_dynamic_specs()
-            self._builder.refresh_join_selectivities()
-            provider = self._builder.build_provider()
+            if config.dynamic_access_path and self._refresh_dynamic_specs():
+                handoff = None  # a leg's spec, and with it its model, moved
+            if handoff is not None and handoff[0] == pipeline.driving_rows_total:
+                provider = handoff[1]
+            else:
+                self._builder.refresh_join_selectivities()
+                provider = self._builder.build_provider()
             obs = pipeline.obs
             audit_costs: dict[str, float] | None = (
                 {} if obs is not None and obs.audit is not None else None
@@ -225,6 +246,8 @@ class AdaptationController:
                 f"{pipeline.order[0]!r}, order {tuple(pipeline.order)}, "
                 f"{pipeline.driving_rows_total} driving rows)"
             ) from exc
+        finally:
+            self.check_seconds += perf_counter() - started
         return True
 
     def _audit_check(
@@ -292,14 +315,15 @@ class AdaptationController:
         except Exception:  # pragma: no cover - advisory-only capture
             logger.exception("decision-audit capture failed (ignored)")
 
-    def _refresh_dynamic_specs(self) -> None:
+    def _refresh_dynamic_specs(self) -> bool:
         """Sec 6 extension: re-pick access paths from monitored locals.
 
         Only legs that have never driven are eligible — a frozen scan's
         order must stay stable for its positional predicate to remain
-        correct.
+        correct. True when some leg's spec was replaced.
         """
         pipeline = self._require_pipeline()
+        refreshed = False
         for alias in pipeline.order[1:]:
             if pipeline.registry.has_driven(alias):
                 continue
@@ -307,3 +331,5 @@ class AdaptationController:
             spec = dynamic_driving_spec(leg)
             if spec is not None:
                 apply_dynamic_spec(leg, spec)
+                refreshed = True
+        return refreshed

@@ -23,9 +23,9 @@ from repro.core.config import AdaptiveConfig, InnerReorderPolicy
 from repro.optimizer.cost import (
     best_order_exhaustive,
     cost_of_order,
-    greedy_rank_suffix,
+    greedy_rank_walk,
 )
-from repro.optimizer.params import ModelProvider
+from repro.optimizer.params import ModelProvider, leg_model_parts
 from repro.optimizer.plans import DrivingKind, DrivingSpec
 from repro.storage.cursor import normalize_ranges
 
@@ -69,22 +69,21 @@ def decide_driving_switch(
         if candidate == order[0]:
             continue
         abandoned = pipeline.abandon_counts.get(candidate, 0)
-        if audit_costs is None:
-            scan_cost = provider.driving_params(candidate)[1]
-            if abandoned:
-                scan_cost *= (1.0 + threshold) ** abandoned
-            if scan_cost >= min(best_cost, switch_bar):
-                continue
-        others = [alias for alias in order if alias != candidate]
+        flow, scan_cost = provider.driving_params(candidate)
+        if audit_costs is None and (
+            scan_cost * (1.0 + threshold) ** abandoned
+            >= min(best_cost, switch_bar)
+        ):
+            continue
         if config.inner_policy is InnerReorderPolicy.EXHAUSTIVE:
             candidate_order, cost = best_order_exhaustive(
                 order, graph, provider, fixed_prefix=(candidate,)
             )
         else:
-            candidate_order = greedy_rank_suffix(
-                (candidate,), others, graph, provider
+            # The rank walk carries Eq (1) down the order it builds.
+            candidate_order, cost = greedy_rank_walk(
+                (candidate,), order, graph, provider, scan_cost, flow
             )
-            cost = cost_of_order(candidate_order, provider)
         if abandoned:
             # Anti-thrash: switching *back* to a leg we already abandoned
             # must clear an escalating bar, otherwise near-tie estimates
@@ -156,4 +155,5 @@ def apply_dynamic_spec(leg: "RuntimeLeg", spec: DrivingSpec) -> None:
     leg.plan_leg = dataclasses.replace(
         leg.plan_leg, driving=spec, estimates=estimates
     )
-    leg._slpi_metadata = None  # the cached metadata S_LPI is for the old spec
+    # S_LPI, the pushed predicate and the scan shape are the old spec's.
+    leg.model_parts = leg_model_parts(leg.plan_leg, leg.table, leg.indexes)

@@ -288,6 +288,15 @@ class LegMonitor:
             return None
         return self.window.sum_output / len(self.window)
 
+    def join_cardinality_and_probe_cost(self) -> tuple[float, float] | None:
+        """:meth:`join_cardinality` and :meth:`probe_cost` in one read: the
+        pair every reorder check calibrates the leg's model against."""
+        window = self.window
+        samples = len(window)
+        if samples == 0:
+            return None
+        return window.sum_output / samples, window.sum_work / samples
+
     def index_match_rate(self) -> float | None:
         """Average index matches per incoming row (O_1 / I_1)."""
         if len(self.window) == 0:

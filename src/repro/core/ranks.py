@@ -38,7 +38,7 @@ _CORRECTION_CEIL = 1e3
 
 
 def _clamp(value: float, low: float, high: float) -> float:
-    return max(min(value, high), low)
+    return low if value < low else high if value > high else value
 
 
 def remaining_scan_fraction(
@@ -67,24 +67,15 @@ def remaining_scan_fraction(
             return 0.0
         consumed = 0 if cursor.last_position is None else cursor.last_position[0] + 1
         return max(total - consumed, 0) / total
-    index = cursor.index
+    # SortedIndex.count_range / count_range_after(last_position) over
+    # every key range, with the ranges' bounds found once per scan and the
+    # position read off the walk instead of searched for.
+    start = cursor.scan_offset()
     total = 0
     remaining = 0
-    after = cursor.last_position
-    for key_range in cursor.ranges:
-        total += index.count_range(
-            key_range.low,
-            key_range.high,
-            key_range.low_inclusive,
-            key_range.high_inclusive,
-        )
-        remaining += index.count_range_after(
-            after,
-            key_range.low,
-            key_range.high,
-            key_range.low_inclusive,
-            key_range.high_inclusive,
-        )
+    for lo, hi in cursor.range_spans():
+        total += max(hi - lo, 0)
+        remaining += max(hi - max(lo, start), 0)
     if total == 0:
         return 0.0
     return remaining / total
@@ -117,18 +108,24 @@ def measured_residual_local_selectivity(
     selectivity is known exactly from index metadata, so only the residual
     predicates should use the (conditional) monitored pass rates.
     """
+    return _slots_selectivity(
+        leg.local_counts,
+        [
+            slot
+            for slot, (predicate, _) in enumerate(leg.local_tests)
+            if predicate is not pushed
+        ],
+    )
+
+
+def _slots_selectivity(local_counts, slots) -> float | None:
+    """Product of the monitored pass rates of *slots*; None before data."""
     product = 1.0
-    saw_data = False
-    for slot, (predicate, _) in enumerate(leg.local_tests):
-        if predicate is pushed:
-            continue
-        evaluated, passed = leg.local_counts[slot]
+    for slot in slots:
+        evaluated, passed = local_counts[slot]
         if evaluated == 0:
             return None
         product *= passed / evaluated
-        saw_data = True
-    if not saw_data:
-        return 1.0
     return product
 
 
@@ -138,15 +135,19 @@ class RuntimeModelBuilder:
     def __init__(self, pipeline: "PipelineExecutor") -> None:
         self.pipeline = pipeline
         self.config = pipeline.config
+        self._hash_probes = (
+            self.config.hash_probe_policy is not HashProbePolicy.OFF
+        )
 
     # ------------------------------------------------------------------
     def refresh_join_selectivities(self) -> None:
         """Fold Eq (7) measurements into the live selectivity table."""
+        pipeline = self.pipeline
         warmup = self.config.warmup_rows
-        for position, alias in enumerate(self.pipeline.order):
-            if position == 0:
-                continue
-            leg = self.pipeline.legs[alias]
+        legs = pipeline.legs
+        class_id_of = pipeline.join_graph.class_id
+        for alias in pipeline.order[1:]:
+            leg = legs[alias]
             config = leg.probe_config
             if config is None or config.access_predicate is None:
                 continue
@@ -155,17 +156,18 @@ class RuntimeModelBuilder:
                 # match rate is sel_jp * sel_locals — not a clean Eq (7)
                 # measurement of the join class.
                 continue
-            if leg.monitor.lifetime_incoming < warmup:
+            monitor = leg.monitor
+            if monitor.lifetime_incoming < warmup:
                 continue
-            measured = leg.monitor.index_join_selectivity(leg.base_cardinality)
+            measured = monitor.index_join_selectivity(
+                leg.model_parts.base_cardinality
+            )
             if measured is None or measured <= 0:
                 continue
             predicate = config.access_predicate
-            class_id = self.pipeline.join_graph.class_id(
-                predicate.left, predicate.left_column
-            )
+            class_id = class_id_of(predicate.left, predicate.left_column)
             if class_id is not None:
-                self.pipeline.class_selectivities[class_id] = measured
+                pipeline.class_selectivities[class_id] = measured
 
     # ------------------------------------------------------------------
     def _remaining_fraction(self, alias: str) -> float:
@@ -178,88 +180,51 @@ class RuntimeModelBuilder:
             return remaining_scan_fraction(frozen.cursor)
         return 1.0
 
-    def _index_selectivity(self, alias: str) -> float:
-        """S_LPI of *alias*'s driving access path.
-
-        Computed from index metadata (entry counts over the spec's key
-        ranges) rather than the optimizer's uniformity guess — the run-time
-        equivalent of a B-tree key-range estimate, which every commercial
-        engine can produce without touching row data. Falls back to the
-        optimizer prior when the index is unavailable.
-        """
-        leg = self.pipeline.legs[alias]
-        cached = getattr(leg, "_slpi_metadata", None)
-        if cached is not None:
-            return cached
-        spec = leg.plan_leg.driving
-        value = leg.plan_leg.estimates.sel_local_index
-        if spec.index_column is not None and spec.ranges:
-            index = leg.indexes.get(spec.index_column)
-            if index is not None and leg.base_cardinality > 0:
-                qualified = sum(
-                    index.count_range(
-                        r.low, r.high, r.low_inclusive, r.high_inclusive
-                    )
-                    for r in spec.ranges
-                )
-                value = qualified / leg.base_cardinality
-        leg._slpi_metadata = value
-        return value
-
-    def _local_selectivities(self, alias: str) -> tuple[float, float]:
-        """(S_LPI, S_LPR) for *alias*, preferring monitored values."""
-        pipeline = self.pipeline
-        leg = pipeline.legs[alias]
-        estimates = leg.plan_leg.estimates
-        sel_index = self._index_selectivity(alias)
-        if alias == pipeline.order[0]:
-            # Driving leg: S_LPI from index metadata, S_LPR from the scan
-            # monitor once warm (Sec 4.3.1/4.3.3).
-            monitor = leg.driving_monitor
-            measured = monitor.residual_selectivity() if monitor is not None else None
-            if (
-                measured is not None
-                and monitor is not None
-                and monitor.entries_scanned >= self.config.warmup_rows
-            ):
-                return sel_index, measured
-            return sel_index, estimates.sel_local_residual
-        warm = (
-            leg.local_counts
-            and leg.local_counts[0][0] >= self.config.warmup_rows
-        )
-        if not warm:
-            return sel_index, estimates.sel_local_residual
-        # S_LPI comes from index metadata (table-wide, exact); only the
-        # residual predicates use the probe-time (join-conditional)
-        # measurements — see measured_residual_local_selectivity.
-        residual = measured_residual_local_selectivity(
-            leg, leg.pushed_driving_predicate()
-        )
-        if residual is None:
-            return sel_index, estimates.sel_local_residual
-        return sel_index, min(residual, 1.0)
-
     def _table_model(
         self, alias: str, remaining_fraction: float = 1.0
     ) -> TableModel:
-        """*alias*'s uncalibrated model under the current estimates."""
-        leg = self.pipeline.legs[alias]
-        plan_leg = leg.plan_leg
-        sel_index, sel_residual = self._local_selectivities(alias)
+        """*alias*'s uncalibrated model under the current estimates.
+
+        Everything but S_LPR and the remaining fraction is the plan's
+        (:class:`~repro.optimizer.params.LegModelParts`). S_LPI is index
+        metadata, table-wide and exact; S_LPR is monitored once warm — the
+        scan monitor for the driving leg (Sec 4.3.1/4.3.3), the probe-time
+        pass rates of the residual predicates for an inner leg (see
+        :func:`measured_residual_local_selectivity`) — and the optimizer's
+        prior before.
+        """
+        pipeline = self.pipeline
+        leg = pipeline.legs[alias]
+        parts = leg.model_parts
+        estimates = leg.plan_leg.estimates
+        sel_index = parts.sel_local_index
+        if sel_index is None:
+            sel_index = estimates.sel_local_index
+        sel_residual = estimates.sel_local_residual
+        warmup = self.config.warmup_rows
+        if alias == pipeline.order[0]:
+            monitor = leg.driving_monitor
+            if monitor is not None and monitor.entries_scanned >= warmup:
+                measured = monitor.residual_selectivity()
+                if measured is not None:
+                    sel_residual = measured
+        elif leg.local_counts and leg.local_counts[0][0] >= warmup:
+            measured = _slots_selectivity(leg.local_counts, parts.residual_slots)
+            if measured is not None:
+                sel_residual = min(measured, 1.0)
         return TableModel(
-            alias=alias,
-            base_cardinality=leg.base_cardinality,
-            sel_local_index=sel_index,
-            sel_local_residual=sel_residual,
-            local_predicate_count=len(plan_leg.local_predicates),
-            indexed_columns=frozenset(leg.indexes),
-            driving_kind=plan_leg.driving.kind,
-            driving_range_count=max(len(plan_leg.driving.ranges), 1),
-            remaining_fraction=remaining_fraction,
-            hash_probes=(
-                self.config.hash_probe_policy is not HashProbePolicy.OFF
-            ),
+            alias,
+            parts.base_cardinality,
+            sel_index,
+            sel_residual,
+            parts.local_predicate_count,
+            parts.indexed_columns,
+            parts.driving_kind,
+            parts.driving_range_count,
+            remaining_fraction,
+            1.0,
+            1.0,
+            self._hash_probes,
         )
 
     def corrected_plan(self) -> PipelinePlan:
@@ -313,10 +278,12 @@ class RuntimeModelBuilder:
         models._builder = self
         models._warmup = self.config.warmup_rows
         models._legs = pipeline.legs
-        models._order = pipeline.order
-        models._position_of = {
-            alias: i for i, alias in enumerate(pipeline.order)
-        }
+        # alias -> the legs bound before it in the current order.
+        bounds = models._bounds = {}
+        bound: frozenset[str] = frozenset()
+        for alias in pipeline.order:
+            bounds[alias] = bound
+            bound = bound | {alias}
         provider = ModelProvider(
             models, pipeline.class_selectivities, pipeline.join_graph
         )
@@ -339,58 +306,41 @@ class _LazyModels(dict):
 
     def __missing__(self, alias: str) -> TableModel:
         builder = self._builder
-        leg = self._legs[alias]
         model = builder._table_model(alias, builder._remaining_fraction(alias))
-        position = self._position_of.get(alias, 0)
-        if (
-            position == 0
-            or leg.monitor.lifetime_incoming < self._warmup
-        ):
-            self[alias] = model
-            return model
-        jc_measured = leg.monitor.join_cardinality()
-        pc_measured = leg.monitor.probe_cost()
-        # Evaluate the uncalibrated model at the leg's current
-        # position (the model must be visible to inner_params).
+        # Visible to inner_params below, which evaluates the uncalibrated
+        # model at the leg's current position.
         self[alias] = model
+        bound = self._bounds.get(alias)
+        if not bound:
+            return model  # the driving leg: nothing flows into it
+        monitor = self._legs[alias].monitor
+        if monitor.lifetime_incoming < self._warmup:
+            return model
+        measured = monitor.join_cardinality_and_probe_cost()
+        if measured is None:
+            return model
+        jc_measured, pc_measured = measured
         provider = self._provider
-        bound = frozenset(self._order[:position])
         jc_model, pc_model = provider.inner_params(alias, bound)
         jc_correction = 1.0
         pc_correction = 1.0
-        if jc_measured is not None and jc_model > 0:
+        if jc_model > 0:
             jc_correction = _clamp(
-                jc_measured / jc_model,
-                _CORRECTION_FLOOR,
-                _CORRECTION_CEIL,
+                jc_measured / jc_model, _CORRECTION_FLOOR, _CORRECTION_CEIL
             )
-        if pc_measured is not None and pc_model > 0:
+        if pc_model > 0:
             pc_correction = _clamp(
-                pc_measured / pc_model,
-                _CORRECTION_FLOOR,
-                _CORRECTION_CEIL,
+                pc_measured / pc_model, _CORRECTION_FLOOR, _CORRECTION_CEIL
             )
         if jc_correction == 1.0 and pc_correction == 1.0:
             return model
-        calibrated = TableModel(
-            alias=model.alias,
-            base_cardinality=model.base_cardinality,
-            sel_local_index=model.sel_local_index,
-            sel_local_residual=model.sel_local_residual,
-            local_predicate_count=model.local_predicate_count,
-            indexed_columns=model.indexed_columns,
-            driving_kind=model.driving_kind,
-            driving_range_count=model.driving_range_count,
-            remaining_fraction=model.remaining_fraction,
-            jc_correction=jc_correction,
-            pc_correction=pc_correction,
-            hash_probes=model.hash_probes,
-        )
-        self[alias] = calibrated
+        # The model is this snapshot's alone until it is returned.
+        model.jc_correction = jc_correction
+        model.pc_correction = pc_correction
         # Replace the uncalibrated memo entry with the corrected
         # value (exact: the correction multiplies last).
         provider._inner_cache[(alias, bound)] = (
             jc_model * jc_correction,
             pc_model * pc_correction,
         )
-        return calibrated
+        return model

@@ -128,6 +128,10 @@ class ExecutionStats:
     # plan instead of the optimizer's: ``(order it started from, write-backs
     # the entry had seen)``. Monitored executions of SQL text only.
     plan_feedback: tuple[tuple[str, ...], int] | None = None
+    # Wall time spent inside the controller's two reorder checks (for a
+    # parallel run: summed over the workers, the coordinator's barrier
+    # decisions and the serial continuation). 0.0 in mode NONE.
+    check_seconds: float = 0.0
 
     @property
     def total_work(self) -> float:
@@ -561,6 +565,7 @@ class Database:
             driving_switches=executor.driving_switches,
             inner_checks=controller.inner_checks if controller else 0,
             driving_checks=controller.driving_checks if controller else 0,
+            check_seconds=controller.check_seconds if controller else 0.0,
             order_history=tuple(executor.order_history),
             events=tuple(executor.events),
             engine=executor.engine_used,
@@ -648,6 +653,7 @@ class Database:
             driving_switches=outcome.driving_switches,
             inner_checks=outcome.inner_checks,
             driving_checks=outcome.driving_checks,
+            check_seconds=outcome.check_seconds,
             order_history=tuple(outcome.order_history),
             events=tuple(outcome.events),
             critical_path_work=outcome.critical_path_units,

@@ -28,6 +28,7 @@ from repro.core.monitor import DrivingMonitor, LegMonitor
 from repro.errors import ExecutionError
 from repro.executor.hashprobe import HashProbeTable
 from repro.robustness.faults import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
+from repro.optimizer.params import LegModelParts
 from repro.optimizer.plans import DrivingKind, PlanLeg
 from repro.query.joingraph import JoinPredicate
 from repro.query.predicates import LocalPredicate, PositionalPredicate
@@ -129,7 +130,7 @@ class RuntimeLeg:
         "degrade_hook",
         "monitor_failure",
         "_hash_tables",
-        "_slpi_metadata",
+        "model_parts",
         "_fast_groups",
         "_fast_scan_group",
         "_fast_groups_gen",
@@ -141,6 +142,7 @@ class RuntimeLeg:
         plan_leg: PlanLeg,
         catalog: Catalog,
         local_tests: Sequence[tuple[LocalPredicate, Callable]],
+        model_parts: LegModelParts,
         history_window: int,
         monitoring_enabled: bool,
         hash_policy: HashProbePolicy = HashProbePolicy.OFF,
@@ -152,6 +154,10 @@ class RuntimeLeg:
         self.schema = self.table.schema
         self.meter = self.table.meter
         self.indexes = catalog.indexes_of(plan_leg.table_name)
+        # The execution-invariant part of this leg's run-time cost model,
+        # shared with every execution of the plan (PlanBindings); replaced
+        # only when the dynamic access-path extension re-picks the spec.
+        self.model_parts = model_parts
         self.monitoring_enabled = monitoring_enabled
         self.monitor = LegMonitor(history_window, aggregated=aggregated_monitor)
         self.driving_monitor: DrivingMonitor | None = None
@@ -196,10 +202,6 @@ class RuntimeLeg:
         # Hash builds are cached per access column: reorders and driving
         # switches that keep the same access column reuse the build.
         self._hash_tables: dict[str, HashProbeTable] = {}
-        # Cached index-metadata S_LPI of the driving spec (see
-        # RuntimeModelBuilder._index_selectivity); invalidated when the
-        # dynamic access-path extension replaces the spec.
-        self._slpi_metadata: float | None = None
         # Chunk reference loop: lazily memoized per-key candidate groups
         # (rows passing locals + positional, with exact scalar eval counts
         # and per-predicate deltas); see probe_batch_fast.

@@ -145,6 +145,7 @@ class _WorkerResult:
     driving_rows: int
     inner_reorders: int
     inner_checks: int
+    check_seconds: float
     final_order: tuple[str, ...]
     # Which engine ran this partition ("vector" / "vector-adaptive" / ...)
     # and, when a cascade gate failed in-worker, why. A gate failure
@@ -214,6 +215,7 @@ def _run_partition_task(task: _WorkerTask) -> _WorkerResult:
         driving_rows=executor.driving_rows_total,
         inner_reorders=executor.inner_reorders,
         inner_checks=controller.inner_checks if controller is not None else 0,
+        check_seconds=controller.check_seconds if controller is not None else 0.0,
         final_order=tuple(executor.order),
         engine=executor.engine_used,
         vector_gate=executor.vector_gate_reason,
@@ -503,6 +505,7 @@ class ParallelOutcome:
     driving_switches: int = 0
     inner_checks: int = 0
     driving_checks: int = 0
+    check_seconds: float = 0.0
     wall_seconds: float = 0.0
     workers_used: int = 0
     partitions_run: int = 0
@@ -715,6 +718,7 @@ class ParallelExecutor:
                 outcome.driving_rows += result.driving_rows
                 outcome.inner_reorders += result.inner_reorders
                 outcome.inner_checks += result.inner_checks
+                outcome.check_seconds += result.check_seconds
                 outcome.partitions_run += 1
                 outcome.worker_engines.append(result.engine)
                 if outcome.vector_gate is None and result.vector_gate:
@@ -757,7 +761,9 @@ class ParallelExecutor:
                 )
                 outcome.driving_checks += 1
                 outcome.critical_path_units += REORDER_CHECK_COST
+                decided_at = time.perf_counter()
                 decision = self._decide_switch(host)
+                outcome.check_seconds += time.perf_counter() - decided_at
                 if self.obs is not None and self.obs.sampler is not None:
                     self.obs.sampler.sample(host)
                 if decision is not None:
@@ -863,6 +869,7 @@ class ParallelExecutor:
         outcome.driving_switches += executor.driving_switches
         outcome.inner_checks += controller.inner_checks
         outcome.driving_checks += controller.driving_checks
+        outcome.check_seconds += controller.check_seconds
         for event in executor.events:
             outcome.events.append(event)
         for order in executor.order_history[1:]:

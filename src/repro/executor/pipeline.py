@@ -35,6 +35,7 @@ from repro.executor.access import (
     bind_local_tests,
 )
 from repro.obs.observer import QueryObservability
+from repro.optimizer.params import LegModelParts, leg_model_parts
 from repro.optimizer.plans import PipelinePlan
 from repro.robustness.guard import describe_failure
 from repro.robustness.limits import ExecutionLimits, LimitEnforcer
@@ -71,16 +72,19 @@ class _NoAdaptation:
 
 
 class PlanBindings(NamedTuple):
-    """What an executor derives from a plan and its table schemas alone.
+    """What an executor derives from a plan and the catalog alone.
 
-    Built once per plan (:meth:`PipelinePlan.bindings`) and shared by every
-    execution of it, so nothing in here may change after construction.
+    Built once per plan and catalog generation (:meth:`PipelinePlan.bindings`)
+    and shared by every execution of it, so nothing in here may change
+    after construction.
     """
 
     # alias -> ((predicate, compiled row test), ...)
     local_tests: Mapping[str, tuple]
     # (alias, row slot) per output column
     projection_slots: tuple[tuple[str, int], ...]
+    # alias -> the execution-invariant part of the leg's run-time cost model
+    model_parts: Mapping[str, LegModelParts]
 
 
 def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
@@ -96,6 +100,12 @@ def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
             (output.alias, tables[output.alias].schema.position_of(output.column))
             for output in plan.projection
         ),
+        model_parts={
+            alias: leg_model_parts(
+                leg, tables[alias], catalog.indexes_of(leg.table_name)
+            )
+            for alias, leg in plan.legs.items()
+        },
     )
 
 
@@ -134,6 +144,7 @@ class PipelineExecutor:
                 plan.leg(alias),
                 catalog,
                 bindings.local_tests[alias],
+                bindings.model_parts[alias],
                 self.config.history_window,
                 monitoring,
                 hash_policy=self.config.hash_probe_policy,

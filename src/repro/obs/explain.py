@@ -171,8 +171,11 @@ def render_explain_analyze(
             f"{work.hash_build_entries:,d} build entrie(s), "
             f"{work.hash_probes:,d} probe(s), {work.hash_matches:,d} match(es)"
         )
+    checks = stats.inner_checks + stats.driving_checks
     lines.append(
-        f"checks: {stats.inner_checks} inner, {stats.driving_checks} driving; "
+        f"checks: {stats.inner_checks} inner, {stats.driving_checks} driving "
+        f"({stats.check_seconds * 1e3:.2f} ms, "
+        f"{stats.check_seconds * 1e6 / max(checks, 1):.0f} us per check); "
         f"switches: {stats.inner_reorders} inner, "
         f"{stats.driving_switches} driving"
     )

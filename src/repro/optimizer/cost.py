@@ -51,20 +51,75 @@ def rank(jc: float, pc: float) -> float:
     return (jc - 1.0) / max(pc, 1e-12)
 
 
+def walk_prefix(
+    prefix: Sequence[str], provider: LegParamsProvider
+) -> tuple[float, float, frozenset[str]]:
+    """Eq (1) over a non-empty *prefix*, left to right: ``(cost, flow, bound)``.
+
+    What an order search carries down a shared prefix: the cost so far, the
+    rows flowing out of the prefix's last leg and the legs bound. Every
+    caller extends it with ``cost += flow * pc; flow *= jc``, so a complete
+    order's cost is the same float whoever walked its prefix.
+    """
+    flow, cost = provider.driving_params(prefix[0])
+    bound = frozenset(prefix[:1])
+    for alias in prefix[1:]:
+        jc, pc = provider.inner_params(alias, bound)
+        cost += flow * pc
+        flow *= jc
+        bound = bound | {alias}
+    return cost, flow, bound
+
+
 def cost_of_order(order: Sequence[str], provider: LegParamsProvider) -> float:
     """Eq (1) evaluated left to right over *order*."""
     if not order:
         return 0.0
-    cleg, scan_pc = provider.driving_params(order[0])
-    cost = scan_pc
-    flow = cleg
-    bound = {order[0]}
-    for alias in order[1:]:
-        jc, pc = provider.inner_params(alias, frozenset(bound))
-        cost += flow * pc
-        flow *= jc
-        bound.add(alias)
-    return cost
+    return walk_prefix(order, provider)[0]
+
+
+def greedy_rank_walk(
+    prefix: Sequence[str],
+    remaining: Iterable[str],
+    graph: JoinGraph,
+    provider: LegParamsProvider,
+    cost: float = 0.0,
+    flow: float = 0.0,
+) -> tuple[tuple[str, ...], float]:
+    """Extend *prefix* by ascending rank, carrying Eq (1): ``(order, cost)``.
+
+    Connectivity is respected: at each step only legs with at least one
+    available join predicate are eligible, so no leg degenerates into a
+    Cartesian product. (If the join graph itself is disconnected, the
+    remaining legs are appended by rank as a last resort.) Among equal
+    ranks the first in *remaining* wins.
+
+    *cost* and *flow* are :func:`walk_prefix` of *prefix*; the parameters a
+    leg is ranked by are the ones its Eq (1) term is made of, so the cost
+    returned is :func:`cost_of_order` of the order returned without a
+    second walk. A caller that only wants the order leaves them out.
+    """
+    order = list(prefix)
+    remaining = [alias for alias in remaining if alias not in order]
+    bound = frozenset(order)
+    neighbors = graph.neighbor_sets
+    inner_params = provider.inner_params
+    while remaining:
+        eligible = [
+            alias for alias in remaining if not bound.isdisjoint(neighbors[alias])
+        ]
+        ranked = None
+        for alias in eligible or remaining:
+            jc, pc = inner_params(alias, bound)
+            leg_rank = (jc - 1.0) / max(pc, 1e-12)  # rank(jc, pc), inlined
+            if ranked is None or leg_rank < best_rank:
+                ranked, best_rank, best_jc, best_pc = alias, leg_rank, jc, pc
+        cost += flow * best_pc
+        flow *= best_jc
+        order.append(ranked)
+        remaining.remove(ranked)
+        bound = bound | {ranked}
+    return tuple(order), cost
 
 
 def greedy_rank_suffix(
@@ -73,33 +128,8 @@ def greedy_rank_suffix(
     graph: JoinGraph,
     provider: LegParamsProvider,
 ) -> tuple[str, ...]:
-    """Extend *prefix* with the remaining legs in ascending-rank order.
-
-    Connectivity is respected: at each step only legs with at least one
-    available join predicate are eligible, so no leg degenerates into a
-    Cartesian product. (If the join graph itself is disconnected, the
-    remaining legs are appended by rank as a last resort.)
-    """
-    order = list(prefix)
-    remaining = [alias for alias in remaining if alias not in order]
-    bound = set(order)
-    while remaining:
-        frozen = frozenset(bound)
-        eligible = [
-            alias
-            for alias in remaining
-            if graph.available_predicates(alias, frozen)
-        ]
-        if not eligible:
-            eligible = list(remaining)
-        ranked = min(
-            eligible,
-            key=lambda alias: rank(*provider.inner_params(alias, frozen)),
-        )
-        order.append(ranked)
-        remaining.remove(ranked)
-        bound.add(ranked)
-    return tuple(order)
+    """Extend *prefix* with the remaining legs in ascending-rank order."""
+    return greedy_rank_walk(prefix, remaining, graph, provider)[0]
 
 
 def greedy_rank_order(
@@ -179,13 +209,7 @@ def best_order_exhaustive(
                 for index, alias in enumerate(remaining)
             ]
         for start, rest in starts:
-            flow, cost = provider.driving_params(start[0])
-            bound = frozenset(start[:1])
-            for alias in start[1:]:
-                jc, pc = inner_params(alias, bound)
-                cost += flow * pc
-                flow *= jc
-                bound = bound | {alias}
+            cost, flow, bound = walk_prefix(start, provider)
             if cost < best_cost:
                 extend(start, bound, cost, flow, rest)
     if best is None:

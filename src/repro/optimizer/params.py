@@ -11,16 +11,9 @@ pairs, handling join-predicate availability per Sec 4.3.4.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Any, Mapping, NamedTuple
 
-from repro.optimizer.cost import (
-    driving_scan_cost_index,
-    driving_scan_cost_table,
-    probe_cost_via_hash,
-    probe_cost_via_index,
-    probe_cost_via_scan,
-)
-from repro.optimizer.plans import DrivingKind
+from repro.optimizer.plans import DrivingKind, PlanLeg
 from repro.query.joingraph import JoinGraph, JoinPredicate
 from repro.storage import counters as _counters
 
@@ -84,6 +77,68 @@ class TableModel:
         return replace(self, remaining_fraction=max(min(fraction, 1.0), 0.0))
 
 
+class LegModelParts(NamedTuple):
+    """What a leg's run-time :class:`TableModel` holds that no execution moves.
+
+    Read off the plan leg, its table and its indexes, so it rides with the
+    cached plan's bindings; a reorder check adds only what the monitors
+    measure (S_LPR, the remaining fraction, the JC / PC corrections).
+    """
+
+    base_cardinality: int
+    local_predicate_count: int
+    indexed_columns: frozenset[str]
+    driving_kind: DrivingKind
+    driving_range_count: int
+    # S_LPI of the driving access path from index metadata (entry counts
+    # over the spec's key ranges — a B-tree key-range estimate, no row
+    # touched); None where only the optimizer's estimate exists.
+    sel_local_index: float | None
+    # Slots of the local predicates the driving spec does not push into
+    # its index scan: the ones S_LPR is measured over.
+    residual_slots: tuple[int, ...]
+
+
+def leg_model_parts(
+    plan_leg: PlanLeg, table: Any, indexes: Mapping[str, Any]
+) -> LegModelParts:
+    """*plan_leg*'s model parts against its *table* and the table's *indexes*."""
+    spec = plan_leg.driving
+    base_cardinality = len(table)
+    sel_local_index = None
+    pushed = None
+    if spec.index_column is not None:
+        index = indexes.get(spec.index_column)
+        if spec.ranges and index is not None and base_cardinality > 0:
+            qualified = sum(
+                index.count_range(r.low, r.high, r.low_inclusive, r.high_inclusive)
+                for r in spec.ranges
+            )
+            sel_local_index = qualified / base_cardinality
+        if spec.kind is DrivingKind.INDEX_SCAN:
+            pushed = next(
+                (
+                    predicate
+                    for predicate in plan_leg.local_predicates
+                    if predicate.key_ranges(spec.index_column) is not None
+                ),
+                None,
+            )
+    return LegModelParts(
+        base_cardinality=base_cardinality,
+        local_predicate_count=len(plan_leg.local_predicates),
+        indexed_columns=frozenset(indexes),
+        driving_kind=spec.kind,
+        driving_range_count=max(len(spec.ranges), 1),
+        sel_local_index=sel_local_index,
+        residual_slots=tuple(
+            slot
+            for slot, predicate in enumerate(plan_leg.local_predicates)
+            if predicate is not pushed
+        ),
+    )
+
+
 DEFAULT_CLASS_SELECTIVITY = 0.01
 
 
@@ -118,28 +173,48 @@ class ModelProvider:
 
     def driving_params(self, alias: str) -> tuple[float, float]:
         model = self.models[alias]
-        cleg = model.leg_cardinality * model.remaining_fraction
+        remaining = model.remaining_fraction
+        cleg = (
+            model.base_cardinality
+            * (model.sel_local_index * model.sel_local_residual)
+            * remaining
+        )
+        # driving_scan_cost_index / driving_scan_cost_table, inlined like
+        # the probe costs below (every candidate of every driving check).
         if model.driving_kind is DrivingKind.INDEX_SCAN:
-            scan_pc = driving_scan_cost_index(
-                model.base_cardinality * model.remaining_fraction,
-                model.sel_local_index,
-                model.driving_range_count,
+            matches = max(
+                model.base_cardinality * remaining * model.sel_local_index, 0.0
+            )
+            scan_pc = max(
+                model.driving_range_count, 1
+            ) * _INDEX_DESCEND_COST + matches * (
+                _INDEX_ENTRY_COST
+                + _ROW_FETCH_COST
                 # Residual locals are evaluated on every index match.
-                max(model.local_predicate_count - 1, 0),
+                + max(model.local_predicate_count - 1, 0) * _PREDICATE_EVAL_COST
             )
         else:
-            scan_pc = driving_scan_cost_table(
-                model.base_cardinality * model.remaining_fraction,
-                model.local_predicate_count,
+            scan_pc = model.base_cardinality * remaining * (
+                _ROW_FETCH_COST
+                + model.local_predicate_count * _PREDICATE_EVAL_COST
             )
         return cleg, scan_pc
 
     def inner_params(self, alias: str, bound: frozenset[str]) -> tuple[float, float]:
-        bound = frozenset(bound)
-        cached = self._inner_cache.get((alias, bound))
+        if type(bound) is not frozenset:
+            bound = frozenset(bound)
+        key = (alias, bound)
+        cached = self._inner_cache.get(key)
         if cached is not None:
             return cached
         model = self.models[alias]
+        if model.jc_correction != 1.0 or model.pc_correction != 1.0:
+            # A model calibrated on first touch (the run-time snapshot
+            # builds lazily) was evaluated at its own position to get
+            # there, and seeded the memo with the corrected value.
+            cached = self._inner_cache.get(key)
+            if cached is not None:
+                return cached
         # The graph caches the structural skeleton (which equivalence
         # classes are available, which are indexed on this leg); only the
         # per-class selectivity lookups run per provider snapshot.
@@ -151,7 +226,11 @@ class ModelProvider:
         # join predicates (Sec 4.3.4 adjustment falls out of recomputing
         # this per candidate position). Each equivalence class filters
         # once, however many of its predicates are available.
-        jc = model.leg_cardinality * model.remaining_fraction
+        jc = (
+            model.base_cardinality
+            * (model.sel_local_index * model.sel_local_residual)
+            * model.remaining_fraction
+        )  # leg_cardinality * remaining_fraction, without the property hops
         for class_id in distinct_ids:
             jc *= selectivities.get(class_id, DEFAULT_CLASS_SELECTIVITY)
         jc *= model.jc_correction
@@ -199,5 +278,5 @@ class ModelProvider:
                 * _PREDICATE_EVAL_COST
             )
         result = (jc, pc * model.pc_correction)
-        self._inner_cache[(alias, bound)] = result
+        self._inner_cache[key] = result
         return result

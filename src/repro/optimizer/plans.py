@@ -116,22 +116,28 @@ class PipelinePlan:
     def driving_alias(self) -> str:
         return self.order[0]
 
-    def bindings(self, catalog: object, bind: Callable) -> Any:
-        """``bind(self, catalog)``, computed once per plan and catalog.
+    def bindings(self, catalog: Any, bind: Callable) -> Any:
+        """``bind(self, catalog)``, computed once per plan and catalog state.
 
-        For what an executor derives from the plan and the catalog's table
-        schemas alone (compiled local-predicate tests, projection slots):
-        schemas never change, so every execution of a cached plan shares
-        one result — concurrently, under the query server. It must
-        therefore be immutable; anything an execution counts, windows or
-        reorders belongs to that execution's executor.
+        For what an executor derives from the plan and the catalog alone
+        (compiled local-predicate tests, projection slots, the parts of the
+        run-time cost model that are index and table metadata): every
+        execution of a cached plan shares one result — concurrently, under
+        the query server — until the catalog's generation moves (DDL, DML,
+        ANALYZE). It must therefore be immutable; anything an execution
+        counts, windows or reorders belongs to that execution's executor.
         """
+        generation = catalog.generation()
         memo = self.__dict__.get("_bindings")
-        if memo is None or memo[0] is not catalog:
+        if memo is None or memo[0] is not catalog or memo[1] != generation:
             # Not a field: written past the frozen-dataclass guard, the
             # way functools.cached_property does.
-            memo = self.__dict__["_bindings"] = (catalog, bind(self, catalog))
-        return memo[1]
+            memo = self.__dict__["_bindings"] = (
+                catalog,
+                generation,
+                bind(self, catalog),
+            )
+        return memo[2]
 
     def __getstate__(self) -> dict:
         # Bindings hold compiled closures and a catalog; parallel workers

@@ -58,6 +58,10 @@ class SandboxedController:
     def driving_checks(self) -> int:
         return self.inner.driving_checks
 
+    @property
+    def check_seconds(self) -> float:
+        return self.inner.check_seconds
+
     def attach(self, pipeline: "PipelineExecutor") -> None:
         self.pipeline = pipeline
         self.inner.attach(pipeline)

@@ -18,7 +18,7 @@ join-column index once it becomes an inner leg).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -213,6 +213,8 @@ class IndexScanCursor:
         "stop_at",
         "partition_entry_count",
         "entries_yielded",
+        "_whole_spans",
+        "_spans_built_upto",
     )
 
     def __init__(
@@ -241,6 +243,51 @@ class IndexScanCursor:
         self.stop_at = stop_at
         self.partition_entry_count = partition_entry_count
         self.entries_yielded = 0
+        # Entry-list bounds of each whole key range: index metadata, found
+        # when the walk first enters a range (or is asked) and kept while
+        # the index build stands.
+        self._whole_spans: list[tuple[int, int] | None] = [None] * len(self.ranges)
+        self._spans_built_upto = index._built_upto
+
+    def _whole_span(self, range_no: int) -> tuple[int, int]:
+        index = self.index
+        if self._spans_built_upto != index._built_upto:
+            self._whole_spans = [None] * len(self.ranges)
+            self._spans_built_upto = index._built_upto
+        span = self._whole_spans[range_no]
+        if span is None:
+            key_range = self.ranges[range_no]
+            span = self._whole_spans[range_no] = index._range_bounds(
+                key_range.low,
+                key_range.high,
+                key_range.low_inclusive,
+                key_range.high_inclusive,
+            )
+        return span
+
+    def range_spans(self) -> list[tuple[int, int]]:
+        """Entry-list ``[lo, hi)`` bounds of each key range, whole ranges.
+
+        Uncharged index metadata: what the controller's remaining-fraction
+        estimate counts at every check, shared with the walk itself.
+        """
+        return [self._whole_span(no) for no in range(len(self.ranges))]
+
+    def scan_offset(self) -> int:
+        """Entry-list offset the walk stands at (uncharged).
+
+        Every range entry before it has been yielded, every one from it on
+        is still to come. Before the first advance that is just past the
+        position the cursor was started after; later it is the walk's own
+        position (less a peeked entry) — possibly past a gap between two
+        ranges, where no range entry lies.
+        """
+        if self._range_no < 0:
+            after = self.last_position
+            if after is None:
+                return 0
+            return bisect_right(self.index._entries, after)
+        return self._pos - (self._pending is not None)
 
     def _span(self, range_no: int) -> tuple[int, int] | None:
         """Entry-list span of ``ranges[range_no]`` after the start position.
@@ -257,14 +304,11 @@ class IndexScanCursor:
                 or (high == start[0] and not key_range.high_inclusive)
             ):
                 return None
-            start = (start[0], start[1])
-        return self.index.span_of(
-            key_range.low,
-            key_range.high,
-            key_range.low_inclusive,
-            key_range.high_inclusive,
-            start,
-        )
+        # SortedIndex.span_of, over bounds searched for once.
+        lo, hi = self._whole_span(range_no)
+        if start is not None:
+            lo = max(lo, bisect_right(self.index._entries, (start[0], start[1])))
+        return lo, hi
 
     def _next_entry(self) -> tuple[Any, int]:
         index = self.index

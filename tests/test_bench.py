@@ -121,6 +121,16 @@ class TestExperiments:
         result = overhead_experiment(db, tiny_workload)
         assert result.inner_overhead >= 0.0
         assert "paper: 0.68%" in result.report()
+        # The elapsed half: three monitored modes against the static plan
+        # under chunk semantics, microseconds per check where checks run.
+        by_mode = {row.mode: row for row in result.elapsed}
+        assert list(by_mode) == ["monitor-only", "inner-only", "driving-only"]
+        assert by_mode["monitor-only"].checks == 0
+        assert by_mode["monitor-only"].check_us is None
+        assert by_mode["driving-only"].checks > 0
+        assert by_mode["driving-only"].check_us > 0.0
+        assert result.engines == ("fast",)  # the row store: the reference loop
+        assert "us per check" in result.report()
 
     def test_learned(self):
         """E11 on the engine: later executions start from plan feedback and

@@ -62,6 +62,40 @@ class TestRemainingScanFraction:
         assert remaining_scan_fraction(cursor) == pytest.approx(2 / 3)
 
 
+    @pytest.mark.parametrize("start_after", [None, (2, 1), (5, 6), (7, 0)])
+    def test_index_scan_reads_what_the_index_counts(self, start_after):
+        """The fraction comes off the walk's own position and range bounds
+        found once; it must stay the index-metadata count it replaced
+        (``count_range`` / ``count_range_after`` at ``last_position``) at
+        every step — gaps between ranges, empty ranges, a resumed start and
+        key-boundary peeks included."""
+        table = make_table([5, 1, 2, 2, 9, 5, 5, 7, 2, 12, 12])
+        index = SortedIndex("ix", table, "k")
+        ranges = [
+            KeyRange(low=1, high=2),
+            KeyRange.equal(3),  # empty
+            KeyRange(low=5, high=7, high_inclusive=False),
+            KeyRange(low=12),
+        ]
+
+        def counted(cursor):
+            total = remaining = 0
+            for r in cursor.ranges:
+                bounds = (r.low, r.high, r.low_inclusive, r.high_inclusive)
+                total += index.count_range(*bounds)
+                remaining += index.count_range_after(cursor.last_position, *bounds)
+            return remaining / total
+
+        for peek in (False, True):
+            cursor = IndexScanCursor(index, ranges, start_after=start_after)
+            assert remaining_scan_fraction(cursor) == counted(cursor)
+            for _ in cursor:
+                if peek:
+                    cursor.at_key_boundary()
+                assert remaining_scan_fraction(cursor) == counted(cursor)
+            assert remaining_scan_fraction(cursor) == counted(cursor) == 0.0
+
+
 class _FakeLeg:
     """Minimal stand-in for RuntimeLeg's local-count bookkeeping."""
 
