@@ -217,9 +217,9 @@ class Database:
         reports the approximate resident bytes of that table's storage
         (typed column arrays for ``columnar``, row tuples + cells for
         ``row``) — the observable half of the columnar backend's memory
-        savings — plus ``kernel_bytes``, the numpy sidecar/group-kernel
-        plan bytes currently materialized on that table's indexes. The
-        kernel gauge makes pre-fork warm-up observable: after
+        savings — plus ``kernel_bytes``, the numpy sidecar / group-kernel /
+        join-key row-rank bytes currently materialized on that table's
+        indexes. The kernel gauge makes pre-fork warm-up observable: after
         ``warm_kernel_plan`` (or a first vectorized run) it is non-zero,
         and parallel workers COW-share exactly those bytes.
         """

@@ -19,7 +19,7 @@ lives in the pipeline, and each row only pays the predicates themselves.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.catalog.catalog import Catalog
@@ -47,16 +47,25 @@ Binding = dict[str, Row]
 Cursor = TableScanCursor | IndexScanCursor
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ProbeConfig:
-    """Compiled probe strategy for a leg at its current pipeline position."""
+    """Compiled probe strategy for a leg at its current pipeline position.
+
+    Immutable: the starting order's configs are kept with the plan
+    (:meth:`PipelinePlan.probe_programs`) and shared by every execution of
+    it, across threads. Equality is by what a probe does — the getters are
+    closures over ``key_alias`` / ``key_slot`` / ``residual_sources``,
+    which are compared in their place.
+    """
 
     access_index: SortedIndex | None
     access_predicate: JoinPredicate | None
     # Extracts the probe key from the outer binding (None for scan probes).
-    key_getter: Callable[[Binding], Any] | None
+    key_getter: Callable[[Binding], Any] | None = field(compare=False)
     # Residual equality join predicates: (outer getter, our column slot).
-    residual_joins: tuple[tuple[Callable[[Binding], Any], int], ...]
+    residual_joins: tuple[tuple[Callable[[Binding], Any], int], ...] = field(
+        compare=False
+    )
     # Which join predicates are available at this position (for JC model).
     available_predicates: tuple[JoinPredicate, ...]
     # Sec 6 extension: probe via an in-memory hash table on this column
@@ -159,7 +168,12 @@ class RuntimeLeg:
         # only when the dynamic access-path extension re-picks the spec.
         self.model_parts = model_parts
         self.monitoring_enabled = monitoring_enabled
-        self.monitor = LegMonitor(history_window, aggregated=aggregated_monitor)
+        # An unmonitored leg never observes a probe: its window only has to
+        # read empty, and the aggregated one allocates no ring to do so.
+        self.monitor = LegMonitor(
+            history_window,
+            aggregated=aggregated_monitor or not monitoring_enabled,
+        )
         self.driving_monitor: DrivingMonitor | None = None
         # One-shot pre-seeded scan monitor: when a coordinator injects
         # merged worker statistics *before* the executor opens its driving
@@ -286,19 +300,30 @@ class RuntimeLeg:
             (getter_for(p), slot_of(self.alias, p.column_of(self.alias)))
             for p in residual
         )
-        self.probe_config = ProbeConfig(
-            access_index=self.indexes[access.column_of(self.alias)]
-            if access is not None and hash_column is None
-            else None,
-            access_predicate=access,
-            key_getter=key_getter,
-            residual_joins=residual_compiled,
-            available_predicates=tuple(available),
-            hash_column=hash_column,
-            key_alias=key_alias,
-            key_slot=key_slot,
-            residual_sources=tuple(source_of(p) for p in residual),
+        self.install_probe(
+            ProbeConfig(
+                access_index=self.indexes[access.column_of(self.alias)]
+                if access is not None and hash_column is None
+                else None,
+                access_predicate=access,
+                key_getter=key_getter,
+                residual_joins=residual_compiled,
+                available_predicates=tuple(available),
+                hash_column=hash_column,
+                key_alias=key_alias,
+                key_slot=key_slot,
+                residual_sources=tuple(source_of(p) for p in residual),
+            )
         )
+
+    def install_probe(self, config: ProbeConfig) -> None:
+        """Probe through *config* from here on: a new probe epoch.
+
+        What :meth:`compile_probe` ends with; called directly with the
+        shared config of the plan's probe program when the pipeline still
+        is in the state that program was compiled for.
+        """
+        self.probe_config = config
         self.probe_epoch += 1
         self.incoming_since_check = 0
 

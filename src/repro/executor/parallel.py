@@ -51,9 +51,9 @@ worker's pipeline runs the vectorized cascade over its :class:`ScanPartition` â€
 ``NONE`` and the chunked adaptive cascade under the monitored modes, with
 kernel-folded monitoring and local kept-inner reorders mid-partition.
 :func:`warm_kernel_plan` materializes the numpy column arrays, CSR index
-sidecars, and per-predicate group kernels on the catalog *before* the
-fork pool is created, so workers COW-share one copy instead of each
-rebuilding them. A cascade gate failure inside a worker demotes only that
+sidecars, per-predicate group kernels and join-key row-rank arrays on the
+catalog *before* the fork pool is created, so workers COW-share one copy
+instead of each rebuilding them. A cascade gate failure inside a worker demotes only that
 partition to the reference loop (its engine is reported per worker on
 ``ExecutionStats.worker_engines`` with the first gate reason on
 ``vector_gate``); siblings keep their cascades. Deferred chunk folds that
@@ -232,7 +232,8 @@ def warm_kernel_plan(
     """Materialize the plan's columnar kernel state on catalog objects.
 
     The vectorized cascades lazily build numpy sidecars (CSR entry
-    arrays), per-predicate group kernels, materialized row caches, and
+    arrays), per-predicate group kernels, one row-rank array per probed
+    (source column, index) pair, materialized row caches, and
     the lazily-built index entry lists the rank models read. All of that
     lives on catalog-owned tables/indexes, so building it *before* the
     fork pool is (re)created lets every worker inherit the arrays
@@ -269,21 +270,26 @@ def warm_kernel_plan(
             if index._gen is None or index._gen != index._generation():
                 changed = True
             index._sidecar()
-    # Inner-side sidecars + group kernels + key translators, exactly the
-    # objects adaptive_cascade/vector_cascade will look up in-worker.
-    kernel_count = 0
+    # Inner-side sidecars + group kernels + row-rank arrays (the join-key
+    # gathers), exactly the objects the cascade will look up in-worker.
     indexes: list[ColumnarIndex] = []
     for position in range(1, len(plan.order)):
         leg = executor.legs[plan.order[position]]
         probe = leg.probe_config
         if probe is not None and isinstance(probe.access_index, ColumnarIndex):
             indexes.append(probe.access_index)
+
+    def built() -> int:
+        return sum(
+            len(index._kernels) + len(index._row_ranks) for index in indexes
+        )
+
     for index in indexes:
         if index._gen is None or index._gen != index._generation():
             changed = True
-        kernel_count += len(index._kernels)
+    built_before = built()
     _adaptive_plan(executor)
-    if sum(len(index._kernels) for index in indexes) != kernel_count:
+    if built() != built_before:
         changed = True
     # Force the rank models once: TableModel construction walks
     # count_range over each leg's driving index, building any

@@ -75,8 +75,12 @@ class PlanBindings(NamedTuple):
     """What an executor derives from a plan and the catalog alone.
 
     Built once per plan and catalog generation (:meth:`PipelinePlan.bindings`)
-    and shared by every execution of it, so nothing in here may change
-    after construction.
+    and shared by every execution of it — concurrently, under the query
+    server — so nothing in here may change after construction. The same
+    holds for what rides beside it per plan: the starting order's probe
+    program (:meth:`PipelinePlan.probe_programs`, filled by
+    :meth:`PipelineExecutor._compile_all_probes`) and the frozen
+    :class:`~repro.executor.access.ProbeConfig` records in it.
     """
 
     # alias -> ((predicate, compiled row test), ...)
@@ -139,6 +143,10 @@ class PipelineExecutor:
         aggregated = monitoring and self.config.batched
         bindings: PlanBindings = plan.bindings(catalog, _bind_plan)
         self.projection_slots = bindings.projection_slots
+        # hash_probe_policy -> {inner alias: ProbeConfig} for the plan's
+        # own order under the plan's class selectivities, shared with every
+        # execution of the plan; None once this one has compiled a probe.
+        self._probe_programs: dict | None = plan.probe_programs(bindings)
         self.legs = {
             alias: RuntimeLeg(
                 plan.leg(alias),
@@ -239,9 +247,37 @@ class PipelineExecutor:
         return project
 
     def _compile_all_probes(self, start_position: int = 1) -> None:
+        """Compile the probe of every leg from *start_position* on.
+
+        The first compile of an execution finds the pipeline as the plan
+        describes it, and what it compiles is then a function of the plan,
+        the catalog generation and the hash policy alone: the first
+        execution of the plan publishes it as the plan's probe program,
+        every later one installs that. After an applied reorder or switch
+        the order and the live class selectivities have moved, and the
+        permuted legs are compiled for what they are now.
+        """
+        programs, self._probe_programs = self._probe_programs, None
+        starting = (
+            programs is not None
+            and start_position == 1
+            and tuple(self.order) == self.plan.order
+            and self.class_selectivities == self.plan.class_selectivities
+        )
+        policy = self.config.hash_probe_policy
+        program = programs.get(policy) if starting else None
+        if program is not None:
+            for alias, config in program.items():
+                leg = self.legs[alias]
+                leg.install_probe(config)
+                leg.positional = self.registry.predicate_for(alias)
+            return
         for position in range(start_position, len(self.order)):
-            alias = self.order[position]
-            self._compile_probe_at(position, alias)
+            self._compile_probe_at(position, self.order[position])
+        if starting:
+            programs[policy] = {
+                alias: self.legs[alias].probe_config for alias in self.order[1:]
+            }
 
     def predicate_selectivity(self, predicate) -> float:
         """Live selectivity estimate of a (possibly derived) join predicate."""

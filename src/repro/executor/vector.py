@@ -8,12 +8,13 @@ collapses into a layered array computation per driving chunk:
 
 1. the driving scan becomes an index-entry (or RID-range) slice plus a
    boolean mask for the residual local predicates;
-2. each inner leg translates its probe-key column into *ranks* of the
-   probed index's distinct-key sidecar (``searchsorted`` for numeric keys,
-   a dictionary-code LUT for strings), then expands the flow through the
-   leg's group kernel with ``repeat``/``cumsum`` CSR gathers — exactly the
-   rows, in exactly the depth-first nested-loop order, of the scalar
-   machine;
+2. each inner leg gathers the *ranks* of its probe keys in the probed
+   index's distinct-key sidecar from the row-rank array the index keeps
+   for the key's source column (:meth:`ColumnarIndex.row_ranks`: built
+   once per (source column, index) pair, not per chunk), then expands the
+   flow through the leg's group kernel with ``repeat``/``cumsum`` CSR
+   gathers — exactly the rows, in exactly the depth-first nested-loop
+   order, of the scalar machine;
 3. work-meter charges are computed from the same per-key kernel aggregates
    the scalar probes charge (descend per probe, ``max(entries, 1)`` per
    present/missing key, fetch per candidate row, short-circuit-exact local
@@ -49,13 +50,7 @@ from bisect import bisect_right
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from repro.storage.columnar import (
-    ColumnarIndex,
-    ColumnarTable,
-    _NumericColumn,
-    _StringColumn,
-    _np,
-)
+from repro.storage.columnar import ColumnarIndex, ColumnarTable, _np
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import (
     INDEX_DESCEND_COST,
@@ -69,59 +64,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executor.batch import BatchedPipelineExecutor
 
 
-def _make_translator(
-    source_column, key_array, rank: dict, column_len: int
-) -> Callable | None:
-    """Key-column values -> sidecar ranks (-1 null, -2 missing), or None.
+def _make_translator(source_column, index: ColumnarIndex) -> Callable | None:
+    """Source-column RIDs -> ranks in *index* (-1 null, -2 missing), or None.
 
-    The returned callable maps an int64 RID array over the *source* column
-    to the probed index's distinct-key ranks, reproducing the scalar
-    ``rank.get(row[key_slot])`` per element.
+    A gather over the row-rank array *index* keeps for *source_column*
+    (:meth:`ColumnarIndex.row_ranks`): the scalar
+    ``rank.get(row[key_slot])`` per element, precomputed for every row.
     """
-    if isinstance(source_column, _NumericColumn):
-        if source_column.boxed is not None:
-            return None
-        pair = source_column.np_values()
-        if pair is None:
-            return None
-        values, notnull = pair
-        if not rank:
-            # Empty index: every non-null key misses, nulls stay null.
-            def translate_empty(rids):
-                return _np.where(notnull[rids], -2, -1)
-
-            return translate_empty
-        if key_array is None:
-            return None  # non-numeric (or unbuildable) key domain
-
-        nkeys = len(key_array)
-
-        def translate_numeric(rids):
-            src = values[rids]
-            pos = _np.searchsorted(key_array, src)
-            clipped = _np.minimum(pos, nkeys - 1)
-            ranks = _np.where(key_array[clipped] == src, clipped, -2)
-            ranks[~notnull[rids]] = -1
-            return ranks
-
-        return translate_numeric
-    if isinstance(source_column, _StringColumn):
-        if rank and not isinstance(next(iter(rank)), str):
-            return None  # typed mismatch between key domains
-        codes = source_column.np_codes()
-        decode = source_column.decode
-        lut = _np.full(len(decode) + 1, -2, dtype=_np.int64)
-        for code, text in enumerate(decode):
-            j = rank.get(text)
-            if j is not None:
-                lut[code] = j
-        lut[-1] = -1  # NULL encodes as code -1 -> last LUT slot
-
-        def translate_string(rids):
-            return lut[codes[rids]]
-
-        return translate_string
-    return None
+    row_ranks = index.row_ranks(source_column)
+    return None if row_ranks is None else row_ranks.take
 
 
 #: Driving survivors the static cascade expands per slice. A static plan
@@ -148,7 +99,10 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     Must be called after ``_open_driving``/``_compile_all_probes`` on a
     multi-leg pipeline. Every gate failure returns None with
     ``executor.vector_gate_reason`` set and no state mutated, so the
-    caller's fallback proceeds untouched.
+    caller's fallback proceeds untouched. What the data alone decides is
+    not derived here: group kernels and the join keys' rank arrays are
+    memoized by the probed indexes (:func:`_adaptive_plan` looks them up),
+    the starting probes come compiled with the plan.
     """
     planned = _cascade_plan(executor)
     if planned is None:
@@ -170,7 +124,7 @@ def _cascade_plan(executor) -> tuple["_DrivingWalk", list] | None:
             reason = f"leg {alias!r}: row-backend table"
             break
     if reason is None:
-        # Inner legs (kernels + key translators) before the driving leg
+        # Inner legs (kernels + key gathers) before the driving leg
         # (the scan as arrays): a refused plan should not pay for the walk.
         inner, reason = _adaptive_plan(executor)
     if reason is None:
@@ -350,13 +304,15 @@ def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
 
 
 def _adaptive_plan(executor) -> tuple[list | None, str | None]:
-    """Per-leg kernels/translators for the *current* order, or a gate reason.
+    """Per-leg kernels and key gathers for the *current* order, or a gate reason.
 
     Recomputed whenever the order or a probe epoch changes: an applied
     inner reorder permutes the cascade mid-scan, and a driving switch
     freezes the old driving leg behind a positional predicate — its kernel
     is then derived from the cached base kernel (:func:`_positional_kernel`)
-    and lives only as long as this plan does.
+    and lives only as long as this plan does. Kernels and rank arrays are
+    memoized by their index, so a rebuild is dictionary lookups unless the
+    new order probes through a (column, index) pair nobody has yet.
     """
     order = executor.order
     inner: list = []
@@ -377,20 +333,16 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
         index = config.access_index
         if not isinstance(index, ColumnarIndex):
             return None, f"leg {alias!r}: non-columnar index"
-        built = index.cascade_groups(leg.local_tests)
-        if built is None:
+        kernel = index.cascade_groups(leg.local_tests)
+        if kernel is None:
             return None, f"leg {alias!r}: non-vectorizable local predicates"
-        kernel, keys_np, rank = built
         if leg.positional is not None:
             kernel = _positional_kernel(kernel, leg.positional, len(leg.table))
             if kernel is None:
                 return None, f"leg {alias!r}: frozen in a non-columnar scan order"
-        source_table = executor.legs[config.key_alias].table
         translate = _make_translator(
-            source_table.column_store(config.key_slot),
-            keys_np,
-            rank,
-            len(source_table),
+            executor.legs[config.key_alias].table.column_store(config.key_slot),
+            index,
         )
         if translate is None:
             return None, f"leg {alias!r}: untranslatable key column"

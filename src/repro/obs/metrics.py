@@ -337,7 +337,8 @@ def record_storage_gauges(
     table_rows = registry.gauge("storage_table_rows", "row count of one table")
     kernel_bytes = registry.gauge(
         "storage_kernel_bytes",
-        "materialized kernel-plan bytes (sidecars + group kernels) per table",
+        "materialized kernel-plan bytes (sidecars + group kernels + row-rank "
+        "arrays) per table",
     )
     for entry in storage.get("per_table", ()):
         table_bytes.set(float(entry["bytes"]), entry["table"])

@@ -139,11 +139,28 @@ class PipelinePlan:
             )
         return memo[2]
 
+    def probe_programs(self, bindings: Any) -> dict:
+        """This plan's compiled starting probes, for as long as *bindings* stand.
+
+        What an executor derives from the bindings **and** this plan's own
+        order and class selectivities, so a feedback plan, which shares its
+        base plan's bindings (:meth:`corrected`), keeps its own; dropped
+        when the plan is rebound (the catalog's generation moved). Shared
+        by concurrent executions like the bindings: entries are stored
+        whole and never changed, two executions racing to fill one store
+        equal values.
+        """
+        memo = self.__dict__.get("_probe_programs")
+        if memo is None or memo[0] is not bindings:
+            memo = self.__dict__["_probe_programs"] = (bindings, {})
+        return memo[1]
+
     def __getstate__(self) -> dict:
         # Bindings hold compiled closures and a catalog; parallel workers
         # are sent the plan itself and bind it against their own catalog.
         state = dict(self.__dict__)
         state.pop("_bindings", None)
+        state.pop("_probe_programs", None)
         return state
 
     def with_order(self, order: Sequence[str]) -> "PipelinePlan":
@@ -165,7 +182,9 @@ class PipelinePlan:
         join classes carry *class_selectivities* and *estimated_cost* is
         Eq (1) of *order* under those numbers. The result shares this
         plan's bindings (they depend on predicates and schemas only), so
-        it costs a few small records, not a second compiled plan.
+        it costs a few small records, not a second compiled plan; its
+        probe programs (:meth:`probe_programs`) follow the order and the
+        class selectivities and are its own.
         """
         legs = dict(self.legs)
         for alias, (sel_index, sel_residual) in local_selectivities.items():

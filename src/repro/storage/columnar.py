@@ -602,6 +602,7 @@ class ColumnarIndex(SortedIndex):
         "_bounds_np",
         "_totals_np",
         "_kernels",
+        "_row_ranks",
         "_record_caches",
         "_fast_ctx",
         "_lock",
@@ -610,6 +611,7 @@ class ColumnarIndex(SortedIndex):
     def __init__(self, name: str, table: HeapTable, column: str) -> None:
         self._gen = None
         self._kernels = {}
+        self._row_ranks = {}
         self._record_caches = {}
         self._fast_ctx = None
         # Guards build-and-publish of the sidecar and the bounded memos.
@@ -696,6 +698,7 @@ class ColumnarIndex(SortedIndex):
             except (OverflowError, TypeError, ValueError):
                 pass
         self._kernels = {}
+        self._row_ranks = {}
         self._record_caches = {}
 
     # -- O(1) probing ---------------------------------------------------
@@ -915,35 +918,92 @@ class ColumnarIndex(SortedIndex):
             out[key] = record
         return out
 
-    def cascade_groups(self, local_tests: Sequence):
-        """(kernel, keys_np, rank) for the vectorized join cascade, or None."""
+    def cascade_groups(self, local_tests: Sequence) -> "_Kernel | None":
+        """The group kernel the vectorized join cascade expands through, or
+        None (tests the masks do not cover)."""
         self._check_fresh()
         tests = [test for _, test in local_tests]
         predicates_key = self._predicates_key(tests)
         if predicates_key is None:
             return None
-        kernel = self._kernel_for(tests, predicates_key)
-        if kernel is None:
-            return None
-        rank, _, _ = self._sidecar()
-        return kernel, self._keys_np, rank
+        return self._kernel_for(tests, predicates_key)
+
+    def row_ranks(self, source_column):
+        """Every row of *source_column* as a rank of this index, or None.
+
+        ``row_ranks[rid]`` is the distinct-key rank (the kernels' ``j``) of
+        the key *source_column* holds at ``rid`` — the scalar
+        ``rank.get(row[key_slot])`` for every row at once: -1 where the key
+        is NULL, -2 where this index does not hold it. A join probe through
+        this index is then one gather per chunk. None for the shapes no
+        array comparison reproduces: a boxed (overflowed) source column, a
+        numeric source against a non-numeric key domain, a string source
+        against non-string keys.
+
+        One int64 array per source column that probes this index (bounded
+        by the schema's join edges), for the current sidecar generation:
+        dropped with the sidecar, rebuilt when the source column grew.
+        """
+        self._check_fresh()
+        self._sidecar()
+        rows = len(source_column)
+        with self._lock:  # one build per source column
+            held = self._row_ranks.get(source_column)
+            if held is None or held[0] != rows:
+                held = self._row_ranks[source_column] = (
+                    rows,
+                    self._build_row_ranks(source_column),
+                )
+        return held[1]
+
+    def _build_row_ranks(self, source_column):
+        rank = self._rank
+        if isinstance(source_column, _StringColumn):
+            if rank and not isinstance(next(iter(rank)), str):
+                return None  # typed mismatch between key domains
+            decode = source_column.decode
+            lut = _np.full(len(decode) + 1, -2, dtype=_np.int64)
+            for code, text in enumerate(decode):
+                j = rank.get(text)
+                if j is not None:
+                    lut[code] = j
+            lut[-1] = -1  # NULL encodes as code -1 -> last LUT slot
+            return lut[source_column.np_codes()]
+        arrays = source_column.np_values()
+        if arrays is None:
+            return None  # boxed
+        values, notnull = arrays
+        if not rank:
+            # Empty index: every non-null key misses, nulls stay null.
+            return _np.where(notnull, _np.int64(-2), _np.int64(-1))
+        keys = self._keys_np
+        if keys is None:
+            return None  # non-numeric (or unbuildable) key domain
+        clipped = _np.minimum(_np.searchsorted(keys, values), len(keys) - 1)
+        ranks = _np.where(keys[clipped] == values, clipped, -2)
+        ranks[~notnull] = -1
+        return ranks
 
     def kernel_footprint(self) -> int:
         """Approximate resident bytes of the cascade sidecar + kernel plan.
 
         This is the copy-on-write state parallel workers inherit at fork
         (after the pre-fork warm-up): the numpy entry-RID / distinct-key
-        sidecars plus every memoized group kernel of the current
-        generation. Positional kernels derived from these for one query
-        (:meth:`_Kernel.restricted`) are not counted: nothing here retains
-        them. Reports 0 while the sidecar is unbuilt or stale — a stats
+        sidecars, every memoized group kernel and every row-rank array of
+        the current generation. Positional kernels derived from these for
+        one query (:meth:`_Kernel.restricted`) are not counted: nothing
+        here retains them. Reports 0 while the sidecar is unbuilt or stale — a stats
         read must never force a lazy build.
         """
         if self._gen is None or self._gen != self._generation():
             return 0
         with self._lock:  # a worker thread may be publishing a kernel
             kernels = list(self._kernels.values())
-        arrays = [self._ent_rids, self._keys_np, self._bounds_np, self._totals_np]
+            row_ranks = [held[1] for held in self._row_ranks.values()]
+        arrays = [
+            self._ent_rids, self._keys_np, self._bounds_np, self._totals_np,
+            *row_ranks,
+        ]
         for kernel in kernels:
             arrays += (
                 kernel.totals, kernel.evals, kernel.pass_offsets,

@@ -13,7 +13,10 @@ between, and only then. This file pins both halves:
   fold (the scalar oracle's checks at deeper positions, a produced driving
   row) and at every parallel barrier;
 * the decision audit records what it recorded before the snapshot was
-  shared.
+  shared;
+* the starting order's probe program rides with the plan: a second
+  execution compiles no probe before its first applied change and searches
+  no key array, and what it installs is what it would have compiled.
 
 ``tests/test_check_identity.py`` holds the other side of the bargain: the
 decisions themselves did not move.
@@ -21,20 +24,22 @@ decisions themselves did not move.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
+import numpy
 import pytest
 
 import repro.core.controller
 import repro.executor.parallel
 import repro.executor.vector
-from repro import AdaptiveConfig, ReorderMode
+from repro import AdaptiveConfig, HashProbePolicy, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.core.monitor import LegMonitor
 from repro.core.ranks import RuntimeModelBuilder
 from repro.dmv import load_dmv
 from repro.dmv.templates import four_table_workload, six_table_workload
-from repro.executor.access import RuntimeLeg
+from repro.executor.access import ProbeConfig, RuntimeLeg
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor
 from repro.obs.explain import render_explain_analyze
@@ -485,3 +490,177 @@ def test_check_seconds_is_reported_and_zero_without_checks(columnar):
         if line.startswith("checks:")
     )
     assert " ms, " in line and "us per check" in line
+
+
+# ---------------------------------------------------------------------------
+# The starting probe program rides with the plan
+# ---------------------------------------------------------------------------
+def permuted_suffix_compiles(executor) -> int:
+    """Probe compiles the applied events of *executor* account for: an
+    inner reorder recompiles from its position on, a switch every inner leg."""
+    inner_legs = len(executor.order) - 1
+    return sum(inner_legs - (event.position or 1) + 1 for event in executor.events)
+
+
+def run_plan(db, plan, config, running=None):
+    """Execute *plan*; *running*, a list, holds the executor meanwhile."""
+    executor_cls = BatchedPipelineExecutor if config.batched else PipelineExecutor
+    controller = AdaptationController(config)
+    executor = executor_cls(plan, db.catalog, config, controller)
+    controller.attach(executor)
+    if running is not None:
+        running[:] = [executor]
+    rows = executor.run_to_completion()
+    return executor, rows
+
+
+@pytest.mark.parametrize("mode", [ReorderMode.NONE, ReorderMode.BOTH])
+def test_second_execution_compiles_no_starting_probe_and_searches_no_keys(
+    columnar, monkeypatch, mode
+):
+    """The first execution of a plan compiles the starting order's probes
+    and builds the rank arrays it gathers through; the second installs and
+    gathers. Recompiles after an applied change stay what they were."""
+    starting: list[str] = []  # compiles before the first applied change
+    compiles: list[str] = []
+    searches: list[int] = []
+    running: list = []
+    compile_probe = RuntimeLeg.compile_probe
+    searchsorted = numpy.searchsorted
+
+    def counting_compile(leg, *args, **kwargs):
+        compiles.append(leg.alias)
+        (executor,) = running
+        if tuple(executor.order) == executor.plan.order and not executor.events:
+            starting.append(leg.alias)
+        return compile_probe(leg, *args, **kwargs)
+
+    def counting_search(*args, **kwargs):
+        searches.append(1)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(RuntimeLeg, "compile_probe", counting_compile)
+    monkeypatch.setattr(numpy, "searchsorted", counting_search)
+    config = AdaptiveConfig(mode=mode, **ENGINE)
+    changed = 0
+    for sql in STATEMENTS:
+        plan = columnar.plan(sql)  # cache off: a plan no one has executed
+        first, first_rows = run_plan(columnar, plan, config, running)
+        inner_legs = len(plan.order) - 1
+        assert len(starting) == inner_legs, sql
+        assert len(compiles) == inner_legs + permuted_suffix_compiles(first)
+        del starting[:], compiles[:], searches[:]
+        second, second_rows = run_plan(columnar, plan, config, running)
+        assert starting == [] and searches == [], sql
+        assert len(compiles) == permuted_suffix_compiles(second), sql
+        assert second_rows == first_rows
+        assert second.work == first.work and second.events == first.events
+        assert second.order_history == first.order_history
+        # Probe epochs count installs like compiles.
+        assert {a: leg.probe_epoch for a, leg in second.legs.items()} == {
+            a: leg.probe_epoch for a, leg in first.legs.items()
+        }
+        assert second.engine_used == first.engine_used
+        changed += bool(second.events)
+        del compiles[:]
+    assert (changed > 5) == mode.reorders_driving
+
+
+def probe_facts(config: ProbeConfig, binding: dict) -> dict:
+    """Every field of *config*; the getters by what they read off *binding*."""
+    facts = {
+        field.name: getattr(config, field.name)
+        for field in dataclasses.fields(ProbeConfig)
+    }
+    getter = facts.pop("key_getter")
+    facts["key_read"] = None if getter is None else getter(binding)
+    facts["residual_reads"] = tuple(
+        (get_outer(binding), slot) for get_outer, slot in facts.pop("residual_joins")
+    )
+    return facts
+
+
+@pytest.mark.parametrize("policy", list(HashProbePolicy))
+def test_installed_probe_configs_are_the_freshly_compiled_ones(columnar, policy):
+    """Both grids, every statement: what the plan's second executor
+    installs equals, field by field, what an executor of a plan no one has
+    bound compiles."""
+    from tests.test_plan_cache import GRID
+
+    config = AdaptiveConfig(
+        mode=ReorderMode.BOTH, hash_probe_policy=policy, **ENGINE
+    )
+    hashed = 0
+    for sql in GRID:
+        plan = columnar.plan(sql)
+        executors = [
+            BatchedPipelineExecutor(candidate, columnar.catalog, config)
+            for candidate in (plan, plan, columnar.plan(sql))
+        ]
+        for executor in executors:
+            executor._compile_all_probes()
+        published, installed, fresh = executors
+        binding = {
+            alias: leg.table.raw_rows()[0] for alias, leg in fresh.legs.items()
+        }
+        for alias in plan.order[1:]:
+            shared = installed.legs[alias].probe_config
+            assert shared is published.legs[alias].probe_config
+            compiled = fresh.legs[alias].probe_config
+            assert shared is not compiled and shared == compiled, sql
+            assert probe_facts(shared, binding) == probe_facts(compiled, binding)
+            assert installed.legs[alias].probe_epoch == 1
+            assert installed.legs[alias].positional is None
+            hashed += shared.hash_column is not None
+    assert (hashed > 0) == (policy is HashProbePolicy.ALWAYS)
+
+
+def test_one_plan_under_two_hash_policies_shares_no_probe(columnar, row):
+    sql = STATEMENTS[0]
+    plan = columnar.plan(sql)
+    oracle = sorted(row.execute(row.plan(sql), AdaptiveConfig(mode=ReorderMode.NONE)).rows)
+    legs = {}
+    for policy in (HashProbePolicy.ALWAYS, HashProbePolicy.OFF):
+        config = AdaptiveConfig(
+            mode=ReorderMode.NONE, hash_probe_policy=policy, **ENGINE
+        )
+        for _ in range(2):
+            executor, rows = run_plan(columnar, plan, config)
+            assert sorted(rows) == oracle
+        legs[policy] = executor.legs
+    programs = plan.probe_programs(plan.bindings(columnar.catalog, None))
+    assert set(programs) == {HashProbePolicy.ALWAYS, HashProbePolicy.OFF}
+    always, off = (programs[policy] for policy in programs)
+    for alias in plan.order[1:]:
+        assert always[alias].hash_column is not None
+        assert off[alias].hash_column is None and off[alias].access_index is not None
+        assert legs[HashProbePolicy.OFF][alias].probe_config is off[alias]
+
+
+def test_a_pipeline_that_left_the_plan_compiles_for_where_it_is(columnar):
+    """The program is the *plan's* order under the *plan's* selectivities:
+    an executor moved off either before its first compile gets no install
+    and publishes nothing."""
+    config = AdaptiveConfig(mode=ReorderMode.BOTH, **ENGINE)
+    plan = columnar.plan(PORSCHE)
+    moved = BatchedPipelineExecutor(plan, columnar.catalog, config)
+    class_id = next(iter(moved.class_selectivities))
+    moved.class_selectivities[class_id] *= 0.5
+    moved._compile_all_probes()
+    programs = plan.probe_programs(plan.bindings(columnar.catalog, None))
+    assert programs == {}
+    usual = BatchedPipelineExecutor(plan, columnar.catalog, config)
+    usual._compile_all_probes()
+    (program,) = programs.values()
+    shared = dict(program)
+    # Recompiling (what an applied reorder does) gives the executor configs
+    # of its own and leaves the plan's alone.
+    usual._compile_all_probes(start_position=2)
+    assert usual.legs[plan.order[1]].probe_config is shared[plan.order[1]]
+    assert usual.legs[plan.order[2]].probe_config is not shared[plan.order[2]]
+    again = BatchedPipelineExecutor(plan, columnar.catalog, config)
+    again._compile_all_probes()
+    assert program == shared
+    assert all(
+        again.legs[alias].probe_config is shared[alias] for alias in plan.order[1:]
+    )

@@ -599,6 +599,60 @@ def test_cached_execution_equals_first_execution_over_both_grids(engine):
         db.close()
 
 
+def test_eight_threads_publish_and_share_one_probe_program():
+    """A cached plan nobody has executed, eight threads at once, the
+    interpreter switching as often as it can: whichever thread compiles the
+    starting probes, every execution matches the row oracle and the plan
+    ends up with one program per hash policy."""
+    db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
+    oracle_db, _ = load_dmv(scale=SCALE, extended=True)
+    db.enable_concurrent_metering()
+    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True, batch_size=64)
+    statements = GRID[-6:]
+    oracle = {
+        sql: oracle_db.execute(oracle_db.plan(sql), config) for sql in statements
+    }
+    plans = {sql: db.plan(sql) for sql in statements}
+    barrier = threading.Barrier(8, timeout=30.0)
+    outcomes, errors = [], []
+
+    def run():
+        try:
+            barrier.wait()
+            with db.catalog.meter.scoped():
+                for _ in range(3):
+                    for sql in statements:
+                        outcomes.append((sql, db.execute(plans[sql], config)))
+        except BaseException as error:  # surfaced below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(outcomes) == 8 * 3 * len(statements)
+    for sql, result in outcomes:
+        want = oracle[sql]
+        assert result.rows == want.rows
+        assert result.stats.work == want.stats.work
+        assert result.stats.events == want.stats.events
+        assert result.stats.engine == "vector-adaptive"
+    for plan in plans.values():
+        programs = plan.probe_programs(plan.bindings(db.catalog, None))
+        assert list(programs) == [config.hash_probe_policy]
+        (program,) = programs.values()
+        assert list(program) == list(plan.order[1:])
+    db.close()
+    oracle_db.close()
+
+
 def test_work_meter_fields_match_between_miss_and_hit():
     """Field by field, not only the total: planning charges nothing."""
     db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")

@@ -39,6 +39,7 @@ from repro import (
 )
 from repro.dmv import load_dmv
 from repro.errors import BudgetExceeded, ExecutionError
+from repro.executor.pipeline import _bind_plan
 from repro.obs.audit import render_replay
 from repro.obs.metrics import MetricsRegistry, record_plan_cache_gauges
 from repro.obs.recorder import FlightRecord, FlightRecorder
@@ -284,6 +285,29 @@ def test_driving_flips_with_position_keep_oracle_rows(flip_db):
 # ---------------------------------------------------------------------------
 # What the entry stores
 # ---------------------------------------------------------------------------
+def test_feedback_plan_keeps_its_own_probe_program(flip_db):
+    """The bindings are shared, the starting probes are not: they follow
+    the order and the class selectivities, which are what feedback moves."""
+    first, second = learn(flip_db)
+    base, learned = first.plan, second.plan
+    bindings = base.bindings(flip_db.catalog, None)
+    assert learned.bindings(flip_db.catalog, None) is bindings
+    base_programs = base.probe_programs(bindings)
+    learned_programs = learned.probe_programs(bindings)
+    assert learned_programs is not base_programs
+    (base_program,) = base_programs.values()
+    (learned_program,) = learned_programs.values()
+    assert list(base_program) == list(base.order[1:])
+    assert list(learned_program) == list(learned.order[1:])
+    # A mode-NONE run of the text still starts from the base plan's.
+    static = flip_db.execute(SQL, NONE)
+    assert static.plan is base and base.probe_programs(bindings) is base_programs
+    # Rebinding (here: ANALYZE moves the generation) drops both.
+    flip_db.analyze()
+    rebound = base.bindings(flip_db.catalog, _bind_plan)
+    assert rebound is not bindings and base.probe_programs(rebound) == {}
+
+
 def test_feedback_plan_is_the_base_plan_corrected(flip_db):
     first, second = learn(flip_db)
     base, learned = first.plan, second.plan

@@ -1,0 +1,346 @@
+"""Join keys as precomputed rank gathers (``ColumnarIndex.row_ranks``).
+
+A probed index keeps, per source column that probes it, the rank of every
+source row's key in its distinct-key sidecar (-1 NULL, -2 not in the
+index), so a chunk's key translation is one gather. Three layers:
+
+* the array against the scalar ``rank.get(row[key_slot])``, row by row,
+  for every key type and every refusal;
+* its lifetime: ``INSERT`` into either table and ``create_index`` are
+  followed by a rebuild, and the engine still returns the row oracle's
+  rows, in order, for the same ``WorkMeter``;
+* a driving switch that starts probing through a new (column, index) pair
+  builds that pair's array at the boundary, mid-query.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+from repro import AdaptiveConfig, Database, ReorderMode
+from repro.core.controller import AdaptationController
+from repro.dmv import load_dmv, six_table_workload
+from repro.executor.batch import BatchedPipelineExecutor
+from repro.executor.vector import _make_translator
+from repro.storage.columnar import ColumnarIndex, _np
+
+NULL, MISSING = -1, -2
+
+
+def two_tables(source_type, probed_type, source_keys, probed_keys):
+    """``src(k)`` probing ``dst(k)`` through the index on ``dst.k``."""
+    db = Database(backend="columnar")
+    db.create_table("src", [("k", source_type), ("tag", "int")])
+    db.create_table("dst", [("k", probed_type), ("tag", "int")])
+    db.insert("src", [(key, n) for n, key in enumerate(source_keys)])
+    db.insert("dst", [(key, n) for n, key in enumerate(probed_keys)])
+    db.create_index("dst", "k")
+    return db
+
+
+def source_and_index(db):
+    column = db.catalog.table("src").column_store(0)
+    return column, db.catalog.index_on("dst", "k")
+
+
+def scalar_ranks(db) -> list[int]:
+    """What the scalar probe resolves per source row, in the array's codes."""
+    _, index = source_and_index(db)
+    rank, _, _ = index._sidecar()
+    out = []
+    for row in db.catalog.table("src").raw_rows():
+        key = row[0]
+        out.append(NULL if key is None else rank.get(key, MISSING))
+    return out
+
+
+def keys_of(kind: str, rng: random.Random, count: int, domain: int) -> list:
+    """Random keys with duplicates and NULLs."""
+    make = {
+        "int": lambda v: v - domain // 2,  # negatives too
+        "float": lambda v: v / 4 - 3.0,
+        "string": lambda v: f"key{v:03d}",
+    }[kind]
+    return [
+        None if rng.random() < 0.15 else make(rng.randrange(domain))
+        for _ in range(count)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The array is the scalar lookup, for every row
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["int", "float", "string"])
+@pytest.mark.parametrize("seed", range(4))
+def test_gather_equals_scalar_rank_lookup_for_every_row(kind, seed):
+    rng = random.Random(seed)
+    # A wider source domain than the index holds: some keys are missing.
+    db = two_tables(
+        kind, kind, keys_of(kind, rng, 300, 60), keys_of(kind, rng, 120, 40)
+    )
+    column, index = source_and_index(db)
+    ranks = index.row_ranks(column)
+    expected = scalar_ranks(db)
+    assert ranks.dtype == _np.int64 and ranks.tolist() == expected
+    assert {NULL, MISSING} <= set(expected) and max(expected) > 0  # not vacuous
+    assert len(index._keys) < len(index._entries)  # duplicate keys, one rank
+    # The cascade's translator is a gather over that array.
+    rids = _np.array(rng.choices(range(300), k=64), dtype=_np.int64)
+    translate = _make_translator(column, index)
+    assert translate(rids).tolist() == [expected[rid] for rid in rids.tolist()]
+    assert index.row_ranks(column) is ranks  # built once
+    db.close()
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "string"])
+@pytest.mark.parametrize("probed_keys", [[], [None, None, None]])
+def test_empty_index_misses_every_key_and_keeps_nulls(kind, probed_keys):
+    rng = random.Random(5)
+    db = two_tables(kind, kind, keys_of(kind, rng, 50, 10), probed_keys)
+    column, index = source_and_index(db)
+    assert not index._sidecar()[0]
+    expected = scalar_ranks(db)
+    assert index.row_ranks(column).tolist() == expected
+    assert set(expected) == {NULL, MISSING}
+    db.close()
+
+
+def test_int_source_against_a_float_index():
+    db = two_tables("int", "float", [1, 2, None, 3, 7], [1.0, 2.5, 3.0, 3.0])
+    column, index = source_and_index(db)
+    assert index.row_ranks(column).tolist() == scalar_ranks(db) == [
+        0, MISSING, NULL, 2, MISSING
+    ]
+    db.close()
+
+
+def test_refused_shapes_stay_refused():
+    """No array, no translator: the cascade's gate reads as before."""
+    # A boxed (overflowed) INT source column.
+    boxed = two_tables("int", "int", [1, 2**70, None, 3], [1, 3, 3])
+    column, index = source_and_index(boxed)
+    assert column.boxed is not None
+    assert index.row_ranks(column) is None
+    assert _make_translator(column, index) is None
+    # A numeric source against a non-numeric key domain, and the reverse.
+    mixed = two_tables("int", "string", [1, 2, None], ["a", "b"])
+    assert mixed.catalog.index_on("dst", "k").row_ranks(
+        mixed.catalog.table("src").column_store(0)
+    ) is None
+    reverse = two_tables("string", "int", ["a", None], [1, 2])
+    assert _make_translator(*source_and_index(reverse)) is None
+    # A boxed probed column has no numeric key array either.
+    wide = two_tables("int", "int", [1, 2, None], [1, 2**70])
+    assert _make_translator(*source_and_index(wide)) is None
+    for db in (boxed, mixed, reverse, wide):
+        db.close()
+
+
+def test_refusal_reaches_the_gate_reason():
+    db = two_tables("int", "int", [1, 2**70, 3], [1, 3, 3])
+    db.create_index("src", "k")  # whichever leg the optimizer probes
+    db.analyze()
+    result = db.execute(
+        "SELECT s.tag, d.tag FROM src s, dst d WHERE s.k = d.k",
+        AdaptiveConfig(mode=ReorderMode.NONE, batched=True),
+    )
+    assert result.stats.engine == "scalar"
+    assert "untranslatable key column" in result.stats.vector_gate
+    assert sorted(result.rows) == [(0, 0), (2, 1), (2, 2)]
+    db.close()
+
+
+def test_footprint_counts_the_rank_arrays():
+    rng = random.Random(1)
+    db = two_tables("int", "int", keys_of("int", rng, 500, 30), range(30))
+    column, index = source_and_index(db)
+    index._sidecar()
+    before = index.kernel_footprint()
+    ranks = index.row_ranks(column)
+    assert ranks.nbytes == 8 * 500
+    assert index.kernel_footprint() == before + ranks.nbytes
+    assert db.storage_stats()["kernel_plan_bytes"] >= ranks.nbytes
+    db.close()
+
+
+def test_warm_up_reports_the_rank_arrays_it_built():
+    """The fork pool re-forks when the warm-up built something, so workers
+    inherit the arrays copy-on-write instead of building one each."""
+    from repro.executor.parallel import warm_kernel_plan
+
+    rng = random.Random(2)
+    db = two_tables("int", "int", range(40), keys_of("int", rng, 400, 30))
+    db.create_index("src", "k")
+    db.analyze()
+    plan = db.plan("SELECT s.tag, d.tag FROM src s, dst d WHERE s.k = d.k")
+    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True, workers=2)
+    assert warm_kernel_plan(db.catalog, plan, config) is True
+    held = [
+        index
+        for name in ("src", "dst")
+        for index in db.catalog.indexes_of(name).values()
+        if index._row_ranks
+    ]
+    assert len(held) == 1
+    assert warm_kernel_plan(db.catalog, plan, config) is False
+    held[0]._row_ranks.clear()  # everything else stays warm
+    assert warm_kernel_plan(db.catalog, plan, config) is True
+    assert held[0]._row_ranks
+    db.close()
+
+
+# ---------------------------------------------------------------------------
+# Lifetime: DML and DDL are followed by a rebuild
+# ---------------------------------------------------------------------------
+JOIN = "SELECT s.tag, d.tag FROM src s, dst d WHERE s.k = d.k AND s.tag >= 0"
+STATIC = AdaptiveConfig(mode=ReorderMode.NONE, batched=True)
+ORACLE = AdaptiveConfig(mode=ReorderMode.NONE)
+
+
+def twins(source_keys, probed_keys, indexed=True):
+    """The same two tables on the columnar engine and the row oracle.
+
+    ``dst`` is the smaller one: the optimizer drives it and probes ``src``
+    through the index on ``src.k`` with the keys of ``dst.k``.
+    """
+    dbs = []
+    for backend in ("columnar", "row"):
+        db = Database(backend=backend)
+        db.create_table("src", [("k", "int"), ("tag", "int")])
+        db.create_table("dst", [("k", "int"), ("tag", "int")])
+        db.insert("src", [(key, n) for n, key in enumerate(source_keys)])
+        db.insert("dst", [(key, n) for n, key in enumerate(probed_keys)])
+        if indexed:
+            db.create_index("src", "k")
+            db.create_index("dst", "k")
+        db.analyze()
+        dbs.append(db)
+    return dbs
+
+
+def assert_engine_equals_oracle(columnar, row):
+    got = columnar.execute(JOIN, STATIC)
+    want = row.execute(JOIN, ORACLE)
+    assert got.stats.engine == "vector", got.stats.vector_gate
+    assert got.rows == want.rows  # in order
+    assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
+        want.stats.work
+    )
+    assert got.plan.order == want.plan.order == ("d", "s")
+    return got
+
+
+def held_ranks(db):
+    """The array ``src.k``'s index holds for the keys of ``dst.k``."""
+    column = db.catalog.table("dst").column_store(0)
+    index = db.catalog.index_on("src", "k")
+    rows, ranks = index._row_ranks[column]
+    assert rows == len(ranks) == len(column)
+    rank = index._sidecar()[0]
+    assert ranks.tolist() == [
+        NULL if key is None else rank.get(key, MISSING)
+        for key in column.values_list()
+    ]
+    return ranks
+
+
+def test_insert_into_either_table_is_followed_by_a_rebuild():
+    rng = random.Random(11)
+    columnar, row = twins(keys_of("int", rng, 200, 40), keys_of("int", rng, 90, 30))
+    first = assert_engine_equals_oracle(columnar, row)
+    ranks = held_ranks(columnar)
+    assert_engine_equals_oracle(columnar, row)
+    assert held_ranks(columnar) is ranks  # a repeat gathers, no rebuild
+
+    # The source column grows: a NULL and a missing key among the new rows.
+    grown = [(None, 900), (10**6, 901), (3, 902), (-4, 903)]
+    for db in (columnar, row):
+        db.insert("dst", grown)
+    assert_engine_equals_oracle(columnar, row)
+    rebuilt = held_ranks(columnar)
+    assert len(rebuilt) == len(ranks) + len(grown)
+    assert rebuilt[-3] == MISSING
+    # The probed index grows: that key is present now.
+    for db in (columnar, row):
+        db.insert("src", [(10**6, 950), (3, 951), (None, 952)])
+    third = assert_engine_equals_oracle(columnar, row)
+    again = held_ranks(columnar)
+    assert again is not rebuilt and again[-3] >= 0
+    assert len(third.rows) > len(first.rows)
+    for db in (columnar, row):
+        db.close()
+
+
+def test_create_index_opens_a_new_pair():
+    """Without an index to probe through the cascade refuses the plan; once
+    there is one, the next execution probes through the new (column, index)
+    pair and builds its array."""
+    rng = random.Random(12)
+    columnar, row = twins(
+        keys_of("int", rng, 150, 25), keys_of("int", rng, 60, 25), indexed=False
+    )
+    before = columnar.execute(JOIN, STATIC)
+    assert before.stats.engine == "scalar"
+    assert "non-indexed probe" in before.stats.vector_gate
+    for db in (columnar, row):
+        db.create_index("src", "k")
+    after = assert_engine_equals_oracle(columnar, row)
+    assert sorted(after.rows) == sorted(before.rows)
+    held_ranks(columnar)
+    for db in (columnar, row):
+        db.close()
+
+
+# ---------------------------------------------------------------------------
+# A driving switch probes through a pair no one has built yet
+# ---------------------------------------------------------------------------
+def test_driving_switch_builds_the_new_pair_at_the_boundary(monkeypatch):
+    columnar, _ = load_dmv(
+        scale=0.02, extended=True, backend="columnar", plan_cache_size=0
+    )
+    row, _ = load_dmv(scale=0.02, extended=True, plan_cache_size=0)
+    config = AdaptiveConfig(
+        mode=ReorderMode.BOTH,
+        batched=True,
+        batch_size=16,
+        check_frequency=2,
+        switch_benefit_threshold=0.0,
+    )
+    builds: list[tuple[str, int]] = []
+    running: list = []
+    build = ColumnarIndex._build_row_ranks
+
+    def watching(index, source_column):
+        builds.append((index.name, running[0].driving_rows_total))
+        return build(index, source_column)
+
+    monkeypatch.setattr(ColumnarIndex, "_build_row_ranks", watching)
+    mid_query = 0
+    for query in six_table_workload(count=40):
+        del builds[:], running[:]
+        controller = AdaptationController(config)
+        executor = BatchedPipelineExecutor(
+            columnar.plan(query.sql), columnar.catalog, config, controller
+        )
+        controller.attach(executor)
+        running.append(executor)
+        rows = executor.run_to_completion()
+        assert executor.engine_used == "vector-adaptive", query.sql
+        boundaries = {event.driving_rows_produced for event in executor.events}
+        for name, driving_rows in builds:
+            if driving_rows:  # not the starting order's
+                mid_query += 1
+                assert driving_rows in boundaries, (query.sql, name)
+        if any(driving_rows for _, driving_rows in builds):
+            assert executor.driving_switches or executor.inner_reorders
+            reference = row.execute(row.plan(query.sql), config)
+            assert rows == reference.rows
+            assert dataclasses.asdict(executor.work) == dataclasses.asdict(
+                reference.stats.work
+            )
+    assert mid_query > 0, "no applied change opened a new (column, index) pair"
+    columnar.close()
+    row.close()

@@ -135,9 +135,9 @@ def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
         assert test is not None
         test.predicate = predicate  # as RuntimeLeg attaches it
         local_tests.append((predicate, test))
-    built = index.cascade_groups(local_tests)
-    assert built is not None, "vectorizable leg refused a kernel"
-    kernel, _keys_np, rank = built
+    kernel = index.cascade_groups(local_tests)
+    assert kernel is not None, "vectorizable leg refused a kernel"
+    rank = index._sidecar()[0]
     tests = [test for _, test in local_tests]
     present_keys = list(rank)
     lookup = index.lookup_rids_batch(present_keys) if present_keys else {}
@@ -401,7 +401,8 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
         assert test is not None
         test.predicate = predicate
         local_tests.append((predicate, test))
-    base, _keys_np, rank = index.cascade_groups(local_tests)
+    base = index.cascade_groups(local_tests)
+    rank = index._sidecar()[0]
     tests = [test for _, test in local_tests]
     lookup = index.lookup_rids_batch(list(rank)) if rank else {}
     kernels_before = dict(index._kernels)
@@ -458,9 +459,9 @@ def test_positional_kernel_tie_at_the_rid_boundary():
     predicate = IsNull("sk", negated=True)
     test = compile_row_test(predicate, table.schema)
     test.predicate = predicate
-    base, _, rank = db.catalog.index_on("t", "k").cascade_groups(
-        [(predicate, test)]
-    )
+    index = db.catalog.index_on("t", "k")
+    base = index.cascade_groups([(predicate, test)])
+    rank = index._sidecar()[0]
     order = ScanOrder(table, db.catalog.index_on("t", "sk"))
     kernel = _positional_kernel(
         base, PositionalPredicate(order=order, after=("b", 1)), len(table)
