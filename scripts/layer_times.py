@@ -1,0 +1,102 @@
+"""Where a warm grid pass spends its wall clock, layer by layer.
+
+One pass is every statement of a template grid through
+``Database.execute(sql, config)`` on the columnar engine (``batched=True,
+batch_size=256``: what ``benchmarks/e2e`` runs). ``perf_counter`` wrappers
+around the layers named in :data:`LAYERS` give each one's milliseconds a
+pass and its share of the pass; "other" is what no wrapper covers. The
+first two passes (plan cache, kernels, rank arrays, plan feedback) are not
+reported. The wrappers cost a few microseconds a call, so read the numbers
+against another run of this script, not against an unwrapped pass. A
+ledger, not a gate: no thresholds.
+
+Usage::
+
+    PYTHONPATH=src python scripts/layer_times.py --grid six --mode none
+"""
+
+from __future__ import annotations
+
+import argparse
+from statistics import median
+from time import perf_counter
+
+from repro import AdaptiveConfig, Database, ReorderMode
+from repro.core.controller import AdaptationController
+from repro.dmv import four_table_workload, load_dmv, six_table_workload
+from repro.executor import vector
+from repro.executor.pipeline import PipelineExecutor
+
+LAYERS = [
+    (Database, "_plan_sql"),
+    (PipelineExecutor, "__init__"),
+    (vector, "_adaptive_plan"),
+    (vector, "_driving_walk"),
+    (vector, "_expand"),
+    (vector, "_project"),
+    (AdaptationController, "on_suffix_depleted"),
+    (AdaptationController, "on_pipeline_depleted"),
+]
+
+
+def timed(function, spent: dict, name: str):
+    def wrapper(*args, **kwargs):
+        start = perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            spent[name] += perf_counter() - start
+
+    return wrapper
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--grid", choices=("four", "six"), default="six")
+    parser.add_argument("--mode", choices=("none", "both"), default="none")
+    parser.add_argument("--scale", type=float, default=0.1)
+    parser.add_argument("--passes", type=int, default=9)
+    args = parser.parse_args()
+
+    workload = (
+        four_table_workload(queries_per_template=10**9)
+        if args.grid == "four"
+        else six_table_workload(count=10**9)
+    )
+    sqls = [query.sql for query in workload]
+    config = AdaptiveConfig(
+        mode=ReorderMode(args.mode), batched=True, batch_size=256
+    )
+    db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
+    spent: dict[str, float] = {}
+    for owner, name in LAYERS:
+        label = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+        spent[label] = 0.0
+        setattr(owner, name, timed(getattr(owner, name), spent, label))
+
+    passes = []  # one {layer: seconds} per reported pass
+    for number in range(args.passes + 2):
+        for label in spent:
+            spent[label] = 0.0
+        start = perf_counter()
+        rows = sum(len(db.execute(sql, config).rows) for sql in sqls)
+        wall = perf_counter() - start
+        if number >= 2:
+            other = wall - sum(spent.values())
+            passes.append({**spent, "other": other, "pass": wall})
+    best = min(passes, key=lambda layers: layers["pass"])
+    print(
+        f"{args.grid}-table grid, mode {args.mode}, scale {args.scale}: "
+        f"{len(sqls)} statements, {rows} rows a pass, {len(passes)} warm passes"
+    )
+    print(f"{'layer':<42}{'min ms':>9}{'median ms':>11}{'share':>8}")
+    for label in best:
+        low = min(layers[label] for layers in passes)
+        mid = median(layers[label] for layers in passes)
+        share = best[label] / best["pass"]  # within the fastest pass
+        print(f"{label:<42}{low * 1e3:>9.1f}{mid * 1e3:>11.1f}{share:>8.1%}")
+    db.close()
+
+
+if __name__ == "__main__":
+    main()

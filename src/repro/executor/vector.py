@@ -12,13 +12,16 @@ collapses into a layered array computation per driving chunk:
    index's distinct-key sidecar from the row-rank array the index keeps
    for the key's source column (:meth:`ColumnarIndex.row_ranks`: built
    once per (source column, index) pair, not per chunk), then expands the
-   flow through the leg's group kernel with ``repeat``/``cumsum`` CSR
-   gathers — exactly the rows, in exactly the depth-first nested-loop
-   order, of the scalar machine;
+   flow through the leg's group kernel with one ``cumsum`` and one
+   ``repeat`` per leg (:func:`_expand`) — exactly the rows, in exactly the
+   depth-first nested-loop order, of the scalar machine. A NULL key's rank
+   is -1 and a missing key's -2; the kernel's per-key arrays end in two
+   zero slots, so an absent key gathers "no entries, no matches" like any
+   other count and no step masks it out;
 3. work-meter charges are computed from the same per-key kernel aggregates
    the scalar probes charge (descend per probe, ``max(entries, 1)`` per
    present/missing key, fetch per candidate row, short-circuit-exact local
-   evals), summed per leg.
+   evals), gathered through every rank of the chunk and summed per leg.
 
 One chunk loop (:func:`_run_cascade`) runs static plans (large slices) and
 the monitored modes (``batch_size`` chunks with kernel-folded monitoring
@@ -313,6 +316,9 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
     and lives only as long as this plan does. Kernels and rank arrays are
     memoized by their index, so a rebuild is dictionary lookups unless the
     new order probes through a (column, index) pair nobody has yet.
+
+    One entry per inner leg: ``(leg, probe config, kernel, key-rank gather,
+    whether the gather can yield a missing key's -2)``.
     """
     order = executor.order
     inner: list = []
@@ -340,13 +346,15 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
             kernel = _positional_kernel(kernel, leg.positional, len(leg.table))
             if kernel is None:
                 return None, f"leg {alias!r}: frozen in a non-columnar scan order"
-        translate = _make_translator(
-            executor.legs[config.key_alias].table.column_store(config.key_slot),
-            index,
+        source = executor.legs[config.key_alias].table.column_store(
+            config.key_slot
         )
+        translate = _make_translator(source, index)
         if translate is None:
             return None, f"leg {alias!r}: untranslatable key column"
-        inner.append((leg, config, kernel, translate))
+        inner.append(
+            (leg, config, kernel, translate, index.misses_keys_of(source))
+        )
     return inner, None
 
 
@@ -389,40 +397,47 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     ``ancestors[alias]`` maps every joined tuple the chunk produces to its
     RID at that alias, in depth-first nested-loop order. Each inner leg
     charges the scalar probes' work as kernel aggregates (descend per outer
-    row; present keys walk their full group — entries, fetches,
-    short-circuit local evals; missing keys touch one entry; null keys
-    descend only) and, when monitored, defers the same aggregate as its
+    row; a key the index holds walks its full group — entries, fetches,
+    short-circuit local evals; a missing key touches one entry; a NULL key
+    descends only) and, when monitored, defers the same aggregate as its
     window fold for the chunk.
+
+    One path serves every key. A NULL key's rank is -1 and a missing key's
+    -2, and every per-key kernel array ends in two zero slots
+    (:class:`~repro.storage.columnar._Kernel`), so an absent key gathers no
+    entries, no evals and no matches — and, having no match, no tuple of
+    the output reads the ``pass_offsets`` entry its rank wraps to. Only the
+    missing keys' one entry each is counted apart, and only where the
+    (source column, index) pair has a missing key at all.
     """
     flow = len(survivors)
     ancestors: dict[str, Any] = {driving_alias: survivors}
-    for leg, pconfig, kernel, translate in inner:
+    for leg, pconfig, kernel, translate, may_miss in inner:
         if flow == 0:
             ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
             continue
         ranks = translate(ancestors[pconfig.key_alias])
-        present = ranks >= 0
-        present_ranks = ranks[present]
-        npresent = len(present_ranks)
-        missing = int(_np.count_nonzero(ranks == -2))
-        meter.index_descends += flow
-        if npresent:
-            touched = int(kernel.totals[present_ranks].sum())
-            evals = int(kernel.evals[present_ranks].sum())
-        else:
-            touched = 0
-            evals = 0
+        missing = int(_np.count_nonzero(ranks == -2)) if may_miss else 0
+        matches = kernel.counts.take(ranks)
+        ends = matches.cumsum()
+        total = int(ends[-1])
+        # Arrays a kernel shares are gathered once (a test-free kernel's
+        # counts are its totals, a one-test kernel's evals too).
+        touched = (
+            total
+            if kernel.totals is kernel.counts
+            else int(kernel.totals.take(ranks).sum())
+        )
+        evals = (
+            touched
+            if kernel.evals is kernel.totals
+            else int(kernel.evals.take(ranks).sum())
+        )
         entries = touched + missing
+        meter.index_descends += flow
         meter.index_entries += entries
         meter.row_fetches += touched
         meter.predicate_evals += evals
-        offsets = kernel.pass_offsets
-        matches = _np.zeros(flow, dtype=_np.int64)
-        if npresent:
-            matches[present] = (
-                offsets[present_ranks + 1] - offsets[present_ranks]
-            )
-        total = int(matches.sum())
         if leg.monitoring_enabled:
             meter.monitor_updates += flow
             # The lean aggregate: (incoming, index matches, output,
@@ -436,24 +451,30 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
                 + touched * ROW_FETCH_COST
                 + evals * PREDICATE_EVAL_COST,
             )
-            if npresent:
-                for slot, counts in enumerate(leg.local_counts):
-                    counts[0] += int(kernel.ev[slot][present_ranks].sum())
-                    counts[1] += int(kernel.pa[slot][present_ranks].sum())
+            # Test i evaluates the rows test i - 1 passed (``ev[i] is
+            # pa[i - 1]``, ``ev[0] is totals``): one gather per test, and
+            # none for the last unless a positional test follows it.
+            passed = touched
+            for counts, column in zip(leg.local_counts, kernel.pa):
+                counts[0] += passed
+                passed = (
+                    total
+                    if column is kernel.counts
+                    else int(column.take(ranks).sum())
+                )
+                counts[1] += passed
             leg.incoming_since_check += flow
-        parent = _np.repeat(_np.arange(flow, dtype=_np.int64), matches)
-        if total:
-            starts = _np.zeros(flow, dtype=_np.int64)
-            starts[present] = offsets[present_ranks]
-            base = _np.repeat(starts, matches)
-            within = _np.arange(total, dtype=_np.int64) - _np.repeat(
-                _np.cumsum(matches) - matches, matches
-            )
-            new_rids = kernel.pass_rids[base + within]
-        else:
-            new_rids = _np.zeros(0, dtype=_np.int64)
-        ancestors = {alias: arr[parent] for alias, arr in ancestors.items()}
-        ancestors[leg.alias] = new_rids
+        # CSR gather: tuple t of outer row i comes ``ends[i] - t`` tuples
+        # before the end of row i's output, and reads pass_rids that far
+        # before the end of row i's slice.
+        iota = _np.arange(max(flow, total))
+        parent = iota[:flow].repeat(matches)
+        shift = kernel.pass_offsets[1:].take(ranks)
+        shift -= ends
+        positions = shift.take(parent)
+        positions += iota[:total]
+        ancestors = {alias: arr.take(parent) for alias, arr in ancestors.items()}
+        ancestors[leg.alias] = kernel.pass_rids.take(positions)
         flow = total
     return ancestors, flow
 

@@ -508,28 +508,43 @@ def table_memory_footprint(table: HeapTable) -> dict[str, int]:
 # ----------------------------------------------------------------------
 # Index
 # ----------------------------------------------------------------------
+def _true_before(flags):
+    """``out[i]``: how many of ``flags[:i]`` are set (``len(flags) + 1`` long)."""
+    out = _np.zeros(len(flags) + 1, dtype=_np.int64)
+    _np.cumsum(flags, out=out[1:])
+    return out
+
+
 class _Kernel:
     """Per-(generation, local tests) vectorized group arrays of one index.
 
-    All arrays are keyed by the sidecar's distinct-key rank ``j``:
+    The per-key arrays are indexed by the sidecar's distinct-key rank ``j``
+    and are **distinct keys + 2** long: the two trailing slots hold 0, so
+    numpy's negative indexing makes the ranks of an absent key (-1 NULL,
+    -2 not in the index: :meth:`ColumnarIndex.row_ranks`) gather zeros and
+    the cascade needs no mask for them.
 
     * ``totals[j]`` — entry count of key *j* (what a probe charges as
       INDEX_ENTRY / ROW_FETCH),
     * ``evals[j]`` — scalar-exact short-circuit local-predicate evals,
-    * ``pass_offsets[j] : pass_offsets[j+1]`` — slice of ``pass_rids``
-      holding the RIDs (in entry order) that pass every local test,
+    * ``counts[j]`` — how many of key *j*'s rows pass every local test,
+    * ``pass_offsets`` — ``counts``' exclusive cumsum (distinct keys + 3
+      long): ``pass_offsets[j] : pass_offsets[j+1]`` is the slice of
+      ``pass_rids`` holding those rows' RIDs, in entry order,
     * ``ev``/``pa`` — per-test (evaluated, passed) arrays for the
       monitored path's local-predicate counters.
 
-    Arrays are read-only and shared wherever two of them are equal by
-    construction: ``totals`` (and a test-free kernel's offsets and RIDs)
-    with the index sidecar, ``ev[0]`` with ``totals``, ``ev[i]`` with
-    ``pa[i - 1]``, a one-test kernel's ``evals`` with ``totals``.
+    Arrays are non-writeable and shared wherever two of them are equal by
+    construction: ``totals`` (and a test-free kernel's counts, offsets and
+    RIDs) with the index sidecar, ``ev[0]`` with ``totals``, ``ev[i]`` with
+    ``pa[i - 1]``, ``counts`` with ``pa[-1]``, a one-test kernel's
+    ``evals`` with ``totals``.
     """
 
     __slots__ = (
         "totals",
         "evals",
+        "counts",
         "pass_offsets",
         "pass_rids",
         "ev",
@@ -537,14 +552,17 @@ class _Kernel:
         "_lists",
     )
 
-    def __init__(self, totals, evals, pass_offsets, pass_rids, ev, pa):
+    def __init__(self, totals, evals, counts, pass_offsets, pass_rids, ev, pa):
         self.totals = totals
         self.evals = evals
+        self.counts = counts
         self.pass_offsets = pass_offsets
         self.pass_rids = pass_rids
         self.ev = ev
         self.pa = pa
         self._lists = None
+        for array in (totals, evals, counts, pass_offsets, pass_rids, *ev, *pa):
+            array.setflags(write=False)
 
     def restricted(self, keep) -> "_Kernel":
         """This kernel with one more test after the locals (a derived copy).
@@ -556,12 +574,12 @@ class _Kernel:
         and the locals only and are shared, not copied. The caller owns the
         result — it is never entered in ``ColumnarIndex._kernels``.
         """
-        kept_before = _np.zeros(len(keep) + 1, dtype=_np.int64)
-        _np.cumsum(keep, out=kept_before[1:])
+        pass_offsets = _true_before(keep)[self.pass_offsets]
         return _Kernel(
             self.totals,
-            self.evals + _np.diff(self.pass_offsets),
-            kept_before[self.pass_offsets],
+            self.evals + self.counts,
+            _np.diff(pass_offsets),
+            pass_offsets,
             self.pass_rids[keep],
             self.ev,
             self.pa,
@@ -574,7 +592,8 @@ class _Kernel:
         Python list slice of ints is far cheaper than an ndarray slice +
         ``tolist()`` for the tiny groups equality probes see, and the
         elements are already plain ``int`` (no ``np.int64`` can leak into
-        the WorkMeter).
+        the WorkMeter). The padding slots come along; a rank out of the
+        sidecar's ``rank`` dictionary never reaches them.
         """
         lists = self._lists
         if lists is None:
@@ -682,9 +701,13 @@ class ColumnarIndex(SortedIndex):
             (rid for _, rid in entries), dtype=_np.int64, count=len(entries)
         )
         # CSR segment bounds and sizes per distinct key: the same for
-        # every kernel of this generation, which share them.
-        self._bounds_np = _np.asarray(starts, dtype=_np.int64)
+        # every kernel of this generation, which share them. The end bound
+        # is there three times, so the sizes end in the two zero slots an
+        # absent key's rank (-1 / -2) gathers (see _Kernel).
+        self._bounds_np = _np.asarray(starts + starts[-1:] * 2, dtype=_np.int64)
         self._totals_np = _np.diff(self._bounds_np)
+        for array in (self._ent_rids, self._bounds_np, self._totals_np):
+            array.setflags(write=False)
         self._keys_np = None
         kind = (
             self.table.column_kind(self._column_pos)
@@ -695,6 +718,7 @@ class ColumnarIndex(SortedIndex):
             dtype = _np.int64 if kind == "int" else _np.float64
             try:
                 self._keys_np = _np.array(keys, dtype=dtype)
+                self._keys_np.setflags(write=False)
             except (OverflowError, TypeError, ValueError):
                 pass
         self._kernels = {}
@@ -781,32 +805,29 @@ class ColumnarIndex(SortedIndex):
         ent_rids = self._ent_rids
         bounds = self._bounds_np
         totals = self._totals_np
-        nkeys = len(totals)
         if not masks:
             # Every entry passes: the kernel is the sidecar itself.
             return _Kernel(
-                totals, _np.zeros(nkeys, dtype=_np.int64), bounds, ent_rids, [], []
+                totals, _np.zeros_like(totals), totals, bounds, ent_rids, [], []
             )
         alive = None
         pa: list = []
         for mask in masks:
             passed = mask[ent_rids]
             alive = passed if alive is None else alive & passed
-            if nkeys:
-                pa.append(
-                    _np.add.reduceat(alive.astype(_np.int64), bounds[:-1])
-                )
-            else:
-                pa.append(_np.zeros(0, dtype=_np.int64))
+            # bounds ends in three equal entries, so each pass-count array
+            # ends in two zeros, like totals.
+            pass_offsets = _true_before(alive)[bounds]
+            pa.append(_np.diff(pass_offsets))
         # Short-circuit evaluation: test i sees the rows still alive before
         # it — every entry of the key for the first test, the previous
         # test's passers after. So ``ev`` needs no arrays of its own, and a
         # key's evals are their sum.
         ev = [totals, *pa[:-1]]
         evals = totals if len(ev) == 1 else _np.sum(ev, axis=0)
-        pass_offsets = _np.zeros(nkeys + 1, dtype=_np.int64)
-        _np.cumsum(pa[-1], out=pass_offsets[1:])
-        return _Kernel(totals, evals, pass_offsets, ent_rids[alive], ev, pa)
+        return _Kernel(
+            totals, evals, pa[-1], pass_offsets, ent_rids[alive], ev, pa
+        )
 
     @staticmethod
     def _predicates_key(tests: Sequence) -> tuple | None:
@@ -943,6 +964,7 @@ class ColumnarIndex(SortedIndex):
         One int64 array per source column that probes this index (bounded
         by the schema's join edges), for the current sidecar generation:
         dropped with the sidecar, rebuilt when the source column grew.
+        ``_row_ranks`` holds ``(rows at build, array, any -2 in it)``.
         """
         self._check_fresh()
         self._sidecar()
@@ -950,11 +972,22 @@ class ColumnarIndex(SortedIndex):
         with self._lock:  # one build per source column
             held = self._row_ranks.get(source_column)
             if held is None or held[0] != rows:
+                ranks = self._build_row_ranks(source_column)
+                if ranks is not None:
+                    ranks.setflags(write=False)
                 held = self._row_ranks[source_column] = (
                     rows,
-                    self._build_row_ranks(source_column),
+                    ranks,
+                    ranks is not None and bool((ranks == -2).any()),
                 )
         return held[1]
+
+    def misses_keys_of(self, source_column) -> bool:
+        """Whether :meth:`row_ranks` of *source_column* holds a -2 (found
+        once, when the array was built): a probe through a pair that misses
+        no key has no missing keys to count, chunk after chunk."""
+        held = self._row_ranks.get(source_column)
+        return held is None or held[2]
 
     def _build_row_ranks(self, source_column):
         rank = self._rank
@@ -1006,8 +1039,8 @@ class ColumnarIndex(SortedIndex):
         ]
         for kernel in kernels:
             arrays += (
-                kernel.totals, kernel.evals, kernel.pass_offsets,
-                kernel.pass_rids, *kernel.ev, *kernel.pa,
+                kernel.totals, kernel.evals, kernel.counts,
+                kernel.pass_offsets, kernel.pass_rids, *kernel.ev, *kernel.pa,
             )
         # Kernels share arrays with the sidecar and among their own fields.
         unique = {id(array): array for array in arrays if array is not None}

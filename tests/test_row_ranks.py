@@ -10,12 +10,18 @@ index), so a chunk's key translation is one gather. Three layers:
   followed by a rebuild, and the engine still returns the row oracle's
   rows, in order, for the same ``WorkMeter``;
 * a driving switch that starts probing through a new (column, index) pair
-  builds that pair's array at the boundary, mid-query.
+  builds that pair's array at the boundary, mid-query;
+* absent keys (-1 / -2) at every inner leg of a three-table chain gather
+  zeros from the kernels' two padding slots: engine == oracle in mode NONE,
+  == the row backend's reference loop through a reorder and a switch;
+* the padding costs 16 bytes an array: nothing is copied to make room for
+  it, and nothing published can be written to.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -23,6 +29,7 @@ import pytest
 from repro import AdaptiveConfig, Database, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.dmv import load_dmv, six_table_workload
+from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.vector import _make_translator
 from repro.storage.columnar import ColumnarIndex, _np
@@ -200,22 +207,38 @@ STATIC = AdaptiveConfig(mode=ReorderMode.NONE, batched=True)
 ORACLE = AdaptiveConfig(mode=ReorderMode.NONE)
 
 
-def twins(source_keys, probed_keys, indexed=True):
+def twins(source_keys, probed_keys, indexed=True, chain=None):
     """The same two tables on the columnar engine and the row oracle.
 
     ``dst`` is the smaller one: the optimizer drives it and probes ``src``
     through the index on ``src.k`` with the keys of ``dst.k``.
+
+    *chain* = ``(links, far_keys)`` makes them a three-table chain: ``src``
+    gets a third column ``m`` (one link per row) that joins ``far(k, tag)``,
+    and every join column and ``tag`` is indexed.
     """
     dbs = []
     for backend in ("columnar", "row"):
         db = Database(backend=backend)
-        db.create_table("src", [("k", "int"), ("tag", "int")])
-        db.create_table("dst", [("k", "int"), ("tag", "int")])
-        db.insert("src", [(key, n) for n, key in enumerate(source_keys)])
+        columns = [("k", "int"), ("tag", "int")]
+        db.create_table("src", columns + ([("m", "int")] if chain else []))
+        db.create_table("dst", columns)
+        source_rows = [(key, n) for n, key in enumerate(source_keys)]
+        if chain:
+            links, far_keys = chain
+            source_rows = [row + (m,) for row, m in zip(source_rows, links)]
+            db.create_table("far", columns)
+            db.insert("far", [(key, n) for n, key in enumerate(far_keys)])
+        db.insert("src", source_rows)
         db.insert("dst", [(key, n) for n, key in enumerate(probed_keys)])
         if indexed:
             db.create_index("src", "k")
             db.create_index("dst", "k")
+        if chain:
+            db.create_index("src", "m")
+            for name in ("src", "dst", "far"):
+                db.create_index(name, "tag")
+            db.create_index("far", "k")
         db.analyze()
         dbs.append(db)
     return dbs
@@ -237,7 +260,7 @@ def held_ranks(db):
     """The array ``src.k``'s index holds for the keys of ``dst.k``."""
     column = db.catalog.table("dst").column_store(0)
     index = db.catalog.index_on("src", "k")
-    rows, ranks = index._row_ranks[column]
+    rows, ranks, _ = index._row_ranks[column]
     assert rows == len(ranks) == len(column)
     rank = index._sidecar()[0]
     assert ranks.tolist() == [
@@ -344,3 +367,207 @@ def test_driving_switch_builds_the_new_pair_at_the_boundary(monkeypatch):
     assert mid_query > 0, "no applied change opened a new (column, index) pair"
     columnar.close()
     row.close()
+
+
+# ---------------------------------------------------------------------------
+# Absent keys at both inner legs of a three-table chain
+# ---------------------------------------------------------------------------
+ABSENT = [None, 10**6, None, 10**6 + 1]  # a chunk of 4 that finds nothing
+CHAIN = (
+    "SELECT {columns} FROM src s, dst d, far f "
+    "WHERE s.k = d.k AND s.m = f.k AND s.tag >= 0"
+)
+#: 0 / 1 / 2 local tests at an inner leg (padded ``ev`` / ``pa`` of
+#: multi-test kernels are gathered).
+LOCALS = {
+    "d": ["", " AND d.tag < 12", " AND d.tag >= 2 AND d.tag < 12"],
+    "f": ["", " AND f.tag < 170", " AND f.tag < 170 AND f.tag >= 10"],
+}
+TESTS_PER_LEG = list(itertools.product(range(3), repeat=2))
+
+
+def chain_twins():
+    """``s`` joins ``d`` on ``s.k`` and ``f`` on ``s.m``; NULL and dangling
+    keys in all three key columns, and runs of four rows (a chunk at
+    ``batch_size`` 4) none of whose keys is in the probed index."""
+    rng = random.Random(19)
+    source_keys = keys_of("int", rng, 120, 60)
+    links = keys_of("int", rng, 120, 60)
+    source_keys[8:16] = ABSENT * 2
+    links[8:16] = ABSENT[::-1] * 2
+    probed_keys = keys_of("int", rng, 150, 40)
+    # What ``d`` probes ``s`` with first, once it drives.
+    probed_keys[:4] = [None if key is None else -key for key in ABSENT]
+    return twins(
+        source_keys, probed_keys, chain=(links, keys_of("int", rng, 200, 40))
+    )
+
+
+def assert_both_legs_probe_absent_keys(columnar):
+    source = columnar.catalog.table("src")
+    for probed, slot in (("dst", 0), ("far", 2)):
+        index = columnar.catalog.index_on(probed, "k")
+        _, ranks, misses = index._row_ranks[source.column_store(slot)]
+        assert misses and {NULL, MISSING} <= set(ranks.tolist())
+        assert set(ranks[8:16].tolist()) == {NULL, MISSING}
+
+
+@pytest.mark.parametrize("tests_d, tests_f", TESTS_PER_LEG)
+def test_static_chain_with_absent_keys_equals_the_oracle(
+    tests_d, tests_f, monkeypatch
+):
+    """Mode NONE in slices of four driving rows — two of them find nothing
+    at either leg — for every projection shape: rows in order and every
+    WorkMeter field of the row store's scalar machine."""
+    monkeypatch.setattr(vector, "STATIC_SLICE_ROWS", 4)
+    columnar, row = chain_twins()
+    where = LOCALS["d"][tests_d] + LOCALS["f"][tests_f]
+    # All three legs, without the middle one, the driving leg alone.
+    for columns in ("s.tag, d.tag, f.tag", "s.tag, f.tag", "s.tag"):
+        sql = CHAIN.format(columns=columns) + where
+        order = ("s", "d", "f")
+        got = columnar.execute(columnar.plan(sql).with_order(order), STATIC)
+        want = row.execute(row.plan(sql).with_order(order), ORACLE)
+        assert got.stats.engine == "vector", got.stats.vector_gate
+        assert got.rows == want.rows and got.rows  # in order
+        assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
+            want.stats.work
+        )
+    assert_both_legs_probe_absent_keys(columnar)
+    for db in (columnar, row):
+        db.close()
+
+
+@pytest.mark.parametrize("tests_d, tests_f", TESTS_PER_LEG)
+def test_adaptive_chain_with_absent_keys_equals_the_reference_loop(
+    tests_d, tests_f
+):
+    """Mode BOTH at ``batch_size`` 4 from a bad starting order: the inner
+    legs swap, and with a range on ``d.tag`` the driving leg moves to ``d``
+    — whose first chunk probes the frozen ``s`` (a positional kernel's
+    derived counts) with keys it does not hold. Rows, work, events and the
+    local-predicate counters of the row backend's reference loop."""
+    config = AdaptiveConfig(
+        mode=ReorderMode.BOTH,
+        batched=True,
+        batch_size=4,
+        check_frequency=2,
+        switch_benefit_threshold=0.0,
+    )
+    columnar, row = chain_twins()
+    sql = (
+        CHAIN.format(columns="s.tag, d.tag, f.tag")
+        + LOCALS["d"][tests_d]
+        + LOCALS["f"][tests_f]
+    )
+    runs = []
+    for db in (columnar, row):
+        controller = AdaptationController(config)
+        executor = BatchedPipelineExecutor(
+            db.plan(sql).with_order(("s", "f", "d")),
+            db.catalog,
+            config,
+            controller,
+        )
+        controller.attach(executor)
+        rows = executor.run_to_completion()
+        runs.append(
+            (
+                rows,
+                dataclasses.asdict(executor.work),
+                executor.events,
+                {
+                    alias: leg.local_counts
+                    for alias, leg in executor.legs.items()
+                },
+            )
+        )
+        assert executor.engine_used == (
+            "vector-adaptive" if db is columnar else "fast"
+        ), executor.vector_gate_reason
+    assert runs[0] == runs[1]
+    assert runs[0][0] and executor.inner_reorders
+    if tests_d:
+        assert executor.driving_switches and executor.order[0] == "d"
+    assert_both_legs_probe_absent_keys(columnar)
+    for db in (columnar, row):
+        db.close()
+
+
+# ---------------------------------------------------------------------------
+# The padding costs nothing
+# ---------------------------------------------------------------------------
+def test_padding_is_sixteen_bytes_an_array_and_nothing_is_writeable():
+    """After the six-table grid every per-key array is distinct keys + 2
+    long and ends in two zeros, arrays equal by construction are one array,
+    and the footprint is the unpadded one plus 16 bytes per array."""
+    db, _ = load_dmv(scale=0.02, extended=True, backend="columnar")
+    for query in six_table_workload(count=10**9):
+        db.execute(query.sql, STATIC)
+    kernels = 0
+    for name in db.catalog.table_names():
+        for index in db.catalog.indexes_of(name).values():
+            if index._gen is None:
+                continue
+            nkeys = len(index._keys)
+            sidecar = [index._ent_rids, index._bounds_np, index._totals_np]
+            padded = {id(index._totals_np)}  # distinct keys + 2 long
+            offsets = {id(index._bounds_np)}  # distinct keys + 3 long
+            unique = {id(array): array for array in sidecar}
+            if index._keys_np is not None:
+                unique[id(index._keys_np)] = index._keys_np
+            for _, ranks, _ in index._row_ranks.values():
+                unique[id(ranks)] = ranks
+            assert len(index._bounds_np) == nkeys + 3
+            for kernel in index._kernels.values():
+                kernels += 1
+                before = len(unique)
+                per_key = [kernel.totals, kernel.evals, kernel.counts]
+                per_key += [*kernel.ev, *kernel.pa]
+                for array in per_key:
+                    assert len(array) == nkeys + 2
+                    assert array[-2:].tolist() == [0, 0]
+                    padded.add(id(array))
+                assert len(kernel.pass_offsets) == nkeys + 3
+                offsets.add(id(kernel.pass_offsets))
+                assert kernel.totals is index._totals_np
+                tests = len(kernel.pa)
+                if tests:
+                    assert kernel.ev[0] is kernel.totals
+                    assert kernel.counts is kernel.pa[-1]
+                    for slot in range(1, tests):
+                        assert kernel.ev[slot] is kernel.pa[slot - 1]
+                    assert (kernel.evals is kernel.totals) == (tests == 1)
+                else:
+                    assert kernel.counts is kernel.totals
+                    assert kernel.pass_offsets is index._bounds_np
+                    assert kernel.pass_rids is index._ent_rids
+                for array in (*per_key, kernel.pass_offsets, kernel.pass_rids):
+                    unique[id(array)] = array
+                # What a kernel adds to its sidecar: the zero evals of a
+                # test-free one; else a pass count per test, offsets, RIDs
+                # and - past one test - the summed evals.
+                assert len(unique) - before == (
+                    tests + 2 + (tests > 1) if tests else 1
+                )
+            for array in unique.values():
+                assert not array.flags.writeable
+            footprint = index.kernel_footprint()
+            assert footprint == sum(a.nbytes for a in unique.values())
+            # Against the layout without padding (keys / keys + 1 long):
+            # 16 B per per-key and per offsets array, nothing else.
+            unpadded = sum(
+                8 * nkeys
+                if id(array) in padded
+                else 8 * (nkeys + 1)
+                if id(array) in offsets
+                else array.nbytes
+                for array in unique.values()
+            )
+            assert footprint - unpadded == 16 * len(padded | offsets)
+            assert footprint - unpadded <= 16 * len(unique)
+    assert kernels >= 5
+    kernel = next(iter(db.catalog.index_on("Owner", "id")._kernels.values()))
+    with pytest.raises(ValueError):
+        kernel.totals[-1] = 1  # an absent key would start matching
+    db.close()

@@ -11,22 +11,27 @@ summing scalar per-probe samples: every cost constant is an exact binary
 fraction, so the quarter-integer float work sums are equal bit for bit
 under any regrouping.
 
-This test checks that equivalence directly against an independent scalar
-reimplementation of the probe (entry walk + short-circuit local evals),
-over randomized leg shapes: random table sizes, NULL keys in the indexed
-column, NULL cells under the local predicates, probe sequences mixing
-present keys, missing keys, and NULL keys, and random chunk boundaries
-(so window eviction folds whole aggregates on both sides).
+This test checks that equivalence by driving the shipped
+``vector._expand`` over a one-leg plan (:func:`one_leg_plan`) against an
+independent scalar reimplementation of the probe (entry walk +
+short-circuit local evals), over randomized leg shapes: random table
+sizes, NULL keys in the indexed column, NULL cells under the local
+predicates, probe sequences mixing present keys, missing keys, and NULL
+keys, and random chunk boundaries (so window eviction folds whole
+aggregates on both sides).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.core.monitor import AggregatedWindow
+from repro.core.monitor import AggregatedWindow, LegMonitor
 from repro.db import Database
+from repro.executor.vector import _expand, _make_translator
 from repro.query.predicates import Between, Comparison, IsNull, Op
 from repro.storage.columnar import _np
 from repro.storage.compiled import compile_row_test
@@ -35,6 +40,7 @@ from repro.storage.counters import (
     INDEX_ENTRY_COST,
     PREDICATE_EVAL_COST,
     ROW_FETCH_COST,
+    WorkMeter,
 )
 
 COMPARE_OPS = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE)
@@ -83,35 +89,154 @@ def random_probe_keys(rng: random.Random, n: int) -> list:
     return keys
 
 
-def scalar_sample(key, lookup, raw, tests):
-    """One scalar probe's (index matches, output rows, work units).
+def scalar_probe(key, lookup, raw, tests, is_after=None):
+    """One scalar indexed probe, reimplemented independently: descend, walk
+    the key's entries in entry order, fetch each candidate row, run the
+    local tests with short-circuit eval counting.
 
-    Independent reimplementation of the scalar indexed probe: descend,
-    walk the key's entries in entry order, fetch each candidate row, run
-    the local tests with short-circuit eval counting.
+    Returns (descends, entries, fetches, evals, per-test [evaluated,
+    passed] deltas, matching RIDs in entry order): locals short-circuit,
+    then — for a frozen leg — one positional eval per row that passed
+    them all.
     """
+    deltas = [[0, 0] for _ in tests]
     if key is None:
-        return 0, 0, INDEX_DESCEND_COST
+        return 1, 0, 0, 0, deltas, []
     rids = lookup.get(key, ())
-    count = len(rids)
-    entries = count if count else 1
     evals = 0
-    output = 0
+    matched = []
     for rid in rids:
         row = raw[rid]
-        for test in tests:
+        for slot, test in enumerate(tests):
             evals += 1
+            deltas[slot][0] += 1
             if not test(row):
                 break
+            deltas[slot][1] += 1
         else:
-            output += 1
+            if is_after is None:
+                matched.append(rid)
+                continue
+            evals += 1
+            if is_after(rid, row):
+                matched.append(rid)
+    return 1, len(rids) or 1, len(rids), evals, deltas, matched
+
+
+def scalar_sample(key, lookup, raw, tests):
+    """One scalar probe's (index matches, output rows, work units)."""
+    descends, entries, fetched, evals, _, matched = scalar_probe(
+        key, lookup, raw, tests
+    )
     work = (
-        INDEX_DESCEND_COST
+        descends * INDEX_DESCEND_COST
         + entries * INDEX_ENTRY_COST
-        + count * ROW_FETCH_COST
+        + fetched * ROW_FETCH_COST
         + evals * PREDICATE_EVAL_COST
     )
-    return count, output, work
+    return fetched, len(matched), work
+
+
+#: Every key :func:`random_probe_keys` draws, one ``src`` row each: a chunk
+#: of probe keys is then a chunk of ``src`` RIDs, as the cascade sees it.
+SOURCE_KEYS = [None, *range(KEY_SPACE + 1), *range(KEY_SPACE + 10, KEY_SPACE + 21)]
+SOURCE_RID = {key: rid for rid, key in enumerate(SOURCE_KEYS)}
+
+
+def one_leg_plan(db, index, kernel, ntests):
+    """``src(k)`` driving, ``t`` probed through *kernel*: the one-leg plan
+    ``vector._adaptive_plan`` would hand ``_expand``, and its leg."""
+    if "src" not in db.catalog.table_names():
+        db.create_table("src", [("k", "int")])
+        db.insert("src", [(key,) for key in SOURCE_KEYS])
+    source = db.catalog.table("src").column_store(0)
+    leg = SimpleNamespace(
+        alias="t",
+        monitoring_enabled=True,
+        monitor=LegMonitor(window=37, aggregated=True),
+        local_counts=[[0, 0] for _ in range(ntests)],
+        incoming_since_check=0,
+    )
+    translate = _make_translator(source, index)
+    assert translate is not None
+    plan = [
+        (
+            leg,
+            SimpleNamespace(key_alias="src"),
+            kernel,
+            translate,
+            index.misses_keys_of(source),
+        )
+    ]
+    return leg, plan
+
+
+def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
+    """Probe chunks through the shipped ``_expand`` over *kernel* and
+    through the scalar probe; compare the emitted RIDs, every meter field,
+    the local counts and the window fold at each chunk boundary."""
+    leg, plan = one_leg_plan(db, index, kernel, len(tests))
+    meter = WorkMeter()
+    scalar_meter = WorkMeter()
+    window_scalar = AggregatedWindow(size=37)
+    scalar_counts = [[0, 0] for _ in tests]
+    incoming = 0
+    for _ in range(rng.randint(1, 6)):  # several chunks: exercise eviction
+        chunk = random_probe_keys(rng, rng.randint(1, 60))
+        if rng.random() < 0.15:  # a chunk no key of which is in the index
+            chunk = [key for key in chunk if key not in lookup] or [None]
+        flow = len(chunk)
+        incoming += flow
+        survivors = _np.asarray(
+            [SOURCE_RID[key] for key in chunk], dtype=_np.int64
+        )
+        ancestors, produced = _expand(meter, plan, "src", survivors)
+        leg.monitor.flush_chunk()
+
+        scalar_rows = []
+        sum_matches = 0
+        sum_work = 0.0
+        for source_rid, key in zip(survivors.tolist(), chunk):
+            descends, entries, fetched, evals, deltas, matched = scalar_probe(
+                key, lookup, raw, tests, is_after
+            )
+            scalar_meter.index_descends += descends
+            scalar_meter.index_entries += entries
+            scalar_meter.row_fetches += fetched
+            scalar_meter.predicate_evals += evals
+            scalar_meter.monitor_updates += 1
+            for slot, (evaluated, passed) in enumerate(deltas):
+                scalar_counts[slot][0] += evaluated
+                scalar_counts[slot][1] += passed
+            scalar_rows += [(source_rid, rid) for rid in matched]
+            sum_matches += fetched
+            sum_work += (
+                descends * INDEX_DESCEND_COST
+                + entries * INDEX_ENTRY_COST
+                + fetched * ROW_FETCH_COST
+                + evals * PREDICATE_EVAL_COST
+            )
+        window_scalar.observe_chunk(
+            flow, sum_matches, len(scalar_rows), sum_work
+        )
+
+        # Bit-identical at every chunk boundary, not just at the end.
+        assert sorted(ancestors) == ["src", "t"]
+        assert produced == len(scalar_rows)
+        assert (
+            list(zip(ancestors["src"].tolist(), ancestors["t"].tolist()))
+            == scalar_rows
+        )
+        assert dataclasses.asdict(meter) == dataclasses.asdict(scalar_meter)
+        # Per-test (evaluated, passed) local-predicate counters agree too —
+        # these feed the controller's rank-rule selectivity estimates.
+        assert leg.local_counts == scalar_counts
+        assert leg.incoming_since_check == incoming
+        window = leg.monitor.window
+        assert len(window) == len(window_scalar)
+        assert window.sum_matches == window_scalar.sum_matches
+        assert window.sum_output == window_scalar.sum_output
+        assert window.sum_work == window_scalar.sum_work
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -141,84 +266,7 @@ def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
     tests = [test for _, test in local_tests]
     present_keys = list(rank)
     lookup = index.lookup_rids_batch(present_keys) if present_keys else {}
-
-    window_kernel = AggregatedWindow(size=37)
-    window_scalar = AggregatedWindow(size=37)
-    kernel_counts = [[0, 0] for _ in tests]
-    scalar_counts = [[0, 0] for _ in tests]
-
-    for _ in range(rng.randint(1, 6)):  # several chunks: exercise eviction
-        chunk = random_probe_keys(rng, rng.randint(1, 60))
-        flow = len(chunk)
-
-        # -- kernel side: the engine's per-chunk aggregate ---------------
-        ranks = _np.asarray(
-            [-1 if key is None else rank.get(key, -2) for key in chunk],
-            dtype=_np.int64,
-        )
-        present_ranks = ranks[ranks >= 0]
-        missing = int(_np.count_nonzero(ranks == -2))
-        if len(present_ranks):
-            touched = int(kernel.totals[present_ranks].sum())
-            evals = int(kernel.evals[present_ranks].sum())
-            offsets = kernel.pass_offsets
-            output = int(
-                (offsets[present_ranks + 1] - offsets[present_ranks]).sum()
-            )
-            for slot in range(len(tests)):
-                kernel_counts[slot][0] += int(
-                    kernel.ev[slot][present_ranks].sum()
-                )
-                kernel_counts[slot][1] += int(
-                    kernel.pa[slot][present_ranks].sum()
-                )
-        else:
-            touched = evals = output = 0
-        entries = touched + missing
-        window_kernel.observe_chunk(
-            flow,
-            touched,
-            output,
-            flow * INDEX_DESCEND_COST
-            + entries * INDEX_ENTRY_COST
-            + touched * ROW_FETCH_COST
-            + evals * PREDICATE_EVAL_COST,
-        )
-
-        # -- scalar side: sum per-probe samples, fold once ---------------
-        sum_matches = 0
-        sum_output = 0
-        sum_work = 0.0
-        for key in chunk:
-            matches, out_rows, work = scalar_sample(key, lookup, raw, tests)
-            sum_matches += matches
-            sum_output += out_rows
-            sum_work += work
-            if key is not None:
-                for slot, test in enumerate(tests):
-                    for rid in lookup.get(key, ()):
-                        row = raw[rid]
-                        ok = True
-                        for prior in tests[:slot]:
-                            if not prior(row):
-                                ok = False
-                                break
-                        if not ok:
-                            continue  # short-circuited before this test
-                        scalar_counts[slot][0] += 1
-                        if test(row):
-                            scalar_counts[slot][1] += 1
-        window_scalar.observe_chunk(flow, sum_matches, sum_output, sum_work)
-
-        # Bit-identical at every chunk boundary, not just at the end.
-        assert len(window_kernel) == len(window_scalar)
-        assert window_kernel.sum_matches == window_scalar.sum_matches
-        assert window_kernel.sum_output == window_scalar.sum_output
-        assert window_kernel.sum_work == window_scalar.sum_work
-
-    # Per-test (evaluated, passed) local-predicate counters agree too —
-    # these feed the controller's rank-rule selectivity estimates.
-    assert kernel_counts == scalar_counts
+    check_leg(rng, db, index, kernel, lookup, raw, tests)
     db.close()
 
 
@@ -249,112 +297,6 @@ def _positional_rows(rng: random.Random, nrows: int) -> list[tuple]:
         sk_str = None if rng.random() < 0.10 else rng.choice(SCAN_STRINGS)
         rows.append(row + (sk_num, sk_str))
     return rows
-
-
-def _scalar_positional_probe(key, lookup, raw, tests, is_after):
-    """One scalar probe of a frozen leg, reimplemented independently.
-
-    Returns (descends, entries, fetches, evals, per-test [evaluated,
-    passed] deltas, matching RIDs in entry order): locals short-circuit,
-    then one positional eval per row that passed them all.
-    """
-    deltas = [[0, 0] for _ in tests]
-    if key is None:
-        return 1, 0, 0, 0, deltas, []
-    rids = lookup.get(key, ())
-    evals = 0
-    matched = []
-    for rid in rids:
-        row = raw[rid]
-        for slot, test in enumerate(tests):
-            evals += 1
-            deltas[slot][0] += 1
-            if not test(row):
-                break
-            deltas[slot][1] += 1
-        else:
-            evals += 1
-            if is_after(rid, row):
-                matched.append(rid)
-    return 1, len(rids) or 1, len(rids), evals, deltas, matched
-
-
-def _check_frozen_leg(rng, kernel, rank, lookup, raw, tests, is_after):
-    """Probe chunks through *kernel* and through the scalar probe; compare
-    rows, per-leg charges, local counts and window folds at each boundary."""
-    window_kernel = AggregatedWindow(size=37)
-    window_scalar = AggregatedWindow(size=37)
-    kernel_counts = [[0, 0] for _ in tests]
-    scalar_counts = [[0, 0] for _ in tests]
-    kernel_charges = [0, 0, 0, 0]  # descends, entries, fetches, evals
-    scalar_charges = [0, 0, 0, 0]
-    offsets = kernel.pass_offsets
-    for _ in range(rng.randint(1, 5)):
-        chunk = random_probe_keys(rng, rng.randint(1, 50))
-        flow = len(chunk)
-        ranks = _np.asarray(
-            [-1 if key is None else rank.get(key, -2) for key in chunk],
-            dtype=_np.int64,
-        )
-        present_ranks = ranks[ranks >= 0]
-        missing = int(_np.count_nonzero(ranks == -2))
-        touched = int(kernel.totals[present_ranks].sum())
-        evals = int(kernel.evals[present_ranks].sum())
-        kernel_rows = [
-            kernel.pass_rids[offsets[j] : offsets[j + 1]].tolist()
-            for j in ranks.tolist()
-            if j >= 0
-        ]
-        output = sum(len(rids) for rids in kernel_rows)
-        for slot in range(len(tests)):
-            kernel_counts[slot][0] += int(kernel.ev[slot][present_ranks].sum())
-            kernel_counts[slot][1] += int(kernel.pa[slot][present_ranks].sum())
-        entries = touched + missing
-        for slot, charge in enumerate((flow, entries, touched, evals)):
-            kernel_charges[slot] += charge
-        window_kernel.observe_chunk(
-            flow,
-            touched,
-            output,
-            flow * INDEX_DESCEND_COST
-            + entries * INDEX_ENTRY_COST
-            + touched * ROW_FETCH_COST
-            + evals * PREDICATE_EVAL_COST,
-        )
-
-        scalar_rows = []
-        sum_matches = sum_output = 0
-        sum_work = 0.0
-        for key in chunk:
-            descends, touched_1, fetched, evals_1, deltas, matched = (
-                _scalar_positional_probe(key, lookup, raw, tests, is_after)
-            )
-            for slot, charge in enumerate(
-                (descends, touched_1, fetched, evals_1)
-            ):
-                scalar_charges[slot] += charge
-            for slot, (evaluated, passed) in enumerate(deltas):
-                scalar_counts[slot][0] += evaluated
-                scalar_counts[slot][1] += passed
-            if key is not None and key in lookup:
-                scalar_rows.append(matched)
-            sum_matches += fetched
-            sum_output += len(matched)
-            sum_work += (
-                descends * INDEX_DESCEND_COST
-                + touched_1 * INDEX_ENTRY_COST
-                + fetched * ROW_FETCH_COST
-                + evals_1 * PREDICATE_EVAL_COST
-            )
-        window_scalar.observe_chunk(flow, sum_matches, sum_output, sum_work)
-
-        assert kernel_rows == scalar_rows
-        assert kernel_charges == scalar_charges
-        assert kernel_counts == scalar_counts
-        assert len(window_kernel) == len(window_scalar)
-        assert window_kernel.sum_matches == window_scalar.sum_matches
-        assert window_kernel.sum_output == window_scalar.sum_output
-        assert window_kernel.sum_work == window_scalar.sum_work
 
 
 @pytest.mark.parametrize("scan_order", ["rid", "sk_num", "sk_str"])
@@ -406,6 +348,7 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
     tests = [test for _, test in local_tests]
     lookup = index.lookup_rids_batch(list(rank)) if rank else {}
     kernels_before = dict(index._kernels)
+    one_leg_plan(db, index, base, len(tests))  # src's rank array: resident
     footprint_before = index.kernel_footprint()
     base_evals = base.evals.copy()
     base_offsets = base.pass_offsets.copy()
@@ -434,7 +377,7 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
             def is_after(rid, row, v=after[0], r=after[1], slot=slot):
                 return row[slot] > v or (row[slot] == v and rid > r)
 
-        _check_frozen_leg(rng, kernel, rank, lookup, raw, tests, is_after)
+        check_leg(rng, db, index, kernel, lookup, raw, tests, is_after)
         if offset == len(positions) - 1:
             assert len(kernel.pass_rids) == 0  # empty surviving suffix
         # Derived per query: shares the base's access/local arrays, leaves
