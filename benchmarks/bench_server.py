@@ -9,9 +9,12 @@ reports
   (p50/p95/p99, measured per request at the client),
 * the server-path overhead versus executing the same statements serially
   through :meth:`Database.execute` with the configuration the server's
-  admission layer applies (protocol + scheduling + threading cost; the
-  engine itself is GIL-bound, so this factor cannot approach
-  1/concurrency),
+  admission layer applies (protocol + scheduling + one socket round trip
+  to an engine process; the engines run in parallel, so where the kernel
+  spreads them over the cores the factor approaches 1/min(engines, cores)
+  — 1.8x at ``--requests-per-client 600`` on 2 cores, clients included;
+  the 90 requests of a ``--quick`` run are over before it does, see
+  CHANGES.md PR 20),
 * executor wall next to end-to-end wall, both ways: the serial run's
   ``perf_counter`` around ``db.execute(db.plan(sql))`` (the optimizer's
   plan through the plan cache, never plan feedback: the baseline stays
@@ -21,7 +24,9 @@ reports
   statement already in the database's plan cache) and cold (the first pass
   over the statements: plan-cache misses, lazy kernel builds); and the
   served run's wall against the sum of the replies' ``stats.wall_ms``,
-* the database's plan-cache hit rate and the engines that served the run.
+* the plan-cache hit rate (the stats op's section: the serial loop's
+  lookups in this process plus what every engine process counted) and the
+  engines that served the run.
 
 Every response is verified: all requests must succeed and return the
 serial engine's rows for that statement — a throughput number that

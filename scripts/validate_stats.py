@@ -14,11 +14,14 @@ issues ``{"op": "stats"}``, and checks the response document:
 * types: counters are non-negative numbers, ``draining`` is a bool,
   quantiles are numbers or null;
 * invariants: ``in_flight <= max_concurrency``,
-  ``queue_depth <= max_queue_depth``, latency quantiles are
+  ``queue_depth <= max_queue_depth``, at most one live engine process per
+  worker slot (``server.engines_live <= admission.max_concurrency``: fewer
+  between an engine's death and its re-fork; the summary line prints the
+  count for a caller that expects all of them), latency quantiles are
   monotonically non-decreasing (p50 <= p95 <= p99) when present,
   plan-cache ``size <= capacity``, ``feedback_hits <= hits`` and, at
   capacity 0 (off), no hits, waits, evictions or plan feedback (the
-  section is the ``Database``'s own cache), the latency
+  section sums the engine processes' caches), the latency
   histogram ``count`` is at least the number of completed queries'
   outcomes recorded, ``storage.total_bytes`` equals the sum of the
   per-table bytes, and ``storage.table_count`` equals the number of
@@ -46,6 +49,8 @@ SCHEMA = {
         "sessions": "count",
         "draining": "bool",
         "protocol_errors": "count",
+        "engines_live": "count",
+        "engine_restarts_total": "count",
     },
     "admission": {
         "in_flight": "count",
@@ -211,6 +216,13 @@ def validate(stats: dict) -> list[str]:
             f"({admission['queue_depth']} > {admission['max_queue_depth']})"
         )
 
+    server = stats["server"]
+    if server["engines_live"] > admission["max_concurrency"]:
+        raise ValidationError(
+            f"server.engines_live exceeds admission.max_concurrency "
+            f"({server['engines_live']} > {admission['max_concurrency']})"
+        )
+
     latency = stats["latency_ms"]
     quantiles = [latency["p50"], latency["p95"], latency["p99"]]
     present = [q for q in quantiles if q is not None]
@@ -224,8 +236,8 @@ def validate(stats: dict) -> list[str]:
     if latency["count"] == 0 and present:
         raise ValidationError("latency quantiles present with zero count")
 
-    # The section is the Database's own cache (Database.plan_cache.stats());
-    # the server keeps none.
+    # The section sums the engine processes' caches (each a fork of the
+    # Database's own); the event loop keeps none.
     cache = stats["plan_cache"]
     if cache["size"] > cache["capacity"]:
         raise ValidationError(
@@ -295,6 +307,7 @@ def validate(stats: dict) -> list[str]:
         )
     return [
         f"uptime {stats['server']['uptime_s']}s",
+        f"{int(server['engines_live'])} engines",
         f"{int(outcomes)} queries",
         f"{int(admission['accepted_total'])} accepted",
         f"cache {int(cache['hits'])}h/{int(cache['misses'])}m",

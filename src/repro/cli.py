@@ -210,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="queries executing concurrently (default 4)",
+        help="engine processes, one query each (default 4); more than "
+        "the core count buys queueing, not speed",
     )
     serve.add_argument(
         "--max-queue-depth",
@@ -769,7 +770,7 @@ def cmd_serve(args) -> int:
     def on_ready(srv: QueryServer) -> None:
         print(
             f"listening on {config.host}:{srv.port} "
-            f"(concurrency={config.max_concurrency}, "
+            f"(engines={config.max_concurrency}, "
             f"queue={config.max_queue_depth}, "
             f"workers={config.engine_workers}); SIGTERM drains",
             file=sys.stderr,

@@ -35,6 +35,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import threading
 import time
 from collections import deque
@@ -424,6 +425,37 @@ class FlightRecord:
         )
 
 
+def _record_line(record: FlightRecord) -> str:
+    """*record* as the telemetry store writes it: one JSONL line."""
+    return (
+        json.dumps(record.to_dict(), separators=(",", ":"), default=str) + "\n"
+    )
+
+
+@dataclass(frozen=True)
+class PackedRecord:
+    """A flight record as it travels from the process that built it to the
+    one that keeps it (:meth:`FlightRecorder.pack` /
+    :meth:`FlightRecorder.ingest`): what the counters and the slow-query
+    log read, the record itself pickled — the keeper unpickles it when
+    somebody reads a ring, not when it arrives — and its telemetry line,
+    encoded by the builder when the store or the slow-query log will want
+    one."""
+
+    query_id: str
+    wall_ms: float
+    slow: bool
+    pickled: bytes
+    line: str | None
+
+    def unpack(self) -> FlightRecord:
+        return pickle.loads(self.pickled)
+
+
+def _unpacked(record: "FlightRecord | PackedRecord") -> FlightRecord:
+    return record.unpack() if isinstance(record, PackedRecord) else record
+
+
 def feedback_to_dict(
     plan_feedback: tuple[tuple[str, ...], int] | None,
 ) -> dict[str, Any] | None:
@@ -537,7 +569,12 @@ class TelemetryStore:
 
     # -- writes --------------------------------------------------------
     def append(self, payload: dict[str, Any]) -> None:
-        line = json.dumps(payload, separators=(",", ":"), default=str) + "\n"
+        self.append_line(
+            json.dumps(payload, separators=(",", ":"), default=str) + "\n"
+        )
+
+    def append_line(self, line: str) -> None:
+        """Append one already encoded record (a JSON object and ``\\n``)."""
         data = line.encode("utf-8")
         with self._lock:
             if self._handle is None:
@@ -627,9 +664,15 @@ class TelemetryStore:
 class FlightRecorder:
     """Process-level recorder: ring buffer + optional rotating store.
 
-    Thread-safe: the server's worker threads call :meth:`arm` /
-    :meth:`finish_query` concurrently. ``query_id`` values are unique
-    across process restarts (``q-<pid hex>-<seq>``).
+    Thread-safe: embedding callers may :meth:`arm` / :meth:`finish_query`
+    from several threads. :meth:`finish_query` is :meth:`build_record`
+    then :meth:`ingest`; the query server runs the halves in different
+    processes — each engine process builds the record of the query it
+    ran and packs it (:meth:`pack`), and the event-loop process ingests
+    them all, so the ring, the slow ring, the counters and the
+    single-writer store stay in one place. ``query_id`` values are unique
+    across process restarts and forks
+    (``q-<pid hex>-<start ms hex>-<seq>``).
     """
 
     def __init__(
@@ -641,12 +684,13 @@ class FlightRecorder:
     ) -> None:
         if capacity < 1:
             raise ValueError("ring capacity must be >= 1")
-        self._ring: deque[FlightRecord] = deque(maxlen=capacity)
-        self._slow: deque[FlightRecord] = deque(maxlen=min(capacity, 64))
+        self._ring: deque[FlightRecord | PackedRecord] = deque(maxlen=capacity)
+        self._slow: deque[FlightRecord | PackedRecord] = deque(
+            maxlen=min(capacity, 64)
+        )
         self._lock = threading.Lock()
-        self._seq = itertools.count(1)
-        self._prefix = f"q-{os.getpid():x}-{int(clock() * 1000) & 0xFFFFFF:x}"
         self._clock = clock
+        self._reseed_ids()
         self.store = store
         self.slow_query_ms = slow_query_ms
         self.recorded_total = 0
@@ -674,6 +718,27 @@ class FlightRecorder:
         return bundle
 
     def finish_query(
+        self, bundle: QueryObservability, result=None, **fields
+    ) -> FlightRecord:
+        """Finalize one query's flight record and append it everywhere
+        (arguments as :meth:`build_record`)."""
+        record = self.build_record(bundle, result, **fields)
+        self.ingest(record)
+        return record
+
+    def _reseed_ids(self) -> None:
+        self._pid = os.getpid()
+        self._seq = itertools.count(1)
+        self._prefix = (
+            f"q-{self._pid:x}-{int(self._clock() * 1000) & 0xFFFFFF:x}"
+        )
+
+    def _next_query_id(self) -> str:
+        if os.getpid() != self._pid:  # forked since: one thread, no race
+            self._reseed_ids()
+        return f"{self._prefix}-{next(self._seq)}"
+
+    def build_record(
         self,
         bundle: QueryObservability,
         result: "QueryResult | None" = None,
@@ -687,13 +752,13 @@ class FlightRecorder:
         shed: str | None = None,
         queued_ms: float | None = None,
     ) -> FlightRecord:
-        """Finalize one query's flight record and append it everywhere."""
+        """One query's finished flight record; nothing is appended."""
         audit = bundle.audit
         decisions = list(audit.decisions) if audit is not None else []
         final_legs = dict(audit.final_legs) if audit is not None else {}
         plan = result.plan if result is not None else None
         record = FlightRecord(
-            query_id=f"{self._prefix}-{next(self._seq)}",
+            query_id=self._next_query_id(),
             ts=self._clock(),
             sql=normalize_sql(sql),
             template=template_signature(sql),
@@ -747,40 +812,60 @@ class FlightRecorder:
         )
         threshold = self.slow_query_ms
         record.slow = threshold is not None and record.wall_ms >= threshold
+        return record
+
+    def pack(self, record: FlightRecord) -> PackedRecord:
+        """*record* ready to cross a process boundary to the recorder that
+        will :meth:`ingest` it (configured as this one)."""
+        wanted = self.store is not None or record.slow
+        return PackedRecord(
+            record.query_id,
+            record.wall_ms,
+            record.slow,
+            pickle.dumps(record, pickle.HIGHEST_PROTOCOL),
+            _record_line(record) if wanted else None,
+        )
+
+    def ingest(self, record: FlightRecord | PackedRecord) -> None:
+        """Append a built record to the rings, the counters, the slow-query
+        log and the store. A packed one is kept packed, and its line goes
+        to the store as the builder encoded it."""
+        line = record.line if isinstance(record, PackedRecord) else None
         with self._lock:
             self._ring.append(record)
             self.recorded_total += 1
             if record.slow:
                 self._slow.append(record)
                 self.slow_total += 1
+        if line is None and (record.slow or self.store is not None):
+            line = _record_line(_unpacked(record))
         if record.slow:
             logger.warning(
                 "slow query %s (%.1f ms >= %.1f ms): %s",
                 record.query_id,
                 record.wall_ms,
-                threshold,
-                json.dumps(record.to_dict(), default=str),
+                self.slow_query_ms,
+                line.rstrip(),
             )
         if self.store is not None:
-            self.store.append(record.to_dict())
-        return record
+            self.store.append_line(line)
 
     # -- introspection -------------------------------------------------
     def recent(self, limit: int | None = None) -> list[FlightRecord]:
         with self._lock:
             records = list(self._ring)
-        return records[-limit:] if limit else records
+        return [_unpacked(r) for r in (records[-limit:] if limit else records)]
 
     def slow_queries(self, limit: int | None = None) -> list[FlightRecord]:
         with self._lock:
             records = list(self._slow)
-        return records[-limit:] if limit else records
+        return [_unpacked(r) for r in (records[-limit:] if limit else records)]
 
     def find(self, query_id: str) -> FlightRecord | None:
         with self._lock:
             for record in reversed(self._ring):
                 if record.query_id == query_id:
-                    return record
+                    return _unpacked(record)
         return None
 
     def close(self) -> None:

@@ -75,6 +75,64 @@ class CancellationToken:
         return self._event.is_set()
 
 
+#: Bytes of one cancel record: the flag byte, a length byte, the reason.
+CANCEL_RECORD_BYTES = 256
+
+
+class SharedCancellationToken(CancellationToken):
+    """A token whose cancellation crosses a ``fork``.
+
+    The query server's event loop and its engine processes share an
+    anonymous ``mmap`` made before the fork, one record per engine:
+    ``[flag, len(reason), reason...]``. The event-loop side holds one
+    token per query, bound (:meth:`bind`) to the engine's record for as
+    long as that engine runs the query: :meth:`cancel` then also writes
+    the reason and — last — the flag byte. The engine side holds one
+    token bound for good, never calls :meth:`cancel`, and reads the flag
+    in :attr:`cancelled`, which is what the executors' safe points poll;
+    the reason it reports is the one the canceller gave.
+
+    The record belongs to the engine, not to a query: whoever dispatches
+    the next query clears it first, so a flag set after the engine already
+    finished cancels nothing.
+    """
+
+    def __init__(self, record: memoryview | None = None) -> None:
+        super().__init__()
+        self._record = record
+
+    def bind(self, record: memoryview | None) -> None:
+        """Mirror this token into *record* (None: stop mirroring). A token
+        cancelled before it was bound publishes at once."""
+        self._record = record
+        if record is not None and self._event.is_set():
+            self._publish()
+
+    def cancel(self, reason: str | None = None) -> bool:
+        won = super().cancel(reason)
+        if won and self._record is not None:
+            self._publish()
+        return won
+
+    def _publish(self) -> None:
+        record = self._record
+        text = self.reason.encode("utf-8")[: CANCEL_RECORD_BYTES - 2]
+        record[2 : 2 + len(text)] = text
+        record[1] = len(text)
+        record[0] = 1  # last: a reader that sees the flag reads this reason
+
+    @property
+    def cancelled(self) -> bool:
+        record = self._record
+        if record is not None and record[0]:
+            if not self._event.is_set():  # the reading side: adopt the reason
+                self.reason = bytes(record[2 : 2 + record[1]]).decode(
+                    "utf-8", "replace"
+                )
+            return True
+        return self._event.is_set()
+
+
 @dataclass(frozen=True)
 class ExecutionLimits:
     """Budgets for one query execution; ``None`` fields are unlimited."""

@@ -35,6 +35,17 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.config import ReorderMode
+from repro.errors import (
+    BudgetExceeded,
+    CatalogError,
+    ExecutionError,
+    OracleViolation,
+    PlanError,
+    QueryError,
+    ReproError,
+    SchemaError,
+    StorageError,
+)
 
 #: Hard cap on one request line; longer lines are a protocol error (and
 #: asyncio's readline enforces it before the JSON parse).
@@ -52,6 +63,57 @@ class ErrorCode:
     REJECTED_OVERLOAD = "REJECTED_OVERLOAD"  # admission queue full
     SHUTTING_DOWN = "SHUTTING_DOWN"        # server is draining
     INTERNAL = "INTERNAL"                  # unexpected engine failure
+
+
+#: Engine exception → (outcome the flight record and the metrics carry,
+#: reply code). Looked up along the exception's MRO, so a subclass answers
+#: as its nearest listed base; what no row covers is ``INTERNAL``.
+ERROR_TABLE: dict[type, tuple[str, str]] = {
+    BudgetExceeded: ("budget_exceeded", ErrorCode.BUDGET_EXCEEDED),
+    QueryError: ("sql_error", ErrorCode.SQL_ERROR),
+    PlanError: ("sql_error", ErrorCode.SQL_ERROR),
+    CatalogError: ("sql_error", ErrorCode.SQL_ERROR),
+    SchemaError: ("sql_error", ErrorCode.SQL_ERROR),
+    StorageError: ("internal_error", ErrorCode.INTERNAL),
+    ExecutionError: ("internal_error", ErrorCode.INTERNAL),
+    OracleViolation: ("internal_error", ErrorCode.INTERNAL),
+}
+
+
+def classify_error(error: BaseException, cancelled: bool) -> tuple[str, str]:
+    """``(outcome, reply code)`` of an exception an execution raised.
+
+    A spent budget reads ``cancelled`` / ``CANCELLED`` when the query's
+    cancellation token had fired: the token is one of the budgets.
+    """
+    for cls in type(error).__mro__:
+        if cls in ERROR_TABLE:
+            if cls is BudgetExceeded and cancelled:
+                return "cancelled", ErrorCode.CANCELLED
+            return ERROR_TABLE[cls]
+    return "internal_error", ErrorCode.INTERNAL
+
+
+def error_reply(request_id: Any, code: str, error: BaseException) -> dict:
+    """The error response for an exception classified as *code*;
+    :class:`~repro.errors.BudgetExceeded` keeps its ``progress`` block."""
+    if isinstance(error, BudgetExceeded):
+        return error_response(
+            request_id,
+            code,
+            error.progress_summary(),
+            progress={
+                "rows_emitted": error.rows_emitted,
+                "work_units": round(error.work_units, 3),
+                "elapsed_ms": round(error.elapsed_seconds * 1000.0, 3),
+                "driving_rows": error.driving_rows,
+            },
+        )
+    if isinstance(error, ReproError):
+        return error_response(request_id, code, str(error))
+    return error_response(
+        request_id, code, f"{type(error).__name__}: {error}"
+    )
 
 
 class ProtocolError(ValueError):

@@ -7,11 +7,12 @@ A :class:`Session` is one accepted connection. It owns
   drains one FIFO per round-robin turn, so no session can starve the
   others by pipelining),
 * the set of cancellation tokens for its in-flight queries, so a
-  disconnect cancels exactly its own work, and
+  disconnect cancels exactly its own work (each token is bound to the
+  cancel record of the engine process running its query, see
+  :class:`~repro.robustness.limits.SharedCancellationToken`), and
 * plain counters surfaced by the ``stats`` op.
 
-Sessions are event-loop-local objects; nothing here is touched from
-executor threads.
+Sessions are event-loop-local objects; no engine process sees them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.robustness.limits import CancellationToken
+    from repro.robustness.limits import SharedCancellationToken
     from repro.server.protocol import QueryRequest
 
 _session_ids = itertools.count(1)
@@ -74,7 +75,7 @@ class PendingQuery:
 
     request: "QueryRequest"
     session: "Session"
-    token: "CancellationToken"
+    token: "SharedCancellationToken"
     enqueued_at: float
 
 
@@ -93,9 +94,11 @@ class Session:
     submitted: int = 0
     completed: int = 0
     rejected: int = 0
-    # Response writer installed by the server (async callable); None once
-    # the transport is gone, at which point responses are dropped.
-    send: Callable[[dict], Any] | None = None
+    # Response writer installed by the server (async callable) — takes a
+    # payload to encode, or a finished reply line as an engine process
+    # produced it; None once the transport is gone, at which point
+    # responses are dropped.
+    send: Callable[["dict | bytes"], Any] | None = None
 
     @property
     def name(self) -> str:
@@ -106,7 +109,8 @@ class Session:
 
         Returns the number of queued (not yet executing) queries dropped.
         Cancellation of executing queries is cooperative: each token is
-        observed by its executor at the next safe point / wave barrier.
+        observed by its engine process at the next safe point / wave
+        barrier.
         """
         self.closed = True
         self.send = None

@@ -494,11 +494,24 @@ class TestServed:
 
         replies, stats, exposition = serve(db, scenario)
         assert [r["stats"]["plan_cache"] for r in replies] == [MISS, HIT, HIT]
-        assert stats["plan_cache"] == db.plan_cache.stats()
-        assert stats["plan_cache"]["hits"] == 2
+        # The engine processes' caches are forks of the database's: the
+        # serving process itself planned nothing, and the stats op adds
+        # what the engines counted to what it had (size and capacity are
+        # the engines' own, summed over the two).
+        own = db.plan_cache.stats()
+        assert own["hits"] == own["misses"] == own["size"] == 0
+        assert stats["plan_cache"] == {
+            **own, "size": 1, "capacity": 2 * own["capacity"],
+            "hits": 2, "misses": 1,
+        }
         assert 'plan_cache_events{label="hits"} 2' in exposition
-        # The library sees what the server cached, and the other way round.
-        assert db.execute(SQL).stats.plan_cache == HIT
+        # What an engine cached after its fork stays in that engine; what
+        # the library cached before the fork, every engine starts with.
+        assert db.execute(SQL).stats.plan_cache == MISS
+        replies, stats, _ = serve(db, scenario)
+        assert [r["stats"]["plan_cache"] for r in replies] == [HIT, HIT, HIT]
+        assert stats["plan_cache"]["hits"] == 3
+        assert stats["plan_cache"]["misses"] == 1
 
     def test_analyze_between_served_queries_replans(self):
         db = build_three_table_db(analyze=StatisticsLevel.CARDINALITY)
@@ -515,12 +528,17 @@ class TestServed:
             await client.send(op="query", id=2, sql=SQL)
             reply = await client.recv()
             outcomes.append(reply["stats"]["plan_cache"])
+            await client.send(op="stats", id=3)
+            stats = (await client.recv())["stats"]
             await client.close()
-            return outcomes, stale, invalidations, reply
+            return outcomes, stale, invalidations, reply, stats
 
-        outcomes, stale, invalidations, reply = serve(db, scenario)
+        outcomes, stale, invalidations, reply, stats = serve(db, scenario)
+        # The catalog moved under the engine: it was forked anew, with the
+        # stale entry, and dropped it on the lookup.
         assert outcomes == [MISS, HIT, MISS]
-        assert db.plan_cache.stats()["invalidations"] == invalidations + 1
+        assert stats["plan_cache"]["invalidations"] == invalidations + 1
+        assert stats["server"]["engine_restarts_total"] == 1
         served = db.plan(SQL)
         assert served is not stale
         assert plan_facts(served) == plan_facts(db.plan(db.parse(SQL)))

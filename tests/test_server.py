@@ -2,16 +2,19 @@
 
 Unit layers (protocol, token bucket, admission, scheduler)
 are tested directly; server integration tests run a real asyncio server
-over an injectable fake engine whose executions block on an event, so
-overload, disconnection-cancellation, draining, and shed levels are all
-exercised deterministically — no timing-dependent assertions.
+over an injectable fake engine — forked into engine processes like the
+real one — whose executions block on an event the fork inherits, so
+overload, disconnection-cancellation, draining, shed levels and the death
+of an engine process are all exercised deterministically — no
+timing-dependent assertions.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -384,23 +387,60 @@ class TestFairScheduler:
 # ---------------------------------------------------------------------------
 # Server integration over a controllable fake engine
 # ---------------------------------------------------------------------------
+#: The doubles' synchronization lives in shared memory made before the
+#: server forks them, so the test process and the engine processes see
+#: the same event (a ``threading`` primitive would be copied by the fork).
+FORK = multiprocessing.get_context("fork")
+
+
+class Flag:
+    """An event the test sets and an engine process waits for.
+
+    One shared byte, polled: ``multiprocessing.Event.set`` waits for every
+    sleeper to acknowledge its wake-up, so it never returns once a test
+    has killed an engine inside ``wait``.
+    """
+
+    def __init__(self) -> None:
+        self._byte = FORK.RawValue("b", 0)
+
+    def set(self) -> None:
+        self._byte.value = 1
+
+    def clear(self) -> None:
+        self._byte.value = 0
+
+    def is_set(self) -> bool:
+        return bool(self._byte.value)
+
+    def wait(self, timeout: float) -> bool:
+        deadline = time.monotonic() + timeout
+        while not self._byte.value and time.monotonic() < deadline:
+            time.sleep(0.002)
+        return bool(self._byte.value)
+
+
 class BlockingEngine:
     """Engine double: every execution blocks until released.
 
     ``execute`` polls its release event so a cancelled token aborts the
-    "query" just like the real executor's safe-point checks do.
+    "query" just like the real executor's safe-point checks do. It runs
+    in an engine process: what it was called with comes back in the reply
+    (the statement as the one row, the config as ``mode`` / ``workers``).
     """
 
     def __init__(self) -> None:
-        self.release = threading.Event()
-        self.started = threading.Semaphore(0)
-        self.calls: list = []
+        self.release = Flag()
+        self.started = FORK.Semaphore(0)
 
-    def execute(self, sql, config, limits):
-        self.calls.append((sql, config, limits))
+    def execute(self, sql, config, limits, context):
         self.started.release()
         token = limits.cancellation
-        while not self.release.wait(timeout=0.005):
+        released = False
+        while not released:
+            released = self.release.wait(timeout=0.005)
+            # A safe point after every wait, the last one included: a
+            # token that fired before the release is always seen.
             if token is not None and token.cancelled:
                 raise BudgetExceeded(
                     f"query cancelled: {token.reason}",
@@ -430,8 +470,10 @@ class ServerClient:
         self.writer = writer
 
     @classmethod
-    async def connect(cls, port: int) -> "ServerClient":
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    async def connect(cls, port: int, limit: int = 2**16) -> "ServerClient":
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", port, limit=limit
+        )
         return cls(reader, writer)
 
     async def send(self, **payload) -> None:
@@ -603,14 +645,15 @@ class TestServerIntegration:
 
     def test_shutdown_bounded_even_with_uncancellable_query(self):
         """Drain must be bounded by the grace window even when an engine
-        thread ignores cancellation between cooperative safe points."""
+        ignores cancellation between cooperative safe points — and the
+        engine process must not outlive it."""
 
         class StuckEngine:
             def __init__(self):
-                self.release = threading.Event()
-                self.started = threading.Semaphore(0)
+                self.release = Flag()
+                self.started = FORK.Semaphore(0)
 
-            def execute(self, sql, config, limits):
+            def execute(self, sql, config, limits, context):
                 self.started.release()
                 assert self.release.wait(30.0)  # never checks the token
                 return EngineResult(
@@ -623,18 +666,23 @@ class TestServerIntegration:
         async def main():
             server = QueryServer(None, tiny_config(), engine=engine)
             await server.start()
+            pid = server._engines[0].pid
             client = await ServerClient.connect(server.port)
             await client.send(op="query", id=1, sql="SELECT 'stuck'")
             assert await asyncio.to_thread(engine.started.acquire, timeout=5.0)
             start = time.perf_counter()
             await asyncio.wait_for(server.shutdown(grace=0.2), timeout=15.0)
             elapsed = time.perf_counter() - start
-            engine.release.set()  # let the executor thread finish
             await client.close()
-            return elapsed
+            return elapsed, pid
 
-        elapsed = asyncio.run(main())
+        elapsed, pid = asyncio.run(main())
         assert elapsed < 10.0, "shutdown must not wait out the stuck query"
+        # Never released: the engine was still inside the query when the
+        # grace window ended, so it was killed and reaped, not abandoned.
+        assert not engine.release.is_set()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     def test_shed_levels_applied_from_queue_pressure(self):
         config = tiny_config(

@@ -4,10 +4,11 @@ The acceptance contract of the serving layer:
 
 * N concurrent clients firing the mixed DMV templates each receive
   row-for-row the result the serial engine produces for that statement —
-  concurrent execution (shared plan cache, thread-scoped metering, shed
-  reconfiguration) is invisible in results;
-* mid-query disconnects cancel only the disconnecting client's work and
-  never disturb other sessions;
+  concurrent execution (one engine process a slot, each with the plan
+  cache it was forked with; shed reconfiguration) is invisible in results;
+* mid-query disconnects cancel only the disconnecting client's work —
+  inside the engine process running it — and never disturb other
+  sessions;
 * rate-limited sessions get typed ``RATE_LIMITED`` rejections while their
   admitted queries still execute correctly;
 * a real ``repro serve`` process drains on SIGTERM and exits 0.
@@ -181,17 +182,38 @@ class TestConcurrencySoak:
                 steady_client(server, failures),
                 vanishing_client(server),
             )
-            # Every session is gone; nothing may remain queued or running.
-            deadline = asyncio.get_running_loop().time() + 10.0
-            while (
-                server.admission.in_flight or server.scheduler.pending
-            ) and asyncio.get_running_loop().time() < deadline:
-                await asyncio.sleep(0.02)
-            return failures, server.admission.in_flight, server.scheduler.pending
+            async def settled():
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while (
+                    server.admission.in_flight or server.scheduler.pending
+                ) and asyncio.get_running_loop().time() < deadline:
+                    await asyncio.sleep(0.02)
 
-        failures, in_flight, queued = run_soak(config, soak_db, scenario)
+            # Every session is gone; nothing may remain queued or running.
+            await settled()
+            # A hang-up reaches the engine process: a query that was
+            # running when its client vanished is cut short there (one
+            # more vanishing client, should every query so far have
+            # finished before its cancel byte was set).
+            outcomes = server.metrics.counter("server_queries_total")
+            for _ in range(20):
+                if outcomes.value("cancelled"):
+                    break
+                await vanishing_client(server)
+                await settled()
+            return (
+                failures, server.admission.in_flight,
+                server.scheduler.pending, server.stats_payload()["queries"],
+            )
+
+        failures, in_flight, queued, queries = run_soak(
+            config, soak_db, scenario
+        )
         assert not failures, "\n".join(failures[:10])
         assert in_flight == 0 and queued == 0
+        assert queries["cancelled_total"] >= 1
+        assert queries["dropped_on_disconnect_total"] >= 1
+        assert queries["internal_error_total"] == 0
 
     def test_rate_limited_clients_get_typed_rejections(
         self, soak_db, workload
