@@ -220,7 +220,6 @@ def main(argv: list[str] | None = None) -> int:
             await server.shutdown(grace=2.0)
 
     latencies, executor_ms, failures, wall, stats = asyncio.run(run())
-    db.close()
 
     cache = stats["plan_cache"]
     lookups = cache["hits"] + cache["misses"] + cache["single_flight_waits"]

@@ -38,25 +38,7 @@ and the ``reference`` variant must have run ``fast``; full-scale runs
 additionally hold the adaptive engine's mode-BOTH >=10x floor over the
 oracle.
 
-A second section sweeps ``workers`` in {1, 2, 4} over a *scan-heavy*
-workload (driving legs with thousands of entries — the six-table templates
-drive from the 200-row Location table, where single hot entries bound any
-partitioned speedup). Parallel speedup is reported on the deterministic
-work-unit critical path (``ExecutionStats.critical_path_work``), the
-machine-independent analogue of parallel elapsed time — this container may
-not have enough cores for wall-clock parallelism.
-
-A ``parallel_vector`` section measures the partitioned vectorized
-cascades in *wall clock*: per mode it times the row scalar pipeline and
-the serial columnar cascade (static for mode NONE, chunked adaptive for
-monitored modes), then each worker count with one unmeasured warm-up
-pass (pool fork + COW-shared kernel plan happen off the clock), and
-records the engines every partition ran. Under ``--check`` the engines
-must be the mode's vectorized cascades (vacuity gate);
-full-scale runs on machines with >= PARALLEL_VECTOR_MIN_CPUS cores
-additionally hold absolute speedup floors at 4 workers.
-
-A third section measures the always-on flight recorder: the adaptive
+A second section measures the always-on flight recorder: the adaptive
 six-table workload runs disarmed and with a recorder-armed (cold) bundle,
 interleaved min-of-reps, and reports the armed wall overhead. The recorder
 contract is ≤5% — under ``--check`` a larger overhead fails the run.
@@ -77,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
@@ -104,50 +85,6 @@ REGRESSION_TOLERANCE = 0.90
 #: --check fails when an armed flight recorder costs more than this much
 #: wall time over the disarmed adaptive run (the recorder's ≤5% budget).
 OBSERVABILITY_GATE_PCT = 5.0
-
-#: Absolute wall-clock floors for the ``parallel_vector`` section at 4
-#: workers, applied under ``--check`` on full-scale runs with at least
-#: PARALLEL_VECTOR_MIN_CPUS cores (a 1-core container cannot express
-#: wall-clock parallelism; the engine vacuity gates still apply there).
-PARALLEL_VECTOR_NONE_FLOOR = 2.0    # mode NONE vs the serial static cascade
-PARALLEL_VECTOR_ROW_FLOOR = 60.0    # mode NONE vs the row scalar pipeline
-PARALLEL_VECTOR_BOTH_FLOOR = 1.7    # mode BOTH vs the serial adaptive cascade
-PARALLEL_VECTOR_MIN_CPUS = 4
-
-#: Scan-heavy queries for the workers sweep: driving scans with thousands
-#: of entries partition well; the six-table templates (driving from the
-#: 200-row Location table) are skew-bound and stay in the wall-clock
-#: section above.
-PARALLEL_WORKLOAD = [
-    (
-        "own-car",
-        "SELECT o.name, c.make FROM Car c, Owner o "
-        "WHERE c.ownerid = o.id AND c.year >= 2005",
-    ),
-    (
-        "own-car-dem",
-        "SELECT o.name, c.make FROM Demographics d, Owner o, Car c "
-        "WHERE d.ownerid = o.id AND c.ownerid = o.id AND d.salary > 50000",
-    ),
-    (
-        "acc-car-own",
-        "SELECT o.name, x.damage FROM Accidents x, Car c, Owner o "
-        "WHERE x.carid = c.id AND c.ownerid = o.id AND x.year >= 2000",
-    ),
-    (
-        # Keeps the engine guards honest: from scale 0.04 up, at 2 and 4
-        # workers, the serial continuation that follows the coordinator's
-        # switch decision switches the driving leg itself, so a frozen leg
-        # is probed through a positional kernel. Kept last: --quick runs
-        # the first statement and this one.
-        "own-car-dem-acc",
-        "SELECT o.name, c.year "
-        "FROM Owner o, Car c, Demographics d, Accidents a "
-        "WHERE c.ownerid = o.id AND o.id = d.ownerid AND c.id = a.carid "
-        "AND c.year BETWEEN 1985 AND 1992 AND o.country1 = 'Sweden' "
-        "AND d.salary BETWEEN 20000 AND 45000",
-    ),
-]
 
 
 def build_variants(mode: ReorderMode, batch_size: int, row_db, columnar_db) -> dict:
@@ -234,148 +171,6 @@ def add_cold_walls(meters: dict[str, dict], front_end: dict[str, dict]) -> None:
         meter["end_to_end_cold_seconds"] = meter["end_to_end_seconds"] + sum(
             front_end[meter["config"]["backend"]].values()
         )
-
-
-def measure_parallel(
-    db, workload, workers_sweep: tuple[int, ...], modes
-) -> dict[str, dict]:
-    """Critical-path work-unit speedups for the workers sweep.
-
-    Speedup of ``workers=N`` is (workers=1 total work) / (workers=N
-    critical-path work) summed over the workload — deterministic, so no
-    reps are needed. Result rows are verified against the serial run.
-    """
-    section: dict[str, dict] = {}
-    for mode in modes:
-        base_work = 0.0
-        reference: dict[str, list] = {}
-        for qid, sql in workload:
-            outcome = db.execute(db.plan(sql), AdaptiveConfig(mode=mode))
-            base_work += outcome.stats.work.total_units
-            reference[qid] = sorted(outcome.rows)
-        entry: dict = {"workers_1_work_units": base_work, "sweep": {}}
-        for workers in workers_sweep:
-            if workers < 2:
-                continue
-            critical = 0.0
-            partitioned = 0
-            for qid, sql in workload:
-                outcome = db.execute(
-                    db.plan(sql), AdaptiveConfig(mode=mode, workers=workers)
-                )
-                if sorted(outcome.rows) != reference[qid]:
-                    raise AssertionError(
-                        f"{qid}: workers={workers} changed the result set"
-                    )
-                if outcome.stats.critical_path_work is not None:
-                    critical += outcome.stats.critical_path_work
-                    partitioned += 1
-                else:
-                    # Fallback to serial: charge full work to the path.
-                    critical += outcome.stats.work.total_units
-            entry["sweep"][str(workers)] = {
-                "critical_path_work_units": critical,
-                "queries_partitioned": partitioned,
-                "speedup_vs_workers_1": base_work / critical,
-            }
-        section[mode.name.lower()] = entry
-    return section
-
-
-def measure_parallel_vector(
-    row_db, columnar_db, workload, workers_sweep: tuple[int, ...],
-    modes, reps: int,
-) -> dict[str, dict]:
-    """Wall-clock speedups of the partitioned vectorized cascades.
-
-    Per mode, two scale-matched serial baselines run first (min of
-    *reps*): the row scalar pipeline and the serial vectorized cascade on
-    the columnar backend (mode NONE: the static cascade; monitored modes:
-    the chunked adaptive cascade). Each worker count then runs the same
-    columnar configuration partitioned — one unmeasured warm-up pass
-    builds the fork pool and the COW-shared kernel plan, then min-of-reps
-    wall — and reports its speedup over both baselines plus the engines
-    every partition actually ran (``ExecutionStats.worker_engines``).
-    Result rows are verified against the row backend per query.
-    """
-    section: dict[str, dict] = {}
-    for mode in modes:
-        row_config = AdaptiveConfig(mode=mode)
-        serial_config = AdaptiveConfig(mode=mode, batched=True)
-        reference: dict[str, list] = {}
-        row_wall = serial_wall = float("inf")
-        serial_engines: set[str] = set()
-        for rep in range(reps):
-            total = 0.0
-            for qid, sql in workload:
-                outcome = row_db.execute(row_db.plan(sql), row_config)
-                total += outcome.stats.wall_seconds
-                if rep == 0:
-                    reference[qid] = sorted(outcome.rows)
-            row_wall = min(row_wall, total)
-            total = 0.0
-            for qid, sql in workload:
-                outcome = columnar_db.execute(
-                    columnar_db.plan(sql), serial_config
-                )
-                total += outcome.stats.wall_seconds
-                if rep == 0:
-                    serial_engines.add(outcome.stats.engine)
-                    if sorted(outcome.rows) != reference[qid]:
-                        raise AssertionError(
-                            f"{qid}: serial columnar changed the result set"
-                        )
-            serial_wall = min(serial_wall, total)
-        entry: dict = {
-            # The walls below are sums over these statements; a stored
-            # baseline over a different list is not comparable.
-            "workload": [qid for qid, _ in workload],
-            "row_scalar_wall_seconds": row_wall,
-            "serial_vector_wall_seconds": serial_wall,
-            "serial_engines": sorted(serial_engines),
-            "sweep": {},
-        }
-        for workers in workers_sweep:
-            if workers < 2:
-                continue
-            config = AdaptiveConfig(mode=mode, batched=True, workers=workers)
-            for _, sql in workload:  # warm-up: fork pool + kernel plan
-                columnar_db.execute(columnar_db.plan(sql), config)
-            best = float("inf")
-            engines: set[str] = set()
-            gate = None
-            switches = 0
-            for rep in range(reps):
-                total = 0.0
-                for qid, sql in workload:
-                    outcome = columnar_db.execute(
-                        columnar_db.plan(sql), config
-                    )
-                    total += outcome.stats.wall_seconds
-                    if rep == 0:
-                        stats = outcome.stats
-                        engines.update(
-                            stats.worker_engines or (stats.engine,)
-                        )
-                        if gate is None and stats.vector_gate:
-                            gate = stats.vector_gate
-                        switches += stats.driving_switches
-                        if sorted(outcome.rows) != reference[qid]:
-                            raise AssertionError(
-                                f"{qid}: workers={workers} changed the "
-                                f"result set"
-                            )
-                best = min(best, total)
-            entry["sweep"][str(workers)] = {
-                "wall_seconds": best,
-                "worker_engines": sorted(engines),
-                "vector_gate": gate,
-                "driving_switches": switches,
-                "speedup_vs_serial_vector": serial_wall / best,
-                "speedup_vs_row_scalar": row_wall / best,
-            }
-        section[mode.name.lower()] = entry
-    return section
 
 
 def measure_observability(db, queries, reps: int) -> dict:
@@ -473,41 +268,6 @@ def report_regressions(output_path: str, payload: dict) -> list[str]:
                     f"REGRESSION: mode {mode} variant {variant} speedup "
                     f"{new:.2f}x < stored baseline {old:.2f}x"
                 )
-    for mode, entry in payload.get("parallel", {}).items():
-        old_entry = baseline.get("parallel", {}).get(mode, {})
-        for workers, data in entry.get("sweep", {}).items():
-            new = data.get("speedup_vs_workers_1")
-            old = (
-                old_entry.get("sweep", {})
-                .get(workers, {})
-                .get("speedup_vs_workers_1")
-            )
-            if new is None or old is None:
-                continue
-            if new < old * REGRESSION_TOLERANCE:
-                lines.append(
-                    f"REGRESSION: parallel mode {mode} workers={workers} "
-                    f"speedup {new:.2f}x < stored baseline {old:.2f}x"
-                )
-    for mode, entry in payload.get("parallel_vector", {}).items():
-        old_entry = baseline.get("parallel_vector", {}).get(mode, {})
-        if old_entry.get("workload") != entry.get("workload"):
-            continue  # summed over different statements
-        for workers, data in entry.get("sweep", {}).items():
-            new = data.get("speedup_vs_serial_vector")
-            old = (
-                old_entry.get("sweep", {})
-                .get(workers, {})
-                .get("speedup_vs_serial_vector")
-            )
-            if new is None or old is None:
-                continue
-            if new < old * REGRESSION_TOLERANCE:
-                lines.append(
-                    f"REGRESSION: parallel_vector mode {mode} "
-                    f"workers={workers} speedup {new:.2f}x < stored "
-                    f"baseline {old:.2f}x"
-                )
     return lines
 
 
@@ -521,11 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         "--adaptive",
         action="store_true",
         help="also measure mode BOTH (adaptive reordering) variants",
-    )
-    parser.add_argument(
-        "--workers-sweep",
-        default="1,2,4",
-        help="comma-separated worker counts for the parallel section",
     )
     parser.add_argument(
         "--quick",
@@ -552,9 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         # the adaptive cascade and its engine (vacuity) gate; the absolute
         # mode-both floor stays full-scale only.
         args.adaptive = True
-    workers_sweep = tuple(
-        int(part) for part in args.workers_sweep.split(",") if part.strip()
-    )
 
     db, summary = load_dmv(scale=args.scale, extended=True)
     columnar_db, _ = load_dmv(
@@ -672,105 +424,6 @@ def main(argv: list[str] | None = None) -> int:
         observability["overhead_pct"] > OBSERVABILITY_GATE_PCT
     )
 
-    parallel_workload = (
-        [PARALLEL_WORKLOAD[0], PARALLEL_WORKLOAD[-1]]
-        if args.quick
-        else PARALLEL_WORKLOAD
-    )
-    parallel_sweep = (
-        tuple(w for w in workers_sweep if w <= 2)
-        if args.quick
-        else workers_sweep
-    )
-    payload["parallel"] = measure_parallel(
-        db, parallel_workload, parallel_sweep, modes
-    )
-    for mode_name, entry in payload["parallel"].items():
-        line = f"parallel {mode_name:8s} w1={entry['workers_1_work_units']:,.0f} units"
-        for workers, data in entry["sweep"].items():
-            line += (
-                f" w{workers}={data['speedup_vs_workers_1']:.2f}x"
-            )
-        print(line)
-
-    # Partitioned vectorized cascades: wall-clock speedups of the
-    # parallel columnar engine over its two serial baselines, per mode.
-    payload["parallel_vector"] = measure_parallel_vector(
-        db, columnar_db, parallel_workload, parallel_sweep, modes, args.reps
-    )
-    for mode_name, entry in payload["parallel_vector"].items():
-        line = (
-            f"parallel_vector {mode_name:8s} "
-            f"row={entry['row_scalar_wall_seconds']:.3f}s "
-            f"serial={entry['serial_vector_wall_seconds']:.3f}s"
-        )
-        for workers, data in entry["sweep"].items():
-            line += (
-                f" w{workers}={data['wall_seconds']:.3f}s "
-                f"({data['speedup_vs_serial_vector']:.2f}x serial, "
-                f"{data['speedup_vs_row_scalar']:.2f}x row)"
-            )
-        print(line)
-        # Vacuity guard: every partition (and continuation) of every
-        # sweep point must have run the mode's vectorized cascade.
-        expected_engines = (
-            {"vector"} if mode_name == "none" else {"vector-adaptive"}
-        )
-        for workers, data in entry["sweep"].items():
-            stray = set(data["worker_engines"]) - expected_engines
-            if stray:
-                print(
-                    f"CHECK FAILED: parallel_vector mode {mode_name} "
-                    f"workers={workers} ran non-vector engine(s): "
-                    f"{sorted(stray)} "
-                    f"(gate: {data['vector_gate']!r})",
-                    file=sys.stderr,
-                )
-                engine_gate_failed = True
-            if mode_name == "both" and not data["driving_switches"]:
-                print(
-                    f"CHECK FAILED: parallel_vector mode both "
-                    f"workers={workers} never switched its driving "
-                    f"leg; the engine guard is vacuous",
-                    file=sys.stderr,
-                )
-                engine_gate_failed = True
-        # Absolute wall-clock floors need real cores and full scale; a
-        # quick run or a starved container still enforces the vacuity
-        # gate above but records the honest wall numbers without gating.
-        cpus = os.cpu_count() or 1
-        if (
-            not args.quick
-            and cpus >= PARALLEL_VECTOR_MIN_CPUS
-            and "4" in entry["sweep"]
-        ):
-            at4 = entry["sweep"]["4"]
-            floors = (
-                [
-                    ("vs serial static cascade",
-                     at4["speedup_vs_serial_vector"],
-                     PARALLEL_VECTOR_NONE_FLOOR),
-                    ("vs row scalar",
-                     at4["speedup_vs_row_scalar"],
-                     PARALLEL_VECTOR_ROW_FLOOR),
-                ]
-                if mode_name == "none"
-                else [
-                    ("vs serial adaptive cascade",
-                     at4["speedup_vs_serial_vector"],
-                     PARALLEL_VECTOR_BOTH_FLOOR),
-                ]
-            )
-            for label, actual, floor in floors:
-                if actual < floor:
-                    print(
-                        f"CHECK FAILED: parallel_vector mode {mode_name} "
-                        f"workers=4 speedup {label} {actual:.2f}x below "
-                        f"the {floor:.1f}x floor",
-                        file=sys.stderr,
-                    )
-                    engine_gate_failed = True
-
     regressions = report_regressions(args.output, payload)
     for line in regressions:
         print(line, file=sys.stderr)
@@ -784,8 +437,6 @@ def main(argv: list[str] | None = None) -> int:
 
     write_json_atomic(args.output, payload)
     print(f"wrote {args.output}")
-    db.close()
-    columnar_db.close()
     if args.check and check_failed:
         print(
             f"CHECK FAILED: the engine is slower than the oracle by more "

@@ -95,7 +95,6 @@ def main() -> None:
         mid = median(layers[label] for layers in passes)
         share = best[label] / best["pass"]  # within the fastest pass
         print(f"{label:<42}{low * 1e3:>9.1f}{mid * 1e3:>11.1f}{share:>8.1%}")
-    db.close()
 
 
 if __name__ == "__main__":

@@ -68,7 +68,6 @@ async def run_client(
     deadline: float,
     stats: ClientStats,
     pipeline: int,
-    workers: int = 1,
 ) -> None:
     reader, writer = await asyncio.open_connection(host, port)
     in_flight: dict[int, float] = {}
@@ -82,8 +81,6 @@ async def run_client(
                 cursor += 1
                 next_id += 1
                 request = {"op": "query", "id": next_id, "sql": sql}
-                if workers > 1:
-                    request["workers"] = workers
                 writer.write((json.dumps(request) + "\n").encode())
                 in_flight[next_id] = time.perf_counter()
                 stats.sent += 1
@@ -146,7 +143,7 @@ async def main_async(args: argparse.Namespace) -> int:
     await asyncio.gather(*(
         run_client(
             i, args.host, args.port, queries, deadline, per_client[i],
-            args.pipeline, args.workers,
+            args.pipeline,
         )
         for i in range(args.clients)
     ))
@@ -222,13 +219,6 @@ def main() -> int:
         type=float,
         default=0.5,
         help="maximum tolerated shed fraction of all requests (default 0.5)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="request this intra-query parallelism per query (the server "
-        "grants up to its --engine-workers; sheds may strip it)",
     )
     args = parser.parse_args()
     return asyncio.run(main_async(args))

@@ -10,7 +10,7 @@ issues ``{"op": "stats"}``, and checks the response document:
   list with one counter object per connected session and ``per_table``
   a list with one footprint object per catalog table; ``engines`` maps
   known engine names to per-query served counts (``--expect-engine``
-  asserts a specific engine — e.g. ``parallel`` — actually ran);
+  asserts a specific engine — e.g. ``vector-adaptive`` — actually ran);
 * types: counters are non-negative numbers, ``draining`` is a bool,
   quantiles are numbers or null;
 * invariants: ``in_flight <= max_concurrency``,
@@ -61,7 +61,6 @@ SCHEMA = {
         "rejected_overload_total": "count",
         "rejected_rate_limit_total": "count",
         "rejected_draining_total": "count",
-        "shed_serial_total": "count",
         "shed_static_total": "count",
     },
     "latency_ms": {
@@ -113,7 +112,6 @@ KNOWN_ENGINES = {
     "fast",
     "vector-adaptive",
     "vector-adaptive+fast",
-    "parallel",
 }
 
 #: Sections whose body is a list of objects (one entry per item).

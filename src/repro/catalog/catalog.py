@@ -116,8 +116,8 @@ class Catalog:
         it moves on ``create_table`` / ``create_index`` (a plan's access
         paths), on ``insert`` (cardinalities, index contents) and on
         ``analyze`` (the estimates the join order was chosen from). The
-        plan cache and the parallel fork pool both drop what they hold
-        when it differs from the one they were built under.
+        plan cache drops what it holds, and the server re-forks an engine
+        process, when it differs from the one they were built under.
         """
         return (
             self._ddl_epoch,

@@ -142,14 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend columnar) with driving-leg chunks of N rows",
     )
     query.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run the adaptive execution range-partitioned across N worker "
-        "processes (driving switches become coordinator barrier decisions)",
-    )
-    query.add_argument(
         "--fault-plan",
         default=None,
         metavar="JSON",
@@ -247,16 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000.0,
         metavar="MS",
         help="default per-query deadline, server-clamped (default 10000)",
-    )
-    serve.add_argument(
-        "--engine-workers",
-        "--workers",
-        dest="engine_workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="intra-query parallel workers granted to fully-admitted "
-        "queries (1 = serial; default 1; --workers is an alias)",
     )
     serve.add_argument(
         "--batch-size",
@@ -413,17 +395,7 @@ def _warn_vector_gate(result, cli_args) -> None:
     stats = result.stats
     # "vector-adaptive+fast" is a mid-query handoff, not an option
     # problem; a run that never asked for the engine carries no gate.
-    # Parallel runs report per-partition engines: warn only when NO
-    # partition (nor the serial continuation) ran a cascade — a partial
-    # demotion is a per-worker gate, not an option problem.
-    if stats.engine == "parallel":
-        if not stats.worker_engines or any(
-            engine.startswith("vector") for engine in stats.worker_engines
-        ):
-            return
-    elif stats.engine not in ("scalar", "fast"):
-        return
-    if stats.vector_gate is None:
+    if stats.engine not in ("scalar", "fast") or stats.vector_gate is None:
         return
     _vector_gate_warned = True
     print(
@@ -433,21 +405,10 @@ def _warn_vector_gate(result, cli_args) -> None:
     )
 
 
-def _make_config(
-    mode: ReorderMode, cli_args, serial: bool = False
-) -> AdaptiveConfig:
-    """AdaptiveConfig for *mode* with the CLI's executor knobs applied.
-
-    ``serial=True`` drops ``--workers`` — used for the static baseline of
-    a comparison run so work comparisons keep meaning. A standalone run
-    (including ``--mode none``, which partitions the static vectorized
-    cascade on the columnar backend) gets the partitioned path.
-    """
+def _make_config(mode: ReorderMode, cli_args) -> AdaptiveConfig:
+    """AdaptiveConfig for *mode* with the CLI's executor knobs applied."""
     batch_size = getattr(cli_args, "batch_size", None)
-    workers = getattr(cli_args, "workers", 1) or 1
     kwargs: dict = {"mode": mode}
-    if workers > 1 and not serial:
-        kwargs["workers"] = workers
     if batch_size is not None:
         kwargs["batched"] = True
         kwargs["batch_size"] = batch_size
@@ -468,13 +429,7 @@ def _run_query(
         print()
     try:
         static = db.execute(
-            sql,
-            _make_config(
-                ReorderMode.NONE,
-                cli_args,
-                serial=mode is not ReorderMode.NONE,
-            ),
-            limits=limits,
+            sql, _make_config(ReorderMode.NONE, cli_args), limits=limits
         )
     except BudgetExceeded as error:
         print(f"static:   budget exceeded — {error.progress_summary()}")
@@ -505,16 +460,6 @@ def _run_query(
               f"results {'match' if matches else 'MISMATCH!'}")
         speedup = static.stats.total_work / max(adaptive.stats.total_work, 1e-9)
         print(f"speedup:  {speedup:12.2f}x")
-        if adaptive.stats.critical_path_work is not None:
-            parallel = static.stats.total_work / max(
-                adaptive.stats.critical_path_work, 1e-9
-            )
-            print(
-                f"parallel: {parallel:12.2f}x critical-path speedup over "
-                f"the serial baseline ({adaptive.stats.workers} workers, "
-                f"{adaptive.stats.critical_path_work:,.0f} critical-path "
-                f"work units)"
-            )
         if adaptive.stats.degraded:
             print("DEGRADED: the adaptive layer failed and was disabled; "
                   "the query completed on its static order")
@@ -754,7 +699,6 @@ def cmd_serve(args) -> int:
             default_timeout_ms=min(args.timeout_ms, 60_000.0),
             rate_limit_qps=args.rate_limit_qps,
             rate_limit_burst=args.rate_limit_burst,
-            engine_workers=args.engine_workers,
             engine_batch_size=args.batch_size,
             plan_cache_size=args.plan_cache,
             drain_grace_seconds=args.drain_grace,
@@ -771,8 +715,7 @@ def cmd_serve(args) -> int:
         print(
             f"listening on {config.host}:{srv.port} "
             f"(engines={config.max_concurrency}, "
-            f"queue={config.max_queue_depth}, "
-            f"workers={config.engine_workers}); SIGTERM drains",
+            f"queue={config.max_queue_depth}); SIGTERM drains",
             file=sys.stderr,
             flush=True,
         )

@@ -94,11 +94,6 @@ class AdaptiveConfig:
     batched: bool = False
     # Driving survivors per chunk of a monitored batched run.
     batch_size: int = 256
-    # Intra-query parallelism: number of worker processes range-partitioning
-    # the driving leg (1 = serial). Workers share the read-only database via
-    # fork/COW; per-partition monitor estimates are merged at the
-    # coordinator between chunks.
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.check_frequency < 1:
@@ -111,8 +106,6 @@ class AdaptiveConfig:
             raise ValueError("warmup_rows must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def monitor_granularity(self) -> str:

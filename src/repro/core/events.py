@@ -43,9 +43,6 @@ class AdaptationEvent:
     # For DEGRADED events: why the adaptive layer was disabled (the full
     # chained-exception context).
     reason: str = ""
-    # Parallel partitioned execution: index of the worker whose partition
-    # run recorded this event; -1 for the coordinator / serial execution.
-    worker: int = -1
 
     @property
     def estimated_benefit(self) -> float:

@@ -259,18 +259,6 @@ class LegMonitor:
         pending[2] = 0
         pending[3] = 0.0
 
-    def pending_chunk(self) -> tuple[int, int, int, float]:
-        """The deferred (not yet flushed) chunk fold as an immutable tuple.
-
-        Parallel snapshots read this so a worker interrupted between
-        ``defer_chunk`` and ``flush_chunk`` (e.g. a barrier landing inside
-        a driving chunk) ships its partial fold to the coordinator, where
-        it is re-applied in the serial fold order — window contents first,
-        pending aggregate after (see ``monitor_merge.inject_into_host``).
-        """
-        pending = self._pending
-        return (pending[0], pending[1], pending[2], pending[3])
-
     def reset(self) -> None:
         """Drop history (used when the leg's probe configuration changes).
 

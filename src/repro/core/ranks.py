@@ -49,18 +49,7 @@ def remaining_scan_fraction(
     Reads only index/heap metadata (entry counts after the cursor's
     position) — the analogue of a B-tree key-range estimate, never touching
     row data.
-
-    A partition-bounded cursor (``partition_entry_count`` set by the
-    parallel partitioner) is measured against its own slice: the fraction is
-    computed from entries yielded within the bounds, so each worker's cost
-    model reasons about *its* remaining work rather than the whole scan's.
     """
-    partition_total = getattr(cursor, "partition_entry_count", None)
-    if partition_total is not None:
-        if partition_total == 0:
-            return 0.0
-        remaining = partition_total - cursor.entries_yielded
-        return max(remaining, 0) / partition_total
     if isinstance(cursor, TableScanCursor):
         total = len(cursor.table)
         if total == 0:

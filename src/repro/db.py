@@ -20,7 +20,6 @@ Typical use::
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -32,7 +31,6 @@ from repro.core.events import EventKind
 from repro.core.ranks import RuntimeModelBuilder
 from repro.errors import SchemaError
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.executor.parallel import ParallelExecutor, parallel_fallback_reason
 from repro.executor.pipeline import PipelineExecutor
 from repro.executor.postprocess import PostProcessor
 from repro.obs.explain import render_explain_analyze
@@ -98,27 +96,13 @@ class ExecutionStats:
     order_history: tuple[tuple[str, ...], ...]
     # Applied adaptation decisions with the cost-model justification.
     events: tuple = ()
-    # Parallel partitioned execution only: work units on the critical path
-    # (per wave, the slowest partition; plus coordinator and continuation
-    # work). On a machine with enough cores this bounds wall-clock; it is
-    # the deterministic analogue of parallel elapsed time, matching the
-    # engine's work-unit-first measurement philosophy. None for serial runs.
-    critical_path_work: float | None = None
-    # How many worker processes executed partitions (1 = serial).
-    workers: int = 1
     # Which execution engine ran the pipeline: "scalar", "fast", "vector",
-    # "vector-adaptive", "vector-adaptive+fast", or "parallel" for
-    # partitioned runs.
+    # "vector-adaptive" or "vector-adaptive+fast".
     engine: str = "scalar"
     # Why a batched run did NOT run the vectorized cascade (the scalar
     # fallback screen or first failed gate); None when it ran or was never
-    # asked for. For parallel runs this is the first gate reason any
-    # partition (or the serial continuation) reported.
+    # asked for.
     vector_gate: str | None = None
-    # Parallel partitioned execution only: the engine each partition ran,
-    # in dispatch order, plus the serial continuation's engine when one
-    # drained the scan. Empty for serial runs.
-    worker_engines: tuple[str, ...] = ()
     # How the plan was obtained: "hit" / "miss" / "wait" (blocked on another
     # thread planning the same statement) / "off" (cache capacity 0) for SQL
     # text; None when the caller passed a QuerySpec or a PipelinePlan, which
@@ -128,9 +112,8 @@ class ExecutionStats:
     # plan instead of the optimizer's: ``(order it started from, write-backs
     # the entry had seen)``. Monitored executions of SQL text only.
     plan_feedback: tuple[tuple[str, ...], int] | None = None
-    # Wall time spent inside the controller's two reorder checks (for a
-    # parallel run: summed over the workers, the coordinator's barrier
-    # decisions and the serial continuation). 0.0 in mode NONE.
+    # Wall time spent inside the controller's two reorder checks; 0.0 in
+    # mode NONE.
     check_seconds: float = 0.0
 
     @property
@@ -197,13 +180,6 @@ class Database:
         # statements, LRU; 0 plans every statement afresh). The query
         # server serves from this instance too.
         self.plan_cache = PlanCache(plan_cache_size)
-        # Persistent fork pool for parallel partitioned execution; built on
-        # first use, invalidated when the catalog generation changes.
-        self._parallel_pool = None
-        # Serializes pool lifecycle + partitioned execution across server
-        # threads: a concurrent warm-up may invalidate (close) the pool,
-        # which must never happen while another thread is mid-wave on it.
-        self._parallel_lock = threading.Lock()
 
     @property
     def backend_name(self) -> str:
@@ -219,9 +195,7 @@ class Database:
         ``row``) — the observable half of the columnar backend's memory
         savings — plus ``kernel_bytes``, the numpy sidecar / group-kernel /
         join-key row-rank bytes currently materialized on that table's
-        indexes. The kernel gauge makes pre-fork warm-up observable: after
-        ``warm_kernel_plan`` (or a first vectorized run) it is non-zero,
-        and parallel workers COW-share exactly those bytes.
+        indexes (zero until a first vectorized run builds them).
         """
         from repro.storage.columnar import ColumnarIndex, table_memory_footprint
 
@@ -424,9 +398,8 @@ class Database:
                 plan = query
             elif isinstance(query, str):
                 # A monitored execution starts where the statement's last
-                # one ended (the entry's feedback plan) and, when serial,
-                # writes back what it learns; a static one always runs the
-                # optimizer's plan.
+                # one ended (the entry's feedback plan) and writes back what
+                # it learns; a static one always runs the optimizer's plan.
                 monitors = config.mode.monitors
                 entry, plan_cache, feedback = self._plan_sql(
                     query, tracer, learned=monitors
@@ -435,7 +408,7 @@ class Database:
                 if feedback is not None:
                     plan = feedback.plan
                     plan_feedback = (plan.order, feedback.writes)
-                if monitors and config.workers == 1:
+                if monitors:
                     learn = entry
             else:
                 plan = self._optimize(query, tracer)
@@ -476,33 +449,6 @@ class Database:
             oracle = InvariantOracle()
         elif oracle is False:
             oracle = None
-        if config.workers > 1:
-            reason = parallel_fallback_reason(
-                plan,
-                config,
-                limits=limits,
-                fault_plan=fault_plan,
-                oracle=oracle,
-            )
-            if reason is None:
-                before = self.catalog.meter.snapshot()
-                outcome = ParallelExecutor(
-                    self, self.catalog, plan, config, obs, limits=limits
-                ).execute()
-                if isinstance(outcome, str):
-                    reason = outcome
-                else:
-                    return self._finish_parallel(
-                        plan,
-                        plan_cache,
-                        plan_feedback,
-                        outcome,
-                        before,
-                        obs,
-                        query_span,
-                    )
-            if tracer is not None:
-                tracer.event("parallel-fallback", reason=reason)
         controller = (
             AdaptationController(config) if config.mode.monitors else None
         )
@@ -612,7 +558,7 @@ class Database:
     ) -> None:
         """Keep what a monitored run learned in its plan-cache entry.
 
-        Reached only when a serial monitored execution of SQL text ran to
+        Reached only when a monitored execution of SQL text ran to
         completion, undisturbed (no injected fault, adaptive layer not
         degraded), and ended on another order than it started from. The
         corrected plan is built here, once per write-back, and only for an
@@ -626,72 +572,6 @@ class Database:
                 generation,
                 RuntimeModelBuilder(executor).corrected_plan(),
             )
-
-    def _finish_parallel(
-        self,
-        plan: PipelinePlan,
-        plan_cache: str | None,
-        plan_feedback: tuple[tuple[str, ...], int] | None,
-        outcome,
-        before: WorkMeter,
-        obs: QueryObservability | None,
-        query_span,
-    ) -> QueryResult:
-        """Assemble a QueryResult from a partitioned execution's outcome."""
-        tracer = obs.tracer if obs is not None else None
-        rows = outcome.rows
-        if plan.query.has_post_processing:
-            if tracer is not None:
-                with tracer.span("post-process"):
-                    rows = PostProcessor(plan.query, plan.projection).process(rows)
-            else:
-                rows = PostProcessor(plan.query, plan.projection).process(rows)
-        stats = ExecutionStats(
-            work=self.catalog.meter - before,
-            wall_seconds=outcome.wall_seconds,
-            inner_reorders=outcome.inner_reorders,
-            driving_switches=outcome.driving_switches,
-            inner_checks=outcome.inner_checks,
-            driving_checks=outcome.driving_checks,
-            check_seconds=outcome.check_seconds,
-            order_history=tuple(outcome.order_history),
-            events=tuple(outcome.events),
-            critical_path_work=outcome.critical_path_units,
-            workers=outcome.workers_used,
-            engine="parallel",
-            vector_gate=outcome.vector_gate,
-            worker_engines=tuple(outcome.worker_engines),
-            plan_cache=plan_cache,
-            plan_feedback=plan_feedback,
-        )
-        if query_span is not None:
-            tracer.end(
-                query_span,
-                rows=len(rows),
-                work_units=stats.total_work,
-                switches=stats.total_switches,
-                workers=outcome.workers_used,
-                partitions=outcome.partitions_run,
-            )
-        return QueryResult(
-            rows=rows,
-            stats=stats,
-            plan=plan,
-            final_order=tuple(outcome.final_order),
-            oracle=None,
-            trace=tracer,
-            metrics=obs.metrics if obs is not None else None,
-            samples=(
-                tuple(obs.sampler.samples)
-                if obs is not None and obs.sampler is not None
-                else ()
-            ),
-            decisions=(
-                tuple(obs.audit.decisions)
-                if obs is not None and obs.audit is not None
-                else ()
-            ),
-        )
 
     def enable_concurrent_metering(self) -> ThreadScopedMeter:
         """Route work-unit charges to per-thread meters for serving.
@@ -712,29 +592,3 @@ class Database:
         for name in self.catalog.table_names():
             self.catalog.table(name).meter = scoped
         return scoped
-
-    def close(self) -> None:
-        """Release resources held by this database (the worker pool).
-
-        Idempotent, and guaranteed to reap forked parallel workers even
-        when the previous query raised mid-wave (the pool additionally
-        carries a GC finalizer, so an abandoned Database cannot leak
-        children — but deterministic cleanup should call close()).
-        """
-        lock = getattr(self, "_parallel_lock", None)
-        if lock is not None:
-            lock.acquire()
-        try:
-            pool = getattr(self, "_parallel_pool", None)
-            if pool is not None:
-                pool.close()
-                self._parallel_pool = None
-        finally:
-            if lock is not None:
-                lock.release()
-
-    def __enter__(self) -> "Database":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -39,7 +39,7 @@ from repro.storage.counters import (
     PREDICATE_EVAL_COST,
     ROW_FETCH_COST,
 )
-from repro.storage.cursor import IndexScanCursor, ScanPartition, TableScanCursor
+from repro.storage.cursor import IndexScanCursor, TableScanCursor
 from repro.storage.index import SortedIndex
 from repro.storage.table import Row
 
@@ -175,13 +175,6 @@ class RuntimeLeg:
             aggregated=aggregated_monitor or not monitoring_enabled,
         )
         self.driving_monitor: DrivingMonitor | None = None
-        # One-shot pre-seeded scan monitor: when a coordinator injects
-        # merged worker statistics *before* the executor opens its driving
-        # cursor (the parallel serial continuation), the open consumes this
-        # instead of starting a fresh monitor — otherwise the merged scan
-        # counters would be clobbered and the continuation's first driving
-        # check would see an unwarmed S_LPR.
-        self.pending_driving_monitor: DrivingMonitor | None = None
         self.positional: PositionalPredicate | None = None
         self._history_window = history_window
         # (predicate, compiled test) pairs from bind_local_tests, shared
@@ -720,25 +713,11 @@ class RuntimeLeg:
     # ------------------------------------------------------------------
     # Driving-leg role
     # ------------------------------------------------------------------
-    def open_driving_cursor(
-        self,
-        resume: Cursor | None = None,
-        partition: "ScanPartition | None" = None,
-    ) -> Cursor:
-        """Create (or resume) the driving scan cursor for this leg.
-
-        *partition* bounds a fresh cursor to one slice of the scan's stable
-        total order (parallel partitioned execution): it starts strictly
-        after ``partition.start_after`` and stops before ``partition.stop_at``.
-        """
+    def open_driving_cursor(self, resume: Cursor | None = None) -> Cursor:
+        """Create (or resume) the driving scan cursor for this leg."""
         if resume is not None:
             cursor = resume
         else:
-            start_after = partition.start_after if partition is not None else None
-            stop_at = partition.stop_at if partition is not None else None
-            entry_count = (
-                partition.entry_count if partition is not None else None
-            )
             spec = self.plan_leg.driving
             if spec.kind is DrivingKind.INDEX_SCAN:
                 index = self.indexes.get(spec.index_column or "")
@@ -747,28 +726,10 @@ class RuntimeLeg:
                         f"leg {self.alias!r}: driving index on "
                         f"{spec.index_column!r} does not exist"
                     )
-                cursor = IndexScanCursor(
-                    index,
-                    list(spec.ranges),
-                    start_after=start_after,
-                    stop_at=stop_at,
-                    partition_entry_count=entry_count,
-                )
+                cursor = IndexScanCursor(index, list(spec.ranges))
             else:
-                cursor = TableScanCursor(
-                    self.table,
-                    start_after=start_after,
-                    stop_at=stop_at,
-                    partition_entry_count=entry_count,
-                )
-        if self.pending_driving_monitor is not None:
-            # Injected merged statistics (parallel continuation): keep the
-            # pre-seeded monitor for the first open only; driving switches
-            # and resumes still restart the scan monitor below.
-            self.driving_monitor = self.pending_driving_monitor
-            self.pending_driving_monitor = None
-        else:
-            self.driving_monitor = DrivingMonitor(self._history_window)
+                cursor = TableScanCursor(self.table)
+        self.driving_monitor = DrivingMonitor(self._history_window)
         return cursor
 
     def driving_rows(self, cursor: Cursor) -> Iterator[Row]:

@@ -47,14 +47,12 @@ from repro.storage.table import Row
 def _index_walk(cursor: IndexScanCursor) -> Iterator[int]:
     """The RIDs *cursor* has yet to yield, in its walk order, uncharged.
 
-    Same ranges, start-after skipping and stop-at bounding as the cursor
-    itself (``IndexScanCursor.remaining_spans``), relative to its current
-    position.
+    Same ranges as the cursor itself (``IndexScanCursor.remaining_spans``),
+    relative to its current position.
     """
     entries = cursor.index._entries
-    spans, _ = cursor.remaining_spans()
-    for _, lo, cut, _ in spans:
-        for position in range(lo, cut):
+    for _, lo, hi in cursor.remaining_spans():
+        for position in range(lo, hi):
             yield entries[position][1]
 
 
@@ -80,8 +78,6 @@ class DrivingShadow:
         if isinstance(cursor, IndexScanCursor):
             self._iter = _index_walk(cursor)
         else:
-            # Partition-bounded cursors included: the lookahead must not
-            # prepare probes for rows the cursor will never yield.
             self._iter = iter(cursor.remaining_rids())
 
     def next_survivors(self, limit: int) -> list[Row]:

@@ -41,7 +41,6 @@ from repro.robustness.guard import describe_failure
 from repro.robustness.limits import ExecutionLimits, LimitEnforcer
 from repro.robustness.oracle import InvariantOracle
 from repro.storage.counters import WorkMeter
-from repro.storage.cursor import ScanPartition
 from repro.storage.table import Row
 
 
@@ -187,11 +186,6 @@ class PipelineExecutor:
         self.abandon_counts: dict[str, int] = {}
         self.driving_cursor: Cursor | None = None
         self._driving_iter: Iterator[Row] | None = None
-        # Parallel partitioned execution: when set, the *initial* driving
-        # cursor is bounded to this slice of the scan order. Resumed and
-        # post-switch cursors are never bounded (a new driving leg means a
-        # new scan, not a slice of the old one).
-        self.driving_partition: "ScanPartition | None" = None
         self._projector = self._compile_projection()
         # Statistics for the experiments.
         self.inner_reorders = 0
@@ -314,14 +308,7 @@ class PipelineExecutor:
     def _open_driving(self, alias: str) -> None:
         leg = self.legs[alias]
         resume = self.registry.resume_cursor(alias)
-        partition = (
-            self.driving_partition
-            if resume is None and alias == self.plan.order[0]
-            else None
-        )
-        self.driving_cursor = leg.open_driving_cursor(
-            resume=resume, partition=partition
-        )
+        self.driving_cursor = leg.open_driving_cursor(resume=resume)
         self._driving_iter = leg.driving_rows(self.driving_cursor)
         leg.positional = None  # the cursor position already excludes the past
         if self.obs is not None:

@@ -32,13 +32,11 @@ reference loop (monitored) or the scalar machine (static) runs instead. In
 particular the cascade requires: columnar tables and indexes on every leg,
 index-equality probes with no residual joins, and vectorizable local
 predicates everywhere. A frozen leg's positional predicate is not a gate: it is a
-mask over the leg's group kernel (:func:`_positional_kernel`). Partitioned
-and resumed driving cursors are supported: :class:`_DrivingWalk` reads the
-rest of the scan off the cursor's own state, with the exact
-skip/termination rules of :class:`~repro.storage.cursor.IndexScanCursor`,
-which is how parallel workers run the cascade over their
-:class:`ScanPartition` slices and how the cascade survives a driving
-switch.
+mask over the leg's group kernel (:func:`_positional_kernel`). Resumed
+driving cursors are supported: :class:`_DrivingWalk` reads the rest of the
+scan off the cursor's own state, with the exact skip/termination rules of
+:class:`~repro.storage.cursor.IndexScanCursor`, which is how the cascade
+survives a driving switch.
 
 The cascade is only observably different from the scalar machine in
 *intermediate* meter states, which are visible at chunk boundaries alone:
@@ -144,9 +142,9 @@ class _DrivingWalk:
     """The rest of a driving scan as arrays, consumed a slice at a time.
 
     ``rids`` is every RID the cursor has yet to visit, in scan order (RID
-    order, or the (key, RID) order of the cursor's ranges clamped to its
-    partition bounds), read off the cursor's own state — so a fresh, a
-    partition-bounded and a resumed cursor all work. ``survivor_at`` holds
+    order, or the (key, RID) order of the cursor's ranges), read off the
+    cursor's own state — so a fresh and a resumed cursor both work.
+    ``survivor_at`` holds
     the walk offsets whose rows pass the residual local predicates (``None``
     when there are none to apply: every row survives).
 
@@ -172,7 +170,6 @@ class _DrivingWalk:
         "spans",
         "span_starts",
         "spans_entered",
-        "sees_stop",
     )
 
     def __init__(self, leg, cursor, masks: list) -> None:
@@ -181,18 +178,17 @@ class _DrivingWalk:
         self.ntests = len(masks)
         self.taken = 0
         self.survivors_taken = 0
-        self.sees_stop = False
         if isinstance(cursor, IndexScanCursor):
             ent_rids = cursor.index._ent_rids
-            self.spans, self.sees_stop = cursor.remaining_spans()
+            self.spans = cursor.remaining_spans()
             pieces = []
             self.span_starts = []
             walked = 0
-            for _, lo, cut, _ in self.spans:
+            for _, lo, hi in self.spans:
                 self.span_starts.append(walked)
-                if cut > lo:
-                    pieces.append(ent_rids[lo:cut])
-                    walked += cut - lo
+                if hi > lo:
+                    pieces.append(ent_rids[lo:hi])
+                    walked += hi - lo
             # The range the cursor is already reading owes no descend.
             self.spans_entered = (
                 1 if self.spans and self.spans[0][0] == cursor._range_no else 0
@@ -280,8 +276,8 @@ class _DrivingWalk:
         meter.index_descends += entered - self.spans_entered
         self.spans_entered = entered
         # The last span entered is the one holding entry ``end - 1``.
-        range_no, lo, _, hi = self.spans[entered - 1]
-        self.cursor.skip_to(range_no, lo + end - starts[entered - 1], hi, walked)
+        range_no, lo, hi = self.spans[entered - 1]
+        self.cursor.skip_to(range_no, lo + end - starts[entered - 1], hi)
 
 
 def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
@@ -344,8 +340,6 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
             return None, f"leg {alias!r}: non-vectorizable local predicates"
         if leg.positional is not None:
             kernel = _positional_kernel(kernel, leg.positional, len(leg.table))
-            if kernel is None:
-                return None, f"leg {alias!r}: frozen in a non-columnar scan order"
         source = executor.legs[config.key_alias].table.column_store(
             config.key_slot
         )
@@ -359,7 +353,7 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
 
 
 def _positional_kernel(base, positional, table_len: int):
-    """*base* restricted to the rows after a frozen scan position, or None.
+    """*base* restricted to the rows after a frozen scan position.
 
     The frozen position is an offset into the leg's old scan order, so the
     positional predicate is a boolean mask over ``base.pass_rids``: in RID
@@ -367,14 +361,14 @@ def _positional_kernel(base, positional, table_len: int):
     ``bisect_right(entries, (v, r))`` of the scan-order index, whatever the
     key type. Rows with a NULL scan key are in no entry and stay masked
     out — they never reach the positional test anyway, the pushed local
-    predicate rejects them first (``RuntimeLeg._passes_residuals``).
+    predicate rejects them first (``RuntimeLeg._passes_residuals``). The
+    scan-order index is columnar: the leg drove this cascade through it
+    (:func:`_driving_walk` gates any other).
     """
     index = positional.order.index
     if index is None:
         keep = base.pass_rids > positional.after[0]
     else:
-        if not isinstance(index, ColumnarIndex):
-            return None
         index._sidecar()
         after = _np.zeros(table_len, dtype=bool)
         offset = bisect_right(index._entries, positional.after)
@@ -504,8 +498,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
       monitor for exactly the rows ``RuntimeLeg.driving_rows`` would have
       pulled to produce them and repositions the cursor, so freeze/resume
       positions are identical — including the trailing non-survivor scan
-      landing *after* the final boundary's checks, and the row-at-a-time
-      cursor's touch of the next partition's first entry;
+      landing *after* the final boundary's checks;
     * each inner leg's meter charges and window fold are the kernel-sum
       twins of ``probe_batch_fast``'s lean aggregates (:func:`_expand`; all
       cost constants exact binary fractions, so the float work sums are
@@ -551,10 +544,6 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
             # after the last boundary's checks, as the reference loop's
             # final next() does.
             walk.finish()
-            if walk.sees_stop:
-                # The row-at-a-time cursor learns its partition is done by
-                # touching the next partition's first entry.
-                meter.index_entries += 1
             executor.depleted_from = 0
             executor._flush_chunk_folds()
             return True

@@ -81,12 +81,7 @@ def _order(order: tuple[str, ...] | list[str]) -> str:
 def _matching_decision(
     record: FlightRecord, event: dict[str, Any]
 ) -> DecisionRecord | None:
-    """The applied check that produced *event* (matched on kind + orders).
-
-    Decisions from forked parallel workers are not captured (they die
-    with the worker process), so driving/inner events with ``worker >=
-    0`` may have no matching decision; the report says so explicitly.
-    """
+    """The applied check that produced *event* (matched on kind + orders)."""
     kind = event.get("kind")
     check = "driving" if kind == "driving-switch" else "inner"
     for decision in record.decisions:
@@ -147,8 +142,7 @@ def _render_decision_why(decision: DecisionRecord, indent: str) -> list[str]:
         f"{indent}est. cost {_fmt(decision.estimated_current_cost)} -> "
         f"{_fmt(decision.estimated_new_cost)} "
         f"(benefit {_fmt(decision.estimated_benefit)}); "
-        f"granularity={decision.monitor_granularity} "
-        f"worker={decision.worker}"
+        f"granularity={decision.monitor_granularity}"
     )
     return lines
 
@@ -163,18 +157,12 @@ def render_replay(record: FlightRecord) -> str:
         f"  sql:      {record.sql}",
         f"  template: {record.template}",
         f"  mode={record.mode} batched={record.batched} "
-        f"granularity={record.monitor_granularity} workers={record.workers} "
+        f"granularity={record.monitor_granularity} "
         f"engine={record.engine} plan_cache={record.plan_cache or '-'}",
         f"  outcome={record.outcome} rows={record.rows} "
         f"work={_fmt(record.work_units)} wall={_fmt(record.wall_ms)}ms"
         + (f" (SLOW)" if record.slow else ""),
     ]
-    if record.worker_engines:
-        from repro.obs.explain import _compress_engines
-
-        lines.append(
-            f"  partition engines: {_compress_engines(record.worker_engines)}"
-        )
     if record.vector_gate:
         lines.append(f"  vector cascade gated: {record.vector_gate}")
     if record.plan_feedback:
@@ -222,11 +210,9 @@ def render_replay(record: FlightRecord) -> str:
         for index, event in enumerate(record.events, 1):
             kind = event.get("kind", "?")
             rows = event.get("driving_rows", "?")
-            worker = event.get("worker", -1)
-            where = f" worker={worker}" if worker is not None and worker >= 0 else ""
             lines.append(
                 f"  [{index}] {kind} at driving row {rows}"
-                f" (position {event.get('position', 0)}){where}:"
+                f" (position {event.get('position', 0)}):"
             )
             lines.append(
                 f"      {_order(event.get('old_order', []))}"
@@ -240,11 +226,6 @@ def render_replay(record: FlightRecord) -> str:
                 lines.append(
                     f"      why: adaptive layer sandboxed off "
                     f"({event.get('reason', 'unknown failure')})"
-                )
-            elif worker is not None and worker >= 0:
-                lines.append(
-                    "      why: decided inside forked worker "
-                    f"{worker} (per-decision audit not captured across fork)"
                 )
             else:
                 lines.append("      why: no matching decision captured")

@@ -47,19 +47,6 @@ def _fmt_sel(value: Any) -> str:
     return f"{value:.2e}"
 
 
-def _compress_engines(engines) -> str:
-    """Run-length summary of per-partition engines: ``vector x8, fast``."""
-    parts: list[str] = []
-    for engine in engines:
-        if parts and parts[-1][0] == engine:
-            parts[-1][1] += 1
-        else:
-            parts.append([engine, 1])
-    return ", ".join(
-        name if count == 1 else f"{name} x{count}" for name, count in parts
-    )
-
-
 def _counter_value(result: "QueryResult", name: str, label: str) -> int | None:
     if result.metrics is None:
         return None
@@ -139,8 +126,6 @@ def render_explain_analyze(
         f"{stats.wall_seconds * 1000:.1f} ms"
     )
     engine_line = f"engine: {stats.engine}"
-    if stats.worker_engines:
-        engine_line += f" [{_compress_engines(stats.worker_engines)}]"
     if stats.vector_gate is not None:
         engine_line += f" (vector cascade gated: {stats.vector_gate})"
     lines.append(engine_line)

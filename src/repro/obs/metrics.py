@@ -350,8 +350,7 @@ def record_storage_gauges(
     ).set(float(storage.get("total_bytes", 0)))
     registry.gauge(
         "storage_kernel_plan_bytes",
-        "materialized kernel-plan bytes across all tables (COW-shared by "
-        "parallel workers)",
+        "materialized kernel-plan bytes across all tables",
     ).set(float(storage.get("kernel_plan_bytes", 0)))
     registry.gauge(
         "storage_table_count", "number of tables in the catalog"

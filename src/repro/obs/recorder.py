@@ -122,7 +122,6 @@ class DecisionRecord:
     estimated_new_cost: float | None = None
     window: dict[str, dict[str, Any]] = field(default_factory=dict)
     monitor_granularity: str = "exact"
-    worker: int = -1
 
     @property
     def estimated_benefit(self) -> float | None:
@@ -151,7 +150,6 @@ class DecisionRecord:
             "estimated_benefit": _finite(self.estimated_benefit),
             "window": _clean(self.window),
             "monitor_granularity": self.monitor_granularity,
-            "worker": self.worker,
         }
 
     @classmethod
@@ -182,7 +180,6 @@ class DecisionRecord:
             estimated_new_cost=data.get("estimated_new_cost"),
             window=data.get("window", {}),
             monitor_granularity=data.get("monitor_granularity", "exact"),
-            worker=data.get("worker", -1),
         )
 
 
@@ -326,13 +323,9 @@ class FlightRecord:
     final_order: tuple[str, ...] = ()
     monitor_granularity: str = "exact"
     batched: bool = False
-    workers: int = 1
-    # Which execution engine ran the pipeline (ExecutionStats.engine).
+    # Which execution engine ran the pipeline, and why a batched run did
+    # not run the cascade (ExecutionStats.engine / vector_gate).
     engine: str = "unknown"
-    # Parallel runs: per-partition engines in dispatch order, plus the
-    # serial continuation's engine when one ran, and the first in-worker
-    # cascade gate reason (ExecutionStats.worker_engines / vector_gate).
-    worker_engines: list[str] = field(default_factory=list)
     vector_gate: str | None = None
     # How the plan was obtained (ExecutionStats.plan_cache): hit / miss /
     # wait / off; None for a plan passed in, or a query that never ran.
@@ -372,9 +365,7 @@ class FlightRecord:
             "final_order": list(self.final_order),
             "monitor_granularity": self.monitor_granularity,
             "batched": self.batched,
-            "workers": self.workers,
             "engine": self.engine,
-            "worker_engines": list(self.worker_engines),
             "vector_gate": self.vector_gate,
             "plan_cache": self.plan_cache,
             "plan_feedback": self.plan_feedback,
@@ -405,9 +396,7 @@ class FlightRecord:
             final_order=tuple(data.get("final_order", ())),
             monitor_granularity=data.get("monitor_granularity", "exact"),
             batched=data.get("batched", False),
-            workers=data.get("workers", 1),
             engine=data.get("engine", "unknown"),
-            worker_engines=list(data.get("worker_engines", ())),
             vector_gate=data.get("vector_gate"),
             plan_cache=data.get("plan_cache"),
             plan_feedback=data.get("plan_feedback"),
@@ -477,7 +466,6 @@ def event_to_dict(event: AdaptationEvent) -> dict[str, Any]:
         "estimated_benefit": _finite(event.estimated_benefit),
         "position": event.position,
         "reason": event.reason,
-        "worker": event.worker,
     }
 
 
@@ -491,7 +479,6 @@ def event_from_dict(data: dict[str, Any]) -> AdaptationEvent:
         estimated_new_cost=data.get("estimated_new_cost") or 0.0,
         position=data.get("position", 0),
         reason=data.get("reason", ""),
-        worker=data.get("worker", -1),
     )
 
 
@@ -780,13 +767,7 @@ class FlightRecorder:
             final_order=result.final_order if result is not None else (),
             monitor_granularity=config.monitor_granularity,
             batched=config.batched,
-            workers=result.stats.workers if result is not None else 1,
             engine=result.stats.engine if result is not None else "unknown",
-            worker_engines=(
-                list(result.stats.worker_engines)
-                if result is not None
-                else []
-            ),
             vector_gate=(
                 result.stats.vector_gate if result is not None else None
             ),

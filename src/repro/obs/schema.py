@@ -65,9 +65,7 @@ FLIGHT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "final_order": ((list,), True, False),
     "monitor_granularity": ((str,), False, False),
     "batched": ((bool,), False, False),
-    "workers": ((int,), False, False),
     "engine": ((str,), False, False),
-    "worker_engines": ((list,), False, False),
     "vector_gate": ((str,), False, True),
     "plan_cache": ((str,), False, True),
     "plan_feedback": ((dict,), False, True),
@@ -102,7 +100,6 @@ DECISION_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "estimated_benefit": (_NUMBER, False, True),
     "window": ((dict,), False, False),
     "monitor_granularity": ((str,), False, False),
-    "worker": ((int,), False, False),
 }
 
 EVENT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
@@ -115,7 +112,6 @@ EVENT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "estimated_benefit": (_NUMBER, False, True),
     "position": ((int,), False, False),
     "reason": ((str,), False, False),
-    "worker": ((int,), False, False),
 }
 
 

@@ -155,14 +155,6 @@ class PipelinePlan:
             memo = self.__dict__["_probe_programs"] = (bindings, {})
         return memo[1]
 
-    def __getstate__(self) -> dict:
-        # Bindings hold compiled closures and a catalog; parallel workers
-        # are sent the plan itself and bind it against their own catalog.
-        state = dict(self.__dict__)
-        state.pop("_bindings", None)
-        state.pop("_probe_programs", None)
-        return state
-
     def with_order(self, order: Sequence[str]) -> "PipelinePlan":
         """The same plan with a different leg order (used for what-ifs)."""
         return replace(self, order=tuple(order))

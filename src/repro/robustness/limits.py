@@ -41,8 +41,7 @@ class CancellationToken:
 
     A client (timeout thread, signal handler, admission controller, server
     connection handler) calls :meth:`cancel`; the executor observes it at
-    the next safe point — or, for partitioned parallel execution, the
-    coordinator observes it at the next wave barrier.
+    the next safe point.
 
     Guarantees:
 

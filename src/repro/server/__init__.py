@@ -1,7 +1,7 @@
 """Concurrent query serving for the adaptive join engine.
 
 The package lifts PR 1-4's *per-query* robustness (budgets, cancellation,
-sandboxed degradation, batched/parallel execution) to *system-level* QoS:
+sandboxed degradation, batched execution) to *system-level* QoS:
 an asyncio multi-client server speaking newline-delimited JSON, with
 
 * bounded admission control — explicit ``REJECTED_OVERLOAD`` instead of
@@ -12,8 +12,8 @@ an asyncio multi-client server speaking newline-delimited JSON, with
 * server-enforced :class:`~repro.robustness.limits.ExecutionLimits` wired
   to a :class:`~repro.robustness.limits.CancellationToken` per request, so
   client disconnects cancel in-flight queries,
-* graceful degradation under pressure — shed to serial, then to the
-  static plan, before rejecting — and drain-then-exit on SIGTERM,
+* graceful degradation under pressure — shed to the static plan before
+  rejecting — and drain-then-exit on SIGTERM,
 * plans served from the database's own plan cache — single-flight, so a
   stampede on one statement plans it once
   (:mod:`repro.optimizer.plancache`; the server keeps no plan state), and

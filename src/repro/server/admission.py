@@ -10,10 +10,9 @@ The server never buffers without bound. A query is either
 
 Between "fully admitted" and "rejected" sits the **degradation ladder**
 (Sec "graceful degradation" of the serving design): as queue pressure
-rises the server first strips intra-query parallelism (``serial``), then
-strips the adaptive layer entirely and runs the static plan
-(``static``) — both are strictly-less-work execution modes with identical
-results — and only rejects once the bounded queue is actually full.
+rises the server strips the adaptive layer and runs the static plan
+(``static``) — less work per query, identical results — and only rejects
+once the bounded queue is actually full.
 
 State machine per query::
 
@@ -33,7 +32,7 @@ State machine per query::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.optimizer.plancache import DEFAULT_CAPACITY
@@ -41,15 +40,12 @@ from repro.robustness.limits import CancellationToken, ExecutionLimits
 from repro.server.protocol import ErrorCode, QueryRequest
 from repro.server.session import Session
 
-#: Degradation ladder levels, mildest first. On the columnar backend the
-#: rungs map onto the vectorized engines: ``none`` runs the parallel
-#: vectorized cascades (per-worker adaptive chunks), ``serial`` the
-#: single-process adaptive cascade, and ``static`` the non-adaptive
-#: whole-query cascade — each rung sheds coordination cost, never the
-#: kernel execution itself.
-SHED_NONE = "none"      # requested config, parallelism allowed
-SHED_SERIAL = "serial"  # strip intra-query parallelism
-SHED_STATIC = "static"  # strip the adaptive layer: static plan, serial
+#: Degradation ladder levels, mildest first. On the columnar backend both
+#: run the vectorized cascade: ``none`` the adaptive one in chunks,
+#: ``static`` the non-adaptive whole-query one — the rung sheds the checks,
+#: never the kernel execution itself.
+SHED_NONE = "none"      # requested config
+SHED_STATIC = "static"  # strip the adaptive layer: static plan
 
 
 @dataclass(frozen=True)
@@ -76,13 +72,8 @@ class ServerConfig:
     # Token bucket per session; rate <= 0 disables rate limiting.
     rate_limit_qps: float = 0.0
     rate_limit_burst: float = 8.0
-    # Degradation ladder thresholds as fractions of max_queue_depth.
-    shed_serial_at: float = 0.25
+    # Degradation ladder threshold as a fraction of max_queue_depth.
     shed_static_at: float = 0.50
-    # Intra-query parallelism granted to fully-admitted queries (1 = off).
-    # Parallel-granted queries trade their row/work caps for barrier-
-    # enforced deadline+cancellation (see executor/parallel.py).
-    engine_workers: int = 1
     # Batched executor settings for served queries (0 batch = scalar path).
     engine_batch_size: int = 256
     # Capacity (statements; 0 disables) of the plan cache of the Database
@@ -111,18 +102,12 @@ class ServerConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.max_queue_per_session < 1:
             raise ValueError("max_queue_per_session must be >= 1")
-        if not 0.0 <= self.shed_serial_at <= 1.0:
-            raise ValueError("shed_serial_at must be in [0, 1]")
-        if not self.shed_serial_at <= self.shed_static_at <= 1.0:
-            raise ValueError(
-                "shed thresholds must satisfy serial <= static <= 1"
-            )
+        if not 0.0 <= self.shed_static_at <= 1.0:
+            raise ValueError("shed_static_at must be in [0, 1]")
         if self.default_timeout_ms > self.max_timeout_ms:
             raise ValueError("default_timeout_ms must be <= max_timeout_ms")
         if self.default_max_rows > self.max_max_rows:
             raise ValueError("default_max_rows must be <= max_max_rows")
-        if self.engine_workers < 1:
-            raise ValueError("engine_workers must be >= 1")
         if self.plan_cache_size < 0:
             raise ValueError("plan_cache_size must be >= 0 (0 disables)")
         if self.telemetry_ring < 1:
@@ -162,9 +147,7 @@ class AdmissionController:
     rejected_overload_total: int = 0
     rejected_rate_limit_total: int = 0
     rejected_draining_total: int = 0
-    shed_totals: dict = field(
-        default_factory=lambda: {SHED_SERIAL: 0, SHED_STATIC: 0}
-    )
+    shed_static_total: int = 0
 
     def submit(self, session: Session) -> AdmissionDecision:
         """Decide admission for one more query from *session*."""
@@ -218,8 +201,6 @@ class AdmissionController:
         pressure = self.queued / self.config.max_queue_depth
         if pressure >= self.config.shed_static_at:
             return SHED_STATIC
-        if pressure >= self.config.shed_serial_at:
-            return SHED_SERIAL
         return SHED_NONE
 
     def apply_shed(
@@ -227,25 +208,18 @@ class AdmissionController:
     ) -> AdaptiveConfig:
         """The :class:`AdaptiveConfig` actually executed for *request*.
 
-        ``none``   → requested mode, parallel workers as granted;
-        ``serial`` → requested mode, workers forced to 1;
-        ``static`` → mode NONE (static plan, no monitors), workers 1.
-        Sheds are recorded in :attr:`shed_totals`.
+        ``none``   → requested mode;
+        ``static`` → mode NONE (static plan, no monitors), counted in
+        :attr:`shed_static_total`.
         """
         config = self.config
+        mode = request.mode
         if shed == SHED_STATIC:
-            self.shed_totals[SHED_STATIC] += 1
-            mode, workers = ReorderMode.NONE, 1
-        elif shed == SHED_SERIAL:
-            self.shed_totals[SHED_SERIAL] += 1
-            mode, workers = request.mode, 1
-        else:
-            granted = min(request.workers or 1, config.engine_workers)
-            mode, workers = request.mode, max(granted, 1)
+            self.shed_static_total += 1
+            mode = ReorderMode.NONE
         batched = config.engine_batch_size > 0
         return AdaptiveConfig(
             mode=mode,
-            workers=workers,
             batched=batched,
             batch_size=config.engine_batch_size if batched else 256,
         )
@@ -253,18 +227,14 @@ class AdmissionController:
     def build_limits(
         self,
         request: QueryRequest,
-        applied: AdaptiveConfig,
         token: CancellationToken | None = None,
     ) -> tuple[ExecutionLimits, CancellationToken]:
         """Server-clamped budgets for one request.
 
         Client-requested budgets are clamped to the server maxima; absent
-        budgets get the server defaults. Parallel-granted executions drop
-        the row/work caps (enforced per-process only) and keep the
-        deadline + cancellation pair, which the parallel coordinator
-        enforces at wave barriers. *token* is the query's cancellation
-        token — created at admission time so a disconnect can cancel the
-        query while it is still queued.
+        budgets get the server defaults. *token* is the query's
+        cancellation token — created at admission time so a disconnect can
+        cancel the query while it is still queued.
         """
         config = self.config
         if token is None:
@@ -273,19 +243,13 @@ class AdmissionController:
             request.timeout_ms or config.default_timeout_ms,
             config.max_timeout_ms,
         )
-        if applied.workers > 1:
-            max_rows = None
-            max_work = None
-        else:
-            max_rows = min(
-                request.max_rows or config.default_max_rows,
-                config.max_max_rows,
-            )
-            max_work = config.max_work_units
         return (
             ExecutionLimits(
-                max_rows=max_rows,
-                max_work_units=max_work,
+                max_rows=min(
+                    request.max_rows or config.default_max_rows,
+                    config.max_max_rows,
+                ),
+                max_work_units=config.max_work_units,
                 timeout_seconds=timeout_ms / 1000.0,
                 cancellation=token,
             ),

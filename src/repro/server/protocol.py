@@ -7,7 +7,7 @@ so clients may pipeline requests and match answers out of band.
 Requests::
 
     {"op": "query", "id": 7, "sql": "SELECT ...", "mode": "both",
-     "timeout_ms": 2000, "max_rows": 1000, "workers": 1}
+     "timeout_ms": 2000, "max_rows": 1000}
     {"op": "stats"}
     {"op": "telemetry", "limit": 20}            # recent/slow flight records
     {"op": "telemetry", "format": "prometheus"}  # metrics exposition text
@@ -132,7 +132,6 @@ class QueryRequest:
     mode: ReorderMode = ReorderMode.BOTH
     timeout_ms: float | None = None
     max_rows: int | None = None
-    workers: int | None = None
 
 
 def _positive_number(msg: dict, key: str) -> float | None:
@@ -186,19 +185,12 @@ def parse_query_request(msg: dict) -> QueryRequest:
             raise ProtocolError(f"max_rows must be an int, got {max_rows!r}")
         if max_rows < 1:
             raise ProtocolError(f"max_rows must be >= 1, got {max_rows!r}")
-    workers = msg.get("workers")
-    if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise ProtocolError(f"workers must be an int, got {workers!r}")
-        if workers < 1:
-            raise ProtocolError(f"workers must be >= 1, got {workers!r}")
     return QueryRequest(
         sql=sql,
         request_id=msg.get("id"),
         mode=ReorderMode(mode_value),
         timeout_ms=timeout_ms,
         max_rows=max_rows,
-        workers=workers,
     )
 
 

@@ -33,7 +33,7 @@ Topology::
   :class:`~repro.robustness.limits.ExecutionLimits` whose cancellation
   token reads a byte the event loop can set: a client disconnect (or the
   drain) cancels in-flight queries cooperatively at the next pipeline
-  safe point or parallel wave barrier.
+  safe point (the cascade: the next chunk boundary).
 * **SIGTERM/SIGINT** start a drain: the listener closes, new queries get
   ``SHUTTING_DOWN``, in-flight queries finish (bounded by a grace
   period, then cancelled), the engines exit on the EOF of their channels
@@ -73,8 +73,6 @@ from repro.robustness.limits import (
 )
 from repro.server.admission import (
     AdmissionController,
-    SHED_SERIAL,
-    SHED_STATIC,
     ServerConfig,
 )
 from repro.server.protocol import (
@@ -122,10 +120,9 @@ class EngineResult:
     wall_ms: float
     switches: int
     degraded: bool
-    workers: int
     plan_cache: str  # hit / miss / wait / off
     # Which execution engine ran (ExecutionStats.engine) — lets load
-    # clients assert parallel-vector engagement from the stats op.
+    # clients assert the vectorized cascade served them from the stats op.
     engine: str = "scalar"
     # ExecutionStats.plan_feedback as the wire carries it: None, or
     # {"order": [...], "writes": n} when the run started from what an
@@ -186,13 +183,9 @@ class DatabaseEngine:
         each building a private copy: appended rows folded into every
         index, every columnar table's numpy column arrays, every columnar
         index's sidecar. Cheap when nothing moved since the last call.
-        The database's own fork pool is closed first: its handler threads
-        do not survive a fork, and an engine granted ``workers > 1`` forks
-        its pool from its own process, as a library caller would.
         """
         from repro.storage.columnar import ColumnarIndex, ColumnarTable
 
-        self.db.close()
         catalog = self.db.catalog
         self._columnar_indexes = []
         for name in catalog.table_names():
@@ -252,7 +245,6 @@ class DatabaseEngine:
             wall_ms=result.stats.wall_seconds * 1000.0,
             switches=result.stats.total_switches,
             degraded=result.stats.degraded,
-            workers=result.stats.workers,
             plan_cache=result.stats.plan_cache,
             engine=result.stats.engine,
             plan_feedback=record.plan_feedback,
@@ -324,7 +316,6 @@ def answer(
             "switches": result.switches,
             "degraded": result.degraded,
             "mode": config.mode.value,
-            "workers": result.workers,
             "shed": context["shed"],
             "plan_cache": result.plan_cache,
             "engine": result.engine,
@@ -871,7 +862,7 @@ class QueryServer:
         token = pending.token
         shed = self.admission.shed_level()
         applied = self.admission.apply_shed(request, shed)
-        limits, _ = self.admission.build_limits(request, applied, token=token)
+        limits, _ = self.admission.build_limits(request, token=token)
         process = await self._live_engine(index)
         queued_ms = (time.perf_counter() - pending.enqueued_at) * 1000.0
         # Everything the engine needs to run the query and to finish the
@@ -1088,8 +1079,7 @@ class QueryServer:
                 "rejected_overload_total": admission.rejected_overload_total,
                 "rejected_rate_limit_total": admission.rejected_rate_limit_total,
                 "rejected_draining_total": admission.rejected_draining_total,
-                "shed_serial_total": admission.shed_totals[SHED_SERIAL],
-                "shed_static_total": admission.shed_totals[SHED_STATIC],
+                "shed_static_total": admission.shed_static_total,
             },
             "latency_ms": {
                 "count": latency.count(),

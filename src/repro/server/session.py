@@ -109,8 +109,7 @@ class Session:
 
         Returns the number of queued (not yet executing) queries dropped.
         Cancellation of executing queries is cooperative: each token is
-        observed by its engine process at the next safe point / wave
-        barrier.
+        observed by its engine process at the next safe point.
         """
         self.closed = True
         self.send = None

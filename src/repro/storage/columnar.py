@@ -1020,13 +1020,12 @@ class ColumnarIndex(SortedIndex):
     def kernel_footprint(self) -> int:
         """Approximate resident bytes of the cascade sidecar + kernel plan.
 
-        This is the copy-on-write state parallel workers inherit at fork
-        (after the pre-fork warm-up): the numpy entry-RID / distinct-key
-        sidecars, every memoized group kernel and every row-rank array of
-        the current generation. Positional kernels derived from these for
-        one query (:meth:`_Kernel.restricted`) are not counted: nothing
-        here retains them. Reports 0 while the sidecar is unbuilt or stale — a stats
-        read must never force a lazy build.
+        The numpy entry-RID / distinct-key sidecars, every memoized group
+        kernel and every row-rank array of the current generation.
+        Positional kernels derived from these for one query
+        (:meth:`_Kernel.restricted`) are not counted: nothing here retains
+        them. Reports 0 while the sidecar is unbuilt or stale — a stats read
+        must never force a lazy build.
         """
         if self._gen is None or self._gen != self._generation():
             return 0

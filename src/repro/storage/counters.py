@@ -142,12 +142,8 @@ class WorkMeter:
         self.hash_matches = 0
 
     def merge(self, other: "WorkMeter") -> None:
-        """Fold *other*'s charges into this meter in place.
-
-        Used by the parallel coordinator to aggregate per-worker meters:
-        work units are additive across partitions, so the merged meter is
-        the total physical work of the partitioned run.
-        """
+        """Fold *other*'s charges into this meter in place (work units are
+        additive: a thread's scoped meter folds into the base on exit)."""
         self.index_descends += other.index_descends
         self.index_entries += other.index_entries
         self.row_fetches += other.row_fetches
@@ -158,10 +154,6 @@ class WorkMeter:
         self.hash_build_entries += other.hash_build_entries
         self.hash_probes += other.hash_probes
         self.hash_matches += other.hash_matches
-
-    def __iadd__(self, other: "WorkMeter") -> "WorkMeter":
-        self.merge(other)
-        return self
 
     def __sub__(self, other: "WorkMeter") -> "WorkMeter":
         return WorkMeter(
@@ -190,9 +182,8 @@ class ThreadScopedMeter:
 
     * a thread inside a :meth:`scoped` block charges its private meter, so
       its query's delta is exact regardless of what other threads do;
-    * every other thread — including forked parallel worker processes,
-      whose fresh process starts with no binding — falls through to the
-      shared base meter, preserving single-threaded behaviour.
+    * every other thread falls through to the shared base meter,
+      preserving single-threaded behaviour.
 
     On scope exit the private meter folds into the base under a lock, so
     catalog-lifetime totals remain the sum of all work ever done.
@@ -254,7 +245,3 @@ class ThreadScopedMeter:
 
     def __sub__(self, other: WorkMeter) -> WorkMeter:
         return self._current() - other
-
-    def __iadd__(self, other: WorkMeter) -> "ThreadScopedMeter":
-        self._current().merge(other)
-        return self

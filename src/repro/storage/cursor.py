@@ -18,7 +18,6 @@ join-column index once it becomes an inner leg).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -60,22 +59,6 @@ class KeyRange:
         return (1, self.low)
 
 
-@dataclass(frozen=True, slots=True)
-class ScanPartition:
-    """One contiguous slice of a driving scan's stable total order.
-
-    ``start_after``/``stop_at`` are positions in the scan order (RID order
-    for table scans, (key, RID) order for index scans); ``None`` means
-    unbounded on that side. ``entry_count`` is the number of qualifying
-    entries strictly inside the bounds, pre-computed by the partitioner so
-    bounded cursors can report partition-relative remaining fractions.
-    """
-
-    start_after: Position | None
-    stop_at: Position | None
-    entry_count: int | None = None
-
-
 def normalize_ranges(ranges: list[KeyRange]) -> list[KeyRange]:
     """Sort ranges by low bound; callers must supply disjoint ranges.
 
@@ -115,15 +98,7 @@ class ScanOrder:
 
 
 class TableScanCursor:
-    """Full-table scan in RID order, resumable after any RID.
-
-    A cursor may be bounded to a *partition* of the scan order: entries at
-    positions ``<= start_after`` were consumed elsewhere and entries at
-    positions ``>= stop_at`` belong to a later partition. Bounded cursors
-    carry ``partition_entry_count`` (the number of entries inside the
-    bounds, computed by the partitioner) so remaining-work estimates can be
-    made relative to the partition instead of the whole table.
-    """
+    """Full-table scan in RID order; freeze it by not pulling, resume by pulling."""
 
     __slots__ = (
         "table",
@@ -131,26 +106,14 @@ class TableScanCursor:
         "_next_rid",
         "last_position",
         "exhausted",
-        "stop_at",
-        "partition_entry_count",
-        "entries_yielded",
     )
 
-    def __init__(
-        self,
-        table: HeapTable,
-        start_after: Position | None = None,
-        stop_at: Position | None = None,
-        partition_entry_count: int | None = None,
-    ) -> None:
+    def __init__(self, table: HeapTable) -> None:
         self.table = table
         self.order = ScanOrder(table)
-        self._next_rid = 0 if start_after is None else start_after[0] + 1
-        self.last_position: Position | None = start_after
+        self._next_rid = 0
+        self.last_position: Position | None = None
         self.exhausted = False
-        self.stop_at = stop_at
-        self.partition_entry_count = partition_entry_count
-        self.entries_yielded = 0
 
     def __iter__(self) -> Iterator[tuple[int, Row]]:
         return self
@@ -161,24 +124,18 @@ class TableScanCursor:
             # Before any cursor state changes: a transient fault here is
             # retryable by simply calling __next__ again.
             faults.fire("cursor-advance")
-        if self._next_rid >= len(self.table) or (
-            self.stop_at is not None and self._next_rid >= self.stop_at[0]
-        ):
+        if self._next_rid >= len(self.table):
             self.exhausted = True
             raise StopIteration
         rid = self._next_rid
         self._next_rid += 1
         row = self.table.fetch(rid)
         self.last_position = (rid,)
-        self.entries_yielded += 1
         return rid, row
 
     def remaining_rids(self) -> range:
         """The RIDs this cursor has yet to visit (uncharged lookahead)."""
-        end = len(self.table)
-        if self.stop_at is not None:
-            end = min(end, self.stop_at[0])
-        return range(self._next_rid, max(end, self._next_rid))
+        return range(self._next_rid, len(self.table))
 
     def skip(self, count: int) -> None:
         """Account the next *count* (>= 1) rows as visited by a bulk reader.
@@ -189,7 +146,6 @@ class TableScanCursor:
         """
         self._next_rid += count
         self.last_position = (self._next_rid - 1,)
-        self.entries_yielded += count
 
 
 class IndexScanCursor:
@@ -203,16 +159,12 @@ class IndexScanCursor:
         "index",
         "order",
         "ranges",
-        "_start_after",
         "last_position",
         "exhausted",
         "_range_no",
         "_pos",
         "_hi",
         "_pending",
-        "stop_at",
-        "partition_entry_count",
-        "entries_yielded",
         "_whole_spans",
         "_spans_built_upto",
     )
@@ -221,15 +173,11 @@ class IndexScanCursor:
         self,
         index: SortedIndex,
         ranges: list[KeyRange] | None = None,
-        start_after: Position | None = None,
-        stop_at: Position | None = None,
-        partition_entry_count: int | None = None,
     ) -> None:
         self.index = index
         self.order = ScanOrder(index.table, index)
         self.ranges = normalize_ranges(ranges) if ranges else [KeyRange()]
-        self._start_after = start_after
-        self.last_position: Position | None = start_after
+        self.last_position: Position | None = None
         self.exhausted = False
         # The walk's whole state: the range being read (an index into
         # ``ranges``; -1 before the first) and the entry-list positions
@@ -240,9 +188,6 @@ class IndexScanCursor:
         self._pos = 0
         self._hi = 0
         self._pending: tuple[Any, int] | None = None
-        self.stop_at = stop_at
-        self.partition_entry_count = partition_entry_count
-        self.entries_yielded = 0
         # Entry-list bounds of each whole key range: index metadata, found
         # when the walk first enters a range (or is asked) and kept while
         # the index build stands.
@@ -277,38 +222,11 @@ class IndexScanCursor:
         """Entry-list offset the walk stands at (uncharged).
 
         Every range entry before it has been yielded, every one from it on
-        is still to come. Before the first advance that is just past the
-        position the cursor was started after; later it is the walk's own
+        is still to come: 0 before the first advance, later the walk's own
         position (less a peeked entry) — possibly past a gap between two
         ranges, where no range entry lies.
         """
-        if self._range_no < 0:
-            after = self.last_position
-            if after is None:
-                return 0
-            return bisect_right(self.index._entries, after)
         return self._pos - (self._pending is not None)
-
-    def _span(self, range_no: int) -> tuple[int, int] | None:
-        """Entry-list span of ``ranges[range_no]`` after the start position.
-
-        ``None`` for a range that ends at or before the position the cursor
-        was started after: such a range is skipped without a descend.
-        """
-        key_range = self.ranges[range_no]
-        start = self._start_after
-        if start is not None:
-            high = key_range.high
-            if high is not None and (
-                high < start[0]
-                or (high == start[0] and not key_range.high_inclusive)
-            ):
-                return None
-        # SortedIndex.span_of, over bounds searched for once.
-        lo, hi = self._whole_span(range_no)
-        if start is not None:
-            lo = max(lo, bisect_right(self.index._entries, (start[0], start[1])))
-        return lo, hi
 
     def _next_entry(self) -> tuple[Any, int]:
         index = self.index
@@ -316,12 +234,10 @@ class IndexScanCursor:
             if self._range_no + 1 >= len(self.ranges):
                 raise StopIteration
             self._range_no += 1
-            span = self._span(self._range_no)
-            if span is not None:
-                # Entering a range costs one descend, even an empty one.
-                index._check_fresh()
-                index.meter.charge_index_descend()
-                self._pos, self._hi = span
+            # Entering a range costs one descend, even an empty one.
+            index._check_fresh()
+            index.meter.charge_index_descend()
+            self._pos, self._hi = self._whole_span(self._range_no)
         index.meter.charge_index_entries(1)
         entry = index._entries[self._pos]
         self._pos += 1
@@ -345,67 +261,44 @@ class IndexScanCursor:
             except StopIteration:
                 self.exhausted = True
                 raise
-        if self.stop_at is not None and (key, rid) >= self.stop_at:
-            # First entry of the next partition: this cursor's slice of the
-            # (key, RID) order is drained.
-            self.exhausted = True
-            raise StopIteration
         row = self.index.table.fetch(rid)
         self.last_position = (key, rid)
-        self.entries_yielded += 1
         return rid, row
 
-    def remaining_spans(self) -> tuple[list[tuple[int, int, int, int]], bool]:
+    def remaining_spans(self) -> list[tuple[int, int, int]]:
         """What is left of the walk, as entry-list spans (uncharged lookahead).
 
-        One ``(range_no, lo, cut, hi)`` per range the cursor will still
-        read from or enter, in walk order: the cursor yields the entries at
-        positions ``[lo, cut)`` of a range whose span is ``[lo, hi)``
-        (``cut < hi`` only where ``stop_at`` falls inside it). A first span
-        whose ``range_no`` is the range already being read owes no descend;
-        every other span costs one when entered, empty or not. The flag
-        says the walk ends by *seeing* an entry at or past ``stop_at`` —
-        one more entry touch, never fetched — after which no later range
-        is entered.
+        One ``(range_no, lo, hi)`` per range the cursor will still read from
+        or enter, in walk order: the cursor yields the entries at positions
+        ``[lo, hi)``. A first span whose ``range_no`` is the range already
+        being read owes no descend; every other span costs one when entered,
+        empty or not.
         """
-        stop_pos = (
-            bisect_left(self.index._entries, self.stop_at)
-            if self.stop_at is not None
-            else None
-        )
-        spans: list[tuple[int, int, int, int]] = []
+        spans: list[tuple[int, int, int]] = []
         for range_no in range(max(self._range_no, 0), len(self.ranges)):
             if range_no == self._range_no:
                 if self._pos >= self._hi:
                     continue  # read to its end already
                 lo, hi = self._pos, self._hi
             else:
-                span = self._span(range_no)
-                if span is None:
-                    continue
-                lo, hi = span[0], max(span)
-            if stop_pos is None:
-                spans.append((range_no, lo, hi, hi))
-                continue
-            spans.append((range_no, lo, min(hi, max(lo, stop_pos)), hi))
-            if lo < hi and stop_pos < hi:
-                return spans, True
-        return spans, False
+                lo, hi = self._whole_span(range_no)
+                hi = max(lo, hi)
+            spans.append((range_no, lo, hi))
+        return spans
 
-    def skip_to(self, range_no: int, pos: int, hi: int, count: int) -> None:
-        """Account *count* (>= 1) entries as visited by a bulk reader.
+    def skip_to(self, range_no: int, pos: int, hi: int) -> None:
+        """Account the entries up to *pos* as visited by a bulk reader.
 
         *pos* is the entry-list position after the last one read, inside
         range *range_no* whose span ends at *hi* (values taken from
         :meth:`remaining_spans`). The reader charges descends, entry touches
-        and fetches itself; afterwards the cursor is exactly where *count*
-        ``__next__`` calls would have left it.
+        and fetches itself; afterwards the cursor is exactly where the same
+        number of ``__next__`` calls would have left it.
         """
         self._range_no = range_no
         self._pos = pos
         self._hi = hi
         self.last_position = self.index._entries[pos - 1]
-        self.entries_yielded += count
 
     def scans_multiple_keys(self) -> bool:
         """True unless the scan covers a single key value.

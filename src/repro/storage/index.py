@@ -224,47 +224,11 @@ class SortedIndex:
         """
         self._check_fresh()
         self.meter.charge_index_descend()
-        lo, hi = self.span_of(low, high, low_inclusive, high_inclusive, start_after)
-        for position in range(lo, hi):
-            self.meter.charge_index_entries(1)
-            yield self._entries[position]
-
-    def span_of(
-        self,
-        low: Any = None,
-        high: Any = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-        start_after: Entry | None = None,
-    ) -> tuple[int, int]:
-        """Entry-list positions ``[lo, hi)`` of a key range (uncharged).
-
-        The positions :meth:`scan_range` walks for the same arguments; a
-        cursor that keeps them can be read in bulk and repositioned without
-        re-descending (see :class:`~repro.storage.cursor.IndexScanCursor`).
-        """
         lo, hi = self._range_bounds(low, high, low_inclusive, high_inclusive)
         if start_after is not None:
             lo = max(lo, bisect.bisect_right(self._entries, start_after))
-        return lo, hi
-
-    def peek_range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-        start_after: Entry | None = None,
-    ) -> Iterator[Entry]:
-        """Uncharged twin of :meth:`scan_range` (same bounds, same order).
-
-        The batched executor's driving-leg shadow reads ahead through this
-        to learn upcoming scan positions without disturbing work accounting;
-        the real (charging) cursor re-reads the same entries when the rows
-        are actually consumed.
-        """
-        lo, hi = self.span_of(low, high, low_inclusive, high_inclusive, start_after)
         for position in range(lo, hi):
+            self.meter.charge_index_entries(1)
             yield self._entries[position]
 
     def count_range(

@@ -1,7 +1,7 @@
 """Differential tests: the columnar backend is observably the row store.
 
 The storage backend is an implementation detail below the executor's
-semantics: for every reorder mode, batch setting and worker count, the
+semantics: for every reorder mode and batch setting, the
 columnar backend must produce
 
 * identical result rows **in identical order**,
@@ -46,8 +46,6 @@ CONFIGS = [
     ("batched", {"batched": True}),
     ("batched-64", {"batched": True, "batch_size": 64}),
     ("batched-7", {"batched": True, "batch_size": 7}),
-    ("workers-2", {"batched": True, "workers": 2}),
-    ("workers-4", {"batched": True, "workers": 4}),
 ]
 
 
@@ -60,8 +58,7 @@ def row_db():
     db, _ = load_dmv(
         scale=SCALE, extended=True, backend="row", plan_cache_size=0
     )
-    yield db
-    db.close()
+    return db
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +66,7 @@ def columnar_db():
     db, _ = load_dmv(
         scale=SCALE, extended=True, backend="columnar", plan_cache_size=0
     )
-    yield db
-    db.close()
+    return db
 
 
 @pytest.fixture(scope="module")
@@ -135,48 +131,14 @@ def test_adaptive_vector_engine_engages(columnar_db, workload):
         assert {stats.vector_gate for stats in results} == {None}
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_vector_engines_engage(columnar_db, workload, workers):
-    """Parallel columnar runs report the real per-worker engines: every
-    partition (and the serial continuation after a coordinator switch,
-    which the driving modes must reach somewhere on this workload) runs a
-    vectorized cascade — mode NONE the static cascade, monitored modes the
-    adaptive cascade."""
-    for mode, vector_engines in (
-        (ReorderMode.NONE, {"vector"}),
-        (ReorderMode.DRIVING_ONLY, {"vector-adaptive"}),
-        (ReorderMode.BOTH, {"vector-adaptive"}),
-    ):
-        config = AdaptiveConfig(
-            mode=mode,
-            batched=True,
-            workers=workers,
-        )
-        switches = 0
-        for sql in workload:
-            stats = columnar_db.execute(sql, config).stats
-            switches += _driving_switches(stats)
-            assert stats.engine == "parallel", (mode.name, sql[:60])
-            assert stats.workers == workers
-            assert stats.worker_engines, (mode.name, sql[:60])
-            engines = set(stats.worker_engines)
-            assert engines == vector_engines, (mode.name, engines)
-            assert stats.vector_gate is None, stats.vector_gate
-        if mode.reorders_driving:
-            assert switches >= 1, mode.name
-
-
-#: Four-table grid statements whose driving leg is switched by the executor
-#: itself at scale 0.04 — serially, and inside the serial continuation that
-#: follows a coordinator switch under workers (the six-table templates at
-#: ``SCALE`` only ever switch at the coordinator).
+#: Four-table grid statements whose driving leg is switched at scale 0.04.
 SWITCH_SCALE = 0.04
 SWITCHING_STATEMENTS = (192, 195, 306)
 
 
 @pytest.fixture(scope="module")
 def switching_dbs():
-    dbs = [
+    return [
         load_dmv(
             scale=SWITCH_SCALE,
             extended=True,
@@ -185,18 +147,14 @@ def switching_dbs():
         )[0]
         for backend in ("row", "columnar")
     ]
-    yield dbs
-    for db in dbs:
-        db.close()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize(
     "mode",
     [ReorderMode.DRIVING_ONLY, ReorderMode.BOTH],
     ids=lambda m: m.name.lower(),
 )
-def test_cascade_survives_driving_switches(switching_dbs, mode, workers):
+def test_cascade_survives_driving_switches(switching_dbs, mode):
     """A driving switch freezes the old driving leg behind a positional
     predicate and resumes or opens another cursor; the cascade must take
     both in its stride (positional kernel, new driving walk) and stay
@@ -205,10 +163,7 @@ def test_cascade_survives_driving_switches(switching_dbs, mode, workers):
 
     row_db, columnar_db = switching_dbs
     grid = [q.sql for q in four_table_workload(queries_per_template=10**9)]
-    overrides = {"workers": workers} if workers > 1 else {}
-    config = AdaptiveConfig(
-        mode=mode, batched=True, **overrides
-    )
+    config = AdaptiveConfig(mode=mode, batched=True)
     switches = 0
     for number in SWITCHING_STATEMENTS:
         sql = grid[number]
@@ -220,11 +175,9 @@ def test_cascade_survives_driving_switches(switching_dbs, mode, workers):
         ), sql
         assert col.stats.events == row.stats.events, sql
         switches += col.stats.driving_switches
-        engines = set(col.stats.worker_engines or (col.stats.engine,))
-        assert engines == {"vector-adaptive"}, (sql, engines)
+        assert col.stats.engine == "vector-adaptive", sql
         assert col.stats.vector_gate is None
-        row_engines = set(row.stats.worker_engines or (row.stats.engine,))
-        assert row_engines == {"fast"}, (sql, row_engines)
+        assert row.stats.engine == "fast", sql
     assert switches >= len(SWITCHING_STATEMENTS)  # not vacuous
     # Positional kernels are per query: the index memos only ever hold
     # kernels keyed by local predicates.
@@ -296,14 +249,10 @@ def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
     assert col.stats.work == row.stats.work
 
 
-def test_parallel_warmup_kernel_gauge(columnar_db, workload):
-    """The pre-fork warm-up leaves the kernel plan materialized on the
-    catalog, observable through the storage_stats gauge workers COW-share."""
-    config = AdaptiveConfig(
-        mode=ReorderMode.BOTH,
-        batched=True,
-        workers=2,
-    )
+def test_kernel_plan_gauge_sums_the_per_table_bytes(columnar_db, workload):
+    """A cascade run leaves its kernel plan materialized on the catalog,
+    observable through the storage_stats gauge."""
+    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
     columnar_db.execute(workload[-1], config)
     stats = columnar_db.storage_stats()
     assert stats["kernel_plan_bytes"] > 0
@@ -316,8 +265,8 @@ def _flight_record_dict(db, sql, config):
     """One query's flight record, normalized for cross-backend comparison.
 
     ``query_id``/``ts``/``wall_ms`` are run-local (counter, clock);
-    ``engine`` (and its companions ``worker_engines``/``vector_gate``,
-    which name the engine that ran and why a cascade did not) is the one
+    ``engine`` (and its companion ``vector_gate``, which names why a
+    cascade did not run) is the one
     *expected* cross-backend difference — the whole point of the
     differential is that a different engine produces the same record;
     the per-leg wall figures inside ``legs`` stay because the audit
@@ -330,8 +279,7 @@ def _flight_record_dict(db, sql, config):
     result = db.execute(sql, config, obs=bundle)
     record = recorder.finish_query(bundle, result, sql=sql, config=config)
     data = record.to_dict()
-    for key in ("query_id", "ts", "wall_ms", "engine", "worker_engines",
-                "vector_gate"):
+    for key in ("query_id", "ts", "wall_ms", "engine", "vector_gate"):
         data.pop(key, None)
     return data
 
@@ -341,14 +289,13 @@ def _flight_record_dict(db, sql, config):
     [ReorderMode.INNER_ONLY, ReorderMode.BOTH],
     ids=lambda m: m.name.lower(),
 )
-@pytest.mark.parametrize("workers", [1, 2])
 def test_flight_records_identical_across_engines(
-    row_db, columnar_db, workload, mode, workers
+    row_db, columnar_db, workload, mode
 ):
     """Flight records are engine-invariant: decision audit, per-leg window
     snapshots, events, and work totals all match between the row backend's
     reference loop and the columnar backend's vectorized adaptive cascade."""
-    config = AdaptiveConfig(mode=mode, batched=True, workers=workers)
+    config = AdaptiveConfig(mode=mode, batched=True)
     for sql in workload:
         row = _flight_record_dict(row_db, sql, config)
         col = _flight_record_dict(columnar_db, sql, config)

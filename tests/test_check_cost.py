@@ -11,7 +11,7 @@ between, and only then. This file pins both halves:
 * invalidation — the driving check models afresh after an applied inner
   reorder, after a ``dynamic_access_path`` spec refresh, after any monitor
   fold (the scalar oracle's checks at deeper positions, a produced driving
-  row) and at every parallel barrier;
+  row);
 * the decision audit records what it recorded before the snapshot was
   shared;
 * the starting order's probe program rides with the plan: a second
@@ -31,7 +31,6 @@ import numpy
 import pytest
 
 import repro.core.controller
-import repro.executor.parallel
 import repro.executor.vector
 from repro import AdaptiveConfig, HashProbePolicy, ReorderMode
 from repro.core.controller import AdaptationController
@@ -67,15 +66,13 @@ def columnar():
     db, _ = load_dmv(
         scale=SCALE, extended=True, backend="columnar", plan_cache_size=0
     )
-    yield db
-    db.close()
+    return db
 
 
 @pytest.fixture(scope="module")
 def row():
     db, _ = load_dmv(scale=SCALE, extended=True, plan_cache_size=0)
-    yield db
-    db.close()
+    return db
 
 
 class CheckLog:
@@ -395,53 +392,6 @@ def test_the_hand_off_names_its_boundary(row):
         executor.run_to_completion()
 
 
-def test_every_parallel_barrier_models_the_merge_afresh(columnar, monkeypatch):
-    """The coordinator decides on a host pipeline that carries the merged
-    worker windows: one new builder and provider per barrier, built after
-    the merge was injected."""
-    sequence: list[str] = []
-    providers = []
-    parallel = repro.executor.parallel
-    inject = parallel.inject_into_host
-    decide = parallel.decide_driving_switch
-    build = RuntimeModelBuilder.build_provider
-
-    def injecting(host, merged):
-        sequence.append("merge")
-        return inject(host, merged)
-
-    def building(builder):
-        sequence.append("snapshot")
-        return build(builder)
-
-    def deciding(host, provider, config, audit_costs=None):
-        sequence.append("decide")
-        providers.append(provider)
-        return decide(host, provider, config, audit_costs)
-
-    monkeypatch.setattr(parallel, "inject_into_host", injecting)
-    monkeypatch.setattr(parallel, "decide_driving_switch", deciding)
-    monkeypatch.setattr(RuntimeModelBuilder, "build_provider", building)
-    config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, batched=True, workers=2, check_frequency=2
-    )
-    result = columnar.execute(columnar.plan(STATEMENTS[0]), config)
-    assert result.stats.engine == "parallel"
-    barriers = sequence.count("decide")
-    assert barriers >= 1 and len({id(p) for p in providers}) == barriers
-    text = " ".join(sequence)
-    assert text.count("merge snapshot decide") >= barriers
-    assert result.stats.check_seconds > 0.0
-    assert sorted(result.rows) == sorted(
-        columnar.execute(
-            columnar.plan(STATEMENTS[0]), AdaptiveConfig(mode=ReorderMode.NONE)
-        ).rows
-    )
-
-
-# ---------------------------------------------------------------------------
-# The decision audit sees what it saw
-# ---------------------------------------------------------------------------
 def test_decision_records_are_those_of_unshared_snapshots(columnar, monkeypatch):
     """Flight-recorder ``DecisionRecord``s (candidate costs, rank terms,
     window estimates) with the snapshot shared equal those of a controller

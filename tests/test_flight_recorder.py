@@ -227,7 +227,6 @@ class TestRecordedQuery:
             assert offline.old_order == online.old_order
             assert offline.new_order == online.new_order
             assert offline.position == online.position
-            assert offline.worker == online.worker
             assert offline.estimated_current_cost == pytest.approx(
                 online.estimated_current_cost
             )
@@ -390,3 +389,43 @@ class TestOfflinePlane:
         for legs in feedback.values():
             for selectivity in legs.values():
                 assert 0.0 < selectivity
+
+
+def test_records_written_before_the_fork_pool_left_still_load(tmp_path, capsys):
+    """Two lines as PR 20 wrote them — a ``workers=2`` run (``workers``,
+    ``worker_engines``, events numbered by ``worker``) and a serial run with
+    its decision audit (``worker`` on every decision). Records are read key
+    by key, so the keys nobody reads any more are no obstacle to
+    ``FlightRecord.from_dict`` or ``repro replay`` — and the schema, which
+    no longer has them, names them."""
+    import pathlib
+
+    from repro.cli import main
+
+    golden = pathlib.Path(__file__).parent / "golden" / "flight_record_pr20.jsonl"
+    pooled, serial = map(json.loads, golden.read_text().splitlines())
+    assert pooled["workers"] == 2 and pooled["worker_engines"]
+    assert any(event["worker"] >= 0 for event in pooled["events"])
+    assert serial["decisions"]
+    assert all("worker" in decision for decision in serial["decisions"])
+
+    for data in (pooled, serial):
+        record = FlightRecord.from_dict(data)
+        assert record.engine == data["engine"]
+        assert [d.as_dict()["check"] for d in record.decisions] == [
+            d["check"] for d in data["decisions"]
+        ]
+        replayed = reconstruct_events(record)
+        assert [event.new_order for event in replayed] == [
+            tuple(event["new_order"]) for event in data["events"]
+        ]
+        assert not hasattr(replayed[0], "worker")
+        assert "unexpected" in " ".join(validate_telemetry_record(data))
+
+    (tmp_path / "telemetry-000001.jsonl").write_text(golden.read_text())
+    for data in (pooled, serial):
+        query_id = data["query_id"]
+        assert main(["replay", "--telemetry-dir", str(tmp_path), query_id]) == 0
+        out = capsys.readouterr().out
+        assert f"FLIGHT RECORD {query_id}" in out
+        assert f"engine={data['engine']}" in out and "workers=" not in out

@@ -1,5 +1,7 @@
 """Execution budgets: row caps, work caps, deadlines, cancellation."""
 
+import threading
+
 import pytest
 
 from repro import (
@@ -50,6 +52,38 @@ class TestCancellationToken:
         token = CancellationToken()
         token.cancel()
         assert token.reason == "cancelled"
+
+
+class TestTokenThreadSafety:
+    def test_exactly_one_winner_under_contention(self):
+        for _ in range(20):
+            token = CancellationToken()
+            barrier = threading.Barrier(8)
+            wins = []
+
+            def racer(i):
+                barrier.wait()
+                if token.cancel(f"racer-{i}"):
+                    wins.append(i)
+
+            threads = [
+                threading.Thread(target=racer, args=(i,)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5.0)
+            assert len(wins) == 1, "exactly one cancel() call may win"
+            assert token.reason == f"racer-{wins[0]}"
+            assert token.cancelled
+
+    def test_idempotent_and_losers_keep_winning_reason(self):
+        token = CancellationToken()
+        assert token.cancel("first") is True
+        assert token.cancel("second") is False
+        assert token.reason == "first"
+        assert token.cancel() is False
+        assert token.reason == "first"
 
 
 class TestRowBudget:

@@ -1,8 +1,16 @@
 """Unit tests for the run-time monitors (Sec 4.3)."""
 
+import random
+
 import pytest
 
-from repro.core.monitor import DrivingMonitor, LegMonitor, ProbeSample, SlidingWindow
+from repro.core.monitor import (
+    AggregatedWindow,
+    DrivingMonitor,
+    LegMonitor,
+    ProbeSample,
+    SlidingWindow,
+)
 
 
 class TestSlidingWindow:
@@ -118,3 +126,19 @@ class TestDrivingMonitor:
                 bulk.observe_many(flags)
                 for name in DrivingMonitor.__slots__:
                     assert getattr(bulk, name) == getattr(one_by_one, name), name
+
+
+def test_aggregated_window_single_samples_match_sliding():
+    rng = random.Random(20070426)
+    sliding = SlidingWindow(64)
+    aggregated = AggregatedWindow(64)
+    for _ in range(500):
+        matches = rng.randrange(0, 5)
+        output = rng.randrange(0, matches + 1)
+        work = rng.random() * 10
+        sliding.observe(matches, output, work)
+        aggregated.observe_chunk(1, matches, output, work)
+        assert len(aggregated) == len(sliding)
+        assert aggregated.sum_matches == sliding.sum_matches
+        assert aggregated.sum_output == sliding.sum_output
+        assert aggregated.sum_work == pytest.approx(sliding.sum_work)

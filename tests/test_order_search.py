@@ -82,8 +82,7 @@ GRID = [
 @pytest.fixture(scope="module")
 def dmv():
     db, _ = load_dmv(scale=0.02, extended=True, backend="columnar")
-    yield db
-    db.close()
+    return db
 
 
 @pytest.mark.parametrize("level", list(StatisticsLevel), ids=lambda l: l.name)

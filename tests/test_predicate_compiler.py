@@ -133,8 +133,7 @@ def columnar_table():
     db.create_table("t", [("a", "int"), ("b", "float"), ("s", "string")])
     rows = [random_row(rng) for _ in range(300)]
     db.insert("t", rows)
-    yield db.catalog.table("t"), rows
-    db.close()
+    return db.catalog.table("t"), rows
 
 
 @pytest.mark.parametrize("seed", range(10))

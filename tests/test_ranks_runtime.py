@@ -61,14 +61,12 @@ class TestRemainingScanFraction:
         next(cursor)  # consumed the single key-1 entry
         assert remaining_scan_fraction(cursor) == pytest.approx(2 / 3)
 
-
-    @pytest.mark.parametrize("start_after", [None, (2, 1), (5, 6), (7, 0)])
-    def test_index_scan_reads_what_the_index_counts(self, start_after):
+    def test_index_scan_reads_what_the_index_counts(self):
         """The fraction comes off the walk's own position and range bounds
         found once; it must stay the index-metadata count it replaced
         (``count_range`` / ``count_range_after`` at ``last_position``) at
-        every step — gaps between ranges, empty ranges, a resumed start and
-        key-boundary peeks included."""
+        every step — gaps between ranges, empty ranges and key-boundary
+        peeks included."""
         table = make_table([5, 1, 2, 2, 9, 5, 5, 7, 2, 12, 12])
         index = SortedIndex("ix", table, "k")
         ranges = [
@@ -87,7 +85,7 @@ class TestRemainingScanFraction:
             return remaining / total
 
         for peek in (False, True):
-            cursor = IndexScanCursor(index, ranges, start_after=start_after)
+            cursor = IndexScanCursor(index, ranges)
             assert remaining_scan_fraction(cursor) == counted(cursor)
             for _ in cursor:
                 if peek:

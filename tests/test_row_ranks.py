@@ -99,7 +99,6 @@ def test_gather_equals_scalar_rank_lookup_for_every_row(kind, seed):
     translate = _make_translator(column, index)
     assert translate(rids).tolist() == [expected[rid] for rid in rids.tolist()]
     assert index.row_ranks(column) is ranks  # built once
-    db.close()
 
 
 @pytest.mark.parametrize("kind", ["int", "float", "string"])
@@ -112,7 +111,6 @@ def test_empty_index_misses_every_key_and_keeps_nulls(kind, probed_keys):
     expected = scalar_ranks(db)
     assert index.row_ranks(column).tolist() == expected
     assert set(expected) == {NULL, MISSING}
-    db.close()
 
 
 def test_int_source_against_a_float_index():
@@ -121,7 +119,6 @@ def test_int_source_against_a_float_index():
     assert index.row_ranks(column).tolist() == scalar_ranks(db) == [
         0, MISSING, NULL, 2, MISSING
     ]
-    db.close()
 
 
 def test_refused_shapes_stay_refused():
@@ -142,8 +139,6 @@ def test_refused_shapes_stay_refused():
     # A boxed probed column has no numeric key array either.
     wide = two_tables("int", "int", [1, 2, None], [1, 2**70])
     assert _make_translator(*source_and_index(wide)) is None
-    for db in (boxed, mixed, reverse, wide):
-        db.close()
 
 
 def test_refusal_reaches_the_gate_reason():
@@ -157,7 +152,6 @@ def test_refusal_reaches_the_gate_reason():
     assert result.stats.engine == "scalar"
     assert "untranslatable key column" in result.stats.vector_gate
     assert sorted(result.rows) == [(0, 0), (2, 1), (2, 2)]
-    db.close()
 
 
 def test_footprint_counts_the_rank_arrays():
@@ -170,33 +164,6 @@ def test_footprint_counts_the_rank_arrays():
     assert ranks.nbytes == 8 * 500
     assert index.kernel_footprint() == before + ranks.nbytes
     assert db.storage_stats()["kernel_plan_bytes"] >= ranks.nbytes
-    db.close()
-
-
-def test_warm_up_reports_the_rank_arrays_it_built():
-    """The fork pool re-forks when the warm-up built something, so workers
-    inherit the arrays copy-on-write instead of building one each."""
-    from repro.executor.parallel import warm_kernel_plan
-
-    rng = random.Random(2)
-    db = two_tables("int", "int", range(40), keys_of("int", rng, 400, 30))
-    db.create_index("src", "k")
-    db.analyze()
-    plan = db.plan("SELECT s.tag, d.tag FROM src s, dst d WHERE s.k = d.k")
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True, workers=2)
-    assert warm_kernel_plan(db.catalog, plan, config) is True
-    held = [
-        index
-        for name in ("src", "dst")
-        for index in db.catalog.indexes_of(name).values()
-        if index._row_ranks
-    ]
-    assert len(held) == 1
-    assert warm_kernel_plan(db.catalog, plan, config) is False
-    held[0]._row_ranks.clear()  # everything else stays warm
-    assert warm_kernel_plan(db.catalog, plan, config) is True
-    assert held[0]._row_ranks
-    db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +260,6 @@ def test_insert_into_either_table_is_followed_by_a_rebuild():
     again = held_ranks(columnar)
     assert again is not rebuilt and again[-3] >= 0
     assert len(third.rows) > len(first.rows)
-    for db in (columnar, row):
-        db.close()
 
 
 def test_create_index_opens_a_new_pair():
@@ -313,8 +278,6 @@ def test_create_index_opens_a_new_pair():
     after = assert_engine_equals_oracle(columnar, row)
     assert sorted(after.rows) == sorted(before.rows)
     held_ranks(columnar)
-    for db in (columnar, row):
-        db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +328,6 @@ def test_driving_switch_builds_the_new_pair_at_the_boundary(monkeypatch):
                 reference.stats.work
             )
     assert mid_query > 0, "no applied change opened a new (column, index) pair"
-    columnar.close()
-    row.close()
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +395,6 @@ def test_static_chain_with_absent_keys_equals_the_oracle(
             want.stats.work
         )
     assert_both_legs_probe_absent_keys(columnar)
-    for db in (columnar, row):
-        db.close()
 
 
 @pytest.mark.parametrize("tests_d, tests_f", TESTS_PER_LEG)
@@ -490,8 +449,6 @@ def test_adaptive_chain_with_absent_keys_equals_the_reference_loop(
     if tests_d:
         assert executor.driving_switches and executor.order[0] == "d"
     assert_both_legs_probe_absent_keys(columnar)
-    for db in (columnar, row):
-        db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -570,4 +527,3 @@ def test_padding_is_sixteen_bytes_an_array_and_nothing_is_writeable():
     kernel = next(iter(db.catalog.index_on("Owner", "id")._kernels.values()))
     with pytest.raises(ValueError):
         kernel.totals[-1] = 1  # an absent key would start matching
-    db.close()

@@ -12,6 +12,7 @@ timing-dependent assertions.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ import time
 
 import pytest
 
-from repro.core.config import ReorderMode
+from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.errors import BudgetExceeded, QueryError
 from repro.server import (
     AdmissionController,
@@ -33,7 +34,7 @@ from repro.server import (
     normalize_sql,
     template_signature,
 )
-from repro.server.admission import SHED_NONE, SHED_SERIAL, SHED_STATIC
+from repro.server.admission import SHED_NONE, SHED_STATIC
 from repro.server.protocol import (
     encode_response,
     error_response,
@@ -82,7 +83,6 @@ class TestProtocol:
             {"op": "query", "sql": "SELECT 1", "timeout_ms": "soon"},
             {"op": "query", "sql": "SELECT 1", "max_rows": 0},
             {"op": "query", "sql": "SELECT 1", "max_rows": True},
-            {"op": "query", "sql": "SELECT 1", "workers": 0},
         ],
     )
     def test_parse_rejects_bad_fields(self, msg):
@@ -216,39 +216,46 @@ class TestAdmission:
         assert decision.reject_code == ErrorCode.SHUTTING_DOWN
 
     def test_shed_ladder_from_queue_pressure(self):
-        config = ServerConfig(
-            max_queue_depth=10, shed_serial_at=0.3, shed_static_at=0.6
-        )
+        config = ServerConfig(max_queue_depth=10, shed_static_at=0.6)
         admission = AdmissionController(config)
         assert admission.shed_level() == SHED_NONE
-        admission.queued = 3
-        assert admission.shed_level() == SHED_SERIAL
+        # Where the ``serial`` rung used to sit (0.25 of the queue up to
+        # ``shed_static_at``): nothing to strip, so nothing is shed.
+        for queued in (3, 5):
+            admission.queued = queued
+            assert admission.shed_level() == SHED_NONE
         admission.queued = 6
         assert admission.shed_level() == SHED_STATIC
 
-    def test_apply_shed_strips_parallelism_then_adaptivity(self):
-        config = ServerConfig(engine_workers=4, engine_batch_size=128)
+    def test_apply_shed_strips_adaptivity(self):
+        config = ServerConfig(engine_batch_size=128)
         admission = AdmissionController(config)
         request = parse_query_request(
-            {"op": "query", "sql": "SELECT 1", "mode": "both", "workers": 4}
+            {"op": "query", "sql": "SELECT 1", "mode": "both"}
         )
         full = admission.apply_shed(request, SHED_NONE)
-        assert full.mode is ReorderMode.BOTH and full.workers == 4
+        assert full.mode is ReorderMode.BOTH
         assert full.batched and full.batch_size == 128
         assert full.monitor_granularity == "chunk"
-        serial = admission.apply_shed(request, SHED_SERIAL)
-        assert serial.mode is ReorderMode.BOTH and serial.workers == 1
         static = admission.apply_shed(request, SHED_STATIC)
-        assert static.mode is ReorderMode.NONE and static.workers == 1
+        assert static.mode is ReorderMode.NONE
         assert static.monitor_granularity == "exact"
-        assert admission.shed_totals == {SHED_SERIAL: 1, SHED_STATIC: 1}
+        assert admission.shed_static_total == 1
 
-    def test_workers_clamped_to_server_grant(self):
-        admission = AdmissionController(ServerConfig(engine_workers=2))
+    def test_a_query_runs_in_one_process(self):
+        """The intra-query fork pool is gone, and every option that chose
+        it: setting one is a ``TypeError``, not a silently ignored knob."""
+        with pytest.raises(TypeError):
+            AdaptiveConfig(workers=2)
+        with pytest.raises(TypeError):
+            ServerConfig(engine_workers=2)
+        with pytest.raises(TypeError):
+            ServerConfig(shed_serial_at=0.25)
+        assert len(dataclasses.fields(AdaptiveConfig)) == 11
         request = parse_query_request(
-            {"op": "query", "sql": "SELECT 1", "workers": 8}
+            {"op": "query", "sql": "SELECT 1", "workers": 2}
         )
-        assert admission.apply_shed(request, SHED_NONE).workers == 2
+        assert not hasattr(request, "workers")
 
     def test_build_limits_clamps_to_server_maxima(self):
         config = ServerConfig(
@@ -266,16 +273,13 @@ class TestAdmission:
                 "max_rows": 999,
             }
         )
-        applied = admission.apply_shed(request, SHED_NONE)
-        limits, token = admission.build_limits(request, applied)
+        limits, token = admission.build_limits(request)
         assert limits.timeout_seconds == pytest.approx(2.0)
         assert limits.max_rows == 20
         assert limits.cancellation is token and not token.cancelled
         # Defaults apply when the client asks for nothing.
         bare = parse_query_request({"op": "query", "sql": "SELECT 1"})
-        limits, _ = admission.build_limits(
-            bare, admission.apply_shed(bare, SHED_NONE)
-        )
+        limits, _ = admission.build_limits(bare)
         assert limits.timeout_seconds == pytest.approx(1.0)
         assert limits.max_rows == 10
 
@@ -283,27 +287,14 @@ class TestAdmission:
         admission = AdmissionController(ServerConfig())
         request = parse_query_request({"op": "query", "sql": "SELECT 1"})
         token = CancellationToken()
-        limits, returned = admission.build_limits(
-            request, admission.apply_shed(request, SHED_NONE), token=token
-        )
+        limits, returned = admission.build_limits(request, token=token)
         assert returned is token and limits.cancellation is token
-
-    def test_parallel_grant_drops_row_budget_keeps_deadline(self):
-        admission = AdmissionController(ServerConfig(engine_workers=4))
-        request = parse_query_request(
-            {"op": "query", "sql": "SELECT 1", "workers": 4, "max_rows": 5}
-        )
-        applied = admission.apply_shed(request, SHED_NONE)
-        assert applied.workers == 4
-        limits, _ = admission.build_limits(request, applied)
-        assert limits.max_rows is None and limits.max_work_units is None
-        assert limits.timeout_seconds is not None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServerConfig(max_concurrency=0)
         with pytest.raises(ValueError):
-            ServerConfig(shed_serial_at=0.8, shed_static_at=0.2)
+            ServerConfig(shed_static_at=1.5)
         with pytest.raises(ValueError):
             ServerConfig(default_timeout_ms=90_000.0, max_timeout_ms=60_000.0)
 
@@ -426,7 +417,7 @@ class BlockingEngine:
     ``execute`` polls its release event so a cancelled token aborts the
     "query" just like the real executor's safe-point checks do. It runs
     in an engine process: what it was called with comes back in the reply
-    (the statement as the one row, the config as ``mode`` / ``workers``).
+    (the statement as the one row, the config as ``mode``).
     """
 
     def __init__(self) -> None:
@@ -457,7 +448,6 @@ class BlockingEngine:
             wall_ms=0.5,
             switches=0,
             degraded=False,
-            workers=config.workers,
             plan_cache="off",
         )
 
@@ -658,7 +648,7 @@ class TestServerIntegration:
                 assert self.release.wait(30.0)  # never checks the token
                 return EngineResult(
                     rows=[], work_units=0.0, wall_ms=0.0, switches=0,
-                    degraded=False, workers=1, plan_cache="off",
+                    degraded=False, plan_cache="off",
                 )
 
         engine = StuckEngine()
@@ -688,17 +678,13 @@ class TestServerIntegration:
         config = tiny_config(
             max_queue_depth=4,
             max_queue_per_session=4,
-            shed_serial_at=0.25,
             shed_static_at=0.5,
-            engine_workers=2,
         )
 
         async def scenario(server, engine):
             client = await ServerClient.connect(server.port)
             for i in range(4):
-                await client.send(
-                    op="query", id=i, sql=f"SELECT {i}", workers=2
-                )
+                await client.send(op="query", id=i, sql=f"SELECT {i}")
             assert await asyncio.to_thread(engine.started.acquire, timeout=5.0)
             engine.release.set()
             responses = {}

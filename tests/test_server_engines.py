@@ -18,6 +18,7 @@ import json
 import mmap
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -161,8 +162,7 @@ async def until(condition, seconds: float = 10.0) -> None:
 @pytest.fixture(scope="module")
 def dmv_db():
     db, _ = load_dmv(scale=0.1, extended=True, backend="columnar")
-    yield db
-    db.close()
+    return db
 
 
 # ---------------------------------------------------------------------------
@@ -505,20 +505,36 @@ class TestReplyBytes:
         """For the benchmark's 40 (statement, mode) pairs: the line a
         client reads is ``encode_response(ok_response(id, rows, stats))``
         of the rows this process computes — row order, framing and key
-        order included."""
+        order included. Every other request carries ``"workers": 2``, the
+        field of the deleted intra-query pool: it is not read, so the
+        reply is the one the same request gets without it."""
         pairs = served_mix_pairs()
         assert len(pairs) == 40
+
+        def extra(number):
+            return {"workers": 2} if number % 2 else {}
 
         async def scenario(server):
             client = await ServerClient.connect(server.port)
             lines = []
             for number, (sql, mode) in enumerate(pairs):
-                await client.send(op="query", id=number, sql=sql, mode=mode)
+                await client.send(
+                    op="query", id=number, sql=sql, mode=mode, **extra(number)
+                )
                 lines.append(await client.reader.readline())
+            # A static statement once more each way, warm: the two replies
+            # differ in nothing but their clocks and their query ids.
+            sql = next(sql for sql, mode in pairs if mode == "none")
+            twins = []
+            for fields in ({}, {"workers": 2}):
+                await client.send(
+                    op="query", id=99, sql=sql, mode="none", **fields
+                )
+                twins.append(await client.reader.readline())
             await client.close()
-            return lines, server.admission
+            return lines, twins, server.admission
 
-        lines, admission = serve(
+        lines, twins, admission = serve(
             dmv_db, ServerConfig(port=0, max_concurrency=2), scenario
         )
         # One connection, one request at a time: engine 0 ran them all, in
@@ -529,6 +545,11 @@ class TestReplyBytes:
             request = parse_query_request(
                 {"op": "query", "sql": sql, "mode": mode}
             )
+            assert request == parse_query_request(
+                {"op": "query", "sql": sql, "mode": mode, **extra(number)}
+            )
+            assert reply["stats"]["engine"].startswith("vector")
+            assert reply["stats"]["shed"] == "none"
             applied = admission.apply_shed(request, "none")
             rows = dmv_db.execute(sql, applied).rows
             assert line == encode_response(
@@ -536,10 +557,13 @@ class TestReplyBytes:
             ), (number, sql)
             assert list(reply["stats"]) == [
                 "work_units", "wall_ms", "queued_ms", "switches", "degraded",
-                "mode", "workers", "shed", "plan_cache", "engine",
+                "mode", "shed", "plan_cache", "engine",
                 "plan_feedback", "query_id",
             ]
             assert list(reply) == ["id", "status", "rows", "row_count", "stats"]
+        clocks = re.compile(rb'"(wall_ms|queued_ms|query_id)": ?[^,}]+')
+        without, carrying = (clocks.sub(b"", line) for line in twins)
+        assert carrying == without and b'"status":"ok"' in without
 
 
 # ---------------------------------------------------------------------------

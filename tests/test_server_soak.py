@@ -37,8 +37,7 @@ QUERIES_PER_CLIENT = 12
 @pytest.fixture(scope="module")
 def soak_db():
     db, _ = load_dmv(scale=0.01)
-    yield db
-    db.close()
+    return db
 
 
 @pytest.fixture(scope="module")
@@ -267,8 +266,7 @@ class TestServedEngine:
     @pytest.fixture(scope="class")
     def columnar_db(self):
         db, _ = load_dmv(scale=0.01, backend="columnar")
-        yield db
-        db.close()
+        return db
 
     def test_replies_name_the_vector_engines(self, columnar_db):
         async def scenario(server):

@@ -57,21 +57,16 @@ class TestTableScanCursor:
         next(cursor)
         assert cursor.last_position == (0,)
 
-    def test_start_after(self):
-        table = make_table([10, 20, 30])
-        cursor = TableScanCursor(table, start_after=(0,))
-        assert [rid for rid, _ in cursor] == [1, 2]
-
     def test_empty_table(self):
         cursor = TableScanCursor(make_table([]))
         assert list(cursor) == []
 
 
 class TestIndexScanCursor:
-    def make_cursor(self, values, ranges=None, start_after=None):
+    def make_cursor(self, values, ranges=None):
         table = make_table(values)
         index = SortedIndex("ix", table, "k")
-        return IndexScanCursor(index, ranges, start_after=start_after)
+        return IndexScanCursor(index, ranges)
 
     def test_key_order(self):
         cursor = self.make_cursor([3, 1, 2])
@@ -91,15 +86,19 @@ class TestIndexScanCursor:
         assert keys == [1, 5, 5]
 
     def test_resume_from_position(self):
-        cursor = self.make_cursor(
-            [1, 2, 2, 3], [KeyRange(low=1, high=3)], start_after=(2, 1)
-        )
+        # Frozen by not pulling, resumed by pulling again.
+        cursor = self.make_cursor([1, 2, 2, 3], [KeyRange(low=1, high=3)])
+        next(cursor)
+        next(cursor)
+        assert cursor.last_position == (2, 1)
         assert [(row[0], rid) for rid, row in cursor] == [(2, 2), (3, 3)]
 
     def test_resume_skips_finished_ranges(self):
         cursor = self.make_cursor(
-            [1, 5], [KeyRange.equal(1), KeyRange.equal(5)], start_after=(1, 0)
+            [1, 5], [KeyRange.equal(1), KeyRange.equal(5)]
         )
+        next(cursor)
+        assert cursor.last_position == (1, 0)
         assert [row[0] for _, row in cursor] == [5]
 
     def test_at_key_boundary_initially_true(self):
@@ -186,5 +185,5 @@ def test_resume_is_exact_suffix(values, cut):
     consumed = []
     for _ in range(min(cut, len(full))):
         consumed.append(next(cursor))
-    resumed = IndexScanCursor(index, start_after=cursor.last_position)
-    assert consumed + list(resumed) == full
+    # The engine resumes a frozen scan by pulling from the same cursor.
+    assert consumed + list(cursor) == full

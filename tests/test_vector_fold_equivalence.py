@@ -267,7 +267,6 @@ def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
     present_keys = list(rank)
     lookup = index.lookup_rids_batch(present_keys) if present_keys else {}
     check_leg(rng, db, index, kernel, lookup, raw, tests)
-    db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +356,6 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
     # not), a second time further on, and finally at the very last
     # position, where nothing survives.
     if not positions:
-        db.close()
         return
     first = rng.randrange(len(positions))
     second = rng.randrange(first, len(positions))
@@ -388,7 +386,6 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
     assert (base.pass_offsets == base_offsets).all()
     assert index._kernels == kernels_before
     assert index.kernel_footprint() == footprint_before
-    db.close()
 
 
 def test_positional_kernel_tie_at_the_rid_boundary():
@@ -417,203 +414,6 @@ def test_positional_kernel_tie_at_the_rid_boundary():
     # Six local evals, then one positional eval for each of the five rows
     # with a scan key.
     assert int(kernel.evals[j]) == int(base.evals[j]) + 5 == 11
-    db.close()
-
-
-# ---------------------------------------------------------------------------
-# Parallel fold-merge: barrier-merged worker folds == the serial fold.
-#
-# Partitioned execution chunks each worker's partition independently, so a
-# partition boundary lands where a serial run's driving chunk would span,
-# and a wave barrier can interrupt a worker *inside* a chunk — between
-# ``defer_chunk`` and ``flush_chunk`` — leaving a non-empty pending
-# accumulator in its snapshot. The merge contract is that summing the
-# worker windows plus their pending folds, applied in the serial fold
-# order (window contents first, pending aggregate after), reproduces the
-# serial monitor bit for bit: every work constant is an exact binary
-# fraction, so the float work sums are invariant under any regrouping.
-# ---------------------------------------------------------------------------
-
-from repro.core.monitor import LegMonitor  # noqa: E402
-from repro.executor.monitor_merge import (  # noqa: E402
-    LegWindowSnapshot,
-    MonitorSnapshot,
-    merge_snapshots,
-)
-
-
-def _random_leg(rng: random.Random):
-    """A random columnar leg: (db, raw rows, local tests, rid lookup)."""
-    db = Database(backend="columnar")
-    db.create_table(
-        "t", [("k", "int"), ("a", "int"), ("b", "float"), ("s", "string")]
-    )
-    db.insert("t", random_rows(rng, rng.randint(1, 120)))
-    db.create_index("t", "k")
-    table = db.catalog.table("t")
-    index = db.catalog.index_on("t", "k")
-    raw = table.raw_rows()
-    tests = []
-    for predicate in (random_predicate(rng) for _ in range(rng.randrange(3))):
-        test = compile_row_test(predicate, table.schema)
-        assert test is not None
-        tests.append(test)
-    present = sorted(
-        {row[0] for row in raw if row[0] is not None}
-    )
-    lookup = index.lookup_rids_batch(present) if present else {}
-    return db, raw, tests, lookup
-
-
-def _fold(keys, lookup, raw, tests):
-    """Sum scalar probe samples over *keys* into one (n, m, o, w) fold."""
-    n = m = o = 0
-    w = 0.0
-    for key in keys:
-        matches, out_rows, work = scalar_sample(key, lookup, raw, tests)
-        n += 1
-        m += matches
-        o += out_rows
-        w += work
-    return n, m, o, w
-
-
-def _defer_batches(monitor, keys, rng, lookup, raw, tests):
-    """Feed *keys* to the monitor as randomly-sized deferred sub-batches
-    (one per parent-batch refill), without flushing."""
-    position = 0
-    while position < len(keys):
-        step = rng.randint(1, max(1, len(keys) - position))
-        batch = keys[position:position + step]
-        monitor.defer_chunk(*_fold(batch, lookup, raw, tests))
-        position += step
-
-
-def _snapshot(monitor) -> MonitorSnapshot:
-    window = monitor.window
-    return MonitorSnapshot(
-        legs={
-            "x": LegWindowSnapshot(
-                samples=len(window),
-                sum_matches=window.sum_matches,
-                sum_output=window.sum_output,
-                sum_work=window.sum_work,
-                lifetime=window.lifetime_samples,
-                pending=monitor.pending_chunk(),
-            )
-        }
-    )
-
-
-def _inject(merged: LegWindowSnapshot, size: int) -> AggregatedWindow:
-    """Apply the ``inject_into_host`` fold order to a fresh window."""
-    window = AggregatedWindow(size)
-    if merged.samples > 0:
-        window.observe_chunk(
-            merged.samples,
-            merged.sum_matches,
-            merged.sum_output,
-            merged.sum_work,
-        )
-    window.lifetime_samples = merged.lifetime
-    if merged.pending[0] > 0:
-        window.observe_chunk(*merged.pending)
-        window.lifetime_samples = merged.lifetime + merged.pending[0]
-    return window
-
-
-@pytest.mark.parametrize("seed", range(15))
-def test_barrier_fold_merge_matches_serial_fold(seed):
-    """N workers chunking a partitioned probe stream independently —
-    partition boundaries splitting serial chunks, barriers landing inside
-    worker chunks — merge to the serial monitor's exact window sums."""
-    rng = random.Random(7_272_000 + seed)
-    db, raw, tests, lookup = _random_leg(rng)
-    stream = random_probe_keys(rng, rng.randint(20, 120))
-    window_size = 100_000  # no eviction: totals compare fold-for-fold
-
-    # Serial reference: driving chunks of random width, each deferred as
-    # sub-batches (parent-batch refills) and flushed at the boundary.
-    serial = LegMonitor(window=window_size, aggregated=True)
-    position = 0
-    boundaries = []
-    while position < len(stream):
-        width = rng.randint(1, 16)
-        chunk = stream[position:position + width]
-        boundaries.append(position)
-        _defer_batches(serial, chunk, rng, lookup, raw, tests)
-        serial.flush_chunk()
-        position += len(chunk)
-
-    # Parallel: contiguous partitions whose boundaries deliberately avoid
-    # the serial chunk boundaries where possible, so serial chunks span
-    # workers; each worker chunks its own partition and leaves its final
-    # partial chunk deferred (a barrier landing mid-chunk).
-    workers = rng.randint(2, 4)
-    cuts = sorted(
-        rng.sample(range(1, len(stream)), min(workers - 1, len(stream) - 1))
-    )
-    partitions = [
-        stream[start:stop]
-        for start, stop in zip([0] + cuts, cuts + [len(stream)])
-    ]
-    snapshots = []
-    saw_pending = False
-    for partition in partitions:
-        monitor = LegMonitor(window=window_size, aggregated=True)
-        position = 0
-        while position < len(partition):
-            width = rng.randint(1, 16)
-            chunk = partition[position:position + width]
-            _defer_batches(monitor, chunk, rng, lookup, raw, tests)
-            position += len(chunk)
-            if position < len(partition):
-                monitor.flush_chunk()  # chunk boundary inside the partition
-        saw_pending = saw_pending or monitor.pending_chunk()[0] > 0
-        snapshots.append(_snapshot(monitor))
-    assert saw_pending, "no worker snapshot carried a deferred fold"
-
-    merged = merge_snapshots(snapshots).legs["x"]
-    host = _inject(merged, window_size)
-    assert len(host) == len(serial.window)
-    assert host.lifetime_samples == serial.window.lifetime_samples
-    assert host.sum_matches == serial.window.sum_matches
-    assert host.sum_output == serial.window.sum_output
-    assert host.sum_work == serial.window.sum_work  # bit-identical floats
-    db.close()
-
-
-def test_partition_boundary_splits_chunk_pending_merge():
-    """Deterministic split-chunk case: one serial chunk of NULL, missing,
-    and present keys lands across two workers, both interrupted before
-    flushing — the merged pending folds reproduce the serial flush."""
-    rng = random.Random(424_242)
-    db, raw, tests, lookup = _random_leg(rng)
-    present = [key for key in lookup if lookup[key]][:2] or [0]
-    chunk = [None, present[0], KEY_SPACE + 12, present[-1], None, 3]
-
-    serial = LegMonitor(window=64, aggregated=True)
-    serial.defer_chunk(*_fold(chunk, lookup, raw, tests))
-    serial.flush_chunk()
-
-    left = LegMonitor(window=64, aggregated=True)
-    left.defer_chunk(*_fold(chunk[:2], lookup, raw, tests))
-    left.defer_chunk(*_fold(chunk[2:3], lookup, raw, tests))
-    right = LegMonitor(window=64, aggregated=True)
-    right.defer_chunk(*_fold(chunk[3:], lookup, raw, tests))
-    assert left.pending_chunk()[0] == 3
-    assert right.pending_chunk()[0] == 3
-
-    merged = merge_snapshots([_snapshot(left), _snapshot(right)]).legs["x"]
-    assert merged.samples == 0  # nothing reached a window: all pending
-    assert merged.pending[0] == len(chunk)
-    host = _inject(merged, 64)
-    assert len(host) == len(serial.window)
-    assert host.lifetime_samples == serial.window.lifetime_samples
-    assert host.sum_matches == serial.window.sum_matches
-    assert host.sum_output == serial.window.sum_output
-    assert host.sum_work == serial.window.sum_work
-    db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +424,7 @@ def test_partition_boundary_splits_chunk_pending_merge():
 # resume or a hand-off to the reference loop can read afterwards — the meter,
 # the driving monitor's ring, the cursor's position and progress — must be
 # what pulling the same rows one ``__next__`` at a time leaves behind, at
-# every slice boundary, for partition-bounded multi-range scans included.
+# every slice boundary, for multi-range scans included.
 # ---------------------------------------------------------------------------
 
 import dataclasses  # noqa: E402
@@ -662,7 +462,6 @@ def _scan_state(cursor, leg):
     return (
         dataclasses.asdict(leg.meter),
         cursor.last_position,
-        cursor.entries_yielded,
         [getattr(monitor, name) for name in DrivingMonitor.__slots__],
     )
 
@@ -673,7 +472,7 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
     rng = random.Random(4_848_000 + seed)
     dbs, cursors, legs = [], [], []
     rows = random_rows(rng, rng.randint(1, 120))
-    ranges = start_after = stop_at = None
+    ranges = None
     for _ in range(2):  # the sliced scan and its row-at-a-time twin
         db = Database(backend="columnar")
         db.create_table(
@@ -685,8 +484,7 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
         index = db.catalog.index_on("t", "k")
         if not dbs:
             if kind == "index":
-                # Disjoint ranges, some empty, some unbounded; bounds that
-                # fall before, inside and after the ranges.
+                # Disjoint ranges, some empty, some unbounded.
                 cuts = sorted(rng.sample(range(-2, KEY_SPACE + 4), 6))
                 ranges = [
                     KeyRange(low=None if rng.random() < 0.2 else cuts[0],
@@ -696,25 +494,11 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
                     KeyRange(low=cuts[4],
                              high=None if rng.random() < 0.2 else cuts[5]),
                 ][: rng.randint(1, 3)]
-                entries = index._entries
-                if entries and rng.random() < 0.6:
-                    start_after = rng.choice(entries)
-                if entries and rng.random() < 0.6:
-                    stop_at = rng.choice(entries)
-            else:
-                if rng.random() < 0.6:
-                    start_after = (rng.randrange(len(rows)),)
-                if rng.random() < 0.6:
-                    stop_at = (rng.randrange(len(rows) + 1),)
         if kind == "index":
             index._sidecar()
-            cursor = IndexScanCursor(
-                index, list(ranges), start_after=start_after, stop_at=stop_at
-            )
+            cursor = IndexScanCursor(index, list(ranges))
         else:
-            cursor = TableScanCursor(
-                table, start_after=start_after, stop_at=stop_at
-            )
+            cursor = TableScanCursor(table)
         dbs.append(db)
         cursors.append(cursor)
         legs.append(
@@ -741,8 +525,6 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
                 # The twin ran off the end of its scan looking for more
                 # survivors: the walk's trailing rows are due as well.
                 walk.finish()
-                if walk.sees_stop:
-                    legs[0].meter.index_entries += 1
                 finished = True
             assert _scan_state(sliced, legs[0]) == _scan_state(single, legs[1])
             if finished:
@@ -755,5 +537,3 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
             )
             assert _scan_state(sliced, legs[0]) == _scan_state(single, legs[1])
             finished = sliced.exhausted
-    for db in dbs:
-        db.close()

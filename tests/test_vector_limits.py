@@ -82,8 +82,6 @@ def dbs():
         for backend in ("row", "columnar")
     }
     yield pair
-    for db in pair.values():
-        db.close()
 
 
 @pytest.fixture(scope="module")
