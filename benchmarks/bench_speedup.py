@@ -1,15 +1,12 @@
 """Speedup of the engine over the oracle on the six-table DMV workload.
 
-Measures, per reorder mode, the three things that can run a query:
+Measures, per reorder mode, the two things that run a query:
 
-* ``oracle``    — row store + scalar pipeline (the paper's executor: exact
+* ``oracle`` — row store + scalar pipeline (the paper's executor: exact
   semantics, reorder checks every ``c`` rows),
-* ``reference`` — row store, ``batched=True``: the chunk-semantics
-  reference loop (``fast``) in the monitored modes; a static plan has
-  nothing to amortize and runs the scalar machine,
-* ``engine``    — columnar store, ``batched=True``: the vectorized cascade.
+* ``engine`` — columnar store, ``batched=True``: the vectorized cascade.
 
-Variant reps are interleaved (oracle, reference, engine, oracle, ...) and
+Variant reps are interleaved (oracle, engine, oracle, ...) and
 the minimum per variant is reported, so machine-load drift hits every
 variant alike instead of biasing whichever ran last. Every variant's result
 rows are checked against the oracle's per query — a speedup that changes
@@ -33,10 +30,9 @@ Each variant records the backend and executor configuration it ran under
 (``config``) and which execution engine(s) actually ran (``engines``).
 Under ``--check`` the ``engine`` variant must not be slower than the
 oracle, must have run the vectorized cascade on every query — with the
-driving leg switched somewhere in the driving modes, or that says nothing —
-and the ``reference`` variant must have run ``fast``; full-scale runs
-additionally hold the adaptive engine's mode-BOTH >=10x floor over the
-oracle.
+driving leg switched somewhere in the driving modes, or that says
+nothing; full-scale runs additionally hold the adaptive engine's mode-BOTH
+>=10x floor over the oracle.
 
 A second section measures the always-on flight recorder: the adaptive
 six-table workload runs disarmed and with a recorder-armed (cold) bundle,
@@ -88,12 +84,13 @@ OBSERVABILITY_GATE_PCT = 5.0
 
 
 def build_variants(mode: ReorderMode, batch_size: int, row_db, columnar_db) -> dict:
-    """name -> (database, config): the oracle, the reference loop, the engine."""
-    batched = AdaptiveConfig(mode=mode, batched=True, batch_size=batch_size)
+    """name -> (database, config): the oracle and the engine."""
     return {
         "oracle": (row_db, AdaptiveConfig(mode=mode)),
-        "reference": (row_db, batched),
-        "engine": (columnar_db, batched),
+        "engine": (
+            columnar_db,
+            AdaptiveConfig(mode=mode, batched=True, batch_size=batch_size),
+        ),
     }
 
 
@@ -196,7 +193,7 @@ def measure_observability(db, queries, reps: int) -> dict:
 
     def run(query, name: str):
         if name == "armed":
-            bundle = recorder.arm(config)
+            bundle = recorder.arm()
             outcome = db.execute(db.plan(query.sql), config, obs=bundle)
             recorder.finish_query(
                 bundle, outcome, sql=query.sql, config=config
@@ -345,13 +342,9 @@ def main(argv: list[str] | None = None) -> int:
             meter["speedup_vs_oracle"] = oracle / meter["wall_seconds"]
         payload["modes"][name] = meters
         payload["front_end"][name] = front_end
-        reference = meters["reference"]
         engine = meters["engine"]
         print(
             f"{name:8s} oracle={oracle:.3f}s "
-            f"reference={reference['wall_seconds']:.3f}s "
-            f"({reference['speedup_vs_oracle']:.2f}x, engines "
-            f"{','.join(reference['engines'])}) "
             f"engine={engine['wall_seconds']:.3f}s "
             f"({engine['speedup_vs_oracle']:.2f}x, engines "
             f"{','.join(engine['engines'])})"
@@ -370,21 +363,16 @@ def main(argv: list[str] | None = None) -> int:
         # vectorized cascade on every query (mode NONE: the static
         # cascade; monitored modes: the chunked adaptive cascade from start
         # to finish — no mid-query hand-off, though the driving leg must
-        # have been switched somewhere or that says nothing), and the
-        # reference variant its reference loop.
-        expected = {
-            "engine": {"vector-adaptive"} if mode.monitors else {"vector"},
-            "reference": {"fast"} if mode.monitors else {"scalar"},
-        }
-        for variant, engines in expected.items():
-            stray = set(meters[variant]["engines"]) - engines
-            if stray:
-                print(
-                    f"CHECK FAILED: {variant} variant (mode {name}) ran "
-                    f"engine(s) {sorted(stray)}, expected {sorted(engines)}",
-                    file=sys.stderr,
-                )
-                engine_gate_failed = True
+        # have been switched somewhere or that says nothing).
+        expected = "vector-adaptive" if mode.monitors else "vector"
+        stray = set(engine["engines"]) - {expected}
+        if stray:
+            print(
+                f"CHECK FAILED: engine variant (mode {name}) ran "
+                f"engine(s) {sorted(stray)}, expected {expected!r}",
+                file=sys.stderr,
+            )
+            engine_gate_failed = True
         if mode.reorders_driving and not engine["driving_switches"]:
             print(
                 f"CHECK FAILED: engine variant (mode {name}) never switched "

@@ -106,13 +106,7 @@ SCHEMA = {
 
 #: Engine names the server may report in the ``engines`` section (the
 #: per-query ``ExecutionStats.engine`` values).
-KNOWN_ENGINES = {
-    "scalar",
-    "vector",
-    "fast",
-    "vector-adaptive",
-    "vector-adaptive+fast",
-}
+KNOWN_ENGINES = {"scalar", "vector", "vector-adaptive"}
 
 #: Sections whose body is a list of objects (one entry per item).
 LIST_SCHEMA = {

@@ -393,9 +393,8 @@ def _warn_vector_gate(result, cli_args) -> None:
     if getattr(cli_args, "backend", "row") != "columnar":
         return
     stats = result.stats
-    # "vector-adaptive+fast" is a mid-query handoff, not an option
-    # problem; a run that never asked for the engine carries no gate.
-    if stats.engine not in ("scalar", "fast") or stats.vector_gate is None:
+    # A run that never asked for the engine carries no gate.
+    if stats.vector_gate is None:
         return
     _vector_gate_warned = True
     print(
@@ -502,7 +501,7 @@ def _run_observed_query(
         # already-metered check points).
         obs = QueryObservability()
     if recorder is not None:
-        obs = recorder.arm(config, base=obs)
+        obs = recorder.arm(base=obs)
 
     def dump_trace() -> None:
         if args.trace and obs.tracer is not None:

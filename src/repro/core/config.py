@@ -85,12 +85,12 @@ class AdaptiveConfig:
     warmup_rows: int = 10
     # Which of the two semantics runs. False is the oracle: the scalar
     # row-at-a-time machine, reorder checks every ``c`` rows (Fig 2/3).
-    # True is the engine: the columnar cascade (or, on shapes it refuses,
-    # its chunk-semantics reference loop). Rows and final work totals are
-    # the same; when monitored, each chunk folds into a leg's window as
-    # ONE weighted aggregate and reorder checks fire at chunk boundaries,
-    # so estimates carry bounded within-chunk skew and events may differ
-    # from the oracle's (DESIGN.md Sec 4d).
+    # True is the engine where its screens and gates pass: the columnar
+    # cascade (a shape it refuses runs the scalar machine). Rows and final
+    # work totals are the same; when monitored, each chunk folds into a
+    # leg's window as ONE weighted aggregate and reorder checks fire at
+    # chunk boundaries, so estimates carry bounded within-chunk skew and
+    # events may differ from the oracle's (DESIGN.md Sec 4d).
     batched: bool = False
     # Driving survivors per chunk of a monitored batched run.
     batch_size: int = 256
@@ -106,9 +106,3 @@ class AdaptiveConfig:
             raise ValueError("warmup_rows must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-    @property
-    def monitor_granularity(self) -> str:
-        """Where reorder checks fire, for flight records: a description
-        derived from ``batched`` and ``mode``, not a knob."""
-        return "chunk" if self.batched and self.mode.monitors else "exact"

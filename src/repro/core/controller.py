@@ -32,7 +32,7 @@ from repro.optimizer.cost import cost_of_order
 from repro.core.ranks import RuntimeModelBuilder
 from repro.core.reorder import decide_inner_order
 from repro.errors import ExecutionError, ReproError
-from repro.obs.recorder import DecisionRecord, rank_terms_for
+from repro.obs.recorder import DecisionRecord, granularity_of, rank_terms_for
 from repro.obs.timeseries import snapshot_legs
 from repro.optimizer.params import ModelProvider
 from repro.storage.cursor import IndexScanCursor
@@ -118,6 +118,7 @@ class AdaptationController:
                                 pipeline.driving_rows_total,
                                 position,
                                 tuple(pipeline.order),
+                                granularity_of(pipeline.engine_used),
                             )
                         except Exception:  # pragma: no cover - advisory
                             logger.exception(
@@ -309,7 +310,7 @@ class AdaptationController:
                     estimated_current_cost=current_cost,
                     estimated_new_cost=new_cost,
                     window=snapshot_legs(pipeline) if applied else {},
-                    monitor_granularity=self.config.monitor_granularity,
+                    monitor_granularity=granularity_of(pipeline.engine_used),
                 )
             )
         except Exception:  # pragma: no cover - advisory-only capture

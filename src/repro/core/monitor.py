@@ -119,7 +119,7 @@ class AggregatedWindow:
     sample count is at least ``size``; it can transiently hold up to one
     chunk more than ``size`` samples. Estimates are therefore within the
     skew of one chunk of a per-sample window — the documented accuracy
-    contract of the fast adaptive mode.
+    contract of the engine's monitored modes.
 
     When every aggregate has ``n == 1`` (e.g. the scalar fallback path
     observing per row) the eviction boundary is exact and estimates match

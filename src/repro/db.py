@@ -96,8 +96,8 @@ class ExecutionStats:
     order_history: tuple[tuple[str, ...], ...]
     # Applied adaptation decisions with the cost-model justification.
     events: tuple = ()
-    # Which execution engine ran the pipeline: "scalar", "fast", "vector",
-    # "vector-adaptive" or "vector-adaptive+fast".
+    # Which execution engine ran the pipeline: "scalar", "vector" or
+    # "vector-adaptive".
     engine: str = "scalar"
     # Why a batched run did NOT run the vectorized cascade (the scalar
     # fallback screen or first failed gate); None when it ran or was never

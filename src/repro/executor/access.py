@@ -18,7 +18,6 @@ lives in the pipeline, and each row only pays the predicates themselves.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
@@ -33,12 +32,6 @@ from repro.optimizer.plans import DrivingKind, PlanLeg
 from repro.query.joingraph import JoinPredicate
 from repro.query.predicates import LocalPredicate, PositionalPredicate
 from repro.storage.compiled import compile_row_test
-from repro.storage.counters import (
-    INDEX_DESCEND_COST,
-    INDEX_ENTRY_COST,
-    PREDICATE_EVAL_COST,
-    ROW_FETCH_COST,
-)
 from repro.storage.cursor import IndexScanCursor, TableScanCursor
 from repro.storage.index import SortedIndex
 from repro.storage.table import Row
@@ -72,7 +65,7 @@ class ProbeConfig:
     # instead of an index (built lazily on first probe).
     hash_column: str | None = None
     # Outer-side source of the probe key as (alias, row slot) — what
-    # key_getter reads. The chunk paths read key columns through these
+    # key_getter reads. The cascade reads key columns through these
     # instead of calling the getter per row. None for scan probes.
     key_alias: str | None = None
     key_slot: int | None = None
@@ -140,10 +133,6 @@ class RuntimeLeg:
         "monitor_failure",
         "_hash_tables",
         "model_parts",
-        "_fast_groups",
-        "_fast_scan_group",
-        "_fast_groups_gen",
-        "_fast_probe_records",
     )
 
     def __init__(
@@ -186,8 +175,8 @@ class RuntimeLeg:
         self.probe_config: ProbeConfig | None = None
         # Bumped on every compile_probe: reorders and driving switches
         # change what a probe means (access predicate, residual set,
-        # positional filter), so per-key memos and cascade plans keyed on
-        # the epoch are rebuilt.
+        # positional filter), so cascade plans keyed on the epoch are
+        # rebuilt.
         self.probe_epoch = 0
         self.incoming_since_check = 0
         self.hash_policy = hash_policy
@@ -209,15 +198,6 @@ class RuntimeLeg:
         # Hash builds are cached per access column: reorders and driving
         # switches that keep the same access column reuse the build.
         self._hash_tables: dict[str, HashProbeTable] = {}
-        # Chunk reference loop: lazily memoized per-key candidate groups
-        # (rows passing locals + positional, with exact scalar eval counts
-        # and per-predicate deltas); see probe_batch_fast.
-        self._fast_groups: dict = {}
-        self._fast_scan_group: tuple | None = None
-        self._fast_groups_gen: tuple | None = None
-        # key -> (assembled probe record, entries, fetches, evals) for the
-        # lean no-residual loop; same generation as above.
-        self._fast_probe_records: dict = {}
 
     @property
     def base_cardinality(self) -> int:
@@ -388,262 +368,6 @@ class RuntimeLeg:
             self.obs.on_probe(self.alias, index_matches, len(matches))
         return matches
 
-    # ------------------------------------------------------------------
-    # Chunked inner-leg role (the batched executor's reference loop)
-    # ------------------------------------------------------------------
-    def _fast_group_rows(
-        self, candidates: Sequence[tuple[int, Row]]
-    ) -> tuple[list[Row], int, int, tuple[tuple[int, int], ...] | None]:
-        """Filter *candidates* through locals + positional, counting exactly.
-
-        Returns ``(surviving rows, evals, candidate count, local deltas)``
-        where ``evals`` is precisely what a scalar probe charges for this
-        candidate set before residual joins (short-circuited local evals
-        plus one positional eval per locally-passing row) and ``deltas`` are
-        the per-local-predicate (evaluated, passed) increments. All of it is
-        a pure function of the candidate set, the probe epoch's local tests,
-        and the positional predicate — so the result is memoized per key.
-        """
-        local_tests = self.local_tests
-        positional = self.positional
-        evals = 0
-        rows: list[Row] = []
-        deltas = [[0, 0] for _ in local_tests] if local_tests else None
-        for rid, row in candidates:
-            ok = True
-            for slot, (_, test) in enumerate(local_tests):
-                evals += 1
-                passed = test(row)
-                if deltas is not None:
-                    pair = deltas[slot]
-                    pair[0] += 1
-                    pair[1] += 1 if passed else 0
-                if not passed:
-                    ok = False
-                    break
-            if ok and positional is not None:
-                evals += 1
-                if not positional.test(rid, row):
-                    ok = False
-            if ok:
-                rows.append(row)
-        return (
-            rows,
-            evals,
-            len(candidates),
-            tuple((pair[0], pair[1]) for pair in deltas)
-            if deltas is not None
-            else None,
-        )
-
-    def probe_batch_fast(
-        self,
-        binding: Binding,
-        vary_alias: str,
-        outer_rows: Sequence[Row],
-    ) -> list[list[Row]]:
-        """Resolve the probes of a chunk of outer rows; one match list each.
-
-        *binding* must hold every preceding alias except *vary_alias*, whose
-        rows are *outer_rows*. Legal where nothing reads the work meter
-        mid-chunk (no hot observability, no faults; a limit check reads it
-        up to a chunk ahead): the chunk's physical charges and
-        monitor-update charges hit the meter once, here. Per-probe counts
-        stay scalar-exact — they are *derived* from per-key candidate
-        groups that replicate the scalar short-circuit precisely — so final
-        meter totals are identical to :meth:`probe` called row by row.
-
-        When monitored, the chunk is deferred as ONE weighted window
-        aggregate (:meth:`LegMonitor.defer_chunk`; the executor applies it
-        at the next driving-chunk boundary), and the local-predicate
-        counters and ``incoming_since_check`` advance by the whole chunk.
-
-        Per-key groups (rows passing locals + positional, with exact eval
-        counts) are memoized per (probe epoch, heap version), so repeated
-        join keys skip candidate filtering entirely.
-        """
-        config = self.probe_config
-        if config is None:
-            raise ExecutionError(f"leg {self.alias!r} has no probe config")
-        if config.hash_column is not None:
-            raise ExecutionError(
-                f"leg {self.alias!r}: hash probes are not batchable"
-            )
-        residual = config.residual_joins
-        index = config.access_index
-        key_alias = config.key_alias
-        key_varies = key_alias == vary_alias
-        key_slot = config.key_slot
-        key_const = (
-            binding[key_alias][key_slot]
-            if key_alias is not None and not key_varies
-            else None
-        )
-
-        gen = (self.probe_epoch, self.table.version)
-        if self._fast_groups_gen != gen:
-            self._fast_groups = {}
-            self._fast_scan_group = None
-            self._fast_probe_records = {}
-            self._fast_groups_gen = gen
-        groups = self._fast_groups
-
-        n = len(outer_rows)
-        # Lean shape: no residual joins, indexed access. A key's full probe
-        # record is then a pure function of its memoized group, so the
-        # chunk needs only the key sequence.
-        lean = index is not None and not residual
-        if index is not None:
-            keys_seq = (
-                [outer[key_slot] for outer in outer_rows]
-                if key_varies
-                else [key_const] * n
-            )
-            key_counts = Counter(keys_seq)
-            # Resolve candidate groups for keys not yet memoized: one merged
-            # descent over the index, then one filtering pass per new key —
-            # or, when the backend offers vectorized per-key records
-            # (columnar), one kernel gather with identical eval accounting.
-            group_keys = [
-                key
-                for key in key_counts
-                if key is not None and key not in groups
-            ]
-            if group_keys:
-                build = getattr(index, "fast_group_records", None)
-                built = (
-                    build(group_keys, self.local_tests, self.positional)
-                    if build is not None
-                    else None
-                )
-                if built is not None:
-                    groups.update(built)
-                else:
-                    raw = self.table.raw_rows()
-                    for key, rids in index.lookup_rids_batch(group_keys).items():
-                        groups[key] = self._fast_group_rows(
-                            [(rid, raw[rid]) for rid in rids]
-                        )
-
-        # Every index probe descends, whatever its key.
-        descends = n if index is not None else 0
-        entries = fetches = evals_total = 0
-        # Chunk sums for the window aggregate and the local counters.
-        sum_output = 0
-        sum_deltas = (
-            [[0, 0] for _ in self.local_tests] if self.local_tests else None
-        )
-        if lean:
-            # Each key's full probe record — matches, entries, fetches,
-            # evals — is built once per generation and shared across every
-            # probe of that key. Sums are exact: entries/fetches/evals are
-            # per-key constants.
-            probe_records = self._fast_probe_records
-            for key in key_counts:
-                if key in probe_records:
-                    continue
-                if key is None:
-                    # Scalar lookup_rids(None): descend charged, no
-                    # entries — zero contribution to every other sum.
-                    probe_records[None] = ([], 0, 0, 0, None)
-                    continue
-                rows, base_evals, count, deltas = groups[key]
-                probe_records[key] = (
-                    rows, count if count else 1, count, base_evals, deltas
-                )
-            # Aggregate per DISTINCT key (duplicate probes of a key add
-            # identical integer contributions, so multiplying by the
-            # multiplicity is exact).
-            records = [probe_records[key][0] for key in keys_seq]
-            for key, mult in key_counts.items():
-                rows, pe, pf, ev, deltas = probe_records[key]
-                entries += pe * mult
-                fetches += pf * mult
-                evals_total += ev * mult
-                sum_output += len(rows) * mult
-                if deltas is not None:
-                    for slot, (evaluated, passed) in enumerate(deltas):
-                        pair = sum_deltas[slot]
-                        pair[0] += evaluated * mult
-                        pair[1] += passed * mult
-        else:
-            scan_group: tuple | None = None
-            if index is None:
-                scan_group = self._fast_scan_group
-                if scan_group is None:
-                    raw = self.table.raw_rows()
-                    scan_group = self._fast_scan_group = self._fast_group_rows(
-                        list(enumerate(raw))
-                    )
-            # Outer-side residual reads: sources on the varying alias are
-            # row-slot reads per outer row; sources on any other (fixed)
-            # alias are constants for the whole chunk.
-            oval_specs = tuple(
-                (
-                    oalias == vary_alias,
-                    oslot if oalias == vary_alias else binding[oalias][oslot],
-                )
-                for oalias, oslot in config.residual_sources
-            )
-            records = [None] * n
-            for i, outer in enumerate(outer_rows):
-                if index is not None:
-                    key = keys_seq[i]
-                    if key is None:
-                        # Scalar lookup_rids(None): descend, no entries.
-                        records[i] = []
-                        continue
-                    rows, evals, count, deltas = groups[key]
-                    entries += count if count else 1
-                else:
-                    rows, evals, count, deltas = scan_group
-                fetches += count
-                matches = rows
-                for (varies, spec), (_, slot) in zip(oval_specs, residual):
-                    # Scalar short-circuit: the j-th residual is evaluated
-                    # on the rows that passed the first j.
-                    evals += len(matches)
-                    oval = outer[spec] if varies else spec
-                    matches = [
-                        row
-                        for row in matches
-                        if (cell := row[slot]) is not None and cell == oval
-                    ]
-                evals_total += evals
-                sum_output += len(matches)
-                if deltas is not None:
-                    for slot, (evaluated, passed) in enumerate(deltas):
-                        pair = sum_deltas[slot]
-                        pair[0] += evaluated
-                        pair[1] += passed
-                records[i] = matches
-
-        meter = self.meter
-        meter.index_descends += descends
-        meter.index_entries += entries
-        meter.row_fetches += fetches
-        meter.predicate_evals += evals_total
-        if not self.monitoring_enabled:
-            return records
-        meter.monitor_updates += n
-        # Every cost constant is an exact binary fraction, so this
-        # aggregate equals the per-probe float sum bit for bit.
-        self.monitor.defer_chunk(
-            n,
-            fetches,
-            sum_output,
-            descends * INDEX_DESCEND_COST
-            + entries * INDEX_ENTRY_COST
-            + fetches * ROW_FETCH_COST
-            + evals_total * PREDICATE_EVAL_COST,
-        )
-        if sum_deltas is not None:
-            for counts, (evaluated, passed) in zip(self.local_counts, sum_deltas):
-                counts[0] += evaluated
-                counts[1] += passed
-        self.incoming_since_check += n
-        return records
-
     def _retry_hook(self, site: str):
         """Per-retry observability callback for a fault site (or None)."""
         if self.obs is None:
@@ -740,7 +464,7 @@ class RuntimeLeg:
         rechecked (matching how S_LPI and S_LPR are monitored separately,
         Sec 4.3.1).
         """
-        pushed = self._pushed_predicate(cursor)
+        pushed = self.pushed_driving_predicate()
         residual_tests = [
             test for predicate, test in self.local_tests if predicate is not pushed
         ]
@@ -772,32 +496,11 @@ class RuntimeLeg:
             if survived:
                 yield row
 
-    def _pushed_predicate(self, cursor: Cursor):
-        """The local predicate enforced by the cursor's index ranges."""
-        if not isinstance(cursor, IndexScanCursor):
-            return None
-        column = cursor.index.column
-        spec = self.plan_leg.driving
-        if spec.kind is not DrivingKind.INDEX_SCAN or spec.index_column != column:
-            # A dynamically chosen access path: find the matching predicate.
-            for predicate, _ in self.local_tests:
-                if predicate.key_ranges(column) is not None:
-                    return predicate
-            return None
-        for predicate, _ in self.local_tests:
-            if predicate.key_ranges(column) is not None:
-                return predicate
-        return None
-
     def pushed_driving_predicate(self):
         """The local predicate the driving spec pushes into its index scan."""
-        spec = self.plan_leg.driving
-        if spec.kind is not DrivingKind.INDEX_SCAN or spec.index_column is None:
-            return None
-        for predicate, _ in self.local_tests:
-            if predicate.key_ranges(spec.index_column) is not None:
-                return predicate
-        return None
+        return self.plan_leg.driving.pushed(
+            [predicate for predicate, _ in self.local_tests]
+        )
 
     # ------------------------------------------------------------------
     # Monitoring-derived numbers used by the controller

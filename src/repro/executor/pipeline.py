@@ -135,10 +135,9 @@ class PipelineExecutor:
         self.oracle = oracle
         self.obs = obs
         monitoring = self.config.mode.monitors
-        # The engine's chunk semantics carry aggregated monitor windows
-        # (one weighted ring entry per chunk). Its scalar fallbacks still
-        # work against them — a per-row observation is an n=1 aggregate
-        # with exact eviction.
+        # The engine carries aggregated monitor windows (one weighted ring
+        # entry per chunk). Its scalar fallbacks still work against them —
+        # a per-row observation is an n=1 aggregate with exact eviction.
         aggregated = monitoring and self.config.batched
         bindings: PlanBindings = plan.bindings(catalog, _bind_plan)
         self.projection_slots = bindings.projection_slots
@@ -208,13 +207,11 @@ class PipelineExecutor:
         # precondition — the invariant oracle reads it before permutations.
         self.depleted_from: int | None = None
         self._enforcer: LimitEnforcer | None = None
-        # Which execution engine actually ran this query: "scalar" (this
-        # class / the batched executor's scalar fallback), "fast" (the
-        # chunk-semantics reference loop), "vector" (static columnar
-        # cascade), "vector-adaptive" (chunked adaptive cascade; "+fast"
-        # suffix when it handed the cursors back to the reference loop
-        # mid-query). Surfaced on ExecutionStats.engine and the flight
-        # record.
+        # Which execution engine ran this query: "scalar" (this class;
+        # the batched executor's screens, gates and mid-query hand-off),
+        # "vector" (static columnar cascade) or "vector-adaptive" (chunked
+        # adaptive cascade). Surfaced on ExecutionStats.engine and the
+        # flight record.
         self.engine_used = "scalar"
         # Why a batched run did NOT (or not to its end) run the vectorized
         # cascade: the scalar-fallback screen or first failed gate. None

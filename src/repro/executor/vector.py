@@ -1,10 +1,8 @@
 """The vectorized join cascade: whole chunks of a query as array computations.
 
-The batched reference loop (``BatchedPipelineExecutor._run_fast``) already
-amortizes per-probe observation; what remains is the Python nested-loop
-state machine itself. When every leg is
-columnar and every probe is a pure indexed equality lookup, the join
-collapses into a layered array computation per driving chunk:
+What a nested-loop join costs in Python is the state machine itself. When
+every leg is columnar and every probe is a pure indexed equality lookup,
+the join collapses into a layered array computation per driving chunk:
 
 1. the driving scan becomes an index-entry (or RID-range) slice plus a
    boolean mask for the residual local predicates;
@@ -27,12 +25,12 @@ One chunk loop (:func:`_run_cascade`) runs static plans (large slices) and
 the monitored modes (``batch_size`` chunks with kernel-folded monitoring
 and boundary rank checks).
 
-Gates are strict — any unsupported shape returns ``None`` and the
-reference loop (monitored) or the scalar machine (static) runs instead. In
-particular the cascade requires: columnar tables and indexes on every leg,
-index-equality probes with no residual joins, and vectorizable local
-predicates everywhere. A frozen leg's positional predicate is not a gate: it is a
-mask over the leg's group kernel (:func:`_positional_kernel`). Resumed
+Gates are strict — any unsupported shape returns ``None`` and the scalar
+machine runs instead. In particular the cascade requires: columnar tables
+and indexes on every leg, index-equality probes with no residual joins,
+and vectorizable local predicates everywhere. A frozen leg's positional
+predicate is not a gate: it is a mask over the leg's group kernel
+(:func:`_positional_kernel`). Resumed
 driving cursors are supported: :class:`_DrivingWalk` reads the rest of the
 scan off the cursor's own state, with the exact skip/termination rules of
 :class:`~repro.storage.cursor.IndexScanCursor`, which is how the cascade
@@ -94,7 +92,7 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     take the driving scan in :data:`STATIC_SLICE_ROWS` slices, the monitored
     modes in ``batch_size`` chunks. The generator returns True when the
     query completed, False when a plan rebuilt mid-query is one the gates
-    refuse and the caller must continue on the reference loop with the
+    refuse and the caller must continue on the scalar machine with the
     partially consumed cursors.
 
     Must be called after ``_open_driving``/``_compile_all_probes`` on a
@@ -288,7 +286,7 @@ def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
         if not isinstance(index, ColumnarIndex):
             return None, f"leg {alias!r}: non-columnar driving index"
         index._sidecar()
-    pushed = leg._pushed_predicate(cursor)
+    pushed = leg.pushed_driving_predicate()
     table = leg.table
     masks = []
     for predicate, _ in leg.local_tests:
@@ -487,11 +485,12 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
     """Chunk loop: limits -> consume -> expand -> emit -> fold -> checks.
 
     Returns True when the query completed, False to hand the partially
-    consumed cursors back to the reference loop at a chunk boundary (all
-    prepared state drained, windows flushed, counters consistent).
+    consumed cursors back to the scalar machine at a chunk boundary
+    (windows flushed, counters consistent).
 
-    Observable-parity contract with the reference loop ``_run_fast`` (and,
-    for static plans, the scalar machine):
+    Observable-parity contract with the scalar machine (for monitored
+    plans: the scalar machine applying the same decisions at the same
+    driving-row counts, ``tests/test_decision_replay.py``):
 
     * each chunk is the next ``chunk_rows`` survivors of the driving walk
       (:class:`_DrivingWalk`), which charges the scan work and the driving
@@ -499,21 +498,21 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
       pulled to produce them and repositions the cursor, so freeze/resume
       positions are identical — including the trailing non-survivor scan
       landing *after* the final boundary's checks;
-    * each inner leg's meter charges and window fold are the kernel-sum
-      twins of ``probe_batch_fast``'s lean aggregates (:func:`_expand`; all
+    * each inner leg's meter charges and window fold are the kernel sums
+      of what the scalar probes charge row by row (:func:`_expand`; all
       cost constants exact binary fractions, so the float work sums are
       bit-identical under regrouping);
     * one window fold per leg per chunk, applied at the boundary before
       any check or snapshot can read a window (``_flush_chunk_folds``);
     * the rank-rule checks at chunk boundaries — one inner check at
-      position 1 and one driving check per chunk, the reference loop's
-      cadence. An applied inner reorder permutes the remaining legs
-      mid-scan; a driving switch swaps the driving walk and puts the frozen
-      leg behind a positional kernel (plan rebuild).
+      position 1 and one driving check per chunk. An applied inner
+      reorder permutes the remaining legs mid-scan; a driving switch swaps
+      the driving walk and puts the frozen leg behind a positional kernel
+      (plan rebuild).
 
     Execution limits are a chunk-boundary concern: cancellation, deadline
     and work budget are tested once per chunk, before the walk takes it
-    (the reference loop's position-0 safe point), so they are seen at most
+    (the scalar machine's position-0 safe point), so they are seen at most
     one chunk late and ``BudgetExceeded.work_units`` / ``driving_rows`` are
     exact to a chunk. The row budget is exact: a chunk that would overrun
     it emits only the rows still admitted, then raises — the caller holds
@@ -541,7 +540,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
         taken = len(survivors)
         if not taken:
             # No survivor left: the trailing non-survivors are scanned
-            # after the last boundary's checks, as the reference loop's
+            # after the last boundary's checks, as the scalar machine's
             # final next() does.
             walk.finish()
             executor.depleted_from = 0
@@ -586,7 +585,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
             if reason is not None:
                 # A shape the gates refuse (hash-probed leg, residual join
                 # predicates, non-vectorizable locals): hand the cursors
-                # back to the reference loop mid-query.
+                # back to the scalar machine mid-query.
                 executor.vector_gate_reason = reason
                 return False
             plan_sig = sig

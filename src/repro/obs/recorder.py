@@ -99,6 +99,12 @@ class RankTerm:
         }
 
 
+def granularity_of(engine: str) -> str:
+    """Where the engine that ran fires its reorder checks: at chunk
+    boundaries on the monitored cascade, every ``c`` rows otherwise."""
+    return "chunk" if engine == "vector-adaptive" else "exact"
+
+
 @dataclass
 class DecisionRecord:
     """One controller check — kept or applied — with its model inputs.
@@ -233,22 +239,16 @@ class FlightRecording:
         "_materialized",
         "final_legs",
         "max_decisions",
-        "monitor_granularity",
         "truncated",
     )
 
-    def __init__(
-        self,
-        max_decisions: int = 10_000,
-        monitor_granularity: str = "exact",
-    ) -> None:
+    def __init__(self, max_decisions: int = 10_000) -> None:
         # DecisionRecord (full capture) and kept-check tuples, interleaved
         # in check order.
         self._entries: list[Any] = []
         self._materialized: tuple[int, list[DecisionRecord]] | None = None
         self.final_legs: dict[str, dict[str, Any]] = {}
         self.max_decisions = max_decisions
-        self.monitor_granularity = monitor_granularity
         self.truncated = False
 
     @property
@@ -257,13 +257,12 @@ class FlightRecording:
         cached = self._materialized
         if cached is not None and cached[0] == len(self._entries):
             return cached[1]
-        granularity = self.monitor_granularity
         out: list[DecisionRecord] = []
         for entry in self._entries:
             if type(entry) is DecisionRecord:
                 out.append(entry)
             else:
-                check, driving_rows, position, order = entry
+                check, driving_rows, position, order, granularity = entry
                 out.append(
                     DecisionRecord(
                         check=check,
@@ -290,12 +289,15 @@ class FlightRecording:
         driving_rows: int,
         position: int,
         order: tuple[str, ...],
+        monitor_granularity: str,
     ) -> None:
         """A check that kept the order: slim envelope, tuple-cheap."""
         if len(self._entries) >= self.max_decisions:
             self.truncated = True
             return
-        self._entries.append((check, driving_rows, position, order))
+        self._entries.append(
+            (check, driving_rows, position, order, monitor_granularity)
+        )
 
     def on_finish(self, pipeline: "PipelineExecutor") -> None:
         """Final per-leg monitor snapshot (actuals for q-error reporting)."""
@@ -686,7 +688,6 @@ class FlightRecorder:
     # -- per-query -----------------------------------------------------
     def arm(
         self,
-        config,
         base: QueryObservability | None = None,
         max_decisions: int = 10_000,
     ) -> QueryObservability:
@@ -698,10 +699,7 @@ class FlightRecorder:
         already-armed bundle.
         """
         bundle = base if base is not None else QueryObservability()
-        bundle.audit = FlightRecording(
-            max_decisions=max_decisions,
-            monitor_granularity=config.monitor_granularity,
-        )
+        bundle.audit = FlightRecording(max_decisions=max_decisions)
         return bundle
 
     def finish_query(
@@ -744,6 +742,7 @@ class FlightRecorder:
         decisions = list(audit.decisions) if audit is not None else []
         final_legs = dict(audit.final_legs) if audit is not None else {}
         plan = result.plan if result is not None else None
+        engine = result.stats.engine if result is not None else "unknown"
         record = FlightRecord(
             query_id=self._next_query_id(),
             ts=self._clock(),
@@ -765,9 +764,9 @@ class FlightRecorder:
             plan_order=tuple(plan.order) if plan is not None else (),
             plan_cost=plan.estimated_cost if plan is not None else None,
             final_order=result.final_order if result is not None else (),
-            monitor_granularity=config.monitor_granularity,
+            monitor_granularity=granularity_of(engine),
             batched=config.batched,
-            engine=result.stats.engine if result is not None else "unknown",
+            engine=engine,
             vector_gate=(
                 result.stats.vector_gate if result is not None else None
             ),

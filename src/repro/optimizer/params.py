@@ -106,7 +106,6 @@ def leg_model_parts(
     spec = plan_leg.driving
     base_cardinality = len(table)
     sel_local_index = None
-    pushed = None
     if spec.index_column is not None:
         index = indexes.get(spec.index_column)
         if spec.ranges and index is not None and base_cardinality > 0:
@@ -115,15 +114,7 @@ def leg_model_parts(
                 for r in spec.ranges
             )
             sel_local_index = qualified / base_cardinality
-        if spec.kind is DrivingKind.INDEX_SCAN:
-            pushed = next(
-                (
-                    predicate
-                    for predicate in plan_leg.local_predicates
-                    if predicate.key_ranges(spec.index_column) is not None
-                ),
-                None,
-            )
+    pushed = spec.pushed(plan_leg.local_predicates)
     return LegModelParts(
         base_cardinality=base_cardinality,
         local_predicate_count=len(plan_leg.local_predicates),

@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.query.joingraph import JoinPredicate
 from repro.query.predicates import LocalPredicate
 from repro.query.query import OutputColumn, QuerySpec
-from repro.storage.cursor import KeyRange
+from repro.storage.cursor import KeyRange, normalize_ranges
 
 
 class DrivingKind(enum.Enum):
@@ -51,6 +51,22 @@ class DrivingSpec:
         if self.kind is DrivingKind.TABLE_SCAN:
             return "TABLE SCAN (RID order)"
         return f"INDEX SCAN on {self.index_column} ({len(self.ranges)} range(s))"
+
+    def pushed(self, predicates: Sequence[LocalPredicate]) -> LocalPredicate | None:
+        """The one of *predicates* this scan's key ranges enforce, or None.
+
+        The predicate the ranges were taken from — not merely the first
+        that is sargable on the column: a leg may carry two (``make = 'a'
+        OR make = 'b'`` beside ``make = 'c'``), and the other one must
+        still be evaluated on every row scanned.
+        """
+        if self.kind is not DrivingKind.INDEX_SCAN or self.index_column is None:
+            return None
+        for predicate in predicates:
+            ranges = predicate.key_ranges(self.index_column)
+            if ranges is not None and tuple(normalize_ranges(ranges)) == self.ranges:
+                return predicate
+        return None
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ class DatabaseEngine:
         # the cascade, so neither gates the vectorized engine out (replies
         # report ``engine: vector*`` on the columnar backend) and the
         # deterministic WorkMeter sees zero extra charges.
-        bundle = self.recorder.arm(config)
+        bundle = self.recorder.arm()
         started = time.perf_counter()
         try:
             result = self.db.execute(sql, config, limits=limits, obs=bundle)

@@ -6,19 +6,18 @@ dictionary-encodes STRING columns (``array('i')`` codes + an
 insertion-ordered decode list). Rows are **views**: the table lazily
 materializes the familiar row-tuple list on first row-wise access and
 shares that one list everywhere (``raw_rows``, ``fetch``, ``peek``,
-``scan``), so row object *identity* — which the batched executor's
-driving-leg shadow asserts — is preserved exactly as in the row backend.
-The fully vectorized execution paths never materialize rows at all.
+``scan``), so row object *identity* is preserved exactly as in the row
+backend. The fully vectorized execution paths never materialize rows at
+all.
 
 :class:`ColumnarIndex` keeps the parent's sorted ``(key, rid)`` entry list
 (cursors, range scans, and positional-order semantics inherit unchanged)
 and adds a flat sidecar per generation: the distinct keys, CSR segment
 starts, and an ``int64`` RID array. Equality probes become O(1) dict-rank
-lookups instead of ``bisect`` pairs, and the local-predicate group
-builders (the reference loop's per-key records, the cascade's kernels)
-evaluate each leg's predicates **once per column** with numpy masks —
-reproducing the scalar short-circuit eval counts exactly via alive-mask
-accounting (``evals_i = rows still alive before test i``).
+lookups instead of ``bisect`` pairs, and the cascade's local-predicate
+group kernels evaluate each leg's predicates **once per column** with
+numpy masks — reproducing the scalar short-circuit eval counts exactly
+via alive-mask accounting (``evals_i = rows still alive before test i``).
 
 numpy is required (``get_backend("columnar")`` refuses to build without
 it). For predicate shapes the masks do not cover and overflow-promoted
@@ -29,10 +28,9 @@ path ran — only speed does.
 Concurrent readers (the query server's worker threads) share one table and
 one index, so every lazily built structure is built and published under a
 per-object lock: the row view, the index sidecar, and the bounded kernel
-and group memos (whose first-in-first-out eviction is a check-then-act).
-Whole-value caches whose loser of a race merely rebuilt an equal value
-(the columns' numpy copies, ``_Kernel.lists``, the one-slot ``_fast_ctx``
-tuple) are published with a single reference store and need none.
+memo (whose first-in-first-out eviction is a check-then-act). Whole-value
+caches whose loser of a race merely rebuilt an equal value (the columns'
+numpy copies) are published with a single reference store and need none.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import sys
 import threading
 from array import array
 from bisect import insort
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import WorkMeter
@@ -549,7 +547,6 @@ class _Kernel:
         "pass_rids",
         "ev",
         "pa",
-        "_lists",
     )
 
     def __init__(self, totals, evals, counts, pass_offsets, pass_rids, ev, pa):
@@ -560,7 +557,6 @@ class _Kernel:
         self.pass_rids = pass_rids
         self.ev = ev
         self.pa = pa
-        self._lists = None
         for array in (totals, evals, counts, pass_offsets, pass_rids, *ev, *pa):
             array.setflags(write=False)
 
@@ -585,28 +581,6 @@ class _Kernel:
             self.pa,
         )
 
-    def lists(self) -> tuple:
-        """Plain-list views of every array (built once, then cached).
-
-        Per-key record assembly slices these instead of the ndarrays: a
-        Python list slice of ints is far cheaper than an ndarray slice +
-        ``tolist()`` for the tiny groups equality probes see, and the
-        elements are already plain ``int`` (no ``np.int64`` can leak into
-        the WorkMeter). The padding slots come along; a rank out of the
-        sidecar's ``rank`` dictionary never reaches them.
-        """
-        lists = self._lists
-        if lists is None:
-            lists = self._lists = (
-                self.pass_offsets.tolist(),
-                self.pass_rids.tolist(),
-                self.evals.tolist(),
-                self.totals.tolist(),
-                [column.tolist() for column in self.ev],
-                [column.tolist() for column in self.pa],
-            )
-        return lists
-
 
 class ColumnarIndex(SortedIndex):
     """A :class:`SortedIndex` with flat-array probing and group kernels."""
@@ -622,8 +596,6 @@ class ColumnarIndex(SortedIndex):
         "_totals_np",
         "_kernels",
         "_row_ranks",
-        "_record_caches",
-        "_fast_ctx",
         "_lock",
     )
 
@@ -631,8 +603,6 @@ class ColumnarIndex(SortedIndex):
         self._gen = None
         self._kernels = {}
         self._row_ranks = {}
-        self._record_caches = {}
-        self._fast_ctx = None
         # Guards build-and-publish of the sidecar and the bounded memos.
         self._lock = threading.Lock()
         super().__init__(name, table, column)
@@ -723,7 +693,6 @@ class ColumnarIndex(SortedIndex):
                 pass
         self._kernels = {}
         self._row_ranks = {}
-        self._record_caches = {}
 
     # -- O(1) probing ---------------------------------------------------
     def lookup_rids(self, key: Any) -> list[int]:
@@ -742,20 +711,6 @@ class ColumnarIndex(SortedIndex):
         lo, hi = starts[j], starts[j + 1]
         self.meter.charge_index_entries(hi - lo)
         return [rid for _, rid in self._entries[lo:hi]]
-
-    def lookup_rids_batch(self, keys: Iterable[Any]) -> dict[Any, list[int]]:
-        self._check_fresh()
-        rank, _, starts = self._sidecar()
-        entries = self._entries
-        out: dict[Any, list[int]] = {}
-        for key in sorted(set(keys)):
-            j = rank.get(key)
-            if j is None:
-                out[key] = []
-            else:
-                lo, hi = starts[j], starts[j + 1]
-                out[key] = [rid for _, rid in entries[lo:hi]]
-        return out
 
     # -- vectorized group kernels ---------------------------------------
     def _specs_for(self, tests: Sequence) -> list | None:
@@ -842,102 +797,6 @@ class ColumnarIndex(SortedIndex):
         except TypeError:
             return None
         return key
-
-    def fast_group_records(
-        self, keys: Iterable[Any], local_tests: Sequence, positional
-    ) -> dict | None:
-        """Per-key fast-path records for *keys*, or None (caller falls back).
-
-        Each record is ``(rows, evals, count, deltas)`` with semantics
-        identical to ``RuntimeLeg._fast_group_rows`` over the key's full
-        candidate list: short-circuited local evals (plus one positional
-        eval per locally-passing row), per-test (evaluated, passed)
-        deltas, rows in entry order.
-        """
-        self._check_fresh()
-        # One-slot context memo keyed by the *identity* of the caller's
-        # local_tests list (built once per RuntimeLeg, never mutated; the
-        # strong reference held here keeps the id from being recycled).
-        # Skips predicate-tuple hashing and kernel lookup on every probe
-        # chunk after the first.
-        ctx = self._fast_ctx
-        if (
-            ctx is not None
-            and ctx[0] is local_tests
-            and ctx[1] == self._generation()
-            and positional is None
-        ):
-            _, _, kernel, memo, rank, lists, ntests = ctx
-        else:
-            tests = [test for _, test in local_tests]
-            predicates_key = self._predicates_key(tests)
-            if predicates_key is None:
-                return None
-            kernel = self._kernel_for(tests, predicates_key)
-            if kernel is None:
-                return None
-            rank, _, _ = self._sidecar()
-            ntests = len(tests)
-            # Records depend only on (generation, local tests) —
-            # positional predicates are driving-leg-only — so assembled
-            # records persist across probe epochs: reorders flush the
-            # access layer's memo, but re-requested keys here are dict
-            # hits, not re-assemblies.
-            memo = None
-            if positional is None:
-                memo = self._record_caches.setdefault(predicates_key, {})
-            lists = kernel.lists()
-            if positional is None:
-                self._fast_ctx = (
-                    local_tests,
-                    self._gen,
-                    kernel,
-                    memo,
-                    rank,
-                    lists,
-                    ntests,
-                )
-        raw = self.table.raw_rows()
-        offsets, pass_rids, evals_l, totals_l, ev_l, pa_l = lists
-        empty = (
-            [],
-            0,
-            0,
-            tuple((0, 0) for _ in range(ntests)) if ntests else None,
-        )
-        out = {}
-        for key in set(keys):
-            if memo is not None:
-                record = memo.get(key)
-                if record is not None:
-                    out[key] = record
-                    continue
-            j = rank.get(key)
-            if j is None:
-                record = empty
-            else:
-                rids = pass_rids[offsets[j] : offsets[j + 1]]
-                evals = evals_l[j]
-                deltas = (
-                    tuple((ev_l[i][j], pa_l[i][j]) for i in range(ntests))
-                    if ntests
-                    else None
-                )
-                if positional is not None:
-                    rows = []
-                    test = positional.test
-                    for rid in rids:
-                        row = raw[rid]
-                        evals += 1
-                        if test(rid, row):
-                            rows.append(row)
-                else:
-                    rows = [raw[rid] for rid in rids]
-                record = (rows, evals, totals_l[j], deltas)
-            if memo is not None:
-                memo[key] = record
-            out[key] = record
-        return out
 
     def cascade_groups(self, local_tests: Sequence) -> "_Kernel | None":
         """The group kernel the vectorized join cascade expands through, or

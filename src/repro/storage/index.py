@@ -19,7 +19,7 @@ deterministically cheaper.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import StorageError
 from repro.storage.counters import WorkMeter
@@ -184,27 +184,6 @@ class SortedIndex:
         lo, hi = self._range_bounds(key, key, True, True)
         self.meter.charge_index_entries(max(hi - lo, 1))
         return [rid for _, rid in self._entries[lo:hi]]
-
-    def lookup_rids_batch(self, keys: Iterable[Any]) -> dict[Any, list[int]]:
-        """Resolve many equality probes in one merged pass (uncharged).
-
-        Distinct non-``None`` keys are sorted and located left-to-right over
-        ``_entries``, each ``bisect`` reusing the previous key's upper bound
-        as its lower search bound — one logical descend per distinct key,
-        never rewinding. The caller (the batched reference loop) charges
-        each chunk's ``INDEX_DESCEND`` / ``INDEX_ENTRY`` / ``ROW_FETCH``
-        totals itself, so this method charges nothing.
-        """
-        self._check_fresh()
-        entries = self._entries
-        out: dict[Any, list[int]] = {}
-        lo = 0
-        for key in sorted(set(keys)):
-            lo = bisect.bisect_left(entries, (key, _RID_LOW), lo)
-            hi = bisect.bisect_right(entries, (key, _RID_HIGH), lo)
-            out[key] = [rid for _, rid in entries[lo:hi]]
-            lo = hi
-        return out
 
     def scan_range(
         self,

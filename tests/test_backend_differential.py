@@ -11,11 +11,13 @@ columnar backend must produce
   decisions at the same driving-row positions),
 
 as the row backend running the same queries: the oracle (scalar) on both
-stores, and the engine — the columnar cascade — against its reference
-loop on the row store (``fast``; the scalar machine for static plans).
-Columnar execution — typed columns, compiled predicates, kernel-vectorized
-probes, and the whole-query cascade — is a pure speed change, never a
-semantic one.
+stores, and the engine — the columnar cascade — against the row store's
+scalar machine (directly for static plans; for monitored ones, whose
+decisions fall at chunk boundaries, through the decision replay of
+``tests/test_decision_replay.py``: rows in order, physical work, final
+order and frozen positions under the engine's own schedule). Columnar
+execution — typed columns, compiled predicates, kernel-vectorized probes,
+and the whole-query cascade — is a pure speed change, never a semantic one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from repro import AdaptiveConfig, ReorderMode
 from repro.core.events import EventKind
 from repro.dmv import load_dmv, six_table_workload
 from repro.query.predicates import PositionalPredicate
+
+from tests.test_decision_replay import assert_replays
 
 SCALE = 0.02
 
@@ -85,9 +89,16 @@ def test_columnar_bit_identical_to_row(
 ):
     config = AdaptiveConfig(mode=mode, **overrides)
     for sql in workload:
+        tag = f"{mode.name} {name}: {sql[:60]}"
+        if config.batched and mode.monitors:
+            _, engine, oracle = assert_replays(
+                row_db, columnar_db, sql, config, tag=tag
+            )
+            assert engine.engine_used == "vector-adaptive", tag
+            assert oracle is not None
+            continue
         row = row_db.execute(sql, config)
         col = columnar_db.execute(sql, config)
-        tag = f"{mode.name} {name}: {sql[:60]}"
         assert col.rows == row.rows, tag
         assert dataclasses.asdict(col.stats.work) == dataclasses.asdict(
             row.stats.work
@@ -158,7 +169,7 @@ def test_cascade_survives_driving_switches(switching_dbs, mode):
     """A driving switch freezes the old driving leg behind a positional
     predicate and resumes or opens another cursor; the cascade must take
     both in its stride (positional kernel, new driving walk) and stay
-    bit-identical to the row store's reference loop."""
+    equal to the row store's oracle applying the same switches."""
     from repro.dmv import four_table_workload
 
     row_db, columnar_db = switching_dbs
@@ -167,17 +178,11 @@ def test_cascade_survives_driving_switches(switching_dbs, mode):
     switches = 0
     for number in SWITCHING_STATEMENTS:
         sql = grid[number]
-        row = row_db.execute(sql, config)
-        col = columnar_db.execute(sql, config)
-        assert col.rows == row.rows, sql
-        assert dataclasses.asdict(col.stats.work) == dataclasses.asdict(
-            row.stats.work
-        ), sql
-        assert col.stats.events == row.stats.events, sql
-        switches += col.stats.driving_switches
-        assert col.stats.engine == "vector-adaptive", sql
-        assert col.stats.vector_gate is None
-        assert row.stats.engine == "fast", sql
+        _, engine, oracle = assert_replays(row_db, columnar_db, sql, config, tag=sql)
+        switches += engine.driving_switches
+        assert engine.engine_used == "vector-adaptive", sql
+        assert engine.vector_gate_reason is None
+        assert oracle.driving_switches == engine.driving_switches
     assert switches >= len(SWITCHING_STATEMENTS)  # not vacuous
     # Positional kernels are per query: the index memos only ever hold
     # kernels keyed by local predicates.
@@ -209,7 +214,7 @@ def test_switched_query_reports_no_gate_and_retains_no_kernel(switching_dbs):
     assert plan_bytes > 0
 
     recorder = FlightRecorder(capacity=4)
-    bundle = recorder.arm(config)
+    bundle = recorder.arm()
     result = columnar_db.execute(sql, config, obs=bundle)
     record = recorder.finish_query(bundle, result, sql=sql, config=config)
     assert result.stats.driving_switches >= 1
@@ -222,9 +227,8 @@ def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
     """Both cascades read the driving leg through ``_DrivingWalk``, which
     needs every residual local of that leg as a whole-column mask. A
     starting driving leg whose local is not maskable (here: an INT column
-    boxed by a value past int64) therefore runs on ``fast`` from the first
-    row and says why — it no longer starts on the cascade through the
-    row-at-a-time iterator. Rows and work still equal the row backend."""
+    boxed by a value past int64) therefore runs the scalar machine from the
+    first row and says why. Rows and work still equal the row backend."""
     from repro import Database
 
     def build(backend):
@@ -243,7 +247,7 @@ def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
     col = build("columnar").execute(sql, config)
     row = build("row").execute(sql, config)
     assert col.stats.order_history[0][0] == "a"  # the gated leg drives
-    assert col.stats.engine == "fast"
+    assert col.stats.engine == "scalar"
     assert col.stats.vector_gate == "leg 'a': non-vectorizable local predicates"
     assert col.rows == row.rows
     assert col.stats.work == row.stats.work
@@ -259,44 +263,3 @@ def test_kernel_plan_gauge_sums_the_per_table_bytes(columnar_db, workload):
     assert stats["kernel_plan_bytes"] == sum(
         entry["kernel_bytes"] for entry in stats["per_table"]
     )
-
-
-def _flight_record_dict(db, sql, config):
-    """One query's flight record, normalized for cross-backend comparison.
-
-    ``query_id``/``ts``/``wall_ms`` are run-local (counter, clock);
-    ``engine`` (and its companion ``vector_gate``, which names why a
-    cascade did not run) is the one
-    *expected* cross-backend difference — the whole point of the
-    differential is that a different engine produces the same record;
-    the per-leg wall figures inside ``legs`` stay because the audit
-    snapshots carry only deterministic counters.
-    """
-    from repro.obs.recorder import FlightRecorder
-
-    recorder = FlightRecorder(capacity=4)
-    bundle = recorder.arm(config)
-    result = db.execute(sql, config, obs=bundle)
-    record = recorder.finish_query(bundle, result, sql=sql, config=config)
-    data = record.to_dict()
-    for key in ("query_id", "ts", "wall_ms", "engine", "vector_gate"):
-        data.pop(key, None)
-    return data
-
-
-@pytest.mark.parametrize(
-    "mode",
-    [ReorderMode.INNER_ONLY, ReorderMode.BOTH],
-    ids=lambda m: m.name.lower(),
-)
-def test_flight_records_identical_across_engines(
-    row_db, columnar_db, workload, mode
-):
-    """Flight records are engine-invariant: decision audit, per-leg window
-    snapshots, events, and work totals all match between the row backend's
-    reference loop and the columnar backend's vectorized adaptive cascade."""
-    config = AdaptiveConfig(mode=mode, batched=True)
-    for sql in workload:
-        row = _flight_record_dict(row_db, sql, config)
-        col = _flight_record_dict(columnar_db, sql, config)
-        assert col == row, f"{mode.name}: {sql[:60]}"

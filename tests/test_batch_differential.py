@@ -1,19 +1,17 @@
-"""Differential tests: chunk semantics against the scalar oracle.
+"""Differential tests: the engine against the scalar oracle.
 
 ``batched=True`` may coarsen *when* a monitored run checks and reorders
 (chunk boundaries instead of every ``c`` rows), never *what* a query
 returns or what a fixed plan costs. Against the row-store scalar executor,
-for batch sizes 1 / 7 / 256, both things that run chunk semantics — the
-reference loop on the row store (``fast``) and the cascade on the columnar
-store — must give
+for batch sizes 1 / 7 / 256, the cascade on the columnar store must give
 
 * the identical result multiset in every :class:`ReorderMode`;
 * the identical full :class:`WorkMeter` in mode NONE, where no decision
   can differ.
 
-That the reference loop and the cascade agree with *each other* bit for
-bit (rows in order, meter, events, flight records) is
-``tests/test_backend_differential.py``'s job.
+That a monitored cascade run equals the oracle *under the cascade's own
+decisions* (rows in order, physical work, frozen positions) is
+``tests/test_decision_replay.py``'s job.
 """
 
 from __future__ import annotations
@@ -27,20 +25,13 @@ from repro.dmv import four_table_workload, load_dmv, six_table_workload
 
 BATCH_SIZES = (1, 7, 256)
 
-#: backend -> engine a multi-leg query must report, static / monitored.
-ENGINES = {
-    "row": ("scalar", "fast"),
-    "columnar": ("vector", "vector-adaptive"),
-}
-
 
 @pytest.fixture(scope="module")
 def dbs():
-    built = {
+    return {
         backend: load_dmv(scale=0.02, extended=True, backend=backend)[0]
-        for backend in ENGINES
+        for backend in ("row", "columnar")
     }
-    return built
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +41,8 @@ def workload():
     )
 
 
-@pytest.mark.parametrize("backend", list(ENGINES))
 @pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.name.lower())
-def test_chunk_semantics_match_the_scalar_oracle(dbs, workload, mode, backend):
-    static_engine, monitored_engine = ENGINES[backend]
+def test_chunk_semantics_match_the_scalar_oracle(dbs, workload, mode):
     for query in workload:
         oracle = dbs["row"].execute(query.sql, AdaptiveConfig(mode=mode))
         assert oracle.stats.engine == "scalar"
@@ -62,11 +51,11 @@ def test_chunk_semantics_match_the_scalar_oracle(dbs, workload, mode, backend):
             config = AdaptiveConfig(
                 mode=mode, batched=True, batch_size=batch_size
             )
-            batched = dbs[backend].execute(query.sql, config)
-            tag = f"{query.qid} {backend} bs={batch_size}"
+            batched = dbs["columnar"].execute(query.sql, config)
+            tag = f"{query.qid} bs={batch_size}"
             # Not vacuous: the path under test is the one that ran.
             assert batched.stats.engine == (
-                monitored_engine if mode.monitors else static_engine
+                "vector-adaptive" if mode.monitors else "vector"
             ), tag
             assert sorted(batched.rows) == oracle_rows, tag
             if mode is ReorderMode.NONE:

@@ -129,7 +129,7 @@ class TestExperiments:
         assert by_mode["monitor-only"].check_us is None
         assert by_mode["driving-only"].checks > 0
         assert by_mode["driving-only"].check_us > 0.0
-        assert result.engines == ("fast",)  # the row store: the reference loop
+        assert result.engines == ("scalar",)  # the row store: gated
         assert "us per check" in result.report()
 
     def test_learned(self):

@@ -400,7 +400,7 @@ def test_decision_records_are_those_of_unshared_snapshots(columnar, monkeypatch)
 
     def audited(sql):
         recorder = FlightRecorder()
-        bundle = recorder.arm(config)
+        bundle = recorder.arm()
         result = columnar.execute(columnar.plan(sql), config, obs=bundle)
         return result.decisions, result.stats.events
 

@@ -193,8 +193,7 @@ class TestCommands:
     def test_columnar_batch_size_runs_the_adaptive_cascade(
         self, tmp_path, capsys
     ):
-        """``--batch-size`` asks for the engine, in mode BOTH too: it used to
-        run ``fast`` because nothing set chunk granularity."""
+        """``--batch-size`` asks for the engine, in mode BOTH too."""
         import json
 
         sql = (

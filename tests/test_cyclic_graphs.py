@@ -18,9 +18,9 @@ from repro.query.sql.parser import parse_sql
 from tests.conftest import reference_join
 
 
-def build_cyclic_db(rows=120, seed=9):
+def build_cyclic_db(rows=120, seed=9, backend="row"):
     rng = random.Random(seed)
-    db = Database()
+    db = Database(backend=backend)
     db.create_table("T1", [("k", "int"), ("j", "int"), ("pay", "string")])
     db.create_table("T2", [("k", "int"), ("m", "int")])
     db.create_table("T3", [("j", "int"), ("m", "int")])

@@ -1,12 +1,11 @@
 """Which engine runs, and why not the cascade: one row per dispatch rule.
 
-``ExecutionStats.engine`` takes five values — ``scalar``, ``fast``,
-``vector``, ``vector-adaptive``, ``vector-adaptive+fast`` — and
-``ExecutionStats.vector_gate`` names what kept a ``batched=True`` run off
-the cascade: a scalar-fallback screen (the run needs per-row visibility)
-or the first failed gate of DESIGN.md §4h's table (the shape is one the
-kernels do not cover). Every row of both lists is reached here through
-``Database.execute``.
+``ExecutionStats.engine`` takes three values — ``scalar``, ``vector``,
+``vector-adaptive`` — and ``ExecutionStats.vector_gate`` names what kept a
+``batched=True`` run on the scalar machine: a scalar-fallback screen (the
+run needs per-row visibility) or the first failed gate of DESIGN.md §4h's
+table (the shape is one the kernels do not cover). Every row of both lists
+is reached here through ``Database.execute``.
 """
 
 from __future__ import annotations
@@ -18,6 +17,8 @@ import pytest
 from repro import AdaptiveConfig, Database, ReorderMode
 from repro.core.config import HashProbePolicy
 from repro.executor.batch import BatchedPipelineExecutor
+from repro.obs.observer import QueryObservability
+from repro.obs.recorder import FlightRecorder
 from repro.robustness.faults import FaultPlan
 from repro.storage.backend import StorageBackend
 from repro.storage.columnar import ColumnarIndex, ColumnarTable
@@ -86,11 +87,12 @@ CASES = {
         {}, "scalar", "switch_at_key_boundary peeks the live cursor",
     ),
     "hot-observability": (
-        build, JOIN, BOTH, {"obs": True}, "scalar", "hot observability armed",
+        build, JOIN, BOTH, {"obs": QueryObservability.armed}, "scalar",
+        "hot observability armed",
     ),
     # -- gates: a shape the kernels do not cover -------------------------
     "row-backend": (
-        lambda: build("row"), JOIN, BOTH, {}, "fast", LEG + "row-backend table",
+        lambda: build("row"), JOIN, BOTH, {}, "scalar", LEG + "row-backend table",
     ),
     "row-backend-static": (
         lambda: build("row"), JOIN, STATIC, {}, "scalar", LEG + "row-backend table",
@@ -101,33 +103,33 @@ CASES = {
             mode=ReorderMode.BOTH, batched=True,
             hash_probe_policy=HashProbePolicy.ALWAYS,
         ),
-        {}, "fast", LEG + "hash-probed or uncompiled access",
+        {}, "scalar", LEG + "hash-probed or uncompiled access",
     ),
     "non-indexed-probe": (
-        lambda: build(indexes=()), JOIN, BOTH, {}, "fast", LEG + "non-indexed probe",
+        lambda: build(indexes=()), JOIN, BOTH, {}, "scalar", LEG + "non-indexed probe",
     ),
     "residual-join": (
         build,
         "SELECT a.id FROM A a, B b WHERE b.aid = a.id AND b.v = a.x",
-        BOTH, {}, "fast", LEG + "residual join predicates",
+        BOTH, {}, "scalar", LEG + "residual join predicates",
     ),
     "non-columnar-index": (
         lambda: build(mixed_backend({("A", "id"), ("B", "aid")})),
-        JOIN, BOTH, {}, "fast", LEG + "non-columnar index",
+        JOIN, BOTH, {}, "scalar", LEG + "non-columnar index",
     ),
     "non-columnar-driving-index": (
         lambda: build(mixed_backend({("A", "x")})),
         "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.x = 1",
-        BOTH, {}, "fast", "leg 'a': non-columnar driving index",
+        BOTH, {}, "scalar", "leg 'a': non-columnar driving index",
     ),
     "non-vectorizable-locals": (
         build,
         "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.big >= 10",
-        BOTH, {}, "fast", "leg 'a': non-vectorizable local predicates",
+        BOTH, {}, "scalar", "leg 'a': non-vectorizable local predicates",
     ),
     "untranslatable-key": (
         lambda: build(a_ids=[2**70, *range(1, 50)]), JOIN, BOTH, {},
-        "fast", LEG + "untranslatable key column",
+        "scalar", LEG + "untranslatable key column",
     ),
 }
 
@@ -136,12 +138,21 @@ CASES = {
 def test_dispatch(case):
     make_db, sql, config, kwargs, engine, gate = CASES[case]
     db = make_db()
-    result = db.execute(sql, config, **kwargs)
+    kwargs = dict(kwargs)
+    recorder = FlightRecorder(capacity=1)
+    bundle = recorder.arm(base=kwargs.pop("obs", lambda: None)())
+    result = db.execute(sql, config, obs=bundle, **kwargs)
     assert result.stats.engine == engine
     if gate is None:
         assert result.stats.vector_gate is None
     else:
         assert re.fullmatch(gate, result.stats.vector_gate), result.stats.vector_gate
+    # The flight record says what ran: chunk-boundary checks iff the
+    # monitored cascade made them, whatever ``batched`` asked for.
+    record = recorder.finish_query(bundle, result, sql=sql, config=config)
+    granularity = "chunk" if engine == "vector-adaptive" else "exact"
+    assert record.monitor_granularity == granularity
+    assert {d.monitor_granularity for d in record.decisions} <= {granularity}
     # Whatever ran, it returned the oracle's rows.
     oracle = db.execute(sql, AdaptiveConfig(mode=ReorderMode.NONE))
     assert oracle.stats.engine == "scalar"
@@ -167,10 +178,11 @@ def test_unrecognized_controller_runs_the_scalar_machine():
     assert executor.vector_gate_reason == "unrecognized adaptation controller"
 
 
-def test_mid_query_hand_off_is_the_fifth_engine_label():
-    """``vector-adaptive+fast``: a driving switch rebuilds the plan into a
-    shape the gates refuse (here a hash-probed leg) and the cursors go back
-    to the reference loop; see tests/test_vector_limits.py::hand_off_db."""
+def test_mid_query_hand_off_continues_on_the_scalar_machine():
+    """A driving switch rebuilds the plan into a shape the gates refuse
+    (here a hash-probed leg): the cascade hands its cursors over at that
+    chunk boundary and the run ends as ``scalar``, the gate naming the
+    refusing leg; see tests/test_vector_limits.py::hand_off_db."""
     from tests.test_vector_limits import hand_off_db
 
     config = AdaptiveConfig(
@@ -182,19 +194,33 @@ def test_mid_query_hand_off_is_the_fifth_engine_label():
         "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
         "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
     )
-    stats = hand_off_db("columnar").execute(sql, config).stats
-    assert stats.engine == "vector-adaptive+fast"
-    assert re.fullmatch(LEG + "hash-probed or uncompiled access", stats.vector_gate)
+    db = hand_off_db("columnar")
+    result = db.execute(sql, config)
+    assert result.stats.engine == "scalar"
+    assert re.fullmatch(
+        LEG + "hash-probed or uncompiled access", result.stats.vector_gate
+    )
+    assert result.stats.driving_switches >= 1  # handed off, not gated at the start
+    oracle = db.execute(sql, AdaptiveConfig(mode=ReorderMode.NONE))
+    assert sorted(result.rows) == sorted(oracle.rows) and oracle.rows
 
 
 def test_nothing_names_the_deleted_pool_modules():
-    """One way to run a query: the intra-query fork pool's two modules are
-    gone and nothing under src / tests / scripts / benchmarks says their
-    names (the pattern is assembled so this file does not either)."""
+    """One way to run a query: the intra-query fork pool's two modules and
+    the chunk-semantics reference loop are gone, and nothing under src /
+    tests / scripts / benchmarks says their names (the pattern is assembled
+    so this file does not either)."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parent.parent
-    gone = re.compile("executor" + r".parallel|monitor" + "_merge")
+    loop = (
+        "_run_" + "fast", "probe_batch_" + "fast", "fast_group_" + "records",
+        "Driving" + "Shadow", "_refill_" + "(driving|inner)", "_fast_" + "ctx",
+        "lookup_rids_" + "batch",
+    )
+    gone = re.compile(
+        "executor" + r".parallel|monitor" + "_merge|" + "|".join(loop)
+    )
     hits = []
     for top in ("src", "tests", "scripts", "benchmarks"):
         for path in (root / top).rglob("*"):

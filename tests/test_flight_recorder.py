@@ -64,7 +64,7 @@ def adaptive_query(extended_dmv):
 
 def record_one(db, sql, config=ADAPTIVE, recorder=None) -> FlightRecord:
     recorder = recorder or FlightRecorder()
-    bundle = recorder.arm(config)
+    bundle = recorder.arm()
     result = db.execute(sql, config, obs=bundle)
     return recorder.finish_query(bundle, result, sql=sql, config=config)
 
@@ -76,7 +76,7 @@ class TestRing:
     def _finish_n(self, recorder, n):
         config = AdaptiveConfig()
         for i in range(n):
-            bundle = recorder.arm(config)
+            bundle = recorder.arm()
             recorder.finish_query(
                 bundle, sql=f"SELECT {i}", config=config, outcome="sql_error",
                 error=ValueError("synthetic"),
@@ -104,7 +104,7 @@ class TestRing:
         recorder = FlightRecorder(capacity=8, slow_query_ms=5.0)
         config = AdaptiveConfig()
         for wall in (1.0, 10.0, 3.0, 50.0):
-            bundle = recorder.arm(config)
+            bundle = recorder.arm()
             recorder.finish_query(
                 bundle, sql="SELECT 1", config=config, wall_ms=wall
             )
@@ -176,7 +176,7 @@ class TestTelemetryStore:
 # ---------------------------------------------------------------------------
 class TestRecordedQuery:
     def test_recorder_bundle_stays_cold(self):
-        bundle = FlightRecorder().arm(AdaptiveConfig())
+        bundle = FlightRecorder().arm()
         assert bundle.hot is False
         assert bundle.tracer is None and bundle.metrics is None
         assert bundle.audit is not None
@@ -194,7 +194,7 @@ class TestRecordedQuery:
     ):
         baseline = extended_dmv.execute(adaptive_query.sql, ADAPTIVE)
         recorder = FlightRecorder()
-        bundle = recorder.arm(ADAPTIVE)
+        bundle = recorder.arm()
         recorded = extended_dmv.execute(adaptive_query.sql, ADAPTIVE, obs=bundle)
         assert dataclasses.asdict(recorded.stats.work) == dataclasses.asdict(
             baseline.stats.work
@@ -208,7 +208,7 @@ class TestRecordedQuery:
     ):
         """Acceptance: offline replay == the live AdaptationEvent sequence."""
         recorder = FlightRecorder()
-        bundle = recorder.arm(ADAPTIVE)
+        bundle = recorder.arm()
         result = extended_dmv.execute(adaptive_query.sql, ADAPTIVE, obs=bundle)
         record = recorder.finish_query(
             bundle, result, sql=adaptive_query.sql, config=ADAPTIVE
@@ -277,7 +277,7 @@ class TestRecordedQuery:
         from repro.robustness.limits import ExecutionLimits
 
         recorder = FlightRecorder()
-        bundle = recorder.arm(ADAPTIVE)
+        bundle = recorder.arm()
         sql = six_table_workload(count=2)[0].sql
         limits = ExecutionLimits(max_work_units=1.0)
         with pytest.raises(BudgetExceeded) as excinfo:
@@ -296,7 +296,7 @@ class TestRecordedQuery:
         """--trace/--metrics plus recorder: audit rides the hot bundle."""
         recorder = FlightRecorder()
         base = QueryObservability.armed(sample_every=5)
-        bundle = recorder.arm(ADAPTIVE, base=base)
+        bundle = recorder.arm(base=base)
         assert bundle is base and bundle.hot
         result = extended_dmv.execute(adaptive_query.sql, ADAPTIVE, obs=bundle)
         record = recorder.finish_query(
@@ -306,7 +306,7 @@ class TestRecordedQuery:
 
     def test_decision_cap_truncates_not_grows(self, extended_dmv, adaptive_query):
         recorder = FlightRecorder()
-        bundle = recorder.arm(ADAPTIVE, max_decisions=1)
+        bundle = recorder.arm(max_decisions=1)
         result = extended_dmv.execute(adaptive_query.sql, ADAPTIVE, obs=bundle)
         record = recorder.finish_query(
             bundle, result, sql=adaptive_query.sql, config=ADAPTIVE

@@ -96,7 +96,7 @@ class TestArmedObservabilityIsPassive:
         recorder = FlightRecorder()
         for query in workload:
             baseline = dmv_db.execute(query.sql, config)
-            bundle = recorder.arm(config)
+            bundle = recorder.arm()
             assert not bundle.hot
             recorded = dmv_db.execute(query.sql, config, obs=bundle)
             recorder.finish_query(

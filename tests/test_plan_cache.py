@@ -418,7 +418,7 @@ class TestObservability:
         config = AdaptiveConfig(mode=ReorderMode.BOTH)
         outcomes = []
         for _ in range(2):
-            bundle = recorder.arm(config)
+            bundle = recorder.arm()
             result = db.execute(SQL, config, obs=bundle)
             record = recorder.finish_query(bundle, result, sql=SQL, config=config)
             assert validate_flight_record(record.to_dict()) == []
@@ -605,10 +605,11 @@ def test_cached_execution_equals_first_execution_over_both_grids(engine):
 def test_eight_threads_publish_and_share_one_probe_program():
     """A cached plan nobody has executed, eight threads at once, the
     interpreter switching as often as it can: whichever thread compiles the
-    starting probes, every execution matches the row oracle and the plan
-    ends up with one program per hash policy."""
+    starting probes, every execution matches a serial run on a twin
+    database (which tests/test_decision_replay.py holds to the row oracle)
+    and the plan ends up with one program per hash policy."""
     db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
-    oracle_db, _ = load_dmv(scale=SCALE, extended=True)
+    oracle_db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
     db.enable_concurrent_metering()
     config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True, batch_size=64)
     statements = GRID[-6:]

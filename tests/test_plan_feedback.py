@@ -642,7 +642,7 @@ def test_feedback_is_visible_where_the_plan_cache_is(flip_db):
     recorder = FlightRecorder(capacity=4)
     records = []
     for _ in range(2):
-        bundle = recorder.arm(BOTH)
+        bundle = recorder.arm()
         result = flip_db.execute(SQL, BOTH, obs=bundle)
         records.append(
             recorder.finish_query(bundle, result, sql=SQL, config=BOTH)

@@ -13,7 +13,7 @@ index), so a chunk's key translation is one gather. Three layers:
   builds that pair's array at the boundary, mid-query;
 * absent keys (-1 / -2) at every inner leg of a three-table chain gather
   zeros from the kernels' two padding slots: engine == oracle in mode NONE,
-  == the row backend's reference loop through a reorder and a switch;
+  == the oracle replaying its decisions through a reorder and a switch;
 * the padding costs 16 bytes an array: nothing is copied to make room for
   it, and nothing published can be written to.
 """
@@ -33,6 +33,8 @@ from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.vector import _make_translator
 from repro.storage.columnar import ColumnarIndex, _np
+
+from tests.test_decision_replay import assert_replays
 
 NULL, MISSING = -1, -2
 
@@ -322,11 +324,11 @@ def test_driving_switch_builds_the_new_pair_at_the_boundary(monkeypatch):
                 assert driving_rows in boundaries, (query.sql, name)
         if any(driving_rows for _, driving_rows in builds):
             assert executor.driving_switches or executor.inner_reorders
-            reference = row.execute(row.plan(query.sql), config)
-            assert rows == reference.rows
-            assert dataclasses.asdict(executor.work) == dataclasses.asdict(
-                reference.stats.work
-            )
+            # The oracle applying the same decisions: same rows in order,
+            # same physical work.
+            replayed, again, oracle = assert_replays(row, columnar, query.sql, config)
+            assert replayed == rows and again.events == executor.events
+            assert oracle is not None
     assert mid_query > 0, "no applied change opened a new (column, index) pair"
 
 
@@ -404,8 +406,9 @@ def test_adaptive_chain_with_absent_keys_equals_the_reference_loop(
     """Mode BOTH at ``batch_size`` 4 from a bad starting order: the inner
     legs swap, and with a range on ``d.tag`` the driving leg moves to ``d``
     — whose first chunk probes the frozen ``s`` (a positional kernel's
-    derived counts) with keys it does not hold. Rows, work, events and the
-    local-predicate counters of the row backend's reference loop."""
+    derived counts) with keys it does not hold. Rows in order, physical
+    work, final order and frozen positions of the row store's oracle
+    replaying the same decisions, and its local-predicate counters."""
     config = AdaptiveConfig(
         mode=ReorderMode.BOTH,
         batched=True,
@@ -419,35 +422,16 @@ def test_adaptive_chain_with_absent_keys_equals_the_reference_loop(
         + LOCALS["d"][tests_d]
         + LOCALS["f"][tests_f]
     )
-    runs = []
-    for db in (columnar, row):
-        controller = AdaptationController(config)
-        executor = BatchedPipelineExecutor(
-            db.plan(sql).with_order(("s", "f", "d")),
-            db.catalog,
-            config,
-            controller,
-        )
-        controller.attach(executor)
-        rows = executor.run_to_completion()
-        runs.append(
-            (
-                rows,
-                dataclasses.asdict(executor.work),
-                executor.events,
-                {
-                    alias: leg.local_counts
-                    for alias, leg in executor.legs.items()
-                },
-            )
-        )
-        assert executor.engine_used == (
-            "vector-adaptive" if db is columnar else "fast"
-        ), executor.vector_gate_reason
-    assert runs[0] == runs[1]
-    assert runs[0][0] and executor.inner_reorders
+    rows, engine, oracle = assert_replays(
+        row, columnar, sql, config, order=("s", "f", "d")
+    )
+    assert engine.engine_used == "vector-adaptive", engine.vector_gate_reason
+    assert {alias: leg.local_counts for alias, leg in engine.legs.items()} == {
+        alias: leg.local_counts for alias, leg in oracle.legs.items()
+    }
+    assert rows and engine.inner_reorders
     if tests_d:
-        assert executor.driving_switches and executor.order[0] == "d"
+        assert engine.driving_switches and engine.order[0] == "d"
     assert_both_legs_probe_absent_keys(columnar)
 
 

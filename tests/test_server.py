@@ -236,10 +236,8 @@ class TestAdmission:
         full = admission.apply_shed(request, SHED_NONE)
         assert full.mode is ReorderMode.BOTH
         assert full.batched and full.batch_size == 128
-        assert full.monitor_granularity == "chunk"
         static = admission.apply_shed(request, SHED_STATIC)
         assert static.mode is ReorderMode.NONE
-        assert static.monitor_granularity == "exact"
         assert admission.shed_static_total == 1
 
     def test_a_query_runs_in_one_process(self):

@@ -712,7 +712,7 @@ class TestRecorder:
                 slow_query_ms=0.0001,
             )
             sql = SMALL.format("DE")
-            bundle = recorder.arm(config)
+            bundle = recorder.arm()
             record = recorder.build_record(
                 bundle, db.execute(sql, config, obs=bundle),
                 sql=sql, config=config,

@@ -202,21 +202,3 @@ class TestAfterAnySentinel:
         assert index.lookup_rids("b") == [0, 2, 4]
         assert index.lookup_rids("a") == [1]
         assert index.lookup_rids("zz") == []
-
-
-class TestBatchLookups:
-    def test_lookup_rids_batch_matches_pointwise(self):
-        table, index = make_indexed_table([5, 7, 5, 9, 7])
-        keys = [7, 5, 5, 42, 9]  # unsorted, with duplicates and a miss
-        batch = index.lookup_rids_batch(keys)
-        for key in set(keys):
-            assert batch[key] == index.lookup_rids(key)
-
-    def test_batch_lookups_charge_nothing(self):
-        table, index = make_indexed_table([5, 7, 5])
-        before = table.meter.snapshot()
-        index.lookup_rids_batch([5, 7])
-        delta = table.meter - before
-        assert delta.index_descends == 0
-        assert delta.index_entries == 0
-        assert delta.row_fetches == 0

@@ -89,6 +89,14 @@ def random_probe_keys(rng: random.Random, n: int) -> list:
     return keys
 
 
+def rids_by_key(index) -> dict:
+    """key -> RIDs in entry order, read off the index's sorted entries."""
+    lookup: dict = {}
+    for key, rid in index._entries:
+        lookup.setdefault(key, []).append(rid)
+    return lookup
+
+
 def scalar_probe(key, lookup, raw, tests, is_after=None):
     """One scalar indexed probe, reimplemented independently: descend, walk
     the key's entries in entry order, fetch each candidate row, run the
@@ -262,11 +270,8 @@ def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
         local_tests.append((predicate, test))
     kernel = index.cascade_groups(local_tests)
     assert kernel is not None, "vectorizable leg refused a kernel"
-    rank = index._sidecar()[0]
     tests = [test for _, test in local_tests]
-    present_keys = list(rank)
-    lookup = index.lookup_rids_batch(present_keys) if present_keys else {}
-    check_leg(rng, db, index, kernel, lookup, raw, tests)
+    check_leg(rng, db, index, kernel, rids_by_key(index), raw, tests)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +348,8 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
         test.predicate = predicate
         local_tests.append((predicate, test))
     base = index.cascade_groups(local_tests)
-    rank = index._sidecar()[0]
     tests = [test for _, test in local_tests]
-    lookup = index.lookup_rids_batch(list(rank)) if rank else {}
+    lookup = rids_by_key(index)
     kernels_before = dict(index._kernels)
     one_leg_plan(db, index, base, len(tests))  # src's rank array: resident
     footprint_before = index.kernel_footprint()

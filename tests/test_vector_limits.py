@@ -1,10 +1,10 @@
-"""Execution limits on the vectorized cascade and on its reference loop.
+"""Execution limits on the vectorized cascade and on what it falls back to.
 
 A limited query runs the same engine as an unlimited one: the cascade
-enforces the budgets at its chunk boundaries, and the reference loop
-(``fast`` — what a monitored query runs on the row backend, the default
-``repro serve``, and on every other shape the cascade refuses) holds the
-same contract from the scalar machine's safe points. Pinned here:
+enforces the budgets at its chunk boundaries, and the scalar machine (what
+a ``batched`` query runs on the row backend, the default ``repro serve``,
+and on every other shape the cascade refuses) holds the same contract from
+its own safe points. Pinned here:
 
 * the row budget is exact — the caller holds precisely the reference
   run's first ``max_rows`` rows, ``rows_emitted`` says so, and a budget
@@ -14,7 +14,7 @@ same contract from the scalar machine's safe points. Pinned here:
   executor's own counters at that boundary;
 * generous limits change nothing observable — rows in order, WorkMeter,
   adaptation events, engine label — including across a driving switch
-  and across a mid-query hand-off to the reference loop.
+  and across a mid-query hand-off to the scalar machine.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ TARGETS = [
         id="vector-adaptive",
     ),
     pytest.param(
-        "row", ReorderMode.BOTH, "fast", "leg 'c': row-backend table",
-        id="row-fast",
+        "row", ReorderMode.BOTH, "scalar", "leg 'c': row-backend table",
+        id="row-gated",
     ),
 ]
 #: Slice size the static cascade is shrunk to here, so that a scale-0.04
@@ -141,13 +141,13 @@ def _gate(reason: str | None) -> str | None:
     return None if reason is None else reason.split(": ", 1)[-1]
 
 
-def reference_rows(dbs, sql, mode) -> list[tuple]:
-    """Mode NONE: the scalar oracle on the row store. Mode BOTH: the row
-    store's reference loop, unlimited."""
-    config = (
-        engine_config(mode) if mode.monitors else AdaptiveConfig(mode=mode)
-    )
-    return dbs["row"].execute(sql, config).rows
+def reference_rows(dbs, backend, sql, mode) -> list[tuple]:
+    """Mode NONE: the scalar oracle on the row store. Mode BOTH: the
+    unlimited run of the same configuration on the same store (its rows in
+    order are held to the oracle's by tests/test_decision_replay.py)."""
+    if not mode.monitors:
+        return dbs["row"].execute(sql, AdaptiveConfig(mode=mode)).rows
+    return dbs[backend].execute(sql, engine_config(mode)).rows
 
 
 @pytest.mark.parametrize("backend,mode,engine,gate", TARGETS)
@@ -157,7 +157,7 @@ def test_row_budget_is_exact(
     config = engine_config(mode)
     tripped = beyond_first_chunk = 0
     for sql in statements:
-        want = reference_rows(dbs, sql, mode)
+        want = reference_rows(dbs, backend, sql, mode)
         total = len(want)
         if total < 2:
             continue
@@ -203,7 +203,7 @@ def test_cancellation_is_seen_at_the_next_chunk(
         assert (run.error.rows_emitted, run.error.driving_rows) == (0, 0)
         assert run.error.work_units == 0.0
 
-        want = reference_rows(dbs, sql, mode)
+        want = reference_rows(dbs, backend, sql, mode)
         if not want:
             continue
         token = CancellationToken()
@@ -212,7 +212,7 @@ def test_cancellation_is_seen_at_the_next_chunk(
             ExecutionLimits(cancellation=token),
             after_first_row=lambda: token.cancel("consumer gave up"),
         )
-        # The chunk in flight is delivered whole (the reference loop's is
+        # The chunk in flight is delivered whole (the scalar machine's is
         # one row); nothing after it starts.
         assert run.executor.engine_used == engine, sql
         assert run.error is not None, sql
@@ -229,8 +229,7 @@ def test_work_budget_overshoots_by_at_most_one_chunk(
 ):
     config = engine_config(mode)
     # Work spent at every safe point (the cascade's chunk boundaries; the
-    # reference loop's driving and result rows, where the meter moves a
-    # prepared chunk at a time) of the unlimited-in-effect run.
+    # scalar machine's driving rows) of the unlimited-in-effect run.
     boundaries: list[float] = []
     check = limits_module.LimitEnforcer.check
 
@@ -287,7 +286,7 @@ def test_deadline_is_seen_at_a_chunk_boundary(
     # A clock that advances one second per reading: the enforcer reads it
     # once when armed (t=1, deadline 3.5) and once per safe point, so the
     # third one (t=4) is the first past the deadline — the cascade's third
-    # chunk boundary; within the reference loop's first chunk.
+    # chunk boundary; within the scalar machine's first ``chunk`` rows.
     chunk = config.batch_size if mode.monitors else SMALL_SLICE
     expired_mid_scan = 0
     for sql in statements:
@@ -303,7 +302,7 @@ def test_deadline_is_seen_at_a_chunk_boundary(
         if full.executor.driving_rows_total <= 2 * chunk:
             continue  # over in two chunks: the deadline is never read late
         assert run.error is not None and "deadline" in run.error.reason, sql
-        if engine == "fast":
+        if engine == "scalar":
             assert run.error.driving_rows <= chunk, sql
         else:
             assert run.error.driving_rows == 2 * chunk, sql
@@ -360,12 +359,15 @@ def test_static_limits_on_a_refused_shape_run_the_scalar_machine(
 
 def hand_off_db(backend: str) -> Database:
     """B has no index on ``cid``: once C drives, B is hash-probed, a shape
-    the cascade's gates refuse — it hands the cursors back mid-query."""
+    the cascade's gates refuse — it hands the cursors back mid-query.
+    ``A.big`` holds one value past int64, which boxes the column: a local
+    on it is a shape the mask compiler refuses (the generated queries of
+    tests/test_decision_replay.py draw it)."""
     db = Database(backend=backend, plan_cache_size=0)  # same plan every run
-    db.create_table("A", [("id", "int"), ("x", "int")])
+    db.create_table("A", [("id", "int"), ("x", "int"), ("big", "int")])
     db.create_table("B", [("aid", "int"), ("cid", "int")])
     db.create_table("C", [("id", "int"), ("flag", "int")])
-    db.insert("A", [(i, i % 7) for i in range(3000)])
+    db.insert("A", [(i, i % 7, 2**70 if i == 3 else i) for i in range(3000)])
     db.insert("B", [(i % 3000, (i * 7) % 2000) for i in range(6000)])
     db.insert("C", [(i, 1 if i % 400 == 0 else 0) for i in range(2000)])
     for table, column in (
@@ -376,7 +378,9 @@ def hand_off_db(backend: str) -> Database:
     return db
 
 
-def test_limits_follow_a_hand_off_to_the_reference_loop():
+def test_limits_follow_a_hand_off_to_the_scalar_machine():
+    from tests.test_decision_replay import assert_replays
+
     sql = (
         "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
         "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
@@ -389,24 +393,27 @@ def test_limits_follow_a_hand_off_to_the_reference_loop():
     )
     db = hand_off_db("columnar")
     free = db.execute(sql, config)
-    assert free.stats.engine == "vector-adaptive+fast"
+    assert free.stats.engine == "scalar"
+    assert free.stats.vector_gate.endswith("hash-probed or uncompiled access")
     assert free.stats.driving_switches >= 1
-    reference = hand_off_db("row").execute(sql, config)
-    assert free.rows == reference.rows
+    # The oracle applying the same decisions returns the same rows in the
+    # same order (``assert_replays`` compares them).
+    rows, _, oracle = assert_replays(hand_off_db("row"), db, sql, config)
+    assert free.rows == rows and oracle is not None
 
     limited = db.execute(sql, config, limits=served_limits())
-    assert limited.stats.engine == "vector-adaptive+fast"
+    assert limited.stats.engine == "scalar"
     assert limited.rows == free.rows
     assert limited.stats.work == free.stats.work
     assert limited.stats.events == free.stats.events
 
     # The first chunk is handed back: every row is emitted by the
-    # reference loop, whose safe points must hold the same budgets.
+    # scalar machine, whose safe points must hold the same budgets.
     hand_off_at = Run(db, sql, config).first_boundary
     assert hand_off_at == 1
     k = len(free.rows) - 2
     run = Run(db, sql, config, ExecutionLimits(max_rows=k))
-    assert run.executor.engine_used == "vector-adaptive+fast"
+    assert run.executor.engine_used == "scalar"
     assert run.rows == free.rows[:k]
     assert run.error is not None and run.error.rows_emitted == k
     token = CancellationToken()
