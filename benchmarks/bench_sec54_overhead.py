@@ -8,9 +8,9 @@ verifies the calibration holds on the full workload.
 
 The paper's claim is elapsed time, so the report also carries the elapsed
 overhead of MONITOR_ONLY / INNER_ONLY / DRIVING_ONLY against the static plan
-under chunk semantics and the microseconds one check takes. It runs on the
-columnar backend (work units are bit-identical across backends), where
-``batched=True`` is the engine.
+and the microseconds one check takes. One store per call: the row database
+is the paper's regime (the oracle, a check every ``c`` rows), the columnar
+database the engine's (checks at chunk boundaries).
 """
 
 from conftest import SCALE, emit_report
@@ -19,12 +19,15 @@ from repro.bench import overhead_experiment
 from repro.dmv import load_dmv
 
 
-def test_sec54_overhead(benchmark, workload):
-    db, _ = load_dmv(scale=SCALE, backend="columnar")
+def test_sec54_overhead(benchmark, dmv_db, workload):
     result = benchmark.pedantic(
-        lambda: overhead_experiment(db, workload), rounds=1, iterations=1
+        lambda: overhead_experiment(dmv_db, workload), rounds=1, iterations=1
     )
-    emit_report("sec54_overhead", result.report())
+    engine = overhead_experiment(
+        load_dmv(scale=SCALE, backend="columnar")[0], workload
+    )
+    emit_report("sec54_overhead", result.report() + "\n" + engine.report())
+    assert result.engines == ("scalar",) and result.backend == "row"
     assert result.unchanged_inner > 0 and result.unchanged_driving > 0
     assert 0.0 <= result.inner_overhead < 0.02, (
         f"inner overhead {result.inner_overhead:.4f} out of the paper's regime"
@@ -32,4 +35,10 @@ def test_sec54_overhead(benchmark, workload):
     assert 0.0 <= result.driving_overhead < 0.02, (
         f"driving overhead {result.driving_overhead:.4f} out of the paper's regime"
     )
-    assert result.engines == ("vector-adaptive",)
+    assert engine.engines == ("vector-adaptive",) and engine.backend == "columnar"
+    assert [row.mode for row in engine.elapsed] == [
+        "monitor-only", "inner-only", "driving-only",
+    ]
+    # The oracle checks every c rows, the engine once a chunk.
+    for exact, chunked in zip(result.elapsed[1:], engine.elapsed[1:]):
+        assert exact.checks > chunked.checks > 0, exact.mode

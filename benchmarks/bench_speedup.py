@@ -4,7 +4,7 @@ Measures, per reorder mode, the two things that run a query:
 
 * ``oracle`` — row store + scalar pipeline (the paper's executor: exact
   semantics, reorder checks every ``c`` rows),
-* ``engine`` — columnar store, ``batched=True``: the vectorized cascade.
+* ``engine`` — columnar store: the vectorized cascade.
 
 Variant reps are interleaved (oracle, engine, oracle, ...) and
 the minimum per variant is reported, so machine-load drift hits every
@@ -26,8 +26,9 @@ the plan cache — to ``db.execute``: executing the text itself would start a
 repeated monitored statement from the plan feedback of its previous run
 (DESIGN.md Sec 4j), and every section compares single executions.
 
-Each variant records the backend and executor configuration it ran under
-(``config``) and which execution engine(s) actually ran (``engines``).
+Each variant records the store it ran on (``config``: the backend name,
+which is all that picks the machine) and which execution engine(s)
+actually ran (``engines``).
 Under ``--check`` the ``engine`` variant must not be slower than the
 oracle, must have run the vectorized cascade on every query — with the
 driving leg switched somewhere in the driving modes, or that says
@@ -83,20 +84,10 @@ REGRESSION_TOLERANCE = 0.90
 OBSERVABILITY_GATE_PCT = 5.0
 
 
-def build_variants(mode: ReorderMode, batch_size: int, row_db, columnar_db) -> dict:
-    """name -> (database, config): the oracle and the engine."""
-    return {
-        "oracle": (row_db, AdaptiveConfig(mode=mode)),
-        "engine": (
-            columnar_db,
-            AdaptiveConfig(mode=mode, batched=True, batch_size=batch_size),
-        ),
-    }
-
-
-def measure_mode(queries, variants, reps: int) -> dict[str, dict]:
-    """Min-of-reps wall seconds per variant, with result verification
-    (sorted rows per query, against the first variant's)."""
+def measure_mode(queries, variants, config, reps: int) -> dict[str, dict]:
+    """Min-of-reps wall seconds per variant (name -> database) under
+    *config*, with result verification (sorted rows per query, against the
+    first variant's)."""
     best = {name: float("inf") for name in variants}
     best_end_to_end = dict(best)
     meters: dict[str, dict] = {name: {} for name in variants}
@@ -104,7 +95,7 @@ def measure_mode(queries, variants, reps: int) -> dict[str, dict]:
     switches = {name: 0 for name in variants}
     reference: dict[str, list] = {}
     for rep in range(reps):
-        for name, (db, config) in variants.items():
+        for name, db in variants.items():
             total = end_to_end = 0.0
             for query in queries:
                 started = time.perf_counter()
@@ -125,11 +116,7 @@ def measure_mode(queries, variants, reps: int) -> dict[str, dict]:
                 best[name] = total
                 meters[name] = {
                     "wall_seconds": total,
-                    "config": {
-                        "backend": db.catalog.backend.name,
-                        "batched": config.batched,
-                        "batch_size": config.batch_size if config.batched else None,
-                    },
+                    "config": db.backend_name,
                 }
     for name in meters:
         # Which execution engine(s) ran the variant's queries (engine
@@ -166,7 +153,7 @@ def add_cold_walls(meters: dict[str, dict], front_end: dict[str, dict]) -> None:
     first time."""
     for meter in meters.values():
         meter["end_to_end_cold_seconds"] = meter["end_to_end_seconds"] + sum(
-            front_end[meter["config"]["backend"]].values()
+            front_end[meter["config"]].values()
         )
 
 
@@ -273,7 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=float, default=0.1, help="DMV scale factor")
     parser.add_argument("--count", type=int, default=6, help="six-table query count")
     parser.add_argument("--reps", type=int, default=7, help="interleaved repetitions")
-    parser.add_argument("--batch-size", type=int, default=256)
     parser.add_argument(
         "--adaptive",
         action="store_true",
@@ -322,7 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         "scale": args.scale,
         "query_count": len(queries),
         "reps": args.reps,
-        "batch_size": args.batch_size,
         "modes": {},
         "front_end": {},
     }
@@ -330,8 +315,10 @@ def main(argv: list[str] | None = None) -> int:
     engine_gate_failed = False
     for mode in modes:
         name = mode.name.lower()
-        variants = build_variants(mode, args.batch_size, db, columnar_db)
-        meters = measure_mode(queries, variants, args.reps)
+        variants = {"oracle": db, "engine": columnar_db}
+        meters = measure_mode(
+            queries, variants, AdaptiveConfig(mode=mode), args.reps
+        )
         front_end = {
             "row": measure_front_end(db, queries, args.reps),
             "columnar": measure_front_end(columnar_db, queries, args.reps),

@@ -1,8 +1,8 @@
 """Where a warm grid pass spends its wall clock, layer by layer.
 
 One pass is every statement of a template grid through
-``Database.execute(sql, config)`` on the columnar engine (``batched=True,
-batch_size=256``: what ``benchmarks/e2e`` runs). ``perf_counter`` wrappers
+``Database.execute(sql, config)`` on a columnar database (the engine: what
+``benchmarks/e2e`` runs). ``perf_counter`` wrappers
 around the layers named in :data:`LAYERS` give each one's milliseconds a
 pass and its share of the pass; "other" is what no wrapper covers. The
 first two passes (plan cache, kernels, rank arrays, plan feedback) are not
@@ -64,9 +64,7 @@ def main() -> None:
         else six_table_workload(count=10**9)
     )
     sqls = [query.sql for query in workload]
-    config = AdaptiveConfig(
-        mode=ReorderMode(args.mode), batched=True, batch_size=256
-    )
+    config = AdaptiveConfig(mode=ReorderMode(args.mode))
     db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
     spent: dict[str, float] = {}
     for owner, name in LAYERS:

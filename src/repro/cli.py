@@ -17,7 +17,7 @@ Examples::
     python -m repro generate --scale 0.05
     python -m repro serve --scale 0.05 --port 7654 --telemetry-dir telem/
     python -m repro query --scale 0.05 "SELECT COUNT(*) FROM Car c WHERE c.make = 'Mazda'"
-    python -m repro query --scale 0.05 --backend columnar --batch-size 256 "SELECT ..."
+    python -m repro query --scale 0.05 --backend columnar "SELECT ..."
     python -m repro stats --scale 0.05 --backend columnar
     python -m repro query --scale 0.02 --extended --telemetry-dir telem/ "SELECT ..."
     python -m repro replay --telemetry-dir telem/ --latest
@@ -134,14 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-execution wall-clock deadline in milliseconds",
     )
     query.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the engine (chunk semantics; the vectorized cascade on "
-        "--backend columnar) with driving-leg chunks of N rows",
-    )
-    query.add_argument(
         "--fault-plan",
         default=None,
         metavar="JSON",
@@ -239,14 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000.0,
         metavar="MS",
         help="default per-query deadline, server-clamped (default 10000)",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=256,
-        metavar="N",
-        help="batched-executor chunk size for served queries "
-        "(0 = scalar path; default 256)",
     )
     serve.add_argument(
         "--plan-cache",
@@ -388,13 +372,9 @@ _vector_gate_warned = False
 
 def _warn_vector_gate(result, cli_args) -> None:
     global _vector_gate_warned
-    if _vector_gate_warned or cli_args is None:
-        return
-    if getattr(cli_args, "backend", "row") != "columnar":
-        return
     stats = result.stats
-    # A run that never asked for the engine carries no gate.
-    if stats.vector_gate is None:
+    # Only a columnar database asks the cascade: a row store names no gate.
+    if _vector_gate_warned or cli_args is None or stats.vector_gate is None:
         return
     _vector_gate_warned = True
     print(
@@ -402,16 +382,6 @@ def _warn_vector_gate(result, cli_args) -> None:
         f"ran the {stats.engine!r} engine instead",
         file=sys.stderr,
     )
-
-
-def _make_config(mode: ReorderMode, cli_args) -> AdaptiveConfig:
-    """AdaptiveConfig for *mode* with the CLI's executor knobs applied."""
-    batch_size = getattr(cli_args, "batch_size", None)
-    kwargs: dict = {"mode": mode}
-    if batch_size is not None:
-        kwargs["batched"] = True
-        kwargs["batch_size"] = batch_size
-    return AdaptiveConfig(**kwargs)
 
 
 def _run_query(
@@ -428,7 +398,7 @@ def _run_query(
         print()
     try:
         static = db.execute(
-            sql, _make_config(ReorderMode.NONE, cli_args), limits=limits
+            sql, AdaptiveConfig(mode=ReorderMode.NONE), limits=limits
         )
     except BudgetExceeded as error:
         print(f"static:   budget exceeded — {error.progress_summary()}")
@@ -439,12 +409,13 @@ def _run_query(
     if len(static.rows) > 25:
         print(f"... ({len(static.rows)} rows total)")
     print(f"\nstatic:   {static.stats.total_work:12,.0f} work units "
-          f"({static.stats.wall_seconds * 1000:.1f} ms)")
+          f"({static.stats.wall_seconds * 1000:.1f} ms) "
+          f"[{static.stats.engine}]")
     if mode is not ReorderMode.NONE:
         try:
             adaptive = db.execute(
                 sql,
-                _make_config(mode, cli_args),
+                AdaptiveConfig(mode=mode),
                 limits=limits,
                 fault_plan=fault_plan,
             )
@@ -454,7 +425,8 @@ def _run_query(
         _warn_vector_gate(adaptive, cli_args)
         matches = sorted(adaptive.rows) == sorted(static.rows)
         print(f"adaptive: {adaptive.stats.total_work:12,.0f} work units "
-              f"({adaptive.stats.wall_seconds * 1000:.1f} ms), "
+              f"({adaptive.stats.wall_seconds * 1000:.1f} ms) "
+              f"[{adaptive.stats.engine}], "
               f"{adaptive.stats.total_switches} switch(es), "
               f"results {'match' if matches else 'MISMATCH!'}")
         speedup = static.stats.total_work / max(adaptive.stats.total_work, 1e-9)
@@ -491,7 +463,7 @@ def _run_observed_query(
 ) -> int:
     """One observed execution: --explain-analyze / --trace / --metrics /
     --telemetry-dir."""
-    config = _make_config(mode, args)
+    config = AdaptiveConfig(mode=mode)
     recorder = _make_recorder(args)
     if args.explain_analyze or args.trace or args.metrics:
         obs = QueryObservability.armed(sample_every=config.check_frequency)
@@ -698,7 +670,6 @@ def cmd_serve(args) -> int:
             default_timeout_ms=min(args.timeout_ms, 60_000.0),
             rate_limit_qps=args.rate_limit_qps,
             rate_limit_burst=args.rate_limit_burst,
-            engine_batch_size=args.batch_size,
             plan_cache_size=args.plan_cache,
             drain_grace_seconds=args.drain_grace,
             telemetry_dir=args.telemetry_dir,
@@ -825,14 +796,13 @@ def cmd_experiment(args) -> int:
             extended=True,
             backend=args.backend,
         )
-        batched = args.backend == "columnar"
         workload = six_table_workload(count=max(args.queries * 2, 10))
         print(
             learned_experiment(
                 db,
                 workload,
-                AdaptiveConfig(mode=ReorderMode.BOTH, batched=batched),
-                AdaptiveConfig(mode=ReorderMode.NONE, batched=batched),
+                AdaptiveConfig(mode=ReorderMode.BOTH),
+                AdaptiveConfig(mode=ReorderMode.NONE),
             ).report(
                 "Learn once — static vs first vs later adaptive executions "
                 f"(six-table, {args.backend} backend)"

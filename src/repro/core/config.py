@@ -5,6 +5,13 @@ The two tunables the paper names are the reordering **check frequency** ``c``
 window** ``w`` over which run-time monitors aggregate (Sec 4.3.5; default
 1000). The remaining knobs select which of the paper's mechanisms and
 variants are active, including the future-work extensions we implement.
+
+Which machine executes is not among them: the store picks it. A row
+database runs the oracle (the scalar row-at-a-time machine, reorder checks
+every ``c`` rows, Fig 2/3); a columnar database runs the engine (the
+vectorized cascade, whose monitored chunks fold into a leg's window as one
+weighted aggregate each and whose reorder checks fire at chunk boundaries,
+DESIGN.md Sec 4d) wherever its screens and gates pass.
 """
 
 from __future__ import annotations
@@ -83,17 +90,6 @@ class AdaptiveConfig:
     # Monitored estimates are trusted only after a leg has seen this many
     # incoming rows; before that, optimizer priors are blended in.
     warmup_rows: int = 10
-    # Which of the two semantics runs. False is the oracle: the scalar
-    # row-at-a-time machine, reorder checks every ``c`` rows (Fig 2/3).
-    # True is the engine where its screens and gates pass: the columnar
-    # cascade (a shape it refuses runs the scalar machine). Rows and final
-    # work totals are the same; when monitored, each chunk folds into a
-    # leg's window as ONE weighted aggregate and reorder checks fire at
-    # chunk boundaries, so estimates carry bounded within-chunk skew and
-    # events may differ from the oracle's (DESIGN.md Sec 4d).
-    batched: bool = False
-    # Driving survivors per chunk of a monitored batched run.
-    batch_size: int = 256
 
     def __post_init__(self) -> None:
         if self.check_frequency < 1:
@@ -104,5 +100,3 @@ class AdaptiveConfig:
             raise ValueError("switch_benefit_threshold must be in [0, 1)")
         if self.warmup_rows < 0:
             raise ValueError("warmup_rows must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")

@@ -22,7 +22,7 @@ rather than a deque of sample objects. A single observation is one slot
 overwrite with no allocation, and :meth:`DrivingMonitor.observe_many` folds
 a whole executor chunk of scan records into the window in one call, with
 the exact same add-new-then-subtract-evicted arithmetic as one-at-a-time
-updates. Batched runs carry an :class:`AggregatedWindow` per inner leg
+updates. The engine's runs carry an :class:`AggregatedWindow` per inner leg
 instead: one weighted entry per chunk.
 """
 
@@ -111,7 +111,7 @@ class SlidingWindow:
 class AggregatedWindow:
     """Chunk-granular sliding window: one weighted entry per executor chunk.
 
-    The amortized twin of :class:`SlidingWindow`, carried by batched
+    The amortized twin of :class:`SlidingWindow`, carried by the engine's
     (chunk-semantics) runs: :meth:`observe_chunk` folds a whole chunk of
     ``n`` samples into the window as a single ``(n, sums)`` aggregate — an
     O(1) ring update per *chunk* rather than per sample. Eviction drops

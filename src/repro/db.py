@@ -52,6 +52,7 @@ from repro.robustness.faults import FaultInjector, FaultPlan
 from repro.robustness.guard import SandboxedController
 from repro.robustness.limits import ExecutionLimits
 from repro.robustness.oracle import InvariantOracle
+from repro.storage.backend import COLUMNAR_BACKEND
 from repro.storage.counters import ThreadScopedMeter, WorkMeter
 from repro.storage.schema import Column
 from repro.storage.types import ColumnType
@@ -99,9 +100,9 @@ class ExecutionStats:
     # Which execution engine ran the pipeline: "scalar", "vector" or
     # "vector-adaptive".
     engine: str = "scalar"
-    # Why a batched run did NOT run the vectorized cascade (the scalar
-    # fallback screen or first failed gate); None when it ran or was never
-    # asked for.
+    # Why a run on the columnar store did NOT run the vectorized cascade
+    # (the scalar fallback screen or first failed gate); None when it ran,
+    # and always on a row database.
     vector_gate: str | None = None
     # How the plan was obtained: "hit" / "miss" / "wait" (blocked on another
     # thread planning the same statement) / "off" (cache capacity 0) for SQL
@@ -454,8 +455,12 @@ class Database:
         )
         if controller is not None and sandbox:
             controller = SandboxedController(controller)
+        # The store picks the machine: the engine on a columnar database,
+        # the oracle on any other.
         executor_cls = (
-            BatchedPipelineExecutor if config.batched else PipelineExecutor
+            BatchedPipelineExecutor
+            if self.catalog.backend is COLUMNAR_BACKEND
+            else PipelineExecutor
         )
         executor = executor_cls(
             plan,

@@ -1,10 +1,11 @@
-"""The batched executor: the engine where its screens and gates pass.
+"""The engine: what a columnar database executes with.
 
-``AdaptiveConfig(batched=True)`` asks for the columnar cascade
-(:mod:`repro.executor.vector`): rows and final work totals equal the scalar
-oracle's, and a monitored run folds each chunk into a leg's window as one
-weighted aggregate and fires its reorder checks at chunk boundaries
-(DESIGN.md Sec 4d).
+``Database`` builds this executor iff its store is columnar, and it runs
+the columnar cascade (:mod:`repro.executor.vector`) where its screens and
+gates pass: rows and final work totals equal the scalar oracle's, and a
+monitored run folds each chunk into a leg's window as one weighted
+aggregate and fires its reorder checks at chunk boundaries (DESIGN.md
+Sec 4d).
 
 Dispatch (:meth:`BatchedPipelineExecutor._run`): a configuration that needs
 per-row visibility (single-leg pipeline, invariant oracle, fault injection,
@@ -28,6 +29,11 @@ from repro.robustness.guard import SandboxedController
 
 class BatchedPipelineExecutor(PipelineExecutor):
     """Drop-in executor running the cascade (scalar fallback built in)."""
+
+    # One weighted ring entry per chunk. The scalar fallbacks still work
+    # against them: a per-row observation is an n=1 aggregate with exact
+    # eviction.
+    aggregated_windows = True
 
     def _scalar_fallback_reason(self) -> str | None:
         if len(self.order) < 2:

@@ -115,6 +115,10 @@ def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
 class PipelineExecutor:
     """Runs one pipelined plan, optionally under adaptive reordering."""
 
+    # A monitored leg keeps a per-sample sliding window; the engine's
+    # subclass keeps one weighted ring entry per chunk instead.
+    aggregated_windows = False
+
     def __init__(
         self,
         plan: PipelinePlan,
@@ -135,10 +139,6 @@ class PipelineExecutor:
         self.oracle = oracle
         self.obs = obs
         monitoring = self.config.mode.monitors
-        # The engine carries aggregated monitor windows (one weighted ring
-        # entry per chunk). Its scalar fallbacks still work against them —
-        # a per-row observation is an n=1 aggregate with exact eviction.
-        aggregated = monitoring and self.config.batched
         bindings: PlanBindings = plan.bindings(catalog, _bind_plan)
         self.projection_slots = bindings.projection_slots
         # hash_probe_policy -> {inner alias: ProbeConfig} for the plan's
@@ -154,7 +154,7 @@ class PipelineExecutor:
                 self.config.history_window,
                 monitoring,
                 hash_policy=self.config.hash_probe_policy,
-                aggregated_monitor=aggregated,
+                aggregated_monitor=monitoring and self.aggregated_windows,
             )
             for alias in plan.order
         }
@@ -208,14 +208,14 @@ class PipelineExecutor:
         self.depleted_from: int | None = None
         self._enforcer: LimitEnforcer | None = None
         # Which execution engine ran this query: "scalar" (this class;
-        # the batched executor's screens, gates and mid-query hand-off),
+        # the engine's screens, gates and mid-query hand-off),
         # "vector" (static columnar cascade) or "vector-adaptive" (chunked
         # adaptive cascade). Surfaced on ExecutionStats.engine and the
         # flight record.
         self.engine_used = "scalar"
-        # Why a batched run did NOT (or not to its end) run the vectorized
+        # Why the engine did NOT (or not to its end) run the vectorized
         # cascade: the scalar-fallback screen or first failed gate. None
-        # when it ran or was not asked for.
+        # when it ran, and always on this class.
         self.vector_gate_reason: str | None = None
 
     # ------------------------------------------------------------------

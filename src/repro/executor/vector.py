@@ -21,18 +21,20 @@ the join collapses into a layered array computation per driving chunk:
    present/missing key, fetch per candidate row, short-circuit-exact local
    evals), gathered through every rank of the chunk and summed per leg.
 
-One chunk loop (:func:`_run_cascade`) runs static plans (large slices) and
-the monitored modes (``batch_size`` chunks with kernel-folded monitoring
-and boundary rank checks).
+One chunk loop (:func:`_run_cascade`) runs static plans
+(:data:`STATIC_SLICE_ROWS` slices) and the monitored modes
+(:data:`MONITORED_CHUNK_ROWS` chunks with kernel-folded monitoring and
+boundary rank checks).
 
 Gates are strict — any unsupported shape returns ``None`` and the scalar
-machine runs instead. In particular the cascade requires: columnar tables
-and indexes on every leg, index-equality probes with no residual joins,
-and vectorizable local predicates everywhere. A frozen leg's positional
-predicate is not a gate: it is a mask over the leg's group kernel
-(:func:`_positional_kernel`). Resumed
-driving cursors are supported: :class:`_DrivingWalk` reads the rest of the
-scan off the cursor's own state, with the exact skip/termination rules of
+machine runs instead. The store is not one of them: only a columnar
+database builds the executor that calls :func:`cascade`, so every table and
+index here is columnar. The cascade requires index-equality probes with no
+residual joins and vectorizable local predicates everywhere. A frozen
+leg's positional predicate is not a gate: it is a mask over the leg's group
+kernel (:func:`_positional_kernel`). Resumed driving cursors are supported:
+:class:`_DrivingWalk` reads the rest of the scan off the cursor's own
+state, with the exact skip/termination rules of
 :class:`~repro.storage.cursor.IndexScanCursor`, which is how the cascade
 survives a driving switch.
 
@@ -49,7 +51,7 @@ from bisect import bisect_right
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from repro.storage.columnar import ColumnarIndex, ColumnarTable, _np
+from repro.storage.columnar import ColumnarIndex, _np
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import (
     INDEX_DESCEND_COST,
@@ -84,16 +86,21 @@ def _make_translator(source_column, index: ColumnarIndex) -> Callable | None:
 #: numpy calls per leg) is under 1% of a full slice's expansion.
 STATIC_SLICE_ROWS = 1 << 16
 
+#: Driving survivors per chunk of a monitored run: the engine's check
+#: cadence (windows fold and reorder checks fire once per chunk). Read at
+#: call time, like its neighbour.
+MONITORED_CHUNK_ROWS = 256
+
 
 def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     """A generator running the open pipeline vectorized, or None to fall back.
 
     One chunk loop (:func:`_run_cascade`) serves every mode: static plans
     take the driving scan in :data:`STATIC_SLICE_ROWS` slices, the monitored
-    modes in ``batch_size`` chunks. The generator returns True when the
-    query completed, False when a plan rebuilt mid-query is one the gates
-    refuse and the caller must continue on the scalar machine with the
-    partially consumed cursors.
+    modes in :data:`MONITORED_CHUNK_ROWS` chunks. The generator returns
+    True when the query completed, False when a plan rebuilt mid-query is
+    one the gates refuse and the caller must continue on the scalar machine
+    with the partially consumed cursors.
 
     Must be called after ``_open_driving``/``_compile_all_probes`` on a
     multi-leg pipeline. Every gate failure returns None with
@@ -106,8 +113,11 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     planned = _cascade_plan(executor)
     if planned is None:
         return None
-    config = executor.config
-    chunk_rows = config.batch_size if config.mode.monitors else STATIC_SLICE_ROWS
+    chunk_rows = (
+        MONITORED_CHUNK_ROWS
+        if executor.config.mode.monitors
+        else STATIC_SLICE_ROWS
+    )
     return _run_cascade(executor, *planned, chunk_rows)
 
 
@@ -117,15 +127,9 @@ def _cascade_plan(executor) -> tuple["_DrivingWalk", list] | None:
     The gates both cascades share; a failure names itself on
     ``executor.vector_gate_reason`` and mutates nothing else.
     """
-    reason = None
-    for alias in executor.order:
-        if not isinstance(executor.legs[alias].table, ColumnarTable):
-            reason = f"leg {alias!r}: row-backend table"
-            break
-    if reason is None:
-        # Inner legs (kernels + key gathers) before the driving leg
-        # (the scan as arrays): a refused plan should not pay for the walk.
-        inner, reason = _adaptive_plan(executor)
+    # Inner legs (kernels + key gathers) before the driving leg (the scan
+    # as arrays): a refused plan should not pay for the walk.
+    inner, reason = _adaptive_plan(executor)
     if reason is None:
         walk, reason = _driving_walk(
             executor.legs[executor.order[0]], executor.driving_cursor
@@ -282,10 +286,7 @@ def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
     """The walk over *leg*'s open driving *cursor*, or a gate reason."""
     alias = leg.alias
     if isinstance(cursor, IndexScanCursor):
-        index = cursor.index
-        if not isinstance(index, ColumnarIndex):
-            return None, f"leg {alias!r}: non-columnar driving index"
-        index._sidecar()
+        cursor.index._sidecar()
     pushed = leg.pushed_driving_predicate()
     table = leg.table
     masks = []
@@ -331,8 +332,6 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
         if config.residual_joins:
             return None, f"leg {alias!r}: residual join predicates"
         index = config.access_index
-        if not isinstance(index, ColumnarIndex):
-            return None, f"leg {alias!r}: non-columnar index"
         kernel = index.cascade_groups(leg.local_tests)
         if kernel is None:
             return None, f"leg {alias!r}: non-vectorizable local predicates"
@@ -359,9 +358,7 @@ def _positional_kernel(base, positional, table_len: int):
     ``bisect_right(entries, (v, r))`` of the scan-order index, whatever the
     key type. Rows with a NULL scan key are in no entry and stay masked
     out — they never reach the positional test anyway, the pushed local
-    predicate rejects them first (``RuntimeLeg._passes_residuals``). The
-    scan-order index is columnar: the leg drove this cascade through it
-    (:func:`_driving_walk` gates any other).
+    predicate rejects them first (``RuntimeLeg._passes_residuals``).
     """
     index = positional.order.index
     if index is None:

@@ -156,7 +156,7 @@ def render_replay(record: FlightRecord) -> str:
         f"FLIGHT RECORD {record.query_id}",
         f"  sql:      {record.sql}",
         f"  template: {record.template}",
-        f"  mode={record.mode} batched={record.batched} "
+        f"  mode={record.mode} "
         f"granularity={record.monitor_granularity} "
         f"engine={record.engine} plan_cache={record.plan_cache or '-'}",
         f"  outcome={record.outcome} rows={record.rows} "

@@ -52,8 +52,8 @@ class QueryObservability:
         # controller's cold check points, so it does not make the bundle hot.
         self.audit = None
         # ``hot`` = some per-row/per-probe consumer is armed. The executor
-        # only wires the hot hook sites (and runs a batched query on the
-        # scalar machine) for hot bundles; a recorder-only bundle stays on
+        # only wires the hot hook sites (and runs a columnar-store query on
+        # the scalar machine) for hot bundles; a recorder-only bundle stays on
         # the exact same code path as observability-off execution.
         self.hot = (
             tracer is not None or metrics is not None or sampler is not None

@@ -16,7 +16,7 @@ Design constraints (PR 2's observability contract, extended):
   cost model at check points the controller already paid for;
 * the recorder-only bundle is **not hot** (``QueryObservability.hot`` is
   False): every per-row/per-probe hook site stays disabled and the
-  batched executor keeps its cascade, so the wall overhead on
+  engine keeps its cascade, so the wall overhead on
   the six-table workload stays within the ≤5% budget enforced by
   ``benchmarks/bench_speedup.py --check``;
 * the ring is bounded and the store is size-capped with segment
@@ -222,7 +222,7 @@ class FlightRecording:
 
     Attached to a :class:`QueryObservability` as ``obs.audit``; the
     bundle stays *cold* (``hot`` False) when only the audit is armed, so
-    every per-row hook site and the batched executor's dispatch behave
+    every per-row hook site and the engine's dispatch behave
     exactly as with observability off.
 
     Kept checks — thousands per adaptive query, against a handful of
@@ -324,9 +324,9 @@ class FlightRecord:
     plan_cost: float | None = None
     final_order: tuple[str, ...] = ()
     monitor_granularity: str = "exact"
-    batched: bool = False
-    # Which execution engine ran the pipeline, and why a batched run did
-    # not run the cascade (ExecutionStats.engine / vector_gate).
+    # Which execution engine ran the pipeline, and why a run on the
+    # columnar store did not run the cascade (ExecutionStats.engine /
+    # vector_gate).
     engine: str = "unknown"
     vector_gate: str | None = None
     # How the plan was obtained (ExecutionStats.plan_cache): hit / miss /
@@ -366,7 +366,6 @@ class FlightRecord:
             "plan_cost": _finite(self.plan_cost),
             "final_order": list(self.final_order),
             "monitor_granularity": self.monitor_granularity,
-            "batched": self.batched,
             "engine": self.engine,
             "vector_gate": self.vector_gate,
             "plan_cache": self.plan_cache,
@@ -397,7 +396,6 @@ class FlightRecord:
             plan_cost=data.get("plan_cost"),
             final_order=tuple(data.get("final_order", ())),
             monitor_granularity=data.get("monitor_granularity", "exact"),
-            batched=data.get("batched", False),
             engine=data.get("engine", "unknown"),
             vector_gate=data.get("vector_gate"),
             plan_cache=data.get("plan_cache"),
@@ -765,7 +763,6 @@ class FlightRecorder:
             plan_cost=plan.estimated_cost if plan is not None else None,
             final_order=result.final_order if result is not None else (),
             monitor_granularity=granularity_of(engine),
-            batched=config.batched,
             engine=engine,
             vector_gate=(
                 result.stats.vector_gate if result is not None else None

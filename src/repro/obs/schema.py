@@ -64,6 +64,7 @@ FLIGHT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "plan_cost": (_NUMBER, False, True),
     "final_order": ((list,), True, False),
     "monitor_granularity": ((str,), False, False),
+    # Written until PR 22 (``engine`` says what ran): accepted, not read.
     "batched": ((bool,), False, False),
     "engine": ((str,), False, False),
     "vector_gate": ((str,), False, True),

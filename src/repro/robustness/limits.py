@@ -7,8 +7,8 @@ meter, wall-clock time, and an externally triggered
 points and raise :class:`~repro.errors.BudgetExceeded` carrying
 partial-progress stats when any cap is hit:
 
-* the row-at-a-time machine (the oracle; a ``batched`` run its screens or
-  gates keep off the cascade, from its first row or from a mid-query
+* the row-at-a-time machine (the oracle; a columnar-store run its screens
+  or gates keep off the cascade, from its first row or from a mid-query
   hand-off) before each driving row (:meth:`LimitEnforcer.check`) and
   before each emitted row (:meth:`LimitEnforcer.check_emit`);
 * the vectorized cascade once per driving chunk — :meth:`~LimitEnforcer.check`

@@ -74,8 +74,6 @@ class ServerConfig:
     rate_limit_burst: float = 8.0
     # Degradation ladder threshold as a fraction of max_queue_depth.
     shed_static_at: float = 0.50
-    # Batched executor settings for served queries (0 batch = scalar path).
-    engine_batch_size: int = 256
     # Capacity (statements; 0 disables) of the plan cache of the Database
     # that ``repro serve`` builds: ``Database(plan_cache_size=...)``. The
     # server has no cache of its own, so a QueryServer handed an existing
@@ -212,17 +210,11 @@ class AdmissionController:
         ``static`` → mode NONE (static plan, no monitors), counted in
         :attr:`shed_static_total`.
         """
-        config = self.config
         mode = request.mode
         if shed == SHED_STATIC:
             self.shed_static_total += 1
             mode = ReorderMode.NONE
-        batched = config.engine_batch_size > 0
-        return AdaptiveConfig(
-            mode=mode,
-            batched=batched,
-            batch_size=config.engine_batch_size if batched else 256,
-        )
+        return AdaptiveConfig(mode=mode)
 
     def build_limits(
         self,

@@ -189,7 +189,7 @@ class ThreadScopedMeter:
     catalog-lifetime totals remain the sum of all work ever done.
 
     Both reads (``__getattr__``) and stores (``__setattr__``) of counter
-    fields route to the thread's meter, so the batched executor's direct
+    fields route to the thread's meter, so the engine's direct
     ``meter.row_fetches += n`` charge style works identically to the
     ``charge_*`` methods — a plain store can never land on the facade and
     shadow the per-thread meters.

@@ -57,11 +57,14 @@ def reference_join(db: Database, spec: QuerySpec) -> list[tuple]:
 
 
 def build_three_table_db(
-    owners: int = 40, seed: int = 7, analyze: StatisticsLevel | None = StatisticsLevel.BASIC
+    owners: int = 40,
+    seed: int = 7,
+    analyze: StatisticsLevel | None = StatisticsLevel.BASIC,
+    backend: str = "row",
 ) -> Database:
     """A small Owner/Car/Demo database with correlated, skewed data."""
     rng = random.Random(seed)
-    db = Database()
+    db = Database(backend=backend)
     db.create_table(
         "Owner",
         [("id", "int"), ("name", "string"), ("country", "string")],

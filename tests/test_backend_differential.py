@@ -1,7 +1,7 @@
 """Differential tests: the columnar backend is observably the row store.
 
 The storage backend is an implementation detail below the executor's
-semantics: for every reorder mode and batch setting, the
+semantics: for every reorder mode and chunk length, the
 columnar backend must produce
 
 * identical result rows **in identical order**,
@@ -10,8 +10,9 @@ columnar backend must produce
 * identical :class:`~repro.core.events.AdaptationEvent` sequences (same
   decisions at the same driving-row positions),
 
-as the row backend running the same queries: the oracle (scalar) on both
-stores, and the engine — the columnar cascade — against the row store's
+as the row backend running the same queries: the oracle's machine built
+by hand over both stores (``Database.execute`` builds it for the row store
+alone), and the engine — the columnar cascade — against the row store's
 scalar machine (directly for static plans; for monitored ones, whose
 decisions fall at chunk boundaries, through the decision replay of
 ``tests/test_decision_replay.py``: rows in order, physical work, final
@@ -27,8 +28,11 @@ import dataclasses
 import pytest
 
 from repro import AdaptiveConfig, ReorderMode
+from repro.core.controller import AdaptationController
 from repro.core.events import EventKind
 from repro.dmv import load_dmv, six_table_workload
+from repro.executor import vector
+from repro.executor.pipeline import PipelineExecutor
 from repro.query.predicates import PositionalPredicate
 
 from tests.test_decision_replay import assert_replays
@@ -45,11 +49,13 @@ SMALL_QUERIES = [
     "AND c.make = 'Mazda'",
 ]
 
+#: (id, the engine's chunk length); None = the oracle's machine on both
+#: stores, no engine.
 CONFIGS = [
-    ("scalar", {}),
-    ("batched", {"batched": True}),
-    ("batched-64", {"batched": True, "batch_size": 64}),
-    ("batched-7", {"batched": True, "batch_size": 7}),
+    ("scalar", None),
+    ("batched", 256),
+    ("batched-64", 64),
+    ("batched-7", 7),
 ]
 
 
@@ -78,43 +84,64 @@ def workload():
     return SMALL_QUERIES + [q.sql for q in six_table_workload(count=3)]
 
 
+def scalar_machine(db, sql, config) -> tuple[list, PipelineExecutor]:
+    """The oracle's machine over *db*'s store: ``(rows, executor)``."""
+    controller = AdaptationController(config) if config.mode.monitors else None
+    executor = PipelineExecutor(db.plan(sql), db.catalog, config, controller)
+    if controller is not None:
+        controller.attach(executor)
+    return executor.run_to_completion(), executor
+
+
 @pytest.mark.parametrize(
     "mode",
     [ReorderMode.NONE, ReorderMode.INNER_ONLY, ReorderMode.BOTH],
     ids=lambda m: m.name.lower(),
 )
-@pytest.mark.parametrize("name,overrides", CONFIGS, ids=[c[0] for c in CONFIGS])
+@pytest.mark.parametrize("name,chunk_rows", CONFIGS, ids=[c[0] for c in CONFIGS])
 def test_columnar_bit_identical_to_row(
-    row_db, columnar_db, workload, mode, name, overrides
+    row_db, columnar_db, workload, mode, name, chunk_rows, monkeypatch
 ):
-    config = AdaptiveConfig(mode=mode, **overrides)
+    config = AdaptiveConfig(mode=mode)
+    if chunk_rows is not None:
+        monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", chunk_rows)
     for sql in workload:
         tag = f"{mode.name} {name}: {sql[:60]}"
-        if config.batched and mode.monitors:
+        if chunk_rows is None:
+            # The store contract: one machine, two stores.
+            row_rows, row = scalar_machine(row_db, sql, config)
+            col_rows, col = scalar_machine(columnar_db, sql, config)
+            assert col_rows == row_rows, tag
+            assert dataclasses.asdict(col.work) == dataclasses.asdict(
+                row.work
+            ), tag
+            assert col.events == row.events, tag
+        elif mode.monitors:
             _, engine, oracle = assert_replays(
                 row_db, columnar_db, sql, config, tag=tag
             )
             assert engine.engine_used == "vector-adaptive", tag
             assert oracle is not None
-            continue
-        row = row_db.execute(sql, config)
-        col = columnar_db.execute(sql, config)
-        assert col.rows == row.rows, tag
-        assert dataclasses.asdict(col.stats.work) == dataclasses.asdict(
-            row.stats.work
-        ), tag
-        assert col.stats.events == row.stats.events, tag
+        else:
+            row = row_db.execute(sql, config)
+            col = columnar_db.execute(sql, config)
+            assert (row.stats.engine, col.stats.engine) == ("scalar", "vector")
+            assert col.rows == row.rows, tag
+            assert dataclasses.asdict(col.stats.work) == dataclasses.asdict(
+                row.stats.work
+            ), tag
 
 
 def test_columnar_adapts_on_the_workload(columnar_db, workload):
     """Guard against vacuous event equality: mode BOTH must actually adapt
-    somewhere on this workload, so the event comparison above compares
-    non-empty sequences."""
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
-    total = 0
+    somewhere on this workload — on the oracle's machine and on the engine
+    — so the comparisons above compare non-empty sequences."""
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
+    oracle = engine = 0
     for sql in workload:
-        total += len(columnar_db.execute(sql, config).stats.events)
-    assert total > 0
+        oracle += len(scalar_machine(columnar_db, sql, config)[1].events)
+        engine += len(columnar_db.execute(sql, config).stats.events)
+    assert oracle > 0 and engine > 0
 
 
 def _driving_switches(stats) -> int:
@@ -124,8 +151,8 @@ def _driving_switches(stats) -> int:
 
 
 def test_adaptive_vector_engine_engages(columnar_db, workload):
-    """Guard against a vacuous comparison: the columnar batched
-    configuration must run the vectorized adaptive cascade from start to
+    """Guard against a vacuous comparison: the columnar database must
+    run the vectorized adaptive cascade from start to
     finish — across driving switches too, so the driving modes must
     actually switch somewhere on this workload."""
     for mode in (
@@ -133,7 +160,7 @@ def test_adaptive_vector_engine_engages(columnar_db, workload):
         ReorderMode.DRIVING_ONLY,
         ReorderMode.BOTH,
     ):
-        config = AdaptiveConfig(mode=mode, batched=True)
+        config = AdaptiveConfig(mode=mode)
         results = [columnar_db.execute(sql, config).stats for sql in workload]
         engines = {stats.engine for stats in results}
         if mode.reorders_driving:
@@ -174,7 +201,7 @@ def test_cascade_survives_driving_switches(switching_dbs, mode):
 
     row_db, columnar_db = switching_dbs
     grid = [q.sql for q in four_table_workload(queries_per_template=10**9)]
-    config = AdaptiveConfig(mode=mode, batched=True)
+    config = AdaptiveConfig(mode=mode)
     switches = 0
     for number in SWITCHING_STATEMENTS:
         sql = grid[number]
@@ -208,7 +235,7 @@ def test_switched_query_reports_no_gate_and_retains_no_kernel(switching_dbs):
     _, columnar_db = switching_dbs
     grid = [q.sql for q in four_table_workload(queries_per_template=10**9)]
     sql = grid[SWITCHING_STATEMENTS[0]]
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     columnar_db.execute(sql, config)  # the base kernels are built by now
     plan_bytes = columnar_db.storage_stats()["kernel_plan_bytes"]
     assert plan_bytes > 0
@@ -243,7 +270,7 @@ def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
         return db
 
     sql = "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.big >= 10"
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     col = build("columnar").execute(sql, config)
     row = build("row").execute(sql, config)
     assert col.stats.order_history[0][0] == "a"  # the gated leg drives
@@ -256,7 +283,7 @@ def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
 def test_kernel_plan_gauge_sums_the_per_table_bytes(columnar_db, workload):
     """A cascade run leaves its kernel plan materialized on the catalog,
     observable through the storage_stats gauge."""
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     columnar_db.execute(workload[-1], config)
     stats = columnar_db.storage_stats()
     assert stats["kernel_plan_bytes"] > 0

@@ -1,9 +1,10 @@
 """Differential tests: the engine against the scalar oracle.
 
-``batched=True`` may coarsen *when* a monitored run checks and reorders
-(chunk boundaries instead of every ``c`` rows), never *what* a query
-returns or what a fixed plan costs. Against the row-store scalar executor,
-for batch sizes 1 / 7 / 256, the cascade on the columnar store must give
+The engine may coarsen *when* a monitored run checks and reorders (chunk
+boundaries instead of every ``c`` rows), never *what* a query returns or
+what a fixed plan costs. Against the row store's scalar executor, for
+chunks of 1 / 7 / 256 rows (``vector.MONITORED_CHUNK_ROWS`` patched), the
+cascade on the columnar store must give
 
 * the identical result multiset in every :class:`ReorderMode`;
 * the identical full :class:`WorkMeter` in mode NONE, where no decision
@@ -22,8 +23,9 @@ import pytest
 
 from repro import AdaptiveConfig, ReorderMode
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
+from repro.executor import vector
 
-BATCH_SIZES = (1, 7, 256)
+CHUNK_ROWS = (1, 7, 256)
 
 
 @pytest.fixture(scope="module")
@@ -42,24 +44,25 @@ def workload():
 
 
 @pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.name.lower())
-def test_chunk_semantics_match_the_scalar_oracle(dbs, workload, mode):
+def test_chunk_semantics_match_the_scalar_oracle(
+    dbs, workload, mode, monkeypatch
+):
+    config = AdaptiveConfig(mode=mode)
     for query in workload:
-        oracle = dbs["row"].execute(query.sql, AdaptiveConfig(mode=mode))
+        oracle = dbs["row"].execute(query.sql, config)
         assert oracle.stats.engine == "scalar"
         oracle_rows = sorted(oracle.rows)
-        for batch_size in BATCH_SIZES:
-            config = AdaptiveConfig(
-                mode=mode, batched=True, batch_size=batch_size
-            )
-            batched = dbs["columnar"].execute(query.sql, config)
-            tag = f"{query.qid} bs={batch_size}"
+        for chunk_rows in CHUNK_ROWS:
+            monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", chunk_rows)
+            engine = dbs["columnar"].execute(query.sql, config)
+            tag = f"{query.qid} chunk={chunk_rows}"
             # Not vacuous: the path under test is the one that ran.
-            assert batched.stats.engine == (
+            assert engine.stats.engine == (
                 "vector-adaptive" if mode.monitors else "vector"
             ), tag
-            assert sorted(batched.rows) == oracle_rows, tag
+            assert sorted(engine.rows) == oracle_rows, tag
             if mode is ReorderMode.NONE:
-                assert asdict(batched.stats.work) == asdict(
+                assert asdict(engine.stats.work) == asdict(
                     oracle.stats.work
                 ), tag
 
@@ -75,10 +78,9 @@ SMALL_JOINS = [
 
 def test_chunk_granularity_rows_match_exact(dbs):
     """Chunk-granularity monitoring never changes result rows."""
-    db = dbs["row"]
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     for sql in SMALL_JOINS + [q.sql for q in six_table_workload(count=2)]:
-        exact = db.execute(sql, AdaptiveConfig(mode=ReorderMode.BOTH))
-        chunk = db.execute(
-            sql, AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
-        )
+        exact = dbs["row"].execute(sql, config)
+        chunk = dbs["columnar"].execute(sql, config)
+        assert chunk.stats.engine == "vector-adaptive", sql[:60]
         assert sorted(chunk.rows) == sorted(exact.rows), sql[:60]

@@ -122,15 +122,16 @@ class TestExperiments:
         assert result.inner_overhead >= 0.0
         assert "paper: 0.68%" in result.report()
         # The elapsed half: three monitored modes against the static plan
-        # under chunk semantics, microseconds per check where checks run.
+        # on the same store, microseconds per check where checks run.
         by_mode = {row.mode: row for row in result.elapsed}
         assert list(by_mode) == ["monitor-only", "inner-only", "driving-only"]
         assert by_mode["monitor-only"].checks == 0
         assert by_mode["monitor-only"].check_us is None
         assert by_mode["driving-only"].checks > 0
         assert by_mode["driving-only"].check_us > 0.0
-        assert result.engines == ("scalar",)  # the row store: gated
+        assert result.engines == ("scalar",)  # the row store: the oracle
         assert "us per check" in result.report()
+        assert "elapsed, row store (engine scalar;" in result.report()
 
     def test_learned(self):
         """E11 on the engine: later executions start from plan feedback and
@@ -139,8 +140,8 @@ class TestExperiments:
         db, _ = load_dmv(scale=0.02, extended=True, backend="columnar")
         workload = six_table_workload(count=12)
         configs = (
-            AdaptiveConfig(mode=ReorderMode.BOTH, batched=True),
-            AdaptiveConfig(mode=ReorderMode.NONE, batched=True),
+            AdaptiveConfig(mode=ReorderMode.BOTH),
+            AdaptiveConfig(mode=ReorderMode.NONE),
         )
         result = learned_experiment(db, workload, *configs, later_passes=2)
         assert sum(result.statements.values()) == len(workload)

@@ -39,12 +39,14 @@ from repro.core.ranks import RuntimeModelBuilder
 from repro.dmv import load_dmv
 from repro.dmv.templates import four_table_workload, six_table_workload
 from repro.executor.access import ProbeConfig, RuntimeLeg
+from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor
 from repro.obs.explain import render_explain_analyze
 from repro.obs.recorder import FlightRecorder
 
 from tests.test_plan_cache import SCALE
+from tests.test_vector_limits import executor_class
 
 STATEMENTS = [query.sql for query in six_table_workload(count=48)]
 # The CI "check-cost smoke" statement (X2, make 'Porsche').
@@ -57,8 +59,12 @@ PORSCHE = (
     "AND l.urban = 1 AND t.month = 6 AND a.damage > 10000"
 )
 FOUR_TABLE = [query.sql for query in four_table_workload(queries_per_template=2)]
-# Small chunks: a scale-0.02 driving scan still crosses many boundaries.
-ENGINE = dict(batched=True, batch_size=16)
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    """A scale-0.02 driving scan still crosses many chunk boundaries."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +167,7 @@ def run(db, sql, config, order=None):
     *order* starts it from another order than the optimizer's (what a
     statement's learned executions do).
     """
-    executor_cls = BatchedPipelineExecutor if config.batched else PipelineExecutor
+    executor_cls = executor_class(db)
     controller = AdaptationController(config)
     plan = db.plan(sql)
     if order is not None:
@@ -179,7 +185,7 @@ def test_a_boundary_builds_each_legs_model_at_most_once(columnar, monkeypatch):
     """On the engine both checks of a boundary run back to back: one
     snapshot, six models at most — twice that only where the inner check
     changed the order under the driving check's feet."""
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, **ENGINE)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     boundaries = kept = 0
     log = CheckLog(monkeypatch)
     for sql in STATEMENTS:
@@ -214,7 +220,7 @@ def test_a_kept_boundary_compiles_and_plans_nothing(columnar, monkeypatch):
 
     monkeypatch.setattr(RuntimeLeg, "compile_probe", counting_compile)
     monkeypatch.setattr(repro.executor.vector, "_adaptive_plan", counting_plan)
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, **ENGINE)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     quiet = 0
     for sql in STATEMENTS:
         order = None
@@ -272,7 +278,7 @@ def test_an_applied_inner_reorder_recompiles_only_the_permuted_suffix(
 def test_snapshot_is_shared_when_kept_and_rebuilt_after_an_applied_reorder(
     columnar, monkeypatch
 ):
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, **ENGINE)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     shared = rebuilt = 0
     log = CheckLog(monkeypatch)
     for sql in STATEMENTS:
@@ -298,7 +304,7 @@ def test_snapshot_is_rebuilt_after_a_dynamic_access_path_refresh(
     """A spec refresh replaces a leg's plan-invariant model parts: the
     inner check's models are of the old spec."""
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, dynamic_access_path=True, **ENGINE
+        mode=ReorderMode.BOTH, dynamic_access_path=True
     )
     refresh = AdaptationController._refresh_dynamic_specs
     outcomes = []
@@ -396,7 +402,7 @@ def test_decision_records_are_those_of_unshared_snapshots(columnar, monkeypatch)
     """Flight-recorder ``DecisionRecord``s (candidate costs, rank terms,
     window estimates) with the snapshot shared equal those of a controller
     that models every check afresh."""
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, **ENGINE)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
 
     def audited(sql):
         recorder = FlightRecorder()
@@ -425,14 +431,14 @@ def test_decision_records_are_those_of_unshared_snapshots(columnar, monkeypatch)
 # check_seconds
 # ---------------------------------------------------------------------------
 def test_check_seconds_is_reported_and_zero_without_checks(columnar):
-    both = columnar.execute(PORSCHE, AdaptiveConfig(mode=ReorderMode.BOTH, **ENGINE))
+    both = columnar.execute(PORSCHE, AdaptiveConfig(mode=ReorderMode.BOTH))
     checks = both.stats.inner_checks + both.stats.driving_checks
     assert checks > 0 and 0.0 < both.stats.check_seconds < both.stats.wall_seconds
     for mode in (ReorderMode.NONE, ReorderMode.MONITOR_ONLY):
-        idle = columnar.execute(PORSCHE, AdaptiveConfig(mode=mode, **ENGINE))
+        idle = columnar.execute(PORSCHE, AdaptiveConfig(mode=mode))
         assert idle.stats.check_seconds == 0.0
     explained = columnar.execute(
-        PORSCHE, AdaptiveConfig(mode=ReorderMode.BOTH, **ENGINE), obs=True
+        PORSCHE, AdaptiveConfig(mode=ReorderMode.BOTH), obs=True
     )
     line = next(
         line
@@ -454,7 +460,7 @@ def permuted_suffix_compiles(executor) -> int:
 
 def run_plan(db, plan, config, running=None):
     """Execute *plan*; *running*, a list, holds the executor meanwhile."""
-    executor_cls = BatchedPipelineExecutor if config.batched else PipelineExecutor
+    executor_cls = executor_class(db)
     controller = AdaptationController(config)
     executor = executor_cls(plan, db.catalog, config, controller)
     controller.attach(executor)
@@ -491,7 +497,7 @@ def test_second_execution_compiles_no_starting_probe_and_searches_no_keys(
 
     monkeypatch.setattr(RuntimeLeg, "compile_probe", counting_compile)
     monkeypatch.setattr(numpy, "searchsorted", counting_search)
-    config = AdaptiveConfig(mode=mode, **ENGINE)
+    config = AdaptiveConfig(mode=mode)
     changed = 0
     for sql in STATEMENTS:
         plan = columnar.plan(sql)  # cache off: a plan no one has executed
@@ -538,7 +544,7 @@ def test_installed_probe_configs_are_the_freshly_compiled_ones(columnar, policy)
     from tests.test_plan_cache import GRID
 
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, hash_probe_policy=policy, **ENGINE
+        mode=ReorderMode.BOTH, hash_probe_policy=policy
     )
     hashed = 0
     for sql in GRID:
@@ -572,7 +578,7 @@ def test_one_plan_under_two_hash_policies_shares_no_probe(columnar, row):
     legs = {}
     for policy in (HashProbePolicy.ALWAYS, HashProbePolicy.OFF):
         config = AdaptiveConfig(
-            mode=ReorderMode.NONE, hash_probe_policy=policy, **ENGINE
+            mode=ReorderMode.NONE, hash_probe_policy=policy
         )
         for _ in range(2):
             executor, rows = run_plan(columnar, plan, config)
@@ -591,7 +597,7 @@ def test_a_pipeline_that_left_the_plan_compiles_for_where_it_is(columnar):
     """The program is the *plan's* order under the *plan's* selectivities:
     an executor moved off either before its first compile gets no install
     and publishes nothing."""
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, **ENGINE)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     plan = columnar.plan(PORSCHE)
     moved = BatchedPipelineExecutor(plan, columnar.catalog, config)
     class_id = next(iter(moved.class_selectivities))

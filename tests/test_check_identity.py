@@ -67,14 +67,14 @@ def fold(digest, result) -> None:
 
 def grid_digests(engine: str) -> dict[str, str]:
     """``{"<engine>/<mode>/<pass>": sha256}`` for one engine of ENGINES."""
-    backend, knobs, statements = ENGINES[engine]
+    backend, statements = ENGINES[engine]
     db, _ = load_dmv(scale=SCALE, extended=True, backend=backend)
     digests = {}
     for mode in MODES:
         # Same level, same statistics, same plans: it only makes every
         # cached plan, and the feedback in it, stale between modes.
         db.analyze(level=StatisticsLevel.CARDINALITY)
-        config = AdaptiveConfig(mode=mode, **knobs)
+        config = AdaptiveConfig(mode=mode)
         for name in PASSES:
             digest = hashlib.sha256()
             for sql in statements:

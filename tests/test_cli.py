@@ -48,6 +48,8 @@ class TestCommands:
         assert "static:" in out
         assert "adaptive:" in out
         assert "results match" in out
+        # The row store: both lines name the oracle's machine.
+        assert out.count("[scalar]") == 2
 
     def test_query_explain(self, capsys):
         main(
@@ -193,7 +195,8 @@ class TestCommands:
     def test_columnar_batch_size_runs_the_adaptive_cascade(
         self, tmp_path, capsys
     ):
-        """``--batch-size`` asks for the engine, in mode BOTH too."""
+        """``--backend columnar`` is the engine, in mode BOTH too: no other
+        flag asks for it."""
         import json
 
         sql = (
@@ -203,8 +206,7 @@ class TestCommands:
         telemetry = tmp_path / "telemetry"
         args = [
             "query", "--scale", "0.01", "--backend", "columnar",
-            "--mode", "both", "--batch-size", "256",
-            "--telemetry-dir", str(telemetry), sql,
+            "--mode", "both", "--telemetry-dir", str(telemetry), sql,
         ]
         assert main(args) == 0
         assert "note:" not in capsys.readouterr().err  # no gate to warn about
@@ -215,6 +217,11 @@ class TestCommands:
         assert flight["vector_gate"] is None
         assert main(["replay", "--telemetry-dir", str(telemetry), "--latest"]) == 0
         assert "engine=vector-adaptive" in capsys.readouterr().out
+        # The plain comparison says which machine ran each line.
+        assert main(["query", "--scale", "0.01", "--backend", "columnar", sql]) == 0
+        captured = capsys.readouterr()
+        assert "[vector]" in captured.out and "[vector-adaptive]" in captured.out
+        assert "note:" not in captured.err
         # The probe cache and its flag are gone.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "--probe-cache", "64", sql])

@@ -27,8 +27,8 @@ KERNEL_MEMO = 16
 
 def configs():
     return [
-        AdaptiveConfig(mode=ReorderMode.NONE, batched=True),
-        AdaptiveConfig(mode=ReorderMode.BOTH, batched=True),
+        AdaptiveConfig(mode=ReorderMode.NONE),
+        AdaptiveConfig(mode=ReorderMode.BOTH),
     ]
 
 

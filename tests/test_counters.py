@@ -152,38 +152,39 @@ class TestThreadScopedMeter:
         )
 
     def test_batched_execution_charges_scoped_meter(self):
-        """End-to-end: the batched executor path (direct `+=` charges)
-        reports its work through a scoped meter, not onto the facade —
-        its scoped work accounting must equal the scalar path's."""
+        """End-to-end: the engine (direct `+=` charges) reports its work
+        through a scoped meter, not onto the facade — its scoped work
+        accounting must equal the oracle's on the row store."""
         from tests.conftest import build_three_table_db
 
         from repro.core.config import AdaptiveConfig, ReorderMode
 
-        db = build_three_table_db()
-        facade = db.enable_concurrent_metering()
-        base = facade.base
         sql = (
             "SELECT O.id FROM Owner O, Car C "
             "WHERE O.id = C.ownerid AND C.make = 'Rare'"
         )
+        static = AdaptiveConfig(mode=ReorderMode.NONE)
+        scalar = build_three_table_db().execute(sql, static)
+        assert scalar.stats.engine == "scalar"
+        db = build_three_table_db(backend="columnar")
+        facade = db.enable_concurrent_metering()
+        base = facade.base
         plan = db.plan(sql)
-        with facade.scoped():
-            scalar = db.execute(plan, AdaptiveConfig(mode=ReorderMode.BOTH))
-        before = base.snapshot()
-        batched_config = AdaptiveConfig(
-            mode=ReorderMode.BOTH, batched=True, batch_size=64
-        )
-        with facade.scoped() as local:
-            batched = db.execute(plan, batched_config)
-            assert base.total_units == before.total_units, (
-                "base must not be charged while a scope is active"
-            )
-            assert local.total_units == batched.stats.total_work
-        assert sorted(batched.rows) == sorted(scalar.rows)
-        assert batched.stats.total_work == scalar.stats.total_work, (
-            "batched-path direct stores must land in the scoped meter"
-        )
+        for config in (static, AdaptiveConfig(mode=ReorderMode.BOTH)):
+            before = base.snapshot()
+            with facade.scoped() as local:
+                engine = db.execute(plan, config)
+                assert base.total_units == before.total_units, (
+                    "base must not be charged while a scope is active"
+                )
+                assert local.total_units == engine.stats.total_work
+            assert engine.stats.engine.startswith("vector")
+            assert sorted(engine.rows) == sorted(scalar.rows)
+            if config is static:
+                assert engine.stats.work == scalar.stats.work, (
+                    "the engine's direct stores must land in the scoped meter"
+                )
+            assert base.total_units > before.total_units, "scope merged into base"
         assert not set(vars(facade)) & set(WorkMeter.__dataclass_fields__), (
             "no counter attribute may shadow the facade's routing"
         )
-        assert base.total_units > before.total_units, "scope merged into base"

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import AdaptiveConfig, ReorderMode
+from repro import AdaptiveConfig, BudgetExceeded, ExecutionLimits, ReorderMode
 from repro.core.config import HashProbePolicy
 from repro.core.controller import AdaptationController
 from repro.core.events import EventKind
 from repro.dmv import four_table_workload, load_dmv, six_table_workload, templates
+from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor
 
@@ -107,6 +108,33 @@ def frozen_positions(executor: PipelineExecutor) -> dict:
     }
 
 
+def machines(row_db, columnar_db, sql, config, order=None, limits=None):
+    """``(engine executor, start the oracle)``: the cascade over the columnar
+    store under a recording controller, and — once it ran — the scalar
+    machine over the row store under that recording."""
+
+    def plan(db):
+        planned = db.plan(sql)
+        return planned if order is None else planned.with_order(order)
+
+    recording = Recording(config)
+    engine = BatchedPipelineExecutor(
+        plan(columnar_db), columnar_db.catalog, config, recording, limits=limits
+    )
+    recording.attach(engine)
+
+    def start_oracle():
+        assert [event for event, _ in recording.script] == engine.events
+        scripted = Scripted(recording.script)
+        oracle = PipelineExecutor(
+            plan(row_db), row_db.catalog, config, scripted, limits=limits
+        )
+        scripted.pipeline = oracle
+        return oracle, scripted
+
+    return engine, start_oracle
+
+
 def assert_replays(row_db, columnar_db, sql, config, order=None, tag=""):
     """Run *sql* on the columnar engine under *config*, replay its applied
     decisions on the row store's scalar oracle, and hold the two equal.
@@ -116,25 +144,11 @@ def assert_replays(row_db, columnar_db, sql, config, order=None, tag=""):
     its gates put on the scalar machine may also have reordered mid-row
     (position >= 2), and is then not replayed: the oracle comes back None.
     """
-
-    def plan(db):
-        planned = db.plan(sql)
-        return planned if order is None else planned.with_order(order)
-
-    recording = Recording(config)
-    engine = BatchedPipelineExecutor(
-        plan(columnar_db), columnar_db.catalog, config, recording
-    )
-    recording.attach(engine)
+    engine, start_oracle = machines(row_db, columnar_db, sql, config, order)
     rows = engine.run_to_completion()
-    assert [event for event, _ in recording.script] == engine.events
     if any(event.position > 1 for event in engine.events):
         return rows, engine, None
-    scripted = Scripted(recording.script)
-    oracle = PipelineExecutor(
-        plan(row_db), row_db.catalog, replace(config, batched=False), scripted
-    )
-    scripted.pipeline = oracle
+    oracle, scripted = start_oracle()
     assert oracle.run_to_completion() == rows, tag  # in order
     assert not scripted.script, tag  # every decision found its driving row
     for field in PHYSICAL:
@@ -145,6 +159,38 @@ def assert_replays(row_db, columnar_db, sql, config, order=None, tag=""):
     assert oracle.order_history == engine.order_history, tag
     assert frozen_positions(oracle) == frozen_positions(engine), tag
     return rows, engine, oracle
+
+
+def held(executor) -> tuple[list, BudgetExceeded | None]:
+    """The rows the caller holds when the run ends, and what ended it."""
+    rows = []
+    try:
+        for row in executor.rows():
+            rows.append(row)
+    except BudgetExceeded as error:
+        return rows, error
+    return rows, None
+
+
+def assert_budget_cuts_alike(row_db, columnar_db, sql, config, rows, k, tag=""):
+    """``max_rows=k`` on both machines, *rows* being the unlimited run's:
+    the engine emits the admitted head of the chunk the budget cuts, the
+    oracle stops before row ``k + 1`` — the same first *k* rows, the same
+    ``BudgetExceeded.rows_emitted``."""
+    engine, start_oracle = machines(
+        row_db, columnar_db, sql, config, limits=ExecutionLimits(max_rows=k)
+    )
+
+    def assert_cut(executor):
+        got, error = held(executor)
+        assert got == rows[:k], tag
+        assert error is not None and "row budget" in error.reason, tag
+        assert error.rows_emitted == executor.rows_emitted == k, tag
+
+    assert_cut(engine)
+    oracle, scripted = start_oracle()
+    assert_cut(oracle)
+    assert not scripted.script, tag
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +216,24 @@ GRID = [
 ]
 
 
-@pytest.mark.parametrize("batch_size,stride", [(256, 1), (64, 8), (7, 8)])
-def test_grid_statements_replay(dmv, batch_size, stride):
+@pytest.mark.parametrize("chunk_rows,stride", [(256, 1), (64, 8), (7, 8)])
+def test_grid_statements_replay(dmv, chunk_rows, stride, monkeypatch):
     """Every statement of both grids (every eighth at the small chunk
     sizes) in the three reordering modes: zero mismatches, on the cascade
     from the first row to the last, across hundreds of switches."""
     assert len(GRID) == 696
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", chunk_rows)
     events = switches = 0
     for number, sql in enumerate(GRID[::stride]):
         for mode in REORDERING:
-            config = AdaptiveConfig(mode=mode, batched=True, batch_size=batch_size)
-            tag = f"#{number * stride} {mode.name} bs={batch_size}"
+            config = AdaptiveConfig(mode=mode)
+            tag = f"#{number * stride} {mode.name} chunk={chunk_rows}"
             _, engine, oracle = assert_replays(*dmv, sql, config, tag=tag)
             assert engine.engine_used == "vector-adaptive", tag
             assert engine.vector_gate_reason is None and oracle is not None
             events += len(engine.events)
             switches += engine.driving_switches
-    # Not vacuous (batch size 256, every statement: 216 switches among 870
+    # Not vacuous (chunks of 256, every statement: 216 switches among 870
     # events at the commit that introduced this test).
     assert switches >= 100 // stride and events >= 400 // stride
 
@@ -201,8 +248,7 @@ def test_hand_off_statement_replays():
         "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
     )
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, batched=True, check_frequency=2,
-        switch_benefit_threshold=0.0,
+        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0,
         hash_probe_policy=HashProbePolicy.FALLBACK,
     )
     _, engine, oracle = assert_replays(
@@ -211,8 +257,6 @@ def test_hand_off_statement_replays():
     assert engine.engine_used == "scalar" and engine.driving_switches >= 1
     assert engine.vector_gate_reason.endswith("hash-probed or uncompiled access")
     assert oracle is not None and oracle.rows_emitted > 0
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +276,9 @@ def _between(column, ranges):
 #: value pools plus a single-row leg (``o.id = 17``) and an empty result
 #: (``d.salary < 0``); the hand-off schema adds the shape the mask compiler
 #: refuses (``a.big``: a boxed column) and a join column with no index
-#: (``b.cid``: scanned per probe, or hash-probed under FALLBACK).
+#: (``b.cid``: scanned per probe, or hash-probed under FALLBACK); the
+#: absent-keys schema joins on columns holding NULLs and keys the probed
+#: index does not have (the kernels' two padding slots).
 SCHEMAS = {
     "dmv": (
         {"o": ("Owner", "id"), "c": ("Car", "id"), "d": ("Demographics", "age"),
@@ -275,15 +321,24 @@ SCHEMAS = {
          "b": ["b.cid < 900", "b.aid >= 1500"],
          "c": ["c.flag = 1", "c.id = 400", "c.id < 0", "c.id >= 1000"]},
     ),
+    "absent-keys": (
+        {"s": ("src", "tag"), "d": ("dst", "tag"), "f": ("far", "tag")},
+        [("s.k", "d.k", None), ("s.m", "f.k", None)],
+        {"s": ["s.tag >= 0", "s.tag < 100"], "d": ["d.tag < 12", "d.tag >= 2"],
+         "f": ["f.tag < 170", "f.tag >= 10"]},
+    ),
 }
 
 
 @pytest.fixture(scope="module")
 def stores(dmv):
+    from tests.test_row_ranks import chain_twins  # it imports this module
+
     return {
         "dmv": dmv,
         "cycle": tuple(build_cyclic_db(backend=b) for b in ("row", "columnar")),
         "hand-off": tuple(hand_off_db(b) for b in ("row", "columnar")),
+        "absent-keys": chain_twins()[::-1],
     }
 
 
@@ -314,7 +369,7 @@ def generate(schema: str, rng: random.Random) -> str:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    schema=st.sampled_from(["dmv"] * 4 + ["cycle", "hand-off"]),
+    schema=st.sampled_from(["dmv"] * 4 + ["cycle", "hand-off", "absent-keys"]),
     seed=st.integers(min_value=0, max_value=10**6),
     fallback=st.booleans(),
 )
@@ -324,19 +379,20 @@ def generate(schema: str, rng: random.Random) -> str:
 def test_generated_queries_equal_the_oracle(stores, schema, seed, fallback):
     """Engine vs oracle on generated joins: sorted rows in all five modes,
     the full WorkMeter in NONE, the decision replay in the three
-    reordering modes — on the cascade, gated off it, and handed off it."""
+    reordering modes — on the cascade, gated off it, and handed off it —
+    and, in one of them, a row budget that cuts a chunk."""
     rng = random.Random(seed)
     row_db, columnar_db = stores[schema]
     sql = generate(schema, rng)
+    chunk_rows = rng.choice((7, 64, 256))
     knobs = dict(
-        batched=True,
-        batch_size=rng.choice((7, 64, 256)),
         check_frequency=rng.choice((2, 10)),
         switch_benefit_threshold=rng.choice((0.0, 0.15)),
         hash_probe_policy=(
             HashProbePolicy.FALLBACK if fallback else HashProbePolicy.OFF
         ),
     )
+    cut_mode = rng.choice(REORDERING)
     oracle = row_db.execute(
         row_db.plan(sql),
         AdaptiveConfig(
@@ -345,13 +401,25 @@ def test_generated_queries_equal_the_oracle(stores, schema, seed, fallback):
     )
     assert oracle.stats.engine == "scalar"
     want = sorted(oracle.rows)
-    for mode in ReorderMode:
-        config = AdaptiveConfig(mode=mode, **knobs)
-        if mode in REORDERING:
-            rows, _, _ = assert_replays(row_db, columnar_db, sql, config, tag=sql)
-        else:
-            static = columnar_db.execute(columnar_db.plan(sql), config)
-            rows = static.rows
-            if mode is ReorderMode.NONE:
-                assert asdict(static.stats.work) == asdict(oracle.stats.work), sql
-        assert sorted(rows) == want, (mode.name, sql)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vector, "MONITORED_CHUNK_ROWS", chunk_rows)
+        for mode in ReorderMode:
+            config = AdaptiveConfig(mode=mode, **knobs)
+            if mode in REORDERING:
+                rows, _, replayed = assert_replays(
+                    row_db, columnar_db, sql, config, tag=sql
+                )
+                if mode is cut_mode and replayed is not None and len(rows) > 1:
+                    # Any k below the total lands in some chunk's output.
+                    k = rng.randrange(1, len(rows))
+                    assert_budget_cuts_alike(
+                        row_db, columnar_db, sql, config, rows, k, tag=(k, sql)
+                    )
+            else:
+                static = columnar_db.execute(columnar_db.plan(sql), config)
+                rows = static.rows
+                if mode is ReorderMode.NONE:
+                    assert asdict(static.stats.work) == asdict(
+                        oracle.stats.work
+                    ), sql
+            assert sorted(rows) == want, (mode.name, sql)

@@ -270,7 +270,7 @@ class TestDrivingCandidatePruning:
         db, _ = load_dmv(
             scale=0.02, extended=True, backend="columnar", plan_cache_size=0
         )
-        config = AdaptiveConfig(mode=mode, batched=True)
+        config = AdaptiveConfig(mode=mode)
 
         def run():
             return [

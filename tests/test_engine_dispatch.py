@@ -1,31 +1,35 @@
 """Which engine runs, and why not the cascade: one row per dispatch rule.
 
-``ExecutionStats.engine`` takes three values — ``scalar``, ``vector``,
-``vector-adaptive`` — and ``ExecutionStats.vector_gate`` names what kept a
-``batched=True`` run on the scalar machine: a scalar-fallback screen (the
-run needs per-row visibility) or the first failed gate of DESIGN.md §4h's
-table (the shape is one the kernels do not cover). Every row of both lists
-is reached here through ``Database.execute``.
+The store picks the machine: a row database runs the oracle (``scalar``,
+no gate to name), a columnar database the engine. ``ExecutionStats.engine``
+takes three values — ``scalar``, ``vector``, ``vector-adaptive`` — and
+``ExecutionStats.vector_gate`` names what kept a columnar-store run on the
+scalar machine: a scalar-fallback screen (the run needs per-row visibility)
+or the first failed gate of DESIGN.md §4h's table (the shape is one the
+kernels do not cover). Every row of both lists is reached here through
+``Database.execute``; no option chooses.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import pathlib
 import re
 
 import pytest
 
 from repro import AdaptiveConfig, Database, ReorderMode
+from repro.cli import build_parser
 from repro.core.config import HashProbePolicy
+from repro.dmv import load_dmv, six_table_workload
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.obs.observer import QueryObservability
 from repro.obs.recorder import FlightRecorder
 from repro.robustness.faults import FaultPlan
-from repro.storage.backend import StorageBackend
-from repro.storage.columnar import ColumnarIndex, ColumnarTable
-from repro.storage.index import SortedIndex
+from repro.server.admission import ServerConfig
 
-BOTH = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
-STATIC = AdaptiveConfig(mode=ReorderMode.NONE, batched=True)
+BOTH = AdaptiveConfig(mode=ReorderMode.BOTH)
+STATIC = AdaptiveConfig(mode=ReorderMode.NONE)
 
 JOIN = "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.x >= 1"
 
@@ -49,86 +53,59 @@ def build(
     return db
 
 
-def mixed_backend(sorted_indexes: set[tuple[str, str]]) -> StorageBackend:
-    """Columnar tables whose named (table, column) indexes are row-store ones."""
-
-    def make_index(name, table, column):
-        kind = SortedIndex if (table.name, column) in sorted_indexes else ColumnarIndex
-        return kind(name, table, column)
-
-    return StorageBackend("mixed", ColumnarTable, make_index)
-
-
 LEG = r"leg '\w+': "
 
-#: id -> (database, sql, config, execute kwargs, engine, vector_gate pattern)
+#: id -> (build() arguments, sql, config, execute kwargs, engine, vector_gate
+#: pattern)
 CASES = {
-    # -- the two semantics, nothing in the way ---------------------------
-    "oracle": (build, JOIN, AdaptiveConfig(mode=ReorderMode.BOTH), {}, "scalar", None),
-    "engine-static": (build, JOIN, STATIC, {}, "vector", None),
-    "engine-adaptive": (build, JOIN, BOTH, {}, "vector-adaptive", None),
+    # -- the two machines, nothing in the way ----------------------------
+    "oracle": ({"backend": "row"}, JOIN, BOTH, {}, "scalar", None),
+    "engine-static": ({}, JOIN, STATIC, {}, "vector", None),
+    "engine-adaptive": ({}, JOIN, BOTH, {}, "vector-adaptive", None),
     # -- scalar-fallback screens: the run needs per-row visibility -------
     "single-leg": (
-        build, "SELECT a.id FROM A a WHERE a.x >= 1", BOTH, {},
+        {}, "SELECT a.id FROM A a WHERE a.x >= 1", BOTH, {},
         "scalar", "single-leg pipeline",
     ),
     "invariant-oracle": (
-        build, JOIN, BOTH, {"oracle": True}, "scalar", "invariant oracle armed",
+        {}, JOIN, BOTH, {"oracle": True}, "scalar", "invariant oracle armed",
     ),
     "fault-plan": (
-        build, JOIN, BOTH, {"fault_plan": FaultPlan.from_json('{"seed": 1}')},
+        {}, JOIN, BOTH, {"fault_plan": FaultPlan.from_json('{"seed": 1}')},
         "scalar", "fault injection armed",
     ),
     "key-boundary": (
-        build, JOIN,
-        AdaptiveConfig(
-            mode=ReorderMode.BOTH, batched=True, switch_at_key_boundary=True
-        ),
+        {}, JOIN,
+        AdaptiveConfig(mode=ReorderMode.BOTH, switch_at_key_boundary=True),
         {}, "scalar", "switch_at_key_boundary peeks the live cursor",
     ),
     "hot-observability": (
-        build, JOIN, BOTH, {"obs": QueryObservability.armed}, "scalar",
+        {}, JOIN, BOTH, {"obs": QueryObservability.armed}, "scalar",
         "hot observability armed",
     ),
     # -- gates: a shape the kernels do not cover -------------------------
-    "row-backend": (
-        lambda: build("row"), JOIN, BOTH, {}, "scalar", LEG + "row-backend table",
-    ),
-    "row-backend-static": (
-        lambda: build("row"), JOIN, STATIC, {}, "scalar", LEG + "row-backend table",
-    ),
     "hash-probed": (
-        build, JOIN,
+        {}, JOIN,
         AdaptiveConfig(
-            mode=ReorderMode.BOTH, batched=True,
-            hash_probe_policy=HashProbePolicy.ALWAYS,
+            mode=ReorderMode.BOTH, hash_probe_policy=HashProbePolicy.ALWAYS
         ),
         {}, "scalar", LEG + "hash-probed or uncompiled access",
     ),
     "non-indexed-probe": (
-        lambda: build(indexes=()), JOIN, BOTH, {}, "scalar", LEG + "non-indexed probe",
+        {"indexes": ()}, JOIN, BOTH, {}, "scalar", LEG + "non-indexed probe",
     ),
     "residual-join": (
-        build,
+        {},
         "SELECT a.id FROM A a, B b WHERE b.aid = a.id AND b.v = a.x",
         BOTH, {}, "scalar", LEG + "residual join predicates",
     ),
-    "non-columnar-index": (
-        lambda: build(mixed_backend({("A", "id"), ("B", "aid")})),
-        JOIN, BOTH, {}, "scalar", LEG + "non-columnar index",
-    ),
-    "non-columnar-driving-index": (
-        lambda: build(mixed_backend({("A", "x")})),
-        "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.x = 1",
-        BOTH, {}, "scalar", "leg 'a': non-columnar driving index",
-    ),
     "non-vectorizable-locals": (
-        build,
+        {},
         "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.big >= 10",
         BOTH, {}, "scalar", "leg 'a': non-vectorizable local predicates",
     ),
     "untranslatable-key": (
-        lambda: build(a_ids=[2**70, *range(1, 50)]), JOIN, BOTH, {},
+        {"a_ids": [2**70, *range(1, 50)]}, JOIN, BOTH, {},
         "scalar", LEG + "untranslatable key column",
     ),
 }
@@ -136,8 +113,8 @@ CASES = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_dispatch(case):
-    make_db, sql, config, kwargs, engine, gate = CASES[case]
-    db = make_db()
+    shape, sql, config, kwargs, engine, gate = CASES[case]
+    db = build(**shape)
     kwargs = dict(kwargs)
     recorder = FlightRecorder(capacity=1)
     bundle = recorder.arm(base=kwargs.pop("obs", lambda: None)())
@@ -148,15 +125,50 @@ def test_dispatch(case):
     else:
         assert re.fullmatch(gate, result.stats.vector_gate), result.stats.vector_gate
     # The flight record says what ran: chunk-boundary checks iff the
-    # monitored cascade made them, whatever ``batched`` asked for.
+    # monitored cascade made them.
     record = recorder.finish_query(bundle, result, sql=sql, config=config)
     granularity = "chunk" if engine == "vector-adaptive" else "exact"
     assert record.monitor_granularity == granularity
     assert {d.monitor_granularity for d in record.decisions} <= {granularity}
-    # Whatever ran, it returned the oracle's rows.
-    oracle = db.execute(sql, AdaptiveConfig(mode=ReorderMode.NONE))
-    assert oracle.stats.engine == "scalar"
+    # Whatever ran, it returned the oracle's rows: a row twin's.
+    oracle = build(**{**shape, "backend": "row"}).execute(sql, STATIC)
+    assert (oracle.stats.engine, oracle.stats.vector_gate) == ("scalar", None)
     assert sorted(result.rows) == sorted(oracle.rows)
+
+
+def test_the_store_picks_the_machine_under_the_default_config():
+    """No option set: a columnar database runs the engine, a row database
+    the oracle — per-sample windows, no gate — in every mode."""
+    sql = six_table_workload(count=10)[0].sql
+    columnar, _ = load_dmv(scale=0.01, extended=True, backend="columnar")
+    row, _ = load_dmv(scale=0.01, extended=True, backend="row")
+    for mode in ReorderMode:
+        config = AdaptiveConfig(mode=mode)
+        engine = columnar.execute(columnar.plan(sql), config)
+        assert engine.stats.engine == (
+            "vector-adaptive" if mode.monitors else "vector"
+        )
+        oracle = row.execute(row.plan(sql), config)
+        assert (oracle.stats.engine, oracle.stats.vector_gate) == ("scalar", None)
+        assert sorted(engine.rows) == sorted(oracle.rows)
+    assert columnar.execute(sql, AdaptiveConfig()).stats.engine == "vector-adaptive"
+
+
+def test_no_option_chooses_the_machine():
+    """The surface, pinned: the next option shows up as a diff here."""
+    assert {field.name for field in dataclasses.fields(AdaptiveConfig)} == {
+        "mode", "check_frequency", "history_window", "inner_policy",
+        "switch_benefit_threshold", "switch_at_key_boundary",
+        "dynamic_access_path", "hash_probe_policy", "warmup_rows",
+    }
+    assert "engine_batch_size" not in {
+        field.name for field in dataclasses.fields(ServerConfig)
+    }
+    parser = build_parser()
+    for command in ("query", "serve"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--batch-size", "256"])
+    parser.parse_args(["serve"])  # the command itself parses
 
 
 def test_unrecognized_controller_runs_the_scalar_machine():
@@ -186,8 +198,7 @@ def test_mid_query_hand_off_continues_on_the_scalar_machine():
     from tests.test_vector_limits import hand_off_db
 
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, batched=True, check_frequency=2,
-        switch_benefit_threshold=0.0,
+        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0,
         hash_probe_policy=HashProbePolicy.FALLBACK,
     )
     sql = (
@@ -201,17 +212,36 @@ def test_mid_query_hand_off_continues_on_the_scalar_machine():
         LEG + "hash-probed or uncompiled access", result.stats.vector_gate
     )
     assert result.stats.driving_switches >= 1  # handed off, not gated at the start
-    oracle = db.execute(sql, AdaptiveConfig(mode=ReorderMode.NONE))
+    oracle = hand_off_db("row").execute(sql, STATIC)
+    assert oracle.stats.engine == "scalar"
     assert sorted(result.rows) == sorted(oracle.rows) and oracle.rows
+
+
+def _lines_matching(pattern: re.Pattern, paths) -> list[str]:
+    root = pathlib.Path(__file__).resolve().parent.parent
+    hits = []
+    for path in paths:
+        if not path.is_file() or "__pycache__" in path.parts:
+            continue
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError:
+            continue
+        hits += [
+            f"{path.relative_to(root)}:{number}"
+            for number, line in enumerate(text.splitlines(), 1)
+            if pattern.search(line)
+        ]
+    return hits
 
 
 def test_nothing_names_the_deleted_pool_modules():
     """One way to run a query: the intra-query fork pool's two modules and
     the chunk-semantics reference loop are gone, and nothing under src /
     tests / scripts / benchmarks says their names (the pattern is assembled
-    so this file does not either)."""
-    import pathlib
-
+    so this file does not either). Nor does anything that ships say the
+    options that once chose the machine (``benchmarks/e2e`` names them on
+    purpose: it filters them by the fields that exist)."""
     root = pathlib.Path(__file__).resolve().parent.parent
     loop = (
         "_run_" + "fast", "probe_batch_" + "fast", "fast_group_" + "records",
@@ -221,20 +251,19 @@ def test_nothing_names_the_deleted_pool_modules():
     gone = re.compile(
         "executor" + r".parallel|monitor" + "_merge|" + "|".join(loop)
     )
-    hits = []
-    for top in ("src", "tests", "scripts", "benchmarks"):
-        for path in (root / top).rglob("*"):
-            if not path.is_file() or "__pycache__" in path.parts:
-                continue
-            try:
-                text = path.read_text()
-            except UnicodeDecodeError:
-                continue
-            hits += [
-                f"{path.relative_to(root)}:{number}"
-                for number, line in enumerate(text.splitlines(), 1)
-                if gone.search(line)
-            ]
-    assert hits == []
+    everywhere = [
+        path
+        for top in ("src", "tests", "scripts", "benchmarks")
+        for path in (root / top).rglob("*")
+    ]
+    assert _lines_matching(gone, everywhere) == []
     modules = {path.stem for path in (root / "src/repro/executor").iterdir()}
     assert not modules & {"parallel", "monitor" + "_merge"}
+
+    options = re.compile("batch" + "_size|batch" + "ed=")  # engine_… included
+    shipped = [
+        path
+        for top in ("src", "scripts", "examples")
+        for path in (root / top).rglob("*")
+    ] + list((root / "benchmarks").glob("bench_*.py"))
+    assert _lines_matching(options, shipped) == []

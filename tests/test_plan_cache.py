@@ -25,6 +25,7 @@ import pytest
 from repro import AdaptiveConfig, Database, ReorderMode, StatisticsLevel
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.errors import QueryError
+from repro.executor import vector
 from repro.obs.schema import TraceValidator
 from repro.optimizer.plancache import HIT, MISS, OFF, WAIT, PlanCache
 from repro.server.admission import ServerConfig
@@ -562,22 +563,18 @@ GRID = [
 ENGINES = {
     # The engine the benchmark runs, on every statement; the reference
     # oracle (6x slower a statement) on every eighth.
-    "columnar-chunk": (
-        "columnar",
-        {"batched": True, "batch_size": 256},
-        GRID,
-    ),
-    "row-scalar": ("row", {}, GRID[::8]),
+    "columnar-chunk": ("columnar", GRID),
+    "row-scalar": ("row", GRID[::8]),
 }
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_cached_execution_equals_first_execution_over_both_grids(engine):
     assert len(GRID) == 696
-    backend, knobs, statements = ENGINES[engine]
+    backend, statements = ENGINES[engine]
     db, _ = load_dmv(scale=SCALE, extended=True, backend=backend)
     for mode in (ReorderMode.NONE, ReorderMode.BOTH):
-        config = AdaptiveConfig(mode=mode, **knobs)
+        config = AdaptiveConfig(mode=mode)
         for sql in statements:
             first = db.execute(sql, config)
             assert first.stats.plan_cache == (
@@ -602,7 +599,7 @@ def test_cached_execution_equals_first_execution_over_both_grids(engine):
     assert stats["evictions"] == 0 and stats["size"] == count
 
 
-def test_eight_threads_publish_and_share_one_probe_program():
+def test_eight_threads_publish_and_share_one_probe_program(monkeypatch):
     """A cached plan nobody has executed, eight threads at once, the
     interpreter switching as often as it can: whichever thread compiles the
     starting probes, every execution matches a serial run on a twin
@@ -611,7 +608,8 @@ def test_eight_threads_publish_and_share_one_probe_program():
     db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
     oracle_db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
     db.enable_concurrent_metering()
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True, batch_size=64)
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 64)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     statements = GRID[-6:]
     oracle = {
         sql: oracle_db.execute(oracle_db.plan(sql), config) for sql in statements
@@ -658,7 +656,7 @@ def test_eight_threads_publish_and_share_one_probe_program():
 def test_work_meter_fields_match_between_miss_and_hit():
     """Field by field, not only the total: planning charges nothing."""
     db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
-    config = AdaptiveConfig(mode=ReorderMode.BOTH, batched=True)
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
     sql = GRID[-1]
     miss = db.execute(sql, config)
     hit = db.execute(db.plan(sql), config)  # the cached plan, not feedback

@@ -39,6 +39,7 @@ from repro import (
 )
 from repro.dmv import load_dmv
 from repro.errors import BudgetExceeded, ExecutionError
+from repro.executor import vector
 from repro.executor.pipeline import _bind_plan
 from repro.obs.audit import render_replay
 from repro.obs.metrics import MetricsRegistry, record_plan_cache_gauges
@@ -85,13 +86,12 @@ def grid_dbs(request):
     The twin plans every statement afresh and keeps nothing: it runs what
     the commit before plan feedback ran.
     """
-    backend, knobs, statements = ENGINES[request.param]
+    backend, statements = ENGINES[request.param]
     db, _ = load_dmv(scale=SCALE, extended=True, backend=backend)
     twin, _ = load_dmv(
         scale=SCALE, extended=True, backend=backend, plan_cache_size=0
     )
-    static = AdaptiveConfig(mode=ReorderMode.NONE, **knobs)
-    unlearned_static = [twin.execute(sql, static) for sql in statements]
+    unlearned_static = [twin.execute(sql, NONE) for sql in statements]
     return request.param, db, twin, unlearned_static
 
 
@@ -99,9 +99,8 @@ def grid_dbs(request):
 def test_three_passes_over_both_grids(grid_dbs, mode):
     assert len(GRID) == 696
     engine, db, twin, unlearned_static = grid_dbs
-    _, knobs, statements = ENGINES[engine]
-    static = AdaptiveConfig(mode=ReorderMode.NONE, **knobs)
-    config = AdaptiveConfig(mode=mode, **knobs)
+    _, statements = ENGINES[engine]
+    config = AdaptiveConfig(mode=mode)
     # The modes share the databases: ANALYZE (same level, same statistics,
     # same plans) makes every entry, and the feedback in it, stale.
     db.analyze(level=StatisticsLevel.CARDINALITY)
@@ -113,7 +112,7 @@ def test_three_passes_over_both_grids(grid_dbs, mode):
 
     def static_pass() -> None:
         for sql, unlearned in zip(statements, unlearned_static):
-            result = db.execute(sql, static)
+            result = db.execute(sql, NONE)
             assert observed(result) == observed(unlearned), sql
             assert result.stats.plan_feedback is None
             assert result.plan.order == unlearned.plan.order
@@ -245,19 +244,20 @@ def learn(db: Database, sql: str = SQL, config: AdaptiveConfig = BOTH):
 
 
 @pytest.mark.parametrize(
-    "backend,knobs",
-    [("row", {}), ("columnar", {"batched": True, "batch_size": 64})],
-    ids=["row-scalar", "columnar-chunk"],
+    "backend", ["row", "columnar"], ids=["row-scalar", "columnar-chunk"]
 )
-def test_learned_order_right_for_half_the_scan_still_adapts(backend, knobs):
+def test_learned_order_right_for_half_the_scan_still_adapts(
+    backend, monkeypatch
+):
     """The optimizer probes Owner before Demographics; the run ends on the
     Mercedes phase's order (Demographics first) and that is what the entry
     keeps. Started from it, the next run meets the Chevrolet phase, flips
     to Owner first mid-scan and flips back: it keeps adapting, returns the
     oracle's rows, and — ending where it started — writes nothing."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 64)
     db = build_flip_db(backend)
     sql = flip_sql(90_000)
-    config = dataclasses.replace(BOTH, mode=ReorderMode.INNER_ONLY, **knobs)
+    config = dataclasses.replace(BOTH, mode=ReorderMode.INNER_ONLY)
     oracle = sorted(db.execute(sql, NONE).rows)
     first = db.execute(sql, config)
     assert first.plan.order == ("c", "o", "d")
@@ -523,14 +523,15 @@ def test_lru_eviction_drops_feedback():
 # ---------------------------------------------------------------------------
 # Threads
 # ---------------------------------------------------------------------------
-def test_eight_threads_leave_one_well_formed_feedback_plan():
+def test_eight_threads_leave_one_well_formed_feedback_plan(monkeypatch):
     """More threads than cores, switching as often as the interpreter can,
     all executing one statement: every run returns the oracle's rows, the
     counters lose no update, and the entry ends up holding one plan that is
     a permutation of the base plan and executes correctly."""
     db = build_flip_db("columnar")
     meter = db.enable_concurrent_metering()
-    config = dataclasses.replace(BOTH, batched=True, batch_size=64)
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 64)
+    config = BOTH
     oracle = sorted(db.execute(SQL, NONE).rows)
     base = db.plan(SQL)
     threads, runs = 8, 5

@@ -37,6 +37,7 @@ from repro.storage.columnar import ColumnarIndex, _np
 from tests.test_decision_replay import assert_replays
 
 NULL, MISSING = -1, -2
+NONE = AdaptiveConfig(mode=ReorderMode.NONE)
 
 
 def two_tables(source_type, probed_type, source_keys, probed_keys):
@@ -148,8 +149,7 @@ def test_refusal_reaches_the_gate_reason():
     db.create_index("src", "k")  # whichever leg the optimizer probes
     db.analyze()
     result = db.execute(
-        "SELECT s.tag, d.tag FROM src s, dst d WHERE s.k = d.k",
-        AdaptiveConfig(mode=ReorderMode.NONE, batched=True),
+        "SELECT s.tag, d.tag FROM src s, dst d WHERE s.k = d.k", NONE
     )
     assert result.stats.engine == "scalar"
     assert "untranslatable key column" in result.stats.vector_gate
@@ -172,8 +172,6 @@ def test_footprint_counts_the_rank_arrays():
 # Lifetime: DML and DDL are followed by a rebuild
 # ---------------------------------------------------------------------------
 JOIN = "SELECT s.tag, d.tag FROM src s, dst d WHERE s.k = d.k AND s.tag >= 0"
-STATIC = AdaptiveConfig(mode=ReorderMode.NONE, batched=True)
-ORACLE = AdaptiveConfig(mode=ReorderMode.NONE)
 
 
 def twins(source_keys, probed_keys, indexed=True, chain=None):
@@ -214,8 +212,8 @@ def twins(source_keys, probed_keys, indexed=True, chain=None):
 
 
 def assert_engine_equals_oracle(columnar, row):
-    got = columnar.execute(JOIN, STATIC)
-    want = row.execute(JOIN, ORACLE)
+    got = columnar.execute(JOIN, NONE)
+    want = row.execute(JOIN, NONE)
     assert got.stats.engine == "vector", got.stats.vector_gate
     assert got.rows == want.rows  # in order
     assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
@@ -272,7 +270,7 @@ def test_create_index_opens_a_new_pair():
     columnar, row = twins(
         keys_of("int", rng, 150, 25), keys_of("int", rng, 60, 25), indexed=False
     )
-    before = columnar.execute(JOIN, STATIC)
+    before = columnar.execute(JOIN, NONE)
     assert before.stats.engine == "scalar"
     assert "non-indexed probe" in before.stats.vector_gate
     for db in (columnar, row):
@@ -290,12 +288,9 @@ def test_driving_switch_builds_the_new_pair_at_the_boundary(monkeypatch):
         scale=0.02, extended=True, backend="columnar", plan_cache_size=0
     )
     row, _ = load_dmv(scale=0.02, extended=True, plan_cache_size=0)
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH,
-        batched=True,
-        batch_size=16,
-        check_frequency=2,
-        switch_benefit_threshold=0.0,
+        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0
     )
     builds: list[tuple[str, int]] = []
     running: list = []
@@ -351,8 +346,8 @@ TESTS_PER_LEG = list(itertools.product(range(3), repeat=2))
 
 def chain_twins():
     """``s`` joins ``d`` on ``s.k`` and ``f`` on ``s.m``; NULL and dangling
-    keys in all three key columns, and runs of four rows (a chunk at
-    ``batch_size`` 4) none of whose keys is in the probed index."""
+    keys in all three key columns, and runs of four rows (a chunk of four)
+    none of whose keys is in the probed index."""
     rng = random.Random(19)
     source_keys = keys_of("int", rng, 120, 60)
     links = keys_of("int", rng, 120, 60)
@@ -389,8 +384,8 @@ def test_static_chain_with_absent_keys_equals_the_oracle(
     for columns in ("s.tag, d.tag, f.tag", "s.tag, f.tag", "s.tag"):
         sql = CHAIN.format(columns=columns) + where
         order = ("s", "d", "f")
-        got = columnar.execute(columnar.plan(sql).with_order(order), STATIC)
-        want = row.execute(row.plan(sql).with_order(order), ORACLE)
+        got = columnar.execute(columnar.plan(sql).with_order(order), NONE)
+        want = row.execute(row.plan(sql).with_order(order), NONE)
         assert got.stats.engine == "vector", got.stats.vector_gate
         assert got.rows == want.rows and got.rows  # in order
         assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
@@ -401,20 +396,17 @@ def test_static_chain_with_absent_keys_equals_the_oracle(
 
 @pytest.mark.parametrize("tests_d, tests_f", TESTS_PER_LEG)
 def test_adaptive_chain_with_absent_keys_equals_the_reference_loop(
-    tests_d, tests_f
+    tests_d, tests_f, monkeypatch
 ):
-    """Mode BOTH at ``batch_size`` 4 from a bad starting order: the inner
+    """Mode BOTH in chunks of four from a bad starting order: the inner
     legs swap, and with a range on ``d.tag`` the driving leg moves to ``d``
     — whose first chunk probes the frozen ``s`` (a positional kernel's
     derived counts) with keys it does not hold. Rows in order, physical
     work, final order and frozen positions of the row store's oracle
     replaying the same decisions, and its local-predicate counters."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 4)
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH,
-        batched=True,
-        batch_size=4,
-        check_frequency=2,
-        switch_benefit_threshold=0.0,
+        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0
     )
     columnar, row = chain_twins()
     sql = (
@@ -444,7 +436,7 @@ def test_padding_is_sixteen_bytes_an_array_and_nothing_is_writeable():
     and the footprint is the unpadded one plus 16 bytes per array."""
     db, _ = load_dmv(scale=0.02, extended=True, backend="columnar")
     for query in six_table_workload(count=10**9):
-        db.execute(query.sql, STATIC)
+        db.execute(query.sql, NONE)
     kernels = 0
     for name in db.catalog.table_names():
         for index in db.catalog.indexes_of(name).values():

@@ -12,7 +12,6 @@ timing-dependent assertions.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -228,16 +227,15 @@ class TestAdmission:
         assert admission.shed_level() == SHED_STATIC
 
     def test_apply_shed_strips_adaptivity(self):
-        config = ServerConfig(engine_batch_size=128)
-        admission = AdmissionController(config)
+        admission = AdmissionController(ServerConfig())
         request = parse_query_request(
             {"op": "query", "sql": "SELECT 1", "mode": "both"}
         )
         full = admission.apply_shed(request, SHED_NONE)
-        assert full.mode is ReorderMode.BOTH
-        assert full.batched and full.batch_size == 128
+        # The mode and nothing else: the store picks the machine.
+        assert full == AdaptiveConfig(mode=ReorderMode.BOTH)
         static = admission.apply_shed(request, SHED_STATIC)
-        assert static.mode is ReorderMode.NONE
+        assert static == AdaptiveConfig(mode=ReorderMode.NONE)
         assert admission.shed_static_total == 1
 
     def test_a_query_runs_in_one_process(self):
@@ -249,7 +247,7 @@ class TestAdmission:
             ServerConfig(engine_workers=2)
         with pytest.raises(TypeError):
             ServerConfig(shed_serial_at=0.25)
-        assert len(dataclasses.fields(AdaptiveConfig)) == 11
+        # (The field names are pinned in tests/test_engine_dispatch.py.)
         request = parse_query_request(
             {"op": "query", "sql": "SELECT 1", "workers": 2}
         )

@@ -39,6 +39,7 @@ from tests.test_vector_limits import Run
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.dmv import load_dmv
 from repro.errors import BudgetExceeded, ReproError
+from repro.executor import vector
 from repro.obs.recorder import FlightRecorder, PackedRecord, TelemetryStore
 from repro.obs.schema import TelemetryValidator
 from repro.robustness.limits import (
@@ -398,6 +399,12 @@ class TestClassification:
 # Cancellation is one byte
 # ---------------------------------------------------------------------------
 class TestCancellation:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        """Patched before ``QueryServer.start()`` forks: the engine
+        processes inherit it."""
+        monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
+
     def test_the_engine_side_token_stops_the_cascade_at_the_next_chunk(
         self, dmv_db
     ):
@@ -405,9 +412,7 @@ class TestCancellation:
         shared record. Set from the other side after the first chunk was
         delivered, it ends the query before the second."""
         record = memoryview(mmap.mmap(-1, CANCEL_RECORD_BYTES))
-        config = AdaptiveConfig(
-            mode=ReorderMode.BOTH, batched=True, batch_size=16
-        )
+        config = AdaptiveConfig(mode=ReorderMode.BOTH)
         want = dmv_db.execute(dmv_db.plan(LONG), config).rows
         event_loop_side = SharedCancellationToken()
         event_loop_side.bind(record)
@@ -432,7 +437,7 @@ class TestCancellation:
     def test_a_disconnect_cancels_the_real_engine_and_frees_its_slot(
         self, dmv_db
     ):
-        config = ServerConfig(port=0, max_concurrency=1, engine_batch_size=16)
+        config = ServerConfig(port=0, max_concurrency=1)
 
         async def scenario(server):
             victim = await ServerClient.connect(server.port)

@@ -2,9 +2,9 @@
 
 A limited query runs the same engine as an unlimited one: the cascade
 enforces the budgets at its chunk boundaries, and the scalar machine (what
-a ``batched`` query runs on the row backend, the default ``repro serve``,
-and on every other shape the cascade refuses) holds the same contract from
-its own safe points. Pinned here:
+every query runs on the row store, the default ``repro serve``, and what a
+columnar-store query runs on a shape the cascade refuses) holds the same
+contract from its own safe points. Pinned here:
 
 * the row budget is exact — the caller holds precisely the reference
   run's first ``max_rows`` rows, ``rows_emitted`` says so, and a budget
@@ -37,21 +37,21 @@ from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
+from repro.executor.pipeline import PipelineExecutor
 from repro.robustness import limits as limits_module
 from repro.robustness.guard import SandboxedController
 
 SCALE = 0.04
-#: (backend, mode, engine that must run, vector_gate it must report).
+#: (backend, mode, engine that must run, vector_gate it must report). The
+#: last row is the row store running the oracle under limits: no cascade
+#: was ever asked for, so there is no gate to name.
 TARGETS = [
     pytest.param("columnar", ReorderMode.NONE, "vector", None, id="vector"),
     pytest.param(
         "columnar", ReorderMode.BOTH, "vector-adaptive", None,
         id="vector-adaptive",
     ),
-    pytest.param(
-        "row", ReorderMode.BOTH, "scalar", "leg 'c': row-backend table",
-        id="row-gated",
-    ),
+    pytest.param("row", ReorderMode.BOTH, "scalar", None, id="row-gated"),
 ]
 #: Slice size the static cascade is shrunk to here, so that a scale-0.04
 #: scan spans several slices (the real one, 65,536, holds all of it).
@@ -59,16 +59,6 @@ SMALL_SLICE = 64
 #: Four-table grid statements whose driving leg switches at this scale
 #: (see test_backend_differential.SWITCHING_STATEMENTS).
 SWITCHING = (192, 195, 306)
-
-
-def engine_config(mode: ReorderMode, **overrides) -> AdaptiveConfig:
-    """What ``repro serve`` runs: admission.apply_shed's configuration."""
-    return AdaptiveConfig(
-        mode=mode,
-        batched=True,
-        batch_size=256,
-        **overrides,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +90,15 @@ def small_slices(monkeypatch):
     monkeypatch.setattr(vector, "STATIC_SLICE_ROWS", SMALL_SLICE)
 
 
+def executor_class(db):
+    """What ``Database.execute`` builds: the store picks the machine."""
+    return (
+        BatchedPipelineExecutor
+        if db.backend_name == "columnar"
+        else PipelineExecutor
+    )
+
+
 class Run:
     """One executor driven row by row, so partial results are kept."""
 
@@ -107,7 +106,7 @@ class Run:
         controller = None
         if config.mode.monitors:
             controller = SandboxedController(AdaptationController(config))
-        self.executor = BatchedPipelineExecutor(
+        self.executor = executor_class(db)(
             db.plan(sql), db.catalog, config, controller, limits=limits
         )
         if controller is not None:
@@ -147,14 +146,14 @@ def reference_rows(dbs, backend, sql, mode) -> list[tuple]:
     order are held to the oracle's by tests/test_decision_replay.py)."""
     if not mode.monitors:
         return dbs["row"].execute(sql, AdaptiveConfig(mode=mode)).rows
-    return dbs[backend].execute(sql, engine_config(mode)).rows
+    return dbs[backend].execute(sql, AdaptiveConfig(mode=mode)).rows
 
 
 @pytest.mark.parametrize("backend,mode,engine,gate", TARGETS)
 def test_row_budget_is_exact(
     dbs, statements, small_slices, backend, mode, engine, gate
 ):
-    config = engine_config(mode)
+    config = AdaptiveConfig(mode=mode)
     tripped = beyond_first_chunk = 0
     for sql in statements:
         want = reference_rows(dbs, backend, sql, mode)
@@ -190,7 +189,7 @@ def test_row_budget_is_exact(
 def test_cancellation_is_seen_at_the_next_chunk(
     dbs, statements, small_slices, backend, mode, engine, gate
 ):
-    config = engine_config(mode)
+    config = AdaptiveConfig(mode=mode)
     cut_short = 0
     for sql in statements:
         token = CancellationToken()
@@ -227,7 +226,7 @@ def test_cancellation_is_seen_at_the_next_chunk(
 def test_work_budget_overshoots_by_at_most_one_chunk(
     dbs, statements, small_slices, monkeypatch, backend, mode, engine, gate
 ):
-    config = engine_config(mode)
+    config = AdaptiveConfig(mode=mode)
     # Work spent at every safe point (the cascade's chunk boundaries; the
     # scalar machine's driving rows) of the unlimited-in-effect run.
     boundaries: list[float] = []
@@ -275,7 +274,7 @@ def test_work_budget_overshoots_by_at_most_one_chunk(
 def test_deadline_is_seen_at_a_chunk_boundary(
     dbs, statements, small_slices, monkeypatch, backend, mode, engine, gate
 ):
-    config = engine_config(mode)
+    config = AdaptiveConfig(mode=mode)
     run = Run(
         dbs[backend], statements[0], config,
         ExecutionLimits(timeout_seconds=1e-9),
@@ -287,7 +286,7 @@ def test_deadline_is_seen_at_a_chunk_boundary(
     # once when armed (t=1, deadline 3.5) and once per safe point, so the
     # third one (t=4) is the first past the deadline — the cascade's third
     # chunk boundary; within the scalar machine's first ``chunk`` rows.
-    chunk = config.batch_size if mode.monitors else SMALL_SLICE
+    chunk = vector.MONITORED_CHUNK_ROWS if mode.monitors else SMALL_SLICE
     expired_mid_scan = 0
     for sql in statements:
         ticks = iter(range(1, 10**6))
@@ -327,7 +326,7 @@ def served_limits() -> ExecutionLimits:
 def test_generous_limits_change_nothing(
     dbs, statements, backend, mode, engine, gate
 ):
-    config = engine_config(mode)
+    config = AdaptiveConfig(mode=mode)
     switches = 0
     for sql in statements:
         free = dbs[backend].execute(sql, config)
@@ -348,13 +347,20 @@ def test_static_limits_on_a_refused_shape_run_the_scalar_machine(
     dbs, statements
 ):
     """A static plan has nothing to amortize: refused by the cascade, with
-    or without limits, it runs the oracle's loop and names the gate."""
+    or without limits, it runs the oracle's loop and names the gate — on
+    the row store the same loop, and no gate."""
+    hashed = AdaptiveConfig(
+        mode=ReorderMode.NONE, hash_probe_policy=HashProbePolicy.ALWAYS
+    )
     for limits in (None, served_limits()):
-        result = dbs["row"].execute(
-            statements[0], engine_config(ReorderMode.NONE), limits=limits
-        )
+        result = dbs["columnar"].execute(statements[0], hashed, limits=limits)
         assert result.stats.engine == "scalar"
-        assert result.stats.vector_gate.endswith("row-backend table")
+        assert result.stats.vector_gate.endswith(
+            "hash-probed or uncompiled access"
+        )
+        result = dbs["row"].execute(statements[0], hashed, limits=limits)
+        assert result.stats.engine == "scalar"
+        assert result.stats.vector_gate is None
 
 
 def hand_off_db(backend: str) -> Database:
@@ -385,8 +391,8 @@ def test_limits_follow_a_hand_off_to_the_scalar_machine():
         "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
         "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
     )
-    config = engine_config(
-        ReorderMode.BOTH,
+    config = AdaptiveConfig(
+        mode=ReorderMode.BOTH,
         check_frequency=2,
         switch_benefit_threshold=0.0,
         hash_probe_policy=HashProbePolicy.FALLBACK,
