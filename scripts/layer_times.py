@@ -4,9 +4,14 @@ One pass is every statement of a template grid through
 ``Database.execute(sql, config)`` on a columnar database (the engine: what
 ``benchmarks/e2e`` runs). ``perf_counter`` wrappers
 around the layers named in :data:`LAYERS` give each one's milliseconds a
-pass and its share of the pass; "other" is what no wrapper covers. The
-first two passes (plan cache, kernels, rank arrays, plan feedback) are not
-reported. The wrappers cost a few microseconds a call, so read the numbers
+pass and its share of the pass; "other" is what no wrapper covers. Two
+static passes come first and are not reported (plan cache, kernels, rank
+arrays). In a monitored mode the executions of a text are not alike —
+the first asks at the end of its scan and writes what it learned, the second
+starts from that, from the third on most entries are settled — so
+executions 1, 2 and 3+ are reported apart, each with its checks, applied
+switches and the entries settled after it; the layer table is of 3+. The
+wrappers cost a few microseconds a call, so read the numbers
 against another run of this script, not against an unwrapped pass. A
 ledger, not a gate: no thresholds.
 
@@ -72,21 +77,49 @@ def main() -> None:
         spent[label] = 0.0
         setattr(owner, name, timed(getattr(owner, name), spent, label))
 
-    passes = []  # one {layer: seconds} per reported pass
-    for number in range(args.passes + 2):
+    def one_pass(config) -> tuple[dict, tuple]:
+        """``({layer: seconds}, (rows, checks, switches, settled entries))``."""
         for label in spent:
             spent[label] = 0.0
+        rows = checks = switches = 0
         start = perf_counter()
-        rows = sum(len(db.execute(sql, config).rows) for sql in sqls)
+        for sql in sqls:
+            result = db.execute(sql, config)
+            rows += len(result.rows)
+            checks += result.stats.inner_checks + result.stats.driving_checks
+            switches += result.stats.total_switches
         wall = perf_counter() - start
-        if number >= 2:
-            other = wall - sum(spent.values())
-            passes.append({**spent, "other": other, "pass": wall})
-    best = min(passes, key=lambda layers: layers["pass"])
+        layers = {**spent, "other": wall - sum(spent.values()), "pass": wall}
+        return layers, (rows, checks, switches, db.plan_cache.stats()["settled"])
+
+    for _ in range(2):
+        one_pass(AdaptiveConfig(mode=ReorderMode.NONE))
+    learning = 2 if config.mode.monitors else 0
+    measured = [one_pass(config) for _ in range(args.passes + learning)]
+    warm = measured[learning:]
+    fastest = min(warm, key=lambda one: one[0]["pass"])
+    passes = [layers for layers, _ in warm]
+    best = fastest[0]
     print(
         f"{args.grid}-table grid, mode {args.mode}, scale {args.scale}: "
-        f"{len(sqls)} statements, {rows} rows a pass, {len(passes)} warm passes"
+        f"{len(sqls)} statements, {fastest[1][0]} rows a pass, "
+        f"{len(passes)} warm passes"
     )
+    hooks = [label for label in spent if ".on_" in label]
+    print(
+        f"{'execution':<12}{'pass ms':>9}{'hooks ms':>10}{'_expand ms':>12}"
+        f"{'checks':>8}{'switches':>10}{'settled':>9}"
+    )
+    names = [str(number + 1) for number in range(learning)] + [f"{learning + 1}+"]
+    for name, (layers, (_, checks, switches, settled)) in zip(
+        names, measured[:learning] + [fastest]
+    ):
+        print(
+            f"{name:<12}{layers['pass'] * 1e3:>9.1f}"
+            f"{sum(layers[label] for label in hooks) * 1e3:>10.1f}"
+            f"{layers['vector._expand'] * 1e3:>12.1f}"
+            f"{checks:>8d}{switches:>10d}{settled:>9d}"
+        )
     print(f"{'layer':<42}{'min ms':>9}{'median ms':>11}{'share':>8}")
     for label in best:
         low = min(layers[label] for layers in passes)

@@ -416,6 +416,9 @@ class LearnedResult:
     # Summed over statements, per pass after the first.
     later_switches: list[int]
     first_switches: int
+    # Reorder checks (inner + driving) evaluated, summed the same way.
+    later_checks: list[int]
+    first_checks: int
 
     def total(self, column: str) -> tuple[float, float]:
         return (
@@ -465,6 +468,8 @@ class LearnedResult:
                 f"pass(es) after the first",
                 f"  applied switches: first pass {self.first_switches}, "
                 f"later passes {self.later_switches}",
+                f"  checks: first pass {self.first_checks}, "
+                f"later passes {self.later_checks}",
             ]
         )
 
@@ -491,7 +496,8 @@ def learned_experiment(
     reference: list[list] = []
 
     def one_pass(config: AdaptiveConfig) -> list[tuple]:
-        """``(work, wall, switches, started from feedback)`` per statement."""
+        """``(work, wall, switches, started from feedback, checks)`` per
+        statement."""
         measured = []
         for index, query in enumerate(workload):
             started = time.perf_counter()
@@ -510,18 +516,22 @@ def learned_experiment(
                     wall,
                     stats.total_switches,
                     stats.plan_feedback is not None,
+                    stats.inner_checks + stats.driving_checks,
                 )
             )
         return measured
 
     one_pass(static)  # plans every statement, builds lazy structures
     columns = {"static": [one_pass(static)], "first": [one_pass(adaptive)]}
-    if any(learned for *_, learned in columns["first"][0]):
+    if any(measured[3] for measured in columns["first"][0]):
         raise ValueError(
             "learned_experiment needs a database that has not executed "
             "the workload in a monitored mode yet"
         )
     columns["later"] = [one_pass(adaptive) for _ in range(later_passes)]
+
+    def total(measured: list[tuple], field: int) -> int:
+        return sum(statement[field] for statement in measured)
 
     templates: dict[int, dict[str, tuple[float, float]]] = {}
     learned: dict[int, int] = {}
@@ -546,13 +556,10 @@ def learned_experiment(
         learned=learned,
         statements=statements,
         later_passes=later_passes,
-        later_switches=[
-            sum(switches for _, _, switches, _ in measured)
-            for measured in columns["later"]
-        ],
-        first_switches=sum(
-            switches for _, _, switches, _ in columns["first"][0]
-        ),
+        later_switches=[total(measured, 2) for measured in columns["later"]],
+        first_switches=total(columns["first"][0], 2),
+        later_checks=[total(measured, 4) for measured in columns["later"]],
+        first_checks=total(columns["first"][0], 4),
     )
 
 

@@ -99,6 +99,13 @@ class AdaptationController:
             new_suffix = decide_inner_order(
                 pipeline, provider, position, config.inner_policy
             )
+            if new_suffix is not None and pipeline.scan_finished:
+                # A lesson for the statement's next execution, not a change
+                # to this one: audited below as the kept check it is.
+                pipeline.proposed_order = tuple(order[:position]) + tuple(
+                    new_suffix
+                )
+                new_suffix = None
             obs = pipeline.obs
             if obs is not None:
                 obs.on_check(
@@ -209,6 +216,9 @@ class AdaptationController:
             new_order = decide_driving_switch(
                 pipeline, provider, config, audit_costs=audit_costs
             )
+            if new_order is not None and pipeline.scan_finished:
+                pipeline.proposed_order = tuple(new_order)
+                new_order = None
             if obs is not None:
                 obs.on_check(
                     "driving",

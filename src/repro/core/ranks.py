@@ -216,10 +216,11 @@ class RuntimeModelBuilder:
             self._hash_probes,
         )
 
-    def corrected_plan(self) -> PipelinePlan:
+    def corrected_plan(self, order: tuple[str, ...]) -> PipelinePlan:
         """End of run: the executed plan as this run measured it.
 
-        The order the run ended on, every leg's ``(S_LPI, S_LPR)`` as the
+        *order* — the one the run ended on, or proposed at its finished
+        scan — with every leg's ``(S_LPI, S_LPR)`` as the
         last reorder check would have read them, the Eq (7) join
         selectivities with the final windows folded in, and Eq (1) of that
         order from its start (nothing consumed, no position-bound JC / PC
@@ -234,7 +235,7 @@ class RuntimeModelBuilder:
             models, pipeline.class_selectivities, pipeline.join_graph
         )
         return plan.corrected(
-            pipeline.order,
+            order,
             {
                 alias: (model.sel_local_index, model.sel_local_residual)
                 for alias, model in models.items()
@@ -244,7 +245,7 @@ class RuntimeModelBuilder:
                 is plan.leg(alias).driving
             },
             pipeline.class_selectivities,
-            cost_of_order(pipeline.order, provider),
+            cost_of_order(order, provider),
         )
 
     def build_provider(self) -> ModelProvider:

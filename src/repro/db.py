@@ -41,6 +41,7 @@ from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import StaticOptimizer
 from repro.optimizer.plancache import (
     DEFAULT_CAPACITY,
+    MAX_FEEDBACK_WRITES,
     CachedPlan,
     Feedback,
     PlanCache,
@@ -113,6 +114,14 @@ class ExecutionStats:
     # plan instead of the optimizer's: ``(order it started from, write-backs
     # the entry had seen)``. Monitored executions of SQL text only.
     plan_feedback: tuple[tuple[str, ...], int] | None = None
+    # The execution found its plan-cache entry settled for its mode (the
+    # last run there changed nothing): the engine took the scan in slices
+    # and asked nothing at its end.
+    plan_settled: bool = False
+    # The order the checks proposed where the driving scan had ended —
+    # evaluated there by a statement's first monitored run only, applied
+    # to nothing, written back as the entry's feedback plan.
+    proposed_order: tuple[str, ...] | None = None
     # Wall time spent inside the controller's two reorder checks; 0.0 in
     # mode NONE.
     check_seconds: float = 0.0
@@ -398,9 +407,10 @@ class Database:
             if isinstance(query, PipelinePlan):
                 plan = query
             elif isinstance(query, str):
-                # A monitored execution starts where the statement's last
-                # one ended (the entry's feedback plan) and writes back what
-                # it learns; a static one always runs the optimizer's plan.
+                # A monitored execution starts from what the statement's
+                # earlier ones learned (the entry's feedback plan), writes
+                # back what it learns or settles the entry (_learn); a
+                # static one always runs the optimizer's plan.
                 monitors = config.mode.monitors
                 entry, plan_cache, feedback = self._plan_sql(
                     query, tracer, learned=monitors
@@ -473,6 +483,13 @@ class Database:
         )
         if controller is not None:
             controller.attach(executor)
+        if learn is not None:
+            # What the entry knows: settled for this mode, the run asks
+            # nothing at the end and takes the scan in slices; the entry's
+            # first run in the mode (no feedback yet) still asks at a
+            # finished scan, where a one-chunk statement learns.
+            executor.settled = settled = learn.settled is config.mode
+            executor.learns_at_end = plan_feedback is None and not settled
         injector: FaultInjector | None = None
         if isinstance(fault_plan, FaultPlan):
             injector = fault_plan.build()
@@ -523,14 +540,11 @@ class Database:
             vector_gate=executor.vector_gate_reason,
             plan_cache=plan_cache,
             plan_feedback=plan_feedback,
+            plan_settled=executor.settled,
+            proposed_order=executor.proposed_order,
         )
-        if (
-            learn is not None
-            and executor.order != list(plan.order)
-            and injector is None
-            and not stats.degraded
-        ):
-            self._write_feedback(learn, executor)
+        if learn is not None and injector is None and not stats.degraded:
+            self._learn(learn, executor)
         if query_span is not None:
             tracer.end(
                 query_span,
@@ -558,25 +572,39 @@ class Database:
             ),
         )
 
-    def _write_feedback(
-        self, entry: CachedPlan, executor: PipelineExecutor
-    ) -> None:
+    def _learn(self, entry: CachedPlan, executor: PipelineExecutor) -> None:
         """Keep what a monitored run learned in its plan-cache entry.
 
         Reached only when a monitored execution of SQL text ran to
         completion, undisturbed (no injected fault, adaptive layer not
-        degraded), and ended on another order than it started from. The
-        corrected plan is built here, once per write-back, and only for an
-        entry planned under the catalog's current generation: the cache
-        re-checks that (and that it still holds the entry) under its lock.
+        degraded). A run that ended on — or, at a finished scan, proposed —
+        another order than it started from writes that order back as the
+        entry's feedback plan (which unsettles the entry); a run whose last
+        word is the order it started from settles the entry for its mode,
+        and so does one that would write past ``MAX_FEEDBACK_WRITES``. The
+        corrected plan is built here, once per write-back, and
+        only for an entry planned under the catalog's current generation:
+        the cache re-checks that (and that it still holds the entry) under
+        its lock.
         """
+        order = executor.proposed_order or tuple(executor.order)
+        changed = order != executor.plan.order
+        if executor.settled and not changed:
+            return  # the steady state: nothing to record
         generation = self.catalog.generation()
-        if entry.generation == generation:
+        if entry.generation != generation:
+            return
+        feedback = entry.feedback
+        if changed and (
+            feedback is None or feedback.writes < MAX_FEEDBACK_WRITES
+        ):
             self.plan_cache.write_feedback(
                 entry,
                 generation,
-                RuntimeModelBuilder(executor).corrected_plan(),
+                RuntimeModelBuilder(executor).corrected_plan(order),
             )
+        elif not executor.settled:
+            self.plan_cache.settle(entry, generation, executor.config.mode)
 
     def enable_concurrent_metering(self) -> ThreadScopedMeter:
         """Route work-unit charges to per-thread meters for serving.

@@ -22,9 +22,11 @@ the join collapses into a layered array computation per driving chunk:
    evals), gathered through every rank of the chunk and summed per leg.
 
 One chunk loop (:func:`_run_cascade`) runs static plans
-(:data:`STATIC_SLICE_ROWS` slices) and the monitored modes
-(:data:`MONITORED_CHUNK_ROWS` chunks with kernel-folded monitoring and
-boundary rank checks).
+(:data:`STATIC_SLICE_ROWS` slices) and the monitored modes (kernel-folded
+monitoring and boundary rank checks; chunks that start at
+:data:`MONITORED_CHUNK_ROWS` and double while the checks change nothing,
+slices once the statement's plan-cache entry is settled; nothing applied
+at a boundary that ends the driving scan).
 
 Gates are strict — any unsupported shape returns ``None`` and the scalar
 machine runs instead. The store is not one of them: only a columnar
@@ -86,18 +88,18 @@ def _make_translator(source_column, index: ColumnarIndex) -> Callable | None:
 #: numpy calls per leg) is under 1% of a full slice's expansion.
 STATIC_SLICE_ROWS = 1 << 16
 
-#: Driving survivors per chunk of a monitored run: the engine's check
-#: cadence (windows fold and reorder checks fire once per chunk). Read at
-#: call time, like its neighbour.
+#: Driving survivors in the first chunk of a monitored run whose plan is
+#: not settled: windows fold and reorder checks fire once per chunk, and a
+#: chunk doubles after every boundary that changed nothing, up to the slice.
+#: Read at call time, like its neighbour.
 MONITORED_CHUNK_ROWS = 256
 
 
 def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     """A generator running the open pipeline vectorized, or None to fall back.
 
-    One chunk loop (:func:`_run_cascade`) serves every mode: static plans
-    take the driving scan in :data:`STATIC_SLICE_ROWS` slices, the monitored
-    modes in :data:`MONITORED_CHUNK_ROWS` chunks. The generator returns
+    One chunk loop (:func:`_run_cascade`) serves every mode and picks the
+    chunk lengths. The generator returns
     True when the query completed, False when a plan rebuilt mid-query is
     one the gates refuse and the caller must continue on the scalar machine
     with the partially consumed cursors.
@@ -113,12 +115,7 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     planned = _cascade_plan(executor)
     if planned is None:
         return None
-    chunk_rows = (
-        MONITORED_CHUNK_ROWS
-        if executor.config.mode.monitors
-        else STATIC_SLICE_ROWS
-    )
-    return _run_cascade(executor, *planned, chunk_rows)
+    return _run_cascade(executor, *planned)
 
 
 def _cascade_plan(executor) -> tuple["_DrivingWalk", list] | None:
@@ -168,6 +165,7 @@ class _DrivingWalk:
         "survivor_at",
         "ntests",
         "taken",
+        "survivors",
         "survivors_taken",
         "spans",
         "span_starts",
@@ -216,6 +214,9 @@ class _DrivingWalk:
         else:
             self.alive = None
             self.survivor_at = None
+        self.survivors = len(
+            self.rids if self.survivor_at is None else self.survivor_at
+        )
 
     def take(self, limit: int | None = None):
         """RIDs of the next *limit* survivors (all that are left when None).
@@ -225,9 +226,7 @@ class _DrivingWalk:
         Empty when no survivor is left.
         """
         first = self.survivors_taken
-        left = (
-            len(self.rids) if self.survivor_at is None else len(self.survivor_at)
-        ) - first
+        left = self.survivors - first
         count = left if limit is None else min(limit, left)
         if count <= 0:
             return self.rids[:0]
@@ -478,7 +477,7 @@ def _project(legs_map, projection: Sequence, ancestors: dict, count: int):
     ))
 
 
-def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
+def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     """Chunk loop: limits -> consume -> expand -> emit -> fold -> checks.
 
     Returns True when the query completed, False to hand the partially
@@ -507,6 +506,20 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
       the driving walk and puts the frozen leg behind a positional kernel
       (plan rebuild).
 
+    Two rules the scalar machine does not share (it cannot see past its
+    cursor; the replay contract holds whenever a decision is applied):
+
+    * a boundary the walk reaches with no survivor left applies nothing —
+      no reorder, no switch, no plan rebuild, no event. Only the first
+      monitored run of a plan-cache entry (``executor.learns_at_end``)
+      still evaluates the two checks there, counted and charged, and the
+      order they propose goes to the write-back (``proposed_order``);
+    * chunk length follows what the plan knows: a static or settled plan
+      takes :data:`STATIC_SLICE_ROWS` slices; any other starts at
+      :data:`MONITORED_CHUNK_ROWS` and doubles after every boundary that
+      left :func:`_plan_signature` unchanged, up to the slice — an applied
+      change keeps the length, it does not reset it.
+
     Execution limits are a chunk-boundary concern: cancellation, deadline
     and work budget are tested once per chunk, before the walk takes it
     (the scalar machine's position-0 safe point), so they are seen at most
@@ -530,6 +543,12 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
 
     projection = executor.projection_slots
     plan_sig = _plan_signature(executor)
+    slice_rows = STATIC_SLICE_ROWS
+    chunk_rows = (
+        min(MONITORED_CHUNK_ROWS, slice_rows)
+        if monitored and not executor.settled
+        else slice_rows
+    )
     while True:
         if limits is not None:
             limits.check()
@@ -558,6 +577,13 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
         executor._flush_chunk_folds()
         if admitted < flow:
             limits.check_emit()  # raises: the row budget is spent
+        if walk.survivors_taken == walk.survivors:
+            # A finished scan applies nothing: whatever the checks find,
+            # no row is left to run it on. A statement's first monitored
+            # run still asks, for its next execution's sake.
+            if not executor.learns_at_end:
+                continue
+            executor.scan_finished = True
         if (
             reorders_inner
             and len(executor.order) > 2
@@ -586,3 +612,6 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list, chunk_rows: int):
                 executor.vector_gate_reason = reason
                 return False
             plan_sig = sig
+        elif chunk_rows < slice_rows:
+            # Nothing moved: ask half as often from here on.
+            chunk_rows = min(2 * chunk_rows, slice_rows)

@@ -446,13 +446,17 @@ def _unpacked(record: "FlightRecord | PackedRecord") -> FlightRecord:
 
 
 def feedback_to_dict(
-    plan_feedback: tuple[tuple[str, ...], int] | None,
+    plan_feedback: tuple[tuple[str, ...], int] | None, settled: bool = False
 ) -> dict[str, Any] | None:
-    """``ExecutionStats.plan_feedback`` as flight records and replies carry it."""
+    """``ExecutionStats.plan_feedback`` as flight records and replies carry
+    it; ``settled`` is there only when the run found its entry settled."""
     if plan_feedback is None:
         return None
     order, writes = plan_feedback
-    return {"order": list(order), "writes": writes}
+    document: dict[str, Any] = {"order": list(order), "writes": writes}
+    if settled:
+        document["settled"] = True
+    return document
 
 
 def event_to_dict(event: AdaptationEvent) -> dict[str, Any]:
@@ -771,7 +775,9 @@ class FlightRecorder:
                 result.stats.plan_cache if result is not None else None
             ),
             plan_feedback=(
-                feedback_to_dict(result.stats.plan_feedback)
+                feedback_to_dict(
+                    result.stats.plan_feedback, result.stats.plan_settled
+                )
                 if result is not None
                 else None
             ),

@@ -81,10 +81,12 @@ FLIGHT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
 }
 
 #: A flight record's ``plan_feedback`` object: the learned order the run
-#: started from and the write-backs its plan-cache entry had seen.
+#: started from, the write-backs its plan-cache entry had seen and, when
+#: the run found the entry settled (it ran in slices), ``settled``.
 PLAN_FEEDBACK_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "order": ((list,), True, False),
     "writes": ((int,), True, False),
+    "settled": ((bool,), False, False),
 }
 
 DECISION_FIELDS: dict[str, tuple[tuple, bool, bool]] = {

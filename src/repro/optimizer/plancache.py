@@ -26,8 +26,12 @@ run ended on and carrying the estimates it measured (built by the caller,
 stored by :meth:`PlanCache.write_feedback`). :meth:`PlanCache.lookup` hands
 it to callers that say they monitor; :meth:`PlanCache.get_or_plan` never
 does, so a static execution always starts from the optimizer's plan.
-Feedback lives and dies with its entry: a generation change or an LRU
-eviction drops both.
+Once a monitored run changes nothing, the entry is *settled* for that
+run's mode (:meth:`PlanCache.settle`) until feedback is written again or
+another mode asks. Feedback and mark live and die with their entry: a
+generation change or an LRU eviction drops all three — the same text over
+the same data and statistics measures the same numbers, so nothing re-arms
+a settled entry inside a generation.
 
 Entries are LRU-bounded. Thread-safe: server worker threads plan and write
 feedback, the event loop reads stats.
@@ -55,6 +59,14 @@ OUTCOMES = (HIT, MISS, WAIT, OFF)
 #: just before its next use on a repeating pass over them.
 DEFAULT_CAPACITY = 1024
 
+#: Write-backs an entry takes in one catalog generation. A run that would
+#: write another settles the entry on the last one instead: two orders whose
+#: runs each measure the other as the better one (near-tie estimates; one
+#: statement in 300 at DMV scale 0.1, one in 696 at 0.02) would otherwise
+#: trade places, and pay for the checks that say so, on every execution.
+#: Every other grid statement that learns is done after one or two.
+MAX_FEEDBACK_WRITES = 3
+
 
 class Feedback(NamedTuple):
     """What monitored executions left in an entry."""
@@ -70,7 +82,7 @@ class CachedPlan:
     nothing holds it, so no catalog generation ever matches it.
     """
 
-    __slots__ = ("key", "plan", "generation", "feedback")
+    __slots__ = ("key", "plan", "generation", "feedback", "settled")
 
     def __init__(self, key: str | None, plan: Any, generation: tuple | None):
         self.key = key
@@ -78,6 +90,11 @@ class CachedPlan:
         self.generation = generation
         # Never mutated: replaced whole, under the cache lock.
         self.feedback: Feedback | None = None
+        # The monitored mode whose last run had nothing to write back (the
+        # entry is *settled* for that mode alone: a run in any other starts
+        # over), else None. Written under the cache lock; a feedback write
+        # clears it.
+        self.settled: Any = None
 
 
 class _InFlight:
@@ -112,6 +129,7 @@ class PlanCache:
         self.invalidations = 0
         self.feedback_writes = 0
         self.feedback_hits = 0
+        self.settled = 0  # entries held that are settled now
 
     def __len__(self) -> int:
         with self._lock:
@@ -166,6 +184,7 @@ class PlanCache:
                     # Stale: the catalog changed since this was planned.
                     del self._entries[key]
                     self.invalidations += 1
+                    self.settled -= cached.settled is not None
                 flight = self._in_flight.get(key)
                 if flight is None:
                     flight = _InFlight(generation)
@@ -206,22 +225,40 @@ class PlanCache:
         as is feedback for an entry evicted while its statement ran.
         """
         with self._lock:
-            if (
-                entry.generation != generation
-                or self._entries.get(entry.key) is not entry
-            ):
+            if not self._holds(entry, generation):
                 return False
             previous = entry.feedback
             entry.feedback = Feedback(
                 plan, 1 if previous is None else previous.writes + 1
             )
             self.feedback_writes += 1
+            self.settled -= entry.settled is not None
+            entry.settled = None
             return True
+
+    def settle(self, entry: CachedPlan, generation: tuple, mode: Any) -> bool:
+        """Mark *entry* settled for *mode*: its next run there asks nothing.
+
+        Refused exactly as :meth:`write_feedback` refuses.
+        """
+        with self._lock:
+            if not self._holds(entry, generation):
+                return False
+            self.settled += entry.settled is None
+            entry.settled = mode
+            return True
+
+    def _holds(self, entry: CachedPlan, generation: tuple) -> bool:
+        return (
+            entry.generation == generation
+            and self._entries.get(entry.key) is entry
+        )
 
     def _evict_over_capacity(self) -> None:
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            _, evicted = self._entries.popitem(last=False)
             self.evictions += 1
+            self.settled -= evicted.settled is not None
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -235,4 +272,5 @@ class PlanCache:
                 "invalidations": self.invalidations,
                 "feedback_writes": self.feedback_writes,
                 "feedback_hits": self.feedback_hits,
+                "settled": self.settled,
             }

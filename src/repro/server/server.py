@@ -108,7 +108,7 @@ ENGINE_EXIT_SECONDS = 2.0
 _FRAME = struct.Struct("!II")
 
 #: Plan-cache fields that are a state, not a count of events.
-_CACHE_LEVELS = ("size", "capacity")
+_CACHE_LEVELS = ("size", "capacity", "settled")
 
 
 @dataclass(frozen=True)
@@ -1044,7 +1044,7 @@ class QueryServer:
         # engines' own, summed.
         reporting = [p for p in self._engines if p.counters is not None]
         if reporting:
-            plan_cache = dict(plan_cache, size=0, capacity=0)
+            plan_cache = dict(plan_cache, **dict.fromkeys(_CACHE_LEVELS, 0))
             for key, value in self._retired_events.items():
                 plan_cache[key] += value
             kernel_bytes = storage["kernel_plan_bytes"]

@@ -132,10 +132,13 @@ def test_columnar_bit_identical_to_row(
             ), tag
 
 
-def test_columnar_adapts_on_the_workload(columnar_db, workload):
+def test_columnar_adapts_on_the_workload(columnar_db, workload, monkeypatch):
     """Guard against vacuous event equality: mode BOTH must actually adapt
     somewhere on this workload — on the oracle's machine and on the engine
-    — so the comparisons above compare non-empty sequences."""
+    (mid-scan: a finished scan applies nothing, and at this scale a first
+    chunk of 256 is most of a scan) — so the comparisons above compare
+    non-empty sequences."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 7)
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
     oracle = engine = 0
     for sql in workload:
@@ -150,11 +153,13 @@ def _driving_switches(stats) -> int:
     )
 
 
-def test_adaptive_vector_engine_engages(columnar_db, workload):
+def test_adaptive_vector_engine_engages(columnar_db, workload, monkeypatch):
     """Guard against a vacuous comparison: the columnar database must
     run the vectorized adaptive cascade from start to
     finish — across driving switches too, so the driving modes must
-    actually switch somewhere on this workload."""
+    actually switch (mid-scan, from a small first chunk) somewhere on this
+    workload."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 7)
     for mode in (
         ReorderMode.INNER_ONLY,
         ReorderMode.DRIVING_ONLY,

@@ -147,9 +147,12 @@ class TestExperiments:
         assert sum(result.statements.values()) == len(workload)
         assert sum(result.learned.values()) > 0
         assert result.total("later")[0] <= result.total("first")[0]
-        assert len(result.later_switches) == 2
+        assert len(result.later_switches) == len(result.later_checks) == 2
+        # Every entry is settled by then: the last pass asks nothing.
+        assert result.first_checks > 0 == result.later_checks[-1]
         report = result.report("E11")
         assert "2nd+ work" in report and "#learned" in report
+        assert f"checks: first pass {result.first_checks}" in report
         with pytest.raises(ValueError, match="monitored mode"):
             learned_experiment(db, workload, *configs)
 

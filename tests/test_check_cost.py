@@ -48,7 +48,7 @@ from repro.obs.recorder import FlightRecorder
 from tests.test_plan_cache import SCALE
 from tests.test_vector_limits import executor_class
 
-STATEMENTS = [query.sql for query in six_table_workload(count=48)]
+STATEMENTS = [query.sql for query in six_table_workload(count=96)]
 # The CI "check-cost smoke" statement (X2, make 'Porsche').
 PORSCHE = (
     "SELECT o.name, a.damage, t.year "
@@ -63,8 +63,10 @@ FOUR_TABLE = [query.sql for query in four_table_workload(queries_per_template=2)
 
 @pytest.fixture(autouse=True)
 def small_chunks(monkeypatch):
-    """A scale-0.02 driving scan still crosses many chunk boundaries."""
-    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
+    """A scale-0.02 driving scan still crosses several chunk boundaries
+    before it ends: chunks double while nothing changes, and the boundary
+    that ends the scan asks nothing (these executors have no entry)."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 4)
 
 
 @pytest.fixture(scope="module")

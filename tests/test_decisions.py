@@ -13,6 +13,7 @@ from repro.core.config import InnerReorderPolicy
 from repro.core.driving import decide_driving_switch, dynamic_driving_spec
 from repro.core.reorder import decide_inner_order, suffix_ranks
 from repro.dmv import load_dmv
+from repro.executor import vector
 from repro.executor.pipeline import PipelineExecutor
 from repro.optimizer.cost import (
     best_order_exhaustive,
@@ -266,7 +267,9 @@ class TestDrivingCandidatePruning:
     def test_both_grids_decide_as_the_unpruned_loop(self, mode, monkeypatch):
         """All 696 statements on the engine: rows in order, WorkMeter,
         events and final order of a first execution are the unpruned
-        loop's (what the parent commit ran)."""
+        loop's (what the parent commit ran). First chunks of 32: at 256
+        most scans here are one chunk, whose checks apply nothing."""
+        monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 32)
         db, _ = load_dmv(
             scale=0.02, extended=True, backend="columnar", plan_cache_size=0
         )

@@ -24,6 +24,7 @@ import repro.optimizer.optimizer
 from repro import AdaptiveConfig, ReorderMode, StatisticsLevel
 from repro.core.config import InnerReorderPolicy
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
+from repro.executor import vector
 from repro.optimizer.cost import best_order_exhaustive, cost_of_order
 from repro.optimizer.params import ModelProvider, TableModel
 from repro.optimizer.plans import DrivingKind
@@ -136,6 +137,8 @@ def test_run_time_callers_equal_the_reference_search(dmv, monkeypatch):
     monitored (calibrated, remaining-fraction-adjusted) models and pinned
     prefixes; every search they make must equal the reference's."""
     dmv.analyze(level=StatisticsLevel.CARDINALITY)
+    # Decisions are applied mid-scan only: start small enough to have one.
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
     driving_calls: list = []
     inner_calls: list = []
     monkeypatch.setattr(

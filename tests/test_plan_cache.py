@@ -486,12 +486,14 @@ class TestServed:
         # The engine processes' caches are forks of the database's: the
         # serving process itself planned nothing, and the stats op adds
         # what the engines counted to what it had (size and capacity are
-        # the engines' own, summed over the two).
+        # the engines' own, summed over the two; so is ``settled``: the
+        # default mode monitors, and the statement's first run there ended
+        # where it started).
         own = db.plan_cache.stats()
         assert own["hits"] == own["misses"] == own["size"] == 0
         assert stats["plan_cache"] == {
             **own, "size": 1, "capacity": 2 * own["capacity"],
-            "hits": 2, "misses": 1,
+            "hits": 2, "misses": 1, "settled": 1,
         }
         assert 'plan_cache_events{label="hits"} 2' in exposition
         # What an engine cached after its fork stays in that engine; what
@@ -573,6 +575,11 @@ def test_cached_execution_equals_first_execution_over_both_grids(engine):
     assert len(GRID) == 696
     backend, statements = ENGINES[engine]
     db, _ = load_dmv(scale=SCALE, extended=True, backend=backend)
+    # Plans every statement afresh and keeps nothing: each of its
+    # executions is what a statement's first one runs.
+    twin, _ = load_dmv(
+        scale=SCALE, extended=True, backend=backend, plan_cache_size=0
+    )
     for mode in (ReorderMode.NONE, ReorderMode.BOTH):
         config = AdaptiveConfig(mode=mode)
         for sql in statements:
@@ -580,18 +587,24 @@ def test_cached_execution_equals_first_execution_over_both_grids(engine):
             assert first.stats.plan_cache == (
                 HIT if mode.monitors else MISS
             )
-            # The cached plan again. Handed in as a plan: the text
-            # would start a monitored run from the first one's plan
-            # feedback (tests/test_plan_feedback.py).
             plan = db.plan(sql)
             assert plan is first.plan
-            second = db.execute(plan, config)
-            assert second.rows == first.rows, sql
-            assert second.stats.work == first.stats.work, sql
-            assert second.stats.events == first.stats.events, sql
-            assert second.final_order == first.final_order, sql
-            assert second.stats.order_history == first.stats.order_history
-            assert second.stats.engine == first.stats.engine
+            # The cached plan against one planned for the occasion, both
+            # in the state of a text nobody has run in this mode (a second
+            # execution of the text would start from what the first left
+            # in the entry, tests/test_plan_feedback.py; the plan handed in
+            # has no entry and asks nothing at a finished scan).
+            again = [twin.execute(sql, config)]
+            assert again[0].stats.plan_cache == OFF
+            if not mode.monitors:
+                again.append(db.execute(plan, config))
+            for second in again:
+                assert second.rows == first.rows, sql
+                assert second.stats.work == first.stats.work, sql
+                assert second.stats.events == first.stats.events, sql
+                assert second.final_order == first.final_order, sql
+                assert second.stats.order_history == first.stats.order_history
+                assert second.stats.engine == first.stats.engine
     stats = db.plan_cache.stats()
     # Mode NONE planned each statement; mode BOTH found them all cached.
     count = len(statements)
@@ -659,7 +672,13 @@ def test_work_meter_fields_match_between_miss_and_hit():
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
     sql = GRID[-1]
     miss = db.execute(sql, config)
-    hit = db.execute(db.plan(sql), config)  # the cached plan, not feedback
-    assert miss.stats.plan_cache == MISS and hit.plan is miss.plan
+    # The same statistics under a new generation: the entry goes, with all
+    # it knew. Planned again and not executed, the text's next run is its
+    # first once more, this time on a hit.
+    db.analyze(level=StatisticsLevel.CARDINALITY)
+    plan = db.plan(sql)
+    hit = db.execute(sql, config)
+    assert (miss.stats.plan_cache, hit.stats.plan_cache) == (MISS, HIT)
+    assert hit.plan is plan and plan.order == miss.plan.order
     assert db.plan_cache.stats()["hits"] == 1
     assert dataclasses.asdict(hit.stats.work) == dataclasses.asdict(miss.stats.work)

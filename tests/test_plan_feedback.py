@@ -134,13 +134,21 @@ def test_three_passes_over_both_grids(grid_dbs, mode):
         # A first execution is the optimizer's plan, as before.
         assert observed(one) == observed(unlearned), sql
         assert one.stats.plan_cache == HIT and one.stats.plan_feedback is None
-        if one.final_order != one.plan.order:
+        assert not one.stats.plan_settled
+        # The run's last word: what its checks proposed where the scan had
+        # ended (the engine; the oracle never sees past its cursor), else
+        # the order it ended on.
+        learned = one.stats.proposed_order or one.final_order
+        assert engine == "columnar-chunk" or one.stats.proposed_order is None
+        if learned != one.plan.order:
             changed += 1
-            assert two.stats.plan_feedback == (one.final_order, 1), sql
-            assert two.plan.order == one.final_order
+            assert two.stats.plan_feedback == (learned, 1), sql
+            assert two.plan.order == learned
+            assert not two.stats.plan_settled
         else:
             assert two.stats.plan_feedback is None, sql
             assert two.plan is one.plan
+            assert two.stats.plan_settled  # new -> settled, optimizer's order
     cache = db.plan_cache.stats()
     assert cache["feedback_writes"] - writes_before >= changed
     assert cache["feedback_hits"] <= cache["hits"]
@@ -252,8 +260,11 @@ def test_learned_order_right_for_half_the_scan_still_adapts(
     """The optimizer probes Owner before Demographics; the run ends on the
     Mercedes phase's order (Demographics first) and that is what the entry
     keeps. Started from it, the next run meets the Chevrolet phase, flips
-    to Owner first mid-scan and flips back: it keeps adapting, returns the
-    oracle's rows, and — ending where it started — writes nothing."""
+    to Owner first mid-scan and flips back: it still adapts, returns the
+    oracle's rows, and — ending where it started — writes nothing and
+    settles the entry. The oracle keeps checking at its cadence whatever
+    the entry says; the engine's next run takes the scan in one slice on
+    the learned order."""
     monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 64)
     db = build_flip_db(backend)
     sql = flip_sql(90_000)
@@ -262,14 +273,20 @@ def test_learned_order_right_for_half_the_scan_still_adapts(
     first = db.execute(sql, config)
     assert first.plan.order == ("c", "o", "d")
     assert first.final_order == ("c", "d", "o")
-    for _ in range(2):
+    for settled in (False, True):
         learned = db.execute(sql, config)
         assert learned.stats.plan_feedback == (("c", "d", "o"), 1)
-        assert learned.stats.order_history == (
-            ("c", "d", "o"), ("c", "o", "d"), ("c", "d", "o")
-        )
+        assert learned.stats.plan_settled == settled
+        if settled and backend == "columnar":
+            assert learned.stats.order_history == (("c", "d", "o"),)
+            assert learned.stats.inner_checks == 0
+        else:
+            assert learned.stats.order_history == (
+                ("c", "d", "o"), ("c", "o", "d"), ("c", "d", "o")
+            )
         assert sorted(learned.rows) == sorted(first.rows) == oracle
-    assert db.plan_cache.stats()["feedback_writes"] == 1
+    cache = db.plan_cache.stats()
+    assert (cache["feedback_writes"], cache["settled"]) == (1, 1)
 
 
 def test_driving_flips_with_position_keep_oracle_rows(flip_db):
@@ -492,7 +509,7 @@ def test_change_during_the_run_refuses_the_write_back(flip_db, monkeypatch):
     monkeypatch.setattr(
         repro.db.RuntimeModelBuilder,
         "corrected_plan",
-        lambda self: built.append(1) or corrected_plan(self),
+        lambda self, order: built.append(1) or corrected_plan(self, order),
     )
     generation = flip_db.catalog.generation
     calls = []
@@ -642,26 +659,31 @@ def test_served_requests_report_feedback_and_analyze_clears_it(flip_db):
 def test_feedback_is_visible_where_the_plan_cache_is(flip_db):
     recorder = FlightRecorder(capacity=4)
     records = []
-    for _ in range(2):
+    for _ in range(3):
         bundle = recorder.arm()
         result = flip_db.execute(SQL, BOTH, obs=bundle)
         records.append(
             recorder.finish_query(bundle, result, sql=SQL, config=BOTH)
         )
-    unlearned, learned = records
+    # The learned run ended where it started: the third finds the entry
+    # settled, and says so wherever it says what it started from.
+    unlearned, learned, settled = records
     assert unlearned.plan_feedback is None
     assert learned.plan_feedback == {
         "order": list(learned.plan_order), "writes": 1
     }
+    assert settled.plan_feedback == {**learned.plan_feedback, "settled": True}
     assert learned.plan_order == unlearned.final_order
     for record in records:
         document = record.to_dict()
         assert validate_flight_record(document) == []
         assert FlightRecord.from_dict(document).to_dict() == document
     assert "plan feedback:" not in render_replay(unlearned)
-    assert "plan feedback: started from the learned order" in render_replay(
-        learned
-    )
+    assert (
+        "plan feedback: started from the learned order below "
+        "(1 write-back(s) to the entry)"
+    ) in render_replay(learned)
+    assert "(1 write-back(s) to the entry; settled)" in render_replay(settled)
     # A record claiming feedback without a hit, or a malformed one.
     document = learned.to_dict()
     assert validate_flight_record({**document, "plan_cache": MISS})
@@ -670,7 +692,7 @@ def test_feedback_is_visible_where_the_plan_cache_is(flip_db):
     report = flip_db.explain_analyze(SQL, BOTH)
     assert (
         f"plan feedback: started from {' -> '.join(learned.plan_order)} "
-        "(learned; 1 write-back(s) to this plan-cache entry)"
+        "(learned; 1 write-back(s) to this plan-cache entry; settled)"
     ) in report.splitlines()
     static = flip_db.explain_analyze(SQL, NONE)
     assert (
@@ -686,4 +708,5 @@ def test_feedback_is_visible_where_the_plan_cache_is(flip_db):
     record_plan_cache_gauges(registry, flip_db.plan_cache.stats())
     text = registry.render_prometheus()
     assert 'plan_cache_events{label="feedback_writes"} 1' in text
-    assert 'plan_cache_events{label="feedback_hits"} 3' in text
+    assert 'plan_cache_events{label="feedback_hits"} 4' in text
+    assert "plan_cache_settled 1" in text

@@ -788,4 +788,7 @@ class TestLearning:
         # What the two engines counted since their fork, summed.
         assert cache["feedback_writes"] - before["feedback_writes"] == 2
         assert cache["feedback_hits"] - before["feedback_hits"] == 2
+        # Each engine's second run ended where it started: one settled
+        # entry an engine (a level, summed like ``size``).
+        assert cache["settled"] - before["settled"] == 2
         assert cache["misses"] - before["misses"] >= 2
