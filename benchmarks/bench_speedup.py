@@ -35,16 +35,19 @@ driving leg switched somewhere in the driving modes, or that says
 nothing; full-scale runs additionally hold the adaptive engine's mode-BOTH
 >=10x floor over the oracle.
 
-A second section measures the always-on flight recorder: the adaptive
-six-table workload runs disarmed and with a recorder-armed (cold) bundle,
-interleaved min-of-reps, and reports the armed wall overhead. The recorder
-contract is ≤5% — under ``--check`` a larger overhead fails the run.
+A second section measures observing on the engine: the adaptive six-table
+workload runs disarmed, with the always-on flight recorder's bundle and with
+a fully armed one (what EXPLAIN ANALYZE arms), interleaved min-of-reps. Both
+bundles must run the disarmed run's machine at its exact work units; the
+recorder's wall contract is ≤5%, the armed bundle's ≤1.5× — under
+``--check`` either overrun fails the run.
 
 Results go to ``BENCH_speedup.json`` at the repo root (atomic write), so the
 perf trajectory of future PRs is recorded. Any mode whose speedup regresses
 vs the stored baseline is reported loudly on stderr; under ``--check`` the
 process also exits non-zero if the engine is slower than the oracle by
-more than 10%, or the armed recorder costs more than 5% wall.
+more than 10%, the armed recorder costs more than 5% wall, or a fully
+armed bundle more than 1.5× the disarmed wall.
 
 Usage::
 
@@ -84,6 +87,10 @@ REGRESSION_TOLERANCE = 0.90
 #: --check fails when an armed flight recorder costs more than this much
 #: wall time over the disarmed adaptive run (the recorder's ≤5% budget).
 OBSERVABILITY_GATE_PCT = 5.0
+
+#: --check fails when a fully armed bundle (tracer + metrics + sampler: what
+#: EXPLAIN ANALYZE arms) costs more than this factor of the disarmed wall.
+ARMED_GATE_RATIO = 1.5
 
 
 def measure_mode(queries, variants, config, reps: int) -> dict[str, dict]:
@@ -178,67 +185,80 @@ def add_cold_walls(meters: dict[str, dict], front_end: dict[str, dict]) -> None:
 
 
 def measure_observability(db, queries, reps: int) -> dict:
-    """Armed-recorder vs disarmed wall time on the adaptive workload.
+    """Observed vs unobserved wall time on the adaptive workload, on *db*.
 
-    The recorder bundle is cold (no per-row hooks), so its only
-    admissible cost is audit capture at the controller's check points —
-    wall-clock only, never work units. The differential work-unit check
-    is structural: any meter delta is a bug, not an overhead.
+    Two bundles beside the disarmed run: the flight recorder's (the
+    decision audit alone) and a fully armed one (tracer, metrics registry,
+    estimate sampler: what ``obs=True``, EXPLAIN ANALYZE and ``--trace`` /
+    ``--metrics`` arm). Neither has a per-row hook, so each must run the
+    disarmed run's machine and charge its work units exactly; their only
+    admissible cost is wall time at cold sites. Any meter delta or
+    machine change is a bug, not an overhead, and raises.
 
-    Timing methodology: the true overhead (a tuple append per kept
-    check) is small enough that scheduler noise swamps a naive A/B
-    measurement. Both variants are warmed once, then each rep runs the
-    two variants back-to-back *per query* — alternating which goes first
-    — and the reported figure compares sums of per-query minima, the
-    most noise-robust point statistic for a deterministic workload.
+    Timing methodology: the recorder's true overhead (a tuple append per
+    kept check) is small enough that scheduler noise swamps a naive A/B
+    measurement. The variants are warmed once, then each rep runs them
+    back-to-back *per query* — rotating which goes first — and the reported
+    figures compare sums of per-query minima, the most noise-robust point
+    statistic for a deterministic workload.
     """
+    from repro.obs.observer import QueryObservability
     from repro.obs.recorder import FlightRecorder
 
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
     recorder = FlightRecorder(capacity=max(len(queries) * 2, 8))
-    work = {"disarmed": 0.0, "armed": 0.0}
+    variants = ("disarmed", "recorder", "armed")
 
     def run(query, name: str):
-        if name == "armed":
+        plan = db.plan(query.sql)
+        if name == "recorder":
             bundle = recorder.arm()
-            outcome = db.execute(db.plan(query.sql), config, obs=bundle)
+            outcome = db.execute(plan, config, obs=bundle)
             recorder.finish_query(
                 bundle, outcome, sql=query.sql, config=config
             )
+        elif name == "armed":
+            outcome = db.execute(plan, config, obs=QueryObservability.armed())
         else:
-            outcome = db.execute(db.plan(query.sql), config)
+            outcome = db.execute(plan, config)
         return outcome
 
-    for name in ("disarmed", "armed"):  # warm caches off the clock
-        units = 0.0
-        for query in queries:
-            units += run(query, name).stats.total_work
-        work[name] = units
-    if work["armed"] != work["disarmed"]:
-        raise AssertionError(
-            "armed recorder changed deterministic work units "
-            f"({work['armed']} != {work['disarmed']})"
-        )
+    # Warm caches off the clock, and hold each bundle to the disarmed run.
+    reference = [run(query, "disarmed").stats for query in queries]
+    for name in variants[1:]:
+        for query, expected in zip(queries, reference):
+            stats = run(query, name).stats
+            if stats.work != expected.work:
+                raise AssertionError(
+                    f"{query.qid}: the {name} bundle changed deterministic "
+                    f"work units ({stats.total_work} != {expected.total_work})"
+                )
+            if stats.engine != expected.engine:
+                raise AssertionError(
+                    f"{query.qid}: the {name} bundle ran {stats.engine!r}, "
+                    f"unobserved {expected.engine!r}"
+                )
 
-    best = {
-        "disarmed": [float("inf")] * len(queries),
-        "armed": [float("inf")] * len(queries),
-    }
+    best = {name: [float("inf")] * len(queries) for name in variants}
     for rep in range(reps):
-        order = ("disarmed", "armed") if rep % 2 == 0 else ("armed", "disarmed")
+        order = variants[rep % 3:] + variants[: rep % 3]
         for index, query in enumerate(queries):
             for name in order:
                 wall = run(query, name).stats.wall_seconds
                 if wall < best[name][index]:
                     best[name][index] = wall
     disarmed = sum(best["disarmed"])
+    recorded = sum(best["recorder"])
     armed = sum(best["armed"])
-    overhead_pct = (armed / disarmed - 1.0) * 100.0
     return {
+        "store": db.backend_name,
+        "engines": sorted({stats.engine for stats in reference}),
         "disarmed_wall_seconds": disarmed,
+        "recorder_wall_seconds": recorded,
+        "recorder_overhead_pct": (recorded / disarmed - 1.0) * 100.0,
         "armed_wall_seconds": armed,
-        "overhead_pct": overhead_pct,
-        "work_units": work["disarmed"],
+        "armed_ratio": armed / disarmed,
+        "work_units": sum(stats.total_work for stats in reference),
         "records": recorder.recorded_total,
     }
 
@@ -411,17 +431,26 @@ def main(argv: list[str] | None = None) -> int:
 
     # The recorder's true overhead (a tuple append per kept check) sits
     # well under the scheduler-noise floor of a single pass, so the
-    # differential needs more reps than the speedup table to converge.
-    observability = measure_observability(db, queries, max(args.reps * 3, 9))
+    # differential needs more reps than the speedup table to converge. It
+    # runs on the engine: what production serves, and what observing must
+    # not swap out.
+    observability = measure_observability(
+        columnar_db, queries, max(args.reps * 3, 9)
+    )
     payload["observability"] = observability
     print(
-        f"recorder disarmed={observability['disarmed_wall_seconds']:.3f}s "
-        f"armed={observability['armed_wall_seconds']:.3f}s "
-        f"overhead={observability['overhead_pct']:+.1f}% "
-        f"({observability['records']} records)"
+        f"observability ({observability['store']}, "
+        f"{','.join(observability['engines'])}): "
+        f"disarmed={observability['disarmed_wall_seconds'] * 1e3:.2f}ms "
+        f"recorder={observability['recorder_wall_seconds'] * 1e3:.2f}ms "
+        f"({observability['recorder_overhead_pct']:+.1f}%, "
+        f"{observability['records']} records) "
+        f"armed={observability['armed_wall_seconds'] * 1e3:.2f}ms "
+        f"({observability['armed_ratio']:.2f}x)"
     )
     observability_failed = (
-        observability["overhead_pct"] > OBSERVABILITY_GATE_PCT
+        observability["recorder_overhead_pct"] > OBSERVABILITY_GATE_PCT
+        or observability["armed_ratio"] > ARMED_GATE_RATIO
     )
 
     regressions = report_regressions(args.output, payload)
@@ -446,9 +475,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.check and observability_failed:
         print(
-            f"CHECK FAILED: armed flight recorder costs "
-            f"{observability['overhead_pct']:.1f}% wall "
-            f"(> {OBSERVABILITY_GATE_PCT:.0f}% budget)",
+            f"CHECK FAILED: observing costs too much wall: the flight "
+            f"recorder {observability['recorder_overhead_pct']:.1f}% "
+            f"(budget {OBSERVABILITY_GATE_PCT:.0f}%), a fully armed bundle "
+            f"{observability['armed_ratio']:.2f}x the disarmed run "
+            f"(budget {ARMED_GATE_RATIO:.1f}x)",
             file=sys.stderr,
         )
         return 1

@@ -466,11 +466,10 @@ def _run_observed_query(
     config = AdaptiveConfig(mode=mode)
     recorder = _make_recorder(args)
     if args.explain_analyze or args.trace or args.metrics:
-        obs = QueryObservability.armed(sample_every=config.check_frequency)
+        obs = QueryObservability.armed()
     else:
-        # Telemetry-only: keep the bundle cold so the run pays no per-row
-        # observability overhead (the decision audit rides the controller's
-        # already-metered check points).
+        # Telemetry-only: the decision audit alone, fed at the controller's
+        # check points.
         obs = QueryObservability()
     if recorder is not None:
         obs = recorder.arm(base=obs)

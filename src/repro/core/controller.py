@@ -109,9 +109,9 @@ class AdaptationController:
             obs = pipeline.obs
             if obs is not None:
                 obs.on_check(
+                    pipeline,
                     "inner",
                     applied=new_suffix is not None,
-                    driving_rows=pipeline.driving_rows_total,
                     position=position,
                 )
                 if obs.audit is not None:
@@ -221,9 +221,7 @@ class AdaptationController:
                 new_order = None
             if obs is not None:
                 obs.on_check(
-                    "driving",
-                    applied=new_order is not None,
-                    driving_rows=pipeline.driving_rows_total,
+                    pipeline, "driving", applied=new_order is not None
                 )
                 if obs.audit is not None:
                     self._audit_check(

@@ -336,8 +336,7 @@ class Database:
         breakdown, and budget/fault summaries.
         """
         if obs is None:
-            check = (config or AdaptiveConfig()).check_frequency
-            obs = QueryObservability.armed(sample_every=check)
+            obs = QueryObservability.armed()
         result = self.execute(query, config, limits=limits, obs=obs)
         return render_explain_analyze(result, limits)
 
@@ -379,16 +378,17 @@ class Database:
         Observability:
 
         * *obs* — ``True`` arms a full :class:`QueryObservability` bundle
-          (tracer + metrics registry + estimate sampler at the config's
-          check frequency); a pre-built bundle is used as-is. The trace,
-          registry, and samples come back on ``QueryResult.trace`` /
-          ``.metrics`` / ``.samples``. With *obs* unset the engine pays
-          one ``None`` check per instrumentation site and records nothing.
+          (tracer + metrics registry + estimate sampler, one sample where
+          the controller checks); a pre-built bundle is used as-is. The
+          trace, registry, and samples come back on ``QueryResult.trace``
+          / ``.metrics`` / ``.samples``. Either way the same machine runs
+          and charges the same work: the bundle is fed at cold sites only
+          and reads the legs' flow counters at the end.
         """
         if config is None:
             config = AdaptiveConfig(mode=ReorderMode.BOTH)
         if obs is True:
-            obs = QueryObservability.armed(sample_every=config.check_frequency)
+            obs = QueryObservability.armed()
         elif obs is False:
             obs = None
         tracer = obs.tracer if obs is not None else None

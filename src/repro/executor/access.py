@@ -133,6 +133,11 @@ class RuntimeLeg:
         "monitor_failure",
         "_hash_tables",
         "model_parts",
+        "rows_in",
+        "index_matches",
+        "rows_out",
+        "rows_scanned",
+        "rows_survived",
     )
 
     def __init__(
@@ -187,9 +192,17 @@ class RuntimeLeg:
         # (aligned with the returned rows) in self.match_rids.
         self.collect_rids = False
         self.match_rids: list[int] = []
-        # Observability bundle (set by the executor); every hook site below
-        # pays one None check when observability is off.
+        # Observability bundle (set by the executor): told of fault retries.
         self.obs = None
+        # The leg's row flow over the whole run, in both roles — what
+        # EXPLAIN ANALYZE, the metrics and the trace report. Bumped where
+        # the numbers are computed anyway: per probe / driving row here,
+        # once per chunk by the cascade (vector._expand, _DrivingWalk).
+        self.rows_in = 0
+        self.index_matches = 0
+        self.rows_out = 0
+        self.rows_scanned = 0
+        self.rows_survived = 0
         # Monitoring is advisory: if it raises, it is disabled for this leg
         # and the failure reported through degrade_hook (set by the
         # executor) instead of aborting the query.
@@ -364,8 +377,9 @@ class RuntimeLeg:
                 self.incoming_since_check += 1
             except Exception as exc:
                 self._degrade_monitoring(exc)
-        if self.obs is not None:
-            self.obs.on_probe(self.alias, index_matches, len(matches))
+        self.rows_in += 1
+        self.index_matches += index_matches
+        self.rows_out += len(matches)
         return matches
 
     def _retry_hook(self, site: str):
@@ -491,9 +505,9 @@ class RuntimeLeg:
                     self.meter.charge_monitor_update()
                 except Exception as exc:
                     self._degrade_monitoring(exc)
-            if self.obs is not None:
-                self.obs.on_scan_row(self.alias, survived)
+            self.rows_scanned += 1
             if survived:
+                self.rows_survived += 1
                 yield row
 
     def pushed_driving_predicate(self):

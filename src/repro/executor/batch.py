@@ -8,9 +8,9 @@ aggregate and fires its reorder checks at chunk boundaries (DESIGN.md
 Sec 4d).
 
 Dispatch (:meth:`BatchedPipelineExecutor._run`): a configuration that needs
-per-row visibility (single-leg pipeline, invariant oracle, fault injection,
-``switch_at_key_boundary``, a custom controller, hot observability) runs
-the scalar machine; otherwise the cascade; a shape its gates refuse runs
+per-row visibility (invariant oracle, fault injection,
+``switch_at_key_boundary``, a custom controller) runs the scalar machine;
+otherwise the cascade; a shape its gates refuse runs
 the scalar machine too — from the first row, or from the chunk boundary
 where the cascade handed back a plan it could not rebuild (cursors, check
 counters and windows are then exactly what that machine reads).
@@ -36,8 +36,6 @@ class BatchedPipelineExecutor(PipelineExecutor):
     aggregated_windows = True
 
     def _scalar_fallback_reason(self) -> str | None:
-        if len(self.order) < 2:
-            return "single-leg pipeline"
         if self.oracle is not None:
             return "invariant oracle armed"
         if self.catalog.faults is not None:
@@ -51,10 +49,6 @@ class BatchedPipelineExecutor(PipelineExecutor):
             # A custom controller may permute the pipeline between chunk
             # boundaries, where the cascade's kernels would go stale.
             return "unrecognized adaptation controller"
-        if self.obs is not None and self.obs.hot:
-            # Per-row hooks read the meter, the monitors and the pipeline
-            # mid-chunk.
-            return "hot observability armed"
         return None
 
     def _run(self) -> Iterator[tuple]:

@@ -160,10 +160,7 @@ class PipelineExecutor:
         }
         for leg in self.legs.values():
             leg.degrade_hook = self._record_monitor_degraded
-            # Access-layer hooks are all per-probe/per-row ("hot"); a
-            # recorder-only bundle (obs.hot False) must keep the access
-            # layer on the exact observability-off code path.
-            leg.obs = obs if (obs is not None and obs.hot) else None
+            leg.obs = obs
             if oracle is not None:
                 leg.collect_rids = True
         self.order: list[str] = list(plan.order)
@@ -453,10 +450,6 @@ class PipelineExecutor:
         meter = self.catalog.meter
         limits = self._enforcer
         oracle = self.oracle
-        # Per-row hook sites below fire only for hot bundles; cold
-        # consumers (the flight recorder's decision audit) are fed at the
-        # controller's check points instead.
-        obs = self.obs if (self.obs is not None and self.obs.hot) else None
         if leg_count == 1:
             only = self.order[0]
             assert self._driving_iter is not None
@@ -468,9 +461,6 @@ class PipelineExecutor:
                 meter.charge_row_emitted()
                 if oracle is not None:
                     oracle.record_emit({only: self._driving_rid()})
-                if obs is not None:
-                    obs.on_driving_row(self)
-                    obs.on_rows_emitted()
                 yield self._projector({only: row})
             return
 
@@ -503,8 +493,6 @@ class PipelineExecutor:
                 self.depleted_from = None
                 self.driving_rows_since_check += 1
                 self.driving_rows_total += 1
-                if obs is not None:
-                    obs.on_driving_row(self)
                 binding[self.order[0]] = row
                 if oracle is not None:
                     rid_binding[self.order[0]] = self._driving_rid()
@@ -520,8 +508,6 @@ class PipelineExecutor:
             if row is None:
                 # Legs at positions >= position are depleted (Sec 4.1).
                 self.depleted_from = position
-                if obs is not None:
-                    obs.on_suffix_depleted(position)
                 self.controller.on_suffix_depleted(position)
                 position -= 1
                 continue
@@ -538,8 +524,6 @@ class PipelineExecutor:
                 meter.charge_row_emitted()
                 if oracle is not None:
                     oracle.record_emit(rid_binding)
-                if obs is not None:
-                    obs.on_rows_emitted()
                 yield self._projector(binding)
                 continue
             position += 1

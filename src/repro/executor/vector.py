@@ -42,9 +42,10 @@ survives a driving switch.
 
 The cascade is only observably different from the scalar machine in
 *intermediate* meter states, which are visible at chunk boundaries alone:
-no hot observability, no faults, no oracle (the callers' entry
-conditions), and execution limits are enforced at those boundaries — rows
-exactly, work / deadline / cancellation at most one chunk late.
+no faults, no oracle (the callers' entry conditions), observability reads
+the legs' flow counters (bumped once per chunk here) at cold sites only,
+and execution limits are enforced at those boundaries — rows exactly,
+work / deadline / cancellation at most one chunk late.
 """
 
 from __future__ import annotations
@@ -104,10 +105,10 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     one the gates refuse and the caller must continue on the scalar machine
     with the partially consumed cursors.
 
-    Must be called after ``_open_driving``/``_compile_all_probes`` on a
-    multi-leg pipeline. Every gate failure returns None with
-    ``executor.vector_gate_reason`` set and no state mutated, so the
-    caller's fallback proceeds untouched. What the data alone decides is
+    Must be called after ``_open_driving``/``_compile_all_probes``. Every
+    gate failure returns None with ``executor.vector_gate_reason`` set and
+    no state mutated, so the caller's fallback proceeds untouched. What the
+    data alone decides is
     not derived here: group kernels and the join keys' rank arrays are
     memoized by the probed indexes (:func:`_adaptive_plan` looks them up),
     the starting probes come compiled with the plan.
@@ -150,9 +151,10 @@ class _DrivingWalk:
     :meth:`take` consumes the walk through its next survivors and charges
     what :meth:`RuntimeLeg.driving_rows` charges for the same rows, as one
     aggregate: a fetch, an index-entry touch and ``len(residual tests)``
-    predicate evals per row walked, one descend per key range entered, and
-    the driving monitor's per-row records. It then puts the cursor exactly
-    where the row-at-a-time walk would have left it, so a driving switch
+    predicate evals per row walked, one descend per key range entered, the
+    driving monitor's per-row records and the leg's scanned / survived
+    counters. It then puts the cursor exactly where the row-at-a-time walk
+    would have left it, so a driving switch
     freezes the right position and a resumed (or handed-off) cursor
     continues with no charge repeated or lost.
     """
@@ -231,6 +233,7 @@ class _DrivingWalk:
         if count <= 0:
             return self.rids[:0]
         self.survivors_taken = last = first + count
+        self.leg.rows_survived += count
         if self.survivor_at is None:
             self._consume(last)
             return self.rids[first:last]
@@ -258,6 +261,7 @@ class _DrivingWalk:
         meter.row_fetches += walked
         if self.ntests:
             meter.predicate_evals += walked * self.ntests
+        leg.rows_scanned += walked
         monitor = leg.driving_monitor
         if leg.monitoring_enabled and monitor is not None:
             monitor.observe_many(
@@ -387,8 +391,9 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     charges the scalar probes' work as kernel aggregates (descend per outer
     row; a key the index holds walks its full group — entries, fetches,
     short-circuit local evals; a missing key touches one entry; a NULL key
-    descends only) and, when monitored, defers the same aggregate as its
-    window fold for the chunk.
+    descends only), adds the chunk's rows in / candidates / rows out to the
+    leg's flow counters and, when monitored, defers the same aggregate as
+    its window fold for the chunk.
 
     One path serves every key. A NULL key's rank is -1 and a missing key's
     -2, and every per-key kernel array ends in two zero slots
@@ -426,6 +431,9 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
         meter.index_entries += entries
         meter.row_fetches += touched
         meter.predicate_evals += evals
+        leg.rows_in += flow
+        leg.index_matches += touched
+        leg.rows_out += total
         if leg.monitoring_enabled:
             meter.monitor_updates += flow
             # The lean aggregate: (incoming, index matches, output,

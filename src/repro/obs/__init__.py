@@ -9,12 +9,12 @@ changes wall-clock time only, never work units or query results.
 Pieces (see each module's docstring for the full contract):
 
 * :mod:`repro.obs.trace` — structured spans (parse/optimize/execute,
-  leg opens, probe batches, reorder checks, adaptations) with JSONL and
+  leg opens, per-leg row flow, reorder checks, adaptations) with JSONL and
   tree rendering;
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms
   under Prometheus-style names;
-* :mod:`repro.obs.timeseries` — periodic snapshots of the monitors'
-  Eq (5-11) estimates for convergence analysis;
+* :mod:`repro.obs.timeseries` — snapshots of the monitors' Eq (5-11)
+  estimates where the controller checks, for convergence analysis;
 * :mod:`repro.obs.observer` — the engine-facing bundle of all three;
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE report renderer;
 * :mod:`repro.obs.recorder` — the always-on flight recorder (per-query
@@ -37,7 +37,6 @@ from repro.obs.audit import (
 )
 from repro.obs.explain import render_explain_analyze
 from repro.obs.metrics import (
-    MATCH_BUCKETS,
     RATIO_BUCKETS,
     Counter,
     Gauge,
@@ -67,7 +66,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JSONL_KEYS",
-    "MATCH_BUCKETS",
     "MetricsRegistry",
     "QueryObservability",
     "RATIO_BUCKETS",

@@ -179,8 +179,8 @@ def render_explain_analyze(
     if result.samples:
         lines.append(
             f"estimate samples: {len(result.samples)} "
-            f"(every {max(result.samples[0].driving_rows, 1)} driving rows "
-            f"up to row {result.samples[-1].driving_rows})"
+            f"(one per checked driving-row count, and the end at row "
+            f"{result.samples[-1].driving_rows})"
         )
 
     # -- robustness: budget + faults ----------------------------------

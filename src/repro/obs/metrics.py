@@ -12,19 +12,17 @@ Metric catalogue (what the engine records when a registry is armed):
 name                               type    meaning
 =================================  ======  ===========================================
 ``query_rows_emitted_total``       counter rows the pipeline emitted (pre post-process)
-``driving_rows_total``             counter rows produced by the driving leg
+``driving_rows_total{leg}``        counter rows the leg produced while driving
 ``leg_rows_in_total{leg}``         counter probe invocations (incoming outer rows)
 ``leg_index_matches_total{leg}``   counter index/hash/scan candidates at the leg
 ``leg_rows_out_total{leg}``        counter rows surviving all of the leg's predicates
 ``scan_rows_total{leg}``           counter driving-scan rows fetched by the leg
 ``scan_rows_survived_total{leg}``  counter driving-scan rows surviving residual locals
-``suffix_depletions_total{pos}``   counter depleted-state entries at pipeline position
 ``reorder_checks_total{outcome}``  counter ``inner-reorder`` / ``inner-keep`` /
                                            ``driving-switch`` / ``driving-keep``
 ``adaptation_events_total{kind}``  counter applied events by kind (incl. ``degraded``)
 ``fault_retries_total{site}``      counter transient-fault retries by injection site
 ``leg_position{leg}``              gauge   the leg's current pipeline position (0=driving)
-``probe_index_matches{leg}``       histo   per-probe candidate counts (fan-out shape)
 ``selectivity_error_ratio{leg}``   histo   measured Eq (7) selectivity / optimizer prior
 ``storage_table_bytes{table}``     gauge   resident bytes of one table's storage
 ``storage_table_rows{table}``      gauge   row count of one table
@@ -45,9 +43,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from typing import Any, Iterator, Mapping
-
-#: Fan-out shaped buckets for per-probe index-match counts.
-MATCH_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0)
 
 #: Ratio buckets for measured/estimated selectivity (1.0 = perfect prior).
 RATIO_BUCKETS = (0.1, 0.25, 0.5, 0.8, 1.25, 2.0, 4.0, 10.0)

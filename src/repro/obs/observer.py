@@ -1,35 +1,28 @@
 """The engine-facing observability bundle.
 
 A :class:`QueryObservability` groups an optional tracer, metrics
-registry, and estimate sampler behind one object. Every instrumentation
-site in the executor, access layer, and controller is guarded by a single
-``if obs is not None`` check — with observability disabled the hot path
-pays exactly one ``None`` comparison per site and performs no allocation,
-no dict lookup, and no work-meter charge.
-
-Probe-level tracing is **batched**: emitting a span per probe would dwarf
-the execution itself, so probes are aggregated per leg and flushed as one
-``probe-batch`` event every ``probe_batch`` incoming rows (and at query
-end). Metrics counters are exact regardless of batching.
+registry, and estimate sampler behind one object. The engine consults it
+at cold sites only — a leg opening, a reorder check, an applied event, a
+fault retry, the end of the run — each guarded by a single
+``if obs is not None``. Nothing is fed per row or per probe: the row flow
+the metrics and the trace report is read at :meth:`finish` off the
+counters every :class:`~repro.executor.access.RuntimeLeg` keeps anyway
+(the oracle bumps them per probe, the engine once per chunk), so an
+observed query runs the same machine, charges the same work and makes the
+same decisions as an unobserved one.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import (
-    MATCH_BUCKETS,
-    RATIO_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.metrics import RATIO_BUCKETS, MetricsRegistry
 from repro.obs.timeseries import EstimateSampler
 from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.events import AdaptationEvent
     from repro.executor.pipeline import PipelineExecutor
-
-DEFAULT_PROBE_BATCH = 64
 
 
 class QueryObservability:
@@ -40,26 +33,13 @@ class QueryObservability:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         sampler: EstimateSampler | None = None,
-        probe_batch: int = DEFAULT_PROBE_BATCH,
     ) -> None:
-        if probe_batch < 1:
-            raise ValueError("probe_batch must be >= 1")
         self.tracer = tracer
         self.metrics = metrics
         self.sampler = sampler
-        self.probe_batch = probe_batch
-        # Flight-recorder decision audit (obs/recorder.py). Fed only at the
-        # controller's cold check points, so it does not make the bundle hot.
+        # Flight-recorder decision audit (obs/recorder.py), fed at the
+        # controller's check points.
         self.audit = None
-        # ``hot`` = some per-row/per-probe consumer is armed. The executor
-        # only wires the hot hook sites (and runs a columnar-store query on
-        # the scalar machine) for hot bundles; a recorder-only bundle stays on
-        # the exact same code path as observability-off execution.
-        self.hot = (
-            tracer is not None or metrics is not None or sampler is not None
-        )
-        # Per-leg probe accumulators: [probes, index_matches, rows_out].
-        self._batches: dict[str, list[int]] = {}
         if metrics is not None:
             m = metrics
             self._rows_emitted = m.counter(
@@ -84,9 +64,6 @@ class QueryObservability:
                 "scan_rows_survived_total",
                 "driving-scan rows surviving residual locals",
             )
-            self._depletions = m.counter(
-                "suffix_depletions_total", "depleted-state entries by position"
-            )
             self._checks = m.counter(
                 "reorder_checks_total", "reorder checks by kind and outcome"
             )
@@ -99,11 +76,6 @@ class QueryObservability:
             self._positions = m.gauge(
                 "leg_position", "current pipeline position of the leg"
             )
-            self._match_histogram = m.histogram(
-                "probe_index_matches",
-                MATCH_BUCKETS,
-                "per-probe access-method candidate counts",
-            )
             self._sel_error = m.histogram(
                 "selectivity_error_ratio",
                 RATIO_BUCKETS,
@@ -112,66 +84,17 @@ class QueryObservability:
 
     @classmethod
     def armed(
-        cls,
-        trace: bool = True,
-        metrics: bool = True,
-        sample_every: int | None = 10,
-        probe_batch: int = DEFAULT_PROBE_BATCH,
+        cls, trace: bool = True, metrics: bool = True
     ) -> "QueryObservability":
         """A fully armed bundle (the ``obs=True`` facade default)."""
         return cls(
             tracer=Tracer() if trace else None,
             metrics=MetricsRegistry() if metrics else None,
-            sampler=(
-                EstimateSampler(every=sample_every)
-                if sample_every is not None
-                else None
-            ),
-            probe_batch=probe_batch,
+            sampler=EstimateSampler(),
         )
 
     # ------------------------------------------------------------------
-    # Hot-path hooks (the engine guards each call with one None check)
-    # ------------------------------------------------------------------
-    def on_probe(self, alias: str, index_matches: int, rows_out: int) -> None:
-        if self.metrics is not None:
-            self._rows_in.inc(alias)
-            self._index_matches.inc(alias, index_matches)
-            self._rows_out.inc(alias, rows_out)
-            self._match_histogram.observe(index_matches, alias)
-        if self.tracer is not None:
-            batch = self._batches.get(alias)
-            if batch is None:
-                batch = [0, 0, 0]
-                self._batches[alias] = batch
-            batch[0] += 1
-            batch[1] += index_matches
-            batch[2] += rows_out
-            if batch[0] >= self.probe_batch:
-                self._flush_batch(alias, batch)
-
-    def on_scan_row(self, alias: str, survived: bool) -> None:
-        if self.metrics is not None:
-            self._scan_rows.inc(alias)
-            if survived:
-                self._scan_survived.inc(alias)
-
-    def on_driving_row(self, pipeline: "PipelineExecutor") -> None:
-        if self.metrics is not None:
-            self._driving_rows.inc(pipeline.order[0])
-        if self.sampler is not None:
-            self.sampler.on_driving_row(pipeline)
-
-    def on_rows_emitted(self, count: int = 1) -> None:
-        if self.metrics is not None:
-            self._rows_emitted.inc(amount=count)
-
-    def on_suffix_depleted(self, position: int) -> None:
-        if self.metrics is not None:
-            self._depletions.inc(str(position))
-
-    # ------------------------------------------------------------------
-    # Structural hooks (cold path: opens, checks, events, faults)
+    # Cold sites: opens, checks, events, faults
     # ------------------------------------------------------------------
     def on_leg_open(self, alias: str, resumed: bool) -> None:
         if self.tracer is not None:
@@ -181,12 +104,13 @@ class QueryObservability:
 
     def on_check(
         self,
+        pipeline: "PipelineExecutor",
         kind: str,
         applied: bool,
-        driving_rows: int,
         position: int = 0,
     ) -> None:
         """A reorder check ran; *applied* says whether it changed the order."""
+        driving_rows = pipeline.driving_rows_total
         if self.metrics is not None:
             # Catalogue labels: inner-reorder / inner-keep /
             # driving-switch / driving-keep.
@@ -204,6 +128,8 @@ class QueryObservability:
                 position=position,
                 driving_rows=driving_rows,
             )
+        if self.sampler is not None:
+            self.sampler.on_check(pipeline)
 
     def on_event(self, event: "AdaptationEvent") -> None:
         if self.metrics is not None:
@@ -234,25 +160,10 @@ class QueryObservability:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _flush_batch(self, alias: str, batch: list[int]) -> None:
-        assert self.tracer is not None
-        self.tracer.event(
-            "probe-batch",
-            kind="leg",
-            leg=alias,
-            probes=batch[0],
-            index_matches=batch[1],
-            rows_out=batch[2],
-        )
-        batch[0] = batch[1] = batch[2] = 0
-
     def finish(self, pipeline: "PipelineExecutor | None" = None) -> None:
-        """Flush batches, record final state, close dangling spans."""
-        if self.tracer is not None:
-            for alias, batch in self._batches.items():
-                if batch[0] > 0:
-                    self._flush_batch(alias, batch)
+        """Read the run's row flow, record final state, close dangling spans."""
         if pipeline is not None:
+            self._record_flow(pipeline)
             self.on_order_change(tuple(pipeline.order))
             if self.sampler is not None:
                 self.sampler.sample(pipeline)
@@ -262,6 +173,33 @@ class QueryObservability:
                 self.audit.on_finish(pipeline)
         if self.tracer is not None:
             self.tracer.close_all()
+
+    def _record_flow(self, pipeline: "PipelineExecutor") -> None:
+        """Each leg's flow counters as metrics and one ``leg-flow`` event."""
+        if self.metrics is not None:
+            self._rows_emitted.inc(amount=pipeline.rows_emitted)
+            for alias, leg in pipeline.legs.items():
+                if leg.rows_in:
+                    self._rows_in.inc(alias, leg.rows_in)
+                    self._index_matches.inc(alias, leg.index_matches)
+                    self._rows_out.inc(alias, leg.rows_out)
+                if leg.rows_scanned:
+                    self._scan_rows.inc(alias, leg.rows_scanned)
+                    self._scan_survived.inc(alias, leg.rows_survived)
+                if leg.rows_survived:
+                    self._driving_rows.inc(alias, leg.rows_survived)
+        if self.tracer is not None:
+            for alias, leg in pipeline.legs.items():
+                self.tracer.event(
+                    "leg-flow",
+                    kind="leg",
+                    leg=alias,
+                    rows_in=leg.rows_in,
+                    index_matches=leg.index_matches,
+                    rows_out=leg.rows_out,
+                    rows_scanned=leg.rows_scanned,
+                    rows_survived=leg.rows_survived,
+                )
 
     def _observe_selectivity_errors(self, pipeline: "PipelineExecutor") -> None:
         """Fold final measured-vs-prior selectivity ratios into the histogram."""

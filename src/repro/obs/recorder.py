@@ -14,10 +14,9 @@ Design constraints (PR 2's observability contract, extended):
 * an armed recorder **never touches the deterministic WorkMeter** — the
   decision audit reads monitors and evaluates the (memoized, meter-free)
   cost model at check points the controller already paid for;
-* the recorder-only bundle is **not hot** (``QueryObservability.hot`` is
-  False): every per-row/per-probe hook site stays disabled and the
-  engine keeps its cascade, so the wall overhead on
-  the six-table workload stays within the ≤5% budget enforced by
+* the decision audit is fed at the controller's check points only (no
+  bundle has a per-row or per-probe hook), so the wall overhead on the
+  six-table workload stays within the ≤5% budget enforced by
   ``benchmarks/bench_speedup.py --check``;
 * the ring is bounded and the store is size-capped with segment
   retention — an always-on recorder cannot grow without bound.
@@ -220,10 +219,9 @@ def rank_terms_for(
 class FlightRecording:
     """Per-query accumulator the controller feeds at decision points.
 
-    Attached to a :class:`QueryObservability` as ``obs.audit``; the
-    bundle stays *cold* (``hot`` False) when only the audit is armed, so
-    every per-row hook site and the engine's dispatch behave
-    exactly as with observability off.
+    Attached to a :class:`QueryObservability` as ``obs.audit``, alone or
+    beside a tracer, registry and sampler; the engine runs the same
+    machine either way.
 
     Kept checks — thousands per adaptive query, against a handful of
     applied ones — land on :meth:`on_kept`, which appends one plain
@@ -695,10 +693,9 @@ class FlightRecorder:
     ) -> QueryObservability:
         """An observability bundle with the decision audit armed.
 
-        Without *base* the bundle is recorder-only (not hot: tracer,
-        metrics, and sampler all None — the executor keeps its fast
-        paths). With *base*, the audit is attached to the caller's
-        already-armed bundle.
+        Without *base* the bundle is recorder-only (tracer, metrics and
+        sampler all None). With *base*, the audit is attached to the
+        caller's already-armed bundle.
         """
         bundle = base if base is not None else QueryObservability()
         bundle.audit = FlightRecording(max_decisions=max_decisions)

@@ -2,9 +2,11 @@
 
 The paper's estimator-convergence story (Sec 4.3, Eq 5-11; the Fig 10
 window ablation) is about how monitored selectivities evolve as rows flow.
-An :class:`EstimateSampler` snapshots every monitored estimate each ``c``
-driving rows, so convergence plots come from recorded series instead of
-ad-hoc bench instrumentation.
+An :class:`EstimateSampler` snapshots every monitored estimate where the
+controller checks — once per distinct driving-row count it checked at,
+plus once at the end of the run — so convergence plots come from recorded
+series instead of ad-hoc bench instrumentation, and each point is a state
+a decision was taken from.
 
 Each :class:`EstimateSample` captures, per leg:
 
@@ -98,22 +100,17 @@ def _access_prior(pipeline: "PipelineExecutor", alias: str) -> float | None:
 
 
 class EstimateSampler:
-    """Samples the pipeline's monitored estimates every ``every`` rows."""
+    """Snapshots the monitored estimates where the controller checks."""
 
-    def __init__(self, every: int = 10, max_samples: int = 100_000) -> None:
-        if every < 1:
-            raise ValueError("sampling interval must be >= 1")
-        self.every = every
+    def __init__(self, max_samples: int = 100_000) -> None:
         self.max_samples = max_samples
         self.samples: list[EstimateSample] = []
-        self._rows_since_sample = 0
 
-    def on_driving_row(self, pipeline: "PipelineExecutor") -> None:
-        """Called once per driving row; samples at the configured cadence."""
-        self._rows_since_sample += 1
-        if self._rows_since_sample < self.every:
+    def on_check(self, pipeline: "PipelineExecutor") -> None:
+        """A check ran: one snapshot per distinct driving-row count."""
+        samples = self.samples
+        if samples and samples[-1].driving_rows == pipeline.driving_rows_total:
             return
-        self._rows_since_sample = 0
         self.sample(pipeline)
 
     def sample(self, pipeline: "PipelineExecutor") -> EstimateSample | None:

@@ -3,8 +3,8 @@
 A :class:`Tracer` records **spans** — named, timed intervals with
 parent/child links — for the phases of a query (plan-cache, with parse
 and optimize under it when the statement was not cached; execute) and
-instant **events** for fine-grained run-time happenings (leg opens, probe
-batches, reorder checks, applied reorders). Spans carry free-form
+instant **events** for run-time happenings (leg opens, reorder checks,
+applied reorders, each leg's row flow at the end). Spans carry free-form
 attributes for work-unit and row-count attribution.
 
 The tracer is entirely passive: it never touches the
@@ -18,7 +18,7 @@ JSONL schema (one object per line, one line per span)::
     {
       "span_id":   int,          # unique within the trace, > 0
       "parent_id": int | null,   # span_id of the parent, null for roots
-      "name":      str,          # e.g. "query", "execute", "probe-batch"
+      "name":      str,          # e.g. "query", "execute", "leg-flow"
       "kind":      str,          # "phase" | "leg" | "check" | "adapt" | "event"
       "start_ms":  float,        # offset from trace start, milliseconds
       "end_ms":    float | null, # null only for spans never closed

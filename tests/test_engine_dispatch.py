@@ -62,11 +62,17 @@ CASES = {
     "oracle": ({"backend": "row"}, JOIN, BOTH, {}, "scalar", None),
     "engine-static": ({}, JOIN, STATIC, {}, "vector", None),
     "engine-adaptive": ({}, JOIN, BOTH, {}, "vector-adaptive", None),
-    # -- scalar-fallback screens: the run needs per-row visibility -------
+    # One leg: an empty inner plan, the survivors are the rows.
     "single-leg": (
         {}, "SELECT a.id FROM A a WHERE a.x >= 1", BOTH, {},
-        "scalar", "single-leg pipeline",
+        "vector-adaptive", None,
     ),
+    # Watching a query does not change the machine.
+    "observed": (
+        {}, JOIN, BOTH, {"obs": QueryObservability.armed}, "vector-adaptive",
+        None,
+    ),
+    # -- scalar-fallback screens: the run needs per-row visibility -------
     "invariant-oracle": (
         {}, JOIN, BOTH, {"oracle": True}, "scalar", "invariant oracle armed",
     ),
@@ -78,10 +84,6 @@ CASES = {
         {}, JOIN,
         AdaptiveConfig(mode=ReorderMode.BOTH, switch_at_key_boundary=True),
         {}, "scalar", "switch_at_key_boundary peeks the live cursor",
-    ),
-    "hot-observability": (
-        {}, JOIN, BOTH, {"obs": QueryObservability.armed}, "scalar",
-        "hot observability armed",
     ),
     # -- gates: a shape the kernels do not cover -------------------------
     "hash-probed": (
@@ -152,6 +154,42 @@ def test_the_store_picks_the_machine_under_the_default_config():
         assert (oracle.stats.engine, oracle.stats.vector_gate) == ("scalar", None)
         assert sorted(engine.rows) == sorted(oracle.rows)
     assert columnar.execute(sql, AdaptiveConfig()).stats.engine == "vector-adaptive"
+
+
+def test_single_leg_statements_run_the_engine_as_the_oracle():
+    """No inner leg: the cascade's inner plan is empty and the driving
+    survivors are the rows — in order, at the oracle's work, in every
+    mode, and a row budget cuts where the oracle's does."""
+    from repro.errors import BudgetExceeded
+    from repro.robustness.limits import ExecutionLimits
+
+    columnar, _ = load_dmv(scale=0.02, backend="columnar", plan_cache_size=0)
+    row, _ = load_dmv(scale=0.02, backend="row", plan_cache_size=0)
+    statements = (
+        "SELECT c.id, c.year FROM Car c WHERE c.year >= 2000 AND c.year < 2004",
+        "SELECT c.id, c.model FROM Car c WHERE c.make = 'Mazda'",
+        "SELECT d.ownerid, d.age FROM Demographics d",
+        "SELECT c.make, COUNT(*) FROM Car c WHERE c.year > 1995 "
+        "GROUP BY c.make",
+    )
+    for sql in statements:
+        for mode in ReorderMode:
+            config = AdaptiveConfig(mode=mode)
+            engine = columnar.execute(sql, config)
+            oracle = row.execute(sql, config)
+            assert engine.stats.engine == (
+                "vector-adaptive" if mode.monitors else "vector"
+            ), (sql, mode)
+            assert engine.stats.vector_gate is None
+            assert engine.rows == oracle.rows and engine.rows, (sql, mode)
+            assert engine.stats.total_work == oracle.stats.total_work
+        budget = ExecutionLimits(max_rows=7)
+        cut = []
+        for db in (columnar, row):
+            with pytest.raises(BudgetExceeded) as raised:
+                db.execute(sql, BOTH, limits=budget)
+            cut.append(raised.value.rows_emitted)
+        assert cut == [7, 7], (sql, cut)
 
 
 def test_no_option_chooses_the_machine():

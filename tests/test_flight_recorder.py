@@ -177,8 +177,8 @@ class TestTelemetryStore:
 class TestRecordedQuery:
     def test_recorder_bundle_stays_cold(self):
         bundle = FlightRecorder().arm()
-        assert bundle.hot is False
         assert bundle.tracer is None and bundle.metrics is None
+        assert bundle.sampler is None
         assert bundle.audit is not None
 
     def test_record_validates_against_shared_schema(
@@ -293,11 +293,11 @@ class TestRecordedQuery:
         assert validate_telemetry_record(payload) == []
 
     def test_audit_composes_with_hot_bundle(self, extended_dmv, adaptive_query):
-        """--trace/--metrics plus recorder: audit rides the hot bundle."""
+        """--trace/--metrics plus recorder: audit rides the armed bundle."""
         recorder = FlightRecorder()
-        base = QueryObservability.armed(sample_every=5)
+        base = QueryObservability.armed()
         bundle = recorder.arm(base=base)
-        assert bundle is base and bundle.hot
+        assert bundle is base and bundle.sampler is not None
         result = extended_dmv.execute(adaptive_query.sql, ADAPTIVE, obs=bundle)
         record = recorder.finish_query(
             bundle, result, sql=adaptive_query.sql, config=ADAPTIVE

@@ -7,7 +7,6 @@ import pytest
 from repro import AdaptiveConfig, QueryObservability, ReorderMode
 from repro.core.events import EventKind
 from repro.obs.metrics import (
-    MATCH_BUCKETS,
     Counter,
     Histogram,
     MetricsRegistry,
@@ -94,7 +93,9 @@ class TestMetrics:
 
     def test_histogram_buckets(self):
         registry = MetricsRegistry()
-        histo = registry.histogram("probe_index_matches", MATCH_BUCKETS)
+        histo = registry.histogram(
+            "index_matches", (0.0, 1.0, 2.0, 5.0, 10.0, 100.0)
+        )
         histo.observe(0)
         histo.observe(1)
         histo.observe(3)
@@ -133,30 +134,41 @@ class TestMetrics:
 class TestObservabilityBundle:
     def test_disarmed_hooks_are_noops(self):
         obs = QueryObservability()
-        obs.on_probe("o", 3, 1)
-        obs.on_scan_row("o", True)
-        obs.on_rows_emitted()
-        obs.on_suffix_depleted(1)
+        obs.on_leg_open("o", resumed=False)
+        obs.on_order_change(("o", "c"))
         obs.on_fault_retry("index-lookup")
         obs.finish()
 
-    def test_probe_batching_flushes(self):
-        obs = QueryObservability(tracer=Tracer(), probe_batch=2)
-        obs.on_probe("o", 1, 1)
-        assert not obs.tracer.spans
-        obs.on_probe("o", 2, 0)
-        (span,) = obs.tracer.spans
-        assert span.name == "probe-batch"
-        assert span.attrs == {
-            "leg": "o", "probes": 2, "index_matches": 3, "rows_out": 1,
-        }
-        obs.on_probe("o", 1, 1)
-        obs.finish()  # flushes the partial batch
-        assert obs.tracer.spans[-1].attrs["probes"] == 1
-
-    def test_rejects_bad_probe_batch(self):
-        with pytest.raises(ValueError):
-            QueryObservability(probe_batch=0)
+    def test_finish_emits_one_leg_flow_event_per_leg(self):
+        """The trace reads each leg's flow counters once, at the end: one
+        ``leg-flow`` event per leg on either machine, agreeing with the
+        metrics."""
+        for backend in ("row", "columnar"):
+            db = build_three_table_db(owners=400, seed=3, backend=backend)
+            result = db.execute(
+                SKEW_SQL, AdaptiveConfig(mode=ReorderMode.NONE), obs=True
+            )
+            spans = [s for s in result.trace.spans if s.name == "leg-flow"]
+            flows = {span.attrs["leg"]: span.attrs for span in spans}
+            assert len(spans) == len(flows) == len(result.plan.order)
+            assert set(flows) == set(result.plan.order)
+            assert {span.kind for span in spans} == {"leg"}
+            counter = result.metrics.counter
+            driving, *inner = result.final_order
+            assert flows[driving]["rows_scanned"] == counter(
+                "scan_rows_total"
+            ).value(driving)
+            assert flows[driving]["rows_survived"] == counter(
+                "driving_rows_total"
+            ).value(driving)
+            for alias in inner:
+                for attr, name in (
+                    ("rows_in", "leg_rows_in_total"),
+                    ("index_matches", "leg_index_matches_total"),
+                    ("rows_out", "leg_rows_out_total"),
+                ):
+                    assert flows[alias][attr] == counter(name).value(alias)
+            assert flows[inner[-1]]["rows_out"] == len(result.rows) > 0
 
 
 class TestExecutionWithObservability:
@@ -214,22 +226,32 @@ class TestExecutionWithObservability:
         for position, alias in enumerate(result.final_order):
             assert positions.value(alias) == position
 
-    def test_sampler_cadence_follows_check_frequency(self):
-        db = build_three_table_db(owners=400, seed=3)
-        config = AdaptiveConfig(mode=ReorderMode.NONE, check_frequency=25)
-        result = db.execute(
-            "SELECT o.name FROM Owner o, Demo d WHERE o.id = d.ownerid",
-            config,
-            obs=True,
-        )
-        assert result.samples
-        # All but the final flush-sample land on multiples of 25.
-        for sample in result.samples[:-1]:
-            assert sample.driving_rows % 25 == 0
-        assert result.samples[-1].driving_rows == 400
-        # Work attribution is monotone along the series.
-        work = [sample.work_units for sample in result.samples]
-        assert work == sorted(work)
+    def test_sampler_cadence_follows_check_frequency(self, monkeypatch):
+        """One sample per driving-row count the controller checked at (the
+        decision audit's), on either machine, plus the final one."""
+        from repro.executor import vector
+        from repro.obs.recorder import FlightRecorder
+
+        monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
+        config = AdaptiveConfig(mode=ReorderMode.BOTH, check_frequency=25)
+        for backend in ("row", "columnar"):
+            db = build_three_table_db(owners=400, seed=3, backend=backend)
+            obs = FlightRecorder().arm(base=QueryObservability.armed())
+            result = db.execute(
+                db.plan(
+                    "SELECT o.name FROM Owner o, Demo d WHERE o.id = d.ownerid"
+                ),
+                config,
+                obs=obs,
+            )
+            checked = sorted({d.driving_rows for d in result.decisions})
+            assert len(checked) >= 2, (backend, checked)
+            *at_checks, final = result.samples
+            assert [s.driving_rows for s in at_checks] == checked, backend
+            assert final.driving_rows == 400 == result.stats.work.rows_emitted
+            # Work attribution is monotone along the series.
+            work = [sample.work_units for sample in result.samples]
+            assert work == sorted(work)
 
     def test_sampler_series_tracks_monitor_estimates(self):
         db = build_three_table_db(owners=400, seed=3)

@@ -19,6 +19,8 @@ from repro import AdaptiveConfig, QueryObservability, ReorderMode
 from repro.obs.metrics import MetricsRegistry, Histogram
 from repro.obs.timeseries import EstimateSampler
 
+from tests.conftest import build_three_table_db
+
 
 # ---------------------------------------------------------------------------
 # Histogram.quantile edge cases
@@ -161,50 +163,56 @@ def fake_pipeline(rows: int = 0):
 
 
 class TestEstimateSampler:
-    def test_interval_validated(self):
-        with pytest.raises(ValueError):
-            EstimateSampler(every=0)
-
-    def test_cadence_samples_every_n_rows(self):
-        sampler = EstimateSampler(every=3)
-        for row in range(1, 10):
-            sampler.on_driving_row(fake_pipeline(rows=row))
-        assert [s.driving_rows for s in sampler.samples] == [3, 6, 9]
+    def test_one_sample_per_checked_row_count(self):
+        sampler = EstimateSampler()
+        for row in (3, 3, 5, 5, 5, 9):
+            sampler.on_check(fake_pipeline(rows=row))
+        assert [s.driving_rows for s in sampler.samples] == [3, 5, 9]
 
     def test_max_samples_bounds_memory(self):
-        sampler = EstimateSampler(every=1, max_samples=2)
+        sampler = EstimateSampler(max_samples=2)
         for row in range(5):
-            sampler.on_driving_row(fake_pipeline(rows=row))
+            sampler.on_check(fake_pipeline(rows=row))
         assert len(sampler.samples) == 2
         assert sampler.sample(fake_pipeline()) is None
 
-    def test_real_run_series_and_rows(self, three_table_db):
-        obs = QueryObservability.armed(sample_every=2)
-        result = three_table_db.execute(
+    def test_real_run_series_and_rows(self, monkeypatch):
+        from repro.executor import vector
+        from repro.obs.recorder import FlightRecorder
+
+        monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 4)
+        sql = (
             "SELECT o.name FROM Owner o, Car c, Demo d "
             "WHERE o.id = c.ownerid AND o.id = d.ownerid "
-            "AND o.country = 'DE'",
-            AdaptiveConfig(mode=ReorderMode.BOTH, check_frequency=2,
-                           warmup_rows=2),
-            obs=obs,
+            "AND o.country = 'DE'"
         )
-        sampler = obs.sampler
-        assert sampler.samples, "armed sampler recorded nothing"
-        rows_axis = [s.driving_rows for s in sampler.samples]
-        assert rows_axis == sorted(rows_axis)
-        driving = sampler.samples[-1].order[0]
-        series = sampler.series(driving, "s_lpr")
-        assert series and all(len(pair) == 2 for pair in series)
-        assert sampler.series("no_such_leg", "jc") == []
-        flat = sampler.to_rows()
-        assert flat
-        assert all(len(row) == 5 for row in flat)
-        keys = {row[3] for row in flat}
-        assert "role" not in keys and "position" not in keys
-        assert result.samples == tuple(sampler.samples)
+        config = AdaptiveConfig(
+            mode=ReorderMode.BOTH, check_frequency=2, warmup_rows=2
+        )
+        for backend in ("row", "columnar"):
+            db = build_three_table_db(backend=backend)
+            obs = FlightRecorder().arm(base=QueryObservability.armed())
+            result = db.execute(db.plan(sql), config, obs=obs)
+            sampler = obs.sampler
+            assert sampler.samples, "armed sampler recorded nothing"
+            rows_axis = [s.driving_rows for s in sampler.samples]
+            assert rows_axis == sorted(rows_axis)
+            # Every sample but the final one is a state a check read.
+            checked = {d.driving_rows for d in result.decisions}
+            assert checked and set(rows_axis[:-1]) <= checked, backend
+            driving = sampler.samples[-1].order[0]
+            series = sampler.series(driving, "s_lpr")
+            assert series and all(len(pair) == 2 for pair in series)
+            assert sampler.series("no_such_leg", "jc") == []
+            flat = sampler.to_rows()
+            assert flat
+            assert all(len(row) == 5 for row in flat)
+            keys = {row[3] for row in flat}
+            assert "role" not in keys and "position" not in keys
+            assert result.samples == tuple(sampler.samples)
 
     def test_as_dicts_json_shape(self):
-        sampler = EstimateSampler(every=1)
+        sampler = EstimateSampler()
         sampler.sample(fake_pipeline(rows=7))
         (payload,) = sampler.as_dicts()
         assert payload["driving_rows"] == 7

@@ -164,6 +164,9 @@ def one_leg_plan(db, index, kernel, ntests):
         monitor=LegMonitor(window=37, aggregated=True),
         local_counts=[[0, 0] for _ in range(ntests)],
         incoming_since_check=0,
+        rows_in=0,
+        index_matches=0,
+        rows_out=0,
     )
     translate = _make_translator(source, index)
     assert translate is not None
@@ -182,13 +185,14 @@ def one_leg_plan(db, index, kernel, ntests):
 def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
     """Probe chunks through the shipped ``_expand`` over *kernel* and
     through the scalar probe; compare the emitted RIDs, every meter field,
-    the local counts and the window fold at each chunk boundary."""
+    the local counts, the flow counters and the window fold at each chunk
+    boundary."""
     leg, plan = one_leg_plan(db, index, kernel, len(tests))
     meter = WorkMeter()
     scalar_meter = WorkMeter()
     window_scalar = AggregatedWindow(size=37)
     scalar_counts = [[0, 0] for _ in tests]
-    incoming = 0
+    incoming = candidates = produced_total = 0
     for _ in range(rng.randint(1, 6)):  # several chunks: exercise eviction
         chunk = random_probe_keys(rng, rng.randint(1, 60))
         if rng.random() < 0.15:  # a chunk no key of which is in the index
@@ -227,6 +231,8 @@ def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
         window_scalar.observe_chunk(
             flow, sum_matches, len(scalar_rows), sum_work
         )
+        candidates += sum_matches
+        produced_total += len(scalar_rows)
 
         # Bit-identical at every chunk boundary, not just at the end.
         assert sorted(ancestors) == ["src", "t"]
@@ -240,6 +246,10 @@ def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
         # these feed the controller's rank-rule selectivity estimates.
         assert leg.local_counts == scalar_counts
         assert leg.incoming_since_check == incoming
+        # The flow counters EXPLAIN ANALYZE reads: RuntimeLeg.probe's.
+        assert (leg.rows_in, leg.index_matches, leg.rows_out) == (
+            incoming, candidates, produced_total,
+        )
         window = leg.monitor.window
         assert len(window) == len(window_scalar)
         assert window.sum_matches == window_scalar.sum_matches
@@ -456,7 +466,9 @@ def _row_at_a_time(cursor, leg, mask, limit):
         survived = bool(mask[rid])
         leg.driving_monitor.record_scanned(survived)
         leg.meter.charge_monitor_update()
+        leg.rows_scanned += 1
         if survived:
+            leg.rows_survived += 1
             survivors.append(rid)
     return survivors
 
@@ -467,6 +479,7 @@ def _scan_state(cursor, leg):
         dataclasses.asdict(leg.meter),
         cursor.last_position,
         [getattr(monitor, name) for name in DrivingMonitor.__slots__],
+        (leg.rows_scanned, leg.rows_survived),
     )
 
 
@@ -510,6 +523,8 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
                 meter=table.meter,
                 driving_monitor=DrivingMonitor(rng.choice((3, 7, 1000))),
                 monitoring_enabled=True,
+                rows_scanned=0,
+                rows_survived=0,
             )
         )
     legs[1].driving_monitor = DrivingMonitor(legs[0].driving_monitor.window)
