@@ -1,16 +1,15 @@
-"""Ablation — Sec 4.2 switch variants and the Sec 6 future-work extension.
+"""Ablation — the Sec 4.2 switch variant.
 
 * ``key-boundary`` — postpone driving switches until the index-scan cursor
   crosses a key boundary, so the positional predicate is a plain
   ``key > v`` (the paper's "postpone the change" alternative to the
   composite ``key > v OR (key = v AND rid > r)`` predicate).
-* ``dynamic-access`` — re-choose a new driving leg's index access path from
-  monitored local selectivities (Sec 6 future work; addresses the Template
-  4 regression the paper attributes to a statically chosen index).
 
-Shape: both variants stay correct and land in the same performance regime
-as the default; dynamic access path never does worse than the default by
-more than noise.
+Shape: the variant stays correct and lands in the same performance regime
+as the default. (Re-choosing a new driving leg's index access path from
+monitored selectivities, the Sec 6 future-work item, measured within 0.3%
+of the default on both grids and was removed; EXPERIMENTS.md,
+"Ablations".)
 """
 
 from conftest import emit_report
@@ -30,11 +29,6 @@ def test_switch_variants(benchmark, dmv_db, workload_small):
             switch_benefit_threshold=0.2,
             switch_at_key_boundary=True,
         ),
-        "dynamic-access": AdaptiveConfig(
-            mode=ReorderMode.BOTH,
-            switch_benefit_threshold=0.2,
-            dynamic_access_path=True,
-        ),
     }
     result = benchmark.pedantic(
         lambda: ablation_experiment(dmv_db, workload_small, variants, "static"),
@@ -43,11 +37,10 @@ def test_switch_variants(benchmark, dmv_db, workload_small):
     )
     emit_report(
         "ablation_variants",
-        result.report("Ablation — switch variants (total work)"),
+        result.report("Ablation — switch variant (total work)"),
     )
     static_work = result.series["static"][0]
     assert result.series["default"][0] < static_work
-    assert result.series["dynamic-access"][0] < static_work
     # Key-boundary postponement misses some switch windows by design; it
     # must stay in the same regime (never meaningfully worse than static).
     assert result.series["key-boundary"][0] < static_work * 1.03

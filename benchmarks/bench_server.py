@@ -54,7 +54,7 @@ import pathlib
 import sys
 import time
 
-from repro.bench.runner import host_metadata, write_json_atomic
+from repro.bench.runner import host_metadata, merge_json_atomic
 from repro.dmv import four_table_workload, load_dmv
 from repro.server import AdmissionController, QueryServer, ServerConfig
 from repro.server.admission import SHED_NONE
@@ -294,14 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"engines:   {section['engines']}")
 
     # Fold into the shared benchmark file, preserving other sections.
-    path = pathlib.Path(args.output)
-    payload: dict = {}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            payload = {}
-    old = payload.get("server", {})
+    old = merge_json_atomic(args.output, {"server": section}).get("server", {})
     regressions: list[str] = []
     old_qps = old.get("qps")
     # Only comparable runs gate each other: same shape, full (non-quick)
@@ -316,9 +309,7 @@ def main(argv: list[str] | None = None) -> int:
             f"REGRESSION: server qps {section['qps']:.1f} < stored "
             f"baseline {old_qps:.1f} * {REGRESSION_TOLERANCE}"
         )
-    payload["server"] = section
-    write_json_atomic(path, payload)
-    print(f"wrote server section to {path}", file=sys.stderr)
+    print(f"wrote server section to {args.output}", file=sys.stderr)
     for line in regressions:
         print(line, file=sys.stderr)
 

@@ -42,7 +42,8 @@ bundles must run the disarmed run's machine at its exact work units; the
 recorder's wall contract is ≤5%, the armed bundle's ≤1.5× — under
 ``--check`` either overrun fails the run.
 
-Results go to ``BENCH_speedup.json`` at the repo root (atomic write), so the
+Results go to ``BENCH_speedup.json`` at the repo root (atomic write; the
+``"server"`` section bench_server.py keeps there is preserved), so the
 perf trajectory of future PRs is recorded. Any mode whose speedup regresses
 vs the stored baseline is reported loudly on stderr; under ``--check`` the
 process also exits non-zero if the engine is slower than the oracle by
@@ -58,13 +59,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
 from unittest import mock
 
-from repro.bench.runner import host_metadata, write_json_atomic
+from repro.bench.runner import host_metadata, merge_json_atomic
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.dmv import load_dmv, six_table_workload
 from repro.executor import vector
@@ -263,15 +263,8 @@ def measure_observability(db, queries, reps: int) -> dict:
     }
 
 
-def report_regressions(output_path: str, payload: dict) -> list[str]:
+def report_regressions(baseline: dict, payload: dict) -> list[str]:
     """Compare against the stored baseline; return loud human lines."""
-    path = pathlib.Path(output_path)
-    if not path.exists():
-        return []
-    try:
-        baseline = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return []
     lines: list[str] = []
     if baseline.get("scale") != payload.get("scale") or baseline.get(
         "query_count"
@@ -453,7 +446,11 @@ def main(argv: list[str] | None = None) -> int:
         or observability["armed_ratio"] > ARMED_GATE_RATIO
     )
 
-    regressions = report_regressions(args.output, payload)
+    # Only this run's keys are replaced: the file's other sections
+    # (bench_server.py's "server") stay.
+    baseline = merge_json_atomic(args.output, payload)
+    print(f"wrote {args.output}")
+    regressions = report_regressions(baseline, payload)
     for line in regressions:
         print(line, file=sys.stderr)
     # The engine's speedup over the oracle is a hard perf contract: under
@@ -464,8 +461,6 @@ def main(argv: list[str] | None = None) -> int:
         for line in regressions
     )
 
-    write_json_atomic(args.output, payload)
-    print(f"wrote {args.output}")
     if args.check and check_failed:
         print(
             f"CHECK FAILED: the engine is slower than the oracle by more "

@@ -18,12 +18,7 @@ Public entry points: :class:`Database`, :class:`AdaptiveConfig`,
 """
 
 from repro.catalog.statistics import StatisticsLevel
-from repro.core.config import (
-    AdaptiveConfig,
-    HashProbePolicy,
-    InnerReorderPolicy,
-    ReorderMode,
-)
+from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.db import Database, ExecutionStats, QueryResult
 from repro.obs import (
     EstimateSampler,
@@ -72,8 +67,6 @@ __all__ = [
     "Tracer",
     "FaultPlan",
     "FaultSpec",
-    "HashProbePolicy",
-    "InnerReorderPolicy",
     "InvariantOracle",
     "OracleViolation",
     "PermanentStorageError",

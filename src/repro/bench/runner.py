@@ -60,6 +60,25 @@ def write_json_atomic(path: str, payload: Any) -> None:
         raise
 
 
+def merge_json_atomic(path: str, sections: Mapping[str, Any]) -> dict:
+    """Replace *sections*' top-level keys in the JSON object at *path*.
+
+    For a results file several benchmarks share, each owning its own keys:
+    every other key is kept as it was. A missing or unreadable file counts
+    as empty. Written with :func:`write_json_atomic`; returns what the file
+    held before (the caller's stored baseline).
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            previous = json.load(handle)
+    except (OSError, ValueError):
+        previous = {}
+    if not isinstance(previous, dict):
+        previous = {}
+    write_json_atomic(path, {**previous, **sections})
+    return previous
+
+
 @dataclass(frozen=True)
 class QueryMeasurement:
     """Measurements of one query under one mode."""

@@ -1,13 +1,8 @@
 """Adaptive join reordering: the paper's contribution (Sec 4)."""
 
-from repro.core.config import (
-    AdaptiveConfig,
-    HashProbePolicy,
-    InnerReorderPolicy,
-    ReorderMode,
-)
+from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.controller import AdaptationController
-from repro.core.driving import decide_driving_switch, dynamic_driving_spec
+from repro.core.driving import decide_driving_switch
 from repro.core.events import AdaptationEvent, EventKind
 from repro.core.monitor import DrivingMonitor, LegMonitor, SlidingWindow
 from repro.core.positions import FrozenScan, PositionRegistry
@@ -25,8 +20,6 @@ __all__ = [
     "AdaptiveConfig",
     "DrivingMonitor",
     "FrozenScan",
-    "HashProbePolicy",
-    "InnerReorderPolicy",
     "LegMonitor",
     "PositionRegistry",
     "ReorderMode",
@@ -34,7 +27,6 @@ __all__ = [
     "SlidingWindow",
     "decide_driving_switch",
     "decide_inner_order",
-    "dynamic_driving_spec",
     "measured_combined_local_selectivity",
     "remaining_scan_fraction",
     "suffix_ranks",

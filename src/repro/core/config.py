@@ -3,10 +3,16 @@
 The two tunables the paper names are the reordering **check frequency** ``c``
 (Fig 2 line 1 / Fig 3 line 1; default 10 in Sec 5) and the **history
 window** ``w`` over which run-time monitors aggregate (Sec 4.3.5; default
-1000). The remaining knobs select which of the paper's mechanisms and
-variants are active, including the future-work extensions we implement.
+1000). The remaining knobs select which of the paper's mechanisms are
+active and how eagerly they act.
 
-Which machine executes is not among them: the store picks it. A row
+Options that measured nothing are not among them (EXPERIMENTS.md,
+"Ablations"): the inner reorder is the paper's ascending-rank rule (Eq 4),
+a driving leg keeps the access path the optimizer chose, and an inner leg
+with no index on an available join column is hash-probed (the Sec 6
+pipelined hash join, :mod:`repro.executor.hashprobe`).
+
+Which machine executes is not among them either: the store picks it. A row
 database runs the oracle (the scalar row-at-a-time machine, reorder checks
 every ``c`` rows, Fig 2/3); a columnar database runs the engine (the
 vectorized cascade, whose monitored chunks fold into a leg's window as one
@@ -42,27 +48,6 @@ class ReorderMode(enum.Enum):
         return self is not ReorderMode.NONE
 
 
-class InnerReorderPolicy(enum.Enum):
-    """How a depleted suffix is re-ordered (ablation axis)."""
-
-    RANK_GREEDY = "rank-greedy"    # the paper's ascending-rank rule (Eq 4)
-    EXHAUSTIVE = "exhaustive"      # cheapest connected suffix under Eq (1)
-
-
-class HashProbePolicy(enum.Enum):
-    """Whether inner legs may be probed via in-memory hash tables.
-
-    The Sec 6 extension ("this technique can be extended to pipelined hash
-    joins as well"). ``FALLBACK`` hashes only legs that have no usable
-    index on any available join column (replacing the full-scan probe);
-    ``ALWAYS`` hashes every inner leg.
-    """
-
-    OFF = "off"
-    FALLBACK = "fallback"
-    ALWAYS = "always"
-
-
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Knobs of the adaptive join reordering run time."""
@@ -73,7 +58,6 @@ class AdaptiveConfig:
     # "w": history window, in incoming rows, for monitored estimates
     # (Sec 5: default 1000).
     history_window: int = 1000
-    inner_policy: InnerReorderPolicy = InnerReorderPolicy.RANK_GREEDY
     # Minimum relative cost improvement before the driving leg is switched;
     # guards against thrashing on near-tie estimates (Sec 5.4 discusses
     # fluctuation for small windows).
@@ -82,11 +66,6 @@ class AdaptiveConfig:
     # boundary, so the positional predicate is a plain ``key > v``
     # (the "postpone the change" variant of Sec 4.2).
     switch_at_key_boundary: bool = False
-    # Future-work extension (Sec 6): re-run driving access-path selection
-    # with monitored local selectivities when a leg becomes the driving leg.
-    dynamic_access_path: bool = False
-    # Sec 6 extension: probe inner legs via in-memory hash tables.
-    hash_probe_policy: HashProbePolicy = HashProbePolicy.OFF
     # Monitored estimates are trusted only after a leg has seen this many
     # incoming rows; before that, optimizer priors are blended in.
     warmup_rows: int = 10

@@ -22,11 +22,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.core.config import AdaptiveConfig
-from repro.core.driving import (
-    apply_dynamic_spec,
-    decide_driving_switch,
-    dynamic_driving_spec,
-)
+from repro.core.driving import decide_driving_switch
 from repro.core.events import AdaptationEvent, EventKind
 from repro.optimizer.cost import cost_of_order
 from repro.core.ranks import RuntimeModelBuilder
@@ -96,9 +92,7 @@ class AdaptationController:
                 pipeline.catalog.faults.fire("controller")
             self._builder.refresh_join_selectivities()
             provider = self._builder.build_provider()
-            new_suffix = decide_inner_order(
-                pipeline, provider, position, config.inner_policy
-            )
+            new_suffix = decide_inner_order(pipeline, provider, position)
             if new_suffix is not None and pipeline.scan_finished:
                 # A lesson for the statement's next execution, not a change
                 # to this one: audited below as the kept check it is.
@@ -202,8 +196,6 @@ class AdaptationController:
         try:
             if pipeline.catalog.faults is not None:
                 pipeline.catalog.faults.fire("controller")
-            if config.dynamic_access_path and self._refresh_dynamic_specs():
-                handoff = None  # a leg's spec, and with it its model, moved
             if handoff is not None and handoff[0] == pipeline.driving_rows_total:
                 provider = handoff[1]
             else:
@@ -323,22 +315,3 @@ class AdaptationController:
             )
         except Exception:  # pragma: no cover - advisory-only capture
             logger.exception("decision-audit capture failed (ignored)")
-
-    def _refresh_dynamic_specs(self) -> bool:
-        """Sec 6 extension: re-pick access paths from monitored locals.
-
-        Only legs that have never driven are eligible — a frozen scan's
-        order must stay stable for its positional predicate to remain
-        correct. True when some leg's spec was replaced.
-        """
-        pipeline = self._require_pipeline()
-        refreshed = False
-        for alias in pipeline.order[1:]:
-            if pipeline.registry.has_driven(alias):
-                continue
-            leg = pipeline.legs[alias]
-            spec = dynamic_driving_spec(leg)
-            if spec is not None:
-                apply_dynamic_spec(leg, spec)
-                refreshed = True
-        return refreshed

@@ -1,36 +1,29 @@
-"""Driving-leg switching (Sec 4.2, Fig 3) and dynamic access-path choice.
+"""Driving-leg switching (Sec 4.2, Fig 3).
 
 :func:`decide_driving_switch` implements Fig 3 steps 2-4: estimate the
 remaining work of the current plan and the cost of plans led by every other
 leg (using remaining-fraction-adjusted monitored parameters), and propose
-the cheapest one if it beats the current plan by the configured margin. The
-mechanics of the switch — freezing the scan position, adding the positional
-predicate, resuming/resetting cursors (steps 5-7) — live in
-:meth:`repro.executor.pipeline.PipelineExecutor.apply_driving_switch`.
+the cheapest one if it beats the current plan by the configured margin. A
+candidate's inner legs follow it in ascending-rank order (Eq 4), as after an
+inner reorder. The mechanics of the switch — freezing the scan position,
+adding the positional predicate, resuming/resetting cursors (steps 5-7) —
+live in :meth:`repro.executor.pipeline.PipelineExecutor.apply_driving_switch`.
 
-:func:`dynamic_driving_spec` is the paper's future-work extension (Sec 6,
-motivated by the Template 4 regression in Sec 5.3): before a leg drives for
-the first time, re-choose its index access path using *monitored* local
-selectivities instead of the optimizer's uniformity-based guess.
+A leg that starts to drive scans through the access path the optimizer
+chose for it. Re-choosing that path from monitored local selectivities (the
+Sec 6 future-work item) measured within 0.3% of keeping it on both grids
+(EXPERIMENTS.md, "Ablations") and is not implemented.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING
 
-from repro.core.config import AdaptiveConfig, InnerReorderPolicy
-from repro.optimizer.cost import (
-    best_order_exhaustive,
-    cost_of_order,
-    greedy_rank_walk,
-)
-from repro.optimizer.params import ModelProvider, leg_model_parts
-from repro.optimizer.plans import DrivingKind, DrivingSpec
-from repro.storage.cursor import normalize_ranges
+from repro.core.config import AdaptiveConfig
+from repro.optimizer.cost import cost_of_order, greedy_rank_walk
+from repro.optimizer.params import ModelProvider
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.access import RuntimeLeg
     from repro.executor.pipeline import PipelineExecutor
 
 
@@ -75,15 +68,10 @@ def decide_driving_switch(
             >= min(best_cost, switch_bar)
         ):
             continue
-        if config.inner_policy is InnerReorderPolicy.EXHAUSTIVE:
-            candidate_order, cost = best_order_exhaustive(
-                order, graph, provider, fixed_prefix=(candidate,)
-            )
-        else:
-            # The rank walk carries Eq (1) down the order it builds.
-            candidate_order, cost = greedy_rank_walk(
-                (candidate,), order, graph, provider, scan_cost, flow
-            )
+        # The rank walk carries Eq (1) down the order it builds.
+        candidate_order, cost = greedy_rank_walk(
+            (candidate,), order, graph, provider, scan_cost, flow
+        )
         if abandoned:
             # Anti-thrash: switching *back* to a leg we already abandoned
             # must clear an escalating bar, otherwise near-tie estimates
@@ -100,60 +88,3 @@ def decide_driving_switch(
     if best_cost >= switch_bar:
         return None
     return best_order
-
-
-def dynamic_driving_spec(leg: "RuntimeLeg") -> DrivingSpec | None:
-    """Re-choose *leg*'s driving access path from monitored selectivities.
-
-    Returns a new spec when some sargable indexed predicate measures more
-    selective than the one the optimizer chose; None to keep the plan spec.
-    """
-    current = leg.plan_leg.driving
-    best_column: str | None = None
-    best_ranges = None
-    best_sel = float("inf")
-    for slot, (predicate, _) in enumerate(leg.local_tests):
-        measured = leg.measured_local_selectivity(slot)
-        if measured is None:
-            continue
-        for column in predicate.columns():
-            if column not in leg.indexes:
-                continue
-            ranges = predicate.key_ranges(column)
-            if ranges is None:
-                continue
-            if measured < best_sel:
-                best_sel = measured
-                best_column = column
-                best_ranges = ranges
-    if best_column is None:
-        return None
-    if (
-        current.kind is DrivingKind.INDEX_SCAN
-        and current.index_column == best_column
-    ):
-        return None
-    return DrivingSpec(
-        DrivingKind.INDEX_SCAN,
-        index_column=best_column,
-        ranges=tuple(normalize_ranges(list(best_ranges or []))),
-        est_index_selectivity=best_sel,
-    )
-
-
-def apply_dynamic_spec(leg: "RuntimeLeg", spec: DrivingSpec) -> None:
-    """Install a dynamically chosen driving spec on *leg*'s plan leg."""
-    estimates = dataclasses.replace(
-        leg.plan_leg.estimates,
-        sel_local_index=spec.est_index_selectivity,
-        sel_local_residual=min(
-            leg.plan_leg.estimates.sel_local
-            / max(spec.est_index_selectivity, 1e-12),
-            1.0,
-        ),
-    )
-    leg.plan_leg = dataclasses.replace(
-        leg.plan_leg, driving=spec, estimates=estimates
-    )
-    # S_LPI, the pushed predicate and the scan shape are the old spec's.
-    leg.model_parts = leg_model_parts(leg.plan_leg, leg.table, leg.indexes)

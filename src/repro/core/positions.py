@@ -82,6 +82,3 @@ class PositionRegistry:
         """The retained cursor for *alias*, if it drove before."""
         frozen = self._frozen.get(alias)
         return frozen.cursor if frozen is not None else None
-
-    def has_driven(self, alias: str) -> bool:
-        return alias in self._frozen

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.config import HashProbePolicy
 from repro.core.positions import PositionRegistry
 from repro.optimizer.cost import cost_of_order
 from repro.optimizer.params import ModelProvider, TableModel
@@ -124,9 +123,6 @@ class RuntimeModelBuilder:
     def __init__(self, pipeline: "PipelineExecutor") -> None:
         self.pipeline = pipeline
         self.config = pipeline.config
-        self._hash_probes = (
-            self.config.hash_probe_policy is not HashProbePolicy.OFF
-        )
 
     # ------------------------------------------------------------------
     def refresh_join_selectivities(self) -> None:
@@ -211,9 +207,6 @@ class RuntimeModelBuilder:
             parts.driving_kind,
             parts.driving_range_count,
             remaining_fraction,
-            1.0,
-            1.0,
-            self._hash_probes,
         )
 
     def corrected_plan(self, order: tuple[str, ...]) -> PipelinePlan:
@@ -239,10 +232,6 @@ class RuntimeModelBuilder:
             {
                 alias: (model.sel_local_index, model.sel_local_residual)
                 for alias, model in models.items()
-                # A dynamically re-chosen access path measures another
-                # index's S_LPI than the plan's spec scans.
-                if pipeline.legs[alias].plan_leg.driving
-                is plan.leg(alias).driving
             },
             pipeline.class_selectivities,
             cost_of_order(order, provider),

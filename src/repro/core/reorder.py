@@ -2,36 +2,30 @@
 
 When the suffix of the pipeline starting at position ``i`` is depleted, the
 controller asks :func:`decide_inner_order` whether the suffix should be
-permuted. Two policies are provided:
+permuted. The rule is the paper's: compute each suffix leg's rank (Eq 3)
+from monitored values; if the ranks are not ascending (Eq 4), rebuild the
+suffix greedily by ascending rank, respecting join-graph connectivity.
 
-* ``RANK_GREEDY`` — the paper's rule: compute each suffix leg's rank (Eq 3)
-  from monitored values; if the ranks are not ascending (Eq 4), rebuild the
-  suffix greedily by ascending rank, respecting join-graph connectivity.
-* ``EXHAUSTIVE`` — enumerate all connected suffix permutations and pick the
-  cheapest under the Eq (1) model (the composite-rank-exact alternative the
-  paper's footnote 2 alludes to for cyclic graphs); used as an ablation.
+An exhaustive search of the connected suffixes under Eq (1) measured the
+same work on the four-table grid and up to 3.3% more on the six-table one
+(EXPERIMENTS.md, "Ablations"): the rank rule is optimal on the tree-shaped
+join graphs both grids use. :func:`~repro.optimizer.cost.best_order_exhaustive`
+stays the optimizer's search, not a run-time choice.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.config import InnerReorderPolicy
-from repro.optimizer.cost import (
-    best_order_exhaustive,
-    cost_of_order,
-    greedy_rank_suffix,
-    rank,
-)
+from repro.optimizer.cost import greedy_rank_suffix, rank
 from repro.optimizer.params import ModelProvider
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executor.pipeline import PipelineExecutor
 
-# Relative slack below which a rank inversion / cost difference is ignored,
-# so measurement jitter does not cause churn.
+# Relative slack below which a rank inversion is ignored, so measurement
+# jitter does not cause churn.
 _RANK_SLACK = 1e-9
-_EXHAUSTIVE_MIN_GAIN = 0.01
 
 
 def suffix_ranks(
@@ -48,37 +42,23 @@ def suffix_ranks(
 
 
 def decide_inner_order(
-    pipeline: "PipelineExecutor",
-    provider: ModelProvider,
-    position: int,
-    policy: InnerReorderPolicy,
+    pipeline: "PipelineExecutor", provider: ModelProvider, position: int
 ) -> list[str] | None:
     """New suffix for positions >= *position*, or None to keep the order."""
     order = pipeline.order
     suffix = order[position:]
     if len(suffix) < 2:
         return None
-    graph = pipeline.join_graph
-    if policy is InnerReorderPolicy.RANK_GREEDY:
-        ranks = suffix_ranks(order, position, provider)
-        ascending = all(
-            ranks[i] <= ranks[i + 1] + _RANK_SLACK for i in range(len(ranks) - 1)
-        )
-        if ascending:
-            return None
-        new_order = greedy_rank_suffix(order[:position], suffix, graph, provider)
-        new_suffix = list(new_order[position:])
-        if new_suffix == suffix:
-            return None
-        return new_suffix
-    # EXHAUSTIVE policy.
-    current_cost = cost_of_order(order, provider)
-    best, best_cost = best_order_exhaustive(
-        order, graph, provider, fixed_prefix=order[:position]
+    ranks = suffix_ranks(order, position, provider)
+    ascending = all(
+        ranks[i] <= ranks[i + 1] + _RANK_SLACK for i in range(len(ranks) - 1)
     )
-    new_suffix = list(best[position:])
-    if new_suffix == suffix:
+    if ascending:
         return None
-    if best_cost >= current_cost * (1.0 - _EXHAUSTIVE_MIN_GAIN):
+    new_order = greedy_rank_suffix(
+        order[:position], suffix, pipeline.join_graph, provider
+    )
+    new_suffix = list(new_order[position:])
+    if new_suffix == suffix:
         return None
     return new_suffix

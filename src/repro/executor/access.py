@@ -10,6 +10,9 @@ A leg can serve either role of the pipeline at any time:
   selective available join predicate with an index becomes the access
   predicate, everything else (other join predicates, all local predicates,
   and the duplicate-prevention positional predicate) is checked residually.
+  With no index on any available join column, the most selective available
+  predicate is probed through an in-memory hash table instead (the Sec 6
+  pipelined hash join, :mod:`repro.executor.hashprobe`).
 
 Probe configs are compiled when the order changes, not per row — this is
 what keeps the paper's approach cheaper than row routing: adaptation state
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.catalog.catalog import Catalog
-from repro.core.config import HashProbePolicy
 from repro.core.monitor import DrivingMonitor, LegMonitor
 from repro.errors import ExecutionError
 from repro.executor.hashprobe import HashProbeTable
@@ -45,7 +47,7 @@ class ProbeConfig:
     """Compiled probe strategy for a leg at its current pipeline position.
 
     Immutable: the starting order's configs are kept with the plan
-    (:meth:`PipelinePlan.probe_programs`) and shared by every execution of
+    (:meth:`PipelinePlan.probe_program`) and shared by every execution of
     it, across threads. Equality is by what a probe does — the getters are
     closures over ``key_alias`` / ``key_slot`` / ``residual_sources``,
     which are compared in their place.
@@ -53,7 +55,8 @@ class ProbeConfig:
 
     access_index: SortedIndex | None
     access_predicate: JoinPredicate | None
-    # Extracts the probe key from the outer binding (None for scan probes).
+    # Extracts the probe key from the outer binding (None only for a leg
+    # with no join predicate, which never probes).
     key_getter: Callable[[Binding], Any] | None = field(compare=False)
     # Residual equality join predicates: (outer getter, our column slot).
     residual_joins: tuple[tuple[Callable[[Binding], Any], int], ...] = field(
@@ -62,11 +65,12 @@ class ProbeConfig:
     # Which join predicates are available at this position (for JC model).
     available_predicates: tuple[JoinPredicate, ...]
     # Sec 6 extension: probe via an in-memory hash table on this column
-    # instead of an index (built lazily on first probe).
+    # (built lazily on first probe) — set when no available join column
+    # of this leg is indexed.
     hash_column: str | None = None
     # Outer-side source of the probe key as (alias, row slot) — what
     # key_getter reads. The cascade reads key columns through these
-    # instead of calling the getter per row. None for scan probes.
+    # instead of calling the getter per row.
     key_alias: str | None = None
     key_slot: int | None = None
     # Outer-side (alias, row slot) of each residual join, parallel to
@@ -79,14 +83,14 @@ def bind_local_tests(
 ) -> tuple[tuple[LocalPredicate, Callable], ...]:
     """(predicate, compiled test) pairs for one leg's local predicates.
 
-    The predicate objects are kept for per-predicate monitoring and dynamic
-    access-path selection. On the columnar backend each test is the
-    expression-compiled closure when the tree is a shape the mini-compiler
-    handles; the row backend stays on the interpreter's bind() so it
-    remains the unmodified reference oracle. Either way the test carries
-    its source predicate as ``test.predicate`` so index-level group kernels
-    can recover the tree for vectorization. The tests are pure functions of
-    a row, so one tuple serves every execution of the plan.
+    The predicate objects are kept for per-predicate monitoring. On the
+    columnar backend each test is the expression-compiled closure when the
+    tree is a shape the mini-compiler handles; the row backend stays on the
+    interpreter's bind() so it remains the unmodified reference oracle.
+    Either way the test carries its source predicate as ``test.predicate``
+    so index-level group kernels can recover the tree for vectorization.
+    The tests are pure functions of a row, so one tuple serves every
+    execution of the plan.
     """
     schema = table.schema
     compiled_backend = getattr(table, "backend_name", "row") == "columnar"
@@ -124,7 +128,6 @@ class RuntimeLeg:
         "probe_config",
         "probe_epoch",
         "incoming_since_check",
-        "hash_policy",
         "retry_policy",
         "collect_rids",
         "match_rids",
@@ -148,7 +151,6 @@ class RuntimeLeg:
         model_parts: LegModelParts,
         history_window: int,
         monitoring_enabled: bool,
-        hash_policy: HashProbePolicy = HashProbePolicy.OFF,
         aggregated_monitor: bool = False,
     ) -> None:
         self.plan_leg = plan_leg
@@ -158,8 +160,7 @@ class RuntimeLeg:
         self.meter = self.table.meter
         self.indexes = catalog.indexes_of(plan_leg.table_name)
         # The execution-invariant part of this leg's run-time cost model,
-        # shared with every execution of the plan (PlanBindings); replaced
-        # only when the dynamic access-path extension re-picks the spec.
+        # shared with every execution of the plan (PlanBindings).
         self.model_parts = model_parts
         self.monitoring_enabled = monitoring_enabled
         # An unmonitored leg never observes a probe: its window only has to
@@ -174,8 +175,8 @@ class RuntimeLeg:
         # (predicate, compiled test) pairs from bind_local_tests, shared
         # with every other execution of the plan: read-only here.
         self.local_tests = local_tests
-        # Per-local-predicate (evaluated, passed) counters for the
-        # dynamic-access-path extension.
+        # Per-local-predicate (evaluated, passed) counters: the monitored
+        # S_LPR of an inner leg (core.ranks).
         self.local_counts = [[0, 0] for _ in self.local_tests]
         self.probe_config: ProbeConfig | None = None
         # Bumped on every compile_probe: reorders and driving switches
@@ -184,7 +185,6 @@ class RuntimeLeg:
         # rebuilt.
         self.probe_epoch = 0
         self.incoming_since_check = 0
-        self.hash_policy = hash_policy
         # Transient-fault retry (only consulted while a fault injector is
         # armed; the production path never pays the wrapper).
         self.retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
@@ -234,9 +234,10 @@ class RuntimeLeg:
         derived predicates from column equivalence classes); *schemas* maps
         alias -> TableSchema of every leg (to compile outer-side getters);
         *sel_of* estimates a join predicate's selectivity, used to pick the
-        most selective indexed access predicate; *slot_of*, when given, is a
-        shared ``(alias, column) -> row slot`` cache so repeated recompiles
-        across legs don't re-resolve schema positions.
+        most selective access predicate — among the indexed ones, or among
+        all available ones for a hash probe when none is indexed; *slot_of*,
+        when given, is a shared ``(alias, column) -> row slot`` cache so
+        repeated recompiles across legs don't re-resolve schema positions.
         """
         available = graph.available_predicates(self.alias, preceding)
         if not available and len(schemas) > 1:
@@ -251,13 +252,9 @@ class RuntimeLeg:
         ]
         access: JoinPredicate | None = None
         hash_column: str | None = None
-        if available and self.hash_policy is HashProbePolicy.ALWAYS:
-            access = min(available, key=sel_of)
-            hash_column = access.column_of(self.alias)
-        elif indexed:
+        if indexed:
             access = min(indexed, key=sel_of)
-        elif available and self.hash_policy is HashProbePolicy.FALLBACK:
-            # No usable index: a hash build beats a full scan per probe.
+        elif available:
             access = min(available, key=sel_of)
             hash_column = access.column_of(self.alias)
         residual = [p for p in available if p is not access]
@@ -326,9 +323,10 @@ class RuntimeLeg:
         work_before = meter.execution_units if self.monitoring_enabled else 0.0
         faulty = self.table.faults is not None
 
-        skip_locals = False
-        if config.hash_column is not None and config.key_getter is not None:
-            key = config.key_getter(binding)
+        key = config.key_getter(binding)
+        # Hash builds are pre-filtered by the local predicates.
+        skip_locals = config.hash_column is not None
+        if skip_locals:
             hash_table = self._hash_table_for(config.hash_column)
             if faulty:
                 candidates = call_with_retry(
@@ -338,10 +336,7 @@ class RuntimeLeg:
                 )
             else:
                 candidates = hash_table.probe(key, meter)
-            # Hash builds are pre-filtered by the local predicates.
-            skip_locals = True
-        elif config.access_index is not None and config.key_getter is not None:
-            key = config.key_getter(binding)
+        else:
             index = config.access_index
             if faulty:
                 rids = call_with_retry(
@@ -352,8 +347,6 @@ class RuntimeLeg:
             else:
                 rids = index.lookup_rids(key)
             candidates = [(rid, self.table.fetch(rid)) for rid in rids]
-        else:
-            candidates = list(self.table.scan())
         index_matches = len(candidates)
 
         matches: list[Row] = []
@@ -515,12 +508,3 @@ class RuntimeLeg:
         return self.plan_leg.driving.pushed(
             [predicate for predicate, _ in self.local_tests]
         )
-
-    # ------------------------------------------------------------------
-    # Monitoring-derived numbers used by the controller
-    # ------------------------------------------------------------------
-    def measured_local_selectivity(self, predicate_slot: int) -> float | None:
-        evaluated, passed = self.local_counts[predicate_slot]
-        if evaluated == 0:
-            return None
-        return passed / evaluated

@@ -3,8 +3,13 @@
 The paper closes with: "Although we focused our adaptive join reordering on
 nested-loop joins, it is not difficult to see that this technique can be
 extended to pipelined hash joins as well." This module implements that
-extension: an inner leg may be probed through an in-memory hash table on
-its access join column instead of a sorted index.
+extension: an inner leg with an available join predicate but no index on
+any available join column is probed through an in-memory hash table on
+its most selective available join column. That is what an unindexed join
+column means, on both stores; no option chooses it (the full scan per
+probe it replaced cost 556x the work, EXPERIMENTS.md "Ablations"). The
+cascade does not run hash probes yet: a plan with a hash-probed leg runs
+the scalar machine (DESIGN.md Sec 4h).
 
 The hash table is built lazily on the leg's first probe, over the rows that
 satisfy the leg's **local** predicates only. Positional predicates (the

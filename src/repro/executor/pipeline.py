@@ -77,7 +77,7 @@ class PlanBindings(NamedTuple):
     and shared by every execution of it — concurrently, under the query
     server — so nothing in here may change after construction. The same
     holds for what rides beside it per plan: the starting order's probe
-    program (:meth:`PipelinePlan.probe_programs`, filled by
+    program (:meth:`PipelinePlan.probe_program`, kept by
     :meth:`PipelineExecutor._compile_all_probes`) and the frozen
     :class:`~repro.executor.access.ProbeConfig` records in it.
     """
@@ -141,10 +141,9 @@ class PipelineExecutor:
         monitoring = self.config.mode.monitors
         bindings: PlanBindings = plan.bindings(catalog, _bind_plan)
         self.projection_slots = bindings.projection_slots
-        # hash_probe_policy -> {inner alias: ProbeConfig} for the plan's
-        # own order under the plan's class selectivities, shared with every
-        # execution of the plan; None once this one has compiled a probe.
-        self._probe_programs: dict | None = plan.probe_programs(bindings)
+        # What the plan's starting probe program is kept under; None once
+        # this execution has compiled a probe.
+        self._program_key: PlanBindings | None = bindings
         self.legs = {
             alias: RuntimeLeg(
                 plan.leg(alias),
@@ -153,7 +152,6 @@ class PipelineExecutor:
                 bindings.model_parts[alias],
                 self.config.history_window,
                 monitoring,
-                hash_policy=self.config.hash_probe_policy,
                 aggregated_monitor=monitoring and self.aggregated_windows,
             )
             for alias in plan.order
@@ -247,22 +245,21 @@ class PipelineExecutor:
         """Compile the probe of every leg from *start_position* on.
 
         The first compile of an execution finds the pipeline as the plan
-        describes it, and what it compiles is then a function of the plan,
-        the catalog generation and the hash policy alone: the first
-        execution of the plan publishes it as the plan's probe program,
-        every later one installs that. After an applied reorder or switch
+        describes it, and what it compiles is then a function of the plan
+        and the catalog generation alone: the first execution of the plan
+        publishes it as the plan's probe program, every later one installs
+        that. After an applied reorder or switch
         the order and the live class selectivities have moved, and the
         permuted legs are compiled for what they are now.
         """
-        programs, self._probe_programs = self._probe_programs, None
+        key, self._program_key = self._program_key, None
         starting = (
-            programs is not None
+            key is not None
             and start_position == 1
             and tuple(self.order) == self.plan.order
             and self.class_selectivities == self.plan.class_selectivities
         )
-        policy = self.config.hash_probe_policy
-        program = programs.get(policy) if starting else None
+        program = self.plan.probe_program(key) if starting else None
         if program is not None:
             for alias, config in program.items():
                 leg = self.legs[alias]
@@ -272,9 +269,10 @@ class PipelineExecutor:
         for position in range(start_position, len(self.order)):
             self._compile_probe_at(position, self.order[position])
         if starting:
-            programs[policy] = {
-                alias: self.legs[alias].probe_config for alias in self.order[1:]
-            }
+            self.plan.keep_probe_program(
+                key,
+                {alias: self.legs[alias].probe_config for alias in self.order[1:]},
+            )
 
     def predicate_selectivity(self, predicate) -> float:
         """Live selectivity estimate of a (possibly derived) join predicate."""

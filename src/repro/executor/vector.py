@@ -326,12 +326,6 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
         config = leg.probe_config
         if config is None or config.hash_column is not None:
             return None, f"leg {alias!r}: hash-probed or uncompiled access"
-        if (
-            config.access_index is None
-            or config.key_alias is None
-            or config.key_slot is None
-        ):
-            return None, f"leg {alias!r}: non-indexed probe"
         if config.residual_joins:
             return None, f"leg {alias!r}: residual join predicates"
         index = config.access_index

@@ -242,23 +242,13 @@ def probe_cost_via_index(
     return counters.INDEX_DESCEND_COST + matches * per_match
 
 
-def probe_cost_via_scan(
-    base_cardinality: float, predicate_count: int
-) -> float:
-    """Expected work units for one full-scan probe (no usable index)."""
-    per_row = (
-        counters.ROW_FETCH_COST
-        + max(predicate_count, 1) * counters.PREDICATE_EVAL_COST
-    )
-    return base_cardinality * per_row
-
-
 def probe_cost_via_hash(
     base_cardinality: float,
     match_fraction: float,
     residual_predicate_count: int,
 ) -> float:
-    """Expected work units for one hash probe (Sec 6 extension).
+    """Expected work units for one hash probe (Sec 6 extension): the probe
+    of an inner leg with no index on an available join column.
 
     The one-off build cost is excluded: it is charged when the build
     happens and amortizes over the incoming rows (the monitored PC then

@@ -94,7 +94,6 @@ def choose_driving_spec(
         DrivingKind.INDEX_SCAN,
         index_column=best_column,
         ranges=tuple(normalize_ranges(list(best_ranges or []))),
-        est_index_selectivity=best_sel,
     )
     return spec, best_sel, sel_residual
 

@@ -61,9 +61,6 @@ class TableModel:
     # fall out of re-evaluating the model at a candidate position.
     jc_correction: float = 1.0
     pc_correction: float = 1.0
-    # Sec 6 extension: probes without a usable index go through an
-    # in-memory hash table instead of a full scan.
-    hash_probes: bool = False
 
     @property
     def sel_local(self) -> float:
@@ -247,8 +244,13 @@ class ModelProvider:
                 + _ROW_FETCH_COST
                 + residual_count * _PREDICATE_EVAL_COST
             )
-        elif model.hash_probes and available_count:
-            access_sel = DEFAULT_CLASS_SELECTIVITY
+        else:
+            # No index on an available join column: the executor probes
+            # an in-memory hash table, built once over the rows passing the
+            # locals (probe_cost_via_hash, inlined; the build amortizes).
+            # With no join predicate available (a Cartesian step, which the
+            # executor refuses) every such row would match.
+            access_sel = 1.0
             first = True
             for class_id in all_ids:
                 sel = selectivities.get(class_id, DEFAULT_CLASS_SELECTIVITY)
@@ -260,13 +262,7 @@ class ModelProvider:
             )
             pc = _HASH_PROBE_COST + matches * (
                 _HASH_MATCH_COST
-                + (available_count - 1) * _PREDICATE_EVAL_COST
-            )
-        else:
-            pc = model.base_cardinality * (
-                _ROW_FETCH_COST
-                + max(available_count + model.local_predicate_count, 1)
-                * _PREDICATE_EVAL_COST
+                + max(available_count - 1, 0) * _PREDICATE_EVAL_COST
             )
         result = (jc, pc * model.pc_correction)
         self._inner_cache[key] = result

@@ -43,9 +43,6 @@ class DrivingSpec:
     kind: DrivingKind
     index_column: str | None = None
     ranges: tuple[KeyRange, ...] = ()
-    # Estimated selectivity of the predicate(s) pushed into the index scan
-    # (the paper's S_LPI); 1.0 for table scans.
-    est_index_selectivity: float = 1.0
 
     def describe(self) -> str:
         if self.kind is DrivingKind.TABLE_SCAN:
@@ -155,21 +152,26 @@ class PipelinePlan:
             )
         return memo[2]
 
-    def probe_programs(self, bindings: Any) -> dict:
-        """This plan's compiled starting probes, for as long as *bindings* stand.
+    def probe_program(self, bindings: Any) -> dict | None:
+        """This plan's compiled starting probes, ``{inner alias: ProbeConfig}``.
 
-        What an executor derives from the bindings **and** this plan's own
+        What an executor derives from *bindings* **and** this plan's own
         order and class selectivities, so a feedback plan, which shares its
-        base plan's bindings (:meth:`corrected`), keeps its own; dropped
-        when the plan is rebound (the catalog's generation moved). Shared
-        by concurrent executions like the bindings: entries are stored
-        whole and never changed, two executions racing to fill one store
-        equal values.
+        base plan's bindings (:meth:`corrected`), keeps its own. None until
+        an execution kept one under these *bindings*
+        (:meth:`keep_probe_program`): a rebound plan (the catalog's
+        generation moved) starts over. Shared by concurrent executions like
+        the bindings: a program is stored whole and never changed, two
+        executions racing to keep one store equal values.
         """
-        memo = self.__dict__.get("_probe_programs")
+        memo = self.__dict__.get("_probe_program")
         if memo is None or memo[0] is not bindings:
-            memo = self.__dict__["_probe_programs"] = (bindings, {})
+            return None
         return memo[1]
+
+    def keep_probe_program(self, bindings: Any, program: dict) -> None:
+        """Keep *program* as :meth:`probe_program` under *bindings*."""
+        self.__dict__["_probe_program"] = (bindings, program)
 
     def with_order(self, order: Sequence[str]) -> "PipelinePlan":
         """The same plan with a different leg order (used for what-ifs)."""
@@ -191,8 +193,8 @@ class PipelinePlan:
         Eq (1) of *order* under those numbers. The result shares this
         plan's bindings (they depend on predicates and schemas only), so
         it costs a few small records, not a second compiled plan; its
-        probe programs (:meth:`probe_programs`) follow the order and the
-        class selectivities and are its own.
+        probe program (:meth:`probe_program`) follows the order and the
+        class selectivities and is its own.
         """
         legs = dict(self.legs)
         for alias, (sel_index, sel_residual) in local_selectivities.items():

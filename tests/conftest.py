@@ -61,8 +61,12 @@ def build_three_table_db(
     seed: int = 7,
     analyze: StatisticsLevel | None = StatisticsLevel.BASIC,
     backend: str = "row",
+    unindexed: tuple[tuple[str, str], ...] = (),
 ) -> Database:
-    """A small Owner/Car/Demo database with correlated, skewed data."""
+    """A small Owner/Car/Demo database with correlated, skewed data.
+
+    Every join and most local columns are indexed, but for the ``(table,
+    column)`` pairs in *unindexed*."""
     rng = random.Random(seed)
     db = Database(backend=backend)
     db.create_table(
@@ -98,7 +102,8 @@ def build_three_table_db(
         ("Demo", "ownerid"),
         ("Demo", "salary"),
     ]:
-        db.create_index(table, column)
+        if (table, column) not in unindexed:
+            db.create_index(table, column)
     if analyze is not None:
         db.analyze(level=analyze)
     return db

@@ -48,7 +48,15 @@ AGGRESSIVE_CONFIGS = [
     AdaptiveConfig(mode=ReorderMode.INNER_ONLY, check_frequency=1, warmup_rows=1),
     AdaptiveConfig(mode=ReorderMode.DRIVING_ONLY, check_frequency=2, warmup_rows=2),
     AdaptiveConfig(mode=ReorderMode.BOTH, switch_at_key_boundary=True),
-    AdaptiveConfig(mode=ReorderMode.BOTH, dynamic_access_path=True),
+    # One-row windows, no warmup, no switch threshold: every check acts on
+    # the last row alone (the Sec 5.4 fluctuation extreme).
+    AdaptiveConfig(
+        mode=ReorderMode.BOTH,
+        check_frequency=1,
+        history_window=1,
+        switch_benefit_threshold=0.0,
+        warmup_rows=0,
+    ),
     AdaptiveConfig(mode=ReorderMode.MONITOR_ONLY),
 ]
 

@@ -23,6 +23,7 @@ from repro.bench.reporting import (
     write_csv,
 )
 from repro.bench.runner import (
+    merge_json_atomic,
     run_workload,
     standard_configs,
     write_json_atomic,
@@ -216,6 +217,22 @@ class TestReporting:
         # The original content survives and no temp file is left behind.
         assert json.loads(target.read_text()) == {"ok": True}
         assert not list(tmp_path.glob("*.tmp.*"))
+
+    def test_speedup_payload_keeps_the_server_section(self, tmp_path):
+        """BENCH_speedup.json is shared: bench_speedup.py writes its keys,
+        bench_server.py its ``server`` section, neither erases the other's."""
+        target = tmp_path / "BENCH_speedup.json"
+        server = {"qps": 812.5, "scale": 0.02, "clients": 4}
+        stored = {"benchmark": "six_table_speedup", "scale": 0.1, "server": server}
+        write_json_atomic(str(target), stored)
+        payload = {"benchmark": "six_table_speedup", "scale": 0.05, "modes": {}}
+        assert merge_json_atomic(str(target), payload) == stored
+        assert json.loads(target.read_text()) == {**payload, "server": server}
+        merge_json_atomic(str(target), {"server": {"qps": 900.0}})
+        assert json.loads(target.read_text()) == {**payload, "server": {"qps": 900.0}}
+        assert not list(tmp_path.glob("*.tmp.*"))
+        # No file yet: nothing to keep, nothing stored.
+        assert merge_json_atomic(str(tmp_path / "new.json"), payload) == {}
 
     def test_format_workload_metrics(self, mini_dmv, tiny_workload):
         db, _ = mini_dmv

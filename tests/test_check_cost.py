@@ -9,9 +9,8 @@ between, and only then. This file pins both halves:
   boundary compiles no probe and builds no kernel plan, an applied inner
   reorder recompiles the permuted suffix and nothing before it;
 * invalidation — the driving check models afresh after an applied inner
-  reorder, after a ``dynamic_access_path`` spec refresh, after any monitor
-  fold (the scalar oracle's checks at deeper positions, a produced driving
-  row);
+  reorder and after any monitor fold (the scalar oracle's checks at deeper
+  positions, a produced driving row);
 * the decision audit records what it recorded before the snapshot was
   shared;
 * the starting order's probe program rides with the plan: a second
@@ -32,12 +31,12 @@ import pytest
 
 import repro.core.controller
 import repro.executor.vector
-from repro import AdaptiveConfig, HashProbePolicy, ReorderMode
+from repro import AdaptiveConfig, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.core.monitor import LegMonitor
 from repro.core.ranks import RuntimeModelBuilder
 from repro.dmv import load_dmv
-from repro.dmv.templates import four_table_workload, six_table_workload
+from repro.dmv.templates import six_table_workload
 from repro.executor.access import ProbeConfig, RuntimeLeg
 from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
@@ -58,7 +57,6 @@ PORSCHE = (
     "AND c.make = 'Porsche' AND d.salary < 55000 "
     "AND l.urban = 1 AND t.month = 6 AND a.damage > 10000"
 )
-FOUR_TABLE = [query.sql for query in four_table_workload(queries_per_template=2)]
 
 
 @pytest.fixture(autouse=True)
@@ -102,8 +100,8 @@ class CheckLog:
         record_probe = LegMonitor.record_probe
         log = self.entries
 
-        def inner(pipeline, provider, position, policy):
-            decision = decide_inner(pipeline, provider, position, policy)
+        def inner(pipeline, provider, position):
+            decision = decide_inner(pipeline, provider, position)
             log.append(
                 ("inner", pipeline.driving_rows_total, position, provider, decision)
             )
@@ -298,48 +296,6 @@ def test_snapshot_is_shared_when_kept_and_rebuilt_after_an_applied_reorder(
                 assert after[2] is not before[3], sql
                 rebuilt += 1
     assert shared > 100 and rebuilt > 5, (shared, rebuilt)
-
-
-def test_snapshot_is_rebuilt_after_a_dynamic_access_path_refresh(
-    columnar, monkeypatch
-):
-    """A spec refresh replaces a leg's plan-invariant model parts: the
-    inner check's models are of the old spec."""
-    config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, dynamic_access_path=True
-    )
-    refresh = AdaptationController._refresh_dynamic_specs
-    outcomes = []
-
-    def watching(controller):
-        parts = {
-            alias: leg.model_parts for alias, leg in controller.pipeline.legs.items()
-        }
-        refreshed = refresh(controller)
-        moved = any(
-            leg.model_parts is not parts[alias]
-            for alias, leg in controller.pipeline.legs.items()
-        )
-        assert refreshed == moved
-        outcomes.append(refreshed)
-        return refreshed
-
-    monkeypatch.setattr(AdaptationController, "_refresh_dynamic_specs", watching)
-    saw = Counter()
-    log = CheckLog(monkeypatch)
-    for sql in FOUR_TABLE + STATEMENTS[:8]:
-        log.clear()
-        del outcomes[:]
-        run(columnar, sql, config)
-        checks = log.checks()
-        driving = [entry for entry in checks if entry[0] == "driving"]
-        assert len(driving) == len(outcomes)
-        for before, after in zip(checks, checks[1:]):
-            if before[0] == "inner" and after[0] == "driving" and before[4] is None:
-                refreshed = outcomes[driving.index(after)]
-                assert (after[2] is before[3]) == (not refreshed), sql
-                saw[refreshed] += 1
-    assert saw[True] > 0 and saw[False] > 0
 
 
 def test_oracle_never_shares_across_a_monitor_fold(row, monkeypatch):
@@ -538,61 +494,50 @@ def probe_facts(config: ProbeConfig, binding: dict) -> dict:
     return facts
 
 
-@pytest.mark.parametrize("policy", list(HashProbePolicy))
-def test_installed_probe_configs_are_the_freshly_compiled_ones(columnar, policy):
-    """Both grids, every statement: what the plan's second executor
-    installs equals, field by field, what an executor of a plan no one has
-    bound compiles."""
+def installed_equals_fresh(db, sql) -> int:
+    """What the plan's second executor installs equals, field by field,
+    what an executor of a plan no one has bound compiles. Returns how many
+    of the installed legs hash-probe."""
+    config = AdaptiveConfig(mode=ReorderMode.BOTH)
+    plan = db.plan(sql)
+    executors = [
+        BatchedPipelineExecutor(candidate, db.catalog, config)
+        for candidate in (plan, plan, db.plan(sql))
+    ]
+    for executor in executors:
+        executor._compile_all_probes()
+    published, installed, fresh = executors
+    binding = {
+        alias: leg.table.raw_rows()[0] for alias, leg in fresh.legs.items()
+    }
+    hashed = 0
+    for alias in plan.order[1:]:
+        shared = installed.legs[alias].probe_config
+        assert shared is published.legs[alias].probe_config
+        compiled = fresh.legs[alias].probe_config
+        assert shared is not compiled and shared == compiled, sql
+        assert probe_facts(shared, binding) == probe_facts(compiled, binding)
+        assert installed.legs[alias].probe_epoch == 1
+        assert installed.legs[alias].positional is None
+        hashed += shared.hash_column is not None
+    return hashed
+
+
+def test_installed_probe_configs_are_the_freshly_compiled_ones(columnar):
+    """Both grids, every statement. Every DMV join column is indexed, so
+    no installed leg hashes."""
     from tests.test_plan_cache import GRID
 
-    config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, hash_probe_policy=policy
-    )
-    hashed = 0
-    for sql in GRID:
-        plan = columnar.plan(sql)
-        executors = [
-            BatchedPipelineExecutor(candidate, columnar.catalog, config)
-            for candidate in (plan, plan, columnar.plan(sql))
-        ]
-        for executor in executors:
-            executor._compile_all_probes()
-        published, installed, fresh = executors
-        binding = {
-            alias: leg.table.raw_rows()[0] for alias, leg in fresh.legs.items()
-        }
-        for alias in plan.order[1:]:
-            shared = installed.legs[alias].probe_config
-            assert shared is published.legs[alias].probe_config
-            compiled = fresh.legs[alias].probe_config
-            assert shared is not compiled and shared == compiled, sql
-            assert probe_facts(shared, binding) == probe_facts(compiled, binding)
-            assert installed.legs[alias].probe_epoch == 1
-            assert installed.legs[alias].positional is None
-            hashed += shared.hash_column is not None
-    assert (hashed > 0) == (policy is HashProbePolicy.ALWAYS)
+    assert sum(installed_equals_fresh(columnar, sql) for sql in GRID) == 0
 
 
-def test_one_plan_under_two_hash_policies_shares_no_probe(columnar, row):
-    sql = STATEMENTS[0]
-    plan = columnar.plan(sql)
-    oracle = sorted(row.execute(row.plan(sql), AdaptiveConfig(mode=ReorderMode.NONE)).rows)
-    legs = {}
-    for policy in (HashProbePolicy.ALWAYS, HashProbePolicy.OFF):
-        config = AdaptiveConfig(
-            mode=ReorderMode.NONE, hash_probe_policy=policy
-        )
-        for _ in range(2):
-            executor, rows = run_plan(columnar, plan, config)
-            assert sorted(rows) == oracle
-        legs[policy] = executor.legs
-    programs = plan.probe_programs(plan.bindings(columnar.catalog, None))
-    assert set(programs) == {HashProbePolicy.ALWAYS, HashProbePolicy.OFF}
-    always, off = (programs[policy] for policy in programs)
-    for alias in plan.order[1:]:
-        assert always[alias].hash_column is not None
-        assert off[alias].hash_column is None and off[alias].access_index is not None
-        assert legs[HashProbePolicy.OFF][alias].probe_config is off[alias]
+def test_installed_hash_probe_configs_are_the_freshly_compiled_ones():
+    """A plan that hash-probes an unindexed join column: its hash program
+    is installed as compiled."""
+    from tests.test_vector_limits import HASHED, hand_off_db
+
+    # B.cid is unindexed: B alone hashes.
+    assert installed_equals_fresh(hand_off_db("columnar"), HASHED) == 1
 
 
 def test_a_pipeline_that_left_the_plan_compiles_for_where_it_is(columnar):
@@ -605,11 +550,11 @@ def test_a_pipeline_that_left_the_plan_compiles_for_where_it_is(columnar):
     class_id = next(iter(moved.class_selectivities))
     moved.class_selectivities[class_id] *= 0.5
     moved._compile_all_probes()
-    programs = plan.probe_programs(plan.bindings(columnar.catalog, None))
-    assert programs == {}
+    bindings = plan.bindings(columnar.catalog, None)
+    assert plan.probe_program(bindings) is None
     usual = BatchedPipelineExecutor(plan, columnar.catalog, config)
     usual._compile_all_probes()
-    (program,) = programs.values()
+    program = plan.probe_program(bindings)
     shared = dict(program)
     # Recompiling (what an applied reorder does) gives the executor configs
     # of its own and leaves the plan's alone.

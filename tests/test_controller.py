@@ -3,7 +3,6 @@
 import pytest
 
 from repro import AdaptiveConfig, ReorderMode
-from repro.core.config import InnerReorderPolicy
 from repro.core.controller import AdaptationController
 from repro.errors import ExecutionError
 
@@ -106,17 +105,6 @@ class TestSkewScenario:
         # The switch must have moved the rare-make Car leg to the front.
         assert adaptive.final_order[0] == "c"
 
-    def test_exhaustive_policy_also_wins(self, skew_db):
-        static = execute(skew_db, SKEW_SQL, mode=ReorderMode.NONE)
-        adaptive = execute(
-            skew_db,
-            SKEW_SQL,
-            mode=ReorderMode.BOTH,
-            inner_policy=InnerReorderPolicy.EXHAUSTIVE,
-        )
-        assert sorted(static.rows) == sorted(adaptive.rows)
-        assert adaptive.stats.total_work < static.stats.total_work
-
     def test_anti_thrash_limits_switches(self, skew_db):
         adaptive = execute(
             skew_db,
@@ -145,12 +133,3 @@ class TestKeyBoundaryVariant:
         )
         assert sorted(static.rows) == sorted(boundary.rows)
 
-
-class TestDynamicAccessPath:
-    def test_results_match(self):
-        db = build_three_table_db(owners=1500, seed=13)
-        static = execute(db, SKEW_SQL, mode=ReorderMode.NONE)
-        dynamic = execute(
-            db, SKEW_SQL, mode=ReorderMode.BOTH, dynamic_access_path=True
-        )
-        assert sorted(static.rows) == sorted(dynamic.rows)

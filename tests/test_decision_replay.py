@@ -25,7 +25,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import AdaptiveConfig, BudgetExceeded, ExecutionLimits, ReorderMode
-from repro.core.config import HashProbePolicy
 from repro.core.controller import AdaptationController
 from repro.core.events import EventKind
 from repro.dmv import four_table_workload, load_dmv, six_table_workload, templates
@@ -250,8 +249,7 @@ def test_hand_off_statement_replays():
         "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
     )
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0,
-        hash_probe_policy=HashProbePolicy.FALLBACK,
+        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0
     )
     _, engine, oracle = assert_replays(
         hand_off_db("row"), hand_off_db("columnar"), sql, config
@@ -278,7 +276,7 @@ def _between(column, ranges):
 #: value pools plus a single-row leg (``o.id = 17``) and an empty result
 #: (``d.salary < 0``); the hand-off schema adds the shape the mask compiler
 #: refuses (``a.big``: a boxed column) and a join column with no index
-#: (``b.cid``: scanned per probe, or hash-probed under FALLBACK); the
+#: (``b.cid``: hash-probed wherever it is B's access); the
 #: absent-keys schema joins on columns holding NULLs and keys the probed
 #: index does not have (the kernels' two padding slots).
 SCHEMAS = {
@@ -373,12 +371,11 @@ def generate(schema: str, rng: random.Random) -> str:
 @given(
     schema=st.sampled_from(["dmv"] * 4 + ["cycle", "hand-off", "absent-keys"]),
     seed=st.integers(min_value=0, max_value=10**6),
-    fallback=st.booleans(),
 )
 # Two sargable locals on one indexed column: the scan's ranges came from
 # the second, and the first was taken for the pushed one and never tested.
-@example(schema="dmv", seed=84048, fallback=False)
-def test_generated_queries_equal_the_oracle(stores, schema, seed, fallback):
+@example(schema="dmv", seed=84048)
+def test_generated_queries_equal_the_oracle(stores, schema, seed):
     """Engine vs oracle on generated joins: sorted rows in all five modes,
     the full WorkMeter in NONE, the decision replay in the three
     reordering modes — on the cascade, gated off it, and handed off it —
@@ -390,17 +387,9 @@ def test_generated_queries_equal_the_oracle(stores, schema, seed, fallback):
     knobs = dict(
         check_frequency=rng.choice((2, 10)),
         switch_benefit_threshold=rng.choice((0.0, 0.15)),
-        hash_probe_policy=(
-            HashProbePolicy.FALLBACK if fallback else HashProbePolicy.OFF
-        ),
     )
     cut_mode = rng.choice(REORDERING)
-    oracle = row_db.execute(
-        row_db.plan(sql),
-        AdaptiveConfig(
-            mode=ReorderMode.NONE, hash_probe_policy=knobs["hash_probe_policy"]
-        ),
-    )
+    oracle = row_db.execute(row_db.plan(sql), AdaptiveConfig(mode=ReorderMode.NONE))
     assert oracle.stats.engine == "scalar"
     want = sorted(oracle.rows)
     with pytest.MonkeyPatch.context() as patch:

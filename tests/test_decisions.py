@@ -9,18 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.controller
 from repro import AdaptiveConfig, ReorderMode
-from repro.core.config import InnerReorderPolicy
-from repro.core.driving import decide_driving_switch, dynamic_driving_spec
+from repro.core.driving import decide_driving_switch
 from repro.core.reorder import decide_inner_order, suffix_ranks
 from repro.dmv import load_dmv
 from repro.executor import vector
 from repro.executor.pipeline import PipelineExecutor
-from repro.optimizer.cost import (
-    best_order_exhaustive,
-    cost_of_order,
-    greedy_rank_suffix,
-)
-from repro.optimizer.plans import DrivingKind
+from repro.optimizer.cost import cost_of_order, greedy_rank_suffix
 
 from tests.conftest import build_three_table_db
 from tests.test_order_search import GRID, TableProvider, build_graph
@@ -62,9 +56,7 @@ class TestInnerDecision:
             {alias: (10.0, 1.0) for alias in pipeline.order},
             {alias: (0.1 * (i + 1), 1.0) for i, alias in enumerate(pipeline.order)},
         )
-        decision = decide_inner_order(
-            pipeline, provider, 1, InnerReorderPolicy.RANK_GREEDY
-        )
+        decision = decide_inner_order(pipeline, provider, 1)
         assert decision is None
 
     def test_inverted_ranks_trigger_reorder(self, three_table_db):
@@ -76,9 +68,7 @@ class TestInnerDecision:
         provider = FixedProvider(
             {alias: (10.0, 1.0) for alias in pipeline.order}, inner
         )
-        decision = decide_inner_order(
-            pipeline, provider, 1, InnerReorderPolicy.RANK_GREEDY
-        )
+        decision = decide_inner_order(pipeline, provider, 1)
         assert decision is not None
         assert decision[0] != pipeline.order[1]
 
@@ -89,19 +79,7 @@ class TestInnerDecision:
             {alias: (1.0, 1.0) for alias in pipeline.order},
         )
         last = len(pipeline.order) - 1
-        assert decide_inner_order(
-            pipeline, provider, last, InnerReorderPolicy.RANK_GREEDY
-        ) is None
-
-    def test_exhaustive_requires_min_gain(self, three_table_db):
-        pipeline, _ = started_pipeline(three_table_db)
-        provider = FixedProvider(
-            {alias: (10.0, 1.0) for alias in pipeline.order},
-            {alias: (1.0, 1.0) for alias in pipeline.order},  # all equal
-        )
-        assert decide_inner_order(
-            pipeline, provider, 1, InnerReorderPolicy.EXHAUSTIVE
-        ) is None
+        assert decide_inner_order(pipeline, provider, last) is None
 
     def test_suffix_ranks_positions(self, three_table_db):
         pipeline, _ = started_pipeline(three_table_db)
@@ -178,15 +156,8 @@ def unpruned_driving_switch(pipeline, provider, config, audit_costs=None):
         if candidate == order[0]:
             continue
         others = [alias for alias in order if alias != candidate]
-        if config.inner_policy is InnerReorderPolicy.EXHAUSTIVE:
-            candidate_order, cost = best_order_exhaustive(
-                order, graph, provider, fixed_prefix=(candidate,)
-            )
-        else:
-            candidate_order = greedy_rank_suffix(
-                (candidate,), others, graph, provider
-            )
-            cost = cost_of_order(candidate_order, provider)
+        candidate_order = greedy_rank_suffix((candidate,), others, graph, provider)
+        cost = cost_of_order(candidate_order, provider)
         abandoned = pipeline.abandon_counts.get(candidate, 0)
         if abandoned:
             cost *= (1.0 + config.switch_benefit_threshold) ** abandoned
@@ -208,10 +179,9 @@ class TestDrivingCandidatePruning:
         shared=st.booleans(),
         seed=st.integers(min_value=0, max_value=10**6),
         threshold=st.sampled_from([0.0, 0.15, 0.5, 0.9]),
-        policy=st.sampled_from(list(InnerReorderPolicy)),
     )
     def test_pruned_loop_decides_what_the_unpruned_loop_decides(
-        self, shape, count, shared, seed, threshold, policy
+        self, shape, count, shared, seed, threshold
     ):
         """Generated graphs and parameters (zeros and repeats, so ties and
         free suffixes are common), abandoned legs included: same order or
@@ -228,9 +198,7 @@ class TestDrivingCandidatePruning:
                 if rng.random() < 0.3
             },
         )
-        config = AdaptiveConfig(
-            switch_benefit_threshold=threshold, inner_policy=policy
-        )
+        config = AdaptiveConfig(switch_benefit_threshold=threshold)
         provider = TableProvider(seed)
         expected = unpruned_driving_switch(pipeline, provider, config)
         assert decide_driving_switch(pipeline, provider, config) == expected
@@ -296,29 +264,3 @@ class TestDrivingCandidatePruning:
         assert run() == pruned
         assert sum(len(events) for _, _, events, _, _ in pruned) > 0
 
-
-class TestDynamicAccessPath:
-    def test_rechooses_measured_better_index(self, three_table_db):
-        plan = three_table_db.plan(
-            "SELECT o.name FROM Owner o, Car c, Demo d "
-            "WHERE c.ownerid = o.id AND o.id = d.ownerid "
-            "AND o.country = 'DE' AND o.name = 'n1' AND c.make = 'Rare'"
-        )
-        pipeline = PipelineExecutor(
-            plan,
-            three_table_db.catalog,
-            AdaptiveConfig(mode=ReorderMode.MONITOR_ONLY),
-        )
-        # Owner has country (indexed) and name (not indexed) predicates.
-        list(pipeline.rows())
-        leg = pipeline.legs["o"]
-        spec = dynamic_driving_spec(leg)
-        # Only 'country' is indexed+sargable, so the spec (if any) uses it.
-        if spec is not None:
-            assert spec.index_column == "country"
-            assert spec.kind is DrivingKind.INDEX_SCAN
-
-    def test_no_measurements_no_change(self, three_table_db):
-        pipeline, _ = started_pipeline(three_table_db)
-        leg = pipeline.legs[pipeline.order[1]]
-        assert dynamic_driving_spec(leg) is None

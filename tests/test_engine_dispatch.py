@@ -20,7 +20,6 @@ import pytest
 
 from repro import AdaptiveConfig, Database, ReorderMode
 from repro.cli import build_parser
-from repro.core.config import HashProbePolicy
 from repro.dmv import load_dmv, six_table_workload
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.obs.observer import QueryObservability
@@ -86,15 +85,15 @@ CASES = {
         {}, "scalar", "switch_at_key_boundary peeks the live cursor",
     ),
     # -- gates: a shape the kernels do not cover -------------------------
+    # No index on B.aid: what an unindexed join column means.
     "hash-probed": (
-        {}, JOIN,
-        AdaptiveConfig(
-            mode=ReorderMode.BOTH, hash_probe_policy=HashProbePolicy.ALWAYS
-        ),
-        {}, "scalar", LEG + "hash-probed or uncompiled access",
+        {"indexes": (("A", "id"), ("A", "x"))}, JOIN, BOTH, {},
+        "scalar", "leg 'b': hash-probed or uncompiled access",
     ),
+    # No index at all: whichever leg is inner is hash-probed.
     "non-indexed-probe": (
-        {"indexes": ()}, JOIN, BOTH, {}, "scalar", LEG + "non-indexed probe",
+        {"indexes": ()}, JOIN, BOTH, {}, "scalar",
+        LEG + "hash-probed or uncompiled access",
     ),
     "residual-join": (
         {},
@@ -195,9 +194,8 @@ def test_single_leg_statements_run_the_engine_as_the_oracle():
 def test_no_option_chooses_the_machine():
     """The surface, pinned: the next option shows up as a diff here."""
     assert {field.name for field in dataclasses.fields(AdaptiveConfig)} == {
-        "mode", "check_frequency", "history_window", "inner_policy",
-        "switch_benefit_threshold", "switch_at_key_boundary",
-        "dynamic_access_path", "hash_probe_policy", "warmup_rows",
+        "mode", "check_frequency", "history_window",
+        "switch_benefit_threshold", "switch_at_key_boundary", "warmup_rows",
     }
     assert "engine_batch_size" not in {
         field.name for field in dataclasses.fields(ServerConfig)
@@ -236,8 +234,7 @@ def test_mid_query_hand_off_continues_on_the_scalar_machine():
     from tests.test_vector_limits import hand_off_db
 
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0,
-        hash_probe_policy=HashProbePolicy.FALLBACK,
+        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0
     )
     sql = (
         "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AdaptiveConfig, HashProbePolicy, ReorderMode
+from repro import AdaptiveConfig, ReorderMode
 from repro.errors import (
     PermanentStorageError,
     StorageError,
@@ -231,14 +231,13 @@ class TestStorageIntegration:
         assert len(result.rows) > 0
 
     def test_hash_probe_fault_site(self):
-        db = build_three_table_db()
+        # Demo's join column has no index: it is hash-probed.
+        db = build_three_table_db(unindexed=(("Demo", "ownerid"),))
         injector = FaultPlan(
             specs=(FaultSpec(site="hash-probe", kind="transient", nth_call=1),),
         ).build()
-        config = AdaptiveConfig(
-            mode=ReorderMode.NONE, hash_probe_policy=HashProbePolicy.ALWAYS
-        )
-        clean = db.execute(THREE_TABLE_SQL, AdaptiveConfig(mode=ReorderMode.NONE))
+        config = AdaptiveConfig(mode=ReorderMode.NONE)
+        clean = db.execute(THREE_TABLE_SQL, config)
         faulty = db.execute(THREE_TABLE_SQL, config, fault_plan=injector)
         assert sorted(faulty.rows) == sorted(clean.rows)
         assert injector.fired["hash-probe"] == 1

@@ -1,17 +1,23 @@
-"""Tests for the pipelined hash-probe extension (Sec 6)."""
+"""Tests for the pipelined hash-probe extension (Sec 6).
 
-import pytest
+An inner leg with an available join predicate but no index on any available
+join column is probed through an in-memory hash table: that is what an
+unindexed join column means, on both stores. No option chooses it.
+"""
 
-from repro import AdaptiveConfig, Database, HashProbePolicy, ReorderMode
+import dataclasses
+
+from repro import AdaptiveConfig, Database, ReorderMode
 from repro.executor.hashprobe import HashProbeTable
 from repro.executor.pipeline import PipelineExecutor
 from repro.query.query import QuerySpec
 
 from tests.conftest import build_three_table_db, reference_join
+from tests.test_vector_limits import HASHED, hand_off_db
 
 
 def build_unindexed_join_db(owners=200, seed=17):
-    """Demo has NO index on its join column — scan probes vs hash probes."""
+    """Demo has NO index on its join column: it is hash-probed."""
     import random
 
     rng = random.Random(seed)
@@ -99,80 +105,78 @@ class TestHashProbeTable:
         assert 0 < counts[0][1] < len(table)
 
 
-class TestCorrectness:
-    @pytest.mark.parametrize(
-        "policy", [HashProbePolicy.FALLBACK, HashProbePolicy.ALWAYS]
-    )
-    def test_matches_reference_without_join_index(self, policy):
-        db = build_unindexed_join_db()
-        config = AdaptiveConfig(mode=ReorderMode.BOTH, hash_probe_policy=policy)
-        result = db.execute(SQL, config)
-        assert sorted(result.rows) == expected_rows(db, SQL)
+#: Demo's join column unindexed: wherever Demo is an inner leg, it is
+#: hash-probed (every predicate that reaches it is on ``ownerid``).
+DEMO_UNINDEXED = (("Demo", "ownerid"),)
 
-    @pytest.mark.parametrize(
-        "policy", [HashProbePolicy.FALLBACK, HashProbePolicy.ALWAYS]
-    )
-    def test_matches_reference_with_indexes(self, policy, three_table_db):
+
+class TestCorrectness:
+    def test_matches_reference_without_join_index(self):
+        db = build_unindexed_join_db()
+        result = db.execute(SQL, AdaptiveConfig(mode=ReorderMode.BOTH))
+        assert sorted(result.rows) == expected_rows(db, SQL)
+        assert result.stats.work.hash_probes > 0
+
+    def test_matches_reference_with_indexes(self):
+        """Car and Owner probed through their indexes, Demo hashed."""
+        db = build_three_table_db(unindexed=DEMO_UNINDEXED)
         sql = (
             "SELECT o.name FROM Owner o, Car c, Demo d "
             "WHERE c.ownerid = o.id AND o.id = d.ownerid "
             "AND c.make = 'Rare' AND d.salary < 60000"
         )
-        config = AdaptiveConfig(mode=ReorderMode.BOTH, hash_probe_policy=policy)
-        result = three_table_db.execute(sql, config)
-        assert sorted(result.rows) == expected_rows(three_table_db, sql)
+        result = db.execute(sql, AdaptiveConfig(mode=ReorderMode.BOTH))
+        assert sorted(result.rows) == expected_rows(db, sql)
+        assert result.stats.work.hash_probes > 0
 
     def test_positional_predicates_respected_under_chaos(self):
         """Driving switches + hash probes never duplicate or lose rows."""
-        import random
-
         from tests.test_adaptive_correctness import ScriptedController
 
-        db = build_three_table_db(owners=30, seed=3)
+        db = build_three_table_db(owners=30, seed=3, unindexed=DEMO_UNINDEXED)
         sql = (
             "SELECT o.name, c.make, d.salary FROM Owner o, Car c, Demo d "
             "WHERE c.ownerid = o.id AND o.id = d.ownerid AND d.salary < 70000"
         )
         expected = expected_rows(db, sql)
         plan = db.plan(sql)
+        config = AdaptiveConfig(mode=ReorderMode.BOTH)
+        hashed = 0
         for seed in range(5):
-            config = AdaptiveConfig(
-                mode=ReorderMode.BOTH,
-                hash_probe_policy=HashProbePolicy.ALWAYS,
-            )
             controller = ScriptedController(seed, 0.3, 0.5)
             executor = PipelineExecutor(plan, db.catalog, config, controller)
             controller.attach(executor)
             assert sorted(executor.run_to_completion()) == expected, seed
+            hashed += executor.work.hash_probes
+        assert hashed > 0
+
+    def test_unindexed_join_is_hash_probed_alike_on_both_stores(self):
+        """The oracle and the columnar store's scalar machine (the cascade
+        refuses the hash-probed leg) run the same hash probe: same rows in
+        the same order, the same WorkMeter, field by field."""
+        static = AdaptiveConfig(mode=ReorderMode.NONE)
+        row = hand_off_db("row").execute(HASHED, static)
+        columnar = hand_off_db("columnar").execute(HASHED, static)
+        assert columnar.rows == row.rows and row.rows
+        assert dataclasses.asdict(columnar.stats.work) == dataclasses.asdict(
+            row.stats.work
+        )
+        assert row.stats.work.hash_build_entries > 0
 
 
 class TestEfficiency:
-    def _run_with_demo_inner(self, db, policy):
+    def _run_with_demo_inner(self, db):
         """Force Owner to drive so the unindexed Demo leg is probed."""
         plan = db.plan(SQL).with_order(("o", "d"))
-        config = AdaptiveConfig(
-            mode=ReorderMode.NONE, hash_probe_policy=policy
+        executor = PipelineExecutor(
+            plan, db.catalog, AdaptiveConfig(mode=ReorderMode.NONE)
         )
-        executor = PipelineExecutor(plan, db.catalog, config)
         rows = executor.run_to_completion()
         return rows, executor
 
-    def test_hash_beats_scan_probe(self):
-        db = build_unindexed_join_db(owners=400)
-        scan_rows, scan_executor = self._run_with_demo_inner(
-            db, HashProbePolicy.OFF
-        )
-        hash_rows, hash_executor = self._run_with_demo_inner(
-            db, HashProbePolicy.FALLBACK
-        )
-        assert sorted(scan_rows) == sorted(hash_rows)
-        # Scan probes are O(|T|) per incoming row; a hash build is O(|T|)
-        # once. The gap must be large.
-        assert hash_executor.work_units * 5 < scan_executor.work_units
-
     def test_build_reused_across_probes(self):
         db = build_unindexed_join_db(owners=300)
-        _, executor = self._run_with_demo_inner(db, HashProbePolicy.FALLBACK)
+        _, executor = self._run_with_demo_inner(db)
         # Exactly one build: the charged entries equal the number of rows
         # passing the leg's local predicate (salary < 70000), once.
         qualifying = sum(
@@ -181,10 +185,7 @@ class TestEfficiency:
         assert executor.work.hash_build_entries == qualifying
         assert executor.work.hash_probes > 1
 
-    def test_off_policy_never_hashes(self, three_table_db):
-        result = three_table_db.execute(
-            SQL.replace("Demo d", "Demo d"),  # same query shape
-            AdaptiveConfig(mode=ReorderMode.NONE),
-        )
+    def test_indexed_joins_never_hash(self, three_table_db):
+        result = three_table_db.execute(SQL, AdaptiveConfig(mode=ReorderMode.NONE))
         assert result.stats.work.hash_probes == 0
         assert result.stats.work.hash_build_entries == 0

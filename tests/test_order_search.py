@@ -18,11 +18,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.driving
-import repro.core.reorder
+import repro.core.controller
 import repro.optimizer.optimizer
 from repro import AdaptiveConfig, ReorderMode, StatisticsLevel
-from repro.core.config import InnerReorderPolicy
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor import vector
 from repro.optimizer.cost import best_order_exhaustive, cost_of_order
@@ -132,34 +130,42 @@ def _provider_of(db, plan) -> ModelProvider:
     )
 
 
-def test_run_time_callers_equal_the_reference_search(dmv, monkeypatch):
-    """The EXHAUSTIVE inner policy drives both run-time call sites with
-    monitored (calibrated, remaining-fraction-adjusted) models and pinned
-    prefixes; every search they make must equal the reference's."""
+def test_run_time_providers_equal_the_reference_search(dmv, monkeypatch):
+    """The controller's providers — monitored, calibrated,
+    remaining-fraction-adjusted models — searched at every check with the
+    prefixes a run-time search pins: the inner check's bound prefix and
+    each driving candidate alone. Every search must equal the reference's
+    (a re-plan under measured estimates is such a search)."""
     dmv.analyze(level=StatisticsLevel.CARDINALITY)
     # Decisions are applied mid-scan only: start small enough to have one.
     monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
-    driving_calls: list = []
-    inner_calls: list = []
-    monkeypatch.setattr(
-        repro.core.driving, "best_order_exhaustive", checking_search(driving_calls)
-    )
-    monkeypatch.setattr(
-        repro.core.reorder, "best_order_exhaustive", checking_search(inner_calls)
-    )
+    prefixes: list = []
+    search = checking_search(prefixes)
+    decide_inner = repro.core.controller.decide_inner_order
+    decide_driving = repro.core.controller.decide_driving_switch
+
+    def inner(pipeline, provider, position):
+        order = pipeline.order
+        search(order, pipeline.join_graph, provider, order[:position])
+        return decide_inner(pipeline, provider, position)
+
+    def driving(pipeline, provider, config, audit_costs=None):
+        order = pipeline.order
+        for candidate in order[1:]:
+            search(order, pipeline.join_graph, provider, (candidate,))
+        return decide_driving(pipeline, provider, config, audit_costs)
+
+    monkeypatch.setattr(repro.core.controller, "decide_inner_order", inner)
+    monkeypatch.setattr(repro.core.controller, "decide_driving_switch", driving)
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH,
-        inner_policy=InnerReorderPolicy.EXHAUSTIVE,
-        check_frequency=2,
-        switch_benefit_threshold=0.0,
+        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0
     )
     six = [query.sql for query in six_table_workload(count=10**9)]
     switches = 0
     for sql in six[::15]:
         switches += dmv.execute(sql, config).stats.total_switches
     assert switches > 0
-    assert driving_calls and all(len(prefix) == 1 for prefix in driving_calls)
-    assert inner_calls and all(len(prefix) >= 1 for prefix in inner_calls)
+    assert prefixes and all(len(prefix) >= 1 for prefix in prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +278,6 @@ def test_generated_model_providers_equal_the_reference_search(count, seed):
             remaining_fraction=rng.choice([1.0, 0.4, 0.0]),
             jc_correction=rng.choice([1.0, 0.1, 12.0]),
             pc_correction=rng.choice([1.0, 0.5, 3.0]),
-            hash_probes=rng.random() < 0.3,
         )
         for alias in graph.aliases
     }

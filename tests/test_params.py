@@ -5,6 +5,7 @@ import pytest
 from repro.optimizer.params import ModelProvider, TableModel
 from repro.optimizer.plans import DrivingKind
 from repro.query.joingraph import JoinGraph, JoinPredicate
+from repro.storage import counters
 
 
 def make_model(alias, **overrides):
@@ -92,12 +93,20 @@ class TestInnerParams:
         assert jc_half == pytest.approx(jc_full / 2)
         assert pc_half == pytest.approx(pc_full)
 
-    def test_scan_probe_without_index(self):
+    def test_hash_probe_without_index(self):
+        # No index on the join column: priced as the hash probe the
+        # executor runs — one lookup, then a match per row of the bucket,
+        # the bucket holding only rows that pass the locals (built once).
         provider_ix, _ = two_table_setup()
-        provider_scan, _ = two_table_setup(indexed_columns=frozenset())
-        _, pc_ix = provider_ix.inner_params("a", frozenset({"b"}))
-        _, pc_scan = provider_scan.inner_params("a", frozenset({"b"}))
-        assert pc_scan > 10 * pc_ix
+        provider_hash, _ = two_table_setup(indexed_columns=frozenset())
+        jc_ix, pc_ix = provider_ix.inner_params("a", frozenset({"b"}))
+        jc_hash, pc_hash = provider_hash.inner_params("a", frozenset({"b"}))
+        assert jc_hash == jc_ix
+        bucket = 1000 * 0.1 * 0.5 * 0.01
+        assert pc_hash == pytest.approx(
+            counters.HASH_PROBE_COST + bucket * counters.HASH_MATCH_COST
+        )
+        assert pc_hash < pc_ix
 
     def test_redundant_class_predicates_filter_once(self):
         # Three tables joined on one equivalence class: with two bound

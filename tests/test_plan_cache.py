@@ -617,7 +617,7 @@ def test_eight_threads_publish_and_share_one_probe_program(monkeypatch):
     interpreter switching as often as it can: whichever thread compiles the
     starting probes, every execution matches a serial run on a twin
     database (which tests/test_decision_replay.py holds to the row oracle)
-    and the plan ends up with one program per hash policy."""
+    and the plan ends up with one program."""
     db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
     oracle_db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
     db.enable_concurrent_metering()
@@ -660,9 +660,7 @@ def test_eight_threads_publish_and_share_one_probe_program(monkeypatch):
         assert result.stats.events == want.stats.events
         assert result.stats.engine == "vector-adaptive"
     for plan in plans.values():
-        programs = plan.probe_programs(plan.bindings(db.catalog, None))
-        assert list(programs) == [config.hash_probe_policy]
-        (program,) = programs.values()
+        program = plan.probe_program(plan.bindings(db.catalog, None))
         assert list(program) == list(plan.order[1:])
 
 

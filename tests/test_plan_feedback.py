@@ -307,20 +307,19 @@ def test_feedback_plan_keeps_its_own_probe_program(flip_db):
     base, learned = first.plan, second.plan
     bindings = base.bindings(flip_db.catalog, None)
     assert learned.bindings(flip_db.catalog, None) is bindings
-    base_programs = base.probe_programs(bindings)
-    learned_programs = learned.probe_programs(bindings)
-    assert learned_programs is not base_programs
-    (base_program,) = base_programs.values()
-    (learned_program,) = learned_programs.values()
+    base_program = base.probe_program(bindings)
+    learned_program = learned.probe_program(bindings)
+    assert learned_program is not base_program
     assert list(base_program) == list(base.order[1:])
     assert list(learned_program) == list(learned.order[1:])
     # A mode-NONE run of the text still starts from the base plan's.
     static = flip_db.execute(SQL, NONE)
-    assert static.plan is base and base.probe_programs(bindings) is base_programs
+    assert static.plan is base and base.probe_program(bindings) is base_program
     # Rebinding (here: ANALYZE moves the generation) drops both.
     flip_db.analyze()
     rebound = base.bindings(flip_db.catalog, _bind_plan)
-    assert rebound is not bindings and base.probe_programs(rebound) == {}
+    assert rebound is not bindings and base.probe_program(rebound) is None
+    assert learned.probe_program(rebound) is None
 
 
 def test_feedback_plan_is_the_base_plan_corrected(flip_db):

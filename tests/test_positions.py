@@ -33,13 +33,13 @@ class TestFreeze:
         registry = PositionRegistry()
         registry.freeze("t", TableScanCursor(table))
         assert registry.predicate_for("t") is None
-        assert registry.has_driven("t")
+        assert registry.frozen_scan("t") is not None
 
     def test_unknown_alias(self):
         registry = PositionRegistry()
         assert registry.predicate_for("zz") is None
         assert registry.resume_cursor("zz") is None
-        assert not registry.has_driven("zz")
+        assert registry.frozen_scan("zz") is None
 
     def test_switch_count(self):
         table = make_table([1, 2])

@@ -263,16 +263,18 @@ def test_insert_into_either_table_is_followed_by_a_rebuild():
 
 
 def test_create_index_opens_a_new_pair():
-    """Without an index to probe through the cascade refuses the plan; once
-    there is one, the next execution probes through the new (column, index)
+    """Without an index to probe through the join column is hash-probed,
+    which the cascade refuses; once there is an index, the next execution probes through the new (column, index)
     pair and builds its array."""
     rng = random.Random(12)
+    # dst small enough that driving it and probing src's index beats
+    # driving src and hash-probing dst.k, which stays unindexed.
     columnar, row = twins(
-        keys_of("int", rng, 150, 25), keys_of("int", rng, 60, 25), indexed=False
+        keys_of("int", rng, 150, 25), keys_of("int", rng, 20, 25), indexed=False
     )
     before = columnar.execute(JOIN, NONE)
     assert before.stats.engine == "scalar"
-    assert "non-indexed probe" in before.stats.vector_gate
+    assert before.stats.vector_gate.endswith("hash-probed or uncompiled access")
     for db in (columnar, row):
         db.create_index("src", "k")
     after = assert_engine_equals_oracle(columnar, row)

@@ -32,7 +32,6 @@ from repro import (
     ExecutionLimits,
     ReorderMode,
 )
-from repro.core.config import HashProbePolicy
 from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor import vector
@@ -354,29 +353,30 @@ def test_generous_limits_change_nothing(
         assert switches >= len(SWITCHING)  # limits held across switches
 
 
-def test_static_limits_on_a_refused_shape_run_the_scalar_machine(
-    dbs, statements
-):
+def test_static_limits_on_a_refused_shape_run_the_scalar_machine():
     """A static plan has nothing to amortize: refused by the cascade, with
     or without limits, it runs the oracle's loop and names the gate — on
-    the row store the same loop, and no gate."""
-    hashed = AdaptiveConfig(
-        mode=ReorderMode.NONE, hash_probe_policy=HashProbePolicy.ALWAYS
-    )
+    the row store the same loop, and no gate. (C drives, and B's join
+    column to it has no index: a hash probe.)"""
+    static = AdaptiveConfig(mode=ReorderMode.NONE)
+    stores = {backend: hand_off_db(backend) for backend in ("row", "columnar")}
     for limits in (None, served_limits()):
-        result = dbs["columnar"].execute(statements[0], hashed, limits=limits)
+        result = stores["columnar"].execute(HASHED, static, limits=limits)
         assert result.stats.engine == "scalar"
         assert result.stats.vector_gate.endswith(
             "hash-probed or uncompiled access"
         )
-        result = dbs["row"].execute(statements[0], hashed, limits=limits)
+        result = stores["row"].execute(HASHED, static, limits=limits)
         assert result.stats.engine == "scalar"
         assert result.stats.vector_gate is None
 
 
 def hand_off_db(backend: str) -> Database:
     """B has no index on ``cid``: once C drives, B is hash-probed, a shape
-    the cascade's gates refuse — it hands the cursors back mid-query.
+    the cascade's gates refuse — it hands the cursors back mid-query. The
+    optimizer does not start there: ``C.flag`` has two values, so it
+    expects half of C's 6,000 rows to pass ``flag = 1`` and drives the
+    1,000-row B; its first chunk shows flagged C rows are rare (1 in 400).
     ``A.big`` holds one value past int64, which boxes the column: a local
     on it is a shape the mask compiler refuses (the generated queries of
     tests/test_decision_replay.py draw it)."""
@@ -385,14 +385,22 @@ def hand_off_db(backend: str) -> Database:
     db.create_table("B", [("aid", "int"), ("cid", "int")])
     db.create_table("C", [("id", "int"), ("flag", "int")])
     db.insert("A", [(i, i % 7, 2**70 if i == 3 else i) for i in range(3000)])
-    db.insert("B", [(i % 3000, (i * 7) % 2000) for i in range(6000)])
-    db.insert("C", [(i, 1 if i % 400 == 0 else 0) for i in range(2000)])
+    db.insert("B", [(i * 3 % 3000, i * 7 % 6000) for i in range(1000)])
+    db.insert("C", [(i, 1 if i % 400 == 0 else 0) for i in range(6000)])
     for table, column in (
         ("A", "id"), ("A", "x"), ("B", "aid"), ("C", "id"), ("C", "flag")
     ):
         db.create_index(table, column)
     db.analyze()
     return db
+
+
+#: On :func:`hand_off_db`, a statement whose plan hash-probes B from the
+#: start: C drives, and B's only join column bound before it is ``cid``.
+HASHED = (
+    "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
+    "AND b.cid = c.id AND c.id < 700"
+)
 
 
 def test_limits_follow_a_hand_off_to_the_scalar_machine():
@@ -403,10 +411,7 @@ def test_limits_follow_a_hand_off_to_the_scalar_machine():
         "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
     )
     config = AdaptiveConfig(
-        mode=ReorderMode.BOTH,
-        check_frequency=2,
-        switch_benefit_threshold=0.0,
-        hash_probe_policy=HashProbePolicy.FALLBACK,
+        mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0
     )
     db = hand_off_db("columnar")
     free = db.execute(sql, config)
