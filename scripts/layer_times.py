@@ -7,10 +7,10 @@ around the layers named in :data:`LAYERS` give each one's milliseconds a
 pass and its share of the pass; "other" is what no wrapper covers. Two
 static passes come first and are not reported (plan cache, kernels, rank
 arrays). In a monitored mode the executions of a text are not alike —
-the first asks at the end of its scan and writes what it learned, the second
-starts from that, from the third on most entries are settled — so
-executions 1, 2 and 3+ are reported apart, each with its checks, applied
-switches and the entries settled after it; the layer table is of 3+. The
+the first asks at the end of its scan and writes what it learned, every
+later one runs that lesson as a static plan — so executions 1 and 2+ are
+reported apart, each with its checks, applied switches and the executions
+that ran a learned plan; the layer table is of 2+. The
 wrappers cost a few microseconds a call, so read the numbers
 against another run of this script, not against an unwrapped pass. A
 ledger, not a gate: no thresholds.
@@ -78,23 +78,24 @@ def main() -> None:
         setattr(owner, name, timed(getattr(owner, name), spent, label))
 
     def one_pass(config) -> tuple[dict, tuple]:
-        """``({layer: seconds}, (rows, checks, switches, settled entries))``."""
+        """``({layer: seconds}, (rows, checks, switches, learned runs))``."""
         for label in spent:
             spent[label] = 0.0
-        rows = checks = switches = 0
+        rows = checks = switches = learned = 0
         start = perf_counter()
         for sql in sqls:
             result = db.execute(sql, config)
             rows += len(result.rows)
             checks += result.stats.inner_checks + result.stats.driving_checks
             switches += result.stats.total_switches
+            learned += result.stats.plan_feedback is not None
         wall = perf_counter() - start
         layers = {**spent, "other": wall - sum(spent.values()), "pass": wall}
-        return layers, (rows, checks, switches, db.plan_cache.stats()["settled"])
+        return layers, (rows, checks, switches, learned)
 
     for _ in range(2):
         one_pass(AdaptiveConfig(mode=ReorderMode.NONE))
-    learning = 2 if config.mode.monitors else 0
+    learning = 1 if config.mode.monitors else 0
     measured = [one_pass(config) for _ in range(args.passes + learning)]
     warm = measured[learning:]
     fastest = min(warm, key=lambda one: one[0]["pass"])
@@ -108,17 +109,17 @@ def main() -> None:
     hooks = [label for label in spent if ".on_" in label]
     print(
         f"{'execution':<12}{'pass ms':>9}{'hooks ms':>10}{'_expand ms':>12}"
-        f"{'checks':>8}{'switches':>10}{'settled':>9}"
+        f"{'checks':>8}{'switches':>10}{'learned':>9}"
     )
     names = [str(number + 1) for number in range(learning)] + [f"{learning + 1}+"]
-    for name, (layers, (_, checks, switches, settled)) in zip(
+    for name, (layers, (_, checks, switches, learned)) in zip(
         names, measured[:learning] + [fastest]
     ):
         print(
             f"{name:<12}{layers['pass'] * 1e3:>9.1f}"
             f"{sum(layers[label] for label in hooks) * 1e3:>10.1f}"
             f"{layers['vector._expand'] * 1e3:>12.1f}"
-            f"{checks:>8d}{switches:>10d}{settled:>9d}"
+            f"{checks:>8d}{switches:>10d}{learned:>9d}"
         )
     print(f"{'layer':<42}{'min ms':>9}{'median ms':>11}{'share':>8}")
     for label in best:

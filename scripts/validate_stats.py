@@ -19,7 +19,7 @@ issues ``{"op": "stats"}``, and checks the response document:
   between an engine's death and its re-fork; the summary line prints the
   count for a caller that expects all of them), latency quantiles are
   monotonically non-decreasing (p50 <= p95 <= p99) when present,
-  plan-cache ``settled <= size <= capacity``, ``feedback_hits <= hits`` and, at
+  plan-cache ``size <= capacity``, ``feedback_hits <= hits`` and, at
   capacity 0 (off), no hits, waits, evictions or plan feedback (the
   section sums the engine processes' caches), the latency
   histogram ``count`` is at least the number of completed queries'
@@ -89,7 +89,6 @@ SCHEMA = {
         "invalidations": "count",
         "feedback_writes": "count",
         "feedback_hits": "count",
-        "settled": "count",
     },
     "telemetry": {
         "recorded_total": "count",
@@ -250,12 +249,6 @@ def validate(stats: dict) -> list[str]:
         raise ValidationError(
             f"plan_cache.feedback_hits exceeds hits "
             f"({cache['feedback_hits']} > {cache['hits']})"
-        )
-    # Settled is a state of an entry the cache holds.
-    if cache["settled"] > cache["size"]:
-        raise ValidationError(
-            f"plan_cache.settled exceeds size "
-            f"({cache['settled']} > {cache['size']})"
         )
 
     queries = stats["queries"]

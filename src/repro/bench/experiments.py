@@ -401,7 +401,7 @@ def window_sweep_experiment(
 
 
 # ---------------------------------------------------------------------------
-# E11 — Learn once: a repeated adaptive statement starts where it last ended
+# E11 — Learn once: a repeated adaptive statement runs its first run's lesson
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -409,7 +409,8 @@ class LearnedResult:
     # template -> {"static" | "first" | "later": (work units, seconds)};
     # "later" is the per-pass mean of the executions after the first.
     templates: dict[int, dict[str, tuple[float, float]]]
-    # template -> statements that started from plan feedback in the last pass
+    # template -> statements whose learned order (the last pass's) is not the
+    # optimizer's
     learned: dict[int, int]
     statements: dict[int, int]
     later_passes: int
@@ -486,9 +487,9 @@ def learned_experiment(
     Statements are executed as SQL text, pass after pass, on a database
     that has not run them in a monitored mode yet: the first adaptive pass
     runs the optimizer's plans and leaves plan feedback in the cache, the
-    later ones start from it (DESIGN.md Sec 4j). Wall is ``perf_counter``
-    around ``Database.execute`` (plan-cache lookup and write-back
-    included), work is the deterministic meter. Every adaptive execution's
+    later ones run it as static plans (DESIGN.md Sec 4j). Wall is
+    ``perf_counter`` around ``Database.execute`` (plan-cache lookup and
+    write-back included), work is the deterministic meter. Every adaptive execution's
     rows are checked against the static execution's.
     """
     adaptive = adaptive_config or AdaptiveConfig(mode=ReorderMode.BOTH)
@@ -496,8 +497,8 @@ def learned_experiment(
     reference: list[list] = []
 
     def one_pass(config: AdaptiveConfig) -> list[tuple]:
-        """``(work, wall, switches, started from feedback, checks)`` per
-        statement."""
+        """``(work, wall, switches, started from feedback, checks, order
+        run)`` per statement."""
         measured = []
         for index, query in enumerate(workload):
             started = time.perf_counter()
@@ -517,6 +518,7 @@ def learned_experiment(
                     stats.total_switches,
                     stats.plan_feedback is not None,
                     stats.inner_checks + stats.driving_checks,
+                    outcome.plan.order,
                 )
             )
         return measured
@@ -548,8 +550,8 @@ def learned_experiment(
                 wall + sum(p[index][1] for p in passes) / len(passes),
             )
         statements[template] = statements.get(template, 0) + 1
-        learned[template] = (
-            learned.get(template, 0) + columns["later"][-1][index][3]
+        learned[template] = learned.get(template, 0) + (
+            columns["later"][-1][index][5] != columns["static"][0][index][5]
         )
     return LearnedResult(
         templates=templates,

@@ -29,17 +29,7 @@ instead: one weighted entry per chunk.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
-
-
-@dataclass
-class ProbeSample:
-    """Counters for one incoming outer row at an inner leg."""
-
-    index_matches: int
-    output_rows: int
-    work_units: float
 
 
 class SlidingWindow:
@@ -87,10 +77,6 @@ class SlidingWindow:
         self._output[slot] = output_rows
         self._work[slot] = work_units
         self.lifetime_samples += 1
-
-    def add(self, sample: ProbeSample) -> None:
-        """Compatibility shim for sample-object callers."""
-        self.observe(sample.index_matches, sample.output_rows, sample.work_units)
 
     def __len__(self) -> int:
         return min(self.lifetime_samples, self.size)
@@ -176,10 +162,6 @@ class AggregatedWindow:
         """Single-sample observation (an ``n=1`` aggregate)."""
         self.observe_chunk(1, index_matches, output_rows, work_units)
 
-    def add(self, sample: ProbeSample) -> None:
-        """Compatibility shim for sample-object callers."""
-        self.observe(sample.index_matches, sample.output_rows, sample.work_units)
-
     def __len__(self) -> int:
         return self._samples
 
@@ -222,12 +204,6 @@ class LegMonitor:
         self, index_matches: int, output_rows: int, work_units: float
     ) -> None:
         self.window.observe(index_matches, output_rows, work_units)
-
-    def observe_chunk(
-        self, n: int, matches: int, output_rows: int, work_units: float
-    ) -> None:
-        """Amortized chunk observation (:class:`AggregatedWindow` only)."""
-        self.window.observe_chunk(n, matches, output_rows, work_units)
 
     def defer_chunk(
         self, n: int, matches: int, output_rows: int, work_units: float

@@ -41,7 +41,6 @@ from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import StaticOptimizer
 from repro.optimizer.plancache import (
     DEFAULT_CAPACITY,
-    MAX_FEEDBACK_WRITES,
     CachedPlan,
     Feedback,
     PlanCache,
@@ -69,6 +68,10 @@ _TYPE_NAMES = {
 }
 
 ColumnSpec = Column | tuple[str, str]
+
+# What a learned text runs: its lesson as a static plan, no monitor, no
+# controller.
+_STATIC = AdaptiveConfig(mode=ReorderMode.NONE)
 
 
 def _as_column(spec: ColumnSpec) -> Column:
@@ -110,14 +113,10 @@ class ExecutionStats:
     # text; None when the caller passed a QuerySpec or a PipelinePlan, which
     # never consult the cache.
     plan_cache: str | None = None
-    # Set when the execution started from its plan-cache entry's feedback
-    # plan instead of the optimizer's: ``(order it started from, write-backs
+    # Set when the execution ran its plan-cache entry's feedback plan, as a
+    # static plan, instead of the optimizer's: ``(order it ran, write-backs
     # the entry had seen)``. Monitored executions of SQL text only.
     plan_feedback: tuple[tuple[str, ...], int] | None = None
-    # The execution found its plan-cache entry settled for its mode (the
-    # last run there changed nothing): the engine took the scan in slices
-    # and asked nothing at its end.
-    plan_settled: bool = False
     # The order the checks proposed where the driving scan had ended —
     # evaluated there by a statement's first monitored run only, applied
     # to nothing, written back as the entry's feedback plan.
@@ -287,12 +286,12 @@ class Database:
         return plan
 
     def _plan_sql(
-        self, sql: str, tracer: Tracer | None, learned: bool = False
+        self, sql: str, tracer: Tracer | None, mode: ReorderMode | None = None
     ) -> tuple[CachedPlan, str, Feedback | None]:
         """``(plan-cache entry, outcome, feedback)`` for SQL text.
 
-        *learned* asks for the entry's feedback plan too (monitored
-        executions). Traced, the lookup is one ``plan-cache`` span;
+        *mode* asks for the entry's feedback plan too, if one was learned in
+        that mode. Traced, the lookup is one ``plan-cache`` span;
         ``parse`` and ``optimize`` spans appear under it only when they
         actually ran.
         """
@@ -306,11 +305,9 @@ class Database:
 
         generation = self.catalog.generation()
         if tracer is None:
-            return self.plan_cache.lookup(sql, generation, compile_sql, learned)
+            return self.plan_cache.lookup(sql, generation, compile_sql, mode)
         with tracer.span("plan-cache") as span:
-            found = self.plan_cache.lookup(
-                sql, generation, compile_sql, learned
-            )
+            found = self.plan_cache.lookup(sql, generation, compile_sql, mode)
             span.attrs["outcome"] = found[1]
             span.attrs["feedback"] = found[2] is not None
         return found
@@ -407,19 +404,19 @@ class Database:
             if isinstance(query, PipelinePlan):
                 plan = query
             elif isinstance(query, str):
-                # A monitored execution starts from what the statement's
-                # earlier ones learned (the entry's feedback plan), writes
-                # back what it learns or settles the entry (_learn); a
-                # static one always runs the optimizer's plan.
-                monitors = config.mode.monitors
+                # The first monitored execution of a text in a mode learns
+                # (_learn); every later one in that mode runs the lesson as
+                # a static plan. A static execution always runs the
+                # optimizer's plan.
                 entry, plan_cache, feedback = self._plan_sql(
-                    query, tracer, learned=monitors
+                    query, tracer, config.mode
                 )
                 plan = entry.plan
                 if feedback is not None:
                     plan = feedback.plan
                     plan_feedback = (plan.order, feedback.writes)
-                if monitors:
+                    config = _STATIC
+                elif config.mode.monitors:
                     learn = entry
             else:
                 plan = self._optimize(query, tracer)
@@ -483,13 +480,9 @@ class Database:
         )
         if controller is not None:
             controller.attach(executor)
-        if learn is not None:
-            # What the entry knows: settled for this mode, the run asks
-            # nothing at the end and takes the scan in slices; the entry's
-            # first run in the mode (no feedback yet) still asks at a
-            # finished scan, where a one-chunk statement learns.
-            executor.settled = settled = learn.settled is config.mode
-            executor.learns_at_end = plan_feedback is None and not settled
+        # A run that will be learned from still asks its checks at a
+        # finished scan, where a one-chunk statement learns.
+        executor.learns_at_end = learn is not None
         injector: FaultInjector | None = None
         if isinstance(fault_plan, FaultPlan):
             injector = fault_plan.build()
@@ -540,7 +533,6 @@ class Database:
             vector_gate=executor.vector_gate_reason,
             plan_cache=plan_cache,
             plan_feedback=plan_feedback,
-            plan_settled=executor.settled,
             proposed_order=executor.proposed_order,
         )
         if learn is not None and injector is None and not stats.degraded:
@@ -573,38 +565,27 @@ class Database:
         )
 
     def _learn(self, entry: CachedPlan, executor: PipelineExecutor) -> None:
-        """Keep what a monitored run learned in its plan-cache entry.
+        """Keep what a text's first monitored run in its mode learned.
 
-        Reached only when a monitored execution of SQL text ran to
-        completion, undisturbed (no injected fault, adaptive layer not
-        degraded). A run that ended on — or, at a finished scan, proposed —
-        another order than it started from writes that order back as the
-        entry's feedback plan (which unsettles the entry); a run whose last
-        word is the order it started from settles the entry for its mode,
-        and so does one that would write past ``MAX_FEEDBACK_WRITES``. The
-        corrected plan is built here, once per write-back, and
-        only for an entry planned under the catalog's current generation:
-        the cache re-checks that (and that it still holds the entry) under
-        its lock.
+        Reached only when that run completed undisturbed (no injected fault,
+        adaptive layer not degraded). Its lesson is the order its checks
+        proposed at a finished scan, else the order it ended on: another
+        order than it started from is built here, once, into a corrected
+        plan; the order it started from keeps the plan it ran. Written only
+        for an entry planned under the catalog's current generation: the
+        cache re-checks that (and that it still holds the entry) under its
+        lock.
         """
-        order = executor.proposed_order or tuple(executor.order)
-        changed = order != executor.plan.order
-        if executor.settled and not changed:
-            return  # the steady state: nothing to record
         generation = self.catalog.generation()
         if entry.generation != generation:
             return
-        feedback = entry.feedback
-        if changed and (
-            feedback is None or feedback.writes < MAX_FEEDBACK_WRITES
-        ):
-            self.plan_cache.write_feedback(
-                entry,
-                generation,
-                RuntimeModelBuilder(executor).corrected_plan(order),
-            )
-        elif not executor.settled:
-            self.plan_cache.settle(entry, generation, executor.config.mode)
+        plan = executor.plan
+        order = executor.proposed_order or tuple(executor.order)
+        if order != plan.order:
+            plan = RuntimeModelBuilder(executor).corrected_plan(order)
+        self.plan_cache.write_feedback(
+            entry, generation, plan, executor.config.mode
+        )
 
     def enable_concurrent_metering(self) -> ThreadScopedMeter:
         """Route work-unit charges to per-thread meters for serving.

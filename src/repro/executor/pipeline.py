@@ -212,12 +212,11 @@ class PipelineExecutor:
         # cascade: the scalar-fallback screen or first failed gate. None
         # when it ran, and always on this class.
         self.vector_gate_reason: str | None = None
-        # What the statement's plan-cache entry knows, set by ``Database``
-        # before the run and read by the engine alone: a settled plan runs
-        # in slices, and the first monitored run of an entry still asks its
-        # checks at a finished scan (``scan_finished``) — they apply
-        # nothing there and leave the order they propose for the write-back.
-        self.settled = False
+        # Set by ``Database`` on a run it will learn from (a text's first
+        # monitored run in its mode) and read by the engine alone: it still
+        # asks its checks at a finished scan (``scan_finished``) — they
+        # apply nothing there and leave the order they propose for the
+        # write-back.
         self.learns_at_end = False
         self.scan_finished = False
         self.proposed_order: tuple[str, ...] | None = None

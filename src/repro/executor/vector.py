@@ -24,9 +24,8 @@ the join collapses into a layered array computation per driving chunk:
 One chunk loop (:func:`_run_cascade`) runs static plans
 (:data:`STATIC_SLICE_ROWS` slices) and the monitored modes (kernel-folded
 monitoring and boundary rank checks; chunks that start at
-:data:`MONITORED_CHUNK_ROWS` and double while the checks change nothing,
-slices once the statement's plan-cache entry is settled; nothing applied
-at a boundary that ends the driving scan).
+:data:`MONITORED_CHUNK_ROWS` and double while the checks change nothing;
+nothing applied at a boundary that ends the driving scan).
 
 Gates are strict — any unsupported shape returns ``None`` and the scalar
 machine runs instead. The store is not one of them: only a columnar
@@ -89,9 +88,9 @@ def _make_translator(source_column, index: ColumnarIndex) -> Callable | None:
 #: numpy calls per leg) is under 1% of a full slice's expansion.
 STATIC_SLICE_ROWS = 1 << 16
 
-#: Driving survivors in the first chunk of a monitored run whose plan is
-#: not settled: windows fold and reorder checks fire once per chunk, and a
-#: chunk doubles after every boundary that changed nothing, up to the slice.
+#: Driving survivors in the first chunk of a monitored run: windows fold and
+#: reorder checks fire once per chunk, and a chunk doubles after every
+#: boundary that changed nothing, up to the slice.
 #: Read at call time, like its neighbour.
 MONITORED_CHUNK_ROWS = 256
 
@@ -512,12 +511,12 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     cursor; the replay contract holds whenever a decision is applied):
 
     * a boundary the walk reaches with no survivor left applies nothing —
-      no reorder, no switch, no plan rebuild, no event. Only the first
-      monitored run of a plan-cache entry (``executor.learns_at_end``)
-      still evaluates the two checks there, counted and charged, and the
+      no reorder, no switch, no plan rebuild, no event. Only a text's
+      first monitored run in its mode (``executor.learns_at_end``) still
+      evaluates the two checks there, counted and charged, and the
       order they propose goes to the write-back (``proposed_order``);
-    * chunk length follows what the plan knows: a static or settled plan
-      takes :data:`STATIC_SLICE_ROWS` slices; any other starts at
+    * chunk length follows the mode: a static plan takes
+      :data:`STATIC_SLICE_ROWS` slices; a monitored one starts at
       :data:`MONITORED_CHUNK_ROWS` and doubles after every boundary that
       left :func:`_plan_signature` unchanged, up to the slice — an applied
       change keeps the length, it does not reset it.
@@ -546,11 +545,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     projection = executor.projection_slots
     plan_sig = _plan_signature(executor)
     slice_rows = STATIC_SLICE_ROWS
-    chunk_rows = (
-        min(MONITORED_CHUNK_ROWS, slice_rows)
-        if monitored and not executor.settled
-        else slice_rows
-    )
+    chunk_rows = min(MONITORED_CHUNK_ROWS, slice_rows) if monitored else slice_rows
     while True:
         if limits is not None:
             limits.check()

@@ -168,8 +168,7 @@ def render_replay(record: FlightRecord) -> str:
     if record.plan_feedback:
         lines.append(
             f"  plan feedback: started from the learned order below "
-            f"({record.plan_feedback['writes']} write-back(s) to the entry"
-            + ("; settled)" if record.plan_feedback.get("settled") else ")")
+            f"({record.plan_feedback['writes']} write-back(s) to the entry)"
         )
     if record.session is not None:
         lines.append(

@@ -133,18 +133,13 @@ def render_explain_analyze(
         "plan cache: "
         + (stats.plan_cache or "not consulted (the caller passed a spec or a plan)")
     )
-    # Settled: the entry's last run in this mode changed nothing (the
-    # engine then takes the scan in slices and asks nothing where it ends).
-    settled = "; settled" if stats.plan_settled else ""
     if stats.plan_feedback is None:
-        lines.append(
-            f"plan feedback: none (started from the optimizer's order{settled})"
-        )
+        lines.append("plan feedback: none (started from the optimizer's order)")
     else:
         order, writes = stats.plan_feedback
         lines.append(
             f"plan feedback: started from {' -> '.join(order)} "
-            f"(learned; {writes} write-back(s) to this plan-cache entry{settled})"
+            f"(learned; {writes} write-back(s) to this plan-cache entry)"
         )
     lines.append(
         "work breakdown: "

@@ -31,7 +31,6 @@ name                               type    meaning
 ``storage_backend_info{backend}``  gauge   1 for the active storage backend
 ``plan_cache_entries``             gauge   statements held by the database's plan cache
 ``plan_cache_capacity``            gauge   its capacity in statements (0 = off)
-``plan_cache_settled``             gauge   entries whose last monitored run changed nothing
 ``plan_cache_events{kind}``        gauge   cumulative hits / misses / single_flight_waits /
                                            evictions / invalidations / feedback_writes /
                                            feedback_hits
@@ -371,10 +370,6 @@ def record_plan_cache_gauges(
     registry.gauge(
         "plan_cache_capacity", "plan cache capacity in statements (0 = off)"
     ).set(float(cache["capacity"]))
-    registry.gauge(
-        "plan_cache_settled",
-        "entries settled now: their next monitored run asks no check at its end",
-    ).set(float(cache["settled"]))
     events = registry.gauge(
         "plan_cache_events", "plan cache lookups and removals, by kind"
     )

@@ -444,17 +444,14 @@ def _unpacked(record: "FlightRecord | PackedRecord") -> FlightRecord:
 
 
 def feedback_to_dict(
-    plan_feedback: tuple[tuple[str, ...], int] | None, settled: bool = False
+    plan_feedback: tuple[tuple[str, ...], int] | None,
 ) -> dict[str, Any] | None:
     """``ExecutionStats.plan_feedback`` as flight records and replies carry
-    it; ``settled`` is there only when the run found its entry settled."""
+    it."""
     if plan_feedback is None:
         return None
     order, writes = plan_feedback
-    document: dict[str, Any] = {"order": list(order), "writes": writes}
-    if settled:
-        document["settled"] = True
-    return document
+    return {"order": list(order), "writes": writes}
 
 
 def event_to_dict(event: AdaptationEvent) -> dict[str, Any]:
@@ -772,9 +769,7 @@ class FlightRecorder:
                 result.stats.plan_cache if result is not None else None
             ),
             plan_feedback=(
-                feedback_to_dict(
-                    result.stats.plan_feedback, result.stats.plan_settled
-                )
+                feedback_to_dict(result.stats.plan_feedback)
                 if result is not None
                 else None
             ),

@@ -81,8 +81,9 @@ FLIGHT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
 }
 
 #: A flight record's ``plan_feedback`` object: the learned order the run
-#: started from, the write-backs its plan-cache entry had seen and, when
-#: the run found the entry settled (it ran in slices), ``settled``.
+#: started from and the write-backs its plan-cache entry had seen. Records
+#: written before learned runs became static may carry ``settled`` (the
+#: entry's last run in that mode had changed nothing): accepted, not read.
 PLAN_FEEDBACK_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     "order": ((list,), True, False),
     "writes": ((int,), True, False),

@@ -20,18 +20,18 @@ generation, never once per concurrent request (the classic cache
 stampede). If the leader fails, a waiter is promoted and retries, so one
 poisoned request cannot wedge the key.
 
-An entry also keeps what the statement's last monitored execution
-learned — its **feedback plan**: the same plan, reordered to the order that
-run ended on and carrying the estimates it measured (built by the caller,
-stored by :meth:`PlanCache.write_feedback`). :meth:`PlanCache.lookup` hands
-it to callers that say they monitor; :meth:`PlanCache.get_or_plan` never
-does, so a static execution always starts from the optimizer's plan.
-Once a monitored run changes nothing, the entry is *settled* for that
-run's mode (:meth:`PlanCache.settle`) until feedback is written again or
-another mode asks. Feedback and mark live and die with their entry: a
-generation change or an LRU eviction drops all three — the same text over
-the same data and statistics measures the same numbers, so nothing re-arms
-a settled entry inside a generation.
+An entry also keeps what the statement's first monitored execution in a
+mode learned — its **feedback plan**: the same plan, reordered to the order
+that run proposed or ended on and carrying the estimates it measured, or the
+unchanged plan when that order is the one it started from (built by the
+caller, stored by :meth:`PlanCache.write_feedback` with the mode it was
+learned in). :meth:`PlanCache.lookup` hands it to callers asking in that
+mode alone; :meth:`PlanCache.get_or_plan` never does, so a static execution
+always starts from the optimizer's plan. One slot per entry: a first run in
+another mode overwrites it. Feedback lives and dies with its entry: a
+generation change or an LRU eviction drops both — the same text over the
+same data and statistics measures the same numbers, so there is nothing to
+learn again inside a generation.
 
 Entries are LRU-bounded. Thread-safe: server worker threads plan and write
 feedback, the event loop reads stats.
@@ -59,20 +59,13 @@ OUTCOMES = (HIT, MISS, WAIT, OFF)
 #: just before its next use on a repeating pass over them.
 DEFAULT_CAPACITY = 1024
 
-#: Write-backs an entry takes in one catalog generation. A run that would
-#: write another settles the entry on the last one instead: two orders whose
-#: runs each measure the other as the better one (near-tie estimates; one
-#: statement in 300 at DMV scale 0.1, one in 696 at 0.02) would otherwise
-#: trade places, and pay for the checks that say so, on every execution.
-#: Every other grid statement that learns is done after one or two.
-MAX_FEEDBACK_WRITES = 3
-
 
 class Feedback(NamedTuple):
     """What monitored executions left in an entry."""
 
-    plan: Any  # the plan the next monitored execution starts from
+    plan: Any  # the plan later executions in *mode* run, statically
     writes: int  # write-backs the entry has seen, this one included
+    mode: Any  # the monitored mode whose first run wrote it
 
 
 class CachedPlan:
@@ -82,7 +75,7 @@ class CachedPlan:
     nothing holds it, so no catalog generation ever matches it.
     """
 
-    __slots__ = ("key", "plan", "generation", "feedback", "settled")
+    __slots__ = ("key", "plan", "generation", "feedback")
 
     def __init__(self, key: str | None, plan: Any, generation: tuple | None):
         self.key = key
@@ -90,11 +83,6 @@ class CachedPlan:
         self.generation = generation
         # Never mutated: replaced whole, under the cache lock.
         self.feedback: Feedback | None = None
-        # The monitored mode whose last run had nothing to write back (the
-        # entry is *settled* for that mode alone: a run in any other starts
-        # over), else None. Written under the cache lock; a feedback write
-        # clears it.
-        self.settled: Any = None
 
 
 class _InFlight:
@@ -129,7 +117,6 @@ class PlanCache:
         self.invalidations = 0
         self.feedback_writes = 0
         self.feedback_hits = 0
-        self.settled = 0  # entries held that are settled now
 
     def __len__(self) -> int:
         with self._lock:
@@ -153,13 +140,13 @@ class PlanCache:
         sql: str,
         generation: tuple,
         planner: Callable[[str], Any],
-        learned: bool = False,
+        mode: Any = None,
     ) -> tuple[CachedPlan, str, Feedback | None]:
         """Return ``(entry, outcome, feedback)``.
 
-        *feedback* is the entry's :class:`Feedback` when the caller asked
-        for it (*learned*) and a hit found one — read, and counted, under
-        the same lock acquisition as the lookup — else None.
+        *feedback* is the entry's :class:`Feedback` when a hit found one
+        learned in *mode* — read, and counted, under the same lock
+        acquisition as the lookup — else None.
 
         *planner* is invoked (outside the cache lock) by at most one
         thread per key at a time; its exceptions propagate to the leader
@@ -177,14 +164,15 @@ class PlanCache:
                     if cached.generation == generation:
                         self._entries.move_to_end(key)
                         self.hits += 1
-                        feedback = cached.feedback if learned else None
-                        if feedback is not None:
+                        feedback = cached.feedback
+                        if feedback is not None and feedback.mode is mode:
                             self.feedback_hits += 1
+                        else:
+                            feedback = None
                         return cached, HIT, feedback
                     # Stale: the catalog changed since this was planned.
                     del self._entries[key]
                     self.invalidations += 1
-                    self.settled -= cached.settled is not None
                 flight = self._in_flight.get(key)
                 if flight is None:
                     flight = _InFlight(generation)
@@ -215,9 +203,9 @@ class PlanCache:
             # leader (the locked lookup re-validates the cached entry).
 
     def write_feedback(
-        self, entry: CachedPlan, generation: tuple, plan: Any
+        self, entry: CachedPlan, generation: tuple, plan: Any, mode: Any
     ) -> bool:
-        """Make *plan* what *entry*'s next monitored execution starts from.
+        """Make *plan* what *entry*'s later executions in *mode* run.
 
         Refused (False) unless the cache still holds *entry* and it was
         planned under *generation*, the catalog's current one: feedback
@@ -229,23 +217,9 @@ class PlanCache:
                 return False
             previous = entry.feedback
             entry.feedback = Feedback(
-                plan, 1 if previous is None else previous.writes + 1
+                plan, 1 if previous is None else previous.writes + 1, mode
             )
             self.feedback_writes += 1
-            self.settled -= entry.settled is not None
-            entry.settled = None
-            return True
-
-    def settle(self, entry: CachedPlan, generation: tuple, mode: Any) -> bool:
-        """Mark *entry* settled for *mode*: its next run there asks nothing.
-
-        Refused exactly as :meth:`write_feedback` refuses.
-        """
-        with self._lock:
-            if not self._holds(entry, generation):
-                return False
-            self.settled += entry.settled is None
-            entry.settled = mode
             return True
 
     def _holds(self, entry: CachedPlan, generation: tuple) -> bool:
@@ -256,9 +230,8 @@ class PlanCache:
 
     def _evict_over_capacity(self) -> None:
         while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            self.settled -= evicted.settled is not None
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -272,5 +245,4 @@ class PlanCache:
                 "invalidations": self.invalidations,
                 "feedback_writes": self.feedback_writes,
                 "feedback_hits": self.feedback_hits,
-                "settled": self.settled,
             }

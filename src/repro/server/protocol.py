@@ -19,8 +19,6 @@ Responses::
      "stats": {"work_units": ..., "wall_ms": ..., "switches": ...,
                "shed": "none", "plan_cache": "hit",
                "plan_feedback": {"order": ["c", "o"], "writes": 1}, ...}}
-    # ("settled": true joins plan_feedback once the entry's last run in
-    # the request's mode changed nothing: this one ran in slices)
     {"id": 7, "status": "error", "code": "REJECTED_OVERLOAD",
      "error": "admission queue full (32 queued)"}
 

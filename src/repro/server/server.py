@@ -108,7 +108,7 @@ ENGINE_EXIT_SECONDS = 2.0
 _FRAME = struct.Struct("!II")
 
 #: Plan-cache fields that are a state, not a count of events.
-_CACHE_LEVELS = ("size", "capacity", "settled")
+_CACHE_LEVELS = ("size", "capacity")
 
 
 @dataclass(frozen=True)

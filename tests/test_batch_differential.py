@@ -30,8 +30,12 @@ CHUNK_ROWS = (1, 7, 256)
 
 @pytest.fixture(scope="module")
 def dbs():
+    """No plan cache: every execution of a text is a first, monitored one
+    (a learned text would run its lesson as a static plan)."""
     return {
-        backend: load_dmv(scale=0.02, extended=True, backend=backend)[0]
+        backend: load_dmv(
+            scale=0.02, extended=True, backend=backend, plan_cache_size=0
+        )[0]
         for backend in ("row", "columnar")
     }
 

@@ -30,9 +30,8 @@ from tests.test_plan_cache import ENGINES, SCALE
 
 GOLDEN = Path(__file__).parent / "golden" / "check_identity.json"
 MODES = (ReorderMode.INNER_ONLY, ReorderMode.DRIVING_ONLY, ReorderMode.BOTH)
-# The first execution runs the optimizer's order; the next two start from
-# what the previous one learned (plan feedback), which is where most of a
-# repeated workload's checks are kept checks.
+# The first execution runs the optimizer's order and learns; the next two
+# run its lesson (plan feedback) as a static plan: no check, no monitor.
 PASSES = ("first", "learned", "learned-again")
 
 

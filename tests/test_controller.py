@@ -10,8 +10,10 @@ from tests.conftest import build_three_table_db
 
 
 def execute(db, sql, **config_kwargs):
+    """The plan handed in: every call runs monitored, where a text's later
+    executions in one mode would run its lesson as a static plan."""
     config = AdaptiveConfig(**config_kwargs)
-    return db.execute(sql, config)
+    return db.execute(db.plan(sql), config)
 
 
 SKEW_SQL = (

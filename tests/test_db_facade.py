@@ -85,8 +85,10 @@ class TestExecutionStats:
 
     def test_work_isolated_per_query(self):
         db = make_db()
-        first = db.execute("SELECT T.name FROM T")
-        second = db.execute("SELECT T.name FROM T")
+        # The same plan twice (as text, the second would run its lesson).
+        plan = db.plan("SELECT T.name FROM T")
+        first = db.execute(plan)
+        second = db.execute(plan)
         # Each result carries only its own work, not cumulative totals.
         assert first.stats.total_work == pytest.approx(second.stats.total_work)
 

@@ -48,7 +48,9 @@ ADAPTIVE = AdaptiveConfig(mode=ReorderMode.BOTH, check_frequency=2, warmup_rows=
 
 @pytest.fixture(scope="module")
 def extended_dmv():
-    db, _ = load_dmv(scale=0.02, extended=True)
+    """No plan cache: every execution of a text adapts as its first would
+    (a learned text runs its lesson as a static plan)."""
+    db, _ = load_dmv(scale=0.02, extended=True, plan_cache_size=0)
     return db
 
 

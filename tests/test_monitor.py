@@ -8,7 +8,6 @@ from repro.core.monitor import (
     AggregatedWindow,
     DrivingMonitor,
     LegMonitor,
-    ProbeSample,
     SlidingWindow,
 )
 
@@ -16,8 +15,8 @@ from repro.core.monitor import (
 class TestSlidingWindow:
     def test_totals(self):
         window = SlidingWindow(10)
-        window.add(ProbeSample(3, 1, 5.0))
-        window.add(ProbeSample(2, 2, 3.0))
+        window.observe(3, 1, 5.0)
+        window.observe(2, 2, 3.0)
         assert window.sum_matches == 5
         assert window.sum_output == 3
         assert window.sum_work == 8.0
@@ -25,16 +24,16 @@ class TestSlidingWindow:
 
     def test_eviction(self):
         window = SlidingWindow(2)
-        window.add(ProbeSample(10, 10, 10.0))
-        window.add(ProbeSample(1, 1, 1.0))
-        window.add(ProbeSample(2, 2, 2.0))
+        window.observe(10, 10, 10.0)
+        window.observe(1, 1, 1.0)
+        window.observe(2, 2, 2.0)
         assert len(window) == 2
         assert window.sum_matches == 3  # the 10 expired
 
     def test_lifetime_counts_everything(self):
         window = SlidingWindow(1)
         for _ in range(5):
-            window.add(ProbeSample(1, 1, 1.0))
+            window.observe(1, 1, 1.0)
         assert window.lifetime_samples == 5
         assert len(window) == 1
 

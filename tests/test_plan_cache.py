@@ -253,9 +253,10 @@ def plan_facts(plan) -> tuple:
 
 class TestDatabaseCache:
     def test_second_execution_hits_with_identical_rows(self):
+        # Static: a monitored text's second run would run its lesson.
         db = build_three_table_db()
-        first = db.execute(SQL)
-        second = db.execute(SQL)
+        first = db.execute(SQL, AdaptiveConfig(mode=ReorderMode.NONE))
+        second = db.execute(SQL, AdaptiveConfig(mode=ReorderMode.NONE))
         assert (first.stats.plan_cache, second.stats.plan_cache) == (MISS, HIT)
         assert second.plan is first.plan
         assert second.rows == first.rows
@@ -356,7 +357,10 @@ class TestDatabaseCache:
     def test_concurrent_executions_share_one_plan(self):
         db = build_three_table_db(owners=200)
         db.enable_concurrent_metering()
+        db.execute(SQL, AdaptiveConfig(mode=ReorderMode.BOTH))  # learns
+        # Every later run of the text in BOTH runs that lesson, statically.
         expected = db.execute(SQL, AdaptiveConfig(mode=ReorderMode.BOTH))
+        assert expected.stats.plan_feedback is not None
         results, errors = [], []
 
         def run():
@@ -486,14 +490,13 @@ class TestServed:
         # The engine processes' caches are forks of the database's: the
         # serving process itself planned nothing, and the stats op adds
         # what the engines counted to what it had (size and capacity are
-        # the engines' own, summed over the two; so is ``settled``: the
-        # default mode monitors, and the statement's first run there ended
-        # where it started).
+        # the engines' own, summed over the two). The default mode
+        # monitors: the first run wrote its lesson, the next two ran it.
         own = db.plan_cache.stats()
         assert own["hits"] == own["misses"] == own["size"] == 0
         assert stats["plan_cache"] == {
             **own, "size": 1, "capacity": 2 * own["capacity"],
-            "hits": 2, "misses": 1, "settled": 1,
+            "hits": 2, "misses": 1, "feedback_writes": 1, "feedback_hits": 2,
         }
         assert 'plan_cache_events{label="hits"} 2' in exposition
         # What an engine cached after its fork stays in that engine; what

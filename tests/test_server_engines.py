@@ -782,13 +782,13 @@ class TestLearning:
             assert second["plan_cache"] == "hit"
             assert second["plan_feedback"]["writes"] == 1
             assert second["work_units"] < first["work_units"]
+            # The lesson runs as a static plan under the requested mode.
+            assert (second["mode"], second["engine"]) == ("both", "vector")
+            assert second["switches"] == 0
         assert on_first[0]["query_id"].split("-")[1] != (
             on_second[0]["query_id"].split("-")[1]
         )
         # What the two engines counted since their fork, summed.
         assert cache["feedback_writes"] - before["feedback_writes"] == 2
         assert cache["feedback_hits"] - before["feedback_hits"] == 2
-        # Each engine's second run ended where it started: one settled
-        # entry an engine (a level, summed like ``size``).
-        assert cache["settled"] - before["settled"] == 2
         assert cache["misses"] - before["misses"] >= 2

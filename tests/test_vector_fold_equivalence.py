@@ -1,4 +1,4 @@
-"""Property test: kernel chunk folds == scalar ProbeSample chunk folds.
+"""Property test: kernel chunk folds == scalar per-probe chunk folds.
 
 The chunked vectorized adaptive engine never runs a scalar probe: each
 leg's per-chunk :class:`~repro.core.monitor.AggregatedWindow` fold —
