@@ -4,7 +4,7 @@ from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.core.driving import decide_driving_switch
 from repro.core.events import AdaptationEvent, EventKind
-from repro.core.monitor import DrivingMonitor, LegMonitor, SlidingWindow
+from repro.core.monitor import DrivingMonitor, LegMonitor
 from repro.core.positions import FrozenScan, PositionRegistry
 from repro.core.ranks import (
     RuntimeModelBuilder,
@@ -24,7 +24,6 @@ __all__ = [
     "PositionRegistry",
     "ReorderMode",
     "RuntimeModelBuilder",
-    "SlidingWindow",
     "decide_driving_switch",
     "decide_inner_order",
     "measured_combined_local_selectivity",

@@ -8,9 +8,11 @@ active and how eagerly they act.
 
 Options that measured nothing are not among them (EXPERIMENTS.md,
 "Ablations"): the inner reorder is the paper's ascending-rank rule (Eq 4),
-a driving leg keeps the access path the optimizer chose, and an inner leg
-with no index on an available join column is hash-probed (the Sec 6
-pipelined hash join, :mod:`repro.executor.hashprobe`).
+a driving leg keeps the access path the optimizer chose, an inner leg with
+no index on an available join column is hash-probed (the Sec 6 pipelined
+hash join, :mod:`repro.executor.hashprobe`), and a driving switch is never
+postponed to a key boundary: the composite positional predicate makes any
+switch point safe (Sec 4.2).
 
 Which machine executes is not among them either: the store picks it. A row
 database runs the oracle (the scalar row-at-a-time machine, reorder checks
@@ -62,10 +64,6 @@ class AdaptiveConfig:
     # guards against thrashing on near-tie estimates (Sec 5.4 discusses
     # fluctuation for small windows).
     switch_benefit_threshold: float = 0.15
-    # Postpone a driving switch until the index-scan cursor crosses a key
-    # boundary, so the positional predicate is a plain ``key > v``
-    # (the "postpone the change" variant of Sec 4.2).
-    switch_at_key_boundary: bool = False
     # Monitored estimates are trusted only after a leg has seen this many
     # incoming rows; before that, optimizer priors are blended in.
     warmup_rows: int = 10

@@ -31,7 +31,6 @@ from repro.errors import ExecutionError, ReproError
 from repro.obs.recorder import DecisionRecord, granularity_of, rank_terms_for
 from repro.obs.timeseries import snapshot_legs
 from repro.optimizer.params import ModelProvider
-from repro.storage.cursor import IndexScanCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executor.pipeline import PipelineExecutor
@@ -174,18 +173,6 @@ class AdaptationController:
         if len(pipeline.order) < 2:
             return False
         if pipeline.driving_rows_since_check < config.check_frequency:
-            return False
-        cursor = pipeline.driving_cursor
-        if (
-            config.switch_at_key_boundary
-            and isinstance(cursor, IndexScanCursor)
-            and cursor.scans_multiple_keys()
-            and not cursor.at_key_boundary()
-        ):
-            # Postpone the check until the current key group drains, so a
-            # plain ``key > v`` positional predicate suffices (Sec 4.2).
-            # Single-value scans ignore the key order entirely and may
-            # switch anywhere (their positional predicate is RID-only).
             return False
         started = perf_counter()
         pipeline.driving_rows_since_check = 0

@@ -49,8 +49,7 @@ class AdaptationEvent:
         """Fraction of the current plan's remaining cost the switch saves.
 
         Clamped to ``[0, 1]``: a decision whose new plan was estimated
-        *costlier* (possible when hysteresis or key-boundary constraints
-        forced a switch anyway) reports 0.0 benefit, not a negative one.
+        *costlier* reports 0.0 benefit, not a negative one.
         """
         if self.estimated_current_cost <= 0:
             return 0.0

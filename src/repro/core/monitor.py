@@ -16,14 +16,12 @@ tracks scan progress (entries read, rows surviving locals) so the controller
 can estimate the *remaining* work of the current plan (Fig 3 step 2) and the
 residual local selectivity of the leg.
 
-Storage layout: both monitors keep their window in preallocated **ring
-buffers** (three parallel scalar arrays indexed by ``lifetime % size``)
-rather than a deque of sample objects. A single observation is one slot
-overwrite with no allocation, and :meth:`DrivingMonitor.observe_many` folds
-a whole executor chunk of scan records into the window in one call, with
-the exact same add-new-then-subtract-evicted arithmetic as one-at-a-time
-updates. The engine's runs carry an :class:`AggregatedWindow` per inner leg
-instead: one weighted entry per chunk.
+Storage layout: an inner leg's window is an :class:`AggregatedWindow`, one
+weighted entry per fold — a probe on the oracle (``n == 1``), a whole chunk
+on the engine. The driving monitor keeps a preallocated ring of per-row
+survival flags, and :meth:`DrivingMonitor.observe_many` folds a whole
+executor chunk of scan records into it in one call, with the exact same
+add-new-then-subtract-evicted arithmetic as one-at-a-time updates.
 """
 
 from __future__ import annotations
@@ -32,84 +30,18 @@ from collections import deque
 from typing import Sequence
 
 
-class SlidingWindow:
-    """Aggregates probe counters over the last ``w`` samples (ring buffer)."""
-
-    __slots__ = (
-        "size",
-        "_matches",
-        "_output",
-        "_work",
-        "_sum_matches",
-        "_sum_output",
-        "_sum_work",
-        "lifetime_samples",
-    )
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("window size must be >= 1")
-        self.size = size
-        self._matches = [0] * size
-        self._output = [0] * size
-        self._work = [0.0] * size
-        self._sum_matches = 0
-        self._sum_output = 0
-        self._sum_work = 0.0
-        self.lifetime_samples = 0
-
-    def observe(
-        self, index_matches: int, output_rows: int, work_units: float
-    ) -> None:
-        """Fold one sample into the window (O(1), no allocation)."""
-        slot = self.lifetime_samples % self.size
-        # Same arithmetic order as the historical deque implementation:
-        # add the new sample, then evict the expired one — float sums stay
-        # bit-identical to per-row scalar monitoring.
-        self._sum_matches += index_matches
-        self._sum_output += output_rows
-        self._sum_work += work_units
-        if self.lifetime_samples >= self.size:
-            self._sum_matches -= self._matches[slot]
-            self._sum_output -= self._output[slot]
-            self._sum_work -= self._work[slot]
-        self._matches[slot] = index_matches
-        self._output[slot] = output_rows
-        self._work[slot] = work_units
-        self.lifetime_samples += 1
-
-    def __len__(self) -> int:
-        return min(self.lifetime_samples, self.size)
-
-    @property
-    def sum_matches(self) -> int:
-        return self._sum_matches
-
-    @property
-    def sum_output(self) -> int:
-        return self._sum_output
-
-    @property
-    def sum_work(self) -> float:
-        return self._sum_work
-
-
 class AggregatedWindow:
-    """Chunk-granular sliding window: one weighted entry per executor chunk.
+    """The history window over the last ``size`` samples (Sec 4.3.5).
 
-    The amortized twin of :class:`SlidingWindow`, carried by the engine's
-    (chunk-semantics) runs: :meth:`observe_chunk` folds a whole chunk of
-    ``n`` samples into the window as a single ``(n, sums)`` aggregate — an
-    O(1) ring update per *chunk* rather than per sample. Eviction drops
-    whole aggregates, so the window covers the most recent chunks whose
-    sample count is at least ``size``; it can transiently hold up to one
-    chunk more than ``size`` samples. Estimates are therefore within the
-    skew of one chunk of a per-sample window — the documented accuracy
-    contract of the engine's monitored modes.
-
-    When every aggregate has ``n == 1`` (e.g. the scalar fallback path
-    observing per row) the eviction boundary is exact and estimates match
-    :class:`SlidingWindow` bit for bit.
+    :meth:`observe_chunk` folds ``n`` samples in as a single ``(n, sums)``
+    aggregate — O(1) per fold. Eviction drops whole aggregates, so the
+    window covers the most recent folds whose sample count is at least
+    ``size``; it can transiently hold up to one fold more than ``size``
+    samples. The engine folds a chunk at a time, so its estimates are
+    within the skew of one chunk of a per-sample window — the documented
+    accuracy contract of its monitored modes. The oracle folds one probe
+    at a time (:meth:`observe`, ``n == 1``): eviction is then exact, the
+    paper's per-sample sliding window.
     """
 
     __slots__ = (
@@ -183,10 +115,8 @@ class LegMonitor:
 
     __slots__ = ("window", "_pending")
 
-    def __init__(self, window: int, aggregated: bool = False) -> None:
-        self.window: SlidingWindow | AggregatedWindow = (
-            AggregatedWindow(window) if aggregated else SlidingWindow(window)
-        )
+    def __init__(self, window: int) -> None:
+        self.window = AggregatedWindow(window)
         # Deferred chunk fold: (n, matches, output, work) accumulated by
         # defer_chunk() and applied as ONE AggregatedWindow aggregate by
         # flush_chunk() at the next driving-chunk boundary.
@@ -236,13 +166,8 @@ class LegMonitor:
         pending[3] = 0.0
 
     def reset(self) -> None:
-        """Drop history (used when the leg's probe configuration changes).
-
-        Type-preserving: an aggregated window resets to an aggregated
-        window, so the configured monitor granularity survives probe
-        recompiles (reorders, driving switches).
-        """
-        self.window = type(self.window)(self.window.size)
+        """Drop history (used when the leg's probe configuration changes)."""
+        self.window = AggregatedWindow(self.window.size)
         self._pending = [0, 0, 0, 0.0]
 
     # -- derived estimates (None when no data yet) -----------------------

@@ -151,7 +151,6 @@ class RuntimeLeg:
         model_parts: LegModelParts,
         history_window: int,
         monitoring_enabled: bool,
-        aggregated_monitor: bool = False,
     ) -> None:
         self.plan_leg = plan_leg
         self.alias = plan_leg.alias
@@ -163,12 +162,7 @@ class RuntimeLeg:
         # shared with every execution of the plan (PlanBindings).
         self.model_parts = model_parts
         self.monitoring_enabled = monitoring_enabled
-        # An unmonitored leg never observes a probe: its window only has to
-        # read empty, and the aggregated one allocates no ring to do so.
-        self.monitor = LegMonitor(
-            history_window,
-            aggregated=aggregated_monitor or not monitoring_enabled,
-        )
+        self.monitor = LegMonitor(history_window)
         self.driving_monitor: DrivingMonitor | None = None
         self.positional: PositionalPredicate | None = None
         self._history_window = history_window

@@ -8,9 +8,8 @@ aggregate and fires its reorder checks at chunk boundaries (DESIGN.md
 Sec 4d).
 
 Dispatch (:meth:`BatchedPipelineExecutor._run`): a configuration that needs
-per-row visibility (invariant oracle, fault injection,
-``switch_at_key_boundary``, a custom controller) runs the scalar machine;
-otherwise the cascade; a shape its gates refuse runs
+per-row visibility (invariant oracle, fault injection, a custom controller)
+runs the scalar machine; otherwise the cascade; a shape its gates refuse runs
 the scalar machine too — from the first row, or from the chunk boundary
 where the cascade handed back a plan it could not rebuild (cursors, check
 counters and windows are then exactly what that machine reads).
@@ -30,18 +29,11 @@ from repro.robustness.guard import SandboxedController
 class BatchedPipelineExecutor(PipelineExecutor):
     """Drop-in executor running the cascade (scalar fallback built in)."""
 
-    # One weighted ring entry per chunk. The scalar fallbacks still work
-    # against them: a per-row observation is an n=1 aggregate with exact
-    # eviction.
-    aggregated_windows = True
-
     def _scalar_fallback_reason(self) -> str | None:
         if self.oracle is not None:
             return "invariant oracle armed"
         if self.catalog.faults is not None:
             return "fault injection armed"
-        if self.config.switch_at_key_boundary:
-            return "switch_at_key_boundary peeks the live cursor"
         controller = self.controller
         if isinstance(controller, SandboxedController):
             controller = controller.inner

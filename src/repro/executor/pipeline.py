@@ -115,10 +115,6 @@ def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
 class PipelineExecutor:
     """Runs one pipelined plan, optionally under adaptive reordering."""
 
-    # A monitored leg keeps a per-sample sliding window; the engine's
-    # subclass keeps one weighted ring entry per chunk instead.
-    aggregated_windows = False
-
     def __init__(
         self,
         plan: PipelinePlan,
@@ -152,7 +148,6 @@ class PipelineExecutor:
                 bindings.model_parts[alias],
                 self.config.history_window,
                 monitoring,
-                aggregated_monitor=monitoring and self.aggregated_windows,
             )
             for alias in plan.order
         }

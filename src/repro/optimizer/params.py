@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping, NamedTuple
 
 from repro.optimizer.plans import DrivingKind, PlanLeg
-from repro.query.joingraph import JoinGraph, JoinPredicate
+from repro.query.joingraph import JoinGraph
 from repro.storage import counters as _counters
 
 # Work-unit weights hoisted to module floats: ``inner_params`` runs inside
@@ -152,12 +152,6 @@ class ModelProvider:
         # order search evaluates the same leg at the same position for many
         # candidate orders — memoizing keeps those evaluations O(1).
         self._inner_cache: dict[tuple[str, frozenset[str]], tuple[float, float]] = {}
-
-    def _jp_sel(self, predicate: JoinPredicate) -> float:
-        class_id = self.graph.class_id(predicate.left, predicate.left_column)
-        if class_id is None:
-            return DEFAULT_CLASS_SELECTIVITY
-        return self.class_selectivities.get(class_id, DEFAULT_CLASS_SELECTIVITY)
 
     def driving_params(self, alias: str) -> tuple[float, float]:
         model = self.models[alias]

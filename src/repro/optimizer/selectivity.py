@@ -59,27 +59,6 @@ def _fraction_of_range(stats: ColumnStats, value: Any, op: Op) -> float | None:
     return min(max(fraction, 0.0), 1.0)
 
 
-def equality_selectivity(stats: ColumnStats | None, value: Any) -> float:
-    """Selectivity of ``column = value``."""
-    if stats is None or stats.ndv <= 0:
-        return DEFAULT_EQ_SELECTIVITY
-    total = stats.ndv + stats.null_count  # guard only; see below
-    if stats.has_frequent_values:
-        row_count = sum(stats.frequent_values.values())
-        # Frequent-value stats carry exact counts for the top values and the
-        # uniform assumption for the remainder.
-        if value in stats.frequent_values:
-            # Denominator: the analyzed table cardinality is not stored in
-            # ColumnStats; callers that have it should prefer
-            # Estimator.local_selectivity. Fallback: relative frequency
-            # within observed mass is still far better than 1/ndv.
-            return stats.frequent_values[value] / max(
-                row_count + stats.null_count, 1
-            )
-    del total
-    return 1.0 / stats.ndv
-
-
 class Estimator:
     """Selectivity estimation against one table's statistics."""
 

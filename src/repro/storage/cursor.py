@@ -44,14 +44,6 @@ class KeyRange:
     def equal(cls, value: Any) -> "KeyRange":
         return cls(low=value, high=value)
 
-    def is_equality(self) -> bool:
-        return (
-            self.low is not None
-            and self.low == self.high
-            and self.low_inclusive
-            and self.high_inclusive
-        )
-
     def sort_key(self) -> tuple[int, Any]:
         # Unbounded-low ranges come first; bounded ranges sort by low bound.
         if self.low is None:
@@ -164,7 +156,6 @@ class IndexScanCursor:
         "_range_no",
         "_pos",
         "_hi",
-        "_pending",
         "_whole_spans",
         "_spans_built_upto",
     )
@@ -187,7 +178,6 @@ class IndexScanCursor:
         self._range_no = -1
         self._pos = 0
         self._hi = 0
-        self._pending: tuple[Any, int] | None = None
         # Entry-list bounds of each whole key range: index metadata, found
         # when the walk first enters a range (or is asked) and kept while
         # the index build stands.
@@ -223,10 +213,10 @@ class IndexScanCursor:
 
         Every range entry before it has been yielded, every one from it on
         is still to come: 0 before the first advance, later the walk's own
-        position (less a peeked entry) — possibly past a gap between two
-        ranges, where no range entry lies.
+        position — possibly past a gap between two ranges, where no range
+        entry lies.
         """
-        return self._pos - (self._pending is not None)
+        return self._pos
 
     def _next_entry(self) -> tuple[Any, int]:
         index = self.index
@@ -252,15 +242,11 @@ class IndexScanCursor:
             # Fired before any cursor state is touched, so the advance can
             # be retried.
             faults.fire("cursor-advance")
-        if self._pending is not None:
-            key, rid = self._pending
-            self._pending = None
-        else:
-            try:
-                key, rid = self._next_entry()
-            except StopIteration:
-                self.exhausted = True
-                raise
+        try:
+            key, rid = self._next_entry()
+        except StopIteration:
+            self.exhausted = True
+            raise
         row = self.index.table.fetch(rid)
         self.last_position = (key, rid)
         return rid, row
@@ -299,32 +285,3 @@ class IndexScanCursor:
         self._pos = pos
         self._hi = hi
         self.last_position = self.index._entries[pos - 1]
-
-    def scans_multiple_keys(self) -> bool:
-        """True unless the scan covers a single key value.
-
-        For a single-value scan (one equality range) the key order is
-        degenerate — Sec 4.2: "If there is only one value to scan (e.g.,
-        for equality predicates), we can ignore this order" — so waiting
-        for a key boundary would mean waiting for the end of the scan.
-        """
-        if len(self.ranges) != 1:
-            return True
-        return not self.ranges[0].is_equality()
-
-    def at_key_boundary(self) -> bool:
-        """True when the next entry (if any) has a different key.
-
-        Used by the "postpone switch until the current key group drains"
-        variant of driving-leg switching (Sec 4.2), which then needs only a
-        simple ``key > v`` positional predicate.
-        """
-        if self.last_position is None:
-            return True
-        if self._pending is None:
-            try:
-                self._pending = self._next_entry()
-            except StopIteration:
-                self.exhausted = True
-                return True
-        return self._pending[0] != self.last_position[0]

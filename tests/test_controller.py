@@ -119,19 +119,3 @@ class TestSkewScenario:
         # Even with a tiny window, the escalating re-switch penalty must
         # keep the driving leg from ping-ponging indefinitely.
         assert adaptive.stats.driving_switches <= 6
-
-
-class TestKeyBoundaryVariant:
-    def test_results_match_and_switches_possible(self):
-        db = build_three_table_db(owners=1500, seed=9)
-        sql = (
-            "SELECT o.name FROM Owner o, Car c, Demo d "
-            "WHERE c.ownerid = o.id AND o.id = d.ownerid "
-            "AND c.make = 'Rare' AND d.salary BETWEEN 20000 AND 90000"
-        )
-        static = execute(db, sql, mode=ReorderMode.NONE)
-        boundary = execute(
-            db, sql, mode=ReorderMode.BOTH, switch_at_key_boundary=True
-        )
-        assert sorted(static.rows) == sorted(boundary.rows)
-

@@ -79,11 +79,6 @@ CASES = {
         {}, JOIN, BOTH, {"fault_plan": FaultPlan.from_json('{"seed": 1}')},
         "scalar", "fault injection armed",
     ),
-    "key-boundary": (
-        {}, JOIN,
-        AdaptiveConfig(mode=ReorderMode.BOTH, switch_at_key_boundary=True),
-        {}, "scalar", "switch_at_key_boundary peeks the live cursor",
-    ),
     # -- gates: a shape the kernels do not cover -------------------------
     # No index on B.aid: what an unindexed join column means.
     "hash-probed": (
@@ -195,7 +190,7 @@ def test_no_option_chooses_the_machine():
     """The surface, pinned: the next option shows up as a diff here."""
     assert {field.name for field in dataclasses.fields(AdaptiveConfig)} == {
         "mode", "check_frequency", "history_window",
-        "switch_benefit_threshold", "switch_at_key_boundary", "warmup_rows",
+        "switch_benefit_threshold", "warmup_rows",
     }
     assert "engine_batch_size" not in {
         field.name for field in dataclasses.fields(ServerConfig)

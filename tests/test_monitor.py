@@ -1,6 +1,7 @@
 """Unit tests for the run-time monitors (Sec 4.3)."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -8,13 +9,15 @@ from repro.core.monitor import (
     AggregatedWindow,
     DrivingMonitor,
     LegMonitor,
-    SlidingWindow,
 )
 
 
 class TestSlidingWindow:
+    """The paper's per-sample window: AggregatedWindow fed one sample at a
+    time through observe()."""
+
     def test_totals(self):
-        window = SlidingWindow(10)
+        window = AggregatedWindow(10)
         window.observe(3, 1, 5.0)
         window.observe(2, 2, 3.0)
         assert window.sum_matches == 5
@@ -23,7 +26,7 @@ class TestSlidingWindow:
         assert len(window) == 2
 
     def test_eviction(self):
-        window = SlidingWindow(2)
+        window = AggregatedWindow(2)
         window.observe(10, 10, 10.0)
         window.observe(1, 1, 1.0)
         window.observe(2, 2, 2.0)
@@ -31,7 +34,7 @@ class TestSlidingWindow:
         assert window.sum_matches == 3  # the 10 expired
 
     def test_lifetime_counts_everything(self):
-        window = SlidingWindow(1)
+        window = AggregatedWindow(1)
         for _ in range(5):
             window.observe(1, 1, 1.0)
         assert window.lifetime_samples == 5
@@ -39,7 +42,7 @@ class TestSlidingWindow:
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            SlidingWindow(0)
+            AggregatedWindow(0)
 
 
 class TestLegMonitor:
@@ -129,15 +132,17 @@ class TestDrivingMonitor:
 
 def test_aggregated_window_single_samples_match_sliding():
     rng = random.Random(20070426)
-    sliding = SlidingWindow(64)
+    sliding = deque(maxlen=64)
     aggregated = AggregatedWindow(64)
     for _ in range(500):
         matches = rng.randrange(0, 5)
         output = rng.randrange(0, matches + 1)
         work = rng.random() * 10
-        sliding.observe(matches, output, work)
+        sliding.append((matches, output, work))
         aggregated.observe_chunk(1, matches, output, work)
         assert len(aggregated) == len(sliding)
-        assert aggregated.sum_matches == sliding.sum_matches
-        assert aggregated.sum_output == sliding.sum_output
-        assert aggregated.sum_work == pytest.approx(sliding.sum_work)
+        assert aggregated.sum_matches == sum(m for m, _, _ in sliding)
+        assert aggregated.sum_output == sum(o for _, o, _ in sliding)
+        assert aggregated.sum_work == pytest.approx(
+            sum(w for _, _, w in sliding)
+        )

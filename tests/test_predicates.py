@@ -55,7 +55,8 @@ class TestComparison:
 
     def test_key_ranges_eq(self):
         (r,) = Comparison("a", Op.EQ, 5).key_ranges("a")
-        assert r.is_equality() and r.low == 5
+        assert r.low == r.high == 5
+        assert r.low_inclusive and r.high_inclusive
 
     def test_key_ranges_lt(self):
         (r,) = Comparison("a", Op.LT, 5).key_ranges("a")

@@ -65,8 +65,7 @@ class TestRemainingScanFraction:
         """The fraction comes off the walk's own position and range bounds
         found once; it must stay the index-metadata count it replaced
         (``count_range`` / ``count_range_after`` at ``last_position``) at
-        every step — gaps between ranges, empty ranges and key-boundary
-        peeks included."""
+        every step — gaps between ranges and empty ranges included."""
         table = make_table([5, 1, 2, 2, 9, 5, 5, 7, 2, 12, 12])
         index = SortedIndex("ix", table, "k")
         ranges = [
@@ -84,14 +83,11 @@ class TestRemainingScanFraction:
                 remaining += index.count_range_after(cursor.last_position, *bounds)
             return remaining / total
 
-        for peek in (False, True):
-            cursor = IndexScanCursor(index, ranges)
+        cursor = IndexScanCursor(index, ranges)
+        assert remaining_scan_fraction(cursor) == counted(cursor)
+        for _ in cursor:
             assert remaining_scan_fraction(cursor) == counted(cursor)
-            for _ in cursor:
-                if peek:
-                    cursor.at_key_boundary()
-                assert remaining_scan_fraction(cursor) == counted(cursor)
-            assert remaining_scan_fraction(cursor) == counted(cursor) == 0.0
+        assert remaining_scan_fraction(cursor) == counted(cursor) == 0.0
 
 
 class _FakeLeg:

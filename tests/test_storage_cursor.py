@@ -28,13 +28,9 @@ def make_table(values):
 class TestKeyRange:
     def test_equal(self):
         r = KeyRange.equal(5)
-        assert r.is_equality()
+        assert r.low == r.high
+        assert r.low_inclusive and r.high_inclusive
         assert (r.low, r.high) == (5, 5)
-
-    def test_non_equality(self):
-        assert not KeyRange(low=1, high=2).is_equality()
-        assert not KeyRange(low=1).is_equality()
-        assert not KeyRange(low=1, high=1, high_inclusive=False).is_equality()
 
     def test_normalize_sorts_by_low(self):
         ranges = [KeyRange.equal(5), KeyRange.equal(2), KeyRange(low=None, high=1)]
@@ -100,37 +96,6 @@ class TestIndexScanCursor:
         next(cursor)
         assert cursor.last_position == (1, 0)
         assert [row[0] for _, row in cursor] == [5]
-
-    def test_at_key_boundary_initially_true(self):
-        cursor = self.make_cursor([1, 2])
-        assert cursor.at_key_boundary()
-
-    def test_at_key_boundary_within_group(self):
-        cursor = self.make_cursor([2, 2, 3])
-        next(cursor)
-        assert not cursor.at_key_boundary()
-        next(cursor)
-        assert cursor.at_key_boundary()
-
-    def test_peek_does_not_lose_rows(self):
-        cursor = self.make_cursor([1, 2, 3])
-        next(cursor)
-        cursor.at_key_boundary()  # peeks and buffers
-        remaining = [row[0] for _, row in cursor]
-        assert remaining == [2, 3]
-
-    def test_boundary_at_end(self):
-        cursor = self.make_cursor([1])
-        next(cursor)
-        assert cursor.at_key_boundary()
-        assert cursor.exhausted
-
-    def test_scans_multiple_keys(self):
-        assert not self.make_cursor([1], [KeyRange.equal(1)]).scans_multiple_keys()
-        assert self.make_cursor([1], [KeyRange(low=0, high=9)]).scans_multiple_keys()
-        assert self.make_cursor(
-            [1], [KeyRange.equal(1), KeyRange.equal(2)]
-        ).scans_multiple_keys()
 
 
 class TestScanOrder:

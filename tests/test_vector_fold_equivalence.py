@@ -161,7 +161,7 @@ def one_leg_plan(db, index, kernel, ntests):
     leg = SimpleNamespace(
         alias="t",
         monitoring_enabled=True,
-        monitor=LegMonitor(window=37, aggregated=True),
+        monitor=LegMonitor(window=37),
         local_counts=[[0, 0] for _ in range(ntests)],
         incoming_since_check=0,
         rows_in=0,
