@@ -105,8 +105,8 @@ class ExecutionStats:
     # "vector-adaptive".
     engine: str = "scalar"
     # Why a run on the columnar store did NOT run the vectorized cascade
-    # (the scalar fallback screen or first failed gate); None when it ran,
-    # and always on a row database.
+    # (the first failed gate, from the start or at a mid-query hand-off);
+    # None when it ran, and always on a row database.
     vector_gate: str | None = None
     # How the plan was obtained: "hit" / "miss" / "wait" (blocked on another
     # thread planning the same statement) / "off" (cache capacity 0) for SQL

@@ -375,6 +375,15 @@ class RuntimeLeg:
             return None
         return lambda: self.obs.on_fault_retry(site)
 
+    def consult(self, site: str) -> None:
+        """The engine's fault site: one consultation per chunk, transient
+        faults retried (the scalar machine consults per row)."""
+        faults = self.table.faults
+        if faults is not None:
+            call_with_retry(
+                lambda: faults.fire(site), self.retry_policy, self._retry_hook(site)
+            )
+
     def _degrade_monitoring(self, exc: BaseException) -> None:
         """Disable this leg's monitoring after a failure inside it.
 

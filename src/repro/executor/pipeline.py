@@ -198,14 +198,14 @@ class PipelineExecutor:
         self.depleted_from: int | None = None
         self._enforcer: LimitEnforcer | None = None
         # Which execution engine ran this query: "scalar" (this class;
-        # the engine's screens, gates and mid-query hand-off),
+        # the engine's gates and mid-query hand-off),
         # "vector" (static columnar cascade) or "vector-adaptive" (chunked
         # adaptive cascade). Surfaced on ExecutionStats.engine and the
         # flight record.
         self.engine_used = "scalar"
         # Why the engine did NOT (or not to its end) run the vectorized
-        # cascade: the scalar-fallback screen or first failed gate. None
-        # when it ran, and always on this class.
+        # cascade: the first failed gate. None when it ran, and always on
+        # this class.
         self.vector_gate_reason: str | None = None
         # Set by ``Database`` on a run it will learn from (a text's first
         # monitored run in its mode) and read by the engine alone: it still

@@ -41,10 +41,13 @@ survives a driving switch.
 
 The cascade is only observably different from the scalar machine in
 *intermediate* meter states, which are visible at chunk boundaries alone:
-no faults, no oracle (the callers' entry conditions), observability reads
-the legs' flow counters (bumped once per chunk here) at cold sites only,
-and execution limits are enforced at those boundaries — rows exactly,
-work / deadline / cancellation at most one chunk late.
+a fault plan is consulted once per chunk at its sites (``cursor-advance``
+per driving slice, ``index-lookup`` and ``monitor`` per inner leg), the
+invariant oracle records each emitted tuple's RIDs off the chunk's
+ancestor arrays, observability reads the legs' flow counters (bumped once
+per chunk here) at cold sites only, and execution limits are enforced at
+those boundaries — rows exactly, work / deadline / cancellation at most one
+chunk late.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from bisect import bisect_right
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
+from repro.errors import StorageError
 from repro.storage.columnar import ColumnarIndex, _np
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import (
@@ -505,7 +509,9 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
       position 1 and one driving check per chunk. An applied inner
       reorder permutes the remaining legs mid-scan; a driving switch swaps
       the driving walk and puts the frozen leg behind a positional kernel
-      (plan rebuild).
+      (plan rebuild). These are the only calls into the controller, so
+      any :class:`AdaptationHooks` implementation mutates the plan only
+      where the cascade rebuilds it.
 
     Two rules the scalar machine does not share (it cannot see past its
     cursor; the replay contract holds whenever a decision is applied):
@@ -549,6 +555,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     while True:
         if limits is not None:
             limits.check()
+        walk.leg.consult("cursor-advance")
         survivors = walk.take(chunk_rows)
         taken = len(survivors)
         if not taken:
@@ -563,11 +570,22 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
         executor.driving_rows_since_check += taken
         executor.driving_rows_total += taken
 
+        if executor.catalog.faults is not None:
+            for leg, *_ in inner:  # before each leg's charges and its fold
+                leg.consult("index-lookup")
+                if leg.monitoring_enabled:
+                    try:
+                        leg.consult("monitor")
+                    except StorageError as exc:  # advisory, as a probe's is
+                        leg._degrade_monitoring(exc)
         ancestors, flow = _expand(meter, inner, executor.order[0], survivors)
         admitted = flow if limits is None else limits.admit_rows(flow)
         meter.rows_emitted += admitted
         executor.rows_emitted += admitted
         if admitted:
+            if executor.oracle is not None:
+                for rids in zip(*(ancestors[a][:admitted].tolist() for a in ancestors)):
+                    executor.oracle.record_emit(dict(zip(ancestors, rids)))
             yield from _project(legs_map, projection, ancestors, admitted)
 
         # -- chunk boundary: flush folds, then the two checks ------------
@@ -589,15 +607,13 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
             executor.depleted_from = 1
             controller.on_suffix_depleted(1)
         executor.depleted_from = 0
-        switched = (
-            reorders_driving
-            and executor.driving_rows_since_check >= check_freq
-            and controller.on_pipeline_depleted()
-        )
+        if reorders_driving and executor.driving_rows_since_check >= check_freq:
+            controller.on_pipeline_depleted()
         sig = _plan_signature(executor)
         if sig != plan_sig:
             inner, reason = _adaptive_plan(executor)
-            if reason is None and switched:
+            # Whatever the controller returned: the plan says who drives.
+            if reason is None and walk.leg is not legs_map[executor.order[0]]:
                 # A fresh (or resumed) driving cursor: a new walk.
                 walk, reason = _driving_walk(
                     legs_map[executor.order[0]], executor.driving_cursor

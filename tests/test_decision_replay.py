@@ -31,8 +31,11 @@ from repro.dmv import four_table_workload, load_dmv, six_table_workload, templat
 from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor
+from repro.robustness.faults import FaultPlan
 
 from tests.test_cyclic_graphs import build_cyclic_db
+from tests.test_fault_soak import PLAN_SHAPES, SEEDS as SOAK_SEEDS
+from tests.test_fault_soak import _config as soak_config, _queries as soak_queries
 from tests.test_vector_limits import hand_off_db
 
 PHYSICAL = (
@@ -123,7 +126,10 @@ def machines(row_db, columnar_db, sql, config, order=None, limits=None):
     recording.attach(engine)
 
     def start_oracle():
-        assert [event for event, _ in recording.script] == engine.events
+        # What a degraded monitor records is not a decision to replay.
+        assert [event for event, _ in recording.script] == [
+            event for event in engine.events if event.kind is not EventKind.DEGRADED
+        ]
         scripted = Scripted(recording.script)
         oracle = PipelineExecutor(
             plan(row_db), row_db.catalog, config, scripted, limits=limits
@@ -257,6 +263,43 @@ def test_hand_off_statement_replays():
     assert engine.engine_used == "scalar" and engine.driving_switches >= 1
     assert engine.vector_gate_reason.endswith("hash-probed or uncompiled access")
     assert oracle is not None and oracle.rows_emitted > 0
+
+
+def test_engine_under_faults_replays(dmv, monkeypatch):
+    """The engine under the fault soak's storage and monitor plans, replayed
+    on the oracle with no fault armed: the same rows in order, physical
+    work, order history and frozen positions. A retried fault changes
+    nothing; a dead monitor changes only what the engine went on to decide,
+    and its ``DEGRADED`` event is not a decision (the script leaves it
+    out). Chunks of 4, or most scans are one chunk and decide nothing."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 4)
+    row_db, columnar_db = dmv
+    runs = fired = degraded = decided = 0
+    for shape in ("nth-storage", "random-storage", "monitor-dead"):
+        for seed in SOAK_SEEDS:
+            plan = FaultPlan(specs=PLAN_SHAPES[shape], seed=seed)
+            for sql in soak_queries(seed):
+                for mode in REORDERING:
+                    tag = (shape, seed, mode.name, sql)
+                    injector = plan.build()
+                    columnar_db.catalog.install_faults(injector)
+                    try:
+                        _, engine, oracle = assert_replays(
+                            row_db, columnar_db, sql, soak_config(mode), tag=tag
+                        )
+                    finally:
+                        columnar_db.catalog.clear_faults()
+                    assert engine.engine_used == "vector-adaptive", tag
+                    assert oracle is not None, tag
+                    dead = sum(
+                        event.kind is EventKind.DEGRADED for event in engine.events
+                    )
+                    runs += 1
+                    fired += injector.total_fired
+                    degraded += dead
+                    decided += len(engine.events) - dead
+    assert runs == 3 * len(SOAK_SEEDS) * 3 * len(REORDERING)
+    assert fired > 0 and degraded > 0 and decided > 0
 
 
 # ---------------------------------------------------------------------------

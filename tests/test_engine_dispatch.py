@@ -4,10 +4,10 @@ The store picks the machine: a row database runs the oracle (``scalar``,
 no gate to name), a columnar database the engine. ``ExecutionStats.engine``
 takes three values — ``scalar``, ``vector``, ``vector-adaptive`` — and
 ``ExecutionStats.vector_gate`` names what kept a columnar-store run on the
-scalar machine: a scalar-fallback screen (the run needs per-row visibility)
-or the first failed gate of DESIGN.md §4h's table (the shape is one the
-kernels do not cover). Every row of both lists is reached here through
-``Database.execute``; no option chooses.
+scalar machine: the first failed gate of DESIGN.md §4h's table (the shape
+is one the kernels do not cover). What checks a run — the invariant oracle,
+a fault plan, any controller — runs on the engine. Every row is reached
+here through ``Database.execute``; no option chooses.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import pytest
 
 from repro import AdaptiveConfig, Database, ReorderMode
 from repro.cli import build_parser
-from repro.dmv import load_dmv, six_table_workload
+from repro.dmv import four_table_workload, load_dmv, six_table_workload
+from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.obs.observer import QueryObservability
 from repro.obs.recorder import FlightRecorder
@@ -71,13 +72,13 @@ CASES = {
         {}, JOIN, BOTH, {"obs": QueryObservability.armed}, "vector-adaptive",
         None,
     ),
-    # -- scalar-fallback screens: the run needs per-row visibility -------
+    # Nor does checking it.
     "invariant-oracle": (
-        {}, JOIN, BOTH, {"oracle": True}, "scalar", "invariant oracle armed",
+        {}, JOIN, BOTH, {"oracle": True}, "vector-adaptive", None,
     ),
     "fault-plan": (
         {}, JOIN, BOTH, {"fault_plan": FaultPlan.from_json('{"seed": 1}')},
-        "scalar", "fault injection armed",
+        "vector-adaptive", None,
     ),
     # -- gates: a shape the kernels do not cover -------------------------
     # No index on B.aid: what an unindexed join column means.
@@ -202,23 +203,71 @@ def test_no_option_chooses_the_machine():
     parser.parse_args(["serve"])  # the command itself parses
 
 
-def test_unrecognized_controller_runs_the_scalar_machine():
-    """A controller the executor does not know may permute the pipeline
-    between chunk boundaries; ``Database.execute`` never builds one."""
+class Inert:
+    """A controller ``Database.execute`` never builds."""
 
-    class Inert:
-        def on_suffix_depleted(self, position):
-            return None
+    def on_suffix_depleted(self, position):
+        return None
 
-        def on_pipeline_depleted(self):
-            return False
+    def on_pipeline_depleted(self):
+        return False
 
+
+def test_any_controller_runs_the_engine():
+    """The cascade calls a controller only at chunk boundaries and reads
+    from the plan, not from its answer, whether it switched — so any
+    controller runs the engine, with the reference rows."""
     db = build()
     executor = BatchedPipelineExecutor(db.plan(JOIN), db.catalog, BOTH, Inert())
     reference = db.execute(JOIN, BOTH)
     assert executor.run_to_completion() == reference.rows
-    assert executor.engine_used == "scalar"
-    assert executor.vector_gate_reason == "unrecognized adaptation controller"
+    assert executor.engine_used == "vector-adaptive"
+    assert executor.vector_gate_reason is None
+
+
+def _seen(engine, rows, work, events, history) -> tuple:
+    return engine, rows, dataclasses.asdict(work), tuple(events), tuple(history)
+
+
+def test_arming_a_check_changes_nothing(monkeypatch):
+    """Checking a query does not change the machine: an idle fault plan, the
+    invariant oracle and a foreign controller each run the engine with the
+    disarmed run's rows in order, every WorkMeter field, events and order
+    history — over a sample of both grids, at chunks small enough to
+    decide mid-scan. The controller's disarmed twin is the executor with
+    no controller at all."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
+    db, _ = load_dmv(scale=0.02, extended=True, backend="columnar")
+    sample = six_table_workload(count=10**9)[::25] + four_table_workload(
+        queries_per_template=10**9
+    )[::33]
+    decided = 0
+    for query in sample:
+        plan = db.plan(query.sql)
+        disarmed = db.execute(plan, BOTH)
+        decided += len(disarmed.stats.events)
+        idle = db.execute(plan, BOTH, fault_plan=FaultPlan(seed=1))
+        checked = db.execute(plan, BOTH, oracle=True)
+        assert checked.oracle.emits == len(checked.rows)
+        for result in (disarmed, idle, checked):
+            stats = result.stats
+            assert _seen(
+                stats.engine, result.rows, stats.work, stats.events,
+                stats.order_history,
+            ) == _seen(
+                "vector-adaptive", disarmed.rows, disarmed.stats.work,
+                disarmed.stats.events, disarmed.stats.order_history,
+            ), query.sql
+        runs = []
+        for controller in (None, Inert()):
+            executor = BatchedPipelineExecutor(plan, db.catalog, BOTH, controller)
+            rows = executor.run_to_completion()
+            runs.append(_seen(
+                executor.engine_used, rows, executor.work, executor.events,
+                executor.order_history,
+            ))
+        assert runs[0] == runs[1] and runs[0][0] == "vector-adaptive", query.sql
+    assert len(sample) == 24 and decided > 0
 
 
 def test_mid_query_hand_off_continues_on_the_scalar_machine():
