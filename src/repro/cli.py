@@ -69,7 +69,7 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
         choices=["row", "columnar"],
         default="row",
         help="storage backend: reference row store or typed columnar "
-        "arrays with compiled predicates (default: row)",
+        "arrays run by the vectorized engine (default: row)",
     )
 
 

@@ -16,18 +16,15 @@ tracks scan progress (entries read, rows surviving locals) so the controller
 can estimate the *remaining* work of the current plan (Fig 3 step 2) and the
 residual local selectivity of the leg.
 
-Storage layout: an inner leg's window is an :class:`AggregatedWindow`, one
-weighted entry per fold — a probe on the oracle (``n == 1``), a whole chunk
-on the engine. The driving monitor keeps a preallocated ring of per-row
-survival flags, and :meth:`DrivingMonitor.observe_many` folds a whole
-executor chunk of scan records into it in one call, with the exact same
-add-new-then-subtract-evicted arithmetic as one-at-a-time updates.
+Storage layout: every window is an :class:`AggregatedWindow`, one weighted
+entry per fold — a probe or a scanned row on the oracle (``n == 1``), a
+whole chunk on the engine. A leg folds where its numbers are computed, so
+nothing is ever pending between a fold and a read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
 
 
 class AggregatedWindow:
@@ -40,7 +37,7 @@ class AggregatedWindow:
     samples. The engine folds a chunk at a time, so its estimates are
     within the skew of one chunk of a per-sample window — the documented
     accuracy contract of its monitored modes. The oracle folds one probe
-    at a time (:meth:`observe`, ``n == 1``): eviction is then exact, the
+    or scanned row at a time (``n == 1``): eviction is then exact, the
     paper's per-sample sliding window.
     """
 
@@ -113,14 +110,10 @@ class AggregatedWindow:
 class LegMonitor:
     """Windowed monitor for one leg acting as an inner leg."""
 
-    __slots__ = ("window", "_pending")
+    __slots__ = ("window",)
 
     def __init__(self, window: int) -> None:
         self.window = AggregatedWindow(window)
-        # Deferred chunk fold: (n, matches, output, work) accumulated by
-        # defer_chunk() and applied as ONE AggregatedWindow aggregate by
-        # flush_chunk() at the next driving-chunk boundary.
-        self._pending: list = [0, 0, 0, 0.0]
 
     @property
     def incoming_rows(self) -> int:
@@ -135,40 +128,9 @@ class LegMonitor:
     ) -> None:
         self.window.observe(index_matches, output_rows, work_units)
 
-    def defer_chunk(
-        self, n: int, matches: int, output_rows: int, work_units: float
-    ) -> None:
-        """Accumulate a partial chunk fold without touching the window.
-
-        Chunk-granularity executors probe a leg several times per driving
-        chunk (one refill per parent batch); deferring lets the executor
-        fold the whole driving chunk into the window as ONE aggregate at
-        the chunk boundary, which is exactly what the vectorized adaptive
-        cascade computes per leg per chunk. The work constants are all
-        exact binary fractions (quarter units), so regrouping the float
-        sums here is bit-exact against any other grouping.
-        """
-        pending = self._pending
-        pending[0] += n
-        pending[1] += matches
-        pending[2] += output_rows
-        pending[3] += work_units
-
-    def flush_chunk(self) -> None:
-        """Apply the deferred fold as one window aggregate (no-op if empty)."""
-        pending = self._pending
-        if pending[0] == 0:
-            return
-        self.window.observe_chunk(pending[0], pending[1], pending[2], pending[3])
-        pending[0] = 0
-        pending[1] = 0
-        pending[2] = 0
-        pending[3] = 0.0
-
     def reset(self) -> None:
         """Drop history (used when the leg's probe configuration changes)."""
         self.window = AggregatedWindow(self.window.size)
-        self._pending = [0, 0, 0, 0.0]
 
     # -- derived estimates (None when no data yet) -----------------------
     def join_cardinality(self) -> float | None:
@@ -213,78 +175,35 @@ class LegMonitor:
 
 
 class DrivingMonitor:
-    """Scan-progress monitor for the leg currently driving the pipeline."""
+    """Scan-progress monitor for the leg currently driving the pipeline.
 
-    __slots__ = (
-        "window",
-        "_survived_ring",
-        "entries_scanned",
-        "rows_survived",
-        "_recent_scanned",
-        "_recent_survived",
-    )
+    Its window's samples are scanned rows and their ``matches`` the rows
+    that survived the residual local predicates: the oracle folds each row
+    (:meth:`record_scanned`), the engine each slice of the walk.
+    """
+
+    __slots__ = ("window", "rows_survived")
 
     def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ValueError("window size must be >= 1")
-        self.window = window
-        self._survived_ring = [0] * window
-        self.entries_scanned = 0       # rows out of the access method
-        self.rows_survived = 0         # rows surviving residual locals
-        self._recent_scanned = 0
-        self._recent_survived = 0
+        self.window = AggregatedWindow(window)
+        self.rows_survived = 0  # rows surviving residual locals, lifetime
+
+    @property
+    def entries_scanned(self) -> int:
+        """Rows out of the access method, lifetime."""
+        return self.window.lifetime_samples
 
     def record_scanned(self, survived: bool) -> None:
-        lived = 1 if survived else 0
-        slot = self.entries_scanned % self.window
-        if self.entries_scanned >= self.window:
-            self._recent_survived -= self._survived_ring[slot]
-        else:
-            self._recent_scanned += 1
-        self._survived_ring[slot] = lived
-        self._recent_survived += lived
-        self.entries_scanned += 1
-        self.rows_survived += lived
+        self.record_chunk(1, 1 if survived else 0)
 
-    def observe_many(self, survived_flags: Sequence[int]) -> None:
-        """Fold a chunk of per-row survival flags (0/1) into the window.
-
-        Exact bulk twin of calling :meth:`record_scanned` once per flag:
-        the ring keeps each row's flag, so the rows evicted are precisely
-        the ones a row-at-a-time run would have evicted. Done with slice
-        arithmetic, so a chunk costs a few list operations whatever its
-        length.
-        """
-        count = len(survived_flags)
-        if not count:
-            return
-        ring = self._survived_ring
-        window = self.window
-        scanned = self.entries_scanned
-        total = sum(survived_flags)
-        if count >= window:
-            # Only the last `window` flags stay; they land at consecutive
-            # slots starting where the first of them would have been put.
-            kept = list(survived_flags[count - window :])
-            first = (scanned + count - window) % window
-            ring[first:] = kept[: window - first]
-            ring[:first] = kept[window - first :]
-            self._recent_survived = sum(kept)
-        else:
-            # Slots never written hold 0, so subtracting what is
-            # overwritten is right before the ring has filled too.
-            first = scanned % window
-            head = min(count, window - first)
-            evicted = sum(ring[first : first + head]) + sum(ring[: count - head])
-            ring[first : first + head] = survived_flags[:head]
-            ring[: count - head] = survived_flags[head:]
-            self._recent_survived += total - evicted
-        self._recent_scanned = min(window, scanned + count)
-        self.entries_scanned = scanned + count
-        self.rows_survived += total
+    def record_chunk(self, scanned: int, survived: int) -> None:
+        """Fold *scanned* rows, *survived* of them surviving, as one entry."""
+        self.window.observe_chunk(scanned, survived, 0, 0.0)
+        self.rows_survived += survived
 
     def residual_selectivity(self) -> float | None:
         """Windowed S_LPR of the driving leg's residual local predicates."""
-        if self._recent_scanned == 0:
+        window = self.window
+        if len(window) == 0:
             return None
-        return self._recent_survived / self._recent_scanned
+        return window.sum_matches / len(window)

@@ -588,15 +588,17 @@ class Database:
         )
 
     def enable_concurrent_metering(self) -> ThreadScopedMeter:
-        """Route work-unit charges to per-thread meters for serving.
+        """Route work-unit charges to per-thread meters.
 
         The catalog and every table share one :class:`WorkMeter`, so
-        concurrent executions on worker threads would interleave charges
-        and corrupt per-query ``meter - before`` deltas. This swaps the
-        shared meter for a :class:`ThreadScopedMeter` facade (idempotent;
-        returns the installed facade): the query server wraps each
-        execution in ``meter.scoped()`` and gets exact per-query work
-        accounting, while unscoped threads keep charging the base meter.
+        concurrent executions on an embedding caller's threads would
+        interleave charges and corrupt per-query ``meter - before``
+        deltas (the query server's engines are processes, one request at
+        a time, and need none of this). This swaps the shared meter for a
+        :class:`ThreadScopedMeter` facade (idempotent; returns the
+        installed facade): a caller wrapping each execution in
+        ``meter.scoped()`` gets exact per-query work accounting, while
+        unscoped threads keep charging the base meter.
         """
         meter = self.catalog.meter
         if isinstance(meter, ThreadScopedMeter):

@@ -33,7 +33,6 @@ from repro.optimizer.params import LegModelParts
 from repro.optimizer.plans import DrivingKind, PlanLeg
 from repro.query.joingraph import JoinPredicate
 from repro.query.predicates import LocalPredicate, PositionalPredicate
-from repro.storage.compiled import compile_row_test
 from repro.storage.cursor import IndexScanCursor, TableScanCursor
 from repro.storage.index import SortedIndex
 from repro.storage.table import Row
@@ -81,24 +80,21 @@ class ProbeConfig:
 def bind_local_tests(
     plan_leg: PlanLeg, table: Any
 ) -> tuple[tuple[LocalPredicate, Callable], ...]:
-    """(predicate, compiled test) pairs for one leg's local predicates.
+    """(predicate, bound test) pairs for one leg's local predicates.
 
-    The predicate objects are kept for per-predicate monitoring. On the
-    columnar backend each test is the expression-compiled closure when the
-    tree is a shape the mini-compiler handles; the row backend stays on the
-    interpreter's bind() so it remains the unmodified reference oracle.
-    Either way the test carries its source predicate as ``test.predicate``
-    so index-level group kernels can recover the tree for vectorization.
-    The tests are pure functions of a row, so one tuple serves every
-    execution of the plan.
+    Every store binds with the interpreter (``predicate.bind``): the
+    cascade never calls a row test — it masks whole columns through
+    ``vector_spec`` — so a row test runs only on the scalar machine.
+    The predicate objects are kept for per-predicate monitoring, and each
+    test carries its source predicate as ``test.predicate`` so index-level
+    group kernels can recover the tree for vectorization. The tests are
+    pure functions of a row, so one tuple serves every execution of the
+    plan.
     """
     schema = table.schema
-    compiled_backend = getattr(table, "backend_name", "row") == "columnar"
     pairs = []
     for predicate in plan_leg.local_predicates:
-        test = compile_row_test(predicate, schema) if compiled_backend else None
-        if test is None:
-            test = predicate.bind(schema)
+        test = predicate.bind(schema)
         try:
             test.predicate = predicate
         except AttributeError:  # non-function callable; still usable
@@ -120,7 +116,6 @@ class RuntimeLeg:
         "monitoring_enabled",
         "monitor",
         "driving_monitor",
-        "pending_driving_monitor",
         "positional",
         "_history_window",
         "local_tests",
@@ -166,7 +161,7 @@ class RuntimeLeg:
         self.driving_monitor: DrivingMonitor | None = None
         self.positional: PositionalPredicate | None = None
         self._history_window = history_window
-        # (predicate, compiled test) pairs from bind_local_tests, shared
+        # (predicate, bound test) pairs from bind_local_tests, shared
         # with every other execution of the plan: read-only here.
         self.local_tests = local_tests
         # Per-local-predicate (evaluated, passed) counters: the monitored

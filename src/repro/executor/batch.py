@@ -44,15 +44,3 @@ class BatchedPipelineExecutor(PipelineExecutor):
             self.engine_used = "scalar"
         yield from self._run_scalar()
 
-    def _flush_chunk_folds(self) -> None:
-        """Apply every leg's deferred window folds.
-
-        The cascade defers one window aggregate per leg per chunk
-        (:meth:`LegMonitor.defer_chunk`); this applies each as ONE
-        :meth:`AggregatedWindow.observe_chunk`. Called at every chunk
-        boundary before anything (a reorder check, an end-of-query
-        snapshot, the scalar continuation) can read a window. No-op for
-        legs with nothing pending.
-        """
-        for leg in self.legs.values():
-            leg.monitor.flush_chunk()

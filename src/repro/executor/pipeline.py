@@ -82,7 +82,7 @@ class PlanBindings(NamedTuple):
     :class:`~repro.executor.access.ProbeConfig` records in it.
     """
 
-    # alias -> ((predicate, compiled row test), ...)
+    # alias -> ((predicate, bound row test), ...)
     local_tests: Mapping[str, tuple]
     # (alias, row slot) per output column
     projection_slots: tuple[tuple[str, int], ...]

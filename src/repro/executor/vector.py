@@ -155,11 +155,11 @@ class _DrivingWalk:
     what :meth:`RuntimeLeg.driving_rows` charges for the same rows, as one
     aggregate: a fetch, an index-entry touch and ``len(residual tests)``
     predicate evals per row walked, one descend per key range entered, the
-    driving monitor's per-row records and the leg's scanned / survived
-    counters. It then puts the cursor exactly where the row-at-a-time walk
-    would have left it, so a driving switch
-    freezes the right position and a resumed (or handed-off) cursor
-    continues with no charge repeated or lost.
+    driving monitor's fold (one window entry per take: rows walked, rows
+    surviving) and the leg's scanned / survived counters. It then puts the
+    cursor exactly where the row-at-a-time walk would have left it, so a
+    driving switch freezes the right position and a resumed (or
+    handed-off) cursor continues with no charge repeated or lost.
     """
 
     __slots__ = (
@@ -267,10 +267,12 @@ class _DrivingWalk:
         leg.rows_scanned += walked
         monitor = leg.driving_monitor
         if leg.monitoring_enabled and monitor is not None:
-            monitor.observe_many(
-                [1] * walked
-                if self.alive is None
-                else self.alive[start:end].tolist()
+            alive = self.alive
+            monitor.record_chunk(
+                walked,
+                walked
+                if alive is None
+                else int(_np.count_nonzero(alive[start:end])),
             )
             meter.monitor_updates += walked
         if self.spans is None:
@@ -389,8 +391,8 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     row; a key the index holds walks its full group — entries, fetches,
     short-circuit local evals; a missing key touches one entry; a NULL key
     descends only), adds the chunk's rows in / candidates / rows out to the
-    leg's flow counters and, when monitored, defers the same aggregate as
-    its window fold for the chunk.
+    leg's flow counters and, when monitored, folds the same aggregate into
+    its window as the chunk's one entry.
 
     One path serves every key. A NULL key's rank is -1 and a missing key's
     -2, and every per-key kernel array ends in two zero slots
@@ -434,8 +436,8 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
         if leg.monitoring_enabled:
             meter.monitor_updates += flow
             # The lean aggregate: (incoming, index matches, output,
-            # work) — deferred, applied as one window entry per chunk.
-            leg.monitor.defer_chunk(
+            # work), one window entry per chunk.
+            leg.monitor.window.observe_chunk(
                 flow,
                 touched,
                 total,
@@ -483,11 +485,12 @@ def _project(legs_map, projection: Sequence, ancestors: dict, count: int):
 
 
 def _run_cascade(executor, walk: _DrivingWalk, inner: list):
-    """Chunk loop: limits -> consume -> expand -> emit -> fold -> checks.
+    """Chunk loop: limits -> walk -> expand -> emit -> checks, folding inline.
 
     Returns True when the query completed, False to hand the partially
     consumed cursors back to the scalar machine at a chunk boundary
-    (windows flushed, counters consistent).
+    (windows and counters consistent: every fold is applied where its
+    numbers are computed).
 
     Observable-parity contract with the scalar machine (for monitored
     plans: the scalar machine applying the same decisions at the same
@@ -503,8 +506,9 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
       of what the scalar probes charge row by row (:func:`_expand`; all
       cost constants exact binary fractions, so the float work sums are
       bit-identical under regrouping);
-    * one window fold per leg per chunk, applied at the boundary before
-      any check or snapshot can read a window (``_flush_chunk_folds``);
+    * one window fold per leg per chunk — the driving leg's in the walk's
+      take, each inner leg's in :func:`_expand` — so a window is within
+      one fold's skew of the scalar machine's per-row window;
     * the rank-rule checks at chunk boundaries — one inner check at
       position 1 and one driving check per chunk. An applied inner
       reorder permutes the remaining legs mid-scan; a driving switch swaps
@@ -534,7 +538,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     exact to a chunk. The row budget is exact: a chunk that would overrun
     it emits only the rows still admitted, then raises — the caller holds
     precisely ``max_rows`` rows and ``rows_emitted`` says so. Either way
-    the exception unwinds from a consistent state: folds flushed, cursor
+    the exception unwinds from a consistent state: folds applied, cursor
     at the chunk's end.
     """
     config = executor.config
@@ -564,7 +568,6 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
             # final next() does.
             walk.finish()
             executor.depleted_from = 0
-            executor._flush_chunk_folds()
             return True
         executor.depleted_from = None
         executor.driving_rows_since_check += taken
@@ -588,8 +591,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
                     executor.oracle.record_emit(dict(zip(ancestors, rids)))
             yield from _project(legs_map, projection, ancestors, admitted)
 
-        # -- chunk boundary: flush folds, then the two checks ------------
-        executor._flush_chunk_folds()
+        # -- chunk boundary: the two checks ------------------------------
         if admitted < flow:
             limits.check_emit()  # raises: the row budget is spent
         if walk.survivors_taken == walk.survivors:

@@ -22,8 +22,9 @@ at run time with monitored values (Sec 4.3). Both sides implement
 is the set of legs already in the pipeline before this one) because join
 predicate availability changes with the order in cyclic graphs (Sec 4.3.4).
 
-Probe-cost helpers model the engine's actual work-unit charges so that the
-optimizer's PC and the meter's measured work agree in expectation.
+The probe and scan costs themselves live in :mod:`repro.optimizer.params`;
+they model the engine's actual work-unit charges so that the optimizer's PC
+and the meter's measured work agree in expectation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 from typing import Iterable, Protocol, Sequence
 
 from repro.query.joingraph import JoinGraph
-from repro.storage import counters
 
 
 class LegParamsProvider(Protocol):
@@ -217,73 +217,3 @@ def best_order_exhaustive(
         best = tuple(aliases)
         best_cost = cost_of_order(best, provider)
     return best, best_cost
-
-
-# ---------------------------------------------------------------------------
-# Probe-cost models (aligned with WorkMeter charges)
-# ---------------------------------------------------------------------------
-
-def probe_cost_via_index(
-    base_cardinality: float,
-    index_match_fraction: float,
-    residual_predicate_count: int,
-) -> float:
-    """Expected work units for one indexed probe of an inner leg.
-
-    One index descend, then per matching entry: the entry touch, the heap
-    fetch, and the residual predicate evaluations.
-    """
-    matches = max(base_cardinality * index_match_fraction, 0.0)
-    per_match = (
-        counters.INDEX_ENTRY_COST
-        + counters.ROW_FETCH_COST
-        + residual_predicate_count * counters.PREDICATE_EVAL_COST
-    )
-    return counters.INDEX_DESCEND_COST + matches * per_match
-
-
-def probe_cost_via_hash(
-    base_cardinality: float,
-    match_fraction: float,
-    residual_predicate_count: int,
-) -> float:
-    """Expected work units for one hash probe (Sec 6 extension): the probe
-    of an inner leg with no index on an available join column.
-
-    The one-off build cost is excluded: it is charged when the build
-    happens and amortizes over the incoming rows (the monitored PC then
-    calibrates the model).
-    """
-    matches = max(base_cardinality * match_fraction, 0.0)
-    per_match = (
-        counters.HASH_MATCH_COST
-        + residual_predicate_count * counters.PREDICATE_EVAL_COST
-    )
-    return counters.HASH_PROBE_COST + matches * per_match
-
-
-def driving_scan_cost_index(
-    base_cardinality: float,
-    index_selectivity: float,
-    range_count: int,
-    residual_predicate_count: int,
-) -> float:
-    """Whole-scan work units for an index-scan driving leg."""
-    matches = max(base_cardinality * index_selectivity, 0.0)
-    per_match = (
-        counters.INDEX_ENTRY_COST
-        + counters.ROW_FETCH_COST
-        + residual_predicate_count * counters.PREDICATE_EVAL_COST
-    )
-    return max(range_count, 1) * counters.INDEX_DESCEND_COST + matches * per_match
-
-
-def driving_scan_cost_table(
-    base_cardinality: float, predicate_count: int
-) -> float:
-    """Whole-scan work units for a table-scan driving leg."""
-    per_row = (
-        counters.ROW_FETCH_COST
-        + predicate_count * counters.PREDICATE_EVAL_COST
-    )
-    return base_cardinality * per_row

@@ -19,9 +19,9 @@ from repro.storage import counters as _counters
 
 # Work-unit weights hoisted to module floats: ``inner_params`` runs inside
 # every reorder-check's order search, where repeated module-attribute
-# lookups through ``counters`` are measurable. The inlined cost expressions
-# below keep the exact arithmetic order of the ``probe_cost_via_*`` helpers
-# so evaluated costs are bit-identical.
+# lookups through ``counters`` are measurable. The cost expressions below
+# mirror the WorkMeter's charges term by term: descend, then per match the
+# entry touch, the fetch and the residual evaluations.
 _INDEX_DESCEND_COST = _counters.INDEX_DESCEND_COST
 _INDEX_ENTRY_COST = _counters.INDEX_ENTRY_COST
 _ROW_FETCH_COST = _counters.ROW_FETCH_COST
@@ -161,8 +161,8 @@ class ModelProvider:
             * (model.sel_local_index * model.sel_local_residual)
             * remaining
         )
-        # driving_scan_cost_index / driving_scan_cost_table, inlined like
-        # the probe costs below (every candidate of every driving check).
+        # The remaining scan's cost, written out like the probe costs
+        # below (every candidate of every driving check).
         if model.driving_kind is DrivingKind.INDEX_SCAN:
             matches = max(
                 model.base_cardinality * remaining * model.sel_local_index, 0.0
@@ -218,7 +218,8 @@ class ModelProvider:
         jc *= model.jc_correction
         if indexed_ids:
             # Probe through the most selective indexed join predicate; the
-            # others become residual checks (probe_cost_via_index, inlined).
+            # others become residual checks: a descend, then per match the
+            # entry, the fetch and the residual evaluations.
             access_sel = DEFAULT_CLASS_SELECTIVITY
             first = True
             for class_id in indexed_ids:
@@ -241,7 +242,8 @@ class ModelProvider:
         else:
             # No index on an available join column: the executor probes
             # an in-memory hash table, built once over the rows passing the
-            # locals (probe_cost_via_hash, inlined; the build amortizes).
+            # locals (a probe plus per match the bucket hit and residual
+            # evaluations; the build amortizes).
             # With no join predicate available (a Cartesian step, which the
             # executor refuses) every such row would match.
             access_sel = 1.0

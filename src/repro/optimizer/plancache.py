@@ -33,8 +33,10 @@ generation change or an LRU eviction drops both — the same text over the
 same data and statistics measures the same numbers, so there is nothing to
 learn again inside a generation.
 
-Entries are LRU-bounded. Thread-safe: server worker threads plan and write
-feedback, the event loop reads stats.
+Entries are LRU-bounded. Thread-safe for callers that embed a
+``Database`` and execute on several threads; the query server's engines
+are processes, each with its own inherited cache, answering one request
+at a time.
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ class PipelinePlan:
         """``bind(self, catalog)``, computed once per plan and catalog state.
 
         For what an executor derives from the plan and the catalog alone
-        (compiled local-predicate tests, projection slots, the parts of the
+        (bound local-predicate tests, projection slots, the parts of the
         run-time cost model that are index and table metadata): every
         execution of a cached plan shares one result — concurrently, under
         the query server — until the catalog's generation moves (DDL, DML,

@@ -14,8 +14,8 @@ an asyncio multi-client server speaking newline-delimited JSON, with
   client disconnects cancel in-flight queries,
 * graceful degradation under pressure — shed to the static plan before
   rejecting — and drain-then-exit on SIGTERM,
-* plans served from the database's own plan cache — single-flight, so a
-  stampede on one statement plans it once
+* engine processes forked warm from the loaded database, each answering
+  one request at a time from its own inherited plan cache
   (:mod:`repro.optimizer.plancache`; the server keeps no plan state), and
 * a live ``stats`` op backed by the :mod:`repro.obs.metrics` registry.
 """

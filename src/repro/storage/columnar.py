@@ -25,8 +25,9 @@ columns every entry point falls back to the inherited row-at-a-time
 implementation, so results and work accounting never depend on which
 path ran — only speed does.
 
-Concurrent readers (the query server's worker threads) share one table and
-one index, so every lazily built structure is built and published under a
+Concurrent readers (an embedding caller's threads; the query server's
+engines are processes, one request at a time) share one table and one
+index, so every lazily built structure is built and published under a
 per-object lock: the row view, the index sidecar, and the bounded kernel
 memo (whose first-in-first-out eviction is a check-then-act). Whole-value
 caches whose loser of a race merely rebuilt an equal value (the columns'
@@ -888,7 +889,7 @@ class ColumnarIndex(SortedIndex):
         """
         if self._gen is None or self._gen != self._generation():
             return 0
-        with self._lock:  # a worker thread may be publishing a kernel
+        with self._lock:  # another thread may be publishing a kernel
             kernels = list(self._kernels.values())
             row_ranks = [held[1] for held in self._row_ranks.values()]
         arrays = [

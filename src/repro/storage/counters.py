@@ -173,11 +173,12 @@ class WorkMeter:
 class ThreadScopedMeter:
     """A :class:`WorkMeter` facade routing charges to a per-thread meter.
 
-    Concurrent query serving runs executions on worker threads against one
-    shared catalog, but the catalog — and every table built from it — holds
-    a single ``WorkMeter`` reference, so concurrent charges would interleave
-    and per-query ``meter - before`` deltas would mix unrelated queries'
-    work. This facade keeps the object identity the storage layer captured
+    A caller that embeds a ``Database`` may run executions on several
+    threads against one shared catalog (the query server does not: its
+    engines are processes, one request at a time), but the catalog — and
+    every table built from it — holds a single ``WorkMeter`` reference, so
+    concurrent charges would interleave and per-query ``meter - before``
+    deltas would mix unrelated queries' work. This facade keeps the object identity the storage layer captured
     while routing every charge to the meter bound to the *current thread*:
 
     * a thread inside a :meth:`scoped` block charges its private meter, so
@@ -217,7 +218,7 @@ class ThreadScopedMeter:
         """Bind a fresh private meter to the calling thread.
 
         Yields the private meter; on exit its charges are merged into the
-        base. Scopes do not nest — one query per worker thread at a time.
+        base. Scopes do not nest — one query per thread at a time.
         """
         if getattr(self._local, "meter", None) is not None:
             raise RuntimeError("meter scope already active on this thread")

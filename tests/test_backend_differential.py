@@ -17,7 +17,7 @@ scalar machine (directly for static plans; for monitored ones, whose
 decisions fall at chunk boundaries, through the decision replay of
 ``tests/test_decision_replay.py``: rows in order, physical work, final
 order and frozen positions under the engine's own schedule). Columnar
-execution — typed columns, compiled predicates, kernel-vectorized probes,
+execution — typed columns, predicate masks, kernel-vectorized probes,
 and the whole-query cascade — is a pure speed change, never a semantic one.
 """
 

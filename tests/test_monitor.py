@@ -111,23 +111,53 @@ class TestDrivingMonitor:
     def test_no_data(self):
         assert DrivingMonitor(5).residual_selectivity() is None
 
-    def test_observe_many_is_record_scanned_per_flag(self):
-        """The bulk fold leaves every field, the ring included, as the
-        per-row calls do — chunks shorter than, equal to, longer than and
-        straddling the window."""
-        import random
-
+    def test_row_folds_are_the_exact_per_row_window(self):
+        """One fold per scanned row (the oracle's ``n == 1``) is the
+        paper's window: exactly the last ``w`` rows' survival flags."""
         rng = random.Random(20_070_415)
-        for _ in range(500):
+        for _ in range(200):
             window = rng.randint(1, 12)
-            one_by_one, bulk = DrivingMonitor(window), DrivingMonitor(window)
-            for _ in range(rng.randint(1, 6)):
-                flags = [rng.randint(0, 1) for _ in range(rng.randint(0, 30))]
-                for flag in flags:
-                    one_by_one.record_scanned(bool(flag))
-                bulk.observe_many(flags)
-                for name in DrivingMonitor.__slots__:
-                    assert getattr(bulk, name) == getattr(one_by_one, name), name
+            monitor = DrivingMonitor(window)
+            recent: deque[int] = deque(maxlen=window)
+            flags = [rng.randint(0, 1) for _ in range(rng.randint(1, 60))]
+            for flag in flags:
+                monitor.record_scanned(bool(flag))
+                recent.append(flag)
+                assert len(monitor.window) == len(recent)
+                assert monitor.window.sum_matches == sum(recent)
+                assert monitor.residual_selectivity() == sum(recent) / len(recent)
+            assert monitor.entries_scanned == len(flags)
+            assert monitor.rows_survived == sum(flags)
+
+    def test_chunk_folds_keep_a_window_of_whole_recent_folds(self):
+        """A chunk fold (the engine's) keeps the most recent whole folds:
+        at least ``min(w, rows scanned)`` rows, and fewer than ``w`` plus
+        the oldest kept fold's rows."""
+        rng = random.Random(20_070_416)
+        for _ in range(300):
+            window = rng.randint(1, 12)
+            monitor = DrivingMonitor(window)
+            folds: list[tuple[int, int]] = []
+            for _ in range(rng.randint(1, 8)):
+                scanned = rng.randint(1, 30)
+                survived = rng.randint(0, scanned)
+                monitor.record_chunk(scanned, survived)
+                folds.append((scanned, survived))
+                held = len(monitor.window)
+                total = sum(n for n, _ in folds)
+                # The window is a suffix of the folds, whole.
+                kept = next(
+                    k
+                    for k in range(len(folds))
+                    if sum(n for n, _ in folds[k:]) == held
+                )
+                assert monitor.window.sum_matches == sum(
+                    m for _, m in folds[kept:]
+                )
+                assert held >= min(window, total)
+                assert held - folds[kept][0] < window
+            assert monitor.entries_scanned == sum(n for n, _ in folds)
+            assert monitor.rows_survived == sum(m for _, m in folds)
 
 
 def test_aggregated_window_single_samples_match_sliding():

@@ -1,12 +1,11 @@
-"""Property tests: the predicate mini-compiler vs the interpreter.
+"""Property tests: whole-column predicate masks vs the interpreter.
 
-``compile_row_test`` must be observably identical to ``bind`` — same
-booleans, same NULL handling, same short-circuit result on every row —
-for every tree shape it claims to support, and must *refuse* (return
-None) anything else. ``vector_spec`` + ``ColumnarTable.mask_for_spec``
-must reproduce the interpreter's verdict for whole columns. Both are
-checked on randomized predicate trees over randomized data: the seeds
-are fixed, so failures replay deterministically.
+``vector_spec`` + ``ColumnarTable.mask_for_spec`` must reproduce the
+interpreter's (``bind``) verdict for whole columns on every tree shape
+``vector_spec`` claims to support, and ``vector_spec`` must *refuse*
+(return None) anything else. Checked on randomized predicate trees over
+randomized data: the seeds are fixed, so failures replay
+deterministically.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.query.predicates import (
     LocalPredicate,
     Op,
 )
-from repro.storage.compiled import compile_row_test, vector_spec
+from repro.storage.compiled import vector_spec
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import ColumnType
 
@@ -84,46 +83,14 @@ def random_row(rng: random.Random) -> tuple:
     return (a, b, s)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_compiled_tree_matches_interpreter(seed):
-    rng = random.Random(987_000 + seed)
-    for _ in range(25):
-        predicate = random_tree(rng)
-        compiled = compile_row_test(predicate, SCHEMA)
-        assert compiled is not None, f"supported shape refused: {predicate}"
-        interpreted = predicate.bind(SCHEMA)
-        for _ in range(40):
-            row = random_row(rng)
-            assert compiled(row) == interpreted(row), (
-                f"{predicate} on {row}: compiled={compiled(row)} "
-                f"interpreter={interpreted(row)} ({compiled.source})"
-            )
-
-
-def test_compiler_refuses_unknown_shapes():
+def test_vector_spec_refuses_unknown_shapes():
     class Custom(Comparison):
-        """A subclass may override bind(); the compiler must not guess."""
+        """A subclass may override bind(); a mask must not guess."""
 
     predicate = Custom("a", Op.EQ, 1)
-    assert compile_row_test(predicate, SCHEMA) is None
     assert vector_spec(predicate, SCHEMA) is None
     inside = Disjunction([predicate, Comparison("a", Op.EQ, 2)])
-    assert compile_row_test(inside, SCHEMA) is None
     assert vector_spec(inside, SCHEMA) is None
-
-
-def test_compiled_incomparable_types_raise_like_interpreter():
-    predicate = Comparison("a", Op.LT, "not-a-number")
-    compiled = compile_row_test(predicate, SCHEMA)
-    interpreted = predicate.bind(SCHEMA)
-    row = (3, 1.0, "x")
-    with pytest.raises(TypeError):
-        interpreted(row)
-    with pytest.raises(TypeError):
-        compiled(row)
-    # NULL short-circuits before the comparison in both.
-    null_row = (None, 1.0, "x")
-    assert compiled(null_row) is interpreted(null_row) is False
 
 
 @pytest.fixture(scope="module")
@@ -154,15 +121,3 @@ def test_mask_for_spec_matches_interpreter(columnar_table, seed):
         assert [bool(bit) for bit in mask] == expected, f"{predicate}"
     if HAVE_NUMPY is not None:
         assert vectorized > 0, "no predicate was vectorized at all"
-
-
-def test_code_objects_are_shared_but_closures_are_not():
-    """Same generated text, different constants: one ``compile()``, two
-    closures that each see only their own constant."""
-    low = compile_row_test(Comparison("a", Op.GT, 1), SCHEMA)
-    high = compile_row_test(Comparison("a", Op.GT, 100), SCHEMA)
-    assert low.source == high.source
-    assert low.__code__ is high.__code__
-    assert low is not high
-    row = (50, 0.0, "x")
-    assert low(row) and not high(row)

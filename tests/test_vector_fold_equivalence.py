@@ -34,7 +34,6 @@ from repro.db import Database
 from repro.executor.vector import _expand, _make_translator
 from repro.query.predicates import Between, Comparison, IsNull, Op
 from repro.storage.columnar import _np
-from repro.storage.compiled import compile_row_test
 from repro.storage.counters import (
     INDEX_DESCEND_COST,
     INDEX_ENTRY_COST,
@@ -203,7 +202,6 @@ def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
             [SOURCE_RID[key] for key in chunk], dtype=_np.int64
         )
         ancestors, produced = _expand(meter, plan, "src", survivors)
-        leg.monitor.flush_chunk()
 
         scalar_rows = []
         sum_matches = 0
@@ -274,9 +272,8 @@ def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
     predicates = [random_predicate(rng) for _ in range(rng.randrange(3))]
     local_tests = []
     for predicate in predicates:
-        test = compile_row_test(predicate, schema)
-        assert test is not None
-        test.predicate = predicate  # as RuntimeLeg attaches it
+        test = predicate.bind(schema)
+        test.predicate = predicate  # as bind_local_tests attaches it
         local_tests.append((predicate, test))
     kernel = index.cascade_groups(local_tests)
     assert kernel is not None, "vectorizable leg refused a kernel"
@@ -353,8 +350,7 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
         )
     local_tests = []
     for predicate in predicates:
-        test = compile_row_test(predicate, table.schema)
-        assert test is not None
+        test = predicate.bind(table.schema)
         test.predicate = predicate
         local_tests.append((predicate, test))
     base = index.cascade_groups(local_tests)
@@ -411,7 +407,7 @@ def test_positional_kernel_tie_at_the_rid_boundary():
     db.create_index("t", "sk")
     table = db.catalog.table("t")
     predicate = IsNull("sk", negated=True)
-    test = compile_row_test(predicate, table.schema)
+    test = predicate.bind(table.schema)
     test.predicate = predicate
     index = db.catalog.index_on("t", "k")
     base = index.cascade_groups([(predicate, test)])
@@ -436,9 +432,11 @@ def test_positional_kernel_tie_at_the_rid_boundary():
 # The cascades take the driving scan in slices (``_DrivingWalk.take``) and
 # charge each slice as one aggregate. Everything a decision, a freeze, a
 # resume or a hand-off to the reference loop can read afterwards — the meter,
-# the driving monitor's ring, the cursor's position and progress — must be
-# what pulling the same rows one ``__next__`` at a time leaves behind, at
-# every slice boundary, for multi-range scans included.
+# the cursor's position and progress — must be what pulling the same rows
+# one ``__next__`` at a time leaves behind, at every slice boundary, for
+# multi-range scans included. The driving monitor folds each slice as one
+# window entry; the twin folds the same rows' flags as one aggregate at the
+# same boundary, so its counts and window agree exactly too.
 # ---------------------------------------------------------------------------
 
 import dataclasses  # noqa: E402
@@ -453,10 +451,17 @@ from repro.storage.cursor import (  # noqa: E402
 )
 
 
-def _row_at_a_time(cursor, leg, mask, limit):
+def _row_at_a_time(cursor, leg, mask, limit, per_row=True):
     """Pull rows until *limit* survivors (None: to exhaustion), charging
-    and recording what ``RuntimeLeg.driving_rows`` does."""
+    what ``RuntimeLeg.driving_rows`` does.
+
+    With *per_row* each row is folded as the scalar machine folds it
+    (``n == 1``); otherwise the rows' flags are folded at the boundaries
+    where a walk folds them: through the last survivor (one ``take``), then
+    whatever trails it (``finish``).
+    """
     survivors = []
+    flags = []
     while limit is None or len(survivors) < limit:
         try:
             rid, _row = next(cursor)
@@ -464,12 +469,19 @@ def _row_at_a_time(cursor, leg, mask, limit):
             break
         leg.meter.charge_predicate_eval(1)
         survived = bool(mask[rid])
-        leg.driving_monitor.record_scanned(survived)
+        if per_row:
+            leg.driving_monitor.record_scanned(survived)
+        flags.append(survived)
         leg.meter.charge_monitor_update()
         leg.rows_scanned += 1
         if survived:
             leg.rows_survived += 1
             survivors.append(rid)
+    if not per_row:
+        head = len(flags) - flags[::-1].index(True) if survivors else 0
+        for part in (flags[:head], flags[head:]):
+            if part:
+                leg.driving_monitor.record_chunk(len(part), sum(part))
     return survivors
 
 
@@ -478,7 +490,12 @@ def _scan_state(cursor, leg):
     return (
         dataclasses.asdict(leg.meter),
         cursor.last_position,
-        [getattr(monitor, name) for name in DrivingMonitor.__slots__],
+        (
+            monitor.entries_scanned,
+            monitor.rows_survived,
+            len(monitor.window),
+            monitor.window.sum_matches,
+        ),
         (leg.rows_scanned, leg.rows_survived),
     )
 
@@ -527,7 +544,7 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
                 rows_survived=0,
             )
         )
-    legs[1].driving_monitor = DrivingMonitor(legs[0].driving_monitor.window)
+    legs[1].driving_monitor = DrivingMonitor(legs[0].driving_monitor.window.size)
     mask = _np.asarray([rng.random() < 0.4 for _ in rows], dtype=bool)
     sliced, single = cursors
     finished = False
@@ -538,7 +555,7 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
         for _ in range(rng.randint(1, 3)):
             limit = rng.randint(1, 4)
             got = walk.take(limit).tolist()
-            want = _row_at_a_time(single, legs[1], mask, limit)
+            want = _row_at_a_time(single, legs[1], mask, limit, per_row=False)
             assert got == want
             if len(want) < limit:
                 # The twin ran off the end of its scan looking for more
