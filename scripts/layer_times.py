@@ -3,8 +3,11 @@
 One pass is every statement of a template grid through
 ``Database.execute(sql, config)`` on a columnar database (the engine: what
 ``benchmarks/e2e`` runs). ``perf_counter`` wrappers
-around the layers named in :data:`LAYERS` give each one's milliseconds a
-pass and its share of the pass; "other" is what no wrapper covers. Two
+around the layers named in :data:`LAYERS` give each one's own milliseconds
+a pass — a layer's time less that of the layers it calls
+(``Database._execute_plan`` is then its own stats, meter delta and
+controller set-up) — and its share of the pass; "other" is what no
+wrapper covers. Two
 static passes come first and are not reported (plan cache, kernels, rank
 arrays). In a monitored mode the executions of a text are not alike —
 the first asks at the end of its scan and writes what it learned, every
@@ -29,12 +32,16 @@ from time import perf_counter
 from repro import AdaptiveConfig, Database, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
-from repro.executor import vector
+from repro.executor import pipeline, vector
 from repro.executor.pipeline import PipelineExecutor
 
 LAYERS = [
     (Database, "_plan_sql"),
+    (Database, "_execute_plan"),
+    (pipeline, "_prepare"),
     (PipelineExecutor, "__init__"),
+    (PipelineExecutor, "_open_driving"),
+    (PipelineExecutor, "_compile_all_probes"),
     (vector, "_adaptive_plan"),
     (vector, "_driving_walk"),
     (vector, "_expand"),
@@ -44,13 +51,20 @@ LAYERS = [
 ]
 
 
-def timed(function, spent: dict, name: str):
+def timed(function, spent: dict, name: str, inside: list):
+    """*function* charging its own time to ``spent[name]``: *inside* holds,
+    per wrapped call in progress, the time its wrapped callees took."""
+
     def wrapper(*args, **kwargs):
+        inside.append(0.0)
         start = perf_counter()
         try:
             return function(*args, **kwargs)
         finally:
-            spent[name] += perf_counter() - start
+            took = perf_counter() - start
+            spent[name] += took - inside.pop()
+            if inside:
+                inside[-1] += took
 
     return wrapper
 
@@ -72,10 +86,11 @@ def main() -> None:
     config = AdaptiveConfig(mode=ReorderMode(args.mode))
     db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
     spent: dict[str, float] = {}
+    inside: list[float] = []
     for owner, name in LAYERS:
         label = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
         spent[label] = 0.0
-        setattr(owner, name, timed(getattr(owner, name), spent, label))
+        setattr(owner, name, timed(getattr(owner, name), spent, label, inside))
 
     def one_pass(config) -> tuple[dict, tuple]:
         """``({layer: seconds}, (rows, checks, switches, learned runs))``."""

@@ -129,8 +129,13 @@ class LegMonitor:
         self.window.observe(index_matches, output_rows, work_units)
 
     def reset(self) -> None:
-        """Drop history (used when the leg's probe configuration changes)."""
-        self.window = AggregatedWindow(self.window.size)
+        """Drop history (used when the leg's probe configuration changes).
+
+        A monitor that never observed has none to drop and stays as it is
+        (so :data:`IDLE_MONITOR` is never written).
+        """
+        if self.window.lifetime_samples:
+            self.window = AggregatedWindow(self.window.size)
 
     # -- derived estimates (None when no data yet) -----------------------
     def join_cardinality(self) -> float | None:
@@ -172,6 +177,12 @@ class LegMonitor:
         if len(self.window) == 0:
             return None
         return self.window.sum_work / len(self.window)
+
+
+#: The inner monitor of every unmonitored leg (mode NONE): it never
+#: observes, so it reads what a fresh monitor reads — no data — to EXPLAIN
+#: ANALYZE and the metrics, and one instance serves every execution.
+IDLE_MONITOR = LegMonitor(1)
 
 
 class DrivingMonitor:

@@ -31,7 +31,7 @@ from repro.core.events import EventKind
 from repro.core.ranks import RuntimeModelBuilder
 from repro.errors import SchemaError
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.executor.pipeline import PipelineExecutor
+from repro.executor.pipeline import PipelineExecutor, held_arrays
 from repro.executor.postprocess import PostProcessor
 from repro.obs.explain import render_explain_analyze
 from repro.obs.metrics import MetricsRegistry
@@ -202,12 +202,20 @@ class Database:
         reports the approximate resident bytes of that table's storage
         (typed column arrays for ``columnar``, row tuples + cells for
         ``row``) — the observable half of the columnar backend's memory
-        savings — plus ``kernel_bytes``, the numpy sidecar / group-kernel /
+        savings — plus ``kernel_bytes``: the numpy sidecar / group-kernel /
         join-key row-rank bytes currently materialized on that table's
-        indexes (zero until a first vectorized run builds them).
+        indexes, and what the prepared records of the plans in the plan
+        cache keep alive beyond them — kernels the index's bounded memo
+        has since evicted, driving-scan arrays (zero until a first
+        vectorized run builds them).
         """
         from repro.storage.columnar import ColumnarIndex, table_memory_footprint
+        from repro.storage.columnar import unique_nbytes
 
+        held: dict[str, list] = {}
+        for plan in self.plan_cache.plans():
+            for table, array in held_arrays(plan, self.catalog):
+                held.setdefault(table, []).append(array)
         backend = self.backend_name
         per_table = []
         total = 0
@@ -215,11 +223,11 @@ class Database:
         for name in self.catalog.table_names():
             footprint = table_memory_footprint(self.catalog.table(name))
             total += footprint["bytes"]
-            kernel_bytes = sum(
-                index.kernel_footprint()
-                for index in self.catalog._indexes.get(name, {}).values()
-                if isinstance(index, ColumnarIndex)
-            )
+            arrays = held.get(name, [])
+            for index in self.catalog._indexes.get(name, {}).values():
+                if isinstance(index, ColumnarIndex):
+                    arrays += index.kernel_arrays()
+            kernel_bytes = unique_nbytes(arrays)
             kernel_total += kernel_bytes
             per_table.append(
                 {

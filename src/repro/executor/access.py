@@ -24,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.catalog.catalog import Catalog
-from repro.core.monitor import DrivingMonitor, LegMonitor
+from repro.core.monitor import IDLE_MONITOR, DrivingMonitor, LegMonitor
 from repro.errors import ExecutionError
 from repro.executor.hashprobe import HashProbeTable
 from repro.robustness.faults import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
-from repro.optimizer.params import LegModelParts
 from repro.optimizer.plans import DrivingKind, PlanLeg
 from repro.query.joingraph import JoinPredicate
 from repro.query.predicates import LocalPredicate, PositionalPredicate
@@ -45,11 +43,11 @@ Cursor = TableScanCursor | IndexScanCursor
 class ProbeConfig:
     """Compiled probe strategy for a leg at its current pipeline position.
 
-    Immutable: the starting order's configs are kept with the plan
-    (:meth:`PipelinePlan.probe_program`) and shared by every execution of
-    it, across threads. Equality is by what a probe does — the getters are
-    closures over ``key_alias`` / ``key_slot`` / ``residual_sources``,
-    which are compared in their place.
+    Immutable: the starting order's configs are kept in the plan's
+    prepared record (:meth:`PipelinePlan.prepared`) and shared by every
+    execution of it, across threads. Equality is by what a probe does —
+    the getters are closures over ``key_alias`` / ``key_slot`` /
+    ``residual_sources``, which are compared in their place.
     """
 
     access_index: SortedIndex | None
@@ -130,6 +128,7 @@ class RuntimeLeg:
         "degrade_hook",
         "monitor_failure",
         "_hash_tables",
+        "_pushed",
         "model_parts",
         "rows_in",
         "index_matches",
@@ -141,32 +140,37 @@ class RuntimeLeg:
     def __init__(
         self,
         plan_leg: PlanLeg,
-        catalog: Catalog,
-        local_tests: Sequence[tuple[LocalPredicate, Callable]],
-        model_parts: LegModelParts,
-        history_window: int,
-        monitoring_enabled: bool,
+        binding: Any,
+        history_window: int | None = None,
     ) -> None:
+        """One execution's leg over *binding*, the leg's
+        :class:`~repro.executor.pipeline.LegBinding` in the plan's prepared
+        record: its table, indexes, bound local tests and model parts are
+        shared with every execution of the plan and read-only here.
+        Monitored with windows of *history_window* rows; None leaves the
+        leg unmonitored, its inner monitor the shared idle one.
+        """
         self.plan_leg = plan_leg
         self.alias = plan_leg.alias
-        self.table = catalog.table(plan_leg.table_name)
-        self.schema = self.table.schema
-        self.meter = self.table.meter
-        self.indexes = catalog.indexes_of(plan_leg.table_name)
-        # The execution-invariant part of this leg's run-time cost model,
-        # shared with every execution of the plan (PlanBindings).
-        self.model_parts = model_parts
-        self.monitoring_enabled = monitoring_enabled
-        self.monitor = LegMonitor(history_window)
+        self.table = table = binding.table
+        self.schema = table.schema
+        self.meter = table.meter
+        self.indexes = binding.indexes
+        self.model_parts = binding.model_parts
+        self.local_tests = binding.local_tests
+        self._pushed = binding.pushed
+        self.monitoring_enabled = history_window is not None
+        self._history_window = history_window
+        if history_window is None:
+            self.monitor = IDLE_MONITOR
+            self.local_counts = []
+        else:
+            self.monitor = LegMonitor(history_window)
+            # Per-local-predicate (evaluated, passed) counters: the
+            # monitored S_LPR of an inner leg (core.ranks).
+            self.local_counts = [[0, 0] for _ in self.local_tests]
         self.driving_monitor: DrivingMonitor | None = None
         self.positional: PositionalPredicate | None = None
-        self._history_window = history_window
-        # (predicate, bound test) pairs from bind_local_tests, shared
-        # with every other execution of the plan: read-only here.
-        self.local_tests = local_tests
-        # Per-local-predicate (evaluated, passed) counters: the monitored
-        # S_LPR of an inner leg (core.ranks).
-        self.local_counts = [[0, 0] for _ in self.local_tests]
         self.probe_config: ProbeConfig | None = None
         # Bumped on every compile_probe: reorders and driving switches
         # change what a probe means (access predicate, residual set,
@@ -455,10 +459,11 @@ class RuntimeLeg:
                         f"leg {self.alias!r}: driving index on "
                         f"{spec.index_column!r} does not exist"
                     )
-                cursor = IndexScanCursor(index, list(spec.ranges))
+                cursor = IndexScanCursor(index, spec.ranges)
             else:
                 cursor = TableScanCursor(self.table)
-        self.driving_monitor = DrivingMonitor(self._history_window)
+        if self._history_window is not None:
+            self.driving_monitor = DrivingMonitor(self._history_window)
         return cursor
 
     def driving_rows(self, cursor: Cursor) -> Iterator[Row]:
@@ -503,6 +508,4 @@ class RuntimeLeg:
 
     def pushed_driving_predicate(self):
         """The local predicate the driving spec pushes into its index scan."""
-        return self.plan_leg.driving.pushed(
-            [predicate for predicate, _ in self.local_tests]
-        )
+        return self._pushed

@@ -34,12 +34,14 @@ from repro.executor.access import (
     RuntimeLeg,
     bind_local_tests,
 )
+from repro.executor.vector import cascade_start
 from repro.obs.observer import QueryObservability
 from repro.optimizer.params import LegModelParts, leg_model_parts
 from repro.optimizer.plans import PipelinePlan
 from repro.robustness.guard import describe_failure
 from repro.robustness.limits import ExecutionLimits, LimitEnforcer
 from repro.robustness.oracle import InvariantOracle
+from repro.storage.backend import COLUMNAR_BACKEND
 from repro.storage.counters import WorkMeter
 from repro.storage.table import Row
 
@@ -70,46 +72,190 @@ class _NoAdaptation:
         return False
 
 
-class PlanBindings(NamedTuple):
-    """What an executor derives from a plan and the catalog alone.
+class LegBinding(NamedTuple):
+    """One leg's table side: what its executions read, not derive."""
 
-    Built once per plan and catalog generation (:meth:`PipelinePlan.bindings`)
-    and shared by every execution of it — concurrently, under the query
-    server — so nothing in here may change after construction. The same
-    holds for what rides beside it per plan: the starting order's probe
-    program (:meth:`PipelinePlan.probe_program`, kept by
-    :meth:`PipelineExecutor._compile_all_probes`) and the frozen
-    :class:`~repro.executor.access.ProbeConfig` records in it.
+    table: Any
+    # column -> index of the leg's table, as the catalog holds them
+    indexes: Mapping[str, Any]
+    # ((predicate, bound row test), ...)
+    local_tests: tuple
+    # the execution-invariant part of the leg's run-time cost model
+    model_parts: LegModelParts
+    # the local predicate the driving spec pushes into its index scan
+    pushed: Any
+
+
+class PlanBindings(NamedTuple):
+    """The order-free half of a prepared plan: predicates against schemas.
+
+    A feedback plan (:meth:`PipelinePlan.corrected`) shares its base
+    plan's: only order, estimates and class selectivities differ there.
     """
 
-    # alias -> ((predicate, bound row test), ...)
-    local_tests: Mapping[str, tuple]
-    # (alias, row slot) per output column
+    legs: Mapping[str, LegBinding]
+    schemas: Mapping[str, Any]
+    # (alias, row slot) per output column, and the row projector over them
     projection_slots: tuple[tuple[str, int], ...]
-    # alias -> the execution-invariant part of the leg's run-time cost model
-    model_parts: Mapping[str, LegModelParts]
+    projector: Callable[[Binding], tuple[Any, ...]]
+    join_graph: Any
+
+
+class PreparedPlan(NamedTuple):
+    """Everything an execution derives from its plan and the catalog alone.
+
+    Built once per plan and catalog generation
+    (:meth:`PipelinePlan.prepared`, by :func:`_prepare`) and installed by
+    every execution of the plan, in every mode and on every thread, so
+    nothing in here may change after construction: the arrays are
+    read-only, the records frozen.
+    """
+
+    # id() of the plan it was built for: a feedback plan starts from its
+    # base plan's record and keeps only the bindings of it.
+    plan_id: int
+    catalog: Catalog
+    generation: tuple
+    bindings: PlanBindings
+    # {inner alias: ProbeConfig} of the plan's order under its class
+    # selectivities: the starting probe program.
+    program: Mapping[str, Any]
+    # The cascade's start (:func:`~repro.executor.vector.cascade_start`):
+    # the starting inner legs' kernels and key gathers plus the fresh
+    # driving walk, or the gate refusing them; None on a row database.
+    cascade: Any
 
 
 def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
-    tables = {
-        alias: catalog.table(leg.table_name) for alias, leg in plan.legs.items()
-    }
-    return PlanBindings(
-        local_tests={
-            alias: bind_local_tests(plan.leg(alias), table)
-            for alias, table in tables.items()
-        },
-        projection_slots=tuple(
-            (output.alias, tables[output.alias].schema.position_of(output.column))
-            for output in plan.projection
-        ),
-        model_parts={
-            alias: leg_model_parts(
-                leg, tables[alias], catalog.indexes_of(leg.table_name)
-            )
-            for alias, leg in plan.legs.items()
-        },
+    legs = {}
+    for alias, leg in plan.legs.items():
+        table = catalog.table(leg.table_name)
+        indexes = catalog.indexes_of(leg.table_name)
+        legs[alias] = LegBinding(
+            table,
+            indexes,
+            bind_local_tests(leg, table),
+            leg_model_parts(leg, table, indexes),
+            leg.driving.pushed(leg.local_predicates),
+        )
+    slots = tuple(
+        (output.alias, legs[output.alias].table.schema.position_of(output.column))
+        for output in plan.projection
     )
+
+    def project(binding: Binding) -> tuple[Any, ...]:
+        return tuple(binding[alias][slot] for alias, slot in slots)
+
+    return PlanBindings(
+        legs=legs,
+        schemas={alias: leg.table.schema for alias, leg in legs.items()},
+        projection_slots=slots,
+        projector=project,
+        join_graph=plan.query.join_graph(),
+    )
+
+
+def _prepare(
+    plan: PipelinePlan,
+    catalog: Catalog,
+    generation: tuple,
+    bindings: PlanBindings | None,
+) -> PreparedPlan:
+    """*plan*'s prepared record under *generation* (see :class:`PreparedPlan`).
+
+    The starting state is built the way an execution builds it — legs of
+    the plan's order, each inner leg's probe compiled for the legs before
+    it, a fresh driving cursor — on legs of its own that no execution
+    runs, and kept.
+    """
+    if bindings is None:
+        bindings = _bind_plan(plan, catalog)
+    order = plan.order
+    legs = {
+        alias: RuntimeLeg(plan.legs[alias], bindings.legs[alias])
+        for alias in order
+    }
+    graph = bindings.join_graph
+
+    def sel_of(predicate) -> float:
+        return _class_selectivity(graph, plan.class_selectivities, predicate)
+
+    for position in range(1, len(order)):
+        _compile_probe(legs[order[position]], order, position, bindings, sel_of)
+    return PreparedPlan(
+        plan_id=id(plan),
+        catalog=catalog,
+        generation=generation,
+        bindings=bindings,
+        program={alias: legs[alias].probe_config for alias in order[1:]},
+        cascade=(
+            cascade_start(order, legs)
+            if catalog.backend is COLUMNAR_BACKEND
+            else None
+        ),
+    )
+
+
+def held_arrays(plan: PipelinePlan, catalog: Catalog) -> list[tuple[str, Any]]:
+    """``(table name, array)`` per numpy array *plan*'s prepared record keeps
+    alive under *catalog*'s generation: its cascade start's kernels (by
+    probed table) and driving walk (by driving table). Builds nothing: a
+    plan no execution has prepared holds none.
+    """
+    record = plan.__dict__.get("_prepared")
+    if (
+        record is None
+        or record.plan_id != id(plan)
+        or record.catalog is not catalog
+        or record.generation != catalog.generation()
+        or not isinstance(record.cascade, tuple)
+    ):
+        return []
+    template, walk = record.cascade
+    held = [
+        (config.access_index.table.name, array)
+        for _, config, kernel, *_ in template
+        for array in kernel.arrays()
+    ]
+    driving = record.bindings.legs[plan.order[0]].table.name
+    held += [
+        (driving, array)
+        for array in (walk.rids, walk.alive, walk.survivor_at)
+        if array is not None
+    ]
+    return held
+
+
+def _class_selectivity(graph, class_selectivities, predicate) -> float:
+    """A (possibly derived) join predicate's selectivity from its class."""
+    class_id = graph.class_id(predicate.left, predicate.left_column)
+    if class_id is None:
+        return 0.01
+    return class_selectivities.get(class_id, 0.01)
+
+
+def _compile_probe(
+    leg: RuntimeLeg,
+    order,
+    position: int,
+    bindings: PlanBindings,
+    sel_of: Callable,
+    slot_of: Callable | None = None,
+) -> None:
+    """Compile *leg*'s probe for *position* of *order*."""
+    try:
+        leg.compile_probe(
+            preceding=order[:position],
+            graph=bindings.join_graph,
+            schemas=bindings.schemas,
+            sel_of=sel_of,
+            slot_of=slot_of,
+        )
+    except ExecutionError as exc:
+        raise ExecutionError(
+            f"probe compilation failed for leg {leg.alias!r} at position "
+            f"{position} of order {tuple(order)}"
+        ) from exc
 
 
 class PipelineExecutor:
@@ -134,35 +280,35 @@ class PipelineExecutor:
         self.limits = limits
         self.oracle = oracle
         self.obs = obs
-        monitoring = self.config.mode.monitors
-        bindings: PlanBindings = plan.bindings(catalog, _bind_plan)
+        prepared: PreparedPlan = plan.prepared(catalog, _prepare)
+        self.prepared = prepared
+        bindings = prepared.bindings
         self.projection_slots = bindings.projection_slots
-        # What the plan's starting probe program is kept under; None once
-        # this execution has compiled a probe.
-        self._program_key: PlanBindings | None = bindings
-        self.legs = {
-            alias: RuntimeLeg(
-                plan.leg(alias),
-                catalog,
-                bindings.local_tests[alias],
-                bindings.model_parts[alias],
-                self.config.history_window,
-                monitoring,
+        self._projector = bindings.projector
+        self.schemas = bindings.schemas
+        self.join_graph = bindings.join_graph
+        # Whether this execution has yet to compile a probe: its first
+        # compile installs the prepared program instead.
+        self._fresh = True
+        # The prepared cascade start while the pipeline is in the state it
+        # was prepared for (set by _compile_all_probes), else None.
+        self.prepared_start = None
+        window = self.config.history_window if self.config.mode.monitors else None
+        degrade_hook = self._record_monitor_degraded
+        self.legs = {}
+        for alias in plan.order:
+            leg = self.legs[alias] = RuntimeLeg(
+                plan.legs[alias], bindings.legs[alias], window
             )
-            for alias in plan.order
-        }
-        for leg in self.legs.values():
-            leg.degrade_hook = self._record_monitor_degraded
+            leg.degrade_hook = degrade_hook
             leg.obs = obs
             if oracle is not None:
                 leg.collect_rids = True
         self.order: list[str] = list(plan.order)
-        self.schemas = {alias: leg.schema for alias, leg in self.legs.items()}
         # (alias, column) -> row slot, shared across every leg's probe
         # compilation, so repeated recompiles after reorders never
         # re-resolve schema positions.
         self._slot_cache: dict[tuple[str, str], int] = {}
-        self.join_graph = plan.query.join_graph()
         # Live join selectivities, keyed by column equivalence class: start
         # from optimizer estimates, refined from monitored values (Eq 7).
         self.class_selectivities: dict[int, float] = dict(
@@ -175,7 +321,6 @@ class PipelineExecutor:
         self.abandon_counts: dict[str, int] = {}
         self.driving_cursor: Cursor | None = None
         self._driving_iter: Iterator[Row] | None = None
-        self._projector = self._compile_projection()
         # Statistics for the experiments.
         self.inner_reorders = 0
         self.driving_switches = 0
@@ -227,72 +372,51 @@ class PipelineExecutor:
             self._slot_cache[key] = slot
         return slot
 
-    def _compile_projection(self) -> Callable[[Binding], tuple[Any, ...]]:
-        slots = self.projection_slots
-
-        def project(binding: Binding) -> tuple[Any, ...]:
-            return tuple(binding[alias][slot] for alias, slot in slots)
-
-        return project
-
     def _compile_all_probes(self, start_position: int = 1) -> None:
         """Compile the probe of every leg from *start_position* on.
 
         The first compile of an execution finds the pipeline as the plan
-        describes it, and what it compiles is then a function of the plan
-        and the catalog generation alone: the first execution of the plan
-        publishes it as the plan's probe program, every later one installs
-        that. After an applied reorder or switch
-        the order and the live class selectivities have moved, and the
-        permuted legs are compiled for what they are now.
+        describes it, so it installs the prepared record's program (and
+        marks the record's cascade start usable). After an applied reorder
+        or switch the order and the live class selectivities have moved,
+        and the permuted legs are compiled for what they are now.
         """
-        key, self._program_key = self._program_key, None
-        starting = (
-            key is not None
+        fresh, self._fresh = self._fresh, False
+        if (
+            fresh
             and start_position == 1
             and tuple(self.order) == self.plan.order
             and self.class_selectivities == self.plan.class_selectivities
-        )
-        program = self.plan.probe_program(key) if starting else None
-        if program is not None:
-            for alias, config in program.items():
+        ):
+            for alias, config in self.prepared.program.items():
                 leg = self.legs[alias]
                 leg.install_probe(config)
                 leg.positional = self.registry.predicate_for(alias)
+            self.prepared_start = self.prepared.cascade
             return
+        self.prepared_start = None
         for position in range(start_position, len(self.order)):
             self._compile_probe_at(position, self.order[position])
-        if starting:
-            self.plan.keep_probe_program(
-                key,
-                {alias: self.legs[alias].probe_config for alias in self.order[1:]},
-            )
 
     def predicate_selectivity(self, predicate) -> float:
         """Live selectivity estimate of a (possibly derived) join predicate."""
-        class_id = self.join_graph.class_id(predicate.left, predicate.left_column)
-        if class_id is None:
-            return 0.01
-        return self.class_selectivities.get(class_id, 0.01)
+        return _class_selectivity(
+            self.join_graph, self.class_selectivities, predicate
+        )
 
     def _compile_probe_at(self, position: int, alias: str) -> None:
         leg = self.legs[alias]
         previous_access = (
             leg.probe_config.access_predicate if leg.probe_config else None
         )
-        try:
-            leg.compile_probe(
-                preceding=self.order[:position],
-                graph=self.join_graph,
-                schemas=self.schemas,
-                sel_of=self.predicate_selectivity,
-                slot_of=self._slot_of,
-            )
-        except ExecutionError as exc:
-            raise ExecutionError(
-                f"probe compilation failed for leg {alias!r} at position "
-                f"{position} of order {tuple(self.order)}"
-            ) from exc
+        _compile_probe(
+            leg,
+            self.order,
+            position,
+            self.prepared.bindings,
+            self.predicate_selectivity,
+            self._slot_of,
+        )
         new_access = leg.probe_config.access_predicate if leg.probe_config else None
         if previous_access is not None and new_access != previous_access:
             # The probe semantics changed; old windowed counters no longer

@@ -111,10 +111,10 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
     Must be called after ``_open_driving``/``_compile_all_probes``. Every
     gate failure returns None with ``executor.vector_gate_reason`` set and
     no state mutated, so the caller's fallback proceeds untouched. What the
-    data alone decides is
-    not derived here: group kernels and the join keys' rank arrays are
-    memoized by the probed indexes (:func:`_adaptive_plan` looks them up),
-    the starting probes come compiled with the plan.
+    plan and the data alone decide is not derived here: a pipeline that
+    starts as its plan describes runs the plan's prepared cascade start
+    (:func:`cascade_start`), and a rebuild finds group kernels and the join
+    keys' rank arrays memoized by the probed indexes.
     """
     planned = _cascade_plan(executor)
     if planned is None:
@@ -125,20 +125,59 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
 def _cascade_plan(executor) -> tuple["_DrivingWalk", list] | None:
     """(driving walk, inner-leg plan) for the open pipeline, or None.
 
-    The gates both cascades share; a failure names itself on
+    The pipeline as its plan describes it runs the prepared record's
+    cascade start (:func:`cascade_start`); one a caller moved first is
+    derived here. A gate failure names itself on
     ``executor.vector_gate_reason`` and mutates nothing else.
     """
-    # Inner legs (kernels + key gathers) before the driving leg (the scan
-    # as arrays): a refused plan should not pay for the walk.
-    inner, reason = _adaptive_plan(executor)
-    if reason is None:
-        walk, reason = _driving_walk(
-            executor.legs[executor.order[0]], executor.driving_cursor
+    start = executor.prepared_start
+    if start is None:
+        # Inner legs (kernels + key gathers) before the driving leg (the
+        # scan as arrays): a refused plan should not pay for the walk.
+        inner, reason = _adaptive_plan(executor.order, executor.legs)
+        if reason is None:
+            walk, reason = _driving_walk(
+                executor.legs[executor.order[0]], executor.driving_cursor
+            )
+    elif isinstance(start, str):
+        reason = start
+    else:
+        template, prepared_walk = start
+        legs = executor.legs
+        inner = [(legs[alias], *rest) for alias, *rest in template]
+        walk = prepared_walk.restarted(
+            legs[executor.order[0]], executor.driving_cursor
         )
+        reason = None
     if reason is not None:
         executor.vector_gate_reason = reason
         return None
     return walk, inner
+
+
+def cascade_start(order: Sequence[str], legs: dict) -> tuple | str:
+    """The cascade's start for *legs* in *order*, as its plan describes it.
+
+    ``(template, walk)``: per inner leg ``(alias, probe config, kernel,
+    key-rank gather, may miss)`` — :func:`_adaptive_plan`'s entry with the
+    alias for the leg — and the fresh driving scan's walk with no leg or
+    cursor of its own (:meth:`_DrivingWalk.restarted` gives it one). The
+    gate reason instead when the gates refuse. Part of a plan's prepared
+    record: every execution that starts as the plan describes installs
+    it, on any thread, so nothing here is ever written.
+    """
+    inner, reason = _adaptive_plan(order, legs)
+    if reason is None:
+        leg = legs[order[0]]
+        walk, reason = _driving_walk(leg, leg.open_driving_cursor())
+    if reason is not None:
+        return reason
+    walk.leg = walk.cursor = None
+    for array in (walk.rids, walk.alive, walk.survivor_at):
+        if array is not None:
+            array.setflags(write=False)
+    template = tuple((leg.alias, *rest) for leg, *rest in inner)
+    return template, walk
 
 
 class _DrivingWalk:
@@ -205,7 +244,8 @@ class _DrivingWalk:
             else:
                 self.rids = _np.zeros(0, dtype=_np.int64)
         else:
-            self.spans = None
+            self.spans = self.span_starts = None
+            self.spans_entered = 0
             pending = cursor.remaining_rids()
             self.rids = _np.arange(
                 pending.start, pending.stop, dtype=_np.int64
@@ -222,6 +262,27 @@ class _DrivingWalk:
         self.survivors = len(
             self.rids if self.survivor_at is None else self.survivor_at
         )
+
+    def restarted(self, leg, cursor) -> "_DrivingWalk":
+        """This walk from its start again, over *leg*'s fresh *cursor*.
+
+        The arrays — what :meth:`__init__` derives from the scan — are this
+        walk's, shared and never written; only the progress is new. How an
+        execution starts from its plan's prepared walk
+        (:func:`cascade_start`).
+        """
+        walk = _DrivingWalk.__new__(_DrivingWalk)
+        walk.leg = leg
+        walk.cursor = cursor
+        walk.rids = self.rids
+        walk.alive = self.alive
+        walk.survivor_at = self.survivor_at
+        walk.ntests = self.ntests
+        walk.survivors = self.survivors
+        walk.spans = self.spans
+        walk.span_starts = self.span_starts
+        walk.taken = walk.survivors_taken = walk.spans_entered = 0
+        return walk
 
     def take(self, limit: int | None = None):
         """RIDs of the next *limit* survivors (all that are left when None).
@@ -309,8 +370,10 @@ def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
     return _DrivingWalk(leg, cursor, masks), None
 
 
-def _adaptive_plan(executor) -> tuple[list | None, str | None]:
-    """Per-leg kernels and key gathers for the *current* order, or a gate reason.
+def _adaptive_plan(
+    order: Sequence[str], legs: dict
+) -> tuple[list | None, str | None]:
+    """Per-leg kernels and key gathers for *legs* in *order*, or a gate reason.
 
     Recomputed whenever the order or a probe epoch changes: an applied
     inner reorder permutes the cascade mid-scan, and a driving switch
@@ -318,16 +381,17 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
     is then derived from the cached base kernel (:func:`_positional_kernel`)
     and lives only as long as this plan does. Kernels and rank arrays are
     memoized by their index, so a rebuild is dictionary lookups unless the
-    new order probes through a (column, index) pair nobody has yet.
+    new order probes through a (column, index) pair nobody has yet. The
+    plan's own starting order is derived once, into its prepared record
+    (:func:`cascade_start`).
 
     One entry per inner leg: ``(leg, probe config, kernel, key-rank gather,
     whether the gather can yield a missing key's -2)``.
     """
-    order = executor.order
     inner: list = []
     for position in range(1, len(order)):
         alias = order[position]
-        leg = executor.legs[alias]
+        leg = legs[alias]
         config = leg.probe_config
         if config is None or config.hash_column is not None:
             return None, f"leg {alias!r}: hash-probed or uncompiled access"
@@ -339,7 +403,7 @@ def _adaptive_plan(executor) -> tuple[list | None, str | None]:
             return None, f"leg {alias!r}: non-vectorizable local predicates"
         if leg.positional is not None:
             kernel = _positional_kernel(kernel, leg.positional, len(leg.table))
-        source = executor.legs[config.key_alias].table.column_store(
+        source = legs[config.key_alias].table.column_store(
             config.key_slot
         )
         translate = _make_translator(source, index)
@@ -613,7 +677,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
             controller.on_pipeline_depleted()
         sig = _plan_signature(executor)
         if sig != plan_sig:
-            inner, reason = _adaptive_plan(executor)
+            inner, reason = _adaptive_plan(executor.order, legs_map)
             # Whatever the controller returned: the plan says who drives.
             if reason is None and walk.leg is not legs_map[executor.order[0]]:
                 # A fresh (or resumed) driving cursor: a new walk.

@@ -9,9 +9,17 @@ constants, so only semantically identical statements may share a plan.
 
 Every entry remembers the catalog generation it was planned under
 (:meth:`repro.catalog.catalog.Catalog.generation`: DDL, data versions and
-the statistics epoch); a lookup under any other generation drops the entry
-and replans, so ``insert`` / ``create_index`` / ``analyze`` between two
-executions can never serve a stale plan.
+the statistics epoch). The generation is global, so the first lookup under
+a new one drops **every** entry and replans, and ``insert`` /
+``create_index`` / ``analyze`` between two executions can never serve a
+stale plan — nor leave one in the LRU holding what a plan's prepared
+record (:meth:`~repro.optimizer.plans.PipelinePlan.prepared`) built for a
+generation that is gone: kernels, rank arrays, scan arrays.
+
+The key is found once per raw text: a memo maps each text the cache was
+asked for to its normalized form, so a repeated statement runs the
+normalizing regex once, not on every lookup. The memo keeps at most
+``capacity`` texts, first in, first out.
 
 Single-flight: when N threads miss on the same key at once, one becomes
 the *leader* and plans; the other N-1 block on the entry's event and reuse
@@ -112,6 +120,10 @@ class PlanCache:
         # OrderedDict for LRU order.
         self._entries: "OrderedDict[str, CachedPlan]" = OrderedDict()
         self._in_flight: dict[str, _InFlight] = {}
+        # Raw text -> normalized key (at most ``capacity`` texts).
+        self._keys: dict[str, str] = {}
+        # The catalog generation of the latest lookup: every entry's.
+        self._generation: tuple | None = None
         self.hits = 0
         self.misses = 0
         self.waits = 0
@@ -158,23 +170,30 @@ class PlanCache:
             with self._lock:
                 self.misses += 1
             return CachedPlan(None, planner(sql), None), OFF, None
-        key = normalize_sql(sql)
+        key = self._keys.get(sql)
+        if key is None:
+            key = normalize_sql(sql)
+            with self._lock:
+                if len(self._keys) >= self.capacity:
+                    del self._keys[next(iter(self._keys))]
+                self._keys[sql] = key
         while True:
             with self._lock:
+                if generation != self._generation:
+                    # The catalog changed since these were planned.
+                    self.invalidations += len(self._entries)
+                    self._entries.clear()
+                    self._generation = generation
                 cached = self._entries.get(key)
                 if cached is not None:
-                    if cached.generation == generation:
-                        self._entries.move_to_end(key)
-                        self.hits += 1
-                        feedback = cached.feedback
-                        if feedback is not None and feedback.mode is mode:
-                            self.feedback_hits += 1
-                        else:
-                            feedback = None
-                        return cached, HIT, feedback
-                    # Stale: the catalog changed since this was planned.
-                    del self._entries[key]
-                    self.invalidations += 1
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    feedback = cached.feedback
+                    if feedback is not None and feedback.mode is mode:
+                        self.feedback_hits += 1
+                    else:
+                        feedback = None
+                    return cached, HIT, feedback
                 flight = self._in_flight.get(key)
                 if flight is None:
                     flight = _InFlight(generation)
@@ -188,7 +207,12 @@ class PlanCache:
                 finally:
                     with self._lock:
                         self._in_flight.pop(key, None)
-                        if flight.entry is not None:
+                        # Not when a lookup under a newer generation
+                        # dropped the cache while this one planned.
+                        if (
+                            flight.entry is not None
+                            and generation == self._generation
+                        ):
                             self._entries[key] = flight.entry
                             self._entries.move_to_end(key)
                             self._evict_over_capacity()
@@ -223,6 +247,14 @@ class PlanCache:
             )
             self.feedback_writes += 1
             return True
+
+    def plans(self) -> list:
+        """Every plan the cache holds: each entry's, and its feedback plan."""
+        with self._lock:
+            entries = list(self._entries.values())
+        plans = [entry.plan for entry in entries]
+        plans += [entry.feedback.plan for entry in entries if entry.feedback]
+        return plans
 
     def _holds(self, entry: CachedPlan, generation: tuple) -> bool:
         return (

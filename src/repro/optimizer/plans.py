@@ -129,49 +129,42 @@ class PipelinePlan:
     def driving_alias(self) -> str:
         return self.order[0]
 
-    def bindings(self, catalog: Any, bind: Callable) -> Any:
-        """``bind(self, catalog)``, computed once per plan and catalog state.
+    def prepared(self, catalog: Any, prepare: Callable) -> Any:
+        """``prepare(self, catalog, generation, bindings)``, once per plan
+        and catalog generation: this plan's *prepared record*.
 
-        For what an executor derives from the plan and the catalog alone
-        (bound local-predicate tests, projection slots, the parts of the
-        run-time cost model that are index and table metadata): every
-        execution of a cached plan shares one result — concurrently, under
-        the query server — until the catalog's generation moves (DDL, DML,
-        ANALYZE). It must therefore be immutable; anything an execution
-        counts, windows or reorders belongs to that execution's executor.
+        For everything an execution derives from the plan and the catalog
+        alone (bound local tests, projection slots, model parts, the
+        starting probe program, the cascade's starting kernels and the
+        fresh driving scan's arrays): every execution of the plan installs
+        one record — concurrently, on an embedding caller's threads — until
+        the catalog's generation moves (DDL, DML, ANALYZE). It must
+        therefore be immutable; anything an execution counts, windows or
+        reorders belongs to that execution's executor. Two threads racing
+        to build one store equal records, and each runs the one it built.
+
+        *bindings* is None, or the order-free part of a record built for
+        this plan's base plan under the same generation: a feedback plan
+        (:meth:`corrected`) shares it and builds only what its own order
+        and class selectivities decide.
         """
         generation = catalog.generation()
-        memo = self.__dict__.get("_bindings")
-        if memo is None or memo[0] is not catalog or memo[1] != generation:
-            # Not a field: written past the frozen-dataclass guard, the
-            # way functools.cached_property does.
-            memo = self.__dict__["_bindings"] = (
-                catalog,
-                generation,
-                bind(self, catalog),
-            )
-        return memo[2]
-
-    def probe_program(self, bindings: Any) -> dict | None:
-        """This plan's compiled starting probes, ``{inner alias: ProbeConfig}``.
-
-        What an executor derives from *bindings* **and** this plan's own
-        order and class selectivities, so a feedback plan, which shares its
-        base plan's bindings (:meth:`corrected`), keeps its own. None until
-        an execution kept one under these *bindings*
-        (:meth:`keep_probe_program`): a rebound plan (the catalog's
-        generation moved) starts over. Shared by concurrent executions like
-        the bindings: a program is stored whole and never changed, two
-        executions racing to keep one store equal values.
-        """
-        memo = self.__dict__.get("_probe_program")
-        if memo is None or memo[0] is not bindings:
-            return None
-        return memo[1]
-
-    def keep_probe_program(self, bindings: Any, program: dict) -> None:
-        """Keep *program* as :meth:`probe_program` under *bindings*."""
-        self.__dict__["_probe_program"] = (bindings, program)
+        memo = self.__dict__.get("_prepared")
+        bindings = None
+        if (
+            memo is not None
+            and memo.catalog is catalog
+            and memo.generation == generation
+        ):
+            if memo.plan_id == id(self):
+                return memo
+            bindings = memo.bindings  # the base plan's (corrected())
+        # Not a field: written past the frozen-dataclass guard, the way
+        # functools.cached_property does.
+        memo = self.__dict__["_prepared"] = prepare(
+            self, catalog, generation, bindings
+        )
+        return memo
 
     def with_order(self, order: Sequence[str]) -> "PipelinePlan":
         """The same plan with a different leg order (used for what-ifs)."""
@@ -192,9 +185,9 @@ class PipelinePlan:
         join classes carry *class_selectivities* and *estimated_cost* is
         Eq (1) of *order* under those numbers. The result shares this
         plan's bindings (they depend on predicates and schemas only), so
-        it costs a few small records, not a second compiled plan; its
-        probe program (:meth:`probe_program`) follows the order and the
-        class selectivities and is its own.
+        it costs a few small records, not a second compiled plan; the rest
+        of its prepared record (:meth:`prepared`) follows the order and
+        the class selectivities and is its own.
         """
         legs = dict(self.legs)
         for alias, (sel_index, sel_residual) in local_selectivities.items():
@@ -221,9 +214,9 @@ class PipelinePlan:
             class_selectivities=dict(class_selectivities),
             estimated_cost=estimated_cost,
         )
-        memo = self.__dict__.get("_bindings")
+        memo = self.__dict__.get("_prepared")
         if memo is not None:
-            plan.__dict__["_bindings"] = memo
+            plan.__dict__["_prepared"] = memo
         return plan
 
     def explain(self) -> str:

@@ -561,6 +561,13 @@ class _Kernel:
         for array in (totals, evals, counts, pass_offsets, pass_rids, *ev, *pa):
             array.setflags(write=False)
 
+    def arrays(self) -> list:
+        """Every array of this kernel (shared ones more than once)."""
+        return [
+            self.totals, self.evals, self.counts, self.pass_offsets,
+            self.pass_rids, *self.ev, *self.pa,
+        ]
+
     def restricted(self, keep) -> "_Kernel":
         """This kernel with one more test after the locals (a derived copy).
 
@@ -877,18 +884,18 @@ class ColumnarIndex(SortedIndex):
         ranks[~notnull] = -1
         return ranks
 
-    def kernel_footprint(self) -> int:
-        """Approximate resident bytes of the cascade sidecar + kernel plan.
+    def kernel_arrays(self) -> list:
+        """The cascade sidecar + kernel plan arrays resident on this index.
 
         The numpy entry-RID / distinct-key sidecars, every memoized group
-        kernel and every row-rank array of the current generation.
-        Positional kernels derived from these for one query
-        (:meth:`_Kernel.restricted`) are not counted: nothing here retains
-        them. Reports 0 while the sidecar is unbuilt or stale — a stats read
-        must never force a lazy build.
+        kernel and every row-rank array of the current generation, shared
+        arrays more than once. Positional kernels derived from these for
+        one query (:meth:`_Kernel.restricted`) are not among them: nothing
+        here retains them. Empty while the sidecar is unbuilt or stale — a
+        stats read must never force a lazy build.
         """
         if self._gen is None or self._gen != self._generation():
-            return 0
+            return []
         with self._lock:  # another thread may be publishing a kernel
             kernels = list(self._kernels.values())
             row_ranks = [held[1] for held in self._row_ranks.values()]
@@ -897,13 +904,20 @@ class ColumnarIndex(SortedIndex):
             *row_ranks,
         ]
         for kernel in kernels:
-            arrays += (
-                kernel.totals, kernel.evals, kernel.counts,
-                kernel.pass_offsets, kernel.pass_rids, *kernel.ev, *kernel.pa,
-            )
-        # Kernels share arrays with the sidecar and among their own fields.
-        unique = {id(array): array for array in arrays if array is not None}
-        return sum(int(array.nbytes) for array in unique.values())
+            arrays += kernel.arrays()
+        return [array for array in arrays if array is not None]
+
+    def kernel_footprint(self) -> int:
+        """Approximate resident bytes of :meth:`kernel_arrays`."""
+        return unique_nbytes(self.kernel_arrays())
+
+
+def unique_nbytes(arrays) -> int:
+    """Bytes of *arrays*, each array counted once however often it is in
+    there (kernels share arrays with their sidecar and among their own
+    fields)."""
+    unique = {id(array): array for array in arrays}
+    return sum(int(array.nbytes) for array in unique.values())
 
 
 class _SentinelType:

@@ -19,7 +19,7 @@ join-column index once it becomes an inner leg).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.storage.index import SortedIndex
 from repro.storage.table import HeapTable, Row
@@ -51,13 +51,15 @@ class KeyRange:
         return (1, self.low)
 
 
-def normalize_ranges(ranges: list[KeyRange]) -> list[KeyRange]:
+def normalize_ranges(ranges: Sequence[KeyRange]) -> list[KeyRange]:
     """Sort ranges by low bound; callers must supply disjoint ranges.
 
     The cursor walks ranges in this order, which keeps the global (key, rid)
     position monotonically increasing — the property positional predicates
     depend on.
     """
+    if len(ranges) < 2:
+        return list(ranges)
     return sorted(ranges, key=lambda r: r.sort_key())
 
 
@@ -163,7 +165,7 @@ class IndexScanCursor:
     def __init__(
         self,
         index: SortedIndex,
-        ranges: list[KeyRange] | None = None,
+        ranges: Sequence[KeyRange] | None = None,
     ) -> None:
         self.index = index
         self.order = ScanOrder(index.table, index)

@@ -214,9 +214,9 @@ def test_a_kept_boundary_compiles_and_plans_nothing(columnar, monkeypatch):
         compiles.append(leg.alias)
         return compile_probe(leg, *args, **kwargs)
 
-    def counting_plan(executor):
-        plans.append(executor.driving_rows_total)
-        return adaptive_plan(executor)
+    def counting_plan(order, legs):
+        plans.append(tuple(order))
+        return adaptive_plan(order, legs)
 
     monkeypatch.setattr(RuntimeLeg, "compile_probe", counting_compile)
     monkeypatch.setattr(repro.executor.vector, "_adaptive_plan", counting_plan)
@@ -420,6 +420,8 @@ def run_plan(db, plan, config, running=None):
     """Execute *plan*; *running*, a list, holds the executor meanwhile."""
     executor_cls = executor_class(db)
     controller = AdaptationController(config)
+    if running is not None:
+        del running[:]
     executor = executor_cls(plan, db.catalog, config, controller)
     controller.attach(executor)
     if running is not None:
@@ -444,8 +446,11 @@ def test_second_execution_compiles_no_starting_probe_and_searches_no_keys(
 
     def counting_compile(leg, *args, **kwargs):
         compiles.append(leg.alias)
-        (executor,) = running
-        if tuple(executor.order) == executor.plan.order and not executor.events:
+        # No executor yet: the plan's prepared record compiles its program.
+        executor = running[0] if running else None
+        if executor is None or (
+            tuple(executor.order) == executor.plan.order and not executor.events
+        ):
             starting.append(leg.alias)
         return compile_probe(leg, *args, **kwargs)
 
@@ -542,23 +547,29 @@ def test_installed_hash_probe_configs_are_the_freshly_compiled_ones():
 
 def test_a_pipeline_that_left_the_plan_compiles_for_where_it_is(columnar):
     """The program is the *plan's* order under the *plan's* selectivities:
-    an executor moved off either before its first compile gets no install
-    and publishes nothing."""
+    an executor moved off either before its first compile compiles for
+    where it is, installs nothing and leaves the plan's record alone."""
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
     plan = columnar.plan(PORSCHE)
     moved = BatchedPipelineExecutor(plan, columnar.catalog, config)
+    program = moved.prepared.program
+    shared = dict(program)
     class_id = next(iter(moved.class_selectivities))
     moved.class_selectivities[class_id] *= 0.5
     moved._compile_all_probes()
-    bindings = plan.bindings(columnar.catalog, None)
-    assert plan.probe_program(bindings) is None
+    assert moved.prepared_start is None
+    assert all(
+        moved.legs[alias].probe_config is not shared[alias]
+        for alias in plan.order[1:]
+    )
     usual = BatchedPipelineExecutor(plan, columnar.catalog, config)
+    assert usual.prepared is moved.prepared
     usual._compile_all_probes()
-    program = plan.probe_program(bindings)
-    shared = dict(program)
+    assert usual.prepared_start is usual.prepared.cascade is not None
     # Recompiling (what an applied reorder does) gives the executor configs
     # of its own and leaves the plan's alone.
     usual._compile_all_probes(start_position=2)
+    assert usual.prepared_start is None
     assert usual.legs[plan.order[1]].probe_config is shared[plan.order[1]]
     assert usual.legs[plan.order[2]].probe_config is not shared[plan.order[2]]
     again = BatchedPipelineExecutor(plan, columnar.catalog, config)

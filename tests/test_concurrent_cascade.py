@@ -1,21 +1,24 @@
-"""Worker threads of one server share one columnar database.
+"""Threads of an embedding caller share one columnar database.
 
-Served queries run the vectorized cascade on ``--max-concurrency`` threads
-of one process, so the structures the columnar backend builds lazily — the
-row view, index sidecars, and the bounded first-in-first-out kernel memo —
-are built and evicted under concurrent readers. The invariant a lost
-update would break: every query returns the single-threaded run's rows and
-charges its own thread-scoped meter exactly the single-threaded work.
+A program that embeds a ``Database`` may execute on several threads of one
+process (the query server's engines are processes, one request at a time),
+so the structures the columnar backend builds lazily — the row view, index
+sidecars, the bounded first-in-first-out kernel memo and a plan's prepared
+record — are built and evicted under concurrent readers. The invariant a
+lost update would break: every query returns the single-threaded run's rows
+and charges its own thread-scoped meter exactly the single-threaded work.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import AdaptiveConfig, CancellationToken, ExecutionLimits, ReorderMode
-from repro.dmv import four_table_workload, load_dmv
+from repro.dmv import four_table_workload, load_dmv, six_table_workload
+from repro.executor import pipeline, vector
 from repro.storage import columnar
 
 SCALE = 0.02
@@ -106,3 +109,62 @@ def test_four_threads_share_lazy_columnar_builds(monkeypatch):
     for name in db.catalog.table_names():
         for index in db.catalog.indexes_of(name).values():
             assert len(index._kernels) <= KERNEL_MEMO
+
+
+def test_four_threads_race_to_prepare_one_plan(monkeypatch):
+    """One plan no execution has prepared, four threads at once, in each
+    mode: they race to build its prepared record (each may build one, one
+    is kept), and every thread gets the single-threaded rows and charges
+    its own meter exactly the single-threaded work."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
+    builds = []
+    prepare = pipeline._prepare
+
+    def counting_prepare(*args):
+        builds.append(threading.get_ident())
+        return prepare(*args)
+
+    monkeypatch.setattr(pipeline, "_prepare", counting_prepare)
+    statements = [query.sql for query in six_table_workload(count=10**9)][::60]
+    reference_db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
+    db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
+    meters = {
+        id(one): one.enable_concurrent_metering() for one in (reference_db, db)
+    }
+    barrier = threading.Barrier(THREADS, timeout=30.0)
+
+    def run(db, plan, config):
+        """A handed-in plan: as text, a first monitored run would learn."""
+        with meters[id(db)].scoped() as private:
+            result = db.execute(plan, config)
+        return (
+            result.rows,
+            dataclasses.asdict(private),
+            result.stats.events,
+            result.stats.engine,
+        )
+
+    def race(plan, config):
+        barrier.wait()
+        return run(db, plan, config)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for config in configs():
+            for sql in statements:
+                want = run(reference_db, reference_db.plan(sql), config)
+                plan = db.plan(db.parse(sql))
+                del builds[:]
+                with ThreadPoolExecutor(THREADS) as pool:
+                    futures = [
+                        pool.submit(race, plan, config) for _ in range(THREADS)
+                    ]
+                    got = [future.result(timeout=120) for future in futures]
+                assert all(one == want for one in got), sql
+                assert 1 <= len(builds) <= THREADS
+                kept = plan.__dict__["_prepared"]
+                assert kept.generation == db.catalog.generation()
+                assert list(kept.program) == list(plan.order[1:])
+    finally:
+        sys.setswitchinterval(interval)

@@ -663,8 +663,9 @@ def test_eight_threads_publish_and_share_one_probe_program(monkeypatch):
         assert result.stats.events == want.stats.events
         assert result.stats.engine == "vector-adaptive"
     for plan in plans.values():
-        program = plan.probe_program(plan.bindings(db.catalog, None))
-        assert list(program) == list(plan.order[1:])
+        record = plan.__dict__["_prepared"]
+        assert record.generation == db.catalog.generation()
+        assert list(record.program) == list(plan.order[1:])
 
 
 def test_work_meter_fields_match_between_miss_and_hit():

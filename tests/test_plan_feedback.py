@@ -45,7 +45,7 @@ from repro import (
 from repro.dmv import load_dmv
 from repro.errors import BudgetExceeded, ExecutionError
 from repro.executor import vector
-from repro.executor.pipeline import _bind_plan
+from repro.executor.pipeline import _prepare
 from repro.obs.audit import render_replay
 from repro.obs.metrics import MetricsRegistry, record_plan_cache_gauges
 from repro.obs.recorder import FlightRecord, FlightRecorder
@@ -356,21 +356,27 @@ def test_feedback_plan_keeps_its_own_probe_program(flip_db):
     the order and the class selectivities, which are what feedback moves."""
     first, second = learn(flip_db)
     base, learned = first.plan, second.plan
-    bindings = base.bindings(flip_db.catalog, None)
-    assert learned.bindings(flip_db.catalog, None) is bindings
-    base_program = base.probe_program(bindings)
-    learned_program = learned.probe_program(bindings)
-    assert learned_program is not base_program
-    assert list(base_program) == list(base.order[1:])
-    assert list(learned_program) == list(learned.order[1:])
+    base_record = prepared_record(base)
+    learned_record = prepared_record(learned)
+    assert learned_record.bindings is base_record.bindings
+    assert learned_record.program is not base_record.program
+    assert list(base_record.program) == list(base.order[1:])
+    assert list(learned_record.program) == list(learned.order[1:])
     # A mode-NONE run of the text still starts from the base plan's.
     static = flip_db.execute(SQL, NONE)
-    assert static.plan is base and base.probe_program(bindings) is base_program
-    # Rebinding (here: ANALYZE moves the generation) drops both.
+    assert static.plan is base and prepared_record(base) is base_record
+    # A new generation (here: ANALYZE) drops both records, bindings too.
     flip_db.analyze()
-    rebound = base.bindings(flip_db.catalog, _bind_plan)
-    assert rebound is not bindings and base.probe_program(rebound) is None
-    assert learned.probe_program(rebound) is None
+    rebound = base.prepared(flip_db.catalog, _prepare)
+    assert rebound is not base_record
+    assert rebound.bindings is not base_record.bindings
+    relearned = learned.prepared(flip_db.catalog, _prepare)
+    assert relearned.bindings is not base_record.bindings
+
+
+def prepared_record(plan):
+    """The prepared record *plan* holds (built by its executions)."""
+    return plan.__dict__["_prepared"]
 
 
 def test_feedback_plan_is_the_base_plan_corrected(flip_db):
@@ -382,7 +388,7 @@ def test_feedback_plan_is_the_base_plan_corrected(flip_db):
     assert learned.query is base.query
     assert learned.projection is base.projection
     assert learned.join_predicates is base.join_predicates
-    assert learned.__dict__["_bindings"] is base.__dict__["_bindings"]
+    assert prepared_record(learned).bindings is prepared_record(base).bindings
     assert set(learned.legs) == set(base.legs)
     for alias, leg in learned.legs.items():
         planned = base.leg(alias)
@@ -649,7 +655,7 @@ def test_eight_threads_leave_one_well_formed_feedback_plan(monkeypatch):
     learned = feedback.plan
     assert sorted(learned.order) == sorted(base.order)
     assert set(learned.legs) == set(base.legs)
-    assert learned.__dict__["_bindings"] is base.__dict__["_bindings"]
+    assert prepared_record(learned).bindings is prepared_record(base).bindings
     assert math.isfinite(learned.estimated_cost)
     result = db.execute(SQL, config)
     assert result.plan is learned and sorted(result.rows) == oracle

@@ -299,7 +299,10 @@ def test_driving_switch_builds_the_new_pair_at_the_boundary(monkeypatch):
     build = ColumnarIndex._build_row_ranks
 
     def watching(index, source_column):
-        builds.append((index.name, running[0].driving_rows_total))
+        # Before the executor exists: its plan's prepared record (the
+        # starting order's pairs), at driving row 0.
+        rows = running[0].driving_rows_total if running else 0
+        builds.append((index.name, rows))
         return build(index, source_column)
 
     monkeypatch.setattr(ColumnarIndex, "_build_row_ranks", watching)
