@@ -496,7 +496,6 @@ class Database:
             injector = fault_plan.build()
         elif fault_plan is not None:
             injector = fault_plan
-        before = self.catalog.meter.snapshot()
         execute_span = (
             tracer.begin("execute", kind="phase", order=plan.order)
             if tracer is not None
@@ -528,7 +527,7 @@ class Database:
             else:
                 rows = PostProcessor(plan.query, plan.projection).process(rows)
         stats = ExecutionStats(
-            work=self.catalog.meter - before,
+            work=executor.work,
             wall_seconds=executor.wall_seconds,
             inner_reorders=executor.inner_reorders,
             driving_switches=executor.driving_switches,

@@ -10,12 +10,13 @@ the join collapses into a layered array computation per driving chunk:
    index's distinct-key sidecar from the row-rank array the index keeps
    for the key's source column (:meth:`ColumnarIndex.row_ranks`: built
    once per (source column, index) pair, not per chunk), then expands the
-   flow through the leg's group kernel with one ``cumsum`` and one
-   ``repeat`` per leg (:func:`_expand`) — exactly the rows, in exactly the
-   depth-first nested-loop order, of the scalar machine. A NULL key's rank
-   is -1 and a missing key's -2; the kernel's per-key arrays end in two
-   zero slots, so an absent key gathers "no entries, no matches" like any
-   other count and no step masks it out;
+   flow through the leg's group kernel (:func:`_expand`): a gather where no
+   key has more than one passing row (``kernel.unique``, the FK -> PK
+   lookup), else one ``cumsum`` and one ``repeat`` — exactly the rows, in
+   exactly the depth-first nested-loop order, of the scalar machine. A
+   NULL key's rank is -1 and a missing key's -2; the kernel's per-key
+   arrays end in two zero slots, so an absent key gathers "no entries, no
+   matches" like any other count and no step masks it out;
 3. work-meter charges are computed from the same per-key kernel aggregates
    the scalar probes charge (descend per probe, ``max(entries, 1)`` per
    present/missing key, fetch per candidate row, short-circuit-exact local
@@ -465,6 +466,13 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     the output reads the ``pass_offsets`` entry its rank wraps to. Only the
     missing keys' one entry each is counted apart, and only where the
     (source column, index) pair has a missing key at all.
+
+    Two steps make the leg's tuples. A unique kernel (no key with more
+    than one passing row) gathers: the outer rows that matched keep their
+    place, and their one match each is their key's first passing RID —
+    restricting the ancestors only when some probe missed. Any other
+    kernel takes the CSR expansion. Charges, counters and folds are the
+    same for both.
     """
     flow = len(survivors)
     ancestors: dict[str, Any] = {driving_alias: survivors}
@@ -475,8 +483,12 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
         ranks = translate(ancestors[pconfig.key_alias])
         missing = int(_np.count_nonzero(ranks == -2)) if may_miss else 0
         matches = kernel.counts.take(ranks)
-        ends = matches.cumsum()
-        total = int(ends[-1])
+        if kernel.unique:
+            parent = _np.flatnonzero(matches)
+            total = len(parent)
+        else:
+            ends = matches.cumsum()
+            total = int(ends[-1])
         # Arrays a kernel shares are gathered once (a test-free kernel's
         # counts are its totals, a one-test kernel's evals too).
         touched = (
@@ -523,16 +535,26 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
                 )
                 counts[1] += passed
             leg.incoming_since_check += flow
-        # CSR gather: tuple t of outer row i comes ``ends[i] - t`` tuples
-        # before the end of row i's output, and reads pass_rids that far
-        # before the end of row i's slice.
-        iota = _np.arange(max(flow, total))
-        parent = iota[:flow].repeat(matches)
-        shift = kernel.pass_offsets[1:].take(ranks)
-        shift -= ends
-        positions = shift.take(parent)
-        positions += iota[:total]
-        ancestors = {alias: arr.take(parent) for alias, arr in ancestors.items()}
+        if kernel.unique:
+            # A gather: outer row i's one match, if any, is its key's first
+            # passing row. Nothing to restrict when every probe matched.
+            if total < flow:
+                ranks = ranks.take(parent)
+            else:
+                parent = None
+            positions = kernel.pass_offsets.take(ranks)
+        else:
+            # CSR gather: tuple t of outer row i comes ``ends[i] - t``
+            # tuples before the end of row i's output, and reads pass_rids
+            # that far before the end of row i's slice.
+            iota = _np.arange(max(flow, total))
+            parent = iota[:flow].repeat(matches)
+            shift = kernel.pass_offsets[1:].take(ranks)
+            shift -= ends
+            positions = shift.take(parent)
+            positions += iota[:total]
+        if parent is not None:
+            ancestors = {alias: arr.take(parent) for alias, arr in ancestors.items()}
         ancestors[leg.alias] = kernel.pass_rids.take(positions)
         flow = total
     return ancestors, flow

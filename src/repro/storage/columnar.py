@@ -531,7 +531,9 @@ class _Kernel:
       long): ``pass_offsets[j] : pass_offsets[j+1]`` is the slice of
       ``pass_rids`` holding those rows' RIDs, in entry order,
     * ``ev``/``pa`` — per-test (evaluated, passed) arrays for the
-      monitored path's local-predicate counters.
+      monitored path's local-predicate counters,
+    * ``unique`` — no key has more than one passing row, so a probe is a
+      gather, not an expansion (derived here, for restricted kernels too).
 
     Arrays are non-writeable and shared wherever two of them are equal by
     construction: ``totals`` (and a test-free kernel's counts, offsets and
@@ -548,6 +550,7 @@ class _Kernel:
         "pass_rids",
         "ev",
         "pa",
+        "unique",
     )
 
     def __init__(self, totals, evals, counts, pass_offsets, pass_rids, ev, pa):
@@ -558,6 +561,7 @@ class _Kernel:
         self.pass_rids = pass_rids
         self.ev = ev
         self.pa = pa
+        self.unique = bool(counts.max() <= 1)
         for array in (totals, evals, counts, pass_offsets, pass_rids, *ev, *pa):
             array.setflags(write=False)
 

@@ -185,17 +185,32 @@ def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
     """Probe chunks through the shipped ``_expand`` over *kernel* and
     through the scalar probe; compare the emitted RIDs, every meter field,
     the local counts, the flow counters and the window fold at each chunk
-    boundary."""
+    boundary. The last chunk probes only keys that match, and
+    ``kernel.unique`` must be what a brute-force count of each key's
+    matching rows says."""
     leg, plan = one_leg_plan(db, index, kernel, len(tests))
+    passing = {
+        key: len(scalar_probe(key, lookup, raw, tests, is_after)[5])
+        for key in lookup
+    }
+    assert kernel.unique == (max(passing.values(), default=0) <= 1)
+    matching = [key for key, count in passing.items() if count]
     meter = WorkMeter()
     scalar_meter = WorkMeter()
     window_scalar = AggregatedWindow(size=37)
     scalar_counts = [[0, 0] for _ in tests]
     incoming = candidates = produced_total = 0
-    for _ in range(rng.randint(1, 6)):  # several chunks: exercise eviction
-        chunk = random_probe_keys(rng, rng.randint(1, 60))
-        if rng.random() < 0.15:  # a chunk no key of which is in the index
-            chunk = [key for key in chunk if key not in lookup] or [None]
+    chunks = rng.randint(1, 6)  # several chunks: exercise eviction
+    for number in range(chunks + 1):
+        if number == chunks:
+            # Every probe matches: a unique kernel gathers no ancestor.
+            if not matching:
+                break
+            chunk = rng.choices(matching, k=rng.randint(1, 60))
+        else:
+            chunk = random_probe_keys(rng, rng.randint(1, 60))
+            if rng.random() < 0.15:  # no key of this chunk is in the index
+                chunk = [key for key in chunk if key not in lookup] or [None]
         flow = len(chunk)
         incoming += flow
         survivors = _np.asarray(
@@ -255,21 +270,31 @@ def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
         assert window.sum_work == window_scalar.sum_work
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
-    rng = random.Random(5_151_000 + seed)
+def unique_key_rows(rng: random.Random) -> list[tuple]:
+    """``random_rows`` whose keys are each held at most once: a random
+    subset of the key space, plus some NULL keys, in random order."""
+    keys = rng.sample(range(KEY_SPACE + 1), rng.randint(1, KEY_SPACE + 1))
+    keys += [None] * rng.randrange(4)
+    rng.shuffle(keys)
+    rows = random_rows(rng, len(keys))
+    return [(key, *row[1:]) for key, row in zip(keys, rows)]
+
+
+def check_random_leg(rng, rows, npredicates):
+    """:func:`check_leg` over ``t(k, a, b, s)`` holding *rows*, probed on
+    ``k`` through the kernel of *npredicates* random local predicates."""
     db = Database(backend="columnar")
     db.create_table(
         "t", [("k", "int"), ("a", "int"), ("b", "float"), ("s", "string")]
     )
-    db.insert("t", random_rows(rng, rng.randint(1, 150)))
+    db.insert("t", rows)
     db.create_index("t", "k")
     table = db.catalog.table("t")
     index = db.catalog.index_on("t", "k")
     schema = table.schema
     raw = table.raw_rows()
 
-    predicates = [random_predicate(rng) for _ in range(rng.randrange(3))]
+    predicates = [random_predicate(rng) for _ in range(npredicates)]
     local_tests = []
     for predicate in predicates:
         test = predicate.bind(schema)
@@ -279,6 +304,24 @@ def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
     assert kernel is not None, "vectorizable leg refused a kernel"
     tests = [test for _, test in local_tests]
     check_leg(rng, db, index, kernel, rids_by_key(index), raw, tests)
+    return kernel
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_kernel_chunk_folds_match_scalar_probe_folds(seed):
+    rng = random.Random(5_151_000 + seed)
+    rows = random_rows(rng, rng.randint(1, 150))
+    check_random_leg(rng, rows, rng.randrange(3))
+
+
+@pytest.mark.parametrize("npredicates", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_unique_key_gathers_match_scalar_probe_folds(seed, npredicates):
+    """A key held at most once: ``_expand``'s gather step, not the CSR
+    expansion, against the same scalar probe."""
+    rng = random.Random(7_272_000 + seed)
+    kernel = check_random_leg(rng, unique_key_rows(rng), npredicates)
+    assert kernel.unique
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +342,21 @@ from repro.storage.cursor import ScanOrder  # noqa: E402
 SCAN_STRINGS = ("ant", "bee", "cat", "dog", "")
 
 
-def _positional_rows(rng: random.Random, nrows: int) -> list[tuple]:
-    """``random_rows`` plus two scan-key columns with few distinct values
-    (frozen positions land inside runs of equal keys) and NULLs."""
-    rows = []
-    for row in random_rows(rng, nrows):
+def _positional_rows(rng: random.Random, rows: list[tuple]) -> list[tuple]:
+    """*rows* plus two scan-key columns with few distinct values (frozen
+    positions land inside runs of equal keys) and NULLs."""
+    out = []
+    for row in rows:
         sk_num = None if rng.random() < 0.10 else rng.randint(0, 4)
         sk_str = None if rng.random() < 0.10 else rng.choice(SCAN_STRINGS)
-        rows.append(row + (sk_num, sk_str))
-    return rows
+        out.append(row + (sk_num, sk_str))
+    return out
 
 
-@pytest.mark.parametrize("scan_order", ["rid", "sk_num", "sk_str"])
-@pytest.mark.parametrize("seed", range(8))
-def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
-    rng = random.Random(9_393_000 + seed)
+def check_frozen_leg(rng, rows, scan_order):
+    """:func:`check_leg` over positional kernels of ``t`` holding *rows*
+    (with :func:`_positional_rows`' scan keys), frozen three times along
+    *scan_order*."""
     db = Database(backend="columnar")
     db.create_table(
         "t",
@@ -326,7 +369,7 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
             ("sk_str", "string"),
         ],
     )
-    db.insert("t", _positional_rows(rng, rng.randint(2, 150)))
+    db.insert("t", _positional_rows(rng, rows))
     db.create_index("t", "k")
     table = db.catalog.table("t")
     index = db.catalog.index_on("t", "k")
@@ -396,6 +439,24 @@ def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
     assert (base.pass_offsets == base_offsets).all()
     assert index._kernels == kernels_before
     assert index.kernel_footprint() == footprint_before
+
+
+@pytest.mark.parametrize("scan_order", ["rid", "sk_num", "sk_str"])
+@pytest.mark.parametrize("seed", range(8))
+def test_positional_kernel_matches_scalar_frozen_probe(seed, scan_order):
+    rng = random.Random(9_393_000 + seed)
+    check_frozen_leg(rng, random_rows(rng, rng.randint(2, 150)), scan_order)
+
+
+@pytest.mark.parametrize("scan_order", ["rid", "sk_num"])
+@pytest.mark.parametrize("seed", range(4))
+def test_unique_key_positional_kernel_matches_scalar_frozen_probe(
+    seed, scan_order
+):
+    """A restriction of a unique kernel is unique: the gather step over a
+    frozen leg."""
+    rng = random.Random(6_161_000 + seed)
+    check_frozen_leg(rng, unique_key_rows(rng), scan_order)
 
 
 def test_positional_kernel_tie_at_the_rid_boundary():
