@@ -363,27 +363,6 @@ def _parse_fault_plan(value: str | None) -> FaultPlan | None:
     return FaultPlan.from_json(text)
 
 
-# Warn at most once per process when a CLI option silently disqualifies
-# the vectorized cascade on a columnar database (satellite of the chunked
-# adaptive engine: the fallback is correct but much slower, so name the
-# failed gate instead of degrading quietly).
-_vector_gate_warned = False
-
-
-def _warn_vector_gate(result, cli_args) -> None:
-    global _vector_gate_warned
-    stats = result.stats
-    # Only a columnar database asks the cascade: a row store names no gate.
-    if _vector_gate_warned or cli_args is None or stats.vector_gate is None:
-        return
-    _vector_gate_warned = True
-    print(
-        f"note: vectorized cascade disabled ({stats.vector_gate}); "
-        f"ran the {stats.engine!r} engine instead",
-        file=sys.stderr,
-    )
-
-
 def _run_query(
     db: Database,
     sql: str,
@@ -391,7 +370,6 @@ def _run_query(
     explain: bool,
     limits: ExecutionLimits | None = None,
     fault_plan: FaultPlan | None = None,
-    cli_args=None,
 ) -> None:
     if explain:
         print(db.explain(sql))
@@ -403,7 +381,6 @@ def _run_query(
     except BudgetExceeded as error:
         print(f"static:   budget exceeded — {error.progress_summary()}")
         return
-    _warn_vector_gate(static, cli_args)
     for row in static.rows[:25]:
         print(row)
     if len(static.rows) > 25:
@@ -422,7 +399,6 @@ def _run_query(
         except BudgetExceeded as error:
             print(f"adaptive: budget exceeded — {error.progress_summary()}")
             return
-        _warn_vector_gate(adaptive, cli_args)
         matches = sorted(adaptive.rows) == sorted(static.rows)
         print(f"adaptive: {adaptive.stats.total_work:12,.0f} work units "
               f"({adaptive.stats.wall_seconds * 1000:.1f} ms) "
@@ -517,7 +493,6 @@ def _run_observed_query(
             wall_ms=(time.perf_counter() - started) * 1000.0,
         )
         return 0
-    _warn_vector_gate(result, args)
     if args.explain_analyze:
         print(render_explain_analyze(result, limits))
     else:
@@ -592,7 +567,6 @@ def cmd_query(args) -> int:
         args.explain,
         limits=limits,
         fault_plan=fault_plan,
-        cli_args=args,
     )
     return 0
 

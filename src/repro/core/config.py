@@ -19,7 +19,7 @@ database runs the oracle (the scalar row-at-a-time machine, reorder checks
 every ``c`` rows, Fig 2/3); a columnar database runs the engine (the
 vectorized cascade, whose monitored chunks fold into a leg's window as one
 weighted aggregate each and whose reorder checks fire at chunk boundaries,
-DESIGN.md Sec 4d) wherever its gates pass.
+DESIGN.md Sec 4d) for every statement it accepts.
 """
 
 from __future__ import annotations

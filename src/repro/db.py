@@ -104,9 +104,9 @@ class ExecutionStats:
     # Which execution engine ran the pipeline: "scalar", "vector" or
     # "vector-adaptive".
     engine: str = "scalar"
-    # Why a run on the columnar store did NOT run the vectorized cascade
-    # (the first failed gate, from the start or at a mid-query hand-off);
-    # None when it ran, and always on a row database.
+    # Always None: every run on a columnar store runs the cascade to its
+    # end. Read by benchmarks/e2e/library.py (its executor.gated_share);
+    # leaves with that metric.
     vector_gate: str | None = None
     # How the plan was obtained: "hit" / "miss" / "wait" (blocked on another
     # thread planning the same statement) / "off" (cache capacity 0) for SQL
@@ -281,7 +281,7 @@ class Database:
         always optimized afresh (there is no text to key it by).
         """
         if isinstance(query, str):
-            return self._plan_sql(query, None)[0].plan
+            return self._plan_sql(query, None, self.catalog.generation())[0].plan
         return self._optimize(query, None)
 
     def _optimize(self, spec: QuerySpec, tracer: Tracer | None) -> PipelinePlan:
@@ -294,9 +294,14 @@ class Database:
         return plan
 
     def _plan_sql(
-        self, sql: str, tracer: Tracer | None, mode: ReorderMode | None = None
+        self,
+        sql: str,
+        tracer: Tracer | None,
+        generation: tuple,
+        mode: ReorderMode | None = None,
     ) -> tuple[CachedPlan, str, Feedback | None]:
-        """``(plan-cache entry, outcome, feedback)`` for SQL text.
+        """``(plan-cache entry, outcome, feedback)`` for SQL text under the
+        catalog's *generation*.
 
         *mode* asks for the entry's feedback plan too, if one was learned in
         that mode. Traced, the lookup is one ``plan-cache`` span;
@@ -311,7 +316,6 @@ class Database:
                 spec = parse_sql(text)
             return self._optimize(spec, tracer)
 
-        generation = self.catalog.generation()
         if tracer is None:
             return self.plan_cache.lookup(sql, generation, compile_sql, mode)
         with tracer.span("plan-cache") as span:
@@ -408,16 +412,18 @@ class Database:
             else None
         )
         try:
-            plan_cache = plan_feedback = learn = None
+            plan_cache = plan_feedback = learn = generation = None
             if isinstance(query, PipelinePlan):
                 plan = query
             elif isinstance(query, str):
                 # The first monitored execution of a text in a mode learns
                 # (_learn); every later one in that mode runs the lesson as
                 # a static plan. A static execution always runs the
-                # optimizer's plan.
+                # optimizer's plan. The generation is read once: the
+                # lookup and the plan's prepared record both go by it.
+                generation = self.catalog.generation()
                 entry, plan_cache, feedback = self._plan_sql(
-                    query, tracer, config.mode
+                    query, tracer, generation, config.mode
                 )
                 plan = entry.plan
                 if feedback is not None:
@@ -431,6 +437,7 @@ class Database:
             return self._execute_plan(
                 plan,
                 config,
+                generation=generation,
                 plan_cache=plan_cache,
                 plan_feedback=plan_feedback,
                 learn=learn,
@@ -450,6 +457,7 @@ class Database:
         plan: PipelinePlan,
         config: AdaptiveConfig,
         *,
+        generation: tuple | None,
         plan_cache: str | None,
         plan_feedback: tuple[tuple[str, ...], int] | None,
         learn: CachedPlan | None,
@@ -485,6 +493,7 @@ class Database:
             limits=limits,
             oracle=oracle,
             obs=obs,
+            generation=generation,
         )
         if controller is not None:
             controller.attach(executor)
@@ -537,7 +546,6 @@ class Database:
             order_history=tuple(executor.order_history),
             events=tuple(executor.events),
             engine=executor.engine_used,
-            vector_gate=executor.vector_gate_reason,
             plan_cache=plan_cache,
             plan_feedback=plan_feedback,
             proposed_order=executor.proposed_order,

@@ -82,23 +82,15 @@ def bind_local_tests(
 
     Every store binds with the interpreter (``predicate.bind``): the
     cascade never calls a row test — it masks whole columns through
-    ``vector_spec`` — so a row test runs only on the scalar machine.
-    The predicate objects are kept for per-predicate monitoring, and each
-    test carries its source predicate as ``test.predicate`` so index-level
-    group kernels can recover the tree for vectorization. The tests are
-    pure functions of a row, so one tuple serves every execution of the
-    plan.
+    ``vector_spec`` of the predicate beside it — so a row test runs only
+    on the scalar machine. The tests are pure functions of a row, so one
+    tuple serves every execution of the plan.
     """
     schema = table.schema
-    pairs = []
-    for predicate in plan_leg.local_predicates:
-        test = predicate.bind(schema)
-        try:
-            test.predicate = predicate
-        except AttributeError:  # non-function callable; still usable
-            pass
-        pairs.append((predicate, test))
-    return tuple(pairs)
+    return tuple(
+        (predicate, predicate.bind(schema))
+        for predicate in plan_leg.local_predicates
+    )
 
 
 class RuntimeLeg:

@@ -7,9 +7,11 @@ extension: an inner leg with an available join predicate but no index on
 any available join column is probed through an in-memory hash table on
 its most selective available join column. That is what an unindexed join
 column means, on both stores; no option chooses it (the full scan per
-probe it replaced cost 556x the work, EXPERIMENTS.md "Ablations"). The
-cascade does not run hash probes yet: a plan with a hash-probed leg runs
-the scalar machine (DESIGN.md Sec 4h).
+probe it replaced cost 556x the work, EXPERIMENTS.md "Ablations"). This
+class is the oracle's table, on the row store; the engine probes the same
+buckets through a columnar build of them
+(:meth:`~repro.storage.columnar.ColumnarTable.hash_build`) and charges the
+same work, the build included (:class:`repro.executor.vector._Probe`).
 
 The hash table is built lazily on the leg's first probe, over the rows that
 satisfy the leg's **local** predicates only. Positional predicates (the

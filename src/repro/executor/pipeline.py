@@ -122,7 +122,7 @@ class PreparedPlan(NamedTuple):
     program: Mapping[str, Any]
     # The cascade's start (:func:`~repro.executor.vector.cascade_start`):
     # the starting inner legs' kernels and key gathers plus the fresh
-    # driving walk, or the gate refusing them; None on a row database.
+    # driving walk; None on a row database.
     cascade: Any
 
 
@@ -208,16 +208,17 @@ def held_arrays(plan: PipelinePlan, catalog: Catalog) -> list[tuple[str, Any]]:
         or record.plan_id != id(plan)
         or record.catalog is not catalog
         or record.generation != catalog.generation()
-        or not isinstance(record.cascade, tuple)
+        or record.cascade is None
     ):
         return []
     template, walk = record.cascade
+    legs = record.bindings.legs
     held = [
-        (config.access_index.table.name, array)
-        for _, config, kernel, *_ in template
+        (legs[alias].table.name, array)
+        for alias, _, kernel, *_ in template
         for array in kernel.arrays()
     ]
-    driving = record.bindings.legs[plan.order[0]].table.name
+    driving = legs[plan.order[0]].table.name
     held += [
         (driving, array)
         for array in (walk.rids, walk.alive, walk.survivor_at)
@@ -270,7 +271,10 @@ class PipelineExecutor:
         limits: ExecutionLimits | None = None,
         oracle: InvariantOracle | None = None,
         obs: QueryObservability | None = None,
+        generation: tuple | None = None,
     ) -> None:
+        """*generation* is the catalog's, when the caller already read it
+        (``Database.execute`` does, for its plan-cache lookup)."""
         self.plan = plan
         self.catalog = catalog
         self.config = config if config is not None else AdaptiveConfig(mode=ReorderMode.NONE)
@@ -280,7 +284,7 @@ class PipelineExecutor:
         self.limits = limits
         self.oracle = oracle
         self.obs = obs
-        prepared: PreparedPlan = plan.prepared(catalog, _prepare)
+        prepared: PreparedPlan = plan.prepared(catalog, _prepare, generation)
         self.prepared = prepared
         bindings = prepared.bindings
         self.projection_slots = bindings.projection_slots
@@ -342,16 +346,11 @@ class PipelineExecutor:
         # precondition — the invariant oracle reads it before permutations.
         self.depleted_from: int | None = None
         self._enforcer: LimitEnforcer | None = None
-        # Which execution engine ran this query: "scalar" (this class;
-        # the engine's gates and mid-query hand-off),
-        # "vector" (static columnar cascade) or "vector-adaptive" (chunked
-        # adaptive cascade). Surfaced on ExecutionStats.engine and the
-        # flight record.
+        # Which execution engine ran this query: "scalar" (this class, the
+        # row store's oracle), "vector" (static columnar cascade) or
+        # "vector-adaptive" (chunked adaptive cascade). Surfaced on
+        # ExecutionStats.engine and the flight record.
         self.engine_used = "scalar"
-        # Why the engine did NOT (or not to its end) run the vectorized
-        # cascade: the first failed gate. None when it ran, and always on
-        # this class.
-        self.vector_gate_reason: str | None = None
         # Set by ``Database`` on a run it will learn from (a text's first
         # monitored run in its mode) and read by the engine alone: it still
         # asks its checks at a finished scan (``scan_finished``) — they
@@ -556,12 +555,9 @@ class PipelineExecutor:
         return position[-1]
 
     def _run(self) -> Iterator[tuple[Any, ...]]:
+        """The row-at-a-time machine."""
         self._open_driving(self.order[0])
         self._compile_all_probes()
-        yield from self._run_scalar()
-
-    def _run_scalar(self) -> Iterator[tuple[Any, ...]]:
-        """The row-at-a-time machine, on the pipeline ``_run`` opened."""
         leg_count = len(self.order)
         meter = self.catalog.meter
         limits = self._enforcer

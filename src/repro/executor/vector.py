@@ -1,8 +1,8 @@
 """The vectorized join cascade: whole chunks of a query as array computations.
 
-What a nested-loop join costs in Python is the state machine itself. When
-every leg is columnar and every probe is a pure indexed equality lookup,
-the join collapses into a layered array computation per driving chunk:
+What a nested-loop join costs in Python is the state machine itself. On
+a columnar store the join collapses into a layered array computation per
+driving chunk:
 
 1. the driving scan becomes an index-entry (or RID-range) slice plus a
    boolean mask for the residual local predicates;
@@ -16,11 +16,17 @@ the join collapses into a layered array computation per driving chunk:
    exactly the depth-first nested-loop order, of the scalar machine. A
    NULL key's rank is -1 and a missing key's -2; the kernel's per-key
    arrays end in two zero slots, so an absent key gathers "no entries, no
-   matches" like any other count and no step masks it out;
+   matches" like any other count and no step masks it out. A hash-probed
+   leg (no index on its join column, the Sec 6 extension) expands the same
+   way through the buckets of its hash build
+   (:meth:`ColumnarTable.hash_build`), and residual join predicates
+   (cyclic join graphs, Sec 4.3.4) are a mask over the expanded tuples
+   (:class:`_Probe`);
 3. work-meter charges are computed from the same per-key kernel aggregates
    the scalar probes charge (descend per probe, ``max(entries, 1)`` per
    present/missing key, fetch per candidate row, short-circuit-exact local
-   evals), gathered through every rank of the chunk and summed per leg.
+   evals; a hash probe and its bucket's matches, the build once), gathered
+   through every rank of the chunk and summed per leg.
 
 One chunk loop (:func:`_run_cascade`) runs static plans
 (:data:`STATIC_SLICE_ROWS` slices) and the monitored modes (kernel-folded
@@ -28,13 +34,12 @@ monitoring and boundary rank checks; chunks that start at
 :data:`MONITORED_CHUNK_ROWS` and double while the checks change nothing;
 nothing applied at a boundary that ends the driving scan).
 
-Gates are strict — any unsupported shape returns ``None`` and the scalar
-machine runs instead. The store is not one of them: only a columnar
-database builds the executor that calls :func:`cascade`, so every table and
-index here is columnar. The cascade requires index-equality probes with no
-residual joins and vectorizable local predicates everywhere. A frozen
-leg's positional predicate is not a gate: it is a mask over the leg's group
-kernel (:func:`_positional_kernel`). Resumed driving cursors are supported:
+Every statement a columnar database accepts runs here, from its first row
+to its last: only a columnar database builds the executor that calls
+:func:`cascade`, so every table and index here is columnar, and planning
+refused what no mask reproduces (DESIGN.md Sec 2). A frozen leg's
+positional predicate is a mask over the leg's group kernel
+(:func:`_positional_kernel`). Resumed driving cursors are supported:
 :class:`_DrivingWalk` reads the rest of the scan off the cursor's own
 state, with the exact skip/termination rules of
 :class:`~repro.storage.cursor.IndexScanCursor`, which is how the cascade
@@ -43,7 +48,8 @@ survives a driving switch.
 The cascade is only observably different from the scalar machine in
 *intermediate* meter states, which are visible at chunk boundaries alone:
 a fault plan is consulted once per chunk at its sites (``cursor-advance``
-per driving slice, ``index-lookup`` and ``monitor`` per inner leg), the
+per driving slice, ``index-lookup`` or ``hash-probe`` and ``monitor``
+per inner leg), the
 invariant oracle records each emitted tuple's RIDs off the chunk's
 ancestor arrays, observability reads the legs' flow counters (bumped once
 per chunk here) at cold sites only, and execution limits are enforced at
@@ -55,12 +61,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import StorageError
-from repro.storage.columnar import ColumnarIndex, _np
+from repro.storage.columnar import _np
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import (
+    HASH_BUILD_ENTRY_COST,
+    HASH_MATCH_COST,
+    HASH_PROBE_COST,
     INDEX_DESCEND_COST,
     INDEX_ENTRY_COST,
     PREDICATE_EVAL_COST,
@@ -70,17 +79,6 @@ from repro.storage.cursor import IndexScanCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executor.batch import BatchedPipelineExecutor
-
-
-def _make_translator(source_column, index: ColumnarIndex) -> Callable | None:
-    """Source-column RIDs -> ranks in *index* (-1 null, -2 missing), or None.
-
-    A gather over the row-rank array *index* keeps for *source_column*
-    (:meth:`ColumnarIndex.row_ranks`): the scalar
-    ``rank.get(row[key_slot])`` per element, precomputed for every row.
-    """
-    row_ranks = index.row_ranks(source_column)
-    return None if row_ranks is None else row_ranks.take
 
 
 #: Driving survivors the static cascade expands per slice. A static plan
@@ -100,79 +98,45 @@ STATIC_SLICE_ROWS = 1 << 16
 MONITORED_CHUNK_ROWS = 256
 
 
-def cascade(executor: "BatchedPipelineExecutor") -> Iterator | None:
-    """A generator running the open pipeline vectorized, or None to fall back.
+def cascade(executor: "BatchedPipelineExecutor") -> Iterator:
+    """A generator running the open pipeline vectorized, to its end.
 
-    One chunk loop (:func:`_run_cascade`) serves every mode and picks the
-    chunk lengths. The generator returns
-    True when the query completed, False when a plan rebuilt mid-query is
-    one the gates refuse and the caller must continue on the scalar machine
-    with the partially consumed cursors.
-
-    Must be called after ``_open_driving``/``_compile_all_probes``. Every
-    gate failure returns None with ``executor.vector_gate_reason`` set and
-    no state mutated, so the caller's fallback proceeds untouched. What the
-    plan and the data alone decide is not derived here: a pipeline that
-    starts as its plan describes runs the plan's prepared cascade start
-    (:func:`cascade_start`), and a rebuild finds group kernels and the join
-    keys' rank arrays memoized by the probed indexes.
-    """
-    planned = _cascade_plan(executor)
-    if planned is None:
-        return None
-    return _run_cascade(executor, *planned)
-
-
-def _cascade_plan(executor) -> tuple["_DrivingWalk", list] | None:
-    """(driving walk, inner-leg plan) for the open pipeline, or None.
-
-    The pipeline as its plan describes it runs the prepared record's
-    cascade start (:func:`cascade_start`); one a caller moved first is
-    derived here. A gate failure names itself on
-    ``executor.vector_gate_reason`` and mutates nothing else.
+    Must be called after ``_open_driving``/``_compile_all_probes``. One
+    chunk loop (:func:`_run_cascade`) serves every mode and picks the chunk
+    lengths. What the plan and the data alone decide is not derived here: a
+    pipeline that starts as its plan describes runs the plan's prepared
+    cascade start (:func:`cascade_start`), and a pipeline a caller moved
+    first finds group kernels and the join keys' rank arrays memoized by
+    the probed indexes.
     """
     start = executor.prepared_start
+    legs = executor.legs
     if start is None:
-        # Inner legs (kernels + key gathers) before the driving leg (the
-        # scan as arrays): a refused plan should not pay for the walk.
-        inner, reason = _adaptive_plan(executor.order, executor.legs)
-        if reason is None:
-            walk, reason = _driving_walk(
-                executor.legs[executor.order[0]], executor.driving_cursor
-            )
-    elif isinstance(start, str):
-        reason = start
+        inner = _adaptive_plan(executor.order, legs)
+        walk = _driving_walk(legs[executor.order[0]], executor.driving_cursor)
     else:
         template, prepared_walk = start
-        legs = executor.legs
         inner = [(legs[alias], *rest) for alias, *rest in template]
         walk = prepared_walk.restarted(
             legs[executor.order[0]], executor.driving_cursor
         )
-        reason = None
-    if reason is not None:
-        executor.vector_gate_reason = reason
-        return None
-    return walk, inner
+    return _run_cascade(executor, walk, inner)
 
 
-def cascade_start(order: Sequence[str], legs: dict) -> tuple | str:
+def cascade_start(order: Sequence[str], legs: dict) -> tuple:
     """The cascade's start for *legs* in *order*, as its plan describes it.
 
     ``(template, walk)``: per inner leg ``(alias, probe config, kernel,
-    key-rank gather, may miss)`` — :func:`_adaptive_plan`'s entry with the
-    alias for the leg — and the fresh driving scan's walk with no leg or
-    cursor of its own (:meth:`_DrivingWalk.restarted` gives it one). The
-    gate reason instead when the gates refuse. Part of a plan's prepared
-    record: every execution that starts as the plan describes installs
-    it, on any thread, so nothing here is ever written.
+    key-rank gather, may miss, probe)`` — :func:`_adaptive_plan`'s entry
+    with the alias for the leg — and the fresh driving scan's walk with no
+    leg or cursor of its own (:meth:`_DrivingWalk.restarted` gives it one).
+    Part of a plan's prepared record: every execution that starts as the
+    plan describes installs it, on any thread, so nothing here is ever
+    written.
     """
-    inner, reason = _adaptive_plan(order, legs)
-    if reason is None:
-        leg = legs[order[0]]
-        walk, reason = _driving_walk(leg, leg.open_driving_cursor())
-    if reason is not None:
-        return reason
+    inner = _adaptive_plan(order, legs)
+    leg = legs[order[0]]
+    walk = _driving_walk(leg, leg.open_driving_cursor())
     walk.leg = walk.cursor = None
     for array in (walk.rids, walk.alive, walk.survivor_at):
         if array is not None:
@@ -198,8 +162,8 @@ class _DrivingWalk:
     driving monitor's fold (one window entry per take: rows walked, rows
     surviving) and the leg's scanned / survived counters. It then puts the
     cursor exactly where the row-at-a-time walk would have left it, so a
-    driving switch freezes the right position and a resumed (or
-    handed-off) cursor continues with no charge repeated or lost.
+    driving switch freezes the right position and a resumed cursor
+    continues with no charge repeated or lost.
     """
 
     __slots__ = (
@@ -352,68 +316,159 @@ class _DrivingWalk:
         self.cursor.skip_to(range_no, lo + end - starts[entered - 1], hi)
 
 
-def _driving_walk(leg, cursor) -> tuple[_DrivingWalk | None, str | None]:
-    """The walk over *leg*'s open driving *cursor*, or a gate reason."""
-    alias = leg.alias
+def _driving_walk(leg, cursor) -> _DrivingWalk:
+    """The walk over *leg*'s open driving *cursor*."""
     if isinstance(cursor, IndexScanCursor):
         cursor.index._sidecar()
     pushed = leg.pushed_driving_predicate()
     table = leg.table
-    masks = []
-    for predicate, _ in leg.local_tests:
-        if predicate is pushed:
-            continue
-        spec = vector_spec(predicate, table.schema)
-        mask = table.mask_for_spec(spec) if spec is not None else None
-        if mask is None:
-            return None, f"leg {alias!r}: non-vectorizable local predicates"
-        masks.append(mask)
-    return _DrivingWalk(leg, cursor, masks), None
+    masks = [
+        table.mask_for_spec(vector_spec(predicate, table.schema))
+        for predicate, _ in leg.local_tests
+        if predicate is not pushed
+    ]
+    return _DrivingWalk(leg, cursor, masks)
 
 
-def _adaptive_plan(
-    order: Sequence[str], legs: dict
-) -> tuple[list | None, str | None]:
-    """Per-leg kernels and key gathers for *legs* in *order*, or a gate reason.
+class _Probe(NamedTuple):
+    """What an inner leg's step does beyond an index probe: probe the
+    leg's :class:`~repro.storage.columnar.HashBuild` (``build``; the Sec 6
+    extension), and mask ``residuals`` (Sec 4.3.4): per residual join, in
+    the probe config's order, ``(outer alias, outer cells, outer valid,
+    own cells, own valid)`` of :func:`_residual_cells`."""
+
+    build: Any
+    residuals: tuple
+
+    def step(self, meter, leg, ancestors, flow, touched, evals, missing, total):
+        """Charge the chunk's probes of *leg* and mask its residuals:
+        ``(ancestors, rows out, work)`` — the scalar probe's charges summed.
+        The leg's first hash probe of the execution builds (as
+        ``RuntimeLeg._hash_table_for`` does): its work lands in this
+        chunk's fold, its table-wide local counts in the leg's. Each
+        residual term costs an eval per tuple still alive, term by term
+        (``RuntimeLeg._passes_residuals``).
+        """
+        build = self.build
+        if build is None:  # an index probe: _expand's charges but the evals
+            entries = touched + missing
+            meter.index_descends += flow
+            meter.index_entries += entries
+            meter.row_fetches += touched
+            work = (
+                flow * INDEX_DESCEND_COST
+                + entries * INDEX_ENTRY_COST
+                + touched * ROW_FETCH_COST
+            )
+        else:
+            meter.hash_probes += flow
+            meter.hash_matches += touched
+            work = flow * HASH_PROBE_COST + touched * HASH_MATCH_COST
+            if build.index.column not in leg._hash_tables:
+                leg._hash_tables[build.index.column] = build
+                meter.row_fetches += build.rows
+                meter.predicate_evals += build.evals
+                meter.hash_build_entries += build.entries
+                work += (
+                    build.rows * ROW_FETCH_COST
+                    + build.evals * PREDICATE_EVAL_COST
+                    + build.entries * HASH_BUILD_ENTRY_COST
+                )
+                if leg.monitoring_enabled:
+                    for counts, (evaluated, passed) in zip(
+                        leg.local_counts, build.local_counts
+                    ):
+                        counts[0] += evaluated
+                        counts[1] += passed
+        out = total
+        if self.residuals and total:
+            rids = ancestors[leg.alias]
+            alive = None
+            for alias, outer, outer_ok, own, own_ok in self.residuals:
+                evals += out
+                outer_rids = ancestors[alias]
+                equal = outer.take(outer_rids) == own.take(rids)
+                if outer_ok is not None:
+                    equal &= outer_ok.take(outer_rids)
+                    equal &= own_ok.take(rids)
+                alive = equal if alive is None else alive & equal
+                out = int(_np.count_nonzero(alive))
+            if out < total:
+                keep = _np.flatnonzero(alive)
+                ancestors = {alias: arr.take(keep) for alias, arr in ancestors.items()}
+        meter.predicate_evals += evals
+        return ancestors, out, work + evals * PREDICATE_EVAL_COST
+
+
+def _residual_cells(outer_table, outer_slot: int, table, slot: int) -> tuple:
+    """``(outer cells, outer valid, own cells, own valid)`` of one residual
+    join, whole columns in a key space where ``==`` is the join's test."""
+    outer = outer_table.column_store(outer_slot)
+    own = table.column_store(slot)
+    if own.kind == "str":
+        # Outer strings as the leg's own codes: -2 where the leg's column
+        # never holds the string, -3 for NULL; the leg's NULL is -1.
+        lut = _np.full(len(outer.decode) + 1, -2, dtype=_np.int64)
+        for code, text in enumerate(outer.decode):
+            lut[code] = own.encode.get(text, -2)
+        lut[-1] = -3
+        return lut[outer.np_codes()], None, own.np_codes(), None
+    return (*outer.np_values(), *own.np_values())
+
+
+def _adaptive_plan(order: Sequence[str], legs: dict) -> list:
+    """Per-leg kernels and key gathers for *legs* in *order*.
 
     Recomputed whenever the order or a probe epoch changes: an applied
     inner reorder permutes the cascade mid-scan, and a driving switch
     freezes the old driving leg behind a positional predicate — its kernel
     is then derived from the cached base kernel (:func:`_positional_kernel`)
-    and lives only as long as this plan does. Kernels and rank arrays are
-    memoized by their index, so a rebuild is dictionary lookups unless the
-    new order probes through a (column, index) pair nobody has yet. The
-    plan's own starting order is derived once, into its prepared record
-    (:func:`cascade_start`).
+    and lives only as long as this plan does. Kernels, hash builds and rank
+    arrays are memoized by their index (a hash build by its table), so a
+    rebuild is dictionary lookups unless the new order probes through a
+    (column, index) pair nobody has yet. The plan's own starting order is
+    derived once, into its prepared record (:func:`cascade_start`).
 
     One entry per inner leg: ``(leg, probe config, kernel, key-rank gather,
-    whether the gather can yield a missing key's -2)``.
+    whether the gather can yield a missing key's -2, probe)`` — the probe a
+    :class:`_Probe` for a hash-probed leg or one with residual joins, None
+    for a plain index probe.
     """
     inner: list = []
     for position in range(1, len(order)):
-        alias = order[position]
-        leg = legs[alias]
+        leg = legs[order[position]]
         config = leg.probe_config
-        if config is None or config.hash_column is not None:
-            return None, f"leg {alias!r}: hash-probed or uncompiled access"
-        if config.residual_joins:
-            return None, f"leg {alias!r}: residual join predicates"
-        index = config.access_index
-        kernel = index.cascade_groups(leg.local_tests)
-        if kernel is None:
-            return None, f"leg {alias!r}: non-vectorizable local predicates"
+        table = leg.table
+        build = None
+        if config.hash_column is None:
+            index = config.access_index
+            kernel = index.cascade_groups(leg.local_tests)
+        else:
+            build = table.hash_build(config.hash_column, leg.local_tests)
+            index, kernel = build.index, build.kernel
         if leg.positional is not None:
-            kernel = _positional_kernel(kernel, leg.positional, len(leg.table))
-        source = legs[config.key_alias].table.column_store(
-            config.key_slot
+            kernel = _positional_kernel(kernel, leg.positional, len(table))
+        residuals = tuple(
+            (alias, *_residual_cells(legs[alias].table, outer_slot, table, slot))
+            for (alias, outer_slot), (_, slot) in zip(
+                config.residual_sources, config.residual_joins
+            )
         )
-        translate = _make_translator(source, index)
-        if translate is None:
-            return None, f"leg {alias!r}: untranslatable key column"
-        inner.append(
-            (leg, config, kernel, translate, index.misses_keys_of(source))
+        probe = (
+            None
+            if build is None and not residuals
+            else _Probe(build, residuals)
         )
-    return inner, None
+        source = legs[config.key_alias].table.column_store(config.key_slot)
+        inner.append((
+            leg,
+            config,
+            kernel,
+            index.row_ranks(source).take,
+            index.misses_keys_of(source),
+            probe,
+        ))
+    return inner
 
 
 def _positional_kernel(base, positional, table_len: int):
@@ -457,7 +512,9 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     short-circuit local evals; a missing key touches one entry; a NULL key
     descends only), adds the chunk's rows in / candidates / rows out to the
     leg's flow counters and, when monitored, folds the same aggregate into
-    its window as the chunk's one entry.
+    its window as the chunk's one entry. A hash-probed leg or one with
+    residual joins charges through its :class:`_Probe` instead — the one
+    test a leg's step adds.
 
     One path serves every key. A NULL key's rank is -1 and a missing key's
     -2, and every per-key kernel array ends in two zero slots
@@ -476,11 +533,11 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     """
     flow = len(survivors)
     ancestors: dict[str, Any] = {driving_alias: survivors}
-    for leg, pconfig, kernel, translate, may_miss in inner:
+    for leg, pconfig, kernel, translate, may_miss, probe in inner:
         if flow == 0:
             ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
             continue
-        ranks = translate(ancestors[pconfig.key_alias])
+        key_ranks = ranks = translate(ancestors[pconfig.key_alias])
         missing = int(_np.count_nonzero(ranks == -2)) if may_miss else 0
         matches = kernel.counts.take(ranks)
         if kernel.unique:
@@ -501,40 +558,6 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
             if kernel.evals is kernel.totals
             else int(kernel.evals.take(ranks).sum())
         )
-        entries = touched + missing
-        meter.index_descends += flow
-        meter.index_entries += entries
-        meter.row_fetches += touched
-        meter.predicate_evals += evals
-        leg.rows_in += flow
-        leg.index_matches += touched
-        leg.rows_out += total
-        if leg.monitoring_enabled:
-            meter.monitor_updates += flow
-            # The lean aggregate: (incoming, index matches, output,
-            # work), one window entry per chunk.
-            leg.monitor.window.observe_chunk(
-                flow,
-                touched,
-                total,
-                flow * INDEX_DESCEND_COST
-                + entries * INDEX_ENTRY_COST
-                + touched * ROW_FETCH_COST
-                + evals * PREDICATE_EVAL_COST,
-            )
-            # Test i evaluates the rows test i - 1 passed (``ev[i] is
-            # pa[i - 1]``, ``ev[0] is totals``): one gather per test, and
-            # none for the last unless a positional test follows it.
-            passed = touched
-            for counts, column in zip(leg.local_counts, kernel.pa):
-                counts[0] += passed
-                passed = (
-                    total
-                    if column is kernel.counts
-                    else int(column.take(ranks).sum())
-                )
-                counts[1] += passed
-            leg.incoming_since_check += flow
         if kernel.unique:
             # A gather: outer row i's one match, if any, is its key's first
             # passing row. Nothing to restrict when every probe matched.
@@ -556,7 +579,46 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
         if parent is not None:
             ancestors = {alias: arr.take(parent) for alias, arr in ancestors.items()}
         ancestors[leg.alias] = kernel.pass_rids.take(positions)
-        flow = total
+        if probe is None:
+            entries = touched + missing
+            meter.index_descends += flow
+            meter.index_entries += entries
+            meter.row_fetches += touched
+            meter.predicate_evals += evals
+            out = total
+        else:
+            ancestors, out, work = probe.step(
+                meter, leg, ancestors, flow, touched, evals, missing, total
+            )
+        leg.rows_in += flow
+        leg.index_matches += touched
+        leg.rows_out += out
+        if leg.monitoring_enabled:
+            meter.monitor_updates += flow
+            if probe is None:
+                work = (
+                    flow * INDEX_DESCEND_COST
+                    + entries * INDEX_ENTRY_COST
+                    + touched * ROW_FETCH_COST
+                    + evals * PREDICATE_EVAL_COST
+                )
+            # The lean aggregate: (incoming, index matches, output,
+            # work), one window entry per chunk.
+            leg.monitor.window.observe_chunk(flow, touched, out, work)
+            # Test i evaluates the rows test i - 1 passed (``ev[i] is
+            # pa[i - 1]``, ``ev[0] is totals``): one gather per test, and
+            # none for the last unless a positional test follows it.
+            passed = touched
+            for counts, column in zip(leg.local_counts, kernel.pa):
+                counts[0] += passed
+                passed = (
+                    total
+                    if column is kernel.counts
+                    else int(column.take(key_ranks).sum())
+                )
+                counts[1] += passed
+            leg.incoming_since_check += flow
+        flow = out
     return ancestors, flow
 
 
@@ -573,10 +635,9 @@ def _project(legs_map, projection: Sequence, ancestors: dict, count: int):
 def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     """Chunk loop: limits -> walk -> expand -> emit -> checks, folding inline.
 
-    Returns True when the query completed, False to hand the partially
-    consumed cursors back to the scalar machine at a chunk boundary
-    (windows and counters consistent: every fold is applied where its
-    numbers are computed).
+    Runs the query to its end: every plan a check can rebuild is one the
+    cascade runs (windows and counters are consistent at every boundary:
+    each fold is applied where its numbers are computed).
 
     Observable-parity contract with the scalar machine (for monitored
     plans: the scalar machine applying the same decisions at the same
@@ -654,14 +715,16 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
             # final next() does.
             walk.finish()
             executor.depleted_from = 0
-            return True
+            return
         executor.depleted_from = None
         executor.driving_rows_since_check += taken
         executor.driving_rows_total += taken
 
         if executor.catalog.faults is not None:
-            for leg, *_ in inner:  # before each leg's charges and its fold
-                leg.consult("index-lookup")
+            for leg, config, *_ in inner:  # before each leg's charges and fold
+                leg.consult(
+                    "index-lookup" if config.hash_column is None else "hash-probe"
+                )
                 if leg.monitoring_enabled:
                     try:
                         leg.consult("monitor")
@@ -699,19 +762,13 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
             controller.on_pipeline_depleted()
         sig = _plan_signature(executor)
         if sig != plan_sig:
-            inner, reason = _adaptive_plan(executor.order, legs_map)
+            inner = _adaptive_plan(executor.order, legs_map)
             # Whatever the controller returned: the plan says who drives.
-            if reason is None and walk.leg is not legs_map[executor.order[0]]:
+            if walk.leg is not legs_map[executor.order[0]]:
                 # A fresh (or resumed) driving cursor: a new walk.
-                walk, reason = _driving_walk(
+                walk = _driving_walk(
                     legs_map[executor.order[0]], executor.driving_cursor
                 )
-            if reason is not None:
-                # A shape the gates refuse (hash-probed leg, residual join
-                # predicates, non-vectorizable locals): hand the cursors
-                # back to the scalar machine mid-query.
-                executor.vector_gate_reason = reason
-                return False
             plan_sig = sig
         elif chunk_rows < slice_rows:
             # Nothing moved: ask half as often from here on.

@@ -163,8 +163,6 @@ def render_replay(record: FlightRecord) -> str:
         f"work={_fmt(record.work_units)} wall={_fmt(record.wall_ms)}ms"
         + (f" (SLOW)" if record.slow else ""),
     ]
-    if record.vector_gate:
-        lines.append(f"  vector cascade gated: {record.vector_gate}")
     if record.plan_feedback:
         lines.append(
             f"  plan feedback: started from the learned order below "

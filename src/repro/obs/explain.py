@@ -125,10 +125,7 @@ def render_explain_analyze(
         f"{stats.adaptation_work:,.0f} adaptation), "
         f"{stats.wall_seconds * 1000:.1f} ms"
     )
-    engine_line = f"engine: {stats.engine}"
-    if stats.vector_gate is not None:
-        engine_line += f" (vector cascade gated: {stats.vector_gate})"
-    lines.append(engine_line)
+    lines.append(f"engine: {stats.engine}")
     lines.append(
         "plan cache: "
         + (stats.plan_cache or "not consulted (the caller passed a spec or a plan)")

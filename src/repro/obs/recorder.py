@@ -322,11 +322,8 @@ class FlightRecord:
     plan_cost: float | None = None
     final_order: tuple[str, ...] = ()
     monitor_granularity: str = "exact"
-    # Which execution engine ran the pipeline, and why a run on the
-    # columnar store did not run the cascade (ExecutionStats.engine /
-    # vector_gate).
+    # Which execution engine ran the pipeline (ExecutionStats.engine).
     engine: str = "unknown"
-    vector_gate: str | None = None
     # How the plan was obtained (ExecutionStats.plan_cache): hit / miss /
     # wait / off; None for a plan passed in, or a query that never ran.
     plan_cache: str | None = None
@@ -365,7 +362,6 @@ class FlightRecord:
             "final_order": list(self.final_order),
             "monitor_granularity": self.monitor_granularity,
             "engine": self.engine,
-            "vector_gate": self.vector_gate,
             "plan_cache": self.plan_cache,
             "plan_feedback": self.plan_feedback,
             "legs": _clean(self.legs),
@@ -395,7 +391,6 @@ class FlightRecord:
             final_order=tuple(data.get("final_order", ())),
             monitor_granularity=data.get("monitor_granularity", "exact"),
             engine=data.get("engine", "unknown"),
-            vector_gate=data.get("vector_gate"),
             plan_cache=data.get("plan_cache"),
             plan_feedback=data.get("plan_feedback"),
             legs=data.get("legs", {}),
@@ -762,9 +757,6 @@ class FlightRecorder:
             final_order=result.final_order if result is not None else (),
             monitor_granularity=granularity_of(engine),
             engine=engine,
-            vector_gate=(
-                result.stats.vector_gate if result is not None else None
-            ),
             plan_cache=(
                 result.stats.plan_cache if result is not None else None
             ),

@@ -67,6 +67,8 @@ FLIGHT_FIELDS: dict[str, tuple[tuple, bool, bool]] = {
     # Written until PR 22 (``engine`` says what ran): accepted, not read.
     "batched": ((bool,), False, False),
     "engine": ((str,), False, False),
+    # Written until the cascade ran every shape (the gate that kept a
+    # columnar run off it): accepted, not read.
     "vector_gate": ((str,), False, True),
     "plan_cache": ((str,), False, True),
     "plan_feedback": ((dict,), False, True),

@@ -13,7 +13,7 @@ the adaptive layer closes.
 from __future__ import annotations
 
 from repro.catalog.catalog import Catalog
-from repro.errors import PlanError
+from repro.errors import PlanError, QueryError
 from repro.optimizer.cost import best_order_exhaustive
 from repro.optimizer.params import ModelProvider, TableModel
 from repro.optimizer.plans import (
@@ -27,19 +27,32 @@ from repro.optimizer.selectivity import Estimator, join_selectivity
 from repro.query.joingraph import JoinPredicate
 from repro.query.predicates import LocalPredicate
 from repro.query.query import OutputColumn, QuerySpec
+from repro.storage.compiled import check_predicate
 from repro.storage.cursor import KeyRange, normalize_ranges
+from repro.storage.types import ColumnType
 
 
 def _validate(query: QuerySpec, catalog: Catalog) -> None:
+    """Refuse what no store evaluates, on every store (DESIGN.md Sec 2):
+    unknown names, local predicates without a mask (``check_predicate``) and
+    joins between key domains that do not compare (strings with numbers)."""
     for alias, table_name in query.tables.items():
-        table = catalog.table(table_name)  # raises CatalogError if unknown
+        schema = catalog.table(table_name).schema  # CatalogError if unknown
         for predicate in query.locals_of(alias):
             for column in predicate.columns():
-                table.schema.position_of(column)
+                schema.position_of(column)
+            check_predicate(predicate, schema)
     for predicate in query.join_predicates:
-        for alias in (predicate.left, predicate.right):
-            table = catalog.table(query.table_of(alias))
-            table.schema.position_of(predicate.column_of(alias))
+        kinds = {
+            catalog.table(query.table_of(alias)).schema.column(
+                predicate.column_of(alias)
+            ).type is ColumnType.STRING
+            for alias in (predicate.left, predicate.right)
+        }
+        if len(kinds) > 1:
+            raise QueryError(
+                f"join {predicate} compares a string column with a number"
+            )
 
 
 def expand_projection(query: QuerySpec, catalog: Catalog) -> tuple[OutputColumn, ...]:

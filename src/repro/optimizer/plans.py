@@ -129,9 +129,12 @@ class PipelinePlan:
     def driving_alias(self) -> str:
         return self.order[0]
 
-    def prepared(self, catalog: Any, prepare: Callable) -> Any:
+    def prepared(
+        self, catalog: Any, prepare: Callable, generation: tuple | None = None
+    ) -> Any:
         """``prepare(self, catalog, generation, bindings)``, once per plan
-        and catalog generation: this plan's *prepared record*.
+        and catalog generation (*generation*, when the caller read it):
+        this plan's *prepared record*.
 
         For everything an execution derives from the plan and the catalog
         alone (bound local tests, projection slots, model parts, the
@@ -148,7 +151,8 @@ class PipelinePlan:
         (:meth:`corrected`) shares it and builds only what its own order
         and class selectivities decide.
         """
-        generation = catalog.generation()
+        if generation is None:
+            generation = catalog.generation()
         memo = self.__dict__.get("_prepared")
         bindings = None
         if (

@@ -5,15 +5,15 @@ operations should fail; compiling it yields a :class:`FaultInjector` whose
 ``fire(site)`` calls are consulted at fixed trigger points — per row on
 the scalar machine, per chunk on the engine (``RuntimeLeg.consult``):
 
-==================  ===========================================  =============================
+==================  ===========================================  ================================
 site                scalar machine                               engine: once per
-==================  ===========================================  =============================
-``index-lookup``    ``SortedIndex.lookup_rids`` (per probe)      inner leg and chunk
+==================  ===========================================  ================================
+``index-lookup``    ``SortedIndex.lookup_rids`` (per probe)      index-probed inner leg and chunk
 ``cursor-advance``  ``__next__`` of both scan cursor classes     chunk the driving walk takes
-``hash-probe``      ``HashProbeTable.probe``                     never (a hash probe is a gate)
+``hash-probe``      ``HashProbeTable.probe``                     hash-probed inner leg and chunk
 ``controller``      both checks in ``AdaptationController``      check, as on the scalar one
 ``monitor``         a probe's monitoring block (``RuntimeLeg``)  monitored inner leg and chunk
-==================  ===========================================  =============================
+==================  ===========================================  ================================
 
 Faults are **transient** (:class:`~repro.errors.TransientStorageError` —
 the access layer retries them with exponential backoff) or **permanent**

@@ -7,9 +7,8 @@ meter, wall-clock time, and an externally triggered
 points and raise :class:`~repro.errors.BudgetExceeded` carrying
 partial-progress stats when any cap is hit:
 
-* the row-at-a-time machine (the oracle; a columnar-store run its gates
-  keep off the cascade, from its first row or from a mid-query hand-off)
-  before each driving row (:meth:`LimitEnforcer.check`) and
+* the row-at-a-time machine (the oracle, what a row store runs) before
+  each driving row (:meth:`LimitEnforcer.check`) and
   before each emitted row (:meth:`LimitEnforcer.check_emit`);
 * the vectorized cascade once per driving chunk — :meth:`~LimitEnforcer.check`
   before the chunk is taken, :meth:`~LimitEnforcer.admit_rows` on what it

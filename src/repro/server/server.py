@@ -212,8 +212,8 @@ class DatabaseEngine:
     ) -> EngineResult:
         # Recorder-only bundle: the decision audit is armed but the bundle
         # stays cold, and *limits* are enforced at chunk boundaries inside
-        # the cascade, so neither gates the vectorized engine out (replies
-        # report ``engine: vector*`` on the columnar backend) and the
+        # the cascade, so neither changes the machine (replies report
+        # ``engine: vector*`` on the columnar backend) and the
         # deterministic WorkMeter sees zero extra charges.
         bundle = self.recorder.arm()
         started = time.perf_counter()

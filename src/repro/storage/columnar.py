@@ -7,23 +7,23 @@ insertion-ordered decode list). Rows are **views**: the table lazily
 materializes the familiar row-tuple list on first row-wise access and
 shares that one list everywhere (``raw_rows``, ``fetch``, ``peek``,
 ``scan``), so row object *identity* is preserved exactly as in the row
-backend. The fully vectorized execution paths never materialize rows at
-all.
+backend. The engine never materializes rows: it reads the columns
+(``mask_for_spec``, ``cells``) and the index sidecars.
 
 :class:`ColumnarIndex` keeps the parent's sorted ``(key, rid)`` entry list
 (cursors, range scans, and positional-order semantics inherit unchanged)
 and adds a flat sidecar per generation: the distinct keys, CSR segment
-starts, and an ``int64`` RID array. Equality probes become O(1) dict-rank
-lookups instead of ``bisect`` pairs, and the cascade's local-predicate
-group kernels evaluate each leg's predicates **once per column** with
-numpy masks — reproducing the scalar short-circuit eval counts exactly
-via alive-mask accounting (``evals_i = rows still alive before test i``).
+starts, and an ``int64`` RID array. The cascade's local-predicate group
+kernels evaluate each leg's predicates **once per column** with numpy
+masks — reproducing the scalar short-circuit eval counts exactly via
+alive-mask accounting (``evals_i = rows still alive before test i``) —
+and a join probe is a gather from the index's row-rank arrays. A hash
+probe (an unindexed join column) runs through the same structures, over an
+unregistered index (:meth:`ColumnarTable.hash_build`).
 
 numpy is required (``get_backend("columnar")`` refuses to build without
-it). For predicate shapes the masks do not cover and overflow-promoted
-columns every entry point falls back to the inherited row-at-a-time
-implementation, so results and work accounting never depend on which
-path ran — only speed does.
+it). Every predicate planning admits has a mask and every INT fits its
+typed slot, so no entry point has a row-at-a-time fallback.
 
 Concurrent readers (an embedding caller's threads; the query server's
 engines are processes, one request at a time) share one table and one
@@ -36,11 +36,12 @@ numpy copies) are published with a single reference store and need none.
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
 from array import array
 from bisect import insort
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import WorkMeter
@@ -61,65 +62,34 @@ HAVE_NUMPY = _np is not None
 # Typed column stores
 # ----------------------------------------------------------------------
 class _NumericColumn:
-    """INT/FLOAT column: typed array + null byte-mask (+ boxed fallback).
+    """INT/FLOAT column: typed array + null byte-mask.
 
-    INT values that overflow a signed 64-bit slot promote the whole column
-    to a plain Python list (``boxed``); correctness never depends on the
-    typed layout, only the vectorized kernels do (they refuse boxed
-    columns).
+    Every value fits its slot: an INT column holds signed 64-bit integers
+    on both stores (:meth:`ColumnType.validate` refuses the rest at load).
     """
 
-    __slots__ = ("kind", "typecode", "data", "nulls", "boxed", "_np_cache")
+    __slots__ = ("kind", "typecode", "data", "nulls", "_np_cache")
 
     def __init__(self, kind: str, typecode: str) -> None:
         self.kind = kind  # "int" | "float"
         self.typecode = typecode
-        self.data: array | None = array(typecode)
-        self.nulls: bytearray | None = bytearray()
-        self.boxed: list | None = None
+        self.data = array(typecode)
+        self.nulls = bytearray()
         self._np_cache: tuple | None = None
 
     def __len__(self) -> int:
-        if self.boxed is not None:
-            return len(self.boxed)
         return len(self.data)
 
-    def _promote(self) -> None:
-        values = self.data.tolist()
-        nulls = self.nulls
-        self.boxed = [
-            None if nulls[i] else values[i] for i in range(len(values))
-        ]
-        self.data = None
-        self.nulls = None
-        self._np_cache = None
-
     def append(self, value: Any) -> None:
-        if self.boxed is not None:
-            self.boxed.append(value)
-            return
-        if value is None:
-            self.data.append(0)
-            self.nulls.append(1)
-            return
-        try:
-            self.data.append(value)
-        except OverflowError:
-            self._promote()
-            self.boxed.append(value)
-            return
-        self.nulls.append(0)
+        self.data.append(0 if value is None else value)
+        self.nulls.append(value is None)
 
     def get(self, rid: int) -> Any:
-        if self.boxed is not None:
-            return self.boxed[rid]
         if self.nulls[rid]:
             return None
         return self.data[rid]
 
     def values_list(self) -> list:
-        if self.boxed is not None:
-            return list(self.boxed)
         values = self.data.tolist()
         nulls = self.nulls
         if any(nulls):
@@ -129,9 +99,7 @@ class _NumericColumn:
         return values
 
     def np_values(self):
-        """``(values, notnull)`` numpy copies, or None (boxed)."""
-        if self.boxed is not None:
-            return None
+        """``(values, notnull)`` numpy copies."""
         count = len(self.data)
         cache = self._np_cache
         if cache is not None and cache[0] == count:
@@ -144,13 +112,10 @@ class _NumericColumn:
         self._np_cache = (count, values, notnull)
         return values, notnull
 
-    def take(self, rids) -> list | None:
+    def take(self, rids) -> list:
         """The values at *rids* (an index array) as the row view holds
-        them, or None (boxed)."""
-        arrays = self.np_values()
-        if arrays is None:
-            return None
-        values, notnull = arrays
+        them."""
+        values, notnull = self.np_values()
         taken = values[rids].tolist()
         present = notnull[rids]
         if not present.all():
@@ -159,10 +124,6 @@ class _NumericColumn:
         return taken
 
     def nbytes(self) -> int:
-        if self.boxed is not None:
-            return sys.getsizeof(self.boxed) + sum(
-                sys.getsizeof(v) for v in self.boxed
-            )
         return self.data.itemsize * len(self.data) + len(self.nulls)
 
 
@@ -240,7 +201,7 @@ def _make_column(column_type: ColumnType):
 class ColumnarTable(HeapTable):
     """Drop-in :class:`HeapTable` whose source of truth is typed columns."""
 
-    __slots__ = ("_cols", "_nrows", "_view_lock")
+    __slots__ = ("_cols", "_nrows", "_view_lock", "_hash_memo")
 
     backend_name = "columnar"
 
@@ -249,6 +210,8 @@ class ColumnarTable(HeapTable):
         self._cols = [_make_column(column.type) for column in schema.columns]
         self._nrows = 0
         self._view_lock = threading.Lock()
+        # (version, {(column, predicates): HashBuild}): hash_build's memo.
+        self._hash_memo: tuple = (None, {})
 
     def __len__(self) -> int:
         return self._nrows
@@ -319,34 +282,60 @@ class ColumnarTable(HeapTable):
     def column_store(self, slot: int):
         return self._cols[slot]
 
-    def column_kind(self, slot: int) -> str:
-        return self._cols[slot].kind
-
     def cells(self, slot: int, rids) -> list:
         """Column *slot* at *rids* (an index array), cell for cell what the
         row view holds — without materializing it (projection path)."""
-        column = self._cols[slot]
-        taken = column.take(rids)
-        if taken is None:
-            get = column.get
-            taken = [get(rid) for rid in rids.tolist()]
-        return taken
+        return self._cols[slot].take(rids)
+
+    def hash_build(self, column: str, local_tests: Sequence) -> "HashBuild":
+        """The hash table over *column* behind a leg's *local_tests*
+        (``(predicate, test)`` pairs), built once per table version."""
+        key = (column, tuple(predicate for predicate, _ in local_tests))
+        with self._view_lock:  # one build at a time per table
+            version, builds = self._hash_memo
+            if version != self.version:
+                builds = {}
+                self._hash_memo = (self.version, builds)
+            build = builds.get(key)
+            if build is None:
+                if len(builds) >= 16:  # bound the per-version memo
+                    builds.pop(next(iter(builds)))
+                build = builds[key] = self._build_hash(column, local_tests)
+        return build
+
+    def _build_hash(self, column: str, local_tests) -> "HashBuild":
+        index = ColumnarIndex(f"{self.name}.{column} (hash)", self, column)
+        base = index.cascade_groups(local_tests)
+        alive = None
+        local_counts = []
+        for predicate, _ in local_tests:
+            mask = self.mask_for_spec(vector_spec(predicate, self.schema))
+            evaluated = self._nrows if alive is None else int(alive.sum())
+            alive = mask if alive is None else alive & mask
+            local_counts.append((evaluated, int(alive.sum())))
+        counts = base.counts
+        kernel = _Kernel(
+            counts, _np.zeros_like(counts), counts, base.pass_offsets,
+            base.pass_rids, [], [],
+        )
+        return HashBuild(
+            index, kernel, self._nrows, sum(e for e, _ in local_counts),
+            len(base.pass_rids), tuple(local_counts),
+        )
 
     def mask_for_spec(self, spec: tuple):
         """Whole-column boolean mask for a :func:`vector_spec` tree.
 
         Returns a bool ndarray of length ``len(self)`` whose slot *i* is
-        exactly ``bound_test(row_i)``, or ``None`` when the spec cannot be
-        evaluated vectorized (boxed column, or constant types whose
-        comparison the interpreter path would resolve dynamically).
+        exactly ``bound_test(row_i)``; an ordering against a constant of
+        another type raises ``TypeError``, as the interpreter does (planning
+        refuses it first: :func:`~repro.storage.compiled.check_predicate`).
         """
         op = spec[0]
         if op == "or":
             mask = None
             for child in spec[1]:
                 child_mask = self.mask_for_spec(child)
-                if child_mask is None:
-                    return None
                 mask = child_mask if mask is None else (mask | child_mask)
             return mask
         column = self._cols[spec[1]]
@@ -354,30 +343,23 @@ class ColumnarTable(HeapTable):
             return self._string_mask(column, spec)
         return self._numeric_mask(column, spec)
 
-    @staticmethod
-    def _plain_number(value: Any) -> bool:
-        # bool included deliberately: numpy compares True as 1, exactly
-        # like the row interpreter's ``cell == True``.
-        return isinstance(value, (int, float))
-
     def _numeric_mask(self, column: _NumericColumn, spec: tuple):
-        arrays = column.np_values()
-        if arrays is None:
-            return None
-        values, notnull = arrays
+        values, notnull = column.np_values()
         op = spec[0]
         if op == "isnull":
             return notnull.copy() if spec[2] else ~notnull
         if op == "cmp":
             op_name, constant = spec[2], spec[3]
-            if not self._plain_number(constant):
-                # Mixed-type ordering raises in the interpreter; equality
-                # is always-False, inequality matches every non-NULL cell.
+            # bool is a number here: numpy compares True as 1, exactly like
+            # the row interpreter's ``cell == True``.
+            if not isinstance(constant, (int, float)):
+                # Across types equality is always False and inequality
+                # matches every non-NULL cell; an ordering raises TypeError
+                # in numpy as in the interpreter (planning refuses it).
                 if op_name == "EQ":
                     return _np.zeros(len(values), dtype=bool)
                 if op_name == "NE":
                     return notnull.copy()
-                return None
             if op_name == "EQ":
                 return (values == constant) & notnull
             if op_name == "NE":
@@ -391,12 +373,10 @@ class ColumnarTable(HeapTable):
             return (values >= constant) & notnull
         if op == "between":
             low, high = spec[2], spec[3]
-            if not (self._plain_number(low) and self._plain_number(high)):
-                return None
             return (values >= low) & (values <= high) & notnull
         if op == "in":
             members = spec[2]
-            numeric = [v for v in members if self._plain_number(v)]
+            numeric = [v for v in members if isinstance(v, (int, float))]
             mask = (
                 _np.isin(values, numeric) & notnull
                 if numeric
@@ -409,8 +389,6 @@ class ColumnarTable(HeapTable):
 
     def _string_mask(self, column: _StringColumn, spec: tuple):
         codes = column.np_codes()
-        if codes is None:
-            return None
         op = spec[0]
         if op == "isnull":
             return codes >= 0 if spec[2] else codes == -1
@@ -421,7 +399,6 @@ class ColumnarTable(HeapTable):
                     return _np.zeros(len(codes), dtype=bool)
                 if op_name == "NE":
                     return codes >= 0
-                return None  # ordering vs non-str raises row-wise
             if op_name == "EQ":
                 return codes == column.encode.get(constant, -2)
             if op_name == "NE":
@@ -430,20 +407,13 @@ class ColumnarTable(HeapTable):
                 )
             # Ordering: evaluate once per distinct value, gather via LUT.
             # lut[-1] (the NULL code's negative-index target) stays False.
-            fn = {
-                "LT": str.__lt__,
-                "LE": str.__le__,
-                "GT": str.__gt__,
-                "GE": str.__ge__,
-            }[op_name]
+            fn = _ORDERINGS[op_name]  # TypeError against a non-str
             lut = _np.zeros(len(column.decode) + 1, dtype=bool)
             for code, text in enumerate(column.decode):
                 lut[code] = fn(text, constant)
             return lut[codes]
         if op == "between":
             low, high = spec[2], spec[3]
-            if not (isinstance(low, str) and isinstance(high, str)):
-                return None
             lut = _np.zeros(len(column.decode) + 1, dtype=bool)
             for code, text in enumerate(column.decode):
                 lut[code] = low <= text <= high
@@ -478,6 +448,9 @@ class ColumnarTable(HeapTable):
             "bytes": columns_bytes,
             "row_cache_bytes": row_cache_bytes,
         }
+
+
+_ORDERINGS = {"LT": operator.lt, "LE": operator.le, "GT": operator.gt, "GE": operator.ge}
 
 
 def heap_memory_footprint(table: HeapTable) -> dict[str, int]:
@@ -594,6 +567,27 @@ class _Kernel:
         )
 
 
+class HashBuild(NamedTuple):
+    """The Sec 6 hash table over one column
+    (:class:`~repro.executor.hashprobe.HashProbeTable`), as the cascade
+    probes it. ``index`` is an unregistered :class:`ColumnarIndex` over the
+    column (distinct keys = buckets, row-rank arrays = probe keys' ranks);
+    ``kernel``'s buckets hold each key's rows passing every local test in
+    RID order, its ``totals`` the bucket sizes and its ``evals`` zero (a
+    probe tests no local). The rest is the build's charge, the scalar
+    build's: a fetch per table row, the locals' short-circuit evals over
+    every row (NULL keys too), an entry per passing row with a key, and
+    each local test's table-wide ``(evaluated, passed)``.
+    """
+
+    index: "ColumnarIndex"
+    kernel: _Kernel
+    rows: int
+    evals: int
+    entries: int
+    local_counts: tuple
+
+
 class ColumnarIndex(SortedIndex):
     """A :class:`SortedIndex` with flat-array probing and group kernels."""
 
@@ -620,27 +614,22 @@ class ColumnarIndex(SortedIndex):
         super().__init__(name, table, column)
 
     def rebuild(self) -> None:
-        # Build entries straight from the column store when available —
-        # the load path then never materializes the row view.
+        # Build entries straight from the column store: the load path then
+        # never materializes the row view.
         table = self.table
-        if isinstance(table, ColumnarTable):
-            values = table.column_store(self._column_pos).values_list()
-            entries = [
-                (key, rid) for rid, key in enumerate(values) if key is not None
-            ]
-            entries.sort()
-            self._entries = entries
-            self._built_upto = len(table)
-        else:
-            super().rebuild()
+        values = table.column_store(self._column_pos).values_list()
+        entries = [
+            (key, rid) for rid, key in enumerate(values) if key is not None
+        ]
+        entries.sort()
+        self._entries = entries
+        self._built_upto = len(table)
         self._gen = None
 
     def refresh(self) -> None:
         # As rebuild(): read the appended keys from the column store, so
         # loading a table never materializes its row view.
         table = self.table
-        if not isinstance(table, ColumnarTable):
-            return super().refresh()
         if self._built_upto == 0:
             return self.rebuild()  # one sort, not an insertion per row
         get = table.column_store(self._column_pos).get
@@ -691,84 +680,33 @@ class ColumnarIndex(SortedIndex):
         for array in (self._ent_rids, self._bounds_np, self._totals_np):
             array.setflags(write=False)
         self._keys_np = None
-        kind = (
-            self.table.column_kind(self._column_pos)
-            if isinstance(self.table, ColumnarTable)
-            else None
-        )
-        if keys and kind in ("int", "float"):
+        kind = self.table.column_store(self._column_pos).kind
+        if keys and kind != "str":
             dtype = _np.int64 if kind == "int" else _np.float64
-            try:
-                self._keys_np = _np.array(keys, dtype=dtype)
-                self._keys_np.setflags(write=False)
-            except (OverflowError, TypeError, ValueError):
-                pass
+            self._keys_np = _np.array(keys, dtype=dtype)
+            self._keys_np.setflags(write=False)
         self._kernels = {}
         self._row_ranks = {}
 
-    # -- O(1) probing ---------------------------------------------------
-    def lookup_rids(self, key: Any) -> list[int]:
-        faults = self.table.faults
-        if faults is not None:
-            faults.fire("index-lookup")
-        self._check_fresh()
-        self.meter.charge_index_descend()
-        if key is None:
-            return []
-        rank, _, starts = self._sidecar()
-        j = rank.get(key)
-        if j is None:
-            self.meter.charge_index_entries(1)
-            return []
-        lo, hi = starts[j], starts[j + 1]
-        self.meter.charge_index_entries(hi - lo)
-        return [rid for _, rid in self._entries[lo:hi]]
-
     # -- vectorized group kernels ---------------------------------------
-    def _specs_for(self, tests: Sequence) -> list | None:
-        """Vector specs for bound test closures, or None if any is opaque.
-
-        The executor tags every bound local test with its source predicate
-        (``test.predicate``); untagged tests (or shapes ``vector_spec``
-        rejects, or columns the table cannot mask) disable vectorization.
-        """
-        if not isinstance(self.table, ColumnarTable):
-            return None
-        schema = self.table.schema
-        specs = []
-        for test in tests:
-            predicate = getattr(test, "predicate", None)
-            if predicate is None:
-                return None
-            spec = vector_spec(predicate, schema)
-            if spec is None:
-                return None
-            specs.append(spec)
-        return specs
-
-    def _kernel_for(self, tests: Sequence, predicates_key: tuple):
+    def _kernel_for(self, local_tests: Sequence, predicates_key: tuple):
         """Build (or fetch) the group kernel for this generation + tests."""
         self._sidecar()
         with self._lock:  # one build per key; eviction is check-then-act
             kernel = self._kernels.get(predicates_key)
             if kernel is None:
-                kernel = self._build_kernel(tests)
-                if kernel is not None:
-                    if len(self._kernels) >= 16:  # bound the per-generation memo
-                        self._kernels.pop(next(iter(self._kernels)))
-                    self._kernels[predicates_key] = kernel
+                kernel = self._build_kernel(local_tests)
+                if len(self._kernels) >= 16:  # bound the per-generation memo
+                    self._kernels.pop(next(iter(self._kernels)))
+                self._kernels[predicates_key] = kernel
         return kernel
 
-    def _build_kernel(self, tests: Sequence) -> "_Kernel | None":
-        specs = self._specs_for(tests)
-        if specs is None:
-            return None
-        masks = []
-        for spec in specs:
-            mask = self.table.mask_for_spec(spec)
-            if mask is None:
-                return None
-            masks.append(mask)
+    def _build_kernel(self, local_tests: Sequence) -> "_Kernel":
+        table = self.table
+        masks = [
+            table.mask_for_spec(vector_spec(predicate, table.schema))
+            for predicate, _ in local_tests
+        ]
         ent_rids = self._ent_rids
         bounds = self._bounds_np
         totals = self._totals_np
@@ -796,41 +734,25 @@ class ColumnarIndex(SortedIndex):
             totals, evals, pa[-1], pass_offsets, ent_rids[alive], ev, pa
         )
 
-    @staticmethod
-    def _predicates_key(tests: Sequence) -> tuple | None:
-        out = []
-        for test in tests:
-            predicate = getattr(test, "predicate", None)
-            if predicate is None:
-                return None
-            out.append(predicate)
-        try:
-            hash(key := tuple(out))
-        except TypeError:
-            return None
-        return key
-
-    def cascade_groups(self, local_tests: Sequence) -> "_Kernel | None":
-        """The group kernel the vectorized join cascade expands through, or
-        None (tests the masks do not cover)."""
+    def cascade_groups(self, local_tests: Sequence) -> "_Kernel":
+        """The group kernel the vectorized join cascade expands through,
+        for the ``(predicate, test)`` pairs *local_tests* (every predicate
+        planning admits has a mask: ``check_predicate``)."""
         self._check_fresh()
-        tests = [test for _, test in local_tests]
-        predicates_key = self._predicates_key(tests)
-        if predicates_key is None:
-            return None
-        return self._kernel_for(tests, predicates_key)
+        return self._kernel_for(
+            local_tests, tuple(predicate for predicate, _ in local_tests)
+        )
 
     def row_ranks(self, source_column):
-        """Every row of *source_column* as a rank of this index, or None.
+        """Every row of *source_column* as a rank of this index.
 
         ``row_ranks[rid]`` is the distinct-key rank (the kernels' ``j``) of
         the key *source_column* holds at ``rid`` — the scalar
         ``rank.get(row[key_slot])`` for every row at once: -1 where the key
         is NULL, -2 where this index does not hold it. A join probe through
-        this index is then one gather per chunk. None for the shapes no
-        array comparison reproduces: a boxed (overflowed) source column, a
-        numeric source against a non-numeric key domain, a string source
-        against non-string keys.
+        this index is then one gather per chunk. Planning admits joins
+        between comparable key domains only (numbers with numbers, strings
+        with strings), so every source column has one.
 
         One int64 array per source column that probes this index (bounded
         by the schema's join edges), for the current sidecar generation:
@@ -844,12 +766,9 @@ class ColumnarIndex(SortedIndex):
             held = self._row_ranks.get(source_column)
             if held is None or held[0] != rows:
                 ranks = self._build_row_ranks(source_column)
-                if ranks is not None:
-                    ranks.setflags(write=False)
+                ranks.setflags(write=False)
                 held = self._row_ranks[source_column] = (
-                    rows,
-                    ranks,
-                    ranks is not None and bool((ranks == -2).any()),
+                    rows, ranks, bool((ranks == -2).any())
                 )
         return held[1]
 
@@ -863,8 +782,6 @@ class ColumnarIndex(SortedIndex):
     def _build_row_ranks(self, source_column):
         rank = self._rank
         if isinstance(source_column, _StringColumn):
-            if rank and not isinstance(next(iter(rank)), str):
-                return None  # typed mismatch between key domains
             decode = source_column.decode
             lut = _np.full(len(decode) + 1, -2, dtype=_np.int64)
             for code, text in enumerate(decode):
@@ -873,16 +790,11 @@ class ColumnarIndex(SortedIndex):
                     lut[code] = j
             lut[-1] = -1  # NULL encodes as code -1 -> last LUT slot
             return lut[source_column.np_codes()]
-        arrays = source_column.np_values()
-        if arrays is None:
-            return None  # boxed
-        values, notnull = arrays
+        values, notnull = source_column.np_values()
         if not rank:
             # Empty index: every non-null key misses, nulls stay null.
             return _np.where(notnull, _np.int64(-2), _np.int64(-1))
         keys = self._keys_np
-        if keys is None:
-            return None  # non-numeric (or unbuildable) key domain
         clipped = _np.minimum(_np.searchsorted(keys, values), len(keys) - 1)
         ranks = _np.where(keys[clipped] == values, clipped, -2)
         ranks[~notnull] = -1

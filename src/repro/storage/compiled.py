@@ -3,9 +3,10 @@
 :func:`vector_spec` turns a predicate tree into a backend-agnostic
 description (``("cmp", slot, op, value)`` etc.) that the columnar backend
 turns into boolean masks over whole columns (``mask_for_spec``) — what the
-cascade evaluates instead of a row test. ``None`` means "not vectorizable":
-the leg then gates the cascade and the scalar machine runs the
-interpreter's ``predicate.bind`` tests.
+cascade evaluates instead of a row test. ``None`` means "not vectorizable".
+Planning refuses such a predicate on every store (:func:`check_predicate`), as
+it refuses an ordering whose constant the column cannot be ordered against,
+so every predicate that reaches an executor has a mask.
 
 Only *exact* predicate classes are normalized (``type(p) is Comparison``,
 not ``isinstance``): a subclass may override ``bind`` with different
@@ -14,6 +15,7 @@ semantics, and a mask must never win an argument with it.
 
 from __future__ import annotations
 
+from repro.errors import QueryError
 from repro.query.predicates import (
     Between,
     Comparison,
@@ -23,6 +25,7 @@ from repro.query.predicates import (
     LocalPredicate,
 )
 from repro.storage.schema import TableSchema
+from repro.storage.types import ColumnType
 
 #: The comparison operators a mask evaluates (by ``Op.name``).
 _VECTOR_OPS = frozenset({"EQ", "NE", "LT", "LE", "GT", "GE"})
@@ -86,3 +89,26 @@ def vector_spec(
     except AttributeError:
         return None
     return None
+
+
+def check_predicate(predicate: LocalPredicate, schema: TableSchema) -> None:
+    """Raise :class:`QueryError` for a predicate no store evaluates: a form
+    :func:`vector_spec` refuses, or an ordering / ``BETWEEN`` whose constant
+    the column cannot be ordered against (numbers against numbers — bool
+    included, as the interpreter compares it — strings against strings)."""
+    pending = [vector_spec(predicate, schema)]
+    while pending:
+        spec = pending.pop()
+        if spec is None:
+            raise QueryError(f"unsupported local predicate: {predicate}")
+        if spec[0] == "or":
+            pending += spec[1]
+        elif spec[0] == "between" or spec[0] == "cmp" and spec[2] not in ("EQ", "NE"):
+            column = schema.columns[spec[1]]
+            wanted = str if column.type is ColumnType.STRING else (int, float)
+            for value in spec[2:] if spec[0] == "between" else spec[3:]:
+                if not isinstance(value, wanted):
+                    raise QueryError(
+                        f"{predicate}: cannot order {column.type.value} column "
+                        f"{column.name!r} against {value!r}"
+                    )

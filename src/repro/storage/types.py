@@ -27,7 +27,8 @@ class ColumnType(enum.Enum):
         """Coerce *value* to this type, raising :class:`StorageError` on mismatch.
 
         Integers are accepted for FLOAT columns (widening); bools are
-        rejected everywhere because they silently masquerade as ints.
+        rejected everywhere because they silently masquerade as ints. An INT
+        is a signed 64-bit integer on every store, as in SQL's BIGINT.
         """
         if value is None:
             return None
@@ -37,6 +38,11 @@ class ColumnType(enum.Enum):
             )
         if self is ColumnType.INT:
             if isinstance(value, int):
+                if not -(2**63) <= value < 2**63:
+                    raise StorageError(
+                        f"column {column_name!r}: {value} is outside the "
+                        "64-bit integer range"
+                    )
                 return value
             raise StorageError(
                 f"column {column_name!r}: expected int, got {type(value).__name__}"

@@ -213,7 +213,6 @@ def test_cascade_survives_driving_switches(switching_dbs, mode):
         _, engine, oracle = assert_replays(row_db, columnar_db, sql, config, tag=sql)
         switches += engine.driving_switches
         assert engine.engine_used == "vector-adaptive", sql
-        assert engine.vector_gate_reason is None
         assert oracle.driving_switches == engine.driving_switches
     assert switches >= len(SWITCHING_STATEMENTS)  # not vacuous
     # Positional kernels are per query: the index memos only ever hold
@@ -230,9 +229,10 @@ def test_cascade_survives_driving_switches(switching_dbs, mode):
 
 def test_switched_query_reports_no_gate_and_retains_no_kernel(switching_dbs):
     """Staying on the cascade across a switch is invisible to the observers:
-    no gate reason on the flight record or the EXPLAIN ANALYZE engine line,
-    and the kernel-plan gauge does not count the per-query positional
-    kernels (nothing retains them)."""
+    the flight record and the EXPLAIN ANALYZE engine line name the engine
+    (and no gate: the name is from when one could), and the kernel-plan
+    gauge does not count the per-query positional kernels (nothing retains
+    them)."""
     from repro.dmv import four_table_workload
     from repro.obs.explain import render_explain_analyze
     from repro.obs.recorder import FlightRecorder
@@ -250,37 +250,50 @@ def test_switched_query_reports_no_gate_and_retains_no_kernel(switching_dbs):
     result = columnar_db.execute(sql, config, obs=bundle)
     record = recorder.finish_query(bundle, result, sql=sql, config=config)
     assert result.stats.driving_switches >= 1
-    assert (record.engine, record.vector_gate) == ("vector-adaptive", None)
+    assert record.engine == "vector-adaptive"
+    assert "vector_gate" not in record.to_dict()
     assert "engine: vector-adaptive" in render_explain_analyze(result).splitlines()
     assert columnar_db.storage_stats()["kernel_plan_bytes"] == plan_bytes
 
 
 def test_unmaskable_driving_locals_gate_the_adaptive_cascade():
     """Both cascades read the driving leg through ``_DrivingWalk``, which
-    needs every residual local of that leg as a whole-column mask. A
-    starting driving leg whose local is not maskable (here: an INT column
-    boxed by a value past int64) therefore runs the scalar machine from the
-    first row and says why. Rows and work still equal the row backend."""
+    needs every residual local of that leg as a whole-column mask. The
+    shapes that once had none (an INT column boxed by a value past int64,
+    an ordering against a constant of another type) are refused on both
+    stores — the first at load, the second at planning — so the name is
+    historical: what remains runs the cascade from the first row, with the
+    row backend's rows and work."""
     from repro import Database
+    from repro.errors import QueryError, StorageError
 
     def build(backend):
         db = Database(backend=backend)
-        db.create_table("A", [("id", "int"), ("big", "int")])
+        db.create_table("A", [("id", "int"), ("big", "int"), ("s", "string")])
         db.create_table("B", [("aid", "int"), ("v", "int")])
-        db.insert("A", [(i, 2**70 if i == 3 else i) for i in range(50)])
+        with pytest.raises(StorageError, match="64-bit"):
+            db.insert("A", [(50, 2**70, "x")])
+        db.insert("A", [(i, 3 * i, f"s{i % 4}") for i in range(50)])
         db.insert("B", [(i % 50, i) for i in range(200)])
         db.create_index("A", "id")
         db.create_index("B", "aid")
         db.analyze()
         return db
 
-    sql = "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.big >= 10"
+    base = "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND "
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
-    col = build("columnar").execute(sql, config)
-    row = build("row").execute(sql, config)
-    assert col.stats.order_history[0][0] == "a"  # the gated leg drives
-    assert col.stats.engine == "scalar"
-    assert col.stats.vector_gate == "leg 'a': non-vectorizable local predicates"
+    dbs = {backend: build(backend) for backend in ("row", "columnar")}
+    for db in dbs.values():
+        with pytest.raises(QueryError, match="cannot order"):
+            db.execute(base + "a.s >= 10", config)
+    sql = base + "a.big >= 10 AND a.s <> 's1'"
+    col = dbs["columnar"].execute(sql, config)
+    row = dbs["row"].execute(sql, config)
+    assert col.stats.order_history[0][0] == "a"  # the once-gated leg drives
+    assert (col.stats.engine, col.stats.vector_gate) == ("vector-adaptive", None)
+    assert sorted(col.rows) == sorted(row.rows) and col.rows
+    static = AdaptiveConfig(mode=ReorderMode.NONE)
+    col, row = (dbs[b].execute(sql, static) for b in ("columnar", "row"))
     assert col.rows == row.rows
     assert col.stats.work == row.stats.work
 

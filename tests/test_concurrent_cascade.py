@@ -168,3 +168,44 @@ def test_four_threads_race_to_prepare_one_plan(monkeypatch):
                 assert list(kept.program) == list(plan.order[1:])
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_four_threads_race_to_build_one_hash_table():
+    """The hash table behind a hash-probed leg is memoized on its table
+    (``ColumnarTable.hash_build``): four threads that each need it first
+    race to build it, and every one gets the single-threaded rows, events
+    and exact thread-scoped work — the build charged once per execution,
+    whoever built it."""
+    from tests.test_vector_limits import HASHED, hand_off_db
+
+    switching = (
+        "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
+        "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
+    )
+    jobs = [(HASHED, config) for config in configs()] + [
+        (switching, AdaptiveConfig(
+            mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0
+        ))
+    ]
+    reference_db = hand_off_db("columnar")
+    want = run_all(reference_db, reference_db.enable_concurrent_metering(), jobs)
+    assert {engine for *_, engine in want} == {"vector", "vector-adaptive"}
+    db = hand_off_db("columnar")
+    meter = db.enable_concurrent_metering()
+    barrier = threading.Barrier(THREADS, timeout=30.0)
+
+    def race():
+        barrier.wait()
+        return run_all(db, meter, jobs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(THREADS) as pool:
+            futures = [pool.submit(race) for _ in range(THREADS)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == want for got in results)
+    _, builds = db.catalog.table("B")._hash_memo
+    assert len(builds) == 1  # one build, every thread probed it

@@ -40,7 +40,7 @@ from tests.test_vector_limits import hand_off_db
 
 PHYSICAL = (
     "index_descends", "index_entries", "row_fetches", "predicate_evals",
-    "rows_emitted",
+    "rows_emitted", "hash_build_entries", "hash_probes", "hash_matches",
 )
 REORDERING = (ReorderMode.BOTH, ReorderMode.INNER_ONLY, ReorderMode.DRIVING_ONLY)
 
@@ -145,14 +145,11 @@ def assert_replays(row_db, columnar_db, sql, config, order=None, tag=""):
     decisions on the row store's scalar oracle, and hold the two equal.
 
     Returns ``(rows, engine executor, oracle executor)``. The script is
-    applied between driving rows, which is where the cascade decides; a run
-    its gates put on the scalar machine may also have reordered mid-row
-    (position >= 2), and is then not replayed: the oracle comes back None.
+    applied between driving rows, which is where the cascade decides.
     """
     engine, start_oracle = machines(row_db, columnar_db, sql, config, order)
     rows = engine.run_to_completion()
-    if any(event.position > 1 for event in engine.events):
-        return rows, engine, None
+    assert engine.engine_used == "vector-adaptive", tag
     oracle, scripted = start_oracle()
     assert oracle.run_to_completion() == rows, tag  # in order
     assert not scripted.script, tag  # every decision found its driving row
@@ -235,7 +232,7 @@ def test_grid_statements_replay(dmv, chunk_rows, stride, monkeypatch):
             tag = f"#{number * stride} {mode.name} chunk={chunk_rows}"
             _, engine, oracle = assert_replays(*dmv, sql, config, tag=tag)
             assert engine.engine_used == "vector-adaptive", tag
-            assert engine.vector_gate_reason is None and oracle is not None
+            assert oracle.rows_emitted == engine.rows_emitted
             events += len(engine.events)
             switches += engine.driving_switches
     # Not vacuous. A finished scan applies nothing, so what is replayed
@@ -246,10 +243,10 @@ def test_grid_statements_replay(dmv, chunk_rows, stride, monkeypatch):
 
 
 def test_hand_off_statement_replays():
-    """A driving switch rebuilds the plan into a shape the gates refuse
-    (``B`` hash-probed once ``C`` drives): the cascade hands its cursors
-    to the scalar machine at that chunk boundary, and the whole run —
-    both sides of the hand-off — replays on the oracle."""
+    """A driving switch rebuilds the plan with a hash-probed leg (``B``
+    once ``C`` drives; the cascade once handed such a plan to the scalar
+    machine): the cascade runs it from that chunk boundary on, and the
+    whole run — both sides of the switch — replays on the oracle."""
     sql = (
         "SELECT a.id, b.cid, c.id FROM A a, B b, C c WHERE b.aid = a.id "
         "AND b.cid = c.id AND c.flag = 1 AND a.x >= 0"
@@ -260,9 +257,9 @@ def test_hand_off_statement_replays():
     _, engine, oracle = assert_replays(
         hand_off_db("row"), hand_off_db("columnar"), sql, config
     )
-    assert engine.engine_used == "scalar" and engine.driving_switches >= 1
-    assert engine.vector_gate_reason.endswith("hash-probed or uncompiled access")
-    assert oracle is not None and oracle.rows_emitted > 0
+    assert engine.engine_used == "vector-adaptive"
+    assert engine.driving_switches >= 1 and engine.work.hash_probes > 0
+    assert oracle.rows_emitted > 0
 
 
 def test_engine_under_faults_replays(dmv, monkeypatch):
@@ -317,9 +314,9 @@ def _between(column, ranges):
 #: predicates). An edge is ``(left, right, unless)``: stated unless the alias
 #: *unless* is joined too. The DMV locals are the templates' columns and
 #: value pools plus a single-row leg (``o.id = 17``) and an empty result
-#: (``d.salary < 0``); the hand-off schema adds the shape the mask compiler
-#: refuses (``a.big``: a boxed column) and a join column with no index
-#: (``b.cid``: hash-probed wherever it is B's access); the
+#: (``d.salary < 0``); the hand-off schema adds a join column with no index
+#: (``b.cid``: hash-probed wherever it is B's access) and a local on A's
+#: third column (``a.big``); the cycle schema's legs carry residual joins; the
 #: absent-keys schema joins on columns holding NULLs and keys the probed
 #: index does not have (the kernels' two padding slots).
 SCHEMAS = {
@@ -421,8 +418,8 @@ def generate(schema: str, rng: random.Random) -> str:
 def test_generated_queries_equal_the_oracle(stores, schema, seed):
     """Engine vs oracle on generated joins: sorted rows in all five modes,
     the full WorkMeter in NONE, the decision replay in the three
-    reordering modes — on the cascade, gated off it, and handed off it —
-    and, in one of them, a row budget that cuts a chunk."""
+    reordering modes — hash-probed and residual legs included — and, in one
+    of them, a row budget that cuts a chunk. No run leaves the engine."""
     rng = random.Random(seed)
     row_db, columnar_db = stores[schema]
     sql = generate(schema, rng)
@@ -440,10 +437,10 @@ def test_generated_queries_equal_the_oracle(stores, schema, seed):
         for mode in ReorderMode:
             config = AdaptiveConfig(mode=mode, **knobs)
             if mode in REORDERING:
-                rows, _, replayed = assert_replays(
+                rows, _, _ = assert_replays(
                     row_db, columnar_db, sql, config, tag=sql
                 )
-                if mode is cut_mode and replayed is not None and len(rows) > 1:
+                if mode is cut_mode and len(rows) > 1:
                     # Any k below the total lands in some chunk's output.
                     k = rng.randrange(1, len(rows))
                     assert_budget_cuts_alike(
@@ -452,6 +449,9 @@ def test_generated_queries_equal_the_oracle(stores, schema, seed):
             else:
                 static = columnar_db.execute(columnar_db.plan(sql), config)
                 rows = static.rows
+                assert static.stats.engine == (
+                    "vector-adaptive" if mode.monitors else "vector"
+                ), sql
                 if mode is ReorderMode.NONE:
                     assert asdict(static.stats.work) == asdict(
                         oracle.stats.work

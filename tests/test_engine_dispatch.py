@@ -1,13 +1,14 @@
-"""Which engine runs, and why not the cascade: one row per dispatch rule.
+"""Which engine runs: one row per dispatch rule.
 
-The store picks the machine: a row database runs the oracle (``scalar``,
-no gate to name), a columnar database the engine. ``ExecutionStats.engine``
-takes three values — ``scalar``, ``vector``, ``vector-adaptive`` — and
-``ExecutionStats.vector_gate`` names what kept a columnar-store run on the
-scalar machine: the first failed gate of DESIGN.md §4h's table (the shape
-is one the kernels do not cover). What checks a run — the invariant oracle,
-a fault plan, any controller — runs on the engine. Every row is reached
-here through ``Database.execute``; no option chooses.
+The store picks the machine: a row database runs the oracle (``scalar``),
+a columnar database the engine, for every statement it accepts.
+``ExecutionStats.engine`` takes three values — ``scalar``, ``vector``,
+``vector-adaptive`` — and ``ExecutionStats.vector_gate`` is always None
+(DESIGN.md §4h: the gate table is empty). What checks a run — the
+invariant oracle, a fault plan, any controller — runs on the engine; a
+hash-probed leg and residual join predicates run on it too; the two type
+shapes numpy cannot compare are errors on both stores. Every row is
+reached here through ``Database.execute``; no option chooses.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 from repro import AdaptiveConfig, Database, ReorderMode
 from repro.cli import build_parser
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
+from repro.errors import QueryError, StorageError
 from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.obs.observer import QueryObservability
@@ -39,98 +41,108 @@ def build(
     a_ids=range(50),
     indexes=(("A", "id"), ("A", "x"), ("B", "aid")),
 ) -> Database:
-    """A(id, x, big) 1:4 B(aid, v); ``big`` holds one value past int64, which
-    boxes the column (no mask, no typed key array)."""
+    """A(id, x, s) 1:4 B(aid, v, s): ``s`` a string column on both sides."""
     db = Database(backend=backend)
-    db.create_table("A", [("id", "int"), ("x", "int"), ("big", "int")])
-    db.create_table("B", [("aid", "int"), ("v", "int")])
+    db.create_table("A", [("id", "int"), ("x", "int"), ("s", "string")])
+    db.create_table("B", [("aid", "int"), ("v", "int"), ("s", "string")])
     ids = list(a_ids)
-    db.insert("A", [(i, n % 7, 2**70 if n == 3 else n) for n, i in enumerate(ids)])
-    db.insert("B", [(ids[n % len(ids)], n) for n in range(4 * len(ids))])
+    db.insert("A", [(i, n % 7, f"s{n % 5}") for n, i in enumerate(ids)])
+    db.insert(
+        "B", [(ids[n % len(ids)], n, f"s{n % 3}") for n in range(4 * len(ids))]
+    )
     for table, column in indexes:
         db.create_index(table, column)
     db.analyze()
     return db
 
 
-LEG = r"leg '\w+': "
-
-#: id -> (build() arguments, sql, config, execute kwargs, engine, vector_gate
-#: pattern)
+#: id -> (build() arguments, sql, config, execute kwargs, engine)
 CASES = {
     # -- the two machines, nothing in the way ----------------------------
-    "oracle": ({"backend": "row"}, JOIN, BOTH, {}, "scalar", None),
-    "engine-static": ({}, JOIN, STATIC, {}, "vector", None),
-    "engine-adaptive": ({}, JOIN, BOTH, {}, "vector-adaptive", None),
+    "oracle": ({"backend": "row"}, JOIN, BOTH, {}, "scalar"),
+    "engine-static": ({}, JOIN, STATIC, {}, "vector"),
+    "engine-adaptive": ({}, JOIN, BOTH, {}, "vector-adaptive"),
     # One leg: an empty inner plan, the survivors are the rows.
     "single-leg": (
-        {}, "SELECT a.id FROM A a WHERE a.x >= 1", BOTH, {},
-        "vector-adaptive", None,
+        {}, "SELECT a.id FROM A a WHERE a.x >= 1", BOTH, {}, "vector-adaptive",
     ),
     # Watching a query does not change the machine.
     "observed": (
         {}, JOIN, BOTH, {"obs": QueryObservability.armed}, "vector-adaptive",
-        None,
     ),
     # Nor does checking it.
-    "invariant-oracle": (
-        {}, JOIN, BOTH, {"oracle": True}, "vector-adaptive", None,
-    ),
+    "invariant-oracle": ({}, JOIN, BOTH, {"oracle": True}, "vector-adaptive"),
     "fault-plan": (
         {}, JOIN, BOTH, {"fault_plan": FaultPlan.from_json('{"seed": 1}')},
-        "vector-adaptive", None,
+        "vector-adaptive",
     ),
-    # -- gates: a shape the kernels do not cover -------------------------
+    # -- what were gates: the cascade runs them ---------------------------
     # No index on B.aid: what an unindexed join column means.
     "hash-probed": (
         {"indexes": (("A", "id"), ("A", "x"))}, JOIN, BOTH, {},
-        "scalar", "leg 'b': hash-probed or uncompiled access",
+        "vector-adaptive",
     ),
     # No index at all: whichever leg is inner is hash-probed.
-    "non-indexed-probe": (
-        {"indexes": ()}, JOIN, BOTH, {}, "scalar",
-        LEG + "hash-probed or uncompiled access",
-    ),
+    "non-indexed-probe": ({"indexes": ()}, JOIN, BOTH, {}, "vector-adaptive"),
     "residual-join": (
         {},
         "SELECT a.id FROM A a, B b WHERE b.aid = a.id AND b.v = a.x",
-        BOTH, {}, "scalar", LEG + "residual join predicates",
+        BOTH, {}, "vector-adaptive",
     ),
+}
+
+#: id -> (sql, error type, message pattern): what were the two type gates,
+#: now errors on both stores (DESIGN.md Sec 2).
+REFUSED = {
+    # An ordering a column cannot take against its constant's type (the
+    # interpreter raised TypeError on the first row; no mask existed).
     "non-vectorizable-locals": (
-        {},
-        "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.big >= 10",
-        BOTH, {}, "scalar", "leg 'a': non-vectorizable local predicates",
+        "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND a.s >= 10",
+        QueryError, "cannot order string column 's' against 10",
     ),
+    # Key domains that do not compare (no rank translation existed).
     "untranslatable-key": (
-        {"a_ids": [2**70, *range(1, 50)]}, JOIN, BOTH, {},
-        "scalar", LEG + "untranslatable key column",
+        "SELECT a.id, b.v FROM A a, B b WHERE b.aid = a.id AND b.s = a.x",
+        QueryError, "compares a string column with a number",
     ),
 }
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", [*CASES, *REFUSED])
 def test_dispatch(case):
-    shape, sql, config, kwargs, engine, gate = CASES[case]
+    if case in REFUSED:
+        sql, error, message = REFUSED[case]
+        for backend in ("row", "columnar"):
+            with pytest.raises(error, match=message):
+                build(backend).execute(sql, BOTH)
+            # An INT past int64 (what once boxed a column) does not load.
+            with pytest.raises(StorageError, match="64-bit"):
+                build(backend, a_ids=[2**70, *range(1, 50)])
+        return
+    shape, sql, config, kwargs, engine = CASES[case]
     db = build(**shape)
     kwargs = dict(kwargs)
     recorder = FlightRecorder(capacity=1)
     bundle = recorder.arm(base=kwargs.pop("obs", lambda: None)())
     result = db.execute(sql, config, obs=bundle, **kwargs)
-    assert result.stats.engine == engine
-    if gate is None:
-        assert result.stats.vector_gate is None
-    else:
-        assert re.fullmatch(gate, result.stats.vector_gate), result.stats.vector_gate
+    assert (result.stats.engine, result.stats.vector_gate) == (engine, None)
     # The flight record says what ran: chunk-boundary checks iff the
     # monitored cascade made them.
     record = recorder.finish_query(bundle, result, sql=sql, config=config)
     granularity = "chunk" if engine == "vector-adaptive" else "exact"
     assert record.monitor_granularity == granularity
     assert {d.monitor_granularity for d in record.decisions} <= {granularity}
-    # Whatever ran, it returned the oracle's rows: a row twin's.
-    oracle = build(**{**shape, "backend": "row"}).execute(sql, STATIC)
-    assert (oracle.stats.engine, oracle.stats.vector_gate) == ("scalar", None)
-    assert sorted(result.rows) == sorted(oracle.rows)
+    # Whatever ran, it returned the oracle's rows: a row twin's — in order
+    # and at its every WorkMeter field, run static.
+    twin = build(**{**shape, "backend": "row"})
+    oracle = twin.execute(sql, STATIC)
+    assert oracle.stats.engine == "scalar"
+    assert sorted(result.rows) == sorted(oracle.rows) and oracle.rows
+    static = db.execute(sql, STATIC, **kwargs)
+    assert static.rows == oracle.rows
+    assert dataclasses.asdict(static.stats.work) == dataclasses.asdict(
+        oracle.stats.work
+    )
 
 
 def test_the_store_picks_the_machine_under_the_default_config():
@@ -146,7 +158,7 @@ def test_the_store_picks_the_machine_under_the_default_config():
             "vector-adaptive" if mode.monitors else "vector"
         )
         oracle = row.execute(row.plan(sql), config)
-        assert (oracle.stats.engine, oracle.stats.vector_gate) == ("scalar", None)
+        assert oracle.stats.engine == "scalar"
         assert sorted(engine.rows) == sorted(oracle.rows)
     assert columnar.execute(sql, AdaptiveConfig()).stats.engine == "vector-adaptive"
 
@@ -175,7 +187,6 @@ def test_single_leg_statements_run_the_engine_as_the_oracle():
             assert engine.stats.engine == (
                 "vector-adaptive" if mode.monitors else "vector"
             ), (sql, mode)
-            assert engine.stats.vector_gate is None
             assert engine.rows == oracle.rows and engine.rows, (sql, mode)
             assert engine.stats.total_work == oracle.stats.total_work
         budget = ExecutionLimits(max_rows=7)
@@ -222,7 +233,6 @@ def test_any_controller_runs_the_engine():
     reference = db.execute(JOIN, BOTH)
     assert executor.run_to_completion() == reference.rows
     assert executor.engine_used == "vector-adaptive"
-    assert executor.vector_gate_reason is None
 
 
 def _seen(engine, rows, work, events, history) -> tuple:
@@ -270,11 +280,14 @@ def test_arming_a_check_changes_nothing(monkeypatch):
     assert len(sample) == 24 and decided > 0
 
 
-def test_mid_query_hand_off_continues_on_the_scalar_machine():
-    """A driving switch rebuilds the plan into a shape the gates refuse
-    (here a hash-probed leg): the cascade hands its cursors over at that
-    chunk boundary and the run ends as ``scalar``, the gate naming the
-    refusing leg; see tests/test_vector_limits.py::hand_off_db."""
+def test_a_driving_switch_onto_a_hash_probed_leg_stays_on_the_cascade():
+    """A driving switch rebuilds the plan with a hash-probed leg (``B``
+    once ``C`` drives; see tests/test_vector_limits.py::hand_off_db): the
+    cascade builds B's hash table at that chunk boundary and runs the
+    query to its end, and the whole run replays on the oracle. (Until the
+    cascade ran hash probes it handed its cursors to the scalar machine
+    there.)"""
+    from tests.test_decision_replay import assert_replays
     from tests.test_vector_limits import hand_off_db
 
     config = AdaptiveConfig(
@@ -286,14 +299,16 @@ def test_mid_query_hand_off_continues_on_the_scalar_machine():
     )
     db = hand_off_db("columnar")
     result = db.execute(sql, config)
-    assert result.stats.engine == "scalar"
-    assert re.fullmatch(
-        LEG + "hash-probed or uncompiled access", result.stats.vector_gate
+    assert (result.stats.engine, result.stats.vector_gate) == (
+        "vector-adaptive", None
     )
-    assert result.stats.driving_switches >= 1  # handed off, not gated at the start
+    assert result.stats.driving_switches >= 1  # switched onto it mid-query
+    assert result.stats.work.hash_build_entries > 0
     oracle = hand_off_db("row").execute(sql, STATIC)
     assert oracle.stats.engine == "scalar"
     assert sorted(result.rows) == sorted(oracle.rows) and oracle.rows
+    rows, engine, _ = assert_replays(hand_off_db("row"), db, sql, config)
+    assert rows == result.rows and engine.driving_switches >= 1
 
 
 def _lines_matching(pattern: re.Pattern, paths) -> list[str]:

@@ -151,12 +151,13 @@ class TestCorrectness:
         assert hashed > 0
 
     def test_unindexed_join_is_hash_probed_alike_on_both_stores(self):
-        """The oracle and the columnar store's scalar machine (the cascade
-        refuses the hash-probed leg) run the same hash probe: same rows in
-        the same order, the same WorkMeter, field by field."""
+        """The oracle and the engine (the cascade, probing the columnar
+        build of the same buckets) run the same hash probe: same rows in the
+        same order, the same WorkMeter, field by field."""
         static = AdaptiveConfig(mode=ReorderMode.NONE)
         row = hand_off_db("row").execute(HASHED, static)
         columnar = hand_off_db("columnar").execute(HASHED, static)
+        assert (row.stats.engine, columnar.stats.engine) == ("scalar", "vector")
         assert columnar.rows == row.rows and row.rows
         assert dataclasses.asdict(columnar.stats.work) == dataclasses.asdict(
             row.stats.work

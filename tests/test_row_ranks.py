@@ -5,7 +5,8 @@ source row's key in its distinct-key sidecar (-1 NULL, -2 not in the
 index), so a chunk's key translation is one gather. Three layers:
 
 * the array against the scalar ``rank.get(row[key_slot])``, row by row,
-  for every key type and every refusal;
+  for every key type; the shapes it cannot reproduce are load and
+  planning errors on both stores;
 * its lifetime: ``INSERT`` into either table and ``create_index`` are
   followed by a rebuild, and the engine still returns the row oracle's
   rows, in order, for the same ``WorkMeter``;
@@ -31,7 +32,7 @@ from repro.core.controller import AdaptationController
 from repro.dmv import load_dmv, six_table_workload
 from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.executor.vector import _make_translator
+from repro.errors import QueryError, StorageError
 from repro.storage.columnar import ColumnarIndex, _np
 
 from tests.test_decision_replay import assert_replays
@@ -99,7 +100,7 @@ def test_gather_equals_scalar_rank_lookup_for_every_row(kind, seed):
     assert len(index._keys) < len(index._entries)  # duplicate keys, one rank
     # The cascade's translator is a gather over that array.
     rids = _np.array(rng.choices(range(300), k=64), dtype=_np.int64)
-    translate = _make_translator(column, index)
+    translate = index.row_ranks(column).take
     assert translate(rids).tolist() == [expected[rid] for rid in rids.tolist()]
     assert index.row_ranks(column) is ranks  # built once
 
@@ -125,35 +126,39 @@ def test_int_source_against_a_float_index():
 
 
 def test_refused_shapes_stay_refused():
-    """No array, no translator: the cascade's gate reads as before."""
-    # A boxed (overflowed) INT source column.
-    boxed = two_tables("int", "int", [1, 2**70, None, 3], [1, 3, 3])
-    column, index = source_and_index(boxed)
-    assert column.boxed is not None
-    assert index.row_ranks(column) is None
-    assert _make_translator(column, index) is None
-    # A numeric source against a non-numeric key domain, and the reverse.
+    """The shapes no rank array reproduces cannot be built, on either
+    store: an INT past int64 is a load error (it once boxed the column),
+    and a join between string and numeric key domains is refused when the
+    statement is planned (it once had no translator)."""
+    for backend in ("row", "columnar"):
+        db = Database(backend=backend)
+        db.create_table("t", [("k", "int")])
+        with pytest.raises(StorageError, match="64-bit"):
+            db.insert("t", [(1,), (2**70,)])
+        with pytest.raises(StorageError, match="64-bit"):
+            db.insert("t", [(-(2**63) - 1,)])
+        db.insert("t", [(2**63 - 1,), (-(2**63),)])  # the range's ends load
     mixed = two_tables("int", "string", [1, 2, None], ["a", "b"])
-    assert mixed.catalog.index_on("dst", "k").row_ranks(
-        mixed.catalog.table("src").column_store(0)
-    ) is None
     reverse = two_tables("string", "int", ["a", None], [1, 2])
-    assert _make_translator(*source_and_index(reverse)) is None
-    # A boxed probed column has no numeric key array either.
-    wide = two_tables("int", "int", [1, 2, None], [1, 2**70])
-    assert _make_translator(*source_and_index(wide)) is None
+    for db in (mixed, reverse):
+        with pytest.raises(QueryError, match="string column with a number"):
+            db.execute("SELECT s.tag FROM src s, dst d WHERE s.k = d.k", NONE)
 
 
 def test_refusal_reaches_the_gate_reason():
-    db = two_tables("int", "int", [1, 2**70, 3], [1, 3, 3])
-    db.create_index("src", "k")  # whichever leg the optimizer probes
-    db.analyze()
-    result = db.execute(
-        "SELECT s.tag, d.tag FROM src s, dst d WHERE s.k = d.k", NONE
-    )
-    assert result.stats.engine == "scalar"
-    assert "untranslatable key column" in result.stats.vector_gate
-    assert sorted(result.rows) == [(0, 0), (2, 1), (2, 2)]
+    """Planning is the gate now: the refusal reaches the caller as the
+    error's reason, alike on the row store, before a row is read. (The name
+    is from when ``vector_gate`` named it and the scalar machine ran it.)"""
+    for backend in ("row", "columnar"):
+        db = Database(backend=backend)
+        db.create_table("src", [("k", "string"), ("tag", "int")])
+        db.create_table("dst", [("k", "int"), ("tag", "int")])
+        db.insert("src", [("1", 0)])
+        db.insert("dst", [(1, 0)])
+        meter = db.catalog.meter.snapshot()
+        with pytest.raises(QueryError, match="string column with a number"):
+            db.execute("SELECT s.tag FROM src s, dst d WHERE s.k = d.k", NONE)
+        assert db.catalog.meter.total_units == meter.total_units
 
 
 def test_footprint_counts_the_rank_arrays():
@@ -214,7 +219,7 @@ def twins(source_keys, probed_keys, indexed=True, chain=None):
 def assert_engine_equals_oracle(columnar, row):
     got = columnar.execute(JOIN, NONE)
     want = row.execute(JOIN, NONE)
-    assert got.stats.engine == "vector", got.stats.vector_gate
+    assert got.stats.engine == "vector"
     assert got.rows == want.rows  # in order
     assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
         want.stats.work
@@ -264,8 +269,9 @@ def test_insert_into_either_table_is_followed_by_a_rebuild():
 
 def test_create_index_opens_a_new_pair():
     """Without an index to probe through the join column is hash-probed,
-    which the cascade refuses; once there is an index, the next execution probes through the new (column, index)
-    pair and builds its array."""
+    through the rank array of its hash build; once there is an index, the
+    next execution probes through the new (column, index) pair and builds
+    its array."""
     rng = random.Random(12)
     # dst small enough that driving it and probing src's index beats
     # driving src and hash-probing dst.k, which stays unindexed.
@@ -273,8 +279,10 @@ def test_create_index_opens_a_new_pair():
         keys_of("int", rng, 150, 25), keys_of("int", rng, 20, 25), indexed=False
     )
     before = columnar.execute(JOIN, NONE)
-    assert before.stats.engine == "scalar"
-    assert before.stats.vector_gate.endswith("hash-probed or uncompiled access")
+    oracle = row.execute(JOIN, NONE)
+    assert before.stats.engine == "vector" and before.rows == oracle.rows
+    assert before.stats.work == oracle.stats.work
+    assert before.stats.work.hash_probes > 0
     for db in (columnar, row):
         db.create_index("src", "k")
     after = assert_engine_equals_oracle(columnar, row)
@@ -391,7 +399,7 @@ def test_static_chain_with_absent_keys_equals_the_oracle(
         order = ("s", "d", "f")
         got = columnar.execute(columnar.plan(sql).with_order(order), NONE)
         want = row.execute(row.plan(sql).with_order(order), NONE)
-        assert got.stats.engine == "vector", got.stats.vector_gate
+        assert got.stats.engine == "vector"
         assert got.rows == want.rows and got.rows  # in order
         assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
             want.stats.work
@@ -422,7 +430,7 @@ def test_adaptive_chain_with_absent_keys_equals_the_reference_loop(
     rows, engine, oracle = assert_replays(
         row, columnar, sql, config, order=("s", "f", "d")
     )
-    assert engine.engine_used == "vector-adaptive", engine.vector_gate_reason
+    assert engine.engine_used == "vector-adaptive"
     assert {alias: leg.local_counts for alias, leg in engine.legs.items()} == {
         alias: leg.local_counts for alias, leg in oracle.legs.items()
     }

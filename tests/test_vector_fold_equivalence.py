@@ -31,10 +31,13 @@ import pytest
 
 from repro.core.monitor import AggregatedWindow, LegMonitor
 from repro.db import Database
-from repro.executor.vector import _expand, _make_translator
+from repro.executor.vector import _Probe, _expand, _residual_cells
 from repro.query.predicates import Between, Comparison, IsNull, Op
 from repro.storage.columnar import _np
 from repro.storage.counters import (
+    HASH_BUILD_ENTRY_COST,
+    HASH_MATCH_COST,
+    HASH_PROBE_COST,
     INDEX_DESCEND_COST,
     INDEX_ENTRY_COST,
     PREDICATE_EVAL_COST,
@@ -150,9 +153,10 @@ SOURCE_KEYS = [None, *range(KEY_SPACE + 1), *range(KEY_SPACE + 10, KEY_SPACE + 2
 SOURCE_RID = {key: rid for rid, key in enumerate(SOURCE_KEYS)}
 
 
-def one_leg_plan(db, index, kernel, ntests):
-    """``src(k)`` driving, ``t`` probed through *kernel*: the one-leg plan
-    ``vector._adaptive_plan`` would hand ``_expand``, and its leg."""
+def one_leg_plan(db, index, kernel, ntests, probe=None):
+    """``src(k)`` driving, ``t`` probed through *kernel* (and *probe*): the
+    one-leg plan ``vector._adaptive_plan`` would hand ``_expand``, and its
+    leg."""
     if "src" not in db.catalog.table_names():
         db.create_table("src", [("k", "int")])
         db.insert("src", [(key,) for key in SOURCE_KEYS])
@@ -166,16 +170,16 @@ def one_leg_plan(db, index, kernel, ntests):
         rows_in=0,
         index_matches=0,
         rows_out=0,
+        _hash_tables={},
     )
-    translate = _make_translator(source, index)
-    assert translate is not None
     plan = [
         (
             leg,
             SimpleNamespace(key_alias="src"),
             kernel,
-            translate,
+            index.row_ranks(source).take,
             index.misses_keys_of(source),
+            probe,
         )
     ]
     return leg, plan
@@ -297,9 +301,7 @@ def check_random_leg(rng, rows, npredicates):
     predicates = [random_predicate(rng) for _ in range(npredicates)]
     local_tests = []
     for predicate in predicates:
-        test = predicate.bind(schema)
-        test.predicate = predicate  # as bind_local_tests attaches it
-        local_tests.append((predicate, test))
+        local_tests.append((predicate, predicate.bind(schema)))
     kernel = index.cascade_groups(local_tests)
     assert kernel is not None, "vectorizable leg refused a kernel"
     tests = [test for _, test in local_tests]
@@ -322,6 +324,245 @@ def test_unique_key_gathers_match_scalar_probe_folds(seed, npredicates):
     rng = random.Random(7_272_000 + seed)
     kernel = check_random_leg(rng, unique_key_rows(rng), npredicates)
     assert kernel.unique
+
+
+# ---------------------------------------------------------------------------
+# Hash probes and residual joins: the steps a leg's ``_Probe`` adds.
+#
+# A hash-probed leg (no index on its join column) probes the buckets of a
+# build over the rows passing its locals: the leg's first probe with flow
+# charges the build — a fetch per table row, the locals' short-circuit evals
+# over every row, an entry per passing row with a key — and, monitored, adds
+# table-wide local counts; every probe then charges a probe and its bucket's
+# matches. Residual join terms run after the locals, one eval per candidate
+# still alive, a NULL on either side never matching.
+# ---------------------------------------------------------------------------
+
+
+def local_tests_of(table, predicates) -> list:
+    pairs = []
+    for predicate in predicates:
+        pairs.append((predicate, predicate.bind(table.schema)))
+    return pairs
+
+
+def scalar_hash_build(raw, tests):
+    """The build, reimplemented: ``(buckets, fetches, evals, entries,
+    per-test [evaluated, passed])`` over every row, RID order."""
+    buckets: dict = {}
+    counts = [[0, 0] for _ in tests]
+    evals = entries = 0
+    for rid, row in enumerate(raw):
+        for slot, test in enumerate(tests):
+            evals += 1
+            counts[slot][0] += 1
+            if not test(row):
+                break
+            counts[slot][1] += 1
+        else:
+            if row[0] is not None:
+                buckets.setdefault(row[0], []).append(rid)
+                entries += 1
+    return buckets, len(raw), evals, entries, counts
+
+
+def check_probed_leg(rng, plan, leg, scalar, chunk_keys):
+    """Chunks of src RIDs through the shipped ``_expand`` and through
+    *scalar* (``source rid -> (meter deltas, matches, output RIDs, work)``,
+    one call per probe); compare emitted RIDs, every meter field, the
+    local counts, the flow counters and the window at every boundary."""
+    meter = WorkMeter()
+    scalar_meter = WorkMeter()
+    window_scalar = AggregatedWindow(size=37)
+    incoming = candidates = produced_total = 0
+    for _ in range(rng.randint(2, 6)):  # several chunks: eviction
+        survivors = _np.asarray(chunk_keys(), dtype=_np.int64)
+        ancestors, produced = _expand(meter, plan, "src", survivors)
+        scalar_rows = []
+        sum_matches = 0
+        sum_work = 0.0
+        for source_rid in survivors.tolist():
+            deltas, matches, matched, work = scalar(source_rid)
+            for field, value in deltas.items():
+                setattr(scalar_meter, field, getattr(scalar_meter, field) + value)
+            scalar_meter.monitor_updates += 1
+            scalar_rows += [(source_rid, rid) for rid in matched]
+            sum_matches += matches
+            sum_work += work
+        flow = len(survivors)
+        window_scalar.observe_chunk(flow, sum_matches, len(scalar_rows), sum_work)
+        incoming += flow
+        candidates += sum_matches
+        produced_total += len(scalar_rows)
+        assert produced == len(scalar_rows)
+        assert (
+            list(zip(ancestors["src"].tolist(), ancestors["t"].tolist()))
+            == scalar_rows
+        )
+        assert dataclasses.asdict(meter) == dataclasses.asdict(scalar_meter)
+        assert leg.incoming_since_check == incoming
+        assert (leg.rows_in, leg.index_matches, leg.rows_out) == (
+            incoming, candidates, produced_total,
+        )
+        window = leg.monitor.window
+        assert len(window) == len(window_scalar)
+        assert window.sum_matches == window_scalar.sum_matches
+        assert window.sum_output == window_scalar.sum_output
+        assert window.sum_work == window_scalar.sum_work
+    return produced_total
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hash_probed_leg_folds_match_scalar_hash_probe_folds(seed):
+    """No index on ``t.k``: the cascade probes the hash build's buckets.
+    The first probe carries the build's work into its chunk's fold and the
+    build's table-wide counts into the leg's local counts; no probe
+    evaluates a local predicate after that."""
+    rng = random.Random(4_848_000 + seed)
+    db = Database(backend="columnar")
+    db.create_table(
+        "t", [("k", "int"), ("a", "int"), ("b", "float"), ("s", "string")]
+    )
+    db.insert("t", random_rows(rng, rng.randint(1, 150)))
+    table = db.catalog.table("t")
+    raw = table.raw_rows()
+    local_tests = local_tests_of(
+        table, [random_predicate(rng) for _ in range(rng.randrange(3))]
+    )
+    tests = [test for _, test in local_tests]
+    build = table.hash_build("k", local_tests)
+    assert table.hash_build("k", local_tests) is build  # one per version
+    assert "k" not in db.catalog.indexes_of("t")  # unregistered
+    buckets, fetches, evals, entries, build_counts = scalar_hash_build(
+        raw, tests
+    )
+    assert (build.rows, build.evals, build.entries) == (fetches, evals, entries)
+    leg, plan = one_leg_plan(
+        db, build.index, build.kernel, len(tests), _Probe(build, ())
+    )
+    built = []
+
+    def scalar(source_rid):
+        key = SOURCE_KEYS[source_rid]
+        bucket = buckets.get(key, []) if key is not None else []
+        deltas = {"hash_probes": 1, "hash_matches": len(bucket)}
+        work = HASH_PROBE_COST + len(bucket) * HASH_MATCH_COST
+        if not built:  # the leg's first probe builds
+            built.append(True)
+            deltas.update(
+                row_fetches=fetches,
+                predicate_evals=evals,
+                hash_build_entries=entries,
+            )
+            work += (
+                fetches * ROW_FETCH_COST
+                + evals * PREDICATE_EVAL_COST
+                + entries * HASH_BUILD_ENTRY_COST
+            )
+        return deltas, len(bucket), bucket, work
+
+    def chunk_keys():
+        return [SOURCE_RID[key] for key in random_probe_keys(rng, rng.randint(1, 60))]
+
+    check_probed_leg(rng, plan, leg, scalar, chunk_keys)
+    # Table-wide, once: what the build counted, not what the probes saw.
+    assert leg.local_counts == build_counts
+    assert leg._hash_tables == {"k": build}
+    assert build.kernel.unique == (
+        max(map(len, buckets.values()), default=0) <= 1
+    )
+
+
+@pytest.mark.parametrize("nterms", [1, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_residual_join_folds_match_scalar_residual_probe_folds(seed, nterms):
+    """Residual join terms on an index-probed leg, NULL cells on both
+    sides and strings the leg never holds included: the mask over the
+    expanded tuples charges what ``_passes_residuals`` charges, term by
+    term, and the fold's output is the masked count."""
+    rng = random.Random(3_737_000 + seed)
+    db = Database(backend="columnar")
+    db.create_table(
+        "t", [("k", "int"), ("a", "int"), ("b", "float"), ("s", "string")]
+    )
+    rows = [
+        (k, None if a is None else a % 3, b, s)
+        for k, a, b, s in random_rows(rng, rng.randint(1, 150))
+    ]
+    db.insert("t", rows)
+    db.create_index("t", "k")
+    # Three src rows per key, with the outer cells the residuals compare.
+    db.create_table("src", [("k", "int"), ("ra", "int"), ("rs", "string")])
+    source_rows = [
+        (
+            key,
+            None if rng.random() < 0.2 else rng.randint(0, 2),
+            None if rng.random() < 0.2 else rng.choice((*STRINGS, "zeta")),
+        )
+        for key in SOURCE_KEYS
+        for _ in range(3)
+    ]
+    db.insert("src", source_rows)
+    table = db.catalog.table("t")
+    source = db.catalog.table("src")
+    index = db.catalog.index_on("t", "k")
+    raw = table.raw_rows()
+    local_tests = local_tests_of(
+        table, [random_predicate(rng) for _ in range(rng.randrange(2))]
+    )
+    tests = [test for _, test in local_tests]
+    # (outer slot, own slot) per term, in the probe config's order.
+    terms = rng.sample([(1, 1), (2, 3)], nterms)
+    probe = _Probe(
+        None,
+        tuple(
+            ("src", *_residual_cells(source, outer, table, own))
+            for outer, own in terms
+        ),
+    )
+    leg, plan = one_leg_plan(
+        db, index, index.cascade_groups(local_tests), len(tests), probe
+    )
+    lookup = rids_by_key(index)
+    scalar_counts = [[0, 0] for _ in tests]
+
+    def scalar(source_rid):
+        outer_row = source_rows[source_rid]
+        descends, entries, fetched, evals, counts, matched = scalar_probe(
+            outer_row[0], lookup, raw, tests
+        )
+        for slot, (evaluated, passed) in enumerate(counts):
+            scalar_counts[slot][0] += evaluated
+            scalar_counts[slot][1] += passed
+        out = []
+        for rid in matched:
+            for outer, own in terms:
+                evals += 1
+                cell = raw[rid][own]
+                if cell is None or cell != outer_row[outer]:
+                    break
+            else:
+                out.append(rid)
+        deltas = {
+            "index_descends": descends,
+            "index_entries": entries,
+            "row_fetches": fetched,
+            "predicate_evals": evals,
+        }
+        work = (
+            descends * INDEX_DESCEND_COST
+            + entries * INDEX_ENTRY_COST
+            + fetched * ROW_FETCH_COST
+            + evals * PREDICATE_EVAL_COST
+        )
+        return deltas, fetched, out, work
+
+    def chunk_keys():
+        return rng.choices(range(len(source_rows)), k=rng.randint(1, 60))
+
+    check_probed_leg(rng, plan, leg, scalar, chunk_keys)
+    assert leg.local_counts == scalar_counts
+    assert leg.rows_out < leg.index_matches  # not vacuous: the mask cut
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +634,7 @@ def check_frozen_leg(rng, rows, scan_order):
         )
     local_tests = []
     for predicate in predicates:
-        test = predicate.bind(table.schema)
-        test.predicate = predicate
-        local_tests.append((predicate, test))
+        local_tests.append((predicate, predicate.bind(table.schema)))
     base = index.cascade_groups(local_tests)
     tests = [test for _, test in local_tests]
     lookup = rids_by_key(index)
@@ -469,7 +708,6 @@ def test_positional_kernel_tie_at_the_rid_boundary():
     table = db.catalog.table("t")
     predicate = IsNull("sk", negated=True)
     test = predicate.bind(table.schema)
-    test.predicate = predicate
     index = db.catalog.index_on("t", "k")
     base = index.cascade_groups([(predicate, test)])
     rank = index._sidecar()[0]
