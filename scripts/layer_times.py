@@ -21,14 +21,31 @@ a few microseconds a call, so read the numbers against another run of
 this script, not against an unwrapped pass. A ledger, not a gate: no
 thresholds.
 
+``--served`` times a served request instead, in-process: the 40
+statement/mode pairs of the served workload (12 four-table and 8 six-table
+statements at an even stride through their grids, modes none and both) go
+through :func:`repro.server.server.answer` on a
+:class:`~repro.server.server.DatabaseEngine` the way an engine process
+answers them, and the table gives per request the time of ``execute``
+(``Database.execute``), ``record`` (the flight record), ``pack``,
+``reply`` (the reply payload), ``encode`` (the reply line), ``counters``
+and ``header`` (the header pickle ``engine_main`` sends), each the minimum
+over interleaved passes, and ``answer - execute``: what a request costs the
+engine process beyond its execution, from passes that wrap nothing else.
+It fails (exit 1) when a reply's rows differ from ``Database.execute``'s.
+
 Usage::
 
     PYTHONPATH=src python scripts/layer_times.py --grid six --mode none
+    PYTHONPATH=src python scripts/layer_times.py --served --scale 0.1
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import pickle
+import sys
 from statistics import median
 from time import perf_counter
 
@@ -37,6 +54,11 @@ from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor import pipeline, vector
 from repro.executor.pipeline import PipelineExecutor
+from repro.obs.recorder import FlightRecorder
+from repro.robustness.limits import SharedCancellationToken
+from repro.server import server
+from repro.server.admission import ServerConfig
+from repro.server.server import DatabaseEngine, answer
 
 LAYERS = [
     (Database, "_plan_sql"),
@@ -95,20 +117,138 @@ def print_layers(title: str, passes: list) -> None:
         print(f"{label:<42}{low * 1e3:>9.1f}{mid * 1e3:>11.1f}{share:>8.1%}")
 
 
+def grid_sqls(grid: str) -> list[str]:
+    workload = (
+        four_table_workload(queries_per_template=10**9)
+        if grid == "four"
+        else six_table_workload(count=10**9)
+    )
+    return [query.sql for query in workload]
+
+
+#: The served workload's statements: this many from each grid, at an even
+#: stride, each in modes none and both.
+SERVED = {"four": 12, "six": 8}
+
+#: Served-request steps: (owner, attribute, label).
+SERVED_STEPS = [
+    (FlightRecorder, "build_record", "record"),
+    (FlightRecorder, "pack", "pack"),
+    (server, "ok_response", "reply"),
+    (server, "encode_response", "encode"),
+    (DatabaseEngine, "counters", "counters"),
+]
+
+
+def served(args) -> int:
+    """The ``--served`` table; 1 when a reply's rows are not
+    ``Database.execute``'s."""
+    chosen = []
+    for grid, count in SERVED.items():
+        population = grid_sqls(grid)
+        chosen += [
+            population[i * len(population) // count] for i in range(count)
+        ]
+    pairs = [(sql, mode) for sql in chosen for mode in ("none", "both")]
+    db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
+    server_config = ServerConfig()
+    engine = DatabaseEngine(db, server_config)
+    engine.prepare_fork()
+    token = SharedCancellationToken()
+    budgets = (
+        server_config.default_max_rows,
+        server_config.max_work_units,
+        server_config.default_timeout_ms / 1000.0,
+    )
+    context = {"session": "session-1", "shed": "none", "queued_ms": 0.0}
+
+    def request(index: int) -> tuple:
+        sql, mode = pairs[index]
+        return (sql, mode, budgets, index, context)
+
+    spent: dict[str, float] = {"execute": 0.0}
+    inside: list[float] = []
+    execute = db.execute
+    db.execute = timed(execute, spent, "execute", inside)
+    originals = [getattr(owner, name) for owner, name, _ in SERVED_STEPS]
+
+    def wrap_steps(on: bool) -> None:
+        for (owner, name, label), function in zip(SERVED_STEPS, originals):
+            spent.setdefault(label, 0.0)
+            if on:
+                function = timed(function, spent, label, inside)
+            setattr(owner, name, function)
+
+    # Three executions of every pair: a text's first monitored run in a
+    # mode learns, the runs after it run the lesson.
+    for _ in range(3):
+        for index in range(len(pairs)):
+            answer(engine, request(index), token)
+    mismatched = 0
+    for index, (sql, mode) in enumerate(pairs):
+        _, line = answer(engine, request(index), token)
+        rows = execute(sql, AdaptiveConfig(mode=ReorderMode(mode))).rows
+        want = json.loads(json.dumps([list(row) for row in rows], default=str))
+        mismatched += json.loads(line)["rows"] != want
+
+    # best[step][pair]: the pair's fastest time for the step over passes.
+    best: dict[str, list[float]] = {}
+
+    def keep(label: str, index: int, seconds: float) -> None:
+        row = best.setdefault(label, [float("inf")] * len(pairs))
+        row[index] = min(row[index], seconds)
+
+    for number in range(2 * args.passes):
+        stepped = number % 2 == 1
+        wrap_steps(stepped)
+        shift = number // 2
+        for offset in range(len(pairs)):
+            index = (offset + shift) % len(pairs)
+            for label in spent:
+                spent[label] = 0.0
+            start = perf_counter()
+            header, _ = answer(engine, request(index), token)
+            took = perf_counter() - start
+            if not stepped:
+                keep("answer", index, took)
+                keep("answer - execute", index, took - spent["execute"])
+                continue
+            start = perf_counter()
+            pickle.dumps(header, pickle.HIGHEST_PROTOCOL)
+            keep("header", index, perf_counter() - start)
+            for label, seconds in spent.items():
+                keep(label, index, seconds)
+    wrap_steps(False)
+
+    print(
+        f"served pairs through answer(), scale {args.scale}: {len(pairs)} "
+        f"requests, {args.passes} passes; per request, the mean over the "
+        "requests of each one's fastest pass"
+    )
+    print(f"{'step':<20}{'us':>9}")
+    labels = ["execute"] + [label for _, _, label in SERVED_STEPS]
+    for label in labels + ["header", "answer", "answer - execute"]:
+        row = best[label]
+        print(f"{label:<20}{sum(row) / len(row) * 1e6:>9.1f}")
+    print(
+        f"rows: {len(pairs) - mismatched} of {len(pairs)} replies match "
+        "Database.execute"
+    )
+    return 1 if mismatched else 0
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", choices=("four", "six"), default="six")
     parser.add_argument("--mode", choices=("none", "both"), default="none")
     parser.add_argument("--scale", type=float, default=0.1)
     parser.add_argument("--passes", type=int, default=9)
+    parser.add_argument("--served", action="store_true")
     args = parser.parse_args()
+    if args.served:
+        sys.exit(served(args))
 
-    workload = (
-        four_table_workload(queries_per_template=10**9)
-        if args.grid == "four"
-        else six_table_workload(count=10**9)
-    )
-    sqls = [query.sql for query in workload]
+    sqls = grid_sqls(args.grid)
     config = AdaptiveConfig(mode=ReorderMode(args.mode))
     db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
     spent: dict[str, float] = {}

@@ -108,7 +108,8 @@ class PreparedPlan(NamedTuple):
     (:meth:`PipelinePlan.prepared`, by :func:`_prepare`) and installed by
     every execution of the plan, in every mode and on every thread, so
     nothing in here may change after construction: the arrays are
-    read-only, the records frozen.
+    read-only, the records frozen. The one exception is
+    :attr:`summaries`, a memo filled once per key and read-only after.
     """
 
     # id() of the plan it was built for: a feedback plan starts from its
@@ -124,6 +125,10 @@ class PreparedPlan(NamedTuple):
     # the starting inner legs' kernels and key gathers plus the fresh
     # driving walk; None on a row database.
     cascade: Any
+    # {final order: (final legs, legs summary)} of an unmonitored run that
+    # ended as this record describes it: what the flight recorder reads of
+    # such a run is the record's (obs.recorder.FlightRecording.on_finish).
+    summaries: dict
 
 
 def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
@@ -193,6 +198,7 @@ def _prepare(
             if catalog.backend is COLUMNAR_BACKEND
             else None
         ),
+        summaries={},
     )
 
 

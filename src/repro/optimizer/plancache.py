@@ -17,9 +17,11 @@ record (:meth:`~repro.optimizer.plans.PipelinePlan.prepared`) built for a
 generation that is gone: kernels, rank arrays, scan arrays.
 
 The key is found once per raw text: a memo maps each text the cache was
-asked for to its normalized form, so a repeated statement runs the
-normalizing regex once, not on every lookup. The memo keeps at most
-``capacity`` texts, first in, first out.
+asked for to its normalized form and its template signature
+(:func:`~repro.query.sql.normalize.template_signature`), so a repeated
+statement runs neither regex again — not for the lookup, and not for the
+flight record, which takes both from :meth:`PlanCache.texts`. The memo
+keeps at most ``capacity`` texts, first in, first out.
 
 Single-flight: when N threads miss on the same key at once, one becomes
 the *leader* and plans; the other N-1 block on the entry's event and reuse
@@ -53,7 +55,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, NamedTuple
 
-from repro.query.sql.normalize import normalize_sql
+from repro.query.sql.normalize import normalize_sql, template_signature
 
 #: get_or_plan outcomes (``ExecutionStats.plan_cache``, the wire field
 #: ``stats.plan_cache``, metrics labels).
@@ -120,8 +122,9 @@ class PlanCache:
         # OrderedDict for LRU order.
         self._entries: "OrderedDict[str, CachedPlan]" = OrderedDict()
         self._in_flight: dict[str, _InFlight] = {}
-        # Raw text -> normalized key (at most ``capacity`` texts).
-        self._keys: dict[str, str] = {}
+        # Raw text -> (normalized key, template signature), at most
+        # ``capacity`` texts.
+        self._keys: dict[str, tuple[str, str]] = {}
         # The catalog generation of the latest lookup: every entry's.
         self._generation: tuple | None = None
         self.hits = 0
@@ -170,13 +173,14 @@ class PlanCache:
             with self._lock:
                 self.misses += 1
             return CachedPlan(None, planner(sql), None), OFF, None
-        key = self._keys.get(sql)
-        if key is None:
-            key = normalize_sql(sql)
+        texts = self._keys.get(sql)
+        if texts is None:
+            texts = (normalize_sql(sql), template_signature(sql))
             with self._lock:
                 if len(self._keys) >= self.capacity:
                     del self._keys[next(iter(self._keys))]
-                self._keys[sql] = key
+                self._keys[sql] = texts
+        key = texts[0]
         while True:
             with self._lock:
                 if generation != self._generation:
@@ -227,6 +231,11 @@ class PlanCache:
             # Leader failed, or planned under a different catalog
             # generation than ours — loop around and retry as a new
             # leader (the locked lookup re-validates the cached entry).
+
+    def texts(self, sql: str) -> tuple[str, str] | None:
+        """``(normalized text, template signature)`` of *sql* when a lookup
+        of that very text is still in the memo, else None."""
+        return self._keys.get(sql)
 
     def write_feedback(
         self, entry: CachedPlan, generation: tuple, plan: Any, mode: Any

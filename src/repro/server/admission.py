@@ -47,6 +47,9 @@ from repro.server.session import Session
 SHED_NONE = "none"      # requested config
 SHED_STATIC = "static"  # strip the adaptive layer: static plan
 
+#: What a served query executes with, by mode value: the mode's defaults.
+CONFIGS = {mode.value: AdaptiveConfig(mode=mode) for mode in ReorderMode}
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -204,7 +207,9 @@ class AdmissionController:
     def apply_shed(
         self, request: QueryRequest, shed: str
     ) -> AdaptiveConfig:
-        """The :class:`AdaptiveConfig` actually executed for *request*.
+        """The :class:`AdaptiveConfig` actually executed for *request*: a
+        mode's defaults, one of :data:`CONFIGS` (a served request crosses
+        to its engine as the mode alone).
 
         ``none``   → requested mode;
         ``static`` → mode NONE (static plan, no monitors), counted in
@@ -214,7 +219,7 @@ class AdmissionController:
         if shed == SHED_STATIC:
             self.shed_static_total += 1
             mode = ReorderMode.NONE
-        return AdaptiveConfig(mode=mode)
+        return CONFIGS[mode.value]
 
     def build_limits(
         self,

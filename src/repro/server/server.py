@@ -55,8 +55,7 @@ import socket
 import struct
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Any, NoReturn
+from typing import Any, NamedTuple, NoReturn
 
 from repro.db import Database
 from repro.obs.metrics import (
@@ -72,6 +71,7 @@ from repro.robustness.limits import (
     SharedCancellationToken,
 )
 from repro.server.admission import (
+    CONFIGS,
     AdmissionController,
     ServerConfig,
 )
@@ -89,6 +89,7 @@ from repro.server.protocol import (
 )
 from repro.server.scheduler import FairScheduler
 from repro.server.session import PendingQuery, Session, TokenBucket
+from repro.storage.columnar import ColumnarIndex, ColumnarTable
 
 logger = logging.getLogger(__name__)
 
@@ -109,10 +110,11 @@ _FRAME = struct.Struct("!II")
 
 #: Plan-cache fields that are a state, not a count of events.
 _CACHE_LEVELS = ("size", "capacity")
+#: ``PlanCache.stats()`` keys, in the order of the counters an engine sends.
+_CACHE_KEYS = tuple(PlanCache(0).stats())
 
 
-@dataclass(frozen=True)
-class EngineResult:
+class EngineResult(NamedTuple):
     """What one engine execution produced, ready for serialization."""
 
     rows: list[tuple]
@@ -175,7 +177,8 @@ class DatabaseEngine:
             slow_query_ms=config.slow_query_ms,
         )
         self._columnar_indexes: list = []
-        self._kernel_bytes = (-1, 0)  # (arrays built, their bytes)
+        # (ColumnarIndex.memo_changes at the last measure, the bytes)
+        self._kernel_bytes = (-1, 0)
 
     def prepare_fork(self) -> None:
         """Build, in the forking process, what every plan shares and no
@@ -184,8 +187,6 @@ class DatabaseEngine:
         index, every columnar table's numpy column arrays, every columnar
         index's sidecar. Cheap when nothing moved since the last call.
         """
-        from repro.storage.columnar import ColumnarIndex, ColumnarTable
-
         catalog = self.db.catalog
         self._columnar_indexes = []
         for name in catalog.table_names():
@@ -231,17 +232,23 @@ class DatabaseEngine:
                 outcome=outcome,
                 error=error,
                 wall_ms=(time.perf_counter() - started) * 1000.0,
+                texts=self.db.plan_cache.texts(sql),
                 **(context or {}),
             )
             raise EngineFailure(
                 outcome, code, self.recorder.pack(record)
             ) from error
         record = self.recorder.build_record(
-            bundle, result, sql=sql, config=config, **(context or {})
+            bundle,
+            result,
+            sql=sql,
+            config=config,
+            texts=self.db.plan_cache.texts(sql),
+            **(context or {}),
         )
         return EngineResult(
             rows=result.rows,
-            work_units=result.stats.total_work,
+            work_units=record.work_units,
             wall_ms=result.stats.wall_seconds * 1000.0,
             switches=result.stats.total_switches,
             degraded=result.stats.degraded,
@@ -251,24 +258,21 @@ class DatabaseEngine:
             record=self.recorder.pack(record),
         )
 
-    def counters(self) -> dict:
-        """This process's plan-cache counters and kernel-plan bytes; rides
-        on every reply. The bytes are re-measured when the number of
-        kernels and row-rank arrays moved (a swap inside a full 16-kernel
-        memo is seen with the next one that is not)."""
-        built = sum(
-            len(index._kernels) + len(index._row_ranks)
-            for index in self._columnar_indexes
-        )
-        if built != self._kernel_bytes[0]:
+    def counters(self) -> tuple:
+        """This process's plan-cache counters (the values of
+        ``PlanCache.stats()``, in its order) and kernel-plan bytes; rides
+        on every reply. The bytes are re-measured when a columnar index's
+        memos changed since (``ColumnarIndex.memo_changes``)."""
+        changes = ColumnarIndex.memo_changes
+        if changes != self._kernel_bytes[0]:
             self._kernel_bytes = (
-                built,
+                changes,
                 sum(i.kernel_footprint() for i in self._columnar_indexes),
             )
-        return {
-            "plan_cache": self.db.plan_cache.stats(),
-            "kernel_plan_bytes": self._kernel_bytes[1],
-        }
+        return (
+            tuple(self.db.plan_cache.stats().values()),
+            self._kernel_bytes[1],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +294,28 @@ def answer(
 ) -> tuple[dict, bytes]:
     """One request through *engine*: the reply header and the reply line.
 
+    A request is ``(sql, mode value, (max rows, max work units, timeout
+    seconds), request id, context)``; the header a flat dict of plain
+    values — the packed flight record as a tuple
+    (:class:`~repro.obs.recorder.PackedRecord`'s fields), the counters as
+    :meth:`DatabaseEngine.counters` returns them — so that pickling it
+    copies the record's bytes once and runs no Python code.
+
     The exception an execution raises is classified where it is caught,
     once — by the engine that has a flight record to write the outcome
     into (:class:`EngineFailure`), here for one that has none — for the
     metrics (``outcome``), the record and the reply (``code``); no
     exception object leaves the process.
     """
-    sql, config, budgets, request_id, context = request
+    sql, mode, budgets, request_id, context = request
+    config = CONFIGS[mode]
     limits = ExecutionLimits(*budgets, cancellation=token)
     try:
         result = engine.execute(sql, config, limits, context)
     except EngineFailure as failure:
         outcome, code, record = failure.args
         payload = error_reply(request_id, code, failure.__cause__)
-        header = {"outcome": outcome, "record": record}
+        header = {"outcome": outcome, "record": tuple(record)}
     except Exception as error:
         outcome, code = classify_error(error, token.cancelled)
         payload = error_reply(request_id, code, error)
@@ -329,7 +341,7 @@ def answer(
             "outcome": "ok",
             "engine": result.engine,
             "rows": len(result.rows),
-            "record": record,
+            "record": tuple(record) if record is not None else None,
         }
     counters = getattr(engine, "counters", None)
     header["counters"] = counters() if counters is not None else None
@@ -415,10 +427,11 @@ class EngineProcess:
         """What this engine's plan cache counted since the fork."""
         if self.counters is None:
             return {}
-        before = self.baseline["plan_cache"]
         return {
-            key: value - before[key]
-            for key, value in self.counters["plan_cache"].items()
+            key: value - before
+            for key, value, before in zip(
+                _CACHE_KEYS, self.counters[0], self.baseline[0]
+            )
             if key not in _CACHE_LEVELS
         }
 
@@ -866,12 +879,13 @@ class QueryServer:
         process = await self._live_engine(index)
         queued_ms = (time.perf_counter() - pending.enqueued_at) * 1000.0
         # Everything the engine needs to run the query and to finish the
-        # reply line: the statement, the shed-applied config, the clamped
-        # budgets, and what only this side knows of the request.
+        # reply line: the statement, the shed-applied mode (the config is
+        # its defaults: admission.CONFIGS), the clamped budgets, and what
+        # only this side knows of the request.
         message = pickle.dumps(
             (
                 request.sql,
-                applied,
+                applied.mode.value,
                 (
                     limits.max_rows,
                     limits.max_work_units,
@@ -919,6 +933,7 @@ class QueryServer:
             )
         record = header.get("record")
         if record is not None:
+            record = PackedRecord._make(record)
             self.engine.recorder.ingest(record)
             if record.slow and outcome == "ok":
                 self.metrics.counter("server_slow_queries_total").inc()
@@ -1051,12 +1066,10 @@ class QueryServer:
             for process in reporting:
                 for key, value in process.plan_cache_events().items():
                     plan_cache[key] += value
+                levels = dict(zip(_CACHE_KEYS, process.counters[0]))
                 for key in _CACHE_LEVELS:
-                    plan_cache[key] += process.counters["plan_cache"][key]
-                kernel_bytes += (
-                    process.counters["kernel_plan_bytes"]
-                    - process.baseline["kernel_plan_bytes"]
-                )
+                    plan_cache[key] += levels[key]
+                kernel_bytes += process.counters[1] - process.baseline[1]
             storage = dict(storage, kernel_plan_bytes=kernel_bytes)
         record_storage_gauges(self.metrics, storage)
         record_plan_cache_gauges(self.metrics, plan_cache)

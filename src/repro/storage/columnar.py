@@ -591,6 +591,13 @@ class HashBuild(NamedTuple):
 class ColumnarIndex(SortedIndex):
     """A :class:`SortedIndex` with flat-array probing and group kernels."""
 
+    #: Changes to the memos of every columnar index in this process: a
+    #: sidecar (re)built, which empties them, a group kernel or a row-rank
+    #: array built. Who reports :meth:`kernel_footprint` re-measures when
+    #: it moved, instead of re-counting the memos on every read.
+    memo_changes = 0
+    _memo_changes_lock = threading.Lock()
+
     __slots__ = (
         "_gen",
         "_rank",
@@ -687,6 +694,12 @@ class ColumnarIndex(SortedIndex):
             self._keys_np.setflags(write=False)
         self._kernels = {}
         self._row_ranks = {}
+        self._memo_changed()
+
+    @staticmethod
+    def _memo_changed() -> None:
+        with ColumnarIndex._memo_changes_lock:
+            ColumnarIndex.memo_changes += 1
 
     # -- vectorized group kernels ---------------------------------------
     def _kernel_for(self, local_tests: Sequence, predicates_key: tuple):
@@ -699,6 +712,7 @@ class ColumnarIndex(SortedIndex):
                 if len(self._kernels) >= 16:  # bound the per-generation memo
                     self._kernels.pop(next(iter(self._kernels)))
                 self._kernels[predicates_key] = kernel
+                self._memo_changed()
         return kernel
 
     def _build_kernel(self, local_tests: Sequence) -> "_Kernel":
@@ -770,6 +784,7 @@ class ColumnarIndex(SortedIndex):
                 held = self._row_ranks[source_column] = (
                     rows, ranks, bool((ranks == -2).any())
                 )
+                self._memo_changed()
         return held[1]
 
     def misses_keys_of(self, source_column) -> bool:

@@ -95,7 +95,9 @@ class TestProtocol:
             line = encode_response(payload)
             assert line.endswith(b"\n")
             assert json.loads(line) == json.loads(json.dumps(payload))
-        assert ok["row_count"] == 1 and ok["rows"] == [[1, "a"]]
+        # The payload keeps the engine's row tuples; the line has arrays.
+        assert ok["row_count"] == 1 and ok["rows"] == [(1, "a")]
+        assert json.loads(encode_response(ok))["rows"] == [[1, "a"]]
         assert err["code"] == "RATE_LIMITED"
 
     def test_normalize_collapses_whitespace_outside_literals(self):

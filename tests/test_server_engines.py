@@ -328,11 +328,10 @@ class Raising:
 def ask(engine, token=None, sql="SELECT 1"):
     """One request through ``answer``, as an engine process runs it."""
     request = parse_query_request({"op": "query", "sql": sql})
-    config = AdaptiveConfig(mode=request.mode)
     context = {"session": "session-1", "shed": "none", "queued_ms": 0.0}
     header, line = answer(
         engine,
-        (sql, config, (None, None, None), 7, context),
+        (sql, request.mode.value, (None, None, None), 7, context),
         token or SharedCancellationToken(),
     )
     return header, json.loads(line)
@@ -388,7 +387,8 @@ class TestClassification:
 
             monkeypatch.setattr(db, "execute", failing)
             header, _ = ask(engine)
-            record = header["record"].unpack()
+            # The header carries the packed record's fields, flat.
+            record = PackedRecord._make(header["record"]).unpack()
             assert record.outcome == header["outcome"]
             assert header["outcome"] == EXPECTED[cls.__name__][0]
             assert record.error == f"{cls.__name__}: synthetic"
