@@ -16,7 +16,10 @@ reported apart, each with its checks, applied switches and the executions
 that ran a learned plan, and each with its own layer table. Each row
 also counts the pass's inner-leg steps by how ``vector._expand`` took
 them: ``unique`` gathers through a kernel no key of which has more than
-one passing row (``_Kernel.unique``), ``csr`` expands. The wrappers cost
+one passing row (``_Kernel.unique``), ``csr`` expands; ``us/step`` is
+``_expand``'s time over those steps. The ``floor`` line gives, per
+statement, the pass's time outside ``_expand`` and ``_project``: what an
+execution costs beyond its join and its rows. The wrappers cost
 a few microseconds a call, so read the numbers against another run of
 this script, not against an unwrapped pass. A ledger, not a gate: no
 thresholds.
@@ -293,16 +296,24 @@ def main() -> None:
     print(
         f"{'execution':<12}{'pass ms':>9}{'hooks ms':>10}{'_expand ms':>12}"
         f"{'checks':>8}{'switches':>10}{'learned':>9}{'unique':>8}{'csr':>7}"
+        f"{'us/step':>9}"
     )
     names = [str(number + 1) for number in range(learning)] + [f"{learning + 1}+"]
-    for name, (layers, (_, checks, switches, learned, unique, csr)) in zip(
-        names, measured[:learning] + [fastest]
-    ):
+    shown = list(zip(names, measured[:learning] + [fastest]))
+    for name, (layers, (_, checks, switches, learned, unique, csr)) in shown:
+        expand = layers["vector._expand"]
         print(
             f"{name:<12}{layers['pass'] * 1e3:>9.1f}"
             f"{sum(layers[label] for label in hooks) * 1e3:>10.1f}"
-            f"{layers['vector._expand'] * 1e3:>12.1f}"
+            f"{expand * 1e3:>12.1f}"
             f"{checks:>8d}{switches:>10d}{learned:>9d}{unique:>8d}{csr:>7d}"
+            f"{expand * 1e6 / max(unique + csr, 1):>9.2f}"
+        )
+    for name, (layers, _) in shown:
+        floor = layers["pass"] - layers["vector._expand"] - layers["vector._project"]
+        print(
+            f"floor (execution {name}): {floor * 1e6 / len(sqls):.1f} us a "
+            "statement outside _expand and _project"
         )
     for name, (layers, _) in zip(names, measured[:learning]):
         print_layers(f"layer (execution {name})", [layers])

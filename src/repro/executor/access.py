@@ -134,13 +134,17 @@ class RuntimeLeg:
         plan_leg: PlanLeg,
         binding: Any,
         history_window: int | None = None,
+        obs: Any = None,
+        degrade_hook: Callable[[str, BaseException], None] | None = None,
+        collect_rids: bool = False,
     ) -> None:
         """One execution's leg over *binding*, the leg's
         :class:`~repro.executor.pipeline.LegBinding` in the plan's prepared
         record: its table, indexes, bound local tests and model parts are
         shared with every execution of the plan and read-only here.
         Monitored with windows of *history_window* rows; None leaves the
-        leg unmonitored, its inner monitor the shared idle one.
+        leg unmonitored, its inner monitor the shared idle one. *obs*,
+        *degrade_hook* and *collect_rids* are the executor's (below).
         """
         self.plan_leg = plan_leg
         self.alias = plan_leg.alias
@@ -175,10 +179,10 @@ class RuntimeLeg:
         self.retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
         # Oracle mode: probe() additionally records the RIDs of its matches
         # (aligned with the returned rows) in self.match_rids.
-        self.collect_rids = False
+        self.collect_rids = collect_rids
         self.match_rids: list[int] = []
-        # Observability bundle (set by the executor): told of fault retries.
-        self.obs = None
+        # Observability bundle: told of fault retries.
+        self.obs = obs
         # The leg's row flow over the whole run, in both roles — what
         # EXPLAIN ANALYZE, the metrics and the trace report. Bumped where
         # the numbers are computed anyway: per probe / driving row here,
@@ -189,9 +193,9 @@ class RuntimeLeg:
         self.rows_scanned = 0
         self.rows_survived = 0
         # Monitoring is advisory: if it raises, it is disabled for this leg
-        # and the failure reported through degrade_hook (set by the
-        # executor) instead of aborting the query.
-        self.degrade_hook: Callable[[str, BaseException], None] | None = None
+        # and the failure reported through degrade_hook instead of aborting
+        # the query.
+        self.degrade_hook = degrade_hook
         self.monitor_failure: BaseException | None = None
         # Hash builds are cached per access column: reorders and driving
         # switches that keep the same access column reuse the build.

@@ -11,16 +11,32 @@ the machine, and no shape does: the row store is the only scalar machine.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.executor.pipeline import PipelineExecutor
 from repro.executor.vector import cascade
 
 
 class BatchedPipelineExecutor(PipelineExecutor):
-    """Drop-in executor running the cascade."""
+    """Drop-in executor running the cascade: its run yields a list of rows
+    per chunk, which :meth:`run_to_completion` extends its result with and
+    :meth:`rows` streams row by row."""
 
-    def _run(self) -> Iterator[tuple]:
+    def rows(self) -> Iterator[tuple[Any, ...]]:
+        chunks = self._accounted(self._run())
+        try:
+            for chunk in chunks:
+                yield from chunk
+        finally:
+            chunks.close()
+
+    def run_to_completion(self) -> list[tuple[Any, ...]]:
+        rows: list[tuple[Any, ...]] = []
+        for chunk in self._accounted(self._run()):
+            rows += chunk
+        return rows
+
+    def _run(self) -> Iterator[list[tuple]]:
         self._open_driving(self.order[0])
         self._compile_all_probes()
         self.engine_used = (

@@ -72,6 +72,9 @@ class _NoAdaptation:
         return False
 
 
+_NO_ADAPTATION = _NoAdaptation()
+
+
 class LegBinding(NamedTuple):
     """One leg's table side: what its executions read, not derive."""
 
@@ -285,7 +288,7 @@ class PipelineExecutor:
         self.catalog = catalog
         self.config = config if config is not None else AdaptiveConfig(mode=ReorderMode.NONE)
         self.controller: AdaptationHooks = (
-            controller if controller is not None else _NoAdaptation()
+            controller if controller is not None else _NO_ADAPTATION
         )
         self.limits = limits
         self.oracle = oracle
@@ -305,15 +308,16 @@ class PipelineExecutor:
         self.prepared_start = None
         window = self.config.history_window if self.config.mode.monitors else None
         degrade_hook = self._record_monitor_degraded
-        self.legs = {}
-        for alias in plan.order:
-            leg = self.legs[alias] = RuntimeLeg(
-                plan.legs[alias], bindings.legs[alias], window
+        collect_rids = oracle is not None
+        plan_legs = plan.legs
+        bound = bindings.legs
+        self.legs = {
+            alias: RuntimeLeg(
+                plan_legs[alias], bound[alias], window, obs, degrade_hook,
+                collect_rids,
             )
-            leg.degrade_hook = degrade_hook
-            leg.obs = obs
-            if oracle is not None:
-                leg.collect_rids = True
+            for alias in plan.order
+        }
         self.order: list[str] = list(plan.order)
         # (alias, column) -> row slot, shared across every leg's probe
         # compilation, so repeated recompiles after reorders never
@@ -330,7 +334,6 @@ class PipelineExecutor:
         # driving; feeds the escalating anti-thrash penalty.
         self.abandon_counts: dict[str, int] = {}
         self.driving_cursor: Cursor | None = None
-        self._driving_iter: Iterator[Row] | None = None
         # Statistics for the experiments.
         self.inner_reorders = 0
         self.driving_switches = 0
@@ -382,9 +385,10 @@ class PipelineExecutor:
 
         The first compile of an execution finds the pipeline as the plan
         describes it, so it installs the prepared record's program (and
-        marks the record's cascade start usable). After an applied reorder
-        or switch the order and the live class selectivities have moved,
-        and the permuted legs are compiled for what they are now.
+        marks the record's cascade start usable): nothing was frozen yet,
+        so no leg has a positional predicate to look up. After an applied
+        reorder or switch the order and the live class selectivities have
+        moved, and the permuted legs are compiled for what they are now.
         """
         fresh, self._fresh = self._fresh, False
         if (
@@ -393,10 +397,9 @@ class PipelineExecutor:
             and tuple(self.order) == self.plan.order
             and self.class_selectivities == self.plan.class_selectivities
         ):
+            legs = self.legs
             for alias, config in self.prepared.program.items():
-                leg = self.legs[alias]
-                leg.install_probe(config)
-                leg.positional = self.registry.predicate_for(alias)
+                legs[alias].install_probe(config)
             self.prepared_start = self.prepared.cascade
             return
         self.prepared_start = None
@@ -433,7 +436,6 @@ class PipelineExecutor:
         leg = self.legs[alias]
         resume = self.registry.resume_cursor(alias)
         self.driving_cursor = leg.open_driving_cursor(resume=resume)
-        self._driving_iter = leg.driving_rows(self.driving_cursor)
         leg.positional = None  # the cursor position already excludes the past
         if self.obs is not None:
             self.obs.on_leg_open(alias, resume is not None)
@@ -534,6 +536,11 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     def rows(self) -> Iterator[tuple[Any, ...]]:
         """Execute the pipeline, yielding projected result rows."""
+        return self._accounted(self._run())
+
+    def _accounted(self, run: Iterator) -> Iterator:
+        """What *run* (this execution's :meth:`_run`) yields, run once:
+        limits armed, wall clock and meter delta taken around it."""
         if self._started:
             raise ExecutionError("a PipelineExecutor instance runs only once")
         self._started = True
@@ -543,7 +550,7 @@ class PipelineExecutor:
         before = self.catalog.meter.snapshot()
         self.meter_before = before
         try:
-            yield from self._run()
+            yield from run
         finally:
             self.wall_seconds = time.perf_counter() - started_at
             self.work = self.catalog.meter - before
@@ -568,10 +575,11 @@ class PipelineExecutor:
         meter = self.catalog.meter
         limits = self._enforcer
         oracle = self.oracle
+        cursor = self.driving_cursor
+        driving = self.legs[self.order[0]].driving_rows(cursor)
         if leg_count == 1:
             only = self.order[0]
-            assert self._driving_iter is not None
-            for row in self._driving_iter:
+            for row in driving:
                 if limits is not None:
                     limits.check_emit()
                 self.driving_rows_total += 1
@@ -602,10 +610,13 @@ class PipelineExecutor:
                     last = leg_count - 1
                     binding.clear()
                     rid_binding.clear()
+                if self.driving_cursor is not cursor:
+                    # A switch opened (or resumed) another driving scan.
+                    cursor = self.driving_cursor
+                    driving = self.legs[self.order[0]].driving_rows(cursor)
                 if limits is not None:
                     limits.check()
-                assert self._driving_iter is not None
-                row = next(self._driving_iter, None)
+                row = next(driving, None)
                 if row is None:
                     return
                 self.depleted_from = None

@@ -10,15 +10,19 @@ driving chunk:
    index's distinct-key sidecar from the row-rank array the index keeps
    for the key's source column (:meth:`ColumnarIndex.row_ranks`: built
    once per (source column, index) pair, not per chunk), then expands the
-   flow through the leg's group kernel (:func:`_expand`): a gather where no
-   key has more than one passing row (``kernel.unique``, the FK -> PK
-   lookup), else one ``cumsum`` and one ``repeat`` — exactly the rows, in
-   exactly the depth-first nested-loop order, of the scalar machine. A
+   flow through the leg's group kernel (:func:`_expand`): where no key has
+   more than one passing row (``kernel.unique``, the FK -> PK lookup) one
+   gather of the kernel's per-key first passing RID, a compare and a
+   ``nonzero``, else one ``cumsum`` and one ``repeat`` — exactly the rows,
+   in exactly the depth-first nested-loop order, of the scalar machine. A
    NULL key's rank is -1 and a missing key's -2; the kernel's per-key
-   arrays end in two zero slots, so an absent key gathers "no entries, no
-   matches" like any other count and no step masks it out. A hash-probed
-   leg (no index on its join column, the Sec 6 extension) expands the same
-   way through the buckets of its hash build
+   arrays end in two padding slots (zero counts, -1 first RIDs), so an
+   absent key gathers "no entries, no matches" like any other key and no
+   step masks it out. A step gathers only the arrays its charges need:
+   none for an untested kernel's zero evals, none for the entries of a
+   key index (one entry a key) probed from a column whose every key it
+   holds. A hash-probed leg (no index on its join column, the Sec 6
+   extension) expands the same way through the buckets of its hash build
    (:meth:`ColumnarTable.hash_build`), and residual join predicates
    (cyclic join graphs, Sec 4.3.4) are a mask over the expanded tuples
    (:class:`_Probe`);
@@ -26,7 +30,10 @@ driving chunk:
    the scalar probes charge (descend per probe, ``max(entries, 1)`` per
    present/missing key, fetch per candidate row, short-circuit-exact local
    evals; a hash probe and its bucket's matches, the build once), gathered
-   through every rank of the chunk and summed per leg.
+   through every rank of the chunk and summed per leg;
+4. the chunk's projected rows leave as one list (:func:`_project`):
+   ``run_to_completion`` extends its result with it, ``rows()`` streams it
+   row by row.
 
 One chunk loop (:func:`_run_cascade`) runs static plans
 (:data:`STATIC_SLICE_ROWS` slices) and the monitored modes (kernel-folded
@@ -60,7 +67,6 @@ chunk late.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import StorageError
@@ -80,6 +86,15 @@ from repro.storage.cursor import IndexScanCursor
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executor.batch import BatchedPipelineExecutor
 
+# What a step calls per leg, as the C functions numpy's Python wrappers
+# call: on arrays of a few dozen elements the wrapper is most of the call.
+if _np is not None:
+    _sum = _np.add.reduce
+    try:  # numpy >= 2
+        from numpy._core.multiarray import count_nonzero as _count_nonzero
+    except ImportError:  # pragma: no cover - numpy 1.x
+        from numpy.core.multiarray import count_nonzero as _count_nonzero
+
 
 #: Driving survivors the static cascade expands per slice. A static plan
 #: never changes, so its slices exist only to bound what one expansion
@@ -98,8 +113,9 @@ STATIC_SLICE_ROWS = 1 << 16
 MONITORED_CHUNK_ROWS = 256
 
 
-def cascade(executor: "BatchedPipelineExecutor") -> Iterator:
-    """A generator running the open pipeline vectorized, to its end.
+def cascade(executor: "BatchedPipelineExecutor") -> Iterator[list]:
+    """A generator running the open pipeline vectorized, to its end: one
+    list of projected rows per chunk that emits any.
 
     Must be called after ``_open_driving``/``_compile_all_probes``. One
     chunk loop (:func:`_run_cascade`) serves every mode and picks the chunk
@@ -116,7 +132,10 @@ def cascade(executor: "BatchedPipelineExecutor") -> Iterator:
         walk = _driving_walk(legs[executor.order[0]], executor.driving_cursor)
     else:
         template, prepared_walk = start
-        inner = [(legs[alias], *rest) for alias, *rest in template]
+        inner = [
+            (legs[alias], config, kernel, translate, lowest, probe)
+            for alias, config, kernel, translate, lowest, probe in template
+        ]
         walk = prepared_walk.restarted(
             legs[executor.order[0]], executor.driving_cursor
         )
@@ -127,7 +146,7 @@ def cascade_start(order: Sequence[str], legs: dict) -> tuple:
     """The cascade's start for *legs* in *order*, as its plan describes it.
 
     ``(template, walk)``: per inner leg ``(alias, probe config, kernel,
-    key-rank gather, may miss, probe)`` — :func:`_adaptive_plan`'s entry
+    key-rank gather, lowest rank, probe)`` — :func:`_adaptive_plan`'s entry
     with the alias for the leg — and the fresh driving scan's walk with no
     leg or cursor of its own (:meth:`_DrivingWalk.restarted` gives it one).
     Part of a plan's prepared record: every execution that starts as the
@@ -220,7 +239,7 @@ class _DrivingWalk:
             for mask in masks[1:]:
                 alive &= mask[self.rids]
             self.alive = alive
-            self.survivor_at = _np.flatnonzero(alive)
+            self.survivor_at = alive.nonzero()[0]
         else:
             self.alive = None
             self.survivor_at = None
@@ -298,7 +317,7 @@ class _DrivingWalk:
                 walked,
                 walked
                 if alive is None
-                else int(_np.count_nonzero(alive[start:end])),
+                else int(_count_nonzero(alive[start:end])),
             )
             meter.monitor_updates += walked
         if self.spans is None:
@@ -392,9 +411,9 @@ class _Probe(NamedTuple):
                     equal &= outer_ok.take(outer_rids)
                     equal &= own_ok.take(rids)
                 alive = equal if alive is None else alive & equal
-                out = int(_np.count_nonzero(alive))
+                out = int(_count_nonzero(alive))
             if out < total:
-                keep = _np.flatnonzero(alive)
+                keep = alive.nonzero()[0]
                 ancestors = {alias: arr.take(keep) for alias, arr in ancestors.items()}
         meter.predicate_evals += evals
         return ancestors, out, work + evals * PREDICATE_EVAL_COST
@@ -430,9 +449,10 @@ def _adaptive_plan(order: Sequence[str], legs: dict) -> list:
     derived once, into its prepared record (:func:`cascade_start`).
 
     One entry per inner leg: ``(leg, probe config, kernel, key-rank gather,
-    whether the gather can yield a missing key's -2, probe)`` — the probe a
-    :class:`_Probe` for a hash-probed leg or one with residual joins, None
-    for a plain index probe.
+    lowest rank, probe)`` — the lowest rank the gather can yield
+    (:meth:`~repro.storage.columnar.ColumnarIndex.lowest_rank_of`: -2 where
+    a key can miss), the probe a :class:`_Probe` for a hash-probed leg or
+    one with residual joins, None for a plain index probe.
     """
     inner: list = []
     for position in range(1, len(order)):
@@ -465,7 +485,7 @@ def _adaptive_plan(order: Sequence[str], legs: dict) -> list:
             config,
             kernel,
             index.row_ranks(source).take,
-            index.misses_keys_of(source),
+            index.lowest_rank_of(source),
             probe,
         ))
     return inner
@@ -517,68 +537,74 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     test a leg's step adds.
 
     One path serves every key. A NULL key's rank is -1 and a missing key's
-    -2, and every per-key kernel array ends in two zero slots
-    (:class:`~repro.storage.columnar._Kernel`), so an absent key gathers no
-    entries, no evals and no matches — and, having no match, no tuple of
-    the output reads the ``pass_offsets`` entry its rank wraps to. Only the
+    -2, and every per-key kernel array ends in two padding slots
+    (:class:`~repro.storage.columnar._Kernel`): zeros, so an absent key
+    gathers no entries, no evals and no matches, and -1 in ``first_rids``,
+    so it gathers "no match" — and, having no match, no tuple of the
+    output reads the ``pass_offsets`` entry its rank wraps to. Only the
     missing keys' one entry each is counted apart, and only where the
     (source column, index) pair has a missing key at all.
 
     Two steps make the leg's tuples. A unique kernel (no key with more
-    than one passing row) gathers: the outer rows that matched keep their
-    place, and their one match each is their key's first passing RID —
-    restricting the ancestors only when some probe missed. Any other
-    kernel takes the CSR expansion. Charges, counters and folds are the
-    same for both.
+    than one passing row) gathers its ``first_rids``: the outer rows whose
+    gather is not -1 keep their place, their one match each is what they
+    gathered — restricting the ancestors only when some probe missed. Any
+    other kernel takes the CSR expansion. Charges, counters and folds are
+    the same for both, and each reads only the arrays it needs: a
+    test-free kernel's entries are its matches, and an untested kernel's
+    evals are zero (:attr:`_Kernel.untested`), so neither is gathered.
     """
     flow = len(survivors)
     ancestors: dict[str, Any] = {driving_alias: survivors}
-    for leg, pconfig, kernel, translate, may_miss, probe in inner:
+    for leg, pconfig, kernel, translate, lowest, probe in inner:
         if flow == 0:
             ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
             continue
-        key_ranks = ranks = translate(ancestors[pconfig.key_alias])
-        missing = int(_np.count_nonzero(ranks == -2)) if may_miss else 0
-        matches = kernel.counts.take(ranks)
-        if kernel.unique:
-            parent = _np.flatnonzero(matches)
-            total = len(parent)
-        else:
-            ends = matches.cumsum()
-            total = int(ends[-1])
-        # Arrays a kernel shares are gathered once (a test-free kernel's
-        # counts are its totals, a one-test kernel's evals too).
-        touched = (
-            total
-            if kernel.totals is kernel.counts
-            else int(kernel.totals.take(ranks).sum())
-        )
-        evals = (
-            touched
-            if kernel.evals is kernel.totals
-            else int(kernel.evals.take(ranks).sum())
-        )
-        if kernel.unique:
+        ranks = translate(ancestors[pconfig.key_alias])
+        missing = int(_count_nonzero(ranks == -2)) if lowest == -2 else 0
+        first_rids = kernel.first_rids
+        if first_rids is not None:
             # A gather: outer row i's one match, if any, is its key's first
             # passing row. Nothing to restrict when every probe matched.
+            rids = first_rids.take(ranks)
+            parent = (rids >= 0).nonzero()[0]
+            total = len(parent)
             if total < flow:
-                ranks = ranks.take(parent)
+                rids = rids.take(parent)
             else:
                 parent = None
-            positions = kernel.pass_offsets.take(ranks)
         else:
             # CSR gather: tuple t of outer row i comes ``ends[i] - t``
             # tuples before the end of row i's output, and reads pass_rids
             # that far before the end of row i's slice.
+            matches = kernel.counts.take(ranks)
+            ends = matches.cumsum()
+            total = int(ends[-1])
             iota = _np.arange(max(flow, total))
             parent = iota[:flow].repeat(matches)
             shift = kernel.pass_offsets[1:].take(ranks)
             shift -= ends
             positions = shift.take(parent)
             positions += iota[:total]
+            rids = kernel.pass_rids.take(positions)
+        # Arrays a kernel shares are gathered once (a test-free kernel's
+        # counts are its totals, a one-test kernel's evals too), and none
+        # where every probe reads its key's one entry.
+        if lowest >= 0 and kernel.one_entry:
+            touched = flow
+        elif kernel.totals is kernel.counts:
+            touched = total
+        else:
+            touched = int(_sum(kernel.totals.take(ranks)))
+        if kernel.untested:
+            evals = 0
+        elif kernel.evals is kernel.totals:
+            evals = touched
+        else:
+            evals = int(_sum(kernel.evals.take(ranks)))
         if parent is not None:
             ancestors = {alias: arr.take(parent) for alias, arr in ancestors.items()}
-        ancestors[leg.alias] = kernel.pass_rids.take(positions)
+        ancestors[leg.alias] = rids
         if probe is None:
             entries = touched + missing
             meter.index_descends += flow
@@ -614,7 +640,7 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
                 passed = (
                     total
                     if column is kernel.counts
-                    else int(column.take(key_ranks).sum())
+                    else int(_sum(column.take(ranks)))
                 )
                 counts[1] += passed
             leg.incoming_since_check += flow
@@ -622,14 +648,14 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     return ancestors, flow
 
 
-def _project(legs_map, projection: Sequence, ancestors: dict, count: int):
+def _project(legs_map, projection: Sequence, ancestors: dict, count: int) -> list:
     """The first *count* joined tuples of a chunk as projected result rows."""
     if not projection:  # degenerate empty projection
-        return repeat((), count)
-    return zip(*(
+        return [()] * count
+    return list(zip(*(
         legs_map[alias].table.cells(slot, ancestors[alias][:count])
         for alias, slot in projection
-    ))
+    )))
 
 
 def _run_cascade(executor, walk: _DrivingWalk, inner: list):
@@ -637,7 +663,9 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
 
     Runs the query to its end: every plan a check can rebuild is one the
     cascade runs (windows and counters are consistent at every boundary:
-    each fold is applied where its numbers are computed).
+    each fold is applied where its numbers are computed). It yields one
+    list of rows per chunk that emits any; an unmonitored run's boundary
+    ends at the row budget (nothing checks, nothing can move the plan).
 
     Observable-parity contract with the scalar machine (for monitored
     plans: the scalar machine applying the same decisions at the same
@@ -700,7 +728,8 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     legs_map = executor.legs
 
     projection = executor.projection_slots
-    plan_sig = _plan_signature(executor)
+    # Only a check can move the plan, and only a monitored run checks.
+    plan_sig = _plan_signature(executor) if monitored else None
     slice_rows = STATIC_SLICE_ROWS
     chunk_rows = min(MONITORED_CHUNK_ROWS, slice_rows) if monitored else slice_rows
     while True:
@@ -738,11 +767,13 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
             if executor.oracle is not None:
                 for rids in zip(*(ancestors[a][:admitted].tolist() for a in ancestors)):
                     executor.oracle.record_emit(dict(zip(ancestors, rids)))
-            yield from _project(legs_map, projection, ancestors, admitted)
+            yield _project(legs_map, projection, ancestors, admitted)
 
         # -- chunk boundary: the two checks ------------------------------
         if admitted < flow:
             limits.check_emit()  # raises: the row budget is spent
+        if not monitored:
+            continue
         if walk.survivors_taken == walk.survivors:
             # A finished scan applies nothing: whatever the checks find,
             # no row is left to run it on. A statement's first monitored

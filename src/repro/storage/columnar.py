@@ -119,7 +119,7 @@ class _NumericColumn:
         taken = values[rids].tolist()
         present = notnull[rids]
         if not present.all():
-            for position in _np.flatnonzero(~present).tolist():
+            for position in (~present).nonzero()[0].tolist():
                 taken[position] = None
         return taken
 
@@ -316,7 +316,7 @@ class ColumnarTable(HeapTable):
         counts = base.counts
         kernel = _Kernel(
             counts, _np.zeros_like(counts), counts, base.pass_offsets,
-            base.pass_rids, [], [],
+            base.pass_rids, [], [], base.first_rids,
         )
         return HashBuild(
             index, kernel, self._nrows, sum(e for e, _ in local_counts),
@@ -506,13 +506,24 @@ class _Kernel:
     * ``ev``/``pa`` — per-test (evaluated, passed) arrays for the
       monitored path's local-predicate counters,
     * ``unique`` — no key has more than one passing row, so a probe is a
-      gather, not an expansion (derived here, for restricted kernels too).
+      gather, not an expansion (derived here, for restricted kernels too),
+    * ``first_rids[j]`` — a unique kernel's one passing RID of key *j*,
+      -1 where no row passes (the two trailing slots too, so an absent
+      key's rank gathers "no match" with no mask); None for any other
+      kernel. A unique step is this one gather and a compare,
+    * ``untested`` — no candidate is tested (no local and no positional
+      test: a test-free kernel, a hash build's): ``evals`` is all zeros
+      and the step gathers none of it,
+    * ``one_entry`` — every key has exactly one entry (a key index: the
+      FK -> PK lookup), so a probe whose key is present reads one entry
+      and the step gathers no ``totals``.
 
     Arrays are non-writeable and shared wherever two of them are equal by
     construction: ``totals`` (and a test-free kernel's counts, offsets and
     RIDs) with the index sidecar, ``ev[0]`` with ``totals``, ``ev[i]`` with
     ``pa[i - 1]``, ``counts`` with ``pa[-1]``, a one-test kernel's
-    ``evals`` with ``totals``.
+    ``evals`` with ``totals``, a hash build's ``first_rids`` with its base
+    kernel's.
     """
 
     __slots__ = (
@@ -524,9 +535,18 @@ class _Kernel:
         "ev",
         "pa",
         "unique",
+        "first_rids",
+        "untested",
+        "one_entry",
     )
 
-    def __init__(self, totals, evals, counts, pass_offsets, pass_rids, ev, pa):
+    def __init__(
+        self, totals, evals, counts, pass_offsets, pass_rids, ev, pa,
+        first_rids=None,
+    ):
+        """*first_rids* is passed by a caller that already holds this
+        kernel's (a hash build, its base kernel's); a unique kernel derives
+        its own otherwise."""
         self.totals = totals
         self.evals = evals
         self.counts = counts
@@ -535,15 +555,25 @@ class _Kernel:
         self.ev = ev
         self.pa = pa
         self.unique = bool(counts.max() <= 1)
-        for array in (totals, evals, counts, pass_offsets, pass_rids, *ev, *pa):
+        if self.unique and first_rids is None:
+            first_rids = _np.full(len(counts), -1, dtype=pass_rids.dtype)
+            passing = counts > 0
+            first_rids[passing] = pass_rids[pass_offsets[:-1][passing]]
+        self.first_rids = first_rids
+        self.untested = not evals.any()
+        self.one_entry = bool((totals[:-2] == 1).all())
+        for array in self.arrays():
             array.setflags(write=False)
 
     def arrays(self) -> list:
         """Every array of this kernel (shared ones more than once)."""
-        return [
+        arrays = [
             self.totals, self.evals, self.counts, self.pass_offsets,
             self.pass_rids, *self.ev, *self.pa,
         ]
+        if self.first_rids is not None:
+            arrays.append(self.first_rids)
+        return arrays
 
     def restricted(self, keep) -> "_Kernel":
         """This kernel with one more test after the locals (a derived copy).
@@ -771,7 +801,7 @@ class ColumnarIndex(SortedIndex):
         One int64 array per source column that probes this index (bounded
         by the schema's join edges), for the current sidecar generation:
         dropped with the sidecar, rebuilt when the source column grew.
-        ``_row_ranks`` holds ``(rows at build, array, any -2 in it)``.
+        ``_row_ranks`` holds ``(rows at build, array, its lowest rank)``.
         """
         self._check_fresh()
         self._sidecar()
@@ -782,17 +812,21 @@ class ColumnarIndex(SortedIndex):
                 ranks = self._build_row_ranks(source_column)
                 ranks.setflags(write=False)
                 held = self._row_ranks[source_column] = (
-                    rows, ranks, bool((ranks == -2).any())
+                    rows, ranks, int(ranks.min()) if rows else 0
                 )
                 self._memo_changed()
         return held[1]
 
-    def misses_keys_of(self, source_column) -> bool:
-        """Whether :meth:`row_ranks` of *source_column* holds a -2 (found
-        once, when the array was built): a probe through a pair that misses
-        no key has no missing keys to count, chunk after chunk."""
+    def lowest_rank_of(self, source_column) -> int:
+        """The lowest rank :meth:`row_ranks` of *source_column* holds, found
+        once, when the array was built (0 for an empty column): -2 when a
+        probe through the pair can miss a key, -1 when only NULL keys are
+        absent, 0 or more when every row holds a key this index holds. A
+        pair above -2 has no missing keys to count, chunk after chunk; a
+        pair at 0 or more through a kernel whose every key has one entry
+        (``_Kernel.one_entry``) reads exactly one entry a probe."""
         held = self._row_ranks.get(source_column)
-        return held is None or held[2]
+        return -2 if held is None else held[2]
 
     def _build_row_ranks(self, source_column):
         rank = self._rank

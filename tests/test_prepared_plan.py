@@ -385,6 +385,22 @@ def test_kernel_plan_bytes_count_what_cached_records_hold():
     }
     evicted = [array for key, (_, array) in held.items() if key not in resident]
     assert evicted, "no record outlived its index's kernel memo"
+    # A unique kernel's first-RID array is among what both count.
+    firsts = [
+        kernel.first_rids
+        for plan in db.plan_cache.plans()
+        for _, _, kernel, *_ in plan.__dict__["_prepared"].cascade[0]
+        if kernel.first_rids is not None
+    ]
+    assert firsts and all(id(array) in held for array in firsts)
+    memo_firsts = [
+        kernel.first_rids
+        for name in db.catalog.table_names()
+        for index in db.catalog.indexes_of(name).values()
+        for kernel in index._kernels.values()
+        if kernel.first_rids is not None
+    ]
+    assert memo_firsts and all(id(array) in resident for array in memo_firsts)
     stats = db.storage_stats()
     assert stats["kernel_plan_bytes"] == sum(
         table["kernel_bytes"] for table in stats["per_table"]

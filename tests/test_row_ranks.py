@@ -490,12 +490,22 @@ def test_padding_is_sixteen_bytes_an_array_and_nothing_is_writeable():
                     assert kernel.pass_rids is index._ent_rids
                 for array in (*per_key, kernel.pass_offsets, kernel.pass_rids):
                     unique[id(array)] = array
+                first = kernel.first_rids
+                if kernel.unique:
+                    # Padded too, with "no match" where an absent key reads.
+                    assert len(first) == nkeys + 2
+                    assert first[-2:].tolist() == [-1, -1]
+                    padded.add(id(first))
+                    unique[id(first)] = first
+                else:
+                    assert first is None
                 # What a kernel adds to its sidecar: the zero evals of a
                 # test-free one; else a pass count per test, offsets, RIDs
-                # and - past one test - the summed evals.
+                # and - past one test - the summed evals; and a unique
+                # kernel's first RIDs.
                 assert len(unique) - before == (
                     tests + 2 + (tests > 1) if tests else 1
-                )
+                ) + kernel.unique
             for array in unique.values():
                 assert not array.flags.writeable
             footprint = index.kernel_footprint()

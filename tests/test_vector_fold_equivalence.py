@@ -178,7 +178,7 @@ def one_leg_plan(db, index, kernel, ntests, probe=None):
             SimpleNamespace(key_alias="src"),
             kernel,
             index.row_ranks(source).take,
-            index.misses_keys_of(source),
+            index.lowest_rank_of(source),
             probe,
         )
     ]
