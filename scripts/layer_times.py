@@ -37,10 +37,23 @@ over interleaved passes, and ``answer - execute``: what a request costs the
 engine process beyond its execution, from passes that wrap nothing else.
 It fails (exit 1) when a reply's rows differ from ``Database.execute``'s.
 
+``--memory`` is the memory ledger instead: this process's ``VmRSS`` /
+``VmHWM`` after the imports, after the columnar DMV load, after the served
+workload's 40 pairs run twice (what one process serving them holds) and
+after a warm pass of each grid (modes none and both), then per index its
+entries, distinct keys, the bytes of its arrays (``index.nbytes()``) and
+of the kernel plan resident on it, and ``Database.storage_stats()``'s
+totals. With ``--served`` it also starts a ``repro
+serve`` child (columnar, two engine processes), sends the 40 pairs over
+two connections, and prints the proportional set size (``Pss`` of
+``/proc/<pid>/smaps_rollup``) of the server, of each engine process and of
+the tree, and the tree over that one process's ``VmRSS``.
+
 Usage::
 
     PYTHONPATH=src python scripts/layer_times.py --grid six --mode none
     PYTHONPATH=src python scripts/layer_times.py --served --scale 0.1
+    PYTHONPATH=src python scripts/layer_times.py --memory --served --scale 0.1
 """
 
 from __future__ import annotations
@@ -48,7 +61,13 @@ from __future__ import annotations
 import argparse
 import json
 import pickle
+import re
+import signal
+import socket
+import subprocess
 import sys
+import threading
+from pathlib import Path
 from statistics import median
 from time import perf_counter
 
@@ -146,13 +165,7 @@ SERVED_STEPS = [
 def served(args) -> int:
     """The ``--served`` table; 1 when a reply's rows are not
     ``Database.execute``'s."""
-    chosen = []
-    for grid, count in SERVED.items():
-        population = grid_sqls(grid)
-        chosen += [
-            population[i * len(population) // count] for i in range(count)
-        ]
-    pairs = [(sql, mode) for sql in chosen for mode in ("none", "both")]
+    pairs = served_pairs()
     db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
     server_config = ServerConfig()
     engine = DatabaseEngine(db, server_config)
@@ -240,6 +253,138 @@ def served(args) -> int:
     return 1 if mismatched else 0
 
 
+def proc_kb(pid: int | str, name: str, field: str) -> int:
+    """A ``kB`` field of ``/proc/<pid>/<name>``."""
+    text = Path(f"/proc/{pid}/{name}").read_text()
+    return int(re.search(rf"^{field}:\s+(\d+) kB", text, re.M).group(1))
+
+
+def print_rss(label: str) -> int:
+    """Print and return this process's ``VmRSS`` (kB)."""
+    rss, hwm = (proc_kb("self", "status", field) for field in ("VmRSS", "VmHWM"))
+    print(f"{label:<34}{rss / 1024:>9.1f}{hwm / 1024:>9.1f}")
+    return rss
+
+
+def served_pairs() -> list[tuple[str, str]]:
+    """The served workload's (statement, mode) pairs."""
+    chosen = []
+    for grid, count in SERVED.items():
+        population = grid_sqls(grid)
+        chosen += [population[i * len(population) // count] for i in range(count)]
+    return [(sql, mode) for sql in chosen for mode in ("none", "both")]
+
+
+def memory(args) -> int:
+    """The ``--memory`` ledger."""
+    print(f"{'this process (MB)':<34}{'VmRSS':>9}{'VmHWM':>9}")
+    print_rss("after the imports")
+    db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
+    print_rss(f"after the DMV load (scale {args.scale:g})")
+    # What one process serving the served pairs holds: the tree's yardstick.
+    for _ in range(2):
+        for sql, mode in served_pairs():
+            db.execute(sql, AdaptiveConfig(mode=ReorderMode(mode)))
+    single = print_rss("after the served pairs, twice")
+    for grid in ("six", "four"):
+        for mode in ("none", "both"):
+            config = AdaptiveConfig(mode=ReorderMode(mode))
+            for sql in grid_sqls(grid):
+                db.execute(sql, config)
+        print_rss(f"after a warm {grid}-table pass")
+    print(
+        f"\n{'index':<26}{'entries':>9}{'keys':>8}{'index KB':>10}"
+        f"{'kernel KB':>11}"
+    )
+    for name in db.catalog.table_names():
+        for index in db.catalog.indexes_of(name).values():
+            print(
+                f"{index.name:<26}{len(index):>9,d}"
+                f"{index.distinct_key_count():>8,d}{index.nbytes() / 1024:>10.1f}"
+                f"{index.kernel_footprint() / 1024:>11.1f}"
+            )
+    stats = db.storage_stats()
+    print(
+        "storage_stats (MB): tables "
+        f"{stats['total_bytes'] / 2**20:.2f}, indexes "
+        f"{stats['index_bytes'] / 2**20:.2f}, kernel plan "
+        f"{stats['kernel_plan_bytes'] / 2**20:.2f}"
+    )
+    if args.served:
+        tree = served_pss(args.scale)
+        print(
+            f"tree / this process after the served pairs: "
+            f"{tree / single:.2f}x ({single / 1024:.1f} MB)"
+        )
+    return 0
+
+
+def served_pss(scale: float) -> int:
+    """Tree PSS (kB) of a ``repro serve`` child after the served pairs."""
+    pairs = served_pairs()
+    command = [
+        sys.executable, "-m", "repro", "serve", "--backend", "columnar",
+        "--extended", "--scale", f"{scale:g}", "--port", "0",
+        "--max-concurrency", "2",
+    ]
+    child = subprocess.Popen(
+        command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+    )
+    try:
+        for line in child.stderr:
+            match = re.search(r"listening on [^:\s]+:(\d+)", line)
+            if match:
+                break
+        else:
+            raise SystemExit(f"server exited with code {child.wait()}")
+        port = int(match.group(1))
+        # Keep draining the log, so the server never blocks writing it.
+        threading.Thread(target=child.stderr.read, daemon=True).start()
+
+        failed: list = []
+
+        def send_all(order: list) -> None:
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                stream = sock.makefile("rwb")
+                for sql, mode in order:
+                    message = {"op": "query", "sql": sql, "mode": mode}
+                    stream.write((json.dumps(message) + "\n").encode())
+                    stream.flush()
+                    reply = json.loads(stream.readline())
+                    if reply.get("status") != "ok":
+                        failed.append(reply)
+
+        clients = [
+            threading.Thread(target=send_all, args=(order,))
+            for order in (pairs, pairs[::-1])
+        ]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join()
+        if failed:
+            raise SystemExit(f"{len(failed)} served queries failed: {failed[0]}")
+        children = Path(
+            f"/proc/{child.pid}/task/{child.pid}/children"
+        ).read_text().split()
+        server_pss = proc_kb(child.pid, "smaps_rollup", "Pss")
+        engines = [proc_kb(pid, "smaps_rollup", "Pss") for pid in children]
+        print(
+            f"\nserved tree PSS after {len(pairs)} pairs x 2 connections "
+            f"(MB): server {server_pss / 1024:.1f}, engines "
+            + " / ".join(f"{kb / 1024:.1f}" for kb in engines)
+            + f", tree {(server_pss + sum(engines)) / 1024:.1f}"
+        )
+        return server_pss + sum(engines)
+    finally:
+        child.send_signal(signal.SIGTERM)
+        try:
+            child.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", choices=("four", "six"), default="six")
@@ -247,7 +392,10 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=0.1)
     parser.add_argument("--passes", type=int, default=9)
     parser.add_argument("--served", action="store_true")
+    parser.add_argument("--memory", action="store_true")
     args = parser.parse_args()
+    if args.memory:
+        sys.exit(memory(args))
     if args.served:
         sys.exit(served(args))
 

@@ -100,6 +100,7 @@ SCHEMA = {
         "backend": "string",
         "total_bytes": "count",
         "table_count": "count",
+        "index_bytes": "count",
         "kernel_plan_bytes": "count",
     },
 }
@@ -123,6 +124,7 @@ LIST_SCHEMA = {
         "backend": "string",
         "rows": "count",
         "bytes": "count",
+        "index_bytes": "count",
         "kernel_bytes": "count",
     },
 }
@@ -279,6 +281,12 @@ def validate(stats: dict) -> list[str]:
         raise ValidationError(
             f"storage.total_bytes {storage['total_bytes']} != sum of "
             f"per_table bytes {table_bytes}"
+        )
+    index_bytes = sum(entry["index_bytes"] for entry in per_table)
+    if storage["index_bytes"] != index_bytes:
+        raise ValidationError(
+            f"storage.index_bytes {storage['index_bytes']} != sum of "
+            f"per_table index_bytes {index_bytes}"
         )
     if storage["table_count"] != len(per_table):
         raise ValidationError(

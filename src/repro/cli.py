@@ -586,15 +586,15 @@ def cmd_stats(args) -> int:
         print(json.dumps(storage, indent=2))
     else:
         print(f"backend: {storage['backend']}")
-        print(f"{'table':14s} {'rows':>10s} {'bytes':>14s}")
+        print(f"{'table':14s} {'rows':>10s} {'bytes':>14s} {'index bytes':>14s}")
         for entry in storage["per_table"]:
             print(
                 f"{entry['table']:14s} {entry['rows']:10,d} "
-                f"{entry['bytes']:14,d}"
+                f"{entry['bytes']:14,d} {entry['index_bytes']:14,d}"
             )
         print(
             f"{'total':14s} {'':>10s} {storage['total_bytes']:14,d} "
-            f"({storage['table_count']} tables)"
+            f"{storage['index_bytes']:14,d} ({storage['table_count']} tables)"
         )
     if args.metrics:
         registry = MetricsRegistry()

@@ -198,16 +198,18 @@ class Database:
         """Per-table memory footprint of the active backend.
 
         Returns ``{"backend", "total_bytes", "table_count",
-        "kernel_plan_bytes", "per_table"}`` where each per-table entry
-        reports the approximate resident bytes of that table's storage
-        (typed column arrays for ``columnar``, row tuples + cells for
-        ``row``) — the observable half of the columnar backend's memory
-        savings — plus ``kernel_bytes``: the numpy sidecar / group-kernel /
-        join-key row-rank bytes currently materialized on that table's
-        indexes, and what the prepared records of the plans in the plan
-        cache keep alive beyond them — kernels the index's bounded memo
-        has since evicted, driving-scan arrays (zero until a first
-        vectorized run builds them).
+        "index_bytes", "kernel_plan_bytes", "per_table"}`` where each
+        per-table entry reports the approximate resident bytes of that
+        table's storage (typed column arrays for ``columnar``, row tuples +
+        cells for ``row``) — the observable half of the columnar backend's
+        memory savings — plus ``index_bytes``: its indexes (the index
+        arrays for ``columnar``, the sorted ``(key, rid)`` entry lists for
+        ``row``), and ``kernel_bytes``: the numpy index / group-kernel /
+        join-key row-rank bytes materialized on that table's indexes, and
+        what the prepared records of the plans in the plan cache keep alive
+        beyond them — kernels the index's bounded memo has since evicted,
+        driving-scan arrays. The totals sum the per-table entries;
+        ``total_bytes`` counts the tables' storage only.
         """
         from repro.storage.columnar import ColumnarIndex, table_memory_footprint
         from repro.storage.columnar import unique_nbytes
@@ -219,14 +221,18 @@ class Database:
         backend = self.backend_name
         per_table = []
         total = 0
+        index_total = 0
         kernel_total = 0
         for name in self.catalog.table_names():
             footprint = table_memory_footprint(self.catalog.table(name))
             total += footprint["bytes"]
             arrays = held.get(name, [])
-            for index in self.catalog._indexes.get(name, {}).values():
+            index_bytes = 0
+            for index in self.catalog.indexes_of(name).values():
+                index_bytes += index.nbytes()
                 if isinstance(index, ColumnarIndex):
                     arrays += index.kernel_arrays()
+            index_total += index_bytes
             kernel_bytes = unique_nbytes(arrays)
             kernel_total += kernel_bytes
             per_table.append(
@@ -235,6 +241,7 @@ class Database:
                     "backend": backend,
                     "rows": footprint["rows"],
                     "bytes": footprint["bytes"],
+                    "index_bytes": index_bytes,
                     "kernel_bytes": kernel_bytes,
                 }
             )
@@ -242,6 +249,7 @@ class Database:
             "backend": backend,
             "total_bytes": total,
             "table_count": len(per_table),
+            "index_bytes": index_total,
             "kernel_plan_bytes": kernel_total,
             "per_table": per_table,
         }

@@ -7,7 +7,7 @@ driving chunk:
 1. the driving scan becomes an index-entry (or RID-range) slice plus a
    boolean mask for the residual local predicates;
 2. each inner leg gathers the *ranks* of its probe keys in the probed
-   index's distinct-key sidecar from the row-rank array the index keeps
+   index's distinct keys from the row-rank array the index keeps
    for the key's source column (:meth:`ColumnarIndex.row_ranks`: built
    once per (source column, index) pair, not per chunk), then expands the
    flow through the leg's group kernel (:func:`_expand`): where no key has
@@ -66,7 +66,6 @@ chunk late.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import StorageError
@@ -337,8 +336,6 @@ class _DrivingWalk:
 
 def _driving_walk(leg, cursor) -> _DrivingWalk:
     """The walk over *leg*'s open driving *cursor*."""
-    if isinstance(cursor, IndexScanCursor):
-        cursor.index._sidecar()
     pushed = leg.pushed_driving_predicate()
     table = leg.table
     masks = [
@@ -506,10 +503,8 @@ def _positional_kernel(base, positional, table_len: int):
     if index is None:
         keep = base.pass_rids > positional.after[0]
     else:
-        index._sidecar()
         after = _np.zeros(table_len, dtype=bool)
-        offset = bisect_right(index._entries, positional.after)
-        after[index._ent_rids[offset:]] = True
+        after[index._ent_rids[index._bisect_after(positional.after):]] = True
         keep = after[base.pass_rids]
     return base.restricted(keep)
 

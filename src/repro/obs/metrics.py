@@ -27,6 +27,7 @@ name                               type    meaning
 ``storage_table_bytes{table}``     gauge   resident bytes of one table's storage
 ``storage_table_rows{table}``      gauge   row count of one table
 ``storage_total_bytes``            gauge   resident bytes across all tables
+``storage_index_bytes``            gauge   resident bytes of every table's indexes
 ``storage_table_count``            gauge   number of tables in the catalog
 ``storage_backend_info{backend}``  gauge   1 for the active storage backend
 ``plan_cache_entries``             gauge   statements held by the database's plan cache
@@ -332,7 +333,7 @@ def record_storage_gauges(
     table_rows = registry.gauge("storage_table_rows", "row count of one table")
     kernel_bytes = registry.gauge(
         "storage_kernel_bytes",
-        "materialized kernel-plan bytes (sidecars + group kernels + row-rank "
+        "materialized kernel-plan bytes (index arrays + group kernels + row-rank "
         "arrays) per table",
     )
     for entry in storage.get("per_table", ()):
@@ -343,6 +344,9 @@ def record_storage_gauges(
     registry.gauge(
         "storage_total_bytes", "resident bytes across all tables"
     ).set(float(storage.get("total_bytes", 0)))
+    registry.gauge(
+        "storage_index_bytes", "resident bytes of every table's indexes"
+    ).set(float(storage.get("index_bytes", 0)))
     registry.gauge(
         "storage_kernel_plan_bytes",
         "materialized kernel-plan bytes across all tables",

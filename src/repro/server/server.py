@@ -184,8 +184,9 @@ class DatabaseEngine:
         """Build, in the forking process, what every plan shares and no
         plan decides, so the engines inherit it copy-on-write instead of
         each building a private copy: appended rows folded into every
-        index, every columnar table's numpy column arrays, every columnar
-        index's sidecar. Cheap when nothing moved since the last call.
+        index (which rebuilds a columnar index's arrays), every columnar
+        table's numpy column arrays. Cheap when nothing moved since the
+        last call.
         """
         catalog = self.db.catalog
         self._columnar_indexes = []
@@ -201,7 +202,6 @@ class DatabaseEngine:
             for index in catalog.indexes_of(name).values():
                 index.refresh()
                 if isinstance(index, ColumnarIndex):
-                    index._sidecar()
                     self._columnar_indexes.append(index)
 
     def execute(
@@ -1046,6 +1046,7 @@ class QueryServer:
                 "backend": "none",
                 "total_bytes": 0,
                 "table_count": 0,
+                "index_bytes": 0,
                 "kernel_plan_bytes": 0,
                 "per_table": [],
             }
@@ -1054,8 +1055,8 @@ class QueryServer:
         # what the engines were forked with. Each engine's latest reply
         # says where it stands; a count of events is this process's plus
         # what every engine (replaced ones too) added since its fork, the
-        # kernel-plan bytes likewise (the sidecars built before the fork
-        # are shared, not copied); the cache's size and capacity are the
+        # kernel-plan bytes likewise (the index arrays built before the
+        # fork are shared, not copied); the cache's size and capacity are the
         # engines' own, summed.
         reporting = [p for p in self._engines if p.counters is not None]
         if reporting:
@@ -1133,6 +1134,7 @@ class QueryServer:
                 "backend": storage["backend"],
                 "total_bytes": storage["total_bytes"],
                 "table_count": storage["table_count"],
+                "index_bytes": storage["index_bytes"],
                 "kernel_plan_bytes": storage.get("kernel_plan_bytes", 0),
             },
             "engines": dict(

@@ -8,18 +8,20 @@ materializes the familiar row-tuple list on first row-wise access and
 shares that one list everywhere (``raw_rows``, ``fetch``, ``peek``,
 ``scan``), so row object *identity* is preserved exactly as in the row
 backend. The engine never materializes rows: it reads the columns
-(``mask_for_spec``, ``cells``) and the index sidecars.
+(``mask_for_spec``, ``cells``) and the index arrays.
 
-:class:`ColumnarIndex` keeps the parent's sorted ``(key, rid)`` entry list
-(cursors, range scans, and positional-order semantics inherit unchanged)
-and adds a flat sidecar per generation: the distinct keys, CSR segment
-starts, and an ``int64`` RID array. The cascade's local-predicate group
-kernels evaluate each leg's predicates **once per column** with numpy
-masks — reproducing the scalar short-circuit eval counts exactly via
-alive-mask accounting (``evals_i = rows still alive before test i``) —
-and a join probe is a gather from the index's row-rank arrays. A hash
-probe (an unindexed join column) runs through the same structures, over an
-unregistered index (:meth:`ColumnarTable.hash_build`).
+:class:`ColumnarIndex` is its arrays: the (key, rid) order the row store
+keeps as a sorted list of tuples is an ``int64`` RID array, the distinct
+keys and their CSR segment bounds, built by one stable sort of the column.
+Cursors, range scans and positional predicates read it through the
+entry accessors :class:`~repro.storage.index.SortedIndex` declares. The
+cascade's local-predicate group kernels evaluate each leg's predicates
+**once per column** with numpy masks — reproducing the scalar
+short-circuit eval counts exactly via alive-mask accounting
+(``evals_i = rows still alive before test i``) — and a join probe is a
+gather from the index's row-rank arrays. A hash probe (an unindexed join
+column) runs through the same structures, over an unregistered index
+(:meth:`ColumnarTable.hash_build`).
 
 numpy is required (``get_backend("columnar")`` refuses to build without
 it). Every predicate planning admits has a mask and every INT fits its
@@ -28,7 +30,7 @@ typed slot, so no entry point has a row-at-a-time fallback.
 Concurrent readers (an embedding caller's threads; the query server's
 engines are processes, one request at a time) share one table and one
 index, so every lazily built structure is built and published under a
-per-object lock: the row view, the index sidecar, and the bounded kernel
+per-object lock: the row view, an index build, and the bounded kernel
 memo (whose first-in-first-out eviction is a check-then-act). Whole-value
 caches whose loser of a race merely rebuilt an equal value (the columns'
 numpy copies) are published with a single reference store and need none.
@@ -40,7 +42,7 @@ import operator
 import sys
 import threading
 from array import array
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.storage.compiled import vector_spec
@@ -488,9 +490,9 @@ def _true_before(flags):
 
 
 class _Kernel:
-    """Per-(generation, local tests) vectorized group arrays of one index.
+    """Per-(build, local tests) vectorized group arrays of one index.
 
-    The per-key arrays are indexed by the sidecar's distinct-key rank ``j``
+    The per-key arrays are indexed by the index's distinct-key rank ``j``
     and are **distinct keys + 2** long: the two trailing slots hold 0, so
     numpy's negative indexing makes the ranks of an absent key (-1 NULL,
     -2 not in the index: :meth:`ColumnarIndex.row_ranks`) gather zeros and
@@ -520,7 +522,7 @@ class _Kernel:
 
     Arrays are non-writeable and shared wherever two of them are equal by
     construction: ``totals`` (and a test-free kernel's counts, offsets and
-    RIDs) with the index sidecar, ``ev[0]`` with ``totals``, ``ev[i]`` with
+    RIDs) with the index, ``ev[0]`` with ``totals``, ``ev[i]`` with
     ``pa[i - 1]``, ``counts`` with ``pa[-1]``, a one-test kernel's
     ``evals`` with ``totals``, a hash build's ``first_rids`` with its base
     kernel's.
@@ -619,22 +621,40 @@ class HashBuild(NamedTuple):
 
 
 class ColumnarIndex(SortedIndex):
-    """A :class:`SortedIndex` with flat-array probing and group kernels."""
+    """A :class:`SortedIndex` held as numpy arrays, with group kernels.
 
-    #: Changes to the memos of every columnar index in this process: a
-    #: sidecar (re)built, which empties them, a group kernel or a row-rank
+    The (key, RID) order is held with no Python object per entry:
+
+    * ``_ent_rids`` — every non-NULL row's RID in (key, RID) order;
+    * ``_keys_np`` — the distinct keys, ascending, of a numeric column
+      (``None`` for a string column); ``_str_keys`` — a string column's
+      distinct keys as a sorted list of its own ``str`` objects (``None``
+      for a numeric one): a string column has few distinct values;
+    * ``_bounds_np`` — the CSR segment starts of the distinct keys (key
+      ``j``'s entries are ``_ent_rids[_bounds_np[j] : _bounds_np[j + 1]]``),
+      distinct keys + 3 long, the end bound three times, and ``_totals_np``
+      its sizes, distinct keys + 2 long, ending in the two zero slots an
+      absent key's rank (-1 / -2) gathers (see :class:`_Kernel`).
+
+    A build or a refresh sorts the column once (a stable argsort, so equal
+    keys stay in RID order, as the row store's tuple sort leaves them) and
+    empties the memos of group kernels and row-rank arrays. Entries are
+    read through :meth:`_entry` / :meth:`_bisect_after` / :meth:`_rids`, and
+    a key comes back as the row view holds it (Python ``int``, ``float`` or
+    ``str``), so positions compare exactly as the row store's.
+    """
+
+    #: Changes to the memos of every columnar index in this process: an
+    #: index (re)built, which empties them, a group kernel or a row-rank
     #: array built. Who reports :meth:`kernel_footprint` re-measures when
     #: it moved, instead of re-counting the memos on every read.
     memo_changes = 0
     _memo_changes_lock = threading.Lock()
 
     __slots__ = (
-        "_gen",
-        "_rank",
-        "_keys",
-        "_starts",
         "_ent_rids",
         "_keys_np",
+        "_str_keys",
         "_bounds_np",
         "_totals_np",
         "_kernels",
@@ -643,103 +663,132 @@ class ColumnarIndex(SortedIndex):
     )
 
     def __init__(self, name: str, table: HeapTable, column: str) -> None:
-        self._gen = None
-        self._kernels = {}
-        self._row_ranks = {}
-        # Guards build-and-publish of the sidecar and the bounded memos.
+        # Guards the publication of a build and the bounded memos.
         self._lock = threading.Lock()
         super().__init__(name, table, column)
 
     def rebuild(self) -> None:
-        # Build entries straight from the column store: the load path then
-        # never materializes the row view.
+        # Straight from the column store: loading a table never
+        # materializes its row view.
         table = self.table
-        values = table.column_store(self._column_pos).values_list()
-        entries = [
-            (key, rid) for rid, key in enumerate(values) if key is not None
-        ]
-        entries.sort()
-        self._entries = entries
-        self._built_upto = len(table)
-        self._gen = None
+        rows = len(table)
+        column = table.column_store(self._column_pos)
+        str_keys = keys_np = None
+        if column.kind == "str":
+            # Rank the column's distinct strings (every decoded one is in
+            # some row) and sort the entries by rank.
+            decode = column.decode
+            by_text = sorted(range(len(decode)), key=decode.__getitem__)
+            str_keys = [decode[code] for code in by_text]
+            code_rank = _np.empty(len(decode), dtype=_np.int64)
+            code_rank[by_text] = _np.arange(len(decode))
+            codes = column.np_codes()[:rows]
+            rids = (codes >= 0).nonzero()[0]
+            entry_keys = code_rank[codes[rids]]
+        else:
+            values, notnull = column.np_values()
+            rids = notnull[:rows].nonzero()[0]
+            entry_keys = values[rids]
+        order = entry_keys.argsort(kind="stable")
+        ent_rids = rids[order]
+        entry_keys = entry_keys[order]
+        count = len(entry_keys)
+        first = _np.ones(count, dtype=bool)
+        # -0.0 == 0.0: one key, as in the row store's tuple order.
+        _np.not_equal(entry_keys[1:], entry_keys[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        if str_keys is None:
+            keys_np = entry_keys[starts]
+            keys_np.setflags(write=False)
+        bounds = _np.concatenate((starts, _np.full(3, count, dtype=_np.int64)))
+        totals = _np.diff(bounds)
+        for array in (ent_rids, bounds, totals):
+            array.setflags(write=False)
+        with self._lock:  # readers see one build's arrays and memos
+            self._ent_rids = ent_rids
+            self._keys_np = keys_np
+            self._str_keys = str_keys
+            self._bounds_np = bounds
+            self._totals_np = totals
+            self._kernels = {}
+            self._row_ranks = {}
+            self._built_upto = rows
+        self._memo_changed()
 
     def refresh(self) -> None:
-        # As rebuild(): read the appended keys from the column store, so
-        # loading a table never materializes its row view.
-        table = self.table
-        if self._built_upto == 0:
-            return self.rebuild()  # one sort, not an insertion per row
-        get = table.column_store(self._column_pos).get
-        for rid in range(self._built_upto, len(table)):
-            key = get(rid)
-            if key is not None:
-                insort(self._entries, (key, rid))
-        self._built_upto = len(table)
-
-    def _generation(self) -> tuple:
-        return (self._built_upto, self.table.version, len(self._entries))
-
-    def _sidecar(self) -> tuple:
-        """(rank, keys, starts) for the current generation (lazy)."""
-        gen = self._generation()
-        if self._gen != gen:
-            with self._lock:
-                if self._gen != gen:  # not built while this thread waited
-                    self._build_sidecar()
-                    self._gen = gen  # published last: readers test it first
-        return self._rank, self._keys, self._starts
-
-    def _build_sidecar(self) -> None:
-        entries = self._entries
-        keys: list = []
-        starts: list[int] = []
-        rank: dict = {}
-        previous = _SENTINEL
-        for position, (key, _) in enumerate(entries):
-            if key != previous:
-                rank[key] = len(keys)
-                keys.append(key)
-                starts.append(position)
-                previous = key
-        starts.append(len(entries))
-        self._rank = rank
-        self._keys = keys
-        self._starts = starts
-        self._ent_rids = _np.fromiter(
-            (rid for _, rid in entries), dtype=_np.int64, count=len(entries)
-        )
-        # CSR segment bounds and sizes per distinct key: the same for
-        # every kernel of this generation, which share them. The end bound
-        # is there three times, so the sizes end in the two zero slots an
-        # absent key's rank (-1 / -2) gathers (see _Kernel).
-        self._bounds_np = _np.asarray(starts + starts[-1:] * 2, dtype=_np.int64)
-        self._totals_np = _np.diff(self._bounds_np)
-        for array in (self._ent_rids, self._bounds_np, self._totals_np):
-            array.setflags(write=False)
-        self._keys_np = None
-        kind = self.table.column_store(self._column_pos).kind
-        if keys and kind != "str":
-            dtype = _np.int64 if kind == "int" else _np.float64
-            self._keys_np = _np.array(keys, dtype=dtype)
-            self._keys_np.setflags(write=False)
-        self._kernels = {}
-        self._row_ranks = {}
-        self._memo_changed()
+        # One sort of the whole column, not an insertion per appended row.
+        if self._built_upto != len(self.table):
+            self.rebuild()
 
     @staticmethod
     def _memo_changed() -> None:
         with ColumnarIndex._memo_changes_lock:
             ColumnarIndex.memo_changes += 1
 
+    # -- the (key, rid) order, read off the arrays ------------------------
+    def __len__(self) -> int:
+        return len(self._ent_rids)
+
+    def distinct_key_count(self) -> int:
+        return len(self._totals_np) - 2
+
+    def _entry(self, position: int) -> tuple:
+        rid = self._ent_rids.item(position)
+        return self.table.column_store(self._column_pos).get(rid), rid
+
+    def _rids(self, lo: int, hi: int) -> list[int]:
+        return self._ent_rids[lo:hi].tolist()
+
+    def _key_rank(self, key, right: bool) -> int:
+        """How many distinct keys sort before *key* (``right``: at or
+        before it) — the ``bisect`` of the row store's tuple list, by the
+        same comparisons."""
+        search = bisect_right if right else bisect_left
+        if self._str_keys is not None:
+            return search(self._str_keys, key)
+        keys = self._keys_np
+        exact = int if keys.dtype.kind == "i" else float
+        if type(key) is exact and (exact is float or -(2**63) <= key < 2**63):
+            return int(keys.searchsorted(key, "right" if right else "left"))
+        # Another type (an int bound on a float column, a float one on an
+        # int column, an int past int64): Python's exact mixed-type
+        # comparison, key by key, as the tuples compare.
+        return search(keys, key, key=exact)
+
+    def _range_bounds(self, low, high, low_inclusive, high_inclusive):
+        bounds = self._bounds_np
+        lo = 0 if low is None else bounds.item(self._key_rank(low, not low_inclusive))
+        hi = (
+            len(self._ent_rids)
+            if high is None
+            else bounds.item(self._key_rank(high, high_inclusive))
+        )
+        return lo, hi
+
+    def _bisect_after(self, entry: tuple) -> int:
+        key, rid = entry
+        rank = self._key_rank(key, False)
+        lo = self._bounds_np.item(rank)
+        if rank == self.distinct_key_count() or self._key_at(rank) != key:
+            return lo  # no entry has the key: every one before it counts
+        hi = self._bounds_np.item(rank + 1)
+        # A key's entries are in RID order.
+        return lo + int(self._ent_rids[lo:hi].searchsorted(rid, "right"))
+
+    def _key_at(self, rank: int):
+        """Distinct key *rank* as a Python value."""
+        if self._str_keys is not None:
+            return self._str_keys[rank]
+        return self._keys_np.item(rank)
+
     # -- vectorized group kernels ---------------------------------------
     def _kernel_for(self, local_tests: Sequence, predicates_key: tuple):
-        """Build (or fetch) the group kernel for this generation + tests."""
-        self._sidecar()
+        """Build (or fetch) the group kernel for this build + tests."""
         with self._lock:  # one build per key; eviction is check-then-act
             kernel = self._kernels.get(predicates_key)
             if kernel is None:
                 kernel = self._build_kernel(local_tests)
-                if len(self._kernels) >= 16:  # bound the per-generation memo
+                if len(self._kernels) >= 16:  # bound the per-build memo
                     self._kernels.pop(next(iter(self._kernels)))
                 self._kernels[predicates_key] = kernel
                 self._memo_changed()
@@ -755,7 +804,7 @@ class ColumnarIndex(SortedIndex):
         bounds = self._bounds_np
         totals = self._totals_np
         if not masks:
-            # Every entry passes: the kernel is the sidecar itself.
+            # Every entry passes: the kernel is the index itself.
             return _Kernel(
                 totals, _np.zeros_like(totals), totals, bounds, ent_rids, [], []
             )
@@ -791,20 +840,19 @@ class ColumnarIndex(SortedIndex):
         """Every row of *source_column* as a rank of this index.
 
         ``row_ranks[rid]`` is the distinct-key rank (the kernels' ``j``) of
-        the key *source_column* holds at ``rid`` — the scalar
-        ``rank.get(row[key_slot])`` for every row at once: -1 where the key
-        is NULL, -2 where this index does not hold it. A join probe through
-        this index is then one gather per chunk. Planning admits joins
-        between comparable key domains only (numbers with numbers, strings
-        with strings), so every source column has one.
+        the key *source_column* holds at ``rid`` — what the scalar probe
+        resolves for every row at once: -1 where the key is NULL, -2 where
+        this index does not hold it. A join probe through this index is
+        then one gather per chunk. Planning admits joins between comparable
+        key domains only (numbers with numbers, strings with strings), so
+        every source column has one.
 
         One int64 array per source column that probes this index (bounded
-        by the schema's join edges), for the current sidecar generation:
-        dropped with the sidecar, rebuilt when the source column grew.
-        ``_row_ranks`` holds ``(rows at build, array, its lowest rank)``.
+        by the schema's join edges), for the current build: dropped with
+        it, rebuilt when the source column grew. ``_row_ranks`` holds
+        ``(rows at build, array, its lowest rank)``.
         """
         self._check_fresh()
-        self._sidecar()
         rows = len(source_column)
         with self._lock:  # one build per source column
             held = self._row_ranks.get(source_column)
@@ -829,48 +877,54 @@ class ColumnarIndex(SortedIndex):
         return -2 if held is None else held[2]
 
     def _build_row_ranks(self, source_column):
-        rank = self._rank
         if isinstance(source_column, _StringColumn):
-            decode = source_column.decode
-            lut = _np.full(len(decode) + 1, -2, dtype=_np.int64)
-            for code, text in enumerate(decode):
-                j = rank.get(text)
-                if j is not None:
-                    lut[code] = j
-            lut[-1] = -1  # NULL encodes as code -1 -> last LUT slot
-            return lut[source_column.np_codes()]
+            # A lookup table over the source's codes, from the sorted keys;
+            # NULL encodes as code -1, the last slot.
+            rank = {key: j for j, key in enumerate(self._str_keys)}
+            lut = [rank.get(text, -2) for text in source_column.decode] + [-1]
+            return _np.array(lut, dtype=_np.int64)[source_column.np_codes()]
         values, notnull = source_column.np_values()
-        if not rank:
+        keys = self._keys_np
+        if not len(keys):
             # Empty index: every non-null key misses, nulls stay null.
             return _np.where(notnull, _np.int64(-2), _np.int64(-1))
-        keys = self._keys_np
         clipped = _np.minimum(_np.searchsorted(keys, values), len(keys) - 1)
         ranks = _np.where(keys[clipped] == values, clipped, -2)
         ranks[~notnull] = -1
         return ranks
 
-    def kernel_arrays(self) -> list:
-        """The cascade sidecar + kernel plan arrays resident on this index.
+    def index_arrays(self) -> list:
+        """The arrays this index is: entry RIDs, distinct numeric keys, CSR
+        bounds and sizes."""
+        arrays = [self._ent_rids, self._bounds_np, self._totals_np]
+        if self._keys_np is not None:
+            arrays.append(self._keys_np)
+        return arrays
 
-        The numpy entry-RID / distinct-key sidecars, every memoized group
-        kernel and every row-rank array of the current generation, shared
-        arrays more than once. Positional kernels derived from these for
-        one query (:meth:`_Kernel.restricted`) are not among them: nothing
-        here retains them. Empty while the sidecar is unbuilt or stale — a
-        stats read must never force a lazy build.
+    def nbytes(self) -> int:
+        """Resident bytes of the index: its arrays, and a string column's
+        sorted key list (the strings are the column's own objects)."""
+        total = unique_nbytes(self.index_arrays())
+        if self._str_keys is not None:
+            total += sys.getsizeof(self._str_keys)
+        return total
+
+    def kernel_arrays(self) -> list:
+        """The cascade's index + kernel plan arrays resident on this index.
+
+        The index's own arrays (:meth:`index_arrays`), every memoized group
+        kernel and every row-rank array of the current build, shared arrays
+        more than once. Positional kernels derived from these for one query
+        (:meth:`_Kernel.restricted`) are not among them: nothing here
+        retains them.
         """
-        if self._gen is None or self._gen != self._generation():
-            return []
         with self._lock:  # another thread may be publishing a kernel
+            arrays = self.index_arrays()
             kernels = list(self._kernels.values())
-            row_ranks = [held[1] for held in self._row_ranks.values()]
-        arrays = [
-            self._ent_rids, self._keys_np, self._bounds_np, self._totals_np,
-            *row_ranks,
-        ]
+            arrays += [held[1] for held in self._row_ranks.values()]
         for kernel in kernels:
             arrays += kernel.arrays()
-        return [array for array in arrays if array is not None]
+        return arrays
 
     def kernel_footprint(self) -> int:
         """Approximate resident bytes of :meth:`kernel_arrays`."""
@@ -879,23 +933,7 @@ class ColumnarIndex(SortedIndex):
 
 def unique_nbytes(arrays) -> int:
     """Bytes of *arrays*, each array counted once however often it is in
-    there (kernels share arrays with their sidecar and among their own
+    there (kernels share arrays with their index and among their own
     fields)."""
     unique = {id(array): array for array in arrays}
     return sum(int(array.nbytes) for array in unique.values())
-
-
-class _SentinelType:
-    __slots__ = ()
-
-    def __eq__(self, other):  # pragma: no cover - trivial
-        return other is self
-
-    def __ne__(self, other):
-        return other is not self
-
-    def __hash__(self):  # pragma: no cover - trivial
-        return object.__hash__(self)
-
-
-_SENTINEL = _SentinelType()

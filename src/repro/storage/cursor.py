@@ -153,8 +153,8 @@ class IndexScanCursor:
         "index",
         "order",
         "ranges",
-        "last_position",
         "exhausted",
+        "_last_at",
         "_range_no",
         "_pos",
         "_hi",
@@ -170,8 +170,8 @@ class IndexScanCursor:
         self.index = index
         self.order = ScanOrder(index.table, index)
         self.ranges = normalize_ranges(ranges) if ranges else [KeyRange()]
-        self.last_position: Position | None = None
         self.exhausted = False
+        self._last_at = -1  # entry-list position of the last entry read
         # The walk's whole state: the range being read (an index into
         # ``ranges``; -1 before the first) and the entry-list positions
         # ``[_pos, _hi)`` left in it. Explicit rather than held in a
@@ -231,9 +231,18 @@ class IndexScanCursor:
             index.meter.charge_index_descend()
             self._pos, self._hi = self._whole_span(self._range_no)
         index.meter.charge_index_entries(1)
-        entry = index._entries[self._pos]
+        entry = index._entry(self._pos)
+        self._last_at = self._pos
         self._pos += 1
         return entry
+
+    @property
+    def last_position(self) -> Position | None:
+        """The (key, rid) position of the last entry read (None before the
+        first): read off the index when asked, so a bulk reader's
+        :meth:`skip_to` records an offset and builds no tuple."""
+        at = self._last_at
+        return None if at < 0 else self.index._entry(at)
 
     def __iter__(self) -> Iterator[tuple[int, Row]]:
         return self
@@ -245,13 +254,11 @@ class IndexScanCursor:
             # be retried.
             faults.fire("cursor-advance")
         try:
-            key, rid = self._next_entry()
+            _, rid = self._next_entry()
         except StopIteration:
             self.exhausted = True
             raise
-        row = self.index.table.fetch(rid)
-        self.last_position = (key, rid)
-        return rid, row
+        return rid, self.index.table.fetch(rid)
 
     def remaining_spans(self) -> list[tuple[int, int, int]]:
         """What is left of the walk, as entry-list spans (uncharged lookahead).
@@ -286,4 +293,4 @@ class IndexScanCursor:
         self._range_no = range_no
         self._pos = pos
         self._hi = hi
-        self.last_position = self.index._entries[pos - 1]
+        self._last_at = pos - 1

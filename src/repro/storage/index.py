@@ -19,6 +19,7 @@ deterministically cheaper.
 from __future__ import annotations
 
 import bisect
+import sys
 from typing import Any, Iterator
 
 from repro.errors import StorageError
@@ -104,7 +105,6 @@ class SortedIndex:
         self.table = table
         self.column = column
         self._column_pos = table.schema.position_of(column)
-        self._entries: list[Entry] = []
         self._built_upto = 0  # number of heap rows reflected in the index
         self.rebuild()
 
@@ -143,6 +143,23 @@ class SortedIndex:
             raise StorageError(
                 f"index {self.name!r} is stale: call refresh() after inserts"
             )
+
+    # ------------------------------------------------------------------
+    # Entry positions: what cursors, range scans and positional
+    # predicates read. The row store answers from its entry list; the
+    # columnar store (ColumnarIndex) from its arrays.
+    # ------------------------------------------------------------------
+    def _entry(self, position: int) -> Entry:
+        """The (key, rid) entry at *position* of the (key, rid) order."""
+        return self._entries[position]
+
+    def _bisect_after(self, entry: Entry) -> int:
+        """How many entries sort at or before the (key, rid) *entry*."""
+        return bisect.bisect_right(self._entries, entry)
+
+    def _rids(self, lo: int, hi: int) -> list[int]:
+        """The RIDs of the entries at positions ``[lo, hi)``."""
+        return [rid for _, rid in self._entries[lo:hi]]
 
     def _range_bounds(
         self,
@@ -183,7 +200,7 @@ class SortedIndex:
             return []
         lo, hi = self._range_bounds(key, key, True, True)
         self.meter.charge_index_entries(max(hi - lo, 1))
-        return [rid for _, rid in self._entries[lo:hi]]
+        return self._rids(lo, hi)
 
     def scan_range(
         self,
@@ -205,10 +222,10 @@ class SortedIndex:
         self.meter.charge_index_descend()
         lo, hi = self._range_bounds(low, high, low_inclusive, high_inclusive)
         if start_after is not None:
-            lo = max(lo, bisect.bisect_right(self._entries, start_after))
+            lo = max(lo, self._bisect_after(start_after))
         for position in range(lo, hi):
             self.meter.charge_index_entries(1)
-            yield self._entries[position]
+            yield self._entry(position)
 
     def count_range(
         self,
@@ -237,7 +254,7 @@ class SortedIndex:
         """
         lo, hi = self._range_bounds(low, high, low_inclusive, high_inclusive)
         if after is not None:
-            lo = max(lo, bisect.bisect_right(self._entries, after))
+            lo = max(lo, self._bisect_after(after))
         return max(hi - lo, 0)
 
     def distinct_key_count(self) -> int:
@@ -249,3 +266,15 @@ class SortedIndex:
                 count += 1
                 previous = key
         return count
+
+    def nbytes(self) -> int:
+        """Approximate resident bytes of the entry list: the list, its
+        ``(key, rid)`` tuples, their keys and RIDs. A key is the same
+        object as its row's cell, so it is counted twice across the table
+        and its index, like every shared object in
+        :func:`~repro.storage.columnar.heap_memory_footprint`."""
+        getsizeof = sys.getsizeof
+        total = getsizeof(self._entries)
+        for entry in self._entries:
+            total += getsizeof(entry) + getsizeof(entry[0]) + getsizeof(entry[1])
+        return total

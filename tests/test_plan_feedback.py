@@ -710,6 +710,11 @@ def test_served_requests_report_feedback_and_analyze_clears_it(flip_db):
         document = {**stats, "plan_cache": {**stats["plan_cache"], **broken}}
         with pytest.raises(validate_stats.ValidationError, match=message):
             validate_stats.validate(document)
+    # The index bytes are the per-table ones, summed.
+    assert stats["storage"]["index_bytes"] > 0
+    storage = {**stats["storage"], "index_bytes": stats["storage"]["index_bytes"] + 1}
+    with pytest.raises(validate_stats.ValidationError, match="index_bytes"):
+        validate_stats.validate({**stats, "storage": storage})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Join keys as precomputed rank gathers (``ColumnarIndex.row_ranks``).
 
 A probed index keeps, per source column that probes it, the rank of every
-source row's key in its distinct-key sidecar (-1 NULL, -2 not in the
+source row's key among its distinct keys (-1 NULL, -2 not in the
 index), so a chunk's key translation is one gather. Three layers:
 
 * the array against the scalar ``rank.get(row[key_slot])``, row by row,
@@ -57,10 +57,20 @@ def source_and_index(db):
     return column, db.catalog.index_on("dst", "k")
 
 
+def rank_lookup(index) -> dict:
+    """key -> distinct-key rank, read off the index's (key, rid) order."""
+    rank: dict = {}
+    for position in range(len(index)):
+        key = index._entry(position)[0]
+        if key not in rank:
+            rank[key] = len(rank)
+    return rank
+
+
 def scalar_ranks(db) -> list[int]:
     """What the scalar probe resolves per source row, in the array's codes."""
     _, index = source_and_index(db)
-    rank, _, _ = index._sidecar()
+    rank = rank_lookup(index)
     out = []
     for row in db.catalog.table("src").raw_rows():
         key = row[0]
@@ -97,7 +107,7 @@ def test_gather_equals_scalar_rank_lookup_for_every_row(kind, seed):
     expected = scalar_ranks(db)
     assert ranks.dtype == _np.int64 and ranks.tolist() == expected
     assert {NULL, MISSING} <= set(expected) and max(expected) > 0  # not vacuous
-    assert len(index._keys) < len(index._entries)  # duplicate keys, one rank
+    assert index.distinct_key_count() < len(index)  # duplicate keys, one rank
     # The cascade's translator is a gather over that array.
     rids = _np.array(rng.choices(range(300), k=64), dtype=_np.int64)
     translate = index.row_ranks(column).take
@@ -111,7 +121,7 @@ def test_empty_index_misses_every_key_and_keeps_nulls(kind, probed_keys):
     rng = random.Random(5)
     db = two_tables(kind, kind, keys_of(kind, rng, 50, 10), probed_keys)
     column, index = source_and_index(db)
-    assert not index._sidecar()[0]
+    assert index.distinct_key_count() == 0
     expected = scalar_ranks(db)
     assert index.row_ranks(column).tolist() == expected
     assert set(expected) == {NULL, MISSING}
@@ -165,7 +175,6 @@ def test_footprint_counts_the_rank_arrays():
     rng = random.Random(1)
     db = two_tables("int", "int", keys_of("int", rng, 500, 30), range(30))
     column, index = source_and_index(db)
-    index._sidecar()
     before = index.kernel_footprint()
     ranks = index.row_ranks(column)
     assert ranks.nbytes == 8 * 500
@@ -234,7 +243,7 @@ def held_ranks(db):
     index = db.catalog.index_on("src", "k")
     rows, ranks, _ = index._row_ranks[column]
     assert rows == len(ranks) == len(column)
-    rank = index._sidecar()[0]
+    rank = rank_lookup(index)
     assert ranks.tolist() == [
         NULL if key is None else rank.get(key, MISSING)
         for key in column.values_list()
@@ -453,13 +462,11 @@ def test_padding_is_sixteen_bytes_an_array_and_nothing_is_writeable():
     kernels = 0
     for name in db.catalog.table_names():
         for index in db.catalog.indexes_of(name).values():
-            if index._gen is None:
-                continue
-            nkeys = len(index._keys)
-            sidecar = [index._ent_rids, index._bounds_np, index._totals_np]
+            nkeys = index.distinct_key_count()
+            own = [index._ent_rids, index._bounds_np, index._totals_np]
             padded = {id(index._totals_np)}  # distinct keys + 2 long
             offsets = {id(index._bounds_np)}  # distinct keys + 3 long
-            unique = {id(array): array for array in sidecar}
+            unique = {id(array): array for array in own}
             if index._keys_np is not None:
                 unique[id(index._keys_np)] = index._keys_np
             for _, ranks, _ in index._row_ranks.values():
@@ -499,7 +506,7 @@ def test_padding_is_sixteen_bytes_an_array_and_nothing_is_writeable():
                     unique[id(first)] = first
                 else:
                     assert first is None
-                # What a kernel adds to its sidecar: the zero evals of a
+                # What a kernel adds to its index: the zero evals of a
                 # test-free one; else a pass count per test, offsets, RIDs
                 # and - past one test - the summed evals; and a unique
                 # kernel's first RIDs.

@@ -92,9 +92,10 @@ def random_probe_keys(rng: random.Random, n: int) -> list:
 
 
 def rids_by_key(index) -> dict:
-    """key -> RIDs in entry order, read off the index's sorted entries."""
+    """key -> RIDs in entry order, read off the index's (key, rid) order."""
     lookup: dict = {}
-    for key, rid in index._entries:
+    for position in range(len(index)):
+        key, rid = index._entry(position)
         lookup.setdefault(key, []).append(rid)
     return lookup
 
@@ -627,7 +628,7 @@ def check_frozen_leg(rng, rows, scan_order):
         db.create_index("t", scan_order)
         scan_index = db.catalog.index_on("t", scan_order)
         order = ScanOrder(table, scan_index)
-        positions = list(scan_index._entries)
+        positions = [scan_index._entry(p) for p in range(len(scan_index))]
         predicates.insert(
             rng.randrange(len(predicates) + 1),
             IsNull(scan_order, negated=True),
@@ -710,12 +711,12 @@ def test_positional_kernel_tie_at_the_rid_boundary():
     test = predicate.bind(table.schema)
     index = db.catalog.index_on("t", "k")
     base = index.cascade_groups([(predicate, test)])
-    rank = index._sidecar()[0]
     order = ScanOrder(table, db.catalog.index_on("t", "sk"))
     kernel = _positional_kernel(
         base, PositionalPredicate(order=order, after=("b", 1)), len(table)
     )
-    j = rank[7]
+    assert index.distinct_key_count() == 1
+    j = 0  # key 7's rank
     assert kernel.pass_rids[
         kernel.pass_offsets[j] : kernel.pass_offsets[j + 1]
     ].tolist() == [2, 3]
@@ -828,7 +829,6 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
                              high=None if rng.random() < 0.2 else cuts[5]),
                 ][: rng.randint(1, 3)]
         if kind == "index":
-            index._sidecar()
             cursor = IndexScanCursor(index, list(ranges))
         else:
             cursor = TableScanCursor(table)
