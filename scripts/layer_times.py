@@ -19,10 +19,16 @@ them: ``unique`` gathers through a kernel no key of which has more than
 one passing row (``_Kernel.unique``), ``csr`` expands; ``us/step`` is
 ``_expand``'s time over those steps. The ``floor`` line gives, per
 statement, the pass's time outside ``_expand`` and ``_project``: what an
-execution costs beyond its join and its rows. The wrappers cost
+execution costs beyond its join and its rows, and below it the floor's
+named parts (:data:`FLOOR`: plan-cache lookup, executor build, cursor and
+probe install, chunk-loop frames, stats and result; the rest is the
+hooks, ``_learn`` and what no wrapper covers). The wrappers cost
 a few microseconds a call, so read the numbers against another run of
-this script, not against an unwrapped pass. A ledger, not a gate: no
-thresholds.
+this script, not against an unwrapped pass. The ``bare`` line is
+unwrapped: the fastest plain pass of ``Database.execute`` over the
+fastest pass of what the join itself needs — each statement's driving
+survivors, ``_expand`` and ``_project`` on the prepared cascade start of
+the plan it ran — and their ratio. A ledger, not a gate: no thresholds.
 
 ``--served`` times a served request instead, in-process: the 40
 statement/mode pairs of the served workload (12 four-table and 8 six-table
@@ -52,6 +58,7 @@ the tree, and the tree over that one process's ``VmRSS``.
 Usage::
 
     PYTHONPATH=src python scripts/layer_times.py --grid six --mode none
+    PYTHONPATH=src python scripts/layer_times.py --grid four --mode monitor
     PYTHONPATH=src python scripts/layer_times.py --served --scale 0.1
     PYTHONPATH=src python scripts/layer_times.py --memory --served --scale 0.1
 """
@@ -75,20 +82,29 @@ from repro import AdaptiveConfig, Database, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor import pipeline, vector
+from repro.executor.access import LegFlow
+from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor
 from repro.obs.recorder import FlightRecorder
 from repro.robustness.limits import SharedCancellationToken
 from repro.server import server
 from repro.server.admission import ServerConfig
 from repro.server.server import DatabaseEngine, answer
+from repro.storage.counters import WorkMeter
 
 LAYERS = [
+    (Database, "execute"),
     (Database, "_plan_sql"),
     (Database, "_execute_plan"),
+    (Database, "_learn"),
     (pipeline, "_prepare"),
     (PipelineExecutor, "__init__"),
+    (PipelineExecutor, "_build_machine"),
+    (PipelineExecutor, "_accounted"),
     (PipelineExecutor, "_open_driving"),
     (PipelineExecutor, "_compile_all_probes"),
+    (BatchedPipelineExecutor, "_cascade"),
+    (BatchedPipelineExecutor, "_collect"),
     (vector, "_adaptive_plan"),
     (vector, "_driving_walk"),
     (vector, "_expand"),
@@ -96,6 +112,40 @@ LAYERS = [
     (AdaptationController, "on_suffix_depleted"),
     (AdaptationController, "on_pipeline_depleted"),
 ]
+
+#: The floor's named parts: the layers whose own time each one is.
+#: ``_collect`` iterates the chunk generator, so its own time is the chunk
+#: loop's (less ``_expand`` / ``_project`` and the other layers it calls).
+FLOOR = {
+    "plan-cache lookup": ["Database._plan_sql"],
+    "executor build": [
+        "PipelineExecutor.__init__",
+        "PipelineExecutor._build_machine",
+        "pipeline._prepare",
+    ],
+    "cursor and probe install": [
+        "PipelineExecutor._open_driving",
+        "PipelineExecutor._compile_all_probes",
+        "BatchedPipelineExecutor._cascade",
+        "vector._adaptive_plan",
+        "vector._driving_walk",
+    ],
+    "chunk-loop frames": ["BatchedPipelineExecutor._collect"],
+    "stats and result": [
+        "Database.execute",
+        "Database._execute_plan",
+        "PipelineExecutor._accounted",
+    ],
+}
+
+#: ``--mode`` values.
+MODES = {
+    "none": ReorderMode.NONE,
+    "monitor": ReorderMode.MONITOR_ONLY,
+    "inner": ReorderMode.INNER_ONLY,
+    "driving": ReorderMode.DRIVING_ONLY,
+    "both": ReorderMode.BOTH,
+}
 
 
 def timed(function, spent: dict, name: str, inside: list):
@@ -126,6 +176,31 @@ def counted(expand, steps: list):
         return expand(meter, inner, *args)
 
     return wrapper
+
+
+def bare_pass(plans: list) -> float:
+    """Seconds of what the join itself needs over *plans* (each run
+    before, so its prepared record is built): driving survivors,
+    ``_expand`` and ``_project`` on the record's cascade start, charging a
+    private meter."""
+    meter = WorkMeter()
+    steps = []
+    for plan in plans:
+        record = plan.__dict__["_prepared"]
+        template, walk = record.cascade
+        flows = {alias: LegFlow(alias, meter) for alias in plan.order}
+        inner = [(flows[alias], *rest) for alias, *rest in template]
+        steps.append((walk.restarted(flows[plan.order[0]], None), inner, record))
+    start = perf_counter()
+    for walk, inner, record in steps:
+        survivors = walk.take(vector.STATIC_SLICE_ROWS)
+        ancestors, flow = vector._expand(meter, inner, walk.leg.alias, survivors)
+        if flow:
+            bindings = record.bindings
+            vector._project(
+                bindings.legs, bindings.projection_slots, ancestors, flow
+            )
+    return perf_counter() - start
 
 
 def print_layers(title: str, passes: list) -> None:
@@ -388,7 +463,7 @@ def served_pss(scale: float) -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", choices=("four", "six"), default="six")
-    parser.add_argument("--mode", choices=("none", "both"), default="none")
+    parser.add_argument("--mode", choices=tuple(MODES), default="none")
     parser.add_argument("--scale", type=float, default=0.1)
     parser.add_argument("--passes", type=int, default=9)
     parser.add_argument("--served", action="store_true")
@@ -400,16 +475,18 @@ def main() -> None:
         sys.exit(served(args))
 
     sqls = grid_sqls(args.grid)
-    config = AdaptiveConfig(mode=ReorderMode(args.mode))
+    config = AdaptiveConfig(mode=MODES[args.mode])
     db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
     spent: dict[str, float] = {}
     inside: list[float] = []
-    for owner, name in LAYERS:
+    originals = [(owner, name, getattr(owner, name)) for owner, name in LAYERS]
+    for owner, name, function in originals:
         label = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
         spent[label] = 0.0
-        setattr(owner, name, timed(getattr(owner, name), spent, label, inside))
+        setattr(owner, name, timed(function, spent, label, inside))
     steps = [0, 0]  # inner-leg steps: [csr, unique]
     vector._expand = counted(vector._expand, steps)
+    plans: list = []  # the plans the last pass ran, for the bare line
 
     def one_pass(config) -> tuple[dict, tuple]:
         """``({layer: seconds}, (rows, checks, switches, learned runs,
@@ -418,9 +495,11 @@ def main() -> None:
             spent[label] = 0.0
         steps[:] = [0, 0]
         rows = checks = switches = learned = 0
+        plans.clear()
         start = perf_counter()
         for sql in sqls:
             result = db.execute(sql, config)
+            plans.append(result.plan)
             rows += len(result.rows)
             checks += result.stats.inner_checks + result.stats.driving_checks
             switches += result.stats.total_switches
@@ -463,6 +542,29 @@ def main() -> None:
             f"floor (execution {name}): {floor * 1e6 / len(sqls):.1f} us a "
             "statement outside _expand and _project"
         )
+        parts = {
+            part: sum(layers[label] for label in labels)
+            for part, labels in FLOOR.items()
+        }
+        parts["rest (hooks, _learn, other)"] = floor - sum(parts.values())
+        for part, seconds in parts.items():
+            print(f"  {part:<30}{seconds * 1e6 / len(sqls):>8.1f} us")
+
+    # Unwrapped: plain passes of the warm executions against the bare join.
+    for owner, name, function in originals:
+        setattr(owner, name, function)
+    plain = bare = float("inf")
+    for _ in range(args.passes):
+        start = perf_counter()
+        for sql in sqls:
+            db.execute(sql, config)
+        plain = min(plain, perf_counter() - start)
+        bare = min(bare, bare_pass(plans))
+    print(
+        f"bare (executions {names[-1]}, unwrapped): db.execute "
+        f"{plain * 1e3:.1f} ms a pass, survivors + _expand + _project "
+        f"{bare * 1e3:.1f} ms: {plain / bare:.2f}x"
+    )
     for name, (layers, _) in zip(names, measured[:learning]):
         print_layers(f"layer (execution {name})", [layers])
     print_layers(

@@ -88,9 +88,10 @@ def _as_column(spec: ColumnSpec) -> Column:
     return Column(name, column_type)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecutionStats:
-    """Measurements of one query execution."""
+    """Measurements of one query execution (not frozen: that costs every
+    query microseconds)."""
 
     work: WorkMeter          # work-unit deltas attributable to this query
     wall_seconds: float
@@ -151,7 +152,7 @@ class ExecutionStats:
         return any(event.kind is EventKind.DEGRADED for event in self.events)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryResult:
     """Result rows plus execution statistics and the (initial) plan."""
 

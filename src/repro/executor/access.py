@@ -93,15 +93,35 @@ def bind_local_tests(
     )
 
 
-class RuntimeLeg:
+FLOW_COUNTERS = ("rows_in", "index_matches", "rows_out", "rows_scanned", "rows_survived")
+
+
+class LegFlow:
+    """A leg's row flow over the run, in both roles (what EXPLAIN ANALYZE,
+    the metrics and the trace report): all an unmonitored cascade keeps of
+    a leg. Bumped where the numbers are computed anyway: per probe / driving
+    row by the scalar machine, once per chunk by the cascade."""
+
+    __slots__ = ("alias", "meter", *FLOW_COUNTERS, "_hash_tables")
+    monitoring_enabled = False
+    driving_monitor = None
+
+    def __init__(self, alias: str, meter: Any) -> None:
+        self.alias = alias
+        self.meter = meter
+        self.rows_in = self.index_matches = self.rows_out = 0
+        self.rows_scanned = self.rows_survived = 0
+        # Hash builds by access column, reused across reorders and switches.
+        self._hash_tables: dict[str, Any] = {}
+
+
+class RuntimeLeg(LegFlow):
     """Run-time state of one table in the pipeline."""
 
     __slots__ = (
         "plan_leg",
-        "alias",
         "table",
         "schema",
-        "meter",
         "indexes",
         "monitoring_enabled",
         "monitor",
@@ -119,14 +139,8 @@ class RuntimeLeg:
         "obs",
         "degrade_hook",
         "monitor_failure",
-        "_hash_tables",
         "_pushed",
         "model_parts",
-        "rows_in",
-        "index_matches",
-        "rows_out",
-        "rows_scanned",
-        "rows_survived",
     )
 
     def __init__(
@@ -146,11 +160,10 @@ class RuntimeLeg:
         leg unmonitored, its inner monitor the shared idle one. *obs*,
         *degrade_hook* and *collect_rids* are the executor's (below).
         """
+        LegFlow.__init__(self, plan_leg.alias, binding.table.meter)
         self.plan_leg = plan_leg
-        self.alias = plan_leg.alias
         self.table = table = binding.table
         self.schema = table.schema
-        self.meter = table.meter
         self.indexes = binding.indexes
         self.model_parts = binding.model_parts
         self.local_tests = binding.local_tests
@@ -183,23 +196,11 @@ class RuntimeLeg:
         self.match_rids: list[int] = []
         # Observability bundle: told of fault retries.
         self.obs = obs
-        # The leg's row flow over the whole run, in both roles — what
-        # EXPLAIN ANALYZE, the metrics and the trace report. Bumped where
-        # the numbers are computed anyway: per probe / driving row here,
-        # once per chunk by the cascade (vector._expand, _DrivingWalk).
-        self.rows_in = 0
-        self.index_matches = 0
-        self.rows_out = 0
-        self.rows_scanned = 0
-        self.rows_survived = 0
         # Monitoring is advisory: if it raises, it is disabled for this leg
         # and the failure reported through degrade_hook instead of aborting
         # the query.
         self.degrade_hook = degrade_hook
         self.monitor_failure: BaseException | None = None
-        # Hash builds are cached per access column: reorders and driving
-        # switches that keep the same access column reuse the build.
-        self._hash_tables: dict[str, HashProbeTable] = {}
 
     @property
     def base_cardinality(self) -> int:

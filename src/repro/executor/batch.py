@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+from repro.executor.access import LegFlow
 from repro.executor.pipeline import PipelineExecutor
 from repro.executor.vector import cascade
 
@@ -21,6 +22,8 @@ class BatchedPipelineExecutor(PipelineExecutor):
     """Drop-in executor running the cascade: its run yields a list of rows
     per chunk, which :meth:`run_to_completion` extends its result with and
     :meth:`rows` streams row by row."""
+
+    _lazy_machine = True
 
     def rows(self) -> Iterator[tuple[Any, ...]]:
         chunks = self._accounted(self._run())
@@ -31,17 +34,33 @@ class BatchedPipelineExecutor(PipelineExecutor):
             chunks.close()
 
     def run_to_completion(self) -> list[tuple[Any, ...]]:
+        return self._accounted(self._collect)
+
+    def _collect(self) -> list[tuple[Any, ...]]:
         rows: list[tuple[Any, ...]] = []
-        for chunk in self._accounted(self._run()):
+        for chunk in self._cascade():
             rows += chunk
         return rows
 
     def _run(self) -> Iterator[list[tuple]]:
-        self._open_driving(self.order[0])
-        self._compile_all_probes()
-        self.engine_used = (
-            "vector-adaptive" if self.config.mode.monitors else "vector"
-        )
-        # Armed limits are enforced at the chunk boundaries (see
-        # vector._run_cascade).
-        yield from cascade(self)
+        yield from self._cascade()
+
+    def _cascade(self) -> Iterator[list[tuple]]:
+        """This run's chunk generator. An unmonitored run nothing checks
+        (mode NONE, a learned plan) builds no leg, cursor or registry: only
+        what it writes (flow counters, walk progress, meter charges, rows)."""
+        # A monitored or oracle-checked run built its machine at init.
+        if "legs" in self.__dict__ or self.catalog.faults is not None:
+            self._open_driving(self.order[0])
+            self._compile_all_probes()
+            monitored = self.config.mode.monitors
+            self.engine_used = "vector-adaptive" if monitored else "vector"
+            return cascade(self, self.legs, self.prepared_start, self.driving_cursor)
+        self.engine_used = "vector"
+        order = self.plan.order
+        self.order, self.order_history, self.events = list(order), [order], []
+        meter = self.catalog.meter
+        self.flows = {alias: LegFlow(alias, meter) for alias in order}
+        if self.obs is not None:
+            self.obs.on_leg_open(order[0], False)
+        return cascade(self, self.flows, self.prepared.cascade, None)

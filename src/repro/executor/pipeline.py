@@ -31,6 +31,7 @@ from repro.errors import ExecutionError
 from repro.executor.access import (
     Binding,
     Cursor,
+    FLOW_COUNTERS,
     RuntimeLeg,
     bind_local_tests,
 )
@@ -268,8 +269,20 @@ def _compile_probe(
         ) from exc
 
 
+#: The scalar machine's state: built on the first read of one of these
+#: (:meth:`PipelineExecutor._build_machine`), never by an unmonitored cascade.
+_MACHINE = frozenset((
+    "legs", "order", "order_history", "events", "registry", "_slot_cache",
+    "class_selectivities", "abandon_counts", "last_abandoned_driving",
+    "driving_cursor",
+))
+
+
 class PipelineExecutor:
     """Runs one pipelined plan, optionally under adaptive reordering."""
+
+    # Whether an unmonitored run may go without the machine (the cascade's).
+    _lazy_machine = False
 
     def __init__(
         self,
@@ -283,7 +296,9 @@ class PipelineExecutor:
         generation: tuple | None = None,
     ) -> None:
         """*generation* is the catalog's, when the caller already read it
-        (``Database.execute`` does, for its plan-cache lookup)."""
+        (``Database.execute`` does, for its plan-cache lookup). The scalar
+        machine's state (:data:`_MACHINE`) is built here only for a run
+        certain to read it."""
         self.plan = plan
         self.catalog = catalog
         self.config = config if config is not None else AdaptiveConfig(mode=ReorderMode.NONE)
@@ -296,8 +311,6 @@ class PipelineExecutor:
         prepared: PreparedPlan = plan.prepared(catalog, _prepare, generation)
         self.prepared = prepared
         bindings = prepared.bindings
-        self.projection_slots = bindings.projection_slots
-        self._projector = bindings.projector
         self.schemas = bindings.schemas
         self.join_graph = bindings.join_graph
         # Whether this execution has yet to compile a probe: its first
@@ -306,43 +319,14 @@ class PipelineExecutor:
         # The prepared cascade start while the pipeline is in the state it
         # was prepared for (set by _compile_all_probes), else None.
         self.prepared_start = None
-        window = self.config.history_window if self.config.mode.monitors else None
-        degrade_hook = self._record_monitor_degraded
-        collect_rids = oracle is not None
-        plan_legs = plan.legs
-        bound = bindings.legs
-        self.legs = {
-            alias: RuntimeLeg(
-                plan_legs[alias], bound[alias], window, obs, degrade_hook,
-                collect_rids,
-            )
-            for alias in plan.order
-        }
-        self.order: list[str] = list(plan.order)
-        # (alias, column) -> row slot, shared across every leg's probe
-        # compilation, so repeated recompiles after reorders never
-        # re-resolve schema positions.
-        self._slot_cache: dict[tuple[str, str], int] = {}
-        # Live join selectivities, keyed by column equivalence class: start
-        # from optimizer estimates, refined from monitored values (Eq 7).
-        self.class_selectivities: dict[int, float] = dict(
-            plan.class_selectivities
-        )
-        self.registry = PositionRegistry()
-        self.last_abandoned_driving: str | None = None
-        # How many times each leg has been switched *away from* while
-        # driving; feeds the escalating anti-thrash penalty.
-        self.abandon_counts: dict[str, int] = {}
-        self.driving_cursor: Cursor | None = None
+        # {alias: LegFlow} of a run that built no legs, else None.
+        self.flows: dict | None = None
         # Statistics for the experiments.
         self.inner_reorders = 0
         self.driving_switches = 0
         self.driving_rows_since_check = 0
         self.driving_rows_total = 0
-        # Applied adaptation decisions, in order (core.events).
-        self.events: list = []
         self.rows_emitted = 0
-        self.order_history: list[tuple[str, ...]] = [tuple(self.order)]
         self.wall_seconds = 0.0
         self.work: WorkMeter | None = None  # this run's work delta
         # Meter snapshot at execution start (set by rows()); lets the
@@ -368,6 +352,58 @@ class PipelineExecutor:
         self.learns_at_end = False
         self.scan_finished = False
         self.proposed_order: tuple[str, ...] | None = None
+        # A run that reads the machine builds it here, outside its clock.
+        if not self._lazy_machine or self.config.mode.monitors or oracle is not None:
+            self._build_machine()
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in _MACHINE:  # only names not set yet get here
+            raise AttributeError(name, name=name, obj=self)
+        self._build_machine()
+        return self.__dict__[name]
+
+    def _build_machine(self) -> None:
+        """The scalar machine's state, from the plan's prepared record;
+        after a run that built none (:attr:`flows`), its end state: the
+        record's probe program installed, the flow it counted."""
+        plan = self.plan
+        prepared = self.prepared
+        window = self.config.history_window if self.config.mode.monitors else None
+        degrade_hook = self._record_monitor_degraded
+        collect_rids = self.oracle is not None
+        bound = prepared.bindings.legs
+        self.legs = legs = {
+            alias: RuntimeLeg(
+                plan.legs[alias], bound[alias], window, self.obs, degrade_hook,
+                collect_rids,
+            )
+            for alias in plan.order
+        }
+        if self.flows is not None:
+            for alias, leg in legs.items():
+                if alias in prepared.program:
+                    leg.install_probe(prepared.program[alias])
+                for name in FLOW_COUNTERS:
+                    setattr(leg, name, getattr(self.flows[alias], name))
+        self.order: list[str] = list(plan.order)
+        # (alias, column) -> row slot, shared across every leg's probe
+        # compilation, so repeated recompiles after reorders never
+        # re-resolve schema positions.
+        self._slot_cache: dict[tuple[str, str], int] = {}
+        # Live join selectivities, keyed by column equivalence class: start
+        # from optimizer estimates, refined from monitored values (Eq 7).
+        self.class_selectivities: dict[int, float] = dict(
+            plan.class_selectivities
+        )
+        self.registry = PositionRegistry()
+        self.last_abandoned_driving: str | None = None
+        # How many times each leg has been switched *away from* while
+        # driving; feeds the escalating anti-thrash penalty.
+        self.abandon_counts: dict[str, int] = {}
+        self.driving_cursor: Cursor | None = None
+        # Applied adaptation decisions, in order (core.events).
+        self.events: list = []
+        self.order_history: list[tuple[str, ...]] = [tuple(self.order)]
 
     # ------------------------------------------------------------------
     # Setup
@@ -538,22 +574,36 @@ class PipelineExecutor:
         """Execute the pipeline, yielding projected result rows."""
         return self._accounted(self._run())
 
-    def _accounted(self, run: Iterator) -> Iterator:
-        """What *run* (this execution's :meth:`_run`) yields, run once:
-        limits armed, wall clock and meter delta taken around it."""
+    def _accounted(self, run: Iterator | Callable[[], Any]) -> Any:
+        """*run*, run once: limits armed, wall clock and meter delta taken
+        around it. A generator (this execution's :meth:`_run`) is accounted
+        as it is consumed; a callable is called in this frame
+        (``run_to_completion`` of the cascade) and its value returned."""
         if self._started:
             raise ExecutionError("a PipelineExecutor instance runs only once")
         self._started = True
         if self.limits is not None and not self.limits.unlimited:
             self._enforcer = LimitEnforcer(self.limits, self)
+        if not callable(run):
+            return self._consumed(run)
+        self.meter_before = self.catalog.meter.snapshot()
         started_at = time.perf_counter()
-        before = self.catalog.meter.snapshot()
-        self.meter_before = before
+        try:
+            return run()
+        finally:
+            self._stop(started_at)
+
+    def _consumed(self, run: Iterator) -> Iterator:
+        self.meter_before = self.catalog.meter.snapshot()
+        started_at = time.perf_counter()
         try:
             yield from run
         finally:
-            self.wall_seconds = time.perf_counter() - started_at
-            self.work = self.catalog.meter - before
+            self._stop(started_at)
+
+    def _stop(self, started_at: float) -> None:
+        self.wall_seconds = time.perf_counter() - started_at
+        self.work = self.catalog.meter - self.meter_before
 
     def _driving_rid(self) -> int:
         """RID of the driving row just produced (oracle mode).
@@ -573,6 +623,7 @@ class PipelineExecutor:
         self._compile_all_probes()
         leg_count = len(self.order)
         meter = self.catalog.meter
+        project = self.prepared.bindings.projector
         limits = self._enforcer
         oracle = self.oracle
         cursor = self.driving_cursor
@@ -587,7 +638,7 @@ class PipelineExecutor:
                 meter.charge_row_emitted()
                 if oracle is not None:
                     oracle.record_emit({only: self._driving_rid()})
-                yield self._projector({only: row})
+                yield project({only: row})
             return
 
         binding: Binding = {}
@@ -653,7 +704,7 @@ class PipelineExecutor:
                 meter.charge_row_emitted()
                 if oracle is not None:
                     oracle.record_emit(rid_binding)
-                yield self._projector(binding)
+                yield project(binding)
                 continue
             position += 1
             leg = self.legs[self.order[position]]

@@ -66,7 +66,7 @@ chunk late.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import StorageError
 from repro.storage.columnar import _np
@@ -81,9 +81,6 @@ from repro.storage.counters import (
     ROW_FETCH_COST,
 )
 from repro.storage.cursor import IndexScanCursor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.batch import BatchedPipelineExecutor
 
 # What a step calls per leg, as the C functions numpy's Python wrappers
 # call: on arrays of a few dozen elements the wrapper is most of the call.
@@ -112,33 +109,29 @@ STATIC_SLICE_ROWS = 1 << 16
 MONITORED_CHUNK_ROWS = 256
 
 
-def cascade(executor: "BatchedPipelineExecutor") -> Iterator[list]:
+def cascade(executor, legs: dict, start, cursor) -> Iterator[list]:
     """A generator running the open pipeline vectorized, to its end: one
     list of projected rows per chunk that emits any.
 
-    Must be called after ``_open_driving``/``_compile_all_probes``. One
-    chunk loop (:func:`_run_cascade`) serves every mode and picks the chunk
-    lengths. What the plan and the data alone decide is not derived here: a
-    pipeline that starts as its plan describes runs the plan's prepared
-    cascade start (:func:`cascade_start`), and a pipeline a caller moved
-    first finds group kernels and the join keys' rank arrays memoized by
-    the probed indexes.
+    One chunk loop (:func:`_run_cascade`) serves every mode and picks the
+    chunk lengths. What the plan and the data alone decide is not derived
+    here: a pipeline that starts as its plan describes runs the plan's
+    prepared cascade *start* (:func:`cascade_start`), and a pipeline a
+    caller moved first (no *start*) finds group kernels and the join keys'
+    rank arrays memoized by the probed indexes. *legs* drive from *cursor*;
+    or, with no cursor, they are :class:`~repro.executor.access.LegFlow`.
     """
-    start = executor.prepared_start
-    legs = executor.legs
+    order = executor.order
+    driving = legs[order[0]]
     if start is None:
-        inner = _adaptive_plan(executor.order, legs)
-        walk = _driving_walk(legs[executor.order[0]], executor.driving_cursor)
-    else:
-        template, prepared_walk = start
-        inner = [
-            (legs[alias], config, kernel, translate, lowest, probe)
-            for alias, config, kernel, translate, lowest, probe in template
-        ]
-        walk = prepared_walk.restarted(
-            legs[executor.order[0]], executor.driving_cursor
-        )
-    return _run_cascade(executor, walk, inner)
+        inner = _adaptive_plan(order, legs)
+        return _run_cascade(executor, _driving_walk(driving, cursor), inner)
+    template, walk = start
+    inner = [
+        (legs[alias], config, kernel, translate, lowest, probe)
+        for alias, config, kernel, translate, lowest, probe in template
+    ]
+    return _run_cascade(executor, walk.restarted(driving, cursor), inner)
 
 
 def cascade_start(order: Sequence[str], legs: dict) -> tuple:
@@ -181,7 +174,8 @@ class _DrivingWalk:
     surviving) and the leg's scanned / survived counters. It then puts the
     cursor exactly where the row-at-a-time walk would have left it, so a
     driving switch freezes the right position and a resumed cursor
-    continues with no charge repeated or lost.
+    continues with no charge repeated or lost. A walk with no cursor
+    charges the same and positions nothing.
     """
 
     __slots__ = (
@@ -295,7 +289,8 @@ class _DrivingWalk:
             # way to learning the scan is over.
             self.leg.meter.index_descends += len(self.spans) - self.spans_entered
             self.spans_entered = len(self.spans)
-        self.cursor.exhausted = True
+        if self.cursor is not None:
+            self.cursor.exhausted = True
 
     def _consume(self, end: int) -> None:
         start = self.taken
@@ -319,8 +314,10 @@ class _DrivingWalk:
                 else int(_count_nonzero(alive[start:end])),
             )
             meter.monitor_updates += walked
+        cursor = self.cursor
         if self.spans is None:
-            self.cursor.skip(walked)
+            if cursor is not None:
+                cursor.skip(walked)
             return
         meter.index_entries += walked
         entered = self.spans_entered
@@ -329,9 +326,10 @@ class _DrivingWalk:
             entered += 1
         meter.index_descends += entered - self.spans_entered
         self.spans_entered = entered
-        # The last span entered is the one holding entry ``end - 1``.
-        range_no, lo, hi = self.spans[entered - 1]
-        self.cursor.skip_to(range_no, lo + end - starts[entered - 1], hi)
+        if cursor is not None:
+            # The last span entered is the one holding entry ``end - 1``.
+            range_no, lo, hi = self.spans[entered - 1]
+            cursor.skip_to(range_no, lo + end - starts[entered - 1], hi)
 
 
 def _driving_walk(leg, cursor) -> _DrivingWalk:
@@ -643,12 +641,13 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     return ancestors, flow
 
 
-def _project(legs_map, projection: Sequence, ancestors: dict, count: int) -> list:
-    """The first *count* joined tuples of a chunk as projected result rows."""
+def _project(bound: dict, projection: Sequence, ancestors: dict, count: int) -> list:
+    """The first *count* joined tuples of a chunk as projected result rows
+    (*bound*: the prepared record's ``{alias: LegBinding}``)."""
     if not projection:  # degenerate empty projection
         return [()] * count
     return list(zip(*(
-        legs_map[alias].table.cells(slot, ancestors[alias][:count])
+        bound[alias].table.cells(slot, ancestors[alias][:count])
         for alias, slot in projection
     )))
 
@@ -716,21 +715,24 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     check_freq = config.check_frequency
     controller = executor.controller
     meter = executor.catalog.meter
+    faulty = executor.catalog.faults is not None
     limits = executor._enforcer
+    oracle = executor.oracle
     monitored = mode.monitors
-    reorders_inner = mode.reorders_inner
-    reorders_driving = mode.reorders_driving
-    legs_map = executor.legs
-
-    projection = executor.projection_slots
+    reorders_inner = monitored and mode.reorders_inner
+    reorders_driving = monitored and mode.reorders_driving
     # Only a check can move the plan, and only a monitored run checks.
+    legs_map = executor.legs if monitored else None
+    bound = executor.prepared.bindings.legs
+    projection = executor.prepared.bindings.projection_slots
     plan_sig = _plan_signature(executor) if monitored else None
     slice_rows = STATIC_SLICE_ROWS
     chunk_rows = min(MONITORED_CHUNK_ROWS, slice_rows) if monitored else slice_rows
     while True:
         if limits is not None:
             limits.check()
-        walk.leg.consult("cursor-advance")
+        if faulty:
+            walk.leg.consult("cursor-advance")
         survivors = walk.take(chunk_rows)
         taken = len(survivors)
         if not taken:
@@ -744,7 +746,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
         executor.driving_rows_since_check += taken
         executor.driving_rows_total += taken
 
-        if executor.catalog.faults is not None:
+        if faulty:
             for leg, config, *_ in inner:  # before each leg's charges and fold
                 leg.consult(
                     "index-lookup" if config.hash_column is None else "hash-probe"
@@ -754,15 +756,15 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
                         leg.consult("monitor")
                     except StorageError as exc:  # advisory, as a probe's is
                         leg._degrade_monitoring(exc)
-        ancestors, flow = _expand(meter, inner, executor.order[0], survivors)
+        ancestors, flow = _expand(meter, inner, walk.leg.alias, survivors)
         admitted = flow if limits is None else limits.admit_rows(flow)
         meter.rows_emitted += admitted
         executor.rows_emitted += admitted
         if admitted:
-            if executor.oracle is not None:
+            if oracle is not None:
                 for rids in zip(*(ancestors[a][:admitted].tolist() for a in ancestors)):
-                    executor.oracle.record_emit(dict(zip(ancestors, rids)))
-            yield _project(legs_map, projection, ancestors, admitted)
+                    oracle.record_emit(dict(zip(ancestors, rids)))
+            yield _project(bound, projection, ancestors, admitted)
 
         # -- chunk boundary: the two checks ------------------------------
         if admitted < flow:

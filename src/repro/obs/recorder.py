@@ -326,11 +326,11 @@ class FlightRecording:
         run is snapshotted as it ends.
         """
         prepared = pipeline.prepared
-        runtime = pipeline.legs
-        if pipeline.config.mode.monitors or any(
-            runtime[alias].probe_config is not config
+        # A run that built no legs (pipeline.flows) ran the record as is.
+        if pipeline.flows is None and (pipeline.config.mode.monitors or any(
+            pipeline.legs[alias].probe_config is not config
             for alias, config in prepared.program.items()
-        ):
+        )):
             self.final_legs = snapshot_legs(pipeline)
             self.legs = None
             return

@@ -117,56 +117,40 @@ class WorkMeter:
     def snapshot(self) -> "WorkMeter":
         """Return an independent copy of the current counters."""
         return WorkMeter(
-            index_descends=self.index_descends,
-            index_entries=self.index_entries,
-            row_fetches=self.row_fetches,
-            predicate_evals=self.predicate_evals,
-            monitor_updates=self.monitor_updates,
-            reorder_checks=self.reorder_checks,
-            rows_emitted=self.rows_emitted,
-            hash_build_entries=self.hash_build_entries,
-            hash_probes=self.hash_probes,
-            hash_matches=self.hash_matches,
+            self.index_descends,
+            self.index_entries,
+            self.row_fetches,
+            self.predicate_evals,
+            self.monitor_updates,
+            self.reorder_checks,
+            self.rows_emitted,
+            self.hash_build_entries,
+            self.hash_probes,
+            self.hash_matches,
         )
 
     def reset(self) -> None:
-        self.index_descends = 0
-        self.index_entries = 0
-        self.row_fetches = 0
-        self.predicate_evals = 0
-        self.monitor_updates = 0
-        self.reorder_checks = 0
-        self.rows_emitted = 0
-        self.hash_build_entries = 0
-        self.hash_probes = 0
-        self.hash_matches = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def merge(self, other: "WorkMeter") -> None:
         """Fold *other*'s charges into this meter in place (work units are
         additive: a thread's scoped meter folds into the base on exit)."""
-        self.index_descends += other.index_descends
-        self.index_entries += other.index_entries
-        self.row_fetches += other.row_fetches
-        self.predicate_evals += other.predicate_evals
-        self.monitor_updates += other.monitor_updates
-        self.reorder_checks += other.reorder_checks
-        self.rows_emitted += other.rows_emitted
-        self.hash_build_entries += other.hash_build_entries
-        self.hash_probes += other.hash_probes
-        self.hash_matches += other.hash_matches
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def __sub__(self, other: "WorkMeter") -> "WorkMeter":
         return WorkMeter(
-            index_descends=self.index_descends - other.index_descends,
-            index_entries=self.index_entries - other.index_entries,
-            row_fetches=self.row_fetches - other.row_fetches,
-            predicate_evals=self.predicate_evals - other.predicate_evals,
-            monitor_updates=self.monitor_updates - other.monitor_updates,
-            reorder_checks=self.reorder_checks - other.reorder_checks,
-            rows_emitted=self.rows_emitted - other.rows_emitted,
-            hash_build_entries=self.hash_build_entries - other.hash_build_entries,
-            hash_probes=self.hash_probes - other.hash_probes,
-            hash_matches=self.hash_matches - other.hash_matches,
+            self.index_descends - other.index_descends,
+            self.index_entries - other.index_entries,
+            self.row_fetches - other.row_fetches,
+            self.predicate_evals - other.predicate_evals,
+            self.monitor_updates - other.monitor_updates,
+            self.reorder_checks - other.reorder_checks,
+            self.rows_emitted - other.rows_emitted,
+            self.hash_build_entries - other.hash_build_entries,
+            self.hash_probes - other.hash_probes,
+            self.hash_matches - other.hash_matches,
         )
 
 

@@ -1,0 +1,158 @@
+"""A warm static execution is its plan's prepared record plus counters.
+
+A repeat mode-NONE execution of a text, and a learned execution (a text's
+mode-BOTH runs after the first, which run its lesson as a static plan), run
+the cascade straight off the plan's prepared record: they construct no
+``RuntimeLeg``, no scan cursor and no ``PositionRegistry`` — neither bare,
+nor with a row budget armed, nor with a flight-recorder bundle armed. What
+they return is the row store's scalar oracle's: rows in order, every
+``WorkMeter`` field and each leg's flow counters (the oracle's as an
+observed run's trace reports them).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from repro import AdaptiveConfig, ExecutionLimits, ReorderMode
+from repro.core.positions import PositionRegistry
+from repro.dmv import load_dmv
+from repro.executor.access import RuntimeLeg
+from repro.executor.pipeline import PipelineExecutor
+from repro.obs.recorder import FlightRecorder
+from repro.storage.cursor import IndexScanCursor, TableScanCursor
+
+SCALE = 0.02
+NONE = AdaptiveConfig(mode=ReorderMode.NONE)
+BOTH = AdaptiveConfig(mode=ReorderMode.BOTH)
+#: Six tables; its first BOTH run at this scale learns another order.
+SQL = (
+    "SELECT o.name, a.damage, t.year "
+    "FROM Owner o, Car c, Demographics d, Accidents a, Location l, Time t "
+    "WHERE c.ownerid = o.id AND o.id = d.ownerid AND c.id = a.carid "
+    "AND a.locationid = l.id AND a.timeid = t.id "
+    "AND c.make = 'Porsche' AND d.salary < 55000 "
+    "AND l.urban = 1 AND t.month = 6 AND a.damage > 10000"
+)
+#: What each armed run is executed with.
+ARMINGS = {
+    "bare": lambda: {},
+    "row budget": lambda: {"limits": ExecutionLimits(max_rows=10**6)},
+    "flight recorder": lambda: {"obs": FlightRecorder().arm()},
+}
+#: What a warm static run must not construct.
+COUNTED = (
+    (RuntimeLeg, "__init__"),
+    (TableScanCursor, "__init__"),
+    (IndexScanCursor, "__init__"),
+    (PositionRegistry, "__init__"),
+)
+FLOW = ("rows_in", "index_matches", "rows_out", "rows_scanned", "rows_survived")
+
+
+@pytest.fixture(scope="module")
+def dbs():
+    row, _ = load_dmv(scale=SCALE, extended=True, backend="row")
+    columnar, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
+    return row, columnar
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Constructions of each :data:`COUNTED` class from here on."""
+    counts = Counter()
+    for owner, name in COUNTED:
+        function = getattr(owner, name)
+
+        def counting(self, *args, _function=function, _owner=owner, **kwargs):
+            counts[_owner.__name__] += 1
+            return _function(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Every executor that runs from here on, in order."""
+    seen = []
+    accounted = PipelineExecutor._accounted
+
+    def keeping(self, run):
+        seen.append(self)
+        return accounted(self, run)
+
+    monkeypatch.setattr(PipelineExecutor, "_accounted", keeping)
+    return seen
+
+
+def traced_flows(result) -> dict:
+    """Each leg's flow counters as the run's trace reports them."""
+    return {
+        span.attrs["leg"]: tuple(span.attrs[name] for name in FLOW)
+        for span in result.trace.spans
+        if span.name == "leg-flow"
+    }
+
+
+@pytest.mark.parametrize("arming", ARMINGS)
+@pytest.mark.parametrize("config", [NONE, BOTH], ids=["repeat-none", "learned"])
+def test_a_warm_static_run_builds_nothing_per_plan(
+    dbs, built, executors, arming, config
+):
+    row_db, columnar = dbs
+    for _ in range(2):  # the plan, its record, the lesson, the record's summary
+        columnar.execute(SQL, config, **ARMINGS[arming]())
+    built.clear()
+    got = columnar.execute(SQL, config, **ARMINGS[arming]())
+    assert sum(built.values()) == 0, dict(built)
+    engine = executors[-1]
+    assert got.stats.engine == "vector"
+    assert got.stats.inner_checks + got.stats.driving_checks == 0
+    if config is BOTH:
+        assert got.stats.plan_feedback is not None
+        assert got.plan.order != columnar.plan(SQL).order  # not vacuous
+    # The row store's oracle running the same plan: a twin of it, so that
+    # the columnar plan keeps its own prepared record.
+    twin = dataclasses.replace(got.plan)
+    want = row_db.execute(twin, NONE, obs=True)
+    assert want.stats.engine == "scalar"
+    assert got.rows == want.rows
+    assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
+        want.stats.work
+    )
+    assert got.stats.order_history == want.stats.order_history
+    assert got.final_order == want.final_order
+    flows = {
+        alias: tuple(getattr(flow, name) for name in FLOW)
+        for alias, flow in engine.flows.items()
+    }
+    assert flows == traced_flows(want)
+    assert any(rows_in for rows_in, *_ in flows.values())  # not vacuous
+
+
+def test_what_reads_the_machine_builds_it(dbs, built, executors):
+    """An invariant-oracle run of the warm plan builds its legs. A run that
+    built none has them built when something reads them after it (an
+    observed run's trace does): its end state, the record's probe program
+    and the flow it counted."""
+    _, columnar = dbs
+    columnar.execute(SQL, NONE)
+    built.clear()
+    checked = columnar.execute(SQL, NONE, oracle=True)
+    assert built["RuntimeLeg"] == len(checked.plan.order)
+    assert checked.stats.engine == "vector"
+    machine = executors[-1]
+    observed = columnar.execute(SQL, NONE, obs=True)
+    assert observed.rows == checked.rows
+    assert traced_flows(observed) == {
+        alias: tuple(getattr(leg, name) for name in FLOW)
+        for alias, leg in machine.legs.items()
+    }
+    after = executors[-1]
+    assert after.flows is not None and machine.flows is None
+    for alias, config in after.prepared.program.items():
+        assert after.legs[alias].probe_config is config
