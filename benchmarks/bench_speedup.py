@@ -211,7 +211,7 @@ def measure_observability(db, queries, reps: int) -> dict:
     of the query server does with every record), against ``db.execute``
     disarmed, same minima and order. Reported, not gated.
     """
-    from repro.obs.observer import QueryObservability
+    from repro.obs import QueryObservability
     from repro.obs.recorder import FlightRecorder
 
     config = AdaptiveConfig(mode=ReorderMode.BOTH)

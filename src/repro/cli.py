@@ -441,12 +441,11 @@ def _run_observed_query(
     --telemetry-dir."""
     config = AdaptiveConfig(mode=mode)
     recorder = _make_recorder(args)
-    if args.explain_analyze or args.trace or args.metrics:
-        obs = QueryObservability.armed()
-    else:
-        # Telemetry-only: the decision audit alone, fed at the controller's
-        # check points.
-        obs = QueryObservability()
+    obs = (
+        QueryObservability.armed()
+        if args.explain_analyze or args.trace or args.metrics
+        else None  # telemetry only: the recorder's audit alone
+    )
     if recorder is not None:
         obs = recorder.arm(base=obs)
 

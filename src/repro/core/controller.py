@@ -99,45 +99,20 @@ class AdaptationController:
                     new_suffix
                 )
                 new_suffix = None
-            obs = pipeline.obs
-            if obs is not None:
-                obs.on_check(
+            if pipeline.obs is not None:
+                self._observe(
                     pipeline,
-                    "inner",
-                    applied=new_suffix is not None,
+                    provider,
+                    check="inner",
                     position=position,
+                    new_order=None
+                    if new_suffix is None
+                    else tuple(order[:position]) + tuple(new_suffix),
                 )
-                if obs.audit is not None:
-                    if new_suffix is None:
-                        # Kept check — the ~per-batch common case. One
-                        # tuple append; DecisionRecord envelopes are
-                        # materialized lazily off the execution path.
-                        try:
-                            obs.audit.on_kept(
-                                "inner",
-                                pipeline.driving_rows_total,
-                                position,
-                                tuple(pipeline.order),
-                                granularity_of(pipeline.engine_used),
-                            )
-                        except Exception:  # pragma: no cover - advisory
-                            logger.exception(
-                                "decision-audit capture failed (ignored)"
-                            )
-                    else:
-                        self._audit_check(
-                            obs.audit,
-                            pipeline,
-                            provider,
-                            check="inner",
-                            position=position,
-                            new_order=tuple(pipeline.order[:position])
-                            + tuple(new_suffix),
-                        )
             if new_suffix is not None:
                 old_order = tuple(pipeline.order)
                 new_order = tuple(pipeline.order[:position]) + tuple(new_suffix)
-                pipeline.record_event(
+                pipeline.events.append(
                     AdaptationEvent(
                         kind=EventKind.INNER_REORDER,
                         driving_rows_produced=pipeline.driving_rows_total,
@@ -190,7 +165,7 @@ class AdaptationController:
                 provider = self._builder.build_provider()
             obs = pipeline.obs
             audit_costs: dict[str, float] | None = (
-                {} if obs is not None and obs.audit is not None else None
+                {} if obs is not None and obs.audit else None
             )
             new_order = decide_driving_switch(
                 pipeline, provider, config, audit_costs=audit_costs
@@ -199,25 +174,18 @@ class AdaptationController:
                 pipeline.proposed_order = tuple(new_order)
                 new_order = None
             if obs is not None:
-                obs.on_check(
-                    pipeline, "driving", applied=new_order is not None
+                self._observe(
+                    pipeline,
+                    provider,
+                    check="driving",
+                    position=0,
+                    new_order=None if new_order is None else tuple(new_order),
+                    candidate_costs=audit_costs,
                 )
-                if obs.audit is not None:
-                    self._audit_check(
-                        obs.audit,
-                        pipeline,
-                        provider,
-                        check="driving",
-                        position=0,
-                        new_order=(
-                            None if new_order is None else tuple(new_order)
-                        ),
-                        candidate_costs=audit_costs,
-                    )
             if new_order is None:
                 return False
             old_order = tuple(pipeline.order)
-            pipeline.record_event(
+            pipeline.events.append(
                 AdaptationEvent(
                     kind=EventKind.DRIVING_SWITCH,
                     driving_rows_produced=pipeline.driving_rows_total,
@@ -238,9 +206,8 @@ class AdaptationController:
             self.check_seconds += perf_counter() - started
         return True
 
-    def _audit_check(
+    def _observe(
         self,
-        audit,
         pipeline: "PipelineExecutor",
         provider,
         *,
@@ -249,56 +216,53 @@ class AdaptationController:
         new_order: tuple[str, ...] | None,
         candidate_costs: dict[str, float] | None = None,
     ) -> None:
-        """Feed one check's rank-rule inputs to the flight recorder.
+        """Feed one check to the query's observation, once.
 
         Runs only at the (already metered) check points and reads only the
         memoized cost model + monitor windows — wall-clock cost, zero
         WorkMeter delta. Capture depth follows the decision: **applied**
         checks (the rare ones ``repro replay`` must explain) record the
         full Eq (3) rank terms, the monitors' window estimates, and the
-        cost comparison; kept **driving** checks (also rare — once per
-        ``check_frequency`` driving rows) keep the candidate cost table,
-        a free side product of :func:`decide_driving_switch`. Kept
-        *inner* checks — thousands per adaptive query — never reach this
-        method at all: they take the tuple-cheap
-        :meth:`~repro.obs.recorder.FlightRecording.on_kept` path, which
+        cost comparison; kept **driving** checks under a flight recorder
+        (also rare — once per ``check_frequency`` driving rows) keep the
+        candidate cost table, a free side product of
+        :func:`decide_driving_switch`. Every other kept check — thousands
+        per adaptive query — takes the tuple-cheap
+        :meth:`~repro.obs.recorder.QueryObservability.on_kept` path, which
         is what holds the always-on recorder inside its ≤5% wall budget.
         Advisory like the monitors: a failure here must never degrade or
-        abort the query, so everything is swallowed.
+        abort the query, so it leaves the record without the model inputs.
         """
+        obs = pipeline.obs
+        if new_order is None and candidate_costs is None:
+            obs.on_kept(pipeline, check, position)
+            return
+        order = tuple(pipeline.order)
+        applied = new_order is not None
+        record = DecisionRecord(
+            check=check,
+            applied=applied,
+            driving_rows=pipeline.driving_rows_total,
+            position=position,
+            order_before=order,
+            order_after=new_order,
+            candidate_costs=dict(candidate_costs or {}),
+            monitor_granularity=granularity_of(pipeline.engine_used),
+        )
         try:
-            order = list(pipeline.order)
-            applied = new_order is not None
-            current_cost: float | None = None
-            new_cost: float | None = None
             if check == "driving" and candidate_costs:
                 # Side product of decide_driving_switch — already paid for.
-                current_cost = candidate_costs.get(order[0])
-                new_cost = (
-                    candidate_costs.get(new_order[0]) if applied else None
-                )
+                record.estimated_current_cost = candidate_costs.get(order[0])
+                if applied:
+                    record.estimated_new_cost = candidate_costs.get(new_order[0])
             elif applied:
-                current_cost = cost_of_order(tuple(order), provider)
-                new_cost = cost_of_order(tuple(new_order), provider)
-            audit.on_decision(
-                DecisionRecord(
-                    check=check,
-                    applied=applied,
-                    driving_rows=pipeline.driving_rows_total,
-                    position=position,
-                    order_before=tuple(order),
-                    order_after=new_order,
-                    rank_terms=(
-                        rank_terms_for(order, max(position, 1), provider)
-                        if applied
-                        else ()
-                    ),
-                    candidate_costs=dict(candidate_costs or {}),
-                    estimated_current_cost=current_cost,
-                    estimated_new_cost=new_cost,
-                    window=snapshot_legs(pipeline) if applied else {},
-                    monitor_granularity=granularity_of(pipeline.engine_used),
+                record.estimated_current_cost = cost_of_order(order, provider)
+                record.estimated_new_cost = cost_of_order(new_order, provider)
+            if applied:
+                record.rank_terms = rank_terms_for(
+                    list(order), max(position, 1), provider
                 )
-            )
+                record.window = snapshot_legs(pipeline)
         except Exception:  # pragma: no cover - advisory-only capture
             logger.exception("decision-audit capture failed (ignored)")
+        obs.on_decision(pipeline, record)

@@ -35,8 +35,8 @@ from repro.executor.pipeline import PipelineExecutor, held_arrays
 from repro.executor.postprocess import PostProcessor
 from repro.obs.explain import render_explain_analyze
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import QueryObservability
-from repro.obs.timeseries import EstimateSample
+from repro.obs.recorder import DecisionRecord, QueryObservability
+from repro.obs.timeseries import EstimateSample, EstimateSampler
 from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import StaticOptimizer
 from repro.optimizer.plancache import (
@@ -163,19 +163,38 @@ class QueryResult:
     # The invariant oracle that shadowed this execution (debug mode only);
     # its RID-tuple multiset supports exact duplicate/missing comparisons.
     oracle: InvariantOracle | None = None
-    # Observability artifacts (populated only when ``execute(obs=...)`` armed
-    # them): the span trace, the metrics registry, and the time series of
-    # monitor-estimate samples.
-    trace: Tracer | None = None
-    metrics: MetricsRegistry | None = None
-    samples: tuple[EstimateSample, ...] = ()
-    # Flight-recorder decision audit (``obs.audit`` armed): every reorder
-    # check the controller ran, with the rank-rule inputs it saw
-    # (:class:`~repro.obs.recorder.DecisionRecord`).
-    decisions: tuple = ()
+    # The query's observation (``execute(obs=...)``); what it armed is
+    # read off it below.
+    obs: QueryObservability | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @property
+    def trace(self) -> Tracer | None:
+        """The span trace, the engine's events under ``execute``."""
+        return self.obs.tracer if self.obs is not None else None
+
+    @property
+    def metrics(self) -> MetricsRegistry | None:
+        """The per-query metrics registry."""
+        return self.obs.metrics if self.obs is not None else None
+
+    @property
+    def samples(self) -> tuple[EstimateSample, ...]:
+        """The monitor-estimate samples: one per checked driving-row count,
+        and the final one."""
+        obs = self.obs
+        if obs is None or obs.sampler is None:
+            return ()
+        return tuple(obs.sampler.samples)
+
+    @property
+    def decisions(self) -> tuple[DecisionRecord, ...]:
+        """Every reorder check the controller ran, with the rank-rule
+        inputs it saw, when a flight recorder armed the audit."""
+        obs = self.obs
+        return tuple(obs.decisions) if obs is not None and obs.audit else ()
 
 
 class Database:
@@ -346,15 +365,14 @@ class Database:
     ) -> str:
         """Run *query* and report what the adaptive run time actually did.
 
-        Arms full observability (tracer + metrics + estimate sampler) for
-        the execution and renders the
-        :func:`~repro.obs.explain.render_explain_analyze` report: the
-        optimizer's plan, per-leg actual row flow vs. the optimizer's and
-        monitors' estimates, the adaptation-event timeline, the work-unit
-        breakdown, and budget/fault summaries.
+        Observes the execution with the estimate sampler (or *obs*) and
+        renders the :func:`~repro.obs.explain.render_explain_analyze`
+        report: the optimizer's plan, per-leg actual row flow vs. the
+        optimizer's and monitors' estimates, the adaptation-event timeline,
+        the work-unit breakdown, and budget/fault summaries.
         """
         if obs is None:
-            obs = QueryObservability.armed()
+            obs = QueryObservability(sampler=EstimateSampler())
         result = self.execute(query, config, limits=limits, obs=obs)
         return render_explain_analyze(result, limits)
 
@@ -400,8 +418,9 @@ class Database:
           the controller checks); a pre-built bundle is used as-is. The
           trace, registry, and samples come back on ``QueryResult.trace``
           / ``.metrics`` / ``.samples``. Either way the same machine runs
-          and charges the same work: the bundle is fed at cold sites only
-          and reads the legs' flow counters at the end.
+          and charges the same work: the engine feeds the bundle at its
+          checks and fault retries only, and every view is rendered from
+          it and the legs' flow counters after the run.
         """
         if config is None:
             config = AdaptiveConfig(mode=ReorderMode.BOTH)
@@ -574,18 +593,7 @@ class Database:
             plan=plan,
             final_order=tuple(executor.order),
             oracle=oracle,
-            trace=tracer,
-            metrics=obs.metrics if obs is not None else None,
-            samples=(
-                tuple(obs.sampler.samples)
-                if obs is not None and obs.sampler is not None
-                else ()
-            ),
-            decisions=(
-                tuple(obs.audit.decisions)
-                if obs is not None and obs.audit is not None
-                else ()
-            ),
+            obs=obs,
         )
 
     def _learn(self, entry: CachedPlan, executor: PipelineExecutor) -> None:

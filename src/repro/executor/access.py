@@ -136,7 +136,7 @@ class RuntimeLeg(LegFlow):
         "retry_policy",
         "collect_rids",
         "match_rids",
-        "obs",
+        "on_retry",
         "degrade_hook",
         "monitor_failure",
         "_pushed",
@@ -148,7 +148,7 @@ class RuntimeLeg(LegFlow):
         plan_leg: PlanLeg,
         binding: Any,
         history_window: int | None = None,
-        obs: Any = None,
+        on_retry: Callable[[str], None] | None = None,
         degrade_hook: Callable[[str, BaseException], None] | None = None,
         collect_rids: bool = False,
     ) -> None:
@@ -157,7 +157,7 @@ class RuntimeLeg(LegFlow):
         record: its table, indexes, bound local tests and model parts are
         shared with every execution of the plan and read-only here.
         Monitored with windows of *history_window* rows; None leaves the
-        leg unmonitored, its inner monitor the shared idle one. *obs*,
+        leg unmonitored, its inner monitor the shared idle one. *on_retry*,
         *degrade_hook* and *collect_rids* are the executor's (below).
         """
         LegFlow.__init__(self, plan_leg.alias, binding.table.meter)
@@ -194,8 +194,8 @@ class RuntimeLeg(LegFlow):
         # (aligned with the returned rows) in self.match_rids.
         self.collect_rids = collect_rids
         self.match_rids: list[int] = []
-        # Observability bundle: told of fault retries.
-        self.obs = obs
+        # Told the site of each transient-fault retry (an observed run's).
+        self.on_retry = on_retry
         # Monitoring is advisory: if it raises, it is disabled for this leg
         # and the failure reported through degrade_hook instead of aborting
         # the query.
@@ -366,10 +366,11 @@ class RuntimeLeg(LegFlow):
         return matches
 
     def _retry_hook(self, site: str):
-        """Per-retry observability callback for a fault site (or None)."""
-        if self.obs is None:
+        """Per-retry callback for a fault site (or None)."""
+        on_retry = self.on_retry
+        if on_retry is None:
             return None
-        return lambda: self.obs.on_fault_retry(site)
+        return lambda: on_retry(site)
 
     def consult(self, site: str) -> None:
         """The engine's fault site: one consultation per chunk, transient

@@ -57,10 +57,10 @@ class BatchedPipelineExecutor(PipelineExecutor):
             self.engine_used = "vector-adaptive" if monitored else "vector"
             return cascade(self, self.legs, self.prepared_start, self.driving_cursor)
         self.engine_used = "vector"
-        order = self.plan.order
+        plan = self.plan
+        order = plan.order
         self.order, self.order_history, self.events = list(order), [order], []
+        self.class_selectivities = plan.class_selectivities
         meter = self.catalog.meter
         self.flows = {alias: LegFlow(alias, meter) for alias in order}
-        if self.obs is not None:
-            self.obs.on_leg_open(order[0], False)
         return cascade(self, self.flows, self.prepared.cascade, None)

@@ -21,7 +21,7 @@ controller's job, so a ``NONE``-mode run simply never mutates anything.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Protocol
 
 from repro.catalog.catalog import Catalog
 from repro.core.config import AdaptiveConfig, ReorderMode
@@ -36,7 +36,6 @@ from repro.executor.access import (
     bind_local_tests,
 )
 from repro.executor.vector import cascade_start
-from repro.obs.observer import QueryObservability
 from repro.optimizer.params import LegModelParts, leg_model_parts
 from repro.optimizer.plans import PipelinePlan
 from repro.robustness.guard import describe_failure
@@ -45,6 +44,9 @@ from repro.robustness.oracle import InvariantOracle
 from repro.storage.backend import COLUMNAR_BACKEND
 from repro.storage.counters import WorkMeter
 from repro.storage.table import Row
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.recorder import QueryObservability
 
 
 class AdaptationHooks(Protocol):
@@ -131,7 +133,7 @@ class PreparedPlan(NamedTuple):
     cascade: Any
     # {final order: (final legs, legs summary)} of an unmonitored run that
     # ended as this record describes it: what the flight recorder reads of
-    # such a run is the record's (obs.recorder.FlightRecording.on_finish).
+    # such a run is the record's (obs.recorder.QueryObservability.finish).
     summaries: dict
 
 
@@ -369,12 +371,13 @@ class PipelineExecutor:
         plan = self.plan
         prepared = self.prepared
         window = self.config.history_window if self.config.mode.monitors else None
+        on_retry = self._note_retry if self.obs is not None else None
         degrade_hook = self._record_monitor_degraded
         collect_rids = self.oracle is not None
         bound = prepared.bindings.legs
         self.legs = legs = {
             alias: RuntimeLeg(
-                plan.legs[alias], bound[alias], window, self.obs, degrade_hook,
+                plan.legs[alias], bound[alias], window, on_retry, degrade_hook,
                 collect_rids,
             )
             for alias in plan.order
@@ -473,8 +476,6 @@ class PipelineExecutor:
         resume = self.registry.resume_cursor(alias)
         self.driving_cursor = leg.open_driving_cursor(resume=resume)
         leg.positional = None  # the cursor position already excludes the past
-        if self.obs is not None:
-            self.obs.on_leg_open(alias, resume is not None)
 
     # ------------------------------------------------------------------
     # Mutation primitives used by the adaptation controller
@@ -532,19 +533,17 @@ class PipelineExecutor:
         self.driving_rows_since_check = 0
         self.order_history.append(tuple(self.order))
 
-    def record_event(self, event: AdaptationEvent) -> None:
-        """Append *event* to the log, notifying observability if armed."""
-        self.events.append(event)
-        if self.obs is not None:
-            self.obs.on_event(event)
-            if event.new_order != event.old_order:
-                self.obs.on_order_change(event.new_order)
+    def _note_retry(self, site: str) -> None:
+        """A transient fault at *site* was retried: noted in the query's
+        observation where its check stream stands."""
+        obs = self.obs
+        obs.retries.append((site, len(obs.checks) + len(self.events)))
 
     def _record_monitor_degraded(self, alias: str, exc: BaseException) -> None:
         """A leg's monitor failed; note it and keep executing (Sec 4.3 is
         advice, not execution — losing a monitor never loses rows)."""
         order = tuple(self.order)
-        self.record_event(
+        self.events.append(
             AdaptationEvent(
                 kind=EventKind.DEGRADED,
                 driving_rows_produced=self.driving_rows_total,

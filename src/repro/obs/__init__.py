@@ -1,24 +1,26 @@
-"""Observability for the adaptive executor: tracing, metrics, sampling.
+"""Observability for the adaptive executor: one observation per query.
 
-The subsystem is **nullable by default**: the engine carries one optional
-:class:`QueryObservability` reference and every instrumentation site costs
-a single ``is None`` check when observability is off. Nothing in this
-package ever charges the deterministic work meter — armed observability
-changes wall-clock time only, never work units or query results.
+The engine carries one optional :class:`QueryObservability` reference —
+every site costs a single ``is None`` check when observability is off —
+and feeds it at two cold sites: each reorder check, once, and each
+transient-fault retry. Every report on a run is rendered from it after
+the run. Nothing in this package ever charges the deterministic work
+meter — armed observability changes wall-clock time only, never work
+units or query results.
 
 Pieces (see each module's docstring for the full contract):
 
-* :mod:`repro.obs.trace` — structured spans (parse/optimize/execute,
-  leg opens, per-leg row flow, reorder checks, adaptations) with JSONL and
-  tree rendering;
+* :mod:`repro.obs.recorder` — :class:`QueryObservability` (what the engine
+  feeds and every view reads; its ``timeline`` is the trace's engine
+  events) and the always-on flight recorder (per-query records with the
+  decision audit, ring buffer + rotating JSONL store);
+* :mod:`repro.obs.trace` — structured spans (the phases ``Database``
+  opens, the engine's events under ``execute``) with JSONL export;
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms
   under Prometheus-style names;
 * :mod:`repro.obs.timeseries` — snapshots of the monitors' Eq (5-11)
-  estimates where the controller checks, for convergence analysis;
-* :mod:`repro.obs.observer` — the engine-facing bundle of all three;
+  estimates where the controller checks: the one opt-in capture;
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE report renderer;
-* :mod:`repro.obs.recorder` — the always-on flight recorder (per-query
-  records with the decision audit, ring buffer + rotating JSONL store);
 * :mod:`repro.obs.audit` — offline replay of recorded queries ("why did
   the driving leg switch at row N");
 * :mod:`repro.obs.analytics` — per-template aggregates over recorded
@@ -43,12 +45,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.observer import QueryObservability
 from repro.obs.recorder import (
     DecisionRecord,
     FlightRecord,
     FlightRecorder,
-    FlightRecording,
+    QueryObservability,
     RankTerm,
     TelemetryStore,
 )
@@ -62,7 +63,6 @@ __all__ = [
     "EstimateSampler",
     "FlightRecord",
     "FlightRecorder",
-    "FlightRecording",
     "Gauge",
     "Histogram",
     "JSONL_KEYS",

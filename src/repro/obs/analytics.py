@@ -170,25 +170,6 @@ class TelemetryAnalytics:
             self.templates[record.template] = summary
         summary.add(record)
 
-    # -- feedback-store input ------------------------------------------
-    def per_template_selectivities(self) -> dict[str, dict[str, float]]:
-        """template -> leg -> mean measured Eq (7) selectivity.
-
-        The cross-query feedback loop (ROADMAP) consumes exactly this:
-        observed join selectivities per template, to correct the static
-        optimizer's priors over a query sequence.
-        """
-        out: dict[str, dict[str, float]] = {}
-        for template, summary in self.templates.items():
-            legs = {
-                alias: stats.mean_s_jp
-                for alias, stats in summary.leg_errors.items()
-                if stats.mean_s_jp is not None
-            }
-            if legs:
-                out[template] = legs
-        return out
-
     # -- export --------------------------------------------------------
     def as_dict(self) -> dict[str, Any]:
         return {

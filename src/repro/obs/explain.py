@@ -4,8 +4,9 @@ Renders one executed :class:`~repro.db.QueryResult` as a plain-text
 report combining:
 
 * the optimizer's static plan (with its estimates),
-* the **final** pipeline order with per-leg actual row flow (from the
-  metrics registry) against the optimizer's and the monitors' estimates,
+* the **final** pipeline order with per-leg actual row flow (the legs'
+  flow counters, off the query's observation) against the optimizer's and
+  the monitors' estimates,
 * the full adaptation-event timeline and check hit/keep counts,
 * the work-unit breakdown by physical action, and
 * budget and fault/degradation summaries from the robustness layer.
@@ -47,30 +48,14 @@ def _fmt_sel(value: Any) -> str:
     return f"{value:.2e}"
 
 
-def _counter_value(result: "QueryResult", name: str, label: str) -> int | None:
-    if result.metrics is None:
-        return None
-    metric = result.metrics.get(name)
-    if metric is None:
-        return None
-    return int(metric.value(label))
-
-
 def _leg_rows(result: "QueryResult", alias: str, driving: bool):
     """(rows_in, candidates, rows_out) actuals for one leg, or Nones."""
+    flow = result.obs.flows.get(alias) if result.obs is not None else None
+    if flow is None:
+        return None, None, None
     if driving:
-        rows_in = _counter_value(result, "scan_rows_total", alias)
-        rows_out = _counter_value(result, "scan_rows_survived_total", alias)
-        return rows_in, rows_in, rows_out
-    return (
-        _counter_value(result, "leg_rows_in_total", alias),
-        _counter_value(result, "leg_index_matches_total", alias),
-        _counter_value(result, "leg_rows_out_total", alias),
-    )
-
-
-def _final_sample(result: "QueryResult"):
-    return result.samples[-1] if result.samples else None
+        return flow.rows_scanned, flow.rows_scanned, flow.rows_survived
+    return flow.rows_in, flow.index_matches, flow.rows_out
 
 
 def render_explain_analyze(
@@ -82,7 +67,8 @@ def render_explain_analyze(
     lines: list[str] = ["EXPLAIN ANALYZE", "=" * 15, "", result.plan.explain(), ""]
 
     # -- per-leg actuals vs estimates ---------------------------------
-    sample = _final_sample(result)
+    samples = result.samples
+    sample = samples[-1] if samples else None
     header = (
         f"{'pos':>3}  {'leg':<6} {'role':<8} {'est C_LEG':>12} "
         f"{'rows in':>10} {'cand':>10} {'rows out':>10} "
@@ -187,10 +173,7 @@ def render_explain_analyze(
         lines.append(f"budget: {', '.join(parts)} (not exceeded)")
     else:
         lines.append("budget: unlimited")
-    retries = None
-    if result.metrics is not None:
-        metric = result.metrics.get("fault_retries_total")
-        retries = int(metric.total) if metric is not None else 0
+    retries = len(result.obs.retries) if result.obs is not None else None
     degraded = sum(1 for event in stats.events if event.kind.value == "degraded")
     lines.append(
         f"faults: {_fmt(retries)} transient retrie(s), "

@@ -6,7 +6,8 @@ metric). Metrics are plain Python objects — there is no exporter process;
 the registry is attached to a :class:`~repro.db.QueryResult` (or a
 workload run) and rendered as text or dictionaries.
 
-Metric catalogue (what the engine records when a registry is armed):
+Metric catalogue (the per-query rows are what :func:`record_query_metrics`
+renders from a run's observation into an armed registry):
 
 =================================  ======  ===========================================
 name                               type    meaning
@@ -317,6 +318,66 @@ class MetricsRegistry:
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
 
+def record_query_metrics(
+    registry: MetricsRegistry, timeline: list[tuple[str, str, dict]], observation
+) -> None:
+    """Fold one run's observation into the per-query metrics of the
+    catalogue: the flow counters and check, event and retry counts off its
+    *timeline* (:meth:`~repro.obs.recorder.QueryObservability.timeline`),
+    the final leg positions, and each inner leg's measured Eq (7)
+    selectivity over its optimizer prior off the final legs snapshot.
+    Every metric is registered, a run that had none of it too."""
+    counter, gauge = registry.counter, registry.gauge
+    counter("query_rows_emitted_total", "rows emitted by the join pipeline").inc(
+        amount=observation.rows_emitted
+    )
+    driving_rows = counter("driving_rows_total", "rows produced by the driving leg")
+    flows = (
+        counter("leg_rows_in_total", "incoming outer rows probed at the leg"),
+        counter("leg_index_matches_total", "access-method candidates at the leg"),
+        counter("leg_rows_out_total", "rows surviving all of the leg's predicates"),
+    )
+    scan_rows = counter("scan_rows_total", "driving-scan rows fetched")
+    scan_survived = counter(
+        "scan_rows_survived_total", "driving-scan rows surviving residual locals"
+    )
+    checks = counter("reorder_checks_total", "reorder checks by kind and outcome")
+    events = counter("adaptation_events_total", "applied adaptation events by kind")
+    retries = counter("fault_retries_total", "transient-fault retries by site")
+    positions = gauge("leg_position", "current pipeline position of the leg")
+    errors = registry.histogram(
+        "selectivity_error_ratio",
+        RATIO_BUCKETS,
+        "measured Eq (7) selectivity over the optimizer prior",
+    )
+    for name, _, attrs in timeline:
+        if name == "reorder-check":
+            # inner-reorder / inner-keep / driving-switch / driving-keep
+            kind = attrs["check"]
+            applied = "reorder" if kind == "inner" else "switch"
+            checks.inc(f"{kind}-{applied if attrs['applied'] else 'keep'}")
+        elif name == "adaptation":
+            events.inc(attrs["event"])
+        elif name == "fault-retry":
+            retries.inc(attrs["site"])
+        elif name == "leg-flow":
+            leg = attrs["leg"]
+            if attrs["rows_in"]:
+                for metric, key in zip(flows, ("rows_in", "index_matches", "rows_out")):
+                    metric.inc(leg, attrs[key])
+            if attrs["rows_scanned"]:
+                scan_rows.inc(leg, attrs["rows_scanned"])
+                scan_survived.inc(leg, attrs["rows_survived"])
+            if attrs["rows_survived"]:
+                driving_rows.inc(leg, attrs["rows_survived"])
+    for position, alias in enumerate(observation.order):
+        positions.set(position, alias)
+        leg = observation.final_legs.get(alias, {})
+        measured, prior = leg.get("s_jp"), leg.get("s_jp_prior")
+        if position and measured and prior and measured > 0 and prior > 0:
+            errors.observe(measured / prior, alias)
+
+
 def record_storage_gauges(
     registry: MetricsRegistry, storage: Mapping[str, Any]
 ) -> None:
@@ -382,11 +443,3 @@ def record_plan_cache_gauges(
         "feedback_writes", "feedback_hits",
     ):
         events.set(float(cache[kind]), kind)
-
-
-def merge_counter(target: Mapping[str, float], source: Counter) -> dict[str, float]:
-    """Sum *source*'s series into a plain dict copy of *target*."""
-    merged = dict(target)
-    for label, value in source.items():
-        merged[label] = merged.get(label, 0.0) + value
-    return merged

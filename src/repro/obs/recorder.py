@@ -23,7 +23,7 @@ Design constraints (PR 2's observability contract, extended):
   plan where the plan determines it: the plan cache memoizes each text's
   normalized form and template (:meth:`~repro.optimizer.plancache.
   PlanCache.texts`), and the legs summary of a run that monitored nothing
-  is its plan's prepared record's (:meth:`FlightRecording.on_finish`). On
+  is its plan's prepared record's (:meth:`QueryObservability.finish`). On
   the served workload's 40 statement/mode pairs at scale 0.1
   (``scripts/layer_times.py --served``, 2-core KVM host) a request's
   record went from ≈90 µs (the snapshot inside the execution ≈20, the
@@ -51,11 +51,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.events import AdaptationEvent, EventKind
-from repro.obs.observer import QueryObservability
-from repro.obs.timeseries import snapshot_legs
+from repro.executor.access import FLOW_COUNTERS
+from repro.obs.metrics import MetricsRegistry, record_query_metrics
+from repro.obs.timeseries import EstimateSampler, snapshot_legs
+from repro.obs.trace import Tracer
 from repro.query.sql.normalize import normalize_sql, template_signature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -228,52 +230,74 @@ def rank_terms_for(
     return tuple(terms)
 
 
-class FlightRecording:
-    """Per-query accumulator the controller feeds at decision points.
+class QueryObservability:
+    """One query's observation: what the engine feeds at its cold sites, and
+    what every report on the run is read from after it.
 
-    Attached to a :class:`QueryObservability` as ``obs.audit``, alone or
-    beside a tracer, registry and sampler; the engine runs the same
-    machine either way.
+    The engine feeds it at two sites only: each reorder check, once —
+    :meth:`on_kept` (one tuple append; thousands per adaptive query) or
+    :meth:`on_decision` with the check's :class:`DecisionRecord` (an applied
+    check, or a kept driving check under a flight recorder) — and each
+    transient-fault retry, one append to :attr:`retries` of the site and the
+    stream position (checks plus adaptation events so far). ``Database``
+    calls :meth:`finish` after the run, also one that raised: it takes the
+    legs' flow counters, the events and the final legs snapshot, and renders
+    what was armed — the trace's engine events (:meth:`timeline`), the
+    per-query metrics, the final estimate sample. EXPLAIN ANALYZE and the
+    flight record read the same object; the estimate sampler is the one
+    capture a check feeds beyond the check stream.
 
-    Kept checks — thousands per adaptive query, against a handful of
-    applied ones — land on :meth:`on_kept`, which appends one plain
-    tuple; they are materialized into slim :class:`DecisionRecord`
-    envelopes lazily (and cached) the first time :attr:`decisions` is
-    read. That keeps the per-check cost on the execution path to a tuple
-    allocation: the 5% gate of ``bench_speedup.py --check`` times that
-    path; what finishing and packing a record adds to a request is its
-    ``recorder_request_overhead_pct``, beside it.
+    Kept checks become slim :class:`DecisionRecord` envelopes lazily (and
+    cached) when :attr:`decisions` is first read. Past :attr:`max_decisions`
+    checks the stream is cut (:attr:`truncated`), its views with it.
     """
 
-    __slots__ = (
-        "_entries",
-        "_materialized",
-        "final_legs",
-        "legs",
-        "max_decisions",
-        "truncated",
-    )
-
-    def __init__(self, max_decisions: int = 10_000) -> None:
-        # DecisionRecord (full capture) and kept-check tuples, interleaved
-        # in check order.
-        self._entries: list[Any] = []
-        self._materialized: tuple[int, list[DecisionRecord]] | None = None
-        self.final_legs: dict[str, dict[str, Any]] = {}
-        # The record's legs summary of the plan that ran, when on_finish
-        # took it from the plan's prepared record; else None.
-        self.legs: dict[str, dict[str, Any]] | None = None
-        self.max_decisions = max_decisions
+    def __init__(
+        self,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+        sampler: EstimateSampler | None = None,
+    ) -> None:
+        self.tracer = tracer
+        self.metrics = metrics
+        self.sampler = sampler
+        # Set by FlightRecorder.arm: the decisions are the record's (and
+        # QueryResult.decisions), and kept driving checks are audited whole.
+        self.audit = False
+        self.max_decisions = 10_000
         self.truncated = False
+        # DecisionRecords and kept-check tuples, in check order, and each
+        # one's stream position.
+        self.checks: list[Any] = []
+        self._marks: list[int] = []
+        self._materialized: tuple[int, list[DecisionRecord]] | None = None
+        # (site, stream position) per transient-fault retry.
+        self.retries: list[tuple[str, int]] = []
+        # Set by finish: {alias: the leg's flow counters}, the adaptation
+        # events, the order history, the final order and rows emitted.
+        self.flows: Mapping[str, Any] = {}
+        self.events: Sequence[AdaptationEvent] = ()
+        self.history: Sequence[tuple[str, ...]] = ()
+        self.order: tuple[str, ...] = ()
+        self.rows_emitted = 0
+        self.final_legs: dict[str, dict[str, Any]] = {}
+        # The record's legs summary of the plan that ran, when finish took
+        # it from the plan's prepared record; else None.
+        self.legs: dict[str, dict[str, Any]] | None = None
+
+    @classmethod
+    def armed(cls) -> "QueryObservability":
+        """Tracer, metrics and estimate sampler (the ``obs=True`` bundle)."""
+        return cls(Tracer(), MetricsRegistry(), EstimateSampler())
 
     @property
     def decisions(self) -> list[DecisionRecord]:
         """Every audited check, in order, as :class:`DecisionRecord`s."""
         cached = self._materialized
-        if cached is not None and cached[0] == len(self._entries):
+        if cached is not None and cached[0] == len(self.checks):
             return cached[1]
         out: list[DecisionRecord] = []
-        for entry in self._entries:
+        for entry in self.checks:
             if type(entry) is DecisionRecord:
                 out.append(entry)
             else:
@@ -289,32 +313,65 @@ class FlightRecording:
                         monitor_granularity=granularity,
                     )
                 )
-        self._materialized = (len(self._entries), out)
+        self._materialized = (len(self.checks), out)
         return out
 
-    def on_decision(self, record: DecisionRecord) -> None:
-        if len(self._entries) >= self.max_decisions:
-            self.truncated = True
-            return
-        self._entries.append(record)
-
+    # ------------------------------------------------------------------
+    # The engine's sites
+    # ------------------------------------------------------------------
     def on_kept(
-        self,
-        check: str,
-        driving_rows: int,
-        position: int,
-        order: tuple[str, ...],
-        monitor_granularity: str,
+        self, pipeline: "PipelineExecutor", check: str, position: int
     ) -> None:
         """A check that kept the order: slim envelope, tuple-cheap."""
-        if len(self._entries) >= self.max_decisions:
-            self.truncated = True
-            return
-        self._entries.append(
-            (check, driving_rows, position, order, monitor_granularity)
+        self.on_decision(
+            pipeline,
+            (
+                check,
+                pipeline.driving_rows_total,
+                position,
+                tuple(pipeline.order),
+                granularity_of(pipeline.engine_used),
+            ),
         )
 
-    def on_finish(self, pipeline: "PipelineExecutor") -> None:
+    def on_decision(
+        self, pipeline: "PipelineExecutor", entry: DecisionRecord | tuple
+    ) -> None:
+        """One check: its :class:`DecisionRecord` (or :meth:`on_kept`'s
+        tuple), at the stream position it ran at."""
+        if self.sampler is not None:
+            self.sampler.on_check(pipeline)
+        checks = self.checks
+        if len(checks) >= self.max_decisions:
+            self.truncated = True
+            return
+        self._marks.append(len(checks) + len(pipeline.events))
+        checks.append(entry)
+
+    # ------------------------------------------------------------------
+    # After the run
+    # ------------------------------------------------------------------
+    def finish(self, pipeline: "PipelineExecutor") -> None:
+        """Take the run's flow, events and final legs; render the views."""
+        flows = pipeline.flows
+        self.flows = flows if flows is not None else pipeline.legs
+        self.events = pipeline.events
+        self.history = pipeline.order_history
+        self.order = tuple(pipeline.order)
+        self.rows_emitted = pipeline.rows_emitted
+        self._final_legs(pipeline)
+        if self.sampler is not None:
+            self.sampler.sample(pipeline, self.final_legs)
+        if self.tracer is None and self.metrics is None:
+            return
+        timeline = list(self.timeline())
+        if self.tracer is not None:
+            for name, kind, attrs in timeline:
+                self.tracer.event(name, kind, **attrs)
+        if self.metrics is not None:
+            record_query_metrics(self.metrics, timeline, self)
+
+    def _final_legs(self, pipeline: "PipelineExecutor") -> None:
         """Final per-leg monitor snapshot (actuals for q-error reporting).
 
         A run that monitored nothing and ends with the probe program of its
@@ -334,15 +391,63 @@ class FlightRecording:
             self.final_legs = snapshot_legs(pipeline)
             self.legs = None
             return
-        order = tuple(pipeline.order)
-        summary = prepared.summaries.get(order)
+        summary = prepared.summaries.get(self.order)
         if summary is None:
             final_legs = snapshot_legs(pipeline)
-            summary = prepared.summaries[order] = (
+            summary = prepared.summaries[self.order] = (
                 final_legs,
                 _build_legs(pipeline.plan, final_legs),
             )
         self.final_legs, self.legs = summary
+
+    def timeline(self) -> Iterator[tuple[str, str, dict[str, Any]]]:
+        """The run's engine events as ``(name, kind, attrs)``, in the order
+        they happened: the first driving leg's ``leg-open``; each check's
+        ``reorder-check``, each ``adaptation`` event (a driving switch
+        followed by the new driving leg's ``leg-open``, ``resumed`` when it
+        drove before) and each ``fault-retry``, merged by stream position;
+        then one ``leg-flow`` per leg."""
+        checks, marks, events = self.decisions, self._marks, self.events
+        retries = self.retries
+        drivers = {self.history[0][0]}
+        yield "leg-open", "leg", {"leg": self.history[0][0], "resumed": False}
+        done = taken = retried = 0
+        while True:
+            position = done + taken
+            while retried < len(retries) and retries[retried][1] <= position:
+                yield "fault-retry", "event", {"site": retries[retried][0]}
+                retried += 1
+            if done < len(checks) and marks[done] == position:
+                check = checks[done]
+                done += 1
+                yield "reorder-check", "check", {
+                    "check": check.check,
+                    "applied": check.applied,
+                    "position": check.position,
+                    "driving_rows": check.driving_rows,
+                }
+            elif taken < len(events):
+                event = events[taken]
+                taken += 1
+                yield "adaptation", "adapt", {
+                    "event": event.kind.value,
+                    "old_order": event.old_order,
+                    "new_order": event.new_order,
+                    "driving_rows": event.driving_rows_produced,
+                    "est_current_cost": event.estimated_current_cost,
+                    "est_new_cost": event.estimated_new_cost,
+                }
+                if event.kind is EventKind.DRIVING_SWITCH:
+                    leg = event.new_order[0]
+                    yield "leg-open", "leg", {"leg": leg, "resumed": leg in drivers}
+                    drivers.add(leg)
+            else:
+                break
+        for alias, flow in self.flows.items():
+            yield "leg-flow", "leg", {
+                "leg": alias,
+                **{name: getattr(flow, name) for name in FLOW_COUNTERS},
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -734,14 +839,14 @@ class FlightRecorder:
         base: QueryObservability | None = None,
         max_decisions: int = 10_000,
     ) -> QueryObservability:
-        """An observability bundle with the decision audit armed.
+        """A query's observation with the decision audit armed.
 
-        Without *base* the bundle is recorder-only (tracer, metrics and
-        sampler all None). With *base*, the audit is attached to the
-        caller's already-armed bundle.
+        Without *base* it is recorder-only (tracer, metrics and sampler all
+        None). With *base*, the caller's already-armed bundle is audited.
         """
         bundle = base if base is not None else QueryObservability()
-        bundle.audit = FlightRecording(max_decisions=max_decisions)
+        bundle.audit = True
+        bundle.max_decisions = max_decisions
         return bundle
 
     def finish_query(
@@ -787,17 +892,15 @@ class FlightRecorder:
         texts`: a text that went through the plan cache); else they are
         computed here.
         """
-        audit = bundle.audit
-        decisions = list(audit.decisions) if audit is not None else []
-        final_legs = audit.final_legs if audit is not None else {}
+        decisions = list(bundle.decisions) if bundle.audit else []
         if texts is None:
             texts = (normalize_sql(sql), template_signature(sql))
         plan = result.plan if result is not None else None
         engine = result.stats.engine if result is not None else "unknown"
         # Shared, read-only: the summary of the plan's prepared record.
-        legs = audit.legs if audit is not None and plan is not None else None
+        legs = bundle.legs if plan is not None else None
         if legs is None:
-            legs = _build_legs(plan, final_legs)
+            legs = _build_legs(plan, bundle.final_legs)
         record = FlightRecord(
             query_id=self._next_query_id(),
             ts=self._clock(),

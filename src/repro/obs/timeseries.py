@@ -113,8 +113,13 @@ class EstimateSampler:
             return
         self.sample(pipeline)
 
-    def sample(self, pipeline: "PipelineExecutor") -> EstimateSample | None:
-        """Record one snapshot immediately (also used for a final sample)."""
+    def sample(
+        self,
+        pipeline: "PipelineExecutor",
+        legs: dict[str, dict[str, Any]] | None = None,
+    ) -> EstimateSample | None:
+        """Record one snapshot now: of *legs* when the caller took it (the
+        final sample reads the run's final legs snapshot), else live."""
         if len(self.samples) >= self.max_samples:
             return None
         meter_before = pipeline.meter_before
@@ -127,34 +132,8 @@ class EstimateSampler:
             driving_rows=pipeline.driving_rows_total,
             work_units=work,
             order=tuple(pipeline.order),
-            legs=snapshot_legs(pipeline),
+            legs=snapshot_legs(pipeline) if legs is None else legs,
             class_selectivities=dict(pipeline.class_selectivities),
         )
         self.samples.append(sample)
         return sample
-
-    # ------------------------------------------------------------------
-    def as_dicts(self) -> list[dict[str, Any]]:
-        return [sample.as_dict() for sample in self.samples]
-
-    def series(self, alias: str, key: str) -> list[tuple[int, Any]]:
-        """(driving_rows, value) pairs of one leg's estimate over time."""
-        out: list[tuple[int, Any]] = []
-        for sample in self.samples:
-            leg = sample.legs.get(alias)
-            if leg is not None and key in leg:
-                out.append((sample.driving_rows, leg[key]))
-        return out
-
-    def to_rows(self) -> list[tuple[Any, ...]]:
-        """Flat (driving_rows, work, leg, key, value) rows for CSV export."""
-        rows: list[tuple[Any, ...]] = []
-        for sample in self.samples:
-            for alias, data in sample.legs.items():
-                for key, value in data.items():
-                    if key in ("role", "position"):
-                        continue
-                    rows.append(
-                        (sample.driving_rows, sample.work_units, alias, key, value)
-                    )
-        return rows

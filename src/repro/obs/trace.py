@@ -4,14 +4,15 @@ A :class:`Tracer` records **spans** — named, timed intervals with
 parent/child links — for the phases of a query (plan-cache, with parse
 and optimize under it when the statement was not cached; execute) and
 instant **events** for run-time happenings (leg opens, reorder checks,
-applied reorders, each leg's row flow at the end). Spans carry free-form
-attributes for work-unit and row-count attribution.
+applied reorders, each leg's row flow at the end: rendered after the run
+from the query's observation, :meth:`~repro.obs.recorder.
+QueryObservability.timeline`). Spans carry free-form attributes for
+work-unit and row-count attribution.
 
 The tracer is entirely passive: it never touches the
-:class:`~repro.storage.counters.WorkMeter`, so an armed tracer changes
-wall-clock time only, never the deterministic work-unit accounting. With
-no tracer armed, every instrumentation site in the engine pays exactly
-one ``is None`` check.
+:class:`~repro.storage.counters.WorkMeter`, and the engine never sees it —
+only ``Database`` opens spans, and the engine's events are written into
+the open ``execute`` span once the run is over.
 
 JSONL schema (one object per line, one line per span)::
 
@@ -73,12 +74,6 @@ class Span:
     start_ms: float
     end_ms: float | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_ms(self) -> float | None:
-        if self.end_ms is None:
-            return None
-        return self.end_ms - self.start_ms
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -177,32 +172,3 @@ class Tracer:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-
-    def render_tree(self) -> str:
-        """Human-readable tree: indentation mirrors parent/child links."""
-        children: dict[int | None, list[Span]] = {}
-        for span in self.spans:
-            children.setdefault(span.parent_id, []).append(span)
-
-        lines: list[str] = []
-
-        def visit(span: Span, depth: int) -> None:
-            duration = span.duration_ms
-            timing = (
-                f"@{span.start_ms:.1f}ms"
-                if duration is None or duration == 0.0
-                else f"{duration:.1f}ms"
-            )
-            attrs = ""
-            if span.attrs:
-                inner = ", ".join(
-                    f"{key}={_jsonable(val)}" for key, val in span.attrs.items()
-                )
-                attrs = f"  [{inner}]"
-            lines.append(f"{'  ' * depth}{span.name} ({timing}){attrs}")
-            for child in children.get(span.span_id, ()):
-                visit(child, depth + 1)
-
-        for root in children.get(None, ()):
-            visit(root, 0)
-        return "\n".join(lines)

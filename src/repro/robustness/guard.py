@@ -75,7 +75,7 @@ class SandboxedController:
         self.disabled = True
         self.failure = exc
         order = tuple(pipeline.order)
-        pipeline.record_event(
+        pipeline.events.append(
             AdaptationEvent(
                 kind=EventKind.DEGRADED,
                 driving_rows_produced=pipeline.driving_rows_total,

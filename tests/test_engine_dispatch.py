@@ -25,7 +25,7 @@ from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.errors import QueryError, StorageError
 from repro.executor import vector
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.obs.observer import QueryObservability
+from repro.obs import QueryObservability
 from repro.obs.recorder import FlightRecorder
 from repro.robustness.faults import FaultPlan
 from repro.server.admission import ServerConfig

@@ -7,10 +7,8 @@ import pytest
 from repro import AdaptiveConfig, QueryObservability, ReorderMode
 from repro.core.events import EventKind
 from repro.obs.metrics import (
-    Counter,
     Histogram,
     MetricsRegistry,
-    merge_counter,
 )
 from repro.obs.trace import JSONL_KEYS, SPAN_KINDS, Tracer
 
@@ -69,16 +67,6 @@ class TestTracer:
         assert len(target.read_text().splitlines()) == 1
         assert not list(tmp_path.glob("*.tmp.*"))
 
-    def test_render_tree_indents_children(self):
-        tracer = Tracer()
-        with tracer.span("query"):
-            with tracer.span("execute"):
-                pass
-        tree = tracer.render_tree()
-        lines = tree.splitlines()
-        assert lines[0].startswith("query")
-        assert lines[1].startswith("  execute")
-
 
 class TestMetrics:
     def test_counter_labels_and_total(self):
@@ -124,20 +112,17 @@ class TestMetrics:
         snapshot = registry.as_dict()
         assert snapshot["query_rows_emitted_total"][""] == 7
 
-    def test_merge_counter(self):
-        counter = Counter("x")
-        counter.inc("a", 2)
-        merged = merge_counter({"a": 1.0, "b": 5.0}, counter)
-        assert merged == {"a": 3.0, "b": 5.0}
-
 
 class TestObservabilityBundle:
     def test_disarmed_hooks_are_noops(self):
-        obs = QueryObservability()
-        obs.on_leg_open("o", resumed=False)
-        obs.on_order_change(("o", "c"))
-        obs.on_fault_retry("index-lookup")
-        obs.finish()
+        """A bundle with nothing armed is fed and finished, and renders
+        nothing: no trace, no metrics, no samples, no decisions."""
+        db = build_three_table_db(owners=400, seed=3)
+        config = AdaptiveConfig(mode=ReorderMode.BOTH)
+        result = db.execute(db.plan(SKEW_SQL), config, obs=QueryObservability())
+        assert result.trace is None and result.metrics is None
+        assert result.samples == () and result.decisions == ()
+        assert result.rows == db.execute(db.plan(SKEW_SQL), config).rows
 
     def test_finish_emits_one_leg_flow_event_per_leg(self):
         """The trace reads each leg's flow counters once, at the end: one
@@ -185,6 +170,24 @@ class TestExecutionWithObservability:
         emitted = result.metrics.counter("query_rows_emitted_total")
         assert emitted.total == len(result.rows)
         assert result.samples  # final sample always recorded
+
+    def test_post_process_span_nests_under_query(self):
+        """The engine's events are written under the open ``execute`` span
+        after the run, and leave the span stack as it was: the blocking
+        stage that follows is the query's child, and the trace has one
+        root."""
+        db = build_three_table_db()
+        result = db.execute(
+            "SELECT o.name FROM Owner o, Car c WHERE c.ownerid = o.id "
+            "ORDER BY o.name",
+            AdaptiveConfig(mode=ReorderMode.BOTH),
+            obs=True,
+        )
+        spans = {span.name: span for span in result.trace.spans}
+        assert spans["post-process"].parent_id == spans["query"].span_id
+        assert [s.name for s in result.trace.spans if s.parent_id is None] == [
+            "query"
+        ]
 
     def test_metrics_row_flow_is_consistent(self):
         db = build_three_table_db()

@@ -6,7 +6,7 @@ flight record. What its cached plan determines is computed once per plan:
 the statement's normalized text and template signature come from the plan
 cache's memo (:meth:`~repro.optimizer.plancache.PlanCache.texts`), and an
 unmonitored run's legs summary is its prepared record's
-(:meth:`~repro.obs.recorder.FlightRecording.on_finish`). The differential
+(:meth:`~repro.obs.recorder.QueryObservability.finish`). The differential
 test holds both to what the regexes, a live :func:`snapshot_legs` and
 :func:`_build_legs` make, across an ``insert`` and two ``analyze`` calls
 that move the catalog generation and the priors; the counting test holds a
@@ -29,7 +29,7 @@ from repro.catalog.statistics import StatisticsLevel
 from repro.core import controller
 from repro.dmv import four_table_workload, load_dmv
 from repro.obs import recorder, timeseries
-from repro.obs.observer import QueryObservability
+from repro.obs import QueryObservability
 from repro.obs.recorder import (
     FlightRecord,
     PackedRecord,
@@ -168,7 +168,7 @@ def fresh_record(sql, mode, result, bundle, live_legs, record) -> FlightRecord:
         plan_feedback=feedback_to_dict(stats.plan_feedback),
         legs=live_legs,
         events=[event_to_dict(event) for event in stats.events],
-        decisions=list(bundle.audit.decisions),
+        decisions=list(bundle.decisions),
         session=CONTEXT["session"],
         shed=CONTEXT["shed"],
         queued_ms=CONTEXT["queued_ms"],
@@ -242,7 +242,7 @@ def test_replies_and_records_are_a_fresh_construction(case, monkeypatch):
                 monitored = (
                     mode != "none" and result.stats.plan_feedback is None
                 )
-                assert (bundle.audit.legs is None) == monitored
+                assert (bundle.legs is None) == monitored
                 shared += not monitored
                 live += monitored
                 legs_by_phase[phase][sql, mode] = record.legs

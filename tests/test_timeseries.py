@@ -200,21 +200,12 @@ class TestEstimateSampler:
             # Every sample but the final one is a state a check read.
             checked = {d.driving_rows for d in result.decisions}
             assert checked and set(rows_axis[:-1]) <= checked, backend
-            driving = sampler.samples[-1].order[0]
-            series = sampler.series(driving, "s_lpr")
-            assert series and all(len(pair) == 2 for pair in series)
-            assert sampler.series("no_such_leg", "jc") == []
-            flat = sampler.to_rows()
-            assert flat
-            assert all(len(row) == 5 for row in flat)
-            keys = {row[3] for row in flat}
-            assert "role" not in keys and "position" not in keys
             assert result.samples == tuple(sampler.samples)
 
     def test_as_dicts_json_shape(self):
         sampler = EstimateSampler()
         sampler.sample(fake_pipeline(rows=7))
-        (payload,) = sampler.as_dicts()
+        (payload,) = [sample.as_dict() for sample in sampler.samples]
         assert payload["driving_rows"] == 7
         assert payload["order"] == ["d"]
         assert payload["legs"]["d"]["role"] == "driving"

@@ -4,10 +4,13 @@ A repeat mode-NONE execution of a text, and a learned execution (a text's
 mode-BOTH runs after the first, which run its lesson as a static plan), run
 the cascade straight off the plan's prepared record: they construct no
 ``RuntimeLeg``, no scan cursor and no ``PositionRegistry`` — neither bare,
-nor with a row budget armed, nor with a flight-recorder bundle armed. What
-they return is the row store's scalar oracle's: rows in order, every
-``WorkMeter`` field and each leg's flow counters (the oracle's as an
-observed run's trace reports them).
+nor with a row budget armed, nor with a flight-recorder bundle armed, nor
+fully observed (``obs=True``: the trace, the metrics and the final estimate
+sample are rendered after the run from the flow counters and the prepared
+record's summary), nor under ``EXPLAIN ANALYZE``. What they return is the
+row store's scalar oracle's: rows in order, every ``WorkMeter`` field and
+each leg's flow counters (the oracle's as an observed run's trace reports
+them).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ ARMINGS = {
     "bare": lambda: {},
     "row budget": lambda: {"limits": ExecutionLimits(max_rows=10**6)},
     "flight recorder": lambda: {"obs": FlightRecorder().arm()},
+    "observed": lambda: {"obs": True},
 }
 #: What a warm static run must not construct.
 COUNTED = (
@@ -134,11 +138,23 @@ def test_a_warm_static_run_builds_nothing_per_plan(
     assert any(rows_in for rows_in, *_ in flows.values())  # not vacuous
 
 
+def test_a_warm_explain_analyze_builds_nothing_per_plan(dbs, built):
+    """EXPLAIN ANALYZE of a warm static run reads the actuals off the flow
+    counters and the estimates off the prepared record's summary."""
+    _, columnar = dbs
+    for _ in range(2):
+        columnar.explain_analyze(SQL, NONE)
+    built.clear()
+    report = columnar.explain_analyze(SQL, NONE)
+    assert sum(built.values()) == 0, dict(built)
+    assert "engine: vector" in report.splitlines()
+
+
 def test_what_reads_the_machine_builds_it(dbs, built, executors):
     """An invariant-oracle run of the warm plan builds its legs. A run that
-    built none has them built when something reads them after it (an
-    observed run's trace does): its end state, the record's probe program
-    and the flow it counted."""
+    built none has them built when something reads them after it: its end
+    state, the record's probe program and the flow it counted (what an
+    observed run's trace reports without building them)."""
     _, columnar = dbs
     columnar.execute(SQL, NONE)
     built.clear()
