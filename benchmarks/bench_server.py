@@ -33,7 +33,8 @@ serial engine's rows for that statement — a throughput number that
 changes answers must fail loudly, not get recorded.
 
 The report is stored under the ``"server"`` key of ``BENCH_speedup.json``
-(other sections preserved, atomic write), so the serving layer's perf
+(other sections preserved, atomic write; a ``--check`` run reads the file
+and leaves it as it is), so the serving layer's perf
 trajectory rides the same stored-baseline regression report as the
 executor benchmarks: a qps drop below ``REGRESSION_TOLERANCE`` of the
 stored baseline prints loudly on stderr; ``--check`` additionally gates
@@ -54,7 +55,7 @@ import pathlib
 import sys
 import time
 
-from repro.bench.runner import host_metadata, merge_json_atomic
+from repro.bench.runner import host_metadata, merge_json_atomic, read_json_object
 from repro.dmv import four_table_workload, load_dmv
 from repro.server import AdmissionController, QueryServer, ServerConfig
 from repro.server.admission import SHED_NONE
@@ -293,8 +294,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cache:     {section['plan_cache_hit_rate']:.1%} hit rate")
     print(f"engines:   {section['engines']}")
 
-    # Fold into the shared benchmark file, preserving other sections.
-    old = merge_json_atomic(args.output, {"server": section}).get("server", {})
+    # A check gates against the recorded baseline and leaves the file
+    # alone; a recording run folds its section in, preserving the others.
+    if args.check:
+        old = read_json_object(args.output).get("server", {})
+    else:
+        old = merge_json_atomic(args.output, {"server": section}).get("server", {})
+        print(f"wrote server section to {args.output}", file=sys.stderr)
     regressions: list[str] = []
     old_qps = old.get("qps")
     # Only comparable runs gate each other: same shape, full (non-quick)
@@ -309,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
             f"REGRESSION: server qps {section['qps']:.1f} < stored "
             f"baseline {old_qps:.1f} * {REGRESSION_TOLERANCE}"
         )
-    print(f"wrote server section to {args.output}", file=sys.stderr)
     for line in regressions:
         print(line, file=sys.stderr)
 

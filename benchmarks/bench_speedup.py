@@ -46,7 +46,9 @@ its record included (``recorder_request_overhead_pct``).
 
 Results go to ``BENCH_speedup.json`` at the repo root (atomic write; the
 ``"server"`` section bench_server.py keeps there is preserved), so the
-perf trajectory of future PRs is recorded. Any mode whose speedup regresses
+perf trajectory of future PRs is recorded; a ``--check`` run reads the
+file and leaves it as it is, so every check gates against the recorded
+baseline. Any mode whose speedup regresses
 vs the stored baseline is reported loudly on stderr; under ``--check`` the
 process also exits non-zero if the engine is slower than the oracle by
 more than 10%, the armed recorder costs more than 5% wall, or a fully
@@ -66,7 +68,7 @@ import sys
 import time
 from unittest import mock
 
-from repro.bench.runner import host_metadata, merge_json_atomic
+from repro.bench.runner import host_metadata, merge_json_atomic, read_json_object
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.dmv import load_dmv, six_table_workload
 from repro.executor import vector
@@ -471,10 +473,14 @@ def main(argv: list[str] | None = None) -> int:
         or observability["armed_ratio"] > ARMED_GATE_RATIO
     )
 
-    # Only this run's keys are replaced: the file's other sections
-    # (bench_server.py's "server") stay.
-    baseline = merge_json_atomic(args.output, payload)
-    print(f"wrote {args.output}")
+    # A check gates against the recorded baseline and leaves it alone; a
+    # recording run replaces only its own keys (bench_server.py's "server"
+    # stays).
+    if args.check:
+        baseline = read_json_object(args.output)
+    else:
+        baseline = merge_json_atomic(args.output, payload)
+        print(f"wrote {args.output}")
     regressions = report_regressions(baseline, payload)
     for line in regressions:
         print(line, file=sys.stderr)

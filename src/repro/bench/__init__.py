@@ -20,12 +20,8 @@ from repro.bench.experiments import (
 from repro.bench.reporting import (
     format_scatter_summary,
     format_table,
-    format_workload_metrics,
-    to_csv,
-    write_csv,
 )
 from repro.bench.runner import (
-    WORK_BUCKETS,
     QueryMeasurement,
     WorkloadResult,
     merge_json_atomic,
@@ -36,7 +32,6 @@ from repro.bench.runner import (
 
 __all__ = [
     "PAPER_TABLE1",
-    "WORK_BUCKETS",
     "AblationResult",
     "LearnedResult",
     "OverheadResult",
@@ -49,7 +44,6 @@ __all__ = [
     "ablation_experiment",
     "format_scatter_summary",
     "format_table",
-    "format_workload_metrics",
     "learned_experiment",
     "merge_json_atomic",
     "overhead_experiment",
@@ -58,8 +52,6 @@ __all__ = [
     "standard_configs",
     "table1_experiment",
     "template_ratio_experiment",
-    "to_csv",
     "window_sweep_experiment",
-    "write_csv",
     "write_json_atomic",
 ]

@@ -391,12 +391,9 @@ def window_sweep_experiment(
         result = run_workload(
             db, workload, {"both": config}, verify_against=None
         )
-        # Totals come straight off the run's metrics registry.
-        metrics = result.metrics
-        count = max(metrics.counter("bench_queries_total").value("both"), 1.0)
-        avg_switches = metrics.counter("bench_switches_total").value("both") / count
-        avg_work = metrics.counter("bench_work_units_total").value("both") / count
-        series[window] = (avg_switches, avg_work)
+        count, work, switches = result.totals("both")
+        count = max(count, 1)
+        series[window] = (switches / count, work / count)
     return WindowSweepResult(series=series)
 
 
@@ -604,10 +601,8 @@ def ablation_experiment(
     Result correctness of every variant is verified against *baseline*.
     """
     result = run_workload(db, workload, dict(variants), verify_against=baseline)
-    # Totals come straight off the run's metrics registry.
-    work = result.metrics.counter("bench_work_units_total")
-    switches = result.metrics.counter("bench_switches_total")
     series: dict[str, tuple[float, int]] = {}
     for mode in result.modes():
-        series[mode] = (work.value(mode), int(switches.value(mode)))
+        _, work, switches = result.totals(mode)
+        series[mode] = (work, switches)
     return AblationResult(series=series, baseline=baseline)

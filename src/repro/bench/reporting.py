@@ -2,19 +2,12 @@
 
 Every experiment prints the same rows/series the paper's table or figure
 shows: per-query (x, y) pairs for the scatter plots, per-template ratios for
-the bar charts, per-window switch counts for Fig 10. CSV emission is
-provided so the series can be re-plotted outside the harness.
+the bar charts, per-window switch counts for Fig 10.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import os
-from typing import TYPE_CHECKING, Any, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
+from typing import Any, Sequence
 
 
 def format_table(
@@ -73,71 +66,3 @@ def format_scatter_summary(
     for qid, x, y in pairs[::step][:sample]:
         lines.append(f"    {qid}: ({x:,.0f}, {y:,.0f})  [{x / max(y, 1e-9):.2f}x]")
     return "\n".join(lines)
-
-
-def to_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render rows as CSV text (for saving series to disk)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def write_csv(
-    path: str, headers: Sequence[str], rows: Sequence[Sequence[Any]]
-) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(headers)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def format_workload_metrics(registry: "MetricsRegistry") -> str:
-    """Per-mode rollup table straight off a workload's metrics registry.
-
-    Consumes the ``bench_*`` series :class:`~repro.bench.runner.WorkloadResult`
-    accumulates, so experiment reports don't re-derive totals from the raw
-    measurement list.
-    """
-    queries = registry.get("bench_queries_total")
-    if queries is None or not queries.total:
-        return "(no workload metrics recorded)"
-
-    def series(name: str) -> dict[str, float]:
-        metric = registry.get(name)
-        return metric.as_dict() if metric is not None else {}
-
-    work = series("bench_work_units_total")
-    adaptation = series("bench_adaptation_work_units_total")
-    switches = series("bench_switches_total")
-    changed = series("bench_order_changed_total")
-    rows = []
-    for mode, count in queries.items():
-        total_work = work.get(mode, 0.0)
-        rows.append(
-            [
-                mode,
-                int(count),
-                total_work,
-                adaptation.get(mode, 0.0),
-                (100.0 * adaptation.get(mode, 0.0) / total_work)
-                if total_work
-                else 0.0,
-                int(switches.get(mode, 0)),
-                int(changed.get(mode, 0)),
-            ]
-        )
-    return format_table(
-        ["mode", "queries", "work units", "adaptation", "adapt %",
-         "switches", "order changed"],
-        rows,
-        title="workload metrics (per mode):",
-    )

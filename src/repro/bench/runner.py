@@ -10,20 +10,12 @@ from __future__ import annotations
 import json
 import os
 import platform
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.db import Database
 from repro.dmv.templates import WorkloadQuery
-from repro.obs.metrics import MetricsRegistry
-
-#: Histogram buckets for per-query work units, spanning the DMV scales
-#: the experiments run at (hundreds of units at scale 0.005, millions at 1.0).
-WORK_BUCKETS = (
-    100.0, 500.0, 1_000.0, 5_000.0, 10_000.0,
-    50_000.0, 100_000.0, 500_000.0, 1_000_000.0,
-)
 
 
 def host_metadata() -> dict:
@@ -60,21 +52,26 @@ def write_json_atomic(path: str, payload: Any) -> None:
         raise
 
 
-def merge_json_atomic(path: str, sections: Mapping[str, Any]) -> dict:
-    """Replace *sections*' top-level keys in the JSON object at *path*.
-
-    For a results file several benchmarks share, each owning its own keys:
-    every other key is kept as it was. A missing or unreadable file counts
-    as empty. Written with :func:`write_json_atomic`; returns what the file
-    held before (the caller's stored baseline).
-    """
+def read_json_object(path: str) -> dict:
+    """The JSON object at *path*; a missing or unreadable file, or one that
+    holds no object, counts as empty."""
     try:
         with open(path, encoding="utf-8") as handle:
             previous = json.load(handle)
     except (OSError, ValueError):
-        previous = {}
-    if not isinstance(previous, dict):
-        previous = {}
+        return {}
+    return previous if isinstance(previous, dict) else {}
+
+
+def merge_json_atomic(path: str, sections: Mapping[str, Any]) -> dict:
+    """Replace *sections*' top-level keys in the JSON object at *path*.
+
+    For a results file several benchmarks share, each owning its own keys:
+    every other key is kept as it was (:func:`read_json_object`). Written
+    with :func:`write_json_atomic`; returns what the file held before (the
+    caller's stored baseline).
+    """
+    previous = read_json_object(path)
     write_json_atomic(path, {**previous, **sections})
     return previous
 
@@ -99,8 +96,6 @@ class QueryMeasurement:
     def total_switches(self) -> int:
         return self.inner_reorders + self.driving_switches
 
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -108,36 +103,21 @@ class WorkloadResult:
     """All measurements for one workload run, indexed by (qid, mode)."""
 
     measurements: list[QueryMeasurement] = field(default_factory=list)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def add(self, measurement: QueryMeasurement) -> None:
         self.measurements.append(measurement)
-        self._record(measurement)
 
-    def _record(self, m: QueryMeasurement) -> None:
-        metrics = self.metrics
-        metrics.counter(
-            "bench_queries_total", "query executions by mode"
-        ).inc(m.mode)
-        metrics.counter(
-            "bench_work_units_total", "total work units by mode"
-        ).inc(m.mode, m.work)
-        metrics.counter(
-            "bench_adaptation_work_units_total", "adaptation work units by mode"
-        ).inc(m.mode, m.adaptation_work)
-        metrics.counter(
-            "bench_switches_total", "applied reorders/switches by mode"
-        ).inc(m.mode, m.total_switches)
-        if m.order_changed:
-            metrics.counter(
-                "bench_order_changed_total",
-                "queries finishing on a different order, by mode",
-            ).inc(m.mode)
-        metrics.histogram(
-            "bench_query_work_units",
-            WORK_BUCKETS,
-            "per-query work-unit distribution by mode",
-        ).observe(m.work, label=m.mode)
+    def totals(self, mode: str) -> tuple[int, float, int]:
+        """``(queries, work units, switches)`` of *mode*, summed in
+        measurement order."""
+        queries = switches = 0
+        work = 0.0
+        for m in self.measurements:
+            if m.mode == mode:
+                queries += 1
+                work += m.work
+                switches += m.total_switches
+        return queries, work, switches
 
     def by_mode(self, mode: str) -> dict[str, QueryMeasurement]:
         return {m.qid: m for m in self.measurements if m.mode == mode}
@@ -151,16 +131,6 @@ class WorkloadResult:
 
     def templates(self) -> list[int]:
         return sorted({m.template for m in self.measurements})
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-ready snapshot: every measurement plus the rolled-up registry."""
-        return {
-            "measurements": [m.as_dict() for m in self.measurements],
-            "metrics": self.metrics.as_dict(),
-        }
-
-    def save_json(self, path: str) -> None:
-        write_json_atomic(path, self.to_payload())
 
 
 def standard_configs(

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.core.monitor import IDLE_MONITOR, DrivingMonitor, LegMonitor
 from repro.errors import ExecutionError
 from repro.executor.hashprobe import HashProbeTable
-from repro.robustness.faults import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retry
+from repro.robustness.faults import call_with_retry
 from repro.optimizer.plans import DrivingKind, PlanLeg
 from repro.query.joingraph import JoinPredicate
 from repro.query.predicates import LocalPredicate, PositionalPredicate
@@ -133,7 +133,6 @@ class RuntimeLeg(LegFlow):
         "probe_config",
         "probe_epoch",
         "incoming_since_check",
-        "retry_policy",
         "collect_rids",
         "match_rids",
         "on_retry",
@@ -187,9 +186,6 @@ class RuntimeLeg(LegFlow):
         # rebuilt.
         self.probe_epoch = 0
         self.incoming_since_check = 0
-        # Transient-fault retry (only consulted while a fault injector is
-        # armed; the production path never pays the wrapper).
-        self.retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
         # Oracle mode: probe() additionally records the RIDs of its matches
         # (aligned with the returned rows) in self.match_rids.
         self.collect_rids = collect_rids
@@ -321,7 +317,6 @@ class RuntimeLeg(LegFlow):
             if faulty:
                 candidates = call_with_retry(
                     lambda: hash_table.probe(key, meter),
-                    self.retry_policy,
                     on_retry=self._retry_hook("hash-probe"),
                 )
             else:
@@ -331,7 +326,6 @@ class RuntimeLeg(LegFlow):
             if faulty:
                 rids = call_with_retry(
                     lambda: index.lookup_rids(key),
-                    self.retry_policy,
                     on_retry=self._retry_hook("index-lookup"),
                 )
             else:
@@ -371,15 +365,6 @@ class RuntimeLeg(LegFlow):
         if on_retry is None:
             return None
         return lambda: on_retry(site)
-
-    def consult(self, site: str) -> None:
-        """The engine's fault site: one consultation per chunk, transient
-        faults retried (the scalar machine consults per row)."""
-        faults = self.table.faults
-        if faults is not None:
-            call_with_retry(
-                lambda: faults.fire(site), self.retry_policy, self._retry_hook(site)
-            )
 
     def _degrade_monitoring(self, exc: BaseException) -> None:
         """Disable this leg's monitoring after a failure inside it.
@@ -484,7 +469,6 @@ class RuntimeLeg(LegFlow):
                     # state change, so transient faults are retryable.
                     _, row = call_with_retry(
                         lambda: next(cursor),
-                        self.retry_policy,
                         on_retry=self._retry_hook("cursor-advance"),
                     )
                 else:

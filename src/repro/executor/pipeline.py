@@ -16,6 +16,10 @@ generators, because the adaptive layer must be able to permute the pipeline
 The executor owns the mutation primitives (:meth:`apply_inner_order`,
 :meth:`apply_driving_switch`); *deciding* when and how to use them is the
 controller's job, so a ``NONE``-mode run simply never mutates anything.
+The machine (legs, position registry, live selectivities) is built once,
+at init, from the plan's prepared record, its probe program installed;
+the engine (:mod:`repro.executor.batch`) builds it for a monitored run
+only.
 """
 
 from __future__ import annotations
@@ -28,13 +32,7 @@ from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.events import AdaptationEvent, EventKind
 from repro.core.positions import PositionRegistry
 from repro.errors import ExecutionError
-from repro.executor.access import (
-    Binding,
-    Cursor,
-    FLOW_COUNTERS,
-    RuntimeLeg,
-    bind_local_tests,
-)
+from repro.executor.access import Binding, Cursor, RuntimeLeg, bind_local_tests
 from repro.executor.vector import cascade_start
 from repro.optimizer.params import LegModelParts, leg_model_parts
 from repro.optimizer.plans import PipelinePlan
@@ -115,7 +113,7 @@ class PreparedPlan(NamedTuple):
     every execution of the plan, in every mode and on every thread, so
     nothing in here may change after construction: the arrays are
     read-only, the records frozen. The one exception is
-    :attr:`summaries`, a memo filled once per key and read-only after.
+    :attr:`summary`, a memo filled once and read-only after.
     """
 
     # id() of the plan it was built for: a feedback plan starts from its
@@ -131,10 +129,10 @@ class PreparedPlan(NamedTuple):
     # the starting inner legs' kernels and key gathers plus the fresh
     # driving walk; None on a row database.
     cascade: Any
-    # {final order: (final legs, legs summary)} of an unmonitored run that
-    # ended as this record describes it: what the flight recorder reads of
-    # such a run is the record's (obs.recorder.QueryObservability.finish).
-    summaries: dict
+    # One memo slot: ``[(final legs, legs summary)]`` of an unmonitored
+    # run, which ends as this record describes it (empty until the flight
+    # recorder first reads one: obs.recorder.QueryObservability.finish).
+    summary: list
 
 
 def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
@@ -204,7 +202,7 @@ def _prepare(
             if catalog.backend is COLUMNAR_BACKEND
             else None
         ),
-        summaries={},
+        summary=[],
     )
 
 
@@ -271,20 +269,25 @@ def _compile_probe(
         ) from exc
 
 
-#: The scalar machine's state: built on the first read of one of these
-#: (:meth:`PipelineExecutor._build_machine`), never by an unmonitored cascade.
-_MACHINE = frozenset((
-    "legs", "order", "order_history", "events", "registry", "_slot_cache",
-    "class_selectivities", "abandon_counts", "last_abandoned_driving",
-    "driving_cursor",
-))
+def starting_legs(
+    plan: PipelinePlan, prepared: PreparedPlan, *args: Any
+) -> dict[str, RuntimeLeg]:
+    """Legs of *plan*'s order as its prepared record starts them: the
+    record's probe program installed, nothing run. *args* are the rest of
+    :class:`RuntimeLeg`'s (none: unmonitored legs, as an unmonitored run
+    ends)."""
+    bound = prepared.bindings.legs
+    legs = {
+        alias: RuntimeLeg(plan.legs[alias], bound[alias], *args)
+        for alias in plan.order
+    }
+    for alias, config in prepared.program.items():
+        legs[alias].install_probe(config)
+    return legs
 
 
 class PipelineExecutor:
     """Runs one pipelined plan, optionally under adaptive reordering."""
-
-    # Whether an unmonitored run may go without the machine (the cascade's).
-    _lazy_machine = False
 
     def __init__(
         self,
@@ -298,9 +301,8 @@ class PipelineExecutor:
         generation: tuple | None = None,
     ) -> None:
         """*generation* is the catalog's, when the caller already read it
-        (``Database.execute`` does, for its plan-cache lookup). The scalar
-        machine's state (:data:`_MACHINE`) is built here only for a run
-        certain to read it."""
+        (``Database.execute`` does, for its plan-cache lookup). What the
+        run reads is built here, outside its clock (:meth:`_build_machine`)."""
         self.plan = plan
         self.catalog = catalog
         self.config = config if config is not None else AdaptiveConfig(mode=ReorderMode.NONE)
@@ -315,14 +317,6 @@ class PipelineExecutor:
         bindings = prepared.bindings
         self.schemas = bindings.schemas
         self.join_graph = bindings.join_graph
-        # Whether this execution has yet to compile a probe: its first
-        # compile installs the prepared program instead.
-        self._fresh = True
-        # The prepared cascade start while the pipeline is in the state it
-        # was prepared for (set by _compile_all_probes), else None.
-        self.prepared_start = None
-        # {alias: LegFlow} of a run that built no legs, else None.
-        self.flows: dict | None = None
         # Statistics for the experiments.
         self.inner_reorders = 0
         self.driving_switches = 0
@@ -354,40 +348,25 @@ class PipelineExecutor:
         self.learns_at_end = False
         self.scan_finished = False
         self.proposed_order: tuple[str, ...] | None = None
-        # A run that reads the machine builds it here, outside its clock.
-        if not self._lazy_machine or self.config.mode.monitors or oracle is not None:
-            self._build_machine()
-
-    def __getattr__(self, name: str) -> Any:
-        if name not in _MACHINE:  # only names not set yet get here
-            raise AttributeError(name, name=name, obj=self)
         self._build_machine()
-        return self.__dict__[name]
 
     def _build_machine(self) -> None:
-        """The scalar machine's state, from the plan's prepared record;
-        after a run that built none (:attr:`flows`), its end state: the
-        record's probe program installed, the flow it counted."""
+        """The machine's state, from the plan's prepared record: its legs
+        with the record's probe program installed (the pipeline as the plan
+        describes it, so the record's cascade start is this run's until a
+        recompile), the position registry, the live selectivities."""
         plan = self.plan
         prepared = self.prepared
         window = self.config.history_window if self.config.mode.monitors else None
         on_retry = self._note_retry if self.obs is not None else None
-        degrade_hook = self._record_monitor_degraded
-        collect_rids = self.oracle is not None
-        bound = prepared.bindings.legs
-        self.legs = legs = {
-            alias: RuntimeLeg(
-                plan.legs[alias], bound[alias], window, on_retry, degrade_hook,
-                collect_rids,
-            )
-            for alias in plan.order
-        }
-        if self.flows is not None:
-            for alias, leg in legs.items():
-                if alias in prepared.program:
-                    leg.install_probe(prepared.program[alias])
-                for name in FLOW_COUNTERS:
-                    setattr(leg, name, getattr(self.flows[alias], name))
+        # {alias: LegFlow} the run counts its row flow in: here its legs.
+        self.flows = self.legs = starting_legs(
+            plan, prepared, window, on_retry, self._record_monitor_degraded,
+            self.oracle is not None,
+        )
+        # The record's cascade start while the pipeline is in the state it
+        # was prepared for; None from the first recompile on.
+        self.prepared_start = prepared.cascade
         self.order: list[str] = list(plan.order)
         # (alias, column) -> row slot, shared across every leg's probe
         # compilation, so repeated recompiles after reorders never
@@ -422,25 +401,11 @@ class PipelineExecutor:
     def _compile_all_probes(self, start_position: int = 1) -> None:
         """Compile the probe of every leg from *start_position* on.
 
-        The first compile of an execution finds the pipeline as the plan
-        describes it, so it installs the prepared record's program (and
-        marks the record's cascade start usable): nothing was frozen yet,
-        so no leg has a positional predicate to look up. After an applied
-        reorder or switch the order and the live class selectivities have
-        moved, and the permuted legs are compiled for what they are now.
+        The pipeline starts with the prepared record's program installed
+        (:meth:`_build_machine`); after an applied reorder or switch the
+        order and the live class selectivities have moved, and the permuted
+        legs are compiled for what they are now.
         """
-        fresh, self._fresh = self._fresh, False
-        if (
-            fresh
-            and start_position == 1
-            and tuple(self.order) == self.plan.order
-            and self.class_selectivities == self.plan.class_selectivities
-        ):
-            legs = self.legs
-            for alias, config in self.prepared.program.items():
-                legs[alias].install_probe(config)
-            self.prepared_start = self.prepared.cascade
-            return
         self.prepared_start = None
         for position in range(start_position, len(self.order)):
             self._compile_probe_at(position, self.order[position])
@@ -619,7 +584,6 @@ class PipelineExecutor:
     def _run(self) -> Iterator[tuple[Any, ...]]:
         """The row-at-a-time machine."""
         self._open_driving(self.order[0])
-        self._compile_all_probes()
         leg_count = len(self.order)
         meter = self.catalog.meter
         project = self.prepared.bindings.projector

@@ -732,7 +732,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
         if limits is not None:
             limits.check()
         if faulty:
-            walk.leg.consult("cursor-advance")
+            executor.consult("cursor-advance")
         survivors = walk.take(chunk_rows)
         taken = len(survivors)
         if not taken:
@@ -748,12 +748,12 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
 
         if faulty:
             for leg, config, *_ in inner:  # before each leg's charges and fold
-                leg.consult(
+                executor.consult(
                     "index-lookup" if config.hash_column is None else "hash-probe"
                 )
                 if leg.monitoring_enabled:
                     try:
-                        leg.consult("monitor")
+                        executor.consult("monitor")
                     except StorageError as exc:  # advisory, as a probe's is
                         leg._degrade_monitoring(exc)
         ancestors, flow = _expand(meter, inner, walk.leg.alias, survivors)

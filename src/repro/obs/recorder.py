@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.events import AdaptationEvent, EventKind
 from repro.executor.access import FLOW_COUNTERS
+from repro.executor.pipeline import starting_legs
 from repro.obs.metrics import MetricsRegistry, record_query_metrics
 from repro.obs.timeseries import EstimateSampler, snapshot_legs
 from repro.obs.trace import Tracer
@@ -353,8 +354,7 @@ class QueryObservability:
     # ------------------------------------------------------------------
     def finish(self, pipeline: "PipelineExecutor") -> None:
         """Take the run's flow, events and final legs; render the views."""
-        flows = pipeline.flows
-        self.flows = flows if flows is not None else pipeline.legs
+        self.flows = pipeline.flows
         self.events = pipeline.events
         self.history = pipeline.order_history
         self.order = tuple(pipeline.order)
@@ -374,31 +374,25 @@ class QueryObservability:
     def _final_legs(self, pipeline: "PipelineExecutor") -> None:
         """Final per-leg monitor snapshot (actuals for q-error reporting).
 
-        A run that monitored nothing and ends with the probe program of its
-        plan's prepared record ends as that record describes it: idle
-        monitors, the plan's priors and cardinalities. Its snapshot and the
-        record's legs summary are then the record's, built by the first
-        such run and shared, read-only, by every later one; a new catalog
+        A run that monitored nothing ends as its plan's prepared record
+        starts: the plan's order and probe program, idle monitors, the
+        plan's priors and cardinalities. Its snapshot and legs summary are
+        the record's, taken once of the record's starting legs (no run's)
+        and shared, read-only, by every later such run; a new catalog
         generation or a feedback plan has a record of its own. A monitored
         run is snapshotted as it ends.
         """
-        prepared = pipeline.prepared
-        # A run that built no legs (pipeline.flows) ran the record as is.
-        if pipeline.flows is None and (pipeline.config.mode.monitors or any(
-            pipeline.legs[alias].probe_config is not config
-            for alias, config in prepared.program.items()
-        )):
+        if pipeline.config.mode.monitors:
             self.final_legs = snapshot_legs(pipeline)
             self.legs = None
             return
-        summary = prepared.summaries.get(self.order)
-        if summary is None:
-            final_legs = snapshot_legs(pipeline)
-            summary = prepared.summaries[self.order] = (
-                final_legs,
-                _build_legs(pipeline.plan, final_legs),
-            )
-        self.final_legs, self.legs = summary
+        prepared = pipeline.prepared
+        memo = prepared.summary
+        if not memo:
+            plan = pipeline.plan
+            final_legs = snapshot_legs(pipeline, starting_legs(plan, prepared))
+            memo[:] = [(final_legs, _build_legs(plan, final_legs))]
+        self.final_legs, self.legs = memo[0]
 
     def timeline(self) -> Iterator[tuple[str, str, dict[str, Any]]]:
         """The run's engine events as ``(name, kind, attrs)``, in the order

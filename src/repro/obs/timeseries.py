@@ -24,7 +24,7 @@ selectivity table the cost model is currently using.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executor.pipeline import PipelineExecutor
@@ -53,14 +53,20 @@ class EstimateSample:
         }
 
 
-def snapshot_legs(pipeline: "PipelineExecutor") -> dict[str, dict[str, Any]]:
-    """Per-leg monitor estimates for the pipeline's current order."""
-    legs: dict[str, dict[str, Any]] = {}
+def snapshot_legs(
+    pipeline: "PipelineExecutor", legs: Mapping[str, Any] | None = None
+) -> dict[str, dict[str, Any]]:
+    """Per-leg monitor estimates for the pipeline's current order, of its
+    own legs or of *legs* (its plan's prepared record's starting legs,
+    which an unmonitored run ends as)."""
+    if legs is None:
+        legs = pipeline.legs
+    snapshot: dict[str, dict[str, Any]] = {}
     for position, alias in enumerate(pipeline.order):
-        leg = pipeline.legs[alias]
+        leg = legs[alias]
         if position == 0:
             monitor = leg.driving_monitor
-            legs[alias] = {
+            snapshot[alias] = {
                 "role": "driving",
                 "position": 0,
                 "entries_scanned": monitor.entries_scanned if monitor else 0,
@@ -69,7 +75,7 @@ def snapshot_legs(pipeline: "PipelineExecutor") -> dict[str, dict[str, Any]]:
             }
             continue
         monitor = leg.monitor
-        legs[alias] = {
+        snapshot[alias] = {
             "role": "inner",
             "position": position,
             "window_fill": monitor.incoming_rows,
@@ -78,15 +84,14 @@ def snapshot_legs(pipeline: "PipelineExecutor") -> dict[str, dict[str, Any]]:
             "pc": monitor.probe_cost(),
             "index_match_rate": monitor.index_match_rate(),
             "s_jp": monitor.index_join_selectivity(leg.base_cardinality),
-            "s_jp_prior": _access_prior(pipeline, alias),
+            "s_jp_prior": _access_prior(pipeline, leg),
             "s_lpr": monitor.residual_selectivity(),
         }
-    return legs
+    return snapshot
 
 
-def _access_prior(pipeline: "PipelineExecutor", alias: str) -> float | None:
-    """The optimizer's initial selectivity for the leg's access predicate."""
-    leg = pipeline.legs[alias]
+def _access_prior(pipeline: "PipelineExecutor", leg) -> float | None:
+    """The optimizer's initial selectivity for *leg*'s access predicate."""
     config = leg.probe_config
     if config is None or config.access_predicate is None:
         return None

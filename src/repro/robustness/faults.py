@@ -3,7 +3,8 @@
 A :class:`FaultPlan` describes *where* and *when* storage or adaptation
 operations should fail; compiling it yields a :class:`FaultInjector` whose
 ``fire(site)`` calls are consulted at fixed trigger points — per row on
-the scalar machine, per chunk on the engine (``RuntimeLeg.consult``):
+the scalar machine, per chunk on the engine
+(``BatchedPipelineExecutor.consult``):
 
 ==================  ===========================================  ================================
 site                scalar machine                               engine: once per

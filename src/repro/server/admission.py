@@ -47,6 +47,18 @@ from repro.server.session import Session
 SHED_NONE = "none"      # requested config
 SHED_STATIC = "static"  # strip the adaptive layer: static plan
 
+#: Degradation ladder threshold as a fraction of ``max_queue_depth``.
+SHED_STATIC_AT = 0.50
+#: Server-side maxima of a request's budgets: a client may ask for less
+#: than the default or more, up to these, never beyond.
+MAX_TIMEOUT_MS = 60_000.0
+MAX_MAX_ROWS = 1_000_000
+#: The flight recorder's in-memory ring (records) and, with a telemetry
+#: directory, its rotating JSONL store's segment size and segment count.
+TELEMETRY_RING = 256
+TELEMETRY_SEGMENT_BYTES = 1_048_576
+TELEMETRY_SEGMENTS = 16
+
 #: What a served query executes with, by mode value: the mode's defaults.
 CONFIGS = {mode.value: AdaptiveConfig(mode=mode) for mode in ReorderMode}
 
@@ -64,19 +76,15 @@ class ServerConfig:
     # Per-session cap inside the global queue, so one pipelining client
     # cannot occupy the whole admission budget.
     max_queue_per_session: int = 8
-    # Per-request budget defaults and server-side maxima. A client may ask
-    # for less than the default or more — up to the max — never beyond.
+    # Per-request budget defaults, at most the server-side maxima
+    # (MAX_TIMEOUT_MS, MAX_MAX_ROWS).
     default_timeout_ms: float = 10_000.0
-    max_timeout_ms: float = 60_000.0
     default_max_rows: int = 100_000
-    max_max_rows: int = 1_000_000
     # Optional per-query work-unit ceiling (None = unlimited).
     max_work_units: float | None = None
     # Token bucket per session; rate <= 0 disables rate limiting.
     rate_limit_qps: float = 0.0
     rate_limit_burst: float = 8.0
-    # Degradation ladder threshold as a fraction of max_queue_depth.
-    shed_static_at: float = 0.50
     # Capacity (statements; 0 disables) of the plan cache of the Database
     # that ``repro serve`` builds: ``Database(plan_cache_size=...)``. The
     # server has no cache of its own, so a QueryServer handed an existing
@@ -88,9 +96,6 @@ class ServerConfig:
     # ring; setting a directory additionally drains records to rotating
     # JSONL segments (size-capped, atomic finalization, oldest pruned).
     telemetry_dir: str | None = None
-    telemetry_ring: int = 256
-    telemetry_segment_bytes: int = 1_048_576
-    telemetry_segments: int = 16
     # Slow-query log: queries at/above this wall-clock threshold are kept
     # in a dedicated ring and logged with their full flight record
     # (None disables the slow log; records are still captured).
@@ -103,20 +108,12 @@ class ServerConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.max_queue_per_session < 1:
             raise ValueError("max_queue_per_session must be >= 1")
-        if not 0.0 <= self.shed_static_at <= 1.0:
-            raise ValueError("shed_static_at must be in [0, 1]")
-        if self.default_timeout_ms > self.max_timeout_ms:
-            raise ValueError("default_timeout_ms must be <= max_timeout_ms")
-        if self.default_max_rows > self.max_max_rows:
-            raise ValueError("default_max_rows must be <= max_max_rows")
+        if self.default_timeout_ms > MAX_TIMEOUT_MS:
+            raise ValueError(f"default_timeout_ms must be <= {MAX_TIMEOUT_MS:g}")
+        if self.default_max_rows > MAX_MAX_ROWS:
+            raise ValueError(f"default_max_rows must be <= {MAX_MAX_ROWS}")
         if self.plan_cache_size < 0:
             raise ValueError("plan_cache_size must be >= 0 (0 disables)")
-        if self.telemetry_ring < 1:
-            raise ValueError("telemetry_ring must be >= 1")
-        if self.telemetry_segment_bytes < 1:
-            raise ValueError("telemetry_segment_bytes must be >= 1")
-        if self.telemetry_segments < 1:
-            raise ValueError("telemetry_segments must be >= 1")
         if self.slow_query_ms is not None and self.slow_query_ms <= 0:
             raise ValueError("slow_query_ms must be positive (or None)")
 
@@ -200,7 +197,7 @@ class AdmissionController:
     def shed_level(self) -> str:
         """Current rung of the degradation ladder, from queue pressure."""
         pressure = self.queued / self.config.max_queue_depth
-        if pressure >= self.config.shed_static_at:
+        if pressure >= SHED_STATIC_AT:
             return SHED_STATIC
         return SHED_NONE
 
@@ -237,14 +234,12 @@ class AdmissionController:
         if token is None:
             token = CancellationToken()
         timeout_ms = min(
-            request.timeout_ms or config.default_timeout_ms,
-            config.max_timeout_ms,
+            request.timeout_ms or config.default_timeout_ms, MAX_TIMEOUT_MS
         )
         return (
             ExecutionLimits(
                 max_rows=min(
-                    request.max_rows or config.default_max_rows,
-                    config.max_max_rows,
+                    request.max_rows or config.default_max_rows, MAX_MAX_ROWS
                 ),
                 max_work_units=config.max_work_units,
                 timeout_seconds=timeout_ms / 1000.0,

@@ -72,6 +72,9 @@ from repro.robustness.limits import (
 )
 from repro.server.admission import (
     CONFIGS,
+    TELEMETRY_RING,
+    TELEMETRY_SEGMENT_BYTES,
+    TELEMETRY_SEGMENTS,
     AdmissionController,
     ServerConfig,
 )
@@ -165,14 +168,14 @@ class DatabaseEngine:
         store = (
             TelemetryStore(
                 config.telemetry_dir,
-                max_segment_bytes=config.telemetry_segment_bytes,
-                max_segments=config.telemetry_segments,
+                max_segment_bytes=TELEMETRY_SEGMENT_BYTES,
+                max_segments=TELEMETRY_SEGMENTS,
             )
             if config.telemetry_dir
             else None
         )
         self.recorder = FlightRecorder(
-            capacity=config.telemetry_ring,
+            capacity=TELEMETRY_RING,
             store=store,
             slow_query_ms=config.slow_query_ms,
         )

@@ -3,12 +3,11 @@
 :class:`ColumnarTable` stores each column in a typed ``array.array``
 (``q`` for INT, ``d`` for FLOAT) with a one-byte-per-row null mask, and
 dictionary-encodes STRING columns (``array('i')`` codes + an
-insertion-ordered decode list). Rows are **views**: the table lazily
-materializes the familiar row-tuple list on first row-wise access and
-shares that one list everywhere (``raw_rows``, ``fetch``, ``peek``,
-``scan``), so row object *identity* is preserved exactly as in the row
-backend. The engine never materializes rows: it reads the columns
-(``mask_for_spec``, ``cells``) and the index arrays.
+insertion-ordered decode list). It keeps no row tuples: a row-wise read
+(``raw_rows``, ``fetch``, ``peek``, ``scan``, all the scalar machine's)
+raises :class:`~repro.errors.StorageError`, and everything reads the
+columns (``column_values``, ``cells``, ``mask_for_spec``) and the index
+arrays. Only the engine runs on this store.
 
 :class:`ColumnarIndex` is its arrays: the (key, rid) order the row store
 keeps as a sorted list of tuples is an ``int64`` RID array, the distinct
@@ -30,7 +29,7 @@ typed slot, so no entry point has a row-at-a-time fallback.
 Concurrent readers (an embedding caller's threads; the query server's
 engines are processes, one request at a time) share one table and one
 index, so every lazily built structure is built and published under a
-per-object lock: the row view, an index build, and the bounded kernel
+per-object lock: a hash build, an index build, and the bounded kernel
 memo (whose first-in-first-out eviction is a check-then-act). Whole-value
 caches whose loser of a race merely rebuilt an equal value (the columns'
 numpy copies) are published with a single reference store and need none.
@@ -43,13 +42,14 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
+from repro.errors import StorageError
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import WorkMeter
 from repro.storage.index import SortedIndex
 from repro.storage.schema import TableSchema
-from repro.storage.table import HeapTable, Row
+from repro.storage.table import HeapTable
 from repro.storage.types import ColumnType
 
 try:
@@ -200,18 +200,34 @@ def _make_column(column_type: ColumnType):
 # ----------------------------------------------------------------------
 # Table
 # ----------------------------------------------------------------------
+class _NoRows:
+    """A columnar table's row list: there is none, so every read of it —
+    whatever row-wise accessor of :class:`HeapTable` makes it — raises."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args) -> Any:
+        raise StorageError(
+            "a columnar table keeps no row tuples; read its columns "
+            "(column_values, cells)"
+        )
+
+    __len__ = __iter__ = __getitem__ = _refuse
+
+
 class ColumnarTable(HeapTable):
     """Drop-in :class:`HeapTable` whose source of truth is typed columns."""
 
-    __slots__ = ("_cols", "_nrows", "_view_lock", "_hash_memo")
+    __slots__ = ("_cols", "_nrows", "_build_lock", "_hash_memo")
 
     backend_name = "columnar"
 
     def __init__(self, schema: TableSchema, meter: WorkMeter | None = None) -> None:
         super().__init__(schema, meter)
+        self._rows = _NoRows()
         self._cols = [_make_column(column.type) for column in schema.columns]
         self._nrows = 0
-        self._view_lock = threading.Lock()
+        self._build_lock = threading.Lock()
         # (version, {(column, predicates): HashBuild}): hash_build's memo.
         self._hash_memo: tuple = (None, {})
 
@@ -230,53 +246,6 @@ class ColumnarTable(HeapTable):
         self.version += 1
         return self._nrows - 1
 
-    # -- row views ------------------------------------------------------
-    def _materialized(self) -> list[Row]:
-        """The shared row-tuple list, (re)built lazily from the columns.
-
-        One list per table: every row-wise accessor returns objects from
-        it, so identity-based assertions (the driving shadow's
-        ``predicted is row``) hold exactly as in the row backend.
-        """
-        rows = self._rows
-        if len(rows) == self._nrows:
-            return rows
-        with self._view_lock:  # one builder: a second would swap identities
-            if not rows:
-                rows[:] = zip(*(column.values_list() for column in self._cols))
-            else:  # incremental append after a partial build
-                cols = self._cols
-                for rid in range(len(rows), self._nrows):
-                    rows.append(tuple(column.get(rid) for column in cols))
-        return rows
-
-    def raw_rows(self) -> Sequence[Row]:
-        return self._materialized()
-
-    def fetch(self, rid: int) -> Row:
-        if rid < 0 or rid >= self._nrows:
-            from repro.errors import StorageError
-
-            raise StorageError(
-                f"table {self.name!r}: RID {rid} out of range [0, {self._nrows})"
-            )
-        self.meter.charge_row_fetch()
-        return self._materialized()[rid]
-
-    def peek(self, rid: int) -> Row:
-        if rid < 0 or rid >= self._nrows:
-            from repro.errors import StorageError
-
-            raise StorageError(
-                f"table {self.name!r}: RID {rid} out of range [0, {self._nrows})"
-            )
-        return self._materialized()[rid]
-
-    def scan(self) -> Iterator[tuple[int, Row]]:
-        for rid, row in enumerate(self._materialized()):
-            self.meter.charge_row_fetch()
-            yield rid, row
-
     def column_values(self, column: str) -> list[Any]:
         return self._cols[self.schema.position_of(column)].values_list()
 
@@ -286,14 +255,14 @@ class ColumnarTable(HeapTable):
 
     def cells(self, slot: int, rids) -> list:
         """Column *slot* at *rids* (an index array), cell for cell what the
-        row view holds — without materializing it (projection path)."""
+        row store's rows hold there (projection path)."""
         return self._cols[slot].take(rids)
 
     def hash_build(self, column: str, local_tests: Sequence) -> "HashBuild":
         """The hash table over *column* behind a leg's *local_tests*
         (``(predicate, test)`` pairs), built once per table version."""
         key = (column, tuple(predicate for predicate, _ in local_tests))
-        with self._view_lock:  # one build at a time per table
+        with self._build_lock:  # one build at a time per table
             version, builds = self._hash_memo
             if version != self.version:
                 builds = {}
@@ -438,17 +407,9 @@ class ColumnarTable(HeapTable):
         return None
 
     def memory_footprint(self) -> dict[str, int]:
-        columns_bytes = sum(column.nbytes() for column in self._cols)
-        row_cache = self._rows
-        row_cache_bytes = 0
-        if row_cache:
-            row_cache_bytes = sys.getsizeof(row_cache) + sum(
-                sys.getsizeof(row) for row in row_cache
-            )
         return {
             "rows": self._nrows,
-            "bytes": columns_bytes,
-            "row_cache_bytes": row_cache_bytes,
+            "bytes": sum(column.nbytes() for column in self._cols),
         }
 
 
@@ -470,7 +431,7 @@ def heap_memory_footprint(table: HeapTable) -> dict[str, int]:
         for cell in row:
             if cell is not None:
                 total += sys.getsizeof(cell)
-    return {"rows": len(rows), "bytes": total, "row_cache_bytes": 0}
+    return {"rows": len(rows), "bytes": total}
 
 
 def table_memory_footprint(table: HeapTable) -> dict[str, int]:

@@ -12,6 +12,14 @@ from repro.catalog.statistics import StatisticsLevel
 from repro.query.query import QuerySpec
 
 
+def table_rows(table) -> list[tuple]:
+    """*table*'s rows in RID order, read off its columns (a columnar table
+    keeps no row tuples)."""
+    return list(zip(*(
+        table.column_values(column.name) for column in table.schema.columns
+    )))
+
+
 def reference_join(db: Database, spec: QuerySpec) -> list[tuple]:
     """Brute-force evaluation of a query, independent of the executor.
 
@@ -27,7 +35,7 @@ def reference_join(db: Database, spec: QuerySpec) -> list[tuple]:
         schemas[alias] = table.schema
         tests = [p.bind(table.schema) for p in spec.locals_of(alias)]
         filtered[alias] = [
-            row for row in table.raw_rows() if all(t(row) for t in tests)
+            row for row in table_rows(table) if all(t(row) for t in tests)
         ]
     aliases = list(spec.tables)
     results = []

@@ -15,15 +15,10 @@ from repro.bench.experiments import (
     template_ratio_experiment,
     window_sweep_experiment,
 )
-from repro.bench.reporting import (
-    format_scatter_summary,
-    format_table,
-    format_workload_metrics,
-    to_csv,
-    write_csv,
-)
+from repro.bench.reporting import format_scatter_summary, format_table
 from repro.bench.runner import (
     merge_json_atomic,
+    read_json_object,
     run_workload,
     standard_configs,
     write_json_atomic,
@@ -71,29 +66,14 @@ class TestRunner:
             "both": AdaptiveConfig(mode=ReorderMode.BOTH),
         }
         result = run_workload(db, tiny_workload, configs)
-        queries = result.metrics.counter("bench_queries_total")
-        assert queries.value("static") == len(tiny_workload)
-        assert queries.value("both") == len(tiny_workload)
-        work = result.metrics.counter("bench_work_units_total")
-        assert work.value("both") == pytest.approx(
-            sum(m.work for m in result.by_mode("both").values())
-        )
-        histo = result.metrics.histogram(
-            "bench_query_work_units", boundaries=(1.0,)
-        )
-        assert histo.count("static") == len(tiny_workload)
-
-    def test_save_json_round_trips(self, mini_dmv, tiny_workload, tmp_path):
-        db, _ = mini_dmv
-        configs = {"static": AdaptiveConfig(mode=ReorderMode.NONE)}
-        result = run_workload(db, tiny_workload, configs)
-        target = tmp_path / "run.json"
-        result.save_json(str(target))
-        payload = json.loads(target.read_text())
-        assert len(payload["measurements"]) == len(tiny_workload)
-        assert payload["measurements"][0]["mode"] == "static"
-        assert "bench_queries_total" in payload["metrics"]
-        assert not list(tmp_path.glob("*.tmp.*"))
+        for mode in ("static", "both"):
+            measured = list(result.by_mode(mode).values())
+            queries, work, switches = result.totals(mode)
+            assert queries == len(tiny_workload)
+            assert work == sum(m.work for m in measured)
+            assert switches == sum(m.total_switches for m in measured)
+        assert result.totals("static")[2] == 0
+        assert result.totals("inner-only") == (0, 0.0, 0)
 
 
 class TestExperiments:
@@ -195,16 +175,6 @@ class TestReporting:
         text = format_scatter_summary(pairs)
         assert "max speedup: 2.00x (q1)" in text
 
-    def test_to_csv(self):
-        text = to_csv(["a", "b"], [[1, "x"]])
-        assert text.splitlines() == ["a,b", "1,x"]
-
-    def test_write_csv_atomic(self, tmp_path):
-        target = tmp_path / "series.csv"
-        write_csv(str(target), ["a"], [[1], [2]])
-        assert target.read_text().splitlines() == ["a", "1", "2"]
-        assert not list(tmp_path.glob("*.tmp.*"))
-
     def test_write_json_atomic(self, tmp_path):
         target = tmp_path / "payload.json"
         write_json_atomic(str(target), {"b": 2, "a": [1, 2]})
@@ -236,18 +206,14 @@ class TestReporting:
         # No file yet: nothing to keep, nothing stored.
         assert merge_json_atomic(str(tmp_path / "new.json"), payload) == {}
 
-    def test_format_workload_metrics(self, mini_dmv, tiny_workload):
-        db, _ = mini_dmv
-        configs = {
-            "static": AdaptiveConfig(mode=ReorderMode.NONE),
-            "both": AdaptiveConfig(mode=ReorderMode.BOTH),
-        }
-        result = run_workload(db, tiny_workload, configs)
-        text = format_workload_metrics(result.metrics)
-        assert "workload metrics" in text
-        assert "static" in text and "both" in text
-
-    def test_format_workload_metrics_empty(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        assert "no workload metrics" in format_workload_metrics(MetricsRegistry())
+    def test_a_baseline_is_read_without_a_write(self, tmp_path):
+        """What a ``--check`` run gates against: the stored object, read and
+        left as it was; a missing or non-object file reads as empty."""
+        target = tmp_path / "BENCH_speedup.json"
+        write_json_atomic(str(target), {"scale": 0.1})
+        before = target.stat().st_mtime_ns
+        assert read_json_object(str(target)) == {"scale": 0.1}
+        assert target.stat().st_mtime_ns == before
+        assert read_json_object(str(tmp_path / "missing.json")) == {}
+        target.write_text("[1, 2]")
+        assert read_json_object(str(target)) == {}

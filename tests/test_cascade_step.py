@@ -196,16 +196,18 @@ def recordings(monkeypatch):
 
 
 def leg_facts(executor) -> dict:
+    """Each leg's flow counters and local counts (a run that monitors
+    nothing keeps none: a static engine run counts its flow without legs)."""
     return {
         alias: (
-            leg.rows_in,
-            leg.index_matches,
-            leg.rows_out,
-            leg.rows_scanned,
-            leg.rows_survived,
-            [list(counts) for counts in leg.local_counts],
+            flow.rows_in,
+            flow.index_matches,
+            flow.rows_out,
+            flow.rows_scanned,
+            flow.rows_survived,
+            [list(counts) for counts in getattr(flow, "local_counts", ())],
         )
-        for alias, leg in executor.legs.items()
+        for alias, flow in executor.flows.items()
     }
 
 

@@ -7,7 +7,7 @@ store's :class:`~repro.storage.index.SortedIndex` keeps a sorted list of
 float and string keys with NULLs, duplicates, ``-0.0`` / ``0.0``, an empty
 column, rows appended after the build — the two must agree on every read
 the engine and the scalar machine make: lengths, each entry (by ``repr``:
-a key comes back as the row view holds it), range bounds for bounds of any
+a key comes back as the row store holds it), range bounds for bounds of any
 number type, positions after a (key, rid) pair, charged lookups, resumed
 range scans and cursor walks with their ``last_position``.
 
@@ -29,6 +29,8 @@ from repro.storage.index import SortedIndex
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import HeapTable
 from repro.storage.types import ColumnType
+
+from tests.conftest import table_rows
 
 TYPES = {"int": ColumnType.INT, "float": ColumnType.FLOAT, "string": ColumnType.STRING}
 
@@ -178,14 +180,21 @@ def check_twins(kind, values, appended, bounds, probes, steps):
         got = charged(col, lambda: col.lookup_rids(key))
         assert got == charged(row, lambda: row.lookup_rids(key)), key
 
-    # Cursor walks: row at a time, then in bulk slices.
+    # Cursor walks: entry by entry — the row store's cursor a row at a time,
+    # the columnar one (no row tuples to fetch) skipped past each entry in
+    # turn, its rows read off the columns — then in bulk slices.
     ranges = key_ranges(kind, bounds)
-    cursors = [IndexScanCursor(index, ranges) for index in (row, col)]
-    walked = [[], []]
-    for side, cursor in enumerate(cursors):
-        for rid, fetched in cursor:
-            walked[side].append((rid, fetched, cursor.last_position))
-    same(walked[1], walked[0])
+    cursor = IndexScanCursor(row, ranges)
+    walked = [(rid, fetched, cursor.last_position) for rid, fetched in cursor]
+    cursor = IndexScanCursor(col, ranges)
+    rows = table_rows(col.table)
+    skipped = []
+    for range_no, lo, hi in cursor.remaining_spans():
+        for position in range(lo, hi):
+            cursor.skip_to(range_no, position + 1, hi)
+            (rid,) = col._rids(position, position + 1)
+            skipped.append((rid, rows[rid], cursor.last_position))
+    same(skipped, walked)
     cursors = [IndexScanCursor(index, ranges) for index in (row, col)]
     for step in steps:
         spans = [cursor.remaining_spans() for cursor in cursors]

@@ -2,7 +2,7 @@
 
 A program that embeds a ``Database`` may execute on several threads of one
 process (the query server's engines are processes, one request at a time),
-so the structures the columnar backend builds lazily — the row view, the
+so the structures the columnar backend builds lazily — a hash build, the
 row-rank arrays, the bounded first-in-first-out kernel memo and a plan's
 prepared record — are built and evicted under concurrent readers. The invariant a
 lost update would break: every query returns the single-threaded run's rows

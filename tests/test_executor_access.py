@@ -46,9 +46,11 @@ class TestProbeCompilation:
             )
 
     def test_probe_without_config_rejected(self, three_table_db):
+        # Inner legs start with the plan's probe program installed; the
+        # driving leg has no probe config.
         pipeline = make_pipeline(three_table_db)
         with pytest.raises(ExecutionError, match="no probe config"):
-            pipeline.legs["d"].probe({})
+            pipeline.legs[pipeline.order[0]].probe({})
 
 
 class TestProbeFiltering:

@@ -68,6 +68,16 @@ FAULTS = {
         site="controller", kind="permanent", nth_call=1
     ),
 }
+#: What a static (mode NONE) run is checked by, each without moving it.
+STATIC_CHECKS = {
+    "index-lookup-transient": lambda: {"fault_plan": FaultPlan(specs=(
+        FaultSpec(site="index-lookup", kind="transient", nth_call=2),
+    ))},
+    "cursor-advance-transient": lambda: {"fault_plan": FaultPlan(specs=(
+        FaultSpec(site="cursor-advance", kind="transient", nth_call=1),
+    ))},
+    "oracle": lambda: {"oracle": True},
+}
 
 
 #: A four-table statement whose eager run on the row store drives a leg
@@ -113,7 +123,8 @@ def capture(store: str) -> dict[str, dict]:
     """Every case of *store*, in order: per bundle, on fresh databases, each
     statement twice in each mode (a first and a warm or learned execution),
     then eagerly adapting runs of each statement's plan with 16-row chunks,
-    then the fault cases."""
+    then the fault cases, then mode-NONE runs under a fault plan or the
+    invariant oracle, twice each."""
     out: dict[str, dict] = {}
     chunk_rows = vector.MONITORED_CHUNK_ROWS
     for bundle, arm in BUNDLES.items():
@@ -144,6 +155,15 @@ def capture(store: str) -> dict[str, dict]:
                 obs=arm(),
             )
             out[f"{prefix}/skew/{fault}"] = views(result)
+        for check, arming in STATIC_CHECKS.items():
+            for run in ("first", "again"):
+                result = skew_db.execute(
+                    skew_db.plan(SKEW_SQL),
+                    AdaptiveConfig(mode=ReorderMode.NONE),
+                    obs=arm(),
+                    **arming(),
+                )
+                out[f"{prefix}/skew/none-{check}/{run}"] = views(result)
     return out
 
 
@@ -172,6 +192,14 @@ def test_observed_runs_report_what_the_golden_capture_holds(golden, store):
         ("fault-retry", None),
         ("leg-flow", None),
     } <= kinds
+    # Each fault case of a static run retried, on each run and bundle.
+    retried = [
+        case
+        for case, data in got.items()
+        if "/none-" in case
+        and any(name == "fault-retry" for name, _, _ in data["events"])
+    ]
+    assert len(retried) == 2 * 2 * len(BUNDLES)
     resumed = [a for name, _, a in events if name == "leg-open" and a["resumed"]]
     assert bool(resumed) == (store == "row")
 

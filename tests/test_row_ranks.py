@@ -35,6 +35,7 @@ from repro.executor.batch import BatchedPipelineExecutor
 from repro.errors import QueryError, StorageError
 from repro.storage.columnar import ColumnarIndex, _np
 
+from tests.conftest import table_rows
 from tests.test_decision_replay import assert_replays
 
 NULL, MISSING = -1, -2
@@ -72,7 +73,7 @@ def scalar_ranks(db) -> list[int]:
     _, index = source_and_index(db)
     rank = rank_lookup(index)
     out = []
-    for row in db.catalog.table("src").raw_rows():
+    for row in table_rows(db.catalog.table("src")):
         key = row[0]
         out.append(NULL if key is None else rank.get(key, MISSING))
     return out

@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from tests.conftest import build_three_table_db
+from tests.conftest import build_three_table_db, table_rows
 from tests.test_cyclic_graphs import SQL as CYCLIC
 from tests.test_cyclic_graphs import build_cyclic_db
 from tests.test_plan_cache import GRID
@@ -28,6 +28,7 @@ from tests.test_vector_limits import HASHED, hand_off_db
 from repro.catalog.statistics import StatisticsLevel
 from repro.core import controller
 from repro.dmv import four_table_workload, load_dmv
+from repro.executor.pipeline import _prepare, starting_legs
 from repro.obs import recorder, timeseries
 from repro.obs import QueryObservability
 from repro.obs.recorder import (
@@ -68,7 +69,7 @@ def dmv_change(db, phase: int) -> None:
     """Phase 1: 300 more cars and table sizes re-counted; phase 2: the
     detailed statistics. Each moves the generation and the priors."""
     if phase == 1:
-        cars = db.catalog.table("Car").raw_rows()[:300]
+        cars = table_rows(db.catalog.table("Car"))[:300]
         db.insert(
             "Car", [(100_000 + n, *car[1:]) for n, car in enumerate(cars)]
         )
@@ -97,6 +98,17 @@ def cyclic_change(db, phase: int) -> None:
     db.analyze(level=restatted(phase))
 
 
+def ended_legs(pipeline) -> dict:
+    """The legs *pipeline* ended with: a monitored run's own; an unmonitored
+    run's (it builds none) as a record of its plan prepared from scratch
+    starts them."""
+    if pipeline.config.mode.monitors:
+        return pipeline.legs
+    catalog = pipeline.catalog
+    fresh = _prepare(pipeline.plan, catalog, catalog.generation(), None)
+    return starting_legs(pipeline.plan, fresh)
+
+
 class Watch:
     """What each execution's observability bundle saw at its end: the
     bundle, and the pipeline's legs snapshotted live and summarized."""
@@ -107,7 +119,7 @@ class Watch:
 
         def watched(bundle, pipeline=None):
             if pipeline is not None:
-                live = snapshot_legs(pipeline)
+                live = snapshot_legs(pipeline, ended_legs(pipeline))
                 self.seen.append(
                     (bundle, live, _build_legs(pipeline.plan, live))
                 )

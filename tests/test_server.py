@@ -33,7 +33,13 @@ from repro.server import (
     normalize_sql,
     template_signature,
 )
-from repro.server.admission import SHED_NONE, SHED_STATIC
+from repro.server.admission import (
+    MAX_MAX_ROWS,
+    MAX_TIMEOUT_MS,
+    SHED_NONE,
+    SHED_STATIC,
+    SHED_STATIC_AT,
+)
 from repro.server.protocol import (
     encode_response,
     error_response,
@@ -217,15 +223,16 @@ class TestAdmission:
         assert decision.reject_code == ErrorCode.SHUTTING_DOWN
 
     def test_shed_ladder_from_queue_pressure(self):
-        config = ServerConfig(max_queue_depth=10, shed_static_at=0.6)
+        config = ServerConfig(max_queue_depth=10)
         admission = AdmissionController(config)
         assert admission.shed_level() == SHED_NONE
+        static_at = round(10 * SHED_STATIC_AT)
         # Where the ``serial`` rung used to sit (0.25 of the queue up to
-        # ``shed_static_at``): nothing to strip, so nothing is shed.
-        for queued in (3, 5):
+        # ``SHED_STATIC_AT``): nothing to strip, so nothing is shed.
+        for queued in (3, static_at - 1):
             admission.queued = queued
             assert admission.shed_level() == SHED_NONE
-        admission.queued = 6
+        admission.queued = static_at
         assert admission.shed_level() == SHED_STATIC
 
     def test_apply_shed_strips_adaptivity(self):
@@ -256,24 +263,19 @@ class TestAdmission:
         assert not hasattr(request, "workers")
 
     def test_build_limits_clamps_to_server_maxima(self):
-        config = ServerConfig(
-            default_timeout_ms=1000.0,
-            max_timeout_ms=2000.0,
-            default_max_rows=10,
-            max_max_rows=20,
-        )
+        config = ServerConfig(default_timeout_ms=1000.0, default_max_rows=10)
         admission = AdmissionController(config)
         request = parse_query_request(
             {
                 "op": "query",
                 "sql": "SELECT 1",
-                "timeout_ms": 99_999,
-                "max_rows": 999,
+                "timeout_ms": 2 * MAX_TIMEOUT_MS,
+                "max_rows": 2 * MAX_MAX_ROWS,
             }
         )
         limits, token = admission.build_limits(request)
-        assert limits.timeout_seconds == pytest.approx(2.0)
-        assert limits.max_rows == 20
+        assert limits.timeout_seconds == pytest.approx(MAX_TIMEOUT_MS / 1000.0)
+        assert limits.max_rows == MAX_MAX_ROWS
         assert limits.cancellation is token and not token.cancelled
         # Defaults apply when the client asks for nothing.
         bare = parse_query_request({"op": "query", "sql": "SELECT 1"})
@@ -292,9 +294,9 @@ class TestAdmission:
         with pytest.raises(ValueError):
             ServerConfig(max_concurrency=0)
         with pytest.raises(ValueError):
-            ServerConfig(shed_static_at=1.5)
+            ServerConfig(default_timeout_ms=MAX_TIMEOUT_MS + 1)
         with pytest.raises(ValueError):
-            ServerConfig(default_timeout_ms=90_000.0, max_timeout_ms=60_000.0)
+            ServerConfig(default_max_rows=MAX_MAX_ROWS + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +678,6 @@ class TestServerIntegration:
         config = tiny_config(
             max_queue_depth=4,
             max_queue_per_session=4,
-            shed_static_at=0.5,
         )
 
         async def scenario(server, engine):

@@ -83,3 +83,39 @@ class TestScan:
         table.insert_many([(1, "a"), (2, "b")])
         assert table.column_values("v") == ["a", "b"]
         assert table.column_values("id") == [1, 2]
+
+
+class TestColumnarTableHasNoRowView:
+    """A columnar table keeps typed columns only: a row-wise read of it
+    raises, and its cells are read through the columns."""
+
+    def make(self):
+        from repro.storage.columnar import ColumnarTable
+
+        table = ColumnarTable(make_table().schema)
+        table.insert_many([(1, "a"), (2, "b")])
+        return table
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda table: table.fetch(0),
+            lambda table: table.peek(0),
+            lambda table: list(table.scan()),
+            lambda table: list(table.raw_rows()),
+            lambda table: table.raw_rows()[0],
+        ],
+        ids=["fetch", "peek", "scan", "raw_rows", "raw_rows-index"],
+    )
+    def test_a_row_wise_read_raises(self, read):
+        table = self.make()
+        before = table.meter.row_fetches
+        with pytest.raises(StorageError, match="columnar"):
+            read(table)
+        assert table.meter.row_fetches == before
+
+    def test_its_cells_are_read_through_the_columns(self):
+        table = self.make()
+        assert len(table) == 2
+        assert table.column_values("v") == ["a", "b"]
+        assert table.cells(0, [1, 0]) == [2, 1]

@@ -45,6 +45,8 @@ from repro.storage.counters import (
     WorkMeter,
 )
 
+from tests.conftest import table_rows
+
 COMPARE_OPS = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE)
 STRINGS = ("alpha", "beta", "gamma", "")
 KEY_SPACE = 15
@@ -297,7 +299,7 @@ def check_random_leg(rng, rows, npredicates):
     table = db.catalog.table("t")
     index = db.catalog.index_on("t", "k")
     schema = table.schema
-    raw = table.raw_rows()
+    raw = table_rows(table)
 
     predicates = [random_predicate(rng) for _ in range(npredicates)]
     local_tests = []
@@ -426,7 +428,7 @@ def test_hash_probed_leg_folds_match_scalar_hash_probe_folds(seed):
     )
     db.insert("t", random_rows(rng, rng.randint(1, 150)))
     table = db.catalog.table("t")
-    raw = table.raw_rows()
+    raw = table_rows(table)
     local_tests = local_tests_of(
         table, [random_predicate(rng) for _ in range(rng.randrange(3))]
     )
@@ -507,7 +509,7 @@ def test_residual_join_folds_match_scalar_residual_probe_folds(seed, nterms):
     table = db.catalog.table("t")
     source = db.catalog.table("src")
     index = db.catalog.index_on("t", "k")
-    raw = table.raw_rows()
+    raw = table_rows(table)
     local_tests = local_tests_of(
         table, [random_predicate(rng) for _ in range(rng.randrange(2))]
     )
@@ -615,7 +617,7 @@ def check_frozen_leg(rng, rows, scan_order):
     db.create_index("t", "k")
     table = db.catalog.table("t")
     index = db.catalog.index_on("t", "k")
-    raw = table.raw_rows()
+    raw = table_rows(table)
 
     # The old driving scan's order. In index order the leg keeps the local
     # predicate the scan pushed down, which is what keeps NULL scan keys
@@ -730,13 +732,13 @@ def test_positional_kernel_tie_at_the_rid_boundary():
 # Driving walk: slices of the scan == the row-at-a-time cursor.
 #
 # The cascades take the driving scan in slices (``_DrivingWalk.take``) and
-# charge each slice as one aggregate. Everything a decision, a freeze, a
-# resume or a hand-off to the reference loop can read afterwards — the meter,
-# the cursor's position and progress — must be what pulling the same rows
-# one ``__next__`` at a time leaves behind, at every slice boundary, for
-# multi-range scans included. The driving monitor folds each slice as one
-# window entry; the twin folds the same rows' flags as one aggregate at the
-# same boundary, so its counts and window agree exactly too.
+# charge each slice as one aggregate. Everything a decision, a freeze or a
+# resume can read afterwards — the meter, the cursor's position and
+# progress — must be what pulling the same rows one ``__next__`` at a time
+# leaves behind on the row store's twin cursor, at every slice boundary,
+# for multi-range scans included. The driving monitor folds each slice as
+# one window entry; the twin folds the same rows' flags as one aggregate at
+# the same boundary, so its counts and window agree exactly too.
 # ---------------------------------------------------------------------------
 
 import dataclasses  # noqa: E402
@@ -751,14 +753,11 @@ from repro.storage.cursor import (  # noqa: E402
 )
 
 
-def _row_at_a_time(cursor, leg, mask, limit, per_row=True):
+def _row_at_a_time(cursor, leg, mask, limit):
     """Pull rows until *limit* survivors (None: to exhaustion), charging
-    what ``RuntimeLeg.driving_rows`` does.
-
-    With *per_row* each row is folded as the scalar machine folds it
-    (``n == 1``); otherwise the rows' flags are folded at the boundaries
-    where a walk folds them: through the last survivor (one ``take``), then
-    whatever trails it (``finish``).
+    what ``RuntimeLeg.driving_rows`` does; the rows' flags are folded at
+    the boundaries where a walk folds them: through the last survivor (one
+    ``take``), then whatever trails it (``finish``).
     """
     survivors = []
     flags = []
@@ -769,19 +768,16 @@ def _row_at_a_time(cursor, leg, mask, limit, per_row=True):
             break
         leg.meter.charge_predicate_eval(1)
         survived = bool(mask[rid])
-        if per_row:
-            leg.driving_monitor.record_scanned(survived)
         flags.append(survived)
         leg.meter.charge_monitor_update()
         leg.rows_scanned += 1
         if survived:
             leg.rows_survived += 1
             survivors.append(rid)
-    if not per_row:
-        head = len(flags) - flags[::-1].index(True) if survivors else 0
-        for part in (flags[:head], flags[head:]):
-            if part:
-                leg.driving_monitor.record_chunk(len(part), sum(part))
+    head = len(flags) - flags[::-1].index(True) if survivors else 0
+    for part in (flags[:head], flags[head:]):
+        if part:
+            leg.driving_monitor.record_chunk(len(part), sum(part))
     return survivors
 
 
@@ -807,8 +803,9 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
     dbs, cursors, legs = [], [], []
     rows = random_rows(rng, rng.randint(1, 120))
     ranges = None
-    for _ in range(2):  # the sliced scan and its row-at-a-time twin
-        db = Database(backend="columnar")
+    # The sliced scan and its row-at-a-time twin on the row store.
+    for backend in ("columnar", "row"):
+        db = Database(backend=backend)
         db.create_table(
             "t", [("k", "int"), ("a", "int"), ("b", "float"), ("s", "string")]
         )
@@ -848,13 +845,13 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
     sliced, single = cursors
     finished = False
     while not finished:
-        # A run of slices, then (as after a hand-off to the reference loop) a
-        # stretch of plain __next__ calls on the same cursor, and again.
+        # A run of slices, then (as after a driving switch and a switch
+        # back) a new walk resuming the same cursor, and again.
         walk = _DrivingWalk(legs[0], sliced, [mask])
         for _ in range(rng.randint(1, 3)):
             limit = rng.randint(1, 4)
             got = walk.take(limit).tolist()
-            want = _row_at_a_time(single, legs[1], mask, limit, per_row=False)
+            want = _row_at_a_time(single, legs[1], mask, limit)
             assert got == want
             if len(want) < limit:
                 # The twin ran off the end of its scan looking for more
@@ -865,10 +862,3 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
             if finished:
                 assert sliced.exhausted and single.exhausted
                 break
-        else:
-            limit = rng.randint(1, 3)
-            assert _row_at_a_time(sliced, legs[0], mask, limit) == (
-                _row_at_a_time(single, legs[1], mask, limit)
-            )
-            assert _scan_state(sliced, legs[0]) == _scan_state(single, legs[1])
-            finished = sliced.exhausted

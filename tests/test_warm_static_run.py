@@ -26,6 +26,7 @@ from repro.dmv import load_dmv
 from repro.executor.access import RuntimeLeg
 from repro.executor.pipeline import PipelineExecutor
 from repro.obs.recorder import FlightRecorder
+from repro.robustness.faults import FaultPlan, FaultSpec
 from repro.storage.cursor import IndexScanCursor, TableScanCursor
 
 SCALE = 0.02
@@ -47,6 +48,17 @@ ARMINGS = {
     "flight recorder": lambda: {"obs": FlightRecorder().arm()},
     "observed": lambda: {"obs": True},
 }
+#: :data:`SQL` less its ``Time`` predicate: a statement with rows.
+ROWS_SQL = SQL.replace("AND t.month = 6 ", "")
+#: What checks a static run without moving it: a fault plan (a transient
+#: fault at a site each run consults) or the invariant oracle.
+CHECKS = {
+    site: lambda site=site: {"fault_plan": FaultPlan(specs=(
+        FaultSpec(site=site, kind="transient", nth_call=1),
+    )).build()}
+    for site in ("index-lookup", "cursor-advance")
+}
+CHECKS["oracle"] = lambda: {"oracle": True}
 #: What a warm static run must not construct.
 COUNTED = (
     (RuntimeLeg, "__init__"),
@@ -150,25 +162,24 @@ def test_a_warm_explain_analyze_builds_nothing_per_plan(dbs, built):
     assert "engine: vector" in report.splitlines()
 
 
-def test_what_reads_the_machine_builds_it(dbs, built, executors):
-    """An invariant-oracle run of the warm plan builds its legs. A run that
-    built none has them built when something reads them after it: its end
-    state, the record's probe program and the flow it counted (what an
-    observed run's trace reports without building them)."""
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_checked_static_run_builds_nothing_per_plan(dbs, built, check):
+    """A repeat static run under a fault plan or the invariant oracle runs
+    off the prepared record like an unchecked one, and returns what the
+    unchecked run returns: rows in order and every WorkMeter field."""
     _, columnar = dbs
-    columnar.execute(SQL, NONE)
+    plain = columnar.execute(ROWS_SQL, NONE)
+    armed = CHECKS[check]()
     built.clear()
-    checked = columnar.execute(SQL, NONE, oracle=True)
-    assert built["RuntimeLeg"] == len(checked.plan.order)
-    assert checked.stats.engine == "vector"
-    machine = executors[-1]
-    observed = columnar.execute(SQL, NONE, obs=True)
-    assert observed.rows == checked.rows
-    assert traced_flows(observed) == {
-        alias: tuple(getattr(leg, name) for name in FLOW)
-        for alias, leg in machine.legs.items()
-    }
-    after = executors[-1]
-    assert after.flows is not None and machine.flows is None
-    for alias, config in after.prepared.program.items():
-        assert after.legs[alias].probe_config is config
+    got = columnar.execute(ROWS_SQL, NONE, **armed)
+    assert sum(built.values()) == 0, dict(built)
+    assert got.stats.engine == "vector"
+    assert got.rows == plain.rows
+    assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
+        plain.stats.work
+    )
+    # Not vacuous: the fault fired (and was retried), the oracle saw rows.
+    if "fault_plan" in armed:
+        assert armed["fault_plan"].total_fired == 1
+    else:
+        assert got.oracle.emits == len(got.rows) > 0
