@@ -16,8 +16,10 @@ reported apart, each with its checks, applied switches and the executions
 that ran a learned plan, and each with its own layer table. Each row
 also counts the pass's inner-leg steps by how ``vector._expand`` took
 them: ``unique`` gathers through a kernel no key of which has more than
-one passing row (``_Kernel.unique``), ``csr`` expands; ``us/step`` is
-``_expand``'s time over those steps. The ``floor`` line gives, per
+one passing row (``_Kernel.unique``), ``csr`` expands, and ``total``
+counts the unique steps none of whose probes can miss
+(``vector._Step.total``: no hit test); ``us/step`` is ``_expand``'s time
+over the unique and csr steps. The ``floor`` line gives, per
 statement, the pass's time outside ``_expand`` and ``_project``: what an
 execution costs beyond its join and its rows, and below it the floor's
 named parts (:data:`FLOOR`: plan-cache lookup, executor build, cursor and
@@ -27,8 +29,9 @@ a few microseconds a call, so read the numbers against another run of
 this script, not against an unwrapped pass. The ``bare`` line is
 unwrapped: the fastest plain pass of ``Database.execute`` over the
 fastest pass of what the join itself needs — each statement's driving
-survivors, ``_expand`` and ``_project`` on the prepared cascade start of
-the plan it ran — and their ratio. A ledger, not a gate: no thresholds.
+survivors, ``_expand`` and ``_project`` on the prepared step program of
+the plan it ran, counting no flow — and their ratio. A ledger, not a
+gate: no thresholds.
 
 ``--served`` times a served request instead, in-process: the 40
 statement/mode pairs of the served workload (12 four-table and 8 six-table
@@ -82,7 +85,6 @@ from repro import AdaptiveConfig, Database, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor import pipeline, vector
-from repro.executor.access import LegFlow
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor
 from repro.obs.recorder import FlightRecorder
@@ -103,7 +105,7 @@ LAYERS = [
     (PipelineExecutor, "_accounted"),
     (PipelineExecutor, "_open_driving"),
     (PipelineExecutor, "_compile_all_probes"),
-    (BatchedPipelineExecutor, "_cascade"),
+    (BatchedPipelineExecutor, "_build_machine"),
     (BatchedPipelineExecutor, "_collect"),
     (vector, "_adaptive_plan"),
     (vector, "_driving_walk"),
@@ -114,19 +116,20 @@ LAYERS = [
 ]
 
 #: The floor's named parts: the layers whose own time each one is.
-#: ``_collect`` iterates the chunk generator, so its own time is the chunk
-#: loop's (less ``_expand`` / ``_project`` and the other layers it calls).
+#: ``_collect`` iterates the chunk generator (``vector.cascade``: its
+#: start, the driving walk and the chunk loop), so its own time is theirs
+#: less ``_expand`` / ``_project`` and the other layers they call.
 FLOOR = {
     "plan-cache lookup": ["Database._plan_sql"],
     "executor build": [
         "PipelineExecutor.__init__",
         "PipelineExecutor._build_machine",
+        "BatchedPipelineExecutor._build_machine",
         "pipeline._prepare",
     ],
     "cursor and probe install": [
         "PipelineExecutor._open_driving",
         "PipelineExecutor._compile_all_probes",
-        "BatchedPipelineExecutor._cascade",
         "vector._adaptive_plan",
         "vector._driving_walk",
     ],
@@ -167,13 +170,15 @@ def timed(function, spent: dict, name: str, inside: list):
 
 
 def counted(expand, steps: list):
-    """*expand* adding each call's inner legs to ``steps[kernel.unique]``
+    """*expand* adding each call's inner-leg steps to ``steps[kernel.unique]``
+    and its total steps (:attr:`vector._Step.total`) to ``steps[2]``
     (outside ``_expand``'s own timer: the enclosing layer pays the count)."""
 
-    def wrapper(meter, inner, *args):
-        for _, _, kernel, *_ in inner:
-            steps[kernel.unique] += 1
-        return expand(meter, inner, *args)
+    def wrapper(meter, program, *args):
+        for step in program:
+            steps[step.kernel.unique] += 1
+            steps[2] += step.total
+        return expand(meter, program, *args)
 
     return wrapper
 
@@ -182,24 +187,18 @@ def bare_pass(plans: list) -> float:
     """Seconds of what the join itself needs over *plans* (each run
     before, so its prepared record is built): driving survivors,
     ``_expand`` and ``_project`` on the record's cascade start, charging a
-    private meter."""
+    private meter and counting no flow."""
     meter = WorkMeter()
-    steps = []
+    runs = []
     for plan in plans:
-        record = plan.__dict__["_prepared"]
-        template, walk = record.cascade
-        flows = {alias: LegFlow(alias, meter) for alias in plan.order}
-        inner = [(flows[alias], *rest) for alias, *rest in template]
-        steps.append((walk.restarted(flows[plan.order[0]], None), inner, record))
+        program, walk, takers = plan.__dict__["_prepared"].cascade
+        runs.append((walk.restarted(meter, None, None), program, takers))
     start = perf_counter()
-    for walk, inner, record in steps:
+    for walk, program, takers in runs:
         survivors = walk.take(vector.STATIC_SLICE_ROWS)
-        ancestors, flow = vector._expand(meter, inner, walk.leg.alias, survivors)
+        ancestors, flow = vector._expand(meter, program, None, survivors, set())
         if flow:
-            bindings = record.bindings
-            vector._project(
-                bindings.legs, bindings.projection_slots, ancestors, flow
-            )
+            vector._project(takers, ancestors, flow)
     return perf_counter() - start
 
 
@@ -484,16 +483,16 @@ def main() -> None:
         label = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
         spent[label] = 0.0
         setattr(owner, name, timed(function, spent, label, inside))
-    steps = [0, 0]  # inner-leg steps: [csr, unique]
+    steps = [0, 0, 0]  # inner-leg steps: [csr, unique, of them total]
     vector._expand = counted(vector._expand, steps)
     plans: list = []  # the plans the last pass ran, for the bare line
 
     def one_pass(config) -> tuple[dict, tuple]:
         """``({layer: seconds}, (rows, checks, switches, learned runs,
-        unique steps, csr steps))``."""
+        unique steps, csr steps, total steps))``."""
         for label in spent:
             spent[label] = 0.0
-        steps[:] = [0, 0]
+        steps[:] = [0, 0, 0]
         rows = checks = switches = learned = 0
         plans.clear()
         start = perf_counter()
@@ -506,7 +505,9 @@ def main() -> None:
             learned += result.stats.plan_feedback is not None
         wall = perf_counter() - start
         layers = {**spent, "other": wall - sum(spent.values()), "pass": wall}
-        return layers, (rows, checks, switches, learned, steps[1], steps[0])
+        return layers, (
+            rows, checks, switches, learned, steps[1], steps[0], steps[2]
+        )
 
     for _ in range(2):
         one_pass(AdaptiveConfig(mode=ReorderMode.NONE))
@@ -523,18 +524,18 @@ def main() -> None:
     print(
         f"{'execution':<12}{'pass ms':>9}{'hooks ms':>10}{'_expand ms':>12}"
         f"{'checks':>8}{'switches':>10}{'learned':>9}{'unique':>8}{'csr':>7}"
-        f"{'us/step':>9}"
+        f"{'total':>7}{'us/step':>9}"
     )
     names = [str(number + 1) for number in range(learning)] + [f"{learning + 1}+"]
     shown = list(zip(names, measured[:learning] + [fastest]))
-    for name, (layers, (_, checks, switches, learned, unique, csr)) in shown:
+    for name, (layers, (_, checks, switches, learned, unique, csr, total)) in shown:
         expand = layers["vector._expand"]
         print(
             f"{name:<12}{layers['pass'] * 1e3:>9.1f}"
             f"{sum(layers[label] for label in hooks) * 1e3:>10.1f}"
             f"{expand * 1e3:>12.1f}"
             f"{checks:>8d}{switches:>10d}{learned:>9d}{unique:>8d}{csr:>7d}"
-            f"{expand * 1e6 / max(unique + csr, 1):>9.2f}"
+            f"{total:>7d}{expand * 1e6 / max(unique + csr, 1):>9.2f}"
         )
     for name, (layers, _) in shown:
         floor = layers["pass"] - layers["vector._expand"] - layers["vector._project"]

@@ -72,6 +72,8 @@ ColumnSpec = Column | tuple[str, str]
 # What a learned text runs: its lesson as a static plan, no monitor, no
 # controller.
 _STATIC = AdaptiveConfig(mode=ReorderMode.NONE)
+# What ``execute`` runs when no configuration is passed (frozen: shared).
+_BOTH = AdaptiveConfig(mode=ReorderMode.BOTH)
 
 
 def _as_column(spec: ColumnSpec) -> Column:
@@ -337,20 +339,23 @@ class Database:
         actually ran.
         """
 
+        if tracer is None:
+            return self.plan_cache.lookup(sql, generation, self._compile, mode)
+
         def compile_sql(text: str) -> PipelinePlan:
-            if tracer is None:
-                return self._optimize(parse_sql(text), None)
             with tracer.span("parse"):
                 spec = parse_sql(text)
             return self._optimize(spec, tracer)
 
-        if tracer is None:
-            return self.plan_cache.lookup(sql, generation, compile_sql, mode)
         with tracer.span("plan-cache") as span:
             found = self.plan_cache.lookup(sql, generation, compile_sql, mode)
             span.attrs["outcome"] = found[1]
             span.attrs["feedback"] = found[2] is not None
         return found
+
+    def _compile(self, sql: str) -> PipelinePlan:
+        """The optimizer's plan for SQL text (the plan cache's planner)."""
+        return self._optimize(parse_sql(sql), None)
 
     def explain(self, query: str | QuerySpec) -> str:
         return self.plan(query).explain()
@@ -423,7 +428,7 @@ class Database:
           it and the legs' flow counters after the run.
         """
         if config is None:
-            config = AdaptiveConfig(mode=ReorderMode.BOTH)
+            config = _BOTH
         if obs is True:
             obs = QueryObservability.armed()
         elif obs is False:
@@ -463,18 +468,8 @@ class Database:
             else:
                 plan = self._optimize(query, tracer)
             return self._execute_plan(
-                plan,
-                config,
-                generation=generation,
-                plan_cache=plan_cache,
-                plan_feedback=plan_feedback,
-                learn=learn,
-                limits=limits,
-                fault_plan=fault_plan,
-                oracle=oracle,
-                sandbox=sandbox,
-                obs=obs,
-                query_span=query_span,
+                plan, config, generation, plan_cache, plan_feedback, learn,
+                limits, fault_plan, oracle, sandbox, obs, query_span,
             )
         finally:
             if tracer is not None:
@@ -484,7 +479,6 @@ class Database:
         self,
         plan: PipelinePlan,
         config: AdaptiveConfig,
-        *,
         generation: tuple | None,
         plan_cache: str | None,
         plan_feedback: tuple[tuple[str, ...], int] | None,
@@ -514,14 +508,7 @@ class Database:
             else PipelineExecutor
         )
         executor = executor_cls(
-            plan,
-            self.catalog,
-            config,
-            controller,
-            limits=limits,
-            oracle=oracle,
-            obs=obs,
-            generation=generation,
+            plan, self.catalog, config, controller, limits, oracle, obs, generation
         )
         if controller is not None:
             controller.attach(executor)
@@ -563,20 +550,23 @@ class Database:
                     rows = PostProcessor(plan.query, plan.projection).process(rows)
             else:
                 rows = PostProcessor(plan.query, plan.projection).process(rows)
+        # Positional, in field order: the keyword call costs a static run
+        # over a microsecond.
         stats = ExecutionStats(
-            work=executor.work,
-            wall_seconds=executor.wall_seconds,
-            inner_reorders=executor.inner_reorders,
-            driving_switches=executor.driving_switches,
-            inner_checks=controller.inner_checks if controller else 0,
-            driving_checks=controller.driving_checks if controller else 0,
-            check_seconds=controller.check_seconds if controller else 0.0,
-            order_history=tuple(executor.order_history),
-            events=tuple(executor.events),
-            engine=executor.engine_used,
-            plan_cache=plan_cache,
-            plan_feedback=plan_feedback,
-            proposed_order=executor.proposed_order,
+            executor.work,
+            executor.wall_seconds,
+            executor.inner_reorders,
+            executor.driving_switches,
+            controller.inner_checks if controller else 0,
+            controller.driving_checks if controller else 0,
+            tuple(executor.order_history),
+            tuple(executor.events),
+            executor.engine_used,
+            None,
+            plan_cache,
+            plan_feedback,
+            executor.proposed_order,
+            controller.check_seconds if controller else 0.0,
         )
         if learn is not None and injector is None and not stats.degraded:
             self._learn(learn, executor)
@@ -588,12 +578,7 @@ class Database:
                 switches=stats.total_switches,
             )
         return QueryResult(
-            rows=rows,
-            stats=stats,
-            plan=plan,
-            final_order=tuple(executor.order),
-            oracle=oracle,
-            obs=obs,
+            rows, stats, plan, tuple(executor.order), oracle, obs
         )
 
     def _learn(self, entry: CachedPlan, executor: PipelineExecutor) -> None:

@@ -98,27 +98,26 @@ FLOW_COUNTERS = ("rows_in", "index_matches", "rows_out", "rows_scanned", "rows_s
 
 class LegFlow:
     """A leg's row flow over the run, in both roles (what EXPLAIN ANALYZE,
-    the metrics and the trace report): all an unmonitored cascade keeps of
-    a leg. Bumped where the numbers are computed anyway: per probe / driving
-    row by the scalar machine, once per chunk by the cascade."""
+    the metrics and the trace report): all an observed unmonitored cascade
+    keeps of a leg. Bumped where the numbers are computed anyway: per probe
+    / driving row by the scalar machine, once per chunk by the cascade."""
 
-    __slots__ = ("alias", "meter", *FLOW_COUNTERS, "_hash_tables")
+    __slots__ = ("alias", *FLOW_COUNTERS)
     monitoring_enabled = False
     driving_monitor = None
 
-    def __init__(self, alias: str, meter: Any) -> None:
+    def __init__(self, alias: str) -> None:
         self.alias = alias
-        self.meter = meter
         self.rows_in = self.index_matches = self.rows_out = 0
         self.rows_scanned = self.rows_survived = 0
-        # Hash builds by access column, reused across reorders and switches.
-        self._hash_tables: dict[str, Any] = {}
 
 
 class RuntimeLeg(LegFlow):
     """Run-time state of one table in the pipeline."""
 
     __slots__ = (
+        "meter",
+        "_hash_tables",
         "plan_leg",
         "table",
         "schema",
@@ -159,7 +158,11 @@ class RuntimeLeg(LegFlow):
         leg unmonitored, its inner monitor the shared idle one. *on_retry*,
         *degrade_hook* and *collect_rids* are the executor's (below).
         """
-        LegFlow.__init__(self, plan_leg.alias, binding.table.meter)
+        LegFlow.__init__(self, plan_leg.alias)
+        self.meter = binding.table.meter
+        # The scalar machine's hash builds by access column, reused across
+        # reorders and switches.
+        self._hash_tables: dict[str, Any] = {}
         self.plan_leg = plan_leg
         self.table = table = binding.table
         self.schema = table.schema

@@ -5,17 +5,20 @@ every statement on the columnar cascade (:mod:`repro.executor.vector`):
 rows and final work totals equal the scalar oracle's, and a monitored run
 folds each chunk into a leg's window as one weighted aggregate and fires
 its reorder checks at chunk boundaries (DESIGN.md Sec 4d). A run is one of
-two things, by its mode alone: an unmonitored one runs straight off its
-plan's prepared record with one flow-counter set per leg, a monitored one
-on the machine built at init. What checks a run (the invariant oracle, a
-fault plan, limits, an observation, any controller) chooses neither, and
-no shape does: the row store is the only scalar machine.
+two things, by its mode alone: an unmonitored one executes its plan's
+prepared step program and builds nothing the record holds — no leg, no
+cursor, no registry, and flow counters only where an observation reads
+them — and a monitored one runs on the machine built at init, through the
+same steps. What checks a run (the invariant oracle, a fault plan, limits,
+an observation, any controller) chooses neither, and no shape does: the
+row store is the only scalar machine.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator
 
+from repro.errors import TransientStorageError
 from repro.executor.access import LegFlow
 from repro.executor.pipeline import PipelineExecutor
 from repro.executor.vector import cascade
@@ -27,8 +30,10 @@ class BatchedPipelineExecutor(PipelineExecutor):
     per chunk, which :meth:`run_to_completion` extends its result with and
     :meth:`rows` streams row by row."""
 
+    engine_used = "vector"
+
     def rows(self) -> Iterator[tuple[Any, ...]]:
-        chunks = self._accounted(self._run())
+        chunks = self._accounted(cascade(self))
         try:
             for chunk in chunks:
                 yield from chunk
@@ -40,17 +45,15 @@ class BatchedPipelineExecutor(PipelineExecutor):
 
     def _collect(self) -> list[tuple[Any, ...]]:
         rows: list[tuple[Any, ...]] = []
-        for chunk in self._cascade():
+        for chunk in cascade(self):
             rows += chunk
         return rows
 
-    def _run(self) -> Iterator[list[tuple]]:
-        yield from self._cascade()
-
     def _build_machine(self) -> None:
         """A monitored run's machine. An unmonitored run builds no leg,
-        cursor or registry: only what it writes (one flow-counter set per
-        alias; walk progress, meter charges and rows are the cascade's)."""
+        cursor or registry — its order, history and events are its plan's —
+        and counts its flow (one counter set per alias) only when observed;
+        walk progress, meter charges and rows are the cascade's."""
         if self.config.mode.monitors:
             super()._build_machine()
             return
@@ -58,24 +61,19 @@ class BatchedPipelineExecutor(PipelineExecutor):
         order = plan.order
         self.order, self.order_history, self.events = list(order), [order], []
         self.class_selectivities = plan.class_selectivities
-        meter = self.catalog.meter
-        self.flows = {alias: LegFlow(alias, meter) for alias in order}
-
-    def _cascade(self) -> Iterator[list[tuple]]:
-        """This run's chunk generator: a monitored run's on its machine,
-        an unmonitored one's straight off the plan's prepared record."""
-        if self.config.mode.monitors:
-            self._open_driving(self.order[0])
-            self.engine_used = "vector-adaptive"
-            return cascade(self, self.legs, self.prepared_start, self.driving_cursor)
-        self.engine_used = "vector"
-        return cascade(self, self.flows, self.prepared.cascade, None)
+        self.flows = (
+            None if self.obs is None else {alias: LegFlow(alias) for alias in order}
+        )
 
     def consult(self, site: str) -> None:
         """The fault plan at *site*, once per chunk (and inner leg): a
         transient fault is retried, each retry noted in an observed run's
         :attr:`~repro.obs.recorder.QueryObservability.retries` (the scalar
-        machine consults per row)."""
+        machine consults per row). A consultation that does not fail is
+        one call."""
         faults = self.catalog.faults
-        on_retry = None if self.obs is None else lambda: self._note_retry(site)
-        call_with_retry(lambda: faults.fire(site), on_retry=on_retry)
+        try:
+            faults.fire(site)
+        except TransientStorageError as exc:
+            on_retry = None if self.obs is None else lambda: self._note_retry(site)
+            call_with_retry(lambda: faults.fire(site), on_retry=on_retry, failed=exc)

@@ -198,7 +198,7 @@ def _prepare(
         bindings=bindings,
         program={alias: legs[alias].probe_config for alias in order[1:]},
         cascade=(
-            cascade_start(order, legs)
+            cascade_start(order, legs, bindings.projection_slots)
             if catalog.backend is COLUMNAR_BACKEND
             else None
         ),
@@ -221,11 +221,11 @@ def held_arrays(plan: PipelinePlan, catalog: Catalog) -> list[tuple[str, Any]]:
         or record.cascade is None
     ):
         return []
-    template, walk = record.cascade
+    steps, walk, _ = record.cascade
     legs = record.bindings.legs
     held = [
         (legs[alias].table.name, array)
-        for alias, _, kernel, *_ in template
+        for alias, _, kernel, *_ in steps
         for array in kernel.arrays()
     ]
     driving = legs[plan.order[0]].table.name
@@ -289,6 +289,39 @@ def starting_legs(
 class PipelineExecutor:
     """Runs one pipelined plan, optionally under adaptive reordering."""
 
+    # What a run counts and records, read as these defaults until the run
+    # writes its own (a run that never reorders writes no reorder count).
+    inner_reorders = 0
+    driving_switches = 0
+    driving_rows_since_check = 0
+    driving_rows_total = 0
+    rows_emitted = 0
+    wall_seconds = 0.0
+    # This run's work delta (set when it stops), and the meter snapshot at
+    # its start (lets the observability sampler attribute work units to
+    # points in time).
+    work: WorkMeter | None = None
+    meter_before: WorkMeter | None = None
+    _started = False
+    # Smallest pipeline position whose suffix is currently depleted
+    # (0 = whole pipeline); None while a row is bound below the suffix.
+    # This is the machine-checkable form of the paper's depleted-state
+    # precondition — the invariant oracle reads it before permutations.
+    depleted_from: int | None = None
+    _enforcer: LimitEnforcer | None = None
+    # Which execution engine ran this query: "scalar" (this class, the
+    # row store's oracle), "vector" (static columnar cascade) or
+    # "vector-adaptive" (chunked adaptive cascade). Surfaced on
+    # ExecutionStats.engine and the flight record.
+    engine_used = "scalar"
+    # Set by ``Database`` on a run it will learn from (a text's first
+    # monitored run in its mode) and read by the engine alone: it still
+    # asks its checks at a finished scan (``scan_finished``) — they apply
+    # nothing there and leave the order they propose for the write-back.
+    learns_at_end = False
+    scan_finished = False
+    proposed_order: tuple[str, ...] | None = None
+
     def __init__(
         self,
         plan: PipelinePlan,
@@ -312,43 +345,16 @@ class PipelineExecutor:
         self.limits = limits
         self.oracle = oracle
         self.obs = obs
-        prepared: PreparedPlan = plan.prepared(catalog, _prepare, generation)
-        self.prepared = prepared
-        bindings = prepared.bindings
-        self.schemas = bindings.schemas
-        self.join_graph = bindings.join_graph
-        # Statistics for the experiments.
-        self.inner_reorders = 0
-        self.driving_switches = 0
-        self.driving_rows_since_check = 0
-        self.driving_rows_total = 0
-        self.rows_emitted = 0
-        self.wall_seconds = 0.0
-        self.work: WorkMeter | None = None  # this run's work delta
-        # Meter snapshot at execution start (set by rows()); lets the
-        # observability sampler attribute work units to points in time.
-        self.meter_before: WorkMeter | None = None
-        self._started = False
-        # Smallest pipeline position whose suffix is currently depleted
-        # (0 = whole pipeline); None while a row is bound below the suffix.
-        # This is the machine-checkable form of the paper's depleted-state
-        # precondition — the invariant oracle reads it before permutations.
-        self.depleted_from: int | None = None
-        self._enforcer: LimitEnforcer | None = None
-        # Which execution engine ran this query: "scalar" (this class, the
-        # row store's oracle), "vector" (static columnar cascade) or
-        # "vector-adaptive" (chunked adaptive cascade). Surfaced on
-        # ExecutionStats.engine and the flight record.
-        self.engine_used = "scalar"
-        # Set by ``Database`` on a run it will learn from (a text's first
-        # monitored run in its mode) and read by the engine alone: it still
-        # asks its checks at a finished scan (``scan_finished``) — they
-        # apply nothing there and leave the order they propose for the
-        # write-back.
-        self.learns_at_end = False
-        self.scan_finished = False
-        self.proposed_order: tuple[str, ...] | None = None
+        self.prepared: PreparedPlan = plan.prepared(catalog, _prepare, generation)
         self._build_machine()
+
+    @property
+    def schemas(self) -> Mapping[str, Any]:
+        return self.prepared.bindings.schemas
+
+    @property
+    def join_graph(self) -> Any:
+        return self.prepared.bindings.join_graph
 
     def _build_machine(self) -> None:
         """The machine's state, from the plan's prepared record: its legs

@@ -18,28 +18,39 @@ driving chunk:
    NULL key's rank is -1 and a missing key's -2; the kernel's per-key
    arrays end in two padding slots (zero counts, -1 first RIDs), so an
    absent key gathers "no entries, no matches" like any other key and no
-   step masks it out. A step gathers only the arrays its charges need:
-   none for an untested kernel's zero evals, none for the entries of a
-   key index (one entry a key) probed from a column whose every key it
-   holds. A hash-probed leg (no index on its join column, the Sec 6
-   extension) expands the same way through the buckets of its hash build
-   (:meth:`ColumnarTable.hash_build`), and residual join predicates
+   step masks it out. A hash-probed leg (no index on its join column, the
+   Sec 6 extension) expands the same way through the buckets of its hash
+   build (:meth:`ColumnarTable.hash_build`), and residual join predicates
    (cyclic join graphs, Sec 4.3.4) are a mask over the expanded tuples
    (:class:`_Probe`);
 3. work-meter charges are computed from the same per-key kernel aggregates
    the scalar probes charge (descend per probe, ``max(entries, 1)`` per
    present/missing key, fetch per candidate row, short-circuit-exact local
    evals; a hash probe and its bucket's matches, the build once), gathered
-   through every rank of the chunk and summed per leg;
-4. the chunk's projected rows leave as one list (:func:`_project`):
-   ``run_to_completion`` extends its result with it, ``rows()`` streams it
-   row by row.
+   through every rank of the chunk, summed over the chunk's legs and
+   charged once;
+4. the chunk's projected rows leave as one list (:func:`_project`, through
+   a column taker per output column): ``run_to_completion`` extends its
+   result with it, ``rows()`` streams it row by row.
 
-One chunk loop (:func:`_run_cascade`) runs static plans
+What the plan alone decides about a leg's step is settled when the plan
+is, into a step program (:class:`_Step`, by :func:`_adaptive_plan`):
+gather or expand; whether a probe can miss at all (an untested one-entry
+kernel probed by keys it all holds needs no hit test); which kernel arrays
+its charges gather; where its key sits among the chunk's ancestors; and
+which ancestors are still read after it — later probe keys, residual
+outer aliases and the projection, every alias when the invariant oracle
+is armed — so a restriction re-gathers only those, and a step whose own
+RIDs nobody reads gathers none. A plan's starting program is compiled once
+into its prepared record (:func:`cascade_start`); a monitored run
+recompiles it when a check moves the plan.
+
+One chunk loop (:func:`cascade`) runs static plans
 (:data:`STATIC_SLICE_ROWS` slices) and the monitored modes (kernel-folded
 monitoring and boundary rank checks; chunks that start at
 :data:`MONITORED_CHUNK_ROWS` and double while the checks change nothing;
-nothing applied at a boundary that ends the driving scan).
+nothing applied at a boundary that ends the driving scan), and one
+:func:`_expand` runs every step.
 
 Every statement a columnar database accepts runs here, from its first row
 to its last: only a columnar database builds the executor that calls
@@ -59,9 +70,9 @@ per driving slice, ``index-lookup`` or ``hash-probe`` and ``monitor``
 per inner leg), the
 invariant oracle records each emitted tuple's RIDs off the chunk's
 ancestor arrays, observability reads the legs' flow counters (bumped once
-per chunk here) at cold sites only, and execution limits are enforced at
-those boundaries — rows exactly, work / deadline / cancellation at most one
-chunk late.
+per chunk here; an unobserved static run keeps none) at cold sites only,
+and execution limits are enforced at those boundaries — rows exactly,
+work / deadline / cancellation at most one chunk late.
 """
 
 from __future__ import annotations
@@ -109,51 +120,24 @@ STATIC_SLICE_ROWS = 1 << 16
 MONITORED_CHUNK_ROWS = 256
 
 
-def cascade(executor, legs: dict, start, cursor) -> Iterator[list]:
-    """A generator running the open pipeline vectorized, to its end: one
-    list of projected rows per chunk that emits any.
-
-    One chunk loop (:func:`_run_cascade`) serves every mode and picks the
-    chunk lengths. What the plan and the data alone decide is not derived
-    here: a pipeline that starts as its plan describes runs the plan's
-    prepared cascade *start* (:func:`cascade_start`), and a pipeline a
-    caller moved first (no *start*) finds group kernels and the join keys'
-    rank arrays memoized by the probed indexes. *legs* drive from *cursor*;
-    or, with no cursor, they are :class:`~repro.executor.access.LegFlow`.
-    """
-    order = executor.order
-    driving = legs[order[0]]
-    if start is None:
-        inner = _adaptive_plan(order, legs)
-        return _run_cascade(executor, _driving_walk(driving, cursor), inner)
-    template, walk = start
-    inner = [
-        (legs[alias], config, kernel, translate, lowest, probe)
-        for alias, config, kernel, translate, lowest, probe in template
-    ]
-    return _run_cascade(executor, walk.restarted(driving, cursor), inner)
-
-
-def cascade_start(order: Sequence[str], legs: dict) -> tuple:
+def cascade_start(order: Sequence[str], legs: dict, projection: Sequence) -> tuple:
     """The cascade's start for *legs* in *order*, as its plan describes it.
 
-    ``(template, walk)``: per inner leg ``(alias, probe config, kernel,
-    key-rank gather, lowest rank, probe)`` — :func:`_adaptive_plan`'s entry
-    with the alias for the leg — and the fresh driving scan's walk with no
-    leg or cursor of its own (:meth:`_DrivingWalk.restarted` gives it one).
-    Part of a plan's prepared record: every execution that starts as the
-    plan describes installs it, on any thread, so nothing here is ever
-    written.
+    ``(steps, walk, takers)``: :func:`_adaptive_plan`'s step program and
+    column takers for the plan's order and *projection*, and the fresh
+    driving scan's walk with no meter, leg or cursor of its own
+    (:meth:`_DrivingWalk.restarted` gives it them). Part of a plan's
+    prepared record: every execution that starts as the plan describes
+    installs it, on any thread, so nothing here is ever written.
     """
-    inner = _adaptive_plan(order, legs)
+    steps, takers = _adaptive_plan(order, legs, projection)
     leg = legs[order[0]]
     walk = _driving_walk(leg, leg.open_driving_cursor())
-    walk.leg = walk.cursor = None
+    walk.meter = walk.leg = walk.cursor = None
     for array in (walk.rids, walk.alive, walk.survivor_at):
         if array is not None:
             array.setflags(write=False)
-    template = tuple((leg.alias, *rest) for leg, *rest in inner)
-    return template, walk
+    return tuple(steps), walk, takers
 
 
 class _DrivingWalk:
@@ -175,10 +159,11 @@ class _DrivingWalk:
     cursor exactly where the row-at-a-time walk would have left it, so a
     driving switch freezes the right position and a resumed cursor
     continues with no charge repeated or lost. A walk with no cursor
-    charges the same and positions nothing.
+    charges the same and positions nothing; one with no leg counts no flow.
     """
 
     __slots__ = (
+        "meter",
         "leg",
         "cursor",
         "rids",
@@ -194,6 +179,7 @@ class _DrivingWalk:
     )
 
     def __init__(self, leg, cursor, masks: list) -> None:
+        self.meter = leg.meter
         self.leg = leg
         self.cursor = cursor
         self.ntests = len(masks)
@@ -240,8 +226,10 @@ class _DrivingWalk:
             self.rids if self.survivor_at is None else self.survivor_at
         )
 
-    def restarted(self, leg, cursor) -> "_DrivingWalk":
-        """This walk from its start again, over *leg*'s fresh *cursor*.
+    def restarted(self, meter, leg, cursor) -> "_DrivingWalk":
+        """This walk from its start again, charging *meter*, counting
+        *leg*'s flow (None: no flow counted) and positioning its fresh
+        *cursor* (None: none).
 
         The arrays — what :meth:`__init__` derives from the scan — are this
         walk's, shared and never written; only the progress is new. How an
@@ -249,6 +237,7 @@ class _DrivingWalk:
         (:func:`cascade_start`).
         """
         walk = _DrivingWalk.__new__(_DrivingWalk)
+        walk.meter = meter
         walk.leg = leg
         walk.cursor = cursor
         walk.rids = self.rids
@@ -274,7 +263,8 @@ class _DrivingWalk:
         if count <= 0:
             return self.rids[:0]
         self.survivors_taken = last = first + count
-        self.leg.rows_survived += count
+        if self.leg is not None:
+            self.leg.rows_survived += count
         if self.survivor_at is None:
             self._consume(last)
             return self.rids[first:last]
@@ -287,7 +277,7 @@ class _DrivingWalk:
         if self.spans is not None:
             # Ranges with nothing (more) to yield are still entered on the
             # way to learning the scan is over.
-            self.leg.meter.index_descends += len(self.spans) - self.spans_entered
+            self.meter.index_descends += len(self.spans) - self.spans_entered
             self.spans_entered = len(self.spans)
         if self.cursor is not None:
             self.cursor.exhausted = True
@@ -298,22 +288,23 @@ class _DrivingWalk:
         if walked <= 0:
             return
         self.taken = end
-        leg = self.leg
-        meter = leg.meter
+        meter = self.meter
         meter.row_fetches += walked
         if self.ntests:
             meter.predicate_evals += walked * self.ntests
-        leg.rows_scanned += walked
-        monitor = leg.driving_monitor
-        if leg.monitoring_enabled and monitor is not None:
-            alive = self.alive
-            monitor.record_chunk(
-                walked,
-                walked
-                if alive is None
-                else int(_count_nonzero(alive[start:end])),
-            )
-            meter.monitor_updates += walked
+        leg = self.leg
+        if leg is not None:
+            leg.rows_scanned += walked
+            monitor = leg.driving_monitor
+            if leg.monitoring_enabled and monitor is not None:
+                alive = self.alive
+                monitor.record_chunk(
+                    walked,
+                    walked
+                    if alive is None
+                    else int(_count_nonzero(alive[start:end])),
+                )
+                meter.monitor_updates += walked
         cursor = self.cursor
         if self.spans is None:
             if cursor is not None:
@@ -348,70 +339,64 @@ class _Probe(NamedTuple):
     """What an inner leg's step does beyond an index probe: probe the
     leg's :class:`~repro.storage.columnar.HashBuild` (``build``; the Sec 6
     extension), and mask ``residuals`` (Sec 4.3.4): per residual join, in
-    the probe config's order, ``(outer alias, outer cells, outer valid,
+    the probe config's order, ``(outer position, outer cells, outer valid,
     own cells, own valid)`` of :func:`_residual_cells`."""
 
     build: Any
     residuals: tuple
 
-    def step(self, meter, leg, ancestors, flow, touched, evals, missing, total):
-        """Charge the chunk's probes of *leg* and mask its residuals:
-        ``(ancestors, rows out, work)`` — the scalar probe's charges summed.
-        The leg's first hash probe of the execution builds (as
-        ``RuntimeLeg._hash_table_for`` does): its work lands in this
-        chunk's fold, its table-wide local counts in the leg's. Each
-        residual term costs an eval per tuple still alive, term by term
-        (``RuntimeLeg._passes_residuals``).
-        """
+    def charge_hash(self, meter, built: set, alias: str, leg, flow, touched):
+        """Charge the chunk's hash probes of leg *alias*; their work. The
+        leg's first hash probe of the execution (*built*: the ``(alias,
+        column)`` builds it has charged) builds, as
+        ``RuntimeLeg._hash_table_for`` does: its work lands in this chunk's
+        fold, its table-wide local counts in the leg's."""
         build = self.build
-        if build is None:  # an index probe: _expand's charges but the evals
-            entries = touched + missing
-            meter.index_descends += flow
-            meter.index_entries += entries
-            meter.row_fetches += touched
-            work = (
-                flow * INDEX_DESCEND_COST
-                + entries * INDEX_ENTRY_COST
-                + touched * ROW_FETCH_COST
+        meter.hash_probes += flow
+        meter.hash_matches += touched
+        work = flow * HASH_PROBE_COST + touched * HASH_MATCH_COST
+        key = (alias, build.index.column)
+        if key not in built:
+            built.add(key)
+            meter.row_fetches += build.rows
+            meter.predicate_evals += build.evals
+            meter.hash_build_entries += build.entries
+            work += (
+                build.rows * ROW_FETCH_COST
+                + build.evals * PREDICATE_EVAL_COST
+                + build.entries * HASH_BUILD_ENTRY_COST
             )
-        else:
-            meter.hash_probes += flow
-            meter.hash_matches += touched
-            work = flow * HASH_PROBE_COST + touched * HASH_MATCH_COST
-            if build.index.column not in leg._hash_tables:
-                leg._hash_tables[build.index.column] = build
-                meter.row_fetches += build.rows
-                meter.predicate_evals += build.evals
-                meter.hash_build_entries += build.entries
-                work += (
-                    build.rows * ROW_FETCH_COST
-                    + build.evals * PREDICATE_EVAL_COST
-                    + build.entries * HASH_BUILD_ENTRY_COST
-                )
-                if leg.monitoring_enabled:
-                    for counts, (evaluated, passed) in zip(
-                        leg.local_counts, build.local_counts
-                    ):
-                        counts[0] += evaluated
-                        counts[1] += passed
+            if leg is not None and leg.monitoring_enabled:
+                for counts, (evaluated, passed) in zip(
+                    leg.local_counts, build.local_counts
+                ):
+                    counts[0] += evaluated
+                    counts[1] += passed
+        return work
+
+    def mask(self, ancestors: list, position: int, live: tuple, total, evals):
+        """Mask the chunk's *total* tuples with the residual joins:
+        ``(rows out, evals)``. Each residual term costs an eval per tuple
+        still alive, term by term (``RuntimeLeg._passes_residuals``); the
+        tuples that fail leave *ancestors* at *position* and at the
+        earlier positions in *live*."""
+        rids = ancestors[position]
         out = total
-        if self.residuals and total:
-            rids = ancestors[leg.alias]
-            alive = None
-            for alias, outer, outer_ok, own, own_ok in self.residuals:
-                evals += out
-                outer_rids = ancestors[alias]
-                equal = outer.take(outer_rids) == own.take(rids)
-                if outer_ok is not None:
-                    equal &= outer_ok.take(outer_rids)
-                    equal &= own_ok.take(rids)
-                alive = equal if alive is None else alive & equal
-                out = int(_count_nonzero(alive))
-            if out < total:
-                keep = alive.nonzero()[0]
-                ancestors = {alias: arr.take(keep) for alias, arr in ancestors.items()}
-        meter.predicate_evals += evals
-        return ancestors, out, work + evals * PREDICATE_EVAL_COST
+        alive = None
+        for outer_at, outer, outer_ok, own, own_ok in self.residuals:
+            evals += out
+            outer_rids = ancestors[outer_at]
+            equal = outer.take(outer_rids) == own.take(rids)
+            if outer_ok is not None:
+                equal &= outer_ok.take(outer_rids)
+                equal &= own_ok.take(rids)
+            alive = equal if alive is None else alive & equal
+            out = int(_count_nonzero(alive))
+        if out < total:
+            keep = alive.nonzero()[0]
+            for at in (*live, position):
+                ancestors[at] = ancestors[at].take(keep)
+        return out, evals
 
 
 def _residual_cells(outer_table, outer_slot: int, table, slot: int) -> tuple:
@@ -430,8 +415,61 @@ def _residual_cells(outer_table, outer_slot: int, table, slot: int) -> tuple:
     return (*outer.np_values(), *own.np_values())
 
 
-def _adaptive_plan(order: Sequence[str], legs: dict) -> list:
-    """Per-leg kernels and key gathers for *legs* in *order*.
+#: How a step finds its ``touched`` count when it gathers no ``totals``:
+#: one entry a probe (a key index probed by keys it all holds), or its
+#: matches (a test-free kernel's totals are its counts). And its ``evals``
+#: when it gathers none: its ``touched`` (a one-test kernel's).
+_FLOW, _TOTAL, _TOUCHED = "flow", "total", "touched"
+
+
+class _Step(NamedTuple):
+    """One inner leg's step, its decisions settled when the plan is.
+
+    The first six are what the step reads: the leg's alias, probe config,
+    group kernel, key-rank gather (``index.row_ranks(source).take``), the
+    lowest rank that gather can yield
+    (:meth:`~repro.storage.columnar.ColumnarIndex.lowest_rank_of`: -2
+    where a key can miss) and its :class:`_Probe` (a hash-probed leg or
+    one with residual joins; None for a plain index probe). The rest is
+    what :func:`_expand` would otherwise decide chunk after chunk.
+    """
+
+    alias: str
+    config: Any
+    kernel: Any
+    translate: Any
+    lowest: int
+    probe: Any
+    # Position of the probe key's alias among the chunk's ancestors.
+    key: int
+    # A unique kernel's ``first_rids.take``; None: the CSR expansion.
+    gather: Any
+    # A unique step whose every probe matches (untested one-entry kernel,
+    # every key held): no hit test, no restriction.
+    total: bool
+    # Whether a probe can miss its key (counted as one entry each).
+    missing: bool
+    # ``totals.take``, or _FLOW / _TOTAL: how ``touched`` is found.
+    touched: Any
+    # ``evals.take``, or _TOUCHED, or None (an untested kernel: zero).
+    evals: Any
+    # Earlier positions still read after this step (later probe keys and
+    # residual outers, the projection; every one under the oracle), and
+    # this step's residual outers: what a restriction re-gathers.
+    live: tuple
+    # Whether this leg's own RIDs are read after the step (or by its
+    # residual joins); a step nobody reads skips its RID gather.
+    keep: bool
+    # The fault site its probes consult: "index-lookup" or "hash-probe".
+    site: str
+
+
+def _adaptive_plan(
+    order: Sequence[str], legs: dict, projection: Sequence
+) -> tuple[list, tuple]:
+    """``(steps, takers)`` for *legs* in *order*, projecting *projection*
+    (``(alias, slot)`` per output column): a :class:`_Step` per inner
+    leg, and ``(position, column take)`` per output column.
 
     Recomputed whenever the order or a probe epoch changes: an applied
     inner reorder permutes the cascade mid-scan, and a driving switch
@@ -441,17 +479,14 @@ def _adaptive_plan(order: Sequence[str], legs: dict) -> list:
     arrays are memoized by their index (a hash build by its table), so a
     rebuild is dictionary lookups unless the new order probes through a
     (column, index) pair nobody has yet. The plan's own starting order is
-    derived once, into its prepared record (:func:`cascade_start`).
-
-    One entry per inner leg: ``(leg, probe config, kernel, key-rank gather,
-    lowest rank, probe)`` — the lowest rank the gather can yield
-    (:meth:`~repro.storage.columnar.ColumnarIndex.lowest_rank_of`: -2 where
-    a key can miss), the probe a :class:`_Probe` for a hash-probed leg or
-    one with residual joins, None for a plain index probe.
+    compiled once, into its prepared record (:func:`cascade_start`).
     """
-    inner: list = []
-    for position in range(1, len(order)):
-        leg = legs[order[position]]
+    at = {alias: position for position, alias in enumerate(order)}
+    read = {at[alias] for alias, _ in projection}
+    steps: list = []
+    for position in range(len(order) - 1, 0, -1):
+        alias = order[position]
+        leg = legs[alias]
         config = leg.probe_config
         table = leg.table
         build = None
@@ -464,8 +499,8 @@ def _adaptive_plan(order: Sequence[str], legs: dict) -> list:
         if leg.positional is not None:
             kernel = _positional_kernel(kernel, leg.positional, len(table))
         residuals = tuple(
-            (alias, *_residual_cells(legs[alias].table, outer_slot, table, slot))
-            for (alias, outer_slot), (_, slot) in zip(
+            (at[outer], *_residual_cells(legs[outer].table, outer_slot, table, slot))
+            for (outer, outer_slot), (_, slot) in zip(
                 config.residual_sources, config.residual_joins
             )
         )
@@ -475,15 +510,73 @@ def _adaptive_plan(order: Sequence[str], legs: dict) -> list:
             else _Probe(build, residuals)
         )
         source = legs[config.key_alias].table.column_store(config.key_slot)
-        inner.append((
-            leg,
+        outers = {outer_at for outer_at, *_ in residuals}
+        steps.append(_compile_step(
+            alias,
             config,
             kernel,
             index.row_ranks(source).take,
             index.lowest_rank_of(source),
             probe,
+            at[config.key_alias],
+            tuple(sorted(q for q in read | outers if q < position)),
+            position in read or bool(residuals),
         ))
-    return inner
+        read |= outers
+        read.add(at[config.key_alias])
+    steps.reverse()
+    takers = tuple(
+        (at[alias], legs[alias].table.column_store(slot).take)
+        for alias, slot in projection
+    )
+    return steps, takers
+
+
+def _compile_step(
+    alias, config, kernel, translate, lowest, probe, key, live, keep
+) -> _Step:
+    """The :class:`_Step` of a leg: the fields given, and those they
+    settle (gather, total, missing, touched, evals, site) derived."""
+    one_entry = lowest >= 0 and kernel.one_entry
+    if one_entry:
+        touched = _FLOW
+    elif kernel.totals is kernel.counts:
+        touched = _TOTAL
+    else:
+        touched = kernel.totals.take
+    if kernel.untested:
+        evals = None
+    elif kernel.evals is kernel.totals:
+        evals = _TOUCHED
+    else:
+        evals = kernel.evals.take
+    first_rids = kernel.first_rids
+    return _Step(
+        alias,
+        config,
+        kernel,
+        translate,
+        lowest,
+        probe,
+        key,
+        None if first_rids is None else first_rids.take,
+        first_rids is not None and kernel.untested and one_entry and not kernel.pa,
+        lowest == -2,
+        touched,
+        evals,
+        live,
+        keep,
+        "index-lookup" if probe is None or probe.build is None else "hash-probe",
+    )
+
+
+def _every_alias_live(steps: Sequence) -> list:
+    """*steps* keeping every alias's RIDs (what the invariant oracle
+    records of each emitted tuple)."""
+    return [
+        step._replace(live=tuple(range(position)), keep=True)
+        for position, step in enumerate(steps, 1)
+    ]
 
 
 def _positional_kernel(base, positional, table_len: int):
@@ -515,19 +608,24 @@ def _plan_signature(executor) -> tuple:
     )
 
 
-def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, int]:
+def _expand(meter, steps: Sequence, legs, survivors, built: set) -> tuple[list, int]:
     """One chunk's layered expansion: ``(ancestors, flow)``.
 
-    ``ancestors[alias]`` maps every joined tuple the chunk produces to its
-    RID at that alias, in depth-first nested-loop order. Each inner leg
-    charges the scalar probes' work as kernel aggregates (descend per outer
-    row; a key the index holds walks its full group — entries, fetches,
+    ``ancestors[position]`` maps every joined tuple the chunk produces to
+    its RID at that position of the order, in depth-first nested-loop
+    order — for the positions some later step, the projection or the
+    invariant oracle reads (:attr:`_Step.live`, :attr:`_Step.keep`); the
+    others are left as they were, or None. Each inner leg charges the
+    scalar probes' work as kernel aggregates (descend per outer row; a
+    key the index holds walks its full group — entries, fetches,
     short-circuit local evals; a missing key touches one entry; a NULL key
-    descends only), adds the chunk's rows in / candidates / rows out to the
-    leg's flow counters and, when monitored, folds the same aggregate into
-    its window as the chunk's one entry. A hash-probed leg or one with
-    residual joins charges through its :class:`_Probe` instead — the one
-    test a leg's step adds.
+    descends only), summed over the chunk's legs and added to *meter*
+    once. *legs* (``legs[position]``; None: no flow counted) take the
+    chunk's rows in / candidates / rows out and, when monitored, the same
+    aggregate into the leg's window as the chunk's one entry. A
+    hash-probed leg or one with residual joins charges and masks through
+    its :class:`_Probe` — the one test a leg's step adds. *built* holds
+    the hash builds this execution has charged.
 
     One path serves every key. A NULL key's rank is -1 and a missing key's
     -2, and every per-key kernel array ends in two padding slots
@@ -541,125 +639,157 @@ def _expand(meter, inner: list, driving_alias: str, survivors) -> tuple[dict, in
     Two steps make the leg's tuples. A unique kernel (no key with more
     than one passing row) gathers its ``first_rids``: the outer rows whose
     gather is not -1 keep their place, their one match each is what they
-    gathered — restricting the ancestors only when some probe missed. Any
-    other kernel takes the CSR expansion. Charges, counters and folds are
-    the same for both, and each reads only the arrays it needs: a
-    test-free kernel's entries are its matches, and an untested kernel's
-    evals are zero (:attr:`_Kernel.untested`), so neither is gathered.
+    gathered — restricting the ancestors only when some probe missed, and
+    testing nothing where no probe can miss (:attr:`_Step.total`; a total
+    step whose RIDs nobody reads gathers nothing at all). Any other kernel
+    takes the CSR expansion, where each ancestor repeats its outer row
+    once per match (a ``repeat``, no parent index). Charges, counters and
+    folds are the same for
+    both, and each reads only the arrays it needs: a test-free kernel's
+    entries are its matches, and an untested kernel's evals are zero
+    (:attr:`_Kernel.untested`), so neither is gathered.
     """
     flow = len(survivors)
-    ancestors: dict[str, Any] = {driving_alias: survivors}
-    for leg, pconfig, kernel, translate, lowest, probe in inner:
-        if flow == 0:
-            ancestors[leg.alias] = _np.zeros(0, dtype=_np.int64)
-            continue
-        ranks = translate(ancestors[pconfig.key_alias])
-        missing = int(_count_nonzero(ranks == -2)) if lowest == -2 else 0
-        first_rids = kernel.first_rids
-        if first_rids is not None:
-            # A gather: outer row i's one match, if any, is its key's first
-            # passing row. Nothing to restrict when every probe matched.
-            rids = first_rids.take(ranks)
-            parent = (rids >= 0).nonzero()[0]
-            total = len(parent)
-            if total < flow:
-                rids = rids.take(parent)
+    ancestors: list = [None] * (len(steps) + 1)
+    ancestors[0] = survivors
+    descends = entries = fetches = evals_in = updates = 0
+    position = 0
+    for (
+        alias, _, kernel, translate, _, probe, key, gather, total, missing,
+        touched_by, evals_by, live, keep, _,
+    ) in steps:
+        position += 1
+        if not flow:
+            break
+        if total and not keep:
+            ranks = None  # every probe matches, and nobody reads the match
+            count = flow
+        else:
+            ranks = translate(ancestors[key])
+            if gather is not None:
+                # A gather: outer row i's one match, if any, is its key's
+                # first passing row. Nothing to restrict when every probe
+                # matched.
+                rids = gather(ranks)
+                count = flow
+                if not total:
+                    hit = (rids >= 0).nonzero()[0]
+                    count = len(hit)
+                    if count < flow:
+                        if keep:
+                            rids = rids.take(hit)
+                        for earlier in live:
+                            ancestors[earlier] = ancestors[earlier].take(hit)
             else:
-                parent = None
-        else:
-            # CSR gather: tuple t of outer row i comes ``ends[i] - t``
-            # tuples before the end of row i's output, and reads pass_rids
-            # that far before the end of row i's slice.
-            matches = kernel.counts.take(ranks)
-            ends = matches.cumsum()
-            total = int(ends[-1])
-            iota = _np.arange(max(flow, total))
-            parent = iota[:flow].repeat(matches)
-            shift = kernel.pass_offsets[1:].take(ranks)
-            shift -= ends
-            positions = shift.take(parent)
-            positions += iota[:total]
-            rids = kernel.pass_rids.take(positions)
-        # Arrays a kernel shares are gathered once (a test-free kernel's
-        # counts are its totals, a one-test kernel's evals too), and none
-        # where every probe reads its key's one entry.
-        if lowest >= 0 and kernel.one_entry:
+                # CSR expansion: outer row i repeats once per match, and
+                # its tuple t reads pass_rids ``ends[i] - t`` entries
+                # before the end of row i's slice.
+                matches = kernel.counts.take(ranks)
+                ends = matches.cumsum()
+                count = int(ends[-1])
+                if keep:
+                    shift = kernel.pass_offsets[1:].take(ranks)
+                    shift -= ends
+                    at = shift.repeat(matches)
+                    at += _np.arange(count)
+                    rids = kernel.pass_rids.take(at)
+                for earlier in live:
+                    ancestors[earlier] = ancestors[earlier].repeat(matches)
+            if keep:
+                ancestors[position] = rids
+        missed = int(_count_nonzero(ranks == -2)) if missing else 0
+        if touched_by is _FLOW:
             touched = flow
-        elif kernel.totals is kernel.counts:
-            touched = total
+        elif touched_by is _TOTAL:
+            touched = count
         else:
-            touched = int(_sum(kernel.totals.take(ranks)))
-        if kernel.untested:
+            touched = int(_sum(touched_by(ranks)))
+        if evals_by is None:
             evals = 0
-        elif kernel.evals is kernel.totals:
+        elif evals_by is _TOUCHED:
             evals = touched
         else:
-            evals = int(_sum(kernel.evals.take(ranks)))
-        if parent is not None:
-            ancestors = {alias: arr.take(parent) for alias, arr in ancestors.items()}
-        ancestors[leg.alias] = rids
-        if probe is None:
-            entries = touched + missing
-            meter.index_descends += flow
-            meter.index_entries += entries
-            meter.row_fetches += touched
-            meter.predicate_evals += evals
-            out = total
+            evals = int(_sum(evals_by(ranks)))
+        leg = None if legs is None else legs[position]
+        out = count
+        work = None
+        if probe is None or probe.build is None:
+            descends += flow
+            fetches += touched
+            entries += touched + missed
         else:
-            ancestors, out, work = probe.step(
-                meter, leg, ancestors, flow, touched, evals, missing, total
-            )
-        leg.rows_in += flow
-        leg.index_matches += touched
-        leg.rows_out += out
-        if leg.monitoring_enabled:
-            meter.monitor_updates += flow
-            if probe is None:
-                work = (
-                    flow * INDEX_DESCEND_COST
-                    + entries * INDEX_ENTRY_COST
-                    + touched * ROW_FETCH_COST
-                    + evals * PREDICATE_EVAL_COST
+            work = probe.charge_hash(meter, built, alias, leg, flow, touched)
+        if probe is not None and probe.residuals and count:
+            out, evals = probe.mask(ancestors, position, live, count, evals)
+        evals_in += evals
+        if leg is not None:
+            leg.rows_in += flow
+            leg.index_matches += touched
+            leg.rows_out += out
+            if leg.monitoring_enabled:
+                updates += flow
+                if work is None:
+                    work = (
+                        flow * INDEX_DESCEND_COST
+                        + (touched + missed) * INDEX_ENTRY_COST
+                        + touched * ROW_FETCH_COST
+                    )
+                # The lean aggregate: (incoming, index matches, output,
+                # work), one window entry per chunk.
+                leg.monitor.window.observe_chunk(
+                    flow, touched, out, work + evals * PREDICATE_EVAL_COST
                 )
-            # The lean aggregate: (incoming, index matches, output,
-            # work), one window entry per chunk.
-            leg.monitor.window.observe_chunk(flow, touched, out, work)
-            # Test i evaluates the rows test i - 1 passed (``ev[i] is
-            # pa[i - 1]``, ``ev[0] is totals``): one gather per test, and
-            # none for the last unless a positional test follows it.
-            passed = touched
-            for counts, column in zip(leg.local_counts, kernel.pa):
-                counts[0] += passed
-                passed = (
-                    total
-                    if column is kernel.counts
-                    else int(_sum(column.take(ranks)))
-                )
-                counts[1] += passed
-            leg.incoming_since_check += flow
+                # Test i evaluates the rows test i - 1 passed (``ev[i] is
+                # pa[i - 1]``, ``ev[0] is totals``): one gather per test,
+                # and none for the last unless a positional test follows.
+                passed = touched
+                for counts, column in zip(leg.local_counts, kernel.pa):
+                    counts[0] += passed
+                    passed = (
+                        count
+                        if column is kernel.counts
+                        else int(_sum(column.take(ranks)))
+                    )
+                    counts[1] += passed
+                leg.incoming_since_check += flow
         flow = out
+    meter.index_descends += descends
+    meter.index_entries += entries
+    meter.row_fetches += fetches
+    meter.predicate_evals += evals_in
+    if updates:
+        meter.monitor_updates += updates
     return ancestors, flow
 
 
-def _project(bound: dict, projection: Sequence, ancestors: dict, count: int) -> list:
+def _project(takers: Sequence, ancestors: list, count: int) -> list:
     """The first *count* joined tuples of a chunk as projected result rows
-    (*bound*: the prepared record's ``{alias: LegBinding}``)."""
-    if not projection:  # degenerate empty projection
+    (*takers*: ``(position, column take)`` per output column)."""
+    if not takers:  # degenerate empty projection
         return [()] * count
-    return list(zip(*(
-        bound[alias].table.cells(slot, ancestors[alias][:count])
-        for alias, slot in projection
-    )))
+    return list(zip(*(take(ancestors[at][:count]) for at, take in takers)))
 
 
-def _run_cascade(executor, walk: _DrivingWalk, inner: list):
-    """Chunk loop: limits -> walk -> expand -> emit -> checks, folding inline.
+def cascade(executor) -> Iterator[list]:
+    """The chunk loop: limits -> walk -> expand -> emit -> checks, folding
+    inline; a generator of one list of projected rows per chunk that emits
+    any.
 
-    Runs the query to its end: every plan a check can rebuild is one the
-    cascade runs (windows and counters are consistent at every boundary:
-    each fold is applied where its numbers are computed). It yields one
-    list of rows per chunk that emits any; an unmonitored run's boundary
-    ends at the row budget (nothing checks, nothing can move the plan).
+    Runs *executor*'s pipeline to its end: every plan a check can rebuild
+    is one the cascade runs (windows and counters are consistent at every
+    boundary: each fold is applied where its numbers are computed). What
+    the plan and the data alone decide is not derived here: a run that
+    starts as its plan describes runs the step program of the plan's
+    prepared cascade start (:func:`cascade_start`) — every static run,
+    and a monitored one until its first recompile — and a pipeline a
+    caller moved first compiles its steps afresh (:func:`_adaptive_plan`,
+    from group kernels and join-key rank arrays the probed indexes
+    memoize). A monitored run opens its driving cursor on the machine and
+    counts its flow in its legs; a static one positions no cursor and
+    counts flow only where it is read (``executor.flows``: an observed
+    run's :class:`~repro.executor.access.LegFlow`, else None). An
+    unmonitored run's boundary ends at the row budget (nothing checks,
+    nothing can move the plan).
 
     Observable-parity contract with the scalar machine (for monitored
     plans: the scalar machine applying the same decisions at the same
@@ -712,20 +842,40 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
     """
     config = executor.config
     mode = config.mode
-    check_freq = config.check_frequency
-    controller = executor.controller
     meter = executor.catalog.meter
     faulty = executor.catalog.faults is not None
     limits = executor._enforcer
     oracle = executor.oracle
     monitored = mode.monitors
+    order = executor.order
+    if monitored:
+        executor._open_driving(order[0])
+        executor.engine_used = "vector-adaptive"
+        legs, start = executor.legs, executor.prepared_start
+    else:
+        legs, start = executor.flows, executor.prepared.cascade
+    if start is None:
+        steps, takers = _adaptive_plan(
+            order, legs, executor.prepared.bindings.projection_slots
+        )
+        walk = _driving_walk(legs[order[0]], executor.driving_cursor)
+    else:
+        steps, walk, takers = start
+        walk = walk.restarted(
+            meter,
+            None if legs is None else legs[order[0]],
+            executor.driving_cursor if monitored else None,
+        )
+    if oracle is not None:  # the oracle reads every alias
+        steps = _every_alias_live(steps)
+    # by_position[position]: whose flow each step counts (None: nobody's).
+    by_position = None if legs is None else [legs[alias] for alias in order]
+    check_freq = config.check_frequency
+    controller = executor.controller
     reorders_inner = monitored and mode.reorders_inner
     reorders_driving = monitored and mode.reorders_driving
-    # Only a check can move the plan, and only a monitored run checks.
-    legs_map = executor.legs if monitored else None
-    bound = executor.prepared.bindings.legs
-    projection = executor.prepared.bindings.projection_slots
     plan_sig = _plan_signature(executor) if monitored else None
+    built: set = set()  # the hash builds this execution has charged
     slice_rows = STATIC_SLICE_ROWS
     chunk_rows = min(MONITORED_CHUNK_ROWS, slice_rows) if monitored else slice_rows
     while True:
@@ -747,24 +897,24 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
         executor.driving_rows_total += taken
 
         if faulty:
-            for leg, config, *_ in inner:  # before each leg's charges and fold
-                executor.consult(
-                    "index-lookup" if config.hash_column is None else "hash-probe"
-                )
-                if leg.monitoring_enabled:
+            for position, step in enumerate(steps, 1):  # before its charges
+                executor.consult(step.site)
+                leg = None if by_position is None else by_position[position]
+                if leg is not None and leg.monitoring_enabled:
                     try:
                         executor.consult("monitor")
                     except StorageError as exc:  # advisory, as a probe's is
                         leg._degrade_monitoring(exc)
-        ancestors, flow = _expand(meter, inner, walk.leg.alias, survivors)
+        ancestors, flow = _expand(meter, steps, by_position, survivors, built)
         admitted = flow if limits is None else limits.admit_rows(flow)
         meter.rows_emitted += admitted
         executor.rows_emitted += admitted
         if admitted:
             if oracle is not None:
-                for rids in zip(*(ancestors[a][:admitted].tolist() for a in ancestors)):
-                    oracle.record_emit(dict(zip(ancestors, rids)))
-            yield _project(bound, projection, ancestors, admitted)
+                order = executor.order
+                for rids in zip(*(rids[:admitted].tolist() for rids in ancestors)):
+                    oracle.record_emit(dict(zip(order, rids)))
+            yield _project(takers, ancestors, admitted)
 
         # -- chunk boundary: the two checks ------------------------------
         if admitted < flow:
@@ -781,7 +931,7 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
         if (
             reorders_inner
             and len(executor.order) > 2
-            and legs_map[executor.order[1]].incoming_since_check >= check_freq
+            and legs[executor.order[1]].incoming_since_check >= check_freq
         ):
             executor.depleted_from = 1
             controller.on_suffix_depleted(1)
@@ -790,13 +940,17 @@ def _run_cascade(executor, walk: _DrivingWalk, inner: list):
             controller.on_pipeline_depleted()
         sig = _plan_signature(executor)
         if sig != plan_sig:
-            inner = _adaptive_plan(executor.order, legs_map)
+            order = executor.order
+            steps, takers = _adaptive_plan(
+                order, legs, executor.prepared.bindings.projection_slots
+            )
+            if oracle is not None:
+                steps = _every_alias_live(steps)
+            by_position = [legs[alias] for alias in order]
             # Whatever the controller returned: the plan says who drives.
-            if walk.leg is not legs_map[executor.order[0]]:
+            if walk.leg is not legs[order[0]]:
                 # A fresh (or resumed) driving cursor: a new walk.
-                walk = _driving_walk(
-                    legs_map[executor.order[0]], executor.driving_cursor
-                )
+                walk = _driving_walk(legs[order[0]], executor.driving_cursor)
             plan_sig = sig
         elif chunk_rows < slice_rows:
             # Nothing moved: ask half as often from here on.

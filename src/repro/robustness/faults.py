@@ -163,11 +163,13 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._rng = random.Random(plan.seed)
-        self._calls: dict[str, int] = {site: 0 for site in KNOWN_SITES}
+        # Seeded on the first probability draw: the same seed, the same
+        # draws, and nothing built for a plan that never draws.
+        self._rng: random.Random | None = None
+        self._calls: dict[str, int] = dict.fromkeys(KNOWN_SITES, 0)
         self._fires_left: list[float] = [s.fire_budget for s in plan.specs]
         # site -> number of faults raised there (for assertions/reports).
-        self.fired: dict[str, int] = {site: 0 for site in KNOWN_SITES}
+        self.fired: dict[str, int] = dict.fromkeys(KNOWN_SITES, 0)
 
     @property
     def total_fired(self) -> int:
@@ -190,6 +192,8 @@ class FaultInjector:
             if spec.nth_call is not None:
                 triggered = count == spec.nth_call
             else:
+                if self._rng is None:
+                    self._rng = random.Random(self.plan.seed)
                 triggered = self._rng.random() < (spec.probability or 0.0)
             if not triggered:
                 continue
@@ -239,6 +243,7 @@ def call_with_retry(
     operation: Callable[[], T],
     policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     on_retry: Callable[[], None] | None = None,
+    failed: TransientStorageError | None = None,
 ) -> T:
     """Run *operation*, retrying transient storage faults with backoff.
 
@@ -246,20 +251,25 @@ def call_with_retry(
     re-raised with the attempt count chained in, so callers can tell an
     exhausted retry budget from a first-try permanent failure. *on_retry*
     (when given) is invoked once per retry, before the backoff sleep —
-    the observability layer counts retries through it.
+    the observability layer counts retries through it. *failed* is the
+    transient fault of a first attempt the caller made itself: the retries
+    continue from it, with the same attempts in all.
     """
     attempt = 0
     while True:
         attempt += 1
-        try:
-            return operation()
-        except TransientStorageError as exc:
-            if attempt >= policy.max_attempts:
-                raise StorageError(
-                    f"transient fault persisted across {attempt} attempts: {exc}"
-                ) from exc
-            if on_retry is not None:
-                on_retry()
-            delay = policy.delay_for(attempt)
-            if delay > 0:
-                policy.sleep(delay)
+        if failed is None:
+            try:
+                return operation()
+            except TransientStorageError as exc:
+                failed = exc
+        if attempt >= policy.max_attempts:
+            raise StorageError(
+                f"transient fault persisted across {attempt} attempts: {failed}"
+            ) from failed
+        if on_retry is not None:
+            on_retry()
+        delay = policy.delay_for(attempt)
+        failed = None
+        if delay > 0:
+            policy.sleep(delay)

@@ -100,29 +100,34 @@ class _NumericColumn:
             ]
         return values
 
-    def np_values(self):
-        """``(values, notnull)`` numpy copies."""
+    def _np_arrays(self) -> tuple:
+        """``(rows, values, notnull, holds a NULL)``, built once per
+        length."""
         count = len(self.data)
         cache = self._np_cache
-        if cache is not None and cache[0] == count:
-            return cache[1], cache[2]
-        # Copies, not views: a live buffer export would make the arrays
-        # refuse append() (BufferError) on later inserts.
-        dtype = _np.int64 if self.typecode == "q" else _np.float64
-        values = _np.frombuffer(self.data, dtype=dtype).copy()
-        notnull = _np.frombuffer(self.nulls, dtype=_np.uint8) == 0
-        self._np_cache = (count, values, notnull)
-        return values, notnull
+        if cache is None or cache[0] != count:
+            # Copies, not views: a live buffer export would make the arrays
+            # refuse append() (BufferError) on later inserts.
+            dtype = _np.int64 if self.typecode == "q" else _np.float64
+            values = _np.frombuffer(self.data, dtype=dtype).copy()
+            notnull = _np.frombuffer(self.nulls, dtype=_np.uint8) == 0
+            cache = self._np_cache = (count, values, notnull, 1 in self.nulls)
+        return cache
+
+    def np_values(self):
+        """``(values, notnull)`` numpy copies."""
+        return self._np_arrays()[1:3]
 
     def take(self, rids) -> list:
         """The values at *rids* (an index array) as the row view holds
         them."""
-        values, notnull = self.np_values()
-        taken = values[rids].tolist()
-        present = notnull[rids]
-        if not present.all():
-            for position in (~present).nonzero()[0].tolist():
-                taken[position] = None
+        _, values, notnull, nullable = self._np_arrays()
+        taken = values.take(rids).tolist()
+        if nullable:
+            present = notnull[rids]
+            if not present.all():
+                for position in (~present).nonzero()[0].tolist():
+                    taken[position] = None
         return taken
 
     def nbytes(self) -> int:
@@ -168,8 +173,11 @@ class _StringColumn:
         cache = self._np_cache
         if cache is None or cache[0] != count:
             codes = _np.frombuffer(self.codes, dtype=_np.int32).copy()
-            # Code -1 (NULL) indexes the None appended past the last string.
-            cache = self._np_cache = (count, codes, [*self.decode, None])
+            # Code -1 (NULL) indexes the None appended past the last string;
+            # an object array, so a projection decodes in two gathers.
+            lookup = _np.empty(len(self.decode) + 1, dtype=object)
+            lookup[:-1] = self.decode
+            cache = self._np_cache = (count, codes, lookup)
         return cache
 
     def np_codes(self):
@@ -179,7 +187,7 @@ class _StringColumn:
         """The values at *rids* (an index array) as the row view holds
         them."""
         _, codes, lookup = self._np_arrays()
-        return [lookup[code] for code in codes[rids].tolist()]
+        return lookup.take(codes.take(rids)).tolist()
 
     def nbytes(self) -> int:
         return (

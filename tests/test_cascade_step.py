@@ -36,6 +36,7 @@ from repro.executor import vector
 from repro.executor.access import RuntimeLeg, bind_local_tests
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor
+from repro.obs.recorder import QueryObservability
 from repro.robustness.oracle import InvariantOracle
 
 from tests.test_cyclic_graphs import SQL as CYCLIC, build_cyclic_db
@@ -197,7 +198,8 @@ def recordings(monkeypatch):
 
 def leg_facts(executor) -> dict:
     """Each leg's flow counters and local counts (a run that monitors
-    nothing keeps none: a static engine run counts its flow without legs)."""
+    nothing keeps none: an observed static engine run counts its flow
+    without legs, an unobserved one not at all)."""
     return {
         alias: (
             flow.rows_in,
@@ -218,7 +220,10 @@ def assert_static_alike(row_db, columnar_db, sql, executors):
         armed = execution == 3
         want = row_db.execute(sql, NONE, oracle=armed)
         oracle = executors[-1]
-        got = columnar_db.execute(sql, NONE, oracle=armed)
+        # Observed: an unobserved static run counts no flow.
+        got = columnar_db.execute(
+            sql, NONE, oracle=armed, obs=QueryObservability()
+        )
         engine = executors[-1]
         where = (execution, sql)
         assert (want.stats.engine, got.stats.engine) == ("scalar", "vector"), where
@@ -241,7 +246,9 @@ def assert_adaptive_replays(
     runs = []
     for execution in (1, 2, 3):
         recordings.clear()
-        result = columnar_db.execute(sql, BOTH, oracle=execution == 1)
+        result = columnar_db.execute(
+            sql, BOTH, oracle=execution == 1, obs=QueryObservability()
+        )
         script = recordings[0].script if recordings else []
         runs.append((execution, result, executors[-1], script))
     switches = learned = 0
@@ -388,7 +395,7 @@ def test_a_repeat_static_execution_reads_only_what_it_needs(monkeypatch):
         db.execute(sql, NONE)
     untested = 0
     for plan in db.plan_cache.plans():
-        template, _ = plan.__dict__["_prepared"].cascade
+        template, *_ = plan.__dict__["_prepared"].cascade
         for _, _, kernel, *_ in template:
             if kernel.untested:
                 monkeypatch.setattr(kernel, "evals", Tripwire())

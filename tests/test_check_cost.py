@@ -214,9 +214,9 @@ def test_a_kept_boundary_compiles_and_plans_nothing(columnar, monkeypatch):
         compiles.append(leg.alias)
         return compile_probe(leg, *args, **kwargs)
 
-    def counting_plan(order, legs):
+    def counting_plan(order, legs, *args):
         plans.append(tuple(order))
-        return adaptive_plan(order, legs)
+        return adaptive_plan(order, legs, *args)
 
     monkeypatch.setattr(RuntimeLeg, "compile_probe", counting_compile)
     monkeypatch.setattr(repro.executor.vector, "_adaptive_plan", counting_plan)

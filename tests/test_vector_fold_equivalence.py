@@ -31,7 +31,7 @@ import pytest
 
 from repro.core.monitor import AggregatedWindow, LegMonitor
 from repro.db import Database
-from repro.executor.vector import _Probe, _expand, _residual_cells
+from repro.executor.vector import _compile_step, _expand, _Probe, _residual_cells
 from repro.query.predicates import Between, Comparison, IsNull, Op
 from repro.storage.columnar import _np
 from repro.storage.counters import (
@@ -158,8 +158,9 @@ SOURCE_RID = {key: rid for rid, key in enumerate(SOURCE_KEYS)}
 
 def one_leg_plan(db, index, kernel, ntests, probe=None):
     """``src(k)`` driving, ``t`` probed through *kernel* (and *probe*): the
-    one-leg plan ``vector._adaptive_plan`` would hand ``_expand``, and its
-    leg."""
+    one-leg plan ``vector._adaptive_plan`` would hand ``_expand`` (its
+    step, keeping both aliases' RIDs; the legs by position; the hash
+    builds charged), and its leg."""
     if "src" not in db.catalog.table_names():
         db.create_table("src", [("k", "int")])
         db.insert("src", [(key,) for key in SOURCE_KEYS])
@@ -173,19 +174,24 @@ def one_leg_plan(db, index, kernel, ntests, probe=None):
         rows_in=0,
         index_matches=0,
         rows_out=0,
-        _hash_tables={},
     )
-    plan = [
-        (
-            leg,
-            SimpleNamespace(key_alias="src"),
-            kernel,
-            index.row_ranks(source).take,
-            index.lowest_rank_of(source),
-            probe,
-        )
-    ]
-    return leg, plan
+    step = _compile_step(
+        "t",
+        SimpleNamespace(key_alias="src"),
+        kernel,
+        index.row_ranks(source).take,
+        index.lowest_rank_of(source),
+        probe,
+        0,
+        (0,),
+        True,
+    )
+    return leg, SimpleNamespace(steps=[step], legs=[None, leg], built=set())
+
+
+def expand(meter, plan, survivors):
+    """The shipped ``_expand`` over :func:`one_leg_plan`'s *plan*."""
+    return _expand(meter, plan.steps, plan.legs, survivors, plan.built)
 
 
 def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
@@ -223,7 +229,7 @@ def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
         survivors = _np.asarray(
             [SOURCE_RID[key] for key in chunk], dtype=_np.int64
         )
-        ancestors, produced = _expand(meter, plan, "src", survivors)
+        ancestors, produced = expand(meter, plan, survivors)
 
         scalar_rows = []
         sum_matches = 0
@@ -255,10 +261,10 @@ def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
         produced_total += len(scalar_rows)
 
         # Bit-identical at every chunk boundary, not just at the end.
-        assert sorted(ancestors) == ["src", "t"]
+        assert len(ancestors) == 2  # src, t
         assert produced == len(scalar_rows)
         assert (
-            list(zip(ancestors["src"].tolist(), ancestors["t"].tolist()))
+            list(zip(ancestors[0].tolist(), ancestors[1].tolist()))
             == scalar_rows
         )
         assert dataclasses.asdict(meter) == dataclasses.asdict(scalar_meter)
@@ -380,7 +386,7 @@ def check_probed_leg(rng, plan, leg, scalar, chunk_keys):
     incoming = candidates = produced_total = 0
     for _ in range(rng.randint(2, 6)):  # several chunks: eviction
         survivors = _np.asarray(chunk_keys(), dtype=_np.int64)
-        ancestors, produced = _expand(meter, plan, "src", survivors)
+        ancestors, produced = expand(meter, plan, survivors)
         scalar_rows = []
         sum_matches = 0
         sum_work = 0.0
@@ -399,7 +405,7 @@ def check_probed_leg(rng, plan, leg, scalar, chunk_keys):
         produced_total += len(scalar_rows)
         assert produced == len(scalar_rows)
         assert (
-            list(zip(ancestors["src"].tolist(), ancestors["t"].tolist()))
+            list(zip(ancestors[0].tolist(), ancestors[1].tolist()))
             == scalar_rows
         )
         assert dataclasses.asdict(meter) == dataclasses.asdict(scalar_meter)
@@ -470,7 +476,7 @@ def test_hash_probed_leg_folds_match_scalar_hash_probe_folds(seed):
     check_probed_leg(rng, plan, leg, scalar, chunk_keys)
     # Table-wide, once: what the build counted, not what the probes saw.
     assert leg.local_counts == build_counts
-    assert leg._hash_tables == {"k": build}
+    assert plan.built == {("t", "k")}
     assert build.kernel.unique == (
         max(map(len, buckets.values()), default=0) <= 1
     )
@@ -519,7 +525,7 @@ def test_residual_join_folds_match_scalar_residual_probe_folds(seed, nterms):
     probe = _Probe(
         None,
         tuple(
-            ("src", *_residual_cells(source, outer, table, own))
+            (0, *_residual_cells(source, outer, table, own))
             for outer, own in terms
         ),
     )

@@ -7,8 +7,10 @@ the cascade straight off the plan's prepared record: they construct no
 nor with a row budget armed, nor with a flight-recorder bundle armed, nor
 fully observed (``obs=True``: the trace, the metrics and the final estimate
 sample are rendered after the run from the flow counters and the prepared
-record's summary), nor under ``EXPLAIN ANALYZE``. What they return is the
-row store's scalar oracle's: rows in order, every ``WorkMeter`` field and
+record's summary), nor under ``EXPLAIN ANALYZE``. An unobserved one builds no ``LegFlow``
+either: flow counters exist where something reads them (an observation,
+EXPLAIN ANALYZE, a flight recorder). What they return is the row store's
+scalar oracle's: rows in order, every ``WorkMeter`` field and, observed,
 each leg's flow counters (the oracle's as an observed run's trace reports
 them).
 """
@@ -23,9 +25,9 @@ import pytest
 from repro import AdaptiveConfig, ExecutionLimits, ReorderMode
 from repro.core.positions import PositionRegistry
 from repro.dmv import load_dmv
-from repro.executor.access import RuntimeLeg
-from repro.executor.pipeline import PipelineExecutor
-from repro.obs.recorder import FlightRecorder
+from repro.errors import StorageError
+from repro.executor.access import LegFlow, RuntimeLeg
+from repro.obs.recorder import FlightRecorder, QueryObservability
 from repro.robustness.faults import FaultPlan, FaultSpec
 from repro.storage.cursor import IndexScanCursor, TableScanCursor
 
@@ -66,6 +68,10 @@ COUNTED = (
     (IndexScanCursor, "__init__"),
     (PositionRegistry, "__init__"),
 )
+#: What a warm static run builds only when it is observed.
+UNOBSERVED = ((LegFlow, "__init__"),)
+#: The :data:`ARMINGS` that observe the run.
+OBSERVED = ("flight recorder", "observed")
 FLOW = ("rows_in", "index_matches", "rows_out", "rows_scanned", "rows_survived")
 
 
@@ -78,9 +84,10 @@ def dbs():
 
 @pytest.fixture
 def built(monkeypatch):
-    """Constructions of each :data:`COUNTED` class from here on."""
+    """Constructions of each :data:`COUNTED` and :data:`UNOBSERVED` class
+    from here on."""
     counts = Counter()
-    for owner, name in COUNTED:
+    for owner, name in COUNTED + UNOBSERVED:
         function = getattr(owner, name)
 
         def counting(self, *args, _function=function, _owner=owner, **kwargs):
@@ -89,20 +96,6 @@ def built(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
     return counts
-
-
-@pytest.fixture
-def executors(monkeypatch):
-    """Every executor that runs from here on, in order."""
-    seen = []
-    accounted = PipelineExecutor._accounted
-
-    def keeping(self, run):
-        seen.append(self)
-        return accounted(self, run)
-
-    monkeypatch.setattr(PipelineExecutor, "_accounted", keeping)
-    return seen
 
 
 def traced_flows(result) -> dict:
@@ -117,15 +110,16 @@ def traced_flows(result) -> dict:
 @pytest.mark.parametrize("arming", ARMINGS)
 @pytest.mark.parametrize("config", [NONE, BOTH], ids=["repeat-none", "learned"])
 def test_a_warm_static_run_builds_nothing_per_plan(
-    dbs, built, executors, arming, config
+    dbs, built, arming, config
 ):
     row_db, columnar = dbs
     for _ in range(2):  # the plan, its record, the lesson, the record's summary
         columnar.execute(SQL, config, **ARMINGS[arming]())
     built.clear()
     got = columnar.execute(SQL, config, **ARMINGS[arming]())
-    assert sum(built.values()) == 0, dict(built)
-    engine = executors[-1]
+    observed = arming in OBSERVED
+    assert sum(built[owner.__name__] for owner, _ in COUNTED) == 0, dict(built)
+    assert observed or built["LegFlow"] == 0, dict(built)
     assert got.stats.engine == "vector"
     assert got.stats.inner_checks + got.stats.driving_checks == 0
     if config is BOTH:
@@ -142,9 +136,11 @@ def test_a_warm_static_run_builds_nothing_per_plan(
     )
     assert got.stats.order_history == want.stats.order_history
     assert got.final_order == want.final_order
+    if not observed:
+        return
     flows = {
         alias: tuple(getattr(flow, name) for name in FLOW)
-        for alias, flow in engine.flows.items()
+        for alias, flow in got.obs.flows.items()
     }
     assert flows == traced_flows(want)
     assert any(rows_in for rows_in, *_ in flows.values())  # not vacuous
@@ -158,7 +154,7 @@ def test_a_warm_explain_analyze_builds_nothing_per_plan(dbs, built):
         columnar.explain_analyze(SQL, NONE)
     built.clear()
     report = columnar.explain_analyze(SQL, NONE)
-    assert sum(built.values()) == 0, dict(built)
+    assert sum(built[owner.__name__] for owner, _ in COUNTED) == 0, dict(built)
     assert "engine: vector" in report.splitlines()
 
 
@@ -172,7 +168,7 @@ def test_a_checked_static_run_builds_nothing_per_plan(dbs, built, check):
     armed = CHECKS[check]()
     built.clear()
     got = columnar.execute(ROWS_SQL, NONE, **armed)
-    assert sum(built.values()) == 0, dict(built)
+    assert sum(built.values()) == 0, dict(built)  # no LegFlow either
     assert got.stats.engine == "vector"
     assert got.rows == plain.rows
     assert dataclasses.asdict(got.stats.work) == dataclasses.asdict(
@@ -183,3 +179,17 @@ def test_a_checked_static_run_builds_nothing_per_plan(dbs, built, check):
         assert armed["fault_plan"].total_fired == 1
     else:
         assert got.oracle.emits == len(got.rows) > 0
+
+
+def test_a_persistent_transient_fault_exhausts_the_retries(dbs):
+    """A consultation's failed ``fire`` is the retry loop's first attempt:
+    a transient fault that never clears is retried ``max_attempts - 1``
+    times, each noted in the observation, and then fails the run."""
+    _, columnar = dbs
+    plan = FaultPlan(specs=(
+        FaultSpec(site="cursor-advance", kind="transient", probability=1.0),
+    ))
+    obs = QueryObservability()
+    with pytest.raises(StorageError, match="persisted across 4 attempts"):
+        columnar.execute(ROWS_SQL, NONE, fault_plan=plan, obs=obs)
+    assert [site for site, _ in obs.retries] == ["cursor-advance"] * 3
