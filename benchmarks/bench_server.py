@@ -12,9 +12,10 @@ reports
   admission layer applies (protocol + scheduling + one socket round trip
   to an engine process; the engines run in parallel, so where the kernel
   spreads them over the cores the factor approaches 1/min(engines, cores)
-  — 1.8x at ``--requests-per-client 600`` on 2 cores, clients included;
-  the 90 requests of a ``--quick`` run are over before it does, see
-  CHANGES.md PR 20),
+  — 1.14x at ``--requests-per-client 600`` on 2 cores, clients included
+  (1.42x before the event loop relayed a query in two callbacks, one run
+  each); the 90 requests of a ``--quick`` run are over before it does:
+  2.0-3.0x; see CHANGES.md),
 * executor wall next to end-to-end wall, both ways: the serial run's
   ``perf_counter`` around ``db.execute(db.plan(sql))`` (the optimizer's
   plan through the plan cache, never plan feedback: the baseline stays
@@ -72,9 +73,10 @@ REGRESSION_TOLERANCE = 0.90
 #: finds every plan in the database's cache, as the server does, so the
 #: factor sets the server path against bare execution: on a --quick run's
 #: 0.4 ms statements the fixed cost of a request (JSON both ways, a socket
-#: round trip to an engine process, two event-loop turns) alone makes it
-#: about 3x. (It was 2.0 while the serial loop re-planned every statement
-#: and measured 1.4x.)
+#: round trip to an engine process, two event-loop callbacks) alone makes
+#: it 2.0-3.0x (five runs on a 2-vCPU host; 2.4-3.8x before the relay
+#: became two callbacks, and 4.3-5.9x in other runs there). (It was 2.0
+#: while the serial loop re-planned every statement and measured 1.4x.)
 OVERHEAD_TOLERANCE = 4.0
 
 #: Served rounds and serial loops, interleaved against one server; the

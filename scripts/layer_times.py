@@ -45,6 +45,11 @@ and ``header`` (the header pickle ``engine_main`` sends), each the minimum
 over interleaved passes, and ``answer - execute``: what a request costs the
 engine process beyond its execution, from passes that wrap nothing else.
 It fails (exit 1) when a reply's rows differ from ``Database.execute``'s.
+Then it starts a ``repro serve`` child (columnar, two engine processes),
+sends :data:`CPU_REQUESTS` requests cycling through the same pairs over two
+connections (one request in flight on each, after one warm cycle), and
+prints the CPU a request (utime + stime of ``/proc/<pid>/stat``) of the
+serving process — the event loop — and of each engine process.
 
 ``--memory`` is the memory ledger instead: this process's ``VmRSS`` /
 ``VmHWM`` after the imports, after the columnar DMV load, after the served
@@ -70,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pickle
 import re
 import signal
@@ -77,6 +83,7 @@ import socket
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -324,6 +331,7 @@ def served(args) -> int:
         f"rows: {len(pairs) - mismatched} of {len(pairs)} replies match "
         "Database.execute"
     )
+    served_cpu(args.scale)
     return 1 if mismatched else 0
 
 
@@ -393,9 +401,10 @@ def memory(args) -> int:
     return 0
 
 
-def served_pss(scale: float) -> int:
-    """Tree PSS (kB) of a ``repro serve`` child after the served pairs."""
-    pairs = served_pairs()
+@contextmanager
+def serve_child(scale: float):
+    """A ``repro serve`` child (columnar, two engine processes); yields
+    its pid and port, and drains it with SIGTERM on the way out."""
     command = [
         sys.executable, "-m", "repro", "serve", "--backend", "columnar",
         "--extended", "--scale", f"{scale:g}", "--port", "0",
@@ -411,45 +420,9 @@ def served_pss(scale: float) -> int:
                 break
         else:
             raise SystemExit(f"server exited with code {child.wait()}")
-        port = int(match.group(1))
         # Keep draining the log, so the server never blocks writing it.
         threading.Thread(target=child.stderr.read, daemon=True).start()
-
-        failed: list = []
-
-        def send_all(order: list) -> None:
-            with socket.create_connection(("127.0.0.1", port)) as sock:
-                stream = sock.makefile("rwb")
-                for sql, mode in order:
-                    message = {"op": "query", "sql": sql, "mode": mode}
-                    stream.write((json.dumps(message) + "\n").encode())
-                    stream.flush()
-                    reply = json.loads(stream.readline())
-                    if reply.get("status") != "ok":
-                        failed.append(reply)
-
-        clients = [
-            threading.Thread(target=send_all, args=(order,))
-            for order in (pairs, pairs[::-1])
-        ]
-        for client in clients:
-            client.start()
-        for client in clients:
-            client.join()
-        if failed:
-            raise SystemExit(f"{len(failed)} served queries failed: {failed[0]}")
-        children = Path(
-            f"/proc/{child.pid}/task/{child.pid}/children"
-        ).read_text().split()
-        server_pss = proc_kb(child.pid, "smaps_rollup", "Pss")
-        engines = [proc_kb(pid, "smaps_rollup", "Pss") for pid in children]
-        print(
-            f"\nserved tree PSS after {len(pairs)} pairs x 2 connections "
-            f"(MB): server {server_pss / 1024:.1f}, engines "
-            + " / ".join(f"{kb / 1024:.1f}" for kb in engines)
-            + f", tree {(server_pss + sum(engines)) / 1024:.1f}"
-        )
-        return server_pss + sum(engines)
+        yield child.pid, int(match.group(1))
     finally:
         child.send_signal(signal.SIGTERM)
         try:
@@ -457,6 +430,105 @@ def served_pss(scale: float) -> int:
         except subprocess.TimeoutExpired:
             child.kill()
             child.wait()
+
+
+def send_orders(port: int, orders: list[list]) -> None:
+    """Each order of (statement, mode) pairs over a connection of its own,
+    all at once, one request in flight a connection; exits when a reply is
+    not ok."""
+    failed: list = []
+
+    def send_all(order: list) -> None:
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            stream = sock.makefile("rwb")
+            for sql, mode in order:
+                message = {"op": "query", "sql": sql, "mode": mode}
+                stream.write((json.dumps(message) + "\n").encode())
+                stream.flush()
+                reply = json.loads(stream.readline())
+                if reply.get("status") != "ok":
+                    failed.append(reply)
+
+    clients = [threading.Thread(target=send_all, args=(o,)) for o in orders]
+    for client in clients:
+        client.start()
+    for client in clients:
+        client.join()
+    if failed:
+        raise SystemExit(f"{len(failed)} served queries failed: {failed[0]}")
+
+
+def engine_pids(pid: int) -> list[int]:
+    return [
+        int(child)
+        for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    ]
+
+
+def served_pss(scale: float) -> int:
+    """Tree PSS (kB) of a ``repro serve`` child after the served pairs."""
+    pairs = served_pairs()
+    with serve_child(scale) as (pid, port):
+        send_orders(port, [pairs, pairs[::-1]])
+        server_pss = proc_kb(pid, "smaps_rollup", "Pss")
+        engines = [proc_kb(e, "smaps_rollup", "Pss") for e in engine_pids(pid)]
+    print(
+        f"\nserved tree PSS after {len(pairs)} pairs x 2 connections "
+        f"(MB): server {server_pss / 1024:.1f}, engines "
+        + " / ".join(f"{kb / 1024:.1f}" for kb in engines)
+        + f", tree {(server_pss + sum(engines)) / 1024:.1f}"
+    )
+    return server_pss + sum(engines)
+
+
+#: Requests the served CPU ledger times, over two connections, after one
+#: warm cycle of the served pairs on each.
+CPU_REQUESTS = 4000
+
+
+def cpu_ticks(pid: int) -> tuple[int, int]:
+    """``(utime, stime)`` of ``/proc/<pid>/stat``, in clock ticks."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return int(fields[11]), int(fields[12])
+
+
+def served_cpu(scale: float) -> None:
+    """CPU per request of a ``repro serve`` child's processes: the serving
+    process (the event loop) and each engine, over :data:`CPU_REQUESTS`
+    requests cycling through the served pairs on two connections."""
+    pairs = served_pairs()
+    per_connection = CPU_REQUESTS // 2
+    cycles = -(-per_connection // len(pairs))
+    orders = [
+        (pairs * cycles)[:per_connection],
+        (pairs[::-1] * cycles)[:per_connection],
+    ]
+    with serve_child(scale) as (pid, port):
+        send_orders(port, [pairs, pairs[::-1]])
+        processes = [("server", pid)] + [
+            (f"engine {number}", engine)
+            for number, engine in enumerate(engine_pids(pid))
+        ]
+        before = [cpu_ticks(p) for _, p in processes]
+        start = perf_counter()
+        send_orders(port, orders)
+        wall = perf_counter() - start
+        after = [cpu_ticks(p) for _, p in processes]
+    tick_us = 1e6 / os.sysconf("SC_CLK_TCK")
+    requests = 2 * per_connection
+    print(
+        f"\nserved CPU per request, {requests} requests over 2 connections "
+        f"(scale {scale:g}, {requests / wall:,.0f} requests/s; "
+        "/proc/<pid>/stat, one tick = "
+        f"{tick_us / requests:.1f} us a request)"
+    )
+    print(f"{'process':<20}{'user us':>9}{'sys us':>9}{'total us':>10}")
+    for (name, _), (user0, sys0), (user1, sys1) in zip(
+        processes, before, after
+    ):
+        user = (user1 - user0) * tick_us / requests
+        system = (sys1 - sys0) * tick_us / requests
+        print(f"{name:<20}{user:>9.1f}{system:>9.1f}{user + system:>10.1f}")
 
 
 def main() -> None:

@@ -94,24 +94,33 @@ class SharedCancellationToken(CancellationToken):
     The record belongs to the engine, not to a query: whoever dispatches
     the next query clears it first, so a flag set after the engine already
     finished cancels nothing.
+
+    Each side is one thread (the event loop; the engine process's), so a
+    token is a plain flag: it makes no lock or event, which the event loop
+    would otherwise build for every query it admits.
     """
 
     def __init__(self, record: memoryview | None = None) -> None:
-        super().__init__()
+        self._latched = False
+        self.reason = "cancelled"
         self._record = record
 
     def bind(self, record: memoryview | None) -> None:
         """Mirror this token into *record* (None: stop mirroring). A token
         cancelled before it was bound publishes at once."""
         self._record = record
-        if record is not None and self._event.is_set():
+        if record is not None and self._latched:
             self._publish()
 
     def cancel(self, reason: str | None = None) -> bool:
-        won = super().cancel(reason)
-        if won and self._record is not None:
+        if self._latched:
+            return False
+        if reason is not None:
+            self.reason = reason
+        self._latched = True
+        if self._record is not None:
             self._publish()
-        return won
+        return True
 
     def _publish(self) -> None:
         record = self._record
@@ -124,12 +133,12 @@ class SharedCancellationToken(CancellationToken):
     def cancelled(self) -> bool:
         record = self._record
         if record is not None and record[0]:
-            if not self._event.is_set():  # the reading side: adopt the reason
+            if not self._latched:  # the reading side: adopt the reason
                 self.reason = bytes(record[2 : 2 + record[1]]).decode(
                     "utf-8", "replace"
                 )
             return True
-        return self._event.is_set()
+        return self._latched
 
 
 @dataclass(frozen=True)

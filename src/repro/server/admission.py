@@ -1,9 +1,9 @@
-"""Admission control: bounded queues, worker slots, degradation ladder.
+"""Admission control: bounded queues, engines, degradation ladder.
 
 The server never buffers without bound. A query is either
 
 1. **admitted** — it takes a queue slot (global and per-session caps) and
-   later a worker slot (the concurrency semaphore), or
+   later an idle engine process (the concurrency limit), or
 2. **rejected** — an explicit ``REJECTED_OVERLOAD`` / ``RATE_LIMITED`` /
    ``SHUTTING_DOWN`` response, immediately, while the session stays
    healthy.
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.optimizer.plancache import DEFAULT_CAPACITY
-from repro.robustness.limits import CancellationToken, ExecutionLimits
 from repro.server.protocol import ErrorCode, QueryRequest
 from repro.server.session import Session
 
@@ -69,7 +68,7 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 7654
-    # Worker slots: queries executing concurrently (the semaphore width).
+    # Engine processes: queries executing concurrently.
     max_concurrency: int = 4
     # Bounded admission queue (beyond the executing queries); full → reject.
     max_queue_depth: int = 32
@@ -132,8 +131,8 @@ class AdmissionController:
     """Bounded admission state shared by every session.
 
     Queue accounting lives here (the scheduler owns the actual FIFOs);
-    worker-slot accounting (`in_flight`) is incremented by the server's
-    worker loops. Everything runs on the event loop thread — no locks.
+    `in_flight` counts the queries the engines run. Everything runs on the
+    event loop thread — no locks.
     """
 
     config: ServerConfig
@@ -218,32 +217,20 @@ class AdmissionController:
             mode = ReorderMode.NONE
         return CONFIGS[mode.value]
 
-    def build_limits(
-        self,
-        request: QueryRequest,
-        token: CancellationToken | None = None,
-    ) -> tuple[ExecutionLimits, CancellationToken]:
-        """Server-clamped budgets for one request.
+    def budgets(self, request: QueryRequest) -> tuple:
+        """Server-clamped ``(max rows, max work units, timeout seconds)``
+        of one request: what its engine builds its
+        :class:`~repro.robustness.limits.ExecutionLimits` from.
 
         Client-requested budgets are clamped to the server maxima; absent
-        budgets get the server defaults. *token* is the query's
-        cancellation token — created at admission time so a disconnect can
-        cancel the query while it is still queued.
+        budgets get the server defaults.
         """
         config = self.config
-        if token is None:
-            token = CancellationToken()
         timeout_ms = min(
             request.timeout_ms or config.default_timeout_ms, MAX_TIMEOUT_MS
         )
         return (
-            ExecutionLimits(
-                max_rows=min(
-                    request.max_rows or config.default_max_rows, MAX_MAX_ROWS
-                ),
-                max_work_units=config.max_work_units,
-                timeout_seconds=timeout_ms / 1000.0,
-                cancellation=token,
-            ),
-            token,
+            min(request.max_rows or config.default_max_rows, MAX_MAX_ROWS),
+            config.max_work_units,
+            timeout_ms / 1000.0,
         )

@@ -48,7 +48,7 @@ from repro.errors import (
 )
 
 #: Hard cap on one request line; longer lines are a protocol error (and
-#: asyncio's readline enforces it before the JSON parse).
+#: a connection ends on a longer one before the JSON parse).
 MAX_LINE_BYTES = 1_048_576
 
 

@@ -5,15 +5,14 @@ of sessions with pending work and hands out one query per session per
 turn. A client that pipelines 50 queries therefore waits behind every
 other session's next query, not just its own — per-session throughput
 degrades gracefully with client count instead of first-come-first-served
-letting one chatty client monopolize the worker slots.
+letting one chatty client monopolize the engines.
 
-Single event loop, no locks: an :class:`asyncio.Condition` wakes worker
-slots when work arrives or the scheduler stops.
+Plain synchronous code on the event loop's thread: the server asks for
+the next query whenever an engine is idle, so nothing here waits.
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 
 from repro.server.session import PendingQuery, Session
@@ -23,63 +22,41 @@ class FairScheduler:
     """Round-robin dispatcher over per-session FIFOs."""
 
     def __init__(self) -> None:
+        # The sessions with queued work, each once, in turn order. (One
+        # that disconnected may stay, its queue empty, until its turn.)
         self._ring: deque[Session] = deque()
-        self._in_ring: set[int] = set()
-        self._condition = asyncio.Condition()
-        self._stopped = False
 
     @property
     def pending(self) -> int:
         return sum(len(session.queue) for session in self._ring)
 
-    async def enqueue(self, pending: PendingQuery) -> None:
-        """Append to the query's session FIFO and wake one worker."""
+    def enqueue(self, pending: PendingQuery) -> None:
+        """Append to the query's session FIFO; the session joins the ring."""
         session = pending.session
-        async with self._condition:
-            session.queue.append(pending)
-            if session.session_id not in self._in_ring:
-                self._ring.append(session)
-                self._in_ring.add(session.session_id)
-            self._condition.notify()
+        if not session.queue:
+            self._ring.append(session)
+        session.queue.append(pending)
 
-    async def next(self) -> PendingQuery | None:
-        """The next query in round-robin order; None once stopped and empty.
+    def next(self) -> PendingQuery | None:
+        """The next query in round-robin order; None when nothing waits.
 
         Sessions that disconnected while queued are skipped silently —
         their FIFOs were already cleared by ``Session.disconnect()``.
         """
-        async with self._condition:
-            while True:
-                while self._ring:
-                    session = self._ring.popleft()
-                    if session.closed or not session.queue:
-                        self._in_ring.discard(session.session_id)
-                        continue
-                    pending = session.queue.popleft()
-                    if session.queue:
-                        self._ring.append(session)  # keep its ring turn
-                    else:
-                        self._in_ring.discard(session.session_id)
-                    return pending
-                if self._stopped:
-                    return None
-                await self._condition.wait()
+        ring = self._ring
+        while ring:
+            session = ring.popleft()
+            if session.closed or not session.queue:
+                continue
+            if len(session.queue) > 1:
+                ring.append(session)  # keep its ring turn
+            return session.queue.popleft()
+        return None
 
-    async def remove_session(self, session: Session) -> int:
+    def remove_session(self, session: Session) -> int:
         """Drop a disconnected session's queued work; returns count dropped."""
-        async with self._condition:
-            dropped = len(session.queue)
+        dropped = len(session.queue)
+        if dropped:
+            self._ring.remove(session)
             session.queue.clear()
-            if session.session_id in self._in_ring:
-                try:
-                    self._ring.remove(session)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                self._in_ring.discard(session.session_id)
-            return dropped
-
-    async def stop(self) -> None:
-        """Wake every waiting worker so it can observe shutdown."""
-        async with self._condition:
-            self._stopped = True
-            self._condition.notify_all()
+        return dropped

@@ -1,34 +1,34 @@
 """The asyncio query server: sessions, engine processes, drain, live stats.
 
-Topology::
+Topology (a query costs the event loop two callbacks)::
 
-    client ──NDJSON──▶ connection handler ──▶ admission ──▶ fair scheduler
-                                                │ reject            │
-                                                ▼                   ▼
-                                            response ◀── worker slot × N
-                              event loop      ▲ reply line          │ request
-    ──────────────────────────────────────────┼─ socketpair × N ────┼────────
-                              forked, warm    │                     ▼
-                                              engine process × N:
-                                              DatabaseEngine (limits +
-                                              flight record + execution)
+    client ──NDJSON──▶ Connection ──▶ admission ──▶ lowest-numbered idle engine,
+      ▲ ▲              (callback 1)      │ reject    else the scheduler's ring
+      │ └───────── response ◀────────────┘                    │
+      │ reply line                                            │ request
+      └──── EngineProcess (callback 2: reply, record, ◀──┐    │
+            metrics, the engine's next query)            │    │
+    ─────────────────────────────────── socketpair × N ──┼────┼──────────
+                                  forked, warm  engine process × N:
+                                                DatabaseEngine (limits +
+                                                flight record + execution)
 
-* The **connection handler** (one per client) only parses, admits, and
-  enqueues — it never blocks on an engine, so a slow query cannot stall
-  another client's rejections or pings.
-* **Worker slots** are ``max_concurrency`` asyncio tasks — the admission
-  semaphore in loop form. Each pulls the next query in round-robin
-  session order, applies the degradation ladder at *dequeue* time (the
-  pressure reading is freshest there), takes the lowest-numbered idle
-  engine and awaits its reply.
+* A :class:`Connection` (one per client) answers pings, stats and
+  rejections at once and dispatches admitted queries: to the
+  lowest-numbered idle engine, or into the round-robin ring of
+  :class:`~repro.server.scheduler.FairScheduler`, with the degradation
+  ladder applied at *dequeue* time (the pressure reading is freshest
+  there). No task, future, lock or condition is made for a query.
+* **Backpressure** is per client: a connection whose transport holds more
+  unsent replies than its high-water mark is not read until they drain.
+  A client that stops reading holds its own queue, never an engine.
 * **Engine processes** are ``max_concurrency`` children forked from the
-  loaded process by :meth:`QueryServer.start` (and again when one dies or
-  the catalog moves): each owns its inherited ``Database`` — plan cache,
-  plan feedback, kernels — and answers one framed request at a time with
-  a small pickled header and the finished NDJSON reply line, which the
-  event loop writes to the client as it is. Rows are never pickled, the
-  event loop never encodes a result, and no two queries share an
-  interpreter lock.
+  loaded process by :meth:`QueryServer.start` (and again, in a task of its
+  own, when one dies or the catalog moves): each owns its inherited
+  ``Database`` — plan cache, plan feedback, kernels — and answers one
+  framed request at a time with a small pickled header and the finished
+  NDJSON reply line. Rows are never pickled, the event loop never encodes
+  a result, and no two queries share an interpreter lock.
 * Each engine runs with server-clamped
   :class:`~repro.robustness.limits.ExecutionLimits` whose cancellation
   token reads a byte the event loop can set: a client disconnect (or the
@@ -281,15 +281,21 @@ class DatabaseEngine:
 # ---------------------------------------------------------------------------
 # The engine process
 # ---------------------------------------------------------------------------
-def _recv_exact(channel: socket.socket, count: int) -> bytes | None:
-    """*count* bytes off a blocking socket; None at end of stream."""
-    data = bytearray()
-    while len(data) < count:
-        chunk = channel.recv(count - len(data))
-        if not chunk:
+def _recv_frame(channel: socket.socket, buffer: bytearray) -> int | None:
+    """Read one request message into *buffer* (grown to fit); its size,
+    head included, or None at the end of the stream. The event loop sends
+    a request only once the last one was answered, so nothing follows it."""
+    got, size = 0, _FRAME.size
+    while got < size:
+        with memoryview(buffer) as view:
+            count = channel.recv_into(view[got:])
+        if not count:
             return None
-        data += chunk
-    return bytes(data)
+        got += count
+        if got >= _FRAME.size:
+            size = _FRAME.size + _FRAME.unpack_from(buffer)[0]
+            buffer.extend(bytes(max(0, size - len(buffer))))
+    return size
 
 
 def answer(
@@ -375,15 +381,15 @@ def engine_main(
         os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
         token = SharedCancellationToken(record)
         channel.sendall(_FRAME.pack(0, 0))  # ready
+        buffer = bytearray(1 << 16)  # grows to the largest request
         while True:
-            head = _recv_exact(channel, _FRAME.size)
-            if head is None:
+            size = _recv_frame(channel, buffer)
+            if size is None:
                 code = 0
                 break
-            request = _recv_exact(channel, _FRAME.unpack(head)[0])
-            if request is None:
-                break
-            header, line = answer(engine, pickle.loads(request), token)
+            with memoryview(buffer) as view:
+                request = pickle.loads(view[_FRAME.size : size])
+            header, line = answer(engine, request, token)
             header = pickle.dumps(header, pickle.HIGHEST_PROTOCOL)
             # One write: the event loop wakes once, with the whole reply.
             channel.sendall(
@@ -395,22 +401,21 @@ def engine_main(
         os._exit(code)
 
 
-class EngineDied(Exception):
-    """An engine's channel ended where a reply was due."""
-
-
-class EngineProcess:
-    """The event loop's handle on one engine process."""
+class EngineProcess(asyncio.Protocol):
+    """The event loop's handle on one engine process and the protocol of
+    its channel: the callback that delivers a reply's last bytes finishes
+    the query (:meth:`QueryServer._finish`)."""
 
     __slots__ = (
-        "pid", "reader", "writer", "record", "generation", "baseline",
-        "counters", "busy",
+        "server", "index", "pid", "transport", "record", "generation",
+        "baseline", "counters", "pending", "lost", "ready", "_buffer",
     )
 
-    def __init__(self, pid, reader, writer, record, generation, baseline):
+    def __init__(self, server, index, pid, record, generation, baseline):
+        self.server = server
+        self.index = index
         self.pid = pid  # 0 once reaped
-        self.reader = reader
-        self.writer = writer
+        self.transport = None  # the channel's, once connected
         # This engine's cancel record (SharedCancellationToken).
         self.record = record
         # The catalog generation it was forked under.
@@ -419,12 +424,12 @@ class EngineProcess:
         # latest the child reported (None: an engine that counts nothing).
         self.baseline = baseline
         self.counters = baseline
-        # A request is out: no point waiting for it to exit on its own.
-        self.busy = False
-
-    @property
-    def lost(self) -> bool:
-        return self.pid == 0 or self.reader.at_eof()
+        self.pending = None  # the PendingQuery it runs
+        # Its channel reached the end of its stream, or retire() closed it.
+        self.lost = False
+        # True once the child said it is ready, False if it never will.
+        self.ready = asyncio.get_running_loop().create_future()
+        self._buffer = bytearray()  # a reply that arrived in parts
 
     def plan_cache_events(self) -> dict[str, int]:
         """What this engine's plan cache counted since the fork."""
@@ -438,31 +443,44 @@ class EngineProcess:
             if key not in _CACHE_LEVELS
         }
 
-    async def call(self, request: bytes) -> tuple[dict, bytes]:
-        """Send one pickled request; the reply's header and line."""
-        self.busy = True
-        try:
-            self.writer.write(_FRAME.pack(len(request), 0) + request)
-            head = await self.reader.readexactly(_FRAME.size)
-            header_bytes, line_bytes = _FRAME.unpack(head)
-            body = await self.reader.readexactly(header_bytes + line_bytes)
-        except (asyncio.IncompleteReadError, ConnectionError) as error:
-            raise EngineDied() from error
-        self.busy = False
-        return pickle.loads(body[:header_bytes]), body[header_bytes:]
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        if len(buffer) < _FRAME.size:
+            return
+        header_bytes, line_bytes = _FRAME.unpack_from(buffer)
+        line_at = _FRAME.size + header_bytes
+        if len(buffer) < line_at + line_bytes:
+            return
+        self._buffer = bytearray()  # one message: nothing can follow it
+        if self.pending is None:  # the ready message
+            self.ready.set_result(True)
+        else:
+            self.server._finish(
+                self, buffer[_FRAME.size : line_at], buffer[line_at:]
+            )
+
+    def connection_lost(self, exc) -> None:
+        closed_here, self.lost = self.lost, True
+        if not self.ready.done():
+            self.ready.set_result(False)
+        elif self.pending is not None and not closed_here:
+            self.server._spawn(self.server._replace_dead(self))
 
     async def retire(self) -> int | None:
         """Close the channel and reap the child; its wait status.
 
         An idle engine exits on the end of its stream; one that does not
-        within :data:`ENGINE_EXIT_SECONDS` — or is :attr:`busy`: dead, or
+        within :data:`ENGINE_EXIT_SECONDS` — or runs a query: dead, or
         stuck inside a query nobody waits for any more — is killed.
         """
         if self.pid == 0:
             return None
-        self.writer.close()
+        self.lost = True
+        self.transport.close()
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + (0.0 if self.busy else ENGINE_EXIT_SECONDS)
+        busy = self.pending is not None
+        deadline = loop.time() + (0.0 if busy else ENGINE_EXIT_SECONDS)
         try:
             while True:
                 reaped, status = os.waitpid(self.pid, os.WNOHANG)
@@ -477,6 +495,60 @@ class EngineProcess:
             status = None
         self.pid = 0
         return status
+
+
+class Connection(asyncio.Protocol):
+    """One client: its bytes cut into request lines. It is not read while
+    its transport holds more unsent replies than its high-water mark."""
+
+    def __init__(self, server: "QueryServer") -> None:
+        self.server = server
+        self._tail = b""  # the start of a line not yet complete
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        server = self.server
+        session = self.session = Session(
+            peer=str(transport.get_extra_info("peername")),
+            bucket=TokenBucket(
+                server.config.rate_limit_qps, server.config.rate_limit_burst
+            ),
+            transport=transport,
+        )
+        server.sessions[session.session_id] = session
+
+    def data_received(self, data: bytes) -> None:
+        if self._tail:
+            data = self._tail + data
+        lines = data.split(b"\n")
+        self._tail = lines.pop()
+        self._dispatch(lines)
+        if len(self._tail) > MAX_LINE_BYTES:
+            self.transport.close()
+
+    def _dispatch(self, lines: list[bytes]) -> None:
+        dispatch, session = self.server._dispatch, self.session
+        for line in lines:
+            if len(line) > MAX_LINE_BYTES:  # the session ends here
+                self.transport.close()
+                return
+            line = line.strip()
+            if line:
+                dispatch(session, line)
+
+    def eof_received(self) -> None:
+        # A last line needs no newline; then the transport closes.
+        tail, self._tail = self._tail, b""
+        self._dispatch([tail])
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        self.server._disconnected(self.session)
 
 
 def _exit_description(status: int | None) -> str:
@@ -505,19 +577,27 @@ class QueryServer:
             db, self.config
         )
         self.metrics = MetricsRegistry()
+        # What every finished query bumps, resolved once.
+        self._queries_total = self.metrics.counter("server_queries_total")
+        self._engine_total = self.metrics.counter("server_engine_total")
+        self._rows_total = self.metrics.counter("server_rows_returned_total")
+        self._latency = self.metrics.histogram(
+            "server_latency_ms", LATENCY_BUCKETS_MS
+        )
+        self._recorder = getattr(self.engine, "recorder", None)
         self.sessions: dict[int, Session] = {}
-        self._writers: dict[int, asyncio.StreamWriter] = {}
         self._server: asyncio.AbstractServer | None = None
-        self._workers: list[asyncio.Task] = []
-        # One engine process per worker slot; _idle is a heap of the
-        # indexes no slot holds. The slot tasks take turns, so slots that
-        # owned an engine each would walk a lone connection over all of
-        # them, and every engine pays a statement's plan miss, feedback
-        # lesson, kernels and copied pages again (one connection, DESIGN
-        # §4e: half the misses, 12-30 MB less PSS with the heap).
+        # One engine process per unit of concurrency; _idle is a heap of
+        # the indexes not running a query. The lowest-numbered idle engine
+        # takes the next query: engines taken in turn would walk a lone
+        # connection over all of them, and every engine pays a statement's
+        # plan miss, feedback lesson, kernels and copied pages again (one
+        # connection, DESIGN §4e: half the misses, 12-30 MB less PSS).
         self._engines: list[EngineProcess] = []
         self._idle: list[int] = []
         self._cancel_records: memoryview | None = None
+        # Re-forks and deaths in progress (each one task, off the query path).
+        self._tasks: set[asyncio.Task] = set()
         # Plan-cache events of engines since replaced (see stats_payload).
         self._retired_events: dict[str, int] = {}
         self._done = asyncio.Event()
@@ -544,21 +624,16 @@ class QueryServer:
         try:
             for index in range(count):
                 self._engines.append(await self._fork_engine(index))
-            self._server = await asyncio.start_server(
-                self._handle_connection,
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: Connection(self),
                 host=self.config.host,
                 port=self.config.port,
-                limit=MAX_LINE_BYTES,
             )
         except BaseException:
             await self._retire_engines()
             raise
         self._idle = list(range(count))
         self._started_at = time.monotonic()
-        self._workers = [
-            asyncio.create_task(self._worker_loop(), name=f"query-slot-{i}")
-            for i in range(count)
-        ]
 
     # -- engine processes ------------------------------------------------
     async def _fork_engine(self, index: int) -> EngineProcess:
@@ -588,20 +663,19 @@ class QueryServer:
         finally:
             gc.unfreeze()
         theirs.close()
-        reader, writer = await asyncio.open_unix_connection(
-            sock=ours, limit=2**24
-        )
         process = EngineProcess(
-            pid, reader, writer, record, generation, baseline
+            self, index, pid, record, generation, baseline
         )
-        try:
-            await reader.readexactly(_FRAME.size)  # the ready message
-        except asyncio.IncompleteReadError:
+        loop = asyncio.get_running_loop()
+        process.transport, _ = await loop.create_unix_connection(
+            lambda: process, sock=ours
+        )
+        if not await process.ready:
             status = await process.retire()
             raise OSError(
                 f"engine process {index} {_exit_description(status)} "
                 "before it was ready"
-            ) from None
+            )
         return process
 
     async def _live_engine(self, index: int) -> EngineProcess:
@@ -611,10 +685,7 @@ class QueryServer:
         process = self._engines[index]
         if process.lost:
             cause = "died"
-        elif (
-            self.db is not None
-            and process.generation != self.db.catalog.generation()
-        ):
+        elif self._moved(process):
             cause = "catalog"
         else:
             return process
@@ -628,8 +699,19 @@ class QueryServer:
         self.metrics.counter("server_engine_restarts_total").inc(cause)
         return process
 
+    def _moved(self, process: EngineProcess) -> bool:
+        return (
+            self.db is not None
+            and process.generation != self.db.catalog.generation()
+        )
+
     async def _retire_engines(self) -> None:
         await asyncio.gather(*(p.retire() for p in self._engines))
+
+    def _spawn(self, coroutine) -> None:
+        task = asyncio.ensure_future(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def serve_forever(
         self,
@@ -669,238 +751,168 @@ class QueryServer:
         self.admission.draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         grace = self.config.drain_grace_seconds if grace is None else grace
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + grace
-        while (
-            self.admission.in_flight > 0 or self.scheduler.pending > 0
-        ) and loop.time() < deadline:
-            await asyncio.sleep(0.02)
+
+        async def settle(seconds: float) -> None:
+            deadline = loop.time() + seconds
+            while (
+                self.admission.in_flight or self.scheduler.pending or self._tasks
+            ) and loop.time() < deadline:
+                await asyncio.sleep(0.02)
+
+        await settle(grace)
         if self.admission.in_flight > 0:
-            # Grace expired: cancel stragglers cooperatively and let the
-            # worker slots return their BUDGET_EXCEEDED responses.
+            # Grace expired: cancel stragglers cooperatively and let their
+            # engines answer BUDGET_EXCEEDED.
             for session in list(self.sessions.values()):
                 for token in tuple(session.in_flight):
                     token.cancel(f"server draining ({reason})")
-            cancel_deadline = loop.time() + max(grace, 1.0)
-            while self.admission.in_flight > 0 and loop.time() < cancel_deadline:
-                await asyncio.sleep(0.02)
-        await self.scheduler.stop()
+            await settle(max(grace, 1.0))
         # Bound the final drain by the grace window: a query sitting
         # between cooperative safe points must not keep serve_forever
         # alive until its own (up to 60s) timeout fires.
-        if self._workers:
-            _, stragglers = await asyncio.wait(
-                self._workers, timeout=max(grace, 1.0)
-            )
-            for task in stragglers:
-                task.cancel()
-            if stragglers:
-                await asyncio.gather(*stragglers, return_exceptions=True)
-        for writer in list(self._writers.values()):
-            with contextlib.suppress(Exception):
-                writer.close()
+        await settle(max(grace, 1.0))
+        for task in list(self._tasks):
+            task.cancel()
+        for session in list(self.sessions.values()):
+            session.transport.close()
         # Idle engines exit on the end of their channel; one still inside
         # a query nobody waits for any more is killed. None outlives this.
         await self._retire_engines()
         # Finalize the telemetry store's active segment so a drained
         # server leaves only complete ``.jsonl`` segments behind.
-        recorder = getattr(self.engine, "recorder", None)
-        if recorder is not None:
+        if self._recorder is not None:
             with contextlib.suppress(Exception):
-                recorder.close()
+                self._recorder.close()
         self._done.set()
 
-    # -- connection handling -------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        session = Session(
-            peer=str(peername),
-            bucket=TokenBucket(
-                self.config.rate_limit_qps, self.config.rate_limit_burst
-            ),
-        )
-        write_lock = asyncio.Lock()
+    # -- connections -----------------------------------------------------
+    def _disconnected(self, session: Session) -> None:
+        dropped = session.disconnect()
+        dropped += self.scheduler.remove_session(session)
+        if dropped:
+            self.admission.on_dequeued(dropped)
+            self.metrics.counter("server_dropped_on_disconnect_total").inc(
+                amount=dropped
+            )
+        self.sessions.pop(session.session_id, None)
 
-        async def send(payload: dict | bytes) -> None:
-            if writer.is_closing():
-                return
-            async with write_lock:
-                # A reply line an engine process finished goes out as is.
-                writer.write(
-                    payload
-                    if isinstance(payload, bytes)
-                    else encode_response(payload)
-                )
-                with contextlib.suppress(ConnectionError):
-                    await writer.drain()
+    def _dispatch(self, session: Session, line: bytes) -> None:
+        """One request line: answered at once, or a query admitted."""
+        payload = self._answer(session, line)
+        if payload is not None:
+            self._reply(session, payload)
 
-        session.send = send
-        self.sessions[session.session_id] = session
-        self._writers[session.session_id] = writer
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                    ConnectionError,
-                ):
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                await self._dispatch(session, line)
-        finally:
-            dropped = session.disconnect()
-            dropped += await self.scheduler.remove_session(session)
-            if dropped:
-                self.admission.on_dequeued(dropped)
-                self.metrics.counter("server_dropped_on_disconnect_total").inc(
-                    amount=dropped
-                )
-            self.sessions.pop(session.session_id, None)
-            self._writers.pop(session.session_id, None)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+    @staticmethod
+    def _reply(session: Session, payload: dict) -> None:
+        if not session.closed:
+            session.transport.write(encode_response(payload))
 
-    async def _dispatch(self, session: Session, line: bytes) -> None:
-        send = session.send
-        assert send is not None
+    def _answer(self, session: Session, line: bytes) -> dict | None:
+        """The reply to *line*; None for a query admitted."""
         try:
             msg = decode_request(line)
         except ProtocolError as error:
             self.protocol_errors += 1
-            await send(
-                error_response(None, ErrorCode.BAD_REQUEST, str(error))
-            )
-            return
+            return error_response(None, ErrorCode.BAD_REQUEST, str(error))
         op = msg["op"]
         request_id = msg.get("id")
         if op == "ping":
-            await send({"id": request_id, "status": "ok", "pong": True})
-            return
+            return {"id": request_id, "status": "ok", "pong": True}
         if op == "stats":
-            await send(
-                {"id": request_id, "status": "ok", "stats": self.stats_payload()}
-            )
-            return
+            return {"id": request_id, "status": "ok", "stats": self.stats_payload()}
         if op == "telemetry":
-            await send(self._telemetry_response(request_id, msg))
-            return
+            return self._telemetry_response(request_id, msg)
         if op != "query":
             self.protocol_errors += 1
-            await send(
-                error_response(
-                    request_id, ErrorCode.BAD_REQUEST, f"unknown op {op!r}"
-                )
+            return error_response(
+                request_id, ErrorCode.BAD_REQUEST, f"unknown op {op!r}"
             )
-            return
         try:
             request = parse_query_request(msg)
         except ProtocolError as error:
             self.protocol_errors += 1
-            await send(
-                error_response(request_id, ErrorCode.BAD_REQUEST, str(error))
-            )
-            return
+            return error_response(request_id, ErrorCode.BAD_REQUEST, str(error))
         decision = self.admission.submit(session)
         if not decision.admitted:
             self.metrics.counter("server_rejections_total").inc(
                 decision.reject_code or "unknown"
             )
-            await send(
-                error_response(
-                    request_id,
-                    decision.reject_code or ErrorCode.INTERNAL,
-                    decision.reject_reason or "rejected",
-                )
+            return error_response(
+                request_id,
+                decision.reject_code or ErrorCode.INTERNAL,
+                decision.reject_reason or "rejected",
             )
-            return
         session.submitted += 1
-        pending = PendingQuery(
-            request=request,
-            session=session,
-            token=SharedCancellationToken(),
-            enqueued_at=time.perf_counter(),
+        self.scheduler.enqueue(
+            PendingQuery(
+                request=request,
+                session=session,
+                token=SharedCancellationToken(),
+                enqueued_at=time.perf_counter(),
+            )
         )
-        await self.scheduler.enqueue(pending)
+        self._pump()
+        return None
 
-    # -- worker slots ---------------------------------------------------
-    async def _worker_loop(self) -> None:
-        while True:
-            pending = await self.scheduler.next()
+    # -- dispatch --------------------------------------------------------
+    def _pump(self) -> None:
+        """Hand queued queries, in round-robin session order, to the idle
+        engines, lowest-numbered first."""
+        idle = self._idle
+        while idle:
+            pending = self.scheduler.next()
             if pending is None:
                 return
             self.admission.on_dequeued()
-            session = pending.session
-            if session.closed or pending.token.cancelled:
+            if pending.session.closed or pending.token.cancelled:
                 continue
-            index = heapq.heappop(self._idle)
+            index = heapq.heappop(idle)
             try:
-                await self._run_one(pending, index)
-            except asyncio.CancelledError:
-                raise
+                # The degradation ladder at dequeue time: the pressure
+                # reading is freshest here.
+                shed = pending.shed = self.admission.shed_level()
+                request = pending.request
+                mode = self.admission.apply_shed(request, shed).mode.value
+                budgets = self.admission.budgets(request)
+                process = self._engines[index]
+                if process.lost or self._moved(process):
+                    self._spawn(self._refork(pending, index, mode, budgets))
+                else:
+                    self._send(process, pending, mode, budgets)
             except Exception as error:
-                # A fault outside the engine call (shed/limits computation,
-                # a fork that failed, metrics, or sending the response)
-                # must not kill this query slot — that would silently
-                # shrink server concurrency and leave the client without a
-                # response.
-                logger.exception(
-                    "query slot fault while serving %s", session.name
-                )
-                self.metrics.counter("server_worker_faults_total").inc()
-                send = session.send
-                if send is not None:
-                    with contextlib.suppress(Exception):
-                        await send(
-                            error_response(
-                                pending.request.request_id,
-                                ErrorCode.INTERNAL,
-                                f"worker fault: "
-                                f"{type(error).__name__}: {error}",
-                            )
-                        )
-            finally:
-                heapq.heappush(self._idle, index)
+                heapq.heappush(idle, index)
+                self._fault(pending, error)
 
-    async def _run_one(self, pending: PendingQuery, index: int) -> None:
+    async def _refork(
+        self, pending: PendingQuery, index: int, mode: str, budgets: tuple
+    ) -> None:
+        """Fork engine *index* anew, then send it *pending*."""
+        try:
+            process = await self._live_engine(index)
+            self._send(process, pending, mode, budgets)
+        except Exception as error:
+            heapq.heappush(self._idle, index)
+            self._fault(pending, error)
+            self._pump()
+
+    def _send(self, process, pending: PendingQuery, mode, budgets) -> None:
         session = pending.session
         request = pending.request
         token = pending.token
-        shed = self.admission.shed_level()
-        applied = self.admission.apply_shed(request, shed)
-        limits, _ = self.admission.build_limits(request, token=token)
-        process = await self._live_engine(index)
         queued_ms = (time.perf_counter() - pending.enqueued_at) * 1000.0
         # Everything the engine needs to run the query and to finish the
         # reply line: the statement, the shed-applied mode (the config is
         # its defaults: admission.CONFIGS), the clamped budgets, and what
         # only this side knows of the request.
+        context = {
+            "session": session.name,
+            "shed": pending.shed,
+            "queued_ms": round(queued_ms, 3),
+        }
         message = pickle.dumps(
-            (
-                request.sql,
-                applied.mode.value,
-                (
-                    limits.max_rows,
-                    limits.max_work_units,
-                    limits.timeout_seconds,
-                ),
-                request.request_id,
-                {
-                    "session": session.name,
-                    "shed": shed,
-                    "queued_ms": round(queued_ms, 3),
-                },
-            ),
+            (request.sql, mode, budgets, request.request_id, context),
             pickle.HIGHEST_PROTOCOL,
         )
         self.admission.in_flight += 1
@@ -909,57 +921,90 @@ class QueryServer:
         # may have set after that query had already finished.
         process.record[0] = 0
         token.bind(process.record)
-        died = False
+        process.pending = pending
+        process.transport.write(_FRAME.pack(len(message), 0) + message)
+
+    def _release(self, process: EngineProcess) -> PendingQuery:
+        """The query *process* ran, no longer in flight."""
+        pending = process.pending
+        process.pending = None
+        pending.token.bind(None)
+        self.admission.in_flight -= 1
+        pending.session.in_flight.discard(pending.token)
+        return pending
+
+    def _finish(self, process: EngineProcess, header, line) -> None:
+        """An engine's reply: the whole rest of its query, in the callback
+        that delivered it; then the engine takes the next queued query."""
+        pending = self._release(process)
         try:
-            header, line = await process.call(message)
-        except EngineDied:
-            died = True
-            status = await process.retire()
-            header = {"outcome": "internal_error"}
-            line = encode_response(
-                error_response(
-                    request.request_id,
-                    ErrorCode.INTERNAL,
-                    f"engine process {_exit_description(status)} "
-                    "while running the query",
-                )
-            )
-        finally:
-            token.bind(None)
-            self.admission.in_flight -= 1
-            session.in_flight.discard(token)
-        outcome = header["outcome"]
-        if outcome == "ok":
-            self.metrics.counter("server_engine_total").inc(header["engine"])
-            self.metrics.counter("server_rows_returned_total").inc(
-                amount=header["rows"]
-            )
-        record = header.get("record")
-        if record is not None:
-            record = PackedRecord._make(record)
-            self.engine.recorder.ingest(record)
-            if record.slow and outcome == "ok":
-                self.metrics.counter("server_slow_queries_total").inc()
-        if header.get("counters") is not None:
-            process.counters = header["counters"]
-        session.completed += 1
-        self.metrics.counter("server_queries_total").inc(outcome)
-        if shed != "none":
-            self.metrics.counter("server_shed_total").inc(shed)
-        self.metrics.histogram(
-            "server_latency_ms", LATENCY_BUCKETS_MS
-        ).observe((time.perf_counter() - pending.enqueued_at) * 1000.0)
-        send = session.send
-        if send is not None:
-            await send(line)
-        if died:
-            # Fork the replacement now, off the next query's clock. This
-            # query is answered: whatever goes wrong is for the next
-            # dispatch, which tries again, to report.
-            try:
-                await self._live_engine(index)
-            except Exception:
-                logger.exception("engine %d was not replaced", index)
+            header = pickle.loads(header)
+            outcome = header["outcome"]
+            if outcome == "ok":
+                self._engine_total.inc(header["engine"])
+                self._rows_total.inc(amount=header["rows"])
+            record = header["record"]
+            if record is not None:
+                record = PackedRecord._make(record)
+                self._recorder.ingest(record)
+                if record.slow and outcome == "ok":
+                    self.metrics.counter("server_slow_queries_total").inc()
+            if header["counters"] is not None:
+                process.counters = header["counters"]
+            self._answered(pending, outcome, line)
+        except Exception as error:
+            self._fault(pending, error)
+        heapq.heappush(self._idle, process.index)
+        self._pump()
+
+    def _answered(self, pending: PendingQuery, outcome: str, line) -> None:
+        pending.session.completed += 1
+        self._queries_total.inc(outcome)
+        if pending.shed != "none":
+            self.metrics.counter("server_shed_total").inc(pending.shed)
+        self._latency.observe(
+            (time.perf_counter() - pending.enqueued_at) * 1000.0
+        )
+        if not pending.session.closed:
+            pending.session.transport.write(line)
+
+    def _fault(self, pending: PendingQuery, error: Exception) -> None:
+        """A fault outside the engine (the shed ladder, a fork, metrics, the
+        record) answers its query INTERNAL; the engine keeps serving."""
+        logger.error(
+            "query fault while serving %s", pending.session.name,
+            exc_info=error,
+        )
+        self.metrics.counter("server_worker_faults_total").inc()
+        self._reply(
+            pending.session,
+            error_response(
+                pending.request.request_id,
+                ErrorCode.INTERNAL,
+                f"worker fault: {type(error).__name__}: {error}",
+            ),
+        )
+
+    async def _replace_dead(self, process: EngineProcess) -> None:
+        """An engine's channel ended while it ran a query: reap it, answer
+        the query INTERNAL, fork the replacement off the next query's
+        clock. This query is answered: whatever goes wrong with the fork
+        is for the next dispatch, which tries again, to report."""
+        status = await process.retire()
+        pending = self._release(process)
+        reply = error_response(
+            pending.request.request_id,
+            ErrorCode.INTERNAL,
+            f"engine process {_exit_description(status)} "
+            "while running the query",
+        )
+        self._answered(pending, "internal_error", encode_response(reply))
+        try:
+            await self._live_engine(process.index)
+        except Exception:
+            logger.exception("engine %d was not replaced", process.index)
+        heapq.heappush(self._idle, process.index)
+        self._pump()
 
     # -- telemetry -------------------------------------------------------
     def _telemetry_response(self, request_id: Any, msg: dict) -> dict:
@@ -975,7 +1020,7 @@ class QueryServer:
                 "status": "ok",
                 "exposition": self.metrics.render_prometheus(),
             }
-        recorder = getattr(self.engine, "recorder", None)
+        recorder = self._recorder
         if recorder is None:
             return error_response(
                 request_id, ErrorCode.BAD_REQUEST, "engine has no flight recorder"
@@ -1033,13 +1078,10 @@ class QueryServer:
         """The live ``stats`` document (see scripts/validate_stats.py)."""
         admission = self.admission
         config = self.config
-        queries = self.metrics.counter("server_queries_total")
-        latency = self.metrics.histogram(
-            "server_latency_ms", LATENCY_BUCKETS_MS
-        )
+        queries, latency = self._queries_total, self._latency
         self.metrics.gauge("server_queue_depth").set(admission.queued)
         self.metrics.gauge("server_in_flight").set(admission.in_flight)
-        recorder = getattr(self.engine, "recorder", None)
+        recorder = self._recorder
         slow_counter = self.metrics.counter("server_slow_queries_total")
         if self.db is not None:
             storage = self.db.storage_stats()
@@ -1111,9 +1153,7 @@ class QueryServer:
                 "cancelled_total": queries.value("cancelled"),
                 "sql_error_total": queries.value("sql_error"),
                 "internal_error_total": queries.value("internal_error"),
-                "rows_returned_total": self.metrics.counter(
-                    "server_rows_returned_total"
-                ).total,
+                "rows_returned_total": self._rows_total.total,
                 "dropped_on_disconnect_total": self.metrics.counter(
                     "server_dropped_on_disconnect_total"
                 ).total,
@@ -1140,9 +1180,7 @@ class QueryServer:
                 "index_bytes": storage["index_bytes"],
                 "kernel_plan_bytes": storage.get("kernel_plan_bytes", 0),
             },
-            "engines": dict(
-                self.metrics.counter("server_engine_total").as_dict()
-            ),
+            "engines": self._engine_total.as_dict(),
             "per_table": storage["per_table"],
             "per_session": [
                 {

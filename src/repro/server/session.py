@@ -71,12 +71,13 @@ class TokenBucket:
 
 @dataclass
 class PendingQuery:
-    """One admitted query waiting for (or holding) a worker slot."""
+    """One admitted query waiting for (or running on) an engine."""
 
     request: "QueryRequest"
     session: "Session"
     token: "SharedCancellationToken"
     enqueued_at: float
+    shed: str = "none"  # the degradation-ladder rung its dispatch applied
 
 
 @dataclass
@@ -94,11 +95,9 @@ class Session:
     submitted: int = 0
     completed: int = 0
     rejected: int = 0
-    # Response writer installed by the server (async callable) — takes a
-    # payload to encode, or a finished reply line as an engine process
-    # produced it; None once the transport is gone, at which point
-    # responses are dropped.
-    send: Callable[["dict | bytes"], Any] | None = None
+    # The client's asyncio transport: replies are written to it while the
+    # session is open, and dropped once it closed.
+    transport: Any = None
 
     @property
     def name(self) -> str:
@@ -112,7 +111,6 @@ class Session:
         observed by its engine process at the next safe point.
         """
         self.closed = True
-        self.send = None
         dropped = len(self.queue)
         self.queue.clear()
         for token in tuple(self.in_flight):

@@ -15,6 +15,7 @@ import asyncio
 import json
 import multiprocessing
 import os
+import socket
 import time
 
 import pytest
@@ -262,7 +263,7 @@ class TestAdmission:
         )
         assert not hasattr(request, "workers")
 
-    def test_build_limits_clamps_to_server_maxima(self):
+    def test_budgets_clamp_to_server_maxima(self):
         config = ServerConfig(default_timeout_ms=1000.0, default_max_rows=10)
         admission = AdmissionController(config)
         request = parse_query_request(
@@ -273,22 +274,15 @@ class TestAdmission:
                 "max_rows": 2 * MAX_MAX_ROWS,
             }
         )
-        limits, token = admission.build_limits(request)
-        assert limits.timeout_seconds == pytest.approx(MAX_TIMEOUT_MS / 1000.0)
-        assert limits.max_rows == MAX_MAX_ROWS
-        assert limits.cancellation is token and not token.cancelled
+        max_rows, max_work_units, timeout_seconds = admission.budgets(request)
+        assert timeout_seconds == pytest.approx(MAX_TIMEOUT_MS / 1000.0)
+        assert max_rows == MAX_MAX_ROWS
+        assert max_work_units is None
         # Defaults apply when the client asks for nothing.
         bare = parse_query_request({"op": "query", "sql": "SELECT 1"})
-        limits, _ = admission.build_limits(bare)
-        assert limits.timeout_seconds == pytest.approx(1.0)
-        assert limits.max_rows == 10
-
-    def test_build_limits_reuses_admission_token(self):
-        admission = AdmissionController(ServerConfig())
-        request = parse_query_request({"op": "query", "sql": "SELECT 1"})
-        token = CancellationToken()
-        limits, returned = admission.build_limits(request, token=token)
-        assert returned is token and limits.cancellation is token
+        max_rows, _, timeout_seconds = admission.budgets(bare)
+        assert timeout_seconds == pytest.approx(1.0)
+        assert max_rows == 10
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -314,64 +308,44 @@ def pending_for(session: Session, tag: str) -> PendingQuery:
 
 class TestFairScheduler:
     def test_round_robin_across_sessions(self):
-        async def scenario():
-            scheduler = FairScheduler()
-            chatty, quiet = make_session(), make_session()
-            for i in range(3):
-                await scheduler.enqueue(pending_for(chatty, f"c{i}"))
-            await scheduler.enqueue(pending_for(quiet, "q0"))
-            order = [(await scheduler.next()).request.sql for _ in range(4)]
-            return order
-
-        order = asyncio.run(scenario())
+        scheduler = FairScheduler()
+        chatty, quiet = make_session(), make_session()
+        for i in range(3):
+            scheduler.enqueue(pending_for(chatty, f"c{i}"))
+        scheduler.enqueue(pending_for(quiet, "q0"))
+        order = [scheduler.next().request.sql for _ in range(4)]
         # The quiet session's single query is served second, not fourth.
         assert order == [
             "SELECT 'c0'", "SELECT 'q0'", "SELECT 'c1'", "SELECT 'c2'",
         ]
 
     def test_skips_disconnected_sessions(self):
-        async def scenario():
-            scheduler = FairScheduler()
-            gone, alive = make_session(), make_session()
-            await scheduler.enqueue(pending_for(gone, "dead"))
-            await scheduler.enqueue(pending_for(alive, "live"))
-            gone.disconnect()
-            first = await scheduler.next()
-            await scheduler.stop()
-            rest = await scheduler.next()
-            return first, rest
-
-        first, rest = asyncio.run(scenario())
+        scheduler = FairScheduler()
+        gone, alive = make_session(), make_session()
+        scheduler.enqueue(pending_for(gone, "dead"))
+        scheduler.enqueue(pending_for(alive, "live"))
+        gone.disconnect()
+        first = scheduler.next()
+        rest = scheduler.next()
         assert first.request.sql == "SELECT 'live'"
         assert rest is None
 
     def test_next_blocks_until_work_arrives(self):
-        async def scenario():
-            scheduler = FairScheduler()
-            session = make_session()
-
-            async def feeder():
-                await asyncio.sleep(0.01)
-                await scheduler.enqueue(pending_for(session, "late"))
-
-            feed = asyncio.create_task(feeder())
-            pending = await asyncio.wait_for(scheduler.next(), timeout=2.0)
-            await feed
-            return pending.request.sql
-
-        assert asyncio.run(scenario()) == "SELECT 'late'"
+        """Nothing waits: an empty ring answers None, and the server asks
+        again when work arrives."""
+        scheduler = FairScheduler()
+        session = make_session()
+        assert scheduler.next() is None
+        scheduler.enqueue(pending_for(session, "late"))
+        assert scheduler.next().request.sql == "SELECT 'late'"
 
     def test_remove_session_drops_queued_work(self):
-        async def scenario():
-            scheduler = FairScheduler()
-            session = make_session()
-            await scheduler.enqueue(pending_for(session, "a"))
-            await scheduler.enqueue(pending_for(session, "b"))
-            dropped = await scheduler.remove_session(session)
-            await scheduler.stop()
-            return dropped, await scheduler.next()
-
-        dropped, leftover = asyncio.run(scenario())
+        scheduler = FairScheduler()
+        session = make_session()
+        scheduler.enqueue(pending_for(session, "a"))
+        scheduler.enqueue(pending_for(session, "b"))
+        dropped = scheduler.remove_session(session)
+        leftover = scheduler.next()
         assert dropped == 2 and leftover is None
 
 
@@ -483,9 +457,10 @@ class ServerClient:
             pass
 
 
-def run_server_scenario(config: ServerConfig, scenario):
-    """Start a QueryServer over a BlockingEngine and run *scenario*."""
-    engine = BlockingEngine()
+def run_server_scenario(config: ServerConfig, scenario, engine=None):
+    """Start a QueryServer over *engine* (a BlockingEngine by default) and
+    run *scenario*."""
+    engine = engine if engine is not None else BlockingEngine()
 
     async def main():
         server = QueryServer(None, config, engine=engine)
@@ -810,3 +785,168 @@ class TestServerIntegration:
         )
         notes = validator.validate(stats)  # raises on violation
         assert any("5 queries" in note for note in notes)
+
+
+# ---------------------------------------------------------------------------
+# The relay: an engine's reply is the rest of its query
+# ---------------------------------------------------------------------------
+class RecordingEngine(BlockingEngine):
+    """A BlockingEngine that notes, in memory the fork shares, the tag of
+    every statement it starts (``SELECT 'a0'`` -> ``a0``), in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._tags = FORK.RawArray("c", 256)
+        self._length = FORK.RawValue("i", 0)
+
+    def execute(self, sql, config, limits, context):
+        tag = sql.split("'")[1].encode() + b" "
+        start = self._length.value
+        self._tags[start : start + len(tag)] = tag
+        self._length.value = start + len(tag)
+        return super().execute(sql, config, limits, context)
+
+    def started_tags(self) -> list[str]:
+        return self._tags[: self._length.value].decode().split()
+
+
+class LargeReplyEngine:
+    """Engine double: every statement returns one row of *size* bytes."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.release = Flag()  # run_server_scenario sets it on the way out
+
+    def execute(self, sql, config, limits, context):
+        return EngineResult(
+            rows=[("x" * self.size,)], work_units=1.0, wall_ms=0.5,
+            switches=0, degraded=False, plan_cache="off",
+        )
+
+
+def query_lines(*tags: str, first_id: int = 0) -> bytes:
+    """Query requests for the tagged statements, as one write."""
+    return b"".join(
+        (
+            json.dumps({"op": "query", "id": first_id + n, "sql": f"SELECT '{tag}'"})
+            + "\n"
+        ).encode()
+        for n, tag in enumerate(tags)
+    )
+
+
+class TestRelay:
+    def test_the_relay_keeps_its_contract(self):
+        """Round-robin dispatch over pipelining sessions, the engine's reply
+        bytes with their ids, admission counters back at 0, and a
+        disconnect that reaches the engine's cancel record and frees it."""
+        engine = RecordingEngine()
+
+        async def scenario(server, engine):
+            first = await ServerClient.connect(server.port)
+            second = await ServerClient.connect(server.port)
+            first.writer.write(query_lines("a0", "a1", "a2"))
+            await first.writer.drain()
+            assert await asyncio.to_thread(engine.started.acquire, timeout=5.0)
+            second.writer.write(query_lines("b0", "b1", "b2", first_id=10))
+            await second.writer.drain()
+            deadline = time.monotonic() + 10.0
+            while server.admission.queued < 5:
+                assert time.monotonic() < deadline, server.admission.queued
+                await asyncio.sleep(0.005)
+            engine.release.set()
+            lines = {
+                client: [
+                    await asyncio.wait_for(client.reader.readline(), 10.0)
+                    for _ in range(3)
+                ]
+                for client in (first, second)
+            }
+            settled = (server.admission.queued, server.admission.in_flight)
+            # A hang-up while its query runs.
+            engine.release.clear()
+            victim = await ServerClient.connect(server.port)
+            await victim.send(op="query", id=20, sql="SELECT 'held'")
+            assert await asyncio.to_thread(engine.started.acquire, timeout=5.0)
+            record = server._engines[0].record
+            assert record[0] == 0
+            await victim.close()
+            while not record[0]:
+                assert time.monotonic() < deadline + 10.0, "never cancelled"
+                await asyncio.sleep(0.005)
+            cancelled_reason = bytes(record[2 : 2 + record[1]]).decode()
+            engine.release.set()
+            await first.send(op="query", id=3, sql="SELECT 'after'")
+            after = await first.recv()
+            idle = list(server._idle)
+            freed = (server.admission.queued, server.admission.in_flight)
+            await first.close()
+            await second.close()
+            return (
+                [lines[first], lines[second]], settled, cancelled_reason,
+                after, idle, freed,
+            )
+
+        lines, settled, reason, after, idle, freed = run_server_scenario(
+            tiny_config(max_queue_depth=8, max_queue_per_session=4),
+            scenario,
+            engine,
+        )
+        # One engine, so the start order is the dispatch order: a0 ran at
+        # once, then one query a session a turn, a's ring turn first.
+        assert engine.started_tags() == [
+            "a0", "a1", "b0", "a2", "b1", "b2", "held", "after",
+        ]
+        for client_lines, tags, first_id in (
+            (lines[0], ("a0", "a1", "a2"), 0),
+            (lines[1], ("b0", "b1", "b2"), 10),
+        ):
+            for n, (line, tag) in enumerate(zip(client_lines, tags)):
+                reply = json.loads(line)
+                assert reply["id"] == first_id + n
+                assert line == encode_response(
+                    ok_response(first_id + n, [(f"SELECT '{tag}'",)], reply["stats"])
+                )
+        assert settled == (0, 0)
+        assert "disconnected" in reason
+        assert after["status"] == "ok" and after["id"] == 3
+        assert idle == [0] and freed == (0, 0)
+
+    def test_a_client_that_stops_reading_holds_no_engine(self):
+        """A session that pipelines queries with large replies and never
+        reads them must not keep another session's query from an engine:
+        its replies wait in its own transport, and it stops being read."""
+        size = 1 << 20
+
+        async def scenario(server, engine):
+            stalled = socket.socket()
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.connect(("127.0.0.1", server.port))
+            try:
+                stalled.sendall(query_lines(*(f"s{n}" for n in range(8))))
+                deadline = time.monotonic() + 10.0
+                while not any(s.completed >= 2 for s in server.sessions.values()):
+                    assert time.monotonic() < deadline, "nothing was answered"
+                    await asyncio.sleep(0.005)
+                other = await ServerClient.connect(server.port, limit=2**22)
+                started = time.monotonic()
+                await other.send(op="query", id=1, sql="SELECT 'other'")
+                try:
+                    reply = await asyncio.wait_for(other.reader.readline(), 5.0)
+                except asyncio.TimeoutError:
+                    pytest.fail("a non-reading client pinned every engine")
+                waited = time.monotonic() - started
+                await other.close()
+                return json.loads(reply), waited
+            finally:
+                stalled.close()
+
+        reply, waited = run_server_scenario(
+            tiny_config(max_concurrency=2, max_queue_depth=16,
+                        max_queue_per_session=8),
+            scenario,
+            LargeReplyEngine(size),
+        )
+        assert reply["status"] == "ok" and reply["id"] == 1
+        assert len(reply["rows"][0][0]) == size
+        assert waited < 5.0

@@ -189,8 +189,8 @@ class TestEngineDeath:
             # This client connected before the re-fork: had the new engine
             # kept the descriptors it was forked with, the server's hanging
             # up would not reach the client.
-            (writer,) = server._writers.values()
-            writer.close()
+            (session,) = server.sessions.values()
+            session.transport.close()
             end = await asyncio.wait_for(client.reader.read(), timeout=5.0)
             await client.close()
             return died, after, stats, (first, second), held, end

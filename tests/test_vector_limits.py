@@ -316,7 +316,7 @@ def test_deadline_is_seen_at_a_chunk_boundary(
 
 
 def served_limits() -> ExecutionLimits:
-    """What admission.build_limits arms on every served request."""
+    """What every served request is armed with (admission.budgets)."""
     return ExecutionLimits(
         max_rows=100_000,
         timeout_seconds=10.0,
