@@ -54,9 +54,12 @@ serving process — the event loop — and of each engine process.
 ``--memory`` is the memory ledger instead: this process's ``VmRSS`` /
 ``VmHWM`` after the imports, after the columnar DMV load, after the served
 workload's 40 pairs run twice (what one process serving them holds) and
-after a warm pass of each grid (modes none and both), then per index its
-entries, distinct keys, the bytes of its arrays (``index.nbytes()``) and
-of the kernel plan resident on it, and ``Database.storage_stats()``'s
+after a warm pass of each grid (modes none and both); the load's wall time
+split into ``insert`` (validating and appending each table's batch),
+``index fold`` (the indexes' refresh after each batch), ``analyze`` and
+``generate`` (the rest: the generator's rows, the schema); then per index
+its entries, distinct keys, the bytes of its arrays (``index.nbytes()``)
+and of the kernel plan resident on it, and ``Database.storage_stats()``'s
 totals. With ``--served`` it also starts a ``repro
 serve`` child (columnar, two engine processes), sends the 40 pairs over
 two connections, and prints the proportional set size (``Pss`` of
@@ -89,6 +92,7 @@ from statistics import median
 from time import perf_counter
 
 from repro import AdaptiveConfig, Database, ReorderMode
+from repro.catalog.catalog import Catalog
 from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor import pipeline, vector
@@ -99,6 +103,7 @@ from repro.robustness.limits import SharedCancellationToken
 from repro.server import server
 from repro.server.admission import ServerConfig
 from repro.server.server import DatabaseEngine, answer
+from repro.storage.columnar import ColumnarIndex, ColumnarTable
 from repro.storage.counters import WorkMeter
 
 LAYERS = [
@@ -357,11 +362,39 @@ def served_pairs() -> list[tuple[str, str]]:
     return [(sql, mode) for sql in chosen for mode in ("none", "both")]
 
 
+#: The DMV load's layers: (owner, attribute, label). What none of them
+#: covers is ``generate``.
+LOAD_LAYERS = [
+    (ColumnarTable, "insert_many", "insert"),
+    (ColumnarIndex, "refresh", "index fold"),
+    (Catalog, "analyze", "analyze"),
+]
+
+
+def timed_load(scale: float) -> tuple[Database, dict[str, float]]:
+    """The columnar extended DMV, and its load's seconds per layer."""
+    spent = {label: 0.0 for _, _, label in LOAD_LAYERS}
+    inside: list[float] = []
+    originals = []
+    for owner, name, label in LOAD_LAYERS:
+        function = getattr(owner, name)
+        originals.append((owner, name, function))
+        setattr(owner, name, timed(function, spent, label, inside))
+    try:
+        start = perf_counter()
+        db, _ = load_dmv(scale=scale, extended=True, backend="columnar")
+        total = perf_counter() - start
+    finally:
+        for owner, name, function in originals:
+            setattr(owner, name, function)
+    return db, {"generate": total - sum(spent.values()), **spent, "total": total}
+
+
 def memory(args) -> int:
     """The ``--memory`` ledger."""
     print(f"{'this process (MB)':<34}{'VmRSS':>9}{'VmHWM':>9}")
     print_rss("after the imports")
-    db, _ = load_dmv(scale=args.scale, extended=True, backend="columnar")
+    db, load = timed_load(args.scale)
     print_rss(f"after the DMV load (scale {args.scale:g})")
     # What one process serving the served pairs holds: the tree's yardstick.
     for _ in range(2):
@@ -374,6 +407,9 @@ def memory(args) -> int:
             for sql in grid_sqls(grid):
                 db.execute(sql, config)
         print_rss(f"after a warm {grid}-table pass")
+    print(f"\n{'DMV load':<34}{'ms':>9}{'share':>9}")
+    for label, seconds in load.items():
+        print(f"{label:<34}{seconds * 1e3:>9.1f}{seconds / load['total']:>9.1%}")
     print(
         f"\n{'index':<26}{'entries':>9}{'keys':>8}{'index KB':>10}"
         f"{'kernel KB':>11}"

@@ -86,7 +86,12 @@ class Catalog:
 
     # -- data + statistics -------------------------------------------------
     def insert_many(self, table_name: str, rows: Iterable[Sequence]) -> int:
-        """Bulk-insert rows and refresh the table's indexes."""
+        """Bulk-insert rows and fold them into the table's indexes.
+
+        The table validates the whole batch before it appends a row, so a
+        batch that fails raises before anything moved: the table, its
+        version, its indexes and :meth:`generation` are as they were.
+        """
         table = self.table(table_name)
         count = table.insert_many(rows)
         for index in self._indexes[table_name].values():

@@ -67,16 +67,23 @@ def collect_column_stats(
     values: list[Any], with_frequent_values: bool = False, top_n: int = DEFAULT_FREQUENT_VALUES
 ) -> ColumnStats:
     """Compute :class:`ColumnStats` over raw column values."""
-    non_null = [value for value in values if value is not None]
+    non_null = (
+        [value for value in values if value is not None]
+        if None in values
+        else values
+    )
     null_count = len(values) - len(non_null)
     if not non_null:
         return ColumnStats(ndv=0, null_count=null_count, min_value=None, max_value=None)
-    counts = Counter(non_null)
     frequent: dict[Any, int] = {}
     if with_frequent_values:
+        counts = Counter(non_null)
+        ndv = len(counts)
         frequent = dict(counts.most_common(top_n))
+    else:
+        ndv = len(set(non_null))
     return ColumnStats(
-        ndv=len(counts),
+        ndv=ndv,
         null_count=null_count,
         min_value=min(non_null),
         max_value=max(non_null),

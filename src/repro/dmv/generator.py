@@ -28,7 +28,10 @@ paper's 100K owners with Car/Accidents cardinalities near Table 1's ratios
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from repro.catalog.statistics import StatisticsLevel
 from repro.db import Database
@@ -119,8 +122,56 @@ class DmvSummary:
         return rows
 
 
-def _weighted_choice(rng: random.Random, items: list, weights: list[int]):
-    return rng.choices(items, weights=weights, k=1)[0]
+class _Weighted:
+    """A population with its cumulative weights, accumulated once.
+
+    :meth:`draw` is ``rng.choices(population, weights, k=1)[0]``'s own
+    arithmetic on the same one ``rng.random()`` call, so every draw, and
+    so every generated row, is the one ``Random.choices`` makes.
+    """
+
+    __slots__ = ("population", "cumulative", "total", "hi")
+
+    def __init__(self, population: list, weights: list[int]) -> None:
+        self.population = population
+        self.cumulative = list(accumulate(weights))
+        self.total = self.cumulative[-1] + 0.0
+        self.hi = len(population) - 1
+
+    def draw(self, rng: random.Random):
+        return self.population[
+            bisect(self.cumulative, rng.random() * self.total, 0, self.hi)
+        ]
+
+
+_COUNTRY_CHOICE = _Weighted(COUNTRIES, [c[2] for c in COUNTRIES])
+
+
+@lru_cache(maxsize=None)
+def _make_choice(luxury: bool, country3: str) -> _Weighted:
+    """The makes of one class and their weights for an owner of
+    *country3*: the country biases the brand within each class (property
+    4: US -> Chevrolet/Ford, DE -> Mercedes/BMW/Volkswagen)."""
+    candidates = [m for m in MAKES if m[1] == luxury]
+    weights = []
+    for make, _, weight, _ in candidates:
+        if country3 == "US" and make in ("Chevrolet", "Ford"):
+            weight *= 3
+        elif country3 == "DE" and make in ("Mercedes", "BMW", "Volkswagen"):
+            weight *= 4
+        elif country3 == "JP" and make in ("Toyota", "Honda", "Mazda", "Nissan"):
+            weight *= 3
+        elif country3 in ("FR", "IT", "ES") and make in ("Fiat", "Peugeot", "Renault"):
+            weight *= 3
+        weights.append(weight)
+    return _Weighted(candidates, weights)
+
+
+#: Each make's models, the first the most common.
+_MODEL_CHOICE = {
+    make: _Weighted(models, list(range(len(models), 0, -1)))
+    for make, _, _, models in MAKES
+}
 
 
 class DmvGenerator:
@@ -139,40 +190,26 @@ class DmvGenerator:
         return int(rng.random() ** 2 * 10)
 
     def _pick_country(self, rng: random.Random) -> tuple[str, str, list[str]]:
-        country1, country3, _, cities = _weighted_choice(
-            rng, COUNTRIES, [c[2] for c in COUNTRIES]
-        )
+        country1, country3, _, cities = _COUNTRY_CHOICE.draw(rng)
         return country1, country3, cities
 
     def _pick_make(
         self, rng: random.Random, wealth: int, country3: str
-    ) -> tuple[str, bool, list[str]]:
+    ) -> tuple[str, bool]:
         """Choose a make given owner wealth and country.
 
         Wealth drives the luxury probability (property 3); country biases
-        the brand within each class (property 4: US -> Chevrolet/Ford,
-        DE -> Mercedes/BMW/Volkswagen).
+        the brand within each class (:func:`_make_choice`).
         """
         luxury_probability = 0.02 + 0.065 * wealth
         luxury = rng.random() < luxury_probability
-        candidates = [m for m in MAKES if m[1] == luxury]
-        weights = []
-        for make, _, weight, _ in candidates:
-            if country3 == "US" and make in ("Chevrolet", "Ford"):
-                weight *= 3
-            elif country3 == "DE" and make in ("Mercedes", "BMW", "Volkswagen"):
-                weight *= 4
-            elif country3 == "JP" and make in ("Toyota", "Honda", "Mazda", "Nissan"):
-                weight *= 3
-            elif country3 in ("FR", "IT", "ES") and make in ("Fiat", "Peugeot", "Renault"):
-                weight *= 3
-            weights.append(weight)
-        make, is_luxury, _, models = _weighted_choice(rng, candidates, weights)
-        return make, is_luxury, models
+        make, is_luxury, _, _ = _make_choice(luxury, country3).draw(rng)
+        return make, is_luxury
 
     # -- generation --------------------------------------------------------
     def populate(self, db: Database, extended: bool = False) -> DmvSummary:
-        """Create schema, generate all rows, build indexes, collect stats."""
+        """Create schema, generate all rows, build indexes, collect table
+        sizes."""
         create_dmv_schema(db, extended=extended)
         rng = random.Random(self.seed)
 
@@ -201,10 +238,8 @@ class DmvGenerator:
 
             car_count = 1 + (1 if rng.random() < SECOND_CAR_PROBABILITY else 0)
             for _ in range(car_count):
-                make, is_luxury, models = self._pick_make(rng, wealth, country3)
-                model = _weighted_choice(
-                    rng, models, list(range(len(models), 0, -1))
-                )
+                make, is_luxury = self._pick_make(rng, wealth, country3)
+                model = _MODEL_CHOICE[make].draw(rng)
                 year = 1985 + int(rng.random() ** 0.7 * 22)
                 cars.append((car_id, owner_id, make, model, year))
 
@@ -223,7 +258,10 @@ class DmvGenerator:
         if extended:
             db.insert("Location", location_rows)
             db.insert("Time", time_rows)
-        db.analyze()
+        # Table sizes only (the paper's main setting): every caller
+        # analyzes again at the level it wants, and a BASIC pass here was
+        # thrown away.
+        db.analyze(level=StatisticsLevel.CARDINALITY)
         return DmvSummary(
             owners=len(owners),
             cars=len(cars),
@@ -256,15 +294,18 @@ class DmvGenerator:
         mean *= 0.6 if is_luxury else 1.08
         mean *= 0.7 + (2006 - car_year) / 30.0
         count = min(int(rng.expovariate(1.0 / mean)), 15)
+        random, randrange = rng.random, rng.randrange
+        first_year = max(car_year, 1995)
+        years = max(2006 - first_year, 1)
         rows = []
         for offset in range(count):
-            driver = owner_name if rng.random() < 0.85 else f"Driver{rng.randrange(10_000)}"
-            year = max(car_year, 1995) + rng.randrange(max(2006 - max(car_year, 1995), 1))
-            damage = int(500 * (10 ** (rng.random() * 2)))  # 500..50000, skewed
+            driver = owner_name if random() < 0.85 else f"Driver{randrange(10_000)}"
+            year = first_year + randrange(years)
+            damage = int(500 * (10 ** (random() * 2)))  # 500..50000, skewed
             # Urban locations (low ids) attract most accidents.
-            locationid = int(location_count * rng.random() ** 2.5)
+            locationid = int(location_count * random() ** 2.5)
             # Winter months are over-represented via the time id skew.
-            timeid = rng.randrange(time_count)
+            timeid = randrange(time_count)
             rows.append(
                 (next_id + offset, car_id, driver, year, damage, locationid, timeid)
             )

@@ -88,12 +88,14 @@ def _tokens(sql: str) -> Iterator[Token]:
             i += 1
             continue
         if ch == "'":
+            start = i
             literal, i = _read_string(sql, i)
-            yield Token(TokenKind.STRING, literal, literal, i)
+            yield Token(TokenKind.STRING, literal, literal, start)
             continue
         if ch.isdigit() or (ch == "-" and i + 1 < n and sql[i + 1].isdigit()):
+            start = i
             value, text, i = _read_number(sql, i)
-            yield Token(TokenKind.NUMBER, text, value, i)
+            yield Token(TokenKind.NUMBER, text, value, start)
             continue
         if ch.isalpha() or ch == "_":
             start = i

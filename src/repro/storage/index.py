@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import sys
+from operator import itemgetter
 from typing import Any, Iterator
 
 from repro.errors import StorageError
@@ -117,25 +118,26 @@ class SortedIndex:
 
     def rebuild(self) -> None:
         """(Re)build the index from the current heap contents."""
-        entries = []
-        for rid, row in enumerate(self.table.raw_rows()):
-            key = row[self._column_pos]
-            if key is not None:
-                entries.append((key, rid))
-        entries.sort()
-        self._entries = entries
-        self._built_upto = len(self.table)
+        self._entries = []
+        self._built_upto = 0
+        self.refresh()
 
     def refresh(self) -> None:
-        """Fold rows appended since the last build into the index."""
+        """Fold rows appended since the last build into the index: their
+        entries are appended and the list is sorted once (an insertion per
+        row would move the list's tail per row). ``(key, rid)`` is a total
+        order, so the result is the list those insertions would build."""
         heap_size = len(self.table)
         if self._built_upto == heap_size:
             return
-        rows = self.table.raw_rows()
-        for rid in range(self._built_upto, heap_size):
-            key = rows[rid][self._column_pos]
-            if key is not None:
-                bisect.insort(self._entries, (key, rid))
+        start = self._built_upto
+        keys = map(
+            itemgetter(self._column_pos), self.table.raw_rows()[start:heap_size]
+        )
+        self._entries.extend(
+            (key, rid) for rid, key in enumerate(keys, start) if key is not None
+        )
+        self._entries.sort()
         self._built_upto = heap_size
 
     def _check_fresh(self) -> None:

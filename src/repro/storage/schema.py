@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SchemaError, StorageError
@@ -88,3 +89,26 @@ class TableSchema:
                 )
             coerced.append(column.type.validate(value, column.name))
         return tuple(coerced)
+
+    def validate_batch(
+        self, values: Iterable[Sequence[Any]]
+    ) -> list[tuple[Any, ...]]:
+        """Validate and coerce a batch of insertable rows, returning the
+        stored tuples; the one validation path of every insert.
+
+        Each row's width is checked, then each column is scanned once
+        (:meth:`ColumnType.scan`), one column's list alive at a time. When
+        every column passes, the rows are stored as given. Otherwise the
+        batch is walked row by row with :meth:`validate_row`, which raises
+        the error (and message) a row-at-a-time load raises first, or
+        returns the rows it coerced (an int widened in a FLOAT column).
+        Nothing is stored here, so a batch that fails changes no table.
+        """
+        rows = list(map(tuple, values))
+        if rows and set(map(len, rows)) != {len(self.columns)}:
+            return list(map(self.validate_row, rows))
+        for slot, column in enumerate(self.columns):
+            cells = list(map(itemgetter(slot), rows))
+            if not column.type.scan(cells, column.nullable):
+                return list(map(self.validate_row, rows))
+        return rows

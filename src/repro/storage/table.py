@@ -8,6 +8,7 @@ driving-leg positional predicates rely on (Sec 4.2).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import StorageError
@@ -49,19 +50,21 @@ class HeapTable:
         return len(self._rows)
 
     def insert(self, values: Sequence[Any]) -> int:
-        """Append a row, returning its RID."""
-        row = self.schema.validate_row(values)
-        self._rows.append(row)
-        self.version += 1
-        return len(self._rows) - 1
+        """Append a row, returning its RID: a one-row batch."""
+        self.insert_many((values,))
+        return len(self) - 1
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Append many rows; returns the number inserted."""
-        count = 0
-        for values in rows:
-            self.insert(values)
-            count += 1
-        return count
+        """Append a batch of rows; returns the number inserted.
+
+        The whole batch is validated before any row is stored
+        (:meth:`TableSchema.validate_batch`), so a batch that fails leaves
+        the table, its version and its indexes as they were.
+        """
+        batch = self.schema.validate_batch(rows)
+        self._rows.extend(batch)
+        self.version += len(batch)
+        return len(batch)
 
     def fetch(self, rid: int) -> Row:
         """Fetch a row by RID, charging one row fetch."""
@@ -92,5 +95,4 @@ class HeapTable:
 
     def column_values(self, column: str) -> list[Any]:
         """Uncharged projection of one column (statistics collection)."""
-        position = self.schema.position_of(column)
-        return [row[position] for row in self._rows]
+        return list(map(itemgetter(self.schema.position_of(column)), self._rows))

@@ -15,6 +15,10 @@ from typing import Any
 
 from repro.errors import StorageError
 
+#: An INT is a signed 64-bit integer: ``INT_LOW <= value < INT_END``.
+INT_LOW, INT_END = -(2**63), 2**63
+_NONE = type(None)
+
 
 class ColumnType(enum.Enum):
     """Logical column types."""
@@ -38,7 +42,7 @@ class ColumnType(enum.Enum):
             )
         if self is ColumnType.INT:
             if isinstance(value, int):
-                if not -(2**63) <= value < 2**63:
+                if not INT_LOW <= value < INT_END:
                     raise StorageError(
                         f"column {column_name!r}: {value} is outside the "
                         "64-bit integer range"
@@ -59,6 +63,39 @@ class ColumnType(enum.Enum):
         raise StorageError(
             f"column {column_name!r}: expected str, got {type(value).__name__}"
         )
+
+    def scan(self, values: list, nullable: bool = True) -> bool:
+        """Whether every value of a batch's column is stored as given.
+
+        One pass over *values* at C speed: the set of their exact types, an
+        INT column's range by its ``min`` / ``max``, and ``None`` where
+        *nullable* is False. True means :meth:`validate` accepts each value
+        and returns it unchanged. False means some value may be refused, or
+        widened (an int in a FLOAT column), or is of a subclass the type
+        set does not vouch for (``bool`` among them): the caller then walks
+        the batch row by row with :meth:`validate`, which decides.
+        """
+        kinds = set(map(type, values))
+        nulls = _NONE in kinds
+        if nulls:
+            if not nullable:
+                return False
+            kinds.discard(_NONE)
+        if not kinds <= _STORED_AS_GIVEN[self]:
+            return False
+        if self is ColumnType.INT and kinds:
+            if nulls:
+                values = [value for value in values if value is not None]
+            return INT_LOW <= min(values) and max(values) < INT_END
+        return True
+
+
+#: The exact Python types :meth:`ColumnType.validate` stores unchanged.
+_STORED_AS_GIVEN = {
+    ColumnType.INT: frozenset({int}),
+    ColumnType.FLOAT: frozenset({float}),
+    ColumnType.STRING: frozenset({str}),
+}
 
 
 def infer_type(value: Any) -> ColumnType:

@@ -91,3 +91,46 @@ class TestErrors:
         with pytest.raises(SqlSyntaxError) as info:
             tokenize("ab @")
         assert info.value.position == 3
+
+
+class TestPositions:
+    """Every token's position is the offset of its first character."""
+
+    SQL = "SELECT o.id FROM Owner o WHERE x = 'abc' AND y = 123 AND z = -4.5"
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("abc", TokenKind.STRING),
+            ("123", TokenKind.NUMBER),
+            ("-4.5", TokenKind.NUMBER),
+            ("WHERE", TokenKind.KEYWORD),
+            ("o", TokenKind.IDENT),
+            ("=", TokenKind.OPERATOR),
+        ],
+    )
+    def test_a_token_starts_where_its_text_does(self, text, kind):
+        token = next(
+            t for t in tokenize(self.SQL) if t.kind is kind and t.text == text
+        )
+        quote = "'" if kind is TokenKind.STRING else ""
+        assert token.position == self.SQL.index(f"{quote}{text}{quote}")
+
+    def test_string_and_number_positions(self):
+        sql = "SELECT * FROM t WHERE x = 'abc' AND y = 123"
+        tokens = tokenize(sql)
+        string = next(t for t in tokens if t.kind is TokenKind.STRING)
+        number = next(t for t in tokens if t.kind is TokenKind.NUMBER)
+        assert (string.position, number.position) == (26, 40)
+
+    def test_an_escaped_quote_keeps_the_opening_quote_position(self):
+        (token, _) = tokenize("  'it''s'")
+        assert token.position == 2
+
+    def test_a_parser_error_cites_the_literal(self):
+        from repro.query.sql.parser import parse_sql
+
+        sql = "SELECT o.id FROM Owner o LIMIT 2.5"
+        with pytest.raises(SqlSyntaxError, match="LIMIT requires") as info:
+            parse_sql(sql)
+        assert info.value.position == sql.index("2.5")
