@@ -112,14 +112,15 @@ LAYERS = [
     (Database, "_execute_plan"),
     (Database, "_learn"),
     (pipeline, "_prepare"),
+    (pipeline, "memo_step"),
     (PipelineExecutor, "__init__"),
     (PipelineExecutor, "_build_machine"),
     (PipelineExecutor, "_accounted"),
     (PipelineExecutor, "_open_driving"),
-    (PipelineExecutor, "_compile_all_probes"),
+    (PipelineExecutor, "_install_probes"),
     (BatchedPipelineExecutor, "_build_machine"),
     (BatchedPipelineExecutor, "_collect"),
-    (vector, "_adaptive_plan"),
+    (vector, "assemble"),
     (vector, "_driving_walk"),
     (vector, "_expand"),
     (vector, "_project"),
@@ -130,7 +131,11 @@ LAYERS = [
 #: The floor's named parts: the layers whose own time each one is.
 #: ``_collect`` iterates the chunk generator (``vector.cascade``: its
 #: start, the driving walk and the chunk loop), so its own time is theirs
-#: less ``_expand`` / ``_project`` and the other layers they call.
+#: less ``_expand`` / ``_project`` and the other layers they call. Probe
+#: install is the step memo's lookups and the probes and steps it builds
+#: on a miss (``memo_step``), what a primitive installs with them
+#: (``_install_probes``) and the step programs assembled from them, for a
+#: prepared record as for a change a check applied (``assemble``).
 FLOOR = {
     "plan-cache lookup": ["Database._plan_sql"],
     "executor build": [
@@ -141,8 +146,9 @@ FLOOR = {
     ],
     "cursor and probe install": [
         "PipelineExecutor._open_driving",
-        "PipelineExecutor._compile_all_probes",
-        "vector._adaptive_plan",
+        "PipelineExecutor._install_probes",
+        "pipeline.memo_step",
+        "vector.assemble",
         "vector._driving_walk",
     ],
     "chunk-loop frames": ["BatchedPipelineExecutor._collect"],

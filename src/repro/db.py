@@ -229,7 +229,8 @@ class Database:
         ``row``), and ``kernel_bytes``: the numpy index / group-kernel /
         join-key row-rank bytes materialized on that table's indexes, and
         what the prepared records of the plans in the plan cache keep alive
-        beyond them — kernels the index's bounded memo has since evicted,
+        beyond them — their step memos' kernels (the index's bounded memo
+        may have evicted them), hash builds and residual join cells,
         driving-scan arrays. The totals sum the per-table entries;
         ``total_bytes`` counts the tables' storage only.
         """

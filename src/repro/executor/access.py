@@ -14,15 +14,19 @@ A leg can serve either role of the pipeline at any time:
   predicate is probed through an in-memory hash table instead (the Sec 6
   pipelined hash join, :mod:`repro.executor.hashprobe`).
 
-Probe configs are compiled when the order changes, not per row — this is
-what keeps the paper's approach cheaper than row routing: adaptation state
-lives in the pipeline, and each row only pays the predicates themselves.
+A probe config depends on the leg, the set of legs bound before it and
+the access predicate chosen among them, never on their order: it is
+compiled once per such context into the plan's step memo
+(:func:`repro.executor.pipeline.memo_step`) and installed whenever the
+pipeline reaches the context, not per row — this is what keeps the paper's
+approach cheaper than row routing: adaptation state lives in the pipeline,
+and each row only pays the predicates themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.monitor import IDLE_MONITOR, DrivingMonitor, LegMonitor
 from repro.errors import ExecutionError
@@ -43,11 +47,12 @@ Cursor = TableScanCursor | IndexScanCursor
 class ProbeConfig:
     """Compiled probe strategy for a leg at its current pipeline position.
 
-    Immutable: the starting order's configs are kept in the plan's
-    prepared record (:meth:`PipelinePlan.prepared`) and shared by every
-    execution of it, across threads. Equality is by what a probe does —
-    the getters are closures over ``key_alias`` / ``key_slot`` /
-    ``residual_sources``, which are compared in their place.
+    Immutable: kept in the plan's step memo
+    (:func:`~repro.executor.pipeline.memo_step`) and shared by every
+    execution of the plan and its corrected plans, across threads.
+    Equality is by what a probe does — the getters are closures over
+    ``key_alias`` / ``key_slot`` / ``residual_sources``, which are
+    compared in their place.
     """
 
     access_index: SortedIndex | None
@@ -93,6 +98,71 @@ def bind_local_tests(
     )
 
 
+def compile_probe(
+    alias: str,
+    legs: Mapping[str, Any],
+    available: Sequence[JoinPredicate],
+    access: JoinPredicate,
+) -> ProbeConfig:
+    """Leg *alias*'s probe through *access*, one of the join predicates
+    *available* to it with the legs before it bound: an index probe when
+    the leg indexes *access*'s column, else a probe of an in-memory hash
+    table on it; every other available predicate is checked residually.
+    *legs* are the plan's :class:`~repro.executor.pipeline.LegBinding` by
+    alias."""
+    indexes = legs[alias].indexes
+    column = access.column_of(alias)
+    hash_column = None if column in indexes else column
+
+    def slot_of(other: str, column: str) -> int:
+        return legs[other].table.schema.position_of(column)
+
+    def source_of(predicate: JoinPredicate) -> tuple[str, int]:
+        other = predicate.other(alias)
+        return other, slot_of(other, predicate.column_of(other))
+
+    def getter_for(predicate: JoinPredicate) -> Callable[[Binding], Any]:
+        other, slot = source_of(predicate)
+
+        def get(binding: Binding) -> Any:
+            return binding[other][slot]
+
+        return get
+
+    residual = [p for p in available if p is not access]
+    key_alias, key_slot = source_of(access)
+    return ProbeConfig(
+        access_index=None if hash_column is not None else indexes[column],
+        access_predicate=access,
+        key_getter=getter_for(access),
+        residual_joins=tuple(
+            (getter_for(p), slot_of(alias, p.column_of(alias)))
+            for p in residual
+        ),
+        available_predicates=tuple(available),
+        hash_column=hash_column,
+        key_alias=key_alias,
+        key_slot=key_slot,
+        residual_sources=tuple(source_of(p) for p in residual),
+    )
+
+
+def open_cursor(plan_leg: PlanLeg, table: Any, indexes: Mapping[str, Any]) -> Cursor:
+    """A fresh driving scan of *plan_leg* over *table* (*indexes*: its
+    indexes by column), as its :class:`~repro.optimizer.plans.DrivingSpec`
+    describes it."""
+    spec = plan_leg.driving
+    if spec.kind is DrivingKind.INDEX_SCAN:
+        index = indexes.get(spec.index_column or "")
+        if index is None:
+            raise ExecutionError(
+                f"leg {plan_leg.alias!r}: driving index on "
+                f"{spec.index_column!r} does not exist"
+            )
+        return IndexScanCursor(index, spec.ranges)
+    return TableScanCursor(table)
+
+
 FLOW_COUNTERS = ("rows_in", "index_matches", "rows_out", "rows_scanned", "rows_survived")
 
 
@@ -130,7 +200,6 @@ class RuntimeLeg(LegFlow):
         "local_tests",
         "local_counts",
         "probe_config",
-        "probe_epoch",
         "incoming_since_check",
         "collect_rids",
         "match_rids",
@@ -183,11 +252,6 @@ class RuntimeLeg(LegFlow):
         self.driving_monitor: DrivingMonitor | None = None
         self.positional: PositionalPredicate | None = None
         self.probe_config: ProbeConfig | None = None
-        # Bumped on every compile_probe: reorders and driving switches
-        # change what a probe means (access predicate, residual set,
-        # positional filter), so cascade plans keyed on the epoch are
-        # rebuilt.
-        self.probe_epoch = 0
         self.incoming_since_check = 0
         # Oracle mode: probe() additionally records the RIDs of its matches
         # (aligned with the returned rows) in self.match_rids.
@@ -208,95 +272,11 @@ class RuntimeLeg(LegFlow):
     # ------------------------------------------------------------------
     # Inner-leg role
     # ------------------------------------------------------------------
-    def compile_probe(
-        self,
-        preceding: Sequence[str],
-        graph: Any,
-        schemas: dict[str, Any],
-        sel_of: Callable[[JoinPredicate], float],
-        slot_of: Callable[[str, str], int] | None = None,
-    ) -> None:
-        """(Re)compile the probe strategy for the current leg order.
-
-        *preceding* are the aliases bound before this leg; *graph* is the
-        query's :class:`~repro.query.joingraph.JoinGraph` (it supplies
-        derived predicates from column equivalence classes); *schemas* maps
-        alias -> TableSchema of every leg (to compile outer-side getters);
-        *sel_of* estimates a join predicate's selectivity, used to pick the
-        most selective access predicate — among the indexed ones, or among
-        all available ones for a hash probe when none is indexed; *slot_of*,
-        when given, is a shared ``(alias, column) -> row slot`` cache so
-        repeated recompiles across legs don't re-resolve schema positions.
-        """
-        available = graph.available_predicates(self.alias, preceding)
-        if not available and len(schemas) > 1:
-            raise ExecutionError(
-                f"leg {self.alias!r} has no available join predicate; "
-                "the order is disconnected"
-            )
-        indexed = [
-            predicate
-            for predicate in available
-            if predicate.column_of(self.alias) in self.indexes
-        ]
-        access: JoinPredicate | None = None
-        hash_column: str | None = None
-        if indexed:
-            access = min(indexed, key=sel_of)
-        elif available:
-            access = min(available, key=sel_of)
-            hash_column = access.column_of(self.alias)
-        residual = [p for p in available if p is not access]
-
-        if slot_of is None:
-            def slot_of(alias: str, column: str) -> int:
-                return schemas[alias].position_of(column)
-
-        def source_of(predicate: JoinPredicate) -> tuple[str, int]:
-            other = predicate.other(self.alias)
-            return other, slot_of(other, predicate.column_of(other))
-
-        def getter_for(predicate: JoinPredicate) -> Callable[[Binding], Any]:
-            other, slot = source_of(predicate)
-
-            def get(binding: Binding) -> Any:
-                return binding[other][slot]
-
-            return get
-
-        key_getter = getter_for(access) if access is not None else None
-        key_alias, key_slot = (
-            source_of(access) if access is not None else (None, None)
-        )
-        residual_compiled = tuple(
-            (getter_for(p), slot_of(self.alias, p.column_of(self.alias)))
-            for p in residual
-        )
-        self.install_probe(
-            ProbeConfig(
-                access_index=self.indexes[access.column_of(self.alias)]
-                if access is not None and hash_column is None
-                else None,
-                access_predicate=access,
-                key_getter=key_getter,
-                residual_joins=residual_compiled,
-                available_predicates=tuple(available),
-                hash_column=hash_column,
-                key_alias=key_alias,
-                key_slot=key_slot,
-                residual_sources=tuple(source_of(p) for p in residual),
-            )
-        )
-
     def install_probe(self, config: ProbeConfig) -> None:
-        """Probe through *config* from here on: a new probe epoch.
-
-        What :meth:`compile_probe` ends with; called directly with the
-        shared config of the plan's probe program when the pipeline still
-        is in the state that program was compiled for.
-        """
+        """Probe through *config* from here on, with an empty check count
+        (what the leg counted at its old position says nothing of this
+        one)."""
         self.probe_config = config
-        self.probe_epoch += 1
         self.incoming_since_check = 0
 
     def probe(self, binding: Binding) -> list[Row]:
@@ -434,20 +414,9 @@ class RuntimeLeg(LegFlow):
     # ------------------------------------------------------------------
     def open_driving_cursor(self, resume: Cursor | None = None) -> Cursor:
         """Create (or resume) the driving scan cursor for this leg."""
-        if resume is not None:
-            cursor = resume
-        else:
-            spec = self.plan_leg.driving
-            if spec.kind is DrivingKind.INDEX_SCAN:
-                index = self.indexes.get(spec.index_column or "")
-                if index is None:
-                    raise ExecutionError(
-                        f"leg {self.alias!r}: driving index on "
-                        f"{spec.index_column!r} does not exist"
-                    )
-                cursor = IndexScanCursor(index, spec.ranges)
-            else:
-                cursor = TableScanCursor(self.table)
+        cursor = resume
+        if cursor is None:
+            cursor = open_cursor(self.plan_leg, self.table, self.indexes)
         if self._history_window is not None:
             self.driving_monitor = DrivingMonitor(self._history_window)
         return cursor

@@ -9,9 +9,11 @@ two things, by its mode alone: an unmonitored one executes its plan's
 prepared step program and builds nothing the record holds — no leg, no
 cursor, no registry, and flow counters only where an observation reads
 them — and a monitored one runs on the machine built at init, through the
-same steps. What checks a run (the invariant oracle, a fault plan, limits,
-an observation, any controller) chooses neither, and no shape does: the
-row store is the only scalar machine.
+same steps until a check applies a change, then through steps assembled
+from the entries of the statement's step memo the change installed. What
+checks a run (the invariant oracle, a fault plan, limits, an observation,
+any controller) chooses neither, and no shape does: the row store is the
+only scalar machine.
 """
 
 from __future__ import annotations

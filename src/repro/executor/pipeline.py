@@ -19,7 +19,8 @@ controller's job, so a ``NONE``-mode run simply never mutates anything.
 The machine (legs, position registry, live selectivities) is built once,
 at init, from the plan's prepared record, its probe program installed;
 the engine (:mod:`repro.executor.batch`) builds it for a monitored run
-only.
+only. A primitive installs, for every leg it moved, the entry of the
+statement's step memo (:func:`memo_step`) for where the leg now is.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.events import AdaptationEvent, EventKind
 from repro.core.positions import PositionRegistry
 from repro.errors import ExecutionError
-from repro.executor.access import Binding, Cursor, RuntimeLeg, bind_local_tests
-from repro.executor.vector import cascade_start
+from repro.executor.access import (
+    Binding, Cursor, RuntimeLeg, bind_local_tests, compile_probe,
+)
+from repro.executor.vector import cascade_start, held_by, leg_step
 from repro.optimizer.params import LegModelParts, leg_model_parts
 from repro.optimizer.plans import PipelinePlan
 from repro.robustness.guard import describe_failure
@@ -98,11 +101,17 @@ class PlanBindings(NamedTuple):
     """
 
     legs: Mapping[str, LegBinding]
-    schemas: Mapping[str, Any]
     # (alias, row slot) per output column, and the row projector over them
     projection_slots: tuple[tuple[str, int], ...]
     projector: Callable[[Binding], tuple[Any, ...]]
     join_graph: Any
+    # Whether the tables are columnar: memo entries carry cascade steps.
+    columnar: bool
+    # The step memo (:func:`memo_step`): {(alias, frozenset of the aliases
+    # bound before it, access predicate): step memo entry}, filled by
+    # every execution of the plan and of its feedback plans under this
+    # catalog generation, read-only once an entry is in.
+    memo: dict
 
 
 class PreparedPlan(NamedTuple):
@@ -122,11 +131,11 @@ class PreparedPlan(NamedTuple):
     catalog: Catalog
     generation: tuple
     bindings: PlanBindings
-    # {inner alias: ProbeConfig} of the plan's order under its class
+    # {inner alias: step memo entry} of the plan's order under its class
     # selectivities: the starting probe program.
     program: Mapping[str, Any]
     # The cascade's start (:func:`~repro.executor.vector.cascade_start`):
-    # the starting inner legs' kernels and key gathers plus the fresh
+    # the program's assembled steps and column takers plus the fresh
     # driving walk; None on a row database.
     cascade: Any
     # One memo slot: ``[(final legs, legs summary)]`` of an unmonitored
@@ -157,10 +166,11 @@ def _bind_plan(plan: PipelinePlan, catalog: Catalog) -> PlanBindings:
 
     return PlanBindings(
         legs=legs,
-        schemas={alias: leg.table.schema for alias, leg in legs.items()},
         projection_slots=slots,
         projector=project,
         join_graph=plan.query.join_graph(),
+        columnar=catalog.backend is COLUMNAR_BACKEND,
+        memo={},
     )
 
 
@@ -172,45 +182,75 @@ def _prepare(
 ) -> PreparedPlan:
     """*plan*'s prepared record under *generation* (see :class:`PreparedPlan`).
 
-    The starting state is built the way an execution builds it — legs of
-    the plan's order, each inner leg's probe compiled for the legs before
-    it, a fresh driving cursor — on legs of its own that no execution
-    runs, and kept.
+    The probe program is the step memo's entries for the plan's order
+    under its class selectivities; on a columnar database the cascade's
+    start is assembled from them, with a fresh driving scan.
     """
     if bindings is None:
         bindings = _bind_plan(plan, catalog)
     order = plan.order
-    legs = {
-        alias: RuntimeLeg(plan.legs[alias], bindings.legs[alias])
-        for alias in order
-    }
     graph = bindings.join_graph
 
     def sel_of(predicate) -> float:
         return _class_selectivity(graph, plan.class_selectivities, predicate)
 
-    for position in range(1, len(order)):
-        _compile_probe(legs[order[position]], order, position, bindings, sel_of)
+    program = {
+        order[position]: memo_step(bindings, order, position, sel_of)
+        for position in range(1, len(order))
+    }
     return PreparedPlan(
         plan_id=id(plan),
         catalog=catalog,
         generation=generation,
         bindings=bindings,
-        program={alias: legs[alias].probe_config for alias in order[1:]},
+        program=program,
         cascade=(
-            cascade_start(order, legs, bindings.projection_slots)
-            if catalog.backend is COLUMNAR_BACKEND
-            else None
+            cascade_start(plan, program, bindings) if bindings.columnar else None
         ),
         summary=[],
     )
 
 
+def memo_step(bindings: PlanBindings, order, position: int, sel_of: Callable) -> Any:
+    """The step memo entry of the leg at *position* of *order*, built on a
+    miss (:func:`~repro.executor.access.compile_probe`, and on a columnar
+    database :func:`~repro.executor.vector.leg_step`). Its access
+    predicate is the most selective under *sel_of* of the join predicates
+    available with the legs before it bound: of those the leg indexes, or
+    of all for a hash probe when it indexes none."""
+    alias = order[position]
+    bound = frozenset(order[:position])
+    available = bindings.join_graph.available_predicates(alias, bound)
+    indexes = bindings.legs[alias].indexes
+    indexed = [p for p in available if p.column_of(alias) in indexes]
+    access = min(indexed or available, key=sel_of) if available else None
+    key = (alias, bound, access)
+    step = bindings.memo.get(key)
+    if step is None:
+        try:
+            if access is None:
+                raise ExecutionError(
+                    f"leg {alias!r} has no available join predicate; "
+                    "the order is disconnected"
+                )
+            config = compile_probe(alias, bindings.legs, available, access)
+        except ExecutionError as exc:
+            raise ExecutionError(
+                f"probe compilation failed for leg {alias!r} at position "
+                f"{position} of order {tuple(order)}"
+            ) from exc
+        step = bindings.memo[key] = leg_step(
+            alias, config, bindings.legs if bindings.columnar else None
+        )
+    return step
+
+
 def held_arrays(plan: PipelinePlan, catalog: Catalog) -> list[tuple[str, Any]]:
     """``(table name, array)`` per numpy array *plan*'s prepared record keeps
-    alive under *catalog*'s generation: its cascade start's kernels (by
-    probed table) and driving walk (by driving table). Builds nothing: a
-    plan no execution has prepared holds none.
+    alive under *catalog*'s generation: every entry of its step memo
+    (:func:`~repro.executor.vector.held_by`) and its cascade start's
+    driving walk (by driving table). Builds nothing: a plan no execution
+    has prepared holds none.
     """
     record = plan.__dict__.get("_prepared")
     if (
@@ -221,13 +261,11 @@ def held_arrays(plan: PipelinePlan, catalog: Catalog) -> list[tuple[str, Any]]:
         or record.cascade is None
     ):
         return []
-    steps, walk, _ = record.cascade
     legs = record.bindings.legs
     held = [
-        (legs[alias].table.name, array)
-        for alias, _, kernel, *_ in steps
-        for array in kernel.arrays()
+        pair for step in list(record.bindings.memo.values()) for pair in held_by(step, legs)
     ]
+    walk = record.cascade[1]
     driving = legs[plan.order[0]].table.name
     held += [
         (driving, array)
@@ -245,30 +283,6 @@ def _class_selectivity(graph, class_selectivities, predicate) -> float:
     return class_selectivities.get(class_id, 0.01)
 
 
-def _compile_probe(
-    leg: RuntimeLeg,
-    order,
-    position: int,
-    bindings: PlanBindings,
-    sel_of: Callable,
-    slot_of: Callable | None = None,
-) -> None:
-    """Compile *leg*'s probe for *position* of *order*."""
-    try:
-        leg.compile_probe(
-            preceding=order[:position],
-            graph=bindings.join_graph,
-            schemas=bindings.schemas,
-            sel_of=sel_of,
-            slot_of=slot_of,
-        )
-    except ExecutionError as exc:
-        raise ExecutionError(
-            f"probe compilation failed for leg {leg.alias!r} at position "
-            f"{position} of order {tuple(order)}"
-        ) from exc
-
-
 def starting_legs(
     plan: PipelinePlan, prepared: PreparedPlan, *args: Any
 ) -> dict[str, RuntimeLeg]:
@@ -281,8 +295,8 @@ def starting_legs(
         alias: RuntimeLeg(plan.legs[alias], bound[alias], *args)
         for alias in plan.order
     }
-    for alias, config in prepared.program.items():
-        legs[alias].install_probe(config)
+    for alias, step in prepared.program.items():
+        legs[alias].install_probe(step.config)
     return legs
 
 
@@ -349,10 +363,6 @@ class PipelineExecutor:
         self._build_machine()
 
     @property
-    def schemas(self) -> Mapping[str, Any]:
-        return self.prepared.bindings.schemas
-
-    @property
     def join_graph(self) -> Any:
         return self.prepared.bindings.join_graph
 
@@ -360,7 +370,8 @@ class PipelineExecutor:
         """The machine's state, from the plan's prepared record: its legs
         with the record's probe program installed (the pipeline as the plan
         describes it, so the record's cascade start is this run's until a
-        recompile), the position registry, the live selectivities."""
+        primitive moves it), the position registry, the live
+        selectivities."""
         plan = self.plan
         prepared = self.prepared
         window = self.config.history_window if self.config.mode.monitors else None
@@ -370,14 +381,9 @@ class PipelineExecutor:
             plan, prepared, window, on_retry, self._record_monitor_degraded,
             self.oracle is not None,
         )
-        # The record's cascade start while the pipeline is in the state it
-        # was prepared for; None from the first recompile on.
-        self.prepared_start = prepared.cascade
+        # {inner alias: step memo entry} of the pipeline as it stands.
+        self.program = dict(prepared.program)
         self.order: list[str] = list(plan.order)
-        # (alias, column) -> row slot, shared across every leg's probe
-        # compilation, so repeated recompiles after reorders never
-        # re-resolve schema positions.
-        self._slot_cache: dict[tuple[str, str], int] = {}
         # Live join selectivities, keyed by column equivalence class: start
         # from optimizer estimates, refined from monitored values (Eq 7).
         self.class_selectivities: dict[int, float] = dict(
@@ -393,54 +399,33 @@ class PipelineExecutor:
         self.events: list = []
         self.order_history: list[tuple[str, ...]] = [tuple(self.order)]
 
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    def _slot_of(self, alias: str, column: str) -> int:
-        key = (alias, column)
-        slot = self._slot_cache.get(key)
-        if slot is None:
-            slot = self.schemas[alias].position_of(column)
-            self._slot_cache[key] = slot
-        return slot
-
-    def _compile_all_probes(self, start_position: int = 1) -> None:
-        """Compile the probe of every leg from *start_position* on.
-
-        The pipeline starts with the prepared record's program installed
-        (:meth:`_build_machine`); after an applied reorder or switch the
-        order and the live class selectivities have moved, and the permuted
-        legs are compiled for what they are now.
-        """
-        self.prepared_start = None
-        for position in range(start_position, len(self.order)):
-            self._compile_probe_at(position, self.order[position])
-
     def predicate_selectivity(self, predicate) -> float:
         """Live selectivity estimate of a (possibly derived) join predicate."""
         return _class_selectivity(
             self.join_graph, self.class_selectivities, predicate
         )
 
-    def _compile_probe_at(self, position: int, alias: str) -> None:
-        leg = self.legs[alias]
-        previous_access = (
-            leg.probe_config.access_predicate if leg.probe_config else None
-        )
-        _compile_probe(
-            leg,
-            self.order,
-            position,
-            self.prepared.bindings,
-            self.predicate_selectivity,
-            self._slot_of,
-        )
-        new_access = leg.probe_config.access_predicate if leg.probe_config else None
-        if previous_access is not None and new_access != previous_access:
-            # The probe semantics changed; old windowed counters no longer
-            # describe the new access pattern.
-            leg.monitor.reset()
-        leg.positional = self.registry.predicate_for(alias)
+    def _install_probes(self, start_position: int) -> None:
+        """Install, for every leg from *start_position* on, the step memo's
+        entry for where the leg now is (:func:`memo_step`, under the live
+        class selectivities): its probe, an empty check count, a reset
+        monitor when its access predicate changed (the old windowed
+        counters do not describe the new access pattern), and the
+        positional predicate of a frozen leg."""
+        order = self.order
+        bindings = self.prepared.bindings
+        for position in range(start_position, len(order)):
+            alias = order[position]
+            step = memo_step(bindings, order, position, self.predicate_selectivity)
+            leg = self.legs[alias]
+            previous = leg.probe_config
+            leg.install_probe(step.config)
+            if previous is not None and previous.access_predicate != (
+                step.config.access_predicate
+            ):
+                leg.monitor.reset()
+            leg.positional = self.registry.predicate_for(alias)
+            self.program[alias] = step
 
     def _open_driving(self, alias: str) -> None:
         leg = self.legs[alias]
@@ -466,7 +451,7 @@ class PipelineExecutor:
         if new_suffix == current_suffix:
             return
         self.order[position:] = new_suffix
-        self._compile_all_probes(start_position=position)
+        self._install_probes(position)
         self.inner_reorders += 1
         self.order_history.append(tuple(self.order))
 
@@ -496,7 +481,7 @@ class PipelineExecutor:
         )
         self.order = list(new_order)
         self._open_driving(new_driving)
-        self._compile_all_probes(start_position=1)
+        self._install_probes(1)
         # The new driving leg's inner-probe history is stale with respect to
         # its new role; its scan monitor restarts inside open_driving_cursor.
         self.legs[new_driving].monitor.reset()

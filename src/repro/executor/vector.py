@@ -33,17 +33,24 @@ driving chunk:
    a column taker per output column): ``run_to_completion`` extends its
    result with it, ``rows()`` streams it row by row.
 
-What the plan alone decides about a leg's step is settled when the plan
-is, into a step program (:class:`_Step`, by :func:`_adaptive_plan`):
-gather or expand; whether a probe can miss at all (an untested one-entry
-kernel probed by keys it all holds needs no hit test); which kernel arrays
-its charges gather; where its key sits among the chunk's ancestors; and
-which ancestors are still read after it — later probe keys, residual
-outer aliases and the projection, every alias when the invariant oracle
-is armed — so a restriction re-gathers only those, and a step whose own
-RIDs nobody reads gathers none. A plan's starting program is compiled once
-into its prepared record (:func:`cascade_start`); a monitored run
-recompiles it when a check moves the plan.
+What a leg's step needs that no order decides is built once per
+statement, into the plan's step memo (:func:`leg_step`, through
+:func:`~repro.executor.pipeline.memo_step`): per leg, set of legs bound
+before it and access predicate, its probe config, group kernel or hash
+build, key-rank gather, residual cells, and what those settle — gather or
+expand; whether a probe can miss at all (an untested one-entry kernel
+probed by keys it all holds needs no hit test); which kernel arrays its
+charges gather. A step program (:class:`_Step` per inner leg) is then
+assembled from memo entries in one backward pass (:func:`assemble`):
+where each key sits among the chunk's ancestors, and which ancestors are
+still read after each step — later probe keys, residual outer aliases and
+the projection, every alias when the invariant oracle is armed — so a
+restriction re-gathers only those, and a step whose own RIDs nobody reads
+gathers none; a frozen leg's kernel is restricted by its positional
+predicate there. The plan's own order is assembled once, into its
+prepared record (:func:`cascade_start`); a monitored run re-assembles
+after each change a check applies, and a corrected plan assembles its
+record from the memo its base plan filled.
 
 One chunk loop (:func:`cascade`) runs static plans
 (:data:`STATIC_SLICE_ROWS` slices) and the monitored modes (kernel-folded
@@ -80,6 +87,7 @@ from __future__ import annotations
 from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import StorageError
+from repro.executor.access import open_cursor
 from repro.storage.columnar import _np
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import (
@@ -120,20 +128,23 @@ STATIC_SLICE_ROWS = 1 << 16
 MONITORED_CHUNK_ROWS = 256
 
 
-def cascade_start(order: Sequence[str], legs: dict, projection: Sequence) -> tuple:
-    """The cascade's start for *legs* in *order*, as its plan describes it.
+def cascade_start(plan, program: dict, bindings) -> tuple:
+    """The cascade's start for *plan* as it describes it: its probe
+    *program* (inner alias -> step memo entry) under its *bindings*.
 
-    ``(steps, walk, takers)``: :func:`_adaptive_plan`'s step program and
-    column takers for the plan's order and *projection*, and the fresh
-    driving scan's walk with no meter, leg or cursor of its own
-    (:meth:`_DrivingWalk.restarted` gives it them). Part of a plan's
-    prepared record: every execution that starts as the plan describes
-    installs it, on any thread, so nothing here is ever written.
+    ``(steps, walk, takers)``: the assembled step program and column
+    takers (:func:`assemble`), and the fresh driving scan's walk with no
+    meter, leg or cursor of its own (:meth:`_DrivingWalk.restarted` gives
+    it them). Part of a plan's prepared record: every execution that
+    starts as the plan describes installs it, on any thread, so nothing
+    here is ever written.
     """
-    steps, takers = _adaptive_plan(order, legs, projection)
-    leg = legs[order[0]]
-    walk = _driving_walk(leg, leg.open_driving_cursor())
-    walk.meter = walk.leg = walk.cursor = None
+    order = plan.order
+    steps, takers = assemble(order, program, {}, bindings)
+    driving = bindings.legs[order[0]]
+    cursor = open_cursor(plan.legs[order[0]], driving.table, driving.indexes)
+    walk = _driving_walk(driving, cursor)
+    walk.cursor = None
     for array in (walk.rids, walk.alive, walk.survivor_at):
         if array is not None:
             array.setflags(write=False)
@@ -179,7 +190,7 @@ class _DrivingWalk:
     )
 
     def __init__(self, leg, cursor, masks: list) -> None:
-        self.meter = leg.meter
+        self.meter = None if leg is None else leg.meter
         self.leg = leg
         self.cursor = cursor
         self.ntests = len(masks)
@@ -323,14 +334,15 @@ class _DrivingWalk:
             cursor.skip_to(range_no, lo + end - starts[entered - 1], hi)
 
 
-def _driving_walk(leg, cursor) -> _DrivingWalk:
-    """The walk over *leg*'s open driving *cursor*."""
-    pushed = leg.pushed_driving_predicate()
-    table = leg.table
+def _driving_walk(binding, cursor, leg=None) -> _DrivingWalk:
+    """The walk over the open driving *cursor* of the leg *binding*
+    describes (its :class:`~repro.executor.pipeline.LegBinding`),
+    charging *leg*'s meter and counting its flow (None: neither)."""
+    table = binding.table
     masks = [
         table.mask_for_spec(vector_spec(predicate, table.schema))
-        for predicate, _ in leg.local_tests
-        if predicate is not pushed
+        for predicate, _ in binding.local_tests
+        if predicate is not binding.pushed
     ]
     return _DrivingWalk(leg, cursor, masks)
 
@@ -340,7 +352,8 @@ class _Probe(NamedTuple):
     leg's :class:`~repro.storage.columnar.HashBuild` (``build``; the Sec 6
     extension), and mask ``residuals`` (Sec 4.3.4): per residual join, in
     the probe config's order, ``(outer position, outer cells, outer valid,
-    own cells, own valid)`` of :func:`_residual_cells`."""
+    own cells, own valid)`` of :func:`_residual_cells` (the outer alias in
+    place of its position in a step memo entry)."""
 
     build: Any
     residuals: tuple
@@ -423,7 +436,7 @@ _FLOW, _TOTAL, _TOUCHED = "flow", "total", "touched"
 
 
 class _Step(NamedTuple):
-    """One inner leg's step, its decisions settled when the plan is.
+    """One inner leg's step, its decisions settled before any chunk runs.
 
     The first six are what the step reads: the leg's alias, probe config,
     group kernel, key-rank gather (``index.row_ranks(source).take``), the
@@ -432,104 +445,140 @@ class _Step(NamedTuple):
     where a key can miss) and its :class:`_Probe` (a hash-probed leg or
     one with residual joins; None for a plain index probe). The rest is
     what :func:`_expand` would otherwise decide chunk after chunk.
+
+    A step memo entry (:func:`leg_step`) is one with ``key``, ``live``
+    and ``keep`` unresolved and each residual's outer alias in place of
+    its position: what :func:`assemble` resolves for an order. A row
+    database's entry is its probe config alone.
     """
 
     alias: str
     config: Any
-    kernel: Any
-    translate: Any
-    lowest: int
-    probe: Any
+    kernel: Any = None
+    translate: Any = None
+    lowest: int = 0
+    probe: Any = None
     # Position of the probe key's alias among the chunk's ancestors.
-    key: int
+    key: int = 0
     # A unique kernel's ``first_rids.take``; None: the CSR expansion.
-    gather: Any
+    gather: Any = None
     # A unique step whose every probe matches (untested one-entry kernel,
     # every key held): no hit test, no restriction.
-    total: bool
+    total: bool = False
     # Whether a probe can miss its key (counted as one entry each).
-    missing: bool
+    missing: bool = False
     # ``totals.take``, or _FLOW / _TOTAL: how ``touched`` is found.
-    touched: Any
+    touched: Any = None
     # ``evals.take``, or _TOUCHED, or None (an untested kernel: zero).
-    evals: Any
+    evals: Any = None
     # Earlier positions still read after this step (later probe keys and
     # residual outers, the projection; every one under the oracle), and
     # this step's residual outers: what a restriction re-gathers.
-    live: tuple
+    live: tuple = ()
     # Whether this leg's own RIDs are read after the step (or by its
     # residual joins); a step nobody reads skips its RID gather.
-    keep: bool
+    keep: bool = False
     # The fault site its probes consult: "index-lookup" or "hash-probe".
-    site: str
+    site: str = "index-lookup"
 
 
-def _adaptive_plan(
-    order: Sequence[str], legs: dict, projection: Sequence
-) -> tuple[list, tuple]:
-    """``(steps, takers)`` for *legs* in *order*, projecting *projection*
-    (``(alias, slot)`` per output column): a :class:`_Step` per inner
-    leg, and ``(position, column take)`` per output column.
+def leg_step(alias: str, config, legs) -> _Step:
+    """Leg *alias*'s step memo entry through *config* (see :class:`_Step`;
+    *legs*: the plan's :class:`~repro.executor.pipeline.LegBinding` by
+    alias, None on a row database). Kernels, hash builds and rank arrays
+    come from their index's (or table's) memos; residual cells are built
+    here, once per entry."""
+    if legs is None:
+        return _Step(alias, config)
+    leg = legs[alias]
+    table = leg.table
+    build = None
+    if config.hash_column is None:
+        index = config.access_index
+        kernel = index.cascade_groups(leg.local_tests)
+    else:
+        build = table.hash_build(config.hash_column, leg.local_tests)
+        index, kernel = build.index, build.kernel
+    residuals = tuple(
+        (outer, *_residual_cells(legs[outer].table, outer_slot, table, slot))
+        for (outer, outer_slot), (_, slot) in zip(
+            config.residual_sources, config.residual_joins
+        )
+    )
+    probe = None if build is None and not residuals else _Probe(build, residuals)
+    source = legs[config.key_alias].table.column_store(config.key_slot)
+    return _compile_step(
+        alias, config, kernel, index.row_ranks(source).take,
+        index.lowest_rank_of(source), probe, 0, (), False,
+    )
 
-    Recomputed whenever the order or a probe epoch changes: an applied
-    inner reorder permutes the cascade mid-scan, and a driving switch
-    freezes the old driving leg behind a positional predicate — its kernel
-    is then derived from the cached base kernel (:func:`_positional_kernel`)
-    and lives only as long as this plan does. Kernels, hash builds and rank
-    arrays are memoized by their index (a hash build by its table), so a
-    rebuild is dictionary lookups unless the new order probes through a
-    (column, index) pair nobody has yet. The plan's own starting order is
-    compiled once, into its prepared record (:func:`cascade_start`).
+
+def assemble(order, program, positional, bindings, every_alias=False) -> tuple:
+    """``(steps, takers)`` for *order*: a :class:`_Step` per inner leg, from
+    *program* (inner alias -> its step memo entry), and ``(position,
+    column take)`` per output column of *bindings*' projection.
+
+    One backward pass resolves key and residual positions and what is
+    read after each step (``live`` / ``keep``; every alias when
+    *every_alias*: the invariant oracle records them all). A frozen leg
+    (*positional*: alias -> its positional predicate or None) probes its
+    kernel restricted past the frozen position (:func:`_positional_kernel`).
     """
+    legs = bindings.legs
     at = {alias: position for position, alias in enumerate(order)}
-    read = {at[alias] for alias, _ in projection}
+    read = {at[alias] for alias, _ in bindings.projection_slots}
     steps: list = []
     for position in range(len(order) - 1, 0, -1):
         alias = order[position]
-        leg = legs[alias]
-        config = leg.probe_config
-        table = leg.table
-        build = None
-        if config.hash_column is None:
-            index = config.access_index
-            kernel = index.cascade_groups(leg.local_tests)
-        else:
-            build = table.hash_build(config.hash_column, leg.local_tests)
-            index, kernel = build.index, build.kernel
-        if leg.positional is not None:
-            kernel = _positional_kernel(kernel, leg.positional, len(table))
-        residuals = tuple(
-            (at[outer], *_residual_cells(legs[outer].table, outer_slot, table, slot))
-            for (outer, outer_slot), (_, slot) in zip(
-                config.residual_sources, config.residual_joins
+        step = program[alias]
+        probe = step.probe
+        outers: set = set()
+        if probe is not None and probe.residuals:
+            probe = _Probe(
+                probe.build,
+                tuple((at[outer], *cells) for outer, *cells in probe.residuals),
             )
-        )
-        probe = (
-            None
-            if build is None and not residuals
-            else _Probe(build, residuals)
-        )
-        source = legs[config.key_alias].table.column_store(config.key_slot)
-        outers = {outer_at for outer_at, *_ in residuals}
-        steps.append(_compile_step(
-            alias,
-            config,
-            kernel,
-            index.row_ranks(source).take,
-            index.lowest_rank_of(source),
-            probe,
-            at[config.key_alias],
-            tuple(sorted(q for q in read | outers if q < position)),
-            position in read or bool(residuals),
-        ))
-        read |= outers
-        read.add(at[config.key_alias])
+            outers = {outer_at for outer_at, *_ in probe.residuals}
+        key = at[step.config.key_alias]
+        if every_alias:
+            live, keep = tuple(range(position)), True
+        else:
+            live = tuple(sorted(q for q in read | outers if q < position))
+            keep = position in read or bool(outers)
+            read |= outers
+            read.add(key)
+        frozen = positional.get(alias)
+        if frozen is None:
+            steps.append(step._replace(probe=probe, key=key, live=live, keep=keep))
+        else:
+            kernel = _positional_kernel(step.kernel, frozen, len(legs[alias].table))
+            steps.append(_compile_step(
+                alias, step.config, kernel, step.translate, step.lowest, probe,
+                key, live, keep,
+            ))
     steps.reverse()
     takers = tuple(
         (at[alias], legs[alias].table.column_store(slot).take)
-        for alias, slot in projection
+        for alias, slot in bindings.projection_slots
     )
     return steps, takers
+
+
+def held_by(step, legs) -> list[tuple[str, Any]]:
+    """``(table name, array)`` per numpy array the step memo entry *step*
+    keeps alive (*legs*: the plan's bindings by alias): its kernel, its
+    key-rank array and a hash build's index by the probed table, its
+    residual cells by the table of their column."""
+    own = legs[step.alias].table.name
+    held = [(own, array) for array in (*step.kernel.arrays(), step.translate.__self__)]
+    probe = step.probe
+    if probe is not None:
+        if probe.build is not None:
+            held += [(own, array) for array in probe.build.index.kernel_arrays()]
+        for outer, *cells in probe.residuals:
+            tables = (legs[outer].table.name,) * 2 + (own,) * 2
+            held += [(t, a) for t, a in zip(tables, cells) if a is not None]
+    return held
 
 
 def _compile_step(
@@ -570,15 +619,6 @@ def _compile_step(
     )
 
 
-def _every_alias_live(steps: Sequence) -> list:
-    """*steps* keeping every alias's RIDs (what the invariant oracle
-    records of each emitted tuple)."""
-    return [
-        step._replace(live=tuple(range(position)), keep=True)
-        for position, step in enumerate(steps, 1)
-    ]
-
-
 def _positional_kernel(base, positional, table_len: int):
     """*base* restricted to the rows after a frozen scan position.
 
@@ -598,14 +638,6 @@ def _positional_kernel(base, positional, table_len: int):
         after[index._ent_rids[index._bisect_after(positional.after):]] = True
         keep = after[base.pass_rids]
     return base.restricted(keep)
-
-
-def _plan_signature(executor) -> tuple:
-    """Cheap change detector: any reorder or probe recompile moves this."""
-    return (
-        tuple(executor.order),
-        tuple(leg.probe_epoch for leg in executor.legs.values()),
-    )
 
 
 def _expand(meter, steps: Sequence, legs, survivors, built: set) -> tuple[list, int]:
@@ -778,13 +810,13 @@ def cascade(executor) -> Iterator[list]:
     Runs *executor*'s pipeline to its end: every plan a check can rebuild
     is one the cascade runs (windows and counters are consistent at every
     boundary: each fold is applied where its numbers are computed). What
-    the plan and the data alone decide is not derived here: a run that
-    starts as its plan describes runs the step program of the plan's
-    prepared cascade start (:func:`cascade_start`) — every static run,
-    and a monitored one until its first recompile — and a pipeline a
-    caller moved first compiles its steps afresh (:func:`_adaptive_plan`,
-    from group kernels and join-key rank arrays the probed indexes
-    memoize). A monitored run opens its driving cursor on the machine and
+    the plan and the data alone decide is not derived here: a run starts
+    on the step program and driving walk of its plan's prepared cascade
+    start (:func:`cascade_start`), and whenever the executor's
+    ``order_history`` has grown — only its two ``apply_*`` primitives
+    append to it — the program is re-assembled (:func:`assemble`) from
+    the step memo entries the executor installed, with a new walk when
+    another leg drives. A monitored run opens its driving cursor on the machine and
     counts its flow in its legs; a static one positions no cursor and
     counts flow only where it is read (``executor.flows``: an observed
     run's :class:`~repro.executor.access.LegFlow`, else None). An
@@ -827,8 +859,8 @@ def cascade(executor) -> Iterator[list]:
     * chunk length follows the mode: a static plan takes
       :data:`STATIC_SLICE_ROWS` slices; a monitored one starts at
       :data:`MONITORED_CHUNK_ROWS` and doubles after every boundary that
-      left :func:`_plan_signature` unchanged, up to the slice — an applied
-      change keeps the length, it does not reset it.
+      applied nothing, up to the slice — an applied change keeps the
+      length, it does not reset it.
 
     Execution limits are a chunk-boundary concern: cancellation, deadline
     and work budget are tested once per chunk, before the walk takes it
@@ -848,37 +880,53 @@ def cascade(executor) -> Iterator[list]:
     oracle = executor.oracle
     monitored = mode.monitors
     order = executor.order
+    prepared = executor.prepared
     if monitored:
         executor._open_driving(order[0])
         executor.engine_used = "vector-adaptive"
-        legs, start = executor.legs, executor.prepared_start
+        legs = executor.legs
     else:
-        legs, start = executor.flows, executor.prepared.cascade
-    if start is None:
-        steps, takers = _adaptive_plan(
-            order, legs, executor.prepared.bindings.projection_slots
-        )
-        walk = _driving_walk(legs[order[0]], executor.driving_cursor)
-    else:
-        steps, walk, takers = start
-        walk = walk.restarted(
-            meter,
-            None if legs is None else legs[order[0]],
-            executor.driving_cursor if monitored else None,
-        )
+        legs = executor.flows
+    steps, walk, takers = prepared.cascade
+    walk = walk.restarted(
+        meter,
+        None if legs is None else legs[order[0]],
+        executor.driving_cursor if monitored else None,
+    )
     if oracle is not None:  # the oracle reads every alias
-        steps = _every_alias_live(steps)
+        steps, takers = assemble(order, prepared.program, {}, prepared.bindings, True)
     # by_position[position]: whose flow each step counts (None: nobody's).
     by_position = None if legs is None else [legs[alias] for alias in order]
     check_freq = config.check_frequency
     controller = executor.controller
     reorders_inner = monitored and mode.reorders_inner
     reorders_driving = monitored and mode.reorders_driving
-    plan_sig = _plan_signature(executor) if monitored else None
+    history = executor.order_history
+    assembled = 1  # the length of the history the steps are assembled for
     built: set = set()  # the hash builds this execution has charged
     slice_rows = STATIC_SLICE_ROWS
     chunk_rows = min(MONITORED_CHUNK_ROWS, slice_rows) if monitored else slice_rows
     while True:
+        if len(history) != assembled:
+            # An applied change: the program for where the pipeline is now.
+            assembled = len(history)
+            order = executor.order
+            steps, takers = assemble(
+                order,
+                executor.program,
+                {alias: leg.positional for alias, leg in legs.items()},
+                prepared.bindings,
+                oracle is not None,
+            )
+            by_position = [legs[alias] for alias in order]
+            # Whatever the controller returned: the plan says who drives.
+            if walk.leg is not legs[order[0]]:
+                # A fresh (or resumed) driving cursor: a new walk.
+                walk = _driving_walk(
+                    prepared.bindings.legs[order[0]],
+                    executor.driving_cursor,
+                    legs[order[0]],
+                )
         if limits is not None:
             limits.check()
         if faulty:
@@ -911,7 +959,6 @@ def cascade(executor) -> Iterator[list]:
         executor.rows_emitted += admitted
         if admitted:
             if oracle is not None:
-                order = executor.order
                 for rids in zip(*(rids[:admitted].tolist() for rids in ancestors)):
                     oracle.record_emit(dict(zip(order, rids)))
             yield _project(takers, ancestors, admitted)
@@ -938,20 +985,6 @@ def cascade(executor) -> Iterator[list]:
         executor.depleted_from = 0
         if reorders_driving and executor.driving_rows_since_check >= check_freq:
             controller.on_pipeline_depleted()
-        sig = _plan_signature(executor)
-        if sig != plan_sig:
-            order = executor.order
-            steps, takers = _adaptive_plan(
-                order, legs, executor.prepared.bindings.projection_slots
-            )
-            if oracle is not None:
-                steps = _every_alias_live(steps)
-            by_position = [legs[alias] for alias in order]
-            # Whatever the controller returned: the plan says who drives.
-            if walk.leg is not legs[order[0]]:
-                # A fresh (or resumed) driving cursor: a new walk.
-                walk = _driving_walk(legs[order[0]], executor.driving_cursor)
-            plan_sig = sig
-        elif chunk_rows < slice_rows:
+        if len(history) == assembled and chunk_rows < slice_rows:
             # Nothing moved: ask half as often from here on.
             chunk_rows = min(2 * chunk_rows, slice_rows)

@@ -6,16 +6,17 @@ calibrations, ``inner_params`` memo) whenever nothing can have moved in
 between, and only then. This file pins both halves:
 
 * cost — each leg's model is built at most once per boundary, a kept
-  boundary compiles no probe and builds no kernel plan, an applied inner
-  reorder recompiles the permuted suffix and nothing before it;
+  boundary installs no probe and assembles no step program, an applied
+  inner reorder re-installs the permuted suffix and nothing before it;
 * invalidation — the driving check models afresh after an applied inner
   reorder and after any monitor fold (the scalar oracle's checks at deeper
   positions, a produced driving row);
 * the decision audit records what it recorded before the snapshot was
   shared;
-* the starting order's probe program rides with the plan: a second
-  execution compiles no probe before its first applied change and searches
-  no key array, and what it installs is what it would have compiled.
+* the starting order's probe program rides with the plan and every probe
+  with the statement's step memo: a second execution compiles no probe
+  and searches no key array, and what it installs is what it would have
+  compiled.
 
 ``tests/test_check_identity.py`` holds the other side of the bargain: the
 decisions themselves did not move.
@@ -24,6 +25,7 @@ decisions themselves did not move.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import numpy
@@ -38,9 +40,9 @@ from repro.core.ranks import RuntimeModelBuilder
 from repro.dmv import load_dmv
 from repro.dmv.templates import six_table_workload
 from repro.executor.access import ProbeConfig, RuntimeLeg
-from repro.executor import vector
+from repro.executor import pipeline, vector
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.executor.pipeline import PipelineExecutor
+from repro.executor.pipeline import PipelineExecutor, memo_step
 from repro.obs.explain import render_explain_analyze
 from repro.obs.recorder import FlightRecorder
 
@@ -203,39 +205,37 @@ def test_a_boundary_builds_each_legs_model_at_most_once(columnar, monkeypatch):
 
 
 def test_a_kept_boundary_compiles_and_plans_nothing(columnar, monkeypatch):
-    """Probes are compiled at open and after an applied change, the kernel
-    plan once per boundary that applied one: nothing per kept boundary."""
-    compiles: list[str] = []
-    plans: list[int] = []
-    compile_probe = RuntimeLeg.compile_probe
-    adaptive_plan = repro.executor.vector._adaptive_plan
+    """Probes are installed at open and after an applied change, the step
+    program assembled once per boundary that applied one: nothing per kept
+    boundary."""
+    installs: list[str] = []
+    assemblies: list[int] = []
+    lookup = pipeline.memo_step
+    assemble = vector.assemble
 
-    def counting_compile(leg, *args, **kwargs):
-        compiles.append(leg.alias)
-        return compile_probe(leg, *args, **kwargs)
+    def counting_lookup(bindings, order, position, sel_of):
+        installs.append(order[position])
+        return lookup(bindings, order, position, sel_of)
 
-    def counting_plan(order, legs, *args):
-        plans.append(tuple(order))
-        return adaptive_plan(order, legs, *args)
+    def counting_assemble(order, *args):
+        assemblies.append(tuple(order))
+        return assemble(order, *args)
 
-    monkeypatch.setattr(RuntimeLeg, "compile_probe", counting_compile)
-    monkeypatch.setattr(repro.executor.vector, "_adaptive_plan", counting_plan)
+    monkeypatch.setattr(pipeline, "memo_step", counting_lookup)
+    monkeypatch.setattr(vector, "assemble", counting_assemble)
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
     quiet = 0
     for sql in STATEMENTS:
         order = None
         for _ in range(3):  # the optimizer's order, then what the run before ended on
-            del compiles[:], plans[:]
+            del installs[:], assemblies[:]
             executor, controller = run(columnar, sql, config, order)
             order = tuple(executor.order)
             assert executor.engine_used == "vector-adaptive"
             inner_legs = len(executor.order) - 1
-            recompiled = sum(
-                inner_legs - (event.position or 1) + 1 for event in executor.events
-            )
-            assert len(compiles) == inner_legs + recompiled, sql
+            assert len(installs) == inner_legs + permuted_suffix_installs(executor)
             changed_boundaries = {e.driving_rows_produced for e in executor.events}
-            assert len(plans) == 1 + len(changed_boundaries), sql
+            assert len(assemblies) == 1 + len(changed_boundaries), sql
             if not executor.events and controller.inner_checks > 1:
                 quiet += 1
     assert quiet > 0, "no statement crossed several boundaries and kept them all"
@@ -245,26 +245,25 @@ def test_an_applied_inner_reorder_recompiles_only_the_permuted_suffix(
     row, monkeypatch
 ):
     """The scalar oracle reorders at every depth: legs before the permuted
-    position keep their probe (``probe_epoch`` does not move), each leg
-    from it on is compiled exactly once."""
+    position keep their probe, each leg from it on is installed exactly
+    once (its step memo entry, compiled on a miss)."""
     seen = []
+    installed: list[str] = []
     apply_inner_order = PipelineExecutor.apply_inner_order
+    install_probe = RuntimeLeg.install_probe
+
+    def counting_install(leg, config):
+        installed.append(leg.alias)
+        return install_probe(leg, config)
 
     def watching(executor, position, new_suffix):
-        before = {alias: leg.probe_epoch for alias, leg in executor.legs.items()}
         order = list(executor.order)
+        del installed[:]
         apply_inner_order(executor, position, new_suffix)
-        moved = {
-            alias
-            for alias, leg in executor.legs.items()
-            if leg.probe_epoch != before[alias]
-        }
-        assert moved == set(order[position:])
-        assert all(
-            executor.legs[alias].probe_epoch == before[alias] + 1 for alias in moved
-        )
+        assert sorted(installed) == sorted(order[position:])
         seen.append(position)
 
+    monkeypatch.setattr(RuntimeLeg, "install_probe", counting_install)
     monkeypatch.setattr(PipelineExecutor, "apply_inner_order", watching)
     config = AdaptiveConfig(mode=ReorderMode.INNER_ONLY)
     for sql in STATEMENTS[:8]:
@@ -409,9 +408,10 @@ def test_check_seconds_is_reported_and_zero_without_checks(columnar):
 # ---------------------------------------------------------------------------
 # The starting probe program rides with the plan
 # ---------------------------------------------------------------------------
-def permuted_suffix_compiles(executor) -> int:
-    """Probe compiles the applied events of *executor* account for: an
-    inner reorder recompiles from its position on, a switch every inner leg."""
+def permuted_suffix_installs(executor) -> int:
+    """Probe installs the applied events of *executor* account for: an
+    inner reorder re-installs from its position on, a switch every inner
+    leg."""
     inner_legs = len(executor.order) - 1
     return sum(inner_legs - (event.position or 1) + 1 for event in executor.events)
 
@@ -434,56 +434,63 @@ def run_plan(db, plan, config, running=None):
 def test_second_execution_compiles_no_starting_probe_and_searches_no_keys(
     columnar, monkeypatch, mode
 ):
-    """The first execution of a plan compiles the starting order's probes
-    and builds the rank arrays it gathers through; the second installs and
-    gathers. Recompiles after an applied change stay what they were."""
+    """The first execution of a plan compiles the starting order's probes,
+    and each one a change first reaches, and builds the rank arrays it
+    gathers through; the second finds every probe in the step memo and
+    gathers. It installs what the first installed, where the first did."""
     starting: list[str] = []  # compiles before the first applied change
     compiles: list[str] = []
+    installs: list[str] = []
     searches: list[int] = []
     running: list = []
-    compile_probe = RuntimeLeg.compile_probe
+    compile_probe = pipeline.compile_probe
+    install_probe = RuntimeLeg.install_probe
     searchsorted = numpy.searchsorted
 
-    def counting_compile(leg, *args, **kwargs):
-        compiles.append(leg.alias)
+    def counting_compile(alias, *args):
+        compiles.append(alias)
         # No executor yet: the plan's prepared record compiles its program.
         executor = running[0] if running else None
         if executor is None or (
             tuple(executor.order) == executor.plan.order and not executor.events
         ):
-            starting.append(leg.alias)
-        return compile_probe(leg, *args, **kwargs)
+            starting.append(alias)
+        return compile_probe(alias, *args)
+
+    def counting_install(leg, config):
+        installs.append(leg.alias)
+        return install_probe(leg, config)
 
     def counting_search(*args, **kwargs):
         searches.append(1)
         return searchsorted(*args, **kwargs)
 
-    monkeypatch.setattr(RuntimeLeg, "compile_probe", counting_compile)
+    monkeypatch.setattr(pipeline, "compile_probe", counting_compile)
+    monkeypatch.setattr(RuntimeLeg, "install_probe", counting_install)
     monkeypatch.setattr(numpy, "searchsorted", counting_search)
     config = AdaptiveConfig(mode=mode)
     changed = 0
     for sql in STATEMENTS:
         plan = columnar.plan(sql)  # cache off: a plan no one has executed
         first, first_rows = run_plan(columnar, plan, config, running)
+        first_installs = sorted(installs)
         inner_legs = len(plan.order) - 1
         assert len(starting) == inner_legs, sql
-        assert len(compiles) == inner_legs + permuted_suffix_compiles(first)
-        del starting[:], compiles[:], searches[:]
+        assert len(compiles) <= inner_legs + permuted_suffix_installs(first)
+        # A static run has no legs: it installs nothing.
+        assert len(installs) == mode.monitors * (
+            inner_legs + permuted_suffix_installs(first)
+        )
+        del starting[:], compiles[:], searches[:], installs[:]
         second, second_rows = run_plan(columnar, plan, config, running)
-        assert starting == [] and searches == [], sql
-        assert len(compiles) == permuted_suffix_compiles(second), sql
+        assert compiles == [] and searches == [], sql
+        assert sorted(installs) == first_installs, sql
         assert second_rows == first_rows
         assert second.work == first.work and second.events == first.events
         assert second.order_history == first.order_history
-        # Probe epochs count installs like compiles (a static run has no
-        # legs: it installs nothing).
-        if mode.monitors:
-            assert {a: leg.probe_epoch for a, leg in second.legs.items()} == {
-                a: leg.probe_epoch for a, leg in first.legs.items()
-            }
         assert second.engine_used == first.engine_used
         changed += bool(second.events)
-        del compiles[:]
+        del installs[:]
     assert (changed > 5) == mode.reorders_driving
 
 
@@ -525,7 +532,7 @@ def installed_equals_fresh(db, sql) -> int:
         compiled = fresh.legs[alias].probe_config
         assert shared is not compiled and shared == compiled, sql
         assert probe_facts(shared, binding) == probe_facts(compiled, binding)
-        assert installed.legs[alias].probe_epoch == 1
+        assert installed.program[alias] is installed.prepared.program[alias]
         assert installed.legs[alias].positional is None
         hashed += shared.hash_column is not None
     return hashed
@@ -551,33 +558,57 @@ def test_installed_hash_probe_configs_are_the_freshly_compiled_ones():
 def test_a_pipeline_that_left_the_plan_compiles_for_where_it_is(columnar):
     """The program is the *plan's* order under the *plan's* selectivities:
     every executor starts on it and on the record's cascade start; one moved
-    off the selectivities compiles for where it is, drops the cascade start
-    and leaves the plan's record alone."""
+    off the selectivities installs the memo's entries for where it is and
+    leaves the plan's record alone."""
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
     plan = columnar.plan(PORSCHE)
     moved = BatchedPipelineExecutor(plan, columnar.catalog, config)
     program = moved.prepared.program
     shared = dict(program)
-    assert moved.prepared_start is moved.prepared.cascade is not None
+    cascade = moved.prepared.cascade
+    assert cascade is not None and len(moved.order_history) == 1
+    assert all(moved.program[alias] is shared[alias] for alias in plan.order[1:])
     class_id = next(iter(moved.class_selectivities))
     moved.class_selectivities[class_id] *= 0.5
-    moved._compile_all_probes()
-    assert moved.prepared_start is None
-    assert all(
-        moved.legs[alias].probe_config is not shared[alias]
-        for alias in plan.order[1:]
-    )
+    moved._install_probes(1)
+    bindings = moved.prepared.bindings
+    for position, alias in enumerate(plan.order[1:], 1):
+        entry = memo_step(
+            bindings, moved.order, position, moved.predicate_selectivity
+        )
+        assert moved.program[alias] is entry
+        assert moved.legs[alias].probe_config is entry.config
     usual = BatchedPipelineExecutor(plan, columnar.catalog, config)
     assert usual.prepared is moved.prepared
-    assert usual.prepared_start is usual.prepared.cascade is not None
-    # Recompiling (what an applied reorder does) gives the executor configs
-    # of its own and leaves the plan's alone.
-    usual._compile_all_probes(start_position=2)
-    assert usual.prepared_start is None
-    assert usual.legs[plan.order[1]].probe_config is shared[plan.order[1]]
-    assert usual.legs[plan.order[2]].probe_config is not shared[plan.order[2]]
+    assert usual.prepared.cascade is cascade
+    # Re-installing (what an applied reorder does) changes the executor's
+    # program and leaves the plan's alone.
+    graph = usual.join_graph
+    usual.order[2:] = next(
+        suffix
+        for suffix in itertools.permutations(plan.order[2:])
+        if suffix != plan.order[2:]
+        and all(
+            graph.available_predicates(alias, plan.order[:2] + suffix[:at])
+            for at, alias in enumerate(suffix)
+        )
+    )
+    usual._install_probes(2)
+    assert usual.legs[plan.order[1]].probe_config is shared[plan.order[1]].config
+    # A leg keeps its entry exactly where the legs bound before it are
+    # the same set: an order-free memo.
+    moved_legs = 0
+    for position, alias in enumerate(usual.order[2:], 2):
+        before = plan.order[: plan.order.index(alias)]
+        same = frozenset(usual.order[:position]) == frozenset(before)
+        assert (usual.program[alias] is shared[alias]) == same, alias
+        moved_legs += not same
+    assert moved_legs
     again = BatchedPipelineExecutor(plan, columnar.catalog, config)
     assert program == shared
+    assert all(program[alias] is shared[alias] for alias in plan.order[1:])
+    assert again.prepared.cascade is cascade
     assert all(
-        again.legs[alias].probe_config is shared[alias] for alias in plan.order[1:]
+        again.legs[alias].probe_config is shared[alias].config
+        for alias in plan.order[1:]
     )

@@ -1,11 +1,10 @@
-"""Unit tests for RuntimeLeg probe compilation and filtering."""
+"""Unit tests for probe compilation and RuntimeLeg filtering."""
 
 import pytest
 
 from repro import AdaptiveConfig, ReorderMode
 from repro.errors import ExecutionError
-from repro.executor.access import RuntimeLeg
-from repro.executor.pipeline import PipelineExecutor
+from repro.executor.pipeline import PipelineExecutor, memo_step
 from repro.query.predicates import PositionalPredicate
 from repro.storage.cursor import ScanOrder
 
@@ -35,15 +34,19 @@ class TestProbeCompilation:
 
     def test_disconnected_probe_rejected(self, three_table_db):
         pipeline = make_pipeline(three_table_db)
-        leg = pipeline.legs["d"]
-        with pytest.raises(ExecutionError, match="disconnected"):
+        with pytest.raises(
+            ExecutionError,
+            match=r"probe compilation failed for leg 'd' at position 0 of "
+            r"order \('d',\)",
+        ) as raised:
             # d shares no equivalence class with... nothing bound at all.
-            leg.compile_probe(
-                preceding=[],
-                graph=pipeline.join_graph,
-                schemas=pipeline.schemas,
-                sel_of=pipeline.predicate_selectivity,
+            memo_step(
+                pipeline.prepared.bindings,
+                ["d"],
+                0,
+                pipeline.predicate_selectivity,
             )
+        assert "disconnected" in str(raised.value.__cause__)
 
     def test_probe_without_config_rejected(self, three_table_db):
         # Inner legs start with the plan's probe program installed; the

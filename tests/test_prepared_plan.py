@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy
 import pytest
 
 from repro import (
@@ -118,7 +119,8 @@ class Calls:
     """Counts the calls to what a prepared record makes unnecessary."""
 
     WATCHED = (
-        (vector, "_adaptive_plan"),
+        (vector, "assemble"),
+        (pipeline, "memo_step"),
         (vector._DrivingWalk, "__init__"),
         (plancache, "normalize_sql"),
         (ColumnarIndex, "cascade_groups"),
@@ -366,16 +368,50 @@ def test_whitespace_variants_share_one_entry_and_the_memo_stays_bounded():
 # ---------------------------------------------------------------------------
 # Kernels a record keeps are counted
 # ---------------------------------------------------------------------------
-def test_kernel_plan_bytes_count_what_cached_records_hold():
+def grid_records():
     """The four-table grid asks an index for more kernels than its
-    first-in-first-out memo holds; the records of the cached plans keep the
-    evicted ones alive, and storage_stats says so."""
+    first-in-first-out memo holds: the records of the cached plans keep
+    the evicted ones alive."""
     db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
-    for sql in GRID[:396]:
+    return db, GRID[:396]
+
+
+def string_cyclic_records():
+    """A three-table cyclic join on string columns: its last leg's residual
+    join compares the outer column's codes translated into the leg's, one
+    int64 per outer row that only the step memo holds."""
+    db = Database(backend="columnar")
+    db.create_table("S1", [("a", "string"), ("b", "string")])
+    db.create_table("S2", [("a", "string"), ("c", "string")])
+    db.create_table("S3", [("b", "string"), ("c", "string")])
+    for table in ("S1", "S2", "S3"):
+        db.insert(
+            table, [(f"k{n % 20}", f"v{n * 7 % 30}") for n in range(300)]
+        )
+        for column in db.catalog.table(table).schema.columns:
+            db.create_index(table, column.name)
+    db.analyze()
+    return db, [
+        "SELECT x.a FROM S1 x, S2 y, S3 z "
+        "WHERE x.a = y.a AND x.b = z.b AND y.c = z.c"
+    ]
+
+
+def test_kernel_plan_bytes_count_what_cached_records_hold():
+    """What the records of cached plans keep alive beyond every index's
+    memos is counted in storage_stats, attributed to one table each."""
+    for records in (grid_records, string_cyclic_records):
+        check_kernel_plan_bytes(records)
+
+
+def check_kernel_plan_bytes(records) -> None:
+    db, statements = records()
+    for sql in statements:
         db.execute(sql, NONE)
     held = {}
     for plan in db.plan_cache.plans():
         for table, array in pipeline.held_arrays(plan, db.catalog):
+            assert held.setdefault(id(array), (table, array))[0] == table
             held[id(array)] = (table, array)
     resident = {
         id(array)
@@ -385,22 +421,36 @@ def test_kernel_plan_bytes_count_what_cached_records_hold():
     }
     evicted = [array for key, (_, array) in held.items() if key not in resident]
     assert evicted, "no record outlived its index's kernel memo"
-    # A unique kernel's first-RID array is among what both count.
-    firsts = [
-        kernel.first_rids
-        for plan in db.plan_cache.plans()
-        for _, _, kernel, *_ in plan.__dict__["_prepared"].cascade[0]
-        if kernel.first_rids is not None
-    ]
-    assert firsts and all(id(array) in held for array in firsts)
-    memo_firsts = [
-        kernel.first_rids
-        for name in db.catalog.table_names()
-        for index in db.catalog.indexes_of(name).values()
-        for kernel in index._kernels.values()
-        if kernel.first_rids is not None
-    ]
-    assert memo_firsts and all(id(array) in resident for array in memo_firsts)
+    if records is string_cyclic_records:
+        cells = [
+            outer
+            for plan in db.plan_cache.plans()
+            for step in plan.__dict__["_prepared"].bindings.memo.values()
+            if step.probe is not None
+            for _, outer, *_ in step.probe.residuals
+        ]
+        assert cells and all(
+            id(array) in held and array.dtype == numpy.int64 for array in cells
+        )
+        evicted_bytes = sum(array.nbytes for array in evicted)
+        assert evicted_bytes >= sum(array.nbytes for array in cells)
+    else:
+        # A unique kernel's first-RID array is among what both count.
+        firsts = [
+            kernel.first_rids
+            for plan in db.plan_cache.plans()
+            for _, _, kernel, *_ in plan.__dict__["_prepared"].cascade[0]
+            if kernel.first_rids is not None
+        ]
+        assert firsts and all(id(array) in held for array in firsts)
+        memo_firsts = [
+            kernel.first_rids
+            for name in db.catalog.table_names()
+            for index in db.catalog.indexes_of(name).values()
+            for kernel in index._kernels.values()
+            if kernel.first_rids is not None
+        ]
+        assert memo_firsts and all(id(array) in resident for array in memo_firsts)
     stats = db.storage_stats()
     assert stats["kernel_plan_bytes"] == sum(
         table["kernel_bytes"] for table in stats["per_table"]

@@ -15,6 +15,7 @@ plan-cache hit to calling none of them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -28,7 +29,7 @@ from tests.test_vector_limits import HASHED, hand_off_db
 from repro.catalog.statistics import StatisticsLevel
 from repro.core import controller
 from repro.dmv import four_table_workload, load_dmv
-from repro.executor.pipeline import _prepare, starting_legs
+from repro.executor.pipeline import PipelineExecutor
 from repro.obs import recorder, timeseries
 from repro.obs import QueryObservability
 from repro.obs.recorder import (
@@ -100,13 +101,12 @@ def cyclic_change(db, phase: int) -> None:
 
 def ended_legs(pipeline) -> dict:
     """The legs *pipeline* ended with: a monitored run's own; an unmonitored
-    run's (it builds none) as a record of its plan prepared from scratch
-    starts them."""
+    run's (it builds none) as the scalar machine of a twin of its plan,
+    prepared from scratch, starts them."""
     if pipeline.config.mode.monitors:
         return pipeline.legs
-    catalog = pipeline.catalog
-    fresh = _prepare(pipeline.plan, catalog, catalog.generation(), None)
-    return starting_legs(pipeline.plan, fresh)
+    twin = dataclasses.replace(pipeline.plan)  # no record, no step memo
+    return PipelineExecutor(twin, pipeline.catalog).legs
 
 
 class Watch:
