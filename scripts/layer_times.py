@@ -22,7 +22,7 @@ counts the unique steps none of whose probes can miss
 over the unique and csr steps. The ``floor`` line gives, per
 statement, the pass's time outside ``_expand`` and ``_project``: what an
 execution costs beyond its join and its rows, and below it the floor's
-named parts (:data:`FLOOR`: plan-cache lookup, executor build, cursor and
+named parts (:data:`FLOOR`: plan-cache lookup, executor build, scan and
 probe install, chunk-loop frames, stats and result; the rest is the
 hooks, ``_learn`` and what no wrapper covers). The wrappers cost
 a few microseconds a call, so read the numbers against another run of
@@ -95,9 +95,9 @@ from repro import AdaptiveConfig, Database, ReorderMode
 from repro.catalog.catalog import Catalog
 from repro.core.controller import AdaptationController
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
-from repro.executor import pipeline, vector
+from repro.executor import batch, pipeline, vector
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.executor.pipeline import PipelineExecutor
+from repro.executor.pipeline import PipelineRun
 from repro.obs.recorder import FlightRecorder
 from repro.robustness.limits import SharedCancellationToken
 from repro.server import server
@@ -113,15 +113,17 @@ LAYERS = [
     (Database, "_learn"),
     (pipeline, "_prepare"),
     (pipeline, "memo_step"),
-    (PipelineExecutor, "__init__"),
-    (PipelineExecutor, "_build_machine"),
-    (PipelineExecutor, "_accounted"),
-    (PipelineExecutor, "_open_driving"),
-    (PipelineExecutor, "_install_probes"),
-    (BatchedPipelineExecutor, "_build_machine"),
+    (PipelineRun, "__init__"),
+    (PipelineRun, "_adapting"),
+    (PipelineRun, "_accounted"),
+    (PipelineRun, "_drive"),
+    (PipelineRun, "_install_probes"),
+    (BatchedPipelineExecutor, "__init__"),
+    (BatchedPipelineExecutor, "_open_scan"),
     (BatchedPipelineExecutor, "_collect"),
     (vector, "assemble"),
     (vector, "_driving_walk"),
+    (batch, "_driving_walk"),
     (vector, "_expand"),
     (vector, "_project"),
     (AdaptationController, "on_suffix_depleted"),
@@ -135,27 +137,35 @@ LAYERS = [
 #: install is the step memo's lookups and the probes and steps it builds
 #: on a miss (``memo_step``), what a primitive installs with them
 #: (``_install_probes``) and the step programs assembled from them, for a
-#: prepared record as for a change a check applied (``assemble``).
+#: prepared record as for a change a check applied (``assemble``); the
+#: scan part is a monitored run's driving walks, each started, resumed
+#: (``_drive``) or built for a leg that starts to drive (``_open_scan``;
+#: ``batch._driving_walk``, the name the engine calls it by), beside the
+#: plan's own built with its record (``vector._driving_walk``). The executor build is the run shared by both
+#: machines (``PipelineRun.__init__``), the engine's own (its slim legs and
+#: registry, ``_adapting``) and the plan's record (``_prepare``).
 FLOOR = {
     "plan-cache lookup": ["Database._plan_sql"],
     "executor build": [
-        "PipelineExecutor.__init__",
-        "PipelineExecutor._build_machine",
-        "BatchedPipelineExecutor._build_machine",
+        "PipelineRun.__init__",
+        "PipelineRun._adapting",
+        "BatchedPipelineExecutor.__init__",
         "pipeline._prepare",
     ],
-    "cursor and probe install": [
-        "PipelineExecutor._open_driving",
-        "PipelineExecutor._install_probes",
+    "scan and probe install": [
+        "PipelineRun._drive",
+        "BatchedPipelineExecutor._open_scan",
+        "PipelineRun._install_probes",
         "pipeline.memo_step",
         "vector.assemble",
         "vector._driving_walk",
+        "batch._driving_walk",
     ],
     "chunk-loop frames": ["BatchedPipelineExecutor._collect"],
     "stats and result": [
         "Database.execute",
         "Database._execute_plan",
-        "PipelineExecutor._accounted",
+        "PipelineRun._accounted",
     ],
 }
 
@@ -210,7 +220,7 @@ def bare_pass(plans: list) -> float:
     runs = []
     for plan in plans:
         program, walk, takers = plan.__dict__["_prepared"].cascade
-        runs.append((walk.restarted(meter, None, None), program, takers))
+        runs.append((walk.restarted(meter), program, takers))
     start = perf_counter()
     for walk, program, takers in runs:
         survivors = walk.take(vector.STATIC_SLICE_ROWS)

@@ -33,14 +33,6 @@ import argparse
 import sys
 import time
 
-from repro.bench import (
-    learned_experiment,
-    overhead_experiment,
-    scatter_experiment,
-    table1_experiment,
-    template_ratio_experiment,
-    window_sweep_experiment,
-)
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.db import Database
 from repro.dmv import four_table_workload, load_dmv, six_table_workload
@@ -516,6 +508,10 @@ def _run_observed_query(
 
 
 def cmd_generate(args) -> int:
+    # The experiment modules load here and in cmd_experiment only: a
+    # ``repro serve`` process never imports them.
+    from repro.bench import table1_experiment
+
     _, summary = load_dmv(
         scale=args.scale,
         seed=args.seed,
@@ -740,6 +736,15 @@ def cmd_telemetry(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from repro.bench import (
+        learned_experiment,
+        overhead_experiment,
+        scatter_experiment,
+        table1_experiment,
+        template_ratio_experiment,
+        window_sweep_experiment,
+    )
+
     if args.name == "table1":
         _, summary = load_dmv(
             scale=args.scale,

@@ -33,7 +33,7 @@ from repro.obs.timeseries import snapshot_legs
 from repro.optimizer.params import ModelProvider
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.pipeline import PipelineRun
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +43,7 @@ class AdaptationController:
 
     def __init__(self, config: AdaptiveConfig) -> None:
         self.config = config
-        self.pipeline: "PipelineExecutor | None" = None
+        self.pipeline: "PipelineRun | None" = None
         self._builder: RuntimeModelBuilder | None = None
         # Experiment counters.
         self.inner_checks = 0
@@ -57,11 +57,11 @@ class AdaptationController:
         # inner check modelled. ``(driving rows produced, provider)``.
         self._handoff: tuple[int, ModelProvider] | None = None
 
-    def attach(self, pipeline: "PipelineExecutor") -> None:
+    def attach(self, pipeline: "PipelineRun") -> None:
         self.pipeline = pipeline
         self._builder = RuntimeModelBuilder(pipeline)
 
-    def _require_pipeline(self) -> "PipelineExecutor":
+    def _require_pipeline(self) -> "PipelineRun":
         if self.pipeline is None or self._builder is None:
             raise ExecutionError("controller is not attached to a pipeline")
         return self.pipeline
@@ -208,7 +208,7 @@ class AdaptationController:
 
     def _observe(
         self,
-        pipeline: "PipelineExecutor",
+        pipeline: "PipelineRun",
         provider,
         *,
         check: str,

@@ -6,8 +6,9 @@ leg (using remaining-fraction-adjusted monitored parameters), and propose
 the cheapest one if it beats the current plan by the configured margin. A
 candidate's inner legs follow it in ascending-rank order (Eq 4), as after an
 inner reorder. The mechanics of the switch — freezing the scan position,
-adding the positional predicate, resuming/resetting cursors (steps 5-7) —
-live in :meth:`repro.executor.pipeline.PipelineExecutor.apply_driving_switch`.
+adding the positional predicate, resuming or opening the driving scan
+(steps 5-7) — live in
+:meth:`repro.executor.pipeline.PipelineRun.apply_driving_switch`.
 
 A leg that starts to drive scans through the access path the optimizer
 chose for it. Re-choosing that path from monitored local selectivities (the
@@ -24,11 +25,11 @@ from repro.optimizer.cost import cost_of_order, greedy_rank_walk
 from repro.optimizer.params import ModelProvider
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.pipeline import PipelineRun
 
 
 def decide_driving_switch(
-    pipeline: "PipelineExecutor",
+    pipeline: "PipelineRun",
     provider: ModelProvider,
     config: AdaptiveConfig,
     audit_costs: dict[str, float] | None = None,

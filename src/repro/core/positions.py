@@ -7,8 +7,14 @@ is *frozen*. From then on:
   lie strictly *after* the frozen position in the original scan order — the
   paper's added local predicate ``key > v OR (key = v AND rid > r)``
   (index-scan order) or ``rid > r`` (table-scan order);
-* whenever it becomes the **driving leg again**, its retained cursor resumes
+* whenever it becomes the **driving leg again**, its retained scan resumes
   from the frozen position instead of restarting.
+
+A scan is whatever the machine reads its driving leg through: a storage
+cursor on the row store's scalar machine, the engine's driving walk
+(:class:`repro.executor.vector._DrivingWalk`) on the columnar store. The
+registry asks a scan only its ``order`` and ``last_position``, and keeps
+the scan itself to hand back when the leg drives again.
 
 Correctness invariant (DESIGN.md Sec 4): with ``P(T)`` the frozen position
 of every previously-driving table (unbounded for the rest), the un-emitted
@@ -21,16 +27,10 @@ exactly one ``P(T)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.query.predicates import PositionalPredicate
-from repro.storage.cursor import (
-    IndexScanCursor,
-    Position,
-    ScanOrder,
-    TableScanCursor,
-)
-
-Cursor = TableScanCursor | IndexScanCursor
+from repro.storage.cursor import Position, ScanOrder
 
 
 @dataclass
@@ -39,10 +39,7 @@ class FrozenScan:
 
     order: ScanOrder
     position: Position
-    cursor: Cursor
-
-    def positional_predicate(self) -> PositionalPredicate:
-        return PositionalPredicate(order=self.order, after=self.position)
+    scan: Any
 
 
 class PositionRegistry:
@@ -52,17 +49,18 @@ class PositionRegistry:
         self._frozen: dict[str, FrozenScan] = {}
         self.switch_count = 0
 
-    def freeze(self, alias: str, cursor: Cursor) -> None:
-        """Freeze *alias*'s driving scan at the cursor's current position.
+    def freeze(self, alias: str, scan: Any) -> None:
+        """Freeze *alias*'s driving *scan* at its current position.
 
         A leg that never produced a row freezes at "before everything",
         which the positional predicate represents as ``None`` (no
         restriction) — handled in :meth:`predicate_for`.
         """
+        position = scan.last_position
         self._frozen[alias] = FrozenScan(
-            order=cursor.order,
-            position=cursor.last_position if cursor.last_position is not None else (),
-            cursor=cursor,
+            order=scan.order,
+            position=() if position is None else position,
+            scan=scan,
         )
         self.switch_count += 1
 
@@ -73,12 +71,12 @@ class PositionRegistry:
             # Never driving, or froze before its first row: nothing emitted,
             # nothing to exclude.
             return None
-        return frozen.positional_predicate()
+        return PositionalPredicate(order=frozen.order, after=frozen.position)
 
     def frozen_scan(self, alias: str) -> FrozenScan | None:
         return self._frozen.get(alias)
 
-    def resume_cursor(self, alias: str) -> Cursor | None:
-        """The retained cursor for *alias*, if it drove before."""
+    def resume_scan(self, alias: str) -> Any:
+        """The retained scan of *alias*, if it drove before (else None)."""
         frozen = self._frozen.get(alias)
-        return frozen.cursor if frozen is not None else None
+        return frozen.scan if frozen is not None else None

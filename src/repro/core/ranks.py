@@ -26,11 +26,10 @@ from repro.core.positions import PositionRegistry
 from repro.optimizer.cost import cost_of_order
 from repro.optimizer.params import ModelProvider, TableModel
 from repro.optimizer.plans import PipelinePlan
-from repro.storage.cursor import IndexScanCursor, TableScanCursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.access import RuntimeLeg
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.access import LegState, RuntimeLeg
+    from repro.executor.pipeline import PipelineRun
 
 _CORRECTION_FLOOR = 1e-3
 _CORRECTION_CEIL = 1e3
@@ -40,28 +39,23 @@ def _clamp(value: float, low: float, high: float) -> float:
     return low if value < low else high if value > high else value
 
 
-def remaining_scan_fraction(
-    cursor: TableScanCursor | IndexScanCursor,
-) -> float:
+def remaining_scan_fraction(scan) -> float:
     """Fraction of a driving scan's qualifying entries not yet consumed.
 
-    Reads only index/heap metadata (entry counts after the cursor's
+    Reads only index/heap metadata (entry counts after the scan's
     position) — the analogue of a B-tree key-range estimate, never touching
-    row data.
+    row data. *scan* is a storage cursor or the engine's driving walk: its
+    ``range_spans()`` (one RID span for a table scan) and
+    ``scan_offset()``, the offset every entry before which was read. For an
+    index scan this is ``SortedIndex.count_range`` /
+    ``count_range_after(last_position)`` over every key range, with the
+    ranges' bounds found once per scan and the position read off the scan
+    instead of searched for.
     """
-    if isinstance(cursor, TableScanCursor):
-        total = len(cursor.table)
-        if total == 0:
-            return 0.0
-        consumed = 0 if cursor.last_position is None else cursor.last_position[0] + 1
-        return max(total - consumed, 0) / total
-    # SortedIndex.count_range / count_range_after(last_position) over
-    # every key range, with the ranges' bounds found once per scan and the
-    # position read off the walk instead of searched for.
-    start = cursor.scan_offset()
+    start = scan.scan_offset()
     total = 0
     remaining = 0
-    for lo, hi in cursor.range_spans():
+    for lo, hi in scan.range_spans():
         total += max(hi - lo, 0)
         remaining += max(hi - max(lo, start), 0)
     if total == 0:
@@ -69,7 +63,7 @@ def remaining_scan_fraction(
     return remaining / total
 
 
-def measured_combined_local_selectivity(leg: "RuntimeLeg") -> float | None:
+def measured_combined_local_selectivity(leg: "LegState") -> float | None:
     """Combined selectivity of the leg's local conjunction, from monitoring.
 
     Local predicates are evaluated in sequence during probes, so the counts
@@ -120,7 +114,7 @@ def _slots_selectivity(local_counts, slots) -> float | None:
 class RuntimeModelBuilder:
     """Builds a :class:`ModelProvider` snapshot from live pipeline state."""
 
-    def __init__(self, pipeline: "PipelineExecutor") -> None:
+    def __init__(self, pipeline: "PipelineRun") -> None:
         self.pipeline = pipeline
         self.config = pipeline.config
 
@@ -158,11 +152,11 @@ class RuntimeModelBuilder:
     def _remaining_fraction(self, alias: str) -> float:
         pipeline = self.pipeline
         registry: PositionRegistry = pipeline.registry
-        if alias == pipeline.order[0] and pipeline.driving_cursor is not None:
-            return remaining_scan_fraction(pipeline.driving_cursor)
+        if alias == pipeline.order[0] and pipeline.scan is not None:
+            return remaining_scan_fraction(pipeline.scan)
         frozen = registry.frozen_scan(alias)
         if frozen is not None:
-            return remaining_scan_fraction(frozen.cursor)
+            return remaining_scan_fraction(frozen.scan)
         return 1.0
 
     def _table_model(

@@ -21,7 +21,7 @@ from repro.optimizer.cost import greedy_rank_suffix, rank
 from repro.optimizer.params import ModelProvider
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.pipeline import PipelineRun
 
 # Relative slack below which a rank inversion is ignored, so measurement
 # jitter does not cause churn.
@@ -42,7 +42,7 @@ def suffix_ranks(
 
 
 def decide_inner_order(
-    pipeline: "PipelineExecutor", provider: ModelProvider, position: int
+    pipeline: "PipelineRun", provider: ModelProvider, position: int
 ) -> list[str] | None:
     """New suffix for positions >= *position*, or None to keep the order."""
     order = pipeline.order

@@ -31,7 +31,7 @@ from repro.core.events import EventKind
 from repro.core.ranks import RuntimeModelBuilder
 from repro.errors import SchemaError
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.executor.pipeline import PipelineExecutor, held_arrays
+from repro.executor.pipeline import PipelineExecutor, PipelineRun, held_arrays
 from repro.executor.postprocess import PostProcessor
 from repro.obs.explain import render_explain_analyze
 from repro.obs.metrics import MetricsRegistry
@@ -582,7 +582,7 @@ class Database:
             rows, stats, plan, tuple(executor.order), oracle, obs
         )
 
-    def _learn(self, entry: CachedPlan, executor: PipelineExecutor) -> None:
+    def _learn(self, entry: CachedPlan, executor: PipelineRun) -> None:
         """Keep what a text's first monitored run in its mode learned.
 
         Reached only when that run completed undisturbed (no injected fault,

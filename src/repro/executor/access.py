@@ -1,10 +1,14 @@
-"""Run-time access operators: one :class:`RuntimeLeg` per table in the plan.
+"""Run-time access operators: one leg per table in the plan.
 
-A leg can serve either role of the pipeline at any time:
+A leg that can change its role keeps a :class:`LegState` (the engine's
+legs) or, on the row store's scalar machine, a :class:`RuntimeLeg`, which
+adds the row-at-a-time probe and driving row generator. A leg can serve
+either role of the pipeline at any time:
 
-* **driving** — it owns a resumable scan cursor built from its
-  :class:`~repro.optimizer.plans.DrivingSpec` (or resumed from a frozen
-  scan after a switch-back, Sec 4.2);
+* **driving** — the run reads its scan (a cursor on the scalar machine,
+  the walk of :mod:`repro.executor.vector` on the engine) as its
+  :class:`~repro.optimizer.plans.DrivingSpec` describes it, or resumes it
+  where it was frozen after a switch-back (Sec 4.2);
 * **inner** — it is probed once per incoming outer row through a
   :class:`ProbeConfig` compiled for the *current* leg order: the most
   selective available join predicate with an index becomes the access
@@ -147,20 +151,19 @@ def compile_probe(
     )
 
 
-def open_cursor(plan_leg: PlanLeg, table: Any, indexes: Mapping[str, Any]) -> Cursor:
-    """A fresh driving scan of *plan_leg* over *table* (*indexes*: its
-    indexes by column), as its :class:`~repro.optimizer.plans.DrivingSpec`
-    describes it."""
+def driving_index(plan_leg: PlanLeg, indexes: Mapping[str, Any]) -> SortedIndex | None:
+    """The index *plan_leg*'s driving scan reads (*indexes*: its table's
+    indexes by column), None for a table scan."""
     spec = plan_leg.driving
-    if spec.kind is DrivingKind.INDEX_SCAN:
-        index = indexes.get(spec.index_column or "")
-        if index is None:
-            raise ExecutionError(
-                f"leg {plan_leg.alias!r}: driving index on "
-                f"{spec.index_column!r} does not exist"
-            )
-        return IndexScanCursor(index, spec.ranges)
-    return TableScanCursor(table)
+    if spec.kind is not DrivingKind.INDEX_SCAN:
+        return None
+    index = indexes.get(spec.index_column or "")
+    if index is None:
+        raise ExecutionError(
+            f"leg {plan_leg.alias!r}: driving index on "
+            f"{spec.index_column!r} does not exist"
+        )
+    return index
 
 
 FLOW_COUNTERS = ("rows_in", "index_matches", "rows_out", "rows_scanned", "rows_survived")
@@ -173,8 +176,6 @@ class LegFlow:
     / driving row by the scalar machine, once per chunk by the cascade."""
 
     __slots__ = ("alias", *FLOW_COUNTERS)
-    monitoring_enabled = False
-    driving_monitor = None
 
     def __init__(self, alias: str) -> None:
         self.alias = alias
@@ -182,32 +183,23 @@ class LegFlow:
         self.rows_scanned = self.rows_survived = 0
 
 
-class RuntimeLeg(LegFlow):
-    """Run-time state of one table in the pipeline."""
+class LegState(LegFlow):
+    """A leg of a run that can change its plan: its flow, what a chunk (or
+    a probe) folds into — windows, local-predicate counts, rows since its
+    last check — and what the controller reads: probe config, positional
+    predicate, model parts, plan leg. The engine's legs are these."""
 
     __slots__ = (
-        "meter",
-        "_hash_tables",
         "plan_leg",
-        "table",
-        "schema",
-        "indexes",
+        "model_parts",
         "monitoring_enabled",
         "monitor",
         "driving_monitor",
-        "positional",
-        "_history_window",
-        "local_tests",
         "local_counts",
-        "probe_config",
         "incoming_since_check",
-        "collect_rids",
-        "match_rids",
-        "on_retry",
+        "positional",
+        "probe_config",
         "degrade_hook",
-        "monitor_failure",
-        "_pushed",
-        "model_parts",
     )
 
     def __init__(
@@ -215,32 +207,17 @@ class RuntimeLeg(LegFlow):
         plan_leg: PlanLeg,
         binding: Any,
         history_window: int | None = None,
-        on_retry: Callable[[str], None] | None = None,
         degrade_hook: Callable[[str, BaseException], None] | None = None,
-        collect_rids: bool = False,
     ) -> None:
         """One execution's leg over *binding*, the leg's
-        :class:`~repro.executor.pipeline.LegBinding` in the plan's prepared
-        record: its table, indexes, bound local tests and model parts are
-        shared with every execution of the plan and read-only here.
-        Monitored with windows of *history_window* rows; None leaves the
-        leg unmonitored, its inner monitor the shared idle one. *on_retry*,
-        *degrade_hook* and *collect_rids* are the executor's (below).
-        """
+        :class:`~repro.executor.pipeline.LegBinding` (shared, read-only).
+        Monitored with windows of *history_window* rows; None leaves it
+        unmonitored, its inner monitor the shared idle one. *degrade_hook*
+        is told of a monitoring failure (:meth:`_degrade_monitoring`)."""
         LegFlow.__init__(self, plan_leg.alias)
-        self.meter = binding.table.meter
-        # The scalar machine's hash builds by access column, reused across
-        # reorders and switches.
-        self._hash_tables: dict[str, Any] = {}
         self.plan_leg = plan_leg
-        self.table = table = binding.table
-        self.schema = table.schema
-        self.indexes = binding.indexes
         self.model_parts = binding.model_parts
-        self.local_tests = binding.local_tests
-        self._pushed = binding.pushed
         self.monitoring_enabled = history_window is not None
-        self._history_window = history_window
         if history_window is None:
             self.monitor = IDLE_MONITOR
             self.local_counts = []
@@ -248,30 +225,14 @@ class RuntimeLeg(LegFlow):
             self.monitor = LegMonitor(history_window)
             # Per-local-predicate (evaluated, passed) counters: the
             # monitored S_LPR of an inner leg (core.ranks).
-            self.local_counts = [[0, 0] for _ in self.local_tests]
+            self.local_counts = [[0, 0] for _ in binding.local_tests]
+        # The scan monitor, new each time the leg starts driving.
         self.driving_monitor: DrivingMonitor | None = None
         self.positional: PositionalPredicate | None = None
         self.probe_config: ProbeConfig | None = None
         self.incoming_since_check = 0
-        # Oracle mode: probe() additionally records the RIDs of its matches
-        # (aligned with the returned rows) in self.match_rids.
-        self.collect_rids = collect_rids
-        self.match_rids: list[int] = []
-        # Told the site of each transient-fault retry (an observed run's).
-        self.on_retry = on_retry
-        # Monitoring is advisory: if it raises, it is disabled for this leg
-        # and the failure reported through degrade_hook instead of aborting
-        # the query.
         self.degrade_hook = degrade_hook
-        self.monitor_failure: BaseException | None = None
 
-    @property
-    def base_cardinality(self) -> int:
-        return len(self.table)
-
-    # ------------------------------------------------------------------
-    # Inner-leg role
-    # ------------------------------------------------------------------
     def install_probe(self, config: ProbeConfig) -> None:
         """Probe through *config* from here on, with an empty check count
         (what the leg counted at its old position says nothing of this
@@ -279,6 +240,61 @@ class RuntimeLeg(LegFlow):
         self.probe_config = config
         self.incoming_since_check = 0
 
+    def _degrade_monitoring(self, exc: BaseException) -> None:
+        """Disable this leg's monitoring after a failure inside it: losing
+        it costs estimate freshness, never correctness, so the query
+        continues (the executor's hook records a ``DEGRADED`` event)."""
+        self.monitoring_enabled = False
+        if self.degrade_hook is not None:
+            self.degrade_hook(self.alias, exc)
+
+
+class RuntimeLeg(LegState):
+    """The scalar machine's leg: it probes row by row and produces its
+    driving rows off a cursor."""
+
+    __slots__ = (
+        "meter",
+        "_hash_tables",
+        "table",
+        "schema",
+        "indexes",
+        "local_tests",
+        "collect_rids",
+        "match_rids",
+        "on_retry",
+        "_pushed",
+    )
+
+    def __init__(
+        self,
+        plan_leg: PlanLeg,
+        binding: Any,
+        history_window: int | None = None,
+        degrade_hook: Callable[[str, BaseException], None] | None = None,
+        on_retry: Callable[[str], None] | None = None,
+        collect_rids: bool = False,
+    ) -> None:
+        """*on_retry* is told the site of each transient-fault retry (an
+        observed run's); with *collect_rids* (oracle mode) :meth:`probe`
+        also records its matches' RIDs in ``match_rids``."""
+        LegState.__init__(self, plan_leg, binding, history_window, degrade_hook)
+        self.meter = binding.table.meter
+        # The scalar machine's hash builds by access column, reused across
+        # reorders and switches.
+        self._hash_tables: dict[str, Any] = {}
+        self.table = binding.table
+        self.schema = binding.table.schema
+        self.indexes = binding.indexes
+        self.local_tests = binding.local_tests
+        self._pushed = binding.pushed
+        self.collect_rids = collect_rids
+        self.match_rids: list[int] = []
+        self.on_retry = on_retry
+
+    # ------------------------------------------------------------------
+    # Inner-leg role
+    # ------------------------------------------------------------------
     def probe(self, binding: Binding) -> list[Row]:
         """All rows of this leg matching the outer *binding*.
 
@@ -349,19 +365,6 @@ class RuntimeLeg(LegFlow):
             return None
         return lambda: on_retry(site)
 
-    def _degrade_monitoring(self, exc: BaseException) -> None:
-        """Disable this leg's monitoring after a failure inside it.
-
-        Monitoring is pure observation: losing it costs estimate freshness,
-        never correctness, so the query continues. The executor's hook
-        records a ``DEGRADED`` event; without a hook the failure is kept on
-        ``monitor_failure`` for post-mortem inspection.
-        """
-        self.monitoring_enabled = False
-        self.monitor_failure = exc
-        if self.degrade_hook is not None:
-            self.degrade_hook(self.alias, exc)
-
     def _hash_table_for(self, column: str) -> HashProbeTable:
         table = self._hash_tables.get(column)
         if table is None:
@@ -412,15 +415,6 @@ class RuntimeLeg(LegFlow):
     # ------------------------------------------------------------------
     # Driving-leg role
     # ------------------------------------------------------------------
-    def open_driving_cursor(self, resume: Cursor | None = None) -> Cursor:
-        """Create (or resume) the driving scan cursor for this leg."""
-        cursor = resume
-        if cursor is None:
-            cursor = open_cursor(self.plan_leg, self.table, self.indexes)
-        if self._history_window is not None:
-            self.driving_monitor = DrivingMonitor(self._history_window)
-        return cursor
-
     def driving_rows(self, cursor: Cursor) -> Iterator[Row]:
         """Scan rows through *cursor*, applying residual local predicates.
 

@@ -4,16 +4,18 @@
 every statement on the columnar cascade (:mod:`repro.executor.vector`):
 rows and final work totals equal the scalar oracle's, and a monitored run
 folds each chunk into a leg's window as one weighted aggregate and fires
-its reorder checks at chunk boundaries (DESIGN.md Sec 4d). A run is one of
-two things, by its mode alone: an unmonitored one executes its plan's
-prepared step program and builds nothing the record holds — no leg, no
-cursor, no registry, and flow counters only where an observation reads
-them — and a monitored one runs on the machine built at init, through the
-same steps until a check applies a change, then through steps assembled
-from the entries of the statement's step memo the change installed. What
-checks a run (the invariant oracle, a fault plan, limits, an observation,
-any controller) chooses neither, and no shape does: the row store is the
-only scalar machine.
+its reorder checks at chunk boundaries (DESIGN.md Sec 4d). It shares only
+the run with the row store's scalar machine
+(:class:`~repro.executor.pipeline.PipelineRun`). An unmonitored run
+executes its plan's prepared step program and builds nothing the record
+holds — no leg, no registry, and flow counters only where an observation
+reads them. A monitored one keeps slim legs
+(:class:`~repro.executor.access.LegState`) and a position registry, and
+its driving scan is a walk (:class:`~repro.executor.vector._DrivingWalk`)
+that a switch freezes and a switch back takes from again; it runs the
+record's steps until a check applies a change, then steps assembled from
+the statement's step memo. What checks a run (the invariant oracle, a
+fault plan, limits, an observation, any controller) chooses neither.
 """
 
 from __future__ import annotations
@@ -21,18 +23,42 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.errors import TransientStorageError
-from repro.executor.access import LegFlow
-from repro.executor.pipeline import PipelineExecutor
-from repro.executor.vector import cascade
+from repro.executor.access import LegFlow, LegState
+from repro.executor.pipeline import PipelineRun
+from repro.executor.vector import _driving_walk, _DrivingWalk, cascade
 from repro.robustness.faults import call_with_retry
 
 
-class BatchedPipelineExecutor(PipelineExecutor):
+class BatchedPipelineExecutor(PipelineRun):
     """Drop-in executor running the cascade: its run yields a list of rows
     per chunk, which :meth:`run_to_completion` extends its result with and
     :meth:`rows` streams row by row."""
 
     engine_used = "vector"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        """A monitored run's slim legs and registry; an unmonitored run
+        builds none — its order, history and events are its plan's — and
+        counts its flow (one counter set per alias) only when observed."""
+        super().__init__(*args, **kwargs)
+        if self.config.mode.monitors:
+            self._adapting(LegState)
+        else:
+            self.flows = (
+                None
+                if self.obs is None
+                else {alias: LegFlow(alias) for alias in self.order}
+            )
+
+    def _open_scan(self, alias: str) -> _DrivingWalk:
+        """A fresh walk of *alias*'s driving scan: the plan's own is its
+        prepared record's."""
+        leg = self.legs[alias]
+        if alias == self.plan.order[0]:
+            walk = self.prepared.cascade[1]
+        else:
+            walk = _driving_walk(leg.plan_leg, self.prepared.bindings.legs[alias])
+        return walk.restarted(self.catalog.meter, leg, True)
 
     def rows(self) -> Iterator[tuple[Any, ...]]:
         chunks = self._accounted(cascade(self))
@@ -50,22 +76,6 @@ class BatchedPipelineExecutor(PipelineExecutor):
         for chunk in cascade(self):
             rows += chunk
         return rows
-
-    def _build_machine(self) -> None:
-        """A monitored run's machine. An unmonitored run builds no leg,
-        cursor or registry — its order, history and events are its plan's —
-        and counts its flow (one counter set per alias) only when observed;
-        walk progress, meter charges and rows are the cascade's."""
-        if self.config.mode.monitors:
-            super()._build_machine()
-            return
-        plan = self.plan
-        order = plan.order
-        self.order, self.order_history, self.events = list(order), [order], []
-        self.class_selectivities = plan.class_selectivities
-        self.flows = (
-            None if self.obs is None else {alias: LegFlow(alias) for alias in order}
-        )
 
     def consult(self, site: str) -> None:
         """The fault plan at *site*, once per chunk (and inner leg): a

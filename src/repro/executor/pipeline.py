@@ -1,8 +1,17 @@
-"""The pipelined indexed nested-loop join executor.
+"""The pipelined indexed nested-loop join: the run both machines share,
+and the row store's scalar machine.
 
-Execution is an explicit state machine over leg positions rather than nested
-generators, because the adaptive layer must be able to permute the pipeline
-*between* rows:
+A run (:class:`PipelineRun`) owns the mutation primitives
+(:meth:`~PipelineRun.apply_inner_order`,
+:meth:`~PipelineRun.apply_driving_switch`) and the state they mutate;
+*deciding* when and how to use them is the controller's job, so a
+``NONE``-mode run simply never mutates anything. A primitive installs, for
+every leg it moved, the entry of the statement's step memo
+(:func:`memo_step`) for where the leg now is. The scalar machine
+(:class:`PipelineExecutor`), the oracle the engine
+(:mod:`repro.executor.batch`) is held to, is an explicit state machine
+over leg positions rather than nested generators, because the adaptive
+layer must be able to permute the pipeline *between* rows:
 
 * position 0 holds the driving cursor; position ``i`` holds the iterator of
   the inner leg's matches for the current outer row;
@@ -12,29 +21,23 @@ generators, because the adaptive layer must be able to permute the pipeline
   the adaptation controller for reordering;
 * when control returns to position 0, the whole pipeline is depleted and the
   controller may switch the driving leg (Sec 4.2).
-
-The executor owns the mutation primitives (:meth:`apply_inner_order`,
-:meth:`apply_driving_switch`); *deciding* when and how to use them is the
-controller's job, so a ``NONE``-mode run simply never mutates anything.
-The machine (legs, position registry, live selectivities) is built once,
-at init, from the plan's prepared record, its probe program installed;
-the engine (:mod:`repro.executor.batch`) builds it for a monitored run
-only. A primitive installs, for every leg it moved, the entry of the
-statement's step memo (:func:`memo_step`) for where the leg now is.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Protocol
 
 from repro.catalog.catalog import Catalog
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.events import AdaptationEvent, EventKind
+from repro.core.monitor import DrivingMonitor
 from repro.core.positions import PositionRegistry
 from repro.errors import ExecutionError
 from repro.executor.access import (
-    Binding, Cursor, RuntimeLeg, bind_local_tests, compile_probe,
+    Binding, Cursor, LegState, RuntimeLeg, bind_local_tests, compile_probe,
+    driving_index,
 )
 from repro.executor.vector import cascade_start, held_by, leg_step
 from repro.optimizer.params import LegModelParts, leg_model_parts
@@ -44,6 +47,7 @@ from repro.robustness.limits import ExecutionLimits, LimitEnforcer
 from repro.robustness.oracle import InvariantOracle
 from repro.storage.backend import COLUMNAR_BACKEND
 from repro.storage.counters import WorkMeter
+from repro.storage.cursor import IndexScanCursor, TableScanCursor
 from repro.storage.table import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -284,24 +288,24 @@ def _class_selectivity(graph, class_selectivities, predicate) -> float:
 
 
 def starting_legs(
-    plan: PipelinePlan, prepared: PreparedPlan, *args: Any
-) -> dict[str, RuntimeLeg]:
+    plan: PipelinePlan, prepared: PreparedPlan, make: Callable = LegState
+) -> dict[str, LegState]:
     """Legs of *plan*'s order as its prepared record starts them: the
-    record's probe program installed, nothing run. *args* are the rest of
-    :class:`RuntimeLeg`'s (none: unmonitored legs, as an unmonitored run
-    ends)."""
+    record's probe program installed, nothing run. *make* builds a leg from
+    its plan leg and binding (the default: unmonitored legs, as an
+    unmonitored run ends)."""
     bound = prepared.bindings.legs
-    legs = {
-        alias: RuntimeLeg(plan.legs[alias], bound[alias], *args)
-        for alias in plan.order
-    }
+    legs = {alias: make(plan.legs[alias], bound[alias]) for alias in plan.order}
     for alias, step in prepared.program.items():
         legs[alias].install_probe(step.config)
     return legs
 
 
-class PipelineExecutor:
-    """Runs one pipelined plan, optionally under adaptive reordering."""
+class PipelineRun:
+    """One execution of a plan on either machine: counters, clock and —
+    once :meth:`_adapting` made it a run that can change its plan — the
+    state a check reads and mutates. A machine brings its legs, its loop
+    and how it opens a fresh driving scan (``_open_scan``)."""
 
     # What a run counts and records, read as these defaults until the run
     # writes its own (a run that never reorders writes no reorder count).
@@ -323,10 +327,10 @@ class PipelineExecutor:
     # precondition — the invariant oracle reads it before permutations.
     depleted_from: int | None = None
     _enforcer: LimitEnforcer | None = None
-    # Which execution engine ran this query: "scalar" (this class, the
-    # row store's oracle), "vector" (static columnar cascade) or
-    # "vector-adaptive" (chunked adaptive cascade). Surfaced on
-    # ExecutionStats.engine and the flight record.
+    # Which execution engine ran this query: "scalar" (the row store's
+    # oracle), "vector" (static columnar cascade) or "vector-adaptive"
+    # (chunked adaptive cascade). Surfaced on ExecutionStats.engine and the
+    # flight record.
     engine_used = "scalar"
     # Set by ``Database`` on a run it will learn from (a text's first
     # monitored run in its mode) and read by the engine alone: it still
@@ -335,6 +339,9 @@ class PipelineExecutor:
     learns_at_end = False
     scan_finished = False
     proposed_order: tuple[str, ...] | None = None
+    # The driving scan being read (a cursor, or the engine's walk); None
+    # before the run opens one.
+    scan: Any = None
 
     def __init__(
         self,
@@ -349,7 +356,7 @@ class PipelineExecutor:
     ) -> None:
         """*generation* is the catalog's, when the caller already read it
         (``Database.execute`` does, for its plan-cache lookup). What the
-        run reads is built here, outside its clock (:meth:`_build_machine`)."""
+        run reads is built here, outside its clock."""
         self.plan = plan
         self.catalog = catalog
         self.config = config if config is not None else AdaptiveConfig(mode=ReorderMode.NONE)
@@ -360,44 +367,37 @@ class PipelineExecutor:
         self.oracle = oracle
         self.obs = obs
         self.prepared: PreparedPlan = plan.prepared(catalog, _prepare, generation)
-        self._build_machine()
+        order = plan.order
+        self.order: list[str] = list(order)
+        self.order_history: list[tuple[str, ...]] = [order]
+        # Applied adaptation decisions, in order (core.events).
+        self.events: list = []
+        self.class_selectivities = plan.class_selectivities
+
+    def _adapting(self, leg_class: type, **leg_args: Any) -> None:
+        """Make this a run that can change its plan: *leg_class* legs (and
+        the machine's own *leg_args*) as the record starts them, its own
+        live selectivities, a position registry."""
+        window = self.config.history_window if self.config.mode.monitors else None
+        # {alias: LegFlow} the run counts its row flow in: here its legs.
+        make = partial(
+            leg_class, history_window=window,
+            degrade_hook=self._record_monitor_degraded, **leg_args,
+        )
+        self.flows = self.legs = starting_legs(self.plan, self.prepared, make)
+        # {inner alias: step memo entry} of the pipeline as it stands.
+        self.program = dict(self.prepared.program)
+        # Live join selectivities, keyed by column equivalence class: start
+        # from optimizer estimates, refined from monitored values (Eq 7).
+        self.class_selectivities: dict[int, float] = dict(self.class_selectivities)
+        self.registry = PositionRegistry()
+        # How many times each leg has been switched *away from* while
+        # driving; feeds the escalating anti-thrash penalty.
+        self.abandon_counts: dict[str, int] = {}
 
     @property
     def join_graph(self) -> Any:
         return self.prepared.bindings.join_graph
-
-    def _build_machine(self) -> None:
-        """The machine's state, from the plan's prepared record: its legs
-        with the record's probe program installed (the pipeline as the plan
-        describes it, so the record's cascade start is this run's until a
-        primitive moves it), the position registry, the live
-        selectivities."""
-        plan = self.plan
-        prepared = self.prepared
-        window = self.config.history_window if self.config.mode.monitors else None
-        on_retry = self._note_retry if self.obs is not None else None
-        # {alias: LegFlow} the run counts its row flow in: here its legs.
-        self.flows = self.legs = starting_legs(
-            plan, prepared, window, on_retry, self._record_monitor_degraded,
-            self.oracle is not None,
-        )
-        # {inner alias: step memo entry} of the pipeline as it stands.
-        self.program = dict(prepared.program)
-        self.order: list[str] = list(plan.order)
-        # Live join selectivities, keyed by column equivalence class: start
-        # from optimizer estimates, refined from monitored values (Eq 7).
-        self.class_selectivities: dict[int, float] = dict(
-            plan.class_selectivities
-        )
-        self.registry = PositionRegistry()
-        self.last_abandoned_driving: str | None = None
-        # How many times each leg has been switched *away from* while
-        # driving; feeds the escalating anti-thrash penalty.
-        self.abandon_counts: dict[str, int] = {}
-        self.driving_cursor: Cursor | None = None
-        # Applied adaptation decisions, in order (core.events).
-        self.events: list = []
-        self.order_history: list[tuple[str, ...]] = [tuple(self.order)]
 
     def predicate_selectivity(self, predicate) -> float:
         """Live selectivity estimate of a (possibly derived) join predicate."""
@@ -427,11 +427,16 @@ class PipelineExecutor:
             leg.positional = self.registry.predicate_for(alias)
             self.program[alias] = step
 
-    def _open_driving(self, alias: str) -> None:
+    def _drive(self, alias: str) -> None:
+        """Make *alias* the driving leg: its frozen scan resumed, else a
+        fresh one; a new scan monitor, and no positional predicate (the
+        scan position already excludes the past)."""
+        scan = self.registry.resume_scan(alias)
+        self.scan = self._open_scan(alias) if scan is None else scan
         leg = self.legs[alias]
-        resume = self.registry.resume_cursor(alias)
-        self.driving_cursor = leg.open_driving_cursor(resume=resume)
-        leg.positional = None  # the cursor position already excludes the past
+        if self.config.mode.monitors:
+            leg.driving_monitor = DrivingMonitor(self.config.history_window)
+        leg.positional = None
 
     # ------------------------------------------------------------------
     # Mutation primitives used by the adaptation controller
@@ -470,20 +475,19 @@ class PipelineExecutor:
                 "apply_driving_switch called without a driving change; use "
                 "apply_inner_order for inner-leg moves"
             )
-        if self.driving_cursor is None:
+        if self.scan is None:
             raise ExecutionError("pipeline has not started")
         # Freeze the outgoing driving scan; from now on the old driving leg
         # carries a positional predicate whenever it serves as an inner leg.
-        self.registry.freeze(old_driving, self.driving_cursor)
-        self.last_abandoned_driving = old_driving
+        self.registry.freeze(old_driving, self.scan)
         self.abandon_counts[old_driving] = (
             self.abandon_counts.get(old_driving, 0) + 1
         )
         self.order = list(new_order)
-        self._open_driving(new_driving)
+        self._drive(new_driving)
         self._install_probes(1)
         # The new driving leg's inner-probe history is stale with respect to
-        # its new role; its scan monitor restarts inside open_driving_cursor.
+        # its new role (its scan monitor restarted in _drive).
         self.legs[new_driving].monitor.reset()
         self.driving_switches += 1
         self.driving_rows_since_check = 0
@@ -514,20 +518,9 @@ class PipelineExecutor:
         )
 
     @property
-    def total_switches(self) -> int:
-        return self.inner_reorders + self.driving_switches
-
-    @property
     def work_units(self) -> float:
         """Total work units this execution charged (0.0 before completion)."""
         return self.work.total_units if self.work is not None else 0.0
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def rows(self) -> Iterator[tuple[Any, ...]]:
-        """Execute the pipeline, yielding projected result rows."""
-        return self._accounted(self._run())
 
     def _accounted(self, run: Iterator | Callable[[], Any]) -> Any:
         """*run*, run once: limits armed, wall clock and meter delta taken
@@ -560,6 +553,30 @@ class PipelineExecutor:
         self.wall_seconds = time.perf_counter() - started_at
         self.work = self.catalog.meter - self.meter_before
 
+
+class PipelineExecutor(PipelineRun):
+    """The row store's scalar machine: a row at a time, over
+    :class:`RuntimeLeg` legs and a storage cursor."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._adapting(
+            RuntimeLeg,
+            on_retry=self._note_retry if self.obs is not None else None,
+            collect_rids=self.oracle is not None,
+        )
+
+    def _open_scan(self, alias: str) -> Cursor:
+        leg = self.legs[alias]
+        index = driving_index(leg.plan_leg, leg.indexes)
+        if index is None:
+            return TableScanCursor(leg.table)
+        return IndexScanCursor(index, leg.plan_leg.driving.ranges)
+
+    def rows(self) -> Iterator[tuple[Any, ...]]:
+        """Execute the pipeline, yielding projected result rows."""
+        return self._accounted(self._run())
+
     def _driving_rid(self) -> int:
         """RID of the driving row just produced (oracle mode).
 
@@ -567,20 +584,20 @@ class PipelineExecutor:
         last position — ``(rid,)`` for table scans, ``(key, rid)`` for
         index scans — is exactly the yielded row's.
         """
-        assert self.driving_cursor is not None
-        position = self.driving_cursor.last_position
+        assert self.scan is not None
+        position = self.scan.last_position
         assert position is not None
         return position[-1]
 
     def _run(self) -> Iterator[tuple[Any, ...]]:
         """The row-at-a-time machine."""
-        self._open_driving(self.order[0])
+        self._drive(self.order[0])
         leg_count = len(self.order)
         meter = self.catalog.meter
         project = self.prepared.bindings.projector
         limits = self._enforcer
         oracle = self.oracle
-        cursor = self.driving_cursor
+        cursor = self.scan
         driving = self.legs[self.order[0]].driving_rows(cursor)
         if leg_count == 1:
             only = self.order[0]
@@ -615,9 +632,9 @@ class PipelineExecutor:
                     last = leg_count - 1
                     binding.clear()
                     rid_binding.clear()
-                if self.driving_cursor is not cursor:
+                if self.scan is not cursor:
                     # A switch opened (or resumed) another driving scan.
-                    cursor = self.driving_cursor
+                    cursor = self.scan
                     driving = self.legs[self.order[0]].driving_rows(cursor)
                 if limits is not None:
                     limits.check()

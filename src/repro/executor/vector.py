@@ -62,13 +62,11 @@ nothing applied at a boundary that ends the driving scan), and one
 Every statement a columnar database accepts runs here, from its first row
 to its last: only a columnar database builds the executor that calls
 :func:`cascade`, so every table and index here is columnar, and planning
-refused what no mask reproduces (DESIGN.md Sec 2). A frozen leg's
-positional predicate is a mask over the leg's group kernel
-(:func:`_positional_kernel`). Resumed driving cursors are supported:
-:class:`_DrivingWalk` reads the rest of the scan off the cursor's own
-state, with the exact skip/termination rules of
-:class:`~repro.storage.cursor.IndexScanCursor`, which is how the cascade
-survives a driving switch.
+refused what no mask reproduces (DESIGN.md Sec 2). The driving scan is a
+walk over the index's (or table's) arrays (:class:`_DrivingWalk`), which
+is the engine's whole scan state: a driving switch freezes it and a
+switch back takes from it again, and a frozen leg's positional predicate
+is a mask over the leg's group kernel (:func:`_positional_kernel`).
 
 The cascade is only observably different from the scalar machine in
 *intermediate* meter states, which are visible at chunk boundaries alone:
@@ -84,10 +82,11 @@ work / deadline / cancellation at most one chunk late.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import StorageError
-from repro.executor.access import open_cursor
+from repro.executor.access import driving_index
 from repro.storage.columnar import _np
 from repro.storage.compiled import vector_spec
 from repro.storage.counters import (
@@ -99,7 +98,7 @@ from repro.storage.counters import (
     PREDICATE_EVAL_COST,
     ROW_FETCH_COST,
 )
-from repro.storage.cursor import IndexScanCursor
+from repro.storage.cursor import ScanOrder, scan_ranges
 
 # What a step calls per leg, as the C functions numpy's Python wrappers
 # call: on arrays of a few dozen elements the wrapper is most of the call.
@@ -133,18 +132,15 @@ def cascade_start(plan, program: dict, bindings) -> tuple:
     *program* (inner alias -> step memo entry) under its *bindings*.
 
     ``(steps, walk, takers)``: the assembled step program and column
-    takers (:func:`assemble`), and the fresh driving scan's walk with no
-    meter, leg or cursor of its own (:meth:`_DrivingWalk.restarted` gives
-    it them). Part of a plan's prepared record: every execution that
-    starts as the plan describes installs it, on any thread, so nothing
-    here is ever written.
+    takers (:func:`assemble`), and its driving scan's walk with no meter
+    or leg of its own (:meth:`_DrivingWalk.restarted` gives a run its
+    own). Part of a plan's prepared record: every execution that starts
+    as the plan describes installs it, on any thread, so nothing here is
+    ever written.
     """
     order = plan.order
     steps, takers = assemble(order, program, {}, bindings)
-    driving = bindings.legs[order[0]]
-    cursor = open_cursor(plan.legs[order[0]], driving.table, driving.indexes)
-    walk = _driving_walk(driving, cursor)
-    walk.cursor = None
+    walk = _driving_walk(plan.legs[order[0]], bindings.legs[order[0]])
     for array in (walk.rids, walk.alive, walk.survivor_at):
         if array is not None:
             array.setflags(write=False)
@@ -152,31 +148,36 @@ def cascade_start(plan, program: dict, bindings) -> tuple:
 
 
 class _DrivingWalk:
-    """The rest of a driving scan as arrays, consumed a slice at a time.
+    """A driving scan as arrays, consumed a slice at a time: the engine's
+    scan.
 
-    ``rids`` is every RID the cursor has yet to visit, in scan order (RID
-    order, or the (key, RID) order of the cursor's ranges), read off the
-    cursor's own state — so a fresh and a resumed cursor both work.
-    ``survivor_at`` holds
-    the walk offsets whose rows pass the residual local predicates (``None``
-    when there are none to apply: every row survives).
+    ``rids`` is every RID the scan visits, in scan order (RID order, or
+    the (key, RID) order of its key ranges' index entries), read off its
+    spec once (:func:`_driving_walk`). ``survivor_at`` holds the walk
+    offsets whose rows pass the residual local predicates (``None`` when
+    there are none to apply: every row survives).
 
     :meth:`take` consumes the walk through its next survivors and charges
-    what :meth:`RuntimeLeg.driving_rows` charges for the same rows, as one
+    what ``RuntimeLeg.driving_rows`` charges for the same rows, as one
     aggregate: a fetch, an index-entry touch and ``len(residual tests)``
     predicate evals per row walked, one descend per key range entered, the
     driving monitor's fold (one window entry per take: rows walked, rows
-    surviving) and the leg's scanned / survived counters. It then puts the
-    cursor exactly where the row-at-a-time walk would have left it, so a
-    driving switch freezes the right position and a resumed cursor
-    continues with no charge repeated or lost. A walk with no cursor
-    charges the same and positions nothing; one with no leg counts no flow.
+    surviving) and the leg's scanned / survived counters.
+
+    The walk is the scan's whole state. It answers what the position
+    registry freezes (``order``, :attr:`last_position`) and what the cost
+    model reads (:meth:`range_spans`, :meth:`scan_offset`) exactly as the
+    row store's cursor pulled through the same rows answers them, and a
+    frozen walk resumes by being taken from again, with no charge
+    repeated or lost. A walk with no leg counts no flow; one with no meter
+    (a prepared record's) is never taken from.
     """
 
     __slots__ = (
+        "order",
         "meter",
         "leg",
-        "cursor",
+        "monitored",
         "rids",
         "alive",
         "survivor_at",
@@ -189,41 +190,42 @@ class _DrivingWalk:
         "spans_entered",
     )
 
-    def __init__(self, leg, cursor, masks: list) -> None:
-        self.meter = None if leg is None else leg.meter
-        self.leg = leg
-        self.cursor = cursor
+    def __init__(self, order, ranges, masks: list) -> None:
+        """The whole scan in *order* (a :class:`~repro.storage.cursor.
+        ScanOrder`): of its index's entries in the key *ranges*, walk
+        order, or of the whole table in RID order; *masks*: the residual
+        local predicates' row masks."""
+        self.order = order
+        self.meter = self.leg = None
+        self.monitored = False
         self.ntests = len(masks)
-        self.taken = 0
-        self.survivors_taken = 0
-        if isinstance(cursor, IndexScanCursor):
-            ent_rids = cursor.index._ent_rids
-            self.spans = cursor.remaining_spans()
-            pieces = []
-            self.span_starts = []
-            walked = 0
-            for _, lo, hi in self.spans:
-                self.span_starts.append(walked)
-                if hi > lo:
-                    pieces.append(ent_rids[lo:hi])
-                    walked += hi - lo
-            # The range the cursor is already reading owes no descend.
-            self.spans_entered = (
-                1 if self.spans and self.spans[0][0] == cursor._range_no else 0
-            )
-            if len(pieces) == 1:
-                self.rids = pieces[0]
-            elif pieces:
-                self.rids = _np.concatenate(pieces)
-            else:
-                self.rids = _np.zeros(0, dtype=_np.int64)
+        self.taken = self.survivors_taken = self.spans_entered = 0
+        index = order.index
+        if index is None:
+            self.spans = [(0, len(order.table))]
         else:
-            self.spans = self.span_starts = None
-            self.spans_entered = 0
-            pending = cursor.remaining_rids()
-            self.rids = _np.arange(
-                pending.start, pending.stop, dtype=_np.int64
-            )
+            self.spans = [
+                index._range_bounds(r.low, r.high, r.low_inclusive, r.high_inclusive)
+                for r in ranges
+            ]
+        pieces = []
+        self.span_starts = []
+        walked = 0
+        for lo, hi in self.spans:
+            self.span_starts.append(walked)
+            if hi > lo:
+                pieces.append(
+                    _np.arange(lo, hi, dtype=_np.int64)
+                    if index is None
+                    else index._ent_rids[lo:hi]
+                )
+                walked += hi - lo
+        if len(pieces) == 1:
+            self.rids = pieces[0]
+        elif pieces:
+            self.rids = _np.concatenate(pieces)
+        else:
+            self.rids = _np.zeros(0, dtype=_np.int64)
         if masks:
             alive = masks[0][self.rids]
             for mask in masks[1:]:
@@ -237,10 +239,10 @@ class _DrivingWalk:
             self.rids if self.survivor_at is None else self.survivor_at
         )
 
-    def restarted(self, meter, leg, cursor) -> "_DrivingWalk":
+    def restarted(self, meter, leg=None, monitored: bool = False) -> "_DrivingWalk":
         """This walk from its start again, charging *meter*, counting
-        *leg*'s flow (None: no flow counted) and positioning its fresh
-        *cursor* (None: none).
+        *leg*'s flow (None: no flow counted) and, when *monitored*, folding
+        into its driving monitor.
 
         The arrays — what :meth:`__init__` derives from the scan — are this
         walk's, shared and never written; only the progress is new. How an
@@ -248,9 +250,10 @@ class _DrivingWalk:
         (:func:`cascade_start`).
         """
         walk = _DrivingWalk.__new__(_DrivingWalk)
+        walk.order = self.order
         walk.meter = meter
         walk.leg = leg
-        walk.cursor = cursor
+        walk.monitored = monitored
         walk.rids = self.rids
         walk.alive = self.alive
         walk.survivor_at = self.survivor_at
@@ -283,15 +286,13 @@ class _DrivingWalk:
         return self.rids[self.survivor_at[first:last]]
 
     def finish(self) -> None:
-        """Walk whatever trails the last survivor and exhaust the cursor."""
+        """Walk whatever trails the last survivor, to the scan's end."""
         self._consume(len(self.rids))
-        if self.spans is not None:
+        if self.order.index is not None:
             # Ranges with nothing (more) to yield are still entered on the
             # way to learning the scan is over.
             self.meter.index_descends += len(self.spans) - self.spans_entered
             self.spans_entered = len(self.spans)
-        if self.cursor is not None:
-            self.cursor.exhausted = True
 
     def _consume(self, end: int) -> None:
         start = self.taken
@@ -306,20 +307,16 @@ class _DrivingWalk:
         leg = self.leg
         if leg is not None:
             leg.rows_scanned += walked
-            monitor = leg.driving_monitor
-            if leg.monitoring_enabled and monitor is not None:
+            if self.monitored and leg.monitoring_enabled:
                 alive = self.alive
-                monitor.record_chunk(
+                leg.driving_monitor.record_chunk(
                     walked,
                     walked
                     if alive is None
                     else int(_count_nonzero(alive[start:end])),
                 )
                 meter.monitor_updates += walked
-        cursor = self.cursor
-        if self.spans is None:
-            if cursor is not None:
-                cursor.skip(walked)
+        if self.order.index is None:
             return
         meter.index_entries += walked
         entered = self.spans_entered
@@ -328,23 +325,47 @@ class _DrivingWalk:
             entered += 1
         meter.index_descends += entered - self.spans_entered
         self.spans_entered = entered
-        if cursor is not None:
-            # The last span entered is the one holding entry ``end - 1``.
-            range_no, lo, hi = self.spans[entered - 1]
-            cursor.skip_to(range_no, lo + end - starts[entered - 1], hi)
+
+    def scan_offset(self) -> int:
+        """The entry-list offset (RID in a table scan) every entry before
+        which has been walked: the last one walked's, plus one."""
+        taken = self.taken
+        if not taken:
+            return 0
+        span = bisect_right(self.span_starts, taken - 1) - 1
+        return self.spans[span][0] + taken - self.span_starts[span]
+
+    def range_spans(self) -> list[tuple[int, int]]:
+        """Entry-list ``[lo, hi)`` bounds of each key range (one RID span
+        in a table scan): uncharged metadata."""
+        return self.spans
+
+    @property
+    def last_position(self):
+        """The scan-order position of the last row walked — ``(rid,)`` in
+        RID order, ``(key, rid)`` in index order; None before the first."""
+        if not self.taken:
+            return None
+        at = self.scan_offset() - 1
+        index = self.order.index
+        return (at,) if index is None else index._entry(at)
 
 
-def _driving_walk(binding, cursor, leg=None) -> _DrivingWalk:
-    """The walk over the open driving *cursor* of the leg *binding*
-    describes (its :class:`~repro.executor.pipeline.LegBinding`),
-    charging *leg*'s meter and counting its flow (None: neither)."""
+def _driving_walk(plan_leg, binding) -> _DrivingWalk:
+    """The whole driving scan of *plan_leg* as its
+    :class:`~repro.optimizer.plans.DrivingSpec` describes it, over the
+    table and indexes of *binding* (its
+    :class:`~repro.executor.pipeline.LegBinding`): a walk with no meter
+    (:meth:`_DrivingWalk.restarted` runs one)."""
     table = binding.table
     masks = [
         table.mask_for_spec(vector_spec(predicate, table.schema))
         for predicate, _ in binding.local_tests
         if predicate is not binding.pushed
     ]
-    return _DrivingWalk(leg, cursor, masks)
+    index = driving_index(plan_leg, binding.indexes)
+    ranges = None if index is None else scan_ranges(plan_leg.driving.ranges)
+    return _DrivingWalk(ScanOrder(table, index), ranges, masks)
 
 
 class _Probe(NamedTuple):
@@ -358,12 +379,13 @@ class _Probe(NamedTuple):
     build: Any
     residuals: tuple
 
-    def charge_hash(self, meter, built: set, alias: str, leg, flow, touched):
+    def charge_hash(self, meter, built: set, alias: str, counts, flow, touched):
         """Charge the chunk's hash probes of leg *alias*; their work. The
         leg's first hash probe of the execution (*built*: the ``(alias,
         column)`` builds it has charged) builds, as
         ``RuntimeLeg._hash_table_for`` does: its work lands in this chunk's
-        fold, its table-wide local counts in the leg's."""
+        fold, its table-wide local counts in *counts* (a monitored leg's
+        ``local_counts``; None: not monitored)."""
         build = self.build
         meter.hash_probes += flow
         meter.hash_matches += touched
@@ -379,12 +401,10 @@ class _Probe(NamedTuple):
                 + build.evals * PREDICATE_EVAL_COST
                 + build.entries * HASH_BUILD_ENTRY_COST
             )
-            if leg is not None and leg.monitoring_enabled:
-                for counts, (evaluated, passed) in zip(
-                    leg.local_counts, build.local_counts
-                ):
-                    counts[0] += evaluated
-                    counts[1] += passed
+            if counts is not None:
+                for pair, (evaluated, passed) in zip(counts, build.local_counts):
+                    pair[0] += evaluated
+                    pair[1] += passed
         return work
 
     def mask(self, ancestors: list, position: int, live: tuple, total, evals):
@@ -640,7 +660,9 @@ def _positional_kernel(base, positional, table_len: int):
     return base.restricted(keep)
 
 
-def _expand(meter, steps: Sequence, legs, survivors, built: set) -> tuple[list, int]:
+def _expand(
+    meter, steps: Sequence, legs, survivors, built: set, monitored: bool = False
+) -> tuple[list, int]:
     """One chunk's layered expansion: ``(ancestors, flow)``.
 
     ``ancestors[position]`` maps every joined tuple the chunk produces to
@@ -653,8 +675,9 @@ def _expand(meter, steps: Sequence, legs, survivors, built: set) -> tuple[list, 
     short-circuit local evals; a missing key touches one entry; a NULL key
     descends only), summed over the chunk's legs and added to *meter*
     once. *legs* (``legs[position]``; None: no flow counted) take the
-    chunk's rows in / candidates / rows out and, when monitored, the same
-    aggregate into the leg's window as the chunk's one entry. A
+    chunk's rows in / candidates / rows out and, when *monitored* (and the
+    leg's monitoring has not degraded), the same aggregate into the leg's
+    window as the chunk's one entry. A
     hash-probed leg or one with residual joins charges and masks through
     its :class:`_Probe` — the one test a leg's step adds. *built* holds
     the hash builds this execution has charged.
@@ -743,6 +766,7 @@ def _expand(meter, steps: Sequence, legs, survivors, built: set) -> tuple[list, 
         else:
             evals = int(_sum(evals_by(ranks)))
         leg = None if legs is None else legs[position]
+        watched = monitored and leg.monitoring_enabled
         out = count
         work = None
         if probe is None or probe.build is None:
@@ -750,7 +774,10 @@ def _expand(meter, steps: Sequence, legs, survivors, built: set) -> tuple[list, 
             fetches += touched
             entries += touched + missed
         else:
-            work = probe.charge_hash(meter, built, alias, leg, flow, touched)
+            work = probe.charge_hash(
+                meter, built, alias, leg.local_counts if watched else None,
+                flow, touched,
+            )
         if probe is not None and probe.residuals and count:
             out, evals = probe.mask(ancestors, position, live, count, evals)
         evals_in += evals
@@ -758,7 +785,7 @@ def _expand(meter, steps: Sequence, legs, survivors, built: set) -> tuple[list, 
             leg.rows_in += flow
             leg.index_matches += touched
             leg.rows_out += out
-            if leg.monitoring_enabled:
+            if watched:
                 updates += flow
                 if work is None:
                     work = (
@@ -815,13 +842,12 @@ def cascade(executor) -> Iterator[list]:
     start (:func:`cascade_start`), and whenever the executor's
     ``order_history`` has grown — only its two ``apply_*`` primitives
     append to it — the program is re-assembled (:func:`assemble`) from
-    the step memo entries the executor installed, with a new walk when
-    another leg drives. A monitored run opens its driving cursor on the machine and
-    counts its flow in its legs; a static one positions no cursor and
-    counts flow only where it is read (``executor.flows``: an observed
-    run's :class:`~repro.executor.access.LegFlow`, else None). An
-    unmonitored run's boundary ends at the row budget (nothing checks,
-    nothing can move the plan).
+    the step memo entries the executor installed, on the walk of the leg
+    that drives now (``executor.scan``: the same, a fresh or a resumed
+    one). A monitored run counts its flow in its legs; a static one only
+    where it is read (``executor.flows``: an observed run's
+    :class:`~repro.executor.access.LegFlow`, else None), and its boundary
+    ends at the row budget (nothing checks, nothing can move the plan).
 
     Observable-parity contract with the scalar machine (for monitored
     plans: the scalar machine applying the same decisions at the same
@@ -830,9 +856,9 @@ def cascade(executor) -> Iterator[list]:
     * each chunk is the next ``chunk_rows`` survivors of the driving walk
       (:class:`_DrivingWalk`), which charges the scan work and the driving
       monitor for exactly the rows ``RuntimeLeg.driving_rows`` would have
-      pulled to produce them and repositions the cursor, so freeze/resume
-      positions are identical — including the trailing non-survivor scan
-      landing *after* the final boundary's checks;
+      pulled to produce them, so freeze/resume positions are identical —
+      including the trailing non-survivor scan landing *after* the final
+      boundary's checks;
     * each inner leg's meter charges and window fold are the kernel sums
       of what the scalar probes charge row by row (:func:`_expand`; all
       cost constants exact binary fractions, so the float work sums are
@@ -869,8 +895,8 @@ def cascade(executor) -> Iterator[list]:
     exact to a chunk. The row budget is exact: a chunk that would overrun
     it emits only the rows still admitted, then raises — the caller holds
     precisely ``max_rows`` rows and ``rows_emitted`` says so. Either way
-    the exception unwinds from a consistent state: folds applied, cursor
-    at the chunk's end.
+    the exception unwinds from a consistent state: folds applied, walk at
+    the chunk's end.
     """
     config = executor.config
     mode = config.mode
@@ -881,18 +907,15 @@ def cascade(executor) -> Iterator[list]:
     monitored = mode.monitors
     order = executor.order
     prepared = executor.prepared
+    steps, walk, takers = prepared.cascade
     if monitored:
-        executor._open_driving(order[0])
         executor.engine_used = "vector-adaptive"
         legs = executor.legs
+        executor._drive(order[0])
+        walk = executor.scan
     else:
         legs = executor.flows
-    steps, walk, takers = prepared.cascade
-    walk = walk.restarted(
-        meter,
-        None if legs is None else legs[order[0]],
-        executor.driving_cursor if monitored else None,
-    )
+        walk = walk.restarted(meter, None if legs is None else legs[order[0]])
     if oracle is not None:  # the oracle reads every alias
         steps, takers = assemble(order, prepared.program, {}, prepared.bindings, True)
     # by_position[position]: whose flow each step counts (None: nobody's).
@@ -919,14 +942,9 @@ def cascade(executor) -> Iterator[list]:
                 oracle is not None,
             )
             by_position = [legs[alias] for alias in order]
-            # Whatever the controller returned: the plan says who drives.
-            if walk.leg is not legs[order[0]]:
-                # A fresh (or resumed) driving cursor: a new walk.
-                walk = _driving_walk(
-                    prepared.bindings.legs[order[0]],
-                    executor.driving_cursor,
-                    legs[order[0]],
-                )
+            # Whatever the controller returned: the run says who drives —
+            # the same walk, a fresh one or a frozen one resumed.
+            walk = executor.scan
         if limits is not None:
             limits.check()
         if faulty:
@@ -947,13 +965,14 @@ def cascade(executor) -> Iterator[list]:
         if faulty:
             for position, step in enumerate(steps, 1):  # before its charges
                 executor.consult(step.site)
-                leg = None if by_position is None else by_position[position]
-                if leg is not None and leg.monitoring_enabled:
+                if monitored and by_position[position].monitoring_enabled:
                     try:
                         executor.consult("monitor")
                     except StorageError as exc:  # advisory, as a probe's is
-                        leg._degrade_monitoring(exc)
-        ancestors, flow = _expand(meter, steps, by_position, survivors, built)
+                        by_position[position]._degrade_monitoring(exc)
+        ancestors, flow = _expand(
+            meter, steps, by_position, survivors, built, monitored
+        )
         admitted = flow if limits is None else limits.admit_rows(flow)
         meter.rows_emitted += admitted
         executor.rows_emitted += admitted

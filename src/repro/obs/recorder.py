@@ -63,7 +63,7 @@ from repro.query.sql.normalize import normalize_sql, template_signature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db import QueryResult
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.pipeline import PipelineRun
     from repro.optimizer.params import ModelProvider
 
 logger = logging.getLogger(__name__)
@@ -321,7 +321,7 @@ class QueryObservability:
     # The engine's sites
     # ------------------------------------------------------------------
     def on_kept(
-        self, pipeline: "PipelineExecutor", check: str, position: int
+        self, pipeline: "PipelineRun", check: str, position: int
     ) -> None:
         """A check that kept the order: slim envelope, tuple-cheap."""
         self.on_decision(
@@ -336,7 +336,7 @@ class QueryObservability:
         )
 
     def on_decision(
-        self, pipeline: "PipelineExecutor", entry: DecisionRecord | tuple
+        self, pipeline: "PipelineRun", entry: DecisionRecord | tuple
     ) -> None:
         """One check: its :class:`DecisionRecord` (or :meth:`on_kept`'s
         tuple), at the stream position it ran at."""
@@ -352,7 +352,7 @@ class QueryObservability:
     # ------------------------------------------------------------------
     # After the run
     # ------------------------------------------------------------------
-    def finish(self, pipeline: "PipelineExecutor") -> None:
+    def finish(self, pipeline: "PipelineRun") -> None:
         """Take the run's flow, events and final legs; render the views."""
         self.flows = pipeline.flows
         self.events = pipeline.events
@@ -371,7 +371,7 @@ class QueryObservability:
         if self.metrics is not None:
             record_query_metrics(self.metrics, timeline, self)
 
-    def _final_legs(self, pipeline: "PipelineExecutor") -> None:
+    def _final_legs(self, pipeline: "PipelineRun") -> None:
         """Final per-leg monitor snapshot (actuals for q-error reporting).
 
         A run that monitored nothing ends as its plan's prepared record

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.pipeline import PipelineRun
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class EstimateSample:
 
 
 def snapshot_legs(
-    pipeline: "PipelineExecutor", legs: Mapping[str, Any] | None = None
+    pipeline: "PipelineRun", legs: Mapping[str, Any] | None = None
 ) -> dict[str, dict[str, Any]]:
     """Per-leg monitor estimates for the pipeline's current order, of its
     own legs or of *legs* (its plan's prepared record's starting legs,
@@ -83,14 +83,14 @@ def snapshot_legs(
             "jc": monitor.join_cardinality(),
             "pc": monitor.probe_cost(),
             "index_match_rate": monitor.index_match_rate(),
-            "s_jp": monitor.index_join_selectivity(leg.base_cardinality),
+            "s_jp": monitor.index_join_selectivity(leg.model_parts.base_cardinality),
             "s_jp_prior": _access_prior(pipeline, leg),
             "s_lpr": monitor.residual_selectivity(),
         }
     return snapshot
 
 
-def _access_prior(pipeline: "PipelineExecutor", leg) -> float | None:
+def _access_prior(pipeline: "PipelineRun", leg) -> float | None:
     """The optimizer's initial selectivity for *leg*'s access predicate."""
     config = leg.probe_config
     if config is None or config.access_predicate is None:
@@ -111,7 +111,7 @@ class EstimateSampler:
         self.max_samples = max_samples
         self.samples: list[EstimateSample] = []
 
-    def on_check(self, pipeline: "PipelineExecutor") -> None:
+    def on_check(self, pipeline: "PipelineRun") -> None:
         """A check ran: one snapshot per distinct driving-row count."""
         samples = self.samples
         if samples and samples[-1].driving_rows == pipeline.driving_rows_total:
@@ -120,7 +120,7 @@ class EstimateSampler:
 
     def sample(
         self,
-        pipeline: "PipelineExecutor",
+        pipeline: "PipelineRun",
         legs: dict[str, dict[str, Any]] | None = None,
     ) -> EstimateSample | None:
         """Record one snapshot now: of *legs* when the caller took it (the

@@ -10,7 +10,7 @@ query, and lets execution continue under the current order.
 
 The one case the sandbox will *not* absorb is a half-applied mutation: if
 the controller raised *after* changing the pipeline's leg order or driving
-cursor, continuing could violate the duplicate-prevention invariant, so
+scan, continuing could violate the duplicate-prevention invariant, so
 the exception is re-raised (chained) instead. In practice the mutation
 primitives validate before they mutate, so this path indicates a genuine
 executor bug rather than an adaptive-layer failure.
@@ -25,7 +25,7 @@ from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import AdaptationController
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.pipeline import PipelineRun
 
 
 def describe_failure(exc: BaseException) -> str:
@@ -45,7 +45,7 @@ class SandboxedController:
 
     def __init__(self, inner: "AdaptationController") -> None:
         self.inner = inner
-        self.pipeline: "PipelineExecutor | None" = None
+        self.pipeline: "PipelineRun | None" = None
         self.disabled = False
         self.failure: BaseException | None = None
 
@@ -62,7 +62,7 @@ class SandboxedController:
     def check_seconds(self) -> float:
         return self.inner.check_seconds
 
-    def attach(self, pipeline: "PipelineExecutor") -> None:
+    def attach(self, pipeline: "PipelineRun") -> None:
         self.pipeline = pipeline
         self.inner.attach(pipeline)
 
@@ -107,13 +107,13 @@ class SandboxedController:
             return False
         pipeline = self.pipeline
         order_before = tuple(pipeline.order)
-        cursor_before = pipeline.driving_cursor
+        scan_before = pipeline.scan
         try:
             return self.inner.on_pipeline_depleted()
         except Exception as exc:
             if (
                 tuple(pipeline.order) != order_before
-                or pipeline.driving_cursor is not cursor_before
+                or pipeline.scan is not scan_before
             ):
                 raise ExecutionError(
                     "adaptive layer failed mid-mutation during a driving "

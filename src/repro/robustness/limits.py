@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from repro.errors import BudgetExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.pipeline import PipelineRun
 
 
 class CancellationToken:
@@ -171,7 +171,7 @@ class ExecutionLimits:
 class LimitEnforcer:
     """Binds an :class:`ExecutionLimits` to one running pipeline."""
 
-    def __init__(self, limits: ExecutionLimits, pipeline: "PipelineExecutor") -> None:
+    def __init__(self, limits: ExecutionLimits, pipeline: "PipelineRun") -> None:
         self.limits = limits
         self.pipeline = pipeline
         self._started_at = time.perf_counter()

@@ -9,8 +9,8 @@ The paper's two correctness claims are structural:
   scan positions plus positional predicates partition each table's rows
   between "already joined" and "still to come" (Sec 4.2, Fig 3).
 
-An :class:`InvariantOracle` attached to a
-:class:`~repro.executor.pipeline.PipelineExecutor` turns both claims into
+An :class:`InvariantOracle` attached to a run of either machine
+(:class:`~repro.executor.pipeline.PipelineRun`) turns both claims into
 runtime assertions. The executor shadows its control state into the
 oracle: it maintains ``depleted_from`` (the smallest position whose suffix
 is currently depleted) and, in oracle mode, tracks the RID of every bound
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.errors import OracleViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.pipeline import PipelineExecutor
+    from repro.executor.pipeline import PipelineRun
 
 # An emitted row's identity: ((alias, rid), ...) sorted by alias, so the
 # signature is stable across driving switches and inner reorders.
@@ -50,7 +50,7 @@ class InvariantOracle:
     # Depleted-state preconditions (checked before any mutation applies)
     # ------------------------------------------------------------------
     def check_inner_reorder(
-        self, pipeline: "PipelineExecutor", position: int, new_suffix: Sequence[str]
+        self, pipeline: "PipelineRun", position: int, new_suffix: Sequence[str]
     ) -> None:
         """Assert the Fig 2 precondition for a suffix permutation."""
         self.inner_reorders_checked += 1
@@ -66,7 +66,7 @@ class InvariantOracle:
                 "inner reorder may not include the driving leg (position 0)"
             )
 
-    def check_driving_switch(self, pipeline: "PipelineExecutor") -> None:
+    def check_driving_switch(self, pipeline: "PipelineRun") -> None:
         """Assert the Fig 3 precondition: the whole pipeline is depleted."""
         self.driving_switches_checked += 1
         if pipeline.depleted_from != 0:

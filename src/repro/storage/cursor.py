@@ -14,6 +14,10 @@ cursors guarantee:
 predicates can be evaluated against arbitrary rows of the same table fetched
 through *other* access paths (e.g. the old driving table probed through a
 join-column index once it becomes an inner leg).
+
+The engine's scan is a walk over the index's arrays
+(:class:`repro.executor.vector._DrivingWalk`) answering ``order``,
+``last_position``, ``range_spans()`` and ``scan_offset()`` as a cursor does.
 """
 
 from __future__ import annotations
@@ -61,6 +65,12 @@ def normalize_ranges(ranges: Sequence[KeyRange]) -> list[KeyRange]:
     if len(ranges) < 2:
         return list(ranges)
     return sorted(ranges, key=lambda r: r.sort_key())
+
+
+def scan_ranges(ranges: Sequence[KeyRange] | None) -> list[KeyRange]:
+    """The key ranges an index scan over *ranges* walks, in walk order:
+    the whole index when there are none."""
+    return normalize_ranges(ranges) if ranges else [KeyRange()]
 
 
 class ScanOrder:
@@ -127,19 +137,13 @@ class TableScanCursor:
         self.last_position = (rid,)
         return rid, row
 
-    def remaining_rids(self) -> range:
-        """The RIDs this cursor has yet to visit (uncharged lookahead)."""
-        return range(self._next_rid, len(self.table))
+    def range_spans(self) -> list[tuple[int, int]]:
+        """The scan as one RID span ``[0, rows)`` (uncharged metadata)."""
+        return [(0, len(self.table))]
 
-    def skip(self, count: int) -> None:
-        """Account the next *count* (>= 1) rows as visited by a bulk reader.
-
-        The reader charges the fetches itself; afterwards the cursor is
-        exactly where *count* ``__next__`` calls would have left it, so it
-        can be frozen, resumed, or advanced row by row again.
-        """
-        self._next_rid += count
-        self.last_position = (self._next_rid - 1,)
+    def scan_offset(self) -> int:
+        """The next RID to visit: every one before it has been read."""
+        return self._next_rid
 
 
 class IndexScanCursor:
@@ -169,14 +173,12 @@ class IndexScanCursor:
     ) -> None:
         self.index = index
         self.order = ScanOrder(index.table, index)
-        self.ranges = normalize_ranges(ranges) if ranges else [KeyRange()]
+        self.ranges = scan_ranges(ranges)
         self.exhausted = False
         self._last_at = -1  # entry-list position of the last entry read
         # The walk's whole state: the range being read (an index into
         # ``ranges``; -1 before the first) and the entry-list positions
-        # ``[_pos, _hi)`` left in it. Explicit rather than held in a
-        # generator frame so a bulk reader can take a slice of the walk and
-        # put the cursor back exactly (``remaining_spans`` / ``skip_to``).
+        # ``[_pos, _hi)`` left in it.
         self._range_no = -1
         self._pos = 0
         self._hi = 0
@@ -203,21 +205,14 @@ class IndexScanCursor:
         return span
 
     def range_spans(self) -> list[tuple[int, int]]:
-        """Entry-list ``[lo, hi)`` bounds of each key range, whole ranges.
-
-        Uncharged index metadata: what the controller's remaining-fraction
-        estimate counts at every check, shared with the walk itself.
-        """
+        """Entry-list ``[lo, hi)`` bounds of each whole key range: uncharged
+        index metadata, what the remaining-fraction estimate counts."""
         return [self._whole_span(no) for no in range(len(self.ranges))]
 
     def scan_offset(self) -> int:
-        """Entry-list offset the walk stands at (uncharged).
-
-        Every range entry before it has been yielded, every one from it on
-        is still to come: 0 before the first advance, later the walk's own
-        position — possibly past a gap between two ranges, where no range
-        entry lies.
-        """
+        """Entry-list offset the walk stands at (uncharged): every range
+        entry before it has been yielded, every one from it on is still to
+        come (it may lie in a gap between two ranges)."""
         return self._pos
 
     def _next_entry(self) -> tuple[Any, int]:
@@ -239,8 +234,7 @@ class IndexScanCursor:
     @property
     def last_position(self) -> Position | None:
         """The (key, rid) position of the last entry read (None before the
-        first): read off the index when asked, so a bulk reader's
-        :meth:`skip_to` records an offset and builds no tuple."""
+        first): read off the index when asked."""
         at = self._last_at
         return None if at < 0 else self.index._entry(at)
 
@@ -259,38 +253,3 @@ class IndexScanCursor:
             self.exhausted = True
             raise
         return rid, self.index.table.fetch(rid)
-
-    def remaining_spans(self) -> list[tuple[int, int, int]]:
-        """What is left of the walk, as entry-list spans (uncharged lookahead).
-
-        One ``(range_no, lo, hi)`` per range the cursor will still read from
-        or enter, in walk order: the cursor yields the entries at positions
-        ``[lo, hi)``. A first span whose ``range_no`` is the range already
-        being read owes no descend; every other span costs one when entered,
-        empty or not.
-        """
-        spans: list[tuple[int, int, int]] = []
-        for range_no in range(max(self._range_no, 0), len(self.ranges)):
-            if range_no == self._range_no:
-                if self._pos >= self._hi:
-                    continue  # read to its end already
-                lo, hi = self._pos, self._hi
-            else:
-                lo, hi = self._whole_span(range_no)
-                hi = max(lo, hi)
-            spans.append((range_no, lo, hi))
-        return spans
-
-    def skip_to(self, range_no: int, pos: int, hi: int) -> None:
-        """Account the entries up to *pos* as visited by a bulk reader.
-
-        *pos* is the entry-list position after the last one read, inside
-        range *range_no* whose span ends at *hi* (values taken from
-        :meth:`remaining_spans`). The reader charges descends, entry touches
-        and fetches itself; afterwards the cursor is exactly where the same
-        number of ``__next__`` calls would have left it.
-        """
-        self._range_no = range_no
-        self._pos = pos
-        self._hi = hi
-        self._last_at = pos - 1

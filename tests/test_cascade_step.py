@@ -35,7 +35,7 @@ from repro.dmv import four_table_workload, load_dmv, six_table_workload
 from repro.executor import vector
 from repro.executor.access import RuntimeLeg, bind_local_tests
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.executor.pipeline import PipelineExecutor
+from repro.executor.pipeline import PipelineExecutor, PipelineRun
 from repro.obs.recorder import QueryObservability
 from repro.robustness.oracle import InvariantOracle
 
@@ -169,15 +169,16 @@ def test_a_hash_build_shares_its_base_kernels_first_rids():
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def executors(monkeypatch):
-    """Every executor that runs from here on, in order."""
+    """Every executor that runs from here on, in order: either machine's
+    run is accounted by the run both share."""
     seen = []
-    accounted = PipelineExecutor._accounted
+    accounted = PipelineRun._accounted
 
     def keeping(self, run):
         seen.append(self)
         return accounted(self, run)
 
-    monkeypatch.setattr(PipelineExecutor, "_accounted", keeping)
+    monkeypatch.setattr(PipelineRun, "_accounted", keeping)
     return seen
 
 
@@ -388,7 +389,7 @@ class Tripwire:
 def test_a_repeat_static_execution_reads_only_what_it_needs(monkeypatch):
     """Through the plan cache on the engine, mode NONE: no
     ``np.flatnonzero``, no read of a test-free kernel's zero evals, no
-    driving-row generator."""
+    scalar leg (whose driving-row generator the walk replaces)."""
     db, _ = load_dmv(scale=SCALE, extended=True, backend="columnar")
     statements = SIX[::10] + FOUR[::20]
     for sql in statements:
@@ -401,7 +402,7 @@ def test_a_repeat_static_execution_reads_only_what_it_needs(monkeypatch):
                 monkeypatch.setattr(kernel, "evals", Tripwire())
                 untested += 1
     assert untested  # not vacuous
-    calls = {"flatnonzero": 0, "driving_rows": 0}
+    calls = {"flatnonzero": 0, "RuntimeLeg": 0}
 
     def counting(function, name):
         def counted(*args, **kwargs):
@@ -412,7 +413,7 @@ def test_a_repeat_static_execution_reads_only_what_it_needs(monkeypatch):
 
     monkeypatch.setattr(np, "flatnonzero", counting(np.flatnonzero, "flatnonzero"))
     monkeypatch.setattr(
-        RuntimeLeg, "driving_rows", counting(RuntimeLeg.driving_rows, "driving_rows")
+        RuntimeLeg, "__init__", counting(RuntimeLeg.__init__, "RuntimeLeg")
     )
     rows = 0
     for sql in statements:
@@ -420,4 +421,4 @@ def test_a_repeat_static_execution_reads_only_what_it_needs(monkeypatch):
         assert result.stats.plan_cache == "hit"
         rows += len(result.rows)
     assert rows
-    assert calls == {"flatnonzero": 0, "driving_rows": 0}
+    assert calls == {"flatnonzero": 0, "RuntimeLeg": 0}

@@ -39,7 +39,7 @@ from repro.core.monitor import LegMonitor
 from repro.core.ranks import RuntimeModelBuilder
 from repro.dmv import load_dmv
 from repro.dmv.templates import six_table_workload
-from repro.executor.access import ProbeConfig, RuntimeLeg
+from repro.executor.access import LegState, ProbeConfig
 from repro.executor import pipeline, vector
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor, memo_step
@@ -250,7 +250,7 @@ def test_an_applied_inner_reorder_recompiles_only_the_permuted_suffix(
     seen = []
     installed: list[str] = []
     apply_inner_order = PipelineExecutor.apply_inner_order
-    install_probe = RuntimeLeg.install_probe
+    install_probe = LegState.install_probe
 
     def counting_install(leg, config):
         installed.append(leg.alias)
@@ -263,7 +263,7 @@ def test_an_applied_inner_reorder_recompiles_only_the_permuted_suffix(
         assert sorted(installed) == sorted(order[position:])
         seen.append(position)
 
-    monkeypatch.setattr(RuntimeLeg, "install_probe", counting_install)
+    monkeypatch.setattr(LegState, "install_probe", counting_install)
     monkeypatch.setattr(PipelineExecutor, "apply_inner_order", watching)
     config = AdaptiveConfig(mode=ReorderMode.INNER_ONLY)
     for sql in STATEMENTS[:8]:
@@ -444,7 +444,7 @@ def test_second_execution_compiles_no_starting_probe_and_searches_no_keys(
     searches: list[int] = []
     running: list = []
     compile_probe = pipeline.compile_probe
-    install_probe = RuntimeLeg.install_probe
+    install_probe = LegState.install_probe
     searchsorted = numpy.searchsorted
 
     def counting_compile(alias, *args):
@@ -466,7 +466,7 @@ def test_second_execution_compiles_no_starting_probe_and_searches_no_keys(
         return searchsorted(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "compile_probe", counting_compile)
-    monkeypatch.setattr(RuntimeLeg, "install_probe", counting_install)
+    monkeypatch.setattr(LegState, "install_probe", counting_install)
     monkeypatch.setattr(numpy, "searchsorted", counting_search)
     config = AdaptiveConfig(mode=mode)
     changed = 0
@@ -523,7 +523,7 @@ def installed_equals_fresh(db, sql) -> int:
             leg.table.cells(slot, [0])[0]
             for slot in range(len(leg.table.schema.columns))
         )
-        for alias, leg in fresh.legs.items()
+        for alias, leg in fresh.prepared.bindings.legs.items()
     }
     hashed = 0
     for alias in plan.order[1:]:

@@ -9,7 +9,9 @@ column, rows appended after the build — the two must agree on every read
 the engine and the scalar machine make: lengths, each entry (by ``repr``:
 a key comes back as the row store holds it), range bounds for bounds of any
 number type, positions after a (key, rid) pair, charged lookups, resumed
-range scans and cursor walks with their ``last_position``.
+range scans, and a driving scan read by the row store's cursor and by the
+engine's walk over the columnar index: rows, charges, ``last_position``
+and remaining fraction.
 
 NaN keys are left out: the row store's tuple sort has no order for them.
 """
@@ -22,9 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ranks import remaining_scan_fraction
 from repro.dmv import load_dmv
+from repro.executor.vector import _DrivingWalk
 from repro.storage.columnar import ColumnarIndex, ColumnarTable
-from repro.storage.cursor import IndexScanCursor, KeyRange
+from repro.storage.cursor import IndexScanCursor, KeyRange, ScanOrder, scan_ranges
 from repro.storage.index import SortedIndex
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import HeapTable
@@ -180,34 +184,38 @@ def check_twins(kind, values, appended, bounds, probes, steps):
         got = charged(col, lambda: col.lookup_rids(key))
         assert got == charged(row, lambda: row.lookup_rids(key)), key
 
-    # Cursor walks: entry by entry — the row store's cursor a row at a time,
-    # the columnar one (no row tuples to fetch) skipped past each entry in
-    # turn, its rows read off the columns — then in bulk slices.
+    # Driving scans: the row store's cursor pulled a row at a time, and the
+    # engine's walk over the columnar index (no row tuples to fetch: its
+    # rows are read off the columns) taken an entry at a time, then in
+    # slices. After every take both have read the same rows and charged
+    # the same work, and the walk answers what a freeze and the cost model
+    # ask of a scan — its last position, its remaining fraction — as the
+    # cursor does.
     ranges = key_ranges(kind, bounds)
-    cursor = IndexScanCursor(row, ranges)
-    walked = [(rid, fetched, cursor.last_position) for rid, fetched in cursor]
-    cursor = IndexScanCursor(col, ranges)
     rows = table_rows(col.table)
-    skipped = []
-    for range_no, lo, hi in cursor.remaining_spans():
-        for position in range(lo, hi):
-            cursor.skip_to(range_no, position + 1, hi)
-            (rid,) = col._rids(position, position + 1)
-            skipped.append((rid, rows[rid], cursor.last_position))
-    same(skipped, walked)
-    cursors = [IndexScanCursor(index, ranges) for index in (row, col)]
-    for step in steps:
-        spans = [cursor.remaining_spans() for cursor in cursors]
-        assert spans[0] == spans[1]
-        if not spans[0]:
-            break
-        range_no, lo, hi = spans[0][0]
-        if lo >= hi:
-            continue
-        for cursor in cursors:
-            cursor.skip_to(range_no, min(lo + step, hi), hi)
-        same(cursors[1].last_position, cursors[0].last_position)
-        assert cursors[1].scan_offset() == cursors[0].scan_offset()
+    walk = _DrivingWalk(ScanOrder(col.table, col), scan_ranges(ranges), [])
+    for sizes in ([1] * (len(col) + 1), steps):
+        cursor = IndexScanCursor(row, ranges)
+        taker = walk.restarted(col.meter)
+        for size in sizes:
+            pulled, want = charged(
+                row,
+                lambda: [pair for pair in (next(cursor, None) for _ in range(size)) if pair],
+            )
+
+            def take():
+                rids = taker.take(size).tolist()
+                if len(rids) < size:  # the cursor ran off the scan's end
+                    taker.finish()
+                return [(rid, rows[rid]) for rid in rids]
+
+            taken, got = charged(col, take)
+            same(taken, pulled)
+            assert got == want
+            same(taker.last_position, cursor.last_position)
+            assert remaining_scan_fraction(taker) == remaining_scan_fraction(cursor)
+            if len(pulled) < size:
+                break
 
 
 def test_empty_and_all_null_columns():

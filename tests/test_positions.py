@@ -38,7 +38,7 @@ class TestFreeze:
     def test_unknown_alias(self):
         registry = PositionRegistry()
         assert registry.predicate_for("zz") is None
-        assert registry.resume_cursor("zz") is None
+        assert registry.resume_scan("zz") is None
         assert registry.frozen_scan("zz") is None
 
     def test_switch_count(self):
@@ -58,9 +58,9 @@ class TestResume:
         next(cursor)
         registry = PositionRegistry()
         registry.freeze("t", cursor)
-        assert registry.resume_cursor("t") is cursor
+        assert registry.resume_scan("t") is cursor
         # Resuming continues exactly after the frozen position.
-        assert [rid for rid, _ in registry.resume_cursor("t")] == [1, 2]
+        assert [rid for rid, _ in registry.resume_scan("t")] == [1, 2]
 
 
 class TestIndexOrderFreeze:

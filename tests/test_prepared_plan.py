@@ -108,10 +108,11 @@ def test_executions_of_a_handed_in_plan_are_identical(
         adapted += bool(first[2])
         if isinstance(record.cascade, tuple):
             # Every execution walked a copy: the prepared walk has no leg,
-            # no cursor and no progress of its own.
+            # no meter and no progress of its own.
             walk = record.cascade[1]
-            assert walk.leg is None and walk.cursor is None
+            assert walk.leg is None and walk.meter is None
             assert walk.taken == walk.survivors_taken == walk.spans_entered == 0
+            assert walk.last_position is None
     assert (adapted > 0) == mode.monitors, adapted
 
 

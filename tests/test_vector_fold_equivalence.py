@@ -190,8 +190,9 @@ def one_leg_plan(db, index, kernel, ntests, probe=None):
 
 
 def expand(meter, plan, survivors):
-    """The shipped ``_expand`` over :func:`one_leg_plan`'s *plan*."""
-    return _expand(meter, plan.steps, plan.legs, survivors, plan.built)
+    """The shipped ``_expand`` over :func:`one_leg_plan`'s *plan*, as a
+    monitored run calls it."""
+    return _expand(meter, plan.steps, plan.legs, survivors, plan.built, True)
 
 
 def check_leg(rng, db, index, kernel, lookup, raw, tests, is_after=None):
@@ -738,24 +739,29 @@ def test_positional_kernel_tie_at_the_rid_boundary():
 # Driving walk: slices of the scan == the row-at-a-time cursor.
 #
 # The cascades take the driving scan in slices (``_DrivingWalk.take``) and
-# charge each slice as one aggregate. Everything a decision, a freeze or a
-# resume can read afterwards — the meter, the cursor's position and
-# progress — must be what pulling the same rows one ``__next__`` at a time
-# leaves behind on the row store's twin cursor, at every slice boundary,
-# for multi-range scans included. The driving monitor folds each slice as
-# one window entry; the twin folds the same rows' flags as one aggregate at
-# the same boundary, so its counts and window agree exactly too.
+# charge each slice as one aggregate; the walk is the engine's scan, so a
+# freeze keeps it and a resume takes from it again. Everything a decision,
+# a freeze or a resume can read afterwards — the meter, the scan's last
+# position and remaining fraction — must be what pulling the same rows one
+# ``__next__`` at a time leaves behind on the row store's twin cursor, at
+# every slice boundary, for multi-range scans included. The driving
+# monitor folds each slice as one window entry; the twin folds the same
+# rows' flags as one aggregate at the same boundary, so its counts and
+# window agree exactly too.
 # ---------------------------------------------------------------------------
 
 import dataclasses  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
 from repro.core.monitor import DrivingMonitor  # noqa: E402
+from repro.core.ranks import remaining_scan_fraction  # noqa: E402
 from repro.executor.vector import _DrivingWalk  # noqa: E402
 from repro.storage.cursor import (  # noqa: E402
     IndexScanCursor,
     KeyRange,
+    ScanOrder,
     TableScanCursor,
+    scan_ranges,
 )
 
 
@@ -787,11 +793,12 @@ def _row_at_a_time(cursor, leg, mask, limit):
     return survivors
 
 
-def _scan_state(cursor, leg):
+def _scan_state(scan, leg):
     monitor = leg.driving_monitor
     return (
         dataclasses.asdict(leg.meter),
-        cursor.last_position,
+        scan.last_position,
+        remaining_scan_fraction(scan),
         (
             monitor.entries_scanned,
             monitor.rows_survived,
@@ -806,10 +813,11 @@ def _scan_state(cursor, leg):
 @pytest.mark.parametrize("seed", range(20))
 def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
     rng = random.Random(4_848_000 + seed)
-    dbs, cursors, legs = [], [], []
+    dbs, tables, indexes, legs = [], [], [], []
     rows = random_rows(rng, rng.randint(1, 120))
     ranges = None
-    # The sliced scan and its row-at-a-time twin on the row store.
+    # The walk over the columnar store and its row-at-a-time twin cursor on
+    # the row store.
     for backend in ("columnar", "row"):
         db = Database(backend=backend)
         db.create_table(
@@ -817,29 +825,23 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
         )
         db.insert("t", rows)
         db.create_index("t", "k")
-        table = db.catalog.table("t")
-        index = db.catalog.index_on("t", "k")
-        if not dbs:
-            if kind == "index":
-                # Disjoint ranges, some empty, some unbounded.
-                cuts = sorted(rng.sample(range(-2, KEY_SPACE + 4), 6))
-                ranges = [
-                    KeyRange(low=None if rng.random() < 0.2 else cuts[0],
-                             high=cuts[1], high_inclusive=rng.random() < 0.5),
-                    KeyRange(low=cuts[2], high=cuts[3],
-                             low_inclusive=rng.random() < 0.5),
-                    KeyRange(low=cuts[4],
-                             high=None if rng.random() < 0.2 else cuts[5]),
-                ][: rng.randint(1, 3)]
-        if kind == "index":
-            cursor = IndexScanCursor(index, list(ranges))
-        else:
-            cursor = TableScanCursor(table)
+        tables.append(db.catalog.table("t"))
+        indexes.append(db.catalog.index_on("t", "k") if kind == "index" else None)
+        if not dbs and kind == "index":
+            # Disjoint ranges, some empty, some unbounded.
+            cuts = sorted(rng.sample(range(-2, KEY_SPACE + 4), 6))
+            ranges = [
+                KeyRange(low=None if rng.random() < 0.2 else cuts[0],
+                         high=cuts[1], high_inclusive=rng.random() < 0.5),
+                KeyRange(low=cuts[2], high=cuts[3],
+                         low_inclusive=rng.random() < 0.5),
+                KeyRange(low=cuts[4],
+                         high=None if rng.random() < 0.2 else cuts[5]),
+            ][: rng.randint(1, 3)]
         dbs.append(db)
-        cursors.append(cursor)
         legs.append(
             SimpleNamespace(
-                meter=table.meter,
+                meter=tables[-1].meter,
                 driving_monitor=DrivingMonitor(rng.choice((3, 7, 1000))),
                 monitoring_enabled=True,
                 rows_scanned=0,
@@ -848,12 +850,19 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
         )
     legs[1].driving_monitor = DrivingMonitor(legs[0].driving_monitor.window.size)
     mask = _np.asarray([rng.random() < 0.4 for _ in rows], dtype=bool)
-    sliced, single = cursors
+    walk = _DrivingWalk(
+        ScanOrder(tables[0], indexes[0]),
+        None if ranges is None else scan_ranges(ranges),
+        [mask],
+    ).restarted(legs[0].meter, legs[0], True)
+    if kind == "index":
+        single = IndexScanCursor(indexes[1], list(ranges))
+    else:
+        single = TableScanCursor(tables[1])
     finished = False
     while not finished:
         # A run of slices, then (as after a driving switch and a switch
-        # back) a new walk resuming the same cursor, and again.
-        walk = _DrivingWalk(legs[0], sliced, [mask])
+        # back) the same walk taken from again, and again.
         for _ in range(rng.randint(1, 3)):
             limit = rng.randint(1, 4)
             got = walk.take(limit).tolist()
@@ -864,7 +873,7 @@ def test_driving_walk_slices_match_row_at_a_time_cursor(seed, kind):
                 # survivors: the walk's trailing rows are due as well.
                 walk.finish()
                 finished = True
-            assert _scan_state(sliced, legs[0]) == _scan_state(single, legs[1])
+            assert _scan_state(walk, legs[0]) == _scan_state(single, legs[1])
             if finished:
-                assert sliced.exhausted and single.exhausted
+                assert single.exhausted and walk.taken == len(walk.rids)
                 break
