@@ -13,7 +13,11 @@ arrays). In a monitored mode the executions of a text are not alike —
 the first asks at the end of its scan and writes what it learned, every
 later one runs that lesson as a static plan — so executions 1 and 2+ are
 reported apart, each with its checks, applied switches and the executions
-that ran a learned plan, and each with its own layer table. Each row
+that ran a learned plan, and each with its own layer table. Beside the
+checks, ``us/check`` is the wall inside the controller's two hooks over
+the checks (``ExecutionStats.check_seconds``: the hooks' own clock, not
+a wrapper's) and ``us/learn`` the own time of ``Database._learn``
+(what a first execution spends keeping its lesson) a statement. Each row
 also counts the pass's inner-leg steps by how ``vector._expand`` took
 them: ``unique`` gathers through a kernel no key of which has more than
 one passing row (``_Kernel.unique``), ``csr`` expands, and ``total``
@@ -613,11 +617,12 @@ def main() -> None:
 
     def one_pass(config) -> tuple[dict, tuple]:
         """``({layer: seconds}, (rows, checks, switches, learned runs,
-        unique steps, csr steps, total steps))``."""
+        unique steps, csr steps, total steps, check seconds))``."""
         for label in spent:
             spent[label] = 0.0
         steps[:] = [0, 0, 0]
         rows = checks = switches = learned = 0
+        check_seconds = 0.0
         plans.clear()
         start = perf_counter()
         for sql in sqls:
@@ -625,12 +630,14 @@ def main() -> None:
             plans.append(result.plan)
             rows += len(result.rows)
             checks += result.stats.inner_checks + result.stats.driving_checks
+            check_seconds += result.stats.check_seconds
             switches += result.stats.total_switches
             learned += result.stats.plan_feedback is not None
         wall = perf_counter() - start
         layers = {**spent, "other": wall - sum(spent.values()), "pass": wall}
         return layers, (
-            rows, checks, switches, learned, steps[1], steps[0], steps[2]
+            rows, checks, switches, learned, steps[1], steps[0], steps[2],
+            check_seconds,
         )
 
     for _ in range(2):
@@ -647,18 +654,21 @@ def main() -> None:
     hooks = [label for label in spent if ".on_" in label]
     print(
         f"{'execution':<12}{'pass ms':>9}{'hooks ms':>10}{'_expand ms':>12}"
-        f"{'checks':>8}{'switches':>10}{'learned':>9}{'unique':>8}{'csr':>7}"
-        f"{'total':>7}{'us/step':>9}"
+        f"{'checks':>8}{'us/check':>10}{'us/learn':>10}{'switches':>10}"
+        f"{'learned':>9}{'unique':>8}{'csr':>7}{'total':>7}{'us/step':>9}"
     )
     names = [str(number + 1) for number in range(learning)] + [f"{learning + 1}+"]
     shown = list(zip(names, measured[:learning] + [fastest]))
-    for name, (layers, (_, checks, switches, learned, unique, csr, total)) in shown:
+    for name, (layers, counts) in shown:
+        _, checks, switches, learned, unique, csr, total, check_seconds = counts
         expand = layers["vector._expand"]
         print(
             f"{name:<12}{layers['pass'] * 1e3:>9.1f}"
             f"{sum(layers[label] for label in hooks) * 1e3:>10.1f}"
             f"{expand * 1e3:>12.1f}"
-            f"{checks:>8d}{switches:>10d}{learned:>9d}{unique:>8d}{csr:>7d}"
+            f"{checks:>8d}{check_seconds * 1e6 / max(checks, 1):>10.1f}"
+            f"{layers['Database._learn'] * 1e6 / len(sqls):>10.1f}"
+            f"{switches:>10d}{learned:>9d}{unique:>8d}{csr:>7d}"
             f"{total:>7d}{expand * 1e6 / max(unique + csr, 1):>9.2f}"
         )
     for name, (layers, _) in shown:

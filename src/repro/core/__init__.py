@@ -7,7 +7,7 @@ from repro.core.events import AdaptationEvent, EventKind
 from repro.core.monitor import DrivingMonitor, LegMonitor
 from repro.core.positions import FrozenScan, PositionRegistry
 from repro.core.ranks import (
-    RuntimeModelBuilder,
+    RuntimeModel,
     measured_combined_local_selectivity,
     remaining_scan_fraction,
 )
@@ -23,7 +23,7 @@ __all__ = [
     "LegMonitor",
     "PositionRegistry",
     "ReorderMode",
-    "RuntimeModelBuilder",
+    "RuntimeModel",
     "decide_driving_switch",
     "decide_inner_order",
     "measured_combined_local_selectivity",

@@ -4,7 +4,7 @@ Ties the pieces together at the two safe points the executor exposes:
 
 * ``on_suffix_depleted(i)`` — the Fig 2 trigger: when the leg at position
   ``i`` has consumed a batch of ``c`` incoming rows and its suffix is
-  depleted, rebuild run-time models and possibly permute the suffix;
+  depleted, read the run's live model and possibly permute the suffix;
 * ``on_pipeline_depleted()`` — the Fig 3 trigger: when the driving leg has
   produced ``c`` rows and the whole pipeline is depleted, compare the
   remaining cost of the current plan against plans led by every other leg
@@ -25,12 +25,10 @@ from repro.core.config import AdaptiveConfig
 from repro.core.driving import decide_driving_switch
 from repro.core.events import AdaptationEvent, EventKind
 from repro.optimizer.cost import cost_of_order
-from repro.core.ranks import RuntimeModelBuilder
 from repro.core.reorder import decide_inner_order
 from repro.errors import ExecutionError, ReproError
 from repro.obs.recorder import DecisionRecord, granularity_of, rank_terms_for
 from repro.obs.timeseries import snapshot_legs
-from repro.optimizer.params import ModelProvider
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.executor.pipeline import PipelineRun
@@ -44,25 +42,17 @@ class AdaptationController:
     def __init__(self, config: AdaptiveConfig) -> None:
         self.config = config
         self.pipeline: "PipelineRun | None" = None
-        self._builder: RuntimeModelBuilder | None = None
         # Experiment counters.
         self.inner_checks = 0
         self.driving_checks = 0
         # Wall time inside the two hooks, gates excluded.
         self.check_seconds = 0.0
-        # One model snapshot per boundary: a kept inner check at position 1
-        # leaves the whole pipeline depleted, and until the driving leg
-        # produces another row no probe runs, no window folds and no cursor
-        # moves — the driving check that follows reads the very state the
-        # inner check modelled. ``(driving rows produced, provider)``.
-        self._handoff: tuple[int, ModelProvider] | None = None
 
     def attach(self, pipeline: "PipelineRun") -> None:
         self.pipeline = pipeline
-        self._builder = RuntimeModelBuilder(pipeline)
 
     def _require_pipeline(self) -> "PipelineRun":
-        if self.pipeline is None or self._builder is None:
+        if self.pipeline is None:
             raise ExecutionError("controller is not attached to a pipeline")
         return self.pipeline
 
@@ -80,62 +70,9 @@ class AdaptationController:
         leg = pipeline.legs[order[position]]
         if leg.incoming_since_check < config.check_frequency:
             return
-        started = perf_counter()
         leg.incoming_since_check = 0
-        pipeline.catalog.meter.charge_reorder_check()
         self.inner_checks += 1
-        self._handoff = None
-        assert self._builder is not None
-        try:
-            if pipeline.catalog.faults is not None:
-                pipeline.catalog.faults.fire("controller")
-            self._builder.refresh_join_selectivities()
-            provider = self._builder.build_provider()
-            new_suffix = decide_inner_order(pipeline, provider, position)
-            if new_suffix is not None and pipeline.scan_finished:
-                # A lesson for the statement's next execution, not a change
-                # to this one: audited below as the kept check it is.
-                pipeline.proposed_order = tuple(order[:position]) + tuple(
-                    new_suffix
-                )
-                new_suffix = None
-            if pipeline.obs is not None:
-                self._observe(
-                    pipeline,
-                    provider,
-                    check="inner",
-                    position=position,
-                    new_order=None
-                    if new_suffix is None
-                    else tuple(order[:position]) + tuple(new_suffix),
-                )
-            if new_suffix is not None:
-                old_order = tuple(pipeline.order)
-                new_order = tuple(pipeline.order[:position]) + tuple(new_suffix)
-                pipeline.events.append(
-                    AdaptationEvent(
-                        kind=EventKind.INNER_REORDER,
-                        driving_rows_produced=pipeline.driving_rows_total,
-                        old_order=old_order,
-                        new_order=new_order,
-                        estimated_current_cost=cost_of_order(old_order, provider),
-                        estimated_new_cost=cost_of_order(new_order, provider),
-                        position=position,
-                    )
-                )
-                pipeline.apply_inner_order(position, new_suffix)
-            elif position == 1 and config.mode.reorders_driving:
-                self._handoff = (pipeline.driving_rows_total, provider)
-        except ReproError as exc:
-            # Context for degraded-mode events: which check, which leg,
-            # which position, and how far execution had progressed.
-            raise ExecutionError(
-                f"inner-reorder check failed at position {position} "
-                f"(leg {order[position]!r}, order {tuple(order)}, "
-                f"{pipeline.driving_rows_total} driving rows)"
-            ) from exc
-        finally:
-            self.check_seconds += perf_counter() - started
+        self._check(pipeline, position)
 
     # ------------------------------------------------------------------
     # Fig 3: REORDER_DRIVING_TABLE()
@@ -149,72 +86,81 @@ class AdaptationController:
             return False
         if pipeline.driving_rows_since_check < config.check_frequency:
             return False
-        started = perf_counter()
         pipeline.driving_rows_since_check = 0
-        pipeline.catalog.meter.charge_reorder_check()
         self.driving_checks += 1
-        handoff, self._handoff = self._handoff, None
-        assert self._builder is not None
+        return self._check(pipeline, 0)
+
+    def _check(self, pipeline: "PipelineRun", position: int) -> bool:
+        """The check of the suffix from *position* (Fig 2), or of the
+        driving leg at 0 (Fig 3), on the run's live model; whether it
+        applied a change. One proposed at a finished scan is a lesson for
+        the next execution, audited as the kept check it is."""
+        started = perf_counter()
+        pipeline.catalog.meter.charge_reorder_check()
+        order = tuple(pipeline.order)
+        obs = pipeline.obs
+        audit_costs: dict[str, float] | None = (
+            {} if not position and obs is not None and obs.audit else None
+        )
         try:
             if pipeline.catalog.faults is not None:
                 pipeline.catalog.faults.fire("controller")
-            if handoff is not None and handoff[0] == pipeline.driving_rows_total:
-                provider = handoff[1]
+            provider = pipeline.model()
+            if position:
+                suffix = decide_inner_order(pipeline, provider, position)
+                found = None if suffix is None else [*order[:position], *suffix]
             else:
-                self._builder.refresh_join_selectivities()
-                provider = self._builder.build_provider()
-            obs = pipeline.obs
-            audit_costs: dict[str, float] | None = (
-                {} if obs is not None and obs.audit else None
-            )
-            new_order = decide_driving_switch(
-                pipeline, provider, config, audit_costs=audit_costs
-            )
+                found = decide_driving_switch(
+                    pipeline, provider, self.config, audit_costs=audit_costs
+                )
+            new_order = None if found is None else tuple(found)
             if new_order is not None and pipeline.scan_finished:
-                pipeline.proposed_order = tuple(new_order)
+                pipeline.proposed_order = new_order
                 new_order = None
+            costs = None if new_order is None else (
+                cost_of_order(order, provider),
+                cost_of_order(new_order, provider),
+            )
             if obs is not None:
                 self._observe(
-                    pipeline,
-                    provider,
-                    check="driving",
-                    position=0,
-                    new_order=None if new_order is None else tuple(new_order),
-                    candidate_costs=audit_costs,
+                    pipeline, provider, position, new_order, costs, audit_costs
                 )
             if new_order is None:
                 return False
-            old_order = tuple(pipeline.order)
+            kind = EventKind.INNER_REORDER if position else EventKind.DRIVING_SWITCH
+            rows = pipeline.driving_rows_total
             pipeline.events.append(
-                AdaptationEvent(
-                    kind=EventKind.DRIVING_SWITCH,
-                    driving_rows_produced=pipeline.driving_rows_total,
-                    old_order=old_order,
-                    new_order=tuple(new_order),
-                    estimated_current_cost=cost_of_order(old_order, provider),
-                    estimated_new_cost=cost_of_order(tuple(new_order), provider),
-                )
+                AdaptationEvent(kind, rows, order, new_order, *costs, position)
             )
-            pipeline.apply_driving_switch(new_order)
+            if position:
+                pipeline.apply_inner_order(position, list(new_order[position:]))
+            else:
+                pipeline.apply_driving_switch(list(new_order))
+            return True
         except ReproError as exc:
+            # Context for degraded-mode events: which check, which leg,
+            # which position, and how far execution had progressed.
+            now = pipeline.order
+            where = (
+                f"inner-reorder check failed at position {position} (leg"
+                if position
+                else "driving-switch check failed (driving leg"
+            )
             raise ExecutionError(
-                f"driving-switch check failed (driving leg "
-                f"{pipeline.order[0]!r}, order {tuple(pipeline.order)}, "
+                f"{where} {now[position]!r}, order {tuple(now)}, "
                 f"{pipeline.driving_rows_total} driving rows)"
             ) from exc
         finally:
             self.check_seconds += perf_counter() - started
-        return True
 
     def _observe(
         self,
         pipeline: "PipelineRun",
         provider,
-        *,
-        check: str,
         position: int,
         new_order: tuple[str, ...] | None,
-        candidate_costs: dict[str, float] | None = None,
+        costs: tuple[float, float] | None,
+        candidate_costs: dict[str, float] | None,
     ) -> None:
         """Feed one check to the query's observation, once.
 
@@ -234,6 +180,7 @@ class AdaptationController:
         abort the query, so it leaves the record without the model inputs.
         """
         obs = pipeline.obs
+        check = "inner" if position else "driving"
         if new_order is None and candidate_costs is None:
             obs.on_kept(pipeline, check, position)
             return
@@ -256,8 +203,7 @@ class AdaptationController:
                 if applied:
                     record.estimated_new_cost = candidate_costs.get(new_order[0])
             elif applied:
-                record.estimated_current_cost = cost_of_order(order, provider)
-                record.estimated_new_cost = cost_of_order(new_order, provider)
+                record.estimated_current_cost, record.estimated_new_cost = costs
             if applied:
                 record.rank_terms = rank_terms_for(
                     list(order), max(position, 1), provider

@@ -160,11 +160,13 @@ class LegMonitor:
         return self.window.sum_matches / len(self.window)
 
     def index_join_selectivity(self, base_cardinality: int) -> float | None:
-        """Eq (7): S_JP of the index-access join predicate."""
-        rate = self.index_match_rate()
-        if rate is None or base_cardinality <= 0:
+        """Eq (7): S_JP of the index-access join predicate (every check
+        reads it off every inner leg: :meth:`index_match_rate`, inlined)."""
+        window = self.window
+        samples = window._samples
+        if samples == 0 or base_cardinality <= 0:
             return None
-        return rate / base_cardinality
+        return window._sum_matches / samples / base_cardinality
 
     def residual_selectivity(self) -> float | None:
         """Eq (6)/(8): combined selectivity of all residual predicates."""

@@ -1,8 +1,11 @@
-"""Run-time cost parameters: monitored values fed into the Eq (1) model.
+"""Run-time cost parameters: the live model the checks read (Sec 4.3).
 
-:class:`RuntimeModelBuilder` converts the live pipeline state into the
-:class:`~repro.optimizer.params.TableModel` records the shared cost model
-consumes, implementing the estimation rules of Sec 4.3:
+A monitored run keeps one :class:`RuntimeModel`: a
+:class:`~repro.optimizer.params.TableModel` per leg, built once, and one
+:class:`~repro.optimizer.params.ModelProvider` whose memo lasts the run.
+The machines mark a leg (``LegState.model_moved``) where its inputs move;
+a read refreshes only the marked legs, and a class selectivity that moved
+marks every leg. The estimation rules are Sec 4.3's:
 
 * join-predicate selectivities are refreshed from Eq (7) measurements
   whenever a leg's index-access predicate has window data;
@@ -22,20 +25,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.positions import PositionRegistry
 from repro.optimizer.cost import cost_of_order
 from repro.optimizer.params import ModelProvider, TableModel
-from repro.optimizer.plans import PipelinePlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.executor.access import LegState, RuntimeLeg
+    from repro.executor.access import LegState
     from repro.executor.pipeline import PipelineRun
+    from repro.optimizer.plans import PipelinePlan
 
 _CORRECTION_FLOOR = 1e-3
 _CORRECTION_CEIL = 1e3
 
 
-def _clamp(value: float, low: float, high: float) -> float:
+def _clamp(value: float) -> float:
+    """*value* as a JC / PC correction: within ``[1e-3, 1e3]``."""
+    low, high = _CORRECTION_FLOOR, _CORRECTION_CEIL
     return low if value < low else high if value > high else value
 
 
@@ -79,29 +83,16 @@ def measured_combined_local_selectivity(leg: "LegState") -> float | None:
     return last_passed / first_evaluated
 
 
-def measured_residual_local_selectivity(
-    leg: "RuntimeLeg", pushed: object | None
-) -> float | None:
-    """Monitored selectivity of the locals *excluding* the pushed predicate.
-
-    Probe-time measurements are conditioned on the join population, which
-    can differ wildly from the table-wide distribution (e.g. P(model='Golf')
-    among Tokyo owners vs. overall). The pushed predicate's table-wide
-    selectivity is known exactly from index metadata, so only the residual
-    predicates should use the (conditional) monitored pass rates.
-    """
-    return _slots_selectivity(
-        leg.local_counts,
-        [
-            slot
-            for slot, (predicate, _) in enumerate(leg.local_tests)
-            if predicate is not pushed
-        ],
-    )
-
-
 def _slots_selectivity(local_counts, slots) -> float | None:
-    """Product of the monitored pass rates of *slots*; None before data."""
+    """Product of the monitored pass rates of *slots*; None before data.
+
+    An inner leg's S_LPR is that of the slots of the locals its driving
+    spec does not push into the index scan: probe-time measurements are
+    conditioned on the join population, which can differ wildly from the
+    table-wide distribution (P(model='Golf') among Tokyo owners vs.
+    overall), while the pushed predicate's table-wide selectivity is known
+    exactly from index metadata (S_LPI).
+    """
     product = 1.0
     for slot in slots:
         evaluated, passed = local_counts[slot]
@@ -111,32 +102,75 @@ def _slots_selectivity(local_counts, slots) -> float | None:
     return product
 
 
-class RuntimeModelBuilder:
-    """Builds a :class:`ModelProvider` snapshot from live pipeline state."""
+class RuntimeModel:
+    """One monitored run's live model: its legs' models and one provider."""
 
-    def __init__(self, pipeline: "PipelineRun") -> None:
-        self.pipeline = pipeline
-        self.config = pipeline.config
+    def __init__(self, run: "PipelineRun") -> None:
+        """Each leg's model at its priors (its plan-fixed
+        :class:`~repro.optimizer.params.LegModelParts`, the optimizer's
+        S_LPR), refreshed at the first read: a leg starts marked."""
+        self.run = run
+        self.warmup = run.config.warmup_rows
+        models = {}
+        for alias, leg in run.legs.items():
+            parts = leg.model_parts
+            estimates = leg.plan_leg.estimates
+            sel_index = parts.sel_local_index
+            models[alias] = leg.model = TableModel(
+                alias,
+                parts.base_cardinality,
+                estimates.sel_local_index if sel_index is None else sel_index,
+                estimates.sel_local_residual,
+                parts.local_predicate_count,
+                parts.indexed_columns,
+                parts.driving_kind,
+                parts.driving_range_count,
+            )
+        self.provider = ModelProvider(models, run.class_selectivities, run.join_graph)
 
-    # ------------------------------------------------------------------
-    def refresh_join_selectivities(self) -> None:
-        """Fold Eq (7) measurements into the live selectivity table."""
-        pipeline = self.pipeline
-        warmup = self.config.warmup_rows
-        legs = pipeline.legs
-        class_id_of = pipeline.join_graph.class_id
-        for alias in pipeline.order[1:]:
-            leg = legs[alias]
-            config = leg.probe_config
-            if config is None or config.access_predicate is None:
-                continue
+    def current(self) -> ModelProvider:
+        """The provider as the run's monitors stand now."""
+        legs = self.run.legs
+        order = self.run.order
+        # No inner leg moved (none folded, none re-installed): the Eq (7)
+        # fold would write what it wrote last time.
+        if any(legs[alias].model_moved for alias in order[1:]) and (
+            self._fold_join_selectivities()
+        ):
+            for leg in legs.values():
+                leg.model_moved = True
+        for position, alias in enumerate(order):
+            if legs[alias].model_moved:
+                self._refresh(alias, legs[alias], frozenset(order[:position]))
+        return self.provider
+
+    def lesson(self, order: tuple[str, ...]) -> "PipelinePlan":
+        """The finished run's plan corrected by what it measured, led by
+        *order*, at Eq (1) of *order* from its start: nothing consumed, no
+        position-bound JC / PC corrections (the models are left so)."""
+        provider = self.current()
+        for model in provider.models.values():
+            model.remaining_fraction = model.jc_correction = model.pc_correction = 1.0
+        provider.memo.clear()
+        return self.run.plan.corrected(order, provider, cost_of_order(order, provider))
+
+    def _fold_join_selectivities(self) -> bool:
+        """Fold Eq (7) measurements into the run's class selectivities, in
+        pipeline order; whether one moved."""
+        run = self.run
+        selectivities = run.class_selectivities
+        class_id_of = run.join_graph.class_id
+        moved = False
+        for alias in run.order[1:]:
+            leg = run.legs[alias]
+            config = leg.probe_config  # every inner leg's has an access predicate
             if config.hash_column is not None:
                 # Hash buckets are pre-filtered by local predicates, so the
                 # match rate is sel_jp * sel_locals — not a clean Eq (7)
                 # measurement of the join class.
                 continue
             monitor = leg.monitor
-            if monitor.lifetime_incoming < warmup:
+            if monitor.window.lifetime_samples < self.warmup:
                 continue
             measured = monitor.index_join_selectivity(
                 leg.model_parts.base_cardinality
@@ -145,175 +179,56 @@ class RuntimeModelBuilder:
                 continue
             predicate = config.access_predicate
             class_id = class_id_of(predicate.left, predicate.left_column)
-            if class_id is not None:
-                pipeline.class_selectivities[class_id] = measured
+            if class_id is not None and selectivities.get(class_id) != measured:
+                selectivities[class_id] = measured
+                moved = True
+        return moved
 
-    # ------------------------------------------------------------------
-    def _remaining_fraction(self, alias: str) -> float:
-        pipeline = self.pipeline
-        registry: PositionRegistry = pipeline.registry
-        if alias == pipeline.order[0] and pipeline.scan is not None:
-            return remaining_scan_fraction(pipeline.scan)
-        frozen = registry.frozen_scan(alias)
-        if frozen is not None:
-            return remaining_scan_fraction(frozen.scan)
-        return 1.0
-
-    def _table_model(
-        self, alias: str, remaining_fraction: float = 1.0
-    ) -> TableModel:
-        """*alias*'s uncalibrated model under the current estimates.
-
-        Everything but S_LPR and the remaining fraction is the plan's
-        (:class:`~repro.optimizer.params.LegModelParts`). S_LPI is index
-        metadata, table-wide and exact; S_LPR is monitored once warm — the
-        scan monitor for the driving leg (Sec 4.3.1/4.3.3), the probe-time
-        pass rates of the residual predicates for an inner leg (see
-        :func:`measured_residual_local_selectivity`) — and the optimizer's
-        prior before.
-        """
-        pipeline = self.pipeline
-        leg = pipeline.legs[alias]
-        parts = leg.model_parts
-        estimates = leg.plan_leg.estimates
-        sel_index = parts.sel_local_index
-        if sel_index is None:
-            sel_index = estimates.sel_local_index
-        sel_residual = estimates.sel_local_residual
-        warmup = self.config.warmup_rows
-        if alias == pipeline.order[0]:
+    def _refresh(self, alias: str, leg: "LegState", bound: frozenset[str]) -> None:
+        """*leg*'s model as its monitors stand (*bound*: the legs before
+        it), its memo entries dropped. S_LPR is monitored once warm — the
+        scan monitor's for the driving leg (Sec 4.3.1/4.3.3), the residual
+        slots' for an inner one — else the optimizer's. An inner leg's
+        corrections are its monitored JC / PC over the model's at its
+        position, whose memo entry becomes the corrected value (exact: a
+        correction multiplies last in ``inner_params``)."""
+        model = leg.model
+        warmup = self.warmup
+        sel_residual = leg.plan_leg.estimates.sel_local_residual
+        if not bound:
             monitor = leg.driving_monitor
             if monitor is not None and monitor.entries_scanned >= warmup:
                 measured = monitor.residual_selectivity()
                 if measured is not None:
                     sel_residual = measured
         elif leg.local_counts and leg.local_counts[0][0] >= warmup:
-            measured = _slots_selectivity(leg.local_counts, parts.residual_slots)
+            measured = _slots_selectivity(
+                leg.local_counts, leg.model_parts.residual_slots
+            )
             if measured is not None:
                 sel_residual = min(measured, 1.0)
-        return TableModel(
-            alias,
-            parts.base_cardinality,
-            sel_index,
-            sel_residual,
-            parts.local_predicate_count,
-            parts.indexed_columns,
-            parts.driving_kind,
-            parts.driving_range_count,
-            remaining_fraction,
+        model.sel_local_residual = sel_residual
+        scan = None if bound else self.run.scan
+        if scan is None:
+            scan = self.run.registry.resume_scan(alias)  # frozen, if it drove
+        model.remaining_fraction = (
+            1.0 if scan is None else remaining_scan_fraction(scan)
         )
-
-    def corrected_plan(self, order: tuple[str, ...]) -> PipelinePlan:
-        """End of run: the executed plan as this run measured it.
-
-        *order* — the one the run ended on, or proposed at its finished
-        scan — with every leg's ``(S_LPI, S_LPR)`` as the
-        last reorder check would have read them, the Eq (7) join
-        selectivities with the final windows folded in, and Eq (1) of that
-        order from its start (nothing consumed, no position-bound JC / PC
-        corrections) as the cost: what the plan cache keeps as the
-        statement's feedback (:meth:`PipelinePlan.corrected`).
-        """
-        pipeline = self.pipeline
-        plan = pipeline.plan
-        self.refresh_join_selectivities()
-        models = {alias: self._table_model(alias) for alias in pipeline.order}
-        provider = ModelProvider(
-            models, pipeline.class_selectivities, pipeline.join_graph
-        )
-        return plan.corrected(
-            order,
-            {
-                alias: (model.sel_local_index, model.sel_local_residual)
-                for alias, model in models.items()
-            },
-            pipeline.class_selectivities,
-            cost_of_order(order, provider),
-        )
-
-    def build_provider(self) -> ModelProvider:
-        """Snapshot the pipeline into a calibrated :class:`ModelProvider`.
-
-        Model construction is **lazy**: a leg's :class:`TableModel` (and its
-        calibration against the monitors) is built the first time the order
-        search touches that leg. A reorder check at a deep pipeline position
-        only evaluates the depleted suffix, so most checks build two or
-        three models instead of one per leg — the dominant per-check cost
-        in the profile. Calibration stays exact: a leg's calibrated
-        (JC, PC) at any position is its uncalibrated value times its
-        correction factors (``x * 1.0 == x`` and the correction multiplies
-        last in ``inner_params``), so the uncalibrated evaluation done
-        during calibration seeds the provider's memo with the corrected
-        value instead of being recomputed.
-        """
-        pipeline = self.pipeline
-        models = _LazyModels()
-        models._builder = self
-        models._warmup = self.config.warmup_rows
-        models._legs = pipeline.legs
-        # alias -> the legs bound before it in the current order.
-        bounds = models._bounds = {}
-        bound: frozenset[str] = frozenset()
-        for alias in pipeline.order:
-            bounds[alias] = bound
-            bound = bound | {alias}
-        provider = ModelProvider(
-            models, pipeline.class_selectivities, pipeline.join_graph
-        )
-        models._provider = provider
-        return provider
-
-
-class _LazyModels(dict):
-    """Per-alias :class:`TableModel` cache behind a :class:`ModelProvider`.
-
-    Defined at module level (rather than a closure inside
-    ``build_provider``) so a reorder check does not pay for rebuilding the
-    class object; ``build_provider`` binds the snapshot context onto the
-    instance instead.
-    """
-
-    _builder: "RuntimeModelBuilder"
-    _provider: ModelProvider
-    _warmup: int
-
-    def __missing__(self, alias: str) -> TableModel:
-        builder = self._builder
-        model = builder._table_model(alias, builder._remaining_fraction(alias))
-        # Visible to inner_params below, which evaluates the uncalibrated
-        # model at the leg's current position.
-        self[alias] = model
-        bound = self._bounds.get(alias)
-        if not bound:
-            return model  # the driving leg: nothing flows into it
-        monitor = self._legs[alias].monitor
-        if monitor.lifetime_incoming < self._warmup:
-            return model
-        measured = monitor.join_cardinality_and_probe_cost()
+        model.jc_correction = model.pc_correction = 1.0
+        leg.model_moved = False
+        provider = self.provider
+        provider.memo.pop(alias, None)
+        if not bound or leg.monitor.lifetime_incoming < warmup:
+            return  # nothing flows into a driving leg
+        measured = leg.monitor.join_cardinality_and_probe_cost()
         if measured is None:
-            return model
-        jc_measured, pc_measured = measured
-        provider = self._provider
+            return
         jc_model, pc_model = provider.inner_params(alias, bound)
-        jc_correction = 1.0
-        pc_correction = 1.0
         if jc_model > 0:
-            jc_correction = _clamp(
-                jc_measured / jc_model, _CORRECTION_FLOOR, _CORRECTION_CEIL
-            )
+            model.jc_correction = _clamp(measured[0] / jc_model)
         if pc_model > 0:
-            pc_correction = _clamp(
-                pc_measured / pc_model, _CORRECTION_FLOOR, _CORRECTION_CEIL
-            )
-        if jc_correction == 1.0 and pc_correction == 1.0:
-            return model
-        # The model is this snapshot's alone until it is returned.
-        model.jc_correction = jc_correction
-        model.pc_correction = pc_correction
-        # Replace the uncalibrated memo entry with the corrected
-        # value (exact: the correction multiplies last).
-        provider._inner_cache[(alias, bound)] = (
-            jc_model * jc_correction,
-            pc_model * pc_correction,
+            model.pc_correction = _clamp(measured[1] / pc_model)
+        provider.memo[alias][bound] = (
+            jc_model * model.jc_correction,
+            pc_model * model.pc_correction,
         )
-        return model

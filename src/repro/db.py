@@ -28,7 +28,6 @@ from repro.catalog.statistics import StatisticsLevel
 from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.controller import AdaptationController
 from repro.core.events import EventKind
-from repro.core.ranks import RuntimeModelBuilder
 from repro.errors import SchemaError
 from repro.executor.batch import BatchedPipelineExecutor
 from repro.executor.pipeline import PipelineExecutor, PipelineRun, held_arrays
@@ -589,7 +588,8 @@ class Database:
         adaptive layer not degraded). Its lesson is the order its checks
         proposed at a finished scan, else the order it ended on: another
         order than it started from is built here, once, into a corrected
-        plan; the order it started from keeps the plan it ran. Written only
+        plan off the run's live model (``RuntimeModel.lesson``); the order
+        it started from keeps the plan it ran. Written only
         for an entry planned under the catalog's current generation: the
         cache re-checks that (and that it still holds the entry) under its
         lock.
@@ -600,7 +600,7 @@ class Database:
         plan = executor.plan
         order = executor.proposed_order or tuple(executor.order)
         if order != plan.order:
-            plan = RuntimeModelBuilder(executor).corrected_plan(order)
+            plan = executor.lesson(order)
         self.plan_cache.write_feedback(
             entry, generation, plan, executor.config.mode
         )

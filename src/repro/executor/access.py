@@ -187,7 +187,9 @@ class LegState(LegFlow):
     """A leg of a run that can change its plan: its flow, what a chunk (or
     a probe) folds into — windows, local-predicate counts, rows since its
     last check — and what the controller reads: probe config, positional
-    predicate, model parts, plan leg. The engine's legs are these."""
+    predicate, model parts, plan leg and its live model (built at the
+    run's first check, refreshed when ``model_moved``: where a fold, a scan
+    advance or a re-install sets it). The engine's legs are these."""
 
     __slots__ = (
         "plan_leg",
@@ -200,6 +202,8 @@ class LegState(LegFlow):
         "positional",
         "probe_config",
         "degrade_hook",
+        "model",
+        "model_moved",
     )
 
     def __init__(
@@ -232,6 +236,8 @@ class LegState(LegFlow):
         self.probe_config: ProbeConfig | None = None
         self.incoming_since_check = 0
         self.degrade_hook = degrade_hook
+        self.model = None
+        self.model_moved = True
 
     def install_probe(self, config: ProbeConfig) -> None:
         """Probe through *config* from here on, with an empty check count
@@ -344,6 +350,7 @@ class RuntimeLeg(LegState):
             self.match_rids = match_rids
 
         if self.monitoring_enabled:
+            self.model_moved = True
             try:
                 if faulty:
                     self.table.faults.fire("monitor")
@@ -443,12 +450,14 @@ class RuntimeLeg(LegState):
                 return
             self.meter.charge_predicate_eval(len(residual_tests))
             survived = all(test(row) for test in residual_tests)
-            if self.monitoring_enabled and monitor is not None:
-                try:
-                    monitor.record_scanned(survived)
-                    self.meter.charge_monitor_update()
-                except Exception as exc:
-                    self._degrade_monitoring(exc)
+            if monitor is not None:  # a monitored run: its scan moved
+                self.model_moved = True
+                if self.monitoring_enabled:
+                    try:
+                        monitor.record_scanned(survived)
+                        self.meter.charge_monitor_update()
+                    except Exception as exc:
+                        self._degrade_monitoring(exc)
             self.rows_scanned += 1
             if survived:
                 self.rows_survived += 1

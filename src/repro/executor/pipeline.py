@@ -34,13 +34,14 @@ from repro.core.config import AdaptiveConfig, ReorderMode
 from repro.core.events import AdaptationEvent, EventKind
 from repro.core.monitor import DrivingMonitor
 from repro.core.positions import PositionRegistry
+from repro.core.ranks import RuntimeModel
 from repro.errors import ExecutionError
 from repro.executor.access import (
     Binding, Cursor, LegState, RuntimeLeg, bind_local_tests, compile_probe,
     driving_index,
 )
 from repro.executor.vector import cascade_start, held_by, leg_step
-from repro.optimizer.params import LegModelParts, leg_model_parts
+from repro.optimizer.params import LegModelParts, ModelProvider, leg_model_parts
 from repro.optimizer.plans import PipelinePlan
 from repro.robustness.guard import describe_failure
 from repro.robustness.limits import ExecutionLimits, LimitEnforcer
@@ -342,6 +343,8 @@ class PipelineRun:
     # The driving scan being read (a cursor, or the engine's walk); None
     # before the run opens one.
     scan: Any = None
+    # The run's live cost model (core.ranks), built at its first read.
+    _model: RuntimeModel | None = None
 
     def __init__(
         self,
@@ -399,6 +402,21 @@ class PipelineRun:
     def join_graph(self) -> Any:
         return self.prepared.bindings.join_graph
 
+    def model(self) -> ModelProvider:
+        """The run's live cost model as its monitors stand now, what a
+        check reads (:class:`~repro.core.ranks.RuntimeModel`: built at the
+        first read, refreshed where its inputs moved since)."""
+        if self._model is None:
+            self._model = RuntimeModel(self)
+        return self._model.current()
+
+    def lesson(self, order: tuple[str, ...]) -> PipelinePlan:
+        """The plan this finished run learned, led by *order*: its live
+        model's (:meth:`~repro.core.ranks.RuntimeModel.lesson`)."""
+        if self._model is None:
+            self._model = RuntimeModel(self)
+        return self._model.lesson(order)
+
     def predicate_selectivity(self, predicate) -> float:
         """Live selectivity estimate of a (possibly derived) join predicate."""
         return _class_selectivity(
@@ -420,6 +438,7 @@ class PipelineRun:
             leg = self.legs[alias]
             previous = leg.probe_config
             leg.install_probe(step.config)
+            leg.model_moved = True
             if previous is not None and previous.access_predicate != (
                 step.config.access_predicate
             ):
@@ -437,6 +456,7 @@ class PipelineRun:
         if self.config.mode.monitors:
             leg.driving_monitor = DrivingMonitor(self.config.history_window)
         leg.positional = None
+        leg.model_moved = True
 
     # ------------------------------------------------------------------
     # Mutation primitives used by the adaptation controller

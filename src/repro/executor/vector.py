@@ -307,15 +307,17 @@ class _DrivingWalk:
         leg = self.leg
         if leg is not None:
             leg.rows_scanned += walked
-            if self.monitored and leg.monitoring_enabled:
-                alive = self.alive
-                leg.driving_monitor.record_chunk(
-                    walked,
-                    walked
-                    if alive is None
-                    else int(_count_nonzero(alive[start:end])),
-                )
-                meter.monitor_updates += walked
+            if self.monitored:
+                leg.model_moved = True  # the remaining fraction, S_LPR
+                if leg.monitoring_enabled:
+                    alive = self.alive
+                    leg.driving_monitor.record_chunk(
+                        walked,
+                        walked
+                        if alive is None
+                        else int(_count_nonzero(alive[start:end])),
+                    )
+                    meter.monitor_updates += walked
         if self.order.index is None:
             return
         meter.index_entries += walked
@@ -786,6 +788,7 @@ def _expand(
             leg.index_matches += touched
             leg.rows_out += out
             if watched:
+                leg.model_moved = True
                 updates += flow
                 if work is None:
                     work = (

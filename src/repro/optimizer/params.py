@@ -10,7 +10,7 @@ pairs, handling join-predicate availability per Sec 4.3.4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
 
 from repro.optimizer.plans import DrivingKind, PlanLeg
@@ -31,9 +31,8 @@ _HASH_MATCH_COST = _counters.HASH_MATCH_COST
 
 
 # Not frozen=True: a frozen dataclass routes every field through
-# object.__setattr__ at init time, and the adaptation controller builds a
-# fresh model per leg per reorder check — construction is hot. Treat
-# instances as immutable; derive variants via with_remaining_fraction.
+# object.__setattr__, and a monitored run's live model (core.ranks)
+# rewrites its legs' run-time fields in place.
 @dataclass(slots=True)
 class TableModel:
     """Per-table parameters feeding the cost model.
@@ -70,15 +69,12 @@ class TableModel:
     def leg_cardinality(self) -> float:
         return self.base_cardinality * self.sel_local
 
-    def with_remaining_fraction(self, fraction: float) -> "TableModel":
-        return replace(self, remaining_fraction=max(min(fraction, 1.0), 0.0))
-
 
 class LegModelParts(NamedTuple):
     """What a leg's run-time :class:`TableModel` holds that no execution moves.
 
     Read off the plan leg, its table and its indexes, so it rides with the
-    cached plan's bindings; a reorder check adds only what the monitors
+    cached plan's bindings; a run's live model adds only what the monitors
     measure (S_LPR, the remaining fraction, the JC / PC corrections).
     """
 
@@ -147,11 +143,11 @@ class ModelProvider:
         self.models = models
         self.class_selectivities = class_selectivities
         self.graph = graph
-        # (alias, bound) -> (jc, pc). A provider's models and selectivities
-        # are fixed for its lifetime (one instance per reorder check), while
-        # order search evaluates the same leg at the same position for many
-        # candidate orders — memoizing keeps those evaluations O(1).
-        self._inner_cache: dict[tuple[str, frozenset[str]], tuple[float, float]] = {}
+        # alias -> {bound: (jc, pc)}: order search evaluates the same leg
+        # at the same position for many candidate orders. A run's live
+        # model (core.ranks) keeps it for the run, dropping a leg's entries
+        # when that leg's model moves.
+        self.memo: dict[str, dict[frozenset[str], tuple[float, float]]] = {}
 
     def driving_params(self, alias: str) -> tuple[float, float]:
         model = self.models[alias]
@@ -183,23 +179,17 @@ class ModelProvider:
         return cleg, scan_pc
 
     def inner_params(self, alias: str, bound: frozenset[str]) -> tuple[float, float]:
-        if type(bound) is not frozenset:
-            bound = frozenset(bound)
-        key = (alias, bound)
-        cached = self._inner_cache.get(key)
-        if cached is not None:
-            return cached
-        model = self.models[alias]
-        if model.jc_correction != 1.0 or model.pc_correction != 1.0:
-            # A model calibrated on first touch (the run-time snapshot
-            # builds lazily) was evaluated at its own position to get
-            # there, and seeded the memo with the corrected value.
-            cached = self._inner_cache.get(key)
+        entries = self.memo.get(alias)
+        if entries is None:
+            entries = self.memo[alias] = {}
+        else:
+            cached = entries.get(bound)
             if cached is not None:
                 return cached
+        model = self.models[alias]
         # The graph caches the structural skeleton (which equivalence
         # classes are available, which are indexed on this leg); only the
-        # per-class selectivity lookups run per provider snapshot.
+        # per-class selectivity lookups run per evaluation.
         distinct_ids, available_count, indexed_ids, all_ids = (
             self.graph.inner_structure(alias, bound, model.indexed_columns)
         )
@@ -260,6 +250,5 @@ class ModelProvider:
                 _HASH_MATCH_COST
                 + max(available_count - 1, 0) * _PREDICATE_EVAL_COST
             )
-        result = (jc, pc * model.pc_correction)
-        self._inner_cache[key] = result
+        result = entries[bound] = (jc, pc * model.pc_correction)
         return result

@@ -175,48 +175,52 @@ class PipelinePlan:
         return replace(self, order=tuple(order))
 
     def corrected(
-        self,
-        order: Sequence[str],
-        local_selectivities: Mapping[str, tuple[float, float]],
-        class_selectivities: Mapping[int, float],
-        estimated_cost: float,
+        self, order: Sequence[str], provider: Any, estimated_cost: float
     ) -> "PipelinePlan":
         """This plan as a monitored run of it measured it (plan feedback).
 
         Same query, access paths, join predicates and projection; *order*
-        is where the run ended, each leg in *local_selectivities* carries
-        the measured ``(S_LPI, S_LPR)`` in place of the optimizer's, the
-        join classes carry *class_selectivities* and *estimated_cost* is
-        Eq (1) of *order* under those numbers. The result shares this
-        plan's bindings (they depend on predicates and schemas only), so
-        it costs a few small records, not a second compiled plan; the rest
-        of its prepared record (:meth:`prepared`) follows the order and
-        the class selectivities and is its own.
+        is where the run ended, *provider* the run's
+        :class:`~repro.optimizer.params.ModelProvider`: each leg carries
+        the ``(S_LPI, S_LPR)`` of its model in place of the optimizer's and
+        the join classes the provider's class selectivities, and
+        *estimated_cost* is Eq (1) of *order* under those numbers. The
+        result shares this plan's bindings (they depend on predicates and
+        schemas only) and every leg the run measured as planned, so it
+        costs a few small records, not a second compiled plan; the rest of
+        its prepared record (:meth:`prepared`) follows the order and the
+        class selectivities and is its own.
         """
         legs = dict(self.legs)
-        for alias, (sel_index, sel_residual) in local_selectivities.items():
+        for alias, leg_model in provider.models.items():
             leg = legs[alias]
-            legs[alias] = replace(
-                leg,
-                estimates=replace(
-                    leg.estimates,
-                    sel_local_index=sel_index,
-                    sel_local_residual=sel_residual,
-                ),
+            estimates = leg.estimates
+            measured = (leg_model.sel_local_index, leg_model.sel_local_residual)
+            if measured != (estimates.sel_local_index, estimates.sel_local_residual):
+                legs[alias] = PlanLeg(
+                    leg.alias,
+                    leg.table_name,
+                    leg.driving,
+                    leg.local_predicates,
+                    LegEstimates(estimates.base_cardinality, *measured),
+                )
+        class_selectivities = dict(provider.class_selectivities)
+        class_id = provider.graph.class_id
+        join_selectivities = {
+            predicate: class_selectivities.get(
+                class_id(predicate.left, predicate.left_column), selectivity
             )
-        graph = self.query.join_graph()
-        join_selectivities = dict(self.join_selectivities)
-        for predicate in join_selectivities:
-            class_id = graph.class_id(predicate.left, predicate.left_column)
-            if class_id in class_selectivities:
-                join_selectivities[predicate] = class_selectivities[class_id]
-        plan = replace(
-            self,
-            order=tuple(order),
-            legs=legs,
-            join_selectivities=join_selectivities,
-            class_selectivities=dict(class_selectivities),
-            estimated_cost=estimated_cost,
+            for predicate, selectivity in self.join_selectivities.items()
+        }
+        plan = PipelinePlan(
+            self.query,
+            tuple(order),
+            legs,
+            self.join_predicates,
+            join_selectivities,
+            class_selectivities,
+            self.projection,
+            estimated_cost,
         )
         memo = self.__dict__.get("_prepared")
         if memo is not None:

@@ -1,18 +1,22 @@
-"""What a chunk boundary's checks may cost, by counting — no timers.
+"""What a check may cost, by counting — no timers but one loose bound.
 
-A boundary models the pipeline once: the inner and the driving check share
-one :class:`~repro.optimizer.params.ModelProvider` (lazily built models,
-calibrations, ``inner_params`` memo) whenever nothing can have moved in
-between, and only then. This file pins both halves:
+A monitored run reads one live model (:class:`~repro.core.ranks.
+RuntimeModel`): each leg's :class:`~repro.optimizer.params.TableModel`,
+built once a run and refreshed only where its inputs moved, and one
+:class:`~repro.optimizer.params.ModelProvider` whose ``inner_params`` memo
+lasts the run. This file pins both halves:
 
-* cost — each leg's model is built at most once per boundary, a kept
-  boundary installs no probe and assembles no step program, an applied
-  inner reorder re-installs the permuted suffix and nothing before it;
-* invalidation — the driving check models afresh after an applied inner
-  reorder and after any monitor fold (the scalar oracle's checks at deeper
-  positions, a produced driving row);
-* the decision audit records what it recorded before the snapshot was
-  shared;
+* cost — a run builds each leg's model and its provider at most once (a
+  static run neither), a check takes well under 500 us, a kept boundary
+  installs no probe and assembles no step program, an applied inner
+  reorder re-installs the permuted suffix and nothing before it;
+* invalidation — the driving check after a kept inner check refreshes
+  nothing, after an applied reorder the re-installed legs; on the scalar
+  oracle every leg a probe folded into is refreshed before the next check
+  reads it;
+* the decision audit records what a controller reading a fresh snapshot
+  at every check records (``tests/test_live_model.py`` compares the
+  numbers themselves);
 * the starting order's probe program rides with the plan and every probe
   with the statement's step memo: a second execution compiles no probe
   and searches no key array, and what it installs is what it would have
@@ -35,16 +39,16 @@ import repro.core.controller
 import repro.executor.vector
 from repro import AdaptiveConfig, ReorderMode
 from repro.core.controller import AdaptationController
-from repro.core.monitor import LegMonitor
-from repro.core.ranks import RuntimeModelBuilder
+from repro.core.ranks import RuntimeModel
 from repro.dmv import load_dmv
 from repro.dmv.templates import six_table_workload
-from repro.executor.access import LegState, ProbeConfig
+from repro.executor.access import LegState, ProbeConfig, RuntimeLeg
 from repro.executor import pipeline, vector
 from repro.executor.batch import BatchedPipelineExecutor
-from repro.executor.pipeline import PipelineExecutor, memo_step
+from repro.executor.pipeline import PipelineExecutor, PipelineRun, memo_step
 from repro.obs.explain import render_explain_analyze
 from repro.obs.recorder import FlightRecorder
+from repro.optimizer.params import ModelProvider, TableModel
 
 from tests.test_plan_cache import SCALE
 from tests.test_vector_limits import executor_class
@@ -88,9 +92,10 @@ class CheckLog:
 
     ``("inner", driving rows, position, provider, new suffix | None)`` and
     ``("driving", driving rows, provider, new order | None)``, plus
-    ``("fold",)`` for every probe a monitor folded in, ``("model", alias)``
-    for every run-time model built and ``("hook", driving rows)`` whenever
-    the executor calls one of the controller's two hooks.
+    ``("fold", alias)`` for every probe a monitor folded in on the scalar
+    machine, ``("model", alias)`` for every leg model built, ``("refresh",
+    alias)`` for every leg model a read refreshed and ``("hook", driving
+    rows)`` whenever the executor calls one of the controller's two hooks.
     """
 
     def __init__(self, monkeypatch) -> None:
@@ -98,8 +103,9 @@ class CheckLog:
         controller = repro.core.controller
         decide_inner = controller.decide_inner_order
         decide_driving = controller.decide_driving_switch
-        table_model = RuntimeModelBuilder._table_model
-        record_probe = LegMonitor.record_probe
+        build = TableModel.__init__
+        refresh = RuntimeModel._refresh
+        probe = RuntimeLeg.probe
         log = self.entries
 
         def inner(pipeline, provider, position):
@@ -116,13 +122,20 @@ class CheckLog:
             )
             return decision
 
-        def model(builder, alias, remaining_fraction=1.0):
-            log.append(("model", alias))
-            return table_model(builder, alias, remaining_fraction)
+        def model(table_model, *args, **kwargs):
+            # The optimizer names its fields; only a run's count here.
+            if not kwargs:
+                log.append(("model", args[0]))
+            build(table_model, *args, **kwargs)
 
-        def fold(monitor, *sample):
-            log.append(("fold",))
-            return record_probe(monitor, *sample)
+        def refreshed(live, alias, leg, bound):
+            log.append(("refresh", alias))
+            refresh(live, alias, leg, bound)
+
+        def fold(leg, binding):
+            if leg.monitoring_enabled:
+                log.append(("fold", leg.alias))
+            return probe(leg, binding)
 
         for name in ("on_suffix_depleted", "on_pipeline_depleted"):
             monkeypatch.setattr(
@@ -132,8 +145,9 @@ class CheckLog:
             )
         monkeypatch.setattr(controller, "decide_inner_order", inner)
         monkeypatch.setattr(controller, "decide_driving_switch", driving)
-        monkeypatch.setattr(RuntimeModelBuilder, "_table_model", model)
-        monkeypatch.setattr(LegMonitor, "record_probe", fold)
+        monkeypatch.setattr(TableModel, "__init__", model)
+        monkeypatch.setattr(RuntimeModel, "_refresh", refreshed)
+        monkeypatch.setattr(RuntimeLeg, "probe", fold)
 
     def _announced(self, hook):
         def announced(controller, *args):
@@ -184,24 +198,61 @@ def run(db, sql, config, order=None):
 # Cost: what one boundary builds
 # ---------------------------------------------------------------------------
 def test_a_boundary_builds_each_legs_model_at_most_once(columnar, monkeypatch):
-    """On the engine both checks of a boundary run back to back: one
-    snapshot, six models at most — twice that only where the inner check
-    changed the order under the driving check's feet."""
+    """On the engine both checks of a boundary run back to back, and every
+    boundary of a run reads the same live model: six models at most a run,
+    built at its first check, however many boundaries it crosses."""
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
     boundaries = kept = 0
     log = CheckLog(monkeypatch)
     for sql in STATEMENTS:
         log.clear()
-        run(columnar, sql, config)
+        executor, _ = run(columnar, sql, config)
+        built = Counter(entry[1] for entry in log.entries if entry[0] == "model")
+        assert set(built) == set(executor.order) and max(built.values()) == 1
         for boundary in log.boundaries():
-            built = Counter(entry[1] for entry in boundary if entry[0] == "model")
             reordered = any(
                 entry[0] == "inner" and entry[4] is not None for entry in boundary
             )
             boundaries += 1
             kept += not reordered
-            assert max(built.values()) <= (2 if reordered else 1), sql
     assert boundaries > 200 and kept > 100, (boundaries, kept)
+
+
+def test_a_run_builds_its_model_once_and_a_check_stays_cheap(
+    columnar, monkeypatch
+):
+    """The X2 'Porsche' statement at a first chunk of 16, its plan handed
+    in (as text its second execution runs statically and has no boundary
+    left): each leg's model and the provider are built once a run — the
+    first check builds them, the boundaries after it read them — and a
+    check takes well under 500 us of wall (a loose bound for a shared
+    runner; ``ExecutionStats.check_seconds``). A static run and a
+    monitor-only one (no check) build neither."""
+    monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", 16)
+    plan = columnar.plan(PORSCHE)
+    built = Counter()
+    for cls in (TableModel, ModelProvider):
+        init = cls.__init__
+
+        def counting(instance, *args, init=init, name=cls.__name__):
+            built[name] += 1
+            init(instance, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for mode in (ReorderMode.NONE, ReorderMode.MONITOR_ONLY):
+        columnar.execute(plan, AdaptiveConfig(mode=mode))
+        assert not built, mode
+    for _ in range(3):  # warm: kernels and rank arrays are resident
+        built.clear()
+        result = columnar.execute(plan, AdaptiveConfig(mode=ReorderMode.BOTH))
+    stats = result.stats
+    assert stats.engine == "vector-adaptive", stats.engine
+    checks = stats.inner_checks + stats.driving_checks
+    boundaries = {e.driving_rows_produced for e in stats.events}
+    assert checks >= 4, checks
+    assert built == {"TableModel": len(plan.order), "ModelProvider": 1}, built
+    assert 0.0 < stats.check_seconds / checks < 500e-6, (stats.check_seconds, checks)
+    assert len(boundaries) < checks // 2, "every boundary applied a change"
 
 
 def test_a_kept_boundary_compiles_and_plans_nothing(columnar, monkeypatch):
@@ -272,93 +323,88 @@ def test_an_applied_inner_reorder_recompiles_only_the_permuted_suffix(
 
 
 # ---------------------------------------------------------------------------
-# Invalidation: when the driving check must model afresh
+# Invalidation: what a check refreshes
 # ---------------------------------------------------------------------------
-def test_snapshot_is_shared_when_kept_and_rebuilt_after_an_applied_reorder(
+def test_the_model_is_kept_when_a_check_keeps_and_refreshed_after_a_reorder(
     columnar, monkeypatch
 ):
+    """Every check of a run reads the one provider. Between the two checks
+    of a boundary nothing folds: after a kept inner check the driving check
+    refreshes nothing; after an applied one it refreshes the re-installed
+    legs, and only those."""
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
-    shared = rebuilt = 0
+    kept = reordered = 0
     log = CheckLog(monkeypatch)
     for sql in STATEMENTS:
         log.clear()
         run(columnar, sql, config)
-        checks = log.checks()
-        for before, after in zip(checks, checks[1:]):
-            if before[0] != "inner" or after[0] != "driving":
+        providers = {entry[-2] for entry in log.checks()}
+        assert len(providers) <= 1, sql
+        entries = log.entries
+        for at, (before, after) in enumerate(zip(entries, entries[1:])):
+            if before[0] != "inner" or after[0] != "hook":
                 continue
-            assert before[1] == after[1], "the engine checks back to back"
+            following = entries[at + 2 :]
+            check = next(e for e in following if e[0] in ("inner", "driving"))
+            if check[0] != "driving":
+                continue
+            assert before[1] == check[1], "the engine checks back to back"
+            refreshed = {
+                entry[1]
+                for entry in following[: following.index(check)]
+                if entry[0] == "refresh"
+            }
             if before[4] is None:
-                assert after[2] is before[3], sql
-                shared += 1
+                assert not refreshed, sql
+                kept += 1
             else:
-                assert after[2] is not before[3], sql
-                rebuilt += 1
-    assert shared > 100 and rebuilt > 5, (shared, rebuilt)
+                assert refreshed == set(before[4]), sql
+                reordered += 1
+    assert kept > 100 and reordered > 5, (kept, reordered)
 
 
 def test_oracle_never_shares_across_a_monitor_fold(row, monkeypatch):
-    """The scalar oracle checks per row at every depth. Only a kept check
-    at position 1 leaves the whole pipeline depleted; after a deeper one,
-    or once the driving leg has produced another row, probes have folded
-    into the windows and the driving check models afresh."""
+    """The scalar oracle checks per row at every depth: every leg a probe
+    folded into since the last check is refreshed before the next one
+    reads the model. Only a kept check at position 1 leaves the whole
+    pipeline depleted, so the driving check after it refreshes nothing."""
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
     shared = folded = 0
     log = CheckLog(monkeypatch)
     for sql in STATEMENTS[:8]:
         log.clear()
         run(row, sql, config)
+        moved: set[str] = set()
+        refreshed: set[str] = set()
         previous = None
-        deeper = []  # providers of inner checks below position 1
-        folds_since_deeper = 0
         for entry in log.entries:
             if entry[0] == "fold":
-                folds_since_deeper += bool(deeper)
-            elif entry[0] == "inner" and entry[2] > 1:
-                deeper.append(entry[3])
-            elif entry[0] == "driving":
-                assert all(entry[2] is not provider for provider in deeper), sql
-                folded += bool(folds_since_deeper)
-                if previous is not None and entry[2] is previous[3]:
-                    # Straight from a kept check at position 1.
-                    assert previous[0] == "inner" and previous[2] == 1
-                    assert previous[4] is None and previous[1] == entry[1]
+                moved.add(entry[1])
+            elif entry[0] == "refresh":
+                refreshed.add(entry[1])
+            elif entry[0] in ("inner", "driving"):
+                assert moved <= refreshed, sql
+                folded += bool(moved)
+                if (
+                    entry[0] == "driving"
+                    and previous is not None
+                    and previous[0] == "inner"
+                    and previous[2] == 1
+                    and previous[4] is None
+                    and previous[1] == entry[1]
+                ):
+                    assert not refreshed, sql
                     shared += 1
-                deeper, folds_since_deeper = [], 0
-            if entry[0] in ("inner", "driving"):
-                previous = entry
+                moved, refreshed, previous = set(), set(), entry
     assert shared > 0 and folded > 0, (shared, folded)
-
-
-def test_the_hand_off_names_its_boundary(row):
-    """A hand-off is good for the boundary it was made at — no driving row
-    produced since — and for no other. (A provider that is no provider
-    shows which one the driving check picked up.)"""
-    config = AdaptiveConfig(mode=ReorderMode.DRIVING_ONLY)
-    static = row.execute(row.plan(STATEMENTS[0]), AdaptiveConfig(mode=ReorderMode.NONE))
-
-    def planted(driving_rows):
-        controller = AdaptationController(config)
-        executor = PipelineExecutor(
-            row.plan(STATEMENTS[0]), row.catalog, config, controller
-        )
-        controller.attach(executor)
-        controller._handoff = (driving_rows, object())
-        return executor, controller
-
-    executor, controller = planted(config.check_frequency - 1)
-    assert sorted(executor.run_to_completion()) == sorted(static.rows)
-    assert controller.driving_checks > 0 and controller._handoff is None
-    # The scalar machine's first driving check comes after check_frequency rows.
-    executor, _ = planted(config.check_frequency)
-    with pytest.raises(AttributeError):
-        executor.run_to_completion()
 
 
 def test_decision_records_are_those_of_unshared_snapshots(columnar, monkeypatch):
     """Flight-recorder ``DecisionRecord``s (candidate costs, rank terms,
-    window estimates) with the snapshot shared equal those of a controller
-    that models every check afresh."""
+    window estimates) and events read off the live model equal those of a
+    controller that reads a fresh snapshot at every check."""
+    from tests.test_live_model import fresh_snapshot
+
     config = AdaptiveConfig(mode=ReorderMode.BOTH)
 
     def audited(sql):
@@ -367,19 +413,20 @@ def test_decision_records_are_those_of_unshared_snapshots(columnar, monkeypatch)
         result = columnar.execute(columnar.plan(sql), config, obs=bundle)
         return result.decisions, result.stats.events
 
-    shared = [audited(sql) for sql in STATEMENTS]
-    inner_check = AdaptationController.on_suffix_depleted
+    live = [audited(sql) for sql in STATEMENTS]
 
-    def never_hand_over(controller, position):
-        inner_check(controller, position)
-        controller._handoff = None
+    def snapshot(run):
+        selectivities, provider = fresh_snapshot(run)
+        run.class_selectivities.update(selectivities)
+        provider.class_selectivities = run.class_selectivities
+        return provider
 
-    monkeypatch.setattr(AdaptationController, "on_suffix_depleted", never_hand_over)
-    assert [audited(sql) for sql in STATEMENTS] == shared
-    applied = sum(d.applied for decisions, _ in shared for d in decisions)
+    monkeypatch.setattr(PipelineRun, "model", snapshot)
+    assert [audited(sql) for sql in STATEMENTS] == live
+    applied = sum(d.applied for decisions, _ in live for d in decisions)
     assert applied > 5 and any(
         d.check == "driving" and d.candidate_costs
-        for decisions, _ in shared
+        for decisions, _ in live
         for d in decisions
     )
 

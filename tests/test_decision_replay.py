@@ -218,23 +218,63 @@ GRID = [
 ]
 
 
-@pytest.mark.parametrize("chunk_rows,stride", [(32, 1), (16, 8), (7, 8)])
+#: The grid statements whose engine run, at a first chunk of 4 under
+#: :data:`RESUMING_CONFIG`, switches back to a leg that drove before: a
+#: frozen walk taken from again, its remaining fraction (a live model
+#: field) read where it froze.
+RESUMING = (
+    96, 97, 98, 114, 115, 116, 141, 142, 143, 156, 157, 158, 159, 160, 161,
+    180, 186, 189, 190, 201, 207, 208, 219, 225, 226, 274, 275, 295, 296,
+    309, 310, 311, 330, 331, 332, 636, 640,
+)
+RESUMING_CONFIG = AdaptiveConfig(
+    mode=ReorderMode.BOTH, check_frequency=2, switch_benefit_threshold=0.0
+)
+
+
+def resumptions(executor) -> int:
+    """Driving switches of *executor* to a leg that drove before."""
+    drove = {executor.plan.order[0]}
+    resumed = 0
+    for event in executor.events:
+        if event.kind is EventKind.DRIVING_SWITCH:
+            resumed += event.new_order[0] in drove
+            drove.add(event.new_order[0])
+    return resumed
+
+
+@pytest.mark.parametrize(
+    "chunk_rows,stride",
+    [(32, 1), (16, 8), (7, 8), pytest.param(4, None, id="4-resuming")],
+)
 def test_grid_statements_replay(dmv, chunk_rows, stride, monkeypatch):
     """Every statement of both grids (every eighth at the small chunk
     sizes) in the three reordering modes: zero mismatches, on the cascade
-    from the first row to the last, across hundreds of switches."""
+    from the first row to the last, across hundreds of switches. With no
+    stride: the :data:`RESUMING` statements under :data:`RESUMING_CONFIG`,
+    whose runs resume frozen scans."""
     assert len(GRID) == 696
     monkeypatch.setattr(vector, "MONITORED_CHUNK_ROWS", chunk_rows)
-    events = switches = 0
-    for number, sql in enumerate(GRID[::stride]):
-        for mode in REORDERING:
-            config = AdaptiveConfig(mode=mode)
-            tag = f"#{number * stride} {mode.name} chunk={chunk_rows}"
-            _, engine, oracle = assert_replays(*dmv, sql, config, tag=tag)
-            assert engine.engine_used == "vector-adaptive", tag
-            assert oracle.rows_emitted == engine.rows_emitted
-            events += len(engine.events)
-            switches += engine.driving_switches
+    if stride is None:
+        cases = [(number, RESUMING_CONFIG) for number in RESUMING]
+    else:
+        cases = [
+            (number, AdaptiveConfig(mode=mode))
+            for number in range(0, len(GRID), stride)
+            for mode in REORDERING
+        ]
+    events = switches = resumed = 0
+    for number, config in cases:
+        tag = f"#{number} {config.mode.name} chunk={chunk_rows}"
+        _, engine, oracle = assert_replays(*dmv, GRID[number], config, tag=tag)
+        assert engine.engine_used == "vector-adaptive", tag
+        assert oracle.rows_emitted == engine.rows_emitted
+        events += len(engine.events)
+        switches += engine.driving_switches
+        resumed += resumptions(engine)
+    if stride is None:
+        assert resumed >= 30, resumed
+        return
     # Not vacuous. A finished scan applies nothing, so what is replayed
     # was decided mid-scan: first chunks of 32 on every statement give 321
     # switches among 715 events (a first chunk of 256 is the whole scan of

@@ -5,10 +5,7 @@ import random
 import pytest
 
 from repro import AdaptiveConfig, Database, ReorderMode
-from repro.core.ranks import (
-    RuntimeModelBuilder,
-    measured_combined_local_selectivity,
-)
+from repro.core.ranks import measured_combined_local_selectivity
 from repro.executor.pipeline import PipelineExecutor
 
 

@@ -40,12 +40,6 @@ class TestTableModel:
         model = make_model("a")
         assert model.leg_cardinality == pytest.approx(1000 * 0.1 * 0.5)
 
-    def test_with_remaining_fraction_clamps(self):
-        model = make_model("a").with_remaining_fraction(2.0)
-        assert model.remaining_fraction == 1.0
-        model = make_model("a").with_remaining_fraction(-1.0)
-        assert model.remaining_fraction == 0.0
-
 
 class TestDrivingParams:
     def test_index_scan_cost_scales_with_remaining(self):
@@ -124,3 +118,15 @@ class TestInnerParams:
         jc_one_bound, _ = provider.inner_params("c", frozenset({"a"}))
         jc_two_bound, _ = provider.inner_params("c", frozenset({"a", "b"}))
         assert jc_one_bound == pytest.approx(jc_two_bound)
+
+    def test_memo_lasts_until_its_owner_drops_a_leg(self):
+        """A run's live model rewrites a leg's model in place and drops
+        that leg's entries itself: until then the memo answers."""
+        provider, _ = two_table_setup()
+        bound = frozenset({"b"})
+        first = provider.inner_params("a", bound)
+        provider.models["a"].sel_local_residual = 0.25
+        assert provider.inner_params("a", bound) is first
+        provider.memo.pop("a")
+        jc, _ = provider.inner_params("a", bound)
+        assert jc == pytest.approx(first[0] / 2)

@@ -52,6 +52,7 @@ from repro.obs.recorder import FlightRecord, FlightRecorder
 from repro.obs.schema import validate_flight_record
 from repro.optimizer.cost import cost_of_order
 from repro.optimizer.plancache import HIT, MISS, OFF, PlanCache
+from repro.optimizer.plans import PipelinePlan
 from repro.robustness.faults import FaultPlan, FaultSpec
 from repro.robustness.limits import CancellationToken
 
@@ -563,12 +564,12 @@ def test_catalog_changes_drop_feedback(flip_db, change):
 def test_change_during_the_run_refuses_the_write_back(flip_db, monkeypatch):
     """ANALYZE lands between the lookup and the end of the run: what the
     run measured belongs to a generation the entry is no longer good for."""
-    corrected_plan = repro.db.RuntimeModelBuilder.corrected_plan
+    corrected = PipelinePlan.corrected
     built = []
     monkeypatch.setattr(
-        repro.db.RuntimeModelBuilder,
-        "corrected_plan",
-        lambda self, order: built.append(1) or corrected_plan(self, order),
+        PipelinePlan,
+        "corrected",
+        lambda self, *args: built.append(1) or corrected(self, *args),
     )
     generation = flip_db.catalog.generation
     calls = []

@@ -1,12 +1,11 @@
-"""Tests for the run-time model builder (core/ranks.py)."""
+"""Tests for the run-time model (core/ranks.py)."""
 
 import pytest
 
 from repro import AdaptiveConfig, ReorderMode
 from repro.core.ranks import (
-    RuntimeModelBuilder,
+    _slots_selectivity,
     measured_combined_local_selectivity,
-    measured_residual_local_selectivity,
     remaining_scan_fraction,
 )
 from repro.executor.pipeline import PipelineExecutor
@@ -91,13 +90,10 @@ class TestRemainingScanFraction:
 
 
 class _FakeLeg:
-    """Minimal stand-in for RuntimeLeg's local-count bookkeeping."""
+    """Minimal stand-in for a leg's local-count bookkeeping."""
 
-    def __init__(self, counts, predicates=None):
+    def __init__(self, counts):
         self.local_counts = counts
-        self.local_tests = [
-            (predicate, None) for predicate in (predicates or [object() for _ in counts])
-        ]
 
 
 class TestMeasuredSelectivities:
@@ -112,23 +108,16 @@ class TestMeasuredSelectivities:
         assert measured_combined_local_selectivity(_FakeLeg([[0, 0]])) is None
 
     def test_residual_excludes_pushed(self):
-        pushed = object()
-        other = object()
-        leg = _FakeLeg([[100, 40], [40, 10]], predicates=[pushed, other])
-        # Only the second predicate counts: 10/40.
-        assert measured_residual_local_selectivity(leg, pushed) == pytest.approx(
+        # Only the second predicate's slot counts: 10/40.
+        assert _slots_selectivity([[100, 40], [40, 10]], (1,)) == pytest.approx(
             0.25
         )
 
     def test_residual_all_pushed(self):
-        pushed = object()
-        leg = _FakeLeg([[100, 40]], predicates=[pushed])
-        assert measured_residual_local_selectivity(leg, pushed) == 1.0
+        assert _slots_selectivity([[100, 40]], ()) == 1.0
 
     def test_residual_no_data(self):
-        other = object()
-        leg = _FakeLeg([[0, 0]], predicates=[other])
-        assert measured_residual_local_selectivity(leg, None) is None
+        assert _slots_selectivity([[0, 0]], (0,)) is None
 
 
 class TestBuilderIntegration:
@@ -145,8 +134,7 @@ class TestBuilderIntegration:
         # Start the pipeline so the driving cursor exists.
         iterator = pipeline.rows()
         next(iterator, None)
-        builder = RuntimeModelBuilder(pipeline)
-        provider = builder.build_provider()
+        provider = pipeline.model()
         for alias in pipeline.order:
             cleg, scan_pc = provider.driving_params(alias)
             assert cleg >= 0 and scan_pc > 0
@@ -159,9 +147,8 @@ class TestBuilderIntegration:
         )
         rows = list(pipeline.rows())
         assert rows  # monitors now warm
-        builder = RuntimeModelBuilder(pipeline)
         before = dict(pipeline.class_selectivities)
-        builder.refresh_join_selectivities()
+        pipeline.model()
         after = pipeline.class_selectivities
         # The equivalence class got a measured (positive) selectivity.
         assert all(value > 0 for value in after.values())
@@ -176,8 +163,7 @@ class TestBuilderIntegration:
             warmup_rows=1,
         )
         list(pipeline.rows())
-        builder = RuntimeModelBuilder(pipeline)
-        provider = builder.build_provider()
+        provider = pipeline.model()
         inner_alias = pipeline.order[1]
         leg = pipeline.legs[inner_alias]
         jc_model, _ = provider.inner_params(
